@@ -1,12 +1,11 @@
 //! Distributed-substrate benchmark (§4.2): the cluster list-scheduling
-//! simulator, the BOINC-style volunteer grid simulator, and the sharded
-//! coordinator's sustained work-unit throughput on family-sized job lists.
+//! simulator and the sharded coordinator's sustained work-unit throughput on
+//! family-sized job lists.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdsat_distrib::{
-    simulate_cluster, simulate_volunteer_grid, synthetic_family_solver, synthetic_host_population,
-    ClusterConfig, Coordinator, CoordinatorConfig, GridConfig, LoopbackConfig, LoopbackTransport,
-    RunStatus,
+    simulate_cluster, synthetic_family_solver, ClusterConfig, Coordinator, CoordinatorConfig,
+    LoopbackConfig, LoopbackTransport, RunStatus,
 };
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -31,15 +30,6 @@ fn bench_distrib(c: &mut Criterion) {
             |b, costs| {
                 let config = ClusterConfig::matrosov_15_nodes();
                 b.iter(|| simulate_cluster(costs, &[], &config).makespan);
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("volunteer_grid_200_hosts", jobs),
-            &costs,
-            |b, costs| {
-                let hosts = synthetic_host_population(200, 5);
-                let config = GridConfig::default();
-                b.iter(|| simulate_volunteer_grid(costs, &hosts, &config).makespan);
             },
         );
     }

@@ -3,12 +3,12 @@
 //! identical evaluation budgets, and the batched-vs-sequential head-to-head
 //! for neighborhood evaluation.
 //!
-//! `neighborhood_radius1_batched` vs `neighborhood_radius1_sequential` is
-//! gated in CI (`bench_gate --faster-than`): lowering a whole radius-1
-//! neighborhood into one `CubeOracle` batch must not be slower than the
-//! point-at-a-time loop (it amortizes the per-batch dispatch, the
-//! `num_vars`-sized conflict accumulator and the stats merge across the
-//! whole neighborhood, and keeps the worker pool busy across points).
+//! `neighborhood_radius1_batched` vs `neighborhood_radius1_sequential` is the
+//! head-to-head: lowering a whole radius-1 neighborhood into one
+//! `CubeOracle` batch should not be slower than the point-at-a-time loop (it
+//! amortizes the per-batch dispatch, the `num_vars`-sized conflict
+//! accumulator and the stats merge across the whole neighborhood, and keeps
+//! the worker pool busy across points).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pdsat_bench::bench_a51_instance;
@@ -77,7 +77,7 @@ fn bench_metaheuristics(c: &mut Criterion) {
         });
     });
 
-    // The head-to-head CI gates: the same radius-1 neighborhood (12 points ×
+    // The head-to-head: the same radius-1 neighborhood (12 points ×
     // 10 cubes), evaluated point-at-a-time vs as one oracle batch. A warm
     // backend isolates the per-batch overhead (the steady state of a long
     // search, where per-cube solving is cheap and dispatch dominates).

@@ -65,7 +65,7 @@ fn bench_solver(c: &mut Criterion) {
     // assumption-prefix trail reuse: the head-to-head isolates the per-cube
     // cost of replaying shared assumption prefixes and their unit
     // propagations (the dominant warm-path cost once a family's lemmas are
-    // learnt). CI gates `on` against `off` via `bench_gate --faster-than`.
+    // learnt).
     for reuse in [false, true] {
         group.bench_with_input(
             BenchmarkId::new("family_prefix_reuse", if reuse { "on" } else { "off" }),
@@ -101,8 +101,7 @@ fn bench_solver(c: &mut Criterion) {
     // subsumption + vivification), then processes all 1024 cubes; `off` is
     // the plain sweep. The preprocessing itself runs in the setup phase, so
     // the head-to-head isolates the steady-state payoff of the smaller
-    // clause database. CI gates `on` against `off` via
-    // `bench_gate --faster-than`.
+    // clause database.
     for simplify in [false, true] {
         group.bench_with_input(
             BenchmarkId::new("family_simplify", if simplify { "on" } else { "off" }),
@@ -143,8 +142,8 @@ fn bench_solver(c: &mut Criterion) {
     // toggled. `on` prices recording every learnt/deleted clause into the
     // in-memory proof stream (the stream is truncated each iteration so it
     // cannot grow across criterion samples); `off` pins that the proof
-    // plumbing is free when disabled — the row CI gates at 10 % against the
-    // committed baseline, the bit-identical-search guarantee in time form.
+    // plumbing is free when disabled, the bit-identical-search guarantee in
+    // time form.
     for proof in [false, true] {
         group.bench_with_input(
             BenchmarkId::new("family_proof", if proof { "on" } else { "off" }),

@@ -6,11 +6,8 @@
 //! measured quantity is the steady-state cost of a family batch on the
 //! oracle's *persistent* worker pool — resident backends included — exactly
 //! the regime PDSAT runs in (its MiniSat workers live for the whole
-//! cluster job). CI gates (see `bench_gate`): the `…_backend/warm` median
-//! (≤ 10 % regression vs the committed `BENCH_solver.json`), the
-//! `…_workers/4` median (≤ 10 % regression, plus the scaling assertion that
-//! 4 workers beat 1), and the trail-reuse head-to-heads
-//! (`…_reuse/on` at least 25 % faster than `…_reuse/off` for both ciphers).
+//! cluster job). The rows are diagnostics; performance claims are made with
+//! `benchmark/` (`BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pdsat_bench::{bench_bivium_instance, bench_grain_instance, start_set};
@@ -55,8 +52,6 @@ fn bench_solving_mode(c: &mut Criterion) {
 
     // The trail-reuse head-to-head on the warm backend: identical family,
     // identical prefix-aware schedule, `SolverConfig::trail_reuse` toggled.
-    // CI gates `on` at least 25 % faster than `off` for both ciphers
-    // (`bench_gate --faster-than … -25`).
     for (cipher, instance, set) in [
         ("bivium", &bivium, &bivium_set),
         ("grain", &grain, &grain_set),
@@ -93,8 +88,7 @@ fn bench_solving_mode(c: &mut Criterion) {
     // `simplify()` pass at construction, and the family is then processed as
     // usual. Preprocessing cost is paid inside `FamilySolver::new` (outside
     // the timed body), so the rows compare steady-state family cost with and
-    // without the eliminated/subsumed/vivified clause database. CI gates
-    // `on` against `off` for both ciphers (`bench_gate --faster-than`).
+    // without the eliminated/subsumed/vivified clause database.
     for (cipher, instance, set) in [
         ("bivium", &bivium, &bivium_set),
         ("grain", &grain, &grain_set),
@@ -130,9 +124,7 @@ fn bench_solving_mode(c: &mut Criterion) {
     // The inprocessing payoff on the *fresh* backend: without simplify every
     // cube reloads the clause database from the CNF (attach loop included);
     // with simplify each worker keeps one preprocessed template and clones
-    // it per cube — a flat memcpy of the simplified arena. CI gates `on` at
-    // least 15 % faster than `off` (`bench_gate --faster-than … -15`), the
-    // headline number of the inprocessing PR.
+    // it per cube — a flat memcpy of the simplified arena.
     for simplify in [false, true] {
         group.bench_with_input(
             BenchmarkId::new(
@@ -221,8 +213,7 @@ fn bench_solving_mode(c: &mut Criterion) {
     // default — the `catch_unwind` wrapper is the only addition over the
     // pre-fault-tolerance pool) vs armed with a plan whose ordinals never
     // fire (`armed` additionally pays the `FaultyBackend` wrapper and one
-    // ordinal atomic per solve). CI gates `off` at ≤ 10 % regression vs the
-    // committed baseline and `armed` within 10 % of `off` head-to-head.
+    // ordinal atomic per solve).
     let family_cubes: Vec<Cube> = bivium_set.cubes().collect();
     for armed in [false, true] {
         group.bench_with_input(

@@ -5,7 +5,6 @@ use crate::StreamCipher;
 use pdsat_circuit::tseitin;
 use pdsat_cnf::{Cnf, Lit, Var};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A SAT encoding of a logical cryptanalysis problem.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(instance.state_vars().len(), 177);
 /// assert_eq!(instance.keystream().len(), 24);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Instance {
     name: String,
     cnf: Cnf,

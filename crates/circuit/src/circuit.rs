@@ -1,7 +1,6 @@
 //! The circuit builder and simulator.
 
 use crate::node::{Gate, NodeId, Signal};
-use serde::{Deserialize, Serialize};
 
 /// A combinational Boolean circuit.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// c.add_output(carry);
 /// assert_eq!(c.evaluate(&[true, true]), vec![false, true]);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Circuit {
     nodes: Vec<Gate>,
     num_inputs: u32,

@@ -1,9 +1,7 @@
 //! Circuit nodes and signals.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a gate node inside a [`Circuit`](crate::Circuit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -20,7 +18,7 @@ impl NodeId {
 /// Builder methods fold constants eagerly, so gate operands are almost always
 /// [`Signal::Node`]s; constants only survive when the whole expression is
 /// constant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Signal {
     /// A constant truth value.
     Const(bool),
@@ -57,7 +55,7 @@ impl From<bool> for Signal {
 }
 
 /// The operation computed by a circuit node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// A primary input (the `i`-th input of the circuit).
     Input(u32),

@@ -3,11 +3,10 @@
 use crate::node::{Gate, Signal};
 use crate::Circuit;
 use pdsat_cnf::{Cnf, Lit, Var};
-use serde::{Deserialize, Serialize};
 
 /// A circuit output after encoding: either a literal of the CNF or a
 /// constant (when constant folding reduced the whole output).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EncodedOutput {
     /// The output equals this literal in every model.
     Lit(Lit),
@@ -22,7 +21,7 @@ pub enum EncodedOutput {
 /// matches Transalg's convention and is what lets the partitioning machinery
 /// use "the input variables" as the starting decomposition set
 /// (`X̃_start` of the paper).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Encoding {
     /// The Tseitin CNF of the circuit.
     pub cnf: Cnf,

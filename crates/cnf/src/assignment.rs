@@ -1,7 +1,6 @@
 //! Partial assignments of truth values to variables.
 
 use crate::{Lit, Value, Var};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A partial assignment over a fixed set of variables `x_0 … x_{n-1}`.
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(a.value(Var::new(0)), Value::Unassigned);
 /// assert_eq!(a.num_assigned(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     values: Vec<Option<bool>>,
 }

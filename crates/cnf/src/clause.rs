@@ -1,7 +1,6 @@
 //! Clauses: disjunctions of literals.
 
 use crate::{Assignment, Lit, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A disjunction of literals.
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert_eq!(c.len(), 2);
 /// assert!(!c.is_empty());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Clause {
     lits: Vec<Lit>,
 }

@@ -1,7 +1,6 @@
 //! Cubes: conjunctions of literals used to split a SAT instance.
 
 use crate::{Assignment, Lit, Value, Var};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A conjunction of literals over pairwise-distinct variables.
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert_eq!(cube.lits().len(), 3);
 /// assert_eq!(cube.to_string(), "x1 ∧ ¬x6 ∧ x8");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Cube {
     lits: Vec<Lit>,
 }

@@ -1,7 +1,6 @@
 //! CNF formulas.
 
 use crate::{Assignment, Clause, Cube, Lit, Value, Var};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A formula in conjunctive normal form over variables `x_0 … x_{n-1}`.
@@ -20,7 +19,7 @@ use std::fmt;
 /// let model = Assignment::from_bools(&[false, true]);
 /// assert_eq!(cnf.evaluate(&model), Value::True);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cnf {
     num_vars: usize,
     clauses: Vec<Clause>,

@@ -1,6 +1,5 @@
 //! Variables and literals.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A Boolean variable, identified by a zero-based index.
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert_eq!(v.index(), 4);
 /// assert_eq!(v.to_dimacs(), 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(u32);
 
 impl Var {
@@ -105,7 +104,7 @@ impl From<u32> for Var {
 /// assert_eq!(p.var(), n.var());
 /// assert!(p.is_positive() && n.is_negative());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Lit(u32);
 
 impl Lit {

@@ -1,17 +1,73 @@
 //! Simulated volunteer clients for the loopback transport.
 //!
-//! Each client wraps one [`Host`] (speed/availability/reliability, drawn from
-//! the same [`synthetic_host_population`](crate::synthetic_host_population)
-//! the legacy grid simulator uses) plus the behavioural pathologies BOINC
+//! The paper solved its hardest A5/1 and Bivium9 instances in the volunteer
+//! project SAT@home (≈2–4 TFLOPS average performance, months of wall-clock
+//! time). We cannot deploy a BOINC project here, so each simulated client
+//! wraps one [`Host`] (speed/availability/reliability, drawn by
+//! [`synthetic_host_population`]) plus the behavioural pathologies BOINC
 //! operators fight daily: availability gaps between tasks, stragglers that
 //! run an order of magnitude slower than the host's benchmark, permanent
 //! churn, results that vanish, duplicate uploads, and corrupted uploads. All
 //! decisions are drawn from a per-client seeded RNG, so a population's
 //! behaviour is a pure function of its seed.
 
-use crate::volunteer::Host;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One volunteer host.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Host {
+    /// Core speed relative to the reference core used for cost measurement.
+    pub speed: f64,
+    /// Fraction of wall-clock time the host actually crunches (0–1).
+    pub availability: f64,
+    /// Probability that an assigned work unit eventually returns a valid
+    /// result (the rest vanish and are re-issued after the deadline).
+    pub reliability: f64,
+}
+
+impl Host {
+    /// Effective throughput of the host relative to the reference core.
+    #[must_use]
+    pub fn effective_speed(&self) -> f64 {
+        self.speed * self.availability
+    }
+}
+
+/// Samples one standard-normal deviate by Box–Muller from two uniforms.
+fn standard_normal(rng: &mut StdRng) -> f64 {
+    // Guard the logarithm: gen::<f64>() lies in [0, 1), so flip to (0, 1].
+    let u1: f64 = 1.0 - rng.gen::<f64>();
+    let u2: f64 = rng.gen::<f64>();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+}
+
+/// Draws a synthetic volunteer population: **log-normal** (heavy-tailed)
+/// speeds, beta-ish availability, high but imperfect reliability.
+/// Deterministic for a fixed seed.
+///
+/// Volunteer-grid host benchmarks are famously right-skewed: most donated
+/// machines cluster near the median while a thin tail of fast hosts
+/// contributes a disproportionate share of the throughput. Speeds are drawn
+/// as `exp(σ·Z)` with `σ = 0.55` (median 1.0 — the reference core — with
+/// ~90 % of hosts in roughly `[0.4, 2.5]`), clamped to `[0.2, 8.0]` to keep
+/// a single outlier from dominating a small simulated population.
+#[must_use]
+pub fn synthetic_host_population(count: usize, seed: u64) -> Vec<Host> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count)
+        .map(|_| {
+            let speed = (0.55 * standard_normal(&mut rng)).exp().clamp(0.2, 8.0);
+            let availability = 0.2 + 0.8 * rng.gen::<f64>();
+            let reliability = 0.85 + 0.15 * rng.gen::<f64>();
+            Host {
+                speed,
+                availability,
+                reliability,
+            }
+        })
+        .collect()
+}
 
 /// Probabilities and magnitudes of volunteer-client pathologies.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,7 +119,7 @@ impl ClientBehavior {
     /// A perfectly behaved client: no gaps, no stragglers, no churn, no
     /// duplicates, no invalid uploads. With an ideal [`Host`] this reduces
     /// the loopback grid to greedy list scheduling, which is what the parity
-    /// test against the legacy simulator pins down.
+    /// test against [`simulate_cluster`](crate::simulate_cluster) pins down.
     #[must_use]
     pub fn ideal() -> ClientBehavior {
         ClientBehavior {
@@ -227,18 +283,62 @@ impl VolunteerClient {
 }
 
 /// Draws a full simulated client population: hosts from
-/// [`synthetic_host_population`](crate::synthetic_host_population) (the same
-/// heavy-tailed model the legacy grid simulator samples) wrapped in seeded
-/// behaviour streams.
+/// [`synthetic_host_population`] wrapped in seeded behaviour streams.
 #[must_use]
 pub fn volunteer_population(
     count: usize,
     seed: u64,
     behavior: ClientBehavior,
 ) -> Vec<VolunteerClient> {
-    crate::volunteer::synthetic_host_population(count, seed)
+    synthetic_host_population(count, seed)
         .into_iter()
         .enumerate()
         .map(|(id, host)| VolunteerClient::new(id, host, behavior, seed))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn availability_scales_effective_speed() {
+        let host = Host {
+            speed: 2.0,
+            availability: 0.5,
+            reliability: 1.0,
+        };
+        assert!((host.effective_speed() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn synthetic_population_is_deterministic_and_plausible() {
+        let a = synthetic_host_population(50, 7);
+        let b = synthetic_host_population(50, 7);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 50);
+        for host in &a {
+            assert!(host.speed >= 0.2 && host.speed <= 8.0);
+            assert!(host.availability > 0.0 && host.availability <= 1.0);
+            assert!(host.reliability >= 0.85 && host.reliability <= 1.0);
+        }
+        let c = synthetic_host_population(50, 8);
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn synthetic_speeds_are_right_skewed_around_a_unit_median() {
+        // A log-normal has mean > median: the heavy right tail pulls the
+        // average above the typical host. Check over a large population so
+        // the estimate is stable.
+        let hosts = synthetic_host_population(4000, 11);
+        let mut speeds: Vec<f64> = hosts.iter().map(|h| h.speed).collect();
+        speeds.sort_by(|x, y| x.partial_cmp(y).expect("speeds are finite"));
+        let median = speeds[speeds.len() / 2];
+        let mean = speeds.iter().sum::<f64>() / speeds.len() as f64;
+        assert!((0.9..1.1).contains(&median), "median {median}");
+        assert!(mean > median, "mean {mean} vs median {median}");
+        // The tail exists: some host is meaningfully faster than 2x median.
+        assert!(speeds.last().copied().unwrap_or(0.0) > 2.0);
+    }
 }

@@ -6,10 +6,8 @@
 //! computing process becomes free — i.e. list scheduling in enumeration
 //! order — which is what this simulator reproduces.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a cluster partition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterConfig {
     /// Number of nodes in the partition.
     pub nodes: usize,
@@ -61,7 +59,7 @@ impl ClusterConfig {
 }
 
 /// Outcome of simulating the processing of a family on a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterReport {
     /// Number of cores used.
     pub cores: usize,

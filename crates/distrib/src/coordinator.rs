@@ -199,9 +199,8 @@ impl CoordinatorCheckpoint {
     /// Serializes the checkpoint into a line-oriented text form restored
     /// **bit-for-bit** by [`from_text`](CoordinatorCheckpoint::from_text):
     /// floats travel as hex-encoded IEEE-754 bits, models as one character
-    /// per variable. (The workspace's vendored `serde` is a type-check stub,
-    /// so this hand-rolled codec is what makes coordinator progress actually
-    /// crash-safe on disk.)
+    /// per variable. This codec is what makes coordinator progress
+    /// crash-safe on disk.
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -773,6 +772,51 @@ mod tests {
         .is_err());
     }
 
+    /// The unit line as written today (17 fields), spelled out by hand rather
+    /// than produced by the writer: a checkpoint on somebody's disk must keep
+    /// loading, field for field, whatever happens to the structs around it.
+    #[test]
+    fn golden_17_field_checkpoint_loads_and_reserializes_byte_identically() {
+        let golden = "pdsat-coordinator-checkpoint v1\n\
+            family set_size=2 total_cubes=4 work_unit_size=2\n\
+            unit 1 2 4014000000000000 1 0 1500 3 7 11 12 13 14 15 1 4014000000000000 10x1 \
+            4008000000000000,4000000000000000\n";
+        let checkpoint = CoordinatorCheckpoint::from_text(golden).expect("golden text loads");
+        assert_eq!(
+            (
+                checkpoint.set_size,
+                checkpoint.total_cubes,
+                checkpoint.work_unit_size
+            ),
+            (2, 4, 2)
+        );
+        assert_eq!(checkpoint.completed.len(), 1);
+        let unit = &checkpoint.completed[&1];
+        assert_eq!(unit.set_size, 2);
+        assert_eq!(unit.cubes_processed, 2);
+        assert_eq!(unit.total_cost, 5.0);
+        assert_eq!(unit.sat_count, 1);
+        assert_eq!(unit.unknown_count, 0);
+        assert_eq!(unit.wall_time, Duration::from_nanos(1500));
+        assert_eq!(unit.reused_assumptions, 3);
+        assert_eq!(unit.saved_propagations, 7);
+        assert_eq!(unit.exported_clauses, 11);
+        assert_eq!(unit.imported_clauses, 12);
+        assert_eq!(unit.import_dropped, 13);
+        assert_eq!(unit.worker_panics, 14);
+        assert_eq!(unit.requeued_cubes, 15);
+        assert_eq!(unit.first_sat_index, Some(1));
+        assert_eq!(unit.cost_to_first_sat, Some(5.0));
+        let mut model = Assignment::new(4);
+        model.assign(Var::new(0), true);
+        model.assign(Var::new(1), false);
+        model.assign(Var::new(3), true);
+        assert_eq!(unit.model.as_ref(), Some(&model));
+        assert_eq!(unit.per_cube_costs, vec![3.0, 2.0]);
+        assert!(unit.certificates.is_empty());
+        assert_eq!(checkpoint.to_text(), golden);
+    }
+
     /// A hand-scripted transport: a fixed queue of client messages, with
     /// work requests answered by nothing (the script already contains every
     /// submission). Lets tests inject hostile uploads the loopback's honest
@@ -880,7 +924,7 @@ mod tests {
     #[test]
     fn unsat_certificates_are_checked_and_stripped_from_the_checkpoint() {
         use pdsat_cnf::{Cube, DratProof, DratStep, Lit};
-        use pdsat_core::{solve_cubes, CubeCertificate, SolveModeConfig};
+        use pdsat_core::{CubeCertificate, FamilySolver, SolveModeConfig};
         use pdsat_solver::SolverConfig;
         // Pigeonhole 4→3: every cube of any family is UNSAT.
         let (pigeons, holes) = (4usize, 3usize);
@@ -913,8 +957,9 @@ mod tests {
             lease_timeout: 1e9,
         };
         // Each unit solved locally with proof logging on: real certificates.
-        let unit0 = solve_cubes(&cnf, &set, &cubes[0..2], &solve_config, None);
-        let unit1 = solve_cubes(&cnf, &set, &cubes[2..4], &solve_config, None);
+        let mut solver = FamilySolver::new(&cnf, &solve_config);
+        let unit0 = solver.solve_cubes(&set, &cubes[0..2], None);
+        let unit1 = solver.solve_cubes(&set, &cubes[2..4], None);
         assert_eq!(unit0.certificates.len(), 2, "every UNSAT cube certified");
         // A tampered certificate: drop everything but the (non-RUP) empty
         // clause on one cube of unit 1.

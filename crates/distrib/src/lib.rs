@@ -1,14 +1,13 @@
-//! The distributed-computing layer of the reproduction: discrete-event
-//! simulators for the paper's computing substrates plus a sharded,
-//! checkpointed coordinator that actually processes decomposition families
-//! on a (simulated) volunteer grid.
+//! The distributed-computing layer of the reproduction: a closed-form model
+//! of the paper's cluster plus a sharded, checkpointed coordinator that
+//! actually processes decomposition families on a (simulated) volunteer
+//! grid.
 //!
 //! Two levels of fidelity:
 //!
-//! * **Closed-form simulators** ([`simulate_cluster`],
-//!   [`simulate_volunteer_grid`]) consume per-sub-problem costs and answer
-//!   *how long does the whole decomposition family take on this machine?* —
-//!   cheap enough to call inside search loops.
+//! * **The cluster model** ([`simulate_cluster`]) consumes per-sub-problem
+//!   costs and answers *how long does the whole decomposition family take on
+//!   this machine?* — cheap enough to call inside search loops.
 //! * **The coordinator** ([`Coordinator`]) is the SAT@home server side in
 //!   miniature: it shards a family into work units, leases them to clients
 //!   over a pluggable [`Transport`], re-issues expired leases, validates a
@@ -36,9 +35,11 @@ mod coordinator;
 mod lease;
 mod store;
 mod transport;
-mod volunteer;
 
-pub use client::{volunteer_population, ClientBehavior, ClientFate, VolunteerClient};
+pub use client::{
+    synthetic_host_population, volunteer_population, ClientBehavior, ClientFate, Host,
+    VolunteerClient,
+};
 pub use cluster::{simulate_cluster, ClusterConfig, ClusterReport};
 pub use coordinator::{
     validate_unit_report, Coordinator, CoordinatorCheckpoint, CoordinatorConfig, CoordinatorStats,
@@ -52,7 +53,4 @@ pub use transport::{
     synthetic_family_solver, ChaosTransport, ClientId, ClientMsg, FallibleTransport,
     LoopbackConfig, LoopbackTransport, RetryPolicy, RetryStats, RetryTransport, ServerMsg, Timed,
     Transport, TransportError, TransportStats, WorkUnit, WorkUnitId,
-};
-pub use volunteer::{
-    simulate_volunteer_grid, synthetic_host_population, GridConfig, GridReport, Host,
 };

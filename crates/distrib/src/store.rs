@@ -467,6 +467,38 @@ mod tests {
         assert_eq!(generation, 7);
     }
 
+    /// A store file as written today, spelled out by hand (CRCs from zlib's
+    /// `crc32()`), goes through the real disk path: `load` accepts it and a
+    /// fresh store's first `save` writes the same bytes back.
+    #[test]
+    fn golden_store_file_loads_and_resaves_byte_identically() {
+        let golden = "pdsat-checkpoint-store v1\n\
+            88929a92 pdsat-coordinator-checkpoint v1\n\
+            66e64561 family set_size=2 total_cubes=4 work_unit_size=2\n\
+            dbb9f46c unit 1 2 4014000000000000 1 0 1500 3 7 11 12 13 14 15 1 4014000000000000 10x1 \
+            4008000000000000,4000000000000000\n\
+            end generation=0 lines=3 crc=5be36373\n";
+        let dir = std::env::temp_dir();
+        let original = dir.join(format!("pdsat-golden-{}-a.ckpt", std::process::id()));
+        let resaved = dir.join(format!("pdsat-golden-{}-b.ckpt", std::process::id()));
+        fs::write(&original, golden).expect("scratch file is writable");
+
+        let mut store = CheckpointStore::new(&original);
+        let checkpoint = store
+            .load()
+            .expect("golden file verifies")
+            .expect("golden file exists");
+        assert_eq!(store.generation(), 1, "next save follows generation 0");
+        assert_eq!(checkpoint.completed[&1].per_cube_costs, vec![3.0, 2.0]);
+
+        let mut fresh = CheckpointStore::new(&resaved);
+        assert_eq!(fresh.save(&checkpoint), Ok(0));
+        let written = fs::read_to_string(&resaved).expect("saved file is readable");
+        let _ = fs::remove_file(&original);
+        let _ = fs::remove_file(&resaved);
+        assert_eq!(written, golden);
+    }
+
     #[test]
     fn truncation_is_detected() {
         let payload =

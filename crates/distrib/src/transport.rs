@@ -10,8 +10,7 @@
 //! fully determined by a seed, so every coordinator test and bench is
 //! reproducible.
 
-use crate::client::{ClientBehavior, ClientFate, VolunteerClient};
-use crate::volunteer::{synthetic_host_population, Host};
+use crate::client::{synthetic_host_population, ClientBehavior, ClientFate, Host, VolunteerClient};
 use pdsat_core::{FaultState, RecvAction, SolveReport};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -114,9 +113,9 @@ pub struct LoopbackConfig {
     /// self-renewing.
     pub replace_departed: bool,
     /// When `true`, all hosts are identical reference cores that are always
-    /// on and perfectly reliable (for parity tests against the legacy
-    /// simulator); otherwise hosts come from
-    /// [`synthetic_host_population`].
+    /// on and perfectly reliable (for the parity test against
+    /// [`simulate_cluster`](crate::simulate_cluster)); otherwise hosts come
+    /// from [`synthetic_host_population`].
     pub ideal_hosts: bool,
 }
 

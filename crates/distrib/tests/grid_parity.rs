@@ -1,15 +1,16 @@
-//! Parity between the legacy closed-form grid simulator and the coordinator:
-//! with ideal hosts (always on, perfectly reliable, reference speed) and no
-//! replication, both reduce to greedy in-order list scheduling, so they must
-//! agree on the makespan, the assignment count and the donated CPU time.
+//! Parity between the cluster model and the coordinator: with ideal hosts
+//! (always on, perfectly reliable, reference speed) and no replication, the
+//! coordinator reduces to greedy in-order list scheduling of work units, which
+//! is what [`simulate_cluster`] computes over per-unit cost sums with one core
+//! per host. The two must agree on the makespan, the assignment count and the
+//! donated CPU time.
 //!
-//! This pins the coordinator's scheduling policy to the simulator the
-//! earlier experiments were calibrated against: any drift in dispatch order
+//! This pins the coordinator's scheduling policy: any drift in dispatch order
 //! or lease bookkeeping shows up as a makespan difference here.
 
 use pdsat_distrib::{
-    simulate_volunteer_grid, synthetic_family_solver, Coordinator, CoordinatorConfig, GridConfig,
-    Host, LoopbackConfig, LoopbackTransport, RunStatus,
+    simulate_cluster, synthetic_family_solver, ClusterConfig, Coordinator, CoordinatorConfig,
+    LoopbackConfig, LoopbackTransport, RunStatus,
 };
 
 fn ragged_costs(n: usize) -> Vec<f64> {
@@ -19,22 +20,17 @@ fn ragged_costs(n: usize) -> Vec<f64> {
 fn parity_case(num_cubes: usize, work_unit_size: usize, num_hosts: usize) {
     let costs = ragged_costs(num_cubes);
 
-    let hosts = vec![
-        Host {
-            speed: 1.0,
-            availability: 1.0,
-            reliability: 1.0,
-        };
-        num_hosts
-    ];
-    let legacy = simulate_volunteer_grid(
-        &costs,
-        &hosts,
-        &GridConfig {
-            work_unit_size,
-            redundancy: 1,
-            deadline: 1e12,
-            seed: 5,
+    let unit_costs: Vec<f64> = costs
+        .chunks(work_unit_size)
+        .map(|unit| unit.iter().sum())
+        .collect();
+    let reference = simulate_cluster(
+        &unit_costs,
+        &[],
+        &ClusterConfig {
+            nodes: 1,
+            cores_per_node: num_hosts,
+            core_speed: 1.0,
         },
     );
 
@@ -57,28 +53,27 @@ fn parity_case(num_cubes: usize, work_unit_size: usize, num_hosts: usize) {
     assert_eq!(coordinator.run(&mut transport, None), RunStatus::Complete);
 
     let stats = coordinator.stats();
-    assert_eq!(legacy.work_units, coordinator.num_units());
-    assert_eq!(legacy.assignments, stats.assignments, "one lease per unit");
+    assert_eq!(reference.jobs, coordinator.num_units());
+    assert_eq!(reference.jobs, stats.assignments, "one lease per unit");
     assert!(
-        (legacy.makespan - stats.makespan).abs() < 1e-9 * legacy.makespan.max(1.0),
-        "makespan parity: legacy {} vs coordinator {}",
-        legacy.makespan,
+        (reference.makespan - stats.makespan).abs() < 1e-9 * reference.makespan.max(1.0),
+        "makespan parity: cluster {} vs coordinator {}",
+        reference.makespan,
         stats.makespan
     );
     assert!(
-        (legacy.donated_cpu_time - transport.stats().donated_cpu_time).abs()
-            < 1e-9 * legacy.donated_cpu_time.max(1.0),
-        "donated CPU parity: legacy {} vs coordinator {}",
-        legacy.donated_cpu_time,
+        (reference.cpu_time - transport.stats().donated_cpu_time).abs()
+            < 1e-9 * reference.cpu_time.max(1.0),
+        "donated CPU parity: cluster {} vs coordinator {}",
+        reference.cpu_time,
         transport.stats().donated_cpu_time
     );
-    assert_eq!(legacy.lost_results, 0);
     assert_eq!(stats.expired_leases, 0);
     assert_eq!(stats.invalid_results, 0);
 }
 
 #[test]
-fn ideal_grid_makespans_match_the_legacy_simulator() {
+fn ideal_grid_makespans_match_list_scheduling() {
     // More units than hosts (queueing), fewer units than hosts (idle tail),
     // single host (pure sequential), and a non-dividing chunk size.
     parity_case(96, 4, 8);

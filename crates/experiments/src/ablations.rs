@@ -13,10 +13,9 @@ use pdsat_core::{
     Annealing, AnnealingConfig, DriverConfig, Evaluator, EvaluatorConfig, NewCenterHeuristic,
     RandomRestart, RandomRestartConfig, SearchDriver, SearchLimits, Tabu, TabuConfig,
 };
-use serde::{Deserialize, Serialize};
 
 /// Comparison of the two metaheuristics under the same evaluation budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetaheuristicComparison {
     /// Algorithm name.
     pub algorithm: String,
@@ -31,7 +30,7 @@ pub struct MetaheuristicComparison {
 }
 
 /// Effect of the Monte Carlo sample size on the estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleSizeEffect {
     /// Sample size `N`.
     pub sample_size: usize,
@@ -44,7 +43,7 @@ pub struct SampleSizeEffect {
 }
 
 /// Effect of the `getNewCenter` heuristic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NewCenterEffect {
     /// Heuristic name.
     pub heuristic: String,

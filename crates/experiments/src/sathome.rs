@@ -17,8 +17,7 @@
 //! 3. the coordinator is **killed mid-run and resumed** from its
 //!    text-serialized checkpoint, demonstrating that completed work units
 //!    survive a crash;
-//! 4. the legacy closed-form grid replay and the ideal-cluster baseline are
-//!    reported alongside for comparison.
+//! 4. the ideal-cluster baseline is reported alongside for comparison.
 
 use crate::scaled::{a51_manual_reference_set, CipherKind, ScaledWorkload};
 use crate::text_table::{sci, TextTable};
@@ -28,14 +27,12 @@ use pdsat_core::{
     SolveModeConfig, Tabu, TabuConfig,
 };
 use pdsat_distrib::{
-    simulate_cluster, simulate_volunteer_grid, synthetic_host_population, validate_unit_report,
-    ClusterConfig, Coordinator, CoordinatorCheckpoint, CoordinatorConfig, GridConfig, GridReport,
-    LoopbackConfig, LoopbackTransport, RunStatus, WorkUnit,
+    simulate_cluster, validate_unit_report, ClusterConfig, Coordinator, CoordinatorCheckpoint,
+    CoordinatorConfig, LoopbackConfig, LoopbackTransport, RunStatus, WorkUnit,
 };
-use serde::{Deserialize, Serialize};
 
 /// Result of one coordinator deployment of a decomposition family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SatHomeRun {
     /// Which decomposition set was used ("S1 (manual)" or "S3 (tabu)").
     pub set_name: String,
@@ -55,8 +52,6 @@ pub struct SatHomeRun {
     /// Work units restored from the checkpoint after the simulated
     /// mid-run kill (0 when the run completed inside the first segment).
     pub resumed_units: usize,
-    /// Legacy closed-form grid replay of the same per-cube costs (baseline).
-    pub grid: GridReport,
     /// Makespan of the same family on an ideal dedicated cluster with as many
     /// cores as the grid has hosts.
     pub ideal_cluster_makespan: f64,
@@ -89,7 +84,6 @@ impl SatHomeResult {
                 "Coordinator makespan",
                 "Re-issues",
                 "Resumed units",
-                "Legacy grid makespan",
                 "Ideal cluster makespan",
             ],
         );
@@ -102,7 +96,6 @@ impl SatHomeResult {
                 sci(run.coordinator_makespan),
                 run.reissued_leases.to_string(),
                 run.resumed_units.to_string(),
-                sci(run.grid.makespan),
                 sci(run.ideal_cluster_makespan),
             ]);
         }
@@ -152,7 +145,6 @@ pub fn run_sathome(workload: &ScaledWorkload, hosts: usize) -> SatHomeResult {
     );
     let tabu_set = second.best_set;
 
-    let population = synthetic_host_population(hosts, workload.seed);
     // The coordinator solves every work unit with a *fresh* backend, so a
     // unit's report is a pure function of the unit — the property that makes
     // replicated results canonical and checkpoints reproducible.
@@ -241,16 +233,8 @@ pub fn run_sathome(workload: &ScaledWorkload, hosts: usize) -> SatHomeResult {
             .aggregate()
             .expect("a complete run aggregates the whole family");
 
-        // Baselines over the same measured per-cube costs: the legacy
-        // closed-form grid replay and the ideal dedicated cluster.
-        let mean_cube = report.total_cost / report.per_cube_costs.len().max(1) as f64;
-        let grid_config = GridConfig {
-            work_unit_size,
-            redundancy: 2,
-            deadline: (20.0 * work_unit_size as f64 * mean_cube).max(1.0),
-            seed: workload.seed,
-        };
-        let grid = simulate_volunteer_grid(&report.per_cube_costs, &population, &grid_config);
+        // Baseline over the same measured per-cube costs: the ideal
+        // dedicated cluster.
         let cluster = simulate_cluster(
             &report.per_cube_costs,
             &[],
@@ -269,7 +253,6 @@ pub fn run_sathome(workload: &ScaledWorkload, hosts: usize) -> SatHomeResult {
             assignments,
             reissued_leases: reissued,
             resumed_units,
-            grid,
             ideal_cluster_makespan: cluster.makespan,
         });
     }
@@ -297,10 +280,9 @@ mod tests {
             assert!(run.coordinator_makespan > 0.0);
             // Replication 2 means every unit was leased at least twice.
             assert!(run.assignments >= 2 * run.work_units);
-            // Both substrates process the same measured costs: neither the
-            // best-effort grid nor the coordinator beats the ideal dedicated
-            // cluster by more than the hosts' speed advantage (clamped ≤ 8×).
-            assert!(8.0 * run.grid.makespan + 1e-9 >= run.ideal_cluster_makespan);
+            // Both substrates process the same measured costs: the grid does
+            // not beat the ideal dedicated cluster by more than the hosts'
+            // speed advantage (clamped ≤ 8×).
             assert!(8.0 * run.coordinator_makespan + 1e-9 >= run.ideal_cluster_makespan);
         }
         let rendered = result.table().render();

@@ -16,10 +16,9 @@ use pdsat_core::{
 use pdsat_solver::SolverConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Which generator a scaled experiment attacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CipherKind {
     /// The A5/1 generator (64-bit state).
     A51,
@@ -73,7 +72,7 @@ impl CipherKind {
 }
 
 /// Parameters of one scaled workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaledWorkload {
     /// Which cipher is attacked.
     pub cipher: CipherKind,

@@ -16,10 +16,9 @@ use pdsat_core::{
     Annealing, AnnealingConfig, DecompositionSet, DriverConfig, SearchDriver, SearchLimits, Tabu,
     TabuConfig,
 };
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1Row {
     /// Set name (S1/S2/S3).
     pub set_name: String,

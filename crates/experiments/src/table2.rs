@@ -17,10 +17,9 @@ use pdsat_core::{
     DecompositionSet, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver, SearchLimits, Tabu,
     TabuConfig,
 };
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2Row {
     /// Which published approach the row is the analogue of.
     pub source: String,

@@ -16,14 +16,13 @@
 use crate::scaled::ScaledWorkload;
 use crate::text_table::{sci, TextTable};
 use pdsat_core::{
-    solve_family, DecompositionSet, DriverConfig, SearchDriver, SearchLimits, SolveModeConfig,
+    DecompositionSet, DriverConfig, FamilySolver, SearchDriver, SearchLimits, SolveModeConfig,
     Tabu, TabuConfig,
 };
 use pdsat_distrib::{simulate_cluster, ClusterConfig};
-use serde::{Deserialize, Serialize};
 
 /// Per-instance measurements of one weakened problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceMeasurement {
     /// Instance label ("inst. 1" …).
     pub label: String,
@@ -59,7 +58,7 @@ pub struct InstanceMeasurement {
 }
 
 /// One row of Table 3 (one weakened problem, three instances).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
     /// Problem name, e.g. `Bivium167`.
     pub problem: String,
@@ -210,7 +209,8 @@ pub fn run_table3(
         let mut instances = Vec::new();
         let mut deviations = Vec::new();
         for (i, instance) in series.iter().enumerate() {
-            let report = solve_family(instance.cnf(), &best_set, &solve_config, None);
+            let report =
+                FamilySolver::new(instance.cnf(), &solve_config).solve_family(&best_set, None);
             let sat_indices: Vec<usize> = report
                 .first_sat_index
                 .map(|idx| vec![idx])

@@ -1,10 +1,8 @@
 //! Minimal text-table formatting for experiment output.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple aligned text table (monospace output for terminals and for
 /// EXPERIMENTS.md).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TextTable {
     title: String,
     headers: Vec<String>,

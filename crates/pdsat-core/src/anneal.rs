@@ -5,7 +5,6 @@ use crate::driver::{Evaluated, Observation, Proposal, SearchContext, Strategy};
 use crate::search::{SearchLimits, StopCondition};
 use crate::Point;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How the annealing temperature is compared against the change of the
 /// predictive function.
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// divides the increase `F(χ̃) − F(χ)` by `F(χ)` before applying the
 /// Metropolis rule, which makes `T₀ ≈ 1` a sensible default for any
 /// instance. `Absolute` reproduces the textbook rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TemperatureScale {
     /// Compare `exp(-(ΔF / F(χ_center)) / T)` (scale-free, default).
     #[default]
@@ -30,7 +29,7 @@ pub enum TemperatureScale {
 /// `limits` and `seed` belong to the [`DriverConfig`] of the
 /// [`SearchDriver`] that runs the strategy; [`Annealing::new`] reads only
 /// the temperature schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnnealingConfig {
     /// Initial temperature `T₀`.
     pub initial_temperature: f64,

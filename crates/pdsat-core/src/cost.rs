@@ -1,7 +1,6 @@
 //! Cost metrics for sub-problem observations.
 
 use pdsat_solver::SolverStats;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// How the random variable `ξ_{C,A}(X̃)` is measured for one sub-problem.
@@ -10,7 +9,7 @@ use std::time::Duration;
 /// clock is what matters operationally, but it is noisy on shared machines,
 /// so the reproduction also supports deterministic solver counters; with
 /// those, repeated runs of an experiment produce bit-identical numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CostMetric {
     /// Wall-clock seconds spent solving the sub-problem (the paper's choice).
     #[default]

@@ -3,7 +3,6 @@
 
 use pdsat_cnf::{Cube, Var};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A decomposition set `X̃ ⊆ X`: the variables on which the SAT instance is
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(set.len(), 2); // duplicates are removed
 /// assert_eq!(set.cube_count(), Some(4));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct DecompositionSet {
     vars: Vec<Var>,
 }

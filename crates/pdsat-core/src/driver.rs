@@ -43,7 +43,6 @@ use crate::search::{SearchCheckpoint, SearchLimits, SearchOutcome, SearchStep, S
 use crate::{Evaluator, Point, SearchSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -168,7 +167,7 @@ pub trait Strategy {
 }
 
 /// Configuration of the [`SearchDriver`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriverConfig {
     /// Global stopping criteria, enforced between proposals *and* inside a
     /// batch (see the module docs).

@@ -1,10 +1,8 @@
 //! Monte Carlo statistics: sample moments, confidence intervals (eq. (3) of
 //! the paper) and the predictive-function value (eq. (5)).
 
-use serde::{Deserialize, Serialize};
-
 /// Sample moments of a set of observations `ζ_1 … ζ_N`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleStats {
     /// Number of observations `N`.
     pub n: usize,
@@ -75,7 +73,7 @@ impl SampleStats {
 
 /// The value of the predictive function for one decomposition set, together
 /// with the Monte Carlo estimate it is built from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PredictiveEstimate {
     /// Size `d` of the decomposition set.
     pub set_size: usize,

@@ -6,11 +6,9 @@
 //! to extrapolate the estimation obtained to an arbitrary parallel (or
 //! distributed) computing system." (§4 of the paper.)
 
-use serde::{Deserialize, Serialize};
-
 /// A simple model of a homogeneous parallel machine (a cluster partition or a
 /// fixed number of volunteer hosts of equal speed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelSystem {
     /// Number of CPU cores processing sub-problems (the paper uses 64, 160
     /// and 480-core configurations of the "Academician V.M. Matrosov"

@@ -21,12 +21,12 @@
 //!    [`RandomRestart`] (batched greedy descent with restarts). Neighborhood
 //!    proposals are lowered through [`Evaluator::evaluate_batch`] into single
 //!    oracle batches, so the worker pool parallelizes *across* points.
-//! 4. **Solving mode.** [`solve_family`] processes the whole family of the
+//! 4. **Solving mode.** [`FamilySolver`] processes the whole family of the
 //!    best set found, and [`ParallelSystem`] extrapolates sequential
 //!    estimates to a cluster.
 //!
-//! All solve paths — the [`Evaluator`], [`solve_family`] / [`solve_cubes`] /
-//! [`FamilySolver`] and ad-hoc batches — route through one [`CubeOracle`]:
+//! All solve paths — the [`Evaluator`], [`FamilySolver`] and ad-hoc batches —
+//! route through one [`CubeOracle`]:
 //! an executor owning a **persistent worker pool** (the stand-in for PDSAT's
 //! long-lived MPI leader/computing processes): worker threads spawned once
 //! for the oracle's lifetime, each owning one backend fed chunked jobs over
@@ -131,8 +131,6 @@ pub use restart::{RandomRestart, RandomRestartConfig};
 pub use search::{
     SearchCheckpoint, SearchLimits, SearchOutcome, SearchStep, StopCondition, VisitedPoint,
 };
-pub use solve_mode::{
-    solve_cubes, solve_family, CubeCertificate, FamilySolver, SolveModeConfig, SolveReport,
-};
+pub use solve_mode::{CubeCertificate, FamilySolver, SolveModeConfig, SolveReport};
 pub use space::{Point, SearchSpace};
 pub use tabu::{NewCenterHeuristic, Tabu, TabuConfig};

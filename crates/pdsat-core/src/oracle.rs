@@ -16,10 +16,9 @@
 //! revisited decomposition points are never paid for twice.
 //!
 //! The [`Evaluator`](crate::Evaluator) (point-at-a-time *and* batched
-//! neighborhood evaluation) and [`solve_family`](crate::solve_family) /
-//! [`solve_cubes`](crate::solve_cubes) / [`FamilySolver`](crate::FamilySolver)
-//! all route through here; backend selection threads through their configs
-//! as a [`BackendKind`].
+//! neighborhood evaluation) and [`FamilySolver`](crate::FamilySolver) both
+//! route through here; backend selection threads through their configs as a
+//! [`BackendKind`].
 
 mod backend;
 mod cache;
@@ -28,19 +27,18 @@ mod share;
 
 pub use backend::{BackendKind, BackendOutcome, CubeBackend, FreshBackend, WarmBackend};
 pub use cache::PointCache;
-use share::ClauseExchange;
+use share::{ClauseExchange, SHARE_RING_CAPACITY};
 
 use crate::fault::FaultPlan;
 use crate::CostMetric;
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig, SolverStats, Verdict};
 use pool::{BatchShared, WorkerPool};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Summary verdict of one sub-problem (the model, if any, travels separately).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VerdictSummary {
     /// The sub-problem is satisfiable.
     Sat,
@@ -51,7 +49,7 @@ pub enum VerdictSummary {
 }
 
 /// Result of solving one cube of a batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CubeOutcome {
     /// Index of the cube in the submitted batch.
     pub index: usize,
@@ -69,7 +67,6 @@ pub struct CubeOutcome {
     /// when [`SolverConfig::proof`] is enabled and the verdict is UNSAT.
     /// Skipped by the wire codec — certificates are checked at ingestion and
     /// stripped, never persisted.
-    #[serde(skip)]
     pub proof: Option<DratProof>,
 }
 
@@ -162,8 +159,6 @@ pub struct BatchConfig {
     /// batches run on the calling thread. Disable only to force an exact
     /// pool shape (scheduling tests, oversubscription experiments).
     pub clamp_workers_to_cpus: bool,
-    /// Whether to keep models of satisfiable sub-problems.
-    pub collect_models: bool,
     /// Raise the shared interrupt flag as soon as one sub-problem is found
     /// satisfiable (used when only the answer, not the full family cost,
     /// matters). See the [`BatchResult`] docs for the exact contract.
@@ -177,11 +172,6 @@ pub struct BatchConfig {
     /// otherwise the list is unused. Leaving it empty with simplify on is
     /// only safe when no assumptions are ever made.
     pub frozen_vars: Vec<Var>,
-    /// Maximum number of entries the point cache may hold before the oldest
-    /// entries are evicted (FIFO). Long annealing/tabu runs visit an
-    /// unbounded stream of points; the cap keeps the cache's memory bounded
-    /// while recent revisits (the common kind) still hit.
-    pub point_cache_capacity: usize,
     /// Process warm-backend batches in prefix-sorted order (default `true`):
     /// cubes are scheduled sorted by their assumption literals, so
     /// consecutive solves on one worker share the longest possible
@@ -197,19 +187,15 @@ pub struct BatchConfig {
     /// Cooperative clause sharing between pool workers (default `false`).
     /// When enabled on a real pool (effective workers ≥ 2) with the warm
     /// backend, each worker exports its glue learnt clauses
-    /// (`SolverConfig::share_lbd_max`) into a bounded per-worker ring and
-    /// imports the other workers' exports at `begin_batch` and restart
-    /// boundaries. Verdicts and model validity are unaffected (shared
+    /// (`SolverConfig::share_lbd_max`) into a bounded per-worker ring (4096
+    /// clauses; a full ring evicts its oldest clause and counts the loss in
+    /// `SolverStats::import_dropped`) and imports the other workers' exports
+    /// at `begin_batch` and restart boundaries. Verdicts and model validity are unaffected (shared
     /// clauses are consequences of the common formula), but per-cube costs
     /// become schedule-dependent, so every bit-identical parity guarantee
     /// requires the default `false`. Ignored by the sequential executor and
     /// the fresh backend (see DESIGN.md, "Cooperative clause sharing").
     pub clause_sharing: bool,
-    /// Capacity of each worker's export ring when
-    /// [`clause_sharing`](BatchConfig::clause_sharing) is on; a full ring
-    /// evicts its oldest clause and counts the loss in
-    /// `SolverStats::import_dropped`.
-    pub share_ring_capacity: usize,
     /// Deterministic fault injection for the worker pool (default: the empty
     /// plan, which injects nothing and costs nothing). A non-empty plan is
     /// armed when the oracle is built and wraps every pool backend — initial
@@ -229,14 +215,11 @@ impl Default for BatchConfig {
             cost: CostMetric::default(),
             num_workers: 1,
             clamp_workers_to_cpus: true,
-            collect_models: true,
             stop_on_sat: false,
             backend: BackendKind::Fresh,
             frozen_vars: Vec::new(),
-            point_cache_capacity: 65_536,
             prefix_schedule: true,
             clause_sharing: false,
-            share_ring_capacity: 4096,
             fault_plan: FaultPlan::none(),
         }
     }
@@ -410,12 +393,7 @@ impl CubeOracle {
         // backend's iid-observation contract forbids cross-cube coupling.
         let share =
             (config.clause_sharing && effective_workers > 1 && config.backend == BackendKind::Warm)
-                .then(|| {
-                    Arc::new(ClauseExchange::new(
-                        effective_workers,
-                        config.share_ring_capacity,
-                    ))
-                });
+                .then(|| Arc::new(ClauseExchange::new(effective_workers, SHARE_RING_CAPACITY)));
         let exec = if effective_workers <= 1 {
             Executor::Sequential(config.backend.build(
                 &cnf,
@@ -440,7 +418,7 @@ impl CubeOracle {
                 faults,
             ))
         };
-        let point_cache = PointCache::with_capacity(config.point_cache_capacity);
+        let point_cache = PointCache::new();
         CubeOracle {
             cnf,
             config,
@@ -567,7 +545,7 @@ impl CubeOracle {
                     }
                     let index = order.as_ref().map_or(pos, |o| o[pos] as usize);
                     let raw = backend.solve(&cubes[index], &config.budget, &interrupt, &mut totals);
-                    let outcome = finish_outcome(index, raw, config.cost, config.collect_models);
+                    let outcome = finish_outcome(index, raw, config.cost);
                     if config.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
                         interrupt.raise();
                     }
@@ -630,8 +608,7 @@ impl CubeOracle {
                         }
                         let raw =
                             fallback.solve(&cubes[index], &config.budget, &interrupt, &mut totals);
-                        let outcome =
-                            finish_outcome(index, raw, config.cost, config.collect_models);
+                        let outcome = finish_outcome(index, raw, config.cost);
                         if config.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
                             interrupt.raise();
                         }
@@ -664,16 +641,11 @@ impl CubeOracle {
 }
 
 /// Turns a backend's raw report into the executor-level outcome: measures the
-/// cost, summarizes the verdict and applies the model-collection policy.
-fn finish_outcome(
-    index: usize,
-    raw: BackendOutcome,
-    cost: CostMetric,
-    collect_models: bool,
-) -> CubeOutcome {
+/// cost and summarizes the verdict, keeping the model of a satisfiable cube.
+fn finish_outcome(index: usize, raw: BackendOutcome, cost: CostMetric) -> CubeOutcome {
     let cost = cost.measure(&raw.stats_delta, raw.elapsed);
     let (summary, model) = match raw.verdict {
-        Verdict::Sat(m) => (VerdictSummary::Sat, collect_models.then_some(m)),
+        Verdict::Sat(m) => (VerdictSummary::Sat, Some(m)),
         Verdict::Unsat => (VerdictSummary::Unsat, None),
         Verdict::Unknown(_) => (VerdictSummary::Unknown, None),
     };

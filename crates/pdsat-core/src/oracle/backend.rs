@@ -21,7 +21,6 @@ use pdsat_cnf::{Cnf, Cube, DratProof, Var};
 use pdsat_solver::{
     Budget, InterruptFlag, ShareChannel, Solver, SolverConfig, SolverStats, Verdict,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,7 +95,7 @@ pub trait CubeBackend: Send {
 
 /// Selects the backend a [`CubeOracle`](super::CubeOracle) builds for each of
 /// its workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// A fresh [`Solver`] per cube. Every observation includes clause-database
     /// loading and root propagation and is independent of cube order, which

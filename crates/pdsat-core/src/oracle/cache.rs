@@ -41,8 +41,9 @@ impl Default for PointCache {
 }
 
 impl PointCache {
-    /// Default entry cap (see [`BatchConfig`](super::BatchConfig)'s
-    /// `point_cache_capacity`, which overrides it per oracle).
+    /// Entry cap of every oracle's cache. Long annealing/tabu runs visit an
+    /// unbounded stream of points; the cap keeps the cache's memory bounded
+    /// while recent revisits (the common kind) still hit.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
     /// Creates an empty cache with the default entry cap.

@@ -81,8 +81,6 @@ pub(super) struct BatchShared {
     pub budget: Budget,
     /// Cost metric recorded per cube.
     pub cost: CostMetric,
-    /// Whether models of satisfiable cubes are kept.
-    pub collect_models: bool,
     /// Stop claiming cubes once the interrupt is raised.
     pub stop_on_sat: bool,
     /// The batch-wide interrupt flag fanned out to every worker.
@@ -117,7 +115,6 @@ impl BatchShared {
             chunk,
             budget: config.budget.clone(),
             cost: config.cost,
-            collect_models: config.collect_models,
             stop_on_sat: config.stop_on_sat,
             interrupt,
         }
@@ -506,8 +503,7 @@ fn worker_loop(
                 }
                 match raw {
                     Some(raw) => {
-                        let outcome =
-                            finish_outcome(index, raw, shared.cost, shared.collect_models);
+                        let outcome = finish_outcome(index, raw, shared.cost);
                         if shared.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
                             shared.interrupt.raise();
                         }

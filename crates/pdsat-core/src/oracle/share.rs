@@ -37,6 +37,9 @@ struct Shard {
     next_seq: u64,
 }
 
+/// Capacity of each worker's export ring in an oracle's exchange.
+pub(crate) const SHARE_RING_CAPACITY: usize = 4096;
+
 /// The shared clause-exchange of one worker pool.
 pub(crate) struct ClauseExchange {
     shards: Vec<Mutex<Shard>>,

@@ -6,7 +6,6 @@ use crate::{CostMetric, DecompositionSet, PredictiveEstimate};
 use pdsat_cnf::{Assignment, Cnf, Cube, Var};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig};
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Configuration of the predictive-function evaluator.
@@ -52,7 +51,7 @@ impl Default for EvaluatorConfig {
 }
 
 /// Counts of sub-problem verdicts inside one sample.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SampleVerdicts {
     /// Satisfiable sub-problems.
     pub sat: usize,
@@ -144,7 +143,6 @@ impl Evaluator {
             budget: config.per_cube_budget.clone(),
             cost: config.cost,
             num_workers: config.num_workers,
-            collect_models: true,
             stop_on_sat: false,
             backend: config.backend,
             ..BatchConfig::default()

@@ -15,10 +15,9 @@ use crate::driver::{Evaluated, Observation, Proposal, SearchContext, Strategy};
 use crate::search::StopCondition;
 use crate::Point;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the [`RandomRestart`] strategy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomRestartConfig {
     /// Neighbourhood radius ρ of the greedy descent (PDSAT uses 1).
     pub radius: usize,

@@ -2,7 +2,6 @@
 //! function (§3 of the paper).
 
 use crate::{DecompositionSet, Point};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Stopping criteria shared by both metaheuristics.
@@ -10,12 +9,11 @@ use std::time::Duration;
 /// The paper runs PDSAT "for 1 day on 2–5 cluster nodes"; the reproduction's
 /// experiments instead bound the number of evaluated points and/or the wall
 /// time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchLimits {
     /// Maximum number of points whose predictive function value is computed.
     pub max_points: Option<usize>,
     /// Wall-clock limit for the whole search.
-    #[serde(with = "opt_duration_secs")]
     pub time_limit: Option<Duration>,
 }
 
@@ -76,23 +74,8 @@ impl SearchLimits {
     }
 }
 
-#[allow(dead_code)]
-mod opt_duration_secs {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::time::Duration;
-
-    pub fn serialize<S: Serializer>(d: &Option<Duration>, s: S) -> Result<S::Ok, S::Error> {
-        d.map(|d| d.as_secs_f64()).serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Option<Duration>, D::Error> {
-        let secs = Option::<f64>::deserialize(d)?;
-        Ok(secs.map(Duration::from_secs_f64))
-    }
-}
-
 /// Why a search run ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopCondition {
     /// The point budget was exhausted.
     PointLimit,
@@ -108,7 +91,7 @@ pub enum StopCondition {
 }
 
 /// One evaluated point in the trajectory of a search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SearchStep {
     /// 0-based index of the evaluation.
     pub index: usize,
@@ -124,24 +107,7 @@ pub struct SearchStep {
     /// Whether the point became the best seen so far.
     pub is_best: bool,
     /// Time since the start of the search when the evaluation finished.
-    #[serde(with = "duration_secs")]
     pub elapsed: Duration,
-}
-
-// Only referenced through `#[serde(with = ...)]`, which the offline serde
-// stub's derive ignores; kept for when a real serializer is wired in.
-#[allow(dead_code)]
-mod duration_secs {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::time::Duration;
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        d.as_secs_f64().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        Ok(Duration::from_secs_f64(f64::deserialize(d)?))
-    }
 }
 
 /// The result of one metaheuristic run: the pair `⟨χ_best, F_best⟩` returned
@@ -214,7 +180,7 @@ impl SearchOutcome {
 
 /// One entry of a [`SearchCheckpoint`]: a visited point and its predictive
 /// function value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VisitedPoint {
     /// The visited point.
     pub point: Point,
@@ -229,7 +195,7 @@ pub struct VisitedPoint {
 /// warm-start: the driver seeds its dedup/memo cache from `visited`, so every
 /// checkpointed point is answered for free, and `best_point`/`best_value`
 /// carry the incumbent across the restart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SearchCheckpoint {
     /// Dimension of the search space the checkpoint was taken in (resuming
     /// validates it against the new run's space).
@@ -263,10 +229,9 @@ impl SearchCheckpoint {
     /// [`from_text`](SearchCheckpoint::from_text) restores **bit-for-bit**
     /// (values travel as hex-encoded IEEE-754 bits, points as index lists).
     ///
-    /// The workspace has no serde data format (the vendored `serde` is a
-    /// type-check stub), so this hand-rolled codec is what makes checkpoints
-    /// actually crash-safe: a coordinator can persist the running checkpoint
-    /// after every segment and a restarted process can resume from the file.
+    /// This codec is what makes checkpoints crash-safe: a coordinator can
+    /// persist the running checkpoint after every segment and a restarted
+    /// process can resume from the file.
     #[must_use]
     pub fn to_text(&self) -> String {
         fn point_field(point: &Point) -> String {
@@ -493,6 +458,37 @@ mod tests {
             "pdsat-search-checkpoint v1\ndimension 3\nbest 0000000000000000 5\n"
         )
         .is_err());
+    }
+
+    /// A v1 checkpoint spelled out by hand rather than produced by the
+    /// writer: a file on somebody's disk must keep loading.
+    #[test]
+    fn golden_v1_text_loads_and_reserializes_byte_identically() {
+        use crate::Point;
+        let golden = "pdsat-search-checkpoint v1\n\
+            dimension 7\n\
+            best 4029000000000000 0,3,6\n\
+            visited 4029000000000000 0,3,6\n\
+            visited 7ff0000000000000 -\n\
+            visited 3fe8000000000000 5\n";
+        let checkpoint = SearchCheckpoint::from_text(golden).expect("golden text loads");
+        assert_eq!(checkpoint.dimension, 7);
+        assert_eq!(checkpoint.best_value, 12.5);
+        assert_eq!(checkpoint.best_point, Point::from_indices(7, [0, 3, 6]));
+        let visited: Vec<(Vec<usize>, f64)> = checkpoint
+            .visited
+            .iter()
+            .map(|v| (v.point.selected_indices(), v.value))
+            .collect();
+        assert_eq!(
+            visited,
+            vec![
+                (vec![0, 3, 6], 12.5),
+                (vec![], f64::INFINITY),
+                (vec![5], 0.75)
+            ]
+        );
+        assert_eq!(checkpoint.to_text(), golden);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::oracle::{BackendKind, BatchConfig, CubeOracle, VerdictSummary};
 use crate::{BatchResult, CostMetric, DecompositionSet};
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Configuration of a solving-mode run.
@@ -77,7 +76,7 @@ pub struct CubeCertificate {
 }
 
 /// Result of processing a decomposition family in solving mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveReport {
     /// Size `d` of the decomposition set.
     pub set_size: usize,
@@ -98,7 +97,6 @@ pub struct SolveReport {
     /// Number of undecided sub-problems (per-cube budget exhausted).
     pub unknown_count: usize,
     /// Wall-clock time of the run with the configured number of workers.
-    #[serde(with = "duration_secs")]
     pub wall_time: Duration,
     /// Assumption literals reused from one cube to the next by the warm
     /// backend's trail reuse, summed over the family
@@ -126,7 +124,6 @@ pub struct SolveReport {
     pub requeued_cubes: u64,
     /// A model of the original formula extracted from the first satisfiable
     /// sub-problem, if any.
-    #[serde(skip)]
     pub model: Option<Assignment>,
     /// Per-cube costs in enumeration order (useful for makespan simulation).
     pub per_cube_costs: Vec<f64>,
@@ -134,7 +131,6 @@ pub struct SolveReport {
     /// [`SolverConfig::proof`] was enabled). Like the model, certificates do
     /// not travel over the wire codec: the coordinator checks them at
     /// ingestion and strips them before checkpointing.
-    #[serde(skip)]
     pub certificates: Vec<CubeCertificate>,
 }
 
@@ -222,32 +218,15 @@ impl SolveReport {
     }
 }
 
-// Only referenced through `#[serde(with = ...)]`, which the offline serde
-// stub's derive ignores; kept for when a real serializer is wired in.
-#[allow(dead_code)]
-mod duration_secs {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::time::Duration;
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        d.as_secs_f64().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        Ok(Duration::from_secs_f64(f64::deserialize(d)?))
-    }
-}
-
 /// A long-lived solving-mode runner: one [`CubeOracle`] — and therefore one
 /// persistent worker pool with resident backends — reused across every
 /// family (or family slice) it processes.
 ///
-/// [`solve_family`] / [`solve_cubes`] construct a throwaway `FamilySolver`
-/// per call, which re-pays pool spawn and backend construction (clause-DB
-/// loading) every time. Callers that process several families of the same
-/// formula — the Table 3 instance series, the benches, SAT@home simulations —
-/// should hold one `FamilySolver` instead, exactly like PDSAT keeps its
-/// MiniSat worker processes alive between search-space points.
+/// Construction pays pool spawn and backend construction (clause-DB
+/// loading), so callers that process several families of the same formula —
+/// the Table 3 instance series, the benches, SAT@home simulations — hold one
+/// `FamilySolver` across them, exactly like PDSAT keeps its MiniSat worker
+/// processes alive between search-space points.
 #[derive(Debug)]
 pub struct FamilySolver {
     oracle: CubeOracle,
@@ -263,7 +242,6 @@ impl FamilySolver {
             budget: config.budget.clone(),
             cost: config.cost,
             num_workers: config.num_workers,
-            collect_models: true,
             stop_on_sat: config.stop_on_sat,
             backend: config.backend,
             frozen_vars: config.frozen_vars.clone(),
@@ -307,43 +285,6 @@ impl FamilySolver {
     ) -> SolveReport {
         report_from_batch(set, self.oracle.solve_batch(cubes, interrupt))
     }
-}
-
-/// Processes the full decomposition family `Δ_C(X̃)` induced by `set`.
-///
-/// One-shot form: copies the formula, spawns the worker pool and builds the
-/// backends per call, and tears all of it down on return. See
-/// [`FamilySolver`] for the persistent form that amortizes that setup over
-/// many families.
-///
-/// # Panics
-///
-/// Panics if the set has more than 63 variables (a family of that size cannot
-/// be enumerated; that regime is precisely what the Monte Carlo estimator is
-/// for).
-#[must_use]
-pub fn solve_family(
-    cnf: &Cnf,
-    set: &DecompositionSet,
-    config: &SolveModeConfig,
-    interrupt: Option<&InterruptFlag>,
-) -> SolveReport {
-    let cubes: Vec<Cube> = set.cubes().collect();
-    solve_cubes(cnf, set, &cubes, config, interrupt)
-}
-
-/// Processes an explicit list of cubes (a slice of a family, or a family
-/// filtered by external knowledge). One-shot form of
-/// [`FamilySolver::solve_cubes`].
-#[must_use]
-pub fn solve_cubes(
-    cnf: &Cnf,
-    set: &DecompositionSet,
-    cubes: &[Cube],
-    config: &SolveModeConfig,
-    interrupt: Option<&InterruptFlag>,
-) -> SolveReport {
-    FamilySolver::new(cnf, config).solve_cubes(set, cubes, interrupt)
 }
 
 /// Folds a [`BatchResult`] into the solving-mode report.
@@ -434,7 +375,7 @@ mod tests {
     fn unsat_family_is_fully_processed() {
         let cnf = pigeonhole(5);
         let set = DecompositionSet::new((0..5).map(Var::new));
-        let report = solve_family(&cnf, &set, &config(), None);
+        let report = FamilySolver::new(&cnf, &config()).solve_family(&set, None);
         assert_eq!(report.cubes_processed, 32);
         assert_eq!(report.sat_count, 0);
         assert!(report.cost_to_first_sat.is_none());
@@ -451,7 +392,7 @@ mod tests {
             cnf.add_clause([Lit::negative(Var::new(i)), Lit::positive(Var::new(i + 1))]);
         }
         let set = DecompositionSet::new([Var::new(0), Var::new(2)]);
-        let report = solve_family(&cnf, &set, &config(), None);
+        let report = FamilySolver::new(&cnf, &config()).solve_family(&set, None);
         assert_eq!(report.cubes_processed, 4);
         // The chain makes the cube (x1=1, x3=0) unsatisfiable.
         assert_eq!(report.sat_count, 3);
@@ -467,12 +408,12 @@ mod tests {
         // least one cube is SAT. Check both on small formulas.
         let unsat = pigeonhole(4);
         let set = DecompositionSet::new((0..4).map(Var::new));
-        let report = solve_family(&unsat, &set, &config(), None);
+        let report = FamilySolver::new(&unsat, &config()).solve_family(&set, None);
         assert_eq!(report.sat_count, 0);
 
         let mut sat = Cnf::new(4);
         sat.add_clause([Lit::positive(Var::new(0)), Lit::positive(Var::new(3))]);
-        let report = solve_family(&sat, &set, &config(), None);
+        let report = FamilySolver::new(&sat, &config()).solve_family(&set, None);
         assert!(report.sat_count > 0);
     }
 
@@ -480,19 +421,28 @@ mod tests {
     fn parallel_solving_mode_matches_sequential_totals() {
         let cnf = pigeonhole(5);
         let set = DecompositionSet::new((0..4).map(Var::new));
-        let seq = solve_family(&cnf, &set, &config(), None);
-        let par = solve_family(
-            &cnf,
-            &set,
-            &SolveModeConfig {
-                num_workers: 4,
+        let solve = |backend, num_workers| {
+            let config = SolveModeConfig {
+                backend,
+                num_workers,
                 ..config()
-            },
-            None,
-        );
+            };
+            FamilySolver::new(&cnf, &config).solve_family(&set, None)
+        };
+        // The fresh backend's per-cube costs are order-independent, so the
+        // totals are an invariant of the worker count.
+        let seq = solve(crate::BackendKind::Fresh, 1);
+        let par = solve(crate::BackendKind::Fresh, 4);
         assert_eq!(seq.cubes_processed, par.cubes_processed);
         assert_eq!(seq.total_cost, par.total_cost);
         assert_eq!(seq.per_cube_costs, par.per_cube_costs);
+        // Warm per-cube conflict counts depend on which worker learnt what;
+        // only the verdicts are comparable.
+        let warm_seq = solve(crate::BackendKind::Warm, 1);
+        let warm_par = solve(crate::BackendKind::Warm, 4);
+        assert_eq!(warm_seq.cubes_processed, warm_par.cubes_processed);
+        assert_eq!(warm_seq.sat_count, warm_par.sat_count);
+        assert_eq!(warm_seq.unknown_count, warm_par.unknown_count);
     }
 
     #[test]
@@ -511,7 +461,7 @@ mod tests {
             backend: crate::BackendKind::Fresh,
             ..config()
         };
-        let whole = solve_family(&cnf, &set, &config, None);
+        let whole = FamilySolver::new(&cnf, &config).solve_family(&set, None);
         let mut solver = FamilySolver::new(&cnf, &config);
         let unit_reports: Vec<SolveReport> = cubes
             .chunks(3) // uneven final chunk on purpose (8 = 3 + 3 + 2)
@@ -562,16 +512,15 @@ mod tests {
         let mut cnf = Cnf::new(8);
         cnf.add_clause([Lit::positive(Var::new(7))]);
         let set = DecompositionSet::new((0..4).map(Var::new));
-        let full = solve_family(&cnf, &set, &config(), None);
-        let early = solve_family(
+        let full = FamilySolver::new(&cnf, &config()).solve_family(&set, None);
+        let early = FamilySolver::new(
             &cnf,
-            &set,
             &SolveModeConfig {
                 stop_on_sat: true,
                 ..config()
             },
-            None,
-        );
+        )
+        .solve_family(&set, None);
         assert_eq!(full.cubes_processed, 16);
         assert!(early.cubes_processed <= full.cubes_processed);
         assert!(early.sat_count >= 1);

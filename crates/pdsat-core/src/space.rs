@@ -9,7 +9,6 @@
 use crate::DecompositionSet;
 use pdsat_cnf::Var;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The universe of candidate decomposition variables.
@@ -24,7 +23,7 @@ use std::fmt;
 /// assert_eq!(full.ones(), 4);
 /// assert_eq!(space.neighborhood(&full, 1).len(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchSpace {
     universe: Vec<Var>,
 }
@@ -166,7 +165,7 @@ impl SearchSpace {
 
 /// A point of the search space: the characteristic vector `χ` of a
 /// decomposition set over the universe of a [`SearchSpace`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Point {
     bits: Vec<bool>,
 }

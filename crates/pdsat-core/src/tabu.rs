@@ -5,12 +5,11 @@ use crate::driver::{Evaluated, Observation, Proposal, SearchContext, Strategy};
 use crate::search::{SearchLimits, StopCondition};
 use crate::Point;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// How `getNewCenter(L2)` picks the next centre when the current
 /// neighbourhood is exhausted without improvement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NewCenterHeuristic {
     /// The point of `L2` whose decomposition set has the largest accumulated
     /// conflict activity — the heuristic PDSAT uses (§3 of the paper).
@@ -27,7 +26,7 @@ pub enum NewCenterHeuristic {
 /// `limits` and `seed` belong to the [`DriverConfig`] of the
 /// [`SearchDriver`] that runs the strategy; [`Tabu::new`] reads only the
 /// move rule (`radius`, `new_center`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TabuConfig {
     /// Neighbourhood radius ρ (PDSAT uses 1).
     pub radius: usize,

@@ -4,7 +4,6 @@
 //! when a point of the search space is abandoned; our equivalent is a shared
 //! [`InterruptFlag`] plus per-call resource budgets.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -26,7 +25,7 @@ use std::time::Duration;
 /// assert_eq!(b.max_conflicts, Some(10_000));
 /// assert!(b.max_propagations.is_none());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Budget {
     /// Maximum number of conflicts, `None` for unlimited.
     pub max_conflicts: Option<u64>,
@@ -132,7 +131,7 @@ impl InterruptFlag {
 }
 
 /// Why a solve call stopped without an answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StopReason {
     /// The conflict budget was exhausted.
     ConflictLimit,

@@ -165,7 +165,6 @@ impl ClauseDb {
     }
 
     /// Copies the literals of the clause into a fresh `Vec` (cold paths only).
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn lits_vec(&self, cref: ClauseRef) -> Vec<Lit> {
         (0..self.len_of(cref)).map(|k| self.lit(cref, k)).collect()
     }
@@ -181,19 +180,19 @@ impl ClauseDb {
     }
 
     /// Number of live clauses.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.num_clauses
     }
 
     /// Total arena size in words (live + tombstoned).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn arena_words(&self) -> usize {
         self.data.len()
     }
 
     /// Arena words occupied by tombstoned clauses.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn wasted_words(&self) -> usize {
         self.wasted
     }

@@ -1,6 +1,17 @@
 //! Solver configuration.
 
-use serde::{Deserialize, Serialize};
+/// Multiplicative decay applied to variable activities after each conflict
+/// (`1/decay` is the bump growth factor).
+pub(crate) const VAR_DECAY: f64 = 0.95;
+/// Multiplicative decay applied to learnt-clause activities.
+pub(crate) const CLAUSE_DECAY: f64 = 0.999;
+/// Polarity used for a variable that has never been assigned.
+pub(crate) const DEFAULT_POLARITY: bool = false;
+/// Growth factor applied to the learnt clause limit after each database
+/// reduction.
+pub(crate) const LEARNTSIZE_INC: f64 = 1.1;
+/// LBD (glue) value at or below which learnt clauses are never deleted.
+pub(crate) const PROTECTED_LBD: u32 = 2;
 
 /// Tunable parameters of the CDCL solver.
 ///
@@ -19,13 +30,8 @@ use serde::{Deserialize, Serialize};
 /// assert!(cfg.phase_saving);
 /// assert_eq!(cfg.luby_restart_base, 50);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
-    /// Multiplicative decay applied to variable activities after each
-    /// conflict (`1/decay` is the bump growth factor).
-    pub var_decay: f64,
-    /// Multiplicative decay applied to learnt-clause activities.
-    pub clause_decay: f64,
     /// Base number of conflicts between restarts; the actual limit of the
     /// `i`-th restart is `luby(i) · luby_restart_base`.
     pub luby_restart_base: u64,
@@ -33,20 +39,13 @@ pub struct SolverConfig {
     pub restarts: bool,
     /// Whether to remember and reuse the last polarity of each variable.
     pub phase_saving: bool,
-    /// Default polarity used for a variable that has never been assigned.
-    pub default_polarity: bool,
     /// Whether learnt clauses are minimized with the basic (local) rule.
     pub clause_minimization: bool,
     /// Fraction of the original clause count used as the initial learnt
     /// clause limit.
     pub learntsize_factor: f64,
-    /// Growth factor applied to the learnt clause limit after each database
-    /// reduction.
-    pub learntsize_inc: f64,
     /// Lower bound on the learnt clause limit (useful for tiny formulas).
     pub min_learnt_limit: usize,
-    /// LBD (glue) value at or below which learnt clauses are never deleted.
-    pub protected_lbd: u32,
     /// Fraction of the clause arena that may be occupied by deleted clauses
     /// before a compacting garbage collection runs (MiniSat uses 0.20).
     pub garbage_frac: f64,
@@ -118,17 +117,12 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            var_decay: 0.95,
-            clause_decay: 0.999,
             luby_restart_base: 100,
             restarts: true,
             phase_saving: true,
-            default_polarity: false,
             clause_minimization: true,
             learntsize_factor: 1.0 / 3.0,
-            learntsize_inc: 1.1,
             min_learnt_limit: 1000,
-            protected_lbd: 2,
             garbage_frac: 0.20,
             trail_reuse: true,
             time_accounting: true,
@@ -149,13 +143,10 @@ mod tests {
     #[test]
     fn defaults_match_minisat_conventions() {
         let cfg = SolverConfig::default();
-        assert!((cfg.var_decay - 0.95).abs() < 1e-12);
-        assert!((cfg.clause_decay - 0.999).abs() < 1e-12);
         assert_eq!(cfg.luby_restart_base, 100);
         assert!(cfg.restarts);
         assert!(cfg.phase_saving);
         assert!(cfg.clause_minimization);
-        assert!(!cfg.default_polarity);
         assert!((cfg.garbage_frac - 0.20).abs() < 1e-12);
         assert!(cfg.trail_reuse);
         assert!(!cfg.simplify, "simplify is opt-in");

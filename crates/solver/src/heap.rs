@@ -21,12 +21,12 @@ impl VarOrderHeap {
         VarOrderHeap::default()
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }

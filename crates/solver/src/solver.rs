@@ -1,6 +1,7 @@
 //! The CDCL solver proper.
 
 use crate::clause_db::{ClauseDb, ClauseRef};
+use crate::config::{CLAUSE_DECAY, DEFAULT_POLARITY, LEARNTSIZE_INC, PROTECTED_LBD, VAR_DECAY};
 use crate::heap::VarOrderHeap;
 use crate::lbool::LBool;
 use crate::luby::luby;
@@ -432,7 +433,7 @@ impl Solver {
             reason: None,
             level: 0,
         });
-        self.polarity.push(self.config.default_polarity);
+        self.polarity.push(DEFAULT_POLARITY);
         self.activity.push(0.0);
         self.conflict_counts.push(0);
         self.seen.push(false);
@@ -1662,7 +1663,7 @@ impl Solver {
                 let polarity = if self.config.phase_saving {
                     self.polarity[v.index()]
                 } else {
-                    self.config.default_polarity
+                    DEFAULT_POLARITY
                 };
                 return Some(Lit::new(v, polarity));
             }
@@ -1710,7 +1711,7 @@ impl Solver {
     }
 
     fn decay_var_activity(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     fn bump_clause_activity(&mut self, cref: ClauseRef) {
@@ -1727,7 +1728,7 @@ impl Solver {
     }
 
     fn decay_clause_activity(&mut self) {
-        self.cla_inc /= self.config.clause_decay;
+        self.cla_inc /= CLAUSE_DECAY;
     }
 
     // ----------------------------------------------------------- clause moves
@@ -1763,7 +1764,7 @@ impl Solver {
 
     /// Removes roughly half of the learnt clauses, preferring clauses with
     /// low activity and high LBD. Clauses that are reasons for current
-    /// assignments, have LBD ≤ `protected_lbd`, or are binary are kept.
+    /// assignments, have LBD ≤ `PROTECTED_LBD`, or are binary are kept.
     fn reduce_db(&mut self) {
         let mut candidates: Vec<ClauseRef> = self
             .learnts
@@ -1773,7 +1774,7 @@ impl Solver {
                 !self.db.is_deleted(c)
                     && !self.is_locked(c)
                     && self.db.len_of(c) > 2
-                    && self.db.lbd(c) > self.config.protected_lbd
+                    && self.db.lbd(c) > PROTECTED_LBD
             })
             .collect();
         candidates.sort_by(|&a, &b| {
@@ -1797,7 +1798,7 @@ impl Solver {
             self.stats.removed_clauses += 1;
         }
         self.learnts.retain(|&c| !self.db.is_deleted(c));
-        self.max_learnts *= self.config.learntsize_inc;
+        self.max_learnts *= LEARNTSIZE_INC;
         if self.db.should_collect(self.config.garbage_frac) {
             self.collect_garbage();
         }

@@ -1,6 +1,5 @@
 //! Solver statistics.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Counters accumulated by the solver.
@@ -11,7 +10,7 @@ use std::time::Duration;
 ///    `propagations`) that the Monte Carlo estimator can use instead of wall
 ///    clock when reproducible experiments are desired.
 /// 2. `solve_time` is the wall-clock measurement `ζ_j` of the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SolverStats {
     /// Number of conflicts encountered.
     pub conflicts: u64,
@@ -70,7 +69,6 @@ pub struct SolverStats {
     /// the respawned (or fallback) backend.
     pub requeued_cubes: u64,
     /// Total wall-clock time spent inside `solve` calls.
-    #[serde(with = "duration_secs")]
     pub solve_time: Duration,
 }
 
@@ -148,23 +146,6 @@ impl SolverStats {
         self.worker_panics += other.worker_panics;
         self.requeued_cubes += other.requeued_cubes;
         self.solve_time += other.solve_time;
-    }
-}
-
-// Only referenced through `#[serde(with = ...)]`, which the offline serde
-// stub's derive ignores; kept for when a real serializer is wired in.
-#[allow(dead_code)]
-mod duration_secs {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-    use std::time::Duration;
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        d.as_secs_f64().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        let secs = f64::deserialize(d)?;
-        Ok(Duration::from_secs_f64(secs))
     }
 }
 

@@ -10,7 +10,7 @@
 
 use pdsat::ciphers::{InstanceBuilder, StreamCipher, A51};
 use pdsat::core::{
-    solve_family, BackendKind, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver,
+    BackendKind, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, FamilySolver, SearchDriver,
     SearchLimits, SearchSpace, SolveModeConfig, Tabu, TabuConfig,
 };
 use rand::SeedableRng;
@@ -60,9 +60,8 @@ fn main() {
     );
 
     // Solving mode over the best set.
-    let report = solve_family(
+    let report = FamilySolver::new(
         instance.cnf(),
-        &outcome.best_set,
         &SolveModeConfig {
             cost: CostMetric::Propagations,
             num_workers: 4,
@@ -71,8 +70,8 @@ fn main() {
             backend: BackendKind::Fresh,
             ..SolveModeConfig::default()
         },
-        None,
-    );
+    )
+    .solve_family(&outcome.best_set, None);
     println!(
         "processed {} sub-problems, total cost {:.1} propagations, {} satisfiable",
         report.cubes_processed, report.total_cost, report.sat_count

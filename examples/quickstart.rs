@@ -6,7 +6,7 @@
 
 use pdsat::cnf::{Cnf, Lit, Var};
 use pdsat::core::{
-    solve_family, CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, SolveModeConfig,
+    CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, FamilySolver, SolveModeConfig,
 };
 
 /// Builds an unsatisfiable pigeonhole formula: `pigeons` pigeons, one hole
@@ -65,16 +65,15 @@ fn main() {
     );
 
     // Now process the whole family and compare.
-    let report = solve_family(
+    let report = FamilySolver::new(
         &cnf,
-        &set,
         &SolveModeConfig {
             cost: CostMetric::Conflicts,
             num_workers: 4,
             ..SolveModeConfig::default()
         },
-        None,
-    );
+    )
+    .solve_family(&set, None);
     println!(
         "actual family cost: {:.1} conflicts over {} sub-problems ({} satisfiable)",
         report.total_cost, report.cubes_processed, report.sat_count

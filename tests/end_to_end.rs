@@ -5,7 +5,7 @@
 
 use pdsat::ciphers::{Bivium, Grain, Instance, InstanceBuilder, StreamCipher, A51};
 use pdsat::core::{
-    solve_family, Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig,
+    Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, FamilySolver,
     SearchDriver, SearchLimits, SearchSpace, SolveModeConfig, Tabu, TabuConfig,
 };
 use rand::SeedableRng;
@@ -38,16 +38,15 @@ fn full_pipeline<C: StreamCipher + Copy>(cipher: C, instance: Instance) {
     assert!(!outcome.best_set.is_empty() || space.dimension() == 0);
 
     // Process the family of the best set.
-    let report = solve_family(
+    let report = FamilySolver::new(
         instance.cnf(),
-        &outcome.best_set,
         &SolveModeConfig {
             cost: CostMetric::Conflicts,
             num_workers: 2,
             ..SolveModeConfig::default()
         },
-        None,
-    );
+    )
+    .solve_family(&outcome.best_set, None);
     assert_eq!(
         report.cubes_processed as u128,
         1u128 << outcome.best_set.len()
@@ -175,15 +174,14 @@ fn solving_mode_interruption_stops_early() {
     let set = pdsat::core::DecompositionSet::new(instance.unknown_state_vars());
     let flag = InterruptFlag::new();
     flag.raise();
-    let report = solve_family(
+    let report = FamilySolver::new(
         instance.cnf(),
-        &set,
         &SolveModeConfig {
             cost: CostMetric::Conflicts,
             ..SolveModeConfig::default()
         },
-        Some(&flag),
-    );
+    )
+    .solve_family(&set, Some(&flag));
     // With the flag already raised every sub-problem is abandoned immediately.
     assert_eq!(report.sat_count, 0);
     assert_eq!(report.unknown_count, report.cubes_processed);

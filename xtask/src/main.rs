@@ -1,6 +1,6 @@
 //! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`.
 //!
-//! Three checks, all over the source tree as text (no compiler plumbing):
+//! Four checks, all over the source tree as text (no compiler plumbing):
 //!
 //! 1. **unsafe-free**: every crate root (`lib.rs` / `main.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.
@@ -12,6 +12,10 @@
 //! 3. **knob documentation**: every public field of `SolverConfig` and
 //!    `BatchConfig` must be named (in backticks) in DESIGN.md, so the
 //!    configuration surface and its documentation cannot drift apart.
+//! 4. **no parked code**: no `allow(dead_code)` attribute in any form (code
+//!    that nothing calls is deleted, test-only helpers are `#[cfg(test)]`)
+//!    and no `serde` entry in any workspace `Cargo.toml` (persistence is the
+//!    two hand-written text codecs; a derive-only stub must not come back).
 
 #![forbid(unsafe_code)]
 
@@ -46,6 +50,7 @@ fn lint() -> ExitCode {
     check_forbid_unsafe(&root, &mut errors);
     check_clock_discipline(&root, &mut errors);
     check_knob_docs(&root, &mut errors);
+    check_no_parked_code(&root, &mut errors);
 
     if errors.is_empty() {
         println!("xtask lint: ok");
@@ -234,6 +239,49 @@ fn check_knob_docs(root: &Path, errors: &mut Vec<String>) {
                 }
             }
             Err(e) => errors.push(e),
+        }
+    }
+}
+
+fn check_no_parked_code(root: &Path, errors: &mut Vec<String>) {
+    let mut sources = Vec::new();
+    for dir in ["crates", "src", "examples", "tests", "xtask"] {
+        rust_files(&root.join(dir), &mut sources);
+    }
+    // Spelled in two halves so this file passes its own check.
+    let allowance = concat!("allow(dead", "_code)");
+    let advice = "delete the unused item or make it #[cfg(test)]";
+    forbid(root, &sources, "//", allowance, advice, errors);
+
+    let mut manifests = vec![root.join("Cargo.toml"), root.join("xtask/Cargo.toml")];
+    for dir in ["crates", "vendor"] {
+        if let Ok(entries) = std::fs::read_dir(root.join(dir)) {
+            manifests.extend(entries.flatten().map(|e| e.path().join("Cargo.toml")));
+        }
+    }
+    manifests.sort();
+    let advice = "nothing serializes through it; remove the manifest entry";
+    forbid(root, &manifests, "#", "serde", advice, errors);
+}
+
+/// Reports every line of `files` that contains `needle` outside a comment.
+fn forbid(
+    root: &Path,
+    files: &[PathBuf],
+    comment: &str,
+    needle: &str,
+    advice: &str,
+    errors: &mut Vec<String>,
+) {
+    for path in files {
+        let Ok(text) = std::fs::read_to_string(path) else {
+            continue;
+        };
+        for (i, line) in text.lines().enumerate() {
+            if line.split(comment).next().unwrap_or(line).contains(needle) {
+                let at = rel(root, path);
+                errors.push(format!("{at}:{}: {needle}: {advice}", i + 1));
+            }
         }
     }
 }
