@@ -17,12 +17,14 @@
 //!
 //! 1. The cube's literals (if any) are seeded as root assignments — a
 //!    certificate proves `F ∧ cube ⊨ ⊥`, not `F ⊨ ⊥`.
-//! 2. The formula's clauses are loaded into a two-watched-literal database
-//!    and propagated to fixpoint.
+//! 2. The formula's clauses are copied into one flat literal arena under
+//!    two-watched-literal propagation (no allocation per clause) and
+//!    propagated to fixpoint.
 //! 3. Each `Add` step is checked for RUP (assert the negations of its
 //!    literals, propagate, expect a conflict), then added and propagated.
 //!    Each `Delete` step removes one instance of the clause, matched by
-//!    sorted-literal multiset; unmatched deletions are lenient no-ops and
+//!    sorted-literal multiset through an index built when the first deletion
+//!    is met; unmatched deletions are lenient no-ops and
 //!    root-level assignments are never retracted (the `drat-trim` dialect —
 //!    deleting the reason of a root-forced literal must not un-derive it).
 //! 4. The proof is accepted once root propagation derives a conflict.
@@ -36,6 +38,7 @@
 
 use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value};
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// Why a submitted result (model, proof, or whole report) was rejected.
 ///
@@ -47,7 +50,8 @@ pub enum CheckFailure {
     /// The transport-level integrity check (upload checksum) failed.
     Checksum,
     /// The report's shape is inconsistent with the work unit it claims to
-    /// answer (cube counts, set size, per-cube cost vector).
+    /// answer (cube counts, set size, per-cube cost vector, a certificate
+    /// naming a variable the formula does not have).
     Shape,
     /// A SAT verdict was claimed without shipping a model.
     ModelMissing,
@@ -112,223 +116,274 @@ pub fn check_model(cnf: &Cnf, assumptions: &[Lit], model: &Assignment) -> Result
 
 /// Checks a DRAT derivation that `cnf ∧ assumptions` is unsatisfiable.
 ///
+/// Memory is bounded by the formula plus the proof: per-variable tables are
+/// sized by `cnf.num_vars()`, never by an index the certificate names.
+///
 /// # Errors
 ///
-/// [`CheckFailure::ProofNotRup`] when an addition fails its RUP check,
-/// [`CheckFailure::ProofIncomplete`] when the steps run out before a
+/// [`CheckFailure::Shape`] when an assumption or an addition names a
+/// variable the formula does not have (RUP never needs one, and sizing
+/// tables by an uploaded index would let one forged literal allocate
+/// gigabytes), [`CheckFailure::ProofNotRup`] when an addition fails its RUP
+/// check, [`CheckFailure::ProofIncomplete`] when the steps run out before a
 /// conflict is derived.
 pub fn check_unsat_proof(
     cnf: &Cnf,
     assumptions: &[Lit],
     proof: &DratProof,
 ) -> Result<CheckStats, CheckFailure> {
-    let mut num_vars = cnf.num_vars();
-    for &lit in assumptions {
-        num_vars = num_vars.max(lit.var().index() + 1);
-    }
-    for step in &proof.steps {
-        for &lit in step.lits() {
-            num_vars = num_vars.max(lit.var().index() + 1);
-        }
-    }
-    let mut checker = Checker::new(num_vars);
-    for &lit in assumptions {
-        if checker.proven {
-            break;
-        }
-        match checker.value(lit) {
-            Value::False => checker.proven = true, // contradictory cube
-            Value::True => {}
-            Value::Unassigned => checker.enqueue(lit),
-        }
-    }
-    for clause in cnf.clauses() {
-        checker.add_clause(clause.lits());
-    }
-    if checker.propagate() {
-        checker.proven = true;
-    }
-    let mut stats = CheckStats::default();
-    for step in &proof.steps {
-        if checker.proven {
-            break;
-        }
-        match step {
-            DratStep::Add(lits) => {
-                if !checker.rup(lits) {
-                    return Err(CheckFailure::ProofNotRup);
-                }
-                checker.add_clause(lits);
-                if checker.propagate() {
-                    checker.proven = true;
-                }
-            }
-            DratStep::Delete(lits) => {
-                if !checker.delete(lits) {
-                    stats.unmatched_deletes += 1;
-                }
-            }
-        }
-        stats.steps_checked += 1;
-    }
-    stats.propagations = checker.propagations;
-    if checker.proven {
-        Ok(stats)
-    } else {
-        Err(CheckFailure::ProofIncomplete)
-    }
-}
-
-/// Sorted literal codes: the multiset key clauses are deleted by.
-fn clause_key(lits: &[Lit]) -> Vec<usize> {
-    let mut key: Vec<usize> = lits.iter().map(|l| l.code()).collect();
-    key.sort_unstable();
-    key
+    Checker::new(cnf.num_vars()).run(cnf, assumptions, proof)
 }
 
 const UNDEF: u8 = 0;
 const TRUE: u8 = 1;
 const FALSE: u8 = 2;
 
-struct ClauseRec {
-    /// Deduplicated literals; positions 0 and 1 are the watched ones.
-    lits: Vec<Lit>,
+/// No clause: the end of a [`DeleteIndex`] chain.
+const NIL: usize = usize::MAX;
+
+/// Where one clause lives in [`Checker::lits`]. The clause owns the arena
+/// from `start` to the next clause's `start`: first its `len` distinct
+/// literals (positions 0 and 1 are the watched ones), then the repeats the
+/// load-time dedup moved out of the way, kept because deletions match by
+/// multiset.
+#[derive(Clone, Copy)]
+struct Span {
+    start: usize,
+    len: usize,
     deleted: bool,
 }
 
-/// The forward checker's propagation state: two-watched-literal clause
-/// database with a persistent root trail.
+/// Every arena slot clause `id` owns: its distinct literals, then the repeats.
+fn owned<'a>(spans: &[Span], lits: &'a [Lit], id: usize) -> &'a [Lit] {
+    let end = spans.get(id + 1).map_or(lits.len(), |s| s.start);
+    &lits[spans[id].start..end]
+}
+
+/// Live clause ids by sorted-literal multiset, as intrusive chains: `heads`
+/// maps a multiset's hash to the most recently added clause carrying it and
+/// `next[id]` continues to older ones, so the index costs no allocation per
+/// clause. Hash hits are confirmed by comparing literals.
+struct DeleteIndex {
+    heads: HashMap<u64, usize>,
+    next: Vec<usize>,
+}
+
+/// The forward checker's propagation state: a flat literal arena under
+/// two-watched-literal propagation with a persistent root trail.
 struct Checker {
-    clauses: Vec<ClauseRec>,
-    /// Live clause ids per sorted-literal key (multiset: duplicates allowed).
-    index: HashMap<Vec<usize>, Vec<usize>>,
+    /// The literals of every clause, back to back (see [`Span`]).
+    lits: Vec<Lit>,
+    spans: Vec<Span>,
+    /// Built when the first `Delete` step is met: most certificates of short
+    /// solves have none, and hashing every clause is most of a load.
+    delete_index: Option<DeleteIndex>,
     /// Clause ids watching each literal, indexed by `Lit::code`.
     watches: Vec<Vec<usize>>,
-    /// Per-variable value, `UNDEF`/`TRUE`/`FALSE` of the positive literal.
-    assigns: Vec<u8>,
+    /// `UNDEF`/`TRUE`/`FALSE` per literal, indexed by `Lit::code`.
+    values: Vec<u8>,
     trail: Vec<Lit>,
     qhead: usize,
     /// Root propagation derived a conflict: the refutation is established.
     proven: bool,
     propagations: u64,
+    /// Scratch for the sorted literals of a deletion and of a candidate.
+    key_buf: Vec<Lit>,
+    candidate_buf: Vec<Lit>,
 }
 
 impl Checker {
     fn new(num_vars: usize) -> Checker {
         Checker {
-            clauses: Vec::new(),
-            index: HashMap::new(),
+            lits: Vec::new(),
+            spans: Vec::new(),
+            delete_index: None,
             watches: vec![Vec::new(); 2 * num_vars],
-            assigns: vec![UNDEF; num_vars],
+            values: vec![UNDEF; 2 * num_vars],
             trail: Vec::new(),
             qhead: 0,
             proven: false,
             propagations: 0,
+            key_buf: Vec::new(),
+            candidate_buf: Vec::new(),
         }
     }
 
-    fn value(&self, lit: Lit) -> Value {
-        match self.assigns[lit.var().index()] {
-            UNDEF => Value::Unassigned,
-            TRUE => {
-                if lit.is_positive() {
-                    Value::True
-                } else {
-                    Value::False
+    fn run(
+        &mut self,
+        cnf: &Cnf,
+        assumptions: &[Lit],
+        proof: &DratProof,
+    ) -> Result<CheckStats, CheckFailure> {
+        self.require_known_vars(assumptions)?;
+        for &lit in assumptions {
+            if self.proven {
+                break;
+            }
+            match self.values[lit.code()] {
+                FALSE => self.proven = true, // contradictory cube
+                TRUE => {}
+                _ => self.enqueue(lit),
+            }
+        }
+        self.lits.reserve(cnf.num_literals());
+        self.spans.reserve(cnf.num_clauses());
+        for clause in cnf.clauses() {
+            self.add_clause(clause.lits());
+        }
+        if self.propagate() {
+            self.proven = true;
+        }
+        let mut stats = CheckStats::default();
+        for step in &proof.steps {
+            if self.proven {
+                break;
+            }
+            match step {
+                DratStep::Add(lits) => {
+                    self.require_known_vars(lits)?;
+                    if !self.rup(lits) {
+                        return Err(CheckFailure::ProofNotRup);
+                    }
+                    self.add_clause(lits);
+                    if self.propagate() {
+                        self.proven = true;
+                    }
+                }
+                DratStep::Delete(lits) => {
+                    if !self.delete(lits) {
+                        stats.unmatched_deletes += 1;
+                    }
                 }
             }
-            _ => {
-                if lit.is_positive() {
-                    Value::False
-                } else {
-                    Value::True
-                }
-            }
+            stats.steps_checked += 1;
+        }
+        stats.propagations = self.propagations;
+        if self.proven {
+            Ok(stats)
+        } else {
+            Err(CheckFailure::ProofIncomplete)
+        }
+    }
+
+    /// Every per-literal table is indexed by literals that passed this
+    /// check. Deletions need none: they only ever hash their literals.
+    fn require_known_vars(&self, lits: &[Lit]) -> Result<(), CheckFailure> {
+        if lits.iter().all(|l| l.code() < self.values.len()) {
+            Ok(())
+        } else {
+            Err(CheckFailure::Shape)
         }
     }
 
     fn enqueue(&mut self, lit: Lit) {
-        debug_assert_eq!(self.value(lit), Value::Unassigned);
-        self.assigns[lit.var().index()] = if lit.is_positive() { TRUE } else { FALSE };
+        debug_assert_eq!(self.values[lit.code()], UNDEF);
+        self.values[lit.code()] = TRUE;
+        self.values[(!lit).code()] = FALSE;
         self.trail.push(lit);
     }
 
-    /// Inserts a clause into the database under the current assignment,
+    /// Appends a clause to the arena under the current assignment,
     /// enqueueing its consequence when it is unit and flagging `proven` when
     /// it is already falsified. The caller runs [`propagate`](Self::propagate)
     /// afterwards.
-    fn add_clause(&mut self, lits: &[Lit]) {
-        let key = clause_key(lits);
-        let id = self.clauses.len();
-        let mut dedup = lits.to_vec();
-        dedup.sort_unstable_by_key(|l| l.code());
-        dedup.dedup();
-        if dedup.is_empty() {
+    fn add_clause(&mut self, clause: &[Lit]) {
+        let id = self.spans.len();
+        let start = self.lits.len();
+        self.lits.extend_from_slice(clause);
+        let values = &self.values;
+        let lits = &mut self.lits[start..];
+        lits.sort_unstable();
+        // Distinct literals to the front (still sorted), repeats behind them.
+        let mut len = lits.len().min(1);
+        for read in 1..lits.len() {
+            if lits[read] != lits[len - 1] {
+                lits.swap(len, read);
+                len += 1;
+            }
+        }
+        self.spans.push(Span {
+            start,
+            len,
+            deleted: false,
+        });
+        if let Some(index) = self.delete_index.as_mut() {
+            index.insert(id, clause, &mut self.key_buf);
+        }
+        let lits = &mut self.lits[start..start + len];
+        if len == 0 {
             self.proven = true;
-            self.clauses.push(ClauseRec {
-                lits: dedup,
-                deleted: false,
-            });
-            self.index.entry(key).or_default().push(id);
             return;
         }
-        if dedup.len() == 1 {
-            match self.value(dedup[0]) {
-                Value::True => {}
-                Value::False => self.proven = true,
-                Value::Unassigned => self.enqueue(dedup[0]),
+        if len == 1 {
+            let unit = lits[0];
+            match values[unit.code()] {
+                TRUE => {}
+                FALSE => self.proven = true,
+                _ => self.enqueue(unit),
             }
-            self.clauses.push(ClauseRec {
-                lits: dedup,
-                deleted: false,
-            });
-            self.index.entry(key).or_default().push(id);
             return;
         }
         // Arrange two non-false literals (or one plus anything, enqueueing
         // it when the rest are false) into the watch positions.
-        if let Some(i) = dedup.iter().position(|&l| self.value(l) != Value::False) {
-            dedup.swap(0, i);
-            match dedup[1..]
-                .iter()
-                .position(|&l| self.value(l) != Value::False)
-            {
-                Some(j) => dedup.swap(1, j + 1),
-                None => {
-                    // Every other literal is false: the clause is unit here.
-                    if self.value(dedup[0]) == Value::Unassigned {
-                        self.enqueue(dedup[0]);
-                    }
-                }
+        let mut unit = None;
+        if let Some(i) = lits.iter().position(|l| values[l.code()] != FALSE) {
+            lits.swap(0, i);
+            match lits[1..].iter().position(|l| values[l.code()] != FALSE) {
+                Some(j) => lits.swap(1, j + 1),
+                // Every other literal is false: the clause is unit here.
+                None => unit = (values[lits[0].code()] == UNDEF).then_some(lits[0]),
             }
         } else {
             self.proven = true; // all literals false at the root
         }
-        self.watches[dedup[0].code()].push(id);
-        self.watches[dedup[1].code()].push(id);
-        self.clauses.push(ClauseRec {
-            lits: dedup,
-            deleted: false,
-        });
-        self.index.entry(key).or_default().push(id);
+        self.watches[lits[0].code()].push(id);
+        self.watches[lits[1].code()].push(id);
+        if let Some(unit) = unit {
+            self.enqueue(unit);
+        }
     }
 
-    /// Removes one live instance of the clause. Returns `false` when nothing
-    /// matched (the lenient no-op case). Watches are cleaned up lazily and
-    /// root assignments are never retracted.
-    fn delete(&mut self, lits: &[Lit]) -> bool {
-        let key = clause_key(lits);
-        let Some(ids) = self.index.get_mut(&key) else {
-            return false;
-        };
-        let Some(id) = ids.pop() else {
-            return false;
-        };
-        if ids.is_empty() {
-            self.index.remove(&key);
+    /// Removes the most recently added live instance of the clause. Returns
+    /// `false` when nothing matched (the lenient no-op case). Watches are
+    /// cleaned up lazily and root assignments are never retracted.
+    fn delete(&mut self, clause: &[Lit]) -> bool {
+        if self.delete_index.is_none() {
+            let mut index = DeleteIndex {
+                heads: HashMap::with_capacity(self.spans.len()),
+                next: Vec::with_capacity(self.spans.len()),
+            };
+            for id in 0..self.spans.len() {
+                index.insert(id, owned(&self.spans, &self.lits, id), &mut self.key_buf);
+            }
+            self.delete_index = Some(index);
         }
-        self.clauses[id].deleted = true;
-        true
+        let index = self.delete_index.as_mut().expect("built above");
+        let hash = index.hash(clause, &mut self.key_buf);
+        let Some(&head) = index.heads.get(&hash) else {
+            return false;
+        };
+        let (mut prev, mut id) = (NIL, head);
+        while id != NIL {
+            self.candidate_buf.clear();
+            self.candidate_buf
+                .extend_from_slice(owned(&self.spans, &self.lits, id));
+            self.candidate_buf.sort_unstable();
+            if self.candidate_buf == self.key_buf {
+                let after = index.next[id];
+                if prev != NIL {
+                    index.next[prev] = after;
+                } else if after != NIL {
+                    index.heads.insert(hash, after);
+                } else {
+                    index.heads.remove(&hash);
+                }
+                self.spans[id].deleted = true;
+                return true;
+            }
+            (prev, id) = (id, index.next[id]);
+        }
+        false
     }
 
     /// Propagates to fixpoint; `true` on conflict. Works identically for
@@ -341,55 +396,56 @@ impl Checker {
             self.qhead += 1;
             self.propagations += 1;
             let false_lit = !p;
-            let ws = std::mem::take(&mut self.watches[false_lit.code()]);
-            let mut kept = Vec::with_capacity(ws.len());
+            // The list is compacted in place: `kept` counts the watchers
+            // that stay. A moved watch is pushed onto a non-false literal's
+            // list, never onto this one.
+            let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
+            let mut kept = 0;
             let mut conflict = false;
-            for &cid in &ws {
-                if conflict {
-                    kept.push(cid);
-                    continue;
-                }
-                if self.clauses[cid].deleted {
+            for i in 0..ws.len() {
+                let cid = ws[i];
+                let Span {
+                    start,
+                    len,
+                    deleted,
+                } = self.spans[cid];
+                if deleted {
                     continue; // lazy watch cleanup
                 }
-                if self.clauses[cid].lits[0] == false_lit {
-                    self.clauses[cid].lits.swap(0, 1);
+                let lits = &mut self.lits[start..start + len];
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                let first = self.clauses[cid].lits[0];
-                if self.value(first) == Value::True {
-                    kept.push(cid);
+                let first = lits[0];
+                if self.values[first.code()] == TRUE {
+                    ws[kept] = cid;
+                    kept += 1;
                     continue;
                 }
-                let len = self.clauses[cid].lits.len();
-                let mut moved = None;
-                for k in 2..len {
-                    if self.value(self.clauses[cid].lits[k]) != Value::False {
-                        moved = Some(k);
-                        break;
-                    }
-                }
-                match moved {
+                match (2..len).find(|&k| self.values[lits[k].code()] != FALSE) {
                     Some(k) => {
-                        self.clauses[cid].lits.swap(1, k);
-                        let new_watch = self.clauses[cid].lits[1];
-                        self.watches[new_watch.code()].push(cid);
+                        lits.swap(1, k);
+                        self.watches[lits[1].code()].push(cid);
                     }
                     None => {
-                        kept.push(cid);
-                        match self.value(first) {
-                            Value::Unassigned => self.enqueue(first),
-                            Value::False => {
-                                // Conflict: keep the remaining watchers and
-                                // report. Nothing is unwound here — the
-                                // caller owns the trail.
-                                conflict = true;
-                            }
-                            Value::True => unreachable!("handled above"),
+                        ws[kept] = cid;
+                        kept += 1;
+                        if self.values[first.code()] == UNDEF {
+                            self.enqueue(first);
+                        } else {
+                            // Conflict: keep the remaining watchers and
+                            // report. Nothing is unwound here — the caller
+                            // owns the trail.
+                            ws.copy_within(i + 1.., kept);
+                            kept += ws.len() - (i + 1);
+                            conflict = true;
+                            break;
                         }
                     }
                 }
             }
-            self.watches[false_lit.code()] = kept;
+            ws.truncate(kept);
+            self.watches[false_lit.code()] = ws;
             if conflict {
                 return true;
             }
@@ -408,23 +464,43 @@ impl Checker {
         let mark = self.trail.len();
         let mut implied = false;
         for &lit in clause {
-            match self.value(lit) {
-                Value::True => {
+            match self.values[lit.code()] {
+                TRUE => {
                     // A root-true literal satisfies the clause outright.
                     implied = true;
                     break;
                 }
-                Value::False => {}
-                Value::Unassigned => self.enqueue(!lit),
+                FALSE => {}
+                _ => self.enqueue(!lit),
             }
         }
         let ok = implied || self.propagate();
         for &lit in &self.trail[mark..] {
-            self.assigns[lit.var().index()] = UNDEF;
+            self.values[lit.code()] = UNDEF;
+            self.values[(!lit).code()] = UNDEF;
         }
         self.trail.truncate(mark);
         self.qhead = mark;
         ok
+    }
+}
+
+impl DeleteIndex {
+    /// Sorts `clause` into `key_buf` and hashes it.
+    fn hash(&self, clause: &[Lit], key_buf: &mut Vec<Lit>) -> u64 {
+        key_buf.clear();
+        key_buf.extend_from_slice(clause);
+        key_buf.sort_unstable();
+        self.heads.hasher().hash_one(&key_buf[..])
+    }
+
+    /// Registers clause `id` (the next id in order) as the newest carrier of
+    /// the multiset `clause`.
+    fn insert(&mut self, id: usize, clause: &[Lit], key_buf: &mut Vec<Lit>) {
+        debug_assert_eq!(id, self.next.len());
+        let hash = self.hash(clause, key_buf);
+        let older = self.heads.insert(hash, id).unwrap_or(NIL);
+        self.next.push(older);
     }
 }
 
@@ -600,6 +676,58 @@ mod tests {
         };
         let stats = check_unsat_proof(&asymmetric_unsat(), &[], &proof).expect("accepted");
         assert_eq!(stats.unmatched_deletes, 1);
+    }
+
+    #[test]
+    fn a_proof_without_deletions_never_builds_the_deletion_index() {
+        let cnf = asymmetric_unsat();
+        let mut additions_only = Checker::new(cnf.num_vars());
+        let proof = DratProof {
+            steps: vec![DratStep::Add(clause(&[1]))],
+        };
+        additions_only.run(&cnf, &[], &proof).expect("valid proof");
+        assert!(additions_only.delete_index.is_none());
+        // The first deletion builds it over everything loaded so far (and
+        // matches nothing here); later additions are registered in it, so
+        // the second deletion finds the lemma added in between.
+        let mut with_deletions = Checker::new(cnf.num_vars());
+        let proof = DratProof {
+            steps: vec![
+                DratStep::Delete(clause(&[3, 1])),
+                DratStep::Add(clause(&[1, 3])),
+                DratStep::Delete(clause(&[3, 1])),
+                DratStep::Add(clause(&[1])),
+            ],
+        };
+        let stats = with_deletions.run(&cnf, &[], &proof).expect("valid proof");
+        assert_eq!(stats.unmatched_deletes, 1);
+        let index = with_deletions.delete_index.expect("a deletion was met");
+        assert_eq!(index.next.len(), cnf.num_clauses() + 2);
+    }
+
+    #[test]
+    fn deletion_removes_the_most_recent_instance_first() {
+        // Two copies of (1 2): one deletion leaves one, which still supports
+        // the (1) lemma; a second deletion removes that support.
+        let mut cnf = asymmetric_unsat();
+        cnf.add_clause(clause(&[2, 1]));
+        let deleting = |times: usize| {
+            let mut steps = vec![DratStep::Delete(clause(&[1, 2])); times];
+            steps.push(DratStep::Add(clause(&[1])));
+            check_unsat_proof(&cnf, &[], &DratProof { steps })
+        };
+        assert_eq!(deleting(1).map(|s| s.unmatched_deletes), Ok(0));
+        assert_eq!(deleting(2), Err(CheckFailure::ProofNotRup));
+        let mut checker = Checker::new(cnf.num_vars());
+        let once = DratProof {
+            steps: vec![DratStep::Delete(clause(&[1, 2]))],
+        };
+        assert_eq!(
+            checker.run(&cnf, &[], &once),
+            Err(CheckFailure::ProofIncomplete)
+        );
+        let deleted: Vec<bool> = checker.spans.iter().map(|s| s.deleted).collect();
+        assert_eq!(deleted, [false, false, false, false, true]);
     }
 
     #[test]

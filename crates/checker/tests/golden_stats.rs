@@ -1,0 +1,144 @@
+//! Golden `CheckStats`: the checker replays solver-emitted certificates with
+//! exactly the step, propagation and unmatched-deletion counts recorded from
+//! the `Vec<ClauseRec>` + eager-index checker this arena checker replaced.
+//! Propagation counts depend on watch order, on which literal a watch moves
+//! to and on which instance a deletion removes, so equal counts mean the
+//! same derivation was replayed, not merely the same verdict reached.
+
+use pdsat_checker::{check_unsat_proof, CheckStats};
+use pdsat_cnf::{Cnf, DratProof, DratStep, Lit, Var};
+use pdsat_solver::{Solver, SolverConfig, Verdict};
+
+/// Two XOR chains over the same `n` inputs, the second visiting them in
+/// `stride` order, asserting opposite parities: unsatisfiable, needs real
+/// search, and every chain variable is a functionally defined auxiliary of
+/// the kind bounded variable elimination removes.
+fn parity_contradiction(n: usize, stride: usize) -> Cnf {
+    let mut cnf = Cnf::new(n);
+    let xor_gate = |cnf: &mut Cnf, a: Lit, b: Lit| {
+        let t = Lit::positive(cnf.new_var());
+        cnf.add_clause([!t, a, b]);
+        cnf.add_clause([!t, !a, !b]);
+        cnf.add_clause([t, !a, b]);
+        cnf.add_clause([t, a, !b]);
+        t
+    };
+    let input = |i: usize| Lit::positive(Var::new(i as u32));
+    for (order, parity) in [(1, true), (stride, false)] {
+        let mut acc = input(0);
+        for k in 1..n {
+            acc = xor_gate(&mut cnf, acc, input(k * order % n));
+        }
+        cnf.add_clause([if parity { acc } else { !acc }]);
+    }
+    cnf
+}
+
+fn proof_config() -> SolverConfig {
+    SolverConfig {
+        proof: true,
+        ..SolverConfig::default()
+    }
+}
+
+/// Solves `parity_contradiction(13, 5)` (after one inprocessing pass when
+/// `simplify` is set) and requires the certificate's shape and the
+/// checker's counters over it to equal the recorded ones.
+fn assert_golden(
+    config: SolverConfig,
+    simplify: bool,
+    (steps, deletes): (usize, usize),
+    stats: CheckStats,
+) {
+    let cnf = parity_contradiction(13, 5);
+    let mut solver = Solver::from_cnf_with_config(&cnf, config);
+    if simplify {
+        solver.simplify();
+    }
+    assert_eq!(solver.solve(), Verdict::Unsat);
+    let cert = solver.unsat_certificate().expect("proof logging is on");
+    let logged_deletes = cert.steps.iter().filter(|s| s.is_delete()).count();
+    assert_eq!(
+        (cert.steps.len(), logged_deletes),
+        (steps, deletes),
+        "the solver's certificate changed; re-record the counts below"
+    );
+    assert_eq!(check_unsat_proof(&cnf, &[], &cert), Ok(stats));
+}
+
+#[test]
+fn plain_certificate_replays_with_the_recorded_counts() {
+    assert_golden(
+        proof_config(),
+        false,
+        (626, 0),
+        CheckStats {
+            steps_checked: 625,
+            propagations: 9839,
+            unmatched_deletes: 0,
+        },
+    );
+}
+
+#[test]
+fn simplify_certificate_with_logged_deletions_replays_with_the_recorded_counts() {
+    assert_golden(
+        proof_config(),
+        true,
+        (2915, 1127),
+        CheckStats {
+            steps_checked: 2914,
+            propagations: 25133,
+            unmatched_deletes: 0,
+        },
+    );
+}
+
+#[test]
+fn reduce_db_certificate_replays_with_the_recorded_counts() {
+    let config = SolverConfig {
+        min_learnt_limit: 4,
+        learntsize_factor: 0.01,
+        ..proof_config()
+    };
+    assert_golden(
+        config,
+        false,
+        (2227, 1039),
+        CheckStats {
+            steps_checked: 2226,
+            propagations: 17147,
+            unmatched_deletes: 0,
+        },
+    );
+}
+
+/// Deletions match by literal *multiset*: a clause loaded with a repeated
+/// literal is removed only by a deletion repeating it too, and a deletion
+/// repeating a literal never removes the plain clause.
+#[test]
+fn deletions_with_duplicate_literals_match_by_multiset() {
+    let lit = Lit::from_dimacs;
+    let mut cnf = Cnf::new(3);
+    cnf.add_clause([lit(1), lit(1), lit(2)]);
+    cnf.add_clause([lit(1), lit(-2)]);
+    cnf.add_clause([lit(-1), lit(3)]);
+    cnf.add_clause([lit(-1), lit(-3)]);
+    let with_deletes = |deletes: &[&[i64]]| {
+        let mut steps: Vec<DratStep> = deletes
+            .iter()
+            .map(|d| DratStep::Delete(d.iter().map(|&l| lit(l)).collect()))
+            .collect();
+        steps.push(DratStep::Add(vec![lit(1)]));
+        check_unsat_proof(&cnf, &[], &DratProof { steps })
+    };
+    // Neither spelling matches `(1 ∨ 1 ∨ 2)`: both are lenient no-ops and
+    // the clause still supports the `(1)` lemma.
+    let stats = with_deletes(&[&[1, 2], &[1, 2, 2]]).expect("clause still present");
+    assert_eq!(stats.unmatched_deletes, 2);
+    // `(1 ∨ 1 ∨ -2)` does not match the plain `(1 ∨ -2)` either.
+    let stats = with_deletes(&[&[1, 1, -2]]).expect("clause still present");
+    assert_eq!(stats.unmatched_deletes, 1);
+    // The same multiset in any order does match, and `(1)` loses its support.
+    assert!(with_deletes(&[&[2, 1, 1]]).is_err());
+}

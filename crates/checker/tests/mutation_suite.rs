@@ -158,6 +158,43 @@ fn hoisting_a_deletion_above_its_support_is_rejected() {
     );
 }
 
+/// A forged upload naming variable 2^31−1 must cost nothing: the checker's
+/// tables are sized by the formula, so the literal is rejected as a shape
+/// error instead of sizing `2·2^31` watch lists.
+#[test]
+fn forged_variable_index_is_rejected_without_allocating_for_it() {
+    let (cnf, y, z) = crafted_cnf();
+    let huge = Lit::positive(Var::new((1 << 31) - 1));
+    let forged = DratProof {
+        steps: vec![DratStep::Add(vec![huge])],
+    };
+    assert_eq!(
+        check_unsat_proof(&cnf, &[], &forged),
+        Err(CheckFailure::Shape)
+    );
+    assert_eq!(
+        check_unsat_proof(&cnf, &[huge], &crafted_proof(y, z)),
+        Err(CheckFailure::Shape)
+    );
+    // One past the formula's range is out of range too.
+    let fifth = Lit::positive(Var::new(cnf.num_vars() as u32));
+    let mut proof = crafted_proof(y, z);
+    proof.steps[0] = DratStep::Add(vec![y, fifth]);
+    assert_eq!(
+        check_unsat_proof(&cnf, &[], &proof),
+        Err(CheckFailure::Shape)
+    );
+    // A deletion only hashes its literals, so naming an unknown variable
+    // makes it an unmatched no-op; and no step after the conflict is looked
+    // at.
+    let mut lenient = crafted_proof(y, z);
+    lenient.steps.insert(0, DratStep::Delete(vec![huge]));
+    lenient.steps.push(DratStep::Add(vec![huge]));
+    let stats = check_unsat_proof(&cnf, &[], &lenient).expect("accepted");
+    assert_eq!(stats.unmatched_deletes, 1);
+    assert!(stats.steps_checked < lenient.steps.len());
+}
+
 #[test]
 fn model_mutations_are_rejected() {
     let (cnf, y, _) = crafted_cnf();

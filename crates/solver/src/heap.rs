@@ -8,10 +8,27 @@ use pdsat_cnf::Var;
 /// variable indices, `positions` maps a variable to its slot (or
 /// `usize::MAX` when absent) so membership tests and `decrease`/`increase`
 /// operations are O(1)/O(log n).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct VarOrderHeap {
     heap: Vec<u32>,
     positions: Vec<usize>,
+}
+
+impl Clone for VarOrderHeap {
+    fn clone(&self) -> VarOrderHeap {
+        VarOrderHeap {
+            heap: self.heap.clone(),
+            positions: self.positions.clone(),
+        }
+    }
+
+    /// Copies into the allocations `self` already owns (see
+    /// `Solver::clone_from`).
+    fn clone_from(&mut self, source: &VarOrderHeap) {
+        let VarOrderHeap { heap, positions } = source;
+        self.heap.clone_from(heap);
+        self.positions.clone_from(positions);
+    }
 }
 
 const ABSENT: usize = usize::MAX;

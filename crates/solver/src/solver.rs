@@ -124,10 +124,11 @@ struct Limits {
 /// }
 /// ```
 ///
-/// The solver is `Clone`: a preprocessed instance (see [`Solver::simplify`])
-/// can be cloned once per sub-problem so the preprocessing cost is paid once
-/// per formula instead of once per cube.
-#[derive(Clone)]
+/// The solver is `Clone`, and `clone_from` restores in place: a loaded (and
+/// optionally preprocessed, see [`Solver::simplify`]) instance serves as a
+/// template that a working solver is reset to before each sub-problem, so
+/// loading and preprocessing are paid once per formula instead of once per
+/// cube, and the reset itself reuses the working solver's allocations.
 pub struct Solver {
     config: SolverConfig,
     db: ClauseDb,
@@ -192,6 +193,85 @@ pub struct Solver {
     last_solve_unsat: bool,
     stats: SolverStats,
     max_learnts: f64,
+}
+
+impl Clone for Solver {
+    fn clone(&self) -> Solver {
+        let mut solver = Solver::with_config(self.config.clone());
+        solver.clone_from(self);
+        solver
+    }
+
+    /// Makes `self` an exact copy of `source`, field by field into the
+    /// allocations `self` already owns — no per-watch-list allocation once
+    /// the two have had the same shape. The destructuring is exhaustive on
+    /// purpose: a new field that is not copied here does not compile.
+    fn clone_from(&mut self, source: &Solver) {
+        let Solver {
+            config,
+            db,
+            original,
+            learnts,
+            watches,
+            bin_watches,
+            assigns,
+            vardata,
+            polarity,
+            activity,
+            conflict_counts,
+            order_heap,
+            trail,
+            trail_lim,
+            qhead,
+            saved_assumptions,
+            var_inc,
+            cla_inc,
+            ok,
+            seen,
+            learnt_buf,
+            levels_buf,
+            toclear_buf,
+            frozen,
+            eliminated,
+            elim_stack,
+            proof,
+            share,
+            last_solve_unsat,
+            stats,
+            max_learnts,
+        } = source;
+        self.config.clone_from(config);
+        self.db.clone_from(db);
+        self.original.clone_from(original);
+        self.learnts.clone_from(learnts);
+        self.watches.clone_from(watches);
+        self.bin_watches.clone_from(bin_watches);
+        self.assigns.clone_from(assigns);
+        self.vardata.clone_from(vardata);
+        self.polarity.clone_from(polarity);
+        self.activity.clone_from(activity);
+        self.conflict_counts.clone_from(conflict_counts);
+        self.order_heap.clone_from(order_heap);
+        self.trail.clone_from(trail);
+        self.trail_lim.clone_from(trail_lim);
+        self.qhead = *qhead;
+        self.saved_assumptions.clone_from(saved_assumptions);
+        self.var_inc = *var_inc;
+        self.cla_inc = *cla_inc;
+        self.ok = *ok;
+        self.seen.clone_from(seen);
+        self.learnt_buf.clone_from(learnt_buf);
+        self.levels_buf.clone_from(levels_buf);
+        self.toclear_buf.clone_from(toclear_buf);
+        self.frozen.clone_from(frozen);
+        self.eliminated.clone_from(eliminated);
+        self.elim_stack.clone_from(elim_stack);
+        self.proof.clone_from(proof);
+        self.share.clone_from(share);
+        self.last_solve_unsat = *last_solve_unsat;
+        self.stats = *stats;
+        self.max_learnts = *max_learnts;
+    }
 }
 
 impl std::fmt::Debug for Solver {
