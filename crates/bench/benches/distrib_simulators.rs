@@ -36,36 +36,38 @@ fn bench_distrib(c: &mut Criterion) {
 
     // Sustained coordinator throughput: one full family processed through
     // lease issue / expiry / quorum / checkpoint bookkeeping over the
-    // chaotic loopback grid. One iteration completes 256 work units, so
-    // median_ns / 256 is the per-work-unit coordination overhead.
-    let units = 256usize;
-    let costs = job_list(units * 8);
-    group.bench_with_input(
-        BenchmarkId::new("coordinator_work_units_48_hosts", units),
-        &costs,
-        |b, costs| {
-            let config = CoordinatorConfig {
-                work_unit_size: 8,
-                redundancy: 2,
-                lease_timeout: 2_000.0,
-            };
-            b.iter(|| {
-                let mut coordinator = Coordinator::new(3, costs.len(), &config);
-                let mut transport = LoopbackTransport::new(
-                    LoopbackConfig {
-                        num_clients: 48,
-                        seed: 7,
-                        poll_interval: 200.0,
-                        ..LoopbackConfig::default()
-                    },
-                    synthetic_family_solver(3, costs.clone(), None),
-                );
-                let status = coordinator.run(&mut transport, None);
-                assert_eq!(status, RunStatus::Complete);
-                coordinator.stats().makespan
-            });
-        },
-    );
+    // chaotic loopback grid. One iteration completes `units` work units, so
+    // median_ns / units is the per-work-unit coordination overhead — which
+    // must not grow with the family: the three sizes are the curve.
+    for units in [256usize, 4096, 65536] {
+        let costs = job_list(units * 8);
+        group.bench_with_input(
+            BenchmarkId::new("coordinator_work_units_48_hosts", units),
+            &costs,
+            |b, costs| {
+                let config = CoordinatorConfig {
+                    work_unit_size: 8,
+                    redundancy: 2,
+                    lease_timeout: 2_000.0,
+                };
+                b.iter(|| {
+                    let mut coordinator = Coordinator::new(3, costs.len(), &config);
+                    let mut transport = LoopbackTransport::new(
+                        LoopbackConfig {
+                            num_clients: 48,
+                            seed: 7,
+                            poll_interval: 200.0,
+                            ..LoopbackConfig::default()
+                        },
+                        synthetic_family_solver(3, costs.clone(), None),
+                    );
+                    let status = coordinator.run(&mut transport, None);
+                    assert_eq!(status, RunStatus::Complete);
+                    coordinator.stats().makespan
+                });
+            },
+        );
+    }
 
     group.finish();
 }

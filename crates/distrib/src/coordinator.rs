@@ -22,6 +22,7 @@ use pdsat_checker::{check_model, check_unsat_proof, CheckFailure};
 use pdsat_cnf::{Assignment, Cnf, Value, Var};
 use pdsat_core::{DecompositionSet, SolveReport};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Configuration of a coordinator run.
@@ -105,36 +106,16 @@ pub struct CoordinatorCheckpoint {
     pub completed: BTreeMap<WorkUnitId, SolveReport>,
 }
 
-fn encode_opt_usize(v: Option<usize>) -> String {
-    v.map_or_else(|| "-".to_string(), |x| x.to_string())
-}
+/// First line of the checkpoint text.
+const CHECKPOINT_HEADER: &str = "pdsat-coordinator-checkpoint v1";
 
-fn encode_opt_bits(v: Option<f64>) -> String {
-    v.map_or_else(|| "-".to_string(), |x| format!("{:016x}", x.to_bits()))
-}
-
-fn encode_model(model: Option<&Assignment>) -> String {
-    match model {
-        None => "-".to_string(),
-        Some(a) => (0..a.num_vars())
-            .map(|i| match a.value(Var::new(i as u32)) {
-                Value::True => '1',
-                Value::False => '0',
-                Value::Unassigned => 'x',
-            })
-            .collect(),
-    }
-}
-
-fn encode_costs(costs: &[f64]) -> String {
-    if costs.is_empty() {
-        return "-".to_string();
-    }
-    costs
-        .iter()
-        .map(|c| format!("{:016x}", c.to_bits()))
-        .collect::<Vec<_>>()
-        .join(",")
+/// Appends the IEEE-754 bits of `value` as 16 lower-case hex digits — the
+/// form every float of the checkpoint travels in.
+fn push_bits(out: &mut String, value: f64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let bits = value.to_bits();
+    let hex: [u8; 16] = std::array::from_fn(|i| DIGITS[(bits >> (60 - 4 * i)) as usize & 0xF]);
+    out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
 }
 
 fn decode_bits(field: &str, line: &str) -> Result<f64, CheckpointError> {
@@ -203,18 +184,33 @@ impl CoordinatorCheckpoint {
     /// crash-safe on disk.
     #[must_use]
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("pdsat-coordinator-checkpoint v1\n");
-        out.push_str(&format!(
-            "family set_size={} total_cubes={} work_unit_size={}\n",
+        const INFALLIBLE: &str = "formatting into a String cannot fail";
+        // One buffer, sized before the first byte is written: a unit line
+        // is its counters (13 numbers, under 160 bytes unless they are
+        // astronomically large), 17 bytes per cube cost and one per model
+        // variable.
+        let unit_bytes: usize = self
+            .completed
+            .values()
+            .map(|r| {
+                160 + 17 * r.per_cube_costs.len() + r.model.as_ref().map_or(0, Assignment::num_vars)
+            })
+            .sum();
+        let mut out = String::with_capacity(128 + unit_bytes);
+        out.push_str(CHECKPOINT_HEADER);
+        out.push('\n');
+        writeln!(
+            out,
+            "family set_size={} total_cubes={} work_unit_size={}",
             self.set_size, self.total_cubes, self.work_unit_size
-        ));
+        )
+        .expect(INFALLIBLE);
         for (id, r) in &self.completed {
-            out.push_str(&format!(
-                "unit {} {} {:016x} {} {} {} {} {} {} {} {} {} {} {} {} {} {}\n",
-                id,
-                r.cubes_processed,
-                r.total_cost.to_bits(),
+            write!(out, "unit {} {} ", id, r.cubes_processed).expect(INFALLIBLE);
+            push_bits(&mut out, r.total_cost);
+            write!(
+                out,
+                " {} {} {} {} {} {} {} {} {} {} ",
                 r.sat_count,
                 r.unknown_count,
                 r.wall_time.as_nanos(),
@@ -225,11 +221,43 @@ impl CoordinatorCheckpoint {
                 r.import_dropped,
                 r.worker_panics,
                 r.requeued_cubes,
-                encode_opt_usize(r.first_sat_index),
-                encode_opt_bits(r.cost_to_first_sat),
-                encode_model(r.model.as_ref()),
-                encode_costs(&r.per_cube_costs),
-            ));
+            )
+            .expect(INFALLIBLE);
+            match r.first_sat_index {
+                Some(index) => {
+                    write!(out, "{index}").expect(INFALLIBLE);
+                }
+                None => out.push('-'),
+            }
+            out.push(' ');
+            match r.cost_to_first_sat {
+                Some(cost) => push_bits(&mut out, cost),
+                None => out.push('-'),
+            }
+            out.push(' ');
+            match &r.model {
+                Some(model) => {
+                    out.extend((0..model.num_vars()).map(
+                        |i| match model.value(Var::new(i as u32)) {
+                            Value::True => '1',
+                            Value::False => '0',
+                            Value::Unassigned => 'x',
+                        },
+                    ))
+                }
+                None => out.push('-'),
+            }
+            out.push(' ');
+            if r.per_cube_costs.is_empty() {
+                out.push('-');
+            }
+            for (i, &cost) in r.per_cube_costs.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_bits(&mut out, cost);
+            }
+            out.push('\n');
         }
         out
     }
@@ -245,7 +273,7 @@ impl CoordinatorCheckpoint {
         let header = lines
             .next()
             .ok_or_else(|| malformed("empty checkpoint".into()))?;
-        if header.trim() != "pdsat-coordinator-checkpoint v1" {
+        if header.trim() != CHECKPOINT_HEADER {
             return Err(malformed(format!(
                 "unrecognized checkpoint header '{header}'"
             )));
@@ -287,10 +315,9 @@ impl CoordinatorCheckpoint {
             let rest = line
                 .strip_prefix("unit ")
                 .ok_or_else(|| malformed(format!("expected 'unit …', got '{line}'")))?;
-            let fields: Vec<&str> = rest.split_whitespace().collect();
-            if fields.len() != 17 {
-                return Err(malformed(format!("expected 17 unit fields in '{line}'")));
-            }
+            let wrong_count = || malformed(format!("expected 17 unit fields in '{line}'"));
+            let mut fields = rest.split_whitespace();
+            let mut field = || fields.next().ok_or_else(wrong_count);
             let parse_usize = |f: &str| -> Result<usize, CheckpointError> {
                 f.parse()
                     .map_err(|_| malformed(format!("bad count '{f}' in '{line}'")))
@@ -299,7 +326,7 @@ impl CoordinatorCheckpoint {
                 f.parse()
                     .map_err(|_| malformed(format!("bad count '{f}' in '{line}'")))
             };
-            let id: WorkUnitId = fields[0]
+            let id: WorkUnitId = field()?
                 .parse()
                 .map_err(|_| malformed(format!("bad unit id in '{line}'")))?;
             if (id as usize) >= checkpoint.num_units() {
@@ -308,58 +335,61 @@ impl CoordinatorCheckpoint {
                 )));
             }
             let mut report = SolveReport::empty(set_size);
-            report.cubes_processed = parse_usize(fields[1])?;
-            report.total_cost = decode_bits(fields[2], line)?;
-            report.sat_count = parse_usize(fields[3])?;
-            report.unknown_count = parse_usize(fields[4])?;
-            let nanos: u128 = fields[5]
+            report.cubes_processed = parse_usize(field()?)?;
+            report.total_cost = decode_bits(field()?, line)?;
+            report.sat_count = parse_usize(field()?)?;
+            report.unknown_count = parse_usize(field()?)?;
+            let nanos: u128 = field()?
                 .parse()
                 .map_err(|_| malformed(format!("bad wall time in '{line}'")))?;
             report.wall_time = Duration::from_nanos(
                 u64::try_from(nanos)
                     .map_err(|_| malformed(format!("wall time overflow in '{line}'")))?,
             );
-            report.reused_assumptions = parse_u64(fields[6])?;
-            report.saved_propagations = parse_u64(fields[7])?;
-            report.exported_clauses = parse_u64(fields[8])?;
-            report.imported_clauses = parse_u64(fields[9])?;
-            report.import_dropped = parse_u64(fields[10])?;
-            report.worker_panics = parse_u64(fields[11])?;
-            report.requeued_cubes = parse_u64(fields[12])?;
-            report.first_sat_index = if fields[13] == "-" {
-                None
-            } else {
-                Some(parse_usize(fields[13])?)
+            report.reused_assumptions = parse_u64(field()?)?;
+            report.saved_propagations = parse_u64(field()?)?;
+            report.exported_clauses = parse_u64(field()?)?;
+            report.imported_clauses = parse_u64(field()?)?;
+            report.import_dropped = parse_u64(field()?)?;
+            report.worker_panics = parse_u64(field()?)?;
+            report.requeued_cubes = parse_u64(field()?)?;
+            report.first_sat_index = match field()? {
+                "-" => None,
+                index => Some(parse_usize(index)?),
             };
-            report.cost_to_first_sat = if fields[14] == "-" {
-                None
-            } else {
-                Some(decode_bits(fields[14], line)?)
+            report.cost_to_first_sat = match field()? {
+                "-" => None,
+                bits => Some(decode_bits(bits, line)?),
             };
-            report.model = if fields[15] == "-" {
-                None
-            } else {
-                let mut model = Assignment::new(fields[15].len());
-                for (i, c) in fields[15].chars().enumerate() {
-                    match c {
-                        '1' => model.assign(Var::new(i as u32), true),
-                        '0' => model.assign(Var::new(i as u32), false),
-                        'x' => {}
-                        _ => {
-                            return Err(malformed(format!("bad model character '{c}' in '{line}'")))
+            report.model = match field()? {
+                "-" => None,
+                values => {
+                    let mut model = Assignment::new(values.len());
+                    for (i, c) in values.chars().enumerate() {
+                        match c {
+                            '1' => model.assign(Var::new(i as u32), true),
+                            '0' => model.assign(Var::new(i as u32), false),
+                            'x' => {}
+                            _ => {
+                                return Err(malformed(format!(
+                                    "bad model character '{c}' in '{line}'"
+                                )))
+                            }
                         }
                     }
+                    Some(model)
                 }
-                Some(model)
             };
-            report.per_cube_costs = if fields[16] == "-" {
-                Vec::new()
-            } else {
-                fields[16]
+            report.per_cube_costs = match field()? {
+                "-" => Vec::new(),
+                costs => costs
                     .split(',')
-                    .map(|f| decode_bits(f, line))
-                    .collect::<Result<_, _>>()?
+                    .map(|bits| decode_bits(bits, line))
+                    .collect::<Result<_, _>>()?,
             };
+            if fields.next().is_some() {
+                return Err(wrong_count());
+            }
             if checkpoint.completed.insert(id, report).is_some() {
                 return Err(malformed(format!("unit {id} listed twice")));
             }
@@ -524,8 +554,22 @@ impl Coordinator {
                     mut report,
                     checksum_ok,
                 } => {
-                    let valid = self.validate_submission(unit, &report, checksum_ok, validate);
-                    match self.leases.record_result(unit, client, valid) {
+                    // The unit id comes off the wire: one outside the family
+                    // has no lease state, and the upload is rejected without
+                    // the table hearing of it.
+                    let disposition = match self.units.get(unit as usize).copied() {
+                        Some(work_unit) => {
+                            let valid = self.validate_submission(
+                                &work_unit,
+                                &report,
+                                checksum_ok,
+                                validate,
+                            );
+                            self.leases.record_result(unit, client, valid)
+                        }
+                        None => ResultDisposition::Rejected(CheckFailure::Shape),
+                    };
+                    match disposition {
                         ResultDisposition::Counted {
                             quorum_reached,
                             late,
@@ -566,7 +610,7 @@ impl Coordinator {
     /// caller's semantic validator.
     fn validate_submission(
         &self,
-        unit: WorkUnitId,
+        work_unit: &WorkUnit,
         report: &SolveReport,
         checksum_ok: bool,
         validate: &mut dyn FnMut(&WorkUnit, &SolveReport) -> Result<(), CheckFailure>,
@@ -574,9 +618,6 @@ impl Coordinator {
         if !checksum_ok {
             return Err(CheckFailure::Checksum);
         }
-        let Some(work_unit) = self.units.get(unit as usize) else {
-            return Err(CheckFailure::Shape);
-        };
         let shape_ok = work_unit.num_cubes == report.cubes_processed
             && report.set_size == self.checkpoint.set_size
             && report.per_cube_costs.len() == report.cubes_processed;
@@ -919,6 +960,51 @@ mod tests {
         let aggregate = coordinator.aggregate().expect("honest replica counted");
         let model = aggregate.model.expect("model kept");
         assert!(cnf.is_satisfied_by(&model));
+    }
+
+    /// The unit id of an upload comes off the wire: one outside the family
+    /// is a malformed upload, not an index into the lease table.
+    #[test]
+    fn a_result_naming_a_unit_outside_the_family_is_rejected_without_a_panic() {
+        let config = CoordinatorConfig {
+            work_unit_size: 2,
+            redundancy: 1,
+            lease_timeout: 1e9,
+        };
+        let mut report = SolveReport::empty(1);
+        report.cubes_processed = 2;
+        report.per_cube_costs = vec![1.0, 1.0];
+        report.total_cost = 2.0;
+        let submit = |client, unit, checksum_ok| ClientMsg::SubmitResult {
+            client,
+            unit,
+            report: Box::new(report.clone()),
+            checksum_ok,
+        };
+        // A family of one unit.
+        let mut coordinator = Coordinator::new(1, 2, &config);
+        let mut transport = scripted(vec![
+            submit(0, 7, true),
+            submit(0, WorkUnitId::MAX, false),
+            submit(0, 0, true),
+        ]);
+        assert_eq!(coordinator.run(&mut transport, None), RunStatus::Complete);
+        let stats = coordinator.stats();
+        assert_eq!(stats.invalid_results, 2);
+        assert_eq!(
+            stats.rejected_certificates, 0,
+            "a shape failure, not a proof"
+        );
+        assert_eq!(stats.duplicate_results, 0);
+        // The client's standing is untouched: its honest upload counts.
+        assert_eq!(
+            coordinator
+                .checkpoint()
+                .completed
+                .keys()
+                .collect::<Vec<_>>(),
+            [&0]
+        );
     }
 
     #[test]

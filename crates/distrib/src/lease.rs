@@ -23,10 +23,25 @@
 //!   unit is incomplete — BOINC grants credit for late-but-valid work;
 //! * results for complete units, repeat results from the same client, and
 //!   results failing the integrity check are discarded.
+//!
+//! A unit is *open* while it is incomplete and its valid results plus live
+//! leases stay below the redundancy. The table indexes the open units and
+//! the lease deadlines, so an event costs O(log units) however large the
+//! family is:
+//! * every unit from `cursor` up is open and has never been closed; the open
+//!   units below `cursor` are exactly the ordered set `reopened`. Walking
+//!   `reopened` and then the suffix visits the open units in index order,
+//!   which is the order the assignment rule is stated in;
+//! * `expiries` holds one `(deadline, unit, client)` entry per lease ever
+//!   issued, earliest first. Leases consumed by a result or cleared by a
+//!   quorum leave their entry behind (lazy deletion): a popped entry counts
+//!   only if its unit is incomplete and still holds that client's lease
+//!   with that exact deadline, which is the set a scan of every unit drops.
 
 use crate::transport::{ClientId, WorkUnitId};
 use pdsat_checker::CheckFailure;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// A live lease of one unit to one client.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,6 +59,40 @@ struct UnitState {
     contributors: BTreeSet<ClientId>,
     complete: bool,
 }
+
+/// A lease deadline waiting in the expiry heap.
+#[derive(Debug, Clone, Copy)]
+struct Expiry {
+    deadline: f64,
+    unit: WorkUnitId,
+    client: ClientId,
+}
+
+impl Ord for Expiry {
+    /// Reversed, so that `BinaryHeap` (a max-heap) surfaces the earliest
+    /// deadline.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .deadline
+            .total_cmp(&self.deadline)
+            .then_with(|| other.unit.cmp(&self.unit))
+            .then_with(|| other.client.cmp(&self.client))
+    }
+}
+
+impl PartialOrd for Expiry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Expiry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Expiry {}
 
 /// What the coordinator should do with a submitted result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +121,12 @@ pub struct LeaseTable {
     redundancy: usize,
     lease_timeout: f64,
     complete_units: usize,
+    /// First unit of the never-closed suffix.
+    cursor: usize,
+    /// The open units below `cursor`.
+    reopened: BTreeSet<WorkUnitId>,
+    /// Deadline of every lease issued, live or not, earliest first.
+    expiries: BinaryHeap<Expiry>,
 }
 
 impl LeaseTable {
@@ -89,6 +144,36 @@ impl LeaseTable {
             redundancy,
             lease_timeout,
             complete_units: 0,
+            cursor: 0,
+            reopened: BTreeSet::new(),
+            expiries: BinaryHeap::new(),
+        }
+    }
+
+    /// `true` while `unit` can take another lease from *some* client.
+    fn is_open(&self, unit: usize) -> bool {
+        let state = &self.units[unit];
+        !state.complete && state.valid_results + state.leases.len() < self.redundancy
+    }
+
+    /// Brings the open-unit index up to date after `unit`, which was open or
+    /// not before (`was_open`), changed.
+    fn reindex(&mut self, unit: usize, was_open: bool) {
+        let open = self.is_open(unit);
+        if open == was_open {
+            return;
+        }
+        if open {
+            // Only a unit below the cursor can have been closed.
+            self.reopened.insert(unit as WorkUnitId);
+        } else if unit < self.cursor {
+            self.reopened.remove(&(unit as WorkUnitId));
+        } else {
+            // The first close inside the suffix: the cursor moves past the
+            // unit, and the open units it skips become re-opened ones.
+            self.reopened
+                .extend((self.cursor..unit).map(|skipped| skipped as WorkUnitId));
+            self.cursor = unit + 1;
         }
     }
 
@@ -111,25 +196,46 @@ impl LeaseTable {
     ///
     /// Panics if `unit` is out of range.
     pub fn mark_complete(&mut self, unit: WorkUnitId) {
-        let state = &mut self.units[unit as usize];
+        let unit = unit as usize;
+        let was_open = self.is_open(unit);
+        let state = &mut self.units[unit];
         if !state.complete {
             state.complete = true;
             state.leases.clear();
             self.complete_units += 1;
         }
+        self.reindex(unit, was_open);
     }
 
     /// Drops every lease whose deadline has passed, making the units
     /// assignable again. Returns how many leases expired.
     pub fn expire(&mut self, now: f64) -> usize {
         let mut expired = 0;
-        for state in &mut self.units {
+        while let Some(&Expiry {
+            deadline,
+            unit,
+            client,
+        }) = self.expiries.peek()
+        {
+            if deadline > now {
+                break;
+            }
+            self.expiries.pop();
+            let unit = unit as usize;
+            let state = &self.units[unit];
             if state.complete {
                 continue;
             }
-            let before = state.leases.len();
-            state.leases.retain(|lease| lease.deadline > now);
-            expired += before - state.leases.len();
+            let live = state
+                .leases
+                .iter()
+                .position(|lease| lease.client == client && lease.deadline == deadline);
+            if let Some(at) = live {
+                let was_open = self.is_open(unit);
+                self.units[unit].leases.remove(at);
+                self.reindex(unit, was_open);
+                expired += 1;
+            }
         }
         expired
     }
@@ -140,12 +246,11 @@ impl LeaseTable {
     /// assignable for this client right now.
     #[must_use]
     pub fn next_assignment(&self, client: ClientId) -> Option<WorkUnitId> {
-        self.units.iter().enumerate().find_map(|(id, state)| {
-            let open = !state.complete
-                && state.valid_results + state.leases.len() < self.redundancy
-                && !state.contributors.contains(&client)
-                && state.leases.iter().all(|lease| lease.client != client);
-            open.then_some(id as WorkUnitId)
+        let suffix = (self.cursor..self.units.len()).map(|unit| unit as WorkUnitId);
+        self.reopened.iter().copied().chain(suffix).find(|&unit| {
+            let state = &self.units[unit as usize];
+            !state.contributors.contains(&client)
+                && state.leases.iter().all(|lease| lease.client != client)
         })
     }
 
@@ -155,10 +260,17 @@ impl LeaseTable {
     ///
     /// Panics if `unit` is out of range.
     pub fn issue(&mut self, unit: WorkUnitId, client: ClientId, now: f64) {
-        self.units[unit as usize].leases.push(Lease {
+        let deadline = now + self.lease_timeout;
+        let was_open = self.is_open(unit as usize);
+        self.units[unit as usize]
+            .leases
+            .push(Lease { client, deadline });
+        self.expiries.push(Expiry {
+            deadline,
+            unit,
             client,
-            deadline: now + self.lease_timeout,
         });
+        self.reindex(unit as usize, was_open);
     }
 
     /// Applies a submitted result to the state machine and says what the
@@ -175,8 +287,23 @@ impl LeaseTable {
         client: ClientId,
         valid: Result<(), CheckFailure>,
     ) -> ResultDisposition {
+        let unit = unit as usize;
+        let was_open = self.is_open(unit);
+        let disposition = self.apply_result(unit, client, valid);
+        self.reindex(unit, was_open);
+        disposition
+    }
+
+    /// The state machine step of [`record_result`](LeaseTable::record_result),
+    /// index aside.
+    fn apply_result(
+        &mut self,
+        unit: usize,
+        client: ClientId,
+        valid: Result<(), CheckFailure>,
+    ) -> ResultDisposition {
         let redundancy = self.redundancy;
-        let state = &mut self.units[unit as usize];
+        let state = &mut self.units[unit];
         // The client's lease (if still live) is consumed by this submission.
         let had_lease = state.leases.iter().any(|lease| lease.client == client);
         state.leases.retain(|lease| lease.client != client);

@@ -26,6 +26,7 @@
 use crate::coordinator::CoordinatorCheckpoint;
 use pdsat_core::FaultState;
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -97,22 +98,74 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
+/// Step tables of the reflected CRC-32 (polynomial `0xEDB88320`), built at
+/// compile time. `CRC_TABLES[0][b]` is the byte `b` shifted out through the
+/// polynomial, so one lookup advances a running CRC by a byte;
+/// `CRC_TABLES[k][b]` is the same byte followed by `k` zero bytes, which
+/// lets eight bytes be folded with eight independent lookups
+/// (slicing-by-8) instead of a chain of eight dependent ones.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = byte as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][byte] = crc;
+        byte += 1;
+    }
+    let mut zeros = 1;
+    while zeros < 8 {
+        let mut byte = 0;
+        while byte < 256 {
+            let shorter = tables[zeros - 1][byte];
+            tables[zeros][byte] = (shorter >> 8) ^ tables[0][(shorter & 0xFF) as usize];
+            byte += 1;
+        }
+        zeros += 1;
+    }
+    tables
+};
+
+/// State of a CRC-32 before its first byte (and the mask of its final
+/// inversion).
+const CRC_INIT: u32 = 0xFFFF_FFFF;
+
+/// Folds `data` into a running CRC-32 state, so the framing can checksum a
+/// payload piece by piece as it walks it; `!state` is the CRC of everything
+/// folded since [`CRC_INIT`].
+fn crc32_fold(mut crc: u32, data: &[u8]) -> u32 {
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let low = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        crc = CRC_TABLES[7][(low & 0xFF) as usize]
+            ^ CRC_TABLES[6][(low >> 8 & 0xFF) as usize]
+            ^ CRC_TABLES[5][(low >> 16 & 0xFF) as usize]
+            ^ CRC_TABLES[4][(low >> 24) as usize]
+            ^ CRC_TABLES[3][usize::from(word[4])]
+            ^ CRC_TABLES[2][usize::from(word[5])]
+            ^ CRC_TABLES[1][usize::from(word[6])]
+            ^ CRC_TABLES[0][usize::from(word[7])];
+    }
+    words.remainder().iter().fold(crc, |crc, &byte| {
+        CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8)
+    })
+}
+
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) over `data`.
 ///
-/// Hand-rolled bitwise implementation — the workspace vendors no checksum
-/// crate and checkpoint files are small enough that a table is not worth
-/// the code. Matches zlib's `crc32()` for cross-checking.
+/// Table-driven: every save and every load checksums each payload byte
+/// twice (its line, and the whole payload), and the shift-per-bit form this
+/// replaced was most of the time of both. The workspace vendors no checksum
+/// crate; the tables are compared with the bitwise definition, at every
+/// short length and offset, in `tests/checkpoint_byte_identity.rs`. Matches
+/// zlib's `crc32()` for cross-checking.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+    !crc32_fold(CRC_INIT, data)
 }
 
 /// File-format header for the store framing (distinct from the inner
@@ -284,20 +337,33 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 }
 
 /// Frames `payload` (the inner checkpoint text) with the store header,
-/// per-line CRCs, and the generation trailer.
+/// per-line CRCs, and the generation trailer, in one walk over the payload:
+/// the whole-payload CRC is folded line by line beside the per-line ones.
 fn encode_store(payload: &str, generation: u64) -> String {
-    let mut out = String::new();
+    const INFALLIBLE: &str = "formatting into a String cannot fail";
+    // Nine bytes of CRC prefix per line; checkpoint unit lines are far
+    // longer than the 72 bytes this allows for, and a shorter-lined payload
+    // only costs the buffer a regrowth.
+    let mut out = String::with_capacity(payload.len() + payload.len() / 8 + 128);
     out.push_str(STORE_HEADER);
     out.push('\n');
     let mut lines = 0usize;
-    for line in payload.lines() {
-        out.push_str(&format!("{:08x} {line}\n", crc32(line.as_bytes())));
+    let mut payload_crc = CRC_INIT;
+    for raw in payload.split_inclusive('\n') {
+        // What `str::lines` yields for this piece: no terminator.
+        let line = raw
+            .strip_suffix('\n')
+            .map_or(raw, |line| line.strip_suffix('\r').unwrap_or(line));
+        payload_crc = crc32_fold(payload_crc, raw.as_bytes());
+        writeln!(out, "{:08x} {line}", crc32(line.as_bytes())).expect(INFALLIBLE);
         lines += 1;
     }
-    out.push_str(&format!(
-        "end generation={generation} lines={lines} crc={:08x}\n",
-        crc32(payload.as_bytes())
-    ));
+    writeln!(
+        out,
+        "end generation={generation} lines={lines} crc={:08x}",
+        !payload_crc
+    )
+    .expect(INFALLIBLE);
     out
 }
 
@@ -314,8 +380,9 @@ fn decode_store(text: &str) -> Result<(String, u64), CheckpointError> {
         });
     }
 
-    let mut payload = String::new();
+    let mut payload = String::with_capacity(text.len());
     let mut payload_lines = 0usize;
+    let mut payload_crc = CRC_INIT;
     let mut trailer: Option<&str> = None;
     for (index, line) in lines {
         if let Some(rest) = line.strip_prefix("end ") {
@@ -334,8 +401,10 @@ fn decode_store(text: &str) -> Result<(String, u64), CheckpointError> {
                 line_number: index + 1,
             });
         }
+        let start = payload.len();
         payload.push_str(body);
         payload.push('\n');
+        payload_crc = crc32_fold(payload_crc, &payload.as_bytes()[start..]);
         payload_lines += 1;
     }
 
@@ -398,7 +467,7 @@ fn decode_store(text: &str) -> Result<(String, u64), CheckpointError> {
             reason: format!("trailer declares {declared_lines} lines, found {payload_lines}"),
         });
     }
-    if declared_crc != crc32(payload.as_bytes()) {
+    if declared_crc != !payload_crc {
         return Err(CheckpointError::BadTrailer {
             reason: "payload CRC mismatch".into(),
         });
@@ -465,6 +534,26 @@ mod tests {
         let (decoded, generation) = decode_store(&framed).expect("framed text decodes");
         assert_eq!(decoded, payload);
         assert_eq!(generation, 7);
+    }
+
+    /// The trailer CRC is folded piece by piece while framing; it must be
+    /// the CRC of the payload's bytes whatever its line ends look like, and
+    /// the framed lines those `str::lines` yields.
+    #[test]
+    fn framing_checksums_the_payload_bytes_however_its_lines_end() {
+        for payload in ["", "a", "a\nb", "a\r\nb\r\n", "\n\n", "a\rb\n"] {
+            let framed = encode_store(payload, 1);
+            let mut expected = format!("{STORE_HEADER}\n");
+            for line in payload.lines() {
+                expected.push_str(&format!("{:08x} {line}\n", crc32(line.as_bytes())));
+            }
+            expected.push_str(&format!(
+                "end generation=1 lines={} crc={:08x}\n",
+                payload.lines().count(),
+                crc32(payload.as_bytes())
+            ));
+            assert_eq!(framed, expected, "{payload:?}");
+        }
     }
 
     /// A store file as written today, spelled out by hand (CRCs from zlib's
