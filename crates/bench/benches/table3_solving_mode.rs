@@ -10,7 +10,9 @@
 //! `benchmark/` (`BENCHMARK.json`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pdsat_bench::{bench_bivium_instance, bench_grain_instance, start_set};
+use pdsat_bench::{
+    bench_bivium_instance, bench_grain_dispatch_instance, bench_grain_instance, start_set,
+};
 use pdsat_cnf::Cube;
 use pdsat_core::{
     BackendKind, BatchConfig, CostMetric, CubeOracle, FamilySolver, FaultPlan, SolveModeConfig,
@@ -166,6 +168,36 @@ fn bench_solving_mode(c: &mut Criterion) {
                 let mut solver = FamilySolver::new(grain.cnf(), &config);
                 b.iter(|| {
                     let report = solver.solve_family(&grain_set, None);
+                    assert!(report.sat_count >= 1);
+                    report.total_cost
+                });
+            },
+        );
+    }
+
+    // The same scaling check where the executor is the cost: 2^18 cubes,
+    // each decided by propagation (a 0.25 ms family cannot show a per-cube
+    // dispatch cost). The two-worker row needs a second CPU to mean anything.
+    let dispatch = bench_grain_dispatch_instance();
+    let dispatch_set = start_set(&dispatch);
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    for workers in [1usize, 2] {
+        if workers > cpus {
+            continue;
+        }
+        group.bench_with_input(
+            BenchmarkId::new("grain_family_262144_cubes_workers", workers),
+            &workers,
+            |b, &workers| {
+                let config = SolveModeConfig {
+                    cost: CostMetric::Conflicts,
+                    num_workers: workers,
+                    ..SolveModeConfig::default()
+                };
+                let mut solver = FamilySolver::new(dispatch.cnf(), &config);
+                b.iter(|| {
+                    let report = solver.solve_family(&dispatch_set, None);
+                    assert_eq!(report.cubes_processed, 1 << 18);
                     assert!(report.sat_count >= 1);
                     report.total_cost
                 });

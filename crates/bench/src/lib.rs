@@ -59,6 +59,20 @@ pub fn bench_grain_instance() -> Instance {
         .build_random(&mut rng)
 }
 
+/// A Grain instance weakened the other way (18 unknown state bits, 72-bit
+/// keystream): the long keystream makes every cube of the 2^18-cube start
+/// family propagation-trivial on purpose, so a family solve measures the
+/// executor — batch copy, dispatch, outcome placement, report building — at
+/// a size where a per-cube cost is visible.
+#[must_use]
+pub fn bench_grain_dispatch_instance() -> Instance {
+    let mut rng = StdRng::seed_from_u64(0x6AA2);
+    InstanceBuilder::new(Grain::new())
+        .keystream_len(72)
+        .known_suffix_of_second_register(142)
+        .build_random(&mut rng)
+}
+
 /// The unknown-state decomposition set of an instance (its `X̃_start`).
 #[must_use]
 pub fn start_set(instance: &Instance) -> DecompositionSet {

@@ -22,16 +22,54 @@ pub enum CostMetric {
     Decisions,
 }
 
+/// The solver counters a per-cube report carries: the three a [`CostMetric`]
+/// can name, of which `conflicts` is also reported on its own. Read from the
+/// solver before and after each solve, so the per-cube path copies and
+/// subtracts three fields and leaves the full [`SolverStats`] to the
+/// once-per-batch aggregate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CubeCounters {
+    /// Number of conflicts.
+    pub conflicts: u64,
+    /// Number of decisions.
+    pub decisions: u64,
+    /// Number of unit propagations.
+    pub propagations: u64,
+}
+
+impl CubeCounters {
+    /// The three counters as `stats` has them now.
+    #[must_use]
+    pub fn of(stats: &SolverStats) -> CubeCounters {
+        CubeCounters {
+            conflicts: stats.conflicts,
+            decisions: stats.decisions,
+            propagations: stats.propagations,
+        }
+    }
+
+    /// What was counted since `before` (an earlier reading of the same
+    /// solver; saturating like [`SolverStats::delta_since`]).
+    #[must_use]
+    pub fn since(self, before: CubeCounters) -> CubeCounters {
+        CubeCounters {
+            conflicts: self.conflicts.saturating_sub(before.conflicts),
+            decisions: self.decisions.saturating_sub(before.decisions),
+            propagations: self.propagations.saturating_sub(before.propagations),
+        }
+    }
+}
+
 impl CostMetric {
-    /// Extracts the cost of one solve call from the statistics delta and the
+    /// Extracts the cost of one solve call from its counters and the
     /// measured elapsed time.
     #[must_use]
-    pub fn measure(self, stats_delta: &SolverStats, elapsed: Duration) -> f64 {
+    pub fn measure(self, counters: CubeCounters, elapsed: Duration) -> f64 {
         match self {
             CostMetric::WallSeconds => elapsed.as_secs_f64(),
-            CostMetric::Conflicts => stats_delta.conflicts as f64,
-            CostMetric::Propagations => stats_delta.propagations as f64,
-            CostMetric::Decisions => stats_delta.decisions as f64,
+            CostMetric::Conflicts => counters.conflicts as f64,
+            CostMetric::Propagations => counters.propagations as f64,
+            CostMetric::Decisions => counters.decisions as f64,
         }
     }
 
@@ -71,17 +109,36 @@ mod tests {
 
     #[test]
     fn measures_pick_the_right_counter() {
-        let stats = SolverStats {
+        let counters = CubeCounters {
             conflicts: 10,
             decisions: 20,
             propagations: 30,
-            ..SolverStats::default()
         };
         let elapsed = Duration::from_millis(1500);
-        assert!((CostMetric::WallSeconds.measure(&stats, elapsed) - 1.5).abs() < 1e-12);
-        assert_eq!(CostMetric::Conflicts.measure(&stats, elapsed), 10.0);
-        assert_eq!(CostMetric::Propagations.measure(&stats, elapsed), 30.0);
-        assert_eq!(CostMetric::Decisions.measure(&stats, elapsed), 20.0);
+        assert!((CostMetric::WallSeconds.measure(counters, elapsed) - 1.5).abs() < 1e-12);
+        assert_eq!(CostMetric::Conflicts.measure(counters, elapsed), 10.0);
+        assert_eq!(CostMetric::Propagations.measure(counters, elapsed), 30.0);
+        assert_eq!(CostMetric::Decisions.measure(counters, elapsed), 20.0);
+    }
+
+    #[test]
+    fn cube_counters_agree_with_the_full_stats_delta() {
+        let before = SolverStats {
+            conflicts: 3,
+            decisions: 5,
+            propagations: 7,
+            restarts: 1,
+            ..SolverStats::default()
+        };
+        let after = SolverStats {
+            conflicts: 13,
+            decisions: 25,
+            propagations: 37,
+            restarts: 4,
+            ..SolverStats::default()
+        };
+        let delta = CubeCounters::of(&after).since(CubeCounters::of(&before));
+        assert_eq!(delta, CubeCounters::of(&after.delta_since(&before)));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! single-threaded transport and store layers.
 
 use crate::oracle::{BackendOutcome, CubeBackend};
-use pdsat_cnf::Cube;
+use pdsat_cnf::Lit;
 use pdsat_solver::{Budget, InterruptFlag, SolverStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -273,7 +273,7 @@ impl FaultyBackend {
 impl CubeBackend for FaultyBackend {
     fn solve(
         &mut self,
-        cube: &Cube,
+        cube: &[Lit],
         budget: &Budget,
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],

@@ -114,7 +114,7 @@ mod space;
 mod tabu;
 
 pub use anneal::{Annealing, AnnealingConfig, TemperatureScale};
-pub use cost::CostMetric;
+pub use cost::{CostMetric, CubeCounters};
 pub use decomposition::{CubeIter, DecompositionSet};
 pub use driver::{
     DriverConfig, Evaluated, Observation, Proposal, SearchContext, SearchDriver, Strategy,

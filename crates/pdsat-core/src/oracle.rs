@@ -31,9 +31,9 @@ use share::{ClauseExchange, SHARE_RING_CAPACITY};
 
 use crate::fault::FaultPlan;
 use crate::CostMetric;
-use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
+use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Lit, Var};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig, SolverStats, Verdict};
-use pool::{BatchShared, WorkerPool};
+use pool::{BatchShared, FlatCubes, WorkerPool};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -245,8 +245,7 @@ pub fn prefix_schedule_order(cubes: &[Cube]) -> Vec<u32> {
     // so that for one variable the negative literal sorts first: that makes
     // the per-run sorted order coincide with the binary counting order of
     // `DecompositionSet::cubes`, so an enumerated family is the identity
-    // permutation (processing order == cube order, and the final
-    // sort-by-index of the batch result sees already-sorted input).
+    // permutation (processing order == cube order).
     //
     // Keys are precomputed into one flat row-major buffer so each of the
     // O(n log n) comparisons is a contiguous u32 slice compare instead of
@@ -284,16 +283,25 @@ pub fn prefix_schedule_order(cubes: &[Cube]) -> Vec<u32> {
 /// would produce (sorted by flipped-polarity literal sequence within every
 /// same-set run). One allocation-free pass over adjacent pairs — enumerated
 /// decomposition families, the hot solving-mode path, always are, so the
-/// executor skips building and applying the permutation entirely.
+/// executor skips building and applying the permutation entirely. The pool
+/// gets the same answer out of the pass that copies the batch
+/// ([`FlatCubes::copy_of`]); this one serves the sequential executor and is
+/// the reference that one is tested against.
 fn is_prefix_ordered(cubes: &[Cube]) -> bool {
-    cubes.windows(2).all(|pair| {
-        let (x, y) = (pair[0].lits(), pair[1].lits());
-        let same_set = x.len() == y.len() && x.iter().zip(y).all(|(l, m)| l.var() == m.var());
-        !same_set
-            || x.iter()
-                .map(|l| l.code() ^ 1)
-                .le(y.iter().map(|l| l.code() ^ 1))
-    })
+    cubes
+        .windows(2)
+        .all(|pair| prefix_ordered_pair(pair[0].lits(), pair[1].lits()))
+}
+
+/// `true` when cube `y` may directly follow cube `x` in prefix-schedule
+/// order: they are over different sets, or `x <= y` by flipped-polarity
+/// literal sequence.
+fn prefix_ordered_pair(x: &[Lit], y: &[Lit]) -> bool {
+    let same_set = x.len() == y.len() && x.iter().zip(y).all(|(l, m)| l.var() == m.var());
+    !same_set
+        || x.iter()
+            .map(|l| l.code() ^ 1)
+            .le(y.iter().map(|l| l.code() ^ 1))
 }
 
 /// How an oracle executes batches: on the calling thread with one resident
@@ -505,7 +513,7 @@ impl CubeOracle {
         let start = Instant::now();
         let interrupt = external_interrupt.cloned().unwrap_or_default();
         let num_vars = self.cnf.num_vars();
-        let mut outcomes: Vec<CubeOutcome> = Vec::with_capacity(cubes.len());
+        let mut outcomes: Vec<CubeOutcome> = Vec::new();
         let mut totals = vec![0u64; num_vars];
         let mut stats = SolverStats::default();
 
@@ -526,25 +534,27 @@ impl CubeOracle {
         // prefix guarantee depends on it), fresh backends gain nothing from
         // adjacency, and an already-ordered batch (every enumerated family)
         // skips the permutation and its per-cube indirection outright.
-        let order = if config.prefix_schedule
+        let schedule = config.prefix_schedule
             && config.backend == BackendKind::Warm
             && !config.stop_on_sat
-            && cubes.len() > 1
-            && !is_prefix_ordered(cubes)
-        {
-            Some(prefix_schedule_order(cubes))
-        } else {
-            None
-        };
+            && cubes.len() > 1;
+        // Whether the executor produced the outcomes in cube-index order:
+        // both do for a batch processed in submission order, so the common
+        // case ends without a sort and without a scan to find that out.
+        let in_index_order;
         match &mut self.exec {
             Executor::Sequential(backend) => {
+                let order =
+                    (schedule && !is_prefix_ordered(cubes)).then(|| prefix_schedule_order(cubes));
+                outcomes.reserve_exact(cubes.len());
                 backend.begin_batch();
                 for pos in 0..cubes.len() {
                     if config.stop_on_sat && interrupt.is_raised() {
                         break;
                     }
                     let index = order.as_ref().map_or(pos, |o| o[pos] as usize);
-                    let raw = backend.solve(&cubes[index], &config.budget, &interrupt, &mut totals);
+                    let raw =
+                        backend.solve(cubes[index].lits(), &config.budget, &interrupt, &mut totals);
                     let outcome = finish_outcome(index, raw, config.cost);
                     if config.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
                         interrupt.raise();
@@ -554,10 +564,15 @@ impl CubeOracle {
                 // Solver statistics (trail-reuse counters included) are
                 // merged once per batch, mirroring the pool path.
                 stats = backend.end_batch();
+                in_index_order = order.is_none();
             }
             Executor::Pool(pool) => {
+                // The one copy of the batch the pool threads share; copying
+                // it is also the order check.
+                let (flat, ordered) = FlatCubes::copy_of(cubes);
+                let order = (schedule && !ordered).then(|| prefix_schedule_order(cubes));
                 let shared = Arc::new(BatchShared::new(
-                    cubes.to_vec(),
+                    flat,
                     order,
                     pool.live().min(cubes.len()),
                     config,
@@ -592,7 +607,12 @@ impl CubeOracle {
                 // surfaces to the caller. Under a raised `stop_on_sat` flag
                 // the leftovers are simply never started, matching the
                 // contract for unclaimed cubes.
-                if !(failed.is_empty() || config.stop_on_sat && interrupt.is_raised()) {
+                let fall_back = !(failed.is_empty() || config.stop_on_sat && interrupt.is_raised());
+                // Placed runs are in position order, which an `order`
+                // permutation makes differ from index order; the fallback
+                // appends its cubes behind everything else.
+                in_index_order = shared.order.is_none() && !fall_back;
+                if fall_back {
                     let measure_wall_time = !config.cost.is_deterministic();
                     let mut fallback = config.backend.build(
                         &self.cnf,
@@ -606,8 +626,12 @@ impl CubeOracle {
                         if config.stop_on_sat && interrupt.is_raised() {
                             break;
                         }
-                        let raw =
-                            fallback.solve(&cubes[index], &config.budget, &interrupt, &mut totals);
+                        let raw = fallback.solve(
+                            cubes[index].lits(),
+                            &config.budget,
+                            &interrupt,
+                            &mut totals,
+                        );
                         let outcome = finish_outcome(index, raw, config.cost);
                         if config.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
                             interrupt.raise();
@@ -627,7 +651,13 @@ impl CubeOracle {
             stats.import_dropped += exchange.take_dropped();
         }
 
-        outcomes.sort_unstable_by_key(|o| o.index);
+        // What is left for the sort: an `order` permutation was in force, or
+        // the fallback appended its cubes. Stable, so it merges the runs
+        // that are there.
+        if !in_index_order {
+            outcomes.sort_by_key(|o| o.index);
+        }
+        debug_assert!(outcomes.is_sorted_by_key(|o| o.index));
         self.batches += 1;
         self.cubes_solved += outcomes.len() as u64;
         self.total_stats.absorb(&stats);
@@ -643,7 +673,7 @@ impl CubeOracle {
 /// Turns a backend's raw report into the executor-level outcome: measures the
 /// cost and summarizes the verdict, keeping the model of a satisfiable cube.
 fn finish_outcome(index: usize, raw: BackendOutcome, cost: CostMetric) -> CubeOutcome {
-    let cost = cost.measure(&raw.stats_delta, raw.elapsed);
+    let cost = cost.measure(raw.counters, raw.elapsed);
     let (summary, model) = match raw.verdict {
         Verdict::Sat(m) => (VerdictSummary::Sat, Some(m)),
         Verdict::Unsat => (VerdictSummary::Unsat, None),
@@ -653,7 +683,7 @@ fn finish_outcome(index: usize, raw: BackendOutcome, cost: CostMetric) -> CubeOu
         index,
         cost,
         verdict: summary,
-        conflicts: raw.stats_delta.conflicts,
+        conflicts: raw.counters.conflicts,
         model,
         proof: raw.proof,
     }

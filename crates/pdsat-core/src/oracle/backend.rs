@@ -2,7 +2,7 @@
 //! worker can use to decide one sub-problem `C[X̃/α]`.
 //!
 //! A backend is the smallest exchangeable unit of the oracle: it receives a
-//! cube and must return a verdict plus an exact *delta* of solver statistics
+//! cube and must return a verdict plus the exact counters ([`CubeCounters`])
 //! and per-variable conflict participation attributable to that cube. The
 //! executor never looks inside a backend — per-cube budgets, interrupt
 //! fan-out and cost measurement are applied uniformly on the outside — so new
@@ -17,7 +17,8 @@
 //! analogue of PDSAT's long-lived MiniSat worker processes. The full
 //! behavioural contract lives in DESIGN.md ("CubeBackend contract").
 
-use pdsat_cnf::{Cnf, Cube, DratProof, Var};
+use crate::CubeCounters;
+use pdsat_cnf::{Cnf, DratProof, Lit, Var};
 use pdsat_solver::{
     Budget, InterruptFlag, ShareChannel, Solver, SolverConfig, SolverStats, Verdict,
 };
@@ -26,10 +27,11 @@ use std::time::{Duration, Instant};
 
 /// Everything a backend reports about one solved cube.
 ///
-/// `stats_delta` must cover exactly the work performed for *this* cube: a
+/// `counters` must cover exactly the work performed for *this* cube: a
 /// fresh solver reports its whole lifetime, a warm solver reports the
-/// difference since the previous cube. The oracle turns the delta into a
-/// [`CostMetric`](crate::CostMetric) observation and aggregates it.
+/// difference since the previous cube. The oracle turns them into a
+/// [`CostMetric`](crate::CostMetric) observation; every other solver
+/// statistic reaches it once per batch through [`CubeBackend::end_batch`].
 /// Per-variable conflict participation is *not* part of the outcome: the
 /// backend adds it directly into the accumulator passed to
 /// [`CubeBackend::solve`], so no `num_vars`-sized allocation travels per
@@ -38,8 +40,8 @@ use std::time::{Duration, Instant};
 pub struct BackendOutcome {
     /// Verdict of `C ∧ cube` (the model travels inside [`Verdict::Sat`]).
     pub verdict: Verdict,
-    /// Solver-statistics delta attributable to this cube.
-    pub stats_delta: SolverStats,
+    /// Conflicts, decisions and propagations attributable to this cube.
+    pub counters: CubeCounters,
     /// Wall-clock time of the call, including the per-cube setup the backend
     /// performs (a fresh backend counts restoring its working solver from
     /// the loaded template, but not the one-off load itself).
@@ -59,7 +61,8 @@ pub struct BackendOutcome {
 /// need internal locking. The `Send` bound is what allows an instance to be
 /// built once and moved onto its long-lived pool thread.
 pub trait CubeBackend: Send {
-    /// Solves `C ∧ cube` under the given budget and interrupt flag.
+    /// Solves `C ∧ cube` (the cube given as its assumption literals) under
+    /// the given budget and interrupt flag.
     ///
     /// The per-variable conflict participation attributable to this cube is
     /// added into `conflict_acc` (indexed by variable, `num_vars` long) —
@@ -67,7 +70,7 @@ pub trait CubeBackend: Send {
     /// them once per batch.
     fn solve(
         &mut self,
-        cube: &Cube,
+        cube: &[Lit],
         budget: &Budget,
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],
@@ -84,9 +87,9 @@ pub trait CubeBackend: Send {
     /// Closes the batch and returns the solver-statistics delta covering
     /// exactly the cubes fed to this backend since the matching
     /// [`CubeBackend::begin_batch`]. The executors call this **once per
-    /// batch** per worker — per-cube outcomes carry only the delta needed to
-    /// measure that cube's cost, and the batch aggregate is merged here in
-    /// one step instead of being re-summed cube by cube.
+    /// batch** per worker — per-cube outcomes carry only the three counters
+    /// needed to measure that cube's cost, and the batch aggregate is merged
+    /// here in one step instead of being re-summed cube by cube.
     fn end_batch(&mut self) -> SolverStats;
 
     /// Which substrate this backend is an instance of.
@@ -280,7 +283,7 @@ impl FreshBackend {
 impl CubeBackend for FreshBackend {
     fn solve(
         &mut self,
-        cube: &Cube,
+        cube: &[Lit],
         budget: &Budget,
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],
@@ -297,7 +300,7 @@ impl CubeBackend for FreshBackend {
             .get_or_insert_with(|| Resident::load(&self.cnf, &self.config, &self.frozen));
         let start = self.measure_wall_time.then(Instant::now);
         working.clone_from(template);
-        let verdict = working.solve_limited(cube.lits(), budget, Some(interrupt));
+        let verdict = working.solve_limited(cube, budget, Some(interrupt));
         let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
         // The template accumulates no conflict participation (neither
         // loading nor simplification runs conflict analysis), so the working
@@ -305,12 +308,14 @@ impl CubeBackend for FreshBackend {
         for (acc, &c) in conflict_acc.iter_mut().zip(working.conflict_counts()) {
             *acc += c;
         }
+        // The full delta stays in here, for the batch aggregate; the report
+        // carries the three counters the executor reads.
         let stats_delta = working.stats().delta_since(base);
         self.batch_stats.absorb(&stats_delta);
         let proof = working.unsat_certificate();
         BackendOutcome {
             verdict,
-            stats_delta,
+            counters: CubeCounters::of(&stats_delta),
             elapsed,
             proof,
         }
@@ -400,24 +405,22 @@ impl WarmBackend {
 impl CubeBackend for WarmBackend {
     fn solve(
         &mut self,
-        cube: &Cube,
+        cube: &[Lit],
         budget: &Budget,
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],
     ) -> BackendOutcome {
         let start = self.measure_wall_time.then(Instant::now);
-        let before = *self.solver.stats();
-        let verdict = self
-            .solver
-            .solve_limited(cube.lits(), budget, Some(interrupt));
+        let before = CubeCounters::of(self.solver.stats());
+        let verdict = self.solver.solve_limited(cube, budget, Some(interrupt));
         let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
-        let stats_delta = self.solver.stats().delta_since(&before);
+        let counters = CubeCounters::of(self.solver.stats()).since(before);
         // Attribute only the *new* conflict participation to this cube, in
         // place — no per-cube allocation. A cube decided without a single
         // conflict (the common case once the family's lemmas are learnt)
         // cannot have moved any per-variable counter, so the whole
         // `num_vars`-sized scan is skipped.
-        if stats_delta.conflicts > 0 {
+        if counters.conflicts > 0 {
             for (i, &now) in self.solver.conflict_counts().iter().enumerate() {
                 let prev = self.attributed[i];
                 if now != prev {
@@ -430,7 +433,7 @@ impl CubeBackend for WarmBackend {
         }
         BackendOutcome {
             verdict,
-            stats_delta,
+            counters,
             elapsed,
             proof: self.solver.unsat_certificate(),
         }
@@ -455,7 +458,7 @@ impl CubeBackend for WarmBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsat_cnf::{Lit, Var};
+    use pdsat_cnf::{Cube, Lit, Var};
 
     fn chain(n: usize) -> Cnf {
         let mut cnf = Cnf::new(n);
@@ -488,13 +491,12 @@ mod tests {
         let cube = Cube::from_values(&[Var::new(0)], &[true]);
         let interrupt = InterruptFlag::new();
         let mut acc = vec![0u64; cnf.num_vars()];
-        let out = backend.solve(&cube, &Budget::unlimited(), &interrupt, &mut acc);
+        let out = backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc);
         assert!(out.verdict.is_sat());
-        assert!(out.stats_delta.propagations > 0);
+        assert!(out.counters.propagations > 0);
         // A second identical call sees an identical fresh solver.
-        let again = backend.solve(&cube, &Budget::unlimited(), &interrupt, &mut acc);
-        assert_eq!(out.stats_delta.propagations, again.stats_delta.propagations);
-        assert_eq!(out.stats_delta.conflicts, again.stats_delta.conflicts);
+        let again = backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc);
+        assert_eq!(out.counters, again.counters);
     }
 
     #[test]
@@ -509,11 +511,11 @@ mod tests {
         for bits in 0..4u64 {
             let cube = Cube::from_bits(&set, bits);
             backend.begin_batch();
-            let out = backend.solve(&cube, &Budget::unlimited(), &interrupt, &mut acc);
+            let out = backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc);
             // Deltas stay cube-sized even though the solver's own counters
             // keep growing across the calls.
-            assert!(out.stats_delta.propagations <= backend.solver().stats().propagations);
-            total_props += out.stats_delta.propagations;
+            assert!(out.counters.propagations <= backend.solver().stats().propagations);
+            total_props += out.counters.propagations;
         }
         // The per-cube deltas add up to the solver's cumulative counters.
         assert_eq!(total_props, backend.solver().stats().propagations);

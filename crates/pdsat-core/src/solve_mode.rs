@@ -287,8 +287,10 @@ impl FamilySolver {
     }
 }
 
-/// Folds a [`BatchResult`] into the solving-mode report.
-fn report_from_batch(set: &DecompositionSet, mut batch: BatchResult) -> SolveReport {
+/// Folds a [`BatchResult`] into the solving-mode report, consuming the
+/// outcomes in one pass: proofs and the first model are moved out, never
+/// cloned, and each outcome is dropped as it is read.
+fn report_from_batch(set: &DecompositionSet, batch: BatchResult) -> SolveReport {
     let mut total_cost = 0.0;
     let mut cost_to_first_sat = None;
     let mut first_sat_index = None;
@@ -296,23 +298,23 @@ fn report_from_batch(set: &DecompositionSet, mut batch: BatchResult) -> SolveRep
     let mut unknown_count = 0;
     let mut model = None;
     let mut certificates = Vec::new();
-    for outcome in &mut batch.outcomes {
-        if let Some(proof) = outcome.proof.take() {
+    let mut per_cube_costs = Vec::with_capacity(batch.outcomes.len());
+    for outcome in batch.outcomes {
+        total_cost += outcome.cost;
+        per_cube_costs.push(outcome.cost);
+        if let Some(proof) = outcome.proof {
             certificates.push(CubeCertificate {
                 cube_index: outcome.index,
                 proof,
             });
         }
-    }
-    for outcome in &batch.outcomes {
-        total_cost += outcome.cost;
         match outcome.verdict {
             VerdictSummary::Sat => {
                 sat_count += 1;
                 if first_sat_index.is_none() {
                     first_sat_index = Some(outcome.index);
                     cost_to_first_sat = Some(total_cost);
-                    model = outcome.model.clone();
+                    model = outcome.model;
                 }
             }
             VerdictSummary::Unknown => unknown_count += 1,
@@ -322,7 +324,7 @@ fn report_from_batch(set: &DecompositionSet, mut batch: BatchResult) -> SolveRep
 
     SolveReport {
         set_size: set.len(),
-        cubes_processed: batch.outcomes.len(),
+        cubes_processed: per_cube_costs.len(),
         total_cost,
         cost_to_first_sat,
         first_sat_index,
@@ -337,7 +339,7 @@ fn report_from_batch(set: &DecompositionSet, mut batch: BatchResult) -> SolveRep
         worker_panics: batch.solver_stats.worker_panics,
         requeued_cubes: batch.solver_stats.requeued_cubes,
         model,
-        per_cube_costs: batch.costs().collect(),
+        per_cube_costs,
         certificates,
     }
 }

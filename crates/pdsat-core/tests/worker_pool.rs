@@ -1,9 +1,14 @@
 //! Integration tests for the oracle's persistent worker pool: sequential vs
 //! pool parity, warm-state survival across batches, the `stop_on_sat`
-//! contract, and the empty/short-batch edge cases.
+//! contract, the empty/short-batch edge cases, and the placement of outcome
+//! runs where it can go wrong (stolen chunks, an `order` permutation,
+//! requeued and fallback cubes, `stop_on_sat` subsets).
 
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
-use pdsat_core::{BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet};
+use pdsat_core::{
+    fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
+    FaultPlan,
+};
 use pdsat_solver::InterruptFlag;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -265,4 +270,196 @@ fn single_cube_batches_on_a_wide_pool_stay_in_order() {
         assert_eq!(result.outcomes[0].index, 0);
     }
     assert_eq!(oracle.cubes_solved(), 10);
+}
+
+/// A pigeonhole formula (5 pigeons, variables 2..22) that is only *there*
+/// when the selectors `x0` and `x1` are both false: every clause carries
+/// `x0 ∨ x1`. Over a decomposition set that starts with the two selectors,
+/// the first quarter of the enumerated family — the first stripe of a
+/// 4-worker pool — is conflict-bound and the other three quarters are decided
+/// by propagation, so three workers drain their stripes at once and then
+/// steal chunks out of the first one: every worker reports several runs.
+/// Variables 22..30 are free padding that only widens the family.
+fn skewed_family() -> (Cnf, Vec<Cube>) {
+    let hole = pigeonhole(5);
+    let mut cnf = Cnf::new(30);
+    let selectors = [Lit::positive(Var::new(0)), Lit::positive(Var::new(1))];
+    for clause in hole.clauses() {
+        let shifted = clause
+            .iter()
+            .map(|l| Var::new(l.var().raw() + 2).lit(l.is_positive()));
+        cnf.add_clause(selectors.into_iter().chain(shifted));
+    }
+    // Selectors, four pigeonhole variables, six padding variables: 4096 cubes.
+    let set = DecompositionSet::new((0..6).chain(22..28).map(Var::new));
+    (cnf, set.cubes().collect())
+}
+
+fn pool_of_four(backend: BackendKind) -> BatchConfig {
+    BatchConfig {
+        cost: CostMetric::Conflicts,
+        backend,
+        num_workers: 4,
+        clamp_workers_to_cpus: false,
+        ..BatchConfig::default()
+    }
+}
+
+/// Outcomes sorted by index with indices exactly `0..n`.
+fn assert_indices_are_the_whole_batch(result: &BatchResult, n: usize) {
+    assert_eq!(result.outcomes.len(), n);
+    for (i, o) in result.outcomes.iter().enumerate() {
+        assert_eq!(o.index, i, "outcome at place {i}");
+    }
+}
+
+/// Index, cost, verdict, conflicts and model equal cube by cube.
+fn assert_same_observations(reference: &BatchResult, other: &BatchResult) {
+    assert_eq!(reference.outcomes.len(), other.outcomes.len());
+    for (a, b) in reference.outcomes.iter().zip(&other.outcomes) {
+        assert_eq!(a.index, b.index);
+        assert_eq!(a.cost, b.cost, "cube {}", a.index);
+        assert_eq!(a.verdict, b.verdict, "cube {}", a.index);
+        assert_eq!(a.conflicts, b.conflicts, "cube {}", a.index);
+        assert_eq!(a.model, b.model, "cube {}", a.index);
+    }
+}
+
+#[test]
+fn stolen_chunks_are_placed_where_their_cubes_belong() {
+    let (cnf, cubes) = skewed_family();
+    let one = CubeOracle::new(
+        &cnf,
+        BatchConfig {
+            num_workers: 1,
+            ..pool_of_four(BackendKind::Fresh)
+        },
+    )
+    .solve_batch(&cubes, None);
+    assert_indices_are_the_whole_batch(&one, cubes.len());
+    // The skew the test relies on: all conflicts sit in the first quarter.
+    let quarter = cubes.len() / 4;
+    let hard = one.outcomes[..quarter]
+        .iter()
+        .filter(|o| o.conflicts > 0)
+        .count();
+    assert!(
+        2 * hard > quarter,
+        "{hard} of {quarter} cubes conflict-bound"
+    );
+    assert!(one.outcomes[quarter..].iter().all(|o| o.conflicts == 0));
+
+    let mut oracle = CubeOracle::new(&cnf, pool_of_four(BackendKind::Fresh));
+    for _ in 0..3 {
+        let four = oracle.solve_batch(&cubes, None);
+        assert_indices_are_the_whole_batch(&four, cubes.len());
+        assert_same_observations(&one, &four);
+        assert_eq!(one.var_conflict_totals, four.var_conflict_totals);
+    }
+}
+
+#[test]
+fn an_order_permutation_still_returns_the_batch_in_cube_order() {
+    // Two enumerated families over sets of different sizes, then an unsorted
+    // sample of a third: the sample makes the warm backend's prefix schedule
+    // a real permutation, so runs of consecutive *positions* no longer are
+    // runs of consecutive *indices* and the final guard has to sort.
+    let (cnf, family) = skewed_family();
+    let small = DecompositionSet::new((0..9).map(Var::new));
+    let third = DecompositionSet::new((1..8).chain(20..24).map(Var::new));
+    let mut rng = StdRng::seed_from_u64(0x0DE2);
+    let mut cubes = family;
+    cubes.extend(small.cubes());
+    cubes.extend(third.random_sample(700, &mut rng));
+
+    let one = CubeOracle::new(
+        &cnf,
+        BatchConfig {
+            num_workers: 1,
+            ..pool_of_four(BackendKind::Warm)
+        },
+    )
+    .solve_batch(&cubes, None);
+    let four = CubeOracle::new(&cnf, pool_of_four(BackendKind::Warm)).solve_batch(&cubes, None);
+    assert_indices_are_the_whole_batch(&one, cubes.len());
+    assert_indices_are_the_whole_batch(&four, cubes.len());
+    // Warm costs depend on who learnt what; verdicts do not.
+    assert!(one
+        .outcomes
+        .iter()
+        .zip(&four.outcomes)
+        .all(|(a, b)| a.verdict == b.verdict));
+    assert_eq!(one.verdict_counts(), four.verdict_counts());
+}
+
+#[test]
+fn requeued_and_fallback_cubes_end_up_in_place() {
+    fault::silence_injected_panics();
+    let (cnf, cubes) = skewed_family();
+    let reference =
+        CubeOracle::new(&cnf, pool_of_four(BackendKind::Fresh)).solve_batch(&cubes, None);
+
+    for seed in [3u64, 4, 9] {
+        // Panics at seeded solve ordinals all through the batch; the first
+        // respawn fails, so one worker dies with part of a chunk in flight
+        // (those cubes come back through the sequential fallback, appended
+        // after everything else), the later ones are requeued mid-run.
+        let plan = FaultPlan {
+            respawn_failures: 1,
+            ..FaultPlan::seeded(seed, 12, cubes.len() as u64)
+        };
+        assert!(
+            plan.solve_panics.len() >= 2,
+            "seed {seed} injects too little"
+        );
+        let faulted = CubeOracle::new(
+            &cnf,
+            BatchConfig {
+                fault_plan: plan,
+                ..pool_of_four(BackendKind::Fresh)
+            },
+        )
+        .solve_batch(&cubes, None);
+        assert_indices_are_the_whole_batch(&faulted, cubes.len());
+        assert_same_observations(&reference, &faulted);
+        assert_eq!(reference.var_conflict_totals, faulted.var_conflict_totals);
+        assert!(faulted.solver_stats.worker_panics >= 2, "seed {seed}");
+        assert!(faulted.solver_stats.requeued_cubes >= 2, "seed {seed}");
+    }
+}
+
+#[test]
+fn stop_on_sat_on_a_pool_reports_a_sorted_duplicate_free_subset() {
+    // Unit clauses pin the twelve set variables, so exactly one cube of the
+    // family is satisfiable and every other one is refuted at once. It sits
+    // in the second stripe: when its worker raises the flag the other three
+    // are mid-stripe, and the result is a subset with gaps.
+    let vars: Vec<Var> = (0..12).map(Var::new).collect();
+    let target = 0b0110_1001_0110usize;
+    let mut cnf = Cnf::new(13);
+    for lit in Cube::from_bits(&vars, target as u64).lits() {
+        cnf.add_clause([*lit]);
+    }
+    let cubes: Vec<Cube> = DecompositionSet::new(vars).cubes().collect();
+    for backend in [BackendKind::Fresh, BackendKind::Warm] {
+        let flag = InterruptFlag::new();
+        let result = CubeOracle::new(
+            &cnf,
+            BatchConfig {
+                stop_on_sat: true,
+                ..pool_of_four(backend)
+            },
+        )
+        .solve_batch(&cubes, Some(&flag));
+        assert!(flag.is_raised());
+        assert!(result
+            .outcomes
+            .windows(2)
+            .all(|pair| pair[0].index < pair[1].index));
+        assert!(result.outcomes.iter().all(|o| o.index < cubes.len()));
+        // The one model is reported; a cube the raised flag cut short is
+        // `Unknown`, never a second `Sat`.
+        assert_eq!(result.verdict_counts().0, 1, "{backend}");
+        assert_eq!(result.first_sat().map(|o| o.index), Some(target));
+    }
 }
