@@ -3,7 +3,8 @@
 //! and a combinatorial UNSAT stress test.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use pdsat_bench::{bench_a51_instance, bench_bivium_instance, pigeonhole, start_set};
+use pdsat_bench::{bench_a51_instance, bench_bivium_instance, start_set};
+use pdsat_cnf::Cnf;
 use pdsat_core::{BackendKind, BatchConfig, CostMetric, CubeOracle};
 use pdsat_solver::{Solver, SolverConfig};
 use std::time::Duration;
@@ -16,7 +17,7 @@ fn bench_solver(c: &mut Criterion) {
         .measurement_time(Duration::from_millis(900));
 
     group.bench_function("pigeonhole_7_unsat", |b| {
-        let cnf = pigeonhole(7);
+        let cnf = Cnf::pigeonhole(7);
         b.iter_batched(
             || Solver::from_cnf(&cnf),
             |mut solver| {

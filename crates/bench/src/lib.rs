@@ -11,7 +11,6 @@
 #![warn(missing_docs)]
 
 use pdsat_ciphers::{Bivium, Grain, Instance, InstanceBuilder, A51};
-use pdsat_cnf::{Cnf, Lit, Var};
 use pdsat_core::DecompositionSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,26 +78,6 @@ pub fn start_set(instance: &Instance) -> DecompositionSet {
     DecompositionSet::new(instance.unknown_state_vars())
 }
 
-/// An unsatisfiable pigeonhole formula (`pigeons` pigeons into `pigeons - 1`
-/// holes) used as a solver stress test independent of the cipher encodings.
-#[must_use]
-pub fn pigeonhole(pigeons: usize) -> Cnf {
-    let holes = pigeons - 1;
-    let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-    let mut cnf = Cnf::new(pigeons * holes);
-    for i in 0..pigeons {
-        cnf.add_clause((0..holes).map(|j| var(i, j)));
-    }
-    for j in 0..holes {
-        for i1 in 0..pigeons {
-            for i2 in (i1 + 1)..pigeons {
-                cnf.add_clause([!var(i1, j), !var(i2, j)]);
-            }
-        }
-    }
-    cnf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +90,5 @@ mod tests {
         assert_eq!(start_set(&bivium).len(), 10);
         let grain = bench_grain_instance();
         assert_eq!(start_set(&grain).len(), 10);
-        assert!(pigeonhole(6).num_clauses() > 6);
     }
 }

@@ -35,6 +35,34 @@ impl Cnf {
         }
     }
 
+    /// The pigeonhole formula `PHP(pigeons → pigeons − 1)`: variable
+    /// `i · holes + j` puts pigeon `i` into hole `j`, one clause per pigeon
+    /// (it sits somewhere) then one per hole and pigeon pair (they do not
+    /// share it). Unsatisfiable and hard for resolution — the workspace's
+    /// stock small-but-conflict-heavy fixture, whose clause order several
+    /// recorded parity fixtures depend on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pigeons` is zero.
+    #[must_use]
+    pub fn pigeonhole(pigeons: usize) -> Cnf {
+        let holes = pigeons - 1;
+        let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
+        let mut cnf = Cnf::new(pigeons * holes);
+        for i in 0..pigeons {
+            cnf.add_clause((0..holes).map(|j| var(i, j)));
+        }
+        for j in 0..holes {
+            for i1 in 0..pigeons {
+                for i2 in (i1 + 1)..pigeons {
+                    cnf.add_clause([!var(i1, j), !var(i2, j)]);
+                }
+            }
+        }
+        cnf
+    }
+
     /// Number of variables the formula ranges over.
     #[must_use]
     pub fn num_vars(&self) -> usize {
@@ -256,6 +284,28 @@ mod tests {
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
+    }
+
+    /// Recorded parity fixtures depend on this exact clause order.
+    #[test]
+    fn pigeonhole_lists_pigeon_clauses_then_hole_conflicts() {
+        let clauses: Vec<Vec<i64>> = Cnf::pigeonhole(3)
+            .clauses()
+            .iter()
+            .map(|c| c.iter().map(Lit::to_dimacs).collect())
+            .collect();
+        let expected: [&[i64]; 9] = [
+            &[1, 2],
+            &[3, 4],
+            &[5, 6],
+            &[-1, -3],
+            &[-1, -5],
+            &[-3, -5],
+            &[-2, -4],
+            &[-2, -6],
+            &[-4, -6],
+        ];
+        assert_eq!(clauses, expected);
     }
 
     #[test]

@@ -210,19 +210,15 @@ impl CoordinatorCheckpoint {
             push_bits(&mut out, r.total_cost);
             write!(
                 out,
-                " {} {} {} {} {} {} {} {} {} {} ",
+                " {} {} {} ",
                 r.sat_count,
                 r.unknown_count,
                 r.wall_time.as_nanos(),
-                r.reused_assumptions,
-                r.saved_propagations,
-                r.exported_clauses,
-                r.imported_clauses,
-                r.import_dropped,
-                r.worker_panics,
-                r.requeued_cubes,
             )
             .expect(INFALLIBLE);
+            for counter in r.counters.values() {
+                write!(out, "{counter} ").expect(INFALLIBLE);
+            }
             match r.first_sat_index {
                 Some(index) => {
                     write!(out, "{index}").expect(INFALLIBLE);
@@ -346,13 +342,9 @@ impl CoordinatorCheckpoint {
                 u64::try_from(nanos)
                     .map_err(|_| malformed(format!("wall time overflow in '{line}'")))?,
             );
-            report.reused_assumptions = parse_u64(field()?)?;
-            report.saved_propagations = parse_u64(field()?)?;
-            report.exported_clauses = parse_u64(field()?)?;
-            report.imported_clauses = parse_u64(field()?)?;
-            report.import_dropped = parse_u64(field()?)?;
-            report.worker_panics = parse_u64(field()?)?;
-            report.requeued_cubes = parse_u64(field()?)?;
+            for counter in report.counters.values_mut() {
+                *counter = parse_u64(field()?)?;
+            }
             report.first_sat_index = match field()? {
                 "-" => None,
                 index => Some(parse_usize(index)?),
@@ -687,6 +679,7 @@ mod tests {
     use super::*;
     use crate::transport::{synthetic_family_solver, LoopbackConfig, LoopbackTransport};
     use crate::ClientBehavior;
+    use pdsat_core::FamilyCounters;
 
     fn costs(n: usize) -> Vec<f64> {
         (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.75).collect()
@@ -789,16 +782,16 @@ mod tests {
         {
             let unit = with_model.completed.get_mut(&0).expect("unit 0 completed");
             unit.model = Some(model.clone());
-            unit.exported_clauses = 17;
-            unit.imported_clauses = 5;
-            unit.import_dropped = 2;
+            unit.counters.exported_clauses = 17;
+            unit.counters.imported_clauses = 5;
+            unit.counters.import_dropped = 2;
         }
         let restored =
             CoordinatorCheckpoint::from_text(&with_model.to_text()).expect("model round-trip");
         assert_eq!(restored.completed[&0].model.as_ref(), Some(&model));
-        assert_eq!(restored.completed[&0].exported_clauses, 17);
-        assert_eq!(restored.completed[&0].imported_clauses, 5);
-        assert_eq!(restored.completed[&0].import_dropped, 2);
+        assert_eq!(restored.completed[&0].counters.exported_clauses, 17);
+        assert_eq!(restored.completed[&0].counters.imported_clauses, 5);
+        assert_eq!(restored.completed[&0].counters.import_dropped, 2);
 
         // Malformed inputs are rejected, not mis-parsed.
         assert!(CoordinatorCheckpoint::from_text("").is_err());
@@ -816,13 +809,14 @@ mod tests {
     /// The unit line as written today (17 fields), spelled out by hand rather
     /// than produced by the writer: a checkpoint on somebody's disk must keep
     /// loading, field for field, whatever happens to the structs around it.
+    const GOLDEN: &str = "pdsat-coordinator-checkpoint v1\n\
+        family set_size=2 total_cubes=4 work_unit_size=2\n\
+        unit 1 2 4014000000000000 1 0 1500 3 7 11 12 13 14 15 1 4014000000000000 10x1 \
+        4008000000000000,4000000000000000\n";
+
     #[test]
     fn golden_17_field_checkpoint_loads_and_reserializes_byte_identically() {
-        let golden = "pdsat-coordinator-checkpoint v1\n\
-            family set_size=2 total_cubes=4 work_unit_size=2\n\
-            unit 1 2 4014000000000000 1 0 1500 3 7 11 12 13 14 15 1 4014000000000000 10x1 \
-            4008000000000000,4000000000000000\n";
-        let checkpoint = CoordinatorCheckpoint::from_text(golden).expect("golden text loads");
+        let checkpoint = CoordinatorCheckpoint::from_text(GOLDEN).expect("golden text loads");
         assert_eq!(
             (
                 checkpoint.set_size,
@@ -839,13 +833,13 @@ mod tests {
         assert_eq!(unit.sat_count, 1);
         assert_eq!(unit.unknown_count, 0);
         assert_eq!(unit.wall_time, Duration::from_nanos(1500));
-        assert_eq!(unit.reused_assumptions, 3);
-        assert_eq!(unit.saved_propagations, 7);
-        assert_eq!(unit.exported_clauses, 11);
-        assert_eq!(unit.imported_clauses, 12);
-        assert_eq!(unit.import_dropped, 13);
-        assert_eq!(unit.worker_panics, 14);
-        assert_eq!(unit.requeued_cubes, 15);
+        assert_eq!(unit.counters.reused_assumptions, 3);
+        assert_eq!(unit.counters.saved_propagations, 7);
+        assert_eq!(unit.counters.exported_clauses, 11);
+        assert_eq!(unit.counters.imported_clauses, 12);
+        assert_eq!(unit.counters.import_dropped, 13);
+        assert_eq!(unit.counters.worker_panics, 14);
+        assert_eq!(unit.counters.requeued_cubes, 15);
         assert_eq!(unit.first_sat_index, Some(1));
         assert_eq!(unit.cost_to_first_sat, Some(5.0));
         let mut model = Assignment::new(4);
@@ -855,7 +849,42 @@ mod tests {
         assert_eq!(unit.model.as_ref(), Some(&model));
         assert_eq!(unit.per_cube_costs, vec![3.0, 2.0]);
         assert!(unit.certificates.is_empty());
-        assert_eq!(checkpoint.to_text(), golden);
+        assert_eq!(checkpoint.to_text(), GOLDEN);
+    }
+
+    /// Seven distinct values written through the ordered view land in fields
+    /// 7–13 of the golden unit line, under the v1 names: reordering the
+    /// counter list (or inserting anywhere but at its end) fails here.
+    #[test]
+    fn counters_written_through_the_ordered_view_keep_their_v1_field_positions() {
+        assert_eq!(
+            FamilyCounters::NAMES,
+            [
+                "reused_assumptions",
+                "saved_propagations",
+                "exported_clauses",
+                "imported_clauses",
+                "import_dropped",
+                "worker_panics",
+                "requeued_cubes",
+            ]
+        );
+        let mut checkpoint = CoordinatorCheckpoint::from_text(GOLDEN).expect("golden text loads");
+        let unit = checkpoint.completed.get_mut(&1).expect("unit 1 present");
+        unit.counters = FamilyCounters::default();
+        for (counter, value) in unit
+            .counters
+            .values_mut()
+            .into_iter()
+            .zip([3, 7, 11, 12, 13, 14, 15])
+        {
+            *counter = value;
+        }
+        let text = checkpoint.to_text();
+        let fields: Vec<&str> = text.lines().nth(2).expect("unit line").split(' ').collect();
+        assert_eq!(fields.len(), 18, "'unit' and 17 positional fields");
+        assert_eq!(fields[7..14], ["3", "7", "11", "12", "13", "14", "15"]);
+        assert_eq!(text, GOLDEN);
     }
 
     /// A hand-scripted transport: a fixed queue of client messages, with

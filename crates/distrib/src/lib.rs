@@ -50,7 +50,7 @@ pub use pdsat_checker::CheckFailure;
 pub use pdsat_core::{FaultPlan, FaultState};
 pub use store::{crc32, CheckpointError, CheckpointStore};
 pub use transport::{
-    synthetic_family_solver, ChaosTransport, ClientId, ClientMsg, FallibleTransport,
-    LoopbackConfig, LoopbackTransport, RetryPolicy, RetryStats, RetryTransport, ServerMsg, Timed,
-    Transport, TransportError, TransportStats, WorkUnit, WorkUnitId,
+    synthetic_family_solver, ChaosTransport, ClientId, ClientMsg, LoopbackConfig,
+    LoopbackTransport, RetryPolicy, RetryStats, ServerMsg, Timed, Transport, TransportStats,
+    WorkUnit, WorkUnitId,
 };

@@ -14,7 +14,6 @@ use crate::client::{synthetic_host_population, ClientBehavior, ClientFate, Host,
 use pdsat_core::{FaultState, RecvAction, SolveReport};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::fmt;
 use std::sync::Arc;
 
 /// Identifier of a work unit: its index in the family's shard order.
@@ -386,161 +385,7 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> Transport for LoopbackTransport<F> {
     }
 }
 
-/// Why a transport operation failed.
-///
-/// All variants are *transient* in the BOINC sense: the grid heals itself
-/// (leases expire and are re-issued, [`crate::LeaseTable`] deduplicates), so
-/// the correct reaction to every transport error is bounded retry followed by
-/// giving up on that one message — never aborting the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TransportError {
-    /// The message could not be handed to the wire right now; a retry with
-    /// backoff may succeed.
-    Transient {
-        /// Human-readable description of what failed.
-        detail: String,
-    },
-}
-
-impl fmt::Display for TransportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportError::Transient { detail } => {
-                write!(f, "transient transport failure: {detail}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TransportError {}
-
-/// A message channel that can *fail*: the honest signature of a real
-/// network, as opposed to [`Transport`] whose `send` is infallible.
-///
-/// [`RetryTransport`] adapts any `FallibleTransport` back into a
-/// [`Transport`] by retrying with deterministic backoff, which is the only
-/// place in the coordinator stack allowed to swallow transport errors.
-pub trait FallibleTransport {
-    /// Attempts to deliver a coordinator message to `to` at time `now`.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Transient`] when the send did not happen; the
-    /// caller may retry (the message was *not* partially delivered).
-    fn try_send(&mut self, to: ClientId, msg: ServerMsg, now: f64) -> Result<(), TransportError>;
-
-    /// Attempts to take the next client message, in arrival order.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Transient`] when the receive side is temporarily
-    /// unavailable; `Ok(None)` still means "no client will ever speak again".
-    fn try_recv(&mut self) -> Result<Option<Timed<ClientMsg>>, TransportError>;
-}
-
-/// Wraps an infallible [`Transport`] and injects seeded message-level
-/// faults from a [`FaultState`] plan: send failures (visible to the caller
-/// as [`TransportError::Transient`]) and receive-side drops, duplicates,
-/// and delays (absorbed silently, exactly like a flaky network).
-///
-/// Delivery order stays non-decreasing in `at` even under delays: delayed
-/// messages park in a local heap and are merged back against a one-message
-/// lookahead of the inner transport. Duplicates are re-delivered
-/// immediately after the original with an identical timestamp and an
-/// identical (memoized) report, which [`crate::LeaseTable`] is designed to
-/// absorb — the loopback analogue of a client double-uploading a result.
-pub struct ChaosTransport<T> {
-    inner: T,
-    faults: Arc<FaultState>,
-    /// Lookahead slot: next inner message already drawn but not delivered.
-    pending: Option<Timed<ClientMsg>>,
-    /// Messages whose delivery was artificially delayed, min-heap by time.
-    delayed: BinaryHeap<QueuedMsg>,
-    /// Copies of duplicated messages, delivered right after the original.
-    duplicates: VecDeque<Timed<ClientMsg>>,
-    seq: u64,
-}
-
-impl<T: Transport> ChaosTransport<T> {
-    /// Wraps `inner`, drawing fault decisions from `faults`.
-    pub fn new(inner: T, faults: Arc<FaultState>) -> ChaosTransport<T> {
-        ChaosTransport {
-            inner,
-            faults,
-            pending: None,
-            delayed: BinaryHeap::new(),
-            duplicates: VecDeque::new(),
-            seq: 0,
-        }
-    }
-
-    /// Read access to the wrapped transport (e.g. for its stats).
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Pulls from the inner transport until a message survives its fault
-    /// action, parking delayed ones and queueing duplicate copies.
-    fn fill_pending(&mut self) {
-        while self.pending.is_none() {
-            let Some(msg) = self.inner.recv() else { return };
-            match self.faults.recv_action() {
-                RecvAction::Deliver => self.pending = Some(msg),
-                RecvAction::Drop => {}
-                RecvAction::Duplicate => {
-                    self.duplicates.push_back(Timed {
-                        at: msg.at,
-                        payload: msg.payload.clone(),
-                    });
-                    self.pending = Some(msg);
-                }
-                RecvAction::Delay(by) => {
-                    let seq = self.seq;
-                    self.seq += 1;
-                    self.delayed.push(QueuedMsg {
-                        at: msg.at + by.max(0.0),
-                        seq,
-                        msg: msg.payload,
-                    });
-                }
-            }
-        }
-    }
-}
-
-impl<T: Transport> FallibleTransport for ChaosTransport<T> {
-    fn try_send(&mut self, to: ClientId, msg: ServerMsg, now: f64) -> Result<(), TransportError> {
-        if self.faults.send_should_fail() {
-            return Err(TransportError::Transient {
-                detail: format!("injected send failure (to client {to})"),
-            });
-        }
-        self.inner.send(to, msg, now);
-        Ok(())
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Timed<ClientMsg>>, TransportError> {
-        if let Some(dup) = self.duplicates.pop_front() {
-            return Ok(Some(dup));
-        }
-        self.fill_pending();
-        let deliver_delayed = match (&self.pending, self.delayed.peek()) {
-            (Some(p), Some(d)) => d.at <= p.at,
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        if deliver_delayed {
-            let d = self.delayed.pop().expect("peeked above");
-            return Ok(Some(Timed {
-                at: d.at,
-                payload: d.msg,
-            }));
-        }
-        Ok(self.pending.take())
-    }
-}
-
-/// Retry behaviour of a [`RetryTransport`]: deterministic truncated
+/// Retry behaviour of a [`ChaosTransport`]: deterministic truncated
 /// exponential backoff with seeded jitter, all in *simulated* seconds (the
 /// transport layer shares the coordinator's virtual clock; no wall-clock
 /// sleeping happens anywhere).
@@ -572,7 +417,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Counters of a [`RetryTransport`]'s recovery activity.
+/// Counters of a [`ChaosTransport`]'s recovery activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Total send attempts, including first tries.
@@ -585,30 +430,58 @@ pub struct RetryStats {
     pub abandoned: u64,
 }
 
-/// Adapts a [`FallibleTransport`] back into the coordinator's infallible
-/// [`Transport`] by retrying failed sends with deterministic exponential
-/// backoff and jitter, bounded by a per-message deadline.
+/// A faulty wire and the recovery from it, as one [`Transport`] over
+/// another: seeded message-level faults from a [`FaultState`] plan are
+/// injected around the inner transport, and failed sends are retried with
+/// deterministic exponential backoff and jitter, bounded by a per-message
+/// deadline ([`RetryPolicy`]).
 ///
-/// Abandoning a message after the deadline is *correct*, not merely
-/// pragmatic: an undelivered `Assign` makes the lease expire and the unit is
-/// re-issued; an undelivered `NoWork` only delays one poll. No state is
-/// lost, which is exactly why the coordinator can keep an infallible
-/// interface above a faulty wire.
-pub struct RetryTransport<T> {
+/// *Send side.* An attempt the plan fails never reaches the inner transport
+/// (the message is not partially delivered); the next attempt carries the
+/// accumulated virtual backoff in its `now`. Abandoning a message after the
+/// deadline is *correct*, not merely pragmatic: an undelivered `Assign`
+/// makes the lease expire and the unit is re-issued; an undelivered `NoWork`
+/// only delays one poll. No state is lost, which is why the coordinator can
+/// keep an infallible interface above a faulty wire — and this loop is the
+/// only place in the coordinator stack that swallows a transport failure.
+///
+/// *Receive side.* Drops, duplicates and delays are absorbed silently,
+/// exactly like a flaky network. Delivery order stays non-decreasing in `at`
+/// even under delays: delayed messages park in a local heap and are merged
+/// back against a one-message lookahead of the inner transport. Duplicates
+/// are re-delivered immediately after the original with an identical
+/// timestamp and an identical (memoized) report, which [`crate::LeaseTable`]
+/// is designed to absorb — the loopback analogue of a client double-uploading
+/// a result.
+pub struct ChaosTransport<T> {
     inner: T,
+    faults: Arc<FaultState>,
     policy: RetryPolicy,
     stats: RetryStats,
     jitter_state: u64,
+    /// Lookahead slot: next inner message already drawn but not delivered.
+    pending: Option<Timed<ClientMsg>>,
+    /// Messages whose delivery was artificially delayed, min-heap by time.
+    delayed: BinaryHeap<QueuedMsg>,
+    /// Copies of duplicated messages, delivered right after the original.
+    duplicates: VecDeque<Timed<ClientMsg>>,
+    seq: u64,
 }
 
-impl<T: FallibleTransport> RetryTransport<T> {
-    /// Wraps `inner` under the given retry policy.
-    pub fn new(inner: T, policy: RetryPolicy) -> RetryTransport<T> {
-        RetryTransport {
+impl<T: Transport> ChaosTransport<T> {
+    /// Wraps `inner`, drawing fault decisions from `faults` and recovering
+    /// from the injected send failures under `policy`.
+    pub fn new(inner: T, faults: Arc<FaultState>, policy: RetryPolicy) -> ChaosTransport<T> {
+        ChaosTransport {
             inner,
+            faults,
             policy,
             stats: RetryStats::default(),
             jitter_state: policy.seed,
+            pending: None,
+            delayed: BinaryHeap::new(),
+            duplicates: VecDeque::new(),
+            seq: 0,
         }
     }
 
@@ -618,7 +491,7 @@ impl<T: FallibleTransport> RetryTransport<T> {
         self.stats
     }
 
-    /// Read access to the wrapped transport.
+    /// Read access to the wrapped transport (e.g. for its stats).
     pub fn inner(&self) -> &T {
         &self.inner
     }
@@ -632,15 +505,44 @@ impl<T: FallibleTransport> RetryTransport<T> {
         z ^= z >> 31;
         (z >> 11) as f64 / (1u64 << 53) as f64
     }
+
+    /// Pulls from the inner transport until a message survives its fault
+    /// action, parking delayed ones and queueing duplicate copies.
+    fn fill_pending(&mut self) {
+        while self.pending.is_none() {
+            let Some(msg) = self.inner.recv() else { return };
+            match self.faults.recv_action() {
+                RecvAction::Deliver => self.pending = Some(msg),
+                RecvAction::Drop => {}
+                RecvAction::Duplicate => {
+                    self.duplicates.push_back(Timed {
+                        at: msg.at,
+                        payload: msg.payload.clone(),
+                    });
+                    self.pending = Some(msg);
+                }
+                RecvAction::Delay(by) => {
+                    let seq = self.seq;
+                    self.seq += 1;
+                    self.delayed.push(QueuedMsg {
+                        at: msg.at + by.max(0.0),
+                        seq,
+                        msg: msg.payload,
+                    });
+                }
+            }
+        }
+    }
 }
 
-impl<T: FallibleTransport> Transport for RetryTransport<T> {
+impl<T: Transport> Transport for ChaosTransport<T> {
     fn send(&mut self, to: ClientId, msg: ServerMsg, now: f64) {
         let mut waited = 0.0_f64;
         let mut backoff = self.policy.base_backoff;
         loop {
             self.stats.send_attempts += 1;
-            if self.inner.try_send(to, msg, now + waited).is_ok() {
+            if !self.faults.send_should_fail() {
+                self.inner.send(to, msg, now + waited);
                 return;
             }
             let wait = backoff * (1.0 + self.policy.jitter * self.jitter_draw());
@@ -655,10 +557,23 @@ impl<T: FallibleTransport> Transport for RetryTransport<T> {
     }
 
     fn recv(&mut self) -> Option<Timed<ClientMsg>> {
-        // ChaosTransport never fails receives; for other backends a
-        // transient receive failure is indistinguishable from "nothing
-        // arrived yet", and the coordinator's own loop re-polls.
-        self.inner.try_recv().ok().flatten()
+        if let Some(dup) = self.duplicates.pop_front() {
+            return Some(dup);
+        }
+        self.fill_pending();
+        let deliver_delayed = match (&self.pending, self.delayed.peek()) {
+            (Some(p), Some(d)) => d.at <= p.at,
+            (None, Some(_)) => true,
+            _ => false,
+        };
+        if deliver_delayed {
+            let d = self.delayed.pop().expect("peeked above");
+            return Some(Timed {
+                at: d.at,
+                payload: d.msg,
+            });
+        }
+        self.pending.take()
     }
 }
 
@@ -728,9 +643,9 @@ mod tests {
         }
     }
 
-    fn arrival_times<T: FallibleTransport>(chaos: &mut T) -> Vec<f64> {
+    fn arrival_times<T: Transport>(chaos: &mut T) -> Vec<f64> {
         let mut times = Vec::new();
-        while let Ok(Some(msg)) = chaos.try_recv() {
+        while let Some(msg) = chaos.recv() {
             times.push(msg.at);
             if times.len() > 100 {
                 break;
@@ -746,7 +661,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let inner = ScriptedTransport::with_requests(&[1.0, 2.0, 3.0]);
-        let mut chaos = ChaosTransport::new(inner, plan.arm());
+        let mut chaos = ChaosTransport::new(inner, plan.arm(), RetryPolicy::default());
         assert_eq!(arrival_times(&mut chaos), vec![1.0, 3.0]);
     }
 
@@ -757,7 +672,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let inner = ScriptedTransport::with_requests(&[1.0, 2.0]);
-        let mut chaos = ChaosTransport::new(inner, plan.arm());
+        let mut chaos = ChaosTransport::new(inner, plan.arm(), RetryPolicy::default());
         assert_eq!(arrival_times(&mut chaos), vec![1.0, 1.0, 2.0]);
     }
 
@@ -768,7 +683,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let inner = ScriptedTransport::with_requests(&[1.0, 2.0, 3.0]);
-        let mut chaos = ChaosTransport::new(inner, plan.arm());
+        let mut chaos = ChaosTransport::new(inner, plan.arm(), RetryPolicy::default());
         let times = arrival_times(&mut chaos);
         // Message 0 is delayed from 1.0 to 2.5, landing between 2.0 and 3.0.
         assert_eq!(times, vec![2.0, 2.5, 3.0]);
@@ -782,14 +697,13 @@ mod tests {
             ..FaultPlan::none()
         };
         let inner = ScriptedTransport::with_requests(&[]);
-        let chaos = ChaosTransport::new(inner, plan.arm());
-        let mut retry = RetryTransport::new(chaos, RetryPolicy::default());
+        let mut retry = ChaosTransport::new(inner, plan.arm(), RetryPolicy::default());
         retry.send(7, ServerMsg::NoWork, 10.0);
         let stats = retry.stats();
         assert_eq!(stats.send_attempts, 3);
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.abandoned, 0);
-        let sent = &retry.inner().inner().sent;
+        let sent = &retry.inner().sent;
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].0, 7);
         // Delivered after some accumulated virtual backoff.
@@ -804,17 +718,16 @@ mod tests {
             ..FaultPlan::none()
         };
         let inner = ScriptedTransport::with_requests(&[]);
-        let chaos = ChaosTransport::new(inner, plan.arm());
         let policy = RetryPolicy {
             deadline: 5.0,
             ..RetryPolicy::default()
         };
-        let mut retry = RetryTransport::new(chaos, policy);
+        let mut retry = ChaosTransport::new(inner, plan.arm(), policy);
         retry.send(0, ServerMsg::NoWork, 0.0);
         let stats = retry.stats();
         assert_eq!(stats.abandoned, 1);
         assert!(stats.send_attempts < 16, "deadline must bound attempts");
-        assert!(retry.inner().inner().sent.is_empty());
+        assert!(retry.inner().sent.is_empty());
     }
 
     #[test]
@@ -825,14 +738,13 @@ mod tests {
                 ..FaultPlan::none()
             };
             let inner = ScriptedTransport::with_requests(&[]);
-            let chaos = ChaosTransport::new(inner, plan.arm());
             let policy = RetryPolicy {
                 seed,
                 ..RetryPolicy::default()
             };
-            let mut retry = RetryTransport::new(chaos, policy);
+            let mut retry = ChaosTransport::new(inner, plan.arm(), policy);
             retry.send(0, ServerMsg::NoWork, 0.0);
-            retry.inner().inner().sent.clone()
+            retry.inner().sent.clone()
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));

@@ -7,7 +7,7 @@
 use pdsat_distrib::{
     synthetic_family_solver, ChaosTransport, CheckpointError, CheckpointStore, ClientBehavior,
     Coordinator, CoordinatorCheckpoint, CoordinatorConfig, FaultPlan, LoopbackConfig,
-    LoopbackTransport, RetryPolicy, RetryTransport, RunStatus,
+    LoopbackTransport, RetryPolicy, RunStatus,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,14 +76,13 @@ fn run_to_completion(
             coordinator.run(&mut transport, Some(EVENT_CEILING))
         }
         Some(plan) => {
-            let chaos = ChaosTransport::new(inner, plan.arm());
             let policy = RetryPolicy {
                 seed: seed ^ 0xBAC0_FF5E,
                 ..RetryPolicy::default()
             };
-            let mut transport = RetryTransport::new(chaos, policy);
+            let mut transport = ChaosTransport::new(inner, plan.arm(), policy);
             let status = coordinator.run(&mut transport, Some(EVENT_CEILING));
-            // The retry layer must have been the one absorbing the injected
+            // The retry loop must have been the one absorbing the injected
             // send failures (if the plan scheduled any within the run).
             let stats = transport.stats();
             assert!(stats.send_attempts >= stats.retries);

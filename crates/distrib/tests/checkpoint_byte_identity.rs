@@ -104,13 +104,13 @@ fn dressed(checkpoint: &CoordinatorCheckpoint) -> CoordinatorCheckpoint {
         let n = u64::from(id);
         report.unknown_count = (id % 3) as usize;
         report.wall_time = Duration::from_nanos(n * 1_000 + 7);
-        report.reused_assumptions = n * 3;
-        report.saved_propagations = n * 1_001;
-        report.exported_clauses = n + 1;
-        report.imported_clauses = n + 2;
-        report.import_dropped = n % 4;
-        report.worker_panics = n % 2;
-        report.requeued_cubes = n % 7;
+        report.counters.reused_assumptions = n * 3;
+        report.counters.saved_propagations = n * 1_001;
+        report.counters.exported_clauses = n + 1;
+        report.counters.imported_clauses = n + 2;
+        report.counters.import_dropped = n % 4;
+        report.counters.worker_panics = n % 2;
+        report.counters.requeued_cubes = n % 7;
         let mut model = Assignment::new(11 + (id % 4) as usize);
         for v in 0..model.num_vars() {
             match (v + id as usize) % 3 {

@@ -1,6 +1,7 @@
 //! Regenerates Table 3 of the paper: weakened BiviumK/GrainK problems,
 //! predicted vs. real family processing cost and time-to-SAT.
 
+use pdsat_core::FamilyCounters;
 use pdsat_distrib::ClusterConfig;
 use pdsat_experiments::backend_from_env;
 use pdsat_experiments::table3::{default_table3_problems, run_table3};
@@ -36,31 +37,15 @@ fn main() {
         .sum::<f64>()
         / result.rows.len().max(1) as f64;
     println!("Mean deviation across the scaled problems: {mean_dev:.1}%");
-    let (reused, saved) = result
-        .rows
-        .iter()
-        .flat_map(|r| &r.instances)
-        .fold((0u64, 0u64), |(r, s), m| {
-            (r + m.reused_assumptions, s + m.saved_propagations)
-        });
+    let mut counters = FamilyCounters::default();
+    for measurement in result.rows.iter().flat_map(|r| &r.instances) {
+        counters += measurement.counters;
+    }
     println!(
-        "Trail reuse while solving the families: {reused} assumption levels reused, \
-         {saved} replay propagations skipped"
+        "Family counters summed over every family solved \
+         (trail reuse, clause sharing, panic recovery):"
     );
-    let (exported, imported, dropped) =
-        result
-            .rows
-            .iter()
-            .flat_map(|r| &r.instances)
-            .fold((0u64, 0u64, 0u64), |(e, i, d), m| {
-                (
-                    e + m.exported_clauses,
-                    i + m.imported_clauses,
-                    d + m.import_dropped,
-                )
-            });
-    println!(
-        "Clause sharing while solving the families: {exported} learnt clauses exported, \
-         {imported} imported, {dropped} dropped"
-    );
+    for (name, value) in FamilyCounters::NAMES.iter().zip(counters.values()) {
+        println!("  {name} = {value}");
+    }
 }

@@ -16,8 +16,8 @@
 use crate::scaled::ScaledWorkload;
 use crate::text_table::{sci, TextTable};
 use pdsat_core::{
-    DecompositionSet, DriverConfig, FamilySolver, SearchDriver, SearchLimits, SolveModeConfig,
-    Tabu, TabuConfig,
+    DecompositionSet, DriverConfig, FamilyCounters, FamilySolver, SearchDriver, SearchLimits,
+    SolveModeConfig, Tabu, TabuConfig,
 };
 use pdsat_distrib::{simulate_cluster, ClusterConfig};
 
@@ -33,28 +33,9 @@ pub struct InstanceMeasurement {
     /// Simulated time at which the first satisfiable cube finished on the
     /// cluster, if any cube is satisfiable.
     pub finding_sat_cores: Option<f64>,
-    /// Assumption literals reused across consecutive cubes by the solver's
-    /// trail reuse while processing the family (zero on the fresh backend,
-    /// where every sub-problem is an independent solver run).
-    pub reused_assumptions: u64,
-    /// Assumption/propagation replays the trail reuse skipped over the
-    /// whole family.
-    pub saved_propagations: u64,
-    /// Learnt clauses the pool workers exported to the cooperative
-    /// clause-sharing channel while processing the family (zero unless
-    /// `SolveModeConfig::clause_sharing` ran on a real pool).
-    pub exported_clauses: u64,
-    /// Foreign clauses imported from the channel and attached.
-    pub imported_clauses: u64,
-    /// Shared clauses lost to full rings or rejected at import.
-    pub import_dropped: u64,
-    /// Worker-thread panics survived via backend quarantine and respawn
-    /// (zero in healthy runs; nonzero only under fault injection or a
-    /// genuinely crashing backend).
-    pub worker_panics: u64,
-    /// Cubes whose first solve attempt died with its backend and that were
-    /// re-run exactly once on a respawned or fallback backend.
-    pub requeued_cubes: u64,
+    /// The family counters of the solving-mode run (trail reuse, clause
+    /// sharing, panic recovery), summed over the family.
+    pub counters: FamilyCounters,
 }
 
 /// One row of Table 3 (one weakened problem, three instances).
@@ -224,13 +205,7 @@ pub fn run_table3(
                 family_cost_one_core: report.total_cost,
                 family_makespan_cores: cluster_report.makespan,
                 finding_sat_cores: cluster_report.first_sat_finish,
-                reused_assumptions: report.reused_assumptions,
-                saved_propagations: report.saved_propagations,
-                exported_clauses: report.exported_clauses,
-                imported_clauses: report.imported_clauses,
-                import_dropped: report.import_dropped,
-                worker_panics: report.worker_panics,
-                requeued_cubes: report.requeued_cubes,
+                counters: report.counters,
             });
         }
         let mean_deviation_percent = if deviations.is_empty() {

@@ -2,7 +2,7 @@
 //! (Algorithm 1 of the paper), as a [`Strategy`] for the [`SearchDriver`].
 
 use crate::driver::{Evaluated, Observation, Proposal, SearchContext, Strategy};
-use crate::search::{SearchLimits, StopCondition};
+use crate::search::StopCondition;
 use crate::Point;
 use rand::Rng;
 
@@ -24,11 +24,9 @@ pub enum TemperatureScale {
     Absolute,
 }
 
-/// Parameters of Algorithm 1.
-///
-/// `limits` and `seed` belong to the [`DriverConfig`] of the
-/// [`SearchDriver`] that runs the strategy; [`Annealing::new`] reads only
-/// the temperature schedule.
+/// Parameters of Algorithm 1: the temperature schedule. Stopping criteria
+/// and the seed belong to the [`DriverConfig`](crate::DriverConfig) of the
+/// [`SearchDriver`](crate::SearchDriver) that runs the strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnnealingConfig {
     /// Initial temperature `T₀`.
@@ -40,11 +38,6 @@ pub struct AnnealingConfig {
     pub min_temperature: f64,
     /// Interpretation of the temperature (see [`TemperatureScale`]).
     pub scale: TemperatureScale,
-    /// Global stopping criteria (`timeExceeded()` generalized).
-    pub limits: SearchLimits,
-    /// Seed of the random choices (which unchecked neighbour to evaluate,
-    /// Metropolis acceptance).
-    pub seed: u64,
 }
 
 impl Default for AnnealingConfig {
@@ -54,8 +47,6 @@ impl Default for AnnealingConfig {
             cooling_factor: 0.95,
             min_temperature: 1e-3,
             scale: TemperatureScale::RelativeToCurrent,
-            limits: SearchLimits::unlimited().with_max_points(200),
-            seed: 0,
         }
     }
 }
@@ -87,8 +78,7 @@ pub struct Annealing {
 }
 
 impl Annealing {
-    /// Creates the strategy from the temperature schedule of `config`
-    /// (`config.limits` and `config.seed` belong to the [`DriverConfig`]).
+    /// Creates the strategy from the temperature schedule of `config`.
     #[must_use]
     pub fn new(config: &AnnealingConfig) -> Annealing {
         Annealing {
@@ -205,43 +195,27 @@ impl Strategy for Annealing {
 mod tests {
     use super::*;
     use crate::driver::SearchDriver;
-    use crate::search::SearchOutcome;
+    use crate::search::{SearchLimits, SearchOutcome};
     use crate::{CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchSpace};
-    use pdsat_cnf::{Cnf, Lit, Var};
+    use pdsat_cnf::{Cnf, Var};
 
     /// Drives an [`Annealing`] strategy through the [`SearchDriver`] — the
     /// one way to run Algorithm 1 since the deprecated
     /// `SimulatedAnnealing::minimize` shim was removed.
     fn minimize(
         config: &AnnealingConfig,
+        limits: SearchLimits,
+        seed: u64,
         space: &SearchSpace,
         start: &Point,
         evaluator: &mut Evaluator,
     ) -> SearchOutcome {
         let driver = SearchDriver::new(DriverConfig {
-            limits: config.limits.clone(),
-            seed: config.seed,
+            limits,
+            seed,
             ..DriverConfig::default()
         });
         driver.run(space, start, &mut Annealing::new(config), evaluator)
-    }
-
-    /// Unsatisfiable pigeonhole formula: 5 pigeons, 4 holes (20 variables).
-    fn pigeonhole() -> Cnf {
-        let (pigeons, holes) = (5, 4);
-        let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-        let mut cnf = Cnf::new(pigeons * holes);
-        for i in 0..pigeons {
-            cnf.add_clause((0..holes).map(|j| var(i, j)));
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    cnf.add_clause([!var(i1, j), !var(i2, j)]);
-                }
-            }
-        }
-        cnf
     }
 
     fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
@@ -257,16 +231,18 @@ mod tests {
 
     #[test]
     fn annealing_improves_on_the_starting_point() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..8).map(Var::new));
         let start = space.full_point();
         let mut eval = evaluator(&cnf, 16);
-        let config = AnnealingConfig {
-            limits: SearchLimits::unlimited().with_max_points(40),
-            seed: 3,
-            ..AnnealingConfig::default()
-        };
-        let outcome = minimize(&config, &space, &start, &mut eval);
+        let outcome = minimize(
+            &AnnealingConfig::default(),
+            SearchLimits::unlimited().with_max_points(40),
+            3,
+            &space,
+            &start,
+            &mut eval,
+        );
         assert!(outcome.points_evaluated <= 40);
         assert!(outcome.best_value <= outcome.history[0].value);
         assert_eq!(
@@ -281,17 +257,19 @@ mod tests {
 
     #[test]
     fn annealing_is_reproducible_for_a_fixed_seed() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..6).map(Var::new));
         let start = space.full_point();
         let run = |seed| {
             let mut eval = evaluator(&cnf, 8);
-            let config = AnnealingConfig {
-                limits: SearchLimits::unlimited().with_max_points(20),
+            let out = minimize(
+                &AnnealingConfig::default(),
+                SearchLimits::unlimited().with_max_points(20),
                 seed,
-                ..AnnealingConfig::default()
-            };
-            let out = minimize(&config, &space, &start, &mut eval);
+                &space,
+                &start,
+                &mut eval,
+            );
             (out.best_point.clone(), out.best_value)
         };
         assert_eq!(run(7), run(7));
@@ -299,7 +277,7 @@ mod tests {
 
     #[test]
     fn temperature_floor_stops_the_search() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..5).map(Var::new));
         let start = space.full_point();
         let mut eval = evaluator(&cnf, 4);
@@ -307,11 +285,16 @@ mod tests {
             initial_temperature: 1.0,
             cooling_factor: 0.1,
             min_temperature: 0.5,
-            limits: SearchLimits::unlimited(),
-            seed: 1,
             ..AnnealingConfig::default()
         };
-        let outcome = minimize(&config, &space, &start, &mut eval);
+        let outcome = minimize(
+            &config,
+            SearchLimits::unlimited(),
+            1,
+            &space,
+            &start,
+            &mut eval,
+        );
         assert_eq!(outcome.stop_condition, StopCondition::TemperatureFloor);
         // One initial evaluation plus very few steps before the temperature
         // drops below the floor.
@@ -320,16 +303,18 @@ mod tests {
 
     #[test]
     fn point_limit_is_respected_exactly() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..6).map(Var::new));
         let start = space.full_point();
         let mut eval = evaluator(&cnf, 4);
-        let config = AnnealingConfig {
-            limits: SearchLimits::unlimited().with_max_points(5),
-            seed: 11,
-            ..AnnealingConfig::default()
-        };
-        let outcome = minimize(&config, &space, &start, &mut eval);
+        let outcome = minimize(
+            &AnnealingConfig::default(),
+            SearchLimits::unlimited().with_max_points(5),
+            11,
+            &space,
+            &start,
+            &mut eval,
+        );
         assert_eq!(outcome.points_evaluated, 5);
         assert_eq!(outcome.stop_condition, StopCondition::PointLimit);
     }
@@ -337,12 +322,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "start point must live in the search space")]
     fn dimension_mismatch_panics() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..6).map(Var::new));
         let other = SearchSpace::new((0..4).map(Var::new));
         let mut eval = evaluator(&cnf, 2);
         let _ = minimize(
             &AnnealingConfig::default(),
+            SearchLimits::unlimited(),
+            0,
             &space,
             &other.full_point(),
             &mut eval,

@@ -113,19 +113,6 @@ impl PredictiveEstimate {
         };
         2f64.powi(self.set_size as i32) * stats.confidence_half_width(gamma)
     }
-
-    /// Extrapolates the sequential estimate to `cores` identical cores by
-    /// dividing (the paper's "estimation for 480 CPU cores is based on the
-    /// estimation for 1 CPU core").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores == 0`.
-    #[must_use]
-    pub fn per_cores(&self, cores: usize) -> f64 {
-        assert!(cores > 0, "at least one core is required");
-        self.value / cores as f64
-    }
 }
 
 /// Quantile function (inverse CDF) of the standard normal distribution.
@@ -315,7 +302,6 @@ mod tests {
         assert_eq!(est.sample_size, 2);
         assert!((est.mean_cost - 3.0).abs() < 1e-12);
         assert!((est.value - 1024.0 * 3.0).abs() < 1e-9);
-        assert!((est.per_cores(8) - est.value / 8.0).abs() < 1e-12);
         assert!(est.confidence_half_width(0.95) > 0.0);
     }
 
@@ -331,12 +317,5 @@ mod tests {
     #[should_panic(expected = "probability must lie strictly in (0,1)")]
     fn quantile_rejects_bad_input() {
         let _ = normal_quantile(1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one core")]
-    fn per_cores_rejects_zero() {
-        let est = PredictiveEstimate::from_observations(2, &[1.0]);
-        let _ = est.per_cores(0);
     }
 }

@@ -22,8 +22,8 @@
 //!    proposals are lowered through [`Evaluator::evaluate_batch`] into single
 //!    oracle batches, so the worker pool parallelizes *across* points.
 //! 4. **Solving mode.** [`FamilySolver`] processes the whole family of the
-//!    best set found, and [`ParallelSystem`] extrapolates sequential
-//!    estimates to a cluster.
+//!    best set found into a [`SolveReport`]; its per-cube costs are what
+//!    `pdsat_distrib::simulate_cluster` extrapolates to a cluster.
 //!
 //! All solve paths — the [`Evaluator`], [`FamilySolver`] and ad-hoc batches —
 //! route through one [`CubeOracle`]:
@@ -42,26 +42,14 @@
 //! # Quick start
 //!
 //! ```
-//! use pdsat_cnf::{Cnf, Cube, Lit, Var};
+//! use pdsat_cnf::{Cnf, Cube, Var};
 //! use pdsat_core::{
 //!     BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, DriverConfig,
 //!     Evaluator, EvaluatorConfig, SearchDriver, SearchLimits, SearchSpace, Tabu, TabuConfig,
 //! };
 //!
 //! // A toy unsatisfiable formula (pigeonhole 4→3).
-//! let (pigeons, holes) = (4, 3);
-//! let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-//! let mut cnf = Cnf::new(pigeons * holes);
-//! for i in 0..pigeons {
-//!     cnf.add_clause((0..holes).map(|j| var(i, j)));
-//! }
-//! for j in 0..holes {
-//!     for i1 in 0..pigeons {
-//!         for i2 in (i1 + 1)..pigeons {
-//!             cnf.add_clause([!var(i1, j), !var(i2, j)]);
-//!         }
-//!     }
-//! }
+//! let cnf = Cnf::pigeonhole(4);
 //!
 //! // Solve one decomposition family directly through the oracle, with a warm
 //! // (persistent incremental) solver per worker.
@@ -103,7 +91,6 @@ mod cost;
 mod decomposition;
 mod driver;
 mod estimator;
-mod extrapolate;
 pub mod fault;
 mod oracle;
 mod predict;
@@ -120,7 +107,6 @@ pub use driver::{
     DriverConfig, Evaluated, Observation, Proposal, SearchContext, SearchDriver, Strategy,
 };
 pub use estimator::{normal_cdf, normal_quantile, PredictiveEstimate, SampleStats};
-pub use extrapolate::ParallelSystem;
 pub use fault::{FaultPlan, FaultState, RecvAction};
 pub use oracle::{
     prefix_schedule_order, BackendKind, BackendOutcome, BatchConfig, BatchResult, CubeBackend,
@@ -131,6 +117,6 @@ pub use restart::{RandomRestart, RandomRestartConfig};
 pub use search::{
     SearchCheckpoint, SearchLimits, SearchOutcome, SearchStep, StopCondition, VisitedPoint,
 };
-pub use solve_mode::{CubeCertificate, FamilySolver, SolveModeConfig, SolveReport};
+pub use solve_mode::{CubeCertificate, FamilyCounters, FamilySolver, SolveModeConfig, SolveReport};
 pub use space::{Point, SearchSpace};
 pub use tabu::{NewCenterHeuristic, Tabu, TabuConfig};

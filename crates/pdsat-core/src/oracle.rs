@@ -547,23 +547,19 @@ impl CubeOracle {
                 let order =
                     (schedule && !is_prefix_ordered(cubes)).then(|| prefix_schedule_order(cubes));
                 outcomes.reserve_exact(cubes.len());
-                backend.begin_batch();
-                for pos in 0..cubes.len() {
-                    if config.stop_on_sat && interrupt.is_raised() {
-                        break;
-                    }
-                    let index = order.as_ref().map_or(pos, |o| o[pos] as usize);
-                    let raw =
-                        backend.solve(cubes[index].lits(), &config.budget, &interrupt, &mut totals);
-                    let outcome = finish_outcome(index, raw, config.cost);
-                    if config.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
-                        interrupt.raise();
-                    }
-                    outcomes.push(outcome);
-                }
+                let indices =
+                    (0..cubes.len()).map(|pos| order.as_ref().map_or(pos, |o| o[pos] as usize));
                 // Solver statistics (trail-reuse counters included) are
                 // merged once per batch, mirroring the pool path.
-                stats = backend.end_batch();
+                stats = solve_on_caller(
+                    backend.as_mut(),
+                    cubes,
+                    indices,
+                    config,
+                    &interrupt,
+                    &mut totals,
+                    &mut outcomes,
+                );
                 in_index_order = order.is_none();
             }
             Executor::Pool(pool) => {
@@ -621,25 +617,17 @@ impl CubeOracle {
                         measure_wall_time,
                         None,
                     );
-                    fallback.begin_batch();
-                    for &index in &failed {
-                        if config.stop_on_sat && interrupt.is_raised() {
-                            break;
-                        }
-                        let raw = fallback.solve(
-                            cubes[index].lits(),
-                            &config.budget,
-                            &interrupt,
-                            &mut totals,
-                        );
-                        let outcome = finish_outcome(index, raw, config.cost);
-                        if config.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
-                            interrupt.raise();
-                        }
-                        outcomes.push(outcome);
-                        stats.requeued_cubes += 1;
-                    }
-                    stats.absorb(&fallback.end_batch());
+                    let solved_before = outcomes.len();
+                    stats.absorb(&solve_on_caller(
+                        fallback.as_mut(),
+                        cubes,
+                        failed.iter().copied(),
+                        config,
+                        &interrupt,
+                        &mut totals,
+                        &mut outcomes,
+                    ));
+                    stats.requeued_cubes += (outcomes.len() - solved_before) as u64;
                 }
             }
         }
@@ -670,6 +658,36 @@ impl CubeOracle {
     }
 }
 
+/// One batch — or what is left of one — on the calling thread: solves
+/// `cubes[index]` for each of `indices` in turn on `backend`, appends the
+/// outcomes and returns the backend's statistics for the run. With
+/// `stop_on_sat` the first satisfiable cube raises `interrupt` and the rest
+/// are never started. Shared by the sequential executor and the pool's
+/// last-resort fallback.
+fn solve_on_caller(
+    backend: &mut dyn CubeBackend,
+    cubes: &[Cube],
+    indices: impl Iterator<Item = usize>,
+    config: &BatchConfig,
+    interrupt: &InterruptFlag,
+    totals: &mut [u64],
+    outcomes: &mut Vec<CubeOutcome>,
+) -> SolverStats {
+    backend.begin_batch();
+    for index in indices {
+        if config.stop_on_sat && interrupt.is_raised() {
+            break;
+        }
+        let raw = backend.solve(cubes[index].lits(), &config.budget, interrupt, totals);
+        let outcome = finish_outcome(index, raw, config.cost);
+        if config.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
+            interrupt.raise();
+        }
+        outcomes.push(outcome);
+    }
+    backend.end_batch()
+}
+
 /// Turns a backend's raw report into the executor-level outcome: measures the
 /// cost and summarizes the verdict, keeping the model of a satisfiable cube.
 fn finish_outcome(index: usize, raw: BackendOutcome, cost: CostMetric) -> CubeOutcome {
@@ -695,24 +713,6 @@ mod tests {
     use crate::DecompositionSet;
     use pdsat_cnf::{Lit, Var};
     use rand::SeedableRng;
-
-    /// A small unsatisfiable pigeonhole formula (p pigeons, p-1 holes).
-    fn pigeonhole(pigeons: usize) -> Cnf {
-        let holes = pigeons - 1;
-        let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-        let mut cnf = Cnf::new(pigeons * holes);
-        for i in 0..pigeons {
-            cnf.add_clause((0..holes).map(|j| var(i, j)));
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    cnf.add_clause([!var(i1, j), !var(i2, j)]);
-                }
-            }
-        }
-        cnf
-    }
 
     fn sat_chain(n: usize) -> Cnf {
         // x1 → x2 → … → xn, satisfiable.
@@ -761,7 +761,7 @@ mod tests {
 
     #[test]
     fn parallel_batch_matches_sequential_verdicts() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new((0..3).map(Var::new));
         let cubes: Vec<Cube> = set.cubes().collect();
         let seq_config = BatchConfig {
@@ -791,7 +791,7 @@ mod tests {
 
     #[test]
     fn unsat_formula_has_no_sat_cube() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new([Var::new(0), Var::new(5)]);
         let cubes: Vec<Cube> = set.cubes().collect();
         let result = batch(&cnf, &cubes, &BatchConfig::default());
@@ -820,7 +820,7 @@ mod tests {
 
     #[test]
     fn empty_batch_returns_immediately_for_both_executors() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         for workers in [1usize, 4] {
             let config = BatchConfig {
                 num_workers: workers,
@@ -844,7 +844,7 @@ mod tests {
 
     #[test]
     fn more_workers_than_cubes_clamps_the_dispatch() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new([Var::new(0)]);
         let cubes: Vec<Cube> = set.cubes().collect(); // 2 cubes
         let config = BatchConfig {
@@ -868,7 +868,7 @@ mod tests {
 
     #[test]
     fn worker_clamp_respects_available_parallelism() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         let hardware = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
@@ -909,7 +909,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_is_reported_as_unknown() {
-        let cnf = pigeonhole(7);
+        let cnf = Cnf::pigeonhole(7);
         let set = DecompositionSet::new([Var::new(0)]);
         let cubes: Vec<Cube> = set.cubes().collect();
         let config = BatchConfig {
@@ -923,7 +923,7 @@ mod tests {
 
     #[test]
     fn warm_backend_agrees_on_verdicts_with_fresh_backend() {
-        let cnf = pigeonhole(5);
+        let cnf = Cnf::pigeonhole(5);
         let set = DecompositionSet::new((0..4).map(Var::new));
         let cubes: Vec<Cube> = set.cubes().collect();
         let fresh_config = BatchConfig {
@@ -952,7 +952,7 @@ mod tests {
 
     #[test]
     fn random_sample_batch_is_reproducible_with_deterministic_metric() {
-        let cnf = pigeonhole(5);
+        let cnf = Cnf::pigeonhole(5);
         let set = DecompositionSet::new((0..4).map(Var::new));
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let cubes = set.random_sample(10, &mut rng);
@@ -1006,7 +1006,7 @@ mod tests {
 
     #[test]
     fn prefix_scheduling_changes_processing_order_not_results() {
-        let cnf = pigeonhole(5);
+        let cnf = Cnf::pigeonhole(5);
         let set = DecompositionSet::new((0..4).map(Var::new));
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         // A shuffled random sample, so the prefix sort actually reorders.
@@ -1066,7 +1066,7 @@ mod tests {
 
     #[test]
     fn oracle_counters_accumulate_across_batches() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new((0..2).map(Var::new));
         let cubes: Vec<Cube> = set.cubes().collect();
         let mut oracle = CubeOracle::new(&cnf, BatchConfig::default());

@@ -217,37 +217,28 @@ impl Evaluator {
     }
 
     /// Evaluates the predictive function at `set` using a fresh random sample
-    /// of `N = config.sample_size` cubes.
+    /// of `N = config.sample_size` cubes:
+    /// [`evaluate_batch`](Self::evaluate_batch) over the one set.
     pub fn evaluate(&mut self, set: &DecompositionSet) -> PointEvaluation {
-        // Derive a per-evaluation RNG so repeated runs of a whole search are
-        // reproducible while different points get independent samples.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(
-            self.config
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(self.evaluations),
-        );
-        let cubes = set.random_sample(self.config.sample_size, &mut rng);
-        self.evaluate_with_sample(set, &cubes, None)
+        self.evaluate_batch(std::slice::from_ref(set))
+            .pop()
+            .expect("one evaluation per set")
     }
 
     /// Evaluates `set` through the oracle's memoizing point cache: a point
     /// that any search sharing this evaluator has already paid for is
-    /// answered instantly with the stored evaluation.
+    /// answered instantly with the stored evaluation
+    /// ([`evaluate_batch_memoized`](Self::evaluate_batch_memoized) over the
+    /// one set).
     ///
     /// The metaheuristics use this entry point. [`evaluate`](Self::evaluate)
     /// and the exhaustive cross-check bypass the cache on purpose (they are
     /// asked for a *fresh* measurement) and do not populate it, so sampled
     /// and exhaustive values are never conflated.
     pub fn evaluate_memoized(&mut self, set: &DecompositionSet) -> PointEvaluation {
-        if let Some(hit) = self.oracle.point_cache_mut().lookup(set.vars()) {
-            return hit.clone();
-        }
-        let evaluation = self.evaluate(set);
-        self.oracle
-            .point_cache_mut()
-            .store(set.vars().to_vec(), evaluation.clone());
-        evaluation
+        self.evaluate_batch_memoized(std::slice::from_ref(set))
+            .pop()
+            .expect("one evaluation per set")
     }
 
     /// Evaluates the predictive function at `set` on a caller-provided sample
@@ -293,9 +284,10 @@ impl Evaluator {
         if sets.is_empty() {
             return Vec::new();
         }
-        // One sample plan per point, with the same per-evaluation RNG
-        // derivation the sequential path uses (point k of the batch draws
-        // exactly the sample it would draw as the k-th sequential call).
+        // One sample plan per point. The per-evaluation RNG makes repeated
+        // runs of a whole search reproducible while different points get
+        // independent samples: point k of the batch draws exactly the sample
+        // it would draw as the k-th single-set call.
         let mut plan: Vec<Cube> = Vec::with_capacity(sets.len() * self.config.sample_size);
         let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(sets.len());
         for (k, set) in sets.iter().enumerate() {
@@ -345,8 +337,7 @@ impl Evaluator {
     /// misses (deduplicated) are evaluated in one oracle batch and stored.
     ///
     /// This is the entry point the [`SearchDriver`](crate::SearchDriver)
-    /// lowers neighborhood proposals through; for a single-set slice it
-    /// behaves exactly like [`evaluate_memoized`](Self::evaluate_memoized).
+    /// lowers neighborhood proposals through.
     pub fn evaluate_batch_memoized(&mut self, sets: &[DecompositionSet]) -> Vec<PointEvaluation> {
         // Slot k of `resolved` is either a finished evaluation (cache hit)
         // or the index of the deduplicated miss that will provide it.
@@ -443,24 +434,6 @@ mod tests {
     use super::*;
     use pdsat_cnf::Lit;
 
-    /// Small unsatisfiable pigeonhole formula.
-    fn pigeonhole(pigeons: usize) -> Cnf {
-        let holes = pigeons - 1;
-        let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-        let mut cnf = Cnf::new(pigeons * holes);
-        for i in 0..pigeons {
-            cnf.add_clause((0..holes).map(|j| var(i, j)));
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    cnf.add_clause([!var(i1, j), !var(i2, j)]);
-                }
-            }
-        }
-        cnf
-    }
-
     fn conflicts_config(n: usize) -> EvaluatorConfig {
         EvaluatorConfig {
             sample_size: n,
@@ -473,7 +446,7 @@ mod tests {
     fn exhaustive_evaluation_equals_true_total() {
         // With the whole family as the sample, F equals the exact total cost:
         // 2^d · (1/2^d) Σ ζ = Σ ζ.
-        let cnf = pigeonhole(5);
+        let cnf = Cnf::pigeonhole(5);
         let mut evaluator = Evaluator::new(&cnf, conflicts_config(0));
         let set = DecompositionSet::new((0..4).map(Var::new));
         let eval = evaluator.evaluate_exhaustively(&set);
@@ -486,7 +459,7 @@ mod tests {
 
     #[test]
     fn sampled_estimate_is_close_to_exhaustive_value_for_uniform_costs() {
-        let cnf = pigeonhole(5);
+        let cnf = Cnf::pigeonhole(5);
         let set = DecompositionSet::new((0..4).map(Var::new));
         let mut evaluator = Evaluator::new(&cnf, conflicts_config(64));
         let sampled = evaluator.evaluate(&set);
@@ -501,7 +474,7 @@ mod tests {
 
     #[test]
     fn evaluation_counters_and_activity_accumulate() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new((0..3).map(Var::new));
         let mut evaluator = Evaluator::new(&cnf, conflicts_config(8));
         assert_eq!(evaluator.evaluations(), 0);
@@ -517,7 +490,7 @@ mod tests {
 
     #[test]
     fn memoized_evaluation_pays_only_once_per_point() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new((0..3).map(Var::new));
         let mut evaluator = Evaluator::new(&cnf, conflicts_config(8));
         let first = evaluator.evaluate_memoized(&set);
@@ -538,7 +511,7 @@ mod tests {
 
     #[test]
     fn plain_evaluate_bypasses_the_cache() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new((0..3).map(Var::new));
         let mut evaluator = Evaluator::new(&cnf, conflicts_config(4));
         let _ = evaluator.evaluate(&set);
@@ -572,7 +545,7 @@ mod tests {
     fn larger_sets_scale_the_estimate_by_two_to_the_d() {
         // For a formula where every cube costs essentially the same, doubling
         // the set size roughly doubles F (2^{d+1}·mean vs 2^d·mean).
-        let cnf = pigeonhole(5);
+        let cnf = Cnf::pigeonhole(5);
         let mut evaluator = Evaluator::new(&cnf, conflicts_config(32));
         let small = DecompositionSet::new((0..2).map(Var::new));
         let large = DecompositionSet::new((0..6).map(Var::new));
@@ -588,7 +561,7 @@ mod tests {
 
     #[test]
     fn same_seed_gives_identical_estimates() {
-        let cnf = pigeonhole(5);
+        let cnf = Cnf::pigeonhole(5);
         let set = DecompositionSet::new((0..4).map(Var::new));
         let run = || {
             let mut evaluator = Evaluator::new(&cnf, conflicts_config(16));
@@ -599,7 +572,7 @@ mod tests {
 
     #[test]
     fn restrict_to_formula_drops_foreign_vars() {
-        let cnf = pigeonhole(4);
+        let cnf = Cnf::pigeonhole(4);
         let evaluator = Evaluator::new(&cnf, conflicts_config(1));
         let set = evaluator.restrict_to_formula(&[Var::new(0), Var::new(100_000)]);
         assert_eq!(set.len(), 1);

@@ -179,24 +179,7 @@ mod tests {
         CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver, SearchLimits,
         SearchSpace,
     };
-    use pdsat_cnf::{Cnf, Lit, Var};
-
-    fn pigeonhole() -> Cnf {
-        let (pigeons, holes) = (5, 4);
-        let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-        let mut cnf = Cnf::new(pigeons * holes);
-        for i in 0..pigeons {
-            cnf.add_clause((0..holes).map(|j| var(i, j)));
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    cnf.add_clause([!var(i1, j), !var(i2, j)]);
-                }
-            }
-        }
-        cnf
-    }
+    use pdsat_cnf::{Cnf, Var};
 
     fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
         Evaluator::new(
@@ -211,7 +194,7 @@ mod tests {
 
     #[test]
     fn descends_and_respects_the_point_budget() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..8).map(Var::new));
         let mut eval = evaluator(&cnf, 8);
         let driver = SearchDriver::new(DriverConfig {
@@ -230,7 +213,7 @@ mod tests {
 
     #[test]
     fn restart_budget_terminates_an_unlimited_run() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..4).map(Var::new));
         let mut eval = evaluator(&cnf, 4);
         let driver = SearchDriver::new(DriverConfig {
@@ -252,7 +235,7 @@ mod tests {
 
     #[test]
     fn reproducible_for_a_fixed_seed() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..6).map(Var::new));
         let run = || {
             let mut eval = evaluator(&cnf, 8);

@@ -264,11 +264,19 @@ impl SearchCheckpoint {
         out
     }
 
+    /// Largest dimension [`from_text`](SearchCheckpoint::from_text) accepts.
+    /// Every restored point is a dense vector of `dimension` flags, so the
+    /// dimension line alone decides how much a checkpoint file can make the
+    /// loader allocate; 4096 is more than ten times the largest search space
+    /// of the paper (Bivium's 177 state variables) and caps a point at 4 KiB.
+    pub const MAX_DIMENSION: usize = 4096;
+
     /// Parses the text form produced by [`to_text`](SearchCheckpoint::to_text).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line, or of a dimension
+    /// above [`MAX_DIMENSION`](SearchCheckpoint::MAX_DIMENSION).
     pub fn from_text(text: &str) -> Result<SearchCheckpoint, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty checkpoint")?;
@@ -280,6 +288,12 @@ impl SearchCheckpoint {
             .strip_prefix("dimension ")
             .and_then(|d| d.trim().parse().ok())
             .ok_or_else(|| format!("bad dimension line '{dim_line}'"))?;
+        if dimension > SearchCheckpoint::MAX_DIMENSION {
+            return Err(format!(
+                "dimension {dimension} above the supported maximum {}",
+                SearchCheckpoint::MAX_DIMENSION
+            ));
+        }
         let parse_entry = |line: &str, tag: &str| -> Result<(f64, Point), String> {
             let rest = line
                 .strip_prefix(tag)
@@ -458,6 +472,19 @@ mod tests {
             "pdsat-search-checkpoint v1\ndimension 3\nbest 0000000000000000 5\n"
         )
         .is_err());
+        // A hostile dimension is refused before any point is allocated: these
+        // 78 bytes would otherwise ask for a petabyte `Vec` and abort.
+        let hostile =
+            "pdsat-search-checkpoint v1\ndimension 1000000000000000\nbest 0000000000000000 -\n";
+        assert_eq!(hostile.len(), 78);
+        assert!(SearchCheckpoint::from_text(hostile)
+            .unwrap_err()
+            .contains("above the supported maximum"));
+        let at_limit = SearchCheckpoint::empty(SearchCheckpoint::MAX_DIMENSION);
+        assert_eq!(
+            SearchCheckpoint::from_text(&at_limit.to_text()).unwrap(),
+            at_limit
+        );
     }
 
     /// A v1 checkpoint spelled out by hand rather than produced by the

@@ -10,7 +10,7 @@
 use crate::oracle::{BackendKind, BatchConfig, CubeOracle, VerdictSummary};
 use crate::{BatchResult, CostMetric, DecompositionSet};
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
-use pdsat_solver::{Budget, InterruptFlag, SolverConfig};
+use pdsat_solver::{Budget, InterruptFlag, SolverConfig, SolverStats};
 use std::time::Duration;
 
 /// Configuration of a solving-mode run.
@@ -60,6 +60,73 @@ impl Default for SolveModeConfig {
     }
 }
 
+/// Declares [`FamilyCounters`] from one ordered list: the fields, the
+/// conversion from [`SolverStats`], the sum and the ordered views are all
+/// generated from it. The list order is the order of the counters in the v1
+/// coordinator checkpoint's unit line, so it only ever grows at the end.
+macro_rules! family_counters {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// The counters a family carries from the solvers that processed it
+        /// to the report, the checkpoint and the result tables, each summed
+        /// over the family's cubes.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct FamilyCounters {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl FamilyCounters {
+            /// The counters' names, in [`values`](FamilyCounters::values)
+            /// order.
+            pub const NAMES: &'static [&'static str] = &[$(stringify!($field),)*];
+
+            /// The counters' values, in declaration order.
+            #[must_use]
+            pub fn values(&self) -> [u64; FamilyCounters::NAMES.len()] {
+                [$(self.$field,)*]
+            }
+
+            /// Mutable access to every counter, in declaration order.
+            pub fn values_mut(&mut self) -> [&mut u64; FamilyCounters::NAMES.len()] {
+                [$(&mut self.$field,)*]
+            }
+        }
+
+        impl From<&SolverStats> for FamilyCounters {
+            fn from(stats: &SolverStats) -> FamilyCounters {
+                FamilyCounters { $($field: stats.$field,)* }
+            }
+        }
+
+        impl std::ops::AddAssign for FamilyCounters {
+            fn add_assign(&mut self, other: FamilyCounters) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
+family_counters! {
+    /// Assumption literals reused from one cube to the next by the warm
+    /// backend's trail reuse. Zero for the fresh backend.
+    reused_assumptions,
+    /// Assumption/propagation replays skipped by trail reuse.
+    saved_propagations,
+    /// Learnt clauses exported to the cooperative clause-sharing channel;
+    /// zero unless [`SolveModeConfig::clause_sharing`] ran on a real pool.
+    exported_clauses,
+    /// Foreign clauses imported from the channel and attached.
+    imported_clauses,
+    /// Shared clauses lost on the way: ring evictions plus imports the
+    /// receiving solver could not attach.
+    import_dropped,
+    /// Pool worker backends that panicked mid-cube and were quarantined and
+    /// respawned. Zero on every fault-free run.
+    worker_panics,
+    /// Cubes re-solved after a backend panic — on the respawned worker or on
+    /// the oracle's sequential fallback.
+    requeued_cubes,
+}
+
 /// A DRAT certificate for one unsatisfiable cube of a family, attached to
 /// the [`SolveReport`] when [`SolverConfig::proof`] is enabled.
 ///
@@ -98,30 +165,8 @@ pub struct SolveReport {
     pub unknown_count: usize,
     /// Wall-clock time of the run with the configured number of workers.
     pub wall_time: Duration,
-    /// Assumption literals reused from one cube to the next by the warm
-    /// backend's trail reuse, summed over the family
-    /// (`SolverStats::reused_assumptions`). Zero for the fresh backend.
-    pub reused_assumptions: u64,
-    /// Assumption/propagation replays skipped by trail reuse, summed over
-    /// the family (`SolverStats::saved_propagations`).
-    pub saved_propagations: u64,
-    /// Learnt clauses exported to the cooperative clause-sharing channel
-    /// while processing the family (`SolverStats::exported_clauses`); zero
-    /// unless [`SolveModeConfig::clause_sharing`] ran on a real pool.
-    pub exported_clauses: u64,
-    /// Foreign clauses imported from the channel and attached
-    /// (`SolverStats::imported_clauses`).
-    pub imported_clauses: u64,
-    /// Shared clauses lost on the way: ring evictions plus imports the
-    /// receiving solver could not attach (`SolverStats::import_dropped`).
-    pub import_dropped: u64,
-    /// Pool worker backends that panicked mid-cube and were quarantined and
-    /// respawned while processing the family
-    /// (`SolverStats::worker_panics`). Zero on every fault-free run.
-    pub worker_panics: u64,
-    /// Cubes re-solved after a backend panic — on the respawned worker or on
-    /// the oracle's sequential fallback (`SolverStats::requeued_cubes`).
-    pub requeued_cubes: u64,
+    /// The oracle's family counters, summed over the family.
+    pub counters: FamilyCounters,
     /// A model of the original formula extracted from the first satisfiable
     /// sub-problem, if any.
     pub model: Option<Assignment>,
@@ -148,13 +193,7 @@ impl SolveReport {
             sat_count: 0,
             unknown_count: 0,
             wall_time: Duration::ZERO,
-            reused_assumptions: 0,
-            saved_propagations: 0,
-            exported_clauses: 0,
-            imported_clauses: 0,
-            import_dropped: 0,
-            worker_panics: 0,
-            requeued_cubes: 0,
+            counters: FamilyCounters::default(),
             model: None,
             per_cube_costs: Vec::new(),
             certificates: Vec::new(),
@@ -203,13 +242,7 @@ impl SolveReport {
             merged.sat_count += unit.sat_count;
             merged.unknown_count += unit.unknown_count;
             merged.wall_time += unit.wall_time;
-            merged.reused_assumptions += unit.reused_assumptions;
-            merged.saved_propagations += unit.saved_propagations;
-            merged.exported_clauses += unit.exported_clauses;
-            merged.imported_clauses += unit.imported_clauses;
-            merged.import_dropped += unit.import_dropped;
-            merged.worker_panics += unit.worker_panics;
-            merged.requeued_cubes += unit.requeued_cubes;
+            merged.counters += unit.counters;
             merged
                 .per_cube_costs
                 .extend_from_slice(&unit.per_cube_costs);
@@ -331,13 +364,7 @@ fn report_from_batch(set: &DecompositionSet, batch: BatchResult) -> SolveReport 
         sat_count,
         unknown_count,
         wall_time: batch.wall_time,
-        reused_assumptions: batch.solver_stats.reused_assumptions,
-        saved_propagations: batch.solver_stats.saved_propagations,
-        exported_clauses: batch.solver_stats.exported_clauses,
-        imported_clauses: batch.solver_stats.imported_clauses,
-        import_dropped: batch.solver_stats.import_dropped,
-        worker_panics: batch.solver_stats.worker_panics,
-        requeued_cubes: batch.solver_stats.requeued_cubes,
+        counters: FamilyCounters::from(&batch.solver_stats),
         model,
         per_cube_costs,
         certificates,
@@ -349,23 +376,6 @@ mod tests {
     use super::*;
     use pdsat_cnf::{Lit, Var};
 
-    fn pigeonhole(pigeons: usize) -> Cnf {
-        let holes = pigeons - 1;
-        let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-        let mut cnf = Cnf::new(pigeons * holes);
-        for i in 0..pigeons {
-            cnf.add_clause((0..holes).map(|j| var(i, j)));
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    cnf.add_clause([!var(i1, j), !var(i2, j)]);
-                }
-            }
-        }
-        cnf
-    }
-
     fn config() -> SolveModeConfig {
         SolveModeConfig {
             cost: CostMetric::Conflicts,
@@ -375,7 +385,7 @@ mod tests {
 
     #[test]
     fn unsat_family_is_fully_processed() {
-        let cnf = pigeonhole(5);
+        let cnf = Cnf::pigeonhole(5);
         let set = DecompositionSet::new((0..5).map(Var::new));
         let report = FamilySolver::new(&cnf, &config()).solve_family(&set, None);
         assert_eq!(report.cubes_processed, 32);
@@ -408,7 +418,7 @@ mod tests {
     fn solving_the_family_agrees_with_direct_solving() {
         // If the original instance is UNSAT, every cube is UNSAT; if SAT, at
         // least one cube is SAT. Check both on small formulas.
-        let unsat = pigeonhole(4);
+        let unsat = Cnf::pigeonhole(4);
         let set = DecompositionSet::new((0..4).map(Var::new));
         let report = FamilySolver::new(&unsat, &config()).solve_family(&set, None);
         assert_eq!(report.sat_count, 0);
@@ -421,7 +431,7 @@ mod tests {
 
     #[test]
     fn parallel_solving_mode_matches_sequential_totals() {
-        let cnf = pigeonhole(5);
+        let cnf = Cnf::pigeonhole(5);
         let set = DecompositionSet::new((0..4).map(Var::new));
         let solve = |backend, num_workers| {
             let config = SolveModeConfig {

@@ -2,7 +2,7 @@
 //! (Algorithm 2 of the paper), as a [`Strategy`] for the [`SearchDriver`].
 
 use crate::driver::{Evaluated, Observation, Proposal, SearchContext, Strategy};
-use crate::search::{SearchLimits, StopCondition};
+use crate::search::StopCondition;
 use crate::Point;
 use rand::Rng;
 use std::collections::HashSet;
@@ -21,21 +21,15 @@ pub enum NewCenterHeuristic {
     Random,
 }
 
-/// Parameters of Algorithm 2.
-///
-/// `limits` and `seed` belong to the [`DriverConfig`] of the
-/// [`SearchDriver`] that runs the strategy; [`Tabu::new`] reads only the
-/// move rule (`radius`, `new_center`).
+/// Parameters of Algorithm 2: the move rule. Stopping criteria and the seed
+/// belong to the [`DriverConfig`](crate::DriverConfig) of the
+/// [`SearchDriver`](crate::SearchDriver) that runs the strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TabuConfig {
     /// Neighbourhood radius ρ (PDSAT uses 1).
     pub radius: usize,
     /// Heuristic used by `getNewCenter`.
     pub new_center: NewCenterHeuristic,
-    /// Global stopping criteria.
-    pub limits: SearchLimits,
-    /// Seed of the random choice of unchecked neighbours.
-    pub seed: u64,
 }
 
 impl Default for TabuConfig {
@@ -43,8 +37,6 @@ impl Default for TabuConfig {
         TabuConfig {
             radius: 1,
             new_center: NewCenterHeuristic::ConflictActivity,
-            limits: SearchLimits::unlimited().with_max_points(200),
-            seed: 0,
         }
     }
 }
@@ -71,8 +63,7 @@ pub struct Tabu {
 }
 
 impl Tabu {
-    /// Creates the strategy from the move rule of `config` (`config.limits`
-    /// and `config.seed` belong to the [`DriverConfig`]).
+    /// Creates the strategy from the move rule of `config`.
     ///
     /// # Panics
     ///
@@ -226,42 +217,31 @@ impl Strategy for Tabu {
 mod tests {
     use super::*;
     use crate::driver::SearchDriver;
-    use crate::search::SearchOutcome;
+    use crate::search::{SearchLimits, SearchOutcome};
     use crate::{CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchSpace};
-    use pdsat_cnf::{Cnf, Lit, Var};
+    use pdsat_cnf::{Cnf, Var};
 
     /// Drives a [`Tabu`] strategy through the [`SearchDriver`] — the one way
     /// to run Algorithm 2 since the deprecated `TabuSearch::minimize` shim
     /// was removed.
     fn minimize(
         config: &TabuConfig,
+        limits: SearchLimits,
+        seed: u64,
         space: &SearchSpace,
-        start: &Point,
         evaluator: &mut Evaluator,
     ) -> SearchOutcome {
         let driver = SearchDriver::new(DriverConfig {
-            limits: config.limits.clone(),
-            seed: config.seed,
+            limits,
+            seed,
             ..DriverConfig::default()
         });
-        driver.run(space, start, &mut Tabu::new(config), evaluator)
-    }
-
-    fn pigeonhole() -> Cnf {
-        let (pigeons, holes) = (5, 4);
-        let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-        let mut cnf = Cnf::new(pigeons * holes);
-        for i in 0..pigeons {
-            cnf.add_clause((0..holes).map(|j| var(i, j)));
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    cnf.add_clause([!var(i1, j), !var(i2, j)]);
-                }
-            }
-        }
-        cnf
+        driver.run(
+            space,
+            &space.full_point(),
+            &mut Tabu::new(config),
+            evaluator,
+        )
     }
 
     fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
@@ -277,16 +257,16 @@ mod tests {
 
     #[test]
     fn tabu_never_reevaluates_a_point() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..7).map(Var::new));
-        let start = space.full_point();
         let mut eval = evaluator(&cnf, 8);
-        let config = TabuConfig {
-            limits: SearchLimits::unlimited().with_max_points(30),
-            seed: 5,
-            ..TabuConfig::default()
-        };
-        let outcome = minimize(&config, &space, &start, &mut eval);
+        let outcome = minimize(
+            &TabuConfig::default(),
+            SearchLimits::unlimited().with_max_points(30),
+            5,
+            &space,
+            &mut eval,
+        );
         let mut seen = HashSet::new();
         for step in &outcome.history {
             assert!(
@@ -300,16 +280,16 @@ mod tests {
 
     #[test]
     fn tabu_improves_on_the_starting_point() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..8).map(Var::new));
-        let start = space.full_point();
         let mut eval = evaluator(&cnf, 16);
-        let config = TabuConfig {
-            limits: SearchLimits::unlimited().with_max_points(50),
-            seed: 2,
-            ..TabuConfig::default()
-        };
-        let outcome = minimize(&config, &space, &start, &mut eval);
+        let outcome = minimize(
+            &TabuConfig::default(),
+            SearchLimits::unlimited().with_max_points(50),
+            2,
+            &space,
+            &mut eval,
+        );
         assert!(outcome.best_value <= outcome.history[0].value);
         assert!(outcome.points_evaluated <= 50);
         assert_eq!(
@@ -320,16 +300,16 @@ mod tests {
 
     #[test]
     fn exhausting_a_tiny_space_stops_cleanly() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..3).map(Var::new));
-        let start = space.full_point();
         let mut eval = evaluator(&cnf, 4);
-        let config = TabuConfig {
-            limits: SearchLimits::unlimited(),
-            seed: 1,
-            ..TabuConfig::default()
-        };
-        let outcome = minimize(&config, &space, &start, &mut eval);
+        let outcome = minimize(
+            &TabuConfig::default(),
+            SearchLimits::unlimited(),
+            1,
+            &space,
+            &mut eval,
+        );
         // The space has 2^3 = 8 points; all of them end up evaluated.
         assert_eq!(outcome.points_evaluated, 8);
         assert_eq!(outcome.stop_condition, StopCondition::SpaceExhausted);
@@ -337,9 +317,8 @@ mod tests {
 
     #[test]
     fn all_new_center_heuristics_work() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..5).map(Var::new));
-        let start = space.full_point();
         for heuristic in [
             NewCenterHeuristic::ConflictActivity,
             NewCenterHeuristic::BestValue,
@@ -348,11 +327,15 @@ mod tests {
             let mut eval = evaluator(&cnf, 4);
             let config = TabuConfig {
                 new_center: heuristic,
-                limits: SearchLimits::unlimited().with_max_points(20),
-                seed: 9,
                 ..TabuConfig::default()
             };
-            let outcome = minimize(&config, &space, &start, &mut eval);
+            let outcome = minimize(
+                &config,
+                SearchLimits::unlimited().with_max_points(20),
+                9,
+                &space,
+                &mut eval,
+            );
             assert!(outcome.points_evaluated >= 1);
             assert!(outcome.best_value.is_finite());
         }
@@ -360,17 +343,17 @@ mod tests {
 
     #[test]
     fn reproducible_for_fixed_seed() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..6).map(Var::new));
-        let start = space.full_point();
         let run = || {
             let mut eval = evaluator(&cnf, 8);
-            let config = TabuConfig {
-                limits: SearchLimits::unlimited().with_max_points(25),
-                seed: 77,
-                ..TabuConfig::default()
-            };
-            let out = minimize(&config, &space, &start, &mut eval);
+            let out = minimize(
+                &TabuConfig::default(),
+                SearchLimits::unlimited().with_max_points(25),
+                77,
+                &space,
+                &mut eval,
+            );
             (out.best_point.clone(), out.best_value, out.points_evaluated)
         };
         assert_eq!(run(), run());
@@ -379,13 +362,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "radius must be positive")]
     fn zero_radius_is_rejected() {
-        let cnf = pigeonhole();
+        let cnf = Cnf::pigeonhole(5);
         let space = SearchSpace::new((0..4).map(Var::new));
         let mut eval = evaluator(&cnf, 2);
         let config = TabuConfig {
             radius: 0,
             ..TabuConfig::default()
         };
-        let _ = minimize(&config, &space, &space.full_point(), &mut eval);
+        let _ = minimize(&config, SearchLimits::unlimited(), 0, &space, &mut eval);
     }
 }

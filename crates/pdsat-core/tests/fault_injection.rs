@@ -3,31 +3,13 @@
 //! observable result, and the documented last-resort paths (sequential
 //! fallback, all-workers-dead panic) must engage exactly when specified.
 
-use pdsat_cnf::{Cnf, Cube, Lit, Var};
+use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
     FaultPlan,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Unsatisfiable pigeonhole formula: conflict-heavy, deterministic per cube.
-fn pigeonhole(pigeons: usize) -> Cnf {
-    let holes = pigeons - 1;
-    let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-    let mut cnf = Cnf::new(pigeons * holes);
-    for i in 0..pigeons {
-        cnf.add_clause((0..holes).map(|j| var(i, j)));
-    }
-    for j in 0..holes {
-        for i1 in 0..pigeons {
-            for i2 in (i1 + 1)..pigeons {
-                cnf.add_clause([!var(i1, j), !var(i2, j)]);
-            }
-        }
-    }
-    cnf
-}
 
 fn sample_cubes(cnf: &Cnf, set_size: usize, count: usize) -> Vec<Cube> {
     let set = DecompositionSet::new((0..set_size as u32).map(Var::new));
@@ -64,7 +46,7 @@ fn assert_outcomes_identical(reference: &BatchResult, faulted: &BatchResult) {
 #[test]
 fn injected_worker_panic_changes_no_observable_result() {
     fault::silence_injected_panics();
-    let cnf = pigeonhole(6);
+    let cnf = Cnf::pigeonhole(6);
     let cubes = sample_cubes(&cnf, 5, 24);
 
     let reference = run_with_plan(&cnf, &cubes, 2, FaultPlan::none());
@@ -96,7 +78,7 @@ fn injected_worker_panic_changes_no_observable_result() {
 #[test]
 fn seeded_plans_reproduce_and_still_complete() {
     fault::silence_injected_panics();
-    let cnf = pigeonhole(6);
+    let cnf = Cnf::pigeonhole(6);
     let cubes = sample_cubes(&cnf, 5, 16);
     let reference = run_with_plan(&cnf, &cubes, 3, FaultPlan::none());
 
@@ -115,7 +97,7 @@ fn seeded_plans_reproduce_and_still_complete() {
 #[test]
 fn failed_respawn_falls_back_to_sequential_and_loses_nothing() {
     fault::silence_injected_panics();
-    let cnf = pigeonhole(6);
+    let cnf = Cnf::pigeonhole(6);
     let cubes = sample_cubes(&cnf, 5, 20);
     let reference = run_with_plan(&cnf, &cubes, 2, FaultPlan::none());
 
@@ -141,7 +123,7 @@ fn failed_respawn_falls_back_to_sequential_and_loses_nothing() {
 #[should_panic(expected = "oracle worker threads are dead")]
 fn batch_on_an_all_dead_pool_panics_with_the_pool_shape() {
     fault::silence_injected_panics();
-    let cnf = pigeonhole(5);
+    let cnf = Cnf::pigeonhole(5);
     let cubes = sample_cubes(&cnf, 4, 8);
 
     // Both workers panic on their first solve and every respawn fails, so

@@ -3,33 +3,13 @@
 //! implementations, batched-vs-sequential evaluation parity, in-batch limit
 //! enforcement, and checkpoint/resume.
 
-use pdsat_cnf::{Cnf, Lit, Var};
+use pdsat_cnf::{Cnf, Var};
 use pdsat_core::{
     Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig,
     RandomRestart, RandomRestartConfig, SearchDriver, SearchLimits, SearchOutcome, SearchSpace,
     StopCondition, Tabu, TabuConfig,
 };
 use std::time::Duration;
-
-/// Unsatisfiable pigeonhole formula: 5 pigeons, 4 holes (20 variables) — the
-/// same fixture the pre-refactor unit tests used, so the golden trajectories
-/// below are directly comparable.
-fn pigeonhole() -> Cnf {
-    let (pigeons, holes) = (5, 4);
-    let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-    let mut cnf = Cnf::new(pigeons * holes);
-    for i in 0..pigeons {
-        cnf.add_clause((0..holes).map(|j| var(i, j)));
-    }
-    for j in 0..holes {
-        for i1 in 0..pigeons {
-            for i2 in (i1 + 1)..pigeons {
-                cnf.add_clause([!var(i1, j), !var(i2, j)]);
-            }
-        }
-    }
-    cnf
-}
 
 fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
     Evaluator::new(
@@ -69,7 +49,7 @@ fn assert_trajectory(outcome: &SearchOutcome, golden: &[GoldenStep]) {
 
 /// Golden trajectory captured from the pre-refactor
 /// `SimulatedAnnealing::minimize` (seed 7, max 20 points, 6-dim space over
-/// pigeonhole(5), sample 8, conflicts metric). The driver must reproduce it
+/// Cnf::pigeonhole(5), sample 8, conflicts metric). The driver must reproduce it
 /// bit-for-bit: same points in the same order, same `F` values, same
 /// accepted/is_best flags, same stop condition.
 const GOLDEN_ANNEAL: &[GoldenStep] = &[
@@ -127,7 +107,7 @@ const GOLDEN_TABU: &[GoldenStep] = &[
 
 #[test]
 fn annealing_through_the_driver_matches_the_pre_refactor_trajectory() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
     let mut eval = evaluator(&cnf, 8);
     let mut strategy = Annealing::new(&AnnealingConfig::default());
@@ -144,7 +124,7 @@ fn annealing_through_the_driver_matches_the_pre_refactor_trajectory() {
 
 #[test]
 fn tabu_through_the_driver_matches_the_pre_refactor_trajectory() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
     let mut eval = evaluator(&cnf, 8);
     let mut strategy = Tabu::new(&TabuConfig::default());
@@ -161,7 +141,7 @@ fn tabu_through_the_driver_matches_the_pre_refactor_trajectory() {
 
 #[test]
 fn edge_case_stop_conditions_match_the_pre_refactor_loops() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..3).map(Var::new));
 
     // Tabu exhausts the 2^3 space exactly as before (8 distinct points, then
@@ -208,19 +188,16 @@ fn strategy_instances_are_reusable_across_driver_runs() {
     // `Strategy::initialize` fully resets an instance, so driving the same
     // strategy object through two identical runs gives the same trajectory
     // as a freshly built one.
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
     let start = space.full_point();
 
-    let sa_config = AnnealingConfig {
-        limits: SearchLimits::unlimited().with_max_points(18),
-        seed: 21,
-        ..AnnealingConfig::default()
-    };
+    let limits = SearchLimits::unlimited().with_max_points(18);
+    let sa_config = AnnealingConfig::default();
     let mut reused = Annealing::new(&sa_config);
     let run_with = |strategy: &mut Annealing| {
         let mut eval = evaluator(&cnf, 8);
-        driver(sa_config.limits.clone(), sa_config.seed).run(&space, &start, strategy, &mut eval)
+        driver(limits.clone(), 21).run(&space, &start, strategy, &mut eval)
     };
     let first = run_with(&mut reused);
     let again = run_with(&mut reused);
@@ -236,16 +213,11 @@ fn strategy_instances_are_reusable_across_driver_runs() {
         assert_eq!(first.best_value, other.best_value);
     }
 
-    let tabu_config = TabuConfig {
-        limits: SearchLimits::unlimited().with_max_points(18),
-        seed: 21,
-        ..TabuConfig::default()
-    };
+    let tabu_config = TabuConfig::default();
     let mut reused = Tabu::new(&tabu_config);
     let run_with = |strategy: &mut Tabu| {
         let mut eval = evaluator(&cnf, 8);
-        driver(tabu_config.limits.clone(), tabu_config.seed)
-            .run(&space, &start, strategy, &mut eval)
+        driver(limits.clone(), 21).run(&space, &start, strategy, &mut eval)
     };
     let first = run_with(&mut reused);
     let again = run_with(&mut reused);
@@ -259,7 +231,7 @@ fn strategy_instances_are_reusable_across_driver_runs() {
 
 #[test]
 fn batched_evaluation_matches_the_sequential_loop_on_a_fresh_backend() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..8).map(Var::new));
     let center = space.full_point();
     let sets: Vec<_> = space
@@ -292,7 +264,7 @@ fn batched_evaluation_matches_the_sequential_loop_on_a_fresh_backend() {
 
 #[test]
 fn batch_memoization_dedups_inside_and_across_batches() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..5).map(Var::new));
     let a = space.decomposition_set(&space.full_point());
     let b = space.decomposition_set(&space.point_from_vars([Var::new(0), Var::new(2)]));
@@ -314,7 +286,7 @@ fn batch_memoization_dedups_inside_and_across_batches() {
 
 #[test]
 fn point_budget_truncates_inside_a_neighborhood_batch() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     // Dimension 10: the first RandomRestart proposal is the whole radius-1
     // neighborhood (10 points), far larger than the remaining budget.
     let space = SearchSpace::new((0..10).map(Var::new));
@@ -335,7 +307,7 @@ fn point_budget_truncates_inside_a_neighborhood_batch() {
 
 #[test]
 fn zero_time_limit_stops_before_any_proposal() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
     let mut eval = evaluator(&cnf, 4);
     let mut strategy = RandomRestart::new(RandomRestartConfig::default());
@@ -355,7 +327,7 @@ fn zero_time_limit_stops_before_any_proposal() {
 fn time_sliced_batches_produce_the_same_trajectory() {
     // With a generous time limit the slicing machinery is active but never
     // fires; the trajectory must be identical to the unsliced run.
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..8).map(Var::new));
     let run = |limits: SearchLimits, time_slice: usize| {
         let mut eval = evaluator(&cnf, 4);
@@ -383,7 +355,7 @@ fn time_sliced_batches_produce_the_same_trajectory() {
 
 #[test]
 fn checkpoint_resume_answers_visited_points_for_free() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
     let mut eval = evaluator(&cnf, 8);
     let mut strategy = Tabu::new(&TabuConfig::default());
@@ -421,7 +393,7 @@ fn strategy_instances_are_reusable_across_runs() {
     // initialize() must fully reset strategy state: the second run of a
     // reused instance reproduces the first run exactly (same seed, fresh
     // evaluators).
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
     let d = driver(SearchLimits::unlimited().with_max_points(15), 4);
     let trajectory = |outcome: &SearchOutcome| {
@@ -464,7 +436,7 @@ fn strategy_instances_are_reusable_across_runs() {
 
 #[test]
 fn absorb_chains_checkpoints_without_losing_coverage() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
 
     let mut eval = evaluator(&cnf, 8);
@@ -513,7 +485,7 @@ fn absorb_chains_checkpoints_without_losing_coverage() {
 #[test]
 #[should_panic(expected = "checkpoint dimension must match")]
 fn mismatched_checkpoint_is_rejected() {
-    let cnf = pigeonhole();
+    let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
     let other = SearchSpace::new((0..4).map(Var::new));
     let mut eval = evaluator(&cnf, 4);

@@ -13,25 +13,6 @@ use pdsat_solver::InterruptFlag;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Unsatisfiable pigeonhole formula (`pigeons` pigeons, `pigeons - 1` holes):
-/// conflict-heavy, so learnt-clause carryover is observable in the counters.
-fn pigeonhole(pigeons: usize) -> Cnf {
-    let holes = pigeons - 1;
-    let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-    let mut cnf = Cnf::new(pigeons * holes);
-    for i in 0..pigeons {
-        cnf.add_clause((0..holes).map(|j| var(i, j)));
-    }
-    for j in 0..holes {
-        for i1 in 0..pigeons {
-            for i2 in (i1 + 1)..pigeons {
-                cnf.add_clause([!var(i1, j), !var(i2, j)]);
-            }
-        }
-    }
-    cnf
-}
-
 /// A chain formula `x0 → x1 → … → x_{n-1}` — every cube except
 /// `(first=1, last=0)` is satisfiable.
 fn sat_chain(n: usize) -> Cnf {
@@ -50,7 +31,7 @@ fn sequential_and_pool_runs_are_identical_for_fresh_backends() {
     // A fresh solver per cube makes every observation independent of
     // scheduling, so a fixed random sample must produce bit-identical
     // results whichever executor ran it.
-    let cnf = pigeonhole(6);
+    let cnf = Cnf::pigeonhole(6);
     let set = DecompositionSet::new((0..5).map(Var::new));
     let mut rng = StdRng::seed_from_u64(0xF00D);
     let cubes = set.random_sample(24, &mut rng);
@@ -90,7 +71,7 @@ fn warm_pool_state_survives_across_batches() {
     // each point evaluation. With the persistent pool, the second identical
     // batch must be cheaper than the first — the workers' resident solvers
     // already hold learnt clauses that refute (parts of) the family.
-    let cnf = pigeonhole(7);
+    let cnf = Cnf::pigeonhole(7);
     let set = DecompositionSet::new((0..4).map(Var::new));
     let cubes: Vec<Cube> = set.cubes().collect();
     let config = BatchConfig {
@@ -134,7 +115,7 @@ fn warm_pool_state_survives_across_batches() {
 #[test]
 fn warm_sequential_state_also_survives_across_batches() {
     // The 1-worker path keeps its single resident backend across batches too.
-    let cnf = pigeonhole(7);
+    let cnf = Cnf::pigeonhole(7);
     let set = DecompositionSet::new((0..4).map(Var::new));
     let cubes: Vec<Cube> = set.cubes().collect();
     let config = BatchConfig {
@@ -221,7 +202,7 @@ fn pre_raised_external_interrupt_stops_both_paths_before_any_work() {
 
 #[test]
 fn empty_batches_and_short_batches_never_hang_the_pool() {
-    let cnf = pigeonhole(5);
+    let cnf = Cnf::pigeonhole(5);
     let config = BatchConfig {
         cost: CostMetric::Conflicts,
         num_workers: 6,
@@ -281,7 +262,7 @@ fn single_cube_batches_on_a_wide_pool_stay_in_order() {
 /// steal chunks out of the first one: every worker reports several runs.
 /// Variables 22..30 are free padding that only widens the family.
 fn skewed_family() -> (Cnf, Vec<Cube>) {
-    let hole = pigeonhole(5);
+    let hole = Cnf::pigeonhole(5);
     let mut cnf = Cnf::new(30);
     let selectors = [Lit::positive(Var::new(0)), Lit::positive(Var::new(1))];
     for clause in hole.clauses() {

@@ -5,7 +5,7 @@
 //! accepted imports (certificates must stay checkable).
 
 use pdsat_checker::check_unsat_proof;
-use pdsat_cnf::{Cnf, DratStep, Lit, Var};
+use pdsat_cnf::{Cnf, DratStep, Lit};
 use pdsat_solver::{ShareChannel, SharedClause, Solver, SolverConfig, Verdict};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -31,25 +31,6 @@ impl ShareChannel for VecChannel {
     fn fetch(&self, out: &mut Vec<SharedClause>) {
         out.append(&mut self.clauses.lock().unwrap());
     }
-}
-
-/// The pigeonhole formula PHP(`pigeons`, `pigeons - 1`) — small, UNSAT, and
-/// conflict-rich enough to exercise the export filter.
-fn pigeonhole(pigeons: usize) -> Cnf {
-    let holes = pigeons - 1;
-    let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-    let mut cnf = Cnf::new(pigeons * holes);
-    for i in 0..pigeons {
-        cnf.add_clause((0..holes).map(|j| var(i, j)));
-    }
-    for j in 0..holes {
-        for i1 in 0..pigeons {
-            for i2 in (i1 + 1)..pigeons {
-                cnf.add_clause([!var(i1, j), !var(i2, j)]);
-            }
-        }
-    }
-    cnf
 }
 
 #[test]
@@ -111,7 +92,7 @@ fn import_invalidates_retained_assumption_prefix() {
 
 #[test]
 fn export_hook_offers_units_binaries_and_glue() {
-    let cnf = pigeonhole(5);
+    let cnf = Cnf::pigeonhole(5);
     let channel = Arc::new(VecChannel::default());
     let config = SolverConfig {
         share_lbd_max: 2,
@@ -140,7 +121,7 @@ fn export_hook_offers_units_binaries_and_glue() {
 
 #[test]
 fn no_channel_means_no_exports() {
-    let mut solver = Solver::from_cnf(&pigeonhole(5));
+    let mut solver = Solver::from_cnf(&Cnf::pigeonhole(5));
     assert!(solver.solve().is_unsat());
     assert_eq!(solver.stats().exported_clauses, 0);
 }
@@ -150,7 +131,7 @@ fn accepted_imports_are_logged_and_certificates_check() {
     // Exporter solves PHP(4) and publishes its learnt clauses; a proof-logging
     // importer attaches them, and every accepted import must appear as a DRAT
     // addition that keeps the final UNSAT certificate checkable.
-    let cnf = pigeonhole(4);
+    let cnf = Cnf::pigeonhole(4);
     let channel = Arc::new(VecChannel::default());
     let mut exporter = Solver::from_cnf(&cnf);
     exporter.set_share_channel(Some(channel.clone()));

@@ -56,25 +56,6 @@ fn brute_force_satisfied(cnf: &Cnf, model: &pdsat_cnf::Assignment) -> bool {
     })
 }
 
-/// An unsatisfiable pigeonhole formula (`pigeons` into `pigeons - 1` holes);
-/// mostly binary clauses, exercising the dedicated binary watch lists.
-fn pigeonhole(pigeons: usize) -> Cnf {
-    let holes = pigeons - 1;
-    let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-    let mut cnf = Cnf::new(pigeons * holes);
-    for i in 0..pigeons {
-        cnf.add_clause((0..holes).map(|j| var(i, j)));
-    }
-    for j in 0..holes {
-        for i1 in 0..pigeons {
-            for i2 in (i1 + 1)..pigeons {
-                cnf.add_clause([!var(i1, j), !var(i2, j)]);
-            }
-        }
-    }
-    cnf
-}
-
 /// A configuration that stresses the clause arena: clause deletion kicks in
 /// almost immediately and the garbage collector runs as soon as any space is
 /// wasted, so refs relocate many times within a single solve.
@@ -245,7 +226,7 @@ proptest! {
 /// relocation or the verdict (and the solver's internal asserts) would break.
 #[test]
 fn gc_relocation_keeps_watchers_coherent() {
-    let cnf = pigeonhole(7);
+    let cnf = Cnf::pigeonhole(7);
     let mut solver = Solver::from_cnf_with_config(&cnf, gc_stress_config());
     assert_eq!(solver.solve(), Verdict::Unsat);
     let stats = *solver.stats();

@@ -4,33 +4,14 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use pdsat::cnf::{Cnf, Lit, Var};
+use pdsat::cnf::{Cnf, Var};
 use pdsat::core::{
     CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, FamilySolver, SolveModeConfig,
 };
 
-/// Builds an unsatisfiable pigeonhole formula: `pigeons` pigeons, one hole
-/// fewer. Small but non-trivial for a CDCL solver.
-fn pigeonhole(pigeons: usize) -> Cnf {
-    let holes = pigeons - 1;
-    let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-    let mut cnf = Cnf::new(pigeons * holes);
-    for i in 0..pigeons {
-        cnf.add_clause((0..holes).map(|j| var(i, j)));
-    }
-    for j in 0..holes {
-        for i1 in 0..pigeons {
-            for i2 in (i1 + 1)..pigeons {
-                cnf.add_clause([!var(i1, j), !var(i2, j)]);
-            }
-        }
-    }
-    cnf
-}
-
 fn main() {
-    // The instance we want to split: pigeonhole(8), hard enough to feel.
-    let cnf = pigeonhole(8);
+    // The instance we want to split: Cnf::pigeonhole(8), hard enough to feel.
+    let cnf = Cnf::pigeonhole(8);
     println!(
         "instance: {} variables, {} clauses",
         cnf.num_vars(),

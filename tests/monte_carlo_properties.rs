@@ -2,9 +2,8 @@
 //! machinery, checked across crates with property-based tests.
 
 use pdsat::cnf::{Cnf, Cube, Lit, Var};
-use pdsat::core::{
-    CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, ParallelSystem, SampleStats,
-};
+use pdsat::core::{CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, SampleStats};
+use pdsat::distrib::{simulate_cluster, ClusterConfig};
 use pdsat::solver::{Solver, Verdict};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -90,18 +89,20 @@ proptest! {
         prop_assert!(bigger.confidence_half_width(0.95) <= half / 2.0 + 1e-9);
     }
 
-    /// Extrapolation sanity: more cores never increase the ideal time, and
-    /// the LPT makespan is never better than the trivial lower bound.
+    /// Extrapolation sanity: doubling the cores never lengthens the simulated
+    /// makespan, which is never better than the trivial lower bound
+    /// `max(total / cores, longest job)`.
     #[test]
     fn extrapolation_is_monotone(costs in prop::collection::vec(0.01f64..100.0, 1..60),
                                  cores in 1usize..64) {
-        let system = ParallelSystem::cluster(cores);
-        let bigger = ParallelSystem::cluster(cores * 2);
+        let makespan = |cores| {
+            let cluster = ClusterConfig { nodes: 1, cores_per_node: cores, core_speed: 1.0 };
+            simulate_cluster(&costs, &[], &cluster).makespan
+        };
+        prop_assert!(makespan(cores * 2) <= makespan(cores) + 1e-9);
         let total: f64 = costs.iter().sum();
-        prop_assert!(bigger.ideal_time(total) <= system.ideal_time(total) + 1e-9);
-        let lpt = system.makespan_lpt(&costs);
-        let bound = system.makespan_lower_bound(&costs);
-        prop_assert!(lpt + 1e-9 >= bound);
+        let longest = costs.iter().copied().fold(0.0f64, f64::max);
+        prop_assert!(makespan(cores) + 1e-9 >= (total / cores as f64).max(longest));
     }
 }
 
@@ -109,23 +110,8 @@ proptest! {
 fn larger_samples_estimate_better_on_average() {
     // Convergence in the mean: averaged over several seeds, the estimate with
     // N = 64 is at least as close to the truth as the estimate with N = 4.
-    let cnf = {
-        // Pigeonhole 5→4: every cube of a 5-variable set has non-trivial cost.
-        let (pigeons, holes) = (5, 4);
-        let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-        let mut cnf = Cnf::new(pigeons * holes);
-        for i in 0..pigeons {
-            cnf.add_clause((0..holes).map(|j| var(i, j)));
-        }
-        for j in 0..holes {
-            for i1 in 0..pigeons {
-                for i2 in (i1 + 1)..pigeons {
-                    cnf.add_clause([!var(i1, j), !var(i2, j)]);
-                }
-            }
-        }
-        cnf
-    };
+    // Pigeonhole 5→4: every cube of a 5-variable set has non-trivial cost.
+    let cnf = Cnf::pigeonhole(5);
     let set = DecompositionSet::new((0..6).map(Var::new));
     let exact = {
         let mut evaluator = Evaluator::new(

@@ -1,6 +1,6 @@
 //! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`.
 //!
-//! Four checks, all over the source tree as text (no compiler plumbing):
+//! Five checks, all over the source tree as text (no compiler plumbing):
 //!
 //! 1. **unsafe-free**: every crate root (`lib.rs` / `main.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.
@@ -16,6 +16,12 @@
 //!    that nothing calls is deleted, test-only helpers are `#[cfg(test)]`)
 //!    and no `serde` entry in any workspace `Cargo.toml` (persistence is the
 //!    two hand-written text codecs; a derive-only stub must not come back).
+//! 5. **counters travel whole**: the non-test code of `crates/distrib/src`
+//!    and `crates/experiments/src` (everything before a file's
+//!    `#[cfg(test)]` module) names no individual family counter — the names
+//!    are read off the `family_counters!` list in `pdsat-core`, so the next
+//!    counter added there cannot be hand-threaded through the codec and the
+//!    tables again.
 
 #![forbid(unsafe_code)]
 
@@ -51,6 +57,7 @@ fn lint() -> ExitCode {
     check_clock_discipline(&root, &mut errors);
     check_knob_docs(&root, &mut errors);
     check_no_parked_code(&root, &mut errors);
+    check_counters_travel_whole(&root, &mut errors);
 
     if errors.is_empty() {
         println!("xtask lint: ok");
@@ -251,7 +258,7 @@ fn check_no_parked_code(root: &Path, errors: &mut Vec<String>) {
     // Spelled in two halves so this file passes its own check.
     let allowance = concat!("allow(dead", "_code)");
     let advice = "delete the unused item or make it #[cfg(test)]";
-    forbid(root, &sources, "//", allowance, advice, errors);
+    forbid(root, &sources, "//", None, allowance, advice, errors);
 
     let mut manifests = vec![root.join("Cargo.toml"), root.join("xtask/Cargo.toml")];
     for dir in ["crates", "vendor"] {
@@ -261,14 +268,69 @@ fn check_no_parked_code(root: &Path, errors: &mut Vec<String>) {
     }
     manifests.sort();
     let advice = "nothing serializes through it; remove the manifest entry";
-    forbid(root, &manifests, "#", "serde", advice, errors);
+    forbid(root, &manifests, "#", None, "serde", advice, errors);
 }
 
-/// Reports every line of `files` that contains `needle` outside a comment.
+/// The family counters' names, read off the one list that declares them
+/// (the `family_counters!` invocation next to `SolveReport`).
+fn family_counter_names(root: &Path) -> Result<Vec<String>, String> {
+    let path = root.join("crates/pdsat-core/src/solve_mode.rs");
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let header = "\nfamily_counters! {\n";
+    let start = text
+        .find(header)
+        .ok_or_else(|| format!("{}: `family_counters! {{` not found", path.display()))?;
+    let body = &text[start + header.len()..];
+    let end = body
+        .find("\n}")
+        .ok_or_else(|| format!("{}: unterminated family_counters!", path.display()))?;
+    let names: Vec<String> = body[..end]
+        .lines()
+        .map(str::trim)
+        .filter(|line| !line.starts_with("//"))
+        .filter_map(|line| line.strip_suffix(','))
+        .map(String::from)
+        .collect();
+    if names.is_empty() {
+        return Err(format!("{}: no family counters parsed", path.display()));
+    }
+    Ok(names)
+}
+
+fn check_counters_travel_whole(root: &Path, errors: &mut Vec<String>) {
+    let names = match family_counter_names(root) {
+        Ok(names) => names,
+        Err(e) => {
+            errors.push(e);
+            return;
+        }
+    };
+    let mut sources = Vec::new();
+    for dir in ["crates/distrib/src", "crates/experiments/src"] {
+        rust_files(&root.join(dir), &mut sources);
+    }
+    let advice = "carry the whole FamilyCounters value (its sum, its ordered view) \
+                  instead of naming one counter";
+    for name in &names {
+        forbid(
+            root,
+            &sources,
+            "//",
+            Some("#[cfg(test)]"),
+            name,
+            advice,
+            errors,
+        );
+    }
+}
+
+/// Reports every line of `files` that contains `needle` outside a comment;
+/// with `until`, only the lines before a file's first line equal to it.
 fn forbid(
     root: &Path,
     files: &[PathBuf],
     comment: &str,
+    until: Option<&str>,
     needle: &str,
     advice: &str,
     errors: &mut Vec<String>,
@@ -277,7 +339,8 @@ fn forbid(
         let Ok(text) = std::fs::read_to_string(path) else {
             continue;
         };
-        for (i, line) in text.lines().enumerate() {
+        let scanned = text.lines().take_while(|line| Some(line.trim()) != until);
+        for (i, line) in scanned.enumerate() {
             if line.split(comment).next().unwrap_or(line).contains(needle) {
                 let at = rel(root, path);
                 errors.push(format!("{at}:{}: {needle}: {advice}", i + 1));
