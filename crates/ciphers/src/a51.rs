@@ -19,8 +19,6 @@
 use crate::StreamCipher;
 use pdsat_circuit::{Circuit, Signal};
 
-/// Lengths of the three registers.
-pub const REGISTER_LENGTHS: [usize; 3] = [19, 22, 23];
 /// Total state size (64).
 pub const STATE_LEN: usize = 64;
 /// Keystream length used in the paper (one burst).

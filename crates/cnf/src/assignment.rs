@@ -119,12 +119,6 @@ impl Assignment {
             .filter_map(|(i, v)| v.map(|b| (Var::new(i as u32), b)))
     }
 
-    /// Extracts the underlying `Option<bool>` vector.
-    #[must_use]
-    pub fn into_values(self) -> Vec<Option<bool>> {
-        self.values
-    }
-
     /// Returns the assignment as a vector of booleans if it is total.
     #[must_use]
     pub fn to_bools(&self) -> Option<Vec<bool>> {

@@ -14,6 +14,16 @@ use crate::{Cnf, Lit};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 
+/// Largest number of variables any ingest path accepts, as a header count
+/// or as a literal's identifier. A formula's consumers size per-variable
+/// tables from its variable count before reading a clause (the checker
+/// about 50 bytes per variable), so this one number decides how much a
+/// twenty-byte file can make them allocate: 2^24 is several hundred times
+/// the largest encoding built here (the benchmark's Grain instance, 25,408
+/// variables) and caps those tables below 1 GiB. It also keeps every
+/// identifier inside the `u32` packing of [`Lit`].
+pub const MAX_VARS: usize = 1 << 24;
+
 /// Errors produced while parsing DIMACS input.
 #[derive(Debug)]
 pub enum ParseDimacsError {
@@ -30,6 +40,11 @@ pub enum ParseDimacsError {
         line: usize,
         /// The offending token.
         token: String,
+    },
+    /// The header count or a literal names a variable above [`MAX_VARS`].
+    TooManyVariables {
+        /// 1-based line number.
+        line: usize,
     },
     /// A clause was not terminated by `0` before end of input.
     UnterminatedClause,
@@ -52,6 +67,10 @@ impl std::fmt::Display for ParseDimacsError {
             ParseDimacsError::InvalidLiteral { line, token } => {
                 write!(f, "invalid literal `{token}` at line {line}")
             }
+            ParseDimacsError::TooManyVariables { line } => write!(
+                f,
+                "line {line} names a variable above the supported maximum {MAX_VARS}"
+            ),
             ParseDimacsError::UnterminatedClause => {
                 write!(f, "last clause is not terminated by `0`")
             }
@@ -121,6 +140,9 @@ pub fn parse<R: Read>(reader: R) -> Result<Cnf, ParseDimacsError> {
             let clauses = parts.next().and_then(|t| t.parse::<usize>().ok());
             match (kind, vars, clauses) {
                 (Some("cnf"), Some(v), Some(_)) => {
+                    if v > MAX_VARS {
+                        return Err(ParseDimacsError::TooManyVariables { line: line_no });
+                    }
                     declared_vars = Some(v);
                     cnf.ensure_vars(v);
                 }
@@ -139,15 +161,17 @@ pub fn parse<R: Read>(reader: R) -> Result<Cnf, ParseDimacsError> {
                 cnf.add_clause(current.drain(..));
                 clause_open = false;
             } else {
+                let lit = Lit::try_from_dimacs(value)
+                    .ok_or(ParseDimacsError::TooManyVariables { line: line_no })?;
                 if let Some(declared) = declared_vars {
-                    if value.unsigned_abs() as usize > declared {
+                    if lit.var().index() >= declared {
                         return Err(ParseDimacsError::VariableOutOfRange {
-                            var: value.abs(),
+                            var: lit.var().to_dimacs(),
                             declared,
                         });
                     }
                 }
-                current.push(Lit::from_dimacs(value));
+                current.push(lit);
                 clause_open = true;
             }
         }
@@ -324,6 +348,27 @@ mod tests {
             parse_str("p cnf 2 1\n1 2.5 0\n"),
             Err(ParseDimacsError::InvalidLiteral { line: 2, .. })
         ));
+    }
+
+    #[test]
+    fn rejects_variables_above_the_cap_before_sizing_anything() {
+        let over = MAX_VARS + 1;
+        for text in [
+            format!("p cnf {over} 1\n1 0\n"),
+            format!("{over} 0\n"),
+            format!("{} 0\n", i64::MIN),
+            format!("p cnf 2 1\n{} 0\n", i64::MIN),
+        ] {
+            assert!(
+                matches!(
+                    parse_str(&text),
+                    Err(ParseDimacsError::TooManyVariables { line: 1 | 2 })
+                ),
+                "{text:?}"
+            );
+        }
+        let at_cap = parse_str(&format!("p cnf {MAX_VARS} 1\n-{MAX_VARS} 0\n")).unwrap();
+        assert_eq!(at_cap.num_vars(), MAX_VARS);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! line, literals in DIMACS encoding terminated by `0`, deletions prefixed
 //! with `d`, comment lines starting with `c`.
 
+use crate::dimacs::MAX_VARS;
 use crate::Lit;
 
 /// One step of a DRAT derivation.
@@ -116,7 +117,12 @@ impl DratProof {
                 if value == 0 {
                     terminated = true;
                 } else {
-                    lits.push(Lit::from_dimacs(value));
+                    lits.push(Lit::try_from_dimacs(value).ok_or_else(|| {
+                        format!(
+                            "line {}: literal '{token}' outside the supported ±{MAX_VARS}",
+                            lineno + 1
+                        )
+                    })?);
                 }
             }
             if !terminated {
@@ -167,5 +173,7 @@ mod tests {
         assert!(DratProof::from_text("1 0 2 0\n").is_err()); // trailing lits
         assert!(DratProof::from_text("x 0\n").is_err()); // bad literal
         assert!(DratProof::from_text("d1 0\n").is_err()); // fused prefix
+        assert!(DratProof::from_text("4294967297 0\n").is_err()); // would alias variable 1
+        assert!(DratProof::from_text("-9223372036854775808 0\n").is_err());
     }
 }

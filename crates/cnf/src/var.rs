@@ -1,5 +1,6 @@
 //! Variables and literals.
 
+use crate::dimacs::MAX_VARS;
 use std::fmt;
 
 /// A Boolean variable, identified by a zero-based index.
@@ -42,17 +43,6 @@ impl Var {
     #[must_use]
     pub fn to_dimacs(self) -> i64 {
         i64::from(self.0) + 1
-    }
-
-    /// Builds a variable from a one-based DIMACS identifier.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dimacs` is not strictly positive.
-    #[must_use]
-    pub fn from_dimacs(dimacs: i64) -> Var {
-        assert!(dimacs > 0, "DIMACS variable identifiers are positive");
-        Var((dimacs - 1) as u32)
     }
 
     /// The positive literal of this variable.
@@ -174,15 +164,29 @@ impl Lit {
         }
     }
 
-    /// Builds a literal from a signed, non-zero DIMACS integer.
+    /// Builds a literal from a signed DIMACS integer read from outside the
+    /// program: `None` for `0`, for `i64::MIN` and for any variable above
+    /// [`dimacs::MAX_VARS`](crate::dimacs::MAX_VARS). Every parser of
+    /// untrusted text (DIMACS, DRAT, the `pdsat` command line) converts
+    /// through this one check, so a hostile identifier can neither wrap into
+    /// another variable nor size a table.
+    #[must_use]
+    pub fn try_from_dimacs(dimacs: i64) -> Option<Lit> {
+        let index = dimacs.checked_abs()? - 1; // -1 for `0`
+        let index = usize::try_from(index).ok().filter(|&i| i < MAX_VARS)?;
+        Some(Lit::new(Var::new(index as u32), dimacs > 0))
+    }
+
+    /// Builds a literal from a signed DIMACS integer the program wrote
+    /// itself (fixtures, tests).
     ///
     /// # Panics
     ///
-    /// Panics if `dimacs == 0`.
+    /// Panics where [`try_from_dimacs`](Lit::try_from_dimacs) returns `None`.
     #[must_use]
     pub fn from_dimacs(dimacs: i64) -> Lit {
-        assert!(dimacs != 0, "DIMACS literals are non-zero");
-        Lit::new(Var::from_dimacs(dimacs.abs()), dimacs > 0)
+        Lit::try_from_dimacs(dimacs)
+            .expect("DIMACS literals are non-zero and within dimacs::MAX_VARS")
     }
 }
 
@@ -229,7 +233,7 @@ mod tests {
         assert_eq!(Lit::from_dimacs(5), Lit::positive(Var::new(4)));
         assert_eq!(Lit::from_dimacs(-5), Lit::negative(Var::new(4)));
         assert_eq!(Lit::from_dimacs(-5).to_dimacs(), -5);
-        assert_eq!(Var::from_dimacs(1), Var::new(0));
+        assert_eq!(Lit::from_dimacs(1).var(), Var::new(0));
     }
 
     #[test]
@@ -245,11 +249,24 @@ mod tests {
         assert_eq!(Lit::positive(Var::new(2)).to_string(), "x3");
     }
 
+    #[test]
+    fn checked_conversion_rejects_everything_outside_the_cap() {
+        let cap = MAX_VARS as i64;
+        for d in [cap, -cap] {
+            assert_eq!(Lit::try_from_dimacs(d).map(Lit::to_dimacs), Some(d));
+        }
+        for d in [0, cap + 1, -(cap + 1), 1 << 32, i64::MIN, i64::MAX] {
+            assert_eq!(Lit::try_from_dimacs(d), None, "{d}");
+        }
+    }
+
     proptest! {
         #[test]
-        fn dimacs_roundtrip(d in 1i64..1_000_000) {
-            prop_assert_eq!(Lit::from_dimacs(d).to_dimacs(), d);
-            prop_assert_eq!(Lit::from_dimacs(-d).to_dimacs(), -d);
+        fn dimacs_roundtrip(d in 1i64..=MAX_VARS as i64, above in MAX_VARS as i64 + 1..=i64::MAX) {
+            prop_assert_eq!(Lit::try_from_dimacs(d).map(Lit::to_dimacs), Some(d));
+            prop_assert_eq!(Lit::try_from_dimacs(-d).map(Lit::to_dimacs), Some(-d));
+            prop_assert_eq!(Lit::try_from_dimacs(above), None);
+            prop_assert_eq!(Lit::try_from_dimacs(-above), None);
         }
 
         #[test]

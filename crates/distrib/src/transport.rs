@@ -256,13 +256,6 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> LoopbackTransport<F> {
         self.stats
     }
 
-    /// Number of clients ever part of the population (including departed
-    /// ones and their replacements).
-    #[must_use]
-    pub fn population_size(&self) -> usize {
-        self.clients.len()
-    }
-
     fn push(&mut self, at: f64, msg: ClientMsg) {
         let seq = self.seq;
         self.seq += 1;

@@ -30,10 +30,10 @@
 //! an executor owning a **persistent worker pool** (the stand-in for PDSAT's
 //! long-lived MPI leader/computing processes): worker threads spawned once
 //! for the oracle's lifetime, each owning one backend fed chunked jobs over
-//! channels, with per-cube budgets, interrupt fan-out, per-worker
-//! stats/conflict-count accumulation merged once per batch, and a memoizing
-//! point cache. The unit of work it schedules is an exchangeable
-//! [`CubeBackend`]: [`BackendKind::Fresh`] builds a solver per cube
+//! channels, with per-cube budgets, interrupt fan-out and per-worker
+//! stats/conflict-count accumulation merged once per batch. The unit of work
+//! it schedules is an exchangeable [`CubeBackend`]:
+//! [`BackendKind::Fresh`] builds a solver per cube
 //! (order-independent observations, what the Monte Carlo argument assumes),
 //! while [`BackendKind::Warm`] keeps one incremental solver per worker whose
 //! learnt clauses and VSIDS state carry over across every batch the oracle
@@ -110,7 +110,7 @@ pub use estimator::{normal_cdf, normal_quantile, PredictiveEstimate, SampleStats
 pub use fault::{FaultPlan, FaultState, RecvAction};
 pub use oracle::{
     prefix_schedule_order, BackendKind, BackendOutcome, BatchConfig, BatchResult, CubeBackend,
-    CubeOracle, CubeOutcome, FreshBackend, PointCache, VerdictSummary, WarmBackend,
+    CubeOracle, CubeOutcome, FreshBackend, VerdictSummary, WarmBackend,
 };
 pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};
 pub use restart::{RandomRestart, RandomRestartConfig};

@@ -12,8 +12,7 @@
 //! them as chunked jobs over channels. The executor applies per-cube
 //! [`Budget`]s, fans an [`InterruptFlag`] out to every worker, merges
 //! per-worker [`SolverStats`] and conflict-count accumulators once per
-//! batch, and memoizes completed point evaluations in a [`PointCache`] so
-//! revisited decomposition points are never paid for twice.
+//! batch.
 //!
 //! The [`Evaluator`](crate::Evaluator) (point-at-a-time *and* batched
 //! neighborhood evaluation) and [`FamilySolver`](crate::FamilySolver) both
@@ -21,12 +20,10 @@
 //! [`BackendKind`].
 
 mod backend;
-mod cache;
 mod pool;
 mod share;
 
 pub use backend::{BackendKind, BackendOutcome, CubeBackend, FreshBackend, WarmBackend};
-pub use cache::PointCache;
 use share::{ClauseExchange, SHARE_RING_CAPACITY};
 
 use crate::fault::FaultPlan;
@@ -314,9 +311,8 @@ enum Executor {
     Pool(WorkerPool),
 }
 
-/// The executor that owns the formula, the persistent worker pool and the
-/// point cache, and processes batches of cubes through the configured
-/// backend.
+/// The executor that owns the formula and the persistent worker pool, and
+/// processes batches of cubes through the configured backend.
 ///
 /// Workers — and therefore their backends — live as long as the oracle:
 /// a [`BackendKind::Warm`] solver keeps its learnt clauses and VSIDS state
@@ -359,7 +355,6 @@ pub struct CubeOracle {
     total_stats: SolverStats,
     batches: u64,
     cubes_solved: u64,
-    point_cache: PointCache,
 }
 
 impl std::fmt::Debug for CubeOracle {
@@ -426,7 +421,6 @@ impl CubeOracle {
                 faults,
             ))
         };
-        let point_cache = PointCache::new();
         CubeOracle {
             cnf,
             config,
@@ -435,7 +429,6 @@ impl CubeOracle {
             total_stats: SolverStats::default(),
             batches: 0,
             cubes_solved: 0,
-            point_cache,
         }
     }
 
@@ -478,17 +471,6 @@ impl CubeOracle {
     #[must_use]
     pub fn cubes_solved(&self) -> u64 {
         self.cubes_solved
-    }
-
-    /// The memoized point evaluations (read-only).
-    #[must_use]
-    pub fn point_cache(&self) -> &PointCache {
-        &self.point_cache
-    }
-
-    /// The memoized point evaluations (for lookups and inserts).
-    pub fn point_cache_mut(&mut self) -> &mut PointCache {
-        &mut self.point_cache
     }
 
     /// Processes a batch of cubes (sub-problems of one decomposition family).

@@ -119,7 +119,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Lower-case name, used in bench ids and CLI/env selection.
+    /// Lower-case name, used for display and CLI/env selection.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

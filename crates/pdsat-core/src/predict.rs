@@ -1,8 +1,11 @@
 //! The predictive function `F_{C,A}(X̃)` (eq. (5) of the paper) and its
 //! evaluator.
 
+mod cache;
+
 use crate::oracle::{BackendKind, BatchConfig, CubeOracle, CubeOutcome, VerdictSummary};
 use crate::{CostMetric, DecompositionSet, PredictiveEstimate};
+use cache::PointCache;
 use pdsat_cnf::{Assignment, Cnf, Cube, Var};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig};
 use rand::SeedableRng;
@@ -98,7 +101,7 @@ impl PointEvaluation {
 /// one search-space point keep paying off at the next. It accumulates
 /// per-variable conflict activity over everything it solves (the tabu search
 /// uses that activity to pick new neighbourhood centres, §3 of the paper) and
-/// shares the oracle's memoizing point cache through
+/// memoizes completed evaluations behind
 /// [`evaluate_memoized`](Evaluator::evaluate_memoized), so independent
 /// searches over the same instance never re-pay for a revisited point.
 ///
@@ -127,6 +130,7 @@ impl PointEvaluation {
 #[derive(Debug)]
 pub struct Evaluator {
     oracle: CubeOracle,
+    point_cache: PointCache,
     config: EvaluatorConfig,
     evaluations: u64,
     conflict_activity: Vec<u64>,
@@ -149,6 +153,7 @@ impl Evaluator {
         };
         Evaluator {
             oracle: CubeOracle::new(cnf, batch_config),
+            point_cache: PointCache::new(),
             config,
             evaluations: 0,
             conflict_activity: vec![0; num_vars],
@@ -184,7 +189,7 @@ impl Evaluator {
     /// Number of point lookups answered from the memoized cache.
     #[must_use]
     pub fn cache_hits(&self) -> u64 {
-        self.oracle.point_cache().hits()
+        self.point_cache.hits()
     }
 
     /// Number of sub-problems solved so far.
@@ -225,7 +230,7 @@ impl Evaluator {
             .expect("one evaluation per set")
     }
 
-    /// Evaluates `set` through the oracle's memoizing point cache: a point
+    /// Evaluates `set` through the memoizing point cache: a point
     /// that any search sharing this evaluator has already paid for is
     /// answered instantly with the stored evaluation
     /// ([`evaluate_batch_memoized`](Self::evaluate_batch_memoized) over the
@@ -333,7 +338,7 @@ impl Evaluator {
     }
 
     /// The memoized counterpart of [`evaluate_batch`](Self::evaluate_batch):
-    /// sets already in the oracle's point cache are answered instantly, the
+    /// sets already in the point cache are answered instantly, the
     /// misses (deduplicated) are evaluated in one oracle batch and stored.
     ///
     /// This is the entry point the [`SearchDriver`](crate::SearchDriver)
@@ -346,7 +351,7 @@ impl Evaluator {
         let mut miss_index: std::collections::HashMap<Vec<Var>, usize> =
             std::collections::HashMap::new();
         for set in sets {
-            if let Some(hit) = self.oracle.point_cache_mut().lookup(set.vars()) {
+            if let Some(hit) = self.point_cache.lookup(set.vars()) {
                 resolved.push(Ok(hit.clone()));
             } else if let Some(&j) = miss_index.get(set.vars()) {
                 resolved.push(Err(j));
@@ -359,8 +364,7 @@ impl Evaluator {
 
         let evaluations = self.evaluate_batch(&miss_sets);
         for evaluation in &evaluations {
-            self.oracle
-                .point_cache_mut()
+            self.point_cache
                 .store(evaluation.set.vars().to_vec(), evaluation.clone());
         }
         resolved

@@ -257,7 +257,7 @@ impl SolveReport {
 ///
 /// Construction pays pool spawn and backend construction (clause-DB
 /// loading), so callers that process several families of the same formula —
-/// the Table 3 instance series, the benches, SAT@home simulations — hold one
+/// the Table 3 instance series, the benchmark, SAT@home simulations — hold one
 /// `FamilySolver` across them, exactly like PDSAT keeps its MiniSat worker
 /// processes alive between search-space points.
 #[derive(Debug)]

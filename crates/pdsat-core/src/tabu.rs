@@ -84,12 +84,6 @@ impl Tabu {
         }
     }
 
-    /// Sizes of the tabu lists `(|L1|, |L2|)`.
-    #[must_use]
-    pub fn tabu_list_sizes(&self) -> (usize, usize) {
-        (self.l1.len(), self.l2.len())
-    }
-
     /// `getNewCenter(L2)` of the paper.
     fn pick_new_center(&self, ctx: &mut SearchContext<'_>) -> Option<Point> {
         if self.l2.is_empty() {

@@ -3,8 +3,7 @@
 //! randomized cube families (same prefix-aware schedule) and must report
 //! bit-identical verdicts and per-cube conflict costs — reuse only skips
 //! the deterministic replay of shared assumption prefixes, never changes
-//! the search. This is the head-to-head the CI bench gate measures for
-//! speed; here it is pinned for answers.
+//! the search.
 //!
 //! Proof logging is on for the reuse-enabled oracle, so the suite doubles
 //! as the differential certificate hook at the oracle level: every UNSAT

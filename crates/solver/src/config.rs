@@ -35,8 +35,6 @@ pub struct SolverConfig {
     /// Base number of conflicts between restarts; the actual limit of the
     /// `i`-th restart is `luby(i) · luby_restart_base`.
     pub luby_restart_base: u64,
-    /// Whether restarts are enabled at all.
-    pub restarts: bool,
     /// Whether to remember and reuse the last polarity of each variable.
     pub phase_saving: bool,
     /// Whether learnt clauses are minimized with the basic (local) rule.
@@ -118,7 +116,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             luby_restart_base: 100,
-            restarts: true,
             phase_saving: true,
             clause_minimization: true,
             learntsize_factor: 1.0 / 3.0,
@@ -144,7 +141,6 @@ mod tests {
     fn defaults_match_minisat_conventions() {
         let cfg = SolverConfig::default();
         assert_eq!(cfg.luby_restart_base, 100);
-        assert!(cfg.restarts);
         assert!(cfg.phase_saving);
         assert!(cfg.clause_minimization);
         assert!((cfg.garbage_frac - 0.20).abs() < 1e-12);
@@ -163,7 +159,7 @@ mod tests {
         let copy = cfg.clone();
         assert_eq!(cfg, copy);
         let changed = SolverConfig {
-            restarts: false,
+            phase_saving: false,
             ..cfg
         };
         assert_ne!(changed, copy);

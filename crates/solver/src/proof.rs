@@ -74,11 +74,6 @@ impl ProofLogger {
         self.steps.is_empty()
     }
 
-    /// Discards every logged step, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.steps.clear();
-    }
-
     /// `true` when the log already ends in the empty clause (the persistent
     /// stream of a root-level UNSAT solver).
     #[must_use]

@@ -395,19 +395,6 @@ impl Solver {
         self.proof.as_ref().map(ProofLogger::steps)
     }
 
-    /// Discards the DRAT stream recorded so far (a no-op with proof logging
-    /// off). Clauses learnt before the cut keep *using* their derivations
-    /// without the stream recording them, so certificates extracted after a
-    /// clear are not checkable — this is for long-lived solvers that want to
-    /// bound proof memory between certificate-free phases, and for
-    /// measurement loops.
-    pub fn clear_proof(&mut self) {
-        if let Some(log) = self.proof.as_mut() {
-            log.clear();
-        }
-        self.last_solve_unsat = false;
-    }
-
     /// A DRAT certificate for the most recent UNSAT answer, or `None` when
     /// proof logging is off or the last answer was not UNSAT.
     ///
@@ -483,19 +470,6 @@ impl Solver {
     #[must_use]
     pub fn var_activity(&self, var: Var) -> f64 {
         self.activity[var.index()]
-    }
-
-    /// Number of conflicts in whose analysis the variable participated.
-    ///
-    /// This is the "conflict activity" used by the tabu search heuristic of
-    /// the paper to pick a new neighbourhood centre.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is unknown to the solver.
-    #[must_use]
-    pub fn conflict_count(&self, var: Var) -> u64 {
-        self.conflict_counts[var.index()]
     }
 
     /// Per-variable conflict participation counts (indexed by variable).
@@ -1208,11 +1182,7 @@ impl Solver {
 
         let mut curr_restarts: u64 = 0;
         loop {
-            let restart_limit = if self.config.restarts {
-                luby(curr_restarts).saturating_mul(self.config.luby_restart_base)
-            } else {
-                u64::MAX
-            };
+            let restart_limit = luby(curr_restarts).saturating_mul(self.config.luby_restart_base);
             let status = self.search(restart_limit, assumptions, &limits, interrupt);
             match status {
                 SearchStatus::Sat => {

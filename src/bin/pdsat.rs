@@ -23,7 +23,7 @@
 #![forbid(unsafe_code)]
 
 use pdsat_checker::{check_model, check_unsat_proof};
-use pdsat_cnf::{dimacs, Assignment, Cnf, DratProof, Lit, Var};
+use pdsat_cnf::{dimacs, Assignment, Cnf, DratProof, Lit};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -135,23 +135,23 @@ fn read_cnf(path: &str) -> Result<Cnf, String> {
     dimacs::parse_str(&text).map_err(|e| e.to_string())
 }
 
-/// Parses DIMACS literal arguments, rejecting zeros and out-of-range
-/// variables instead of panicking.
+/// The literal `value` names, if it is one of the formula's: `None` for `0`
+/// and for any variable outside `num_vars`, so no argument or model token
+/// can panic or index outside the formula.
+fn lit_in_formula(value: i64, num_vars: usize) -> Option<Lit> {
+    Lit::try_from_dimacs(value).filter(|lit| lit.var().index() < num_vars)
+}
+
+/// Parses the assumption arguments.
 fn parse_lits(args: &[&str], num_vars: usize) -> Result<Vec<Lit>, String> {
-    let mut lits = Vec::with_capacity(args.len());
-    for arg in args {
-        let value: i64 = arg
-            .parse()
-            .map_err(|_| format!("bad assumption literal '{arg}'"))?;
-        if value == 0 {
-            return Err("assumption literals must be non-zero".to_string());
-        }
-        if value.unsigned_abs() > num_vars as u64 {
-            return Err(format!("assumption '{arg}' is outside the formula"));
-        }
-        lits.push(Lit::from_dimacs(value));
-    }
-    Ok(lits)
+    args.iter()
+        .map(|arg| {
+            arg.parse()
+                .ok()
+                .and_then(|value| lit_in_formula(value, num_vars))
+                .ok_or_else(|| format!("assumption '{arg}' is not a literal of the formula"))
+        })
+        .collect()
 }
 
 /// Reads a claimed model: whitespace-separated DIMACS literals, accepting
@@ -173,10 +173,9 @@ fn read_model(path: &str, num_vars: usize) -> Result<Assignment, String> {
             if value == 0 {
                 break 'lines;
             }
-            if value.unsigned_abs() > num_vars as u64 {
-                return Err(format!("model literal '{token}' is outside the formula"));
-            }
-            model.assign(Var::from_dimacs(value.abs()), value > 0);
+            let lit = lit_in_formula(value, num_vars)
+                .ok_or_else(|| format!("model literal '{token}' is outside the formula"))?;
+            model.assign(lit.var(), lit.is_positive());
         }
     }
     Ok(model)

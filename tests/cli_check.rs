@@ -105,3 +105,47 @@ fn unreadable_or_unparseable_inputs_exit_three() {
     let _ = std::fs::remove_file(proof);
     let _ = std::fs::remove_file(cnf);
 }
+
+/// Hostile bytes: a header or an identifier far outside any real formula
+/// must end in `error: …` and exit 3 before anything is sized from it (the
+/// first file would ask the checker for 192 GB).
+#[test]
+fn hostile_variable_counts_exit_three_without_allocating() {
+    let ok_cnf = "p cnf 2 1\n1 0\n";
+    let ok_proof = "0\n";
+    let min = "-9223372036854775808 0\n";
+    for (cnf_text, proof_text) in [
+        ("p cnf 4000000000 1\n1 0\n", ok_proof),
+        ("9999999999 0\n", ok_proof),
+        (min, ok_proof),
+        (ok_cnf, min),
+        (ok_cnf, "4294967297 0\n0\n"), // would alias variable 1
+    ] {
+        let cnf = scratch("hostile.cnf", cnf_text);
+        let proof = scratch("hostile.drat", proof_text);
+        let out = pdsat()
+            .args(["check"])
+            .arg(&cnf)
+            .arg(&proof)
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(code(out), 3, "{cnf_text:?} {proof_text:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{stderr}");
+        let _ = std::fs::remove_file(cnf);
+        let _ = std::fs::remove_file(proof);
+    }
+    // An assumption argument goes through the same conversion (usage error).
+    let cnf = scratch("ok.cnf", ok_cnf);
+    let proof = scratch("ok.drat", ok_proof);
+    let out = pdsat()
+        .args(["check"])
+        .arg(&cnf)
+        .arg(&proof)
+        .arg("-9223372036854775808")
+        .output()
+        .expect("spawn");
+    assert_eq!(code(out), 2);
+    let _ = std::fs::remove_file(cnf);
+    let _ = std::fs::remove_file(proof);
+}

@@ -15,7 +15,9 @@
 //! 4. **no parked code**: no `allow(dead_code)` attribute in any form (code
 //!    that nothing calls is deleted, test-only helpers are `#[cfg(test)]`)
 //!    and no `serde` entry in any workspace `Cargo.toml` (persistence is the
-//!    two hand-written text codecs; a derive-only stub must not come back).
+//!    two hand-written text codecs; a derive-only stub must not come back),
+//!    nor a `criterion` dependency or `[[bench]]` table (measurements are
+//!    made with the `benchmark/` package; a second harness must not either).
 //! 5. **counters travel whole**: the non-test code of `crates/distrib/src`
 //!    and `crates/experiments/src` (everything before a file's
 //!    `#[cfg(test)]` module) names no individual family counter — the names
@@ -269,6 +271,10 @@ fn check_no_parked_code(root: &Path, errors: &mut Vec<String>) {
     manifests.sort();
     let advice = "nothing serializes through it; remove the manifest entry";
     forbid(root, &manifests, "#", None, "serde", advice, errors);
+    let advice = "benchmark/ is the one measuring harness; add a workload there";
+    for needle in ["criterion", "[[bench]]"] {
+        forbid(root, &manifests, "#", None, needle, advice, errors);
+    }
 }
 
 /// The family counters' names, read off the one list that declares them
