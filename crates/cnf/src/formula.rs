@@ -1,6 +1,7 @@
 //! CNF formulas.
 
 use crate::{Assignment, Clause, Cube, Lit, Value, Var};
+use rand::Rng;
 use std::fmt;
 
 /// A formula in conjunctive normal form over variables `x_0 … x_{n-1}`.
@@ -59,6 +60,59 @@ impl Cnf {
                     cnf.add_clause([!var(i1, j), !var(i2, j)]);
                 }
             }
+        }
+        cnf
+    }
+
+    /// A random formula of `num_clauses` clauses, each over exactly three
+    /// distinct variables (no accidental units) — the workspace's stock
+    /// conflict-rich random fixture. Per clause the three variables are
+    /// drawn first, then the three polarities; seeded tests and their
+    /// recorded fixtures depend on that draw order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_vars < 3` and a clause is asked for.
+    pub fn random_3cnf<R: Rng + ?Sized>(num_vars: usize, num_clauses: usize, rng: &mut R) -> Cnf {
+        assert!(
+            num_vars >= 3 || num_clauses == 0,
+            "a 3-CNF clause needs three distinct variables"
+        );
+        let mut cnf = Cnf::new(num_vars);
+        for _ in 0..num_clauses {
+            let mut vars: Vec<u32> = Vec::with_capacity(3);
+            while vars.len() < 3 {
+                let v = rng.gen_range(0..num_vars) as u32;
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+            cnf.add_clause(
+                vars.into_iter()
+                    .map(|v| Lit::new(Var::new(v), rng.gen_bool(0.5))),
+            );
+        }
+        cnf
+    }
+
+    /// A random formula of `num_clauses` clauses of 1 to `max_len` literals
+    /// (units, repeated variables and tautologies included — input
+    /// diversity for differential tests). Per clause the length is drawn
+    /// first, then variable and polarity literal by literal; seeded tests
+    /// depend on that draw order.
+    pub fn random_cnf<R: Rng + ?Sized>(
+        num_vars: usize,
+        num_clauses: usize,
+        max_len: usize,
+        rng: &mut R,
+    ) -> Cnf {
+        let mut cnf = Cnf::new(num_vars);
+        for _ in 0..num_clauses {
+            let len = rng.gen_range(1..=max_len);
+            cnf.add_clause((0..len).map(|_| {
+                let var = Var::new(rng.gen_range(0..num_vars) as u32);
+                Lit::new(var, rng.gen_bool(0.5))
+            }));
         }
         cnf
     }

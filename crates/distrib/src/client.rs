@@ -69,18 +69,20 @@ pub fn synthetic_host_population(count: usize, seed: u64) -> Vec<Host> {
         .collect()
 }
 
-/// Probabilities and magnitudes of volunteer-client pathologies.
+/// Probabilities and magnitudes of volunteer-client pathologies. Callers
+/// pick a preset — [`default`](ClientBehavior::default) (the chaotic
+/// volunteer) or [`ideal`](ClientBehavior::ideal) — and may adjust the churn.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientBehavior {
     /// Probability that a finished client takes a break before re-polling.
-    pub gap_prob: f64,
+    pub(crate) gap_prob: f64,
     /// Maximum break length, seconds (actual gaps are uniform in `[0, max]`).
-    pub gap_max: f64,
+    pub(crate) gap_max: f64,
     /// Probability that a run straggles (e.g. the volunteer throttled the
     /// client or suspended the VM).
-    pub straggler_prob: f64,
+    pub(crate) straggler_prob: f64,
     /// Slow-down factor of a straggling run.
-    pub straggler_factor: f64,
+    pub(crate) straggler_factor: f64,
     /// Probability that the client permanently leaves the grid (checked once
     /// per client; the departure instant is uniform in `[0, churn_horizon]`).
     pub churn_prob: f64,
@@ -88,14 +90,14 @@ pub struct ClientBehavior {
     pub churn_horizon: f64,
     /// Minimum outage after a result vanishes with its host before that host
     /// polls again, seconds.
-    pub vanish_outage: f64,
+    pub(crate) vanish_outage: f64,
     /// Probability that a submitted result is uploaded twice.
-    pub duplicate_prob: f64,
+    pub(crate) duplicate_prob: f64,
     /// Delay of the duplicate upload after the original, seconds.
-    pub duplicate_delay: f64,
+    pub(crate) duplicate_delay: f64,
     /// Probability that an upload fails its integrity check (the coordinator
     /// discards it and the unit needs another result).
-    pub invalid_prob: f64,
+    pub(crate) invalid_prob: f64,
 }
 
 impl Default for ClientBehavior {

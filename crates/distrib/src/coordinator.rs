@@ -129,7 +129,31 @@ fn malformed(reason: String) -> CheckpointError {
     CheckpointError::Malformed { reason }
 }
 
+/// The shape every report of a unit of `num_cubes` cubes has, whether it
+/// arrives as an upload or is restored from checkpoint text: it covers
+/// exactly the unit's slice, cube for cube, and what it counts and points at
+/// lies inside that slice.
+fn report_fits_unit(report: &SolveReport, set_size: usize, num_cubes: usize) -> bool {
+    report.set_size == set_size
+        && report.cubes_processed == num_cubes
+        && report.per_cube_costs.len() == num_cubes
+        && report
+            .sat_count
+            .checked_add(report.unknown_count)
+            .is_some_and(|counted| counted <= num_cubes)
+        && report.first_sat_index.is_none_or(|local| local < num_cubes)
+}
+
 impl CoordinatorCheckpoint {
+    /// Largest number of work units [`from_text`](Self::from_text) accepts.
+    /// A resumed coordinator builds its unit and lease tables (about 90
+    /// bytes per unit) from the family line before reading a single unit, so
+    /// this one number decides how much an 80-byte file can make it
+    /// allocate: 2^22 is 64 times the largest family sharded here (the
+    /// benchmark's 65,536-unit scaling row) and caps those tables below
+    /// 400 MiB.
+    pub const MAX_UNITS: usize = 1 << 22;
+
     /// The empty checkpoint of a family: no units completed yet. The
     /// identity element of [`absorb`](CoordinatorCheckpoint::absorb).
     #[must_use]
@@ -146,6 +170,13 @@ impl CoordinatorCheckpoint {
     #[must_use]
     pub fn num_units(&self) -> usize {
         self.total_cubes.div_ceil(self.work_unit_size.max(1))
+    }
+
+    /// Number of cubes in unit `index` (the last unit of a family may be
+    /// short).
+    fn unit_cubes(&self, index: usize) -> usize {
+        self.work_unit_size
+            .min(self.total_cubes - index * self.work_unit_size)
     }
 
     /// `true` once every unit's report is present.
@@ -263,7 +294,10 @@ impl CoordinatorCheckpoint {
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Malformed`] describing the first bad line.
+    /// Returns [`CheckpointError::Malformed`] describing the first bad line:
+    /// one that does not parse, a family of zero-cube units or of more than
+    /// [`MAX_UNITS`](Self::MAX_UNITS) of them, or a unit report that does not
+    /// have the shape of its slice of the family (the rule uploads pass).
     pub fn from_text(text: &str) -> Result<CoordinatorCheckpoint, CheckpointError> {
         let mut lines = text.lines();
         let header = lines
@@ -304,6 +338,13 @@ impl CoordinatorCheckpoint {
             return Err(malformed(format!("incomplete family line '{family}'")));
         };
         let mut checkpoint = CoordinatorCheckpoint::empty(set_size, total_cubes, work_unit_size);
+        if work_unit_size == 0 || checkpoint.num_units() > CoordinatorCheckpoint::MAX_UNITS {
+            return Err(malformed(format!(
+                "family line '{family}' shards into zero-cube units or into more than the \
+                 supported maximum of {} units",
+                CoordinatorCheckpoint::MAX_UNITS
+            )));
+        }
         for line in lines {
             if line.trim().is_empty() {
                 continue;
@@ -382,6 +423,11 @@ impl CoordinatorCheckpoint {
             if fields.next().is_some() {
                 return Err(wrong_count());
             }
+            if !report_fits_unit(&report, set_size, checkpoint.unit_cubes(id as usize)) {
+                return Err(malformed(format!(
+                    "report does not have the shape of unit {id} in '{line}'"
+                )));
+            }
             if checkpoint.completed.insert(id, report).is_some() {
                 return Err(malformed(format!("unit {id} listed twice")));
             }
@@ -438,15 +484,10 @@ impl Coordinator {
         );
         let num_units = checkpoint.num_units();
         let units: Vec<WorkUnit> = (0..num_units)
-            .map(|i| {
-                let first_cube = i * checkpoint.work_unit_size;
-                WorkUnit {
-                    id: i as WorkUnitId,
-                    first_cube,
-                    num_cubes: checkpoint
-                        .work_unit_size
-                        .min(checkpoint.total_cubes - first_cube),
-                }
+            .map(|i| WorkUnit {
+                id: i as WorkUnitId,
+                first_cube: i * checkpoint.work_unit_size,
+                num_cubes: checkpoint.unit_cubes(i),
             })
             .collect();
         let mut leases = LeaseTable::new(num_units, config.redundancy, config.lease_timeout);
@@ -610,10 +651,7 @@ impl Coordinator {
         if !checksum_ok {
             return Err(CheckFailure::Checksum);
         }
-        let shape_ok = work_unit.num_cubes == report.cubes_processed
-            && report.set_size == self.checkpoint.set_size
-            && report.per_cube_costs.len() == report.cubes_processed;
-        if !shape_ok {
+        if !report_fits_unit(report, self.checkpoint.set_size, work_unit.num_cubes) {
             return Err(CheckFailure::Shape);
         }
         validate(work_unit, report)
@@ -850,6 +888,69 @@ mod tests {
         assert_eq!(unit.per_cube_costs, vec![3.0, 2.0]);
         assert!(unit.certificates.is_empty());
         assert_eq!(checkpoint.to_text(), GOLDEN);
+    }
+
+    /// Hostile checkpoint text: a family line that sizes the unit table, and
+    /// a unit line that claims more than its slice of the family holds.
+    #[test]
+    fn checkpoint_text_that_does_not_fit_its_family_is_malformed() {
+        let load = |family: &str, unit: &str| {
+            CoordinatorCheckpoint::from_text(&format!("{CHECKPOINT_HEADER}\n{family}\n{unit}"))
+        };
+        let is_malformed = |result: Result<CoordinatorCheckpoint, CheckpointError>| {
+            matches!(result, Err(CheckpointError::Malformed { .. }))
+        };
+        // `Coordinator::resume` would build usize::MAX work units.
+        assert!(is_malformed(load(
+            "family set_size=3 total_cubes=18446744073709551615 work_unit_size=1",
+            ""
+        )));
+        assert!(is_malformed(load(
+            "family set_size=3 total_cubes=8 work_unit_size=0",
+            ""
+        )));
+        // The cap is on units, not cubes.
+        let units = CoordinatorCheckpoint::MAX_UNITS;
+        let family = |units: usize| {
+            format!(
+                "family set_size=40 total_cubes={} work_unit_size=1024",
+                units * 1024
+            )
+        };
+        assert_eq!(load(&family(units), "").map(|c| c.num_units()), Ok(units));
+        assert!(is_malformed(load(&family(units + 1), "")));
+
+        // Seven cubes claimed for a two-cube unit, one cost, nine SAT cubes,
+        // the first of them at 5: `aggregate()` would report nine cubes
+        // processed for a family of four.
+        let small = "family set_size=2 total_cubes=4 work_unit_size=2";
+        assert!(is_malformed(load(
+            small,
+            "unit 0 7 4014000000000000 9 9 1500 3 7 11 12 13 14 15 5 4014000000000000 - \
+             4008000000000000"
+        )));
+        // Each clause of the shape rule on its own.
+        let unit = |cubes: &str, sat: &str, unknown: &str, first_sat: &str, costs: &str| {
+            format!("unit 1 {cubes} 4014000000000000 {sat} {unknown} 1500 0 0 0 0 0 0 0 {first_sat} - - {costs}")
+        };
+        let two_costs = "4008000000000000,4000000000000000";
+        assert!(load(small, &unit("2", "1", "1", "1", two_costs)).is_ok());
+        assert!(is_malformed(load(
+            small,
+            &unit("1", "0", "0", "-", "4008000000000000")
+        )));
+        assert!(is_malformed(load(
+            small,
+            &unit("2", "0", "0", "-", "4008000000000000")
+        )));
+        assert!(is_malformed(load(
+            small,
+            &unit("2", "2", "1", "-", two_costs)
+        )));
+        assert!(is_malformed(load(
+            small,
+            &unit("2", "1", "0", "2", two_costs)
+        )));
     }
 
     /// Seven distinct values written through the ordered view land in fields

@@ -384,13 +384,6 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> Transport for LoopbackTransport<F> {
 /// sleeping happens anywhere).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
-    /// Backoff before the first retry, seconds.
-    pub base_backoff: f64,
-    /// Multiplier applied to the backoff after each failed attempt.
-    pub multiplier: f64,
-    /// Jitter fraction: each wait is scaled by `1 + jitter * u` with
-    /// `u ∈ [0, 1)` drawn from the seeded generator. Zero disables jitter.
-    pub jitter: f64,
     /// Per-message deadline, seconds of accumulated backoff after which the
     /// message is abandoned (lease expiry + re-issue recovers the work).
     pub deadline: f64,
@@ -401,9 +394,6 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
-            base_backoff: 0.5,
-            multiplier: 2.0,
-            jitter: 0.5,
             deadline: 60.0,
             seed: 0,
         }
@@ -530,17 +520,24 @@ impl<T: Transport> ChaosTransport<T> {
 
 impl<T: Transport> Transport for ChaosTransport<T> {
     fn send(&mut self, to: ClientId, msg: ServerMsg, now: f64) {
+        /// Backoff before the first retry, seconds.
+        const BASE_BACKOFF: f64 = 0.5;
+        /// Multiplier applied to the backoff after each failed attempt.
+        const MULTIPLIER: f64 = 2.0;
+        /// Jitter fraction: each wait is scaled by `1 + JITTER * u` with
+        /// `u ∈ [0, 1)` drawn from the seeded generator.
+        const JITTER: f64 = 0.5;
         let mut waited = 0.0_f64;
-        let mut backoff = self.policy.base_backoff;
+        let mut backoff = BASE_BACKOFF;
         loop {
             self.stats.send_attempts += 1;
             if !self.faults.send_should_fail() {
                 self.inner.send(to, msg, now + waited);
                 return;
             }
-            let wait = backoff * (1.0 + self.policy.jitter * self.jitter_draw());
+            let wait = backoff * (1.0 + JITTER * self.jitter_draw());
             waited += wait;
-            backoff *= self.policy.multiplier;
+            backoff *= MULTIPLIER;
             if waited > self.policy.deadline {
                 self.stats.abandoned += 1;
                 return;

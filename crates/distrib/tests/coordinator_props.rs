@@ -10,12 +10,18 @@
 //!    of events and resuming a fresh coordinator from the text-serialized
 //!    checkpoint (over a *differently seeded* client population) reproduces
 //!    the uninterrupted run's final checkpoint and aggregate bit-for-bit.
+//!
+//! And for the checkpoint text as a trust boundary: whatever bytes the
+//! loader is handed, it and the coordinator resumed from what it accepts
+//! never panic.
 
 use pdsat_distrib::{
     synthetic_family_solver, ClientBehavior, Coordinator, CoordinatorCheckpoint, CoordinatorConfig,
     LoopbackConfig, LoopbackTransport, RunStatus,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Deterministic, mildly irregular per-cube costs.
 fn family(num_cubes: usize, seed: u64) -> Vec<f64> {
@@ -152,6 +158,106 @@ proptest! {
             resumed_aggregate.total_cost.to_bits(),
             reference_aggregate.total_cost.to_bits()
         );
+    }
+}
+
+/// The text of a small completed run: something for the hostile cases below
+/// to damage.
+fn valid_checkpoint_text() -> String {
+    let config = CoordinatorConfig {
+        work_unit_size: 3,
+        redundancy: 1,
+        lease_timeout: 20_000.0,
+    };
+    let mut coordinator = Coordinator::new(4, 11, &config);
+    let mut transport = LoopbackTransport::new(
+        chaotic(5, 6),
+        synthetic_family_solver(4, family(11, 5), Some(4)),
+    );
+    assert_eq!(
+        coordinator.run(&mut transport, Some(EVENT_CEILING)),
+        RunStatus::Complete
+    );
+    coordinator.checkpoint().to_text()
+}
+
+/// Numbers and non-numbers that sit on the edges the loader has to mind.
+const HOSTILE_TOKENS: [&str; 12] = [
+    "0",
+    "1",
+    "7",
+    "-",
+    "-1",
+    "x10",
+    "4194305",
+    "18446744073709551615",
+    "18446744073709551616",
+    "ffffffffffffffff",
+    "4014000000000000",
+    "4014000000000000,4008000000000000",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_checkpoint_text_never_panics_the_loader_or_the_resumed_coordinator(
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let valid = valid_checkpoint_text();
+        let mut bytes = valid.clone().into_bytes();
+        match rng.gen_range(0..4u32) {
+            // Arbitrary bytes.
+            0 => {
+                bytes = (0..rng.gen_range(0..200usize))
+                    .map(|_| rng.gen_range(0..=255u8))
+                    .collect();
+            }
+            // A valid text with some bytes overwritten, then cut short.
+            1 => {
+                for _ in 0..rng.gen_range(1..6usize) {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] = rng.gen_range(0..=255u8);
+                }
+                bytes.truncate(rng.gen_range(0..=bytes.len()));
+            }
+            // A valid text with whole fields replaced by hostile ones: one
+            // value of the family line, or a few fields of the unit lines.
+            mode => {
+                let mut lines: Vec<Vec<String>> = valid
+                    .lines()
+                    .map(|line| line.split(' ').map(str::to_string).collect())
+                    .collect();
+                let replacements = if mode == 2 { 1 } else { rng.gen_range(1..4usize) };
+                for _ in 0..replacements {
+                    let line = if mode == 2 { 1 } else { rng.gen_range(2..lines.len()) };
+                    let field = rng.gen_range(1..lines[line].len());
+                    let hostile = HOSTILE_TOKENS[rng.gen_range(0..HOSTILE_TOKENS.len())];
+                    lines[line][field] = match lines[line][field].split_once('=') {
+                        Some((key, _)) => format!("{key}={hostile}"),
+                        None => hostile.to_string(),
+                    };
+                }
+                let damaged: Vec<String> = lines.iter().map(|fields| fields.join(" ")).collect();
+                bytes = damaged.join("\n").into_bytes();
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(checkpoint) = CoordinatorCheckpoint::from_text(&text) {
+            let total_cubes = checkpoint.total_cubes;
+            let config = CoordinatorConfig {
+                work_unit_size: checkpoint.work_unit_size,
+                redundancy: 1,
+                lease_timeout: 20_000.0,
+            };
+            let resumed = Coordinator::resume(checkpoint, &config);
+            // What a resumed coordinator reports never exceeds its family.
+            if let Some(aggregate) = resumed.aggregate() {
+                prop_assert_eq!(aggregate.cubes_processed, total_cubes);
+                prop_assert_eq!(aggregate.per_cube_costs.len(), total_cubes);
+            }
+        }
     }
 }
 

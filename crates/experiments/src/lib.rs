@@ -13,8 +13,8 @@
 //! | §3 design choices | [`ablations`] | `ablations` |
 //!
 //! Every experiment uses the deterministic conflict-count cost metric, so the
-//! tables are identical across machines; EXPERIMENTS.md records the values
-//! and compares their *shape* with the paper's numbers.
+//! tables are identical across machines; DESIGN.md's "Benchmark ↔ paper
+//! mapping" relates them to the paper's measurements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

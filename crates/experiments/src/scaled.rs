@@ -5,8 +5,8 @@
 //! code path — encoding, Monte Carlo estimation, metaheuristic search,
 //! solving mode, cluster/grid extrapolation — but weakens the instances (part
 //! of the state is revealed, keystream fragments are shorter, samples are
-//! smaller) so each experiment finishes on a laptop. EXPERIMENTS.md records
-//! which qualitative conclusions survive the scaling.
+//! smaller) so each experiment finishes on a laptop. DESIGN.md's "Benchmark ↔
+//! paper mapping" says which of the paper's measurements each one stands for.
 
 use pdsat_ciphers::{Bivium, Grain, Instance, InstanceBuilder, StreamCipher, A51};
 use pdsat_cnf::Var;

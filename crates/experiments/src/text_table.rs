@@ -1,7 +1,6 @@
 //! Minimal text-table formatting for experiment output.
 
-/// A simple aligned text table (monospace output for terminals and for
-/// EXPERIMENTS.md).
+/// A simple aligned text table (monospace output for terminals).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TextTable {
     title: String,

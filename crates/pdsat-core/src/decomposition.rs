@@ -95,8 +95,7 @@ impl DecompositionSet {
     /// consecutive cubes share the longest possible assumption prefix on
     /// average, so this order is already optimal for the warm backend's
     /// assumption-trail reuse (a Gray-code walk has the identical
-    /// shared-prefix profile; see
-    /// [`prefix_schedule_order`](crate::prefix_schedule_order)).
+    /// shared-prefix profile).
     ///
     /// # Panics
     ///

@@ -251,21 +251,20 @@ pub fn silence_injected_panics() {
     }));
 }
 
-/// A [`CubeBackend`] decorator that consults the armed plan before every
+/// A backend decorator that consults the armed plan before every
 /// solve and panics at the scheduled ordinals — the pool-layer injection
 /// point. Built by the oracle whenever
 /// [`BatchConfig::fault_plan`](crate::BatchConfig::fault_plan) is non-empty
 /// (respawned backends are re-wrapped, so a respawned worker stays
 /// injectable).
-pub struct FaultyBackend {
+pub(crate) struct FaultyBackend {
     inner: Box<dyn CubeBackend>,
     faults: Arc<FaultState>,
 }
 
 impl FaultyBackend {
     /// Wraps `inner` so it panics at the plan's scheduled solve ordinals.
-    #[must_use]
-    pub fn new(inner: Box<dyn CubeBackend>, faults: Arc<FaultState>) -> FaultyBackend {
+    pub(crate) fn new(inner: Box<dyn CubeBackend>, faults: Arc<FaultState>) -> FaultyBackend {
         FaultyBackend { inner, faults }
     }
 }
@@ -290,10 +289,6 @@ impl CubeBackend for FaultyBackend {
 
     fn end_batch(&mut self) -> SolverStats {
         self.inner.end_batch()
-    }
-
-    fn kind(&self) -> crate::BackendKind {
-        self.inner.kind()
     }
 }
 

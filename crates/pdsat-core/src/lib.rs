@@ -32,8 +32,8 @@
 //! for the oracle's lifetime, each owning one backend fed chunked jobs over
 //! channels, with per-cube budgets, interrupt fan-out and per-worker
 //! stats/conflict-count accumulation merged once per batch. The unit of work
-//! it schedules is an exchangeable [`CubeBackend`]:
-//! [`BackendKind::Fresh`] builds a solver per cube
+//! it schedules is one of two backends:
+//! [`BackendKind::Fresh`] restores a solver per cube
 //! (order-independent observations, what the Monte Carlo argument assumes),
 //! while [`BackendKind::Warm`] keeps one incremental solver per worker whose
 //! learnt clauses and VSIDS state carry over across every batch the oracle
@@ -108,10 +108,7 @@ pub use driver::{
 };
 pub use estimator::{normal_cdf, normal_quantile, PredictiveEstimate, SampleStats};
 pub use fault::{FaultPlan, FaultState, RecvAction};
-pub use oracle::{
-    prefix_schedule_order, BackendKind, BackendOutcome, BatchConfig, BatchResult, CubeBackend,
-    CubeOracle, CubeOutcome, FreshBackend, VerdictSummary, WarmBackend,
-};
+pub use oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, CubeOutcome, VerdictSummary};
 pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};
 pub use restart::{RandomRestart, RandomRestartConfig};
 pub use search::{

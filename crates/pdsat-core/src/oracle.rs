@@ -5,8 +5,8 @@
 //! annealing/tabu point traversal, solving mode — is a multiple of one unit
 //! of work: *solve `C[X̃/α]` under the cube's assumptions*. PDSAT realizes
 //! that unit as an MPI worker running a modified MiniSat; this module
-//! realizes it as an exchangeable [`CubeBackend`] driven by an executor that
-//! owns a **persistent worker pool** ([`oracle/pool.rs`](pool)): worker
+//! realizes it as a backend selected by [`BackendKind`], driven by an
+//! executor that owns a **persistent worker pool** ([`oracle/pool.rs`](pool)): worker
 //! threads are spawned once when the oracle is built, each owns one backend
 //! instance for the oracle's whole lifetime, and batches are streamed to
 //! them as chunked jobs over channels. The executor applies per-cube
@@ -23,12 +23,14 @@ mod backend;
 mod pool;
 mod share;
 
-pub use backend::{BackendKind, BackendOutcome, CubeBackend, FreshBackend, WarmBackend};
+pub use backend::BackendKind;
+use backend::BackendSpec;
+pub(crate) use backend::{BackendOutcome, CubeBackend};
 use share::{ClauseExchange, SHARE_RING_CAPACITY};
 
 use crate::fault::FaultPlan;
 use crate::CostMetric;
-use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Lit, Var};
+use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig, SolverStats, Verdict};
 use pool::{BatchShared, FlatCubes, WorkerPool};
 use std::sync::Arc;
@@ -160,7 +162,7 @@ pub struct BatchConfig {
     /// satisfiable (used when only the answer, not the full family cost,
     /// matters). See the [`BatchResult`] docs for the exact contract.
     pub stop_on_sat: bool,
-    /// Which [`CubeBackend`] each worker runs (see [`BackendKind`] for the
+    /// Which backend each worker runs (see [`BackendKind`] for the
     /// fresh-vs-warm trade-off).
     pub backend: BackendKind,
     /// Variables the batches will assume over (the decomposition set). With
@@ -169,18 +171,6 @@ pub struct BatchConfig {
     /// otherwise the list is unused. Leaving it empty with simplify on is
     /// only safe when no assumptions are ever made.
     pub frozen_vars: Vec<Var>,
-    /// Process warm-backend batches in prefix-sorted order (default `true`):
-    /// cubes are scheduled sorted by their assumption literals, so
-    /// consecutive solves on one worker share the longest possible
-    /// assumption prefix and the solver's trail reuse
-    /// (`SolverConfig::trail_reuse`) skips most of the per-cube replay. Only
-    /// the *processing* order changes — outcomes are still reported in cube
-    /// order, and verdicts are order-independent. Ignored for the fresh
-    /// backend (a fresh solver gains nothing from adjacency) and under
-    /// [`stop_on_sat`](BatchConfig::stop_on_sat) (whose contract promises
-    /// that a single worker solves a *prefix* of the batch in submission
-    /// order).
-    pub prefix_schedule: bool,
     /// Cooperative clause sharing between pool workers (default `false`).
     /// When enabled on a real pool (effective workers ≥ 2) with the warm
     /// backend, each worker exports its glue learnt clauses
@@ -215,90 +205,10 @@ impl Default for BatchConfig {
             stop_on_sat: false,
             backend: BackendKind::Fresh,
             frozen_vars: Vec::new(),
-            prefix_schedule: true,
             clause_sharing: false,
             fault_plan: FaultPlan::none(),
         }
     }
-}
-
-/// Prefix-aware processing order for a batch of cubes: within every
-/// contiguous run of cubes over the *same* decomposition set, indices are
-/// sorted by the cubes' assumption literals, so cubes sharing a long
-/// assumption prefix end up adjacent (a depth-first traversal of the
-/// assignment trie) — the order that maximizes the assumption-trail reuse of
-/// a warm solver. Full decomposition families from
-/// [`DecompositionSet::cubes`](crate::DecompositionSet::cubes) already
-/// enumerate prefix-optimally, so there the result is the identity; the hook
-/// matters for random Monte Carlo samples. Runs over *different* sets (the
-/// concatenated per-point sample plans of a batched neighborhood evaluation)
-/// are never interleaved: a warm solver's learnt-clause locality follows the
-/// set, and shuffling sets together costs more than cross-set "prefix"
-/// sharing could ever return. Equal cubes keep submission order and the
-/// result is deterministic for a given batch.
-#[must_use]
-pub fn prefix_schedule_order(cubes: &[Cube]) -> Vec<u32> {
-    // Lexicographic on the literal sequence, with the polarity bit flipped
-    // so that for one variable the negative literal sorts first: that makes
-    // the per-run sorted order coincide with the binary counting order of
-    // `DecompositionSet::cubes`, so an enumerated family is the identity
-    // permutation (processing order == cube order).
-    //
-    // Keys are precomputed into one flat row-major buffer so each of the
-    // O(n log n) comparisons is a contiguous u32 slice compare instead of
-    // chasing two per-cube heap pointers — on micro-batches (estimator
-    // samples of tiny sub-problems) the sort is otherwise a measurable
-    // fraction of the whole batch. Rows are padded with `u32::MAX`, which no
-    // flipped literal code can take, so a cube that is a strict prefix of
-    // another sorts after it.
-    let width = cubes.iter().map(Cube::len).max().unwrap_or(0);
-    let mut keys = vec![u32::MAX; cubes.len() * width];
-    for (i, cube) in cubes.iter().enumerate() {
-        for (k, lit) in cube.lits().iter().enumerate() {
-            keys[i * width + k] = (lit.code() as u32) ^ 1;
-        }
-    }
-    let row = |i: usize| &keys[i * width..(i + 1) * width];
-    let same_set = |a: usize, b: usize| {
-        let (x, y) = (cubes[a].lits(), cubes[b].lits());
-        x.len() == y.len() && x.iter().zip(y).all(|(l, m)| l.var() == m.var())
-    };
-    let mut order: Vec<u32> = (0..cubes.len() as u32).collect();
-    let mut run_start = 0;
-    for i in 1..=cubes.len() {
-        if i == cubes.len() || !same_set(i - 1, i) {
-            order[run_start..i].sort_unstable_by(|&a, &b| {
-                row(a as usize).cmp(row(b as usize)).then_with(|| a.cmp(&b))
-            });
-            run_start = i;
-        }
-    }
-    order
-}
-
-/// `true` when the batch is already in the order `prefix_schedule_order`
-/// would produce (sorted by flipped-polarity literal sequence within every
-/// same-set run). One allocation-free pass over adjacent pairs — enumerated
-/// decomposition families, the hot solving-mode path, always are, so the
-/// executor skips building and applying the permutation entirely. The pool
-/// gets the same answer out of the pass that copies the batch
-/// ([`FlatCubes::copy_of`]); this one serves the sequential executor and is
-/// the reference that one is tested against.
-fn is_prefix_ordered(cubes: &[Cube]) -> bool {
-    cubes
-        .windows(2)
-        .all(|pair| prefix_ordered_pair(pair[0].lits(), pair[1].lits()))
-}
-
-/// `true` when cube `y` may directly follow cube `x` in prefix-schedule
-/// order: they are over different sets, or `x <= y` by flipped-polarity
-/// literal sequence.
-fn prefix_ordered_pair(x: &[Lit], y: &[Lit]) -> bool {
-    let same_set = x.len() == y.len() && x.iter().zip(y).all(|(l, m)| l.var() == m.var());
-    !same_set
-        || x.iter()
-            .map(|l| l.code() ^ 1)
-            .le(y.iter().map(|l| l.code() ^ 1))
 }
 
 /// How an oracle executes batches: on the calling thread with one resident
@@ -344,7 +254,9 @@ enum Executor {
 /// assert_eq!(oracle.cubes_solved(), 4);
 /// ```
 pub struct CubeOracle {
-    cnf: Arc<Cnf>,
+    /// The formula and how to build a backend over it; shared with the pool
+    /// threads, which respawn from it.
+    spec: Arc<BackendSpec>,
     config: BatchConfig,
     exec: Executor,
     /// The pool's clause exchange, `Some` only when
@@ -360,7 +272,7 @@ pub struct CubeOracle {
 impl std::fmt::Debug for CubeOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CubeOracle")
-            .field("num_vars", &self.cnf.num_vars())
+            .field("num_vars", &self.cnf().num_vars())
             .field("config", &self.config)
             .field("num_workers", &self.num_workers())
             .field("batches", &self.batches)
@@ -388,9 +300,7 @@ impl CubeOracle {
         } else {
             config.num_workers
         };
-        // Per-cube clock reads are only paid when the cost metric actually
-        // consumes wall time; counter metrics run the backends untimed.
-        let measure_wall_time = !config.cost.is_deterministic();
+        let spec = Arc::new(BackendSpec::new(cnf, &config));
         // The clause exchange only exists for a real pool of warm backends:
         // the sequential executor has nobody to share with, and the fresh
         // backend's iid-observation contract forbids cross-cube coupling.
@@ -398,31 +308,21 @@ impl CubeOracle {
             (config.clause_sharing && effective_workers > 1 && config.backend == BackendKind::Warm)
                 .then(|| Arc::new(ClauseExchange::new(effective_workers, SHARE_RING_CAPACITY)));
         let exec = if effective_workers <= 1 {
-            Executor::Sequential(config.backend.build(
-                &cnf,
-                &config.solver_config,
-                &config.frozen_vars,
-                measure_wall_time,
-                None,
-            ))
+            Executor::Sequential(spec.build(None))
         } else {
             // A non-empty fault plan is armed once per oracle; the workers
             // share its ordinal counters, so "panic on the nth solve" counts
             // solves across the whole pool.
             let faults = (!config.fault_plan.is_empty()).then(|| config.fault_plan.clone().arm());
             Executor::Pool(WorkerPool::spawn(
-                &cnf,
-                config.backend,
-                &config.solver_config,
-                &config.frozen_vars,
-                measure_wall_time,
+                &spec,
                 effective_workers,
                 share.clone(),
                 faults,
             ))
         };
         CubeOracle {
-            cnf,
+            spec,
             config,
             exec,
             share,
@@ -435,7 +335,7 @@ impl CubeOracle {
     /// The formula every sub-problem restricts.
     #[must_use]
     pub fn cnf(&self) -> &Cnf {
-        &self.cnf
+        &self.spec.cnf
     }
 
     /// The configuration applied to every batch.
@@ -480,8 +380,14 @@ impl CubeOracle {
     /// worker pool — to `min(num_workers, cubes.len())` of its threads, so a
     /// batch smaller than the pool never wakes the surplus workers. Either
     /// way the backends are the *same instances* across calls (warm state
-    /// survives from batch to batch) and the outcomes are returned in cube
-    /// order. An empty batch returns immediately without touching the pool.
+    /// survives from batch to batch), the cubes are processed in the order
+    /// given — each worker walks its stripe of the batch front to back — and
+    /// the outcomes are returned in that order too, so `outcomes[i].index`
+    /// is `i` for a batch solved in full. A caller that wants a warm solver
+    /// to reuse assumption prefixes submits the cubes sorted (enumerated
+    /// families already are; the [`Evaluator`](crate::Evaluator) sorts its
+    /// samples). An empty batch returns immediately without touching the
+    /// pool.
     ///
     /// The optional `external_interrupt` lets a caller abandon the whole
     /// batch — the equivalent of PDSAT's leader abandoning a search-space
@@ -494,7 +400,7 @@ impl CubeOracle {
     ) -> BatchResult {
         let start = Instant::now();
         let interrupt = external_interrupt.cloned().unwrap_or_default();
-        let num_vars = self.cnf.num_vars();
+        let num_vars = self.cnf().num_vars();
         let mut outcomes: Vec<CubeOutcome> = Vec::new();
         let mut totals = vec![0u64; num_vars];
         let mut stats = SolverStats::default();
@@ -510,48 +416,24 @@ impl CubeOracle {
         }
 
         let config = &self.config;
-        // Prefix-aware scheduling: warm backends process the batch sorted by
-        // shared assumption prefix so trail reuse skips most of the per-cube
-        // replay. `stop_on_sat` keeps submission order (its single-worker
-        // prefix guarantee depends on it), fresh backends gain nothing from
-        // adjacency, and an already-ordered batch (every enumerated family)
-        // skips the permutation and its per-cube indirection outright.
-        let schedule = config.prefix_schedule
-            && config.backend == BackendKind::Warm
-            && !config.stop_on_sat
-            && cubes.len() > 1;
-        // Whether the executor produced the outcomes in cube-index order:
-        // both do for a batch processed in submission order, so the common
-        // case ends without a sort and without a scan to find that out.
-        let in_index_order;
         match &mut self.exec {
             Executor::Sequential(backend) => {
-                let order =
-                    (schedule && !is_prefix_ordered(cubes)).then(|| prefix_schedule_order(cubes));
                 outcomes.reserve_exact(cubes.len());
-                let indices =
-                    (0..cubes.len()).map(|pos| order.as_ref().map_or(pos, |o| o[pos] as usize));
                 // Solver statistics (trail-reuse counters included) are
                 // merged once per batch, mirroring the pool path.
                 stats = solve_on_caller(
                     backend.as_mut(),
                     cubes,
-                    indices,
+                    0..cubes.len(),
                     config,
                     &interrupt,
                     &mut totals,
                     &mut outcomes,
                 );
-                in_index_order = order.is_none();
             }
             Executor::Pool(pool) => {
-                // The one copy of the batch the pool threads share; copying
-                // it is also the order check.
-                let (flat, ordered) = FlatCubes::copy_of(cubes);
-                let order = (schedule && !ordered).then(|| prefix_schedule_order(cubes));
                 let shared = Arc::new(BatchShared::new(
-                    flat,
-                    order,
+                    FlatCubes::copy_of(cubes),
                     pool.live().min(cubes.len()),
                     config,
                     interrupt.clone(),
@@ -585,20 +467,8 @@ impl CubeOracle {
                 // surfaces to the caller. Under a raised `stop_on_sat` flag
                 // the leftovers are simply never started, matching the
                 // contract for unclaimed cubes.
-                let fall_back = !(failed.is_empty() || config.stop_on_sat && interrupt.is_raised());
-                // Placed runs are in position order, which an `order`
-                // permutation makes differ from index order; the fallback
-                // appends its cubes behind everything else.
-                in_index_order = shared.order.is_none() && !fall_back;
-                if fall_back {
-                    let measure_wall_time = !config.cost.is_deterministic();
-                    let mut fallback = config.backend.build(
-                        &self.cnf,
-                        &config.solver_config,
-                        &config.frozen_vars,
-                        measure_wall_time,
-                        None,
-                    );
+                if !(failed.is_empty() || config.stop_on_sat && interrupt.is_raised()) {
+                    let mut fallback = self.spec.build(None);
                     let solved_before = outcomes.len();
                     stats.absorb(&solve_on_caller(
                         fallback.as_mut(),
@@ -610,6 +480,10 @@ impl CubeOracle {
                         &mut outcomes,
                     ));
                     stats.requeued_cubes += (outcomes.len() - solved_before) as u64;
+                    // The fallback appended its cubes behind everything
+                    // else — the one way outcomes leave index order. Stable,
+                    // so it merges the two sorted runs that are there.
+                    outcomes.sort_by_key(|o| o.index);
                 }
             }
         }
@@ -621,12 +495,6 @@ impl CubeOracle {
             stats.import_dropped += exchange.take_dropped();
         }
 
-        // What is left for the sort: an `order` permutation was in force, or
-        // the fallback appended its cubes. Stable, so it merges the runs
-        // that are there.
-        if !in_index_order {
-            outcomes.sort_by_key(|o| o.index);
-        }
         debug_assert!(outcomes.is_sorted_by_key(|o| o.index));
         self.batches += 1;
         self.cubes_solved += outcomes.len() as u64;
@@ -947,77 +815,6 @@ mod tests {
         let a = batch(&cnf, &cubes, &config);
         let b = batch(&cnf, &cubes, &config);
         assert!(a.costs().eq(b.costs()));
-    }
-
-    #[test]
-    fn prefix_schedule_order_clusters_shared_prefixes() {
-        let set = DecompositionSet::new((0..4).map(Var::new));
-        let family: Vec<Cube> = set.cubes().collect();
-        // A shuffled family sorts back into an order where consecutive cubes
-        // share maximal prefixes: a depth-first traversal of the assignment
-        // trie, i.e. (a polarity relabeling of) the counting order the
-        // enumeration already produces. The summed adjacent shared-prefix
-        // length must therefore match the enumeration order's.
-        let shared = |a: &Cube, b: &Cube| {
-            a.lits()
-                .iter()
-                .zip(b.lits())
-                .take_while(|(x, y)| x == y)
-                .count()
-        };
-        let optimal: usize = family.windows(2).map(|w| shared(&w[0], &w[1])).sum();
-        let mut shuffled = family.clone();
-        shuffled.reverse();
-        shuffled.swap(3, 11);
-        shuffled.swap(0, 7);
-        let order = prefix_schedule_order(&shuffled);
-        assert_eq!(order.len(), 16);
-        let total: usize = order
-            .windows(2)
-            .map(|w| shared(&shuffled[w[0] as usize], &shuffled[w[1] as usize]))
-            .sum();
-        assert_eq!(total, optimal, "sorted order must be prefix-optimal");
-        // The identity permutation is returned for an already-sorted family.
-        let sorted: Vec<Cube> = order
-            .iter()
-            .map(|&i| shuffled[i as usize].clone())
-            .collect();
-        let again = prefix_schedule_order(&sorted);
-        assert!(again.iter().enumerate().all(|(i, &p)| p as usize == i));
-    }
-
-    #[test]
-    fn prefix_scheduling_changes_processing_order_not_results() {
-        let cnf = Cnf::pigeonhole(5);
-        let set = DecompositionSet::new((0..4).map(Var::new));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        // A shuffled random sample, so the prefix sort actually reorders.
-        let cubes = set.random_sample(24, &mut rng);
-        let run = |prefix_schedule: bool| {
-            let config = BatchConfig {
-                cost: CostMetric::Conflicts,
-                backend: BackendKind::Warm,
-                prefix_schedule,
-                ..BatchConfig::default()
-            };
-            CubeOracle::new(&cnf, config).solve_batch(&cubes, None)
-        };
-        let scheduled = run(true);
-        let submission = run(false);
-        assert_eq!(scheduled.outcomes.len(), submission.outcomes.len());
-        for (a, b) in scheduled.outcomes.iter().zip(&submission.outcomes) {
-            // Outcomes stay in cube-index order and verdicts are
-            // order-independent.
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.verdict, b.verdict);
-        }
-        // The prefix-sorted schedule reuses assumption levels; per-variable
-        // conflict attribution is unaffected by the processing order only in
-        // aggregate verdicts, so just check the counters flowed through.
-        assert!(
-            scheduled.solver_stats.reused_assumptions > 0,
-            "warm prefix-scheduled batches must reuse assumption prefixes"
-        );
     }
 
     #[test]

@@ -5,18 +5,21 @@
 //! cube and must return a verdict plus the exact counters ([`CubeCounters`])
 //! and per-variable conflict participation attributable to that cube. The
 //! executor never looks inside a backend — per-cube budgets, interrupt
-//! fan-out and cost measurement are applied uniformly on the outside — so new
-//! substrates (portfolio solvers, remote workers, …) plug in behind the same
-//! trait.
+//! fan-out and cost measurement are applied uniformly on the outside. The
+//! trait is crate-private: the two substrates ([`FreshBackend`],
+//! [`WarmBackend`]) and the fault-injecting decorator are its only
+//! implementations, selected from outside through [`BackendKind`].
 //!
 //! Backends are *pool residents*: one instance is built per worker when the
-//! oracle is constructed and lives until the oracle is dropped, surviving
+//! oracle is constructed — every one of them from the oracle's single
+//! [`BackendSpec`] — and lives until the oracle is dropped, surviving
 //! across batches ([`CubeBackend::begin_batch`] re-arms it at each batch
 //! boundary). That lifecycle is what lets [`WarmBackend`]'s learnt clauses
 //! and VSIDS state accumulate across every batch the oracle processes — the
 //! analogue of PDSAT's long-lived MiniSat worker processes. The full
-//! behavioural contract lives in DESIGN.md ("CubeBackend contract").
+//! behavioural contract lives in DESIGN.md ("Backend contract").
 
+use super::BatchConfig;
 use crate::CubeCounters;
 use pdsat_cnf::{Cnf, DratProof, Lit, Var};
 use pdsat_solver::{
@@ -37,7 +40,7 @@ use std::time::{Duration, Instant};
 /// [`CubeBackend::solve`], so no `num_vars`-sized allocation travels per
 /// cube.
 #[derive(Debug, Clone)]
-pub struct BackendOutcome {
+pub(crate) struct BackendOutcome {
     /// Verdict of `C ∧ cube` (the model travels inside [`Verdict::Sat`]).
     pub verdict: Verdict,
     /// Conflicts, decisions and propagations attributable to this cube.
@@ -60,7 +63,7 @@ pub struct BackendOutcome {
 /// the oracle, and is fed cubes sequentially; implementations therefore never
 /// need internal locking. The `Send` bound is what allows an instance to be
 /// built once and moved onto its long-lived pool thread.
-pub trait CubeBackend: Send {
+pub(crate) trait CubeBackend: Send {
     /// Solves `C ∧ cube` (the cube given as its assumption literals) under
     /// the given budget and interrupt flag.
     ///
@@ -91,9 +94,6 @@ pub trait CubeBackend: Send {
     /// needed to measure that cube's cost, and the batch aggregate is merged
     /// here in one step instead of being re-summed cube by cube.
     fn end_batch(&mut self) -> SolverStats;
-
-    /// Which substrate this backend is an instance of.
-    fn kind(&self) -> BackendKind;
 }
 
 /// Selects the backend a [`CubeOracle`](super::CubeOracle) builds for each of
@@ -127,53 +127,80 @@ impl BackendKind {
             BackendKind::Warm => "warm",
         }
     }
+}
 
-    /// Builds one backend instance over `cnf` (one per worker, built once
-    /// for the worker's lifetime).
-    ///
-    /// `frozen` lists the variables the caller will assume over (the
-    /// decomposition set): with [`SolverConfig::simplify`] enabled, backends
-    /// freeze them before the preprocessing pass so they survive variable
-    /// elimination and stay legal assumption targets.
-    ///
-    /// `measure_wall_time` selects whether the backend reads the clock
-    /// around every cube to fill [`BackendOutcome::elapsed`]. The oracle
-    /// passes `false` when its cost metric is a deterministic counter —
-    /// at warm-backend throughput (hundreds of nanoseconds per cube once a
-    /// family's lemmas are learnt and trails are reused), the per-cube clock
-    /// reads are a double-digit percentage of the remaining cost.
+/// How to build a backend: everything [`BatchConfig`] and the formula decide
+/// about it, worked out once when the oracle is built and shared by every
+/// site that builds one — the sequential executor, each pool worker and its
+/// respawns, the last-resort fallback.
+pub(crate) struct BackendSpec {
+    /// The formula every sub-problem restricts.
+    pub cnf: Arc<Cnf>,
+    /// Which substrate to build.
+    kind: BackendKind,
+    /// The solver configuration of every backend. An untimed backend also
+    /// silences the solver's own per-call accounting: nothing reads
+    /// `SolverStats::solve_time` when the cost comes from counters.
+    solver_config: SolverConfig,
+    /// The variables the batches assume over (the decomposition set): with
+    /// [`SolverConfig::simplify`] enabled they are frozen before the
+    /// preprocessing pass so they survive variable elimination and stay
+    /// legal assumption targets.
+    frozen_vars: Vec<Var>,
+    /// Whether a backend reads the clock around every cube to fill
+    /// [`BackendOutcome::elapsed`]. `false` when the cost metric is a
+    /// deterministic counter — at warm-backend throughput (hundreds of
+    /// nanoseconds per cube once a family's lemmas are learnt and trails are
+    /// reused), the per-cube clock reads are a double-digit percentage of
+    /// the remaining cost.
+    measure_wall_time: bool,
+}
+
+impl BackendSpec {
+    /// The spec of the backends an oracle over `cnf` configured by `config`
+    /// runs.
+    pub(crate) fn new(cnf: Arc<Cnf>, config: &BatchConfig) -> BackendSpec {
+        let measure_wall_time = !config.cost.is_deterministic();
+        BackendSpec {
+            cnf,
+            kind: config.backend,
+            solver_config: SolverConfig {
+                time_accounting: config.solver_config.time_accounting && measure_wall_time,
+                ..config.solver_config.clone()
+            },
+            frozen_vars: config.frozen_vars.clone(),
+            measure_wall_time,
+        }
+    }
+
+    /// Builds one backend instance (one per worker, built once for the
+    /// worker's lifetime).
     ///
     /// `share` is the worker's endpoint of the pool's clause exchange, or
     /// `None` when sharing is off. Only the warm backend installs it: a
     /// fresh backend's per-cube solves must be iid observations of the same
     /// algorithm, and foreign clauses arriving mid-batch would couple them.
-    #[must_use]
-    pub fn build(
-        self,
-        cnf: &Arc<Cnf>,
-        config: &SolverConfig,
-        frozen: &[Var],
-        measure_wall_time: bool,
+    pub(crate) fn build(
+        self: &Arc<Self>,
         share: Option<Arc<dyn ShareChannel>>,
     ) -> Box<dyn CubeBackend> {
-        // An untimed backend also silences the solver's own per-call
-        // accounting: nothing reads `SolverStats::solve_time` when the cost
-        // comes from counters.
-        let config = SolverConfig {
-            time_accounting: config.time_accounting && measure_wall_time,
-            ..config.clone()
-        };
-        match self {
-            BackendKind::Fresh => Box::new(
-                FreshBackend::with_frozen(Arc::clone(cnf), config, frozen)
-                    .with_wall_time(measure_wall_time),
-            ),
-            BackendKind::Warm => Box::new(
-                WarmBackend::with_frozen(cnf, config, frozen)
-                    .with_wall_time(measure_wall_time)
-                    .with_share(share),
-            ),
+        match self.kind {
+            BackendKind::Fresh => Box::new(FreshBackend::new(Arc::clone(self))),
+            BackendKind::Warm => Box::new(WarmBackend::new(self, share)),
         }
+    }
+
+    /// Loads the formula into a solver: frozen over the decomposition set
+    /// and preprocessed when [`SolverConfig::simplify`] is on.
+    fn load_solver(&self) -> Solver {
+        let mut solver = Solver::from_cnf_with_config(&self.cnf, self.solver_config.clone());
+        if self.solver_config.simplify {
+            for &v in &self.frozen_vars {
+                solver.freeze(v);
+            }
+            solver.simplify();
+        }
+        solver
     }
 }
 
@@ -205,16 +232,13 @@ impl std::str::FromStr for BackendKind {
 /// [`Clone::clone_from`], which copies into the working solver's existing
 /// allocations. A cube therefore starts from a memcpy of the loaded formula
 /// instead of re-parsing and re-attaching every clause.
-pub struct FreshBackend {
-    cnf: Arc<Cnf>,
-    config: SolverConfig,
-    frozen: Vec<Var>,
+pub(crate) struct FreshBackend {
+    spec: Arc<BackendSpec>,
     /// `None` until the first cube: construction does no solver work.
     resident: Option<Resident>,
     /// Sum of the per-cube stats deltas of the current batch, handed out
     /// once at [`CubeBackend::end_batch`].
     batch_stats: SolverStats,
-    measure_wall_time: bool,
 }
 
 /// The loaded formula and the solver the cubes actually run on.
@@ -229,16 +253,13 @@ struct Resident {
 }
 
 impl Resident {
-    fn load(cnf: &Cnf, config: &SolverConfig, frozen: &[Var]) -> Resident {
-        let mut working = Solver::from_cnf_with_config(cnf, config.clone());
-        let mut base = SolverStats::default();
-        if config.simplify {
-            for &v in frozen {
-                working.freeze(v);
-            }
-            working.simplify();
-            base = *working.stats();
-        }
+    fn load(spec: &BackendSpec) -> Resident {
+        let working = spec.load_solver();
+        let base = if spec.solver_config.simplify {
+            *working.stats()
+        } else {
+            SolverStats::default()
+        };
         // The clone is the template: it is allocated at exact size, while
         // the solver that did the loading keeps the spare capacity its watch
         // lists grew, which solving would grow anyway.
@@ -252,31 +273,13 @@ impl Resident {
 }
 
 impl FreshBackend {
-    /// Creates the backend over `cnf` with no frozen variables.
-    #[must_use]
-    pub fn new(cnf: Arc<Cnf>, config: SolverConfig) -> FreshBackend {
-        FreshBackend::with_frozen(cnf, config, &[])
-    }
-
-    /// Creates the backend over `cnf`; `frozen` (the variables later assumed
-    /// over) are frozen before the optional preprocessing pass.
-    #[must_use]
-    pub fn with_frozen(cnf: Arc<Cnf>, config: SolverConfig, frozen: &[Var]) -> FreshBackend {
+    /// Creates the backend; the formula is loaded on the first cube.
+    fn new(spec: Arc<BackendSpec>) -> FreshBackend {
         FreshBackend {
-            cnf,
-            config,
-            frozen: frozen.to_vec(),
+            spec,
             resident: None,
             batch_stats: SolverStats::default(),
-            measure_wall_time: true,
         }
-    }
-
-    /// Selects per-cube wall-time measurement (see [`BackendKind::build`]).
-    #[must_use]
-    pub fn with_wall_time(mut self, measure: bool) -> FreshBackend {
-        self.measure_wall_time = measure;
-        self
     }
 }
 
@@ -297,8 +300,8 @@ impl CubeBackend for FreshBackend {
             working,
         } = self
             .resident
-            .get_or_insert_with(|| Resident::load(&self.cnf, &self.config, &self.frozen));
-        let start = self.measure_wall_time.then(Instant::now);
+            .get_or_insert_with(|| Resident::load(&self.spec));
+        let start = self.spec.measure_wall_time.then(Instant::now);
         working.clone_from(template);
         let verdict = working.solve_limited(cube, budget, Some(interrupt));
         let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
@@ -328,16 +331,12 @@ impl CubeBackend for FreshBackend {
     fn end_batch(&mut self) -> SolverStats {
         std::mem::take(&mut self.batch_stats)
     }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Fresh
-    }
 }
 
 /// The warm-solver backend: one persistent incremental [`Solver`] that keeps
 /// its learnt clauses and heuristic state across cubes — and, because the
 /// backend itself lives as long as the oracle's worker, across batches.
-pub struct WarmBackend {
+pub(crate) struct WarmBackend {
     solver: Solver,
     /// Per-variable conflict participation already attributed to earlier
     /// cubes (the solver's counters are cumulative).
@@ -350,55 +349,21 @@ pub struct WarmBackend {
 }
 
 impl WarmBackend {
-    /// Creates the backend, loading `cnf` into the persistent solver once.
-    #[must_use]
-    pub fn new(cnf: &Cnf, config: SolverConfig) -> WarmBackend {
-        WarmBackend::with_frozen(cnf, config, &[])
-    }
-
-    /// Creates the backend, freezing `frozen` (the variables later assumed
-    /// over) and running the one-shot preprocessing pass when
-    /// [`SolverConfig::simplify`] is enabled.
-    #[must_use]
-    pub fn with_frozen(cnf: &Cnf, config: SolverConfig, frozen: &[Var]) -> WarmBackend {
-        let simplify = config.simplify;
-        let mut solver = Solver::from_cnf_with_config(cnf, config);
-        if simplify {
-            for &v in frozen {
-                solver.freeze(v);
-            }
-            solver.simplify();
-        }
+    /// Creates the backend, loading the formula into the persistent solver
+    /// once and installing the worker's clause-sharing endpoint on it: glue
+    /// learnt clauses are exported as they are learnt, and foreign clauses
+    /// are imported at every `begin_batch` and at the solver's own restart
+    /// boundaries (each import invalidating the saved assumption-prefix
+    /// trail, exactly like a clause addition).
+    fn new(spec: &BackendSpec, share: Option<Arc<dyn ShareChannel>>) -> WarmBackend {
+        let mut solver = spec.load_solver();
+        solver.set_share_channel(share);
         WarmBackend {
             solver,
-            attributed: vec![0; cnf.num_vars()],
+            attributed: vec![0; spec.cnf.num_vars()],
             batch_start: SolverStats::default(),
-            measure_wall_time: true,
+            measure_wall_time: spec.measure_wall_time,
         }
-    }
-
-    /// Selects per-cube wall-time measurement (see [`BackendKind::build`]).
-    #[must_use]
-    pub fn with_wall_time(mut self, measure: bool) -> WarmBackend {
-        self.measure_wall_time = measure;
-        self
-    }
-
-    /// Installs the worker's clause-sharing endpoint on the resident solver:
-    /// glue learnt clauses are exported as they are learnt, and foreign
-    /// clauses are imported at every `begin_batch` and at the solver's own
-    /// restart boundaries (each import invalidating the saved
-    /// assumption-prefix trail, exactly like a clause addition).
-    #[must_use]
-    pub fn with_share(mut self, share: Option<Arc<dyn ShareChannel>>) -> WarmBackend {
-        self.solver.set_share_channel(share);
-        self
-    }
-
-    /// The persistent solver (e.g. to inspect carried-over learnt clauses).
-    #[must_use]
-    pub fn solver(&self) -> &Solver {
-        &self.solver
     }
 }
 
@@ -449,10 +414,6 @@ impl CubeBackend for WarmBackend {
     fn end_batch(&mut self) -> SolverStats {
         self.solver.stats().delta_since(&self.batch_start)
     }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::Warm
-    }
 }
 
 #[cfg(test)]
@@ -481,11 +442,15 @@ mod tests {
         assert_eq!(BackendKind::default(), BackendKind::Fresh);
     }
 
+    fn spec(cnf: Cnf) -> Arc<BackendSpec> {
+        Arc::new(BackendSpec::new(Arc::new(cnf), &BatchConfig::default()))
+    }
+
     #[test]
     fn fresh_backend_reports_lifetime_deltas() {
-        let cnf = Arc::new(chain(4));
-        let mut backend = FreshBackend::new(Arc::clone(&cnf), SolverConfig::default());
-        assert_eq!(backend.kind(), BackendKind::Fresh);
+        let spec = spec(chain(4));
+        let cnf = Arc::clone(&spec.cnf);
+        let mut backend = FreshBackend::new(spec);
         // Construction loads nothing; the first cube does, outside its timer.
         assert!(backend.resident.is_none());
         let cube = Cube::from_values(&[Var::new(0)], &[true]);
@@ -501,9 +466,9 @@ mod tests {
 
     #[test]
     fn warm_backend_deltas_are_per_cube_not_cumulative() {
-        let cnf = chain(5);
-        let mut backend = WarmBackend::new(&cnf, SolverConfig::default());
-        assert_eq!(backend.kind(), BackendKind::Warm);
+        let spec = spec(chain(5));
+        let cnf = Arc::clone(&spec.cnf);
+        let mut backend = WarmBackend::new(&spec, None);
         let interrupt = InterruptFlag::new();
         let set = [Var::new(0), Var::new(4)];
         let mut total_props = 0;
@@ -514,13 +479,13 @@ mod tests {
             let out = backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc);
             // Deltas stay cube-sized even though the solver's own counters
             // keep growing across the calls.
-            assert!(out.counters.propagations <= backend.solver().stats().propagations);
+            assert!(out.counters.propagations <= backend.solver.stats().propagations);
             total_props += out.counters.propagations;
         }
         // The per-cube deltas add up to the solver's cumulative counters.
-        assert_eq!(total_props, backend.solver().stats().propagations);
+        assert_eq!(total_props, backend.solver.stats().propagations);
         let attributed: u64 = backend.attributed.iter().sum();
-        let cumulative: u64 = backend.solver().conflict_counts().iter().sum();
+        let cumulative: u64 = backend.solver.conflict_counts().iter().sum();
         assert_eq!(attributed, cumulative);
         // The caller-side accumulator saw exactly the cumulative counts too.
         assert_eq!(acc.iter().sum::<u64>(), cumulative);

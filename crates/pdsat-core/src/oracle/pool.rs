@@ -5,9 +5,9 @@
 //! would throw away every learnt clause and pay thread/solver start-up on
 //! each of the thousands of `F(χ)` evaluations. This module is the
 //! thread-level equivalent: `num_workers` OS threads are spawned once when
-//! the oracle is built, each thread builds and *owns* one
-//! [`CubeBackend`](super::CubeBackend) instance for its entire lifetime, and
-//! batches are fed to the pool as chunked jobs over per-worker channels.
+//! the oracle is built, each thread builds and *owns* one backend instance
+//! for its entire lifetime, and batches are fed to the pool as chunked jobs
+//! over per-worker channels.
 //!
 //! Per batch, each participating worker drains its own contiguous *stripe*
 //! of the cube list chunk-by-chunk through an atomic cursor, then steals
@@ -22,10 +22,10 @@
 //!
 //! What a batch shares is one [`FlatCubes`] copy of the caller's cubes (one
 //! literal buffer plus end offsets). What comes back are the outcomes as
-//! *runs* of consecutive batch positions — one run per worker when nothing
-//! is stolen — which [`WorkerPool::run_batch`] orders by first position and
-//! moves into place, so the outcomes of a batch processed in submission
-//! order arrive sorted without being sorted.
+//! *runs* of consecutive cube indices — one run per worker when nothing is
+//! stolen — which [`WorkerPool::run_batch`] orders by first index and moves
+//! into place, so the outcomes arrive sorted without being sorted. Cubes are
+//! processed in the order submitted: a batch position *is* a cube index.
 //!
 //! # Fault tolerance
 //!
@@ -45,13 +45,13 @@
 //! bit-identical to the pre-fault-tolerance pool: `catch_unwind` does not
 //! perturb the computation, and the counters stay zero.
 
-use super::backend::BackendKind;
+use super::backend::BackendSpec;
 use super::share::{ClauseExchange, WorkerShare};
-use super::{finish_outcome, prefix_ordered_pair, CubeOutcome, VerdictSummary};
+use super::{finish_outcome, CubeOutcome, VerdictSummary};
 use crate::fault::{FaultState, FaultyBackend};
 use crate::CostMetric;
-use pdsat_cnf::{Cnf, Cube, Lit, Var};
-use pdsat_solver::{Budget, InterruptFlag, ShareChannel, SolverConfig, SolverStats};
+use pdsat_cnf::{Cube, Lit};
+use pdsat_solver::{Budget, InterruptFlag, ShareChannel, SolverStats};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -76,21 +76,19 @@ pub(super) struct FlatCubes {
 }
 
 impl FlatCubes {
-    /// Copies `cubes` in one pass that also answers whether they already are
-    /// in prefix-schedule order (what `is_prefix_ordered` says of the same
-    /// slice): each cube is compared with the one just copied.
+    /// Copies `cubes`.
     ///
     /// # Panics
     ///
     /// Panics when the batch holds more than `u32::MAX` literals in total —
     /// the end offsets are `u32`.
-    pub(super) fn copy_of(cubes: &[Cube]) -> (FlatCubes, bool) {
+    pub(super) fn copy_of(cubes: &[Cube]) -> FlatCubes {
         FlatCubes::copy_within_limit(cubes, u32::MAX as usize)
     }
 
     /// [`copy_of`](FlatCubes::copy_of) with the offset limit as a parameter,
     /// so the boundary can be tested without a 16 GiB batch.
-    fn copy_within_limit(cubes: &[Cube], max_lits: usize) -> (FlatCubes, bool) {
+    fn copy_within_limit(cubes: &[Cube], max_lits: usize) -> FlatCubes {
         let total: usize = cubes.iter().map(Cube::len).sum();
         assert!(
             total <= max_lits,
@@ -100,18 +98,12 @@ impl FlatCubes {
         );
         let mut lits: Vec<Lit> = Vec::with_capacity(total);
         let mut ends: Vec<u32> = Vec::with_capacity(cubes.len());
-        let mut ordered = true;
-        let mut previous = 0;
         for cube in cubes {
-            let current = lits.len();
-            ordered = ordered
-                && (ends.is_empty() || prefix_ordered_pair(&lits[previous..current], cube.lits()));
             lits.extend_from_slice(cube.lits());
             // `total <= max_lits <= u32::MAX` was asserted above.
             ends.push(lits.len() as u32);
-            previous = current;
         }
-        (FlatCubes { lits, ends }, ordered)
+        FlatCubes { lits, ends }
     }
 
     /// Number of cubes.
@@ -128,14 +120,11 @@ impl FlatCubes {
 
 /// Everything the workers share about one batch in flight.
 pub(super) struct BatchShared {
-    /// The cubes of the batch.
+    /// The cubes of the batch, in submission order. Stripes are contiguous
+    /// runs of it, so a batch submitted prefix-sorted gives each worker a
+    /// block of cubes sharing long assumption prefixes — exactly what the
+    /// warm backend's trail reuse feeds on.
     pub cubes: FlatCubes,
-    /// Prefix-aware processing order: position `p` of the batch maps to cube
-    /// `order[p]`. `None` means submission order. Stripes are contiguous
-    /// runs of *positions*, so with the prefix-sorted order each worker's
-    /// stripe is a block of cubes sharing long assumption prefixes — exactly
-    /// what the warm backend's trail reuse feeds on.
-    pub order: Option<Vec<u32>>,
     /// One stripe per participating worker. The worker assigned stripe `i`
     /// drains it first and only then steals chunks from other stripes, so in
     /// the steady state (balanced stripes, no stealing) the *same* resident
@@ -157,7 +146,6 @@ pub(super) struct BatchShared {
 impl BatchShared {
     pub(super) fn new(
         cubes: FlatCubes,
-        order: Option<Vec<u32>>,
         active_workers: usize,
         config: &super::BatchConfig,
         interrupt: InterruptFlag,
@@ -174,10 +162,8 @@ impl BatchShared {
         // `stop_on_sat` is observed promptly: the flag is re-checked before
         // every cube, so a chunk bounds only the claimed-but-unsolved tail).
         let chunk = (cubes.len() / (active * 8)).clamp(1, 32);
-        debug_assert!(order.as_ref().is_none_or(|o| o.len() == cubes.len()));
         BatchShared {
             cubes,
-            order,
             stripes,
             chunk,
             budget: config.budget.clone(),
@@ -202,22 +188,14 @@ impl BatchShared {
         None
     }
 
-    /// The cube index processed at batch position `pos`.
-    fn cube_index(&self, pos: usize) -> usize {
-        match &self.order {
-            Some(order) => order[pos] as usize,
-            None => pos,
-        }
-    }
-
-    /// The batch positions stripe `i` initially owns (before stealing).
+    /// The cube indices stripe `i` initially owns (before stealing).
     fn stripe_span(&self, i: usize) -> std::ops::Range<usize> {
         let (n, a) = (self.cubes.len(), self.stripes.len());
         (i * n / a)..((i + 1) * n / a)
     }
 }
 
-/// Outcomes of consecutive batch positions, keyed by the first of them.
+/// Outcomes of consecutive cube indices, keyed by the first of them.
 type OutcomeRun = (usize, Vec<CubeOutcome>);
 
 /// One worker's aggregate result for one batch: outcomes of every cube it
@@ -227,7 +205,7 @@ pub(super) struct WorkerReport {
     /// Pool slot of the reporting worker.
     pub slot: usize,
     /// The outcomes, in the order solved, cut into runs wherever the next
-    /// solved position was not the previous one plus one (a stolen chunk, or
+    /// solved index was not the previous one plus one (a stolen chunk, or
     /// a cube handed to the fallback). A worker nobody stole from and that
     /// stole nothing reports exactly one run: its stripe.
     pub runs: Vec<OutcomeRun>,
@@ -279,19 +257,14 @@ pub(super) struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `num_workers` threads, each building one `backend` instance
-    /// over `cnf` that lives until the pool is dropped. Backend construction
-    /// happens *on* the worker threads, so e.g. warm solvers load the clause
-    /// database concurrently. When `faults` is armed, every backend (initial
-    /// and respawned) is wrapped in a [`FaultyBackend`] so the plan's solve
+    /// Spawns `num_workers` threads, each building one backend from `spec`
+    /// that lives until the pool is dropped. Backend construction happens
+    /// *on* the worker threads, so e.g. warm solvers load the clause database
+    /// concurrently. When `faults` is armed, every backend (initial and
+    /// respawned) is wrapped in a [`FaultyBackend`] so the plan's solve
     /// panics and respawn failures fire inside the pool.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn spawn(
-        cnf: &Arc<Cnf>,
-        backend: BackendKind,
-        solver_config: &SolverConfig,
-        frozen_vars: &[Var],
-        measure_wall_time: bool,
+        spec: &Arc<BackendSpec>,
         num_workers: usize,
         share: Option<Arc<ClauseExchange>>,
         faults: Option<Arc<FaultState>>,
@@ -302,9 +275,7 @@ impl WorkerPool {
         for slot in 0..num_workers {
             let (job_tx, job_rx) = mpsc::channel::<(Arc<BatchShared>, usize)>();
             let result_tx = result_tx.clone();
-            let cnf = Arc::clone(cnf);
-            let solver_config = solver_config.clone();
-            let frozen_vars = frozen_vars.to_vec();
+            let spec = Arc::clone(spec);
             let faults = faults.clone();
             // Each worker gets its own endpoint of the clause exchange,
             // publishing into shard `slot` and draining every other shard.
@@ -312,18 +283,7 @@ impl WorkerPool {
                 Arc::new(WorkerShare::new(Arc::clone(ex), slot)) as Arc<dyn ShareChannel>
             });
             handles.push(std::thread::spawn(move || {
-                worker_loop(
-                    slot,
-                    &job_rx,
-                    &result_tx,
-                    &cnf,
-                    backend,
-                    &solver_config,
-                    &frozen_vars,
-                    measure_wall_time,
-                    endpoint,
-                    faults.as_ref(),
-                );
+                worker_loop(slot, &job_rx, &result_tx, &spec, endpoint, faults.as_ref());
             }));
             job_txs.push(job_tx);
         }
@@ -348,7 +308,7 @@ impl WorkerPool {
 
     /// Dispatches one batch to the pool and blocks until every participating
     /// worker has reported back. Fills `outcomes` (empty on entry) with the
-    /// solved cubes in batch-position order and returns the cube indices no
+    /// solved cubes in index order and returns the cube indices no
     /// worker could solve (panicked twice, or stranded by a failed respawn) —
     /// the caller re-solves those sequentially.
     ///
@@ -412,8 +372,8 @@ impl WorkerPool {
             runs.extend(report.runs);
             failed.extend(report.failed);
         }
-        // Every position is claimed once, so the runs are disjoint and
-        // ordering them by first position orders all their outcomes.
+        // Every index is claimed once, so the runs are disjoint and ordering
+        // them by first index orders all their outcomes.
         runs.sort_unstable_by_key(|run| run.0);
         debug_assert!(outcomes.is_empty());
         if runs.len() == 1 {
@@ -497,29 +457,18 @@ impl WorkerPool {
 /// The body of one pool thread: builds the resident backend, then drains
 /// batches until the job channel hangs up. Free function (rather than a
 /// closure in `spawn`) so the respawn path can rebuild the backend from the
-/// retained construction parameters.
-#[allow(clippy::too_many_arguments)]
+/// retained spec.
 fn worker_loop(
     slot: usize,
     job_rx: &mpsc::Receiver<(Arc<BatchShared>, usize)>,
     result_tx: &mpsc::Sender<WorkerReport>,
-    cnf: &Arc<Cnf>,
-    kind: BackendKind,
-    solver_config: &SolverConfig,
-    frozen_vars: &[Var],
-    measure_wall_time: bool,
+    spec: &Arc<BackendSpec>,
     endpoint: Option<Arc<dyn ShareChannel>>,
     faults: Option<&Arc<FaultState>>,
 ) {
-    let num_vars = cnf.num_vars();
+    let num_vars = spec.cnf.num_vars();
     let build = || {
-        let inner = kind.build(
-            cnf,
-            solver_config,
-            frozen_vars,
-            measure_wall_time,
-            endpoint.clone(),
-        );
+        let inner = spec.build(endpoint.clone());
         match faults {
             Some(f) => Box::new(FaultyBackend::new(inner, Arc::clone(f))) as _,
             None => inner,
@@ -531,11 +480,10 @@ fn worker_loop(
         let mut report = WorkerReport::new(slot, num_vars);
         let (mut panics, mut requeued) = (0u64, 0u64);
         'batch: while let Some(range) = shared.claim(stripe) {
-            for pos in range.clone() {
+            for index in range.clone() {
                 if shared.stop_on_sat && shared.interrupt.is_raised() {
                     break 'batch;
                 }
-                let index = shared.cube_index(pos);
                 let mut raw = None;
                 // First attempt plus at most one requeue onto a respawned
                 // backend — the exactly-once requeue contract.
@@ -579,10 +527,7 @@ fn worker_loop(
                                     // falls back to a sequential solve for
                                     // the released cubes and dispatches later
                                     // batches around this slot.
-                                    report.failed.push(index);
-                                    report
-                                        .failed
-                                        .extend((pos + 1..range.end).map(|p| shared.cube_index(p)));
+                                    report.failed.extend(index..range.end);
                                     report.dying = true;
                                     report.stats.worker_panics = panics;
                                     report.stats.requeued_cubes = requeued;
@@ -600,7 +545,7 @@ fn worker_loop(
                             shared.interrupt.raise();
                         }
                         match report.runs.last_mut() {
-                            Some((first, run)) if *first + run.len() == pos => run.push(outcome),
+                            Some((first, run)) if *first + run.len() == index => run.push(outcome),
                             // The first run is the worker's own stripe when
                             // nobody steals from it; later ones start at a
                             // stolen chunk.
@@ -611,7 +556,7 @@ fn worker_loop(
                                 };
                                 let mut run = Vec::with_capacity(capacity);
                                 run.push(outcome);
-                                report.runs.push((pos, run));
+                                report.runs.push((index, run));
                             }
                         }
                     }
@@ -647,26 +592,23 @@ impl Drop for WorkerPool {
 
 #[cfg(test)]
 mod tests {
-    use super::super::is_prefix_ordered;
     use super::*;
     use crate::DecompositionSet;
-    use proptest::prelude::*;
-    use rand::{Rng, SeedableRng};
+    use pdsat_cnf::Var;
 
-    fn assert_round_trip(cubes: &[Cube]) -> bool {
-        let (flat, ordered) = FlatCubes::copy_of(cubes);
+    fn assert_round_trip(cubes: &[Cube]) {
+        let flat = FlatCubes::copy_of(cubes);
         assert_eq!(flat.len(), cubes.len());
         for (i, cube) in cubes.iter().enumerate() {
             assert_eq!(flat.get(i), cube.lits(), "cube {i}");
         }
-        ordered
     }
 
     #[test]
     fn flat_cubes_round_trip_empty_cubes_and_mixed_lengths() {
-        assert!(assert_round_trip(&[]));
+        assert_round_trip(&[]);
         let vars: Vec<Var> = (0..5).map(Var::new).collect();
-        let cubes = vec![
+        assert_round_trip(&[
             Cube::new(),
             Cube::from_bits(&vars[..3], 0b101),
             Cube::new(),
@@ -674,19 +616,14 @@ mod tests {
             Cube::from_bits(&vars[4..], 1),
             Cube::from_bits(&vars, 0b10011),
             Cube::new(),
-        ];
-        // Neighbours over different sets are never out of order, and equal
-        // (empty) cubes are in order.
-        assert!(assert_round_trip(&cubes));
-        assert!(is_prefix_ordered(&cubes));
+        ]);
     }
 
     #[test]
     fn flat_cubes_accept_a_batch_that_exactly_fills_the_offsets() {
         let vars: Vec<Var> = (0..3).map(Var::new).collect();
         let cubes: Vec<Cube> = DecompositionSet::new(vars).cubes().collect(); // 8 × 3
-        let (flat, ordered) = FlatCubes::copy_within_limit(&cubes, 24);
-        assert!(ordered);
+        let flat = FlatCubes::copy_within_limit(&cubes, 24);
         assert_eq!(flat.get(7), cubes[7].lits());
         assert_eq!(flat.ends.last(), Some(&24));
     }
@@ -697,54 +634,5 @@ mod tests {
         let vars: Vec<Var> = (0..3).map(Var::new).collect();
         let cubes: Vec<Cube> = DecompositionSet::new(vars).cubes().collect();
         let _ = FlatCubes::copy_within_limit(&cubes, 23);
-    }
-
-    /// A batch glued from random pieces: whole enumerated families (ordered
-    /// same-set runs), random samples (unsorted, with duplicates), reversed
-    /// families, repeated cubes and empty cubes, over sets of varying size.
-    fn random_batch(seed: u64) -> Vec<Cube> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut batch = Vec::new();
-        for _ in 0..rng.gen_range(0..5usize) {
-            let first = rng.gen_range(0..6u32);
-            let size = rng.gen_range(0..5u32);
-            let set = DecompositionSet::new((first..first + size).map(Var::new));
-            match rng.gen_range(0..5u32) {
-                0 => batch.extend(set.cubes()),
-                1 => batch.extend(set.random_sample(rng.gen_range(0..12usize), &mut rng)),
-                2 => {
-                    let mut family: Vec<Cube> = set.cubes().collect();
-                    family.reverse();
-                    batch.extend(family);
-                }
-                3 => {
-                    let cube = set.random_sample(1, &mut rng).remove(0);
-                    batch.extend(std::iter::repeat_n(cube, rng.gen_range(1..4usize)));
-                }
-                _ => batch.push(Cube::new()),
-            }
-        }
-        batch
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The flag the copying pass computes is `is_prefix_ordered` of the
-        /// same batch, and the copy gives every cube back.
-        #[test]
-        fn fused_order_flag_equals_the_reference(seed in 0u64..1_000_000) {
-            let batch = random_batch(seed);
-            let ordered = assert_round_trip(&batch);
-            prop_assert_eq!(ordered, is_prefix_ordered(&batch));
-        }
-    }
-
-    #[test]
-    fn random_batches_cover_both_answers() {
-        let ordered = (0..256)
-            .filter(|&s| is_prefix_ordered(&random_batch(s)))
-            .count();
-        assert!((32..224).contains(&ordered), "{ordered} of 256 ordered");
     }
 }

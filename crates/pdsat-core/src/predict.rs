@@ -30,7 +30,7 @@ pub struct EvaluatorConfig {
     /// Base random seed; together with the evaluation counter it determines
     /// the random sample drawn for each point.
     pub seed: u64,
-    /// Which [`CubeBackend`](crate::CubeBackend) solves the sampled cubes.
+    /// Which backend solves the sampled cubes.
     /// [`BackendKind::Fresh`] by default: a fresh solver per sampled cube
     /// keeps the observations `ζ_j` identically distributed, which is what
     /// the Monte Carlo argument of the paper assumes.
@@ -247,8 +247,9 @@ impl Evaluator {
     }
 
     /// Evaluates the predictive function at `set` on a caller-provided sample
-    /// (used by tests, by the exhaustive cross-check of EXPERIMENTS.md and by
-    /// ablations that reuse one sample across configurations).
+    /// (used by tests, by the exhaustive cross-check and by ablations that
+    /// reuse one sample across configurations). The cubes are solved in the
+    /// order given.
     pub fn evaluate_with_sample(
         &mut self,
         set: &DecompositionSet,
@@ -282,9 +283,14 @@ impl Evaluator {
     /// whole neighborhood without idling between points. With the
     /// deterministic [`BackendKind::Fresh`](crate::BackendKind::Fresh)
     /// backend the returned values are bit-identical to the sequential loop
-    /// (each point draws the same per-evaluation sample); a warm backend may
-    /// legitimately report different *costs* because its learnt-clause state
-    /// now flows across the whole batch.
+    /// (each point draws the same per-evaluation sample, reported in the
+    /// order drawn); a warm backend may legitimately report different *costs*
+    /// because its learnt-clause state now flows across the whole batch. For
+    /// a warm backend each point's sample is solved — and reported — sorted,
+    /// so consecutive cubes share the longest assumption prefixes and the
+    /// solver's trail reuse skips most of the per-cube replay; points are
+    /// never interleaved (a warm solver's learnt-clause locality follows the
+    /// set).
     pub fn evaluate_batch(&mut self, sets: &[DecompositionSet]) -> Vec<PointEvaluation> {
         if sets.is_empty() {
             return Vec::new();
@@ -302,7 +308,16 @@ impl Evaluator {
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add(self.evaluations + k as u64),
             );
-            let cubes = set.random_sample(self.config.sample_size, &mut rng);
+            let mut cubes = set.random_sample(self.config.sample_size, &mut rng);
+            if self.config.backend == BackendKind::Warm {
+                // Negative literal first, the binary counting order of
+                // `DecompositionSet::cubes`. Stable: equal cubes keep the
+                // order drawn.
+                cubes.sort_by_cached_key(|cube| {
+                    let polarities = cube.lits().iter().map(|l| l.is_positive());
+                    polarities.collect::<Vec<bool>>()
+                });
+            }
             let from = plan.len();
             plan.extend(cubes);
             ranges.push((from, plan.len()));
@@ -324,7 +339,7 @@ impl Evaluator {
         self.evaluations += sets.len() as u64;
         self.total_solve_wall += batch.wall_time;
 
-        // Outcomes arrive sorted by cube index, so each point's slice is
+        // Outcomes arrive in plan order, so each point's slice is
         // contiguous. The batch's wall time is apportioned equally (per-point
         // wall clocks are not observable inside one pooled batch).
         let per_point_wall = batch.wall_time / sets.len() as u32;

@@ -26,10 +26,6 @@ pub struct RandomRestartConfig {
     /// [`StopCondition::RestartsExhausted`]. Together with the driver's
     /// limits this bounds the run even on an unlimited budget.
     pub max_restarts: usize,
-    /// Number of selected variables in a restart point; `None` draws a
-    /// uniformly random cardinality in `1..=dimension` per restart
-    /// (maximum scenario diversity).
-    pub restart_ones: Option<usize>,
 }
 
 impl Default for RandomRestartConfig {
@@ -37,7 +33,6 @@ impl Default for RandomRestartConfig {
         RandomRestartConfig {
             radius: 1,
             max_restarts: 16,
-            restart_ones: None,
         }
     }
 }
@@ -131,11 +126,9 @@ impl Strategy for RandomRestart {
                 return Proposal::Stop(StopCondition::RestartsExhausted);
             }
             self.restarts += 1;
-            let ones = self
-                .config
-                .restart_ones
-                .unwrap_or_else(|| ctx.rng.gen_range(1..=ctx.space.dimension()))
-                .min(ctx.space.dimension());
+            // A uniformly random cardinality per restart: maximum scenario
+            // diversity.
+            let ones = ctx.rng.gen_range(1..=ctx.space.dimension());
             let restart = ctx.space.random_point_with_ones(ones, ctx.rng);
             self.center = Some(center);
             self.awaiting_restart = true;

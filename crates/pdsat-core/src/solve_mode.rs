@@ -29,7 +29,7 @@ pub struct SolveModeConfig {
     /// solving process after the satisfying solution was found"), which is
     /// the default here as well.
     pub stop_on_sat: bool,
-    /// Which [`CubeBackend`](crate::CubeBackend) each worker runs.
+    /// Which backend each worker runs.
     /// [`BackendKind::Warm`] by default: one persistent incremental solver
     /// per worker matches PDSAT's long-lived MiniSat worker processes and is
     /// much faster than reloading the clause database for every cube.

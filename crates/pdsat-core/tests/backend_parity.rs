@@ -16,7 +16,7 @@
 //! the two regimes where budget parity *is* exact: a budget no solver can
 //! act within, and a pre-raised interrupt.
 
-use pdsat_cnf::{Cnf, Cube, Lit, Var};
+use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
     FaultPlan,
@@ -24,25 +24,6 @@ use pdsat_core::{
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// A random 3-CNF over `num_vars` variables with `num_clauses` clauses.
-fn random_3cnf(num_vars: usize, num_clauses: usize, rng: &mut StdRng) -> Cnf {
-    let mut cnf = Cnf::new(num_vars);
-    for _ in 0..num_clauses {
-        let mut vars = Vec::new();
-        while vars.len() < 3 {
-            let v = rng.gen_range(0..num_vars);
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        cnf.add_clause(
-            vars.iter()
-                .map(|&v| Lit::new(Var::new(v as u32), rng.gen_bool(0.5))),
-        );
-    }
-    cnf
-}
 
 /// A random decomposition set of `d` distinct variables.
 fn random_set(num_vars: usize, d: usize, rng: &mut StdRng) -> DecompositionSet {
@@ -76,7 +57,7 @@ fn backends_agree_on_random_families() {
         // mix SAT and UNSAT sub-problems.
         let num_vars = 12 + (round % 4) * 2;
         let num_clauses = (num_vars as f64 * (3.4 + 0.35 * (round % 5) as f64)) as usize;
-        let cnf = random_3cnf(num_vars, num_clauses, &mut rng);
+        let cnf = Cnf::random_3cnf(num_vars, num_clauses, &mut rng);
         let set = random_set(num_vars, 3 + round % 3, &mut rng);
         let cubes: Vec<Cube> = set.cubes().collect();
 
@@ -144,7 +125,7 @@ fn backends_agree_under_a_zero_conflict_budget() {
     // both backends must report the identical all-Unknown outcome for cubes
     // that are not decided by unit propagation alone.
     let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let cnf = random_3cnf(14, 70, &mut rng);
+    let cnf = Cnf::random_3cnf(14, 70, &mut rng);
     let set = random_set(14, 4, &mut rng);
     let cubes: Vec<Cube> = set.cubes().collect();
     let budget = Budget::unlimited().with_conflict_limit(0);
@@ -163,7 +144,7 @@ fn backends_agree_under_a_zero_conflict_budget() {
 #[test]
 fn backends_agree_under_a_pre_raised_interrupt() {
     let mut rng = StdRng::seed_from_u64(0x1234);
-    let cnf = random_3cnf(12, 54, &mut rng);
+    let cnf = Cnf::random_3cnf(12, 54, &mut rng);
     let set = random_set(12, 3, &mut rng);
     let cubes: Vec<Cube> = set.cubes().collect();
 
@@ -193,7 +174,7 @@ fn warm_backend_is_no_more_expensive_over_whole_families() {
     // carried-over learnt clauses make the warm total conflict count at most
     // the fresh total.
     let mut rng = StdRng::seed_from_u64(0xCAFE);
-    let cnf = random_3cnf(16, 72, &mut rng);
+    let cnf = Cnf::random_3cnf(16, 72, &mut rng);
     let set = random_set(16, 4, &mut rng);
     let cubes: Vec<Cube> = set.cubes().collect();
     let fresh = run(&cnf, &cubes, BackendKind::Fresh, Budget::unlimited());
@@ -240,7 +221,7 @@ const FRESH_FIXTURES: [FreshFixture; 2] = [
 
 fn fresh_fixture_family() -> (Cnf, DecompositionSet, Vec<Cube>) {
     let mut rng = StdRng::seed_from_u64(0xF1E6);
-    let cnf = random_3cnf(70, 300, &mut rng);
+    let cnf = Cnf::random_3cnf(70, 300, &mut rng);
     let set = random_set(70, 4, &mut rng);
     let cubes = set.cubes().collect();
     (cnf, set, cubes)

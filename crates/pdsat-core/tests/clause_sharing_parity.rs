@@ -17,7 +17,7 @@
 
 use pdsat_checker::check_unsat_proof;
 use pdsat_ciphers::{Grain, InstanceBuilder, A51};
-use pdsat_cnf::{Cnf, Cube, Lit, Var};
+use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
     BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, VerdictSummary,
 };
@@ -192,24 +192,6 @@ fn sharing_parity_on_grain_family() {
     );
 }
 
-fn random_3cnf(num_vars: usize, num_clauses: usize, rng: &mut StdRng) -> Cnf {
-    let mut cnf = Cnf::new(num_vars);
-    for _ in 0..num_clauses {
-        let mut vars = Vec::new();
-        while vars.len() < 3 {
-            let v = rng.gen_range(0..num_vars);
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        cnf.add_clause(
-            vars.iter()
-                .map(|&v| Lit::new(Var::new(v as u32), rng.gen_bool(0.5))),
-        );
-    }
-    cnf
-}
-
 proptest! {
     // Each case spins up two 4-thread pools and replays the family twice,
     // so keep the case count small; the cipher tests above carry the
@@ -229,7 +211,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let num_clauses = num_vars * density as usize / 10;
-        let cnf = random_3cnf(num_vars, num_clauses, &mut rng);
+        let cnf = Cnf::random_3cnf(num_vars, num_clauses, &mut rng);
         let mut set_vars = Vec::new();
         while set_vars.len() < 4 {
             let v = Var::new(rng.gen_range(0..num_vars as u32));

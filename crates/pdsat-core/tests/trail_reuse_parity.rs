@@ -11,31 +11,13 @@
 //! accepts against the original formula with the cube seeded as roots.
 
 use pdsat_checker::check_unsat_proof;
-use pdsat_cnf::{Cnf, Cube, Lit, Var};
+use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
     BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, VerdictSummary,
 };
 use pdsat_solver::{Budget, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn random_3cnf(num_vars: usize, num_clauses: usize, rng: &mut StdRng) -> Cnf {
-    let mut cnf = Cnf::new(num_vars);
-    for _ in 0..num_clauses {
-        let mut vars = Vec::new();
-        while vars.len() < 3 {
-            let v = rng.gen_range(0..num_vars);
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        cnf.add_clause(
-            vars.iter()
-                .map(|&v| Lit::new(Var::new(v as u32), rng.gen_bool(0.5))),
-        );
-    }
-    cnf
-}
 
 fn warm_config(trail_reuse: bool, budget: Budget) -> BatchConfig {
     BatchConfig {
@@ -59,7 +41,7 @@ fn reuse_on_and_off_report_identical_verdicts_and_costs() {
     for round in 0..10 {
         let num_vars = 12 + (round % 4) * 2;
         let num_clauses = (num_vars as f64 * (3.4 + 0.3 * (round % 5) as f64)) as usize;
-        let cnf = random_3cnf(num_vars, num_clauses, &mut rng);
+        let cnf = Cnf::random_3cnf(num_vars, num_clauses, &mut rng);
         let mut set_vars = Vec::new();
         while set_vars.len() < 3 + round % 3 {
             let v = Var::new(rng.gen_range(0..num_vars as u32));
@@ -142,7 +124,7 @@ fn reuse_parity_holds_under_conflict_budgets() {
     // counts are bit-identical under reuse), so even Unknown verdicts and
     // partial costs must agree.
     let mut rng = StdRng::seed_from_u64(0xB0D6E7);
-    let cnf = random_3cnf(16, 76, &mut rng);
+    let cnf = Cnf::random_3cnf(16, 76, &mut rng);
     let set = DecompositionSet::new((0..4).map(|i| Var::new(i * 3)));
     let cubes: Vec<Cube> = set.cubes().collect();
     let budget = Budget::unlimited().with_conflict_limit(2);

@@ -1,8 +1,8 @@
 //! Integration tests for the oracle's persistent worker pool: sequential vs
 //! pool parity, warm-state survival across batches, the `stop_on_sat`
 //! contract, the empty/short-batch edge cases, and the placement of outcome
-//! runs where it can go wrong (stolen chunks, an `order` permutation,
-//! requeued and fallback cubes, `stop_on_sat` subsets).
+//! runs where it can go wrong (stolen chunks, shuffled input, requeued and
+//! fallback cubes, `stop_on_sat` subsets).
 
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_core::{
@@ -11,7 +11,7 @@ use pdsat_core::{
 };
 use pdsat_solver::InterruptFlag;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A chain formula `x0 → x1 → … → x_{n-1}` — every cube except
 /// `(first=1, last=0)` is satisfiable.
@@ -341,36 +341,62 @@ fn stolen_chunks_are_placed_where_their_cubes_belong() {
 
 #[test]
 fn an_order_permutation_still_returns_the_batch_in_cube_order() {
-    // Two enumerated families over sets of different sizes, then an unsorted
-    // sample of a third: the sample makes the warm backend's prefix schedule
-    // a real permutation, so runs of consecutive *positions* no longer are
-    // runs of consecutive *indices* and the final guard has to sort.
-    let (cnf, family) = skewed_family();
-    let small = DecompositionSet::new((0..9).map(Var::new));
-    let third = DecompositionSet::new((1..8).chain(20..24).map(Var::new));
+    fault::silence_injected_panics();
+    // The skewed family shuffled, so neither adjacent cubes nor the stripes
+    // of a pool have anything to do with the enumeration order: whatever the
+    // input order, outcome `i` is the outcome of `cubes[i]`.
+    let (cnf, mut cubes) = skewed_family();
     let mut rng = StdRng::seed_from_u64(0x0DE2);
-    let mut cubes = family;
-    cubes.extend(small.cubes());
-    cubes.extend(third.random_sample(700, &mut rng));
-
-    let one = CubeOracle::new(
+    for i in (1..cubes.len()).rev() {
+        cubes.swap(i, rng.gen_range(0..=i));
+    }
+    // Fresh observations depend on the cube alone, so equal observations
+    // mean every outcome sits at the place of the cube it belongs to.
+    let reference = CubeOracle::new(
         &cnf,
         BatchConfig {
             num_workers: 1,
-            ..pool_of_four(BackendKind::Warm)
+            ..pool_of_four(BackendKind::Fresh)
         },
     )
     .solve_batch(&cubes, None);
-    let four = CubeOracle::new(&cnf, pool_of_four(BackendKind::Warm)).solve_batch(&cubes, None);
-    assert_indices_are_the_whole_batch(&one, cubes.len());
-    assert_indices_are_the_whole_batch(&four, cubes.len());
-    // Warm costs depend on who learnt what; verdicts do not.
-    assert!(one
-        .outcomes
-        .iter()
-        .zip(&four.outcomes)
-        .all(|(a, b)| a.verdict == b.verdict));
-    assert_eq!(one.verdict_counts(), four.verdict_counts());
+    assert_indices_are_the_whole_batch(&reference, cubes.len());
+
+    // One worker, a pool that steals, and a pool whose first respawn fails
+    // so the cubes in flight come back through the fallback, appended.
+    let plan = FaultPlan {
+        respawn_failures: 1,
+        ..FaultPlan::seeded(3, 12, cubes.len() as u64)
+    };
+    for (backend, workers, fault_plan) in [
+        (BackendKind::Warm, 1, FaultPlan::none()),
+        (BackendKind::Fresh, 4, FaultPlan::none()),
+        (BackendKind::Warm, 4, FaultPlan::none()),
+        (BackendKind::Fresh, 4, plan),
+    ] {
+        let faulted = !fault_plan.is_empty();
+        let result = CubeOracle::new(
+            &cnf,
+            BatchConfig {
+                num_workers: workers,
+                fault_plan,
+                ..pool_of_four(backend)
+            },
+        )
+        .solve_batch(&cubes, None);
+        assert_indices_are_the_whole_batch(&result, cubes.len());
+        if backend == BackendKind::Fresh {
+            assert_same_observations(&reference, &result);
+        } else {
+            // Warm costs depend on who learnt what; verdicts do not.
+            assert!(reference
+                .outcomes
+                .iter()
+                .zip(&result.outcomes)
+                .all(|(a, b)| a.verdict == b.verdict));
+        }
+        assert_eq!(result.solver_stats.worker_panics > 0, faulted);
+    }
 }
 
 #[test]

@@ -42,7 +42,6 @@ mod budget;
 mod clause_db;
 mod config;
 mod heap;
-mod lbool;
 mod luby;
 mod proof;
 mod share;

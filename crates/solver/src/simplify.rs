@@ -13,8 +13,7 @@
 //! order — a requirement inherited from the Monte Carlo estimator (the solver
 //! must be a deterministic algorithm `A`).
 
-use crate::lbool::LBool;
-use pdsat_cnf::{DratStep, Lit, Var};
+use pdsat_cnf::{DratStep, Lit, Value, Var};
 use std::collections::VecDeque;
 
 /// One eliminated variable together with *one side* of its occurrence list
@@ -107,7 +106,7 @@ enum SubMatch {
 pub(crate) struct VectorSimplifier {
     num_vars: usize,
     /// Root values derived so far, indexed by literal code.
-    assigns: Vec<LBool>,
+    assigns: Vec<Value>,
     /// Variables that must not be eliminated (frozen by the caller, e.g. the
     /// decomposition set a backend will assume over).
     frozen: Vec<bool>,
@@ -146,7 +145,7 @@ impl VectorSimplifier {
         debug_assert_eq!(frozen.len(), num_vars);
         VectorSimplifier {
             num_vars,
-            assigns: vec![LBool::Undef; num_vars * 2],
+            assigns: vec![Value::Unassigned; num_vars * 2],
             frozen,
             eliminated: vec![false; num_vars],
             clauses: Vec::new(),
@@ -219,16 +218,16 @@ impl VectorSimplifier {
 
     fn enqueue_unit(&mut self, l: Lit) {
         match self.assigns[l.code()] {
-            LBool::True => {}
-            LBool::False => {
+            Value::True => {}
+            Value::False => {
                 // Both `l` and `¬l` have been derived; the checker reaches
                 // the same conflict by propagating the two logged units.
                 self.unsat = true;
                 self.log_add(&[]);
             }
-            LBool::Undef => {
-                self.assigns[l.code()] = LBool::True;
-                self.assigns[(!l).code()] = LBool::False;
+            Value::Unassigned => {
+                self.assigns[l.code()] = Value::True;
+                self.assigns[(!l).code()] = Value::False;
                 self.unit_queue.push_back(l);
                 self.units_out.push(l);
             }
@@ -501,7 +500,7 @@ impl VectorSimplifier {
     /// not exceed the number of clauses it occurs in plus the growth limit.
     fn try_eliminate(&mut self, v: Var) -> bool {
         debug_assert!(!self.frozen[v.index()] && !self.eliminated[v.index()]);
-        if self.assigns[Lit::positive(v).code()] != LBool::Undef {
+        if self.assigns[Lit::positive(v).code()] != Value::Unassigned {
             return false;
         }
         let pos = self.live_occ(Lit::positive(v));

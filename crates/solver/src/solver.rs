@@ -3,13 +3,12 @@
 use crate::clause_db::{ClauseDb, ClauseRef};
 use crate::config::{CLAUSE_DECAY, DEFAULT_POLARITY, LEARNTSIZE_INC, PROTECTED_LBD, VAR_DECAY};
 use crate::heap::VarOrderHeap;
-use crate::lbool::LBool;
 use crate::luby::luby;
 use crate::proof::ProofLogger;
 use crate::share::{ShareChannel, SharedClause};
 use crate::simplify::{ElimRecord, VectorSimplifier};
 use crate::{Budget, InterruptFlag, SolverConfig, SolverStats, StopReason};
-use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Var};
+use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value, Var};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -140,7 +139,7 @@ pub struct Solver {
     /// variable, kept in sync by `unchecked_enqueue`/`cancel_until`): the
     /// propagation inner loop evaluates a literal with one indexed load,
     /// with no sign-flip branch.
-    assigns: Vec<LBool>,
+    assigns: Vec<Value>,
     vardata: Vec<VarData>,
     polarity: Vec<bool>,
     activity: Vec<f64>,
@@ -481,8 +480,8 @@ impl Solver {
     /// Creates a fresh variable and returns it.
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.num_vars() as u32);
-        self.assigns.push(LBool::Undef);
-        self.assigns.push(LBool::Undef);
+        self.assigns.push(Value::Unassigned);
+        self.assigns.push(Value::Unassigned);
         self.vardata.push(VarData {
             reason: None,
             level: 0,
@@ -543,13 +542,13 @@ impl Solver {
         lits.sort_unstable();
         lits.dedup();
         let mut tautology = false;
-        lits.retain(|&l| self.lit_value(l) != LBool::False);
+        lits.retain(|&l| self.lit_value(l) != Value::False);
         for w in lits.windows(2) {
             if w[0].var() == w[1].var() {
                 tautology = true;
             }
         }
-        if tautology || lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
+        if tautology || lits.iter().any(|&l| self.lit_value(l) == Value::True) {
             return true;
         }
         match lits.len() {
@@ -666,13 +665,13 @@ impl Solver {
         lits.sort_unstable();
         lits.dedup();
         let mut tautology = false;
-        lits.retain(|&l| self.lit_value(l) != LBool::False);
+        lits.retain(|&l| self.lit_value(l) != Value::False);
         for w in lits.windows(2) {
             if w[0].var() == w[1].var() {
                 tautology = true;
             }
         }
-        if tautology || lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
+        if tautology || lits.iter().any(|&l| self.lit_value(l) == Value::True) {
             // Nothing to learn at this root; common once an imported unit
             // satisfied later arrivals.
             self.stats.import_dropped += 1;
@@ -735,12 +734,12 @@ impl Solver {
             match self.lit_value(l) {
                 // An earlier probe propagation already satisfies `l`: the
                 // clause is implied by the negations enqueued so far.
-                LBool::True => {
+                Value::True => {
                     conflict = true;
                     break;
                 }
-                LBool::False => {}
-                LBool::Undef => {
+                Value::False => {}
+                Value::Unassigned => {
                     self.unchecked_enqueue(!l, None);
                     if self.propagate().is_some() {
                         conflict = true;
@@ -789,7 +788,7 @@ impl Solver {
         let mut problem: Vec<Vec<Lit>> = Vec::with_capacity(self.original.len());
         for i in 0..self.original.len() {
             let lits = self.db.lits_vec(self.original[i]);
-            if lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
+            if lits.iter().any(|&l| self.lit_value(l) == Value::True) {
                 if let Some(p) = self.proof.as_mut() {
                     p.delete(lits);
                 }
@@ -798,7 +797,7 @@ impl Solver {
             let filtered: Vec<Lit> = lits
                 .iter()
                 .copied()
-                .filter(|&l| self.lit_value(l) != LBool::False)
+                .filter(|&l| self.lit_value(l) != Value::False)
                 .collect();
             if filtered.len() != lits.len() {
                 if let Some(p) = self.proof.as_mut() {
@@ -816,7 +815,7 @@ impl Solver {
         for i in 0..self.learnts.len() {
             let cref = self.learnts[i];
             let lits = self.db.lits_vec(cref);
-            if lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
+            if lits.iter().any(|&l| self.lit_value(l) == Value::True) {
                 if let Some(p) = self.proof.as_mut() {
                     p.delete(lits);
                 }
@@ -825,7 +824,7 @@ impl Solver {
             let filtered: Vec<Lit> = lits
                 .iter()
                 .copied()
-                .filter(|&l| self.lit_value(l) != LBool::False)
+                .filter(|&l| self.lit_value(l) != Value::False)
                 .collect();
             if filtered.len() != lits.len() {
                 if let Some(p) = self.proof.as_mut() {
@@ -893,19 +892,19 @@ impl Solver {
         }
         for &u in &outcome.units {
             match self.lit_value(u) {
-                LBool::True => {}
-                LBool::False => {
+                Value::True => {}
+                Value::False => {
                     self.ok = false;
                     if let Some(p) = self.proof.as_mut() {
                         p.add_empty();
                     }
                     return false;
                 }
-                LBool::Undef => self.unchecked_enqueue(u, None),
+                Value::Unassigned => self.unchecked_enqueue(u, None),
             }
         }
         for (lits, lbd, activity) in learnt_snapshot {
-            if lits.iter().any(|&l| self.lit_value(l) == LBool::True) {
+            if lits.iter().any(|&l| self.lit_value(l) == Value::True) {
                 if let Some(p) = self.proof.as_mut() {
                     p.delete(lits);
                 }
@@ -924,7 +923,7 @@ impl Solver {
             let filtered: Vec<Lit> = lits
                 .iter()
                 .copied()
-                .filter(|&l| self.lit_value(l) != LBool::False)
+                .filter(|&l| self.lit_value(l) != Value::False)
                 .collect();
             if filtered.len() != lits.len() {
                 if let Some(p) = self.proof.as_mut() {
@@ -1007,7 +1006,7 @@ impl Solver {
             let mut implied = false;
             for (i, &l) in lits.iter().enumerate() {
                 match self.lit_value(l) {
-                    LBool::True => {
+                    Value::True => {
                         if self.vardata[l.var().index()].level == 0 {
                             satisfied_at_root = true;
                         } else {
@@ -1019,8 +1018,8 @@ impl Solver {
                     }
                     // Root-false literals are plain dead weight; temp-level
                     // false means ¬kept ⊨ ¬l, so l is redundant either way.
-                    LBool::False => {}
-                    LBool::Undef => {
+                    Value::False => {}
+                    Value::Unassigned => {
                         kept.push(l);
                         // Probing the final literal can only rediscover the
                         // clause itself; skip it and keep the budget.
@@ -1294,9 +1293,9 @@ impl Solver {
                 while (self.decision_level() as usize) < assumptions.len() {
                     let p = assumptions[self.decision_level() as usize];
                     match self.lit_value(p) {
-                        LBool::True => self.new_decision_level(),
-                        LBool::False => return SearchStatus::Unsat,
-                        LBool::Undef => {
+                        Value::True => self.new_decision_level(),
+                        Value::False => return SearchStatus::Unsat,
+                        Value::Unassigned => {
                             next = Some(p);
                             break;
                         }
@@ -1354,12 +1353,12 @@ impl Solver {
     // ------------------------------------------------------------ propagation
 
     #[inline]
-    fn lit_value(&self, lit: Lit) -> LBool {
+    fn lit_value(&self, lit: Lit) -> Value {
         self.assigns[lit.code()]
     }
 
     #[inline]
-    fn var_value(&self, var: Var) -> LBool {
+    fn var_value(&self, var: Var) -> Value {
         self.assigns[Lit::positive(var).code()]
     }
 
@@ -1372,9 +1371,9 @@ impl Solver {
     }
 
     fn unchecked_enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) {
-        debug_assert_eq!(self.lit_value(lit), LBool::Undef);
-        self.assigns[lit.code()] = LBool::True;
-        self.assigns[(!lit).code()] = LBool::False;
+        debug_assert_eq!(self.lit_value(lit), Value::Unassigned);
+        self.assigns[lit.code()] = Value::True;
+        self.assigns[(!lit).code()] = Value::False;
         self.vardata[lit.var().index()] = VarData {
             reason,
             level: self.decision_level(),
@@ -1406,13 +1405,13 @@ impl Solver {
             for bi in 0..bins.len() {
                 let w = bins[bi];
                 match self.lit_value(w.other) {
-                    LBool::True => {}
-                    LBool::False => {
+                    Value::True => {}
+                    Value::False => {
                         self.qhead = self.trail.len();
                         self.bin_watches[pcode] = bins;
                         return Some(w.cref);
                     }
-                    LBool::Undef => self.unchecked_enqueue(w.other, Some(w.cref)),
+                    Value::Unassigned => self.unchecked_enqueue(w.other, Some(w.cref)),
                 }
             }
             self.bin_watches[pcode] = bins;
@@ -1427,7 +1426,7 @@ impl Solver {
                 let w = watchers[i];
                 i += 1;
                 // Fast path: the blocker literal is already true.
-                if self.lit_value(w.blocker) == LBool::True {
+                if self.lit_value(w.blocker) == Value::True {
                     watchers[j] = w;
                     j += 1;
                     continue;
@@ -1446,7 +1445,7 @@ impl Solver {
                     cref: w.cref,
                     blocker: first,
                 };
-                if first != w.blocker && self.lit_value(first) == LBool::True {
+                if first != w.blocker && self.lit_value(first) == Value::True {
                     watchers[j] = new_watcher;
                     j += 1;
                     continue;
@@ -1455,7 +1454,7 @@ impl Solver {
                 let len = self.db.len_of(w.cref);
                 for k in 2..len {
                     let lk = self.db.lit(w.cref, k);
-                    if self.lit_value(lk) != LBool::False {
+                    if self.lit_value(lk) != Value::False {
                         self.db.swap_lits(w.cref, 1, k);
                         // `lk` is not false, so it is never `¬p`: this push
                         // cannot touch the (taken) list we are compacting.
@@ -1466,7 +1465,7 @@ impl Solver {
                 // No new watch: the clause is unit or conflicting.
                 watchers[j] = new_watcher;
                 j += 1;
-                if self.lit_value(first) == LBool::False {
+                if self.lit_value(first) == Value::False {
                     // Conflict: keep the remaining watchers and stop.
                     watchers.copy_within(i..num_watchers, j);
                     j += num_watchers - i;
@@ -1626,8 +1625,8 @@ impl Solver {
         for c in (bound..self.trail.len()).rev() {
             let lit = self.trail[c];
             let v = lit.var();
-            self.assigns[lit.code()] = LBool::Undef;
-            self.assigns[(!lit).code()] = LBool::Undef;
+            self.assigns[lit.code()] = Value::Unassigned;
+            self.assigns[(!lit).code()] = Value::Unassigned;
             if self.config.phase_saving {
                 self.polarity[v.index()] = lit.is_positive();
             }
@@ -1709,7 +1708,7 @@ impl Solver {
     fn pick_branch_lit(&mut self) -> Option<Lit> {
         loop {
             let v = self.order_heap.pop_max(&self.activity)?;
-            if self.var_value(v) == LBool::Undef && !self.eliminated[v.index()] {
+            if self.var_value(v) == Value::Unassigned && !self.eliminated[v.index()] {
                 let polarity = if self.config.phase_saving {
                     self.polarity[v.index()]
                 } else {
@@ -1808,7 +1807,7 @@ impl Solver {
 
     fn is_locked(&self, cref: ClauseRef) -> bool {
         let first = self.db.lit(cref, 0);
-        self.lit_value(first) == LBool::True
+        self.lit_value(first) == Value::True
             && self.vardata[first.var().index()].reason == Some(cref)
     }
 

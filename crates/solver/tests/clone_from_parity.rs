@@ -7,28 +7,10 @@
 //! `clone_from` forgets to copy shows up here as a diverging counter.
 
 use pdsat_ciphers::{Bivium, InstanceBuilder};
-use pdsat_cnf::{Cnf, Cube, Lit, Var};
+use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-fn random_3cnf(num_vars: usize, num_clauses: usize, rng: &mut StdRng) -> Cnf {
-    let mut cnf = Cnf::new(num_vars);
-    for _ in 0..num_clauses {
-        let mut vars: Vec<u32> = Vec::new();
-        while vars.len() < 3 {
-            let v = rng.gen_range(0..num_vars) as u32;
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        cnf.add_clause(
-            vars.iter()
-                .map(|&v| Lit::new(Var::new(v), rng.gen_bool(0.5))),
-        );
-    }
-    cnf
-}
+use rand::SeedableRng;
 
 /// Builds a solver the way the oracle backends do: load, and with
 /// `simplify` on, freeze the assumption variables and preprocess once.
@@ -142,7 +124,7 @@ fn restored_solver_equals_a_rebuilt_one_on_random_3cnfs() {
         // Densities straddling the threshold, so cubes mix SAT and UNSAT.
         let num_vars = 30 + 4 * (round % 3);
         let num_clauses = (num_vars as f64 * (3.9 + 0.2 * (round % 4) as f64)) as usize;
-        let cnf = random_3cnf(num_vars, num_clauses, &mut rng);
+        let cnf = Cnf::random_3cnf(num_vars, num_clauses, &mut rng);
         let set: Vec<Var> = (0..3).map(|i| Var::new(i * 7 + round as u32)).collect();
         assert_restores_exactly(&cnf, &set, &format!("random round {round}"));
         for bits in 0..8 {

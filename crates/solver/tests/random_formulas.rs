@@ -5,44 +5,8 @@
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_solver::{Budget, Solver, SolverConfig, Verdict};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Generates a random k-SAT formula with `n` variables and `m` clauses.
-fn random_cnf(seed: u64, n: usize, m: usize, k: usize) -> Cnf {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cnf = Cnf::new(n);
-    for _ in 0..m {
-        let len = rng.gen_range(1..=k);
-        let lits: Vec<Lit> = (0..len)
-            .map(|_| Lit::new(Var::new(rng.gen_range(0..n) as u32), rng.gen_bool(0.5)))
-            .collect();
-        cnf.add_clause(lits);
-    }
-    cnf
-}
-
-/// Generates a random formula whose clauses each have exactly three distinct
-/// variables (no accidental units), at a clause/variable ratio the caller
-/// picks; used by the GC tests, which need conflict-rich instances.
-fn random_3cnf(seed: u64, n: usize, m: usize) -> Cnf {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cnf = Cnf::new(n);
-    for _ in 0..m {
-        let mut vars: Vec<u32> = Vec::new();
-        while vars.len() < 3 {
-            let v = rng.gen_range(0..n) as u32;
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        let lits: Vec<Lit> = vars
-            .into_iter()
-            .map(|v| Lit::new(Var::new(v), rng.gen_bool(0.5)))
-            .collect();
-        cnf.add_clause(lits);
-    }
-    cnf
-}
 
 /// Brute-force clause evaluation: `true` iff every clause of `cnf` contains a
 /// literal satisfied by `model`. Deliberately reimplemented here (instead of
@@ -75,10 +39,10 @@ proptest! {
     /// The solver verdict agrees with exhaustive enumeration.
     #[test]
     fn verdict_matches_brute_force(seed in 0u64..10_000) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xABCD);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let n = rng.gen_range(3..12usize);
         let m = rng.gen_range(2..40usize);
-        let cnf = random_cnf(seed, n, m, 3);
+        let cnf = Cnf::random_cnf(n, m, 3, &mut StdRng::seed_from_u64(seed));
         let brute = cnf.brute_force_model();
         let mut solver = Solver::from_cnf(&cnf);
         match solver.solve() {
@@ -96,10 +60,10 @@ proptest! {
     /// family construction relies on.
     #[test]
     fn assumptions_equal_substitution(seed in 0u64..5_000) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x1234);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1234);
         let n = rng.gen_range(4..10usize);
         let m = rng.gen_range(3..30usize);
-        let cnf = random_cnf(seed.wrapping_mul(31), n, m, 3);
+        let cnf = Cnf::random_cnf(n, m, 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(31)));
         let d = rng.gen_range(1..=3usize.min(n));
         let set: Vec<Var> = (0..d as u32).map(Var::new).collect();
         let index = rng.gen_range(0..(1u64 << d));
@@ -126,10 +90,10 @@ proptest! {
     /// whole search space: the instance is SAT iff some sub-problem is SAT.
     #[test]
     fn decomposition_family_preserves_satisfiability(seed in 0u64..2_000) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x77);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
         let n = rng.gen_range(4..9usize);
         let m = rng.gen_range(4..26usize);
-        let cnf = random_cnf(seed.wrapping_add(17), n, m, 3);
+        let cnf = Cnf::random_cnf(n, m, 3, &mut StdRng::seed_from_u64(seed.wrapping_add(17)));
         let d = rng.gen_range(1..=3usize);
         let set: Vec<Var> = (0..d as u32).map(Var::new).collect();
 
@@ -147,7 +111,7 @@ proptest! {
     /// Restarts and clause-DB reduction do not change verdicts.
     #[test]
     fn aggressive_config_agrees_with_default(seed in 0u64..2_000) {
-        let cnf = random_cnf(seed.wrapping_mul(7), 10, 38, 3);
+        let cnf = Cnf::random_cnf(10, 38, 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(7)));
         let default_verdict = Solver::from_cnf(&cnf).solve().is_sat();
         let aggressive = SolverConfig {
             luby_restart_base: 1,
@@ -170,12 +134,12 @@ proptest! {
     /// requirement).
     #[test]
     fn arena_propagation_matches_brute_force(seed in 0u64..4_000) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
         let n = rng.gen_range(3..11usize);
         let m = rng.gen_range(2..45usize);
         // k = 2 produces mostly-binary formulas, k = 4 mostly-long ones.
         let k = rng.gen_range(2..=4usize);
-        let cnf = random_cnf(seed.wrapping_mul(97), n, m, k);
+        let cnf = Cnf::random_cnf(n, m, k, &mut StdRng::seed_from_u64(seed.wrapping_mul(97)));
 
         let run = |cnf: &Cnf| {
             let mut solver = Solver::from_cnf(cnf);
@@ -213,7 +177,7 @@ proptest! {
     /// arena compaction) must not change any verdict.
     #[test]
     fn gc_stress_config_agrees_with_brute_force(seed in 0u64..1_500) {
-        let cnf = random_cnf(seed.wrapping_mul(13).wrapping_add(5), 10, 40, 3);
+        let cnf = Cnf::random_cnf(10, 40, 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(13).wrapping_add(5)));
         let mut solver = Solver::from_cnf_with_config(&cnf, gc_stress_config());
         let sat = solver.solve().is_sat();
         prop_assert_eq!(sat, cnf.brute_force_model().is_some());
@@ -258,7 +222,11 @@ fn gc_relocation_keeps_watchers_coherent() {
 fn gc_relocation_preserves_models() {
     let mut found_gc = false;
     for seed in 0..40u64 {
-        let cnf = random_3cnf(seed.wrapping_mul(131).wrapping_add(7), 14, 60);
+        let cnf = Cnf::random_3cnf(
+            14,
+            60,
+            &mut StdRng::seed_from_u64(seed.wrapping_mul(131).wrapping_add(7)),
+        );
         let mut solver = Solver::from_cnf_with_config(&cnf, gc_stress_config());
         match solver.solve() {
             Verdict::Sat(model) => assert!(

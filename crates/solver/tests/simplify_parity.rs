@@ -13,6 +13,7 @@
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_solver::{Solver, SolverConfig, Verdict};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The differential proof hook: an UNSAT verdict from a proof-logging solver
@@ -25,20 +26,6 @@ fn assert_certified_unsat(cnf: &Cnf, assumptions: &[Lit], solver: &Solver) {
     if let Err(failure) = pdsat_checker::check_unsat_proof(cnf, assumptions, &cert) {
         panic!("checker rejected the solver's certificate: {failure}");
     }
-}
-
-/// Generates a random k-SAT formula with `n` variables and `m` clauses.
-fn random_cnf(seed: u64, n: usize, m: usize, k: usize) -> Cnf {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cnf = Cnf::new(n);
-    for _ in 0..m {
-        let len = rng.gen_range(1..=k);
-        let lits: Vec<Lit> = (0..len)
-            .map(|_| Lit::new(Var::new(rng.gen_range(0..n) as u32), rng.gen_bool(0.5)))
-            .collect();
-        cnf.add_clause(lits);
-    }
-    cnf
 }
 
 fn simplify_config() -> SolverConfig {
@@ -68,11 +55,11 @@ proptest! {
     /// elimination stack — satisfies every clause of the original formula.
     #[test]
     fn simplified_verdict_and_model_match_baseline(seed in 0u64..6_000) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x51AB);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x51AB);
         let n = rng.gen_range(3..14usize);
         let m = rng.gen_range(2..50usize);
         let k = rng.gen_range(2..=4usize);
-        let cnf = random_cnf(seed.wrapping_mul(41), n, m, k);
+        let cnf = Cnf::random_cnf(n, m, k, &mut StdRng::seed_from_u64(seed.wrapping_mul(41)));
 
         let baseline = Solver::from_cnf(&cnf).solve().is_sat();
         let mut simplified = simplified_solver(&cnf, simplify_config(), &[]);
@@ -97,10 +84,10 @@ proptest! {
     /// invariant the oracle backends rely on.
     #[test]
     fn frozen_family_verdicts_survive_simplification(seed in 0u64..2_500) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFA51);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xFA51);
         let n = rng.gen_range(4..11usize);
         let m = rng.gen_range(3..36usize);
-        let cnf = random_cnf(seed.wrapping_mul(59).wrapping_add(3), n, m, 3);
+        let cnf = Cnf::random_cnf(n, m, 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(59).wrapping_add(3)));
         let d = rng.gen_range(1..=3usize.min(n));
         let set: Vec<Var> = (0..d as u32).map(Var::new).collect();
 
@@ -140,10 +127,10 @@ proptest! {
     /// eliminated than exist outside the frozen set.
     #[test]
     fn elimination_respects_freeze_under_any_grow_limit(seed in 0u64..1_500) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x60F);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x60F);
         let n = rng.gen_range(4..12usize);
         let m = rng.gen_range(3..40usize);
-        let cnf = random_cnf(seed.wrapping_mul(23).wrapping_add(11), n, m, 3);
+        let cnf = Cnf::random_cnf(n, m, 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(23).wrapping_add(11)));
         let frozen: Vec<Var> = (0..n as u32)
             .filter(|v| v % 2 == 0)
             .map(Var::new)
@@ -171,7 +158,7 @@ proptest! {
     /// must degrade gracefully, never unsoundly.
     #[test]
     fn budget_limited_simplification_stays_sound(seed in 0u64..1_500) {
-        let cnf = random_cnf(seed.wrapping_mul(67).wrapping_add(29), 10, 38, 3);
+        let cnf = Cnf::random_cnf(10, 38, 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(67).wrapping_add(29)));
         let baseline = Solver::from_cnf(&cnf).solve().is_sat();
         let starved = SolverConfig {
             subsumption_limit: 0,
@@ -198,7 +185,7 @@ proptest! {
     /// of its inputs.
     #[test]
     fn simplification_is_deterministic(seed in 0u64..1_500) {
-        let cnf = random_cnf(seed.wrapping_mul(101).wrapping_add(7), 11, 42, 3);
+        let cnf = Cnf::random_cnf(11, 42, 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(101).wrapping_add(7)));
         let frozen: Vec<Var> = (0..3u32).map(Var::new).collect();
         let run = |cnf: &Cnf| {
             let mut solver = simplified_solver(cnf, simplify_config(), &frozen);

@@ -19,25 +19,6 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A random 3-CNF over `num_vars` variables.
-fn random_3cnf(num_vars: usize, num_clauses: usize, rng: &mut StdRng) -> Cnf {
-    let mut cnf = Cnf::new(num_vars);
-    for _ in 0..num_clauses {
-        let mut vars = Vec::new();
-        while vars.len() < 3 {
-            let v = rng.gen_range(0..num_vars);
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        cnf.add_clause(
-            vars.iter()
-                .map(|&v| Lit::new(Var::new(v as u32), rng.gen_bool(0.5))),
-        );
-    }
-    cnf
-}
-
 /// `count` random cubes over a random decomposition set of `d` variables,
 /// in a shuffled order with occasional immediate repeats (the memoized /
 /// revisited-point pattern of the estimator).
@@ -106,7 +87,7 @@ fn assert_same_search(a: &SolverStats, b: &SolverStats, context: &str) {
 #[test]
 fn reuse_fires_on_prefix_sharing_families() {
     let mut rng = StdRng::seed_from_u64(0x5EED);
-    let cnf = random_3cnf(14, 40, &mut rng);
+    let cnf = Cnf::random_3cnf(14, 40, &mut rng);
     let set: Vec<Var> = (0..4).map(Var::new).collect();
     let (mut with_reuse, mut without) = solver_pair(&cnf);
     for bits in 0..16u64 {
@@ -140,7 +121,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7EA1);
         let num_vars = rng.gen_range(10..18);
         let num_clauses = (num_vars as f64 * (3.2 + rng.gen_range(0.0..1.4))) as usize;
-        let cnf = random_3cnf(num_vars, num_clauses, &mut rng);
+        let cnf = Cnf::random_3cnf(num_vars, num_clauses, &mut rng);
         let d = rng.gen_range(2..6);
         let cubes = random_cube_sequence(num_vars, d, 12, &mut rng);
 
@@ -173,7 +154,7 @@ proptest! {
     fn interleaved_clause_additions_preserve_parity(seed in 0u64..100_000) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xADDC);
         let num_vars = rng.gen_range(10..16);
-        let cnf = random_3cnf(num_vars, num_vars * 3, &mut rng);
+        let cnf = Cnf::random_3cnf(num_vars, num_vars * 3, &mut rng);
         let cubes = random_cube_sequence(num_vars, rng.gen_range(2..5), 10, &mut rng);
 
         let (mut with_reuse, mut without) = solver_pair(&cnf);
@@ -215,7 +196,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB0D6);
         let num_vars = rng.gen_range(12..18);
         let num_clauses = (num_vars as f64 * 4.2) as usize;
-        let cnf = random_3cnf(num_vars, num_clauses, &mut rng);
+        let cnf = Cnf::random_3cnf(num_vars, num_clauses, &mut rng);
         let cubes = random_cube_sequence(num_vars, rng.gen_range(2..5), 10, &mut rng);
 
         let (mut with_reuse, mut without) = solver_pair(&cnf);

@@ -1,25 +1,13 @@
 //! Statistical and structural properties of the Monte Carlo partitioning
 //! machinery, checked across crates with property-based tests.
 
-use pdsat::cnf::{Cnf, Cube, Lit, Var};
+use pdsat::cnf::{Cnf, Cube, Var};
 use pdsat::core::{CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, SampleStats};
 use pdsat::distrib::{simulate_cluster, ClusterConfig};
 use pdsat::solver::{Solver, Verdict};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-fn random_cnf(seed: u64, n: usize, m: usize) -> Cnf {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut cnf = Cnf::new(n);
-    for _ in 0..m {
-        let len = rng.gen_range(1..4usize);
-        let lits: Vec<Lit> = (0..len)
-            .map(|_| Lit::new(Var::new(rng.gen_range(0..n) as u32), rng.gen_bool(0.5)))
-            .collect();
-        cnf.add_clause(lits);
-    }
-    cnf
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -29,9 +17,9 @@ proptest! {
     /// some member of the family is.
     #[test]
     fn decomposition_family_is_a_partitioning(seed in 0u64..2_000) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let n = rng.gen_range(4..9usize);
-        let cnf = random_cnf(seed, n, rng.gen_range(3..20usize));
+        let cnf = Cnf::random_cnf(n, rng.gen_range(3..20usize), 3, &mut StdRng::seed_from_u64(seed));
         let d = rng.gen_range(1..=3usize);
         let set = DecompositionSet::new((0..d as u32).map(Var::new));
         let cubes: Vec<Cube> = set.cubes().collect();
@@ -54,9 +42,9 @@ proptest! {
     /// paper with the expectation replaced by the true mean.
     #[test]
     fn exhaustive_predictive_value_is_exact(seed in 0u64..1_000) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFACE);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xFACE);
         let n = rng.gen_range(5..9usize);
-        let cnf = random_cnf(seed.wrapping_mul(13), n, rng.gen_range(5..25usize));
+        let cnf = Cnf::random_cnf(n, rng.gen_range(5..25usize), 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(13)));
         let d = rng.gen_range(1..=4usize);
         let set = DecompositionSet::new((0..d as u32).map(Var::new));
         let mut evaluator = Evaluator::new(

@@ -13,8 +13,9 @@
 //!    `BatchConfig` must be named (in backticks) in DESIGN.md, so the
 //!    configuration surface and its documentation cannot drift apart.
 //! 4. **no parked code**: no `allow(dead_code)` attribute in any form (code
-//!    that nothing calls is deleted, test-only helpers are `#[cfg(test)]`)
-//!    and no `serde` entry in any workspace `Cargo.toml` (persistence is the
+//!    that nothing calls is deleted, test-only helpers are `#[cfg(test)]`),
+//!    no `allow(clippy::too_many_arguments)` either (positional plumbing is
+//!    folded into one value, not waved through) and no `serde` entry in any workspace `Cargo.toml` (persistence is the
 //!    two hand-written text codecs; a derive-only stub must not come back),
 //!    nor a `criterion` dependency or `[[bench]]` table (measurements are
 //!    made with the `benchmark/` package; a second harness must not either).
@@ -260,6 +261,9 @@ fn check_no_parked_code(root: &Path, errors: &mut Vec<String>) {
     // Spelled in two halves so this file passes its own check.
     let allowance = concat!("allow(dead", "_code)");
     let advice = "delete the unused item or make it #[cfg(test)]";
+    forbid(root, &sources, "//", None, allowance, advice, errors);
+    let allowance = concat!("allow(clippy::too_many", "_arguments)");
+    let advice = "pass one value that describes the thing (as `BackendSpec` does)";
     forbid(root, &sources, "//", None, allowance, advice, errors);
 
     let mut manifests = vec![root.join("Cargo.toml"), root.join("xtask/Cargo.toml")];
