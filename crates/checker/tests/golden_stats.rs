@@ -10,9 +10,8 @@ use pdsat_cnf::{Cnf, DratProof, DratStep, Lit, Var};
 use pdsat_solver::{Solver, SolverConfig, Verdict};
 
 /// Two XOR chains over the same `n` inputs, the second visiting them in
-/// `stride` order, asserting opposite parities: unsatisfiable, needs real
-/// search, and every chain variable is a functionally defined auxiliary of
-/// the kind bounded variable elimination removes.
+/// `stride` order, asserting opposite parities: unsatisfiable, and needs
+/// real search.
 fn parity_contradiction(n: usize, stride: usize) -> Cnf {
     let mut cnf = Cnf::new(n);
     let xor_gate = |cnf: &mut Cnf, a: Lit, b: Lit| {
@@ -41,20 +40,11 @@ fn proof_config() -> SolverConfig {
     }
 }
 
-/// Solves `parity_contradiction(13, 5)` (after one inprocessing pass when
-/// `simplify` is set) and requires the certificate's shape and the
-/// checker's counters over it to equal the recorded ones.
-fn assert_golden(
-    config: SolverConfig,
-    simplify: bool,
-    (steps, deletes): (usize, usize),
-    stats: CheckStats,
-) {
+/// Solves `parity_contradiction(13, 5)` and requires the certificate's shape
+/// and the checker's counters over it to equal the recorded ones.
+fn assert_golden(config: SolverConfig, (steps, deletes): (usize, usize), stats: CheckStats) {
     let cnf = parity_contradiction(13, 5);
     let mut solver = Solver::from_cnf_with_config(&cnf, config);
-    if simplify {
-        solver.simplify();
-    }
     assert_eq!(solver.solve(), Verdict::Unsat);
     let cert = solver.unsat_certificate().expect("proof logging is on");
     let logged_deletes = cert.steps.iter().filter(|s| s.is_delete()).count();
@@ -70,25 +60,10 @@ fn assert_golden(
 fn plain_certificate_replays_with_the_recorded_counts() {
     assert_golden(
         proof_config(),
-        false,
         (626, 0),
         CheckStats {
             steps_checked: 625,
             propagations: 9839,
-            unmatched_deletes: 0,
-        },
-    );
-}
-
-#[test]
-fn simplify_certificate_with_logged_deletions_replays_with_the_recorded_counts() {
-    assert_golden(
-        proof_config(),
-        true,
-        (2915, 1127),
-        CheckStats {
-            steps_checked: 2914,
-            propagations: 25133,
             unmatched_deletes: 0,
         },
     );
@@ -103,7 +78,6 @@ fn reduce_db_certificate_replays_with_the_recorded_counts() {
     };
     assert_golden(
         config,
-        false,
         (2227, 1039),
         CheckStats {
             steps_checked: 2226,

@@ -1161,7 +1161,6 @@ mod tests {
         let solve_config = SolveModeConfig {
             solver_config: SolverConfig {
                 proof: true,
-                simplify: false,
                 ..SolverConfig::default()
             },
             backend: pdsat_core::BackendKind::Fresh,

@@ -28,6 +28,27 @@ pub enum CipherKind {
     Grain,
 }
 
+/// Evaluates `$body` with `$cipher` bound to the generator `$kind` names: the
+/// one place a [`CipherKind`] is turned into a [`StreamCipher`].
+macro_rules! with_cipher {
+    ($kind:expr, |$cipher:ident| $body:expr) => {
+        match $kind {
+            CipherKind::A51 => {
+                let $cipher = A51::new();
+                $body
+            }
+            CipherKind::Bivium => {
+                let $cipher = Bivium::new();
+                $body
+            }
+            CipherKind::Grain => {
+                let $cipher = Grain::new();
+                $body
+            }
+        }
+    };
+}
+
 impl CipherKind {
     /// Human-readable name.
     #[must_use]
@@ -42,32 +63,20 @@ impl CipherKind {
     /// Register layout of the cipher (name, length), in state order.
     #[must_use]
     pub fn register_layout(self) -> Vec<(String, usize)> {
-        match self {
-            CipherKind::A51 => A51::new().register_layout(),
-            CipherKind::Bivium => Bivium::new().register_layout(),
-            CipherKind::Grain => Grain::new().register_layout(),
-        }
+        with_cipher!(self, |cipher| cipher.register_layout())
     }
 
     /// Total state length of the cipher.
     #[must_use]
     pub fn state_len(self) -> usize {
-        match self {
-            CipherKind::A51 => A51::new().state_len(),
-            CipherKind::Bivium => Bivium::new().state_len(),
-            CipherKind::Grain => Grain::new().state_len(),
-        }
+        with_cipher!(self, |cipher| cipher.state_len())
     }
 
     /// Generates `len` keystream bits from `state` with the corresponding
     /// reference implementation.
     #[must_use]
     pub fn keystream(self, state: &[bool], len: usize) -> Vec<bool> {
-        match self {
-            CipherKind::A51 => A51::new().keystream(state, len),
-            CipherKind::Bivium => Bivium::new().keystream(state, len),
-            CipherKind::Grain => Grain::new().keystream(state, len),
-        }
+        with_cipher!(self, |cipher| cipher.keystream(state, len))
     }
 }
 
@@ -180,24 +189,20 @@ impl ScaledWorkload {
         self.cipher.state_len() - self.known_suffix
     }
 
+    /// The instance builder of this workload over `cipher`.
+    fn builder<C: StreamCipher>(&self, cipher: C) -> InstanceBuilder<C> {
+        InstanceBuilder::new(cipher)
+            .keystream_len(self.keystream_len)
+            .known_suffix_of_second_register(self.known_suffix)
+    }
+
     /// Builds the SAT instance of this workload (deterministic in the seed).
     #[must_use]
     pub fn build_instance(&self) -> Instance {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        match self.cipher {
-            CipherKind::A51 => InstanceBuilder::new(A51::new())
-                .keystream_len(self.keystream_len)
-                .known_suffix_of_second_register(self.known_suffix)
-                .build_random(&mut rng),
-            CipherKind::Bivium => InstanceBuilder::new(Bivium::new())
-                .keystream_len(self.keystream_len)
-                .known_suffix_of_second_register(self.known_suffix)
-                .build_random(&mut rng),
-            CipherKind::Grain => InstanceBuilder::new(Grain::new())
-                .keystream_len(self.keystream_len)
-                .known_suffix_of_second_register(self.known_suffix)
-                .build_random(&mut rng),
-        }
+        with_cipher!(self.cipher, |cipher| self
+            .builder(cipher)
+            .build_random(&mut rng))
     }
 
     /// Builds a series of `count` instances differing only in the secret
@@ -205,20 +210,9 @@ impl ScaledWorkload {
     #[must_use]
     pub fn build_series(&self, count: usize) -> Vec<Instance> {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        match self.cipher {
-            CipherKind::A51 => InstanceBuilder::new(A51::new())
-                .keystream_len(self.keystream_len)
-                .known_suffix_of_second_register(self.known_suffix)
-                .build_series(count, &mut rng),
-            CipherKind::Bivium => InstanceBuilder::new(Bivium::new())
-                .keystream_len(self.keystream_len)
-                .known_suffix_of_second_register(self.known_suffix)
-                .build_series(count, &mut rng),
-            CipherKind::Grain => InstanceBuilder::new(Grain::new())
-                .keystream_len(self.keystream_len)
-                .known_suffix_of_second_register(self.known_suffix)
-                .build_series(count, &mut rng),
-        }
+        with_cipher!(self.cipher, |cipher| self
+            .builder(cipher)
+            .build_series(count, &mut rng))
     }
 
     /// The search space `2^{X̃_start}` of the workload: all unknown state

@@ -30,7 +30,7 @@ use share::{ClauseExchange, SHARE_RING_CAPACITY};
 
 use crate::fault::FaultPlan;
 use crate::CostMetric;
-use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
+use pdsat_cnf::{Assignment, Cnf, Cube, DratProof};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig, SolverStats, Verdict};
 use pool::{BatchShared, FlatCubes, WorkerPool};
 use std::sync::Arc;
@@ -165,12 +165,6 @@ pub struct BatchConfig {
     /// Which backend each worker runs (see [`BackendKind`] for the
     /// fresh-vs-warm trade-off).
     pub backend: BackendKind,
-    /// Variables the batches will assume over (the decomposition set). With
-    /// [`SolverConfig::simplify`] enabled, every backend freezes them before
-    /// its one-shot preprocessing pass so they survive variable elimination;
-    /// otherwise the list is unused. Leaving it empty with simplify on is
-    /// only safe when no assumptions are ever made.
-    pub frozen_vars: Vec<Var>,
     /// Cooperative clause sharing between pool workers (default `false`).
     /// When enabled on a real pool (effective workers ≥ 2) with the warm
     /// backend, each worker exports its glue learnt clauses
@@ -204,7 +198,6 @@ impl Default for BatchConfig {
             clamp_workers_to_cpus: true,
             stop_on_sat: false,
             backend: BackendKind::Fresh,
-            frozen_vars: Vec::new(),
             clause_sharing: false,
             fault_plan: FaultPlan::none(),
         }

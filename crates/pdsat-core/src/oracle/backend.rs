@@ -21,7 +21,7 @@
 
 use super::BatchConfig;
 use crate::CubeCounters;
-use pdsat_cnf::{Cnf, DratProof, Lit, Var};
+use pdsat_cnf::{Cnf, DratProof, Lit};
 use pdsat_solver::{
     Budget, InterruptFlag, ShareChannel, Solver, SolverConfig, SolverStats, Verdict,
 };
@@ -142,11 +142,6 @@ pub(crate) struct BackendSpec {
     /// silences the solver's own per-call accounting: nothing reads
     /// `SolverStats::solve_time` when the cost comes from counters.
     solver_config: SolverConfig,
-    /// The variables the batches assume over (the decomposition set): with
-    /// [`SolverConfig::simplify`] enabled they are frozen before the
-    /// preprocessing pass so they survive variable elimination and stay
-    /// legal assumption targets.
-    frozen_vars: Vec<Var>,
     /// Whether a backend reads the clock around every cube to fill
     /// [`BackendOutcome::elapsed`]. `false` when the cost metric is a
     /// deterministic counter — at warm-backend throughput (hundreds of
@@ -168,7 +163,6 @@ impl BackendSpec {
                 time_accounting: config.solver_config.time_accounting && measure_wall_time,
                 ..config.solver_config.clone()
             },
-            frozen_vars: config.frozen_vars.clone(),
             measure_wall_time,
         }
     }
@@ -190,17 +184,9 @@ impl BackendSpec {
         }
     }
 
-    /// Loads the formula into a solver: frozen over the decomposition set
-    /// and preprocessed when [`SolverConfig::simplify`] is on.
+    /// Loads the formula into a solver.
     fn load_solver(&self) -> Solver {
-        let mut solver = Solver::from_cnf_with_config(&self.cnf, self.solver_config.clone());
-        if self.solver_config.simplify {
-            for &v in &self.frozen_vars {
-                solver.freeze(v);
-            }
-            solver.simplify();
-        }
-        solver
+        Solver::from_cnf_with_config(&self.cnf, self.solver_config.clone())
     }
 }
 
@@ -226,12 +212,13 @@ impl std::str::FromStr for BackendKind {
 /// state (the property the Monte Carlo estimator needs).
 ///
 /// The formula is loaded **once**, on the backend's first cube, into a
-/// *template* solver — frozen over the decomposition set and preprocessed
-/// when [`SolverConfig::simplify`] is on — and one *working* solver is
-/// restored from the template before each cube with
-/// [`Clone::clone_from`], which copies into the working solver's existing
-/// allocations. A cube therefore starts from a memcpy of the loaded formula
-/// instead of re-parsing and re-attaching every clause.
+/// *template* solver, and one *working* solver is restored from the template
+/// before each cube with [`Clone::clone_from`], which copies into the
+/// working solver's existing allocations. A cube therefore starts from a
+/// memcpy of the loaded formula instead of re-parsing and re-attaching every
+/// clause, and the working solver's counters after the solve are the cube's
+/// own — the load's root propagations included, exactly as a solver rebuilt
+/// per cube reports them.
 pub(crate) struct FreshBackend {
     spec: Arc<BackendSpec>,
     /// `None` until the first cube: construction does no solver work.
@@ -244,31 +231,17 @@ pub(crate) struct FreshBackend {
 /// The loaded formula and the solver the cubes actually run on.
 struct Resident {
     template: Solver,
-    /// What a cube's counters are measured against. With `simplify` on this
-    /// is the template's own counters, so the one-off preprocessing is
-    /// excluded; without it, zero, so every cube's delta carries the load's
-    /// root propagations exactly as a solver rebuilt per cube reports them.
-    base: SolverStats,
     working: Solver,
 }
 
 impl Resident {
     fn load(spec: &BackendSpec) -> Resident {
         let working = spec.load_solver();
-        let base = if spec.solver_config.simplify {
-            *working.stats()
-        } else {
-            SolverStats::default()
-        };
         // The clone is the template: it is allocated at exact size, while
         // the solver that did the loading keeps the spare capacity its watch
         // lists grew, which solving would grow anyway.
         let template = working.clone();
-        Resident {
-            template,
-            base,
-            working,
-        }
+        Resident { template, working }
     }
 }
 
@@ -294,31 +267,26 @@ impl CubeBackend for FreshBackend {
         // The one-off load happens before the timer starts, so the first
         // wall-time observation of a backend's life is distributed like
         // every later one: restore + solve.
-        let Resident {
-            template,
-            base,
-            working,
-        } = self
+        let Resident { template, working } = self
             .resident
             .get_or_insert_with(|| Resident::load(&self.spec));
         let start = self.spec.measure_wall_time.then(Instant::now);
         working.clone_from(template);
         let verdict = working.solve_limited(cube, budget, Some(interrupt));
         let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
-        // The template accumulates no conflict participation (neither
-        // loading nor simplification runs conflict analysis), so the working
-        // solver's counters are entirely this cube's.
+        // The template accumulates no conflict participation (loading runs
+        // no conflict analysis), so the working solver's counters are
+        // entirely this cube's.
         for (acc, &c) in conflict_acc.iter_mut().zip(working.conflict_counts()) {
             *acc += c;
         }
-        // The full delta stays in here, for the batch aggregate; the report
-        // carries the three counters the executor reads.
-        let stats_delta = working.stats().delta_since(base);
-        self.batch_stats.absorb(&stats_delta);
+        // The full statistics stay in here, for the batch aggregate; the
+        // report carries the three counters the executor reads.
+        self.batch_stats.absorb(working.stats());
         let proof = working.unsat_certificate();
         BackendOutcome {
             verdict,
-            counters: CubeCounters::of(&stats_delta),
+            counters: CubeCounters::of(working.stats()),
             elapsed,
             proof,
         }

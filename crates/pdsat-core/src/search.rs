@@ -156,7 +156,10 @@ impl SearchOutcome {
     /// revisits checkpointed points for free but does not replay them into
     /// its history, so when chaining checkpoints across several runs, fold
     /// each outcome into the running checkpoint with
-    /// [`SearchCheckpoint::absorb`] instead of replacing it.
+    /// [`SearchCheckpoint::absorb`] instead of replacing it — and persist
+    /// that running checkpoint: the snapshot of a resumed run that did not
+    /// improve on its inherited incumbent names a best pair outside its own
+    /// `visited` list, which [`SearchCheckpoint::from_text`] refuses.
     #[must_use]
     pub fn checkpoint(&self) -> SearchCheckpoint {
         let mut seen = std::collections::HashSet::new();
@@ -273,10 +276,20 @@ impl SearchCheckpoint {
 
     /// Parses the text form produced by [`to_text`](SearchCheckpoint::to_text).
     ///
+    /// A loaded checkpoint seeds a resumed search's memo and incumbent, so
+    /// beyond the line syntax the text must describe a state a search can
+    /// reach: no value is NaN, no point is listed twice, and the best pair
+    /// is bit-for-bit one of the `visited` pairs — or, with nothing visited,
+    /// the [`empty`](SearchCheckpoint::empty) sentinel. Every checkpoint
+    /// grown from `empty` by [`absorb`](SearchCheckpoint::absorb)-ing the
+    /// runs resumed from it satisfies this; a forged incumbent no search
+    /// could ever beat does not.
+    ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line, or of a dimension
-    /// above [`MAX_DIMENSION`](SearchCheckpoint::MAX_DIMENSION).
+    /// Returns a description of the first malformed line, of a dimension
+    /// above [`MAX_DIMENSION`](SearchCheckpoint::MAX_DIMENSION), or of the
+    /// first violation of the rules above.
     pub fn from_text(text: &str) -> Result<SearchCheckpoint, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty checkpoint")?;
@@ -329,13 +342,35 @@ impl SearchCheckpoint {
         };
         let best_line = lines.next().ok_or("missing best line")?;
         let (best_value, best_point) = parse_entry(best_line, "best ")?;
-        let mut visited = Vec::new();
+        if best_value.is_nan() {
+            return Err(format!("NaN value in '{best_line}'"));
+        }
+        let mut visited: Vec<VisitedPoint> = Vec::new();
+        let mut seen = std::collections::HashSet::new();
         for line in lines {
             if line.trim().is_empty() {
                 continue;
             }
             let (value, point) = parse_entry(line, "visited ")?;
+            if value.is_nan() {
+                return Err(format!("NaN value in '{line}'"));
+            }
+            if !seen.insert(point.clone()) {
+                return Err(format!("point listed twice: '{line}'"));
+            }
             visited.push(VisitedPoint { point, value });
+        }
+        let supported = if visited.is_empty() {
+            best_value == f64::INFINITY && best_point.ones() == 0
+        } else {
+            visited
+                .iter()
+                .any(|v| v.value.to_bits() == best_value.to_bits() && v.point == best_point)
+        };
+        if !supported {
+            return Err(format!(
+                "incumbent '{best_line}' is not one of the visited pairs"
+            ));
         }
         Ok(SearchCheckpoint {
             dimension,
@@ -485,6 +520,53 @@ mod tests {
             SearchCheckpoint::from_text(&at_limit.to_text()).unwrap(),
             at_limit
         );
+    }
+
+    /// Texts that parse line by line but describe no reachable search state:
+    /// a resumed search would report the forged incumbent as its result.
+    #[test]
+    fn incumbent_nothing_supports_is_rejected() {
+        let head = "pdsat-search-checkpoint v1\ndimension 4\n";
+        let forged = format!("{head}best fff0000000000000 -\n");
+        assert_eq!(forged.len(), 63);
+        let nan_twice = format!(
+            "{head}best 7ff8000000000000 0\n\
+             visited 7ff8000000000000 0\nvisited 4000000000000000 0\n"
+        );
+        for (text, why) in [
+            (forged.as_str(), "not one of the visited pairs"),
+            (nan_twice.as_str(), "NaN value"),
+            (
+                &format!("{head}best 4000000000000000 0\nvisited 4000000000000000 0\nvisited 4008000000000000 0\n"),
+                "listed twice",
+            ),
+            (
+                &format!("{head}best 4000000000000000 0\nvisited 7ff8000000000000 0\n"),
+                "NaN value",
+            ),
+            // The right point with another value, and the right value at
+            // another point, support nothing either.
+            (
+                &format!("{head}best 3ff0000000000000 0\nvisited 4000000000000000 0\n"),
+                "not one of the visited pairs",
+            ),
+            (
+                &format!("{head}best 4000000000000000 1\nvisited 4000000000000000 0\n"),
+                "not one of the visited pairs",
+            ),
+            // The sentinel is only the sentinel while nothing is visited.
+            (
+                &format!("{head}best 7ff0000000000000 -\nvisited 4000000000000000 0\n"),
+                "not one of the visited pairs",
+            ),
+            (
+                &format!("{head}best 7ff0000000000000 1\n"),
+                "not one of the visited pairs",
+            ),
+        ] {
+            let err = SearchCheckpoint::from_text(text).expect_err(text);
+            assert!(err.contains(why), "{text:?} gave {err:?}");
+        }
     }
 
     /// A v1 checkpoint spelled out by hand rather than produced by the

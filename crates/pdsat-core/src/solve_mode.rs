@@ -9,7 +9,7 @@
 
 use crate::oracle::{BackendKind, BatchConfig, CubeOracle, VerdictSummary};
 use crate::{BatchResult, CostMetric, DecompositionSet};
-use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
+use pdsat_cnf::{Assignment, Cnf, Cube, DratProof};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig, SolverStats};
 use std::time::Duration;
 
@@ -34,10 +34,6 @@ pub struct SolveModeConfig {
     /// per worker matches PDSAT's long-lived MiniSat worker processes and is
     /// much faster than reloading the clause database for every cube.
     pub backend: BackendKind,
-    /// Variables frozen in every backend before preprocessing. Callers must
-    /// list the decomposition set here when `solver_config.simplify` is on,
-    /// or the cube assumptions may land on eliminated variables.
-    pub frozen_vars: Vec<Var>,
     /// Cooperative clause sharing between the pool workers (default
     /// `false`; see [`BatchConfig::clause_sharing`]). Verdicts and model
     /// validity are unaffected, but per-cube costs become
@@ -54,7 +50,6 @@ impl Default for SolveModeConfig {
             num_workers: 1,
             stop_on_sat: false,
             backend: BackendKind::Warm,
-            frozen_vars: Vec::new(),
             clause_sharing: false,
         }
     }
@@ -132,7 +127,7 @@ family_counters! {
 ///
 /// The proof is checkable against the **original** formula with the cube's
 /// literals seeded as root assumptions (the solver's proof stream starts at
-/// the input clauses; preprocessing emissions are part of the stream).
+/// the input clauses).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CubeCertificate {
     /// Index of the cube in family enumeration order (re-based to the whole
@@ -277,7 +272,6 @@ impl FamilySolver {
             num_workers: config.num_workers,
             stop_on_sat: config.stop_on_sat,
             backend: config.backend,
-            frozen_vars: config.frozen_vars.clone(),
             clause_sharing: config.clause_sharing,
             ..BatchConfig::default()
         };

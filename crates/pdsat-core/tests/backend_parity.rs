@@ -187,62 +187,40 @@ fn warm_backend_is_no_more_expensive_over_whole_families() {
     );
 }
 
-/// What the rebuild-per-cube fresh backend (one `Solver::from_cnf` per cube,
-/// or one clone of a preprocessed template with `simplify` on) returned for
-/// the family of [`fresh_fixture_family`]: the per-cube propagation costs,
+/// What the rebuild-per-cube fresh backend (one `Solver::from_cnf` per cube)
+/// returned for the family of [`fresh_fixture_family`]: the per-cube propagation costs,
 /// and an FNV-1a digest of the `Debug` text of every outcome (index, cost,
 /// verdict, conflicts, model, DRAT certificate) and of the per-variable
 /// conflict totals. Recorded at the commit before the backend kept a
 /// template and a restored working solver.
 struct FreshFixture {
-    simplify: bool,
     costs: [f64; 16],
     digest: u64,
 }
 
-const FRESH_FIXTURES: [FreshFixture; 2] = [
-    FreshFixture {
-        simplify: false,
-        costs: [
-            459.0, 171.0, 352.0, 83.0, 374.0, 484.0, 197.0, 219.0, 424.0, 224.0, 197.0, 357.0,
-            292.0, 498.0, 151.0, 193.0,
-        ],
-        digest: 0xc5de_28d4_eafa_f315,
-    },
-    FreshFixture {
-        simplify: true,
-        costs: [
-            171.0, 452.0, 111.0, 108.0, 416.0, 483.0, 259.0, 129.0, 506.0, 370.0, 272.0, 292.0,
-            505.0, 102.0, 149.0, 79.0,
-        ],
-        digest: 0x165d_068a_e16c_346a,
-    },
-];
+const FRESH_FIXTURE: FreshFixture = FreshFixture {
+    costs: [
+        459.0, 171.0, 352.0, 83.0, 374.0, 484.0, 197.0, 219.0, 424.0, 224.0, 197.0, 357.0, 292.0,
+        498.0, 151.0, 193.0,
+    ],
+    digest: 0xc5de_28d4_eafa_f315,
+};
 
-fn fresh_fixture_family() -> (Cnf, DecompositionSet, Vec<Cube>) {
+fn fresh_fixture_family() -> (Cnf, Vec<Cube>) {
     let mut rng = StdRng::seed_from_u64(0xF1E6);
     let cnf = Cnf::random_3cnf(70, 300, &mut rng);
-    let set = random_set(70, 4, &mut rng);
-    let cubes = set.cubes().collect();
-    (cnf, set, cubes)
+    let cubes = random_set(70, 4, &mut rng).cubes().collect();
+    (cnf, cubes)
 }
 
-fn fresh_fixture_oracle(
-    cnf: &Cnf,
-    set: &DecompositionSet,
-    simplify: bool,
-    workers: usize,
-    fault_plan: FaultPlan,
-) -> CubeOracle {
+fn fresh_fixture_oracle(cnf: &Cnf, workers: usize, fault_plan: FaultPlan) -> CubeOracle {
     let config = BatchConfig {
         cost: CostMetric::Propagations,
         backend: BackendKind::Fresh,
         solver_config: SolverConfig {
             proof: true,
-            simplify,
             ..SolverConfig::default()
         },
-        frozen_vars: set.vars().to_vec(),
         num_workers: workers,
         clamp_workers_to_cpus: false,
         fault_plan,
@@ -251,47 +229,41 @@ fn fresh_fixture_oracle(
     CubeOracle::new(cnf, config)
 }
 
-fn assert_matches_fixture(result: &BatchResult, fixture: &FreshFixture, context: &str) {
+fn assert_matches_fixture(result: &BatchResult, context: &str) {
     let costs: Vec<f64> = result.costs().collect();
-    assert_eq!(costs, fixture.costs, "{context}");
+    assert_eq!(costs, FRESH_FIXTURE.costs, "{context}");
     let text = format!("{:?}{:?}", result.outcomes, result.var_conflict_totals);
     let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!(digest, fixture.digest, "{context}");
+    assert_eq!(digest, FRESH_FIXTURE.digest, "{context}");
 }
 
 #[test]
 fn fresh_oracle_reproduces_the_rebuild_per_cube_fixture_batch_after_batch() {
-    let (cnf, set, cubes) = fresh_fixture_family();
-    for fixture in &FRESH_FIXTURES {
-        let mut oracle = fresh_fixture_oracle(&cnf, &set, fixture.simplify, 1, FaultPlan::none());
-        for batch in 0..2 {
-            let result = oracle.solve_batch(&cubes, None);
-            let (sat, unsat, unknown) = result.verdict_counts();
-            assert!(sat > 0 && unsat > 0 && unknown == 0);
-            let context = format!("simplify {}, batch {batch}", fixture.simplify);
-            assert_matches_fixture(&result, fixture, &context);
-        }
+    let (cnf, cubes) = fresh_fixture_family();
+    let mut oracle = fresh_fixture_oracle(&cnf, 1, FaultPlan::none());
+    for batch in 0..2 {
+        let result = oracle.solve_batch(&cubes, None);
+        let (sat, unsat, unknown) = result.verdict_counts();
+        assert!(sat > 0 && unsat > 0 && unknown == 0);
+        assert_matches_fixture(&result, &format!("batch {batch}"));
     }
 }
 
 #[test]
 fn fresh_oracle_reproduces_the_fixture_across_a_mid_family_solve_panic() {
     fault::silence_injected_panics();
-    let (cnf, set, cubes) = fresh_fixture_family();
-    for fixture in &FRESH_FIXTURES {
-        // The panicking worker's backend is quarantined and a replacement
-        // (with a template of its own) re-solves the cube.
-        let plan = FaultPlan {
-            solve_panics: vec![6],
-            ..FaultPlan::none()
-        };
-        let mut oracle = fresh_fixture_oracle(&cnf, &set, fixture.simplify, 2, plan);
-        let result = oracle.solve_batch(&cubes, None);
-        assert_eq!(result.solver_stats.worker_panics, 1);
-        assert_eq!(result.solver_stats.requeued_cubes, 1);
-        let context = format!("simplify {}, panic on solve 6", fixture.simplify);
-        assert_matches_fixture(&result, fixture, &context);
-    }
+    let (cnf, cubes) = fresh_fixture_family();
+    // The panicking worker's backend is quarantined and a replacement (with
+    // a template of its own) re-solves the cube.
+    let plan = FaultPlan {
+        solve_panics: vec![6],
+        ..FaultPlan::none()
+    };
+    let mut oracle = fresh_fixture_oracle(&cnf, 2, plan);
+    let result = oracle.solve_batch(&cubes, None);
+    assert_eq!(result.solver_stats.worker_panics, 1);
+    assert_eq!(result.solver_stats.requeued_cubes, 1);
+    assert_matches_fixture(&result, "panic on solve 6");
 }

@@ -38,11 +38,6 @@ fn pool_config(clause_sharing: bool) -> BatchConfig {
         clause_sharing,
         solver_config: SolverConfig {
             proof: true,
-            // Inprocessing shrinks the weakened cipher formulas to (almost)
-            // nothing and the whole family solves by propagation; keep the
-            // search honest so clauses are actually learnt and shared.
-            simplify: false,
-            vivify: false,
             ..SolverConfig::default()
         },
         budget: Budget::unlimited(),

@@ -6,9 +6,12 @@
 use pdsat_cnf::{Cnf, Var};
 use pdsat_core::{
     Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig,
-    RandomRestart, RandomRestartConfig, SearchDriver, SearchLimits, SearchOutcome, SearchSpace,
-    StopCondition, Tabu, TabuConfig,
+    RandomRestart, RandomRestartConfig, SearchCheckpoint, SearchDriver, SearchLimits,
+    SearchOutcome, SearchSpace, StopCondition, Tabu, TabuConfig,
 };
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
@@ -480,6 +483,11 @@ fn absorb_chains_checkpoints_without_losing_coverage() {
     assert!(checkpoint.best_value <= first.best_value.min(second.best_value));
     // No duplicates in the merged coverage.
     assert_eq!(merged.len(), checkpoint.visited.len());
+    // A checkpoint grown by resume + absorb is one the loader accepts.
+    assert_eq!(
+        SearchCheckpoint::from_text(&checkpoint.to_text()),
+        Ok(checkpoint)
+    );
 }
 
 #[test]
@@ -505,4 +513,149 @@ fn mismatched_checkpoint_is_rejected() {
         &mut eval,
         Some(&checkpoint),
     );
+}
+
+/// The text of a short real search over a 4-dimensional space: something for
+/// the hostile cases below to damage.
+fn valid_checkpoint_text(cnf: &Cnf, space: &SearchSpace) -> String {
+    let mut strategy = Tabu::new(&TabuConfig::default());
+    let outcome = driver(SearchLimits::unlimited().with_max_points(5), 3).run(
+        space,
+        &space.full_point(),
+        &mut strategy,
+        &mut evaluator(cnf, 4),
+    );
+    outcome.checkpoint().to_text()
+}
+
+/// Values, points and non-fields that sit on the edges the loader has to
+/// mind: −∞, +∞, NaN, repeated and out-of-range indices, overflowing numbers.
+const HOSTILE_FIELDS: [&str; 14] = [
+    "-",
+    "0",
+    "3",
+    "4",
+    "0,0",
+    "1,2,3,0",
+    "4096",
+    "18446744073709551616",
+    "fff0000000000000",
+    "7ff0000000000000",
+    "7ff8000000000000",
+    "0000000000000000",
+    "zz",
+    "",
+];
+
+/// Texts that loaded `Ok` before the loader checked the incumbent against
+/// the visited list: −∞ at the empty point with nothing visited, and a NaN
+/// incumbent over a point listed twice.
+const FORGED_TEXTS: [&str; 3] = [
+    "pdsat-search-checkpoint v1\ndimension 4\nbest fff0000000000000 -\n",
+    "pdsat-search-checkpoint v1\ndimension 4\nbest 7ff8000000000000 0\n\
+     visited 7ff8000000000000 0\nvisited 4000000000000000 0\n",
+    "pdsat-search-checkpoint v1\ndimension 4\nbest 4000000000000000 0\n\
+     visited 4000000000000000 0\nvisited 4008000000000000 0\n",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_checkpoint_text_never_panics_the_loader_or_forges_a_resumed_incumbent(
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cnf = Cnf::pigeonhole(4);
+        let space = SearchSpace::new((0..4).map(Var::new));
+        let valid = valid_checkpoint_text(&cnf, &space);
+        prop_assert!(SearchCheckpoint::from_text(&valid).is_ok());
+        let mut bytes = valid.clone().into_bytes();
+        match rng.gen_range(0..5u32) {
+            // Arbitrary bytes.
+            0 => {
+                bytes = (0..rng.gen_range(0..200usize))
+                    .map(|_| rng.gen_range(0..=255u8))
+                    .collect();
+            }
+            // A valid text with some bytes overwritten, then cut short.
+            1 => {
+                for _ in 0..rng.gen_range(1..6usize) {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] = rng.gen_range(0..=255u8);
+                }
+                bytes.truncate(rng.gen_range(0..=bytes.len()));
+            }
+            // A valid text with whole fields replaced by hostile ones.
+            2 => {
+                let mut lines: Vec<Vec<String>> = valid
+                    .lines()
+                    .map(|line| line.split(' ').map(str::to_string).collect())
+                    .collect();
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let line = rng.gen_range(1..lines.len());
+                    let field = rng.gen_range(1..lines[line].len());
+                    lines[line][field] =
+                        HOSTILE_FIELDS[rng.gen_range(0..HOSTILE_FIELDS.len())].to_string();
+                }
+                let damaged: Vec<String> = lines.iter().map(|fields| fields.join(" ")).collect();
+                bytes = damaged.join("\n").into_bytes();
+            }
+            // A valid text with whole lines repeated, dropped or swapped.
+            3 => {
+                let mut lines: Vec<&str> = valid.lines().collect();
+                for _ in 0..rng.gen_range(1..4usize) {
+                    let at = rng.gen_range(0..lines.len());
+                    match rng.gen_range(0..3u32) {
+                        0 => lines.insert(at, lines[at]),
+                        1 if lines.len() > 1 => {
+                            lines.remove(at);
+                        }
+                        _ => {
+                            let other = rng.gen_range(0..lines.len());
+                            lines.swap(at, other);
+                        }
+                    }
+                }
+                bytes = lines.join("\n").into_bytes();
+            }
+            // The known forgeries, which must not load at all.
+            _ => {
+                let forged = FORGED_TEXTS[rng.gen_range(0..FORGED_TEXTS.len())];
+                prop_assert!(SearchCheckpoint::from_text(forged).is_err(), "{}", forged);
+                bytes = forged.as_bytes().to_vec();
+            }
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        // Resuming validates the dimension itself (by panicking, see
+        // `mismatched_checkpoint_is_rejected`); that check is the caller's.
+        let loaded = SearchCheckpoint::from_text(&text)
+            .ok()
+            .filter(|checkpoint| checkpoint.dimension == space.dimension());
+        if let Some(checkpoint) = loaded {
+            let mut strategy = Tabu::new(&TabuConfig::default());
+            let resumed = driver(SearchLimits::unlimited().with_max_points(3), seed).run_resumed(
+                &space,
+                &space.full_point(),
+                &mut strategy,
+                &mut evaluator(&cnf, 4),
+                Some(&checkpoint),
+            );
+            // Whatever loaded, the search reports an incumbent something
+            // supports: a pair the checkpoint lists or one this run evaluated.
+            let reported = (&resumed.best_point, resumed.best_value.to_bits());
+            prop_assert!(!resumed.best_value.is_nan());
+            prop_assert!(
+                checkpoint
+                    .visited
+                    .iter()
+                    .map(|v| (&v.point, v.value.to_bits()))
+                    .chain(resumed.history.iter().map(|s| (&s.point, s.value.to_bits())))
+                    .any(|pair| pair == reported),
+                "unsupported incumbent {:?} from {:?}",
+                reported,
+                text
+            );
+        }
+    }
 }

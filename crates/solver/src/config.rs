@@ -67,40 +67,15 @@ pub struct SolverConfig {
     /// that measure cost by deterministic counters disable this. A budget
     /// with a wall-clock deadline still measures time regardless.
     pub time_accounting: bool,
-    /// Let the oracle backends run one `Solver::simplify` pass (bounded
-    /// variable elimination, subsumption, self-subsuming resolution and
-    /// vivification) over the loaded formula at family setup, after freezing
-    /// the decomposition variables (default `false`). The Tseitin encodings
-    /// of the cipher instances are full of functionally defined auxiliary
-    /// variables, so the pass typically shrinks them substantially before the
-    /// first decision — a multiplier on every per-cube solve. Verdicts and
-    /// models are unaffected: eliminated variables are re-extended through
-    /// the elimination stack (see DESIGN.md, "Inprocessing").
-    pub simplify: bool,
-    /// Bounded variable elimination growth limit: a variable is eliminated
-    /// only if the number of non-tautological resolvents exceeds the number
-    /// of clauses it occurs in by at most this many clauses (MiniSat's
-    /// `grow`, default 0 — elimination must not grow the formula).
-    pub elim_grow_limit: usize,
-    /// Budget on subsumption/resolution checks per `Solver::simplify` call;
-    /// once exhausted the pass finishes early (soundly — simplification is
-    /// always optional work).
-    pub subsumption_limit: u64,
-    /// Vivify clauses during `Solver::simplify` (default `true`, only active
-    /// when a simplify pass runs): each long clause is re-derived by
-    /// propagating the negations of its literals and shortened when a prefix
-    /// already implies it.
-    pub vivify: bool,
     /// Record a DRAT derivation of every clause the solver adds or removes
-    /// (learnt clauses, learnt-DB reductions, and all inprocessing rewrites)
-    /// into an in-memory [`ProofLogger`](crate::ProofLogger) (default
-    /// `false`). With the log enabled, `Solver::unsat_certificate` emits a
-    /// checkable certificate after every UNSAT answer — including
-    /// assumption-scoped ones, which the checker verifies with the cube's
-    /// literals seeded as root assignments. With it disabled the solver's
-    /// behaviour, verdicts and statistics are bit-identical to a build
-    /// without the feature (logging is pure observation; see DESIGN.md,
-    /// "Proof logging & certificate checking").
+    /// (learnt clauses and learnt-DB reductions) into an in-memory
+    /// [`ProofLogger`](crate::ProofLogger) (default `false`). With the log
+    /// enabled, `Solver::unsat_certificate` emits a checkable certificate
+    /// after every UNSAT answer — including assumption-scoped ones, which the
+    /// checker verifies with the cube's literals seeded as root assignments.
+    /// With it disabled the solver's behaviour, verdicts and statistics are
+    /// bit-identical to a build without the feature (logging is pure
+    /// observation; see DESIGN.md, "Proof logging & certificate checking").
     pub proof: bool,
     /// Learnt clauses with LBD (glue) at or below this bound are offered to
     /// the clause-sharing channel when one is installed via
@@ -123,10 +98,6 @@ impl Default for SolverConfig {
             garbage_frac: 0.20,
             trail_reuse: true,
             time_accounting: true,
-            simplify: false,
-            elim_grow_limit: 0,
-            subsumption_limit: 10_000_000,
-            vivify: true,
             proof: false,
             share_lbd_max: 2,
         }
@@ -145,10 +116,6 @@ mod tests {
         assert!(cfg.clause_minimization);
         assert!((cfg.garbage_frac - 0.20).abs() < 1e-12);
         assert!(cfg.trail_reuse);
-        assert!(!cfg.simplify, "simplify is opt-in");
-        assert_eq!(cfg.elim_grow_limit, 0);
-        assert!(cfg.subsumption_limit > 0);
-        assert!(cfg.vivify);
         assert!(!cfg.proof, "proof logging is opt-in");
         assert_eq!(cfg.share_lbd_max, 2, "share only glue clauses by default");
     }

@@ -12,9 +12,6 @@
 //! * activity/LBD-driven learnt-clause deletion,
 //! * incremental solving under assumptions (used to solve the sub-problems
 //!   `C[X̃/α]` of a decomposition family without re-loading the formula),
-//! * SatELite-style preprocessing — bounded variable elimination, subsumption,
-//!   self-subsuming resolution and clause vivification — with a freeze/melt
-//!   API protecting decomposition variables (see [`Solver::simplify`]),
 //! * resource [`Budget`]s and a cooperative [`InterruptFlag`] (the equivalent
 //!   of the non-blocking stop messages PDSAT's leader sends to its workers),
 //! * per-variable conflict statistics, used by the tabu search heuristic of
@@ -45,7 +42,6 @@ mod heap;
 mod luby;
 mod proof;
 mod share;
-mod simplify;
 mod solver;
 mod stats;
 

@@ -3,9 +3,7 @@
 //! When [`SolverConfig::proof`](crate::SolverConfig::proof) is enabled the
 //! solver owns one [`ProofLogger`] and appends a [`DratStep`] for every
 //! clause it derives or discards: learnt clauses from conflict analysis,
-//! learnt-DB reductions, and every inprocessing rewrite (vivification
-//! shortenings, subsumption deletions, strengthenings, BVE resolvent
-//! additions and original-clause deletions). The stream is *persistent
+//! accepted imports and learnt-DB reductions. The stream is *persistent
 //! across solve calls*: learnt clauses are consequences of the formula alone
 //! (assumptions enter the search only as decisions, so they are resolved
 //! away or appear as negated literals in learnt clauses), which lets one
@@ -13,11 +11,10 @@
 //! stream and appending the terminal empty clause.
 //!
 //! Every addition the solver emits is RUP — first-UIP learnt clauses
-//! (including minimized ones), BVE resolvents, vivification shortenings and
-//! self-subsumption strengthenings are all derivable by reverse unit
-//! propagation from the clauses present at emission time — so the lenient
-//! forward checker in `crates/checker` accepts the stream without needing
-//! RAT checks.
+//! (including minimized ones) and RUP-probed imports are derivable by reverse
+//! unit propagation from the clauses present at emission time — so the
+//! lenient forward checker in `crates/checker` accepts the stream without
+//! needing RAT checks.
 
 use pdsat_cnf::{DratProof, DratStep, Lit};
 
@@ -48,12 +45,6 @@ impl ProofLogger {
     /// Records the deletion of a clause.
     pub fn delete(&mut self, lits: Vec<Lit>) {
         self.steps.push(DratStep::Delete(lits));
-    }
-
-    /// Appends a batch of steps produced elsewhere (the inprocessing engine
-    /// logs into its own buffer, which the solver splices in stream order).
-    pub fn extend(&mut self, steps: Vec<DratStep>) {
-        self.steps.extend(steps);
     }
 
     /// The steps logged so far, in derivation order.

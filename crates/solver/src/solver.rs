@@ -6,7 +6,6 @@ use crate::heap::VarOrderHeap;
 use crate::luby::luby;
 use crate::proof::ProofLogger;
 use crate::share::{ShareChannel, SharedClause};
-use crate::simplify::{ElimRecord, VectorSimplifier};
 use crate::{Budget, InterruptFlag, SolverConfig, SolverStats, StopReason};
 use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value, Var};
 use std::sync::Arc;
@@ -123,10 +122,9 @@ struct Limits {
 /// }
 /// ```
 ///
-/// The solver is `Clone`, and `clone_from` restores in place: a loaded (and
-/// optionally preprocessed, see [`Solver::simplify`]) instance serves as a
-/// template that a working solver is reset to before each sub-problem, so
-/// loading and preprocessing are paid once per formula instead of once per
+/// The solver is `Clone`, and `clone_from` restores in place: a loaded
+/// instance serves as a template that a working solver is reset to before
+/// each sub-problem, so loading is paid once per formula instead of once per
 /// cube, and the reset itself reuses the working solver's allocations.
 pub struct Solver {
     config: SolverConfig,
@@ -165,16 +163,6 @@ pub struct Solver {
     /// Reusable scratch listing the variables whose `seen` flag must be
     /// cleared at the end of `analyze`.
     toclear_buf: Vec<Var>,
-    /// Variables protected from elimination by [`Solver::simplify`] (backdoor
-    /// / assumption variables; see [`Solver::freeze`]).
-    frozen: Vec<bool>,
-    /// Variables removed by bounded variable elimination. They carry no
-    /// clauses, are never branched on, and may not appear in assumptions or
-    /// new clauses; models are extended back over them from `elim_stack`.
-    eliminated: Vec<bool>,
-    /// Elimination records in elimination order; [`Solver::extract_model`]
-    /// walks it in reverse to assign eliminated variables.
-    elim_stack: Vec<ElimRecord>,
     /// DRAT derivation log, `None` unless [`SolverConfig::proof`] is set. The
     /// stream is persistent across solve calls: every logged addition is a
     /// consequence of the clause database alone (assumptions enter the search
@@ -230,9 +218,6 @@ impl Clone for Solver {
             learnt_buf,
             levels_buf,
             toclear_buf,
-            frozen,
-            eliminated,
-            elim_stack,
             proof,
             share,
             last_solve_unsat,
@@ -262,9 +247,6 @@ impl Clone for Solver {
         self.learnt_buf.clone_from(learnt_buf);
         self.levels_buf.clone_from(levels_buf);
         self.toclear_buf.clone_from(toclear_buf);
-        self.frozen.clone_from(frozen);
-        self.eliminated.clone_from(eliminated);
-        self.elim_stack.clone_from(elim_stack);
         self.proof.clone_from(proof);
         self.share.clone_from(share);
         self.last_solve_unsat = *last_solve_unsat;
@@ -326,9 +308,6 @@ impl Solver {
             learnt_buf: Vec::new(),
             levels_buf: Vec::new(),
             toclear_buf: Vec::new(),
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            elim_stack: Vec::new(),
             proof,
             share: None,
             last_solve_unsat: false,
@@ -412,38 +391,6 @@ impl Solver {
         }
     }
 
-    /// Protects a variable from elimination by [`Solver::simplify`].
-    ///
-    /// Any variable that will later appear in assumptions or added clauses —
-    /// for PDSAT, the decomposition (backdoor) set a backend assumes over —
-    /// must be frozen *before* simplifying; eliminated variables carry no
-    /// clauses, so constraining them afterwards would be unsound and is
-    /// rejected with a panic.
-    pub fn freeze(&mut self, var: Var) {
-        self.ensure_vars(var.index() + 1);
-        self.frozen[var.index()] = true;
-    }
-
-    /// Removes the elimination protection of [`Solver::freeze`]. Takes effect
-    /// at the next [`Solver::simplify`] call.
-    pub fn melt(&mut self, var: Var) {
-        if var.index() < self.num_vars() {
-            self.frozen[var.index()] = false;
-        }
-    }
-
-    /// Whether the variable is currently protected from elimination.
-    #[must_use]
-    pub fn is_frozen(&self, var: Var) -> bool {
-        var.index() < self.num_vars() && self.frozen[var.index()]
-    }
-
-    /// Whether the variable has been removed by bounded variable elimination.
-    #[must_use]
-    pub fn is_eliminated(&self, var: Var) -> bool {
-        var.index() < self.num_vars() && self.eliminated[var.index()]
-    }
-
     /// `false` once the clause database has been proven unsatisfiable at the
     /// root level; further solve calls return [`Verdict::Unsat`] immediately.
     #[must_use]
@@ -490,8 +437,6 @@ impl Solver {
         self.activity.push(0.0);
         self.conflict_counts.push(0);
         self.seen.push(false);
-        self.frozen.push(false);
-        self.eliminated.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
@@ -515,12 +460,6 @@ impl Solver {
     /// ([`SolverConfig::trail_reuse`]): the new clause could be falsified or
     /// unit under the retained assignments, so the solver backtracks to the
     /// root level before attaching it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a literal refers to a variable removed by
-    /// [`Solver::simplify`] — constraining an eliminated variable is unsound;
-    /// [`Solver::freeze`] it before simplifying instead.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
         self.cancel_until(0);
         self.saved_assumptions.clear();
@@ -528,13 +467,6 @@ impl Solver {
             return false;
         }
         let mut lits: Vec<Lit> = lits.into_iter().collect();
-        for l in &lits {
-            assert!(
-                !self.is_eliminated(l.var()),
-                "clause uses variable {:?} removed by simplify(); freeze it first",
-                l.var()
-            );
-        }
         if let Some(max) = lits.iter().map(|l| l.var().index()).max() {
             self.ensure_vars(max + 1);
         }
@@ -605,9 +537,9 @@ impl Solver {
     /// root, tightening the root trail for every subsequent solve call);
     /// longer clauses are attached as learnt clauses with the exporter's LBD.
     /// Clauses that cannot be soundly attached are dropped and counted in
-    /// `SolverStats::import_dropped`: clauses over locally eliminated
-    /// variables, clauses already satisfied at the root, and — when proof
-    /// logging is on — clauses that fail the reverse-unit-propagation probe
+    /// `SolverStats::import_dropped`: clauses already satisfied at the root
+    /// and — when proof logging is on — clauses that fail the
+    /// reverse-unit-propagation probe
     /// (each accepted import is logged as a DRAT addition, so the persistent
     /// stream and every later [`Solver::unsat_certificate`] stay checkable;
     /// an addition the checker could not re-derive must not be logged, and
@@ -653,13 +585,6 @@ impl Solver {
         let SharedClause { mut lits, lbd } = clause;
         if let Some(max) = lits.iter().map(|l| l.var().index()).max() {
             self.ensure_vars(max + 1);
-        }
-        // A peer may still use a variable this solver eliminated; resolving
-        // the clause through the elimination stack is not worth the
-        // complexity, and dropping a shared clause is always sound.
-        if lits.iter().any(|&l| self.is_eliminated(l.var())) {
-            self.stats.import_dropped += 1;
-            return;
         }
         // Normalize exactly like `add_clause`.
         lits.sort_unstable();
@@ -724,8 +649,7 @@ impl Solver {
     /// negations of `lits` propagates to a conflict, i.e. logging the clause
     /// as a DRAT addition keeps the stream checkable. Runs on a temporary
     /// decision level and unwinds completely; the only traces are
-    /// propagation counts and saved phases (the same footprint as a
-    /// vivification probe).
+    /// propagation counts and saved phases.
     fn probe_rup(&mut self, lits: &[Lit]) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         self.new_decision_level();
@@ -750,358 +674,6 @@ impl Solver {
         }
         self.cancel_until(0);
         conflict
-    }
-
-    /// Runs one preprocessing pass over the attached formula: unit
-    /// propagation to a fixpoint, backward subsumption, self-subsuming
-    /// resolution, bounded variable elimination (see
-    /// [`SolverConfig::elim_grow_limit`]) and, when enabled, clause
-    /// vivification. Returns `false` if the formula is found unsatisfiable.
-    ///
-    /// Variables that will later appear in assumptions or added clauses must
-    /// be [`Solver::freeze`]-frozen first; the models returned by subsequent
-    /// solve calls are extended back over eliminated variables, so callers
-    /// see complete assignments regardless.
-    ///
-    /// Simplification rewrites the clause arena, so — exactly like
-    /// [`Solver::add_clause`] — it backtracks to the root level and drops any
-    /// assumption trail retained for reuse ([`SolverConfig::trail_reuse`]).
-    pub fn simplify(&mut self) -> bool {
-        self.cancel_until(0);
-        self.saved_assumptions.clear();
-        if !self.ok {
-            return false;
-        }
-        if self.propagate().is_some() {
-            self.ok = false;
-            if let Some(p) = self.proof.as_mut() {
-                p.add_empty();
-            }
-            return false;
-        }
-        // Snapshot the problem clauses, cleaned against the root assignment.
-        // At a propagation fixpoint a clause is either satisfied (skipped) or
-        // has ≥ 2 unassigned literals, so the snapshot never contains units.
-        // With proof logging on, a satisfied clause is logged as a deletion
-        // and a cleaned one as Add(cleaned) before Delete(original) — the
-        // cleaned clause is RUP via the original while it is still present.
-        let mut problem: Vec<Vec<Lit>> = Vec::with_capacity(self.original.len());
-        for i in 0..self.original.len() {
-            let lits = self.db.lits_vec(self.original[i]);
-            if lits.iter().any(|&l| self.lit_value(l) == Value::True) {
-                if let Some(p) = self.proof.as_mut() {
-                    p.delete(lits);
-                }
-                continue;
-            }
-            let filtered: Vec<Lit> = lits
-                .iter()
-                .copied()
-                .filter(|&l| self.lit_value(l) != Value::False)
-                .collect();
-            if filtered.len() != lits.len() {
-                if let Some(p) = self.proof.as_mut() {
-                    p.add(&filtered);
-                    p.delete(lits);
-                }
-            }
-            debug_assert!(filtered.len() >= 2);
-            problem.push(filtered);
-        }
-        // Learnt clauses sit out the elimination (they are consequences, not
-        // definitions) and are reinstated afterwards, re-cleaned against the
-        // post-simplification root assignment.
-        let mut learnt_snapshot: Vec<(Vec<Lit>, u32, f32)> = Vec::with_capacity(self.learnts.len());
-        for i in 0..self.learnts.len() {
-            let cref = self.learnts[i];
-            let lits = self.db.lits_vec(cref);
-            if lits.iter().any(|&l| self.lit_value(l) == Value::True) {
-                if let Some(p) = self.proof.as_mut() {
-                    p.delete(lits);
-                }
-                continue;
-            }
-            let filtered: Vec<Lit> = lits
-                .iter()
-                .copied()
-                .filter(|&l| self.lit_value(l) != Value::False)
-                .collect();
-            if filtered.len() != lits.len() {
-                if let Some(p) = self.proof.as_mut() {
-                    p.add(&filtered);
-                    p.delete(lits);
-                }
-            }
-            learnt_snapshot.push((filtered, self.db.lbd(cref), self.db.activity(cref)));
-        }
-
-        let mut engine = VectorSimplifier::new(
-            self.num_vars(),
-            self.frozen.clone(),
-            self.config.elim_grow_limit,
-            self.config.subsumption_limit,
-        );
-        if self.proof.is_some() {
-            engine.enable_proof();
-        }
-        for lits in problem {
-            engine.add_clause(lits);
-        }
-        let mut outcome = engine.run();
-        if let Some(p) = self.proof.as_mut() {
-            p.extend(std::mem::take(&mut outcome.proof));
-        }
-        self.stats.eliminated_vars += outcome.counters.eliminated_vars;
-        self.stats.subsumed_clauses += outcome.counters.subsumed_clauses;
-        self.stats.strengthened_clauses += outcome.counters.strengthened_clauses;
-        for rec in &outcome.elim_stack {
-            self.eliminated[rec.var.index()] = true;
-        }
-        self.elim_stack.extend(outcome.elim_stack);
-        if outcome.unsat {
-            self.ok = false;
-            if let Some(p) = self.proof.as_mut() {
-                if !p.ends_in_empty_clause() {
-                    p.add_empty();
-                }
-            }
-            return false;
-        }
-
-        // Rebuild the arena and watch lists from the surviving clauses. The
-        // root trail stays assigned; reasons of root literals point into the
-        // discarded arena and are cleared (level-0 literals never participate
-        // in conflict analysis, so reasons are unnecessary there).
-        self.db = ClauseDb::new();
-        self.original.clear();
-        self.learnts.clear();
-        for list in &mut self.watches {
-            list.clear();
-        }
-        for list in &mut self.bin_watches {
-            list.clear();
-        }
-        for data in &mut self.vardata {
-            data.reason = None;
-        }
-        self.qhead = self.trail.len();
-        for lits in &outcome.clauses {
-            let cref = self.db.add(lits, false, 0);
-            self.original.push(cref);
-            self.attach_clause(cref);
-        }
-        for &u in &outcome.units {
-            match self.lit_value(u) {
-                Value::True => {}
-                Value::False => {
-                    self.ok = false;
-                    if let Some(p) = self.proof.as_mut() {
-                        p.add_empty();
-                    }
-                    return false;
-                }
-                Value::Unassigned => self.unchecked_enqueue(u, None),
-            }
-        }
-        for (lits, lbd, activity) in learnt_snapshot {
-            if lits.iter().any(|&l| self.lit_value(l) == Value::True) {
-                if let Some(p) = self.proof.as_mut() {
-                    p.delete(lits);
-                }
-                continue;
-            }
-            if lits.iter().any(|&l| self.eliminated[l.var().index()]) {
-                // Sound to keep (the clause is still implied), but the
-                // eliminated variable no longer carries watches or order-heap
-                // presence; dropping is simpler and the clause is re-learnable.
-                self.stats.removed_clauses += 1;
-                if let Some(p) = self.proof.as_mut() {
-                    p.delete(lits);
-                }
-                continue;
-            }
-            let filtered: Vec<Lit> = lits
-                .iter()
-                .copied()
-                .filter(|&l| self.lit_value(l) != Value::False)
-                .collect();
-            if filtered.len() != lits.len() {
-                if let Some(p) = self.proof.as_mut() {
-                    p.add(&filtered);
-                    p.delete(lits);
-                }
-            }
-            match filtered.len() {
-                0 => {
-                    self.ok = false;
-                    return false;
-                }
-                1 => self.unchecked_enqueue(filtered[0], None),
-                _ => {
-                    let cref = self.db.add(&filtered, true, lbd.min(filtered.len() as u32));
-                    self.db.set_activity(cref, activity);
-                    self.learnts.push(cref);
-                    self.attach_clause(cref);
-                }
-            }
-        }
-        if self.propagate().is_some() {
-            self.ok = false;
-            if let Some(p) = self.proof.as_mut() {
-                p.add_empty();
-            }
-            return false;
-        }
-        self.clear_root_reasons();
-        if self.config.vivify {
-            self.vivify_round();
-        }
-        self.ok
-    }
-
-    /// Clears the reason slots of root-level assignments. Level-0 literals
-    /// never take part in conflict analysis, so the references are dead
-    /// weight — and clearing them un-locks their clauses for vivification
-    /// and garbage collection.
-    fn clear_root_reasons(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var();
-            self.vardata[v.index()].reason = None;
-        }
-    }
-
-    /// One vivification pass over all clauses of length ≥ 3 (originals and
-    /// learnts): each clause is detached and re-derived by assuming the
-    /// negations of its literals left to right. A literal falsified by the
-    /// prefix is redundant and dropped; a conflict, or a literal implied
-    /// true, proves the prefix already entails the clause, which is then
-    /// shortened to it. Propagation effort is bounded by a deterministic
-    /// budget so the pass stays a small fraction of setup cost.
-    fn vivify_round(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        let mut budget: u64 = 20 * (self.original.len() + self.learnts.len()) as u64 + 10_000;
-        let targets: Vec<ClauseRef> = self
-            .original
-            .iter()
-            .chain(self.learnts.iter())
-            .copied()
-            .filter(|&c| self.db.len_of(c) >= 3)
-            .collect();
-        let mut new_original: Vec<ClauseRef> = Vec::new();
-        let mut new_learnts: Vec<ClauseRef> = Vec::new();
-        for cref in targets {
-            if !self.ok || budget == 0 {
-                break;
-            }
-            let lits = self.db.lits_vec(cref);
-            let learnt = self.db.is_learnt(cref);
-            let lbd = self.db.lbd(cref);
-            let activity = self.db.activity(cref);
-            // Detach while probing: otherwise the clause propagates its own
-            // last literal and masks every shortening.
-            self.detach_clause(cref);
-            let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
-            let mut satisfied_at_root = false;
-            let mut implied = false;
-            for (i, &l) in lits.iter().enumerate() {
-                match self.lit_value(l) {
-                    Value::True => {
-                        if self.vardata[l.var().index()].level == 0 {
-                            satisfied_at_root = true;
-                        } else {
-                            // ¬kept ⊨ l: the clause shortens to kept ∨ l.
-                            kept.push(l);
-                            implied = true;
-                        }
-                        break;
-                    }
-                    // Root-false literals are plain dead weight; temp-level
-                    // false means ¬kept ⊨ ¬l, so l is redundant either way.
-                    Value::False => {}
-                    Value::Unassigned => {
-                        kept.push(l);
-                        // Probing the final literal can only rediscover the
-                        // clause itself; skip it and keep the budget.
-                        if i + 1 < lits.len() && budget > 0 {
-                            self.new_decision_level();
-                            self.unchecked_enqueue(!l, None);
-                            let before = self.stats.propagations;
-                            let conflict = self.propagate().is_some();
-                            budget = budget
-                                .saturating_sub(self.stats.propagations - before)
-                                .saturating_sub(1);
-                            if conflict {
-                                implied = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-            self.cancel_until(0);
-            if satisfied_at_root {
-                self.db.mark_deleted(cref);
-                if let Some(p) = self.proof.as_mut() {
-                    p.delete(lits);
-                }
-                continue;
-            }
-            if !implied && kept.len() == lits.len() {
-                self.attach_clause(cref);
-                continue;
-            }
-            self.stats.vivified_lits += (lits.len() - kept.len()) as u64;
-            self.db.mark_deleted(cref);
-            // Add(kept) before Delete(lits): the shortened clause is RUP via
-            // the original one (and the clauses the probes propagated over),
-            // which must still be present when the checker reaches the add.
-            match kept.len() {
-                0 => {
-                    self.ok = false;
-                    if let Some(p) = self.proof.as_mut() {
-                        p.add_empty();
-                    }
-                    break;
-                }
-                1 => {
-                    if let Some(p) = self.proof.as_mut() {
-                        p.add(&kept);
-                        p.delete(lits);
-                    }
-                    self.unchecked_enqueue(kept[0], None);
-                    if self.propagate().is_some() {
-                        self.ok = false;
-                        if let Some(p) = self.proof.as_mut() {
-                            p.add_empty();
-                        }
-                        break;
-                    }
-                    self.clear_root_reasons();
-                }
-                _ => {
-                    if let Some(p) = self.proof.as_mut() {
-                        p.add(&kept);
-                        p.delete(lits);
-                    }
-                    let ncref = self.db.add(&kept, learnt, lbd.min(kept.len() as u32));
-                    if learnt {
-                        self.db.set_activity(ncref, activity);
-                        new_learnts.push(ncref);
-                    } else {
-                        new_original.push(ncref);
-                    }
-                    self.attach_clause(ncref);
-                }
-            }
-        }
-        self.original.retain(|&c| !self.db.is_deleted(c));
-        self.original.extend(new_original);
-        self.learnts.retain(|&c| !self.db.is_deleted(c));
-        self.learnts.extend(new_learnts);
-        if self.ok && self.db.should_collect(self.config.garbage_frac) {
-            self.collect_garbage();
-        }
     }
 
     /// Solves the current formula without assumptions and without limits.
@@ -1161,11 +733,6 @@ impl Solver {
             if a.var().index() >= self.num_vars() {
                 self.ensure_vars(a.var().index() + 1);
             }
-            assert!(
-                !self.eliminated[a.var().index()],
-                "assumption on variable {:?} removed by simplify(); freeze it first",
-                a.var()
-            );
         }
         self.cancel_until_assumption_divergence(assumptions);
         let limits = Limits {
@@ -1708,7 +1275,7 @@ impl Solver {
     fn pick_branch_lit(&mut self) -> Option<Lit> {
         loop {
             let v = self.order_heap.pop_max(&self.activity)?;
-            if self.var_value(v) == Value::Unassigned && !self.eliminated[v.index()] {
+            if self.var_value(v) == Value::Unassigned {
                 let polarity = if self.config.phase_saving {
                     self.polarity[v.index()]
                 } else {
@@ -1724,23 +1291,6 @@ impl Solver {
         for i in 0..self.num_vars() {
             let v = Var::new(i as u32);
             model.assign(v, self.var_value(v).to_bool().unwrap_or(false));
-        }
-        // Extend the model over eliminated variables, newest elimination
-        // first: each record's clauses referenced only variables that were
-        // still alive at its elimination time, so later records (processed
-        // earlier here) have already fixed everything a clause can mention.
-        for rec in self.elim_stack.iter().rev() {
-            // Assign against the stored polarity — which satisfies every
-            // clause of the *unstored* side — unless a stored clause has no
-            // other satisfied literal; then the stored polarity is forced,
-            // and the unstored side is covered by its (satisfied) resolvents
-            // (see `ElimRecord`).
-            let forced = rec.clauses.iter().any(|clause| {
-                !clause
-                    .iter()
-                    .any(|&l| l.var() != rec.var && model.lit_value(l).to_bool() == Some(true))
-            });
-            model.assign(rec.var, forced == rec.pol);
         }
         model
     }
@@ -2231,171 +1781,6 @@ mod tests {
         // The pigeonhole formula is unsatisfiable outright too; the solver
         // must reach that verdict from the retained state.
         assert_eq!(s.solve(), Verdict::Unsat);
-    }
-
-    /// A small Tseitin-style chain: y_i ↔ (x_i ∧ x_{i+1}) for frozen inputs
-    /// x_1..x_4, plus a clause over the definitions. The y_i are
-    /// functionally defined, so simplify eliminates them.
-    fn tseitin_chain() -> (Solver, Vec<Vec<Lit>>) {
-        let x = |i: u32| Lit::positive(Var::new(i));
-        let y = |i: u32| Lit::positive(Var::new(4 + i));
-        let mut clauses: Vec<Vec<Lit>> = Vec::new();
-        for i in 0..3 {
-            clauses.push(vec![!y(i), x(i)]);
-            clauses.push(vec![!y(i), x(i + 1)]);
-            clauses.push(vec![y(i), !x(i), !x(i + 1)]);
-        }
-        clauses.push(vec![y(0), y(1), y(2)]);
-        let mut s = Solver::new();
-        for c in &clauses {
-            s.add_clause(c.iter().copied());
-        }
-        for i in 0..4 {
-            s.freeze(Var::new(i));
-        }
-        (s, clauses)
-    }
-
-    #[test]
-    fn simplify_eliminates_unfrozen_definitions() {
-        let (mut s, clauses) = tseitin_chain();
-        assert!(s.simplify());
-        assert!(s.stats().eliminated_vars > 0);
-        for i in 0..4 {
-            assert!(!s.is_eliminated(Var::new(i)), "frozen vars must survive");
-        }
-        match s.solve() {
-            Verdict::Sat(m) => {
-                for c in &clauses {
-                    assert!(
-                        c.iter().any(|&l| m.lit_value(l).to_bool() == Some(true)),
-                        "extended model must satisfy the original clause {c:?}"
-                    );
-                }
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn simplify_preserves_verdicts_under_assumptions() {
-        let (mut plain, _) = tseitin_chain();
-        let (mut simped, _) = tseitin_chain();
-        assert!(simped.simplify());
-        for bits in 0..16u32 {
-            let cube: Vec<Lit> = (0..4)
-                .map(|k| Lit::new(Var::new(k), bits >> k & 1 == 1))
-                .collect();
-            let a = plain.solve_with_assumptions(&cube);
-            let b = simped.solve_with_assumptions(&cube);
-            assert_eq!(
-                a.is_sat(),
-                b.is_sat(),
-                "cube {bits:04b} verdicts must agree"
-            );
-        }
-    }
-
-    #[test]
-    fn simplify_detects_root_unsat() {
-        let mut s = Solver::new();
-        s.add_clause([lit(1), lit(2)]);
-        s.add_clause([lit(1), lit(-2)]);
-        s.add_clause([lit(-1), lit(2)]);
-        s.add_clause([lit(-1), lit(-2)]);
-        assert!(!s.simplify());
-        assert_eq!(s.solve(), Verdict::Unsat);
-    }
-
-    #[test]
-    fn simplify_invalidates_retained_assumption_trail() {
-        let (mut s, _) = tseitin_chain();
-        let cube = [lit(1), lit(2)];
-        assert!(s.solve_with_assumptions(&cube).is_sat());
-        assert_eq!(s.retained_assumptions(), &cube);
-        assert!(s.simplify());
-        assert!(
-            s.retained_assumptions().is_empty(),
-            "arena rewrite must drop the saved prefix"
-        );
-        assert!(s.solve_with_assumptions(&cube).is_sat());
-    }
-
-    #[test]
-    #[should_panic(expected = "removed by simplify")]
-    fn assuming_an_eliminated_variable_panics() {
-        let (mut s, _) = tseitin_chain();
-        assert!(s.simplify());
-        let gone = (0..s.num_vars() as u32)
-            .map(Var::new)
-            .find(|&v| s.is_eliminated(v))
-            .expect("the chain has eliminable definitions");
-        s.solve_with_assumptions(&[Lit::positive(gone)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "removed by simplify")]
-    fn adding_a_clause_over_an_eliminated_variable_panics() {
-        let (mut s, _) = tseitin_chain();
-        assert!(s.simplify());
-        let gone = (0..s.num_vars() as u32)
-            .map(Var::new)
-            .find(|&v| s.is_eliminated(v))
-            .expect("the chain has eliminable definitions");
-        s.add_clause([Lit::positive(gone)]);
-    }
-
-    #[test]
-    fn freeze_and_melt_are_inspectable() {
-        let mut s = Solver::new();
-        s.freeze(Var::new(3));
-        assert!(s.is_frozen(Var::new(3)));
-        assert_eq!(s.num_vars(), 4, "freeze creates the variable");
-        s.melt(Var::new(3));
-        assert!(!s.is_frozen(Var::new(3)));
-        assert!(!s.is_eliminated(Var::new(3)));
-    }
-
-    #[test]
-    fn cloned_simplified_solver_is_independent() {
-        let (mut template, clauses) = tseitin_chain();
-        assert!(template.simplify());
-        let mut a = template.clone();
-        let mut b = template.clone();
-        assert!(a.solve_with_assumptions(&[lit(-1)]).is_sat());
-        match b.solve() {
-            Verdict::Sat(m) => {
-                for c in &clauses {
-                    assert!(c.iter().any(|&l| m.lit_value(l).to_bool() == Some(true)));
-                }
-            }
-            other => panic!("expected SAT, got {other:?}"),
-        }
-        // The template itself is untouched by the clones' work.
-        assert_eq!(template.stats().decisions, 0);
-    }
-
-    #[test]
-    fn vivification_shortens_redundant_clauses() {
-        // x1→x2→x3 chain plus the redundant (¬x1 ∨ x3 ∨ x4): vivification
-        // assumes x1 and ¬x3, derives a conflict from the chain, and shortens
-        // the clause to (¬x1 ∨ x3).
-        let mut s = Solver::with_config(SolverConfig {
-            simplify: true,
-            ..SolverConfig::default()
-        });
-        s.add_clause([lit(-1), lit(2)]);
-        s.add_clause([lit(-2), lit(3)]);
-        s.add_clause([lit(-1), lit(3), lit(4)]);
-        for v in 0..4 {
-            s.freeze(Var::new(v));
-        }
-        assert!(s.simplify());
-        assert!(
-            s.stats().vivified_lits > 0,
-            "the redundant literal must be vivified away"
-        );
-        assert!(s.solve().is_sat());
     }
 
     #[test]

@@ -74,16 +74,6 @@ solver_stats! {
     /// propagation count a fresh-backtracking solver would have paid on top
     /// of `propagations`.
     saved_propagations: u64,
-    /// Number of variables removed by bounded variable elimination during
-    /// `simplify` passes (their models are re-extended from the elimination
-    /// stack).
-    eliminated_vars: u64,
-    /// Number of clauses deleted because another clause subsumes them.
-    subsumed_clauses: u64,
-    /// Number of clauses shortened by self-subsuming resolution.
-    strengthened_clauses: u64,
-    /// Number of literals removed from clauses by vivification.
-    vivified_lits: u64,
     /// Number of learnt clauses offered to the clause-sharing channel (zero
     /// unless a channel is installed; see `SolverConfig::share_lbd_max`).
     exported_clauses: u64,
@@ -92,8 +82,8 @@ solver_stats! {
     imported_clauses: u64,
     /// Number of shared clauses lost on the way in: evicted from a full
     /// export ring, or fetched but not attached (already satisfied at the
-    /// root, mentioning a locally eliminated variable, or not derivable by
-    /// unit propagation while proof logging demands a checkable addition).
+    /// root, or not derivable by unit propagation while proof logging
+    /// demands a checkable addition).
     import_dropped: u64,
     /// Number of pool worker backends that panicked mid-cube and were
     /// quarantined and respawned (always zero for a lone solver; bumped by

@@ -12,19 +12,6 @@ use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Builds a solver the way the oracle backends do: load, and with
-/// `simplify` on, freeze the assumption variables and preprocess once.
-fn built(cnf: &Cnf, config: &SolverConfig, frozen: &[Var]) -> Solver {
-    let mut solver = Solver::from_cnf_with_config(cnf, config.clone());
-    if config.simplify {
-        for &v in frozen {
-            solver.freeze(v);
-        }
-        solver.simplify();
-    }
-    solver
-}
-
 /// Ways to leave a working solver in a state unlike its template.
 #[derive(Debug, Clone, Copy)]
 enum Dirt {
@@ -60,22 +47,21 @@ fn dirty(working: &mut Solver, dirt: Dirt, cube: &Cube) {
     }
 }
 
-/// Over every proof × simplify combination and every kind of dirt: restore
+/// With proof logging off and on, over every kind of dirt: restore
 /// the one working solver from the template, solve a cube, and require the
 /// run to equal a from-scratch solver's run on the same cube.
 fn assert_restores_exactly(cnf: &Cnf, set: &[Var], label: &str) {
     let cubes: Vec<Cube> = (0..1u64 << set.len())
         .map(|bits| Cube::from_bits(set, bits))
         .collect();
-    for (proof, simplify) in [(false, false), (true, false), (false, true), (true, true)] {
+    for proof in [false, true] {
         let config = SolverConfig {
             proof,
-            simplify,
             // Wall time is the one counter that cannot repeat.
             time_accounting: false,
             ..SolverConfig::default()
         };
-        let template = built(cnf, &config, set);
+        let template = Solver::from_cnf_with_config(cnf, config.clone());
         let mut working = template.clone();
         let dirts = [
             Dirt::FullSolve,
@@ -85,8 +71,7 @@ fn assert_restores_exactly(cnf: &Cnf, set: &[Var], label: &str) {
         ];
         for (i, &dirt) in dirts.iter().cycle().take(cubes.len().max(8)).enumerate() {
             let cube = &cubes[i % cubes.len()];
-            let context =
-                format!("{label}, proof {proof}, simplify {simplify}, {dirt:?}, cube {i}");
+            let context = format!("{label}, proof {proof}, {dirt:?}, cube {i}");
             dirty(&mut working, dirt, &cubes[(i + 3) % cubes.len()]);
             working.clone_from(&template);
             // The UNSAT latch of the dirtying solve must not outlive it.
@@ -96,7 +81,7 @@ fn assert_restores_exactly(cnf: &Cnf, set: &[Var], label: &str) {
                 "{context}"
             );
 
-            let mut reference = built(cnf, &config, set);
+            let mut reference = Solver::from_cnf_with_config(cnf, config.clone());
             let expected = reference.solve_with_assumptions(cube.lits());
             let got = working.solve_with_assumptions(cube.lits());
             assert_eq!(got, expected, "verdict or model diverged: {context}");

@@ -10,8 +10,11 @@
 //!    behind `SolverConfig::time_accounting` or explicitly wall-clock-facing
 //!    code.
 //! 3. **knob documentation**: every public field of `SolverConfig` and
-//!    `BatchConfig` must be named (in backticks) in DESIGN.md, so the
-//!    configuration surface and its documentation cannot drift apart.
+//!    `BatchConfig` must be named (in backticks) in DESIGN.md, and every
+//!    `` `SolverConfig::x` ``, `` `BatchConfig::x` ``, `` `SolveModeConfig::x` ``
+//!    or `` `EvaluatorConfig::x` `` DESIGN.md spells must be a public field
+//!    that exists, so the configuration surface and its documentation cannot
+//!    drift apart in either direction.
 //! 4. **no parked code**: no `allow(dead_code)` attribute in any form (code
 //!    that nothing calls is deleted, test-only helpers are `#[cfg(test)]`),
 //!    no `allow(clippy::too_many_arguments)` either (positional plumbing is
@@ -231,24 +234,55 @@ fn check_knob_docs(root: &Path, errors: &mut Vec<String>) {
             return;
         }
     };
+    // (file, struct, whether DESIGN.md's knob tables must list every field)
     let sources = [
-        (root.join("crates/solver/src/config.rs"), "SolverConfig"),
-        (root.join("crates/pdsat-core/src/oracle.rs"), "BatchConfig"),
+        ("crates/solver/src/config.rs", "SolverConfig", true),
+        ("crates/pdsat-core/src/oracle.rs", "BatchConfig", true),
+        (
+            "crates/pdsat-core/src/solve_mode.rs",
+            "SolveModeConfig",
+            false,
+        ),
+        ("crates/pdsat-core/src/predict.rs", "EvaluatorConfig", false),
     ];
-    for (path, struct_name) in sources {
-        match pub_fields(&path, struct_name) {
-            Ok(fields) => {
-                for f in fields {
-                    let needle = format!("`{f}`");
-                    if !design.contains(&needle) {
-                        errors.push(format!(
-                            "DESIGN.md: {struct_name} knob `{f}` is undocumented \
-                             (add it to the configuration-knob table)"
-                        ));
-                    }
+    for (path, struct_name, tabulated) in sources {
+        let fields = match pub_fields(&root.join(path), struct_name) {
+            Ok(fields) => fields,
+            Err(e) => {
+                errors.push(e);
+                continue;
+            }
+        };
+        if tabulated {
+            for f in &fields {
+                let needle = format!("`{f}`");
+                if !design.contains(&needle) {
+                    errors.push(format!(
+                        "DESIGN.md: {struct_name} knob `{f}` is undocumented \
+                         (add it to the configuration-knob table)"
+                    ));
                 }
             }
-            Err(e) => errors.push(e),
+        }
+        // The reverse: prose that spells `Struct::name` names a field that
+        // exists. Brace groups and method paths are not plain names and are
+        // left alone.
+        let prefix = format!("`{struct_name}::");
+        for (at, _) in design.match_indices(&prefix) {
+            let rest = &design[at + prefix.len()..];
+            let Some(name) = rest.find('`').map(|end| &rest[..end]) else {
+                continue;
+            };
+            let plain = !name.is_empty()
+                && name
+                    .chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+            if plain && !fields.iter().any(|f| f == name) {
+                errors.push(format!(
+                    "DESIGN.md: `{struct_name}::{name}` names no public field of \
+                     {struct_name} in {path}"
+                ));
+            }
         }
     }
 }
