@@ -19,7 +19,7 @@
 //! Multi-point proposals are lowered through
 //! [`Evaluator::evaluate_batch_memoized`] into **one** `CubeOracle` batch —
 //! one sample plan per point, concatenated and sticky-striped across the
-//! oracle's persistent worker pool — so neighbor evaluations finally use the
+//! oracle's worker pool — so neighbor evaluations finally use the
 //! pool *across* points, not just within one (the paper evaluates the
 //! neighborhood of a point in parallel on the cluster).
 //!

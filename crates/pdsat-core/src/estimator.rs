@@ -52,8 +52,9 @@ impl SampleStats {
         }
     }
 
-    /// Half-width of the CLT confidence interval at confidence level `gamma`
-    /// — the `δ_γ·σ/√N` of eq. (3).
+    /// Half-width of the two-sided CLT confidence interval at confidence
+    /// level `gamma` — the `δ_γ·σ/√N` of eq. (3): the mean lies within it of
+    /// the expectation with probability `gamma`.
     ///
     /// # Panics
     ///
@@ -64,9 +65,10 @@ impl SampleStats {
             gamma > 0.0 && gamma < 1.0,
             "confidence level must lie in (0,1)"
         );
-        // In eq. (3) γ = Φ(δ_γ) with Φ the standard normal CDF, i.e. the
-        // deviation threshold is the γ-quantile of the normal distribution.
-        let delta = normal_quantile(gamma);
+        // Eq. (3) bounds the deviation on both sides, Pr{|mean − E| < δ_γ·σ/√N}
+        // = γ, so each tail keeps (1 − γ)/2 and δ_γ is the (1 + γ)/2 quantile
+        // of the standard normal distribution (1.96 at γ = 0.95).
+        let delta = normal_quantile((1.0 + gamma) / 2.0);
         delta * self.std_error()
     }
 }

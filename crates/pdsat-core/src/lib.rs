@@ -27,10 +27,11 @@
 //!
 //! All solve paths — the [`Evaluator`], [`FamilySolver`] and ad-hoc batches —
 //! route through one [`CubeOracle`]:
-//! an executor owning a **persistent worker pool** (the stand-in for PDSAT's
-//! long-lived MPI leader/computing processes): worker threads spawned once
-//! for the oracle's lifetime, each owning one backend fed chunked jobs over
-//! channels, with per-cube budgets, interrupt fan-out and per-worker
+//! an executor owning a **pool of resident backends** (the stand-in for the
+//! solver state inside PDSAT's long-lived MPI computing processes): one
+//! backend per worker for the oracle's lifetime, driven by threads scoped
+//! to each batch that read the caller's cubes and write the results in
+//! place, with per-cube budgets, interrupt fan-out and per-worker
 //! stats/conflict-count accumulation merged once per batch. The unit of work
 //! it schedules is one of two backends:
 //! [`BackendKind::Fresh`] restores a solver per cube

@@ -6,10 +6,11 @@
 //! of work: *solve `C[X̃/α]` under the cube's assumptions*. PDSAT realizes
 //! that unit as an MPI worker running a modified MiniSat; this module
 //! realizes it as a backend selected by [`BackendKind`], driven by an
-//! executor that owns a **persistent worker pool** ([`oracle/pool.rs`](pool)): worker
-//! threads are spawned once when the oracle is built, each owns one backend
-//! instance for the oracle's whole lifetime, and batches are streamed to
-//! them as chunked jobs over channels. The executor applies per-cube
+//! executor that owns a **pool of resident backends** ([`oracle/pool.rs`](pool)):
+//! one backend per worker is built when the oracle is and lives as long as
+//! it does — the analogue of a PDSAT worker's solver state — while the
+//! worker *threads* are scoped to one batch each, so they read the caller's
+//! cubes and write the result buffer in place. The executor applies per-cube
 //! [`Budget`]s, fans an [`InterruptFlag`] out to every worker, merges
 //! per-worker [`SolverStats`] and conflict-count accumulators once per
 //! batch.
@@ -32,7 +33,7 @@ use crate::fault::FaultPlan;
 use crate::CostMetric;
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig, SolverStats, Verdict};
-use pool::{BatchShared, FlatCubes, WorkerPool};
+use pool::WorkerPool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,6 +70,24 @@ pub struct CubeOutcome {
     pub proof: Option<DratProof>,
 }
 
+impl CubeOutcome {
+    /// The `index` of a placeholder; no batch has that many cubes.
+    const UNSOLVED: usize = usize::MAX;
+
+    /// What a pool batch's result buffer holds at a position until the
+    /// cube's outcome is written there. Never reported.
+    fn unsolved() -> CubeOutcome {
+        CubeOutcome {
+            index: CubeOutcome::UNSOLVED,
+            cost: 0.0,
+            verdict: VerdictSummary::Unknown,
+            conflicts: 0,
+            model: None,
+            proof: None,
+        }
+    }
+}
+
 /// Result of processing a whole batch.
 ///
 /// # The `stop_on_sat` contract
@@ -97,8 +116,8 @@ pub struct BatchResult {
     pub outcomes: Vec<CubeOutcome>,
     /// Per-variable conflict participation, summed over all sub-problems of
     /// the batch (used as the "conflict activity" of the tabu heuristic).
-    /// Accumulated per worker and merged once per batch — no per-cube
-    /// `num_vars`-sized message ever crosses a channel.
+    /// Accumulated per worker and merged once per batch — nothing
+    /// `num_vars`-sized is allocated or moved per cube.
     pub var_conflict_totals: Vec<u64>,
     /// Solver-statistics deltas summed over all sub-problems of the batch.
     pub solver_stats: SolverStats,
@@ -145,9 +164,10 @@ pub struct BatchConfig {
     pub budget: Budget,
     /// Cost metric recorded per sub-problem.
     pub cost: CostMetric,
-    /// Number of worker threads (values 0 and 1 both mean "run on the calling
-    /// thread"; larger values spawn that many persistent pool threads when
-    /// the oracle is built).
+    /// Number of workers (values 0 and 1 both mean "run on the calling
+    /// thread"; larger values build that many resident pool backends when
+    /// the oracle is built, each driven by a thread of its own in every
+    /// batch wide enough).
     pub num_workers: usize,
     /// Cap the pool at the machine's available parallelism (default `true`).
     /// A pool wider than the hardware cannot run faster — on an
@@ -205,22 +225,22 @@ impl Default for BatchConfig {
 }
 
 /// How an oracle executes batches: on the calling thread with one resident
-/// backend, or on the persistent worker pool.
+/// backend, or on the worker pool.
 enum Executor {
     /// `num_workers <= 1`: one backend owned by the oracle itself; batches
     /// run on the calling thread.
     Sequential(Box<dyn CubeBackend>),
-    /// `num_workers > 1`: long-lived pool threads, one resident backend each.
+    /// `num_workers > 1`: one resident backend per worker, threads per batch.
     Pool(WorkerPool),
 }
 
-/// The executor that owns the formula and the persistent worker pool, and
-/// processes batches of cubes through the configured backend.
+/// The executor that owns the formula and the resident backends, and
+/// processes batches of cubes through them.
 ///
-/// Workers — and therefore their backends — live as long as the oracle:
-/// a [`BackendKind::Warm`] solver keeps its learnt clauses and VSIDS state
-/// across *every* batch the oracle processes, exactly like PDSAT's
-/// long-lived MiniSat worker processes, regardless of `num_workers`.
+/// The backends live as long as the oracle: a [`BackendKind::Warm`] solver
+/// keeps its learnt clauses and VSIDS state across *every* batch the oracle
+/// processes, exactly like the solver inside one of PDSAT's long-lived
+/// MiniSat worker processes, regardless of `num_workers`.
 ///
 /// # Example
 ///
@@ -248,7 +268,7 @@ enum Executor {
 /// ```
 pub struct CubeOracle {
     /// The formula and how to build a backend over it; shared with the pool
-    /// threads, which respawn from it.
+    /// slots, which respawn from it.
     spec: Arc<BackendSpec>,
     config: BatchConfig,
     exec: Executor,
@@ -275,8 +295,9 @@ impl std::fmt::Debug for CubeOracle {
 }
 
 impl CubeOracle {
-    /// Creates an oracle over a copy of `cnf`, spawning its worker pool (and
-    /// building one backend per worker) up front.
+    /// Creates an oracle over a copy of `cnf`, with one backend per worker
+    /// (a pool's are built in the background and ready by their first
+    /// batch).
     #[must_use]
     pub fn new(cnf: &Cnf, config: BatchConfig) -> CubeOracle {
         CubeOracle::from_arc(Arc::new(cnf.clone()), config)
@@ -307,11 +328,11 @@ impl CubeOracle {
             // share its ordinal counters, so "panic on the nth solve" counts
             // solves across the whole pool.
             let faults = (!config.fault_plan.is_empty()).then(|| config.fault_plan.clone().arm());
-            Executor::Pool(WorkerPool::spawn(
+            Executor::Pool(WorkerPool::new(
                 &spec,
                 effective_workers,
-                share.clone(),
-                faults,
+                share.as_ref(),
+                faults.as_ref(),
             ))
         };
         CubeOracle {
@@ -369,14 +390,15 @@ impl CubeOracle {
     /// Processes a batch of cubes (sub-problems of one decomposition family).
     ///
     /// With `num_workers <= 1` the batch runs sequentially on the calling
-    /// thread; otherwise the batch is dispatched to the oracle's persistent
-    /// worker pool — to `min(num_workers, cubes.len())` of its threads, so a
-    /// batch smaller than the pool never wakes the surplus workers. Either
-    /// way the backends are the *same instances* across calls (warm state
-    /// survives from batch to batch), the cubes are processed in the order
-    /// given — each worker walks its stripe of the batch front to back — and
-    /// the outcomes are returned in that order too, so `outcomes[i].index`
-    /// is `i` for a batch solved in full. A caller that wants a warm solver
+    /// thread; otherwise it runs on `min(num_workers, cubes.len())` of the
+    /// pool's backends — the first on the calling thread, the others on
+    /// threads that last for the batch — so a batch smaller than the pool
+    /// never involves the surplus workers. Either way the backends are the
+    /// *same instances* across calls (warm state survives from batch to
+    /// batch), the cubes are processed in the order given — each worker
+    /// walks its stripe of the batch front to back — and the outcomes are
+    /// returned in that order too, so `outcomes[i].index` is `i` for a
+    /// batch solved in full. A caller that wants a warm solver
     /// to reuse assumption prefixes submits the cubes sorted (enumerated
     /// families already are; the [`Evaluator`](crate::Evaluator) sorts its
     /// samples). An empty batch returns immediately without touching the
@@ -421,62 +443,56 @@ impl CubeOracle {
                     config,
                     &interrupt,
                     &mut totals,
-                    &mut outcomes,
+                    |outcome| outcomes.push(outcome),
                 );
             }
             Executor::Pool(pool) => {
-                let shared = Arc::new(BatchShared::new(
-                    FlatCubes::copy_of(cubes),
-                    pool.live().min(cubes.len()),
+                // One placeholder per cube; each worker overwrites the
+                // places of the cubes it solves.
+                outcomes = vec![CubeOutcome::unsolved(); cubes.len()];
+                let mut solved = pool.run_batch(
+                    cubes,
                     config,
-                    interrupt.clone(),
-                ));
-                let mut failed = pool.run_batch(&shared, &mut outcomes, &mut totals, &mut stats);
-                // A batch that lost its last workers mid-run can strand
-                // cubes nobody ever *claimed* (stripe positions with no
-                // surviving thief), which appear in neither `outcomes` nor
-                // `failed`. Sweep for them so the fallback below re-solves
-                // every cube the batch still owes. Under a raised
-                // `stop_on_sat` flag incomplete outcomes are the contract,
-                // not a loss.
-                if outcomes.len() + failed.len() < cubes.len()
-                    && !(config.stop_on_sat && interrupt.is_raised())
-                {
-                    let mut have = vec![false; cubes.len()];
-                    for o in &outcomes {
-                        have[o.index] = true;
-                    }
-                    for &i in &failed {
-                        have[i] = true;
-                    }
-                    failed.extend((0..cubes.len()).filter(|&i| !have[i]));
-                    failed.sort_unstable();
-                }
-                // Last-resort fallback: cubes no worker could solve (a cube
-                // that killed two backends in a row, or cubes stranded by a
-                // failed respawn) are re-solved sequentially on the calling
-                // thread with a one-shot backend. Deliberately not
-                // fault-injected — if this path panics too, the failure
+                    &interrupt,
+                    &mut outcomes,
+                    &mut totals,
+                    &mut stats,
+                );
+                // Last-resort fallback: every cube no worker solved — one
+                // that killed two backends in a row, cubes stranded by a
+                // failed respawn, positions nobody claimed because the last
+                // workers died mid-batch — is re-solved sequentially on the
+                // calling thread with a one-shot backend. Deliberately not
+                // fault-injected: if this path panics too, the failure
                 // surfaces to the caller. Under a raised `stop_on_sat` flag
-                // the leftovers are simply never started, matching the
-                // contract for unclaimed cubes.
-                if !(failed.is_empty() || config.stop_on_sat && interrupt.is_raised()) {
+                // incomplete outcomes are the contract, not a loss, and the
+                // leftovers are never started.
+                if solved < cubes.len() && !(config.stop_on_sat && interrupt.is_raised()) {
+                    let owed: Vec<usize> = (0..cubes.len())
+                        .filter(|&i| outcomes[i].index == CubeOutcome::UNSOLVED)
+                        .collect();
                     let mut fallback = self.spec.build(None);
-                    let solved_before = outcomes.len();
+                    let mut resolved = 0;
                     stats.absorb(&solve_on_caller(
                         fallback.as_mut(),
                         cubes,
-                        failed.iter().copied(),
+                        owed.into_iter(),
                         config,
                         &interrupt,
                         &mut totals,
-                        &mut outcomes,
+                        |outcome| {
+                            let place = outcome.index;
+                            outcomes[place] = outcome;
+                            resolved += 1;
+                        },
                     ));
-                    stats.requeued_cubes += (outcomes.len() - solved_before) as u64;
-                    // The fallback appended its cubes behind everything
-                    // else — the one way outcomes leave index order. Stable,
-                    // so it merges the two sorted runs that are there.
-                    outcomes.sort_by_key(|o| o.index);
+                    stats.requeued_cubes += resolved as u64;
+                    solved += resolved;
+                }
+                // What is still a placeholder was never solved (the
+                // `stop_on_sat` contract) and is not reported.
+                if solved < cubes.len() {
+                    outcomes.retain(|o| o.index != CubeOutcome::UNSOLVED);
                 }
             }
         }
@@ -502,8 +518,8 @@ impl CubeOracle {
 }
 
 /// One batch — or what is left of one — on the calling thread: solves
-/// `cubes[index]` for each of `indices` in turn on `backend`, appends the
-/// outcomes and returns the backend's statistics for the run. With
+/// `cubes[index]` for each of `indices` in turn on `backend`, hands each
+/// outcome to `place` and returns the backend's statistics for the run. With
 /// `stop_on_sat` the first satisfiable cube raises `interrupt` and the rest
 /// are never started. Shared by the sequential executor and the pool's
 /// last-resort fallback.
@@ -514,7 +530,7 @@ fn solve_on_caller(
     config: &BatchConfig,
     interrupt: &InterruptFlag,
     totals: &mut [u64],
-    outcomes: &mut Vec<CubeOutcome>,
+    mut place: impl FnMut(CubeOutcome),
 ) -> SolverStats {
     backend.begin_batch();
     for index in indices {
@@ -526,7 +542,7 @@ fn solve_on_caller(
         if config.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
             interrupt.raise();
         }
-        outcomes.push(outcome);
+        place(outcome);
     }
     backend.end_batch()
 }

@@ -16,7 +16,7 @@
 //! across batches ([`CubeBackend::begin_batch`] re-arms it at each batch
 //! boundary). That lifecycle is what lets [`WarmBackend`]'s learnt clauses
 //! and VSIDS state accumulate across every batch the oracle processes — the
-//! analogue of PDSAT's long-lived MiniSat worker processes. The full
+//! analogue of the solver inside a long-lived PDSAT worker process. The full
 //! behavioural contract lives in DESIGN.md ("Backend contract").
 
 use super::BatchConfig;
@@ -58,11 +58,12 @@ pub(crate) struct BackendOutcome {
 
 /// A strategy for solving the sub-problems of decomposition families.
 ///
-/// One backend instance is owned by one worker (the calling thread when the
-/// oracle is sequential, a pool thread otherwise) for the whole lifetime of
-/// the oracle, and is fed cubes sequentially; implementations therefore never
-/// need internal locking. The `Send` bound is what allows an instance to be
-/// built once and moved onto its long-lived pool thread.
+/// One backend instance is owned by one worker (the oracle itself when it is
+/// sequential, a pool slot otherwise) for the whole lifetime of the oracle,
+/// and is fed cubes sequentially; implementations therefore never need
+/// internal locking. The `Send` bound is what allows an instance to be built
+/// once, on a thread of its own, and driven by a different thread in every
+/// batch.
 pub(crate) trait CubeBackend: Send {
     /// Solves `C ∧ cube` (the cube given as its assumption literals) under
     /// the given budget and interrupt flag.

@@ -1,591 +1,425 @@
-//! The persistent worker pool of a [`CubeOracle`](super::CubeOracle).
+//! The worker pool of a [`CubeOracle`](super::CubeOracle): resident backends,
+//! threads per batch.
 //!
 //! PDSAT keeps its MiniSat worker *processes* alive for the whole run and
-//! streams sub-problems to them; re-creating a worker per search-space point
-//! would throw away every learnt clause and pay thread/solver start-up on
-//! each of the thousands of `F(χ)` evaluations. This module is the
-//! thread-level equivalent: `num_workers` OS threads are spawned once when
-//! the oracle is built, each thread builds and *owns* one backend instance
-//! for its entire lifetime, and batches are fed to the pool as chunked jobs
-//! over per-worker channels.
+//! streams sub-problems to them; what that buys is each worker's **solver
+//! state** — every learnt clause survives from one search-space point to the
+//! next — not the process as such. This module keeps exactly that: one
+//! backend per pool slot is built when the oracle is (on a short-lived
+//! thread of its own, joined by whichever thread first drains a stripe on
+//! the slot, so loading the formula is off the constructor's critical path)
+//! and lives until the oracle is dropped. The *threads* are per batch:
+//! [`WorkerPool::run_batch`] runs under [`std::thread::scope`], the calling
+//! thread drains stripe 0 itself and one scoped thread is spawned per
+//! further stripe, so a one-stripe batch spawns nothing.
 //!
-//! Per batch, each participating worker drains its own contiguous *stripe*
-//! of the cube list chunk-by-chunk through an atomic cursor, then steals
-//! chunks from other workers' stripes — sticky assignment keeps each
+//! Scoped threads end before `run_batch` returns, so a batch *borrows*:
+//! every worker reads the caller's `&[Cube]` and writes each
+//! [`CubeOutcome`] straight into the one result buffer the oracle
+//! pre-filled. The buffer is cut into one contiguous *stripe* per
+//! participating slot and each stripe into chunks, handed out through a
+//! mutex around the stripe's `ChunksMut`: a worker drains its own stripe
+//! first, then steals chunks from the others — sticky assignment keeps each
 //! resident warm solver re-seeing the cubes it already learned, stealing
-//! keeps skewed families balanced. Workers accumulate per-variable conflict
-//! counts and solver-statistics deltas *locally* and send exactly one
-//! [`WorkerReport`] back when the batch is drained — so the channel carries
-//! `num_workers` messages per batch instead of one `num_vars`-sized vector
-//! per cube. Workers park on their job channel between batches and exit when
-//! the oracle (and with it the job senders) is dropped.
-//!
-//! What a batch shares is one [`FlatCubes`] copy of the caller's cubes (one
-//! literal buffer plus end offsets). What comes back are the outcomes as
-//! *runs* of consecutive cube indices — one run per worker when nothing is
-//! stolen — which [`WorkerPool::run_batch`] orders by first index and moves
-//! into place, so the outcomes arrive sorted without being sorted. Cubes are
-//! processed in the order submitted: a batch position *is* a cube index.
+//! keeps skewed families balanced — and a stolen chunk is a `&mut` into the
+//! place its cubes belong, so nothing is sorted, listed or appended
+//! afterwards. Cubes are processed in the order submitted: a batch position
+//! *is* a cube index. Workers accumulate per-variable conflict counts and
+//! solver-statistics deltas locally and hand back one [`StripeReport`] each
+//! through their join.
 //!
 //! # Fault tolerance
 //!
-//! A backend that panics mid-cube no longer kills the batch. Every solve
-//! call runs under `catch_unwind`; on a panic the worker *quarantines* the
+//! A backend that panics mid-cube does not kill the batch. Every solve call
+//! runs under `catch_unwind`; on a panic the worker *quarantines* the
 //! poisoned backend (drops it — its in-batch statistics are lost, counted in
 //! `SolverStats::worker_panics`), builds a fresh replacement on the spot,
 //! and requeues the in-flight cube onto it **exactly once**
 //! (`SolverStats::requeued_cubes`). A cube whose retry panics again — or any
-//! cube stranded when the respawn itself fails — is handed back to the
-//! oracle through [`WorkerReport::failed`], and the oracle solves those
-//! leftovers on the calling thread with a one-shot sequential backend (the
-//! last-resort fallback). A worker whose respawn fails reports, marks itself
-//! dying and exits; later batches are dispatched around the dead slot, and
-//! only when *every* slot is dead does dispatch panic (naming the pool
-//! shape), since at that point no executor is left. The no-fault path is
-//! bit-identical to the pre-fault-tolerance pool: `catch_unwind` does not
-//! perturb the computation, and the counters stay zero.
+//! cube stranded when the respawn itself fails — keeps the placeholder the
+//! buffer was pre-filled with, and the oracle solves every such leftover on
+//! the calling thread with a one-shot sequential backend (the last-resort
+//! fallback). A slot whose respawn fails stays dead; later batches are
+//! dispatched around it, and only when *every* slot is dead does dispatch
+//! panic (naming the pool shape), since at that point no executor is left.
+//! A panic that escapes this recovery (from `begin_batch` / `end_batch`, or
+//! from building the slot's first backend) comes back through the scope's
+//! join and is re-raised on the caller naming the slot and the batch
+//! positions it owned. The no-fault path is bit-identical to a pool without
+//! the recovery: `catch_unwind` does not perturb the computation, and the
+//! counters stay zero.
 
-use super::backend::BackendSpec;
+use super::backend::{BackendSpec, CubeBackend};
 use super::share::{ClauseExchange, WorkerShare};
-use super::{finish_outcome, CubeOutcome, VerdictSummary};
+use super::{finish_outcome, BatchConfig, CubeOutcome, VerdictSummary};
 use crate::fault::{FaultState, FaultyBackend};
-use crate::CostMetric;
-use pdsat_cnf::{Cube, Lit};
-use pdsat_solver::{Budget, InterruptFlag, ShareChannel, SolverStats};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use pdsat_cnf::Cube;
+use pdsat_solver::{InterruptFlag, ShareChannel, SolverStats};
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::slice::ChunksMut;
+use std::sync::{Arc, Mutex};
+use std::thread::{self, JoinHandle};
 
-/// One worker's contiguous slice of the batch, drained chunk by chunk
-/// through an atomic cursor (so idle workers can steal from it).
-struct Stripe {
-    cursor: AtomicUsize,
-    end: usize,
+/// What a slot builds its backends from: the first one and every respawn.
+#[derive(Clone)]
+struct Blueprint {
+    spec: Arc<BackendSpec>,
+    /// The slot's endpoint of the clause exchange, publishing into the
+    /// slot's own shard and draining every other one.
+    endpoint: Option<Arc<dyn ShareChannel>>,
+    /// When armed, every backend is wrapped in a [`FaultyBackend`] so the
+    /// plan's solve panics and respawn failures fire inside the pool.
+    faults: Option<Arc<FaultState>>,
 }
 
-/// The cubes of one batch in two allocations: every literal back to back,
-/// and per cube the offset its literals end at (cube `i` is
-/// `lits[ends[i - 1]..ends[i]]`). Owned, so the pool threads can outlive the
-/// caller's borrow, and freed in O(1) by whichever thread drops the batch
-/// last.
-pub(super) struct FlatCubes {
-    lits: Vec<Lit>,
-    ends: Vec<u32>,
-}
-
-impl FlatCubes {
-    /// Copies `cubes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the batch holds more than `u32::MAX` literals in total —
-    /// the end offsets are `u32`.
-    pub(super) fn copy_of(cubes: &[Cube]) -> FlatCubes {
-        FlatCubes::copy_within_limit(cubes, u32::MAX as usize)
-    }
-
-    /// [`copy_of`](FlatCubes::copy_of) with the offset limit as a parameter,
-    /// so the boundary can be tested without a 16 GiB batch.
-    fn copy_within_limit(cubes: &[Cube], max_lits: usize) -> FlatCubes {
-        let total: usize = cubes.iter().map(Cube::len).sum();
-        assert!(
-            total <= max_lits,
-            "a batch of {} cubes holds {total} assumption literals, more than the {max_lits} \
-             its end offsets can address; split the batch",
-            cubes.len(),
-        );
-        let mut lits: Vec<Lit> = Vec::with_capacity(total);
-        let mut ends: Vec<u32> = Vec::with_capacity(cubes.len());
-        for cube in cubes {
-            lits.extend_from_slice(cube.lits());
-            // `total <= max_lits <= u32::MAX` was asserted above.
-            ends.push(lits.len() as u32);
+impl Blueprint {
+    fn build(&self) -> Box<dyn CubeBackend> {
+        let inner = self.spec.build(self.endpoint.clone());
+        match &self.faults {
+            Some(f) => Box::new(FaultyBackend::new(inner, Arc::clone(f))),
+            None => inner,
         }
-        FlatCubes { lits, ends }
     }
 
-    /// Number of cubes.
-    pub(super) fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// The assumption literals of cube `i`.
-    pub(super) fn get(&self, i: usize) -> &[Lit] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.lits[start as usize..self.ends[i] as usize]
+    /// A replacement for a quarantined backend, or `None` when the respawn
+    /// fails (by the fault plan, or because building panicked).
+    fn respawn(&self) -> Option<Box<dyn CubeBackend>> {
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.respawn_should_fail())
+        {
+            return None;
+        }
+        catch_unwind(AssertUnwindSafe(|| self.build())).ok()
     }
 }
 
-/// Everything the workers share about one batch in flight.
-pub(super) struct BatchShared {
-    /// The cubes of the batch, in submission order. Stripes are contiguous
-    /// runs of it, so a batch submitted prefix-sorted gives each worker a
-    /// block of cubes sharing long assumption prefixes — exactly what the
-    /// warm backend's trail reuse feeds on.
-    pub cubes: FlatCubes,
-    /// One stripe per participating worker. The worker assigned stripe `i`
-    /// drains it first and only then steals chunks from other stripes, so in
-    /// the steady state (balanced stripes, no stealing) the *same* resident
+/// The backend of one slot, between batches.
+enum Resident {
+    /// Being built since the oracle was; joined on the slot's first batch.
+    Building(JoinHandle<Box<dyn CubeBackend>>),
+    Ready(Box<dyn CubeBackend>),
+    /// A respawn failed, or a panic escaped recovery while the slot's
+    /// backend was out on a batch.
+    Dead,
+}
+
+struct Slot {
+    blueprint: Blueprint,
+    backend: Resident,
+}
+
+impl Slot {
+    /// Moves the backend out for a batch, leaving the slot dead until
+    /// [`drain`] puts it back — so a slot whose worker unwinds stays dead.
+    fn take_backend(&mut self) -> Box<dyn CubeBackend> {
+        match std::mem::replace(&mut self.backend, Resident::Dead) {
+            Resident::Ready(backend) => backend,
+            Resident::Building(handle) => handle.join().unwrap_or_else(|e| resume_unwind(e)),
+            Resident::Dead => unreachable!("batches are dispatched around dead slots"),
+        }
+    }
+}
+
+/// One participating slot's contiguous share of the result buffer.
+struct Stripe<'a> {
+    /// The batch position of the next unclaimed chunk, and the unclaimed
+    /// chunks themselves.
+    unclaimed: Mutex<(usize, ChunksMut<'a, CubeOutcome>)>,
+}
+
+/// The batch positions stripe `i` of `stripes` owns before any stealing.
+fn stripe_span(i: usize, stripes: usize, cubes: usize) -> Range<usize> {
+    (i * cubes / stripes)..((i + 1) * cubes / stripes)
+}
+
+/// Everything the workers of one batch borrow.
+struct Batch<'a> {
+    /// The cubes, in submission order. Stripes are contiguous runs of it, so
+    /// a batch submitted prefix-sorted gives each worker a block of cubes
+    /// sharing long assumption prefixes — exactly what the warm backend's
+    /// trail reuse feeds on.
+    cubes: &'a [Cube],
+    /// One stripe per participating slot. The worker assigned stripe `i`
+    /// drains it first and only then steals from the others, so in the
+    /// steady state (balanced stripes, no stealing) the *same* resident
     /// backend sees the *same* cubes batch after batch — warm-solver
-    /// locality that a single global cursor would reshuffle on every batch.
-    stripes: Vec<Stripe>,
-    /// Number of cube indices a worker claims per cursor increment.
-    chunk: usize,
-    /// Per-cube resource budget.
-    pub budget: Budget,
-    /// Cost metric recorded per cube.
-    pub cost: CostMetric,
-    /// Stop claiming cubes once the interrupt is raised.
-    pub stop_on_sat: bool,
-    /// The batch-wide interrupt flag fanned out to every worker.
-    pub interrupt: InterruptFlag,
+    /// locality that one shared queue would reshuffle on every batch.
+    stripes: Vec<Stripe<'a>>,
+    /// Budget, cost metric and `stop_on_sat` of every cube.
+    config: &'a BatchConfig,
+    /// The batch-wide interrupt flag every worker observes.
+    interrupt: &'a InterruptFlag,
 }
 
-impl BatchShared {
-    pub(super) fn new(
-        cubes: FlatCubes,
-        active_workers: usize,
-        config: &super::BatchConfig,
-        interrupt: InterruptFlag,
-    ) -> BatchShared {
-        let active = active_workers.max(1);
-        let stripes = (0..active)
-            .map(|i| Stripe {
-                cursor: AtomicUsize::new(i * cubes.len() / active),
-                end: (i + 1) * cubes.len() / active,
+impl<'a> Batch<'a> {
+    fn new(
+        cubes: &'a [Cube],
+        outcomes: &'a mut [CubeOutcome],
+        stripes: usize,
+        config: &'a BatchConfig,
+        interrupt: &'a InterruptFlag,
+    ) -> Batch<'a> {
+        // Chunks amortize lock traffic while staying small enough that
+        // stealing still balances skewed per-cube costs.
+        let chunk = (cubes.len() / (stripes * 8)).clamp(1, 32);
+        let mut rest = outcomes;
+        let stripes = (0..stripes)
+            .map(|i| {
+                let span = stripe_span(i, stripes, cubes.len());
+                let (own, tail) = std::mem::take(&mut rest).split_at_mut(span.len());
+                rest = tail;
+                Stripe {
+                    unclaimed: Mutex::new((span.start, own.chunks_mut(chunk))),
+                }
             })
             .collect();
-        // Chunks amortize cursor traffic while staying small enough that
-        // stealing still balances skewed per-cube costs (and that
-        // `stop_on_sat` is observed promptly: the flag is re-checked before
-        // every cube, so a chunk bounds only the claimed-but-unsolved tail).
-        let chunk = (cubes.len() / (active * 8)).clamp(1, 32);
-        BatchShared {
+        Batch {
             cubes,
             stripes,
-            chunk,
-            budget: config.budget.clone(),
-            cost: config.cost,
-            stop_on_sat: config.stop_on_sat,
+            config,
             interrupt,
         }
     }
 
-    /// Claims the next chunk of cube indices for the worker assigned
-    /// `stripe` — from that stripe while it lasts, then from the other
-    /// stripes — or `None` when the whole batch is drained.
-    fn claim(&self, stripe: usize) -> Option<std::ops::Range<usize>> {
+    /// Claims the next chunk for the worker assigned `stripe` — from that
+    /// stripe while it lasts, then from the others — as the batch position
+    /// of its first cube and the places its outcomes go, or `None` when the
+    /// whole batch is claimed.
+    fn claim(&self, stripe: usize) -> Option<(usize, &'a mut [CubeOutcome])> {
         let stripes = self.stripes.len();
-        for offset in 0..stripes {
-            let stripe = &self.stripes[(stripe + offset) % stripes];
-            let start = stripe.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-            if start < stripe.end {
-                return Some(start..(start + self.chunk).min(stripe.end));
+        (0..stripes).find_map(|offset| {
+            let mut unclaimed = self.stripes[(stripe + offset) % stripes]
+                .unclaimed
+                .lock()
+                .expect("nothing that can panic runs under a stripe's lock");
+            let chunk = unclaimed.1.next()?;
+            let first = unclaimed.0;
+            unclaimed.0 += chunk.len();
+            Some((first, chunk))
+        })
+    }
+}
+
+/// What one worker hands back for one batch, merged by `run_batch`. The
+/// outcomes are already in the result buffer.
+#[derive(Default)]
+struct StripeReport {
+    stats: SolverStats,
+    /// Cubes this worker solved and placed.
+    solved: usize,
+}
+
+/// One worker's share of one batch, on whichever thread runs it: drains
+/// `stripe` and then steals, on the slot's resident backend, adding
+/// per-variable conflict counts into `totals`. A slot whose respawn fails is
+/// left dead and the cubes it held keep their placeholder.
+fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) -> StripeReport {
+    let Batch {
+        cubes,
+        config,
+        interrupt,
+        ..
+    } = *batch;
+    let mut backend = slot.take_backend();
+    backend.begin_batch();
+    let mut report = StripeReport::default();
+    let (mut panics, mut requeued) = (0u64, 0u64);
+    'batch: while let Some((first, chunk)) = batch.claim(stripe) {
+        for (index, place) in (first..).zip(chunk) {
+            // Re-checked before every cube, so a chunk bounds only the
+            // claimed-but-unsolved tail.
+            if config.stop_on_sat && interrupt.is_raised() {
+                break 'batch;
+            }
+            // First attempt plus at most one requeue onto a respawned
+            // backend — the exactly-once requeue contract.
+            for attempt in 0..2 {
+                let solved = catch_unwind(AssertUnwindSafe(|| {
+                    backend.solve(cubes[index].lits(), &config.budget, interrupt, totals)
+                }));
+                if let Ok(raw) = solved {
+                    *place = finish_outcome(index, raw, config.cost);
+                    report.solved += 1;
+                    if config.stop_on_sat && place.verdict == VerdictSummary::Sat {
+                        interrupt.raise();
+                    }
+                    break;
+                }
+                panics += 1;
+                // Quarantine the poisoned backend and respawn in place. Its
+                // in-batch statistics die with it — `end_batch` on a backend
+                // that just unwound cannot be trusted.
+                let Some(fresh) = slot.blueprint.respawn() else {
+                    // The slot stays dead. The in-flight cube and the rest
+                    // of the claimed chunk keep their placeholders, for the
+                    // oracle's sequential fallback.
+                    report.stats.worker_panics = panics;
+                    report.stats.requeued_cubes = requeued;
+                    return report;
+                };
+                backend = fresh;
+                backend.begin_batch();
+                if attempt == 0 {
+                    requeued += 1;
+                }
+                // After the second panic the cube goes to the fallback, and
+                // this worker carries on with the healthy respawn.
             }
         }
-        None
     }
-
-    /// The cube indices stripe `i` initially owns (before stealing).
-    fn stripe_span(&self, i: usize) -> std::ops::Range<usize> {
-        let (n, a) = (self.cubes.len(), self.stripes.len());
-        (i * n / a)..((i + 1) * n / a)
-    }
+    // Solver statistics — the trail-reuse counters included — are merged
+    // exactly once per batch; the fault counters ride along.
+    report.stats = backend.end_batch();
+    report.stats.worker_panics += panics;
+    report.stats.requeued_cubes += requeued;
+    slot.backend = Resident::Ready(backend);
+    report
 }
 
-/// Outcomes of consecutive cube indices, keyed by the first of them.
-type OutcomeRun = (usize, Vec<CubeOutcome>);
-
-/// One worker's aggregate result for one batch: outcomes of every cube it
-/// solved, plus its locally accumulated conflict counts and stats deltas,
-/// merged by the oracle once per batch.
-pub(super) struct WorkerReport {
-    /// Pool slot of the reporting worker.
-    pub slot: usize,
-    /// The outcomes, in the order solved, cut into runs wherever the next
-    /// solved index was not the previous one plus one (a stolen chunk, or
-    /// a cube handed to the fallback). A worker nobody stole from and that
-    /// stole nothing reports exactly one run: its stripe.
-    pub runs: Vec<OutcomeRun>,
-    pub conflict_totals: Vec<u64>,
-    pub stats: SolverStats,
-    /// Cube indices this worker claimed but could not solve: the cube
-    /// panicked twice (killing the original *and* the respawned backend), or
-    /// the worker's respawn failed with the cube (and the rest of its
-    /// claimed chunk) in flight. The oracle re-solves these on the calling
-    /// thread — the sequential last-resort fallback.
-    pub failed: Vec<usize>,
-    /// `true` when the worker exits after this report (its backend respawn
-    /// failed); the pool stops dispatching to the slot.
-    pub dying: bool,
-}
-
-impl WorkerReport {
-    fn new(slot: usize, num_vars: usize) -> WorkerReport {
-        WorkerReport {
-            slot,
-            runs: Vec::new(),
-            conflict_totals: vec![0; num_vars],
-            stats: SolverStats::default(),
-            failed: Vec::new(),
-            dying: false,
-        }
-    }
-}
-
-/// The long-lived worker threads of one oracle.
-///
-/// Dropping the pool drops the job senders, which unparks every worker out
-/// of its `recv` loop; the threads are then joined so backend destructors
-/// run before the oracle's drop completes.
+/// The resident backends of one oracle, one per slot.
 pub(super) struct WorkerPool {
-    /// Per-slot job senders; a job is the shared batch plus the stripe index
-    /// assigned to the receiving worker for that batch.
-    job_txs: Vec<mpsc::Sender<(Arc<BatchShared>, usize)>>,
-    result_rx: mpsc::Receiver<WorkerReport>,
-    handles: Vec<JoinHandle<()>>,
-    /// Slots whose worker exited after a failed respawn (or whose channel
-    /// was found hung up at dispatch). Dead slots are skipped by later
-    /// batches; an all-dead pool panics at dispatch.
-    dead: Vec<bool>,
-    /// The stripe each slot was assigned in the batch currently in flight
-    /// (`None` for slots not participating) — consumed by the watchdog's
-    /// panic message when a worker dies silently.
-    assigned: Vec<Option<usize>>,
+    slots: Vec<Slot>,
 }
 
 impl WorkerPool {
-    /// Spawns `num_workers` threads, each building one backend from `spec`
-    /// that lives until the pool is dropped. Backend construction happens
-    /// *on* the worker threads, so e.g. warm solvers load the clause database
-    /// concurrently. When `faults` is armed, every backend (initial and
-    /// respawned) is wrapped in a [`FaultyBackend`] so the plan's solve
-    /// panics and respawn failures fire inside the pool.
-    pub(super) fn spawn(
+    /// A pool of `num_workers` slots, each with one backend built from
+    /// `spec` that lives until the pool is dropped. Returns at once: every
+    /// backend is built on a short-lived thread of its own (warm solvers
+    /// load the clause database concurrently) that the slot's first batch
+    /// joins.
+    pub(super) fn new(
         spec: &Arc<BackendSpec>,
         num_workers: usize,
-        share: Option<Arc<ClauseExchange>>,
-        faults: Option<Arc<FaultState>>,
+        share: Option<&Arc<ClauseExchange>>,
+        faults: Option<&Arc<FaultState>>,
     ) -> WorkerPool {
-        let (result_tx, result_rx) = mpsc::channel::<WorkerReport>();
-        let mut job_txs = Vec::with_capacity(num_workers);
-        let mut handles = Vec::with_capacity(num_workers);
-        for slot in 0..num_workers {
-            let (job_tx, job_rx) = mpsc::channel::<(Arc<BatchShared>, usize)>();
-            let result_tx = result_tx.clone();
-            let spec = Arc::clone(spec);
-            let faults = faults.clone();
-            // Each worker gets its own endpoint of the clause exchange,
-            // publishing into shard `slot` and draining every other shard.
-            let endpoint: Option<Arc<dyn ShareChannel>> = share.as_ref().map(|ex| {
-                Arc::new(WorkerShare::new(Arc::clone(ex), slot)) as Arc<dyn ShareChannel>
-            });
-            handles.push(std::thread::spawn(move || {
-                worker_loop(slot, &job_rx, &result_tx, &spec, endpoint, faults.as_ref());
-            }));
-            job_txs.push(job_tx);
-        }
-        WorkerPool {
-            job_txs,
-            result_rx,
-            handles,
-            dead: vec![false; num_workers],
-            assigned: vec![None; num_workers],
-        }
+        let slots = (0..num_workers)
+            .map(|slot| {
+                let blueprint = Blueprint {
+                    spec: Arc::clone(spec),
+                    endpoint: share.map(|ex| {
+                        Arc::new(WorkerShare::new(Arc::clone(ex), slot)) as Arc<dyn ShareChannel>
+                    }),
+                    faults: faults.cloned(),
+                };
+                let building = {
+                    let blueprint = blueprint.clone();
+                    thread::spawn(move || blueprint.build())
+                };
+                Slot {
+                    blueprint,
+                    backend: Resident::Building(building),
+                }
+            })
+            .collect();
+        WorkerPool { slots }
     }
 
-    /// Number of resident worker threads (live or dead).
+    /// Number of slots (live or dead).
     pub(super) fn size(&self) -> usize {
-        self.job_txs.len()
+        self.slots.len()
     }
 
-    /// Number of worker slots still accepting jobs.
-    pub(super) fn live(&self) -> usize {
-        self.dead.iter().filter(|&&d| !d).count()
-    }
-
-    /// Dispatches one batch to the pool and blocks until every participating
-    /// worker has reported back. Fills `outcomes` (empty on entry) with the
-    /// solved cubes in index order and returns the cube indices no
-    /// worker could solve (panicked twice, or stranded by a failed respawn) —
-    /// the caller re-solves those sequentially.
-    ///
-    /// Jobs are handed to the first `stripes` live workers in slot order —
-    /// the oracle sizes the batch's stripe set to `min(live workers, cubes)`,
-    /// so a batch smaller than the pool never wakes the surplus threads, and
-    /// the drain below waits for exactly the number of jobs dispatched, so a
-    /// short batch can never deadlock the channel. If fewer live workers
-    /// than stripes remain (a worker died since the stripes were sized), the
-    /// dispatched workers drain the orphaned stripes through chunk stealing.
-    /// The caller guarantees the batch is non-empty.
+    /// Solves one non-empty batch on the first `min(live slots, cubes)` live
+    /// slots, in slot order: the calling thread drains stripe 0, one scoped
+    /// thread each the others, and all have finished when this returns.
+    /// `outcomes` holds one placeholder per cube on entry; every cube a
+    /// worker solved has its outcome at its own position on return, the
+    /// others (panicked twice, stranded by a failed respawn, or not started
+    /// under a raised `stop_on_sat`) still the placeholder. Returns how many
+    /// were solved.
     ///
     /// # Panics
     ///
-    /// Panics when not a single live worker accepted the batch — every
-    /// backend panicked and exhausted its respawn. With no executor left
-    /// this is unrecoverable, the pool-level equivalent of the old
-    /// single-failure abort (see the regression test for the all-dead case).
+    /// Panics when no slot is live — every backend panicked and exhausted
+    /// its respawn, so no executor is left — and when a worker unwound past
+    /// its per-cube recovery.
     pub(super) fn run_batch(
         &mut self,
-        shared: &Arc<BatchShared>,
-        outcomes: &mut Vec<CubeOutcome>,
+        cubes: &[Cube],
+        config: &BatchConfig,
+        interrupt: &InterruptFlag,
+        outcomes: &mut [CubeOutcome],
         totals: &mut [u64],
         stats: &mut SolverStats,
-    ) -> Vec<usize> {
-        let stripes = shared.stripes.len();
-        self.assigned.iter_mut().for_each(|a| *a = None);
-        let mut dispatched = 0usize;
-        for slot in 0..self.size() {
-            if dispatched == stripes {
-                break;
-            }
-            if self.dead[slot] {
-                continue;
-            }
-            match self.job_txs[slot].send((Arc::clone(shared), dispatched)) {
-                Ok(()) => {
-                    self.assigned[slot] = Some(dispatched);
-                    dispatched += 1;
-                }
-                // The worker hung up without a dying report (it exited
-                // between batches); treat the slot as dead and move on.
-                Err(_) => self.dead[slot] = true,
-            }
-        }
+    ) -> usize {
+        let size = self.size();
+        let mut workers: Vec<(usize, &mut Slot)> = self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, slot)| !matches!(slot.backend, Resident::Dead))
+            .take(cubes.len())
+            .collect();
         assert!(
-            dispatched > 0,
-            "all {} oracle worker threads are dead (every backend panicked and \
+            !workers.is_empty(),
+            "all {size} oracle worker threads are dead (every backend panicked and \
              exhausted its respawn); cannot dispatch a batch of {} cubes",
-            self.size(),
-            shared.cubes.len(),
+            cubes.len(),
         );
-        let mut failed = Vec::new();
-        let mut runs: Vec<OutcomeRun> = Vec::new();
-        for _ in 0..dispatched {
-            let report = self.recv_report(shared);
-            for (t, &c) in totals.iter_mut().zip(&report.conflict_totals) {
+        let stripes = workers.len();
+        let batch = Batch::new(cubes, outcomes, stripes, config, interrupt);
+        // The conflict counts of the spawned workers, one row each in one
+        // allocation made here (the caller adds its own straight into
+        // `totals`). A row is never empty, so that there is one per worker.
+        let row = totals.len().max(1);
+        let mut counts = vec![0u64; row * (stripes - 1)];
+        // Per stripe: the slot that drained it and what its worker returned.
+        let reports: Vec<(usize, thread::Result<StripeReport>)> = thread::scope(|scope| {
+            let spawned: Vec<_> = workers
+                .drain(1..)
+                .zip(counts.chunks_mut(row))
+                .zip(1..)
+                .map(|(((index, slot), counts), stripe)| {
+                    let batch = &batch;
+                    (
+                        index,
+                        scope.spawn(move || drain(slot, stripe, batch, counts)),
+                    )
+                })
+                .collect();
+            let (index, slot) = workers.pop().expect("stripe 0 is the caller's");
+            let own = catch_unwind(AssertUnwindSafe(|| drain(slot, 0, &batch, totals)));
+            std::iter::once((index, own))
+                .chain(spawned.into_iter().map(|(i, worker)| (i, worker.join())))
+                .collect()
+        });
+        let mut solved = 0;
+        for (stripe, (slot, report)) in reports.into_iter().enumerate() {
+            let Ok(report) = report else {
+                let span = stripe_span(stripe, stripes, cubes.len());
+                panic!(
+                    "oracle worker {slot} died mid-batch (panic escaped backend recovery) \
+                     while owning batch positions {}..{} of {} cubes",
+                    span.start,
+                    span.end,
+                    cubes.len(),
+                );
+            };
+            stats.absorb(&report.stats);
+            solved += report.solved;
+        }
+        for counts in counts.chunks(row) {
+            for (t, &c) in totals.iter_mut().zip(counts) {
                 *t += c;
             }
-            stats.absorb(&report.stats);
-            runs.extend(report.runs);
-            failed.extend(report.failed);
         }
-        // Every index is claimed once, so the runs are disjoint and ordering
-        // them by first index orders all their outcomes.
-        runs.sort_unstable_by_key(|run| run.0);
-        debug_assert!(outcomes.is_empty());
-        if runs.len() == 1 {
-            *outcomes = runs.pop().expect("one run").1;
-        } else {
-            // One buffer allocated here, on the calling thread: growing a
-            // worker's run instead keeps the result in that worker's
-            // allocator arena (peak RSS up by two fifths on 2^18-cube
-            // batches).
-            outcomes.reserve_exact(runs.iter().map(|run| run.1.len()).sum());
-            for (_, mut run) in runs {
-                outcomes.append(&mut run);
-            }
-        }
-        failed.sort_unstable();
-        failed.dedup();
-        failed
-    }
-
-    /// Receives one worker report, turning a *silently* dead worker into a
-    /// panic on the calling thread instead of a hang.
-    ///
-    /// A worker that panics mid-batch drops only *its* clone of the result
-    /// sender; the remaining parked workers keep the channel open, so a
-    /// plain `recv` would block forever on the report that will never come.
-    /// Workers that die through the supported path (failed respawn) announce
-    /// it with a final `dying` report, which marks the slot dead here — so a
-    /// finished thread whose slot is *not* marked dead means a panic escaped
-    /// the recovery machinery (e.g. inside `begin_batch`/`end_batch` or a
-    /// backend destructor), and the batch cannot complete. The panic names
-    /// the worker and the batch positions it owned so the operator knows
-    /// which shard of the family was in flight.
-    fn recv_report(&mut self, shared: &BatchShared) -> WorkerReport {
-        loop {
-            match self.result_rx.recv_timeout(Duration::from_millis(100)) {
-                Ok(report) => {
-                    if report.dying {
-                        self.dead[report.slot] = true;
-                    }
-                    return report;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    for slot in 0..self.handles.len() {
-                        // An empty channel plus a finished, not-marked-dead
-                        // thread is conclusive: a dying worker's final report
-                        // is sent *before* its thread finishes, so it would
-                        // have been drained (and the slot marked) before this
-                        // timeout fired.
-                        if self.handles[slot].is_finished() && !self.dead[slot] {
-                            match self.assigned[slot] {
-                                Some(stripe) => {
-                                    let span = shared.stripe_span(stripe);
-                                    panic!(
-                                        "oracle worker {slot} died mid-batch (panic escaped \
-                                         backend recovery) while owning batch positions \
-                                         {}..{} of {} cubes",
-                                        span.start,
-                                        span.end,
-                                        shared.cubes.len(),
-                                    );
-                                }
-                                None => panic!(
-                                    "oracle worker {slot} died outside its batch \
-                                     (panic escaped backend recovery)"
-                                ),
-                            }
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    panic!(
-                        "all {} oracle worker threads died mid-batch",
-                        self.handles.len()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The body of one pool thread: builds the resident backend, then drains
-/// batches until the job channel hangs up. Free function (rather than a
-/// closure in `spawn`) so the respawn path can rebuild the backend from the
-/// retained spec.
-fn worker_loop(
-    slot: usize,
-    job_rx: &mpsc::Receiver<(Arc<BatchShared>, usize)>,
-    result_tx: &mpsc::Sender<WorkerReport>,
-    spec: &Arc<BackendSpec>,
-    endpoint: Option<Arc<dyn ShareChannel>>,
-    faults: Option<&Arc<FaultState>>,
-) {
-    let num_vars = spec.cnf.num_vars();
-    let build = || {
-        let inner = spec.build(endpoint.clone());
-        match faults {
-            Some(f) => Box::new(FaultyBackend::new(inner, Arc::clone(f))) as _,
-            None => inner,
-        }
-    };
-    let mut backend = build();
-    while let Ok((shared, stripe)) = job_rx.recv() {
-        backend.begin_batch();
-        let mut report = WorkerReport::new(slot, num_vars);
-        let (mut panics, mut requeued) = (0u64, 0u64);
-        'batch: while let Some(range) = shared.claim(stripe) {
-            for index in range.clone() {
-                if shared.stop_on_sat && shared.interrupt.is_raised() {
-                    break 'batch;
-                }
-                let mut raw = None;
-                // First attempt plus at most one requeue onto a respawned
-                // backend — the exactly-once requeue contract.
-                for attempt in 0..2 {
-                    let solved = catch_unwind(AssertUnwindSafe(|| {
-                        backend.solve(
-                            shared.cubes.get(index),
-                            &shared.budget,
-                            &shared.interrupt,
-                            &mut report.conflict_totals,
-                        )
-                    }));
-                    match solved {
-                        Ok(outcome) => {
-                            raw = Some(outcome);
-                            break;
-                        }
-                        Err(_) => {
-                            panics += 1;
-                            // Quarantine the poisoned backend and respawn in
-                            // place. Its in-batch statistics die with it —
-                            // `end_batch` on a backend that just unwound
-                            // cannot be trusted.
-                            let respawned = if faults.is_some_and(|f| f.respawn_should_fail()) {
-                                None
-                            } else {
-                                catch_unwind(AssertUnwindSafe(&build)).ok()
-                            };
-                            match respawned {
-                                Some(mut fresh) => {
-                                    fresh.begin_batch();
-                                    backend = fresh;
-                                    if attempt == 0 {
-                                        requeued += 1;
-                                    }
-                                }
-                                None => {
-                                    // Respawn failed: release the in-flight
-                                    // cube and the rest of the claimed chunk,
-                                    // report, and exit the thread. The oracle
-                                    // falls back to a sequential solve for
-                                    // the released cubes and dispatches later
-                                    // batches around this slot.
-                                    report.failed.extend(index..range.end);
-                                    report.dying = true;
-                                    report.stats.worker_panics = panics;
-                                    report.stats.requeued_cubes = requeued;
-                                    let _ = result_tx.send(report);
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                }
-                match raw {
-                    Some(raw) => {
-                        let outcome = finish_outcome(index, raw, shared.cost);
-                        if shared.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
-                            shared.interrupt.raise();
-                        }
-                        match report.runs.last_mut() {
-                            Some((first, run)) if *first + run.len() == index => run.push(outcome),
-                            // The first run is the worker's own stripe when
-                            // nobody steals from it; later ones start at a
-                            // stolen chunk.
-                            last => {
-                                let capacity = match last {
-                                    None => shared.stripe_span(stripe).len(),
-                                    Some(_) => shared.chunk,
-                                };
-                                let mut run = Vec::with_capacity(capacity);
-                                run.push(outcome);
-                                report.runs.push((index, run));
-                            }
-                        }
-                    }
-                    // The cube killed two backends in a row; hand it to the
-                    // oracle's sequential fallback and carry on — the second
-                    // respawn above already gave this worker a healthy
-                    // backend for the rest of the batch.
-                    None => report.failed.push(index),
-                }
-            }
-        }
-        // Solver statistics — the trail-reuse counters included — are merged
-        // exactly once per batch; the fault counters ride along.
-        report.stats = backend.end_batch();
-        report.stats.worker_panics += panics;
-        report.stats.requeued_cubes += requeued;
-        if result_tx.send(report).is_err() {
-            break; // the oracle is gone
-        }
+        solved
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.job_txs.clear(); // hang up: workers fall out of `recv`
-        for handle in self.handles.drain(..) {
-            // A worker that panicked already surfaced its error through the
-            // failed channel operations; nothing more to propagate here.
-            let _ = handle.join();
+        for slot in &mut self.slots {
+            if let Resident::Building(handle) = std::mem::replace(&mut slot.backend, Resident::Dead)
+            {
+                // No batch ever used the slot, so there is nobody to tell
+                // should the build have panicked.
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -593,46 +427,72 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::BackendOutcome;
     use crate::DecompositionSet;
-    use pdsat_cnf::Var;
+    use pdsat_cnf::{Cnf, Lit, Var};
+    use pdsat_solver::Budget;
 
-    fn assert_round_trip(cubes: &[Cube]) {
-        let flat = FlatCubes::copy_of(cubes);
-        assert_eq!(flat.len(), cubes.len());
-        for (i, cube) in cubes.iter().enumerate() {
-            assert_eq!(flat.get(i), cube.lits(), "cube {i}");
+    /// A backend whose `begin_batch` panics: past the per-cube recovery.
+    struct BrokenBoundary(Box<dyn CubeBackend>);
+
+    impl CubeBackend for BrokenBoundary {
+        fn solve(
+            &mut self,
+            cube: &[Lit],
+            budget: &Budget,
+            interrupt: &InterruptFlag,
+            conflict_acc: &mut [u64],
+        ) -> BackendOutcome {
+            self.0.solve(cube, budget, interrupt, conflict_acc)
+        }
+
+        fn begin_batch(&mut self) {
+            panic!("begin_batch broke");
+        }
+
+        fn end_batch(&mut self) -> SolverStats {
+            self.0.end_batch()
         }
     }
 
     #[test]
-    fn flat_cubes_round_trip_empty_cubes_and_mixed_lengths() {
-        assert_round_trip(&[]);
-        let vars: Vec<Var> = (0..5).map(Var::new).collect();
-        assert_round_trip(&[
-            Cube::new(),
-            Cube::from_bits(&vars[..3], 0b101),
-            Cube::new(),
-            Cube::new(),
-            Cube::from_bits(&vars[4..], 1),
-            Cube::from_bits(&vars, 0b10011),
-            Cube::new(),
-        ]);
-    }
-
-    #[test]
-    fn flat_cubes_accept_a_batch_that_exactly_fills_the_offsets() {
-        let vars: Vec<Var> = (0..3).map(Var::new).collect();
-        let cubes: Vec<Cube> = DecompositionSet::new(vars).cubes().collect(); // 8 × 3
-        let flat = FlatCubes::copy_within_limit(&cubes, 24);
-        assert_eq!(flat.get(7), cubes[7].lits());
-        assert_eq!(flat.ends.last(), Some(&24));
-    }
-
-    #[test]
-    #[should_panic(expected = "a batch of 8 cubes holds 24 assumption literals, more than the 23")]
-    fn flat_cubes_refuse_a_batch_one_literal_over_the_offsets() {
-        let vars: Vec<Var> = (0..3).map(Var::new).collect();
-        let cubes: Vec<Cube> = DecompositionSet::new(vars).cubes().collect();
-        let _ = FlatCubes::copy_within_limit(&cubes, 23);
+    fn a_panic_past_recovery_reaches_the_caller_naming_slot_and_positions() {
+        let cnf = Cnf::pigeonhole(4);
+        let cubes: Vec<Cube> = DecompositionSet::new((0..3).map(Var::new))
+            .cubes()
+            .collect();
+        let config = BatchConfig::default();
+        let spec = Arc::new(BackendSpec::new(Arc::new(cnf.clone()), &config));
+        // Once on a spawned worker's slot, once on the caller's own.
+        for (broken, expected) in [(1, "positions 4..8 of 8"), (0, "positions 0..4 of 8")] {
+            let mut pool = WorkerPool::new(&spec, 2, None, None);
+            let healthy = pool.slots[broken].take_backend();
+            pool.slots[broken].backend = Resident::Ready(Box::new(BrokenBoundary(healthy)));
+            let run = |pool: &mut WorkerPool| {
+                let mut outcomes = vec![CubeOutcome::unsolved(); cubes.len()];
+                let mut totals = vec![0u64; cnf.num_vars()];
+                let mut stats = SolverStats::default();
+                let interrupt = InterruptFlag::new();
+                catch_unwind(AssertUnwindSafe(|| {
+                    pool.run_batch(
+                        &cubes,
+                        &config,
+                        &interrupt,
+                        &mut outcomes,
+                        &mut totals,
+                        &mut stats,
+                    )
+                }))
+            };
+            let payload = run(&mut pool).expect_err("the panic must reach the caller");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(
+                message.contains(&format!("oracle worker {broken} died mid-batch")),
+                "{message}"
+            );
+            assert!(message.contains(expected), "{message}");
+            // The slot is dead; the next batch runs on the other one alone.
+            assert_eq!(run(&mut pool).expect("one slot is left"), cubes.len());
+        }
     }
 }

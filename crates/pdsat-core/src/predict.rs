@@ -94,9 +94,9 @@ impl PointEvaluation {
 /// Evaluator of the predictive function for a fixed SAT instance.
 ///
 /// The evaluator is a [`CubeOracle`] client: every sampled sub-problem goes
-/// through the oracle's *persistent* worker pool and configured backend —
-/// the pool threads and their backends are created once when the evaluator
-/// is built and survive across every point evaluation, so with
+/// through the oracle's worker pool and configured backend — the pool's
+/// backends are created once when the evaluator is built and survive
+/// across every point evaluation, so with
 /// [`BackendKind::Warm`] the learnt clauses and VSIDS state accumulated at
 /// one search-space point keep paying off at the next. It accumulates
 /// per-variable conflict activity over everything it solves (the tabu search
@@ -274,7 +274,7 @@ impl Evaluator {
     /// Evaluates the predictive function at every set of `sets` with fresh
     /// random samples, lowering the whole neighborhood into **one**
     /// [`CubeOracle`] batch: one sample plan per point, concatenated and
-    /// dispatched to the oracle's persistent worker pool in a single call.
+    /// dispatched to the oracle's worker pool in a single call.
     ///
     /// Compared to a per-point loop over [`evaluate`](Self::evaluate), the
     /// batched path pays the oracle's per-batch costs (dispatch, the

@@ -247,14 +247,14 @@ impl SolveReport {
 }
 
 /// A long-lived solving-mode runner: one [`CubeOracle`] — and therefore one
-/// persistent worker pool with resident backends — reused across every
-/// family (or family slice) it processes.
+/// pool of resident backends — reused across every family (or family slice)
+/// it processes.
 ///
-/// Construction pays pool spawn and backend construction (clause-DB
-/// loading), so callers that process several families of the same formula —
-/// the Table 3 instance series, the benchmark, SAT@home simulations — hold one
-/// `FamilySolver` across them, exactly like PDSAT keeps its MiniSat worker
-/// processes alive between search-space points.
+/// Construction starts backend construction (clause-DB loading; a pool's
+/// finishes in the background), so callers that process several families of
+/// the same formula — the Table 3 instance series, the benchmark, SAT@home
+/// simulations — hold one `FamilySolver` across them, exactly like PDSAT
+/// keeps its MiniSat worker processes alive between search-space points.
 #[derive(Debug)]
 pub struct FamilySolver {
     oracle: CubeOracle,

@@ -1,13 +1,13 @@
-//! Integration tests for the oracle's persistent worker pool: sequential vs
-//! pool parity, warm-state survival across batches, the `stop_on_sat`
-//! contract, the empty/short-batch edge cases, and the placement of outcome
-//! runs where it can go wrong (stolen chunks, shuffled input, requeued and
-//! fallback cubes, `stop_on_sat` subsets).
+//! Integration tests for the oracle's worker pool: sequential vs pool
+//! parity, warm-state survival across batches, the `stop_on_sat` contract,
+//! the empty/short-batch edge cases, and the placement of outcomes where it
+//! can go wrong (stolen chunks, shuffled input, requeued and fallback cubes,
+//! `stop_on_sat` subsets).
 
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
-    FaultPlan,
+    FaultPlan, VerdictSummary,
 };
 use pdsat_solver::InterruptFlag;
 use rand::rngs::StdRng;
@@ -450,20 +450,35 @@ fn stop_on_sat_on_a_pool_reports_a_sorted_duplicate_free_subset() {
     let cubes: Vec<Cube> = DecompositionSet::new(vars).cubes().collect();
     for backend in [BackendKind::Fresh, BackendKind::Warm] {
         let flag = InterruptFlag::new();
-        let result = CubeOracle::new(
+        let mut oracle = CubeOracle::new(
             &cnf,
             BatchConfig {
                 stop_on_sat: true,
                 ..pool_of_four(backend)
             },
-        )
-        .solve_batch(&cubes, Some(&flag));
+        );
+        let result = oracle.solve_batch(&cubes, Some(&flag));
         assert!(flag.is_raised());
         assert!(result
             .outcomes
             .windows(2)
             .all(|pair| pair[0].index < pair[1].index));
-        assert!(result.outcomes.iter().all(|o| o.index < cubes.len()));
+        // Outcomes are placed in a buffer sized for the whole batch; what
+        // comes out is the solved cubes alone, never a position nobody
+        // wrote: every index is a cube's, every decided verdict is that
+        // cube's, and the undecided ones are at most the one cube each of
+        // the other three workers held when the flag went up.
+        for o in &result.outcomes {
+            assert!(o.index < cubes.len(), "{backend}: index {}", o.index);
+            if o.verdict != VerdictSummary::Unknown {
+                let sat = o.verdict == VerdictSummary::Sat;
+                assert_eq!(sat, o.index == target, "{backend}: cube {}", o.index);
+            }
+        }
+        assert!(result.verdict_counts().2 <= 3, "{backend}: placeholders");
+        let reported: u64 = result.outcomes.iter().map(|o| o.conflicts).sum();
+        assert_eq!(result.solver_stats.conflicts, reported, "{backend}");
+        assert_eq!(oracle.cubes_solved(), result.outcomes.len() as u64);
         // The one model is reported; a cube the raised flag cut short is
         // `Unknown`, never a second `Sat`.
         assert_eq!(result.verdict_counts().0, 1, "{backend}");

@@ -39,10 +39,10 @@ fn main() {
     );
     let estimate = evaluator.evaluate(&set);
     println!(
-        "Monte Carlo estimate: F = {:.1} conflicts (mean {:.2} per cube, 95% half-width ±{:.1})",
+        "Monte Carlo estimate: F = {:.1} ± {:.1} conflicts at 95% confidence (mean {:.2} per cube)",
         estimate.value(),
-        estimate.estimate.mean_cost,
         estimate.estimate.confidence_half_width(0.95),
+        estimate.estimate.mean_cost,
     );
 
     // Now process the whole family and compare.

@@ -1,6 +1,6 @@
 //! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`.
 //!
-//! Five checks, all over the source tree as text (no compiler plumbing):
+//! Six checks, all over the source tree as text (no compiler plumbing):
 //!
 //! 1. **unsafe-free**: every crate root (`lib.rs` / `main.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.
@@ -28,6 +28,11 @@
 //!    are read off the `family_counters!` list in `pdsat-core`, so the next
 //!    counter added there cannot be hand-threaded through the codec and the
 //!    tables again.
+//! 6. **batches borrow**: `crates/pdsat-core/src/oracle.rs` and the files
+//!    under `oracle/` name neither `mpsc` nor `recv_timeout` — pool threads
+//!    are scoped to a batch and hand their results back through their join,
+//!    so the channel-fed pool (and the watchdog that polled it) cannot grow
+//!    back beside them.
 
 #![forbid(unsafe_code)]
 
@@ -64,6 +69,7 @@ fn lint() -> ExitCode {
     check_knob_docs(&root, &mut errors);
     check_no_parked_code(&root, &mut errors);
     check_counters_travel_whole(&root, &mut errors);
+    check_batches_borrow(&root, &mut errors);
 
     if errors.is_empty() {
         println!("xtask lint: ok");
@@ -368,6 +374,16 @@ fn check_counters_travel_whole(root: &Path, errors: &mut Vec<String>) {
     }
 }
 
+fn check_batches_borrow(root: &Path, errors: &mut Vec<String>) {
+    let mut sources = vec![root.join("crates/pdsat-core/src/oracle.rs")];
+    rust_files(&root.join("crates/pdsat-core/src/oracle"), &mut sources);
+    let advice = "pool threads are scoped to one batch and report through their join; \
+                  keep channels and their watchdog out of the oracle";
+    for needle in ["mpsc", "recv_timeout"] {
+        forbid(root, &sources, "//", None, needle, advice, errors);
+    }
+}
+
 /// Reports every line of `files` that contains `needle` outside a comment;
 /// with `until`, only the lines before a file's first line equal to it.
 fn forbid(
@@ -398,4 +414,45 @@ fn rel(root: &Path, path: &Path) -> String {
         .unwrap_or(path)
         .to_string_lossy()
         .replace('\\', "/")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn batches_borrow_refuses_a_channel_in_the_oracle_and_ignores_comments() {
+        let root = std::env::temp_dir().join(format!("xtask-lint-{}", std::process::id()));
+        let oracle = root.join("crates/pdsat-core/src/oracle");
+        std::fs::create_dir_all(&oracle).expect("temp tree");
+        let write = |path: &str, text: &str| std::fs::write(root.join(path), text).expect("write");
+        write(
+            "crates/pdsat-core/src/oracle.rs",
+            "// mpsc went away\nmod pool;\n",
+        );
+        write("crates/pdsat-core/src/oracle/pool.rs", "use std::thread;\n");
+        let mut errors = Vec::new();
+        check_batches_borrow(&root, &mut errors);
+        assert_eq!(errors, Vec::<String>::new());
+
+        write(
+            "crates/pdsat-core/src/oracle/pool.rs",
+            "use std::sync::mpsc;\nfn f(rx: &mpsc::Receiver<u8>) {\n    let _ = rx.recv_timeout(D);\n}\n",
+        );
+        check_batches_borrow(&root, &mut errors);
+        std::fs::remove_dir_all(&root).expect("clean up");
+        let at: Vec<&str> = errors
+            .iter()
+            .map(|e| e.split(": ").next().expect("a location"))
+            .collect();
+        assert_eq!(
+            at,
+            [
+                "crates/pdsat-core/src/oracle/pool.rs:1",
+                "crates/pdsat-core/src/oracle/pool.rs:2",
+                "crates/pdsat-core/src/oracle/pool.rs:3",
+            ]
+        );
+        assert!(errors[2].contains("recv_timeout"), "{}", errors[2]);
+    }
 }
