@@ -812,7 +812,7 @@ mod tests {
         assert_eq!(&restored, coordinator.checkpoint());
 
         // A model with assigned and unassigned variables survives the codec,
-        // and so do the clause-sharing counters.
+        // and so do the reserved v1 slots, whatever number they hold.
         let mut with_model = coordinator.checkpoint().clone();
         let mut model = Assignment::new(5);
         model.assign(Var::new(0), true);

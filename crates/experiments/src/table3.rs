@@ -33,8 +33,8 @@ pub struct InstanceMeasurement {
     /// Simulated time at which the first satisfiable cube finished on the
     /// cluster, if any cube is satisfiable.
     pub finding_sat_cores: Option<f64>,
-    /// The family counters of the solving-mode run (trail reuse, clause
-    /// sharing, panic recovery), summed over the family.
+    /// The family counters of the solving-mode run (trail reuse, the
+    /// reserved v1 slots, panic recovery), summed over the family.
     pub counters: FamilyCounters,
 }
 

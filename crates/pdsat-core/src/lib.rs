@@ -107,7 +107,9 @@ pub use decomposition::{CubeIter, DecompositionSet};
 pub use driver::{
     DriverConfig, Evaluated, Observation, Proposal, SearchContext, SearchDriver, Strategy,
 };
-pub use estimator::{normal_cdf, normal_quantile, PredictiveEstimate, SampleStats};
+pub use estimator::{
+    normal_cdf, normal_quantile, student_t_quantile, PredictiveEstimate, SampleStats,
+};
 pub use fault::{FaultPlan, FaultState, RecvAction};
 pub use oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, CubeOutcome, VerdictSummary};
 pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};

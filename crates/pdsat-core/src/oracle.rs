@@ -22,12 +22,10 @@
 
 mod backend;
 mod pool;
-mod share;
 
 pub use backend::BackendKind;
 use backend::BackendSpec;
 pub(crate) use backend::{BackendOutcome, CubeBackend};
-use share::{ClauseExchange, SHARE_RING_CAPACITY};
 
 use crate::fault::FaultPlan;
 use crate::CostMetric;
@@ -154,8 +152,7 @@ impl BatchResult {
     }
 }
 
-/// Configuration of a [`CubeOracle`] (formerly of one batch run; the name is
-/// kept because the config applies to every batch the oracle processes).
+/// Configuration of a [`CubeOracle`], applied to every batch it processes.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Solver configuration used for every sub-problem.
@@ -185,18 +182,6 @@ pub struct BatchConfig {
     /// Which backend each worker runs (see [`BackendKind`] for the
     /// fresh-vs-warm trade-off).
     pub backend: BackendKind,
-    /// Cooperative clause sharing between pool workers (default `false`).
-    /// When enabled on a real pool (effective workers ≥ 2) with the warm
-    /// backend, each worker exports its glue learnt clauses
-    /// (`SolverConfig::share_lbd_max`) into a bounded per-worker ring (4096
-    /// clauses; a full ring evicts its oldest clause and counts the loss in
-    /// `SolverStats::import_dropped`) and imports the other workers' exports
-    /// at `begin_batch` and restart boundaries. Verdicts and model validity are unaffected (shared
-    /// clauses are consequences of the common formula), but per-cube costs
-    /// become schedule-dependent, so every bit-identical parity guarantee
-    /// requires the default `false`. Ignored by the sequential executor and
-    /// the fresh backend (see DESIGN.md, "Cooperative clause sharing").
-    pub clause_sharing: bool,
     /// Deterministic fault injection for the worker pool (default: the empty
     /// plan, which injects nothing and costs nothing). A non-empty plan is
     /// armed when the oracle is built and wraps every pool backend — initial
@@ -218,7 +203,6 @@ impl Default for BatchConfig {
             clamp_workers_to_cpus: true,
             stop_on_sat: false,
             backend: BackendKind::Fresh,
-            clause_sharing: false,
             fault_plan: FaultPlan::none(),
         }
     }
@@ -272,11 +256,6 @@ pub struct CubeOracle {
     spec: Arc<BackendSpec>,
     config: BatchConfig,
     exec: Executor,
-    /// The pool's clause exchange, `Some` only when
-    /// [`BatchConfig::clause_sharing`] runs on a real pool of warm backends;
-    /// kept here so per-batch ring evictions can be folded into the batch
-    /// statistics.
-    share: Option<Arc<ClauseExchange>>,
     total_stats: SolverStats,
     batches: u64,
     cubes_solved: u64,
@@ -315,31 +294,19 @@ impl CubeOracle {
             config.num_workers
         };
         let spec = Arc::new(BackendSpec::new(cnf, &config));
-        // The clause exchange only exists for a real pool of warm backends:
-        // the sequential executor has nobody to share with, and the fresh
-        // backend's iid-observation contract forbids cross-cube coupling.
-        let share =
-            (config.clause_sharing && effective_workers > 1 && config.backend == BackendKind::Warm)
-                .then(|| Arc::new(ClauseExchange::new(effective_workers, SHARE_RING_CAPACITY)));
         let exec = if effective_workers <= 1 {
-            Executor::Sequential(spec.build(None))
+            Executor::Sequential(spec.build())
         } else {
             // A non-empty fault plan is armed once per oracle; the workers
             // share its ordinal counters, so "panic on the nth solve" counts
             // solves across the whole pool.
             let faults = (!config.fault_plan.is_empty()).then(|| config.fault_plan.clone().arm());
-            Executor::Pool(WorkerPool::new(
-                &spec,
-                effective_workers,
-                share.as_ref(),
-                faults.as_ref(),
-            ))
+            Executor::Pool(WorkerPool::new(&spec, effective_workers, faults.as_ref()))
         };
         CubeOracle {
             spec,
             config,
             exec,
-            share,
             total_stats: SolverStats::default(),
             batches: 0,
             cubes_solved: 0,
@@ -471,7 +438,7 @@ impl CubeOracle {
                     let owed: Vec<usize> = (0..cubes.len())
                         .filter(|&i| outcomes[i].index == CubeOutcome::UNSOLVED)
                         .collect();
-                    let mut fallback = self.spec.build(None);
+                    let mut fallback = self.spec.build();
                     let mut resolved = 0;
                     stats.absorb(&solve_on_caller(
                         fallback.as_mut(),
@@ -495,13 +462,6 @@ impl CubeOracle {
                     outcomes.retain(|o| o.index != CubeOutcome::UNSOLVED);
                 }
             }
-        }
-
-        // Clauses evicted from full export rings are losses of the exchange,
-        // not of any one worker; attribute them to the batch that caused
-        // them.
-        if let Some(exchange) = &self.share {
-            stats.import_dropped += exchange.take_dropped();
         }
 
         debug_assert!(outcomes.is_sorted_by_key(|o| o.index));

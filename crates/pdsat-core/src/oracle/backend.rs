@@ -22,9 +22,7 @@
 use super::BatchConfig;
 use crate::CubeCounters;
 use pdsat_cnf::{Cnf, DratProof, Lit};
-use pdsat_solver::{
-    Budget, InterruptFlag, ShareChannel, Solver, SolverConfig, SolverStats, Verdict,
-};
+use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig, SolverStats, Verdict};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -170,18 +168,10 @@ impl BackendSpec {
 
     /// Builds one backend instance (one per worker, built once for the
     /// worker's lifetime).
-    ///
-    /// `share` is the worker's endpoint of the pool's clause exchange, or
-    /// `None` when sharing is off. Only the warm backend installs it: a
-    /// fresh backend's per-cube solves must be iid observations of the same
-    /// algorithm, and foreign clauses arriving mid-batch would couple them.
-    pub(crate) fn build(
-        self: &Arc<Self>,
-        share: Option<Arc<dyn ShareChannel>>,
-    ) -> Box<dyn CubeBackend> {
+    pub(crate) fn build(self: &Arc<Self>) -> Box<dyn CubeBackend> {
         match self.kind {
             BackendKind::Fresh => Box::new(FreshBackend::new(Arc::clone(self))),
-            BackendKind::Warm => Box::new(WarmBackend::new(self, share)),
+            BackendKind::Warm => Box::new(WarmBackend::new(self)),
         }
     }
 
@@ -319,16 +309,10 @@ pub(crate) struct WarmBackend {
 
 impl WarmBackend {
     /// Creates the backend, loading the formula into the persistent solver
-    /// once and installing the worker's clause-sharing endpoint on it: glue
-    /// learnt clauses are exported as they are learnt, and foreign clauses
-    /// are imported at every `begin_batch` and at the solver's own restart
-    /// boundaries (each import invalidating the saved assumption-prefix
-    /// trail, exactly like a clause addition).
-    fn new(spec: &BackendSpec, share: Option<Arc<dyn ShareChannel>>) -> WarmBackend {
-        let mut solver = spec.load_solver();
-        solver.set_share_channel(share);
+    /// once.
+    fn new(spec: &BackendSpec) -> WarmBackend {
         WarmBackend {
-            solver,
+            solver: spec.load_solver(),
             attributed: vec![0; spec.cnf.num_vars()],
             batch_start: SolverStats::default(),
             measure_wall_time: spec.measure_wall_time,
@@ -374,10 +358,7 @@ impl CubeBackend for WarmBackend {
     }
 
     fn begin_batch(&mut self) {
-        // Snapshot *before* draining the sharing channel, so the imports
-        // (and their counters) are attributed to the batch they serve.
         self.batch_start = *self.solver.stats();
-        self.solver.import_shared_clauses();
     }
 
     fn end_batch(&mut self) -> SolverStats {
@@ -437,7 +418,7 @@ mod tests {
     fn warm_backend_deltas_are_per_cube_not_cumulative() {
         let spec = spec(chain(5));
         let cnf = Arc::clone(&spec.cnf);
-        let mut backend = WarmBackend::new(&spec, None);
+        let mut backend = WarmBackend::new(&spec);
         let interrupt = InterruptFlag::new();
         let set = [Var::new(0), Var::new(4)];
         let mut total_props = 0;

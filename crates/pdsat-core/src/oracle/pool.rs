@@ -50,11 +50,10 @@
 //! counters stay zero.
 
 use super::backend::{BackendSpec, CubeBackend};
-use super::share::{ClauseExchange, WorkerShare};
 use super::{finish_outcome, BatchConfig, CubeOutcome, VerdictSummary};
 use crate::fault::{FaultState, FaultyBackend};
 use pdsat_cnf::Cube;
-use pdsat_solver::{InterruptFlag, ShareChannel, SolverStats};
+use pdsat_solver::{InterruptFlag, SolverStats};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::slice::ChunksMut;
@@ -65,9 +64,6 @@ use std::thread::{self, JoinHandle};
 #[derive(Clone)]
 struct Blueprint {
     spec: Arc<BackendSpec>,
-    /// The slot's endpoint of the clause exchange, publishing into the
-    /// slot's own shard and draining every other one.
-    endpoint: Option<Arc<dyn ShareChannel>>,
     /// When armed, every backend is wrapped in a [`FaultyBackend`] so the
     /// plan's solve panics and respawn failures fire inside the pool.
     faults: Option<Arc<FaultState>>,
@@ -75,7 +71,7 @@ struct Blueprint {
 
 impl Blueprint {
     fn build(&self) -> Box<dyn CubeBackend> {
-        let inner = self.spec.build(self.endpoint.clone());
+        let inner = self.spec.build();
         match &self.faults {
             Some(f) => Box::new(FaultyBackend::new(inner, Arc::clone(f))),
             None => inner,
@@ -293,16 +289,12 @@ impl WorkerPool {
     pub(super) fn new(
         spec: &Arc<BackendSpec>,
         num_workers: usize,
-        share: Option<&Arc<ClauseExchange>>,
         faults: Option<&Arc<FaultState>>,
     ) -> WorkerPool {
         let slots = (0..num_workers)
-            .map(|slot| {
+            .map(|_| {
                 let blueprint = Blueprint {
                     spec: Arc::clone(spec),
-                    endpoint: share.map(|ex| {
-                        Arc::new(WorkerShare::new(Arc::clone(ex), slot)) as Arc<dyn ShareChannel>
-                    }),
                     faults: faults.cloned(),
                 };
                 let building = {
@@ -465,7 +457,7 @@ mod tests {
         let spec = Arc::new(BackendSpec::new(Arc::new(cnf.clone()), &config));
         // Once on a spawned worker's slot, once on the caller's own.
         for (broken, expected) in [(1, "positions 4..8 of 8"), (0, "positions 0..4 of 8")] {
-            let mut pool = WorkerPool::new(&spec, 2, None, None);
+            let mut pool = WorkerPool::new(&spec, 2, None);
             let healthy = pool.slots[broken].take_backend();
             pool.slots[broken].backend = Resident::Ready(Box::new(BrokenBoundary(healthy)));
             let run = |pool: &mut WorkerPool| {

@@ -34,11 +34,6 @@ pub struct SolveModeConfig {
     /// per worker matches PDSAT's long-lived MiniSat worker processes and is
     /// much faster than reloading the clause database for every cube.
     pub backend: BackendKind,
-    /// Cooperative clause sharing between the pool workers (default
-    /// `false`; see [`BatchConfig::clause_sharing`]). Verdicts and model
-    /// validity are unaffected, but per-cube costs become
-    /// schedule-dependent, so bit-identical runs require the default.
-    pub clause_sharing: bool,
 }
 
 impl Default for SolveModeConfig {
@@ -50,7 +45,6 @@ impl Default for SolveModeConfig {
             num_workers: 1,
             stop_on_sat: false,
             backend: BackendKind::Warm,
-            clause_sharing: false,
         }
     }
 }
@@ -58,9 +52,13 @@ impl Default for SolveModeConfig {
 /// Declares [`FamilyCounters`] from one ordered list: the fields, the
 /// conversion from [`SolverStats`], the sum and the ordered views are all
 /// generated from it. The list order is the order of the counters in the v1
-/// coordinator checkpoint's unit line, so it only ever grows at the end.
+/// coordinator checkpoint's unit line, so it only ever grows at the end, and
+/// a counter whose source is gone stays in its place as `name: reserved` — a
+/// slot that still loads, sums and re-serialises but that no run fills.
 macro_rules! family_counters {
-    ($($(#[$doc:meta])* $field:ident,)*) => {
+    (@from $stats:ident.$field:ident) => { $stats.$field };
+    (@from $stats:ident.$field:ident reserved) => { 0 };
+    ($($(#[$doc:meta])* $field:ident $(: $reserved:ident)?,)*) => {
         /// The counters a family carries from the solvers that processed it
         /// to the report, the checkpoint and the result tables, each summed
         /// over the family's cubes.
@@ -88,7 +86,9 @@ macro_rules! family_counters {
 
         impl From<&SolverStats> for FamilyCounters {
             fn from(stats: &SolverStats) -> FamilyCounters {
-                FamilyCounters { $($field: stats.$field,)* }
+                FamilyCounters {
+                    $($field: family_counters!(@from stats.$field $($reserved)?),)*
+                }
             }
         }
 
@@ -106,14 +106,13 @@ family_counters! {
     reused_assumptions,
     /// Assumption/propagation replays skipped by trail reuse.
     saved_propagations,
-    /// Learnt clauses exported to the cooperative clause-sharing channel;
-    /// zero unless [`SolveModeConfig::clause_sharing`] ran on a real pool.
-    exported_clauses,
-    /// Foreign clauses imported from the channel and attached.
-    imported_clauses,
-    /// Shared clauses lost on the way: ring evictions plus imports the
-    /// receiving solver could not attach.
-    import_dropped,
+    /// Field 9 of the v1 checkpoint's unit line: learnt clauses the pool
+    /// workers offered each other, while they still exchanged any.
+    exported_clauses: reserved,
+    /// Field 10: the clauses a worker took from the others.
+    imported_clauses: reserved,
+    /// Field 11: the offered clauses no worker took.
+    import_dropped: reserved,
     /// Pool worker backends that panicked mid-cube and were quarantined and
     /// respawned. Zero on every fault-free run.
     worker_panics,
@@ -272,7 +271,6 @@ impl FamilySolver {
             num_workers: config.num_workers,
             stop_on_sat: config.stop_on_sat,
             backend: config.backend,
-            clause_sharing: config.clause_sharing,
             ..BatchConfig::default()
         };
         FamilySolver {

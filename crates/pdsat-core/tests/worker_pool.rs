@@ -2,14 +2,17 @@
 //! parity, warm-state survival across batches, the `stop_on_sat` contract,
 //! the empty/short-batch edge cases, and the placement of outcomes where it
 //! can go wrong (stolen chunks, shuffled input, requeued and fallback cubes,
-//! `stop_on_sat` subsets).
+//! `stop_on_sat` subsets), and the certificates of a warm pool that keeps
+//! its proof streams across batches.
 
+use pdsat_checker::check_unsat_proof;
+use pdsat_ciphers::{Grain, InstanceBuilder, A51};
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
     FaultPlan, VerdictSummary,
 };
-use pdsat_solver::InterruptFlag;
+use pdsat_solver::{InterruptFlag, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -483,5 +486,80 @@ fn stop_on_sat_on_a_pool_reports_a_sorted_duplicate_free_subset() {
         // `Unknown`, never a second `Sat`.
         assert_eq!(result.verdict_counts().0, 1, "{backend}");
         assert_eq!(result.first_sat().map(|o| o.index), Some(target));
+    }
+}
+
+#[test]
+fn warm_pool_certificates_check_batch_after_batch() {
+    // Each resident warm solver keeps one proof stream for its whole life,
+    // and which cubes feed it changes with every shuffled batch and every
+    // stolen chunk. Whatever it has learnt by then, the certificate it hands
+    // out for an UNSAT cube must check against the formula and that cube.
+    // Cubes over the first 5 unknown state bits leave a real search inside
+    // each sub-problem, so clauses are learnt and the streams grow.
+    let mut a51_rng = StdRng::seed_from_u64(0x51A7_0A51);
+    let a51 = InstanceBuilder::new(A51::new())
+        .keystream_len(48)
+        .known_suffix_of_second_register(50)
+        .build_random(&mut a51_rng);
+    let mut grain_rng = StdRng::seed_from_u64(0x51A7_62A1);
+    let grain = InstanceBuilder::new(Grain::new())
+        .keystream_len(28)
+        .known_suffix_of_second_register(130)
+        .build_random(&mut grain_rng);
+    for (label, instance, mut rng) in [("a51", a51, a51_rng), ("grain", grain, grain_rng)] {
+        let cnf = instance.cnf();
+        let set = DecompositionSet::new(instance.unknown_state_vars().into_iter().take(5));
+        let mut cubes: Vec<Cube> = set.cubes().collect();
+        assert_eq!(cubes.len(), 32);
+
+        let proving = |workers| BatchConfig {
+            num_workers: workers,
+            solver_config: SolverConfig {
+                proof: true,
+                ..SolverConfig::default()
+            },
+            ..pool_of_four(BackendKind::Warm)
+        };
+        let mut pool = CubeOracle::new(cnf, proving(4));
+        let mut one = CubeOracle::new(cnf, proving(1));
+        assert_eq!(pool.num_workers(), 4);
+        let mut certified = 0;
+        for pass in 0..3 {
+            for i in (1..cubes.len()).rev() {
+                cubes.swap(i, rng.gen_range(0..=i));
+            }
+            let result = pool.solve_batch(&cubes, None);
+            let reference = one.solve_batch(&cubes, None);
+            assert_indices_are_the_whole_batch(&result, cubes.len());
+            for (outcome, expected) in result.outcomes.iter().zip(&reference.outcomes) {
+                let context = format!("{label}: pass {pass}, cube {}", outcome.index);
+                let cube = cubes[outcome.index].lits();
+                assert_eq!(outcome.verdict, expected.verdict, "{context}");
+                match outcome.verdict {
+                    VerdictSummary::Sat => {
+                        let model = outcome.model.as_ref().expect("a SAT cube has a model");
+                        assert!(cnf.is_satisfied_by(model), "{context}");
+                        assert!(
+                            cube.iter()
+                                .all(|&l| model.lit_value(l).to_bool() == Some(true)),
+                            "{context}"
+                        );
+                    }
+                    VerdictSummary::Unsat => {
+                        let proof = outcome.proof.as_ref().expect("an UNSAT cube has a proof");
+                        check_unsat_proof(cnf, cube, proof)
+                            .unwrap_or_else(|failure| panic!("{context}: {failure}"));
+                        certified += 1;
+                    }
+                    VerdictSummary::Unknown => panic!("{context}: undecided"),
+                }
+            }
+        }
+        assert!(certified > 0, "{label}: no UNSAT cube to certify");
+        assert!(
+            pool.total_stats().conflicts > 0,
+            "{label}: nothing was learnt"
+        );
     }
 }

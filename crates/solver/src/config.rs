@@ -77,14 +77,6 @@ pub struct SolverConfig {
     /// bit-identical to a build without the feature (logging is pure
     /// observation; see DESIGN.md, "Proof logging & certificate checking").
     pub proof: bool,
-    /// Learnt clauses with LBD (glue) at or below this bound are offered to
-    /// the clause-sharing channel when one is installed via
-    /// `Solver::set_share_channel` (default `2`, the classic "glue clause"
-    /// threshold); unit and binary learnt clauses are always eligible
-    /// regardless of the bound. With no channel installed — the default —
-    /// the knob has no effect and the solver is bit-identical to a build
-    /// without the feature (see DESIGN.md, "Cooperative clause sharing").
-    pub share_lbd_max: u32,
 }
 
 impl Default for SolverConfig {
@@ -99,7 +91,6 @@ impl Default for SolverConfig {
             trail_reuse: true,
             time_accounting: true,
             proof: false,
-            share_lbd_max: 2,
         }
     }
 }
@@ -117,7 +108,6 @@ mod tests {
         assert!((cfg.garbage_frac - 0.20).abs() < 1e-12);
         assert!(cfg.trail_reuse);
         assert!(!cfg.proof, "proof logging is opt-in");
-        assert_eq!(cfg.share_lbd_max, 2, "share only glue clauses by default");
     }
 
     #[test]

@@ -41,7 +41,6 @@ mod config;
 mod heap;
 mod luby;
 mod proof;
-mod share;
 mod solver;
 mod stats;
 
@@ -49,6 +48,5 @@ pub use budget::{Budget, InterruptFlag, StopReason};
 pub use config::SolverConfig;
 pub use luby::luby;
 pub use proof::ProofLogger;
-pub use share::{ShareChannel, SharedClause};
 pub use solver::{Solver, Verdict};
 pub use stats::SolverStats;

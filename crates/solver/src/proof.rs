@@ -2,19 +2,19 @@
 //!
 //! When [`SolverConfig::proof`](crate::SolverConfig::proof) is enabled the
 //! solver owns one [`ProofLogger`] and appends a [`DratStep`] for every
-//! clause it derives or discards: learnt clauses from conflict analysis,
-//! accepted imports and learnt-DB reductions. The stream is *persistent
-//! across solve calls*: learnt clauses are consequences of the formula alone
+//! clause it derives or discards: learnt clauses from conflict analysis
+//! and learnt-DB reductions. The stream is *persistent across solve
+//! calls*: learnt clauses are consequences of the formula alone
 //! (assumptions enter the search only as decisions, so they are resolved
 //! away or appear as negated literals in learnt clauses), which lets one
 //! incremental solver serve per-cube certificates by cloning the shared
 //! stream and appending the terminal empty clause.
 //!
 //! Every addition the solver emits is RUP — first-UIP learnt clauses
-//! (including minimized ones) and RUP-probed imports are derivable by reverse
-//! unit propagation from the clauses present at emission time — so the
-//! lenient forward checker in `crates/checker` accepts the stream without
-//! needing RAT checks.
+//! (including minimized ones) are derivable by reverse unit propagation
+//! from the clauses present at emission time — so the lenient forward
+//! checker in `crates/checker` accepts the stream without needing RAT
+//! checks.
 
 use pdsat_cnf::{DratProof, DratStep, Lit};
 

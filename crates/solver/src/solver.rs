@@ -5,10 +5,8 @@ use crate::config::{CLAUSE_DECAY, DEFAULT_POLARITY, LEARNTSIZE_INC, PROTECTED_LB
 use crate::heap::VarOrderHeap;
 use crate::luby::luby;
 use crate::proof::ProofLogger;
-use crate::share::{ShareChannel, SharedClause};
 use crate::{Budget, InterruptFlag, SolverConfig, SolverStats, StopReason};
 use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value, Var};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Result of a solve call.
@@ -169,12 +167,6 @@ pub struct Solver {
     /// only as decisions), so one incremental solver serves per-cube UNSAT
     /// certificates by cloning the stream (see [`Solver::unsat_certificate`]).
     proof: Option<ProofLogger>,
-    /// Clause-sharing endpoint, `None` unless installed by an executor via
-    /// [`Solver::set_share_channel`]. Eligible learnt clauses are exported at
-    /// learning time; foreign clauses are imported at root-level boundaries
-    /// (explicit [`Solver::import_shared_clauses`] calls and restarts).
-    /// Cloning the solver shares the endpoint handle.
-    share: Option<Arc<dyn ShareChannel>>,
     /// Whether the most recent solve call answered [`Verdict::Unsat`]
     /// (including assumption-scoped UNSAT, which does not clear `ok`).
     last_solve_unsat: bool,
@@ -219,7 +211,6 @@ impl Clone for Solver {
             levels_buf,
             toclear_buf,
             proof,
-            share,
             last_solve_unsat,
             stats,
             max_learnts,
@@ -248,7 +239,6 @@ impl Clone for Solver {
         self.levels_buf.clone_from(levels_buf);
         self.toclear_buf.clone_from(toclear_buf);
         self.proof.clone_from(proof);
-        self.share.clone_from(share);
         self.last_solve_unsat = *last_solve_unsat;
         self.stats = *stats;
         self.max_learnts = *max_learnts;
@@ -309,7 +299,6 @@ impl Solver {
             levels_buf: Vec::new(),
             toclear_buf: Vec::new(),
             proof,
-            share: None,
             last_solve_unsat: false,
             stats: SolverStats::default(),
             max_learnts: 0.0,
@@ -513,169 +502,6 @@ impl Solver {
         }
     }
 
-    /// Installs (or removes) the clause-sharing endpoint. Eligible learnt
-    /// clauses (units, binaries, LBD ≤ [`SolverConfig::share_lbd_max`]) are
-    /// exported to the channel as they are learnt; foreign clauses are
-    /// imported at restart boundaries and whenever the owning executor calls
-    /// [`Solver::import_shared_clauses`]. With no channel installed the
-    /// solver behaves bit-identically to a build without the feature.
-    pub fn set_share_channel(&mut self, channel: Option<Arc<dyn ShareChannel>>) {
-        self.share = channel;
-    }
-
-    /// Attaches foreign clauses received from a clause-sharing channel.
-    ///
-    /// Every shared clause must be a consequence of the loaded formula (the
-    /// contract of [`ShareChannel`]: exporters learn on the same base
-    /// formula, with assumptions entering only as decisions). Import happens
-    /// at the root level and — exactly like [`Solver::add_clause`] — drops
-    /// any assumption trail retained for reuse
-    /// ([`SolverConfig::trail_reuse`]), since a foreign clause may be
-    /// falsified or unit under the retained assignments.
-    ///
-    /// Unit clauses are applied immediately (enqueued and propagated at the
-    /// root, tightening the root trail for every subsequent solve call);
-    /// longer clauses are attached as learnt clauses with the exporter's LBD.
-    /// Clauses that cannot be soundly attached are dropped and counted in
-    /// `SolverStats::import_dropped`: clauses already satisfied at the root
-    /// and — when proof logging is on — clauses that fail the
-    /// reverse-unit-propagation probe
-    /// (each accepted import is logged as a DRAT addition, so the persistent
-    /// stream and every later [`Solver::unsat_certificate`] stay checkable;
-    /// an addition the checker could not re-derive must not be logged, and
-    /// attaching it unlogged would desync the stream, so it is skipped).
-    ///
-    /// Returns `false` when the imports prove the formula unsatisfiable at
-    /// the root level (the solver is left in its permanent UNSAT state).
-    pub fn import_clauses<I: IntoIterator<Item = SharedClause>>(&mut self, clauses: I) -> bool {
-        self.cancel_until(0);
-        self.saved_assumptions.clear();
-        for clause in clauses {
-            if !self.ok {
-                break;
-            }
-            self.import_one(clause);
-        }
-        self.ok
-    }
-
-    /// Drains the installed clause-sharing channel (if any) and imports the
-    /// fetched clauses via [`Solver::import_clauses`]. Returns `true` when at
-    /// least one clause was fetched — in which case the saved assumption
-    /// prefix has been invalidated — and `false` when there was nothing to
-    /// import (the retained trail is left untouched). Executors call this at
-    /// batch boundaries; the solver itself calls it at restarts.
-    pub fn import_shared_clauses(&mut self) -> bool {
-        let Some(channel) = self.share.clone() else {
-            return false;
-        };
-        let mut incoming = Vec::new();
-        channel.fetch(&mut incoming);
-        if incoming.is_empty() {
-            return false;
-        }
-        self.import_clauses(incoming);
-        true
-    }
-
-    /// Normalizes and attaches one shared clause at the root level (see
-    /// [`Solver::import_clauses`] for the accept/drop policy).
-    fn import_one(&mut self, clause: SharedClause) {
-        debug_assert_eq!(self.decision_level(), 0);
-        let SharedClause { mut lits, lbd } = clause;
-        if let Some(max) = lits.iter().map(|l| l.var().index()).max() {
-            self.ensure_vars(max + 1);
-        }
-        // Normalize exactly like `add_clause`.
-        lits.sort_unstable();
-        lits.dedup();
-        let mut tautology = false;
-        lits.retain(|&l| self.lit_value(l) != Value::False);
-        for w in lits.windows(2) {
-            if w[0].var() == w[1].var() {
-                tautology = true;
-            }
-        }
-        if tautology || lits.iter().any(|&l| self.lit_value(l) == Value::True) {
-            // Nothing to learn at this root; common once an imported unit
-            // satisfied later arrivals.
-            self.stats.import_dropped += 1;
-            return;
-        }
-        if self.proof.is_some() {
-            // With proof logging on, an import may only enter the database if
-            // the checker will accept it: probe that the clause is derivable
-            // by reverse unit propagation from the clauses present right now.
-            // A foreign learnt is implied by the shared base formula but not
-            // necessarily by *this* solver's clause set, so failures are
-            // expected — drop, never attach unlogged.
-            if self.probe_rup(&lits) {
-                if let Some(p) = self.proof.as_mut() {
-                    p.add(&lits);
-                }
-            } else {
-                self.stats.import_dropped += 1;
-                return;
-            }
-        }
-        if lits.is_empty() {
-            // Every literal was false at the root (only reachable with proof
-            // logging off; the RUP probe of an empty clause cannot conflict
-            // at a root fixpoint, so the proof path dropped it above).
-            self.ok = false;
-            return;
-        }
-        self.stats.imported_clauses += 1;
-        if lits.len() == 1 {
-            // Apply foreign units immediately: tighten the root trail so
-            // every subsequent solve starts from the stronger fixpoint.
-            self.unchecked_enqueue(lits[0], None);
-            if self.propagate().is_some() {
-                self.ok = false;
-                if let Some(p) = self.proof.as_mut() {
-                    p.add_empty();
-                }
-            }
-        } else {
-            let len = lits.len() as u32;
-            let cref = self.db.add(&lits, true, lbd.clamp(1, len));
-            self.learnts.push(cref);
-            self.attach_clause(cref);
-            self.stats.learnt_clauses += 1;
-        }
-    }
-
-    /// Reverse-unit-propagation probe at the root: `true` when assuming the
-    /// negations of `lits` propagates to a conflict, i.e. logging the clause
-    /// as a DRAT addition keeps the stream checkable. Runs on a temporary
-    /// decision level and unwinds completely; the only traces are
-    /// propagation counts and saved phases.
-    fn probe_rup(&mut self, lits: &[Lit]) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        self.new_decision_level();
-        let mut conflict = false;
-        for &l in lits {
-            match self.lit_value(l) {
-                // An earlier probe propagation already satisfies `l`: the
-                // clause is implied by the negations enqueued so far.
-                Value::True => {
-                    conflict = true;
-                    break;
-                }
-                Value::False => {}
-                Value::Unassigned => {
-                    self.unchecked_enqueue(!l, None);
-                    if self.propagate().is_some() {
-                        conflict = true;
-                        break;
-                    }
-                }
-            }
-        }
-        self.cancel_until(0);
-        conflict
-    }
-
     /// Solves the current formula without assumptions and without limits.
     pub fn solve(&mut self) -> Verdict {
         self.solve_limited(&[], &Budget::unlimited(), None)
@@ -763,15 +589,6 @@ impl Solver {
                 SearchStatus::Restart => {
                     self.stats.restarts += 1;
                     curr_restarts += 1;
-                    // Restarts are the in-solve import boundary of the
-                    // clause-sharing channel: the import backtracks to the
-                    // root (invalidating the saved assumption prefix exactly
-                    // like `add_clause`), and the next search round simply
-                    // re-establishes the assumptions as decisions.
-                    if self.import_shared_clauses() && !self.ok {
-                        self.retract_after_solve(assumptions);
-                        return Verdict::Unsat;
-                    }
                     // With trail reuse the established assumption levels
                     // survive the restart (they would be re-derived
                     // identically: restarts fire at propagation fixpoints,
@@ -824,15 +641,6 @@ impl Solver {
                 // against the clause database at learning time.
                 if let Some(p) = self.proof.as_mut() {
                     p.add(&self.learnt_buf);
-                }
-                // Offer the learnt clause to the sharing channel: units and
-                // binaries always travel, longer clauses only when their LBD
-                // qualifies them as glue (`SolverConfig::share_lbd_max`).
-                if let Some(ch) = self.share.clone() {
-                    if self.learnt_buf.len() <= 2 || lbd <= self.config.share_lbd_max {
-                        ch.export(&self.learnt_buf, lbd);
-                        self.stats.exported_clauses += 1;
-                    }
                 }
                 if self.learnt_buf.len() == 1 {
                     self.unchecked_enqueue(self.learnt_buf[0], None);

@@ -74,17 +74,6 @@ solver_stats! {
     /// propagation count a fresh-backtracking solver would have paid on top
     /// of `propagations`.
     saved_propagations: u64,
-    /// Number of learnt clauses offered to the clause-sharing channel (zero
-    /// unless a channel is installed; see `SolverConfig::share_lbd_max`).
-    exported_clauses: u64,
-    /// Number of foreign clauses fetched from the clause-sharing channel and
-    /// attached (units are applied at the root level immediately).
-    imported_clauses: u64,
-    /// Number of shared clauses lost on the way in: evicted from a full
-    /// export ring, or fetched but not attached (already satisfied at the
-    /// root, or not derivable by unit propagation while proof logging
-    /// demands a checkable addition).
-    import_dropped: u64,
     /// Number of pool worker backends that panicked mid-cube and were
     /// quarantined and respawned (always zero for a lone solver; bumped by
     /// the oracle's worker pool, which owns the panic recovery).

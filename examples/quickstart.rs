@@ -38,6 +38,8 @@ fn main() {
         },
     );
     let estimate = evaluator.evaluate(&set);
+    // The ± is eq. (3)'s δ·σ/√N, with δ from Student's t at N − 1 = 31
+    // degrees of freedom (2.04; the normal 1.96 under-covers at this N).
     println!(
         "Monte Carlo estimate: F = {:.1} ± {:.1} conflicts at 95% confidence (mean {:.2} per cube)",
         estimate.value(),

@@ -326,23 +326,31 @@ fn check_no_parked_code(root: &Path, errors: &mut Vec<String>) {
 fn family_counter_names(root: &Path) -> Result<Vec<String>, String> {
     let path = root.join("crates/pdsat-core/src/solve_mode.rs");
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse_family_counters(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// The names a `family_counters!` invocation in `text` lists, in order: one
+/// `name,` or `name: reserved,` a line — a reserved slot is still a counter
+/// nothing outside the list may name.
+fn parse_family_counters(text: &str) -> Result<Vec<String>, String> {
     let header = "\nfamily_counters! {\n";
-    let start = text
-        .find(header)
-        .ok_or_else(|| format!("{}: `family_counters! {{` not found", path.display()))?;
+    let start = text.find(header).ok_or("`family_counters! {` not found")?;
     let body = &text[start + header.len()..];
-    let end = body
-        .find("\n}")
-        .ok_or_else(|| format!("{}: unterminated family_counters!", path.display()))?;
+    let end = body.find("\n}").ok_or("unterminated family_counters!")?;
     let names: Vec<String> = body[..end]
         .lines()
         .map(str::trim)
         .filter(|line| !line.starts_with("//"))
         .filter_map(|line| line.strip_suffix(','))
-        .map(String::from)
+        .map(|entry| {
+            entry
+                .strip_suffix(": reserved")
+                .unwrap_or(entry)
+                .to_string()
+        })
         .collect();
     if names.is_empty() {
-        return Err(format!("{}: no family counters parsed", path.display()));
+        return Err("no family counters parsed".to_string());
     }
     Ok(names)
 }
@@ -419,6 +427,24 @@ fn rel(root: &Path, path: &Path) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn family_counters_are_parsed_with_their_reserved_slots() {
+        let text = "macro_rules! family_counters {\n    () => {};\n}\n\n\
+                    family_counters! {\n    /// Reused.\n    reused_assumptions,\n    \
+                    /// Field 9.\n    exported_clauses: reserved,\n    // a comment,\n    \
+                    requeued_cubes,\n}\n\nfn after() {}\n";
+        assert_eq!(
+            parse_family_counters(text),
+            Ok(vec![
+                "reused_assumptions".to_string(),
+                "exported_clauses".to_string(),
+                "requeued_cubes".to_string(),
+            ])
+        );
+        assert!(parse_family_counters("family_counters! {\n}\n").is_err());
+        assert!(parse_family_counters("\nfamily_counters! {\n    a,\n").is_err());
+    }
 
     #[test]
     fn batches_borrow_refuses_a_channel_in_the_oracle_and_ignores_comments() {
