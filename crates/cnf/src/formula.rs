@@ -7,7 +7,7 @@ use std::fmt;
 /// A formula in conjunctive normal form over variables `x_0 … x_{n-1}`.
 ///
 /// The formula owns its clauses; it is the exchange format between the
-/// encoders ([`pdsat-circuit`/`pdsat-ciphers`]), the solver and the
+/// encoders (`pdsat-circuit` / `pdsat-ciphers`), the solver and the
 /// partitioning machinery.
 ///
 /// # Example

@@ -287,7 +287,7 @@ pub fn a51_manual_reference_set(instance: &Instance) -> DecompositionSet {
 }
 
 /// The Eibach-et-al.-style fixed Bivium strategy: the last `k` unknown cells
-/// of the second register (the best fixed strategy of [5] uses the last 45
+/// of the second register (the best fixed strategy of \[5\] uses the last 45
 /// cells of register B).
 #[must_use]
 pub fn bivium_fixed_strategy_set(instance: &Instance, k: usize) -> DecompositionSet {

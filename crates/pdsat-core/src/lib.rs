@@ -66,6 +66,8 @@
 //! );
 //! let batch = oracle.solve_batch(&cubes, None);
 //! assert_eq!(batch.verdict_counts(), (0, 16, 0)); // all 2^4 cubes UNSAT
+//! // Results are columns by batch position: one cost and one verdict per cube.
+//! assert_eq!(batch.costs.iter().sum::<f64>(), batch.solver_stats.conflicts as f64);
 //!
 //! // Search for a good decomposition set over the first 6 variables: one
 //! // driver, an exchangeable strategy, an evaluator that batches whole
@@ -111,7 +113,7 @@ pub use estimator::{
     normal_cdf, normal_quantile, student_t_quantile, PredictiveEstimate, SampleStats,
 };
 pub use fault::{FaultPlan, FaultState, RecvAction};
-pub use oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, CubeOutcome, VerdictSummary};
+pub use oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, VerdictSummary};
 pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};
 pub use restart::{RandomRestart, RandomRestartConfig};
 pub use search::{

@@ -10,7 +10,7 @@
 //! one backend per worker is built when the oracle is and lives as long as
 //! it does — the analogue of a PDSAT worker's solver state — while the
 //! worker *threads* are scoped to one batch each, so they read the caller's
-//! cubes and write the result buffer in place. The executor applies per-cube
+//! cubes and write the result columns in place. The executor applies per-cube
 //! [`Budget`]s, fans an [`InterruptFlag`] out to every worker, merges
 //! per-worker [`SolverStats`] and conflict-count accumulators once per
 //! batch.
@@ -46,72 +46,46 @@ pub enum VerdictSummary {
     Unknown,
 }
 
-/// Result of solving one cube of a batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CubeOutcome {
-    /// Index of the cube in the submitted batch.
-    pub index: usize,
-    /// Measured cost under the configured [`CostMetric`].
-    pub cost: f64,
-    /// Verdict of the sub-problem.
-    pub verdict: VerdictSummary,
-    /// Number of conflicts spent on the sub-problem.
-    pub conflicts: u64,
-    /// A model of `C ∧ cube`, when the sub-problem was satisfiable and model
-    /// collection was enabled.
-    pub model: Option<Assignment>,
-    /// DRAT certificate of an UNSAT verdict, checkable against the original
-    /// formula with the cube's literals as root assumptions. Present exactly
-    /// when [`SolverConfig::proof`] is enabled and the verdict is UNSAT.
-    /// Skipped by the wire codec — certificates are checked at ingestion and
-    /// stripped, never persisted.
-    pub proof: Option<DratProof>,
-}
-
-impl CubeOutcome {
-    /// The `index` of a placeholder; no batch has that many cubes.
-    const UNSOLVED: usize = usize::MAX;
-
-    /// What a pool batch's result buffer holds at a position until the
-    /// cube's outcome is written there. Never reported.
-    fn unsolved() -> CubeOutcome {
-        CubeOutcome {
-            index: CubeOutcome::UNSOLVED,
-            cost: 0.0,
-            verdict: VerdictSummary::Unknown,
-            conflicts: 0,
-            model: None,
-            proof: None,
-        }
-    }
-}
-
-/// Result of processing a whole batch.
+/// Result of processing a whole batch, as columns: position `i` of `costs`
+/// and `verdicts` is cube `i` of the submitted batch on every path.
 ///
 /// # The `stop_on_sat` contract
 ///
-/// With [`BatchConfig::stop_on_sat`] set, `outcomes` contains **exactly the
-/// cubes that were solved before the raised flag was observed**, sorted by
-/// cube index — every solved cube is reported, none are silently dropped,
-/// and `solver_stats` / `var_conflict_totals` cover precisely the reported
-/// outcomes. Workers stop claiming new cubes as soon as they observe the
-/// raised flag (the flag is re-checked before every cube), so unclaimed
-/// cubes are simply never started. With one worker the reported outcomes
-/// form a *prefix* of the batch; with a pool they are a subset whose exact
-/// membership depends on scheduling, because each worker may complete the
-/// cube it is holding when the flag goes up. Both paths honor the same
-/// contract; only the prefix-ness is a single-worker refinement.
+/// With [`BatchConfig::stop_on_sat`] set, `verdicts[i]` is `Some` for
+/// **exactly the cubes that were solved before the raised flag was
+/// observed** and `None` (with a cost of zero) for the others — every solved
+/// cube is reported, none are silently dropped, and `solver_stats` /
+/// `var_conflict_totals` cover precisely the solved cubes. Workers stop
+/// claiming new cubes as soon as they observe the raised flag (the flag is
+/// re-checked before every cube), so unclaimed cubes are simply never
+/// started. With one worker the solved cubes form a *prefix* of the batch;
+/// with a pool they are a subset whose exact membership depends on
+/// scheduling, because each worker may complete the cube it is holding when
+/// the flag goes up. Both paths honor the same contract; only the
+/// prefix-ness is a single-worker refinement.
 ///
-/// Without `stop_on_sat`, a raised external interrupt does *not* shrink
-/// `outcomes`: every cube is still claimed and reported, with the ones the
-/// interrupt cut short appearing as [`VerdictSummary::Unknown`] (the
-/// equivalent of PDSAT's leader abandoning a point — the workers drain the
-/// batch cheaply rather than abandoning it).
+/// Without `stop_on_sat` no verdict is `None`, and a raised external
+/// interrupt does *not* change that: every cube is still claimed and
+/// reported, with the ones the interrupt cut short appearing as
+/// [`VerdictSummary::Unknown`] (the equivalent of PDSAT's leader abandoning
+/// a point — the workers drain the batch cheaply rather than abandoning it).
 #[derive(Debug, Clone)]
 pub struct BatchResult {
-    /// Per-cube outcomes, sorted by cube index (see the `stop_on_sat`
-    /// contract above for which cubes appear).
-    pub outcomes: Vec<CubeOutcome>,
+    /// Measured cost of every cube under the configured [`CostMetric`]; zero
+    /// where the verdict is `None`.
+    pub costs: Vec<f64>,
+    /// Verdict of every cube — one byte each; `None` is "never solved" (see
+    /// the `stop_on_sat` contract above).
+    pub verdicts: Vec<Option<VerdictSummary>>,
+    /// A model of `C ∧ cube` for every satisfiable cube, by batch position,
+    /// ascending.
+    pub models: Vec<(usize, Assignment)>,
+    /// DRAT certificate of every UNSAT verdict, by batch position, ascending;
+    /// checkable against the original formula with the cube's literals as
+    /// root assumptions. Filled exactly when [`SolverConfig::proof`] is
+    /// enabled. Certificates are checked at ingestion and stripped, never
+    /// persisted.
+    pub proofs: Vec<(usize, DratProof)>,
     /// Per-variable conflict participation, summed over all sub-problems of
     /// the batch (used as the "conflict activity" of the tabu heuristic).
     /// Accumulated per worker and merged once per batch — nothing
@@ -124,25 +98,27 @@ pub struct BatchResult {
 }
 
 impl BatchResult {
-    /// Costs in cube-index order, borrowed from the outcomes (no allocation).
-    pub fn costs(&self) -> impl Iterator<Item = f64> + '_ {
-        self.outcomes.iter().map(|o| o.cost)
+    /// The result of a batch of `cubes` cubes none of which is solved yet.
+    /// The zeroed cost column is not touched here: its pages are faulted in
+    /// by whichever worker writes them.
+    fn unsolved(cubes: usize, num_vars: usize) -> BatchResult {
+        BatchResult {
+            costs: vec![0.0; cubes],
+            verdicts: vec![None; cubes],
+            models: Vec::new(),
+            proofs: Vec::new(),
+            var_conflict_totals: vec![0; num_vars],
+            solver_stats: SolverStats::default(),
+            wall_time: Duration::ZERO,
+        }
     }
 
-    /// First satisfiable outcome (lowest cube index), if any.
-    #[must_use]
-    pub fn first_sat(&self) -> Option<&CubeOutcome> {
-        self.outcomes
-            .iter()
-            .find(|o| o.verdict == VerdictSummary::Sat)
-    }
-
-    /// Counts of (sat, unsat, unknown) outcomes.
+    /// Counts of (sat, unsat, unknown) verdicts among the solved cubes.
     #[must_use]
     pub fn verdict_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
-        for o in &self.outcomes {
-            match o.verdict {
+        for verdict in self.verdicts.iter().flatten() {
+            match verdict {
                 VerdictSummary::Sat => counts.0 += 1,
                 VerdictSummary::Unsat => counts.1 += 1,
                 VerdictSummary::Unknown => counts.2 += 1,
@@ -230,7 +206,9 @@ enum Executor {
 ///
 /// ```
 /// use pdsat_cnf::{Cnf, Cube, Lit, Var};
-/// use pdsat_core::{BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet};
+/// use pdsat_core::{
+///     BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, VerdictSummary,
+/// };
 ///
 /// let mut cnf = Cnf::new(3);
 /// cnf.add_clause([Lit::negative(Var::new(0)), Lit::positive(Var::new(1))]);
@@ -248,6 +226,10 @@ enum Executor {
 /// let batch = oracle.solve_batch(&cubes, None);
 /// let (sat, unsat, unknown) = batch.verdict_counts();
 /// assert_eq!((sat, unsat, unknown), (4, 0, 0));
+/// // Position `i` of the columns is cube `i`; models are listed by position.
+/// assert_eq!(batch.verdicts[3], Some(VerdictSummary::Sat));
+/// assert_eq!(batch.costs.len(), 4);
+/// assert!(batch.models.iter().map(|(i, _)| *i).eq(0..4));
 /// assert_eq!(oracle.cubes_solved(), 4);
 /// ```
 pub struct CubeOracle {
@@ -363,9 +345,8 @@ impl CubeOracle {
     /// never involves the surplus workers. Either way the backends are the
     /// *same instances* across calls (warm state survives from batch to
     /// batch), the cubes are processed in the order given — each worker
-    /// walks its stripe of the batch front to back — and the outcomes are
-    /// returned in that order too, so `outcomes[i].index` is `i` for a
-    /// batch solved in full. A caller that wants a warm solver
+    /// walks its stripe of the batch front to back — and position `i` of
+    /// the returned columns is cube `i`. A caller that wants a warm solver
     /// to reuse assumption prefixes submits the cubes sorted (enumerated
     /// families already are; the [`Evaluator`](crate::Evaluator) sorts its
     /// samples). An empty batch returns immediately without touching the
@@ -382,49 +363,22 @@ impl CubeOracle {
     ) -> BatchResult {
         let start = Instant::now();
         let interrupt = external_interrupt.cloned().unwrap_or_default();
-        let num_vars = self.cnf().num_vars();
-        let mut outcomes: Vec<CubeOutcome> = Vec::new();
-        let mut totals = vec![0u64; num_vars];
-        let mut stats = SolverStats::default();
-
-        if cubes.is_empty() {
-            self.batches += 1;
-            return BatchResult {
-                outcomes,
-                var_conflict_totals: totals,
-                solver_stats: stats,
-                wall_time: start.elapsed(),
-            };
-        }
+        let mut result = BatchResult::unsolved(cubes.len(), self.cnf().num_vars());
 
         let config = &self.config;
-        match &mut self.exec {
-            Executor::Sequential(backend) => {
-                outcomes.reserve_exact(cubes.len());
-                // Solver statistics (trail-reuse counters included) are
-                // merged once per batch, mirroring the pool path.
-                stats = solve_on_caller(
-                    backend.as_mut(),
-                    cubes,
-                    0..cubes.len(),
-                    config,
-                    &interrupt,
-                    &mut totals,
-                    |outcome| outcomes.push(outcome),
-                );
-            }
+        let solved = match &mut self.exec {
+            // An empty batch touches no backend.
+            _ if cubes.is_empty() => 0,
+            Executor::Sequential(backend) => solve_on_caller(
+                backend.as_mut(),
+                cubes,
+                0..cubes.len(),
+                config,
+                &interrupt,
+                &mut result,
+            ),
             Executor::Pool(pool) => {
-                // One placeholder per cube; each worker overwrites the
-                // places of the cubes it solves.
-                outcomes = vec![CubeOutcome::unsolved(); cubes.len()];
-                let mut solved = pool.run_batch(
-                    cubes,
-                    config,
-                    &interrupt,
-                    &mut outcomes,
-                    &mut totals,
-                    &mut stats,
-                );
+                let mut solved = pool.run_batch(cubes, config, &interrupt, &mut result);
                 // Last-resort fallback: every cube no worker solved — one
                 // that killed two backends in a row, cubes stranded by a
                 // failed respawn, positions nobody claimed because the last
@@ -432,56 +386,44 @@ impl CubeOracle {
                 // calling thread with a one-shot backend. Deliberately not
                 // fault-injected: if this path panics too, the failure
                 // surfaces to the caller. Under a raised `stop_on_sat` flag
-                // incomplete outcomes are the contract, not a loss, and the
+                // unsolved positions are the contract, not a loss, and the
                 // leftovers are never started.
                 if solved < cubes.len() && !(config.stop_on_sat && interrupt.is_raised()) {
                     let owed: Vec<usize> = (0..cubes.len())
-                        .filter(|&i| outcomes[i].index == CubeOutcome::UNSOLVED)
+                        .filter(|&i| result.verdicts[i].is_none())
                         .collect();
-                    let mut fallback = self.spec.build();
-                    let mut resolved = 0;
-                    stats.absorb(&solve_on_caller(
-                        fallback.as_mut(),
+                    let resolved = solve_on_caller(
+                        self.spec.build().as_mut(),
                         cubes,
                         owed.into_iter(),
                         config,
                         &interrupt,
-                        &mut totals,
-                        |outcome| {
-                            let place = outcome.index;
-                            outcomes[place] = outcome;
-                            resolved += 1;
-                        },
-                    ));
-                    stats.requeued_cubes += resolved as u64;
+                        &mut result,
+                    );
+                    result.solver_stats.requeued_cubes += resolved as u64;
                     solved += resolved;
                 }
-                // What is still a placeholder was never solved (the
-                // `stop_on_sat` contract) and is not reported.
-                if solved < cubes.len() {
-                    outcomes.retain(|o| o.index != CubeOutcome::UNSOLVED);
-                }
+                // Each worker listed its own; the fallback's come last.
+                result.models.sort_unstable_by_key(|&(index, _)| index);
+                result.proofs.sort_unstable_by_key(|&(index, _)| index);
+                solved
             }
-        }
+        };
 
-        debug_assert!(outcomes.is_sorted_by_key(|o| o.index));
         self.batches += 1;
-        self.cubes_solved += outcomes.len() as u64;
-        self.total_stats.absorb(&stats);
-        BatchResult {
-            outcomes,
-            var_conflict_totals: totals,
-            solver_stats: stats,
-            wall_time: start.elapsed(),
-        }
+        self.cubes_solved += solved as u64;
+        self.total_stats.absorb(&result.solver_stats);
+        result.wall_time = start.elapsed();
+        result
     }
 }
 
 /// One batch — or what is left of one — on the calling thread: solves
-/// `cubes[index]` for each of `indices` in turn on `backend`, hands each
-/// outcome to `place` and returns the backend's statistics for the run. With
-/// `stop_on_sat` the first satisfiable cube raises `interrupt` and the rest
-/// are never started. Shared by the sequential executor and the pool's
+/// `cubes[index]` for each of `indices` in turn on `backend`, writes each
+/// cube's cost and verdict at its position of `result`, adds the backend's
+/// statistics for the run to `result`'s and returns how many cubes it solved.
+/// With `stop_on_sat` the first satisfiable cube raises `interrupt` and the
+/// rest are never started. Shared by the sequential executor and the pool's
 /// last-resort fallback.
 fn solve_on_caller(
     backend: &mut dyn CubeBackend,
@@ -489,40 +431,53 @@ fn solve_on_caller(
     indices: impl Iterator<Item = usize>,
     config: &BatchConfig,
     interrupt: &InterruptFlag,
-    totals: &mut [u64],
-    mut place: impl FnMut(CubeOutcome),
-) -> SolverStats {
+    result: &mut BatchResult,
+) -> usize {
     backend.begin_batch();
+    let mut solved = 0;
     for index in indices {
         if config.stop_on_sat && interrupt.is_raised() {
             break;
         }
-        let raw = backend.solve(cubes[index].lits(), &config.budget, interrupt, totals);
-        let outcome = finish_outcome(index, raw, config.cost);
-        if config.stop_on_sat && outcome.verdict == VerdictSummary::Sat {
+        let raw = backend.solve(
+            cubes[index].lits(),
+            &config.budget,
+            interrupt,
+            &mut result.var_conflict_totals,
+        );
+        result.costs[index] = config.cost.measure(raw.counters, raw.elapsed);
+        let verdict = summarize(index, raw, &mut result.models, &mut result.proofs);
+        result.verdicts[index] = Some(verdict);
+        solved += 1;
+        if config.stop_on_sat && verdict == VerdictSummary::Sat {
             interrupt.raise();
         }
-        place(outcome);
     }
-    backend.end_batch()
+    // Solver statistics (trail-reuse counters included) are merged once per
+    // run, mirroring the pool path.
+    result.solver_stats.absorb(&backend.end_batch());
+    solved
 }
 
-/// Turns a backend's raw report into the executor-level outcome: measures the
-/// cost and summarizes the verdict, keeping the model of a satisfiable cube.
-fn finish_outcome(index: usize, raw: BackendOutcome, cost: CostMetric) -> CubeOutcome {
-    let cost = cost.measure(raw.counters, raw.elapsed);
-    let (summary, model) = match raw.verdict {
-        Verdict::Sat(m) => (VerdictSummary::Sat, Some(m)),
-        Verdict::Unsat => (VerdictSummary::Unsat, None),
-        Verdict::Unknown(_) => (VerdictSummary::Unknown, None),
-    };
-    CubeOutcome {
-        index,
-        cost,
-        verdict: summary,
-        conflicts: raw.counters.conflicts,
-        model,
-        proof: raw.proof,
+/// Summarizes the verdict of a backend's raw report on cube `index`, listing
+/// the model of a satisfiable cube and the proof of a certified one under
+/// that index.
+fn summarize(
+    index: usize,
+    raw: BackendOutcome,
+    models: &mut Vec<(usize, Assignment)>,
+    proofs: &mut Vec<(usize, DratProof)>,
+) -> VerdictSummary {
+    if let Some(proof) = raw.proof {
+        proofs.push((index, proof));
+    }
+    match raw.verdict {
+        Verdict::Sat(model) => {
+            models.push((index, model));
+            VerdictSummary::Sat
+        }
+        Verdict::Unsat => VerdictSummary::Unsat,
+        Verdict::Unknown(_) => VerdictSummary::Unknown,
     }
 }
 
@@ -550,6 +505,11 @@ mod tests {
     }
 
     #[test]
+    fn a_verdict_costs_one_byte_of_its_column() {
+        assert_eq!(std::mem::size_of::<Option<VerdictSummary>>(), 1);
+    }
+
+    #[test]
     fn sequential_batch_covers_all_cubes() {
         let cnf = sat_chain(6);
         let set = DecompositionSet::new([Var::new(0), Var::new(1)]);
@@ -559,22 +519,20 @@ mod tests {
             ..BatchConfig::default()
         };
         let result = batch(&cnf, &cubes, &config);
-        assert_eq!(result.outcomes.len(), 4);
-        let (sat, unsat, unknown) = result.verdict_counts();
+        assert_eq!(result.costs.len(), 4);
         // The implication chain x1→x2 makes exactly the cube (x1=1, x2=0)
-        // unsatisfiable; the other three cubes extend to models.
-        assert_eq!(sat, 3);
-        assert_eq!(unsat, 1);
-        assert_eq!(unknown, 0);
-        assert!(result.first_sat().is_some());
-        assert_eq!(result.costs().count(), 4);
-        // Outcomes are in cube order.
-        for (i, o) in result.outcomes.iter().enumerate() {
-            assert_eq!(o.index, i);
-        }
+        // unsatisfiable; the other three cubes extend to models. Verdicts
+        // and models are in cube order.
+        use VerdictSummary::{Sat, Unsat};
+        assert_eq!(
+            result.verdicts,
+            [Some(Sat), Some(Sat), Some(Unsat), Some(Sat)]
+        );
+        assert_eq!(result.verdict_counts(), (3, 1, 0));
+        assert!(result.models.iter().map(|(i, _)| *i).eq([0, 1, 3]));
         // The batch-level stats aggregate matches the per-cube cost sum for a
         // counter metric.
-        let cost_sum: f64 = result.costs().sum();
+        let cost_sum: f64 = result.costs.iter().sum();
         assert_eq!(cost_sum, result.solver_stats.propagations as f64);
     }
 
@@ -596,13 +554,9 @@ mod tests {
         };
         let seq = batch(&cnf, &cubes, &seq_config);
         let par = batch(&cnf, &cubes, &par_config);
-        assert_eq!(seq.outcomes.len(), par.outcomes.len());
-        for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
-            assert_eq!(a.index, b.index);
-            assert_eq!(a.verdict, b.verdict);
-            // Deterministic metric: identical costs regardless of scheduling.
-            assert_eq!(a.cost, b.cost);
-        }
+        assert_eq!(seq.verdicts, par.verdicts);
+        // Deterministic metric: identical costs regardless of scheduling.
+        assert_eq!(seq.costs, par.costs);
         assert_eq!(seq.var_conflict_totals, par.var_conflict_totals);
         assert_eq!(seq.solver_stats.conflicts, par.solver_stats.conflicts);
         assert_eq!(seq.solver_stats.propagations, par.solver_stats.propagations);
@@ -614,7 +568,7 @@ mod tests {
         let set = DecompositionSet::new([Var::new(0), Var::new(5)]);
         let cubes: Vec<Cube> = set.cubes().collect();
         let result = batch(&cnf, &cubes, &BatchConfig::default());
-        assert!(result.first_sat().is_none());
+        assert!(result.models.is_empty());
         let (sat, unsat, _) = result.verdict_counts();
         assert_eq!(sat, 0);
         assert_eq!(unsat, 4);
@@ -633,8 +587,8 @@ mod tests {
         let flag = InterruptFlag::new();
         let result = CubeOracle::new(&cnf, config).solve_batch(&cubes, Some(&flag));
         assert!(flag.is_raised());
-        assert!(!result.outcomes.is_empty());
-        assert!(result.first_sat().is_some());
+        assert_eq!(result.verdicts[0], Some(VerdictSummary::Sat));
+        assert_eq!(result.verdicts[1], None);
     }
 
     #[test]
@@ -648,7 +602,7 @@ mod tests {
             };
             let mut oracle = CubeOracle::new(&cnf, config);
             let result = oracle.solve_batch(&[], None);
-            assert!(result.outcomes.is_empty());
+            assert!(result.costs.is_empty() && result.verdicts.is_empty());
             assert_eq!(result.var_conflict_totals, vec![0; cnf.num_vars()]);
             assert_eq!(result.solver_stats.conflicts, 0);
             assert_eq!(oracle.batches(), 1);
@@ -657,7 +611,7 @@ mod tests {
             let set = DecompositionSet::new([Var::new(0)]);
             let cubes: Vec<Cube> = set.cubes().collect();
             let again = oracle.solve_batch(&cubes, None);
-            assert_eq!(again.outcomes.len(), 2);
+            assert_eq!(again.verdict_counts(), (0, 2, 0));
         }
     }
 
@@ -676,9 +630,8 @@ mod tests {
         assert_eq!(oracle.num_workers(), 8);
         for _ in 0..3 {
             // Repeated short batches must neither hang the drain nor lose
-            // outcomes.
+            // results.
             let result = oracle.solve_batch(&cubes, None);
-            assert_eq!(result.outcomes.len(), 2);
             let (sat, unsat, unknown) = result.verdict_counts();
             assert_eq!((sat, unsat, unknown), (0, 2, 0));
         }
@@ -716,11 +669,10 @@ mod tests {
         let set = DecompositionSet::new([Var::new(2)]);
         let cubes: Vec<Cube> = set.cubes().collect();
         let result = batch(&cnf, &cubes, &BatchConfig::default());
-        for outcome in &result.outcomes {
-            let model = outcome.model.as_ref().expect("models are collected");
+        assert_eq!(result.models.len(), cubes.len(), "models are collected");
+        for (index, model) in &result.models {
             assert!(cnf.is_satisfied_by(model));
-            let cube = &cubes[outcome.index];
-            for &l in cube.lits() {
+            for &l in cubes[*index].lits() {
                 assert_eq!(model.lit_value(l).to_bool(), Some(true));
             }
         }
@@ -755,17 +707,11 @@ mod tests {
         };
         let fresh = batch(&cnf, &cubes, &fresh_config);
         let warm = batch(&cnf, &cubes, &warm_config);
-        for (a, b) in fresh.outcomes.iter().zip(&warm.outcomes) {
-            assert_eq!(
-                a.verdict, b.verdict,
-                "verdicts must agree for cube {}",
-                a.index
-            );
-        }
+        assert_eq!(fresh.verdicts, warm.verdicts);
         // Learnt clauses carried across cubes make the warm run cheaper in
         // total (or at worst equal).
-        let fresh_total: f64 = fresh.costs().sum();
-        let warm_total: f64 = warm.costs().sum();
+        let fresh_total: f64 = fresh.costs.iter().sum();
+        let warm_total: f64 = warm.costs.iter().sum();
         assert!(warm_total <= fresh_total + 1e-9);
     }
 
@@ -783,7 +729,7 @@ mod tests {
         };
         let a = batch(&cnf, &cubes, &config);
         let b = batch(&cnf, &cubes, &config);
-        assert!(a.costs().eq(b.costs()));
+        assert_eq!(a.costs, b.costs);
     }
 
     #[test]

@@ -14,19 +14,19 @@
 //! further stripe, so a one-stripe batch spawns nothing.
 //!
 //! Scoped threads end before `run_batch` returns, so a batch *borrows*:
-//! every worker reads the caller's `&[Cube]` and writes each
-//! [`CubeOutcome`] straight into the one result buffer the oracle
-//! pre-filled. The buffer is cut into one contiguous *stripe* per
-//! participating slot and each stripe into chunks, handed out through a
-//! mutex around the stripe's `ChunksMut`: a worker drains its own stripe
-//! first, then steals chunks from the others — sticky assignment keeps each
-//! resident warm solver re-seeing the cubes it already learned, stealing
-//! keeps skewed families balanced — and a stolen chunk is a `&mut` into the
-//! place its cubes belong, so nothing is sorted, listed or appended
-//! afterwards. Cubes are processed in the order submitted: a batch position
-//! *is* a cube index. Workers accumulate per-variable conflict counts and
-//! solver-statistics deltas locally and hand back one [`StripeReport`] each
-//! through their join.
+//! every worker reads the caller's `&[Cube]` and writes each cube's cost and
+//! verdict straight into the two result columns the oracle allocated. Both
+//! columns are cut into one contiguous *stripe* per participating slot and
+//! each stripe into the same chunks, handed out through a mutex around the
+//! stripe's two `ChunksMut`: a worker drains its own stripe first, then
+//! steals chunks from the others — sticky assignment keeps each resident
+//! warm solver re-seeing the cubes it already learned, stealing keeps skewed
+//! families balanced — and a stolen chunk is a `&mut` into the place its
+//! cubes belong, so no column entry is sorted, listed or appended afterwards.
+//! Cubes are processed in the order submitted: a batch position *is* a cube
+//! index. Workers accumulate per-variable conflict counts, solver-statistics
+//! deltas and the rare model or proof locally and hand back one
+//! [`StripeReport`] each through their join.
 //!
 //! # Fault tolerance
 //!
@@ -36,8 +36,8 @@
 //! `SolverStats::worker_panics`), builds a fresh replacement on the spot,
 //! and requeues the in-flight cube onto it **exactly once**
 //! (`SolverStats::requeued_cubes`). A cube whose retry panics again — or any
-//! cube stranded when the respawn itself fails — keeps the placeholder the
-//! buffer was pre-filled with, and the oracle solves every such leftover on
+//! cube stranded when the respawn itself fails — keeps the `None` verdict the
+//! column was allocated with, and the oracle solves every such leftover on
 //! the calling thread with a one-shot sequential backend (the last-resort
 //! fallback). A slot whose respawn fails stays dead; later batches are
 //! dispatched around it, and only when *every* slot is dead does dispatch
@@ -50,10 +50,11 @@
 //! counters stay zero.
 
 use super::backend::{BackendSpec, CubeBackend};
-use super::{finish_outcome, BatchConfig, CubeOutcome, VerdictSummary};
+use super::{summarize, BatchConfig, BatchResult, VerdictSummary};
 use crate::fault::{FaultState, FaultyBackend};
-use pdsat_cnf::Cube;
+use pdsat_cnf::{Assignment, Cube, DratProof};
 use pdsat_solver::{InterruptFlag, SolverStats};
+use std::iter::Zip;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::slice::ChunksMut;
@@ -119,11 +120,18 @@ impl Slot {
     }
 }
 
-/// One participating slot's contiguous share of the result buffer.
+/// The same positions of the cost and of the verdict column, chunk by chunk.
+type ColumnChunks<'a> = Zip<ChunksMut<'a, f64>, ChunksMut<'a, Option<VerdictSummary>>>;
+
+/// A claimed chunk: the batch position of its first cube and the places its
+/// costs and verdicts go.
+type Claim<'a> = (usize, &'a mut [f64], &'a mut [Option<VerdictSummary>]);
+
+/// One participating slot's contiguous share of the result columns.
 struct Stripe<'a> {
     /// The batch position of the next unclaimed chunk, and the unclaimed
     /// chunks themselves.
-    unclaimed: Mutex<(usize, ChunksMut<'a, CubeOutcome>)>,
+    unclaimed: Mutex<(usize, ColumnChunks<'a>)>,
 }
 
 /// The batch positions stripe `i` of `stripes` owns before any stealing.
@@ -153,7 +161,8 @@ struct Batch<'a> {
 impl<'a> Batch<'a> {
     fn new(
         cubes: &'a [Cube],
-        outcomes: &'a mut [CubeOutcome],
+        costs: &'a mut [f64],
+        verdicts: &'a mut [Option<VerdictSummary>],
         stripes: usize,
         config: &'a BatchConfig,
         interrupt: &'a InterruptFlag,
@@ -161,14 +170,18 @@ impl<'a> Batch<'a> {
         // Chunks amortize lock traffic while staying small enough that
         // stealing still balances skewed per-cube costs.
         let chunk = (cubes.len() / (stripes * 8)).clamp(1, 32);
-        let mut rest = outcomes;
+        let mut rest = (costs, verdicts);
         let stripes = (0..stripes)
             .map(|i| {
                 let span = stripe_span(i, stripes, cubes.len());
-                let (own, tail) = std::mem::take(&mut rest).split_at_mut(span.len());
-                rest = tail;
+                let (costs, verdicts) = std::mem::take(&mut rest);
+                let (own_costs, costs) = costs.split_at_mut(span.len());
+                let (own_verdicts, verdicts) = verdicts.split_at_mut(span.len());
+                rest = (costs, verdicts);
+                let chunks = own_costs.chunks_mut(chunk);
+                let chunks = chunks.zip(own_verdicts.chunks_mut(chunk));
                 Stripe {
-                    unclaimed: Mutex::new((span.start, own.chunks_mut(chunk))),
+                    unclaimed: Mutex::new((span.start, chunks)),
                 }
             })
             .collect();
@@ -182,36 +195,39 @@ impl<'a> Batch<'a> {
 
     /// Claims the next chunk for the worker assigned `stripe` — from that
     /// stripe while it lasts, then from the others — as the batch position
-    /// of its first cube and the places its outcomes go, or `None` when the
+    /// of its first cube and the places its results go, or `None` when the
     /// whole batch is claimed.
-    fn claim(&self, stripe: usize) -> Option<(usize, &'a mut [CubeOutcome])> {
+    fn claim(&self, stripe: usize) -> Option<Claim<'a>> {
         let stripes = self.stripes.len();
         (0..stripes).find_map(|offset| {
             let mut unclaimed = self.stripes[(stripe + offset) % stripes]
                 .unclaimed
                 .lock()
                 .expect("nothing that can panic runs under a stripe's lock");
-            let chunk = unclaimed.1.next()?;
+            let (costs, verdicts) = unclaimed.1.next()?;
             let first = unclaimed.0;
-            unclaimed.0 += chunk.len();
-            Some((first, chunk))
+            unclaimed.0 += costs.len();
+            Some((first, costs, verdicts))
         })
     }
 }
 
 /// What one worker hands back for one batch, merged by `run_batch`. The
-/// outcomes are already in the result buffer.
+/// costs and verdicts are already in the result columns.
 #[derive(Default)]
 struct StripeReport {
     stats: SolverStats,
     /// Cubes this worker solved and placed.
     solved: usize,
+    /// The models and proofs of those cubes, by batch position.
+    models: Vec<(usize, Assignment)>,
+    proofs: Vec<(usize, DratProof)>,
 }
 
 /// One worker's share of one batch, on whichever thread runs it: drains
 /// `stripe` and then steals, on the slot's resident backend, adding
 /// per-variable conflict counts into `totals`. A slot whose respawn fails is
-/// left dead and the cubes it held keep their placeholder.
+/// left dead and the cubes it held keep their `None` verdict.
 fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) -> StripeReport {
     let Batch {
         cubes,
@@ -223,8 +239,8 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
     backend.begin_batch();
     let mut report = StripeReport::default();
     let (mut panics, mut requeued) = (0u64, 0u64);
-    'batch: while let Some((first, chunk)) = batch.claim(stripe) {
-        for (index, place) in (first..).zip(chunk) {
+    'batch: while let Some((first, costs, verdicts)) = batch.claim(stripe) {
+        for ((index, cost), verdict) in (first..).zip(costs).zip(verdicts) {
             // Re-checked before every cube, so a chunk bounds only the
             // claimed-but-unsolved tail.
             if config.stop_on_sat && interrupt.is_raised() {
@@ -237,9 +253,15 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
                     backend.solve(cubes[index].lits(), &config.budget, interrupt, totals)
                 }));
                 if let Ok(raw) = solved {
-                    *place = finish_outcome(index, raw, config.cost);
+                    *cost = config.cost.measure(raw.counters, raw.elapsed);
+                    *verdict = Some(summarize(
+                        index,
+                        raw,
+                        &mut report.models,
+                        &mut report.proofs,
+                    ));
                     report.solved += 1;
-                    if config.stop_on_sat && place.verdict == VerdictSummary::Sat {
+                    if config.stop_on_sat && *verdict == Some(VerdictSummary::Sat) {
                         interrupt.raise();
                     }
                     break;
@@ -250,8 +272,8 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
                 // that just unwound cannot be trusted.
                 let Some(fresh) = slot.blueprint.respawn() else {
                     // The slot stays dead. The in-flight cube and the rest
-                    // of the claimed chunk keep their placeholders, for the
-                    // oracle's sequential fallback.
+                    // of the claimed chunk keep their `None` verdicts, for
+                    // the oracle's sequential fallback.
                     report.stats.worker_panics = panics;
                     report.stats.requeued_cubes = requeued;
                     return report;
@@ -318,11 +340,12 @@ impl WorkerPool {
     /// Solves one non-empty batch on the first `min(live slots, cubes)` live
     /// slots, in slot order: the calling thread drains stripe 0, one scoped
     /// thread each the others, and all have finished when this returns.
-    /// `outcomes` holds one placeholder per cube on entry; every cube a
-    /// worker solved has its outcome at its own position on return, the
-    /// others (panicked twice, stranded by a failed respawn, or not started
-    /// under a raised `stop_on_sat`) still the placeholder. Returns how many
-    /// were solved.
+    /// `result` is all unsolved on entry; every cube a worker solved has its
+    /// cost and verdict at its own position on return and its model or proof
+    /// listed (in no order yet), the others (panicked twice, stranded by a
+    /// failed respawn, or not started under a raised `stop_on_sat`) still
+    /// the `None` verdict. Conflict counts and statistics are added to
+    /// `result`'s. Returns how many were solved.
     ///
     /// # Panics
     ///
@@ -334,9 +357,7 @@ impl WorkerPool {
         cubes: &[Cube],
         config: &BatchConfig,
         interrupt: &InterruptFlag,
-        outcomes: &mut [CubeOutcome],
-        totals: &mut [u64],
-        stats: &mut SolverStats,
+        result: &mut BatchResult,
     ) -> usize {
         let size = self.size();
         let mut workers: Vec<(usize, &mut Slot)> = self
@@ -353,7 +374,9 @@ impl WorkerPool {
             cubes.len(),
         );
         let stripes = workers.len();
-        let batch = Batch::new(cubes, outcomes, stripes, config, interrupt);
+        let (costs, verdicts) = (&mut result.costs, &mut result.verdicts);
+        let batch = Batch::new(cubes, costs, verdicts, stripes, config, interrupt);
+        let totals = &mut result.var_conflict_totals;
         // The conflict counts of the spawned workers, one row each in one
         // allocation made here (the caller adds its own straight into
         // `totals`). A row is never empty, so that there is one per worker.
@@ -391,8 +414,10 @@ impl WorkerPool {
                     cubes.len(),
                 );
             };
-            stats.absorb(&report.stats);
+            result.solver_stats.absorb(&report.stats);
             solved += report.solved;
+            result.models.extend(report.models);
+            result.proofs.extend(report.proofs);
         }
         for counts in counts.chunks(row) {
             for (t, &c) in totals.iter_mut().zip(counts) {
@@ -461,19 +486,10 @@ mod tests {
             let healthy = pool.slots[broken].take_backend();
             pool.slots[broken].backend = Resident::Ready(Box::new(BrokenBoundary(healthy)));
             let run = |pool: &mut WorkerPool| {
-                let mut outcomes = vec![CubeOutcome::unsolved(); cubes.len()];
-                let mut totals = vec![0u64; cnf.num_vars()];
-                let mut stats = SolverStats::default();
+                let mut result = BatchResult::unsolved(cubes.len(), cnf.num_vars());
                 let interrupt = InterruptFlag::new();
                 catch_unwind(AssertUnwindSafe(|| {
-                    pool.run_batch(
-                        &cubes,
-                        &config,
-                        &interrupt,
-                        &mut outcomes,
-                        &mut totals,
-                        &mut stats,
-                    )
+                    pool.run_batch(&cubes, &config, &interrupt, &mut result)
                 }))
             };
             let payload = run(&mut pool).expect_err("the panic must reach the caller");

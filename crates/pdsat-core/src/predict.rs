@@ -3,12 +3,13 @@
 
 mod cache;
 
-use crate::oracle::{BackendKind, BatchConfig, CubeOracle, CubeOutcome, VerdictSummary};
+use crate::oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, VerdictSummary};
 use crate::{CostMetric, DecompositionSet, PredictiveEstimate};
 use cache::PointCache;
 use pdsat_cnf::{Assignment, Cnf, Cube, Var};
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig};
 use rand::SeedableRng;
+use std::ops::Range;
 use std::time::Duration;
 
 /// Configuration of the predictive-function evaluator.
@@ -268,7 +269,7 @@ impl Evaluator {
         self.evaluations += 1;
         self.total_solve_wall += batch.wall_time;
 
-        summarize_outcomes(set, &batch.outcomes, batch.wall_time)
+        summarize_outcomes(set, &batch, 0..cubes.len(), batch.wall_time)
     }
 
     /// Evaluates the predictive function at every set of `sets` with fresh
@@ -300,7 +301,7 @@ impl Evaluator {
         // independent samples: point k of the batch draws exactly the sample
         // it would draw as the k-th single-set call.
         let mut plan: Vec<Cube> = Vec::with_capacity(sets.len() * self.config.sample_size);
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(sets.len());
+        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(sets.len());
         for (k, set) in sets.iter().enumerate() {
             let mut rng = rand::rngs::StdRng::seed_from_u64(
                 self.config
@@ -320,15 +321,10 @@ impl Evaluator {
             }
             let from = plan.len();
             plan.extend(cubes);
-            ranges.push((from, plan.len()));
+            ranges.push(from..plan.len());
         }
 
         let batch = self.oracle.solve_batch(&plan, None);
-        debug_assert_eq!(
-            batch.outcomes.len(),
-            plan.len(),
-            "an uninterrupted batch reports every cube"
-        );
         for (acc, &c) in self
             .conflict_activity
             .iter_mut()
@@ -339,16 +335,14 @@ impl Evaluator {
         self.evaluations += sets.len() as u64;
         self.total_solve_wall += batch.wall_time;
 
-        // Outcomes arrive in plan order, so each point's slice is
-        // contiguous. The batch's wall time is apportioned equally (per-point
-        // wall clocks are not observable inside one pooled batch).
+        // Results sit in plan order, so each point's range of the columns
+        // is contiguous. The batch's wall time is apportioned equally
+        // (per-point wall clocks are not observable inside one pooled batch).
         let per_point_wall = batch.wall_time / sets.len() as u32;
         ranges
-            .iter()
+            .into_iter()
             .zip(sets)
-            .map(|(&(from, to), set)| {
-                summarize_outcomes(set, &batch.outcomes[from..to], per_point_wall)
-            })
+            .map(|(range, set)| summarize_outcomes(set, &batch, range, per_point_wall))
             .collect()
     }
 
@@ -415,29 +409,35 @@ impl Evaluator {
     }
 }
 
-/// Builds a [`PointEvaluation`] from one point's slice of batch outcomes
-/// (shared by the sequential and batched evaluation paths).
+/// Builds a [`PointEvaluation`] from one point's range of a batch's columns
+/// (shared by the sequential and batched evaluation paths). The evaluator
+/// never sets `stop_on_sat`, so every cube of the range is solved.
 fn summarize_outcomes(
     set: &DecompositionSet,
-    outcomes: &[CubeOutcome],
+    batch: &BatchResult,
+    range: Range<usize>,
     wall_time: Duration,
 ) -> PointEvaluation {
-    let observations: Vec<f64> = outcomes.iter().map(|o| o.cost).collect();
+    let observations = batch.costs[range.clone()].to_vec();
     let estimate = PredictiveEstimate::from_observations(set.len(), &observations);
     let mut verdicts = SampleVerdicts::default();
-    let mut model = None;
-    for outcome in outcomes {
-        match outcome.verdict {
-            VerdictSummary::Sat => {
-                verdicts.sat += 1;
-                if model.is_none() {
-                    model = outcome.model.clone();
-                }
-            }
+    for verdict in batch.verdicts[range.clone()].iter().flatten() {
+        match verdict {
+            VerdictSummary::Sat => verdicts.sat += 1,
             VerdictSummary::Unsat => verdicts.unsat += 1,
             VerdictSummary::Unknown => verdicts.unknown += 1,
         }
     }
+    // The point's first model, if it has one: a neighbourhood batch of an
+    // easy formula can carry a model per cube, so the list is searched, not
+    // scanned from its start.
+    let first = batch
+        .models
+        .partition_point(|&(index, _)| index < range.start);
+    let model = batch.models[first..]
+        .first()
+        .filter(|&&(index, _)| index < range.end)
+        .map(|(_, model)| model.clone());
     PointEvaluation {
         set: set.clone(),
         estimate,
@@ -558,6 +558,33 @@ mod tests {
         assert_eq!(eval.verdicts.unknown, 0);
         let model = eval.model.expect("some model is kept");
         assert!(cnf.is_satisfied_by(&model));
+    }
+
+    #[test]
+    fn each_point_of_a_batch_keeps_the_first_model_of_its_own_range() {
+        use VerdictSummary::{Sat, Unsat};
+        let verdicts = [Unsat, Sat, Unsat, Unsat, Sat, Sat];
+        let model_at = |index: usize| (index, Assignment::from_bools(&[index == 1]));
+        let batch = BatchResult {
+            costs: vec![1.0; 6],
+            verdicts: verdicts.map(Some).to_vec(),
+            models: vec![model_at(1), model_at(4), model_at(5)],
+            proofs: Vec::new(),
+            var_conflict_totals: Vec::new(),
+            solver_stats: Default::default(),
+            wall_time: Duration::ZERO,
+        };
+        let set = DecompositionSet::new([Var::new(0)]);
+        for (range, sat, first) in [(0..2, 1, Some(1)), (2..4, 0, None), (4..6, 2, Some(4))] {
+            let point = summarize_outcomes(&set, &batch, range.clone(), Duration::ZERO);
+            assert_eq!(point.observations.len(), 2);
+            assert_eq!(point.verdicts.sat, sat, "{range:?}");
+            assert_eq!(
+                point.model,
+                first.map(|index| model_at(index).1),
+                "{range:?}"
+            );
+        }
     }
 
     #[test]

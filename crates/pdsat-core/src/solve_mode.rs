@@ -312,44 +312,42 @@ impl FamilySolver {
     }
 }
 
-/// Folds a [`BatchResult`] into the solving-mode report, consuming the
-/// outcomes in one pass: proofs and the first model are moved out, never
-/// cloned, and each outcome is dropped as it is read.
+/// Folds a [`BatchResult`] into the solving-mode report in one pass over its
+/// columns: the cost column *becomes* `per_cube_costs` (compacted only when a
+/// raised `stop_on_sat` left unsolved positions in it), and the proofs and
+/// the first model are moved out, never cloned.
 fn report_from_batch(set: &DecompositionSet, batch: BatchResult) -> SolveReport {
+    let mut per_cube_costs = batch.costs;
     let mut total_cost = 0.0;
     let mut cost_to_first_sat = None;
     let mut first_sat_index = None;
     let mut sat_count = 0;
     let mut unknown_count = 0;
-    let mut model = None;
-    let mut certificates = Vec::new();
-    let mut per_cube_costs = Vec::with_capacity(batch.outcomes.len());
-    for outcome in batch.outcomes {
-        total_cost += outcome.cost;
-        per_cube_costs.push(outcome.cost);
-        if let Some(proof) = outcome.proof {
-            certificates.push(CubeCertificate {
-                cube_index: outcome.index,
-                proof,
-            });
-        }
-        match outcome.verdict {
+    let mut cubes_processed = 0;
+    for (index, (&cost, verdict)) in per_cube_costs.iter().zip(&batch.verdicts).enumerate() {
+        let Some(verdict) = verdict else { continue };
+        cubes_processed += 1;
+        total_cost += cost;
+        match verdict {
             VerdictSummary::Sat => {
                 sat_count += 1;
                 if first_sat_index.is_none() {
-                    first_sat_index = Some(outcome.index);
+                    first_sat_index = Some(index);
                     cost_to_first_sat = Some(total_cost);
-                    model = outcome.model;
                 }
             }
             VerdictSummary::Unknown => unknown_count += 1,
             VerdictSummary::Unsat => {}
         }
     }
+    if cubes_processed < per_cube_costs.len() {
+        let mut solved = batch.verdicts.iter().map(Option::is_some);
+        per_cube_costs.retain(|_| solved.next() == Some(true));
+    }
 
     SolveReport {
         set_size: set.len(),
-        cubes_processed: per_cube_costs.len(),
+        cubes_processed,
         total_cost,
         cost_to_first_sat,
         first_sat_index,
@@ -357,9 +355,15 @@ fn report_from_batch(set: &DecompositionSet, batch: BatchResult) -> SolveReport 
         unknown_count,
         wall_time: batch.wall_time,
         counters: FamilyCounters::from(&batch.solver_stats),
-        model,
+        // Models are listed by ascending position: the first is the first
+        // satisfiable cube's.
+        model: batch.models.into_iter().next().map(|(_, model)| model),
         per_cube_costs,
-        certificates,
+        certificates: batch
+            .proofs
+            .into_iter()
+            .map(|(cube_index, proof)| CubeCertificate { cube_index, proof })
+            .collect(),
     }
 }
 
@@ -509,6 +513,53 @@ mod tests {
         assert_eq!(merged.sat_count, 1);
         assert_eq!(merged.cubes_processed, 4);
         assert_eq!(merged.per_cube_costs, vec![1.0, 2.0, 4.0, 1.0]);
+    }
+
+    #[test]
+    fn the_cost_column_is_moved_into_the_report_and_compacted_only_around_holes() {
+        // One satisfiable cube in the middle of a family decided by unit
+        // propagation.
+        let vars: Vec<Var> = (0..6).map(Var::new).collect();
+        let target = 0b01_1010usize;
+        let mut cnf = Cnf::new(7);
+        for lit in Cube::from_bits(&vars, target as u64).lits() {
+            cnf.add_clause([*lit]);
+        }
+        let set = DecompositionSet::new(vars);
+        let cubes: Vec<Cube> = set.cubes().collect();
+        for (workers, stop_on_sat) in [(1, false), (4, false), (1, true), (4, true)] {
+            let context = format!("workers={workers} stop_on_sat={stop_on_sat}");
+            let config = BatchConfig {
+                cost: CostMetric::Propagations,
+                num_workers: workers,
+                clamp_workers_to_cpus: false,
+                stop_on_sat,
+                ..BatchConfig::default()
+            };
+            let batch = CubeOracle::new(&cnf, config).solve_batch(&cubes, None);
+            assert_eq!(batch.verdicts.len(), cubes.len(), "{context}");
+            let solved: Vec<usize> = (0..cubes.len())
+                .filter(|&i| batch.verdicts[i].is_some())
+                .collect();
+            let solved_costs: Vec<f64> = solved.iter().map(|&i| batch.costs[i]).collect();
+            let column = batch.costs.as_ptr();
+
+            let report = report_from_batch(&set, batch);
+            assert_eq!(report.cubes_processed, solved.len(), "{context}");
+            assert_eq!(report.per_cube_costs, solved_costs, "{context}");
+            // A position of the submitted batch, not of the compacted costs.
+            assert_eq!(report.first_sat_index, Some(target), "{context}");
+            assert_eq!(report.sat_count, 1, "{context}");
+            assert!(cnf.is_satisfied_by(report.model.as_ref().expect("the model")));
+            if !stop_on_sat {
+                assert_eq!(solved.len(), cubes.len(), "{context}");
+                assert_eq!(report.per_cube_costs.as_ptr(), column, "{context}: copied");
+            }
+            if stop_on_sat && workers == 1 {
+                // The sequential executor stops right after the target.
+                assert_eq!(solved, (0..=target).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

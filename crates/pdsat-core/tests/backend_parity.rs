@@ -19,7 +19,7 @@
 use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
-    FaultPlan,
+    FaultPlan, VerdictSummary,
 };
 use pdsat_solver::{Budget, InterruptFlag, SolverConfig};
 use rand::rngs::StdRng;
@@ -69,41 +69,34 @@ fn backends_agree_on_random_families() {
             warm.verdict_counts(),
             "round {round}: verdict counts diverge"
         );
-        for (a, b) in fresh.outcomes.iter().zip(&warm.outcomes) {
-            assert_eq!(
-                a.verdict, b.verdict,
-                "round {round}: cube {} decided differently",
-                a.index
-            );
-        }
-        match (fresh.first_sat(), warm.first_sat()) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                sat_families += 1;
-                assert_eq!(a.index, b.index, "round {round}: first_sat index diverges");
-                let ma = a.model.as_ref().expect("models are collected");
-                let mb = b.model.as_ref().expect("models are collected");
-                // Both models must satisfy C ∧ cube …
-                for m in [ma, mb] {
-                    assert!(cnf.is_satisfied_by(m), "round {round}: invalid model");
-                    for &l in cubes[a.index].lits() {
-                        assert_eq!(m.lit_value(l).to_bool(), Some(true));
-                    }
-                }
-                // … and when the satisfying cube is the first one the warm
-                // worker touched, its solver state equals a fresh solver's,
-                // so the models are bit-identical.
-                if a.index == 0 {
-                    assert_eq!(ma, mb, "round {round}: first-cube models diverge");
-                    identical_models += 1;
+        assert_eq!(
+            fresh.verdicts, warm.verdicts,
+            "round {round}: a cube decided differently"
+        );
+        // Equal verdicts put the first model of both at the first SAT cube.
+        let first_sat = fresh
+            .verdicts
+            .iter()
+            .position(|v| *v == Some(VerdictSummary::Sat));
+        assert_eq!(first_sat, fresh.models.first().map(|(index, _)| *index));
+        assert_eq!(first_sat, warm.models.first().map(|(index, _)| *index));
+        if let Some(index) = first_sat {
+            sat_families += 1;
+            let (ma, mb) = (&fresh.models[0].1, &warm.models[0].1);
+            // Both models must satisfy C ∧ cube …
+            for m in [ma, mb] {
+                assert!(cnf.is_satisfied_by(m), "round {round}: invalid model");
+                for &l in cubes[index].lits() {
+                    assert_eq!(m.lit_value(l).to_bool(), Some(true));
                 }
             }
-            (a, b) => panic!(
-                "round {round}: one backend found a SAT cube, the other did not \
-                 (fresh: {:?}, warm: {:?})",
-                a.map(|o| o.index),
-                b.map(|o| o.index)
-            ),
+            // … and when the satisfying cube is the first one the warm
+            // worker touched, its solver state equals a fresh solver's,
+            // so the models are bit-identical.
+            if index == 0 {
+                assert_eq!(ma, mb, "round {round}: first-cube models diverge");
+                identical_models += 1;
+            }
         }
     }
     // The instance mix must actually exercise both halves of the SAT side of
@@ -133,10 +126,7 @@ fn backends_agree_under_a_zero_conflict_budget() {
     let fresh = run(&cnf, &cubes, BackendKind::Fresh, budget.clone());
     let warm = run(&cnf, &cubes, BackendKind::Warm, budget);
 
-    assert_eq!(fresh.verdict_counts(), warm.verdict_counts());
-    for (a, b) in fresh.outcomes.iter().zip(&warm.outcomes) {
-        assert_eq!(a.verdict, b.verdict, "cube {}", a.index);
-    }
+    assert_eq!(fresh.verdicts, warm.verdicts);
     let (_, _, unknown) = fresh.verdict_counts();
     assert!(unknown > 0, "the budget must actually bite");
 }
@@ -165,7 +155,7 @@ fn backends_agree_under_a_pre_raised_interrupt() {
     let (sat, _, unknown) = fresh.verdict_counts();
     assert_eq!(sat, 0);
     assert_eq!(unknown, cubes.len());
-    assert!(fresh.first_sat().is_none() && warm.first_sat().is_none());
+    assert!(fresh.models.is_empty() && warm.models.is_empty());
 }
 
 #[test]
@@ -179,8 +169,8 @@ fn warm_backend_is_no_more_expensive_over_whole_families() {
     let cubes: Vec<Cube> = set.cubes().collect();
     let fresh = run(&cnf, &cubes, BackendKind::Fresh, Budget::unlimited());
     let warm = run(&cnf, &cubes, BackendKind::Warm, Budget::unlimited());
-    let fresh_total: f64 = fresh.costs().sum();
-    let warm_total: f64 = warm.costs().sum();
+    let fresh_total: f64 = fresh.costs.iter().sum();
+    let warm_total: f64 = warm.costs.iter().sum();
     assert!(
         warm_total <= fresh_total + 1e-9,
         "warm {warm_total} vs fresh {fresh_total}"
@@ -188,13 +178,17 @@ fn warm_backend_is_no_more_expensive_over_whole_families() {
 }
 
 /// What the rebuild-per-cube fresh backend (one `Solver::from_cnf` per cube)
-/// returned for the family of [`fresh_fixture_family`]: the per-cube propagation costs,
-/// and an FNV-1a digest of the `Debug` text of every outcome (index, cost,
-/// verdict, conflicts, model, DRAT certificate) and of the per-variable
-/// conflict totals. Recorded at the commit before the backend kept a
-/// template and a restored working solver.
+/// returned for the family of [`fresh_fixture_family`]: the per-cube
+/// propagation costs and conflict counts, and an FNV-1a digest of the `Debug`
+/// text of the result's columns and side lists (costs, verdicts, models, DRAT
+/// certificates) and of the per-variable conflict totals. The costs were
+/// recorded at the commit before the backend kept a template and a restored
+/// working solver; the conflict counts and the digest at the last commit
+/// whose oracle still returned one record per cube, from that oracle's
+/// output laid out as columns.
 struct FreshFixture {
     costs: [f64; 16],
+    conflicts: [f64; 16],
     digest: u64,
 }
 
@@ -203,7 +197,10 @@ const FRESH_FIXTURE: FreshFixture = FreshFixture {
         459.0, 171.0, 352.0, 83.0, 374.0, 484.0, 197.0, 219.0, 424.0, 224.0, 197.0, 357.0, 292.0,
         498.0, 151.0, 193.0,
     ],
-    digest: 0xc5de_28d4_eafa_f315,
+    conflicts: [
+        23.0, 10.0, 23.0, 4.0, 23.0, 33.0, 13.0, 13.0, 24.0, 9.0, 9.0, 19.0, 17.0, 24.0, 8.0, 10.0,
+    ],
+    digest: 0x827d_94e6_cf7e_77ac,
 };
 
 fn fresh_fixture_family() -> (Cnf, Vec<Cube>) {
@@ -213,9 +210,14 @@ fn fresh_fixture_family() -> (Cnf, Vec<Cube>) {
     (cnf, cubes)
 }
 
-fn fresh_fixture_oracle(cnf: &Cnf, workers: usize, fault_plan: FaultPlan) -> CubeOracle {
+fn fresh_fixture_oracle(
+    cnf: &Cnf,
+    cost: CostMetric,
+    workers: usize,
+    fault_plan: FaultPlan,
+) -> CubeOracle {
     let config = BatchConfig {
-        cost: CostMetric::Propagations,
+        cost,
         backend: BackendKind::Fresh,
         solver_config: SolverConfig {
             proof: true,
@@ -230,9 +232,11 @@ fn fresh_fixture_oracle(cnf: &Cnf, workers: usize, fault_plan: FaultPlan) -> Cub
 }
 
 fn assert_matches_fixture(result: &BatchResult, context: &str) {
-    let costs: Vec<f64> = result.costs().collect();
-    assert_eq!(costs, FRESH_FIXTURE.costs, "{context}");
-    let text = format!("{:?}{:?}", result.outcomes, result.var_conflict_totals);
+    assert_eq!(result.costs, FRESH_FIXTURE.costs, "{context}");
+    let text = format!(
+        "{:?}{:?}{:?}{:?}{:?}",
+        result.costs, result.verdicts, result.models, result.proofs, result.var_conflict_totals
+    );
     let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     });
@@ -242,12 +246,15 @@ fn assert_matches_fixture(result: &BatchResult, context: &str) {
 #[test]
 fn fresh_oracle_reproduces_the_rebuild_per_cube_fixture_batch_after_batch() {
     let (cnf, cubes) = fresh_fixture_family();
-    let mut oracle = fresh_fixture_oracle(&cnf, 1, FaultPlan::none());
+    let mut oracle = fresh_fixture_oracle(&cnf, CostMetric::Propagations, 1, FaultPlan::none());
+    let mut counting = fresh_fixture_oracle(&cnf, CostMetric::Conflicts, 1, FaultPlan::none());
     for batch in 0..2 {
         let result = oracle.solve_batch(&cubes, None);
         let (sat, unsat, unknown) = result.verdict_counts();
         assert!(sat > 0 && unsat > 0 && unknown == 0);
         assert_matches_fixture(&result, &format!("batch {batch}"));
+        let conflicts = counting.solve_batch(&cubes, None).costs;
+        assert_eq!(conflicts, FRESH_FIXTURE.conflicts, "batch {batch}");
     }
 }
 
@@ -261,7 +268,7 @@ fn fresh_oracle_reproduces_the_fixture_across_a_mid_family_solve_panic() {
         solve_panics: vec![6],
         ..FaultPlan::none()
     };
-    let mut oracle = fresh_fixture_oracle(&cnf, 2, plan);
+    let mut oracle = fresh_fixture_oracle(&cnf, CostMetric::Propagations, 2, plan);
     let result = oracle.solve_batch(&cubes, None);
     assert_eq!(result.solver_stats.worker_panics, 1);
     assert_eq!(result.solver_stats.requeued_cubes, 1);

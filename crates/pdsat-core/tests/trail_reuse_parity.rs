@@ -63,42 +63,35 @@ fn reuse_on_and_off_report_identical_verdicts_and_costs() {
         let a = on.solve_batch(&cubes, None);
         let b = off.solve_batch(&cubes, None);
 
-        assert_eq!(a.outcomes.len(), b.outcomes.len());
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_eq!(x.index, y.index);
-            assert_eq!(x.verdict, y.verdict, "round {round}: cube {}", x.index);
+        assert_eq!(a.verdicts, b.verdicts, "round {round}");
+        // The cost metric is the conflict count.
+        assert_eq!(
+            a.costs, b.costs,
+            "round {round}: costs diverged under trail reuse"
+        );
+        let unsat = a.verdict_counts().1;
+        certified_unsat += unsat;
+        for (label, result) in [("reuse-on", &a), ("reuse-off", &b)] {
             assert_eq!(
-                x.cost, y.cost,
-                "round {round}: cube {} cost diverged under trail reuse",
-                x.index
+                result.proofs.len(),
+                unsat,
+                "round {round}: {label} UNSAT cube without certificate"
             );
-            assert_eq!(x.conflicts, y.conflicts);
-            if x.verdict == VerdictSummary::Unsat {
-                certified_unsat += 1;
-                for (label, outcome) in [("reuse-on", x), ("reuse-off", y)] {
-                    let proof = outcome.proof.as_ref().unwrap_or_else(|| {
-                        panic!("round {round}: {label} UNSAT cube without certificate")
-                    });
-                    check_unsat_proof(&cnf, cubes[outcome.index].lits(), proof).unwrap_or_else(
-                        |failure| {
-                            panic!(
-                                "round {round}: checker rejected {label} certificate for cube {}: {failure}",
-                                outcome.index
-                            )
-                        },
-                    );
-                }
+            for (index, proof) in &result.proofs {
+                assert_eq!(result.verdicts[*index], Some(VerdictSummary::Unsat));
+                check_unsat_proof(&cnf, cubes[*index].lits(), proof).unwrap_or_else(|failure| {
+                    panic!(
+                        "round {round}: checker rejected {label} certificate for cube {index}: {failure}"
+                    )
+                });
             }
-            match (&x.model, &y.model) {
-                (Some(ma), Some(mb)) => {
-                    assert_eq!(ma, mb, "round {round}: models diverged");
-                    assert!(cnf.is_satisfied_by(ma));
-                    for &l in cubes[x.index].lits() {
-                        assert_eq!(ma.lit_value(l).to_bool(), Some(true));
-                    }
-                }
-                (None, None) => {}
-                _ => panic!("round {round}: model presence diverged"),
+        }
+        assert_eq!(a.models, b.models, "round {round}: models diverged");
+        assert_eq!(a.models.len(), a.verdict_counts().0);
+        for (index, model) in &a.models {
+            assert!(cnf.is_satisfied_by(model));
+            for &l in cubes[*index].lits() {
+                assert_eq!(model.lit_value(l).to_bool(), Some(true));
             }
         }
         assert_eq!(a.var_conflict_totals, b.var_conflict_totals);
@@ -131,14 +124,16 @@ fn reuse_parity_holds_under_conflict_budgets() {
 
     let a = CubeOracle::new(&cnf, warm_config(true, budget.clone())).solve_batch(&cubes, None);
     let b = CubeOracle::new(&cnf, warm_config(false, budget)).solve_batch(&cubes, None);
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.verdict, y.verdict, "cube {}", x.index);
-        assert_eq!(x.cost, y.cost, "cube {}", x.index);
-        if x.verdict == VerdictSummary::Unsat {
-            let proof = x.proof.as_ref().expect("UNSAT cube without certificate");
-            check_unsat_proof(&cnf, cubes[x.index].lits(), proof)
-                .unwrap_or_else(|failure| panic!("cube {}: {failure}", x.index));
-        }
+    assert_eq!(a.verdicts, b.verdicts);
+    assert_eq!(a.costs, b.costs);
+    assert_eq!(
+        a.proofs.len(),
+        a.verdict_counts().1,
+        "UNSAT cube without certificate"
+    );
+    for (index, proof) in &a.proofs {
+        check_unsat_proof(&cnf, cubes[*index].lits(), proof)
+            .unwrap_or_else(|failure| panic!("cube {index}: {failure}"));
     }
     assert_eq!(a.solver_stats.conflicts, b.solver_stats.conflicts);
 }

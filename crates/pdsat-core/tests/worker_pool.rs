@@ -1,9 +1,9 @@
 //! Integration tests for the oracle's worker pool: sequential vs pool
 //! parity, warm-state survival across batches, the `stop_on_sat` contract,
-//! the empty/short-batch edge cases, and the placement of outcomes where it
-//! can go wrong (stolen chunks, shuffled input, requeued and fallback cubes,
-//! `stop_on_sat` subsets), and the certificates of a warm pool that keeps
-//! its proof streams across batches.
+//! the empty/short-batch edge cases, and the placement of results in the
+//! columns where it can go wrong (stolen chunks, shuffled input, requeued and
+//! fallback cubes, `stop_on_sat` subsets), and the certificates of a warm
+//! pool that keeps its proof streams across batches.
 
 use pdsat_checker::check_unsat_proof;
 use pdsat_ciphers::{Grain, InstanceBuilder, A51};
@@ -53,14 +53,9 @@ fn sequential_and_pool_runs_are_identical_for_fresh_backends() {
     let seq = run(1);
     let par = run(4);
 
-    assert_eq!(seq.outcomes.len(), par.outcomes.len());
-    for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
-        // Identical ordering and identical per-cube observations.
-        assert_eq!(a.index, b.index);
-        assert_eq!(a.verdict, b.verdict);
-        assert_eq!(a.cost, b.cost);
-        assert_eq!(a.conflicts, b.conflicts);
-    }
+    // Identical per-cube observations, position by position.
+    assert_eq!(seq.verdicts, par.verdicts);
+    assert_eq!(seq.costs, par.costs);
     assert_eq!(seq.var_conflict_totals, par.var_conflict_totals);
     assert_eq!(seq.solver_stats.conflicts, par.solver_stats.conflicts);
     assert_eq!(seq.solver_stats.propagations, par.solver_stats.propagations);
@@ -87,7 +82,7 @@ fn warm_pool_state_survives_across_batches() {
     let mut oracle = CubeOracle::new(&cnf, config);
 
     let first = oracle.solve_batch(&cubes, None);
-    assert_eq!(first.outcomes.len(), cubes.len());
+    assert_whole_batch_is_solved(&first, cubes.len());
     assert!(
         first.solver_stats.conflicts > 0,
         "the family must be conflict-heavy for this test to mean anything"
@@ -101,9 +96,8 @@ fn warm_pool_state_survives_across_batches() {
     let mut cheapest_repeat = u64::MAX;
     for _ in 0..4 {
         let repeat = oracle.solve_batch(&cubes, None);
-        assert_eq!(repeat.outcomes.len(), cubes.len());
         // Verdicts are unaffected by the carryover.
-        assert_eq!(first.verdict_counts(), repeat.verdict_counts());
+        assert_eq!(first.verdicts, repeat.verdicts);
         cheapest_repeat = cheapest_repeat.min(repeat.solver_stats.conflicts);
     }
     assert!(
@@ -136,10 +130,10 @@ fn warm_sequential_state_also_survives_across_batches() {
 
 #[test]
 fn stop_on_sat_reports_every_solved_cube_on_both_paths() {
-    // Contract (see BatchResult docs): with stop_on_sat, outcomes are
-    // exactly the cubes solved before the stop was observed — sorted by
-    // index, none dropped — and the batch stats cover exactly those
-    // outcomes. Sequentially the outcomes form a prefix.
+    // Contract (see BatchResult docs): with stop_on_sat, the `Some`
+    // verdicts are exactly the cubes solved before the stop was observed —
+    // none dropped — and the batch stats cover exactly those cubes.
+    // Sequentially they form a prefix.
     let cnf = sat_chain(10);
     let set = DecompositionSet::new((0..4).map(Var::new));
     let cubes: Vec<Cube> = set.cubes().collect();
@@ -158,24 +152,28 @@ fn stop_on_sat_reports_every_solved_cube_on_both_paths() {
             flag.is_raised(),
             "workers={workers}: SAT must raise the flag"
         );
-        assert!(result.first_sat().is_some(), "workers={workers}");
-        // Sorted by index, no duplicates.
-        for pair in result.outcomes.windows(2) {
-            assert!(pair[0].index < pair[1].index, "workers={workers}");
-        }
-        // Every reported outcome was fully solved: the aggregate conflict
-        // counter equals the sum over reported outcomes (nothing was
-        // half-counted or silently dropped).
-        let outcome_conflicts: u64 = result.outcomes.iter().map(|o| o.conflicts).sum();
+        assert!(result.verdict_counts().0 >= 1, "workers={workers}");
+        assert_eq!(result.costs.len(), cubes.len());
+        assert_eq!(result.verdicts.len(), cubes.len());
+        // Every reported cube was fully solved: the aggregate conflict
+        // counter equals the sum of the cost column (nothing was
+        // half-counted or silently dropped), which is zero wherever nothing
+        // was solved.
+        let reported: f64 = result.costs.iter().sum();
         assert_eq!(
-            outcome_conflicts, result.solver_stats.conflicts,
-            "workers={workers}: stats must cover exactly the reported outcomes"
+            reported, result.solver_stats.conflicts as f64,
+            "workers={workers}: stats must cover exactly the reported cubes"
         );
+        for (cost, verdict) in result.costs.iter().zip(&result.verdicts) {
+            assert!(verdict.is_some() || *cost == 0.0, "workers={workers}");
+        }
         if workers == 1 {
-            // Single worker: the reported outcomes are a prefix of the batch.
-            for (i, o) in result.outcomes.iter().enumerate() {
-                assert_eq!(o.index, i, "sequential outcomes must form a prefix");
-            }
+            // Single worker: the solved cubes are a prefix of the batch.
+            let solved = result.verdicts.iter().flatten().count();
+            assert!(
+                result.verdicts[..solved].iter().all(Option::is_some),
+                "sequential results must form a prefix"
+            );
         }
     }
 }
@@ -196,7 +194,7 @@ fn pre_raised_external_interrupt_stops_both_paths_before_any_work() {
         flag.raise();
         let result = CubeOracle::new(&cnf, config).solve_batch(&cubes, Some(&flag));
         assert!(
-            result.outcomes.is_empty(),
+            result.verdicts.iter().all(Option::is_none),
             "workers={workers}: no cube may start under a pre-raised stop flag"
         );
         assert_eq!(result.solver_stats.conflicts, 0);
@@ -217,22 +215,22 @@ fn empty_batches_and_short_batches_never_hang_the_pool() {
 
     // Empty batch: immediate, counted, pool untouched.
     let empty = oracle.solve_batch(&[], None);
-    assert!(empty.outcomes.is_empty());
+    assert!(empty.costs.is_empty() && empty.verdicts.is_empty());
     assert_eq!(empty.var_conflict_totals.len(), cnf.num_vars());
 
     // Fewer cubes than workers: dispatch is clamped, drain terminates, all
-    // outcomes arrive.
+    // results arrive.
     let set = DecompositionSet::new([Var::new(0), Var::new(1)]);
     let cubes: Vec<Cube> = set.cubes().collect(); // 4 cubes < 6 workers
     let short = oracle.solve_batch(&cubes, None);
-    assert_eq!(short.outcomes.len(), 4);
+    assert_whole_batch_is_solved(&short, 4);
 
     // Alternating empty and non-empty batches keeps working (the pool's
     // job/report channels stay balanced).
     let empty_again = oracle.solve_batch(&[], None);
-    assert!(empty_again.outcomes.is_empty());
+    assert!(empty_again.verdicts.is_empty());
     let full = oracle.solve_batch(&cubes, None);
-    assert_eq!(full.outcomes.len(), 4);
+    assert_whole_batch_is_solved(&full, 4);
     assert_eq!(oracle.batches(), 4);
     assert_eq!(oracle.cubes_solved(), 8);
 }
@@ -250,8 +248,9 @@ fn single_cube_batches_on_a_wide_pool_stay_in_order() {
     let mut oracle = CubeOracle::new(&cnf, config);
     for _ in 0..10 {
         let result = oracle.solve_batch(std::slice::from_ref(&cube), None);
-        assert_eq!(result.outcomes.len(), 1);
-        assert_eq!(result.outcomes[0].index, 0);
+        assert_eq!(result.verdicts, [Some(VerdictSummary::Sat)]);
+        assert_eq!(result.models.len(), 1);
+        assert_eq!(result.models[0].0, 0);
     }
     assert_eq!(oracle.cubes_solved(), 10);
 }
@@ -289,24 +288,36 @@ fn pool_of_four(backend: BackendKind) -> BatchConfig {
     }
 }
 
-/// Outcomes sorted by index with indices exactly `0..n`.
-fn assert_indices_are_the_whole_batch(result: &BatchResult, n: usize) {
-    assert_eq!(result.outcomes.len(), n);
-    for (i, o) in result.outcomes.iter().enumerate() {
-        assert_eq!(o.index, i, "outcome at place {i}");
+/// Both columns are `n` long with every verdict `Some`, and the side lists
+/// are strictly ascending by position: one model per `Sat` verdict, proofs
+/// at `Unsat` positions only.
+fn assert_whole_batch_is_solved(result: &BatchResult, n: usize) {
+    assert_eq!(result.costs.len(), n);
+    assert_eq!(result.verdicts.len(), n);
+    assert!(result.verdicts.iter().all(Option::is_some));
+    assert_side_lists_are_in_place(result);
+}
+
+fn assert_side_lists_are_in_place(result: &BatchResult) {
+    let positions_of = |wanted| {
+        let verdicts = result.verdicts.iter().enumerate();
+        verdicts.filter_map(move |(i, v)| (*v == Some(wanted)).then_some(i))
+    };
+    assert!(
+        positions_of(VerdictSummary::Sat).eq(result.models.iter().map(|(i, _)| *i)),
+        "one model per satisfiable cube, ascending"
+    );
+    assert!(result.proofs.windows(2).all(|pair| pair[0].0 < pair[1].0));
+    for (index, _) in &result.proofs {
+        assert_eq!(result.verdicts[*index], Some(VerdictSummary::Unsat));
     }
 }
 
-/// Index, cost, verdict, conflicts and model equal cube by cube.
+/// Cost, verdict and model equal cube by cube.
 fn assert_same_observations(reference: &BatchResult, other: &BatchResult) {
-    assert_eq!(reference.outcomes.len(), other.outcomes.len());
-    for (a, b) in reference.outcomes.iter().zip(&other.outcomes) {
-        assert_eq!(a.index, b.index);
-        assert_eq!(a.cost, b.cost, "cube {}", a.index);
-        assert_eq!(a.verdict, b.verdict, "cube {}", a.index);
-        assert_eq!(a.conflicts, b.conflicts, "cube {}", a.index);
-        assert_eq!(a.model, b.model, "cube {}", a.index);
-    }
+    assert_eq!(reference.costs, other.costs);
+    assert_eq!(reference.verdicts, other.verdicts);
+    assert_eq!(reference.models, other.models);
 }
 
 #[test]
@@ -320,23 +331,21 @@ fn stolen_chunks_are_placed_where_their_cubes_belong() {
         },
     )
     .solve_batch(&cubes, None);
-    assert_indices_are_the_whole_batch(&one, cubes.len());
-    // The skew the test relies on: all conflicts sit in the first quarter.
+    assert_whole_batch_is_solved(&one, cubes.len());
+    // The skew the test relies on: all conflicts (the cost metric) sit in
+    // the first quarter.
     let quarter = cubes.len() / 4;
-    let hard = one.outcomes[..quarter]
-        .iter()
-        .filter(|o| o.conflicts > 0)
-        .count();
+    let hard = one.costs[..quarter].iter().filter(|&&c| c > 0.0).count();
     assert!(
         2 * hard > quarter,
         "{hard} of {quarter} cubes conflict-bound"
     );
-    assert!(one.outcomes[quarter..].iter().all(|o| o.conflicts == 0));
+    assert!(one.costs[quarter..].iter().all(|&c| c == 0.0));
 
     let mut oracle = CubeOracle::new(&cnf, pool_of_four(BackendKind::Fresh));
     for _ in 0..3 {
         let four = oracle.solve_batch(&cubes, None);
-        assert_indices_are_the_whole_batch(&four, cubes.len());
+        assert_whole_batch_is_solved(&four, cubes.len());
         assert_same_observations(&one, &four);
         assert_eq!(one.var_conflict_totals, four.var_conflict_totals);
     }
@@ -347,14 +356,14 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
     fault::silence_injected_panics();
     // The skewed family shuffled, so neither adjacent cubes nor the stripes
     // of a pool have anything to do with the enumeration order: whatever the
-    // input order, outcome `i` is the outcome of `cubes[i]`.
+    // input order, position `i` of the columns is the result of `cubes[i]`.
     let (cnf, mut cubes) = skewed_family();
     let mut rng = StdRng::seed_from_u64(0x0DE2);
     for i in (1..cubes.len()).rev() {
         cubes.swap(i, rng.gen_range(0..=i));
     }
     // Fresh observations depend on the cube alone, so equal observations
-    // mean every outcome sits at the place of the cube it belongs to.
+    // mean every result sits at the place of the cube it belongs to.
     let reference = CubeOracle::new(
         &cnf,
         BatchConfig {
@@ -363,10 +372,10 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
         },
     )
     .solve_batch(&cubes, None);
-    assert_indices_are_the_whole_batch(&reference, cubes.len());
+    assert_whole_batch_is_solved(&reference, cubes.len());
 
     // One worker, a pool that steals, and a pool whose first respawn fails
-    // so the cubes in flight come back through the fallback, appended.
+    // so the cubes in flight come back through the fallback.
     let plan = FaultPlan {
         respawn_failures: 1,
         ..FaultPlan::seeded(3, 12, cubes.len() as u64)
@@ -387,16 +396,12 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
             },
         )
         .solve_batch(&cubes, None);
-        assert_indices_are_the_whole_batch(&result, cubes.len());
+        assert_whole_batch_is_solved(&result, cubes.len());
         if backend == BackendKind::Fresh {
             assert_same_observations(&reference, &result);
         } else {
             // Warm costs depend on who learnt what; verdicts do not.
-            assert!(reference
-                .outcomes
-                .iter()
-                .zip(&result.outcomes)
-                .all(|(a, b)| a.verdict == b.verdict));
+            assert_eq!(reference.verdicts, result.verdicts);
         }
         assert_eq!(result.solver_stats.worker_panics > 0, faulted);
     }
@@ -412,8 +417,9 @@ fn requeued_and_fallback_cubes_end_up_in_place() {
     for seed in [3u64, 4, 9] {
         // Panics at seeded solve ordinals all through the batch; the first
         // respawn fails, so one worker dies with part of a chunk in flight
-        // (those cubes come back through the sequential fallback, appended
-        // after everything else), the later ones are requeued mid-run.
+        // (those cubes come back through the sequential fallback, their
+        // models listed after everything else until the batch's one sort),
+        // the later ones are requeued mid-run.
         let plan = FaultPlan {
             respawn_failures: 1,
             ..FaultPlan::seeded(seed, 12, cubes.len() as u64)
@@ -430,11 +436,52 @@ fn requeued_and_fallback_cubes_end_up_in_place() {
             },
         )
         .solve_batch(&cubes, None);
-        assert_indices_are_the_whole_batch(&faulted, cubes.len());
+        assert_whole_batch_is_solved(&faulted, cubes.len());
         assert_same_observations(&reference, &faulted);
         assert_eq!(reference.var_conflict_totals, faulted.var_conflict_totals);
         assert!(faulted.solver_stats.worker_panics >= 2, "seed {seed}");
         assert!(faulted.solver_stats.requeued_cubes >= 2, "seed {seed}");
+    }
+}
+
+#[test]
+fn every_executor_returns_the_same_columns_and_ascending_side_lists() {
+    fault::silence_injected_panics();
+    // Fresh observations and certificates depend on the cube alone: one
+    // worker, two and four must hand back the same columns and the same
+    // position-ascending models and proofs — when chunks are stolen out of
+    // the conflict-bound first quarter, and when a worker dies on a failed
+    // respawn (its cubes come back through the fallback, listed last until
+    // the batch's one sort) and later panics are requeued mid-run.
+    let (cnf, cubes) = skewed_family();
+    let run = |workers, fault_plan| {
+        let config = BatchConfig {
+            num_workers: workers,
+            fault_plan,
+            solver_config: SolverConfig {
+                proof: true,
+                ..SolverConfig::default()
+            },
+            ..pool_of_four(BackendKind::Fresh)
+        };
+        CubeOracle::new(&cnf, config).solve_batch(&cubes, None)
+    };
+    let reference = run(1, FaultPlan::none());
+    assert_whole_batch_is_solved(&reference, cubes.len());
+    assert!(!reference.models.is_empty() && !reference.proofs.is_empty());
+    let faults = FaultPlan {
+        respawn_failures: 1,
+        ..FaultPlan::seeded(3, 12, cubes.len() as u64)
+    };
+    for workers in [2, 4] {
+        for plan in [FaultPlan::none(), faults.clone()] {
+            let faulted = !plan.is_empty();
+            let result = run(workers, plan);
+            assert_whole_batch_is_solved(&result, cubes.len());
+            assert_same_observations(&reference, &result);
+            assert_eq!(reference.proofs, result.proofs, "workers={workers}");
+            assert_eq!(result.solver_stats.requeued_cubes >= 2, faulted);
+        }
     }
 }
 
@@ -462,30 +509,31 @@ fn stop_on_sat_on_a_pool_reports_a_sorted_duplicate_free_subset() {
         );
         let result = oracle.solve_batch(&cubes, Some(&flag));
         assert!(flag.is_raised());
-        assert!(result
-            .outcomes
-            .windows(2)
-            .all(|pair| pair[0].index < pair[1].index));
-        // Outcomes are placed in a buffer sized for the whole batch; what
-        // comes out is the solved cubes alone, never a position nobody
-        // wrote: every index is a cube's, every decided verdict is that
+        // The columns are sized for the whole batch; a position nobody
+        // wrote reads `None` at cost zero, every decided verdict is its
         // cube's, and the undecided ones are at most the one cube each of
         // the other three workers held when the flag went up.
-        for o in &result.outcomes {
-            assert!(o.index < cubes.len(), "{backend}: index {}", o.index);
-            if o.verdict != VerdictSummary::Unknown {
-                let sat = o.verdict == VerdictSummary::Sat;
-                assert_eq!(sat, o.index == target, "{backend}: cube {}", o.index);
+        assert_eq!(result.verdicts.len(), cubes.len());
+        for (index, verdict) in result.verdicts.iter().enumerate() {
+            match verdict {
+                None => assert_eq!(result.costs[index], 0.0, "{backend}: cube {index}"),
+                Some(VerdictSummary::Unknown) => {}
+                Some(decided) => {
+                    let sat = *decided == VerdictSummary::Sat;
+                    assert_eq!(sat, index == target, "{backend}: cube {index}");
+                }
             }
         }
-        assert!(result.verdict_counts().2 <= 3, "{backend}: placeholders");
-        let reported: u64 = result.outcomes.iter().map(|o| o.conflicts).sum();
-        assert_eq!(result.solver_stats.conflicts, reported, "{backend}");
-        assert_eq!(oracle.cubes_solved(), result.outcomes.len() as u64);
+        let solved = result.verdicts.iter().flatten().count();
+        assert!(result.verdict_counts().2 <= 3, "{backend}: cut short");
+        let reported: f64 = result.costs.iter().sum();
+        assert_eq!(result.solver_stats.conflicts as f64, reported, "{backend}");
+        assert_eq!(oracle.cubes_solved(), solved as u64);
         // The one model is reported; a cube the raised flag cut short is
         // `Unknown`, never a second `Sat`.
-        assert_eq!(result.verdict_counts().0, 1, "{backend}");
-        assert_eq!(result.first_sat().map(|o| o.index), Some(target));
+        assert_side_lists_are_in_place(&result);
+        assert_eq!(result.models.len(), 1, "{backend}");
+        assert_eq!(result.models[0].0, target, "{backend}");
     }
 }
 
@@ -531,29 +579,30 @@ fn warm_pool_certificates_check_batch_after_batch() {
             }
             let result = pool.solve_batch(&cubes, None);
             let reference = one.solve_batch(&cubes, None);
-            assert_indices_are_the_whole_batch(&result, cubes.len());
-            for (outcome, expected) in result.outcomes.iter().zip(&reference.outcomes) {
-                let context = format!("{label}: pass {pass}, cube {}", outcome.index);
-                let cube = cubes[outcome.index].lits();
-                assert_eq!(outcome.verdict, expected.verdict, "{context}");
-                match outcome.verdict {
-                    VerdictSummary::Sat => {
-                        let model = outcome.model.as_ref().expect("a SAT cube has a model");
-                        assert!(cnf.is_satisfied_by(model), "{context}");
-                        assert!(
-                            cube.iter()
-                                .all(|&l| model.lit_value(l).to_bool() == Some(true)),
-                            "{context}"
-                        );
-                    }
-                    VerdictSummary::Unsat => {
-                        let proof = outcome.proof.as_ref().expect("an UNSAT cube has a proof");
-                        check_unsat_proof(cnf, cube, proof)
-                            .unwrap_or_else(|failure| panic!("{context}: {failure}"));
-                        certified += 1;
-                    }
-                    VerdictSummary::Unknown => panic!("{context}: undecided"),
-                }
+            // Every SAT cube has its model listed, in place.
+            assert_whole_batch_is_solved(&result, cubes.len());
+            assert_eq!(result.verdicts, reference.verdicts, "{label}: pass {pass}");
+            assert_eq!(
+                result.verdict_counts().2,
+                0,
+                "{label}: pass {pass}: undecided"
+            );
+            for (index, model) in &result.models {
+                let context = format!("{label}: pass {pass}, cube {index}");
+                assert!(cnf.is_satisfied_by(model), "{context}");
+                let mut cube = cubes[*index].lits().iter();
+                assert!(
+                    cube.all(|&l| model.lit_value(l).to_bool() == Some(true)),
+                    "{context}"
+                );
+            }
+            // Every UNSAT cube has its proof.
+            assert_eq!(result.proofs.len(), result.verdict_counts().1);
+            for (index, proof) in &result.proofs {
+                check_unsat_proof(cnf, cubes[*index].lits(), proof).unwrap_or_else(|failure| {
+                    panic!("{label}: pass {pass}, cube {index}: {failure}")
+                });
+                certified += 1;
             }
         }
         assert!(certified > 0, "{label}: no UNSAT cube to certify");

@@ -161,6 +161,9 @@ pub struct Solver {
     /// Reusable scratch listing the variables whose `seen` flag must be
     /// cleared at the end of `analyze`.
     toclear_buf: Vec<Var>,
+    /// Reusable scratch in which `add_clause` normalises its input: loading
+    /// a formula allocates no `Vec` per clause.
+    clause_buf: Vec<Lit>,
     /// DRAT derivation log, `None` unless [`SolverConfig::proof`] is set. The
     /// stream is persistent across solve calls: every logged addition is a
     /// consequence of the clause database alone (assumptions enter the search
@@ -210,6 +213,8 @@ impl Clone for Solver {
             learnt_buf,
             levels_buf,
             toclear_buf,
+            // Dead between `add_clause` calls.
+            clause_buf: _,
             proof,
             last_solve_unsat,
             stats,
@@ -298,6 +303,7 @@ impl Solver {
             learnt_buf: Vec::new(),
             levels_buf: Vec::new(),
             toclear_buf: Vec::new(),
+            clause_buf: Vec::new(),
             proof,
             last_solve_unsat: false,
             stats: SolverStats::default(),
@@ -455,7 +461,10 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
+        let input = lits;
+        let mut lits = std::mem::take(&mut self.clause_buf);
+        lits.clear();
+        lits.extend(input);
         if let Some(max) = lits.iter().map(|l| l.var().index()).max() {
             self.ensure_vars(max + 1);
         }
@@ -469,37 +478,38 @@ impl Solver {
                 tautology = true;
             }
         }
-        if tautology || lits.iter().any(|&l| self.lit_value(l) == Value::True) {
-            return true;
-        }
-        match lits.len() {
-            0 => {
-                // Every literal of the input clause is false under the root
-                // assignment; a checker re-derives the conflict by unit
-                // propagation over the loaded formula.
-                self.ok = false;
-                if let Some(p) = self.proof.as_mut() {
-                    p.add_empty();
-                }
-                false
-            }
-            1 => {
-                self.unchecked_enqueue(lits[0], None);
-                self.ok = self.propagate().is_none();
-                if !self.ok {
+        let satisfied = tautology || lits.iter().any(|&l| self.lit_value(l) == Value::True);
+        let added = satisfied
+            || match lits.len() {
+                0 => {
+                    // Every literal of the input clause is false under the root
+                    // assignment; a checker re-derives the conflict by unit
+                    // propagation over the loaded formula.
+                    self.ok = false;
                     if let Some(p) = self.proof.as_mut() {
                         p.add_empty();
                     }
+                    false
                 }
-                self.ok
-            }
-            _ => {
-                let cref = self.db.add(&lits, false, 0);
-                self.original.push(cref);
-                self.attach_clause(cref);
-                true
-            }
-        }
+                1 => {
+                    self.unchecked_enqueue(lits[0], None);
+                    self.ok = self.propagate().is_none();
+                    if !self.ok {
+                        if let Some(p) = self.proof.as_mut() {
+                            p.add_empty();
+                        }
+                    }
+                    self.ok
+                }
+                _ => {
+                    let cref = self.db.add(&lits, false, 0);
+                    self.original.push(cref);
+                    self.attach_clause(cref);
+                    true
+                }
+            };
+        self.clause_buf = lits;
+        added
     }
 
     /// Solves the current formula without assumptions and without limits.

@@ -32,7 +32,9 @@
 //!    under `oracle/` name neither `mpsc` nor `recv_timeout` — pool threads
 //!    are scoped to a batch and hand their results back through their join,
 //!    so the channel-fed pool (and the watchdog that polled it) cannot grow
-//!    back beside them.
+//!    back beside them — and neither name `CubeOutcome` nor fill a
+//!    `vec![…; n]` with a constructed record: results are two zeroed columns
+//!    the workers write in place, not a placeholder per cube.
 
 #![forbid(unsafe_code)]
 
@@ -390,6 +392,28 @@ fn check_batches_borrow(root: &Path, errors: &mut Vec<String>) {
     for needle in ["mpsc", "recv_timeout"] {
         forbid(root, &sources, "//", None, needle, advice, errors);
     }
+    let advice = "results come back as the zeroed `costs` / `verdicts` columns, written in \
+                  place; keep the per-cube record and its placeholder fill out of the oracle";
+    forbid(root, &sources, "//", None, "CubeOutcome", advice, errors);
+    for path in &sources {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        for (i, line) in text.lines().enumerate() {
+            if fills_with_a_record(line.split("//").next().unwrap_or(line)) {
+                let at = rel(root, path);
+                errors.push(format!("{at}:{}: placeholder fill: {advice}", i + 1));
+            }
+        }
+    }
+}
+
+/// Whether `code` holds a `vec![element; n]` whose element is built by a
+/// call or a struct literal.
+fn fills_with_a_record(code: &str) -> bool {
+    code.split("vec![").skip(1).any(|rest| {
+        let inside = rest.split(']').next().unwrap_or(rest);
+        let element = inside.split_once(';').map(|(element, _)| element);
+        element.is_some_and(|e| e.contains(['(', '{']))
+    })
 }
 
 /// Reports every line of `files` that contains `needle` outside a comment;
@@ -454,7 +478,8 @@ mod tests {
         let write = |path: &str, text: &str| std::fs::write(root.join(path), text).expect("write");
         write(
             "crates/pdsat-core/src/oracle.rs",
-            "// mpsc went away\nmod pool;\n",
+            "// mpsc went away, CubeOutcome too\nmod pool;\n\
+             fn columns(n: usize) { (vec![0.0; n], vec![None; n], vec![0u64; 2 * (n - 1)]); }\n",
         );
         write("crates/pdsat-core/src/oracle/pool.rs", "use std::thread;\n");
         let mut errors = Vec::new();
@@ -463,7 +488,9 @@ mod tests {
 
         write(
             "crates/pdsat-core/src/oracle/pool.rs",
-            "use std::sync::mpsc;\nfn f(rx: &mpsc::Receiver<u8>) {\n    let _ = rx.recv_timeout(D);\n}\n",
+            "use std::sync::mpsc;\nfn f(rx: &mpsc::Receiver<u8>) {\n    let _ = rx.recv_timeout(D);\n}\n\
+             struct CubeOutcome;\nfn g(n: usize) {\n    let _ = vec![Record::unsolved(); n];\n    \
+             let _ = vec![Record { index: MAX }; n];\n    let _ = vec![one(), two()];\n}\n",
         );
         check_batches_borrow(&root, &mut errors);
         std::fs::remove_dir_all(&root).expect("clean up");
@@ -477,8 +504,13 @@ mod tests {
                 "crates/pdsat-core/src/oracle/pool.rs:1",
                 "crates/pdsat-core/src/oracle/pool.rs:2",
                 "crates/pdsat-core/src/oracle/pool.rs:3",
+                "crates/pdsat-core/src/oracle/pool.rs:5",
+                "crates/pdsat-core/src/oracle/pool.rs:7",
+                "crates/pdsat-core/src/oracle/pool.rs:8",
             ]
         );
         assert!(errors[2].contains("recv_timeout"), "{}", errors[2]);
+        assert!(errors[3].contains("CubeOutcome"), "{}", errors[3]);
+        assert!(errors[5].contains("placeholder fill"), "{}", errors[5]);
     }
 }
