@@ -1,9 +1,13 @@
 //! Golden `CheckStats`: the checker replays solver-emitted certificates with
-//! exactly the step, propagation and unmatched-deletion counts recorded from
-//! the `Vec<ClauseRec>` + eager-index checker this arena checker replaced.
+//! exactly the recorded step, propagation and unmatched-deletion counts.
 //! Propagation counts depend on watch order, on which literal a watch moves
 //! to and on which instance a deletion removes, so equal counts mean the
 //! same derivation was replayed, not merely the same verdict reached.
+//!
+//! First recorded from the `Vec<ClauseRec>` + eager-index checker this arena
+//! checker replaced; re-recorded, with the checker untouched, at the commit
+//! that gave the solver's ternary clauses watch lists of their own (the
+//! formula is all ternary, so the certificates themselves changed).
 
 use pdsat_checker::{check_unsat_proof, CheckStats};
 use pdsat_cnf::{Cnf, DratProof, DratStep, Lit, Var};
@@ -60,10 +64,10 @@ fn assert_golden(config: SolverConfig, (steps, deletes): (usize, usize), stats: 
 fn plain_certificate_replays_with_the_recorded_counts() {
     assert_golden(
         proof_config(),
-        (626, 0),
+        (628, 0),
         CheckStats {
-            steps_checked: 625,
-            propagations: 9839,
+            steps_checked: 627,
+            propagations: 9749,
             unmatched_deletes: 0,
         },
     );
@@ -81,7 +85,7 @@ fn reduce_db_certificate_replays_with_the_recorded_counts() {
         (2227, 1039),
         CheckStats {
             steps_checked: 2226,
-            propagations: 17147,
+            propagations: 17152,
             unmatched_deletes: 0,
         },
     );

@@ -52,14 +52,19 @@ pub use var::{Lit, Var};
 ///
 /// The `Unassigned` value is used both for unassigned variables and for
 /// clauses/formulas whose value is not yet determined by a partial assignment.
+///
+/// The discriminants are part of the contract: `pdsat_solver`'s ternary
+/// propagation multiplies two of them (and asserts these three numbers at
+/// compile time), so they are spelled out rather than left to declaration
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Value {
     /// The variable/clause/formula evaluates to true.
-    True,
+    True = 0,
     /// The variable/clause/formula evaluates to false.
-    False,
+    False = 1,
     /// The value is not determined by the current partial assignment.
-    Unassigned,
+    Unassigned = 2,
 }
 
 impl Value {

@@ -181,11 +181,12 @@ fn warm_backend_is_no_more_expensive_over_whole_families() {
 /// returned for the family of [`fresh_fixture_family`]: the per-cube
 /// propagation costs and conflict counts, and an FNV-1a digest of the `Debug`
 /// text of the result's columns and side lists (costs, verdicts, models, DRAT
-/// certificates) and of the per-variable conflict totals. The costs were
-/// recorded at the commit before the backend kept a template and a restored
-/// working solver; the conflict counts and the digest at the last commit
-/// whose oracle still returned one record per cube, from that oracle's
-/// output laid out as columns.
+/// certificates) and of the per-variable conflict totals. Recorded at the
+/// commit that gave ternary clauses watch lists of their own (solver policy:
+/// propagation order moved every count), from a loop of exactly that shape —
+/// a `Solver::from_cnf_with_config` per cube, its stats delta, verdict,
+/// model or `unsat_certificate`, and `conflict_counts` summed — whose output
+/// the untouched `FreshBackend` matched digest for digest.
 struct FreshFixture {
     costs: [f64; 16],
     conflicts: [f64; 16],
@@ -194,13 +195,13 @@ struct FreshFixture {
 
 const FRESH_FIXTURE: FreshFixture = FreshFixture {
     costs: [
-        459.0, 171.0, 352.0, 83.0, 374.0, 484.0, 197.0, 219.0, 424.0, 224.0, 197.0, 357.0, 292.0,
-        498.0, 151.0, 193.0,
+        579.0, 133.0, 197.0, 79.0, 312.0, 486.0, 197.0, 189.0, 453.0, 312.0, 205.0, 332.0, 293.0,
+        407.0, 150.0, 195.0,
     ],
     conflicts: [
-        23.0, 10.0, 23.0, 4.0, 23.0, 33.0, 13.0, 13.0, 24.0, 9.0, 9.0, 19.0, 17.0, 24.0, 8.0, 10.0,
+        32.0, 8.0, 11.0, 4.0, 18.0, 36.0, 13.0, 12.0, 27.0, 15.0, 12.0, 18.0, 17.0, 19.0, 8.0, 10.0,
     ],
-    digest: 0x827d_94e6_cf7e_77ac,
+    digest: 0x7527_26a7_1889_e0d3,
 };
 
 fn fresh_fixture_family() -> (Cnf, Vec<Cube>) {

@@ -2,9 +2,10 @@
 //! each sample in the order drawn, the warm estimator sorts each point's
 //! sample itself (the oracle solves cubes in the order given).
 //!
-//! The numbers below were recorded at the commit before the oracle's batch
-//! permutation was deleted, where the oracle prefix-sorted every warm batch
-//! run by run: one worker, so warm costs are deterministic.
+//! The numbers below were recorded at the commit that gave ternary clauses
+//! watch lists of their own (solver policy: every cost of this all-ternary
+//! formula moved with propagation order; the evaluator, the oracle and the
+//! sample RNG were untouched): one worker, so warm costs are deterministic.
 
 use pdsat_cnf::{Cnf, Var};
 use pdsat_core::{BackendKind, CostMetric, DecompositionSet, Evaluator, EvaluatorConfig};
@@ -37,15 +38,15 @@ fn fresh_observations_keep_the_order_drawn() {
     assert_eq!(
         fresh.evaluate(&a).observations,
         [
-            106.0, 144.0, 333.0, 18.0, 198.0, 206.0, 42.0, 33.0, 232.0, 20.0, 187.0, 380.0, 320.0,
-            113.0, 49.0, 208.0, 20.0, 87.0, 187.0, 65.0, 68.0, 42.0, 206.0, 278.0,
+            138.0, 154.0, 370.0, 18.0, 170.0, 309.0, 42.0, 33.0, 293.0, 20.0, 162.0, 395.0, 302.0,
+            48.0, 49.0, 176.0, 20.0, 89.0, 147.0, 70.0, 67.0, 42.0, 309.0, 250.0,
         ]
     );
     assert_eq!(
         fresh.evaluate(&b).observations,
         [
-            384.0, 36.0, 165.0, 49.0, 119.0, 188.0, 119.0, 17.0, 53.0, 115.0, 182.0, 8.0, 58.0,
-            109.0, 126.0, 98.0, 77.0, 75.0, 95.0, 58.0, 129.0, 8.0, 8.0, 8.0,
+            354.0, 37.0, 160.0, 50.0, 119.0, 144.0, 119.0, 17.0, 52.0, 114.0, 173.0, 8.0, 122.0,
+            112.0, 118.0, 94.0, 86.0, 77.0, 100.0, 122.0, 123.0, 8.0, 8.0, 8.0,
         ]
     );
 }
@@ -60,17 +61,17 @@ fn warm_batches_solve_each_points_sample_sorted_and_never_interleave_points() {
     let recorded: [([f64; 24], f64); 2] = [
         (
             [
-                0.0, 0.0, 0.0, 16.0, 16.0, 18.0, 23.0, 38.0, 38.0, 38.0, 40.0, 58.0, 73.0, 78.0,
-                95.0, 100.0, 109.0, 136.0, 141.0, 164.0, 172.0, 176.0, 187.0, 235.0,
+                0.0, 0.0, 0.0, 0.0, 1.0, 5.0, 27.0, 29.0, 32.0, 47.0, 53.0, 55.0, 62.0, 71.0, 75.0,
+                75.0, 99.0, 102.0, 115.0, 116.0, 147.0, 204.0, 253.0, 302.0,
             ],
-            5202.666666666666,
+            4986.666666666665,
         ),
         (
             [
-                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 9.0, 10.0, 12.0, 14.0, 34.0, 37.0, 37.0, 42.0,
-                50.0, 50.0, 63.0, 79.0, 86.0, 103.0, 106.0, 118.0, 206.0,
+                0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 7.0, 8.0, 14.0, 24.0, 24.0, 28.0, 42.0, 43.0, 47.0,
+                48.0, 53.0, 58.0, 84.0, 88.0, 99.0, 104.0, 126.0, 140.0,
             ],
-            5658.666666666668,
+            5557.333333333333,
         ),
     ];
     for (evaluation, (costs, value)) in evaluations.iter().zip(recorded) {
@@ -79,6 +80,6 @@ fn warm_batches_solve_each_points_sample_sorted_and_never_interleave_points() {
         assert_eq!(observed, costs);
         assert!((evaluation.value() - value).abs() <= 1e-9 * value);
     }
-    assert_eq!(warm.oracle().total_stats().reused_assumptions, 154);
-    assert_eq!(warm.oracle().total_stats().saved_propagations, 212);
+    assert_eq!(warm.oracle().total_stats().reused_assumptions, 153);
+    assert_eq!(warm.oracle().total_stats().saved_propagations, 210);
 }

@@ -21,31 +21,35 @@
 //!
 //! # Invariants relied on by the solver
 //!
-//! * **Watched literals:** for every live clause of length ≥ 3, literal
+//! * **Watched literals:** for every live clause of length ≥ 4, literal
 //!   positions 0 and 1 are the watched literals, and the clause appears in
-//!   exactly the watch lists of `¬lits[0]` and `¬lits[1]`. Binary clauses
-//!   are *not* watched through the arena at all; they are mirrored into
-//!   dedicated binary watch lists at attach time and their arena copy is
-//!   only read during conflict analysis (and reordered so that an implied
-//!   literal is at position 0).
-//! * **Reason position:** whenever a clause of length ≥ 3 is the reason of
+//!   exactly the watch lists of `¬lits[0]` and `¬lits[1]`. Binary and ternary
+//!   clauses are *not* watched through the arena at all; they are mirrored
+//!   into dedicated watch lists at attach time — a binary clause into the
+//!   lists of both its literals, a ternary clause into the lists of all
+//!   three, each entry carrying the other literal(s) inline — and their
+//!   arena copy keeps the order it was added in and is only read by conflict
+//!   analysis, clause minimization, `is_locked`, detaching and proof logging.
+//! * **Reason position:** whenever a clause of length ≥ 4 is the reason of
 //!   an assignment, the implied literal is at position 0 (propagation swaps
-//!   before enqueueing). Binary reasons are *not* reordered — their implied
-//!   literal may sit at either position, so consumers of reason clauses
-//!   (conflict analysis, clause minimization) must skip the implied literal
-//!   by value, never by position.
+//!   before enqueueing). Binary and ternary reasons are *not* reordered —
+//!   their implied literal may sit at any position, so consumers of reason
+//!   clauses (conflict analysis, clause minimization, the lock test of
+//!   `reduce_db`) must match the implied literal by value, never by
+//!   position.
 //! * **Deletion is a tombstone:** [`ClauseDb::mark_deleted`] only sets the
 //!   header bit; the words stay in place (watchers drop lazily), and the
 //!   space is reclaimed by [`ClauseDb::collect`], which compacts the arena
 //!   and hands the caller a relocation table mapping every pre-GC
 //!   [`ClauseRef`] to its post-GC position. After a collection **every**
-//!   stored `ClauseRef` (watch lists, binary watch lists, reason slots,
+//!   stored `ClauseRef` (long, binary and ternary watch lists, reason slots,
 //!   original/learnt rosters) must be rewritten through
 //!   [`ClauseRelocation::new_ref`]; refs of clauses that were deleted before
 //!   the collection map to `None` and must be dropped.
 //! * **Binary clauses are permanent:** `reduce_db` never deletes clauses of
 //!   length 2, so binary watch lists only ever need relocation, not pruning
-//!   (relocation still handles `None` defensively).
+//!   (relocation still handles `None` defensively). Learnt ternary clauses
+//!   *are* deleted; `reduce_db` detaches them eagerly from all three lists.
 
 use pdsat_cnf::Lit;
 

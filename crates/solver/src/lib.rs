@@ -5,7 +5,8 @@
 //! The original PDSAT used a modified MiniSat; this is a from-scratch Rust
 //! implementation of the same algorithm family:
 //!
-//! * two-watched-literal unit propagation,
+//! * two-watched-literal unit propagation, with binary and ternary clauses
+//!   served from watch lists of their own that carry their literals inline,
 //! * first-UIP clause learning with basic minimization,
 //! * VSIDS variable activities with phase saving,
 //! * Luby restarts,

@@ -49,7 +49,7 @@ impl Verdict {
     }
 }
 
-/// Watch-list entry for clauses of length ≥ 3.
+/// Watch-list entry for clauses of length ≥ 4.
 ///
 /// `blocker` is some literal of the clause other than the watched one; if it
 /// is already true the clause cannot be unit or conflicting, so propagation
@@ -70,6 +70,26 @@ struct BinWatcher {
     cref: ClauseRef,
     other: Lit,
 }
+
+/// Watch-list entry for ternary clauses.
+///
+/// The clause is the falsified literal (the list index) plus `a` and `b`,
+/// and it sits in the lists of all three of its literals, so a visit never
+/// dereferences the arena, swaps a literal or moves a watch; `cref` is
+/// carried only to serve as the reason / conflict handle.
+#[derive(Debug, Clone, Copy)]
+struct TernWatcher {
+    cref: ClauseRef,
+    a: Lit,
+    b: Lit,
+}
+
+// A ternary visit multiplies the value bytes of the other two literals
+// (`Solver::value_byte`): 1 is a conflict, 2 a unit clause, 0 and 4 nothing
+// to do. Reordering `pdsat_cnf::Value` must fail here, not turn conflicts
+// into no-ops.
+const _: () =
+    assert!(Value::True as u8 == 0 && Value::False as u8 == 1 && Value::Unassigned as u8 == 2);
 
 #[derive(Debug, Clone, Copy)]
 struct VarData {
@@ -94,10 +114,13 @@ struct Limits {
 
 /// A MiniSat-class CDCL SAT solver.
 ///
-/// Features: two-watched-literal propagation, first-UIP conflict analysis
-/// with basic clause minimization, VSIDS decision heuristic, phase saving,
-/// Luby restarts, activity/LBD-based learnt clause deletion, incremental
-/// solving under assumptions, resource budgets and cooperative interruption.
+/// Features: two-watched-literal propagation for clauses of four and more
+/// literals, binary and ternary clauses propagated from their watchers alone
+/// (every literal of a ternary clause watches it, with the other two inline),
+/// first-UIP conflict analysis with basic clause minimization, VSIDS decision
+/// heuristic, phase saving, Luby restarts, activity/LBD-based learnt clause
+/// deletion, incremental solving under assumptions, resource budgets and
+/// cooperative interruption.
 ///
 /// The solver is deterministic: given the same clauses, assumptions and
 /// configuration it explores the same search tree, which is a requirement of
@@ -131,6 +154,7 @@ pub struct Solver {
     learnts: Vec<ClauseRef>,
     watches: Vec<Vec<Watcher>>,
     bin_watches: Vec<Vec<BinWatcher>>,
+    tern_watches: Vec<Vec<TernWatcher>>,
     /// Current assignment, indexed by *literal code* (two entries per
     /// variable, kept in sync by `unchecked_enqueue`/`cancel_until`): the
     /// propagation inner loop evaluates a literal with one indexed load,
@@ -196,6 +220,7 @@ impl Clone for Solver {
             learnts,
             watches,
             bin_watches,
+            tern_watches,
             assigns,
             vardata,
             polarity,
@@ -226,6 +251,7 @@ impl Clone for Solver {
         self.learnts.clone_from(learnts);
         self.watches.clone_from(watches);
         self.bin_watches.clone_from(bin_watches);
+        self.tern_watches.clone_from(tern_watches);
         self.assigns.clone_from(assigns);
         self.vardata.clone_from(vardata);
         self.polarity.clone_from(polarity);
@@ -286,6 +312,7 @@ impl Solver {
             learnts: Vec::new(),
             watches: Vec::new(),
             bin_watches: Vec::new(),
+            tern_watches: Vec::new(),
             assigns: Vec::new(),
             vardata: Vec::new(),
             polarity: Vec::new(),
@@ -323,6 +350,18 @@ impl Solver {
     pub fn from_cnf_with_config(cnf: &Cnf, config: SolverConfig) -> Solver {
         let mut solver = Solver::with_config(config);
         solver.ensure_vars(cnf.num_vars());
+        // Every literal of a ternary clause watches it: size each list once,
+        // so loading neither regrows them nor leaves slack for the template
+        // clones to carry.
+        let mut tern_counts = vec![0usize; solver.tern_watches.len()];
+        for clause in cnf.iter().filter(|c| c.len() == 3) {
+            for l in clause.iter() {
+                tern_counts[(!l).code()] += 1;
+            }
+        }
+        for (list, &n) in solver.tern_watches.iter_mut().zip(&tern_counts) {
+            list.reserve_exact(n);
+        }
         for clause in cnf.iter() {
             solver.add_clause(clause.iter());
         }
@@ -436,6 +475,8 @@ impl Solver {
         self.watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
         self.bin_watches.push(Vec::new());
+        self.tern_watches.push(Vec::new());
+        self.tern_watches.push(Vec::new());
         self.order_heap.insert(v, &self.activity);
         v
     }
@@ -742,6 +783,13 @@ impl Solver {
         self.assigns[lit.code()]
     }
 
+    /// The value of `lit` as its discriminant (true 0, false 1, unassigned
+    /// 2), for the product test of a ternary visit in `propagate`.
+    #[inline]
+    fn value_byte(&self, lit: Lit) -> u8 {
+        self.lit_value(lit) as u8
+    }
+
     #[inline]
     fn var_value(&self, var: Var) -> Value {
         self.assigns[Lit::positive(var).code()]
@@ -768,13 +816,14 @@ impl Solver {
 
     /// Unit propagation. Returns the conflicting clause, if any.
     ///
-    /// The inner loop performs no heap allocation: binary clauses are served
-    /// from dedicated per-literal lists without dereferencing the arena, and
-    /// long-clause watch lists are updated in place with swap-remove
-    /// semantics (read cursor `i`, write cursor `j`, truncate at the end).
-    /// The watch list buffer is moved out with `mem::take` (a pointer swap,
-    /// not a copy or allocation) purely to appease the borrow checker and is
-    /// always moved back before the next literal is processed.
+    /// The inner loop performs no heap allocation: binary and ternary clauses
+    /// are served, in that order, from dedicated per-literal lists without
+    /// dereferencing the arena, and long-clause watch lists are updated in
+    /// place with swap-remove semantics (read cursor `i`, write cursor `j`,
+    /// truncate at the end). The watch list buffer is moved out with
+    /// `mem::take` (a pointer swap, not a copy or allocation) purely to
+    /// appease the borrow checker and is always moved back before the next
+    /// literal is processed.
     fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
@@ -801,6 +850,34 @@ impl Solver {
             }
             self.bin_watches[pcode] = bins;
 
+            // Ternary clauses next, in attach order: `¬p` is false, so the
+            // clause is decided by its other two literals, both inline. The
+            // product of their value bytes is 1 for false·false (conflict),
+            // 2 for false·unassigned (unit) and 0 or 4 when either is true or
+            // both are open — one well-predicted branch for the visits, about
+            // nine in ten, that have nothing to do. Like the binary list this
+            // one is never mutated during the scan.
+            let terns = std::mem::take(&mut self.tern_watches[pcode]);
+            for ti in 0..terns.len() {
+                let w = terns[ti];
+                let product = self.value_byte(w.a) * self.value_byte(w.b);
+                if !matches!(product, 1 | 2) {
+                    continue;
+                }
+                if product == 1 {
+                    self.qhead = self.trail.len();
+                    self.tern_watches[pcode] = terns;
+                    return Some(w.cref);
+                }
+                let implied = if self.lit_value(w.a) == Value::False {
+                    w.b
+                } else {
+                    w.a
+                };
+                self.unchecked_enqueue(implied, Some(w.cref));
+            }
+            self.tern_watches[pcode] = terns;
+
             let false_lit = !p;
             let mut watchers = std::mem::take(&mut self.watches[pcode]);
             let num_watchers = watchers.len();
@@ -820,6 +897,7 @@ impl Solver {
                 // relocated refs rewritten at GC, so every watcher here
                 // points at a live clause.
                 debug_assert!(!self.db.is_deleted(w.cref));
+                debug_assert!(self.db.len_of(w.cref) > 3, "ternaries never sit here");
                 // Make sure the false literal is at position 1.
                 if self.db.lit(w.cref, 0) == false_lit {
                     self.db.swap_lits(w.cref, 0, 1);
@@ -891,9 +969,10 @@ impl Solver {
             for j in 0..clause_len {
                 let q = self.db.lit(confl, j);
                 // Skip the literal this reason clause implied (for long
-                // clauses it sits at position 0, but binary reasons are
-                // served from the binary watch lists without reordering the
-                // arena copy, so match by value instead of position).
+                // clauses it sits at position 0, but binary and ternary
+                // reasons are served from their watch lists without
+                // reordering the arena copy, so match by value instead of
+                // position).
                 if p == Some(q) {
                     continue;
                 }
@@ -948,8 +1027,8 @@ impl Solver {
                 let keep = match self.vardata[v.index()].reason {
                     None => true,
                     // Skip the implied literal by variable (it is `¬lit`'s
-                    // variable) rather than by position; binary reasons do
-                    // not maintain the position-0 invariant.
+                    // variable) rather than by position; binary and ternary
+                    // reasons do not maintain the position-0 invariant.
                     Some(reason) => (0..self.db.len_of(reason)).any(|k| {
                         let q = self.db.lit(reason, k);
                         q.var() != v
@@ -1153,30 +1232,52 @@ impl Solver {
     fn attach_clause(&mut self, cref: ClauseRef) {
         debug_assert!(self.db.len_of(cref) >= 2);
         let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
-        if self.db.len_of(cref) == 2 {
-            self.bin_watches[(!l0).code()].push(BinWatcher { cref, other: l1 });
-            self.bin_watches[(!l1).code()].push(BinWatcher { cref, other: l0 });
-        } else {
-            self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
-            self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
+        match self.db.len_of(cref) {
+            2 => {
+                self.bin_watches[(!l0).code()].push(BinWatcher { cref, other: l1 });
+                self.bin_watches[(!l1).code()].push(BinWatcher { cref, other: l0 });
+            }
+            3 => {
+                let l2 = self.db.lit(cref, 2);
+                self.tern_watches[(!l0).code()].push(TernWatcher { cref, a: l1, b: l2 });
+                self.tern_watches[(!l1).code()].push(TernWatcher { cref, a: l0, b: l2 });
+                self.tern_watches[(!l2).code()].push(TernWatcher { cref, a: l0, b: l1 });
+            }
+            _ => {
+                self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
+                self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
+            }
         }
     }
 
     fn detach_clause(&mut self, cref: ClauseRef) {
         let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
-        if self.db.len_of(cref) == 2 {
-            self.bin_watches[(!l0).code()].retain(|w| w.cref != cref);
-            self.bin_watches[(!l1).code()].retain(|w| w.cref != cref);
-        } else {
-            self.watches[(!l0).code()].retain(|w| w.cref != cref);
-            self.watches[(!l1).code()].retain(|w| w.cref != cref);
+        match self.db.len_of(cref) {
+            2 => {
+                self.bin_watches[(!l0).code()].retain(|w| w.cref != cref);
+                self.bin_watches[(!l1).code()].retain(|w| w.cref != cref);
+            }
+            3 => {
+                for l in [l0, l1, self.db.lit(cref, 2)] {
+                    self.tern_watches[(!l).code()].retain(|w| w.cref != cref);
+                }
+            }
+            _ => {
+                self.watches[(!l0).code()].retain(|w| w.cref != cref);
+                self.watches[(!l1).code()].retain(|w| w.cref != cref);
+            }
         }
     }
 
+    /// Whether the clause is the reason of a current assignment. A long
+    /// clause implies its position-0 literal; nothing reorders the arena copy
+    /// of a ternary one, so any of its three literals can be the implied one.
     fn is_locked(&self, cref: ClauseRef) -> bool {
-        let first = self.db.lit(cref, 0);
-        self.lit_value(first) == Value::True
-            && self.vardata[first.var().index()].reason == Some(cref)
+        let positions = if self.db.len_of(cref) == 3 { 3 } else { 1 };
+        (0..positions).any(|k| {
+            let l = self.db.lit(cref, k);
+            self.lit_value(l) == Value::True && self.vardata[l.var().index()].reason == Some(cref)
+        })
     }
 
     /// Removes roughly half of the learnt clauses, preferring clauses with
@@ -1222,27 +1323,25 @@ impl Solver {
     }
 
     /// Compacts the clause arena and rewrites every stored [`ClauseRef`]
-    /// through the relocation table: watch lists (long and binary), the
-    /// original/learnt rosters, and reason slots of assigned variables.
+    /// through the relocation table: watch lists (long, binary and ternary),
+    /// the original/learnt rosters, and reason slots of assigned variables.
     fn collect_garbage(&mut self) {
         let reloc = self.db.collect();
+        let relocate = |cref: &mut ClauseRef| match reloc.new_ref(*cref) {
+            Some(nc) => {
+                *cref = nc;
+                true
+            }
+            None => false,
+        };
         for list in &mut self.watches {
-            list.retain_mut(|w| match reloc.new_ref(w.cref) {
-                Some(nc) => {
-                    w.cref = nc;
-                    true
-                }
-                None => false,
-            });
+            list.retain_mut(|w| relocate(&mut w.cref));
         }
         for list in &mut self.bin_watches {
-            list.retain_mut(|w| match reloc.new_ref(w.cref) {
-                Some(nc) => {
-                    w.cref = nc;
-                    true
-                }
-                None => false,
-            });
+            list.retain_mut(|w| relocate(&mut w.cref));
+        }
+        for list in &mut self.tern_watches {
+            list.retain_mut(|w| relocate(&mut w.cref));
         }
         for cref in &mut self.original {
             *cref = reloc
@@ -1460,6 +1559,125 @@ mod tests {
         assert!(s.solve().is_sat());
         s.add_clause([lit(-2)]);
         assert_eq!(s.solve(), Verdict::Unsat);
+    }
+
+    #[test]
+    fn incremental_ternary_clause_addition() {
+        // The ternary lists take clauses after a solve like the others do.
+        let mut s = Solver::new();
+        s.add_clause([lit(1), lit(2)]);
+        assert!(s.solve_with_assumptions(&[lit(1), lit(2)]).is_sat());
+        s.add_clause([lit(-1), lit(-2), lit(3)]);
+        match s.solve_with_assumptions(&[lit(1), lit(2)]) {
+            Verdict::Sat(m) => assert_eq!(m.value(Var::new(2)).to_bool(), Some(true)),
+            other => panic!("expected SAT, got {other:?}"),
+        }
+        s.add_clause([lit(-1), lit(-2), lit(-3)]);
+        assert_eq!(s.solve_with_assumptions(&[lit(1), lit(2)]), Verdict::Unsat);
+        assert!(s.solve().is_sat());
+    }
+
+    /// A solver holding the one clause (1 ∨ 2 ∨ 3) with `trail` enqueued as
+    /// decisions of one level, not yet propagated.
+    fn ternary_under(trail: &[i64]) -> (Solver, ClauseRef) {
+        let mut s = Solver::new();
+        s.add_clause([lit(1), lit(2), lit(3)]);
+        let cref = s.original[0];
+        s.new_decision_level();
+        for &d in trail {
+            s.unchecked_enqueue(lit(d), None);
+        }
+        (s, cref)
+    }
+
+    #[test]
+    fn ternary_visit_with_both_others_false_is_a_conflict_on_that_clause() {
+        let (mut s, cref) = ternary_under(&[-1, -2, -3]);
+        assert_eq!(s.propagate(), Some(cref));
+        assert_eq!(s.trail.len(), 3);
+    }
+
+    #[test]
+    fn ternary_visit_with_one_other_false_enqueues_the_third_with_that_reason() {
+        // Each literal implied in turn, from the list of either falsified
+        // one: with `a` false the unit is `b`, else it is `a`.
+        for (trail, implied) in [
+            ([-1, -2], 3),
+            ([-2, -1], 3),
+            ([-1, -3], 2),
+            ([-3, -1], 2),
+            ([-2, -3], 1),
+            ([-3, -2], 1),
+        ] {
+            let (mut s, cref) = ternary_under(&trail);
+            assert_eq!(s.propagate(), None, "{trail:?}");
+            assert_eq!(s.trail.last(), Some(&lit(implied)), "{trail:?}");
+            assert_eq!(s.lit_value(lit(implied)), Value::True, "{trail:?}");
+            let data = s.vardata[lit(implied).var().index()];
+            assert_eq!((data.reason, data.level), (Some(cref), 1), "{trail:?}");
+        }
+    }
+
+    #[test]
+    fn ternary_visit_of_a_satisfied_or_open_clause_does_nothing() {
+        // Two unassigned; one true (whatever the other is).
+        for trail in [&[-1][..], &[2, -1], &[2, -3, -1], &[3, -2, -1], &[2, 3, -1]] {
+            let (mut s, _) = ternary_under(trail);
+            assert_eq!(s.propagate(), None, "{trail:?}");
+            assert_eq!(s.trail.len(), trail.len(), "{trail:?}");
+            assert_eq!(s.qhead, trail.len(), "{trail:?}");
+        }
+    }
+
+    #[test]
+    fn learnt_ternary_reason_survives_reduce_db_and_relocation_at_any_position() {
+        // Nothing moves the implied literal of a ternary reason to position
+        // 0, so `is_locked` must look at all three.
+        for implied in [1, 2, 3] {
+            let mut s = Solver::with_config(SolverConfig {
+                garbage_frac: 0.01,
+                ..SolverConfig::default()
+            });
+            s.ensure_vars(9);
+            let lbd = PROTECTED_LBD + 7;
+            let learn = |s: &mut Solver, lits: &[Lit], lbd: u32| {
+                let cref = s.db.add(lits, true, lbd);
+                s.learnts.push(cref);
+                s.attach_clause(cref);
+                cref
+            };
+            // Worst LBD first: of these four `reduce_db` deletes two, the
+            // junk clause ahead of the target in the arena (so the target
+            // relocates) and — unless it is locked — the target.
+            let junk = learn(&mut s, &[lit(4), lit(5), lit(6), lit(7)], lbd);
+            let target = learn(&mut s, &[lit(1), lit(2), lit(3)], lbd);
+            learn(&mut s, &[lit(4), lit(5), lit(8)], PROTECTED_LBD + 1);
+            learn(&mut s, &[lit(5), lit(6), lit(9)], PROTECTED_LBD + 1);
+
+            s.new_decision_level();
+            for d in [1, 2, 3].into_iter().filter(|&d| d != implied) {
+                s.unchecked_enqueue(lit(-d), None);
+            }
+            assert_eq!(s.propagate(), None);
+            let reason_of_implied = |s: &Solver| s.vardata[lit(implied).var().index()].reason;
+            assert_eq!(reason_of_implied(&s), Some(target));
+            assert!(s.is_locked(target) && !s.is_locked(junk));
+
+            s.reduce_db();
+            assert_eq!((s.stats.removed_clauses, s.stats.gc_runs), (1, 1));
+            let moved = reason_of_implied(&s).expect("still the reason");
+            assert_ne!(moved, target, "the clause ahead of it was collected");
+            assert_eq!(s.db.lits_vec(moved), [lit(1), lit(2), lit(3)]);
+            assert!(s.learnts.contains(&moved));
+            for (watching, a, b) in [(1, 2, 3), (2, 1, 3), (3, 1, 2)] {
+                let list = &s.tern_watches[lit(-watching).code()];
+                assert_eq!(list.len(), 1);
+                assert_eq!(
+                    (list[0].cref, list[0].a, list[0].b),
+                    (moved, lit(a), lit(b))
+                );
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! on random formulas, and exercising assumption-based solving the way the
 //! partitioning machinery does.
 
+use pdsat_checker::{check_model, check_unsat_proof};
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_solver::{Budget, Solver, SolverConfig, Verdict};
 use proptest::prelude::*;
@@ -30,6 +31,120 @@ fn gc_stress_config() -> SolverConfig {
         luby_restart_base: 10,
         garbage_frac: 0.01,
         ..SolverConfig::default()
+    }
+}
+
+/// A random formula over 10 to 18 variables whose clauses each take their
+/// length from `lengths` and that many distinct variables. `density` is the
+/// range of clauses per variable to draw from: around the family's threshold,
+/// so that the cubes mix satisfiable and conflict-rich unsatisfiable
+/// sub-problems.
+fn random_cnf_of_lengths(lengths: &[usize], density: (f64, f64), rng: &mut StdRng) -> Cnf {
+    let n = rng.gen_range(10..=18usize);
+    let m = (n as f64 * rng.gen_range(density.0..density.1)) as usize;
+    let mut cnf = Cnf::new(n);
+    for _ in 0..m {
+        let len = lengths[rng.gen_range(0..lengths.len())];
+        let mut vars: Vec<u32> = Vec::with_capacity(len);
+        while vars.len() < len {
+            let v = rng.gen_range(0..n as u32);
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+        cnf.add_clause(
+            vars.into_iter()
+                .map(|v| Lit::new(Var::new(v), rng.gen_bool(0.5))),
+        );
+    }
+    cnf
+}
+
+/// Whether `lit` is true under the total assignment `bits` (bit `i` is
+/// variable `i`).
+fn holds(bits: u32, lit: Lit) -> bool {
+    (bits >> lit.var().index() & 1 == 1) == lit.is_positive()
+}
+
+/// Every total assignment satisfying `cnf`, as bit patterns: an evaluator
+/// that shares nothing with the solver.
+fn brute_force_models(cnf: &Cnf) -> Vec<u32> {
+    (0..1u32 << cnf.num_vars())
+        .filter(|&bits| cnf.iter().all(|c| c.iter().any(|l| holds(bits, l))))
+        .collect()
+}
+
+/// Differential pass over one random formula with clauses of the given
+/// lengths (3 is the length the ternary watch lists serve, 2 the binary
+/// lists, 4 and more the two-watched path): every cube of a small set, on a
+/// solver with trail reuse and one without, proofs on, half the seeds under
+/// the GC-stress configuration so learnt ternaries are deleted and relocated
+/// too. Verdicts must equal brute force and each other, every model pass
+/// `check_model`, every UNSAT certificate pass `check_unsat_proof`.
+fn assert_family_matches_brute_force(lengths: &[usize], density: (f64, f64), seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cnf = random_cnf_of_lengths(lengths, density, &mut rng);
+    let models = brute_force_models(&cnf);
+    let base = if seed.is_multiple_of(2) {
+        SolverConfig::default()
+    } else {
+        gc_stress_config()
+    };
+    let mut solvers = [true, false].map(|trail_reuse| {
+        Solver::from_cnf_with_config(
+            &cnf,
+            SolverConfig {
+                proof: true,
+                trail_reuse,
+                ..base.clone()
+            },
+        )
+    });
+    let set: Vec<Var> = (0..rng.gen_range(1..=3u32)).map(Var::new).collect();
+    for index in 0..1u64 << set.len() {
+        let cube = Cube::from_bits(&set, index);
+        let context = format!("lengths {lengths:?}, seed {seed}, cube {index}");
+        let expect_sat = models
+            .iter()
+            .any(|&bits| cube.lits().iter().all(|&l| holds(bits, l)));
+        for solver in &mut solvers {
+            match solver.solve_with_assumptions(cube.lits()) {
+                Verdict::Sat(model) => {
+                    assert!(expect_sat, "{context}: SAT but no model extends the cube");
+                    assert_eq!(check_model(&cnf, cube.lits(), &model), Ok(()), "{context}");
+                }
+                Verdict::Unsat => {
+                    assert!(!expect_sat, "{context}: UNSAT but a model extends the cube");
+                    let certificate = solver.unsat_certificate().expect("proof logging is on");
+                    let checked = check_unsat_proof(&cnf, cube.lits(), &certificate);
+                    assert!(checked.is_ok(), "{context}: {checked:?}");
+                }
+                Verdict::Unknown(r) => panic!("{context}: unlimited solve returned Unknown: {r}"),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Formulas served by the ternary watch lists alone.
+    #[test]
+    fn all_ternary_families_match_brute_force(seed in 0u64..100_000) {
+        assert_family_matches_brute_force(&[3], (4.0, 5.2), seed);
+    }
+
+    /// Binary and ternary lists together: no clause on the two-watched path
+    /// until one of four or more literals is learnt.
+    #[test]
+    fn binary_and_ternary_families_match_brute_force(seed in 0u64..100_000) {
+        assert_family_matches_brute_force(&[2, 3, 3], (2.4, 3.4), seed);
+    }
+
+    /// Ternary lists next to original long clauses.
+    #[test]
+    fn ternary_and_long_families_match_brute_force(seed in 0u64..100_000) {
+        assert_family_matches_brute_force(&[3, 3, 4, 6], (5.5, 7.5), seed);
     }
 }
 
