@@ -15,11 +15,16 @@
 //! [`check_unsat_proof`] is a forward RUP checker over an occurrence-indexed,
 //! deletion-aware clause set:
 //!
-//! 1. The cube's literals (if any) are seeded as root assignments — a
-//!    certificate proves `F ∧ cube ⊨ ⊥`, not `F ⊨ ⊥`.
-//! 2. The formula's clauses are copied into one flat literal arena under
-//!    two-watched-literal propagation (no allocation per clause) and
-//!    propagated to fixpoint.
+//! 1. **Load.** The formula's clauses are copied into one flat literal arena
+//!    under two-watched-literal propagation (no allocation per clause) and
+//!    propagated to fixpoint, with no cube. Each thread keeps the last
+//!    formula it loaded: the next certificate for a formula with exactly the
+//!    same content (variable count and every clause's literals in order)
+//!    skips this step and restores a working copy of the loaded one into the
+//!    allocations the previous check left behind.
+//! 2. **Seed.** The cube's literals (if any) are asserted as root
+//!    assignments on the working copy and propagated — a certificate proves
+//!    `F ∧ cube ⊨ ⊥`, not `F ⊨ ⊥`.
 //! 3. Each `Add` step is checked for RUP (assert the negations of its
 //!    literals, propagate, expect a conflict), then added and propagated.
 //!    Each `Delete` step removes one instance of the clause, matched by
@@ -37,6 +42,7 @@
 #![warn(missing_docs)]
 
 use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
 
@@ -59,7 +65,8 @@ pub enum CheckFailure {
     AssumptionViolated,
     /// The shipped model falsifies the formula.
     ModelUnsat,
-    /// A certificate references a cube outside the work unit.
+    /// A certificate references a cube outside the work unit, or a cube
+    /// at or before the one the previous certificate of the report names.
     CertificateIndex,
     /// An addition step of the DRAT proof is not RUP with respect to the
     /// clause database at that point.
@@ -76,7 +83,9 @@ impl std::fmt::Display for CheckFailure {
             CheckFailure::ModelMissing => "SAT verdict without a model",
             CheckFailure::AssumptionViolated => "model violates an assumption literal",
             CheckFailure::ModelUnsat => "model falsifies the formula",
-            CheckFailure::CertificateIndex => "certificate cube index outside the unit",
+            CheckFailure::CertificateIndex => {
+                "certificate cube index outside the unit or out of order"
+            }
             CheckFailure::ProofNotRup => "proof addition is not RUP",
             CheckFailure::ProofIncomplete => "proof ends without a conflict",
         })
@@ -116,8 +125,16 @@ pub fn check_model(cnf: &Cnf, assumptions: &[Lit], model: &Assignment) -> Result
 
 /// Checks a DRAT derivation that `cnf ∧ assumptions` is unsatisfiable.
 ///
+/// The calling thread keeps `cnf` loaded after the call, so the next
+/// certificate for the same formula (compared literal by literal, never
+/// hashed) is checked on a restored copy instead of a fresh load; a
+/// different formula replaces it. Results are those of a fresh load either
+/// way.
+///
 /// Memory is bounded by the formula plus the proof: per-variable tables are
 /// sized by `cnf.num_vars()`, never by an index the certificate names.
+/// Between calls the thread holds the last formula three times over (its
+/// content, the loaded state, the working copy).
 ///
 /// # Errors
 ///
@@ -132,7 +149,72 @@ pub fn check_unsat_proof(
     assumptions: &[Lit],
     proof: &DratProof,
 ) -> Result<CheckStats, CheckFailure> {
-    Checker::new(cnf.num_vars()).run(cnf, assumptions, proof)
+    LOADED.with_borrow_mut(|loaded| {
+        if loaded.as_ref().is_some_and(|l| !l.key.matches(cnf)) {
+            *loaded = None; // free the old formula before loading the new one
+        }
+        let Loaded { base, working, .. } = loaded.get_or_insert_with(|| Loaded {
+            key: FormulaKey::of(cnf),
+            base: Checker::load(cnf),
+            working: Checker::default(),
+        });
+        working.restore_from(base);
+        working.check(assumptions, proof)
+    })
+}
+
+thread_local! {
+    /// The last formula this thread checked a certificate against.
+    static LOADED: RefCell<Option<Loaded>> = const { RefCell::new(None) };
+}
+
+/// One loaded formula and the copy of it certificates are checked on.
+struct Loaded {
+    key: FormulaKey,
+    /// The formula under root propagation, with no cube. Never checked on.
+    base: Checker,
+    /// Restored from `base` before every check.
+    working: Checker,
+}
+
+/// The exact content of a formula: its variable count and every clause's
+/// literals in order, flattened (one allocation, not one per clause).
+struct FormulaKey {
+    num_vars: usize,
+    lits: Vec<Lit>,
+    /// Where each clause's literals end in `lits`.
+    ends: Vec<usize>,
+}
+
+impl FormulaKey {
+    fn of(cnf: &Cnf) -> FormulaKey {
+        let mut lits = Vec::with_capacity(cnf.num_literals());
+        let ends = cnf
+            .clauses()
+            .iter()
+            .map(|clause| {
+                lits.extend_from_slice(clause.lits());
+                lits.len()
+            })
+            .collect();
+        FormulaKey {
+            num_vars: cnf.num_vars(),
+            lits,
+            ends,
+        }
+    }
+
+    fn matches(&self, cnf: &Cnf) -> bool {
+        if self.num_vars != cnf.num_vars() || self.ends.len() != cnf.num_clauses() {
+            return false;
+        }
+        let mut start = 0;
+        cnf.clauses().iter().zip(&self.ends).all(|(clause, &end)| {
+            let same = clause.lits() == &self.lits[start..end];
+            start = end;
+            same
+        })
+    }
 }
 
 const UNDEF: u8 = 0;
@@ -148,6 +230,7 @@ const NIL: usize = usize::MAX;
 /// load-time dedup moved out of the way, kept because deletions match by
 /// multiset.
 #[derive(Clone, Copy)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct Span {
     start: usize,
     len: usize,
@@ -164,6 +247,7 @@ fn owned<'a>(spans: &[Span], lits: &'a [Lit], id: usize) -> &'a [Lit] {
 /// maps a multiset's hash to the most recently added clause carrying it and
 /// `next[id]` continues to older ones, so the index costs no allocation per
 /// clause. Hash hits are confirmed by comparing literals.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct DeleteIndex {
     heads: HashMap<u64, usize>,
     next: Vec<usize>,
@@ -171,6 +255,8 @@ struct DeleteIndex {
 
 /// The forward checker's propagation state: a flat literal arena under
 /// two-watched-literal propagation with a persistent root trail.
+#[derive(Default)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct Checker {
     /// The literals of every clause, back to back (see [`Span`]).
     lits: Vec<Lit>,
@@ -193,25 +279,61 @@ struct Checker {
 }
 
 impl Checker {
-    fn new(num_vars: usize) -> Checker {
-        Checker {
-            lits: Vec::new(),
-            spans: Vec::new(),
-            delete_index: None,
-            watches: vec![Vec::new(); 2 * num_vars],
-            values: vec![UNDEF; 2 * num_vars],
-            trail: Vec::new(),
-            qhead: 0,
-            proven: false,
-            propagations: 0,
-            key_buf: Vec::new(),
-            candidate_buf: Vec::new(),
+    /// The formula's clauses in the arena, propagated to fixpoint at the
+    /// root, with no cube.
+    fn load(cnf: &Cnf) -> Checker {
+        let mut checker = Checker {
+            lits: Vec::with_capacity(cnf.num_literals()),
+            spans: Vec::with_capacity(cnf.num_clauses()),
+            watches: vec![Vec::new(); 2 * cnf.num_vars()],
+            values: vec![UNDEF; 2 * cnf.num_vars()],
+            ..Checker::default()
+        };
+        for clause in cnf.clauses() {
+            checker.add_clause(clause.lits());
         }
+        if checker.propagate() {
+            checker.proven = true;
+        }
+        checker
     }
 
-    fn run(
+    /// Makes `self` equal to `base`, reusing the allocations `self` already
+    /// owns. Every field is named, so nothing a previous check did — lemmas,
+    /// deletions, root literals, a deletion index — survives it.
+    fn restore_from(&mut self, base: &Checker) {
+        let Checker {
+            lits,
+            spans,
+            // A loaded formula has met no deletion; each check builds its
+            // own index when it meets its first one.
+            delete_index: _,
+            watches,
+            values,
+            trail,
+            qhead,
+            proven,
+            propagations,
+            // Scratch of deletions, empty in a loaded formula.
+            key_buf: _,
+            candidate_buf: _,
+        } = base;
+        self.key_buf.clear();
+        self.candidate_buf.clear();
+        self.lits.clone_from(lits);
+        self.spans.clone_from(spans);
+        self.delete_index = None;
+        self.watches.clone_from(watches);
+        self.values.clone_from(values);
+        self.trail.clone_from(trail);
+        self.qhead = *qhead;
+        self.proven = *proven;
+        self.propagations = *propagations;
+    }
+
+    /// Seeds the cube at the root of a loaded formula and replays the proof.
+    fn check(
         &mut self,
-        cnf: &Cnf,
         assumptions: &[Lit],
         proof: &DratProof,
     ) -> Result<CheckStats, CheckFailure> {
@@ -226,12 +348,7 @@ impl Checker {
                 _ => self.enqueue(lit),
             }
         }
-        self.lits.reserve(cnf.num_literals());
-        self.spans.reserve(cnf.num_clauses());
-        for clause in cnf.clauses() {
-            self.add_clause(clause.lits());
-        }
-        if self.propagate() {
+        if !self.proven && self.propagate() {
             self.proven = true;
         }
         let mut stats = CheckStats::default();
@@ -681,16 +798,16 @@ mod tests {
     #[test]
     fn a_proof_without_deletions_never_builds_the_deletion_index() {
         let cnf = asymmetric_unsat();
-        let mut additions_only = Checker::new(cnf.num_vars());
+        let mut additions_only = Checker::load(&cnf);
         let proof = DratProof {
             steps: vec![DratStep::Add(clause(&[1]))],
         };
-        additions_only.run(&cnf, &[], &proof).expect("valid proof");
+        additions_only.check(&[], &proof).expect("valid proof");
         assert!(additions_only.delete_index.is_none());
         // The first deletion builds it over everything loaded so far (and
         // matches nothing here); later additions are registered in it, so
         // the second deletion finds the lemma added in between.
-        let mut with_deletions = Checker::new(cnf.num_vars());
+        let mut with_deletions = Checker::load(&cnf);
         let proof = DratProof {
             steps: vec![
                 DratStep::Delete(clause(&[3, 1])),
@@ -699,10 +816,46 @@ mod tests {
                 DratStep::Add(clause(&[1])),
             ],
         };
-        let stats = with_deletions.run(&cnf, &[], &proof).expect("valid proof");
+        let stats = with_deletions.check(&[], &proof).expect("valid proof");
         assert_eq!(stats.unmatched_deletes, 1);
         let index = with_deletions.delete_index.expect("a deletion was met");
         assert_eq!(index.next.len(), cnf.num_clauses() + 2);
+    }
+
+    #[test]
+    fn a_restored_copy_equals_the_loaded_formula_whatever_the_last_check_did() {
+        let mut cnf = asymmetric_unsat();
+        cnf.ensure_vars(4); // a cube literal no clause mentions
+        let base = Checker::load(&cnf);
+        let mut working = Checker::default();
+        working.restore_from(&base);
+        assert_eq!(working, base);
+        // A cube, lemmas, a deletion (which builds the index) and a conflict
+        // all change the working copy; the next restore undoes every bit.
+        let proof = DratProof {
+            steps: vec![
+                DratStep::Add(clause(&[1, 3])),
+                DratStep::Delete(clause(&[3, 1])),
+                DratStep::Add(clause(&[1])),
+            ],
+        };
+        let stats = working.check(&[lit(4)], &proof).expect("valid proof");
+        assert_eq!((stats.steps_checked, stats.unmatched_deletes), (3, 0));
+        assert_ne!(working, base);
+        assert!(working.delete_index.is_some());
+        working.restore_from(&base);
+        assert_eq!(working, base);
+        // A rejected check, too.
+        let truncated = DratProof {
+            steps: proof.steps[..1].to_vec(),
+        };
+        assert_eq!(
+            working.check(&[lit(4)], &truncated),
+            Err(CheckFailure::ProofIncomplete)
+        );
+        assert_ne!(working, base);
+        working.restore_from(&base);
+        assert_eq!(working, base);
     }
 
     #[test]
@@ -718,12 +871,12 @@ mod tests {
         };
         assert_eq!(deleting(1).map(|s| s.unmatched_deletes), Ok(0));
         assert_eq!(deleting(2), Err(CheckFailure::ProofNotRup));
-        let mut checker = Checker::new(cnf.num_vars());
+        let mut checker = Checker::load(&cnf);
         let once = DratProof {
             steps: vec![DratStep::Delete(clause(&[1, 2]))],
         };
         assert_eq!(
-            checker.run(&cnf, &[], &once),
+            checker.check(&[], &once),
             Err(CheckFailure::ProofIncomplete)
         );
         let deleted: Vec<bool> = checker.spans.iter().map(|s| s.deleted).collect();

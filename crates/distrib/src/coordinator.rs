@@ -683,6 +683,10 @@ impl Coordinator {
 /// * Every attached DRAT certificate must refute `cnf ∧ cube` under forward
 ///   RUP checking, with the cube reconstructed from the unit's enumeration
 ///   window ([`CheckFailure::CertificateIndex`] for an index outside it).
+///   Certificates must come in strictly ascending cube order, as honest
+///   reports list them: a repeated or out-of-order index is
+///   [`CheckFailure::CertificateIndex`] before any proof is checked, so one
+///   upload cannot make the coordinator check the same cube twice.
 ///
 /// Reports from solvers running without `SolverConfig::proof` carry no
 /// certificates and only pay the model scan.
@@ -702,10 +706,15 @@ pub fn validate_unit_report(
         let cube = set.cube_from_index((unit.first_cube + local) as u64);
         check_model(cnf, cube.lits(), model)?;
     }
-    for cert in &report.certificates {
-        if cert.cube_index >= report.cubes_processed {
-            return Err(CheckFailure::CertificateIndex);
-        }
+    let certs = &report.certificates;
+    if certs.windows(2).any(|w| w[0].cube_index >= w[1].cube_index)
+        || certs
+            .last()
+            .is_some_and(|c| c.cube_index >= report.cubes_processed)
+    {
+        return Err(CheckFailure::CertificateIndex);
+    }
+    for cert in certs {
         let cube = set.cube_from_index((unit.first_cube + cert.cube_index) as u64);
         check_unsat_proof(cnf, cube.lits(), &cert.proof)?;
     }
@@ -1221,6 +1230,56 @@ mod tests {
         let aggregate = coordinator.aggregate().expect("complete");
         assert_eq!(aggregate.sat_count, 0);
         assert_eq!(aggregate.cubes_processed, 4);
+    }
+
+    /// Every certificate below is valid; only their order is forged. One
+    /// valid proof listed N times would otherwise cost N checks.
+    #[test]
+    fn certificates_repeated_or_out_of_cube_order_are_rejected() {
+        use pdsat_cnf::Cube;
+        use pdsat_core::{FamilySolver, SolveModeConfig};
+        use pdsat_solver::SolverConfig;
+        let cnf = Cnf::pigeonhole(4);
+        let set = DecompositionSet::new((0..2).map(Var::new));
+        let cubes: Vec<Cube> = set.cubes().collect();
+        let solve_config = SolveModeConfig {
+            solver_config: SolverConfig {
+                proof: true,
+                ..SolverConfig::default()
+            },
+            backend: pdsat_core::BackendKind::Fresh,
+            ..SolveModeConfig::default()
+        };
+        let honest = FamilySolver::new(&cnf, &solve_config).solve_cubes(&set, &cubes, None);
+        let indices = |r: &SolveReport| -> Vec<usize> {
+            r.certificates.iter().map(|c| c.cube_index).collect()
+        };
+        assert_eq!(indices(&honest), [0, 1, 2, 3]);
+        let unit = WorkUnit {
+            id: 0,
+            first_cube: 0,
+            num_cubes: cubes.len(),
+        };
+        assert_eq!(validate_unit_report(&cnf, &set, &unit, &honest), Ok(()));
+
+        let mut repeated = honest.clone();
+        repeated
+            .certificates
+            .insert(2, honest.certificates[1].clone());
+        let mut repeated_last = honest.clone();
+        repeated_last
+            .certificates
+            .push(honest.certificates[3].clone());
+        let mut reordered = honest.clone();
+        reordered.certificates.swap(0, 2);
+        for forged in [repeated, repeated_last, reordered] {
+            assert_eq!(
+                validate_unit_report(&cnf, &set, &unit, &forged),
+                Err(CheckFailure::CertificateIndex),
+                "{:?}",
+                indices(&forged)
+            );
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use crate::coordinator::CoordinatorCheckpoint;
 use pdsat_core::FaultState;
+use std::cmp::Reverse;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
@@ -273,8 +274,15 @@ impl CheckpointStore {
         Ok(generation)
     }
 
-    /// Recovers the newest checkpoint generation that verifies, consulting
-    /// the live file first and falling back to `<path>.prev`.
+    /// Recovers the newest checkpoint generation that verifies, from the
+    /// live file or `<path>.prev`.
+    ///
+    /// Both files are read, then verified in descending order of the
+    /// generation their trailers declare (the live file first on a tie),
+    /// and the first that verifies is returned. A verified file's generation
+    /// is the one its trailer declares, so this is the newest generation
+    /// that verifies — and a stale `.prev` is never decoded while the live
+    /// file verifies.
     ///
     /// Returns `Ok(None)` when neither file exists (fresh start). On
     /// success the store's next save generation is set past the recovered
@@ -286,44 +294,40 @@ impl CheckpointStore {
     /// passes CRC + trailer + codec verification, and
     /// [`CheckpointError::Io`] for filesystem-level read failures.
     pub fn load(&mut self) -> Result<Option<CoordinatorCheckpoint>, CheckpointError> {
-        let mut best: Option<(u64, CoordinatorCheckpoint)> = None;
-        let mut failures = Vec::new();
-        let mut any_file = false;
-
+        let mut files = Vec::with_capacity(2);
         for path in [self.path.clone(), self.prev_path()] {
-            let text = match fs::read_to_string(&path) {
-                Ok(text) => text,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            match fs::read_to_string(&path) {
+                Ok(text) => files.push((path, text)),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => {
                     return Err(CheckpointError::Io {
                         path: path.display().to_string(),
                         message: e.to_string(),
                     })
                 }
-            };
-            any_file = true;
-            match decode_store(&text).and_then(|(payload, generation)| {
+            }
+        }
+        if files.is_empty() {
+            return Ok(None);
+        }
+        // Stable: the live file stays ahead of `.prev` on equal generations.
+        files.sort_by_key(|(_, text)| Reverse(declared_generation(text)));
+
+        let mut failures = Vec::new();
+        for (path, text) in &files {
+            match decode_store(text).and_then(|(payload, generation)| {
                 CoordinatorCheckpoint::from_text(&payload).map(|cp| (generation, cp))
             }) {
                 Ok((generation, checkpoint)) => {
-                    if best.as_ref().is_none_or(|(g, _)| generation > *g) {
-                        best = Some((generation, checkpoint));
-                    }
+                    self.generation = generation + 1;
+                    return Ok(Some(checkpoint));
                 }
                 Err(e) => failures.push(format!("{}: {e}", path.display())),
             }
         }
-
-        match best {
-            Some((generation, checkpoint)) => {
-                self.generation = generation + 1;
-                Ok(Some(checkpoint))
-            }
-            None if !any_file => Ok(None),
-            None => Err(CheckpointError::NoValidGeneration {
-                detail: failures.join("; "),
-            }),
-        }
+        Err(CheckpointError::NoValidGeneration {
+            detail: failures.join("; "),
+        })
     }
 }
 
@@ -411,6 +415,36 @@ fn decode_store(text: &str) -> Result<(String, u64), CheckpointError> {
     let trailer = trailer.ok_or(CheckpointError::BadTrailer {
         reason: "missing 'end …' trailer".into(),
     })?;
+    let (generation, declared_lines, declared_crc) = parse_trailer(trailer)?;
+    if declared_lines != payload_lines {
+        return Err(CheckpointError::BadTrailer {
+            reason: format!("trailer declares {declared_lines} lines, found {payload_lines}"),
+        });
+    }
+    if declared_crc != !payload_crc {
+        return Err(CheckpointError::BadTrailer {
+            reason: "payload CRC mismatch".into(),
+        });
+    }
+    Ok((payload, generation))
+}
+
+/// The generation a store file's trailer declares, found and parsed as
+/// [`decode_store`] does but with nothing verified: whenever `decode_store`
+/// accepts `text`, it returns this generation.
+fn declared_generation(text: &str) -> Option<u64> {
+    let trailer = text
+        .lines()
+        .skip(1)
+        .find_map(|line| line.strip_prefix("end "))?;
+    parse_trailer(trailer)
+        .ok()
+        .map(|(generation, _, _)| generation)
+}
+
+/// Parses the fields of an `end generation=… lines=… crc=…` trailer (the
+/// text after `end `): generation, payload line count, payload CRC.
+fn parse_trailer(trailer: &str) -> Result<(u64, usize, u32), CheckpointError> {
     let mut generation = None;
     let mut declared_lines = None;
     let mut declared_crc = None;
@@ -462,17 +496,7 @@ fn decode_store(text: &str) -> Result<(String, u64), CheckpointError> {
             reason: format!("incomplete trailer 'end {trailer}'"),
         });
     };
-    if declared_lines != payload_lines {
-        return Err(CheckpointError::BadTrailer {
-            reason: format!("trailer declares {declared_lines} lines, found {payload_lines}"),
-        });
-    }
-    if declared_crc != !payload_crc {
-        return Err(CheckpointError::BadTrailer {
-            reason: "payload CRC mismatch".into(),
-        });
-    }
-    Ok((payload, generation))
+    Ok((generation, declared_lines, declared_crc))
 }
 
 /// Writes `bytes` to `path`, optionally fsyncing before close.
@@ -586,6 +610,62 @@ mod tests {
         let _ = fs::remove_file(&original);
         let _ = fs::remove_file(&resaved);
         assert_eq!(written, golden);
+    }
+
+    /// Writes the live file and `.prev` of a store as given (`None`: no
+    /// file), loads it, and returns the family size of what it recovered
+    /// with the store's next generation. Every checkpoint below is told
+    /// apart by its `total_cubes`.
+    fn load_from(name: &str, live: Option<&str>, prev: Option<&str>) -> (usize, u64) {
+        let path =
+            std::env::temp_dir().join(format!("pdsat-load-{}-{name}.ckpt", std::process::id()));
+        let mut store = CheckpointStore::new(&path);
+        for (file, text) in [(path.clone(), live), (store.prev_path(), prev)] {
+            match text {
+                Some(text) => fs::write(&file, text).expect("scratch file is writable"),
+                None => assert!(!file.exists()),
+            }
+        }
+        let loaded = store.load();
+        let _ = fs::remove_file(&path);
+        let _ = fs::remove_file(store.prev_path());
+        let checkpoint = loaded.expect("a generation verifies").expect("files exist");
+        (checkpoint.total_cubes, store.generation())
+    }
+
+    fn framed(total_cubes: usize, generation: u64) -> String {
+        encode_store(
+            &CoordinatorCheckpoint::empty(2, total_cubes, 2).to_text(),
+            generation,
+        )
+    }
+
+    #[test]
+    fn load_returns_the_newest_generation_that_verifies() {
+        // The live file verifies and is newer: `.prev` is never decoded.
+        assert_eq!(
+            load_from("live", Some(&framed(8, 5)), Some(&framed(4, 4))),
+            (8, 6)
+        );
+        assert_eq!(load_from("only", Some(&framed(8, 5)), None), (8, 6));
+        // A torn live file falls back to `.prev`.
+        let live = framed(8, 5);
+        let torn = &live[..live.len() - 10];
+        assert_eq!(load_from("torn", Some(torn), Some(&framed(4, 4))), (4, 5));
+        // `.prev` declaring a higher generation is tried first; corrupt, it
+        // yields to the live file…
+        let newer = framed(16, 9);
+        let corrupt = newer.replace("total_cubes=16", "total_cubes=61");
+        assert_ne!(corrupt, newer);
+        assert_eq!(
+            load_from("corrupt", Some(&framed(8, 5)), Some(&corrupt)),
+            (8, 6)
+        );
+        // …and valid, it wins.
+        assert_eq!(
+            load_from("newer", Some(&framed(8, 5)), Some(&newer)),
+            (16, 10)
+        );
     }
 
     #[test]
