@@ -130,7 +130,6 @@ pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
     let driver = SearchDriver::new(DriverConfig {
         limits: limits.clone(),
         seed: workload.seed,
-        ..DriverConfig::default()
     });
     let mut metaheuristics = Vec::new();
     {

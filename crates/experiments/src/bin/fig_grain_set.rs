@@ -13,7 +13,6 @@ fn main() {
     let driver = SearchDriver::new(DriverConfig {
         limits: SearchLimits::unlimited().with_max_points(workload.search_points),
         seed: workload.seed,
-        ..DriverConfig::default()
     });
     let mut tabu = Tabu::new(&TabuConfig::default());
     let outcome = driver.run(&space, &space.full_point(), &mut tabu, &mut evaluator);

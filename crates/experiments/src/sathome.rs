@@ -7,9 +7,8 @@
 //! project, so this experiment drives the real pipeline end to end in
 //! miniature:
 //!
-//! 1. the estimation search for S3 runs as two **chained segments** through
-//!    a [`SearchCheckpoint`] (the restartable form a months-long deployment
-//!    needs);
+//! 1. the S3 set is found by one tabu search run (Algorithm 2) on the
+//!    workload's evaluator;
 //! 2. each family is processed by the distributed [`Coordinator`]: sharded
 //!    into work units, leased to a simulated volunteer population
 //!    (heavy-tailed speeds, churn, stragglers, duplicate and lost results),
@@ -23,8 +22,8 @@ use crate::scaled::{a51_manual_reference_set, CipherKind, ScaledWorkload};
 use crate::text_table::{sci, TextTable};
 use pdsat_cnf::Cube;
 use pdsat_core::{
-    BackendKind, DriverConfig, FamilySolver, SearchCheckpoint, SearchDriver, SearchLimits,
-    SolveModeConfig, Tabu, TabuConfig,
+    BackendKind, DriverConfig, FamilySolver, SearchDriver, SearchLimits, SolveModeConfig, Tabu,
+    TabuConfig,
 };
 use pdsat_distrib::{
     simulate_cluster, validate_unit_report, ClusterConfig, Coordinator, CoordinatorCheckpoint,
@@ -115,35 +114,20 @@ pub fn run_sathome(workload: &ScaledWorkload, hosts: usize) -> SatHomeResult {
     let space = workload.search_space(&instance);
 
     // The two sets the paper deployed: the manual S1 and the tabu-found S3.
-    // The S3 search runs as two chained segments through a checkpoint — the
-    // shape of a restartable months-long estimation run: segment two resumes
-    // from segment one's coverage instead of re-evaluating it.
     let manual = a51_manual_reference_set(&instance);
     let mut evaluator = workload.evaluator(&instance);
-    let segment_points = workload.search_points.div_ceil(2).max(1);
     let driver = SearchDriver::new(DriverConfig {
-        limits: SearchLimits::unlimited().with_max_points(segment_points),
+        limits: SearchLimits::unlimited().with_max_points(workload.search_points),
         seed: workload.seed,
-        ..DriverConfig::default()
     });
-    let mut tabu = Tabu::new(&TabuConfig::default());
-    let mut estimation = SearchCheckpoint::empty(space.dimension());
-    let _ = driver.run_chained(
-        &space,
-        &space.full_point(),
-        &mut tabu,
-        &mut evaluator,
-        &mut estimation,
-    );
-    let restart_from = estimation.best_point.clone();
-    let second = driver.run_chained(
-        &space,
-        &restart_from,
-        &mut tabu,
-        &mut evaluator,
-        &mut estimation,
-    );
-    let tabu_set = second.best_set;
+    let tabu_set = driver
+        .run(
+            &space,
+            &space.full_point(),
+            &mut Tabu::new(&TabuConfig::default()),
+            &mut evaluator,
+        )
+        .best_set;
 
     // The coordinator solves every work unit with a *fresh* backend, so a
     // unit's report is a pure function of the unit — the property that makes

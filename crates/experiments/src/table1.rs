@@ -85,7 +85,6 @@ pub fn run_table1(workload: &ScaledWorkload) -> Table1Result {
     let driver = SearchDriver::new(DriverConfig {
         limits: SearchLimits::unlimited().with_max_points(workload.search_points),
         seed: workload.seed,
-        ..DriverConfig::default()
     });
 
     // S2: simulated annealing from X̃_start.

@@ -113,7 +113,6 @@ pub fn run_table2(workload: &ScaledWorkload) -> Table2Result {
     let driver = SearchDriver::new(DriverConfig {
         limits: SearchLimits::unlimited().with_max_points(workload.search_points),
         seed: workload.seed,
-        ..DriverConfig::default()
     });
     let mut tabu = Tabu::new(&TabuConfig::default());
     let outcome = driver.run(&space, &space.full_point(), &mut tabu, &mut evaluator);

@@ -210,11 +210,7 @@ mod tests {
         start: &Point,
         evaluator: &mut Evaluator,
     ) -> SearchOutcome {
-        let driver = SearchDriver::new(DriverConfig {
-            limits,
-            seed,
-            ..DriverConfig::default()
-        });
+        let driver = SearchDriver::new(DriverConfig { limits, seed });
         driver.run(space, start, &mut Annealing::new(config), evaluator)
     }
 

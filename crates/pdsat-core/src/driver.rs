@@ -9,8 +9,7 @@
 //!
 //! * [`SearchDriver`] runs the loop — limit enforcement (including *inside*
 //!   a neighborhood-sized batch), best-pair tracking, the single RNG stream,
-//!   the dedup/memo cache of visited points, the trajectory trace and its
-//!   [`SearchCheckpoint`] snapshot.
+//!   the dedup/memo cache of visited points and the trajectory trace.
 //! * [`Strategy`] is the move rule: `propose` returns the next batch of
 //!   points to evaluate (one point for the classic sequential walks, a whole
 //!   neighborhood for batch strategies), `observe` digests the evaluated
@@ -34,17 +33,22 @@
 //!    the proposal holds, the proposal is truncated to the remaining budget —
 //!    a large neighborhood can no longer blow past the limit.
 //! 3. **Time slices.** With a `time_limit` set, a multi-point proposal is
-//!    evaluated in slices of [`DriverConfig::time_slice`] points and the
-//!    clock is re-checked between slices; the unevaluated tail is dropped
-//!    when the limit fires mid-batch.
+//!    evaluated in slices of `TIME_SLICE` (8) points and the clock is
+//!    re-checked between slices; the unevaluated tail is dropped when the
+//!    limit fires mid-batch. Larger slices batch better; smaller slices honor
+//!    the limit more precisely.
 //! 4. `observe` always sees exactly the evaluated prefix, in proposal order.
 
-use crate::search::{SearchCheckpoint, SearchLimits, SearchOutcome, SearchStep, StopCondition};
+use crate::search::{SearchLimits, SearchOutcome, SearchStep, StopCondition};
 use crate::{Evaluator, Point, SearchSpace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::Instant;
+
+/// With a time limit set, multi-point proposals are evaluated in slices of
+/// this many points, re-checking the clock between slices.
+const TIME_SLICE: usize = 8;
 
 /// One evaluated point, as handed to [`Strategy::observe`].
 #[derive(Debug, Clone)]
@@ -174,10 +178,6 @@ pub struct DriverConfig {
     pub limits: SearchLimits,
     /// Seed of the run's single RNG stream.
     pub seed: u64,
-    /// With a time limit set, multi-point proposals are evaluated in slices
-    /// of this many points, re-checking the clock between slices. Larger
-    /// slices batch better; smaller slices honor the limit more precisely.
-    pub time_slice: usize,
 }
 
 impl Default for DriverConfig {
@@ -185,7 +185,6 @@ impl Default for DriverConfig {
         DriverConfig {
             limits: SearchLimits::unlimited(),
             seed: 0,
-            time_slice: 8,
         }
     }
 }
@@ -214,7 +213,6 @@ impl Default for DriverConfig {
 /// let driver = SearchDriver::new(DriverConfig {
 ///     limits: SearchLimits::unlimited().with_max_points(10),
 ///     seed: 1,
-///     ..DriverConfig::default()
 /// });
 /// let mut strategy = Annealing::new(&AnnealingConfig::default());
 /// let outcome = driver.run(&space, &space.full_point(), &mut strategy, &mut evaluator);
@@ -260,52 +258,6 @@ impl SearchDriver {
         strategy: &mut S,
         evaluator: &mut Evaluator,
     ) -> SearchOutcome {
-        self.run_resumed(space, start, strategy, evaluator, None)
-    }
-
-    /// Runs one *segment* of a long, restartable search: resumes from
-    /// `checkpoint`, then folds the outcome back into it with
-    /// [`SearchCheckpoint::absorb`].
-    ///
-    /// This is the chaining primitive long estimation runs are built on —
-    /// e.g. a distributed coordinator alternating search segments with
-    /// persisted checkpoints (`SearchCheckpoint::to_text`), so that killing
-    /// the process between segments loses at most the segment in flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as
-    /// [`run_resumed`](SearchDriver::run_resumed).
-    pub fn run_chained<S: Strategy + ?Sized>(
-        &self,
-        space: &SearchSpace,
-        start: &Point,
-        strategy: &mut S,
-        evaluator: &mut Evaluator,
-        checkpoint: &mut SearchCheckpoint,
-    ) -> SearchOutcome {
-        let outcome = self.run_resumed(space, start, strategy, evaluator, Some(checkpoint));
-        checkpoint.absorb(&outcome);
-        outcome
-    }
-
-    /// Like [`run`](SearchDriver::run), but seeds the dedup/memo cache and
-    /// the incumbent best pair from `checkpoint`: checkpointed points are
-    /// answered without touching the evaluator (they still appear in the new
-    /// history when revisited).
-    ///
-    /// # Panics
-    ///
-    /// Additionally panics if the checkpoint's dimension does not match
-    /// `space`.
-    pub fn run_resumed<S: Strategy + ?Sized>(
-        &self,
-        space: &SearchSpace,
-        start: &Point,
-        strategy: &mut S,
-        evaluator: &mut Evaluator,
-        checkpoint: Option<&SearchCheckpoint>,
-    ) -> SearchOutcome {
         assert_eq!(
             start.dimension(),
             space.dimension(),
@@ -319,20 +271,7 @@ impl SearchDriver {
         let mut values: HashMap<Point, f64> = HashMap::new();
         let mut best_point = start.clone();
         let mut best_value = f64::INFINITY;
-        if let Some(ckpt) = checkpoint {
-            assert_eq!(
-                ckpt.dimension,
-                space.dimension(),
-                "checkpoint dimension must match the search space"
-            );
-            for v in &ckpt.visited {
-                values.insert(v.point.clone(), v.value);
-            }
-            best_point = ckpt.best_point.clone();
-            best_value = ckpt.best_value;
-        }
 
-        // Evaluate the starting point (free when the checkpoint covers it).
         let start_results =
             evaluate_points(space, evaluator, &mut values, std::slice::from_ref(start));
         let start_eval = &start_results[0];
@@ -408,7 +347,7 @@ impl SearchDriver {
 
             // Evaluate, re-checking the clock between time slices.
             let slice = if limits.time_limit.is_some() {
-                self.config.time_slice.max(1)
+                TIME_SLICE
             } else {
                 points.len()
             };

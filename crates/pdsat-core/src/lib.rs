@@ -116,9 +116,7 @@ pub use fault::{FaultPlan, FaultState, RecvAction};
 pub use oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, VerdictSummary};
 pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};
 pub use restart::{RandomRestart, RandomRestartConfig};
-pub use search::{
-    SearchCheckpoint, SearchLimits, SearchOutcome, SearchStep, StopCondition, VisitedPoint,
-};
+pub use search::{SearchLimits, SearchOutcome, SearchStep, StopCondition};
 pub use solve_mode::{CubeCertificate, FamilyCounters, FamilySolver, SolveModeConfig, SolveReport};
 pub use space::{Point, SearchSpace};
 pub use tabu::{NewCenterHeuristic, Tabu, TabuConfig};

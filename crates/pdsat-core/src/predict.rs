@@ -396,17 +396,6 @@ impl Evaluator {
         let cubes: Vec<Cube> = set.cubes().collect();
         self.evaluate_with_sample(set, &cubes, None)
     }
-
-    /// Convenience: the starting decomposition set consisting of the given
-    /// variables restricted to the formula's variable range.
-    #[must_use]
-    pub fn restrict_to_formula(&self, vars: &[Var]) -> DecompositionSet {
-        DecompositionSet::new(
-            vars.iter()
-                .copied()
-                .filter(|v| v.index() < self.cnf().num_vars()),
-        )
-    }
 }
 
 /// Builds a [`PointEvaluation`] from one point's range of a batch's columns
@@ -614,13 +603,5 @@ mod tests {
             evaluator.evaluate(&set).value()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn restrict_to_formula_drops_foreign_vars() {
-        let cnf = Cnf::pigeonhole(4);
-        let evaluator = Evaluator::new(&cnf, conflicts_config(1));
-        let set = evaluator.restrict_to_formula(&[Var::new(0), Var::new(100_000)]);
-        assert_eq!(set.len(), 1);
     }
 }

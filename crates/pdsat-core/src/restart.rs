@@ -193,7 +193,6 @@ mod tests {
         let driver = SearchDriver::new(DriverConfig {
             limits: SearchLimits::unlimited().with_max_points(30),
             seed: 3,
-            ..DriverConfig::default()
         });
         let mut strategy = RandomRestart::new(RandomRestartConfig::default());
         let outcome = driver.run(&space, &space.full_point(), &mut strategy, &mut eval);
@@ -212,7 +211,6 @@ mod tests {
         let driver = SearchDriver::new(DriverConfig {
             limits: SearchLimits::unlimited(),
             seed: 5,
-            ..DriverConfig::default()
         });
         let mut strategy = RandomRestart::new(RandomRestartConfig {
             max_restarts: 3,
@@ -235,7 +233,6 @@ mod tests {
             let driver = SearchDriver::new(DriverConfig {
                 limits: SearchLimits::unlimited().with_max_points(25),
                 seed: 11,
-                ..DriverConfig::default()
             });
             let mut strategy = RandomRestart::new(RandomRestartConfig::default());
             let out = driver.run(&space, &space.full_point(), &mut strategy, &mut eval);

@@ -171,27 +171,6 @@ pub struct Point {
 }
 
 impl Point {
-    /// Builds a point of the given dimension with exactly the listed
-    /// coordinates selected. This is the constructor used when a point is
-    /// decoded from a persisted checkpoint, where no [`SearchSpace`] is at
-    /// hand yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    #[must_use]
-    pub fn from_indices<I: IntoIterator<Item = usize>>(dimension: usize, indices: I) -> Point {
-        let mut bits = vec![false; dimension];
-        for i in indices {
-            assert!(
-                i < dimension,
-                "coordinate {i} outside dimension {dimension}"
-            );
-            bits[i] = true;
-        }
-        Point { bits }
-    }
-
     /// Dimension of the point (length of the characteristic vector).
     #[must_use]
     pub fn dimension(&self) -> usize {
@@ -236,17 +215,6 @@ impl Point {
             .zip(&other.bits)
             .filter(|(a, b)| a != b)
             .count()
-    }
-
-    /// Indices of the selected coordinates.
-    #[must_use]
-    pub fn selected_indices(&self) -> Vec<usize> {
-        self.bits
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -326,7 +294,6 @@ mod tests {
         assert!(p.get(1));
         p.flip(1);
         assert_eq!(p.ones(), 0);
-        assert_eq!(p.selected_indices(), Vec::<usize>::new());
     }
 
     #[test]

@@ -84,6 +84,24 @@ impl Tabu {
         }
     }
 
+    /// Whether every point of `point`'s neighbourhood has been evaluated.
+    fn neighbourhood_checked(&self, ctx: &SearchContext<'_>, point: &Point) -> bool {
+        ctx.space
+            .neighborhood(point, self.radius)
+            .iter()
+            .all(|p| ctx.is_evaluated(p))
+    }
+
+    /// markPointInTabuLists of the paper: a checked point joins L2, or L1
+    /// when its own neighbourhood is already fully checked.
+    fn mark(&mut self, ctx: &SearchContext<'_>, point: Point) {
+        if self.neighbourhood_checked(ctx, &point) {
+            self.l1.insert(point);
+        } else {
+            self.l2.push(point);
+        }
+    }
+
     /// `getNewCenter(L2)` of the paper.
     fn pick_new_center(&self, ctx: &mut SearchContext<'_>) -> Option<Point> {
         if self.l2.is_empty() {
@@ -115,13 +133,13 @@ impl Tabu {
 }
 
 impl Strategy for Tabu {
-    fn initialize(&mut self, _ctx: &mut SearchContext<'_>, start: &Evaluated) {
+    fn initialize(&mut self, ctx: &mut SearchContext<'_>, start: &Evaluated) {
         // Full reset: a strategy instance may be reused across runs.
         self.l1.clear();
         self.l2.clear();
         self.improved = false;
         self.center = Some(start.point.clone());
-        self.l2.push(start.point.clone());
+        self.mark(ctx, start.point.clone());
     }
 
     fn propose(&mut self, ctx: &mut SearchContext<'_>) -> Proposal {
@@ -140,17 +158,11 @@ impl Strategy for Tabu {
                 self.center = Some(center);
                 return Proposal::Evaluate(vec![candidate]);
             }
-            // The neighbourhood of χ_center is checked. In a fresh run every
-            // L2 point still has unchecked neighbours (observe migrates the
-            // others), but a checkpoint-resumed run warm-starts the driver's
-            // memo, which can leave stale L2 entries; migrate them here so
-            // getNewCenter cannot cycle on an exhausted centre.
-            if let Some(position) = self.l2.iter().position(|p| *p == center) {
-                let stale = self.l2.remove(position);
-                self.l1.insert(stale);
-            }
-            // Move to the improved best point, or ask getNewCenter(L2) for a
-            // fresh centre.
+            // The neighbourhood of χ_center is checked: move to the improved
+            // best point, or ask getNewCenter(L2) for a fresh centre. Every
+            // L2 point has an unchecked neighbour (initialize and observe
+            // keep the others in L1), so getNewCenter never picks an
+            // exhausted centre.
             if self.improved {
                 center = ctx.best_point.clone();
                 self.improved = false;
@@ -168,33 +180,14 @@ impl Strategy for Tabu {
         let evaluated = &results[0];
         let candidate = &evaluated.point;
 
-        // markPointInTabuLists: the new point joins L2 (or L1 when its own
-        // neighbourhood is already fully checked), and points of L2 whose
-        // neighbourhood just became fully checked migrate to L1.
-        let candidate_checked = ctx
-            .space
-            .neighborhood(candidate, self.radius)
-            .iter()
-            .all(|p| ctx.is_evaluated(p));
-        if candidate_checked {
-            self.l1.insert(candidate.clone());
-        } else {
-            self.l2.push(candidate.clone());
-        }
-        let mut still_open = Vec::with_capacity(self.l2.len());
-        for p in self.l2.drain(..) {
-            let checked = ctx
-                .space
-                .neighborhood(&p, self.radius)
-                .iter()
-                .all(|q| ctx.is_evaluated(q));
-            if checked {
-                self.l1.insert(p);
-            } else {
-                still_open.push(p);
-            }
-        }
-        self.l2 = still_open;
+        // markPointInTabuLists, then points of L2 whose neighbourhood just
+        // became fully checked migrate to L1.
+        self.mark(ctx, candidate.clone());
+        let (checked, open): (Vec<Point>, Vec<Point>) = std::mem::take(&mut self.l2)
+            .into_iter()
+            .partition(|p| self.neighbourhood_checked(ctx, p));
+        self.l1.extend(checked);
+        self.l2 = open;
 
         let is_best = evaluated.value < ctx.best_value;
         if is_best {
@@ -225,11 +218,7 @@ mod tests {
         space: &SearchSpace,
         evaluator: &mut Evaluator,
     ) -> SearchOutcome {
-        let driver = SearchDriver::new(DriverConfig {
-            limits,
-            seed,
-            ..DriverConfig::default()
-        });
+        let driver = SearchDriver::new(DriverConfig { limits, seed });
         driver.run(
             space,
             &space.full_point(),
@@ -306,6 +295,25 @@ mod tests {
         );
         // The space has 2^3 = 8 points; all of them end up evaluated.
         assert_eq!(outcome.points_evaluated, 8);
+        assert_eq!(outcome.stop_condition, StopCondition::SpaceExhausted);
+    }
+
+    #[test]
+    fn a_start_point_without_neighbours_exhausts_the_space() {
+        // The start point of a 0-dimensional space has an empty, hence
+        // fully checked, neighbourhood: it goes to L1, so getNewCenter finds
+        // L2 empty instead of picking the start point forever.
+        let cnf = Cnf::pigeonhole(3);
+        let space = SearchSpace::new(std::iter::empty());
+        let mut eval = evaluator(&cnf, 1);
+        let outcome = minimize(
+            &TabuConfig::default(),
+            SearchLimits::unlimited(),
+            0,
+            &space,
+            &mut eval,
+        );
+        assert_eq!(outcome.points_evaluated, 1);
         assert_eq!(outcome.stop_condition, StopCondition::SpaceExhausted);
     }
 

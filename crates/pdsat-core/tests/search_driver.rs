@@ -1,17 +1,15 @@
 //! Driver-level integration tests: fixed-seed trajectories pinned against
 //! the pre-refactor `SimulatedAnnealing::minimize` / `TabuSearch::minimize`
 //! implementations, batched-vs-sequential evaluation parity, in-batch limit
-//! enforcement, and checkpoint/resume.
+//! enforcement, and reuse of strategy instances and of evaluators across
+//! runs.
 
 use pdsat_cnf::{Cnf, Var};
 use pdsat_core::{
     Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig,
-    RandomRestart, RandomRestartConfig, SearchCheckpoint, SearchDriver, SearchLimits,
-    SearchOutcome, SearchSpace, StopCondition, Tabu, TabuConfig,
+    RandomRestart, RandomRestartConfig, SearchDriver, SearchLimits, SearchOutcome, SearchSpace,
+    StopCondition, Strategy, Tabu, TabuConfig,
 };
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
@@ -26,15 +24,30 @@ fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
 }
 
 fn driver(limits: SearchLimits, seed: u64) -> SearchDriver {
-    SearchDriver::new(DriverConfig {
-        limits,
-        seed,
-        ..DriverConfig::default()
-    })
+    SearchDriver::new(DriverConfig { limits, seed })
 }
 
 /// `(point, value, accepted, is_best)` per step.
 type GoldenStep = (&'static str, f64, bool, bool);
+
+/// `(point, value bits, accepted, is_best)` per step: equal trajectories are
+/// bit-identical.
+type Step = (String, u64, bool, bool);
+
+fn trajectory(outcome: &SearchOutcome) -> Vec<Step> {
+    outcome
+        .history
+        .iter()
+        .map(|s| {
+            (
+                s.point.to_string(),
+                s.value.to_bits(),
+                s.accepted,
+                s.is_best,
+            )
+        })
+        .collect()
+}
 
 fn assert_trajectory(outcome: &SearchOutcome, golden: &[GoldenStep]) {
     assert_eq!(
@@ -186,53 +199,6 @@ fn edge_case_stop_conditions_match_the_pre_refactor_loops() {
 }
 
 #[test]
-fn strategy_instances_are_reusable_across_driver_runs() {
-    // The contract the removed `minimize` shims used to paper over:
-    // `Strategy::initialize` fully resets an instance, so driving the same
-    // strategy object through two identical runs gives the same trajectory
-    // as a freshly built one.
-    let cnf = Cnf::pigeonhole(5);
-    let space = SearchSpace::new((0..6).map(Var::new));
-    let start = space.full_point();
-
-    let limits = SearchLimits::unlimited().with_max_points(18);
-    let sa_config = AnnealingConfig::default();
-    let mut reused = Annealing::new(&sa_config);
-    let run_with = |strategy: &mut Annealing| {
-        let mut eval = evaluator(&cnf, 8);
-        driver(limits.clone(), 21).run(&space, &start, strategy, &mut eval)
-    };
-    let first = run_with(&mut reused);
-    let again = run_with(&mut reused);
-    let fresh = run_with(&mut Annealing::new(&sa_config));
-    for other in [&again, &fresh] {
-        assert_eq!(first.history.len(), other.history.len());
-        for (a, b) in first.history.iter().zip(&other.history) {
-            assert_eq!(a.point, b.point);
-            assert_eq!(a.value, b.value);
-            assert_eq!(a.accepted, b.accepted);
-        }
-        assert_eq!(first.best_point, other.best_point);
-        assert_eq!(first.best_value, other.best_value);
-    }
-
-    let tabu_config = TabuConfig::default();
-    let mut reused = Tabu::new(&tabu_config);
-    let run_with = |strategy: &mut Tabu| {
-        let mut eval = evaluator(&cnf, 8);
-        driver(limits.clone(), 21).run(&space, &start, strategy, &mut eval)
-    };
-    let first = run_with(&mut reused);
-    let again = run_with(&mut reused);
-    let fresh = run_with(&mut Tabu::new(&tabu_config));
-    for other in [&again, &fresh] {
-        assert_eq!(first.best_point, other.best_point);
-        assert_eq!(first.best_value, other.best_value);
-        assert_eq!(first.points_evaluated, other.points_evaluated);
-    }
-}
-
-#[test]
 fn batched_evaluation_matches_the_sequential_loop_on_a_fresh_backend() {
     let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..8).map(Var::new));
@@ -328,334 +294,107 @@ fn zero_time_limit_stops_before_any_proposal() {
 
 #[test]
 fn time_sliced_batches_produce_the_same_trajectory() {
-    // With a generous time limit the slicing machinery is active but never
-    // fires; the trajectory must be identical to the unsliced run.
+    // Dimension 10: every RandomRestart proposal is a whole radius-1
+    // neighborhood of 10 points, more than one time slice. With a generous
+    // time limit the batch is cut into slices but the limit never fires; the
+    // trajectory must be identical to the run without a time limit.
     let cnf = Cnf::pigeonhole(5);
-    let space = SearchSpace::new((0..8).map(Var::new));
-    let run = |limits: SearchLimits, time_slice: usize| {
+    let space = SearchSpace::new((0..10).map(Var::new));
+    let run = |limits: SearchLimits| {
         let mut eval = evaluator(&cnf, 4);
         let mut strategy = RandomRestart::new(RandomRestartConfig::default());
-        let driver = SearchDriver::new(DriverConfig {
-            limits,
-            seed: 13,
-            time_slice,
-        });
-        let out = driver.run(&space, &space.full_point(), &mut strategy, &mut eval);
-        out.history
-            .iter()
-            .map(|s| (s.point.to_string(), s.value.to_bits(), s.accepted))
-            .collect::<Vec<_>>()
+        let outcome = driver(limits, 13).run(&space, &space.full_point(), &mut strategy, &mut eval);
+        (trajectory(&outcome), eval.oracle().batches())
     };
-    let unsliced = run(SearchLimits::unlimited().with_max_points(25), 8);
-    let sliced = run(
-        SearchLimits::unlimited()
-            .with_max_points(25)
-            .with_time_limit(Duration::from_secs(3600)),
-        2,
-    );
+    let (unsliced, unsliced_batches) = run(SearchLimits::unlimited().with_max_points(25));
+    let (sliced, sliced_batches) = run(SearchLimits::unlimited()
+        .with_max_points(25)
+        .with_time_limit(Duration::from_secs(3600)));
     assert_eq!(unsliced, sliced);
+    assert!(
+        sliced_batches > unsliced_batches,
+        "a 10-point proposal must reach the oracle in more than one slice"
+    );
 }
 
 #[test]
-fn checkpoint_resume_answers_visited_points_for_free() {
+fn a_second_run_on_the_same_evaluator_is_answered_by_its_point_cache() {
+    // The evaluator memoizes every point it paid for, so a repeated search on
+    // it reproduces the trajectory bit for bit without solving a cube.
     let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
     let mut eval = evaluator(&cnf, 8);
-    let mut strategy = Tabu::new(&TabuConfig::default());
-    let first = driver(SearchLimits::unlimited().with_max_points(12), 5).run(
-        &space,
-        &space.full_point(),
-        &mut strategy,
-        &mut eval,
-    );
-    let checkpoint = first.checkpoint();
-    assert_eq!(checkpoint.visited.len(), first.points_evaluated);
-    assert_eq!(checkpoint.best_value, first.best_value);
+    let d = driver(SearchLimits::unlimited().with_max_points(12), 5);
+    let run = |eval: &mut Evaluator| {
+        d.run(
+            &space,
+            &space.full_point(),
+            &mut Tabu::new(&TabuConfig::default()),
+            eval,
+        )
+    };
+    let first = run(&mut eval);
+    let (evaluations, cubes_solved) = (eval.evaluations(), eval.cubes_solved());
+    assert_eq!(evaluations as usize, first.points_evaluated);
+    let second = run(&mut eval);
+    assert_eq!(trajectory(&first), trajectory(&second));
+    assert_eq!(first.stop_condition, second.stop_condition);
+    assert_eq!(eval.evaluations(), evaluations);
+    assert_eq!(eval.cubes_solved(), cubes_solved);
+}
 
-    // Resume with a fresh evaluator: the warm-started driver memo answers
-    // every checkpointed point without paying the oracle, and the incumbent
-    // best survives even when this run never visits a better point.
-    let mut fresh_eval = evaluator(&cnf, 8);
-    let mut strategy = Tabu::new(&TabuConfig::default());
-    let resumed = driver(SearchLimits::unlimited().with_max_points(12), 5).run_resumed(
-        &space,
-        &space.full_point(),
-        &mut strategy,
-        &mut fresh_eval,
-        Some(&checkpoint),
-    );
-    assert!(resumed.best_value <= first.best_value);
-    assert!(
-        (fresh_eval.evaluations() as usize) < resumed.points_evaluated,
-        "at least the checkpointed prefix must come from the memo cache"
-    );
+/// Asserts that `Strategy::initialize` fully resets an instance: driving
+/// the same strategy object through two identical runs (fresh evaluators,
+/// same seed) gives the trajectory and stop condition of a freshly built one.
+fn assert_reusable<S: Strategy>(
+    name: &str,
+    max_points: usize,
+    seed: u64,
+    new_strategy: impl Fn() -> S,
+) {
+    let cnf = Cnf::pigeonhole(5);
+    let space = SearchSpace::new((0..6).map(Var::new));
+    let run = |strategy: &mut S| {
+        let outcome = driver(SearchLimits::unlimited().with_max_points(max_points), seed).run(
+            &space,
+            &space.full_point(),
+            strategy,
+            &mut evaluator(&cnf, 8),
+        );
+        (trajectory(&outcome), outcome.stop_condition)
+    };
+    let mut reused = new_strategy();
+    let first = run(&mut reused);
+    assert_eq!(first, run(&mut reused), "{name}: reused instance");
+    assert_eq!(first, run(&mut new_strategy()), "{name}: fresh instance");
+}
+
+#[test]
+fn strategy_instances_are_reusable_across_driver_runs() {
+    // Default configurations, the setup the experiment binaries use.
+    assert_reusable("annealing", 18, 21, || {
+        Annealing::new(&AnnealingConfig::default())
+    });
+    assert_reusable("tabu", 18, 21, || Tabu::new(&TabuConfig::default()));
+    assert_reusable("random restart", 18, 21, || {
+        RandomRestart::new(RandomRestartConfig::default())
+    });
 }
 
 #[test]
 fn strategy_instances_are_reusable_across_runs() {
-    // initialize() must fully reset strategy state: the second run of a
-    // reused instance reproduces the first run exactly (same seed, fresh
-    // evaluators).
-    let cnf = Cnf::pigeonhole(5);
-    let space = SearchSpace::new((0..6).map(Var::new));
-    let d = driver(SearchLimits::unlimited().with_max_points(15), 4);
-    let trajectory = |outcome: &SearchOutcome| {
-        outcome
-            .history
-            .iter()
-            .map(|s| (s.point.to_string(), s.value.to_bits()))
-            .collect::<Vec<_>>()
-    };
-
-    let mut annealing = Annealing::new(&AnnealingConfig {
-        cooling_factor: 0.5,
-        ..AnnealingConfig::default()
+    // Tuned configurations: fast cooling and a bounded restart count.
+    assert_reusable("annealing", 15, 4, || {
+        Annealing::new(&AnnealingConfig {
+            cooling_factor: 0.5,
+            ..AnnealingConfig::default()
+        })
     });
-    let mut eval = evaluator(&cnf, 8);
-    let first = d.run(&space, &space.full_point(), &mut annealing, &mut eval);
-    let mut eval = evaluator(&cnf, 8);
-    let second = d.run(&space, &space.full_point(), &mut annealing, &mut eval);
-    assert_eq!(trajectory(&first), trajectory(&second));
-    assert_eq!(first.stop_condition, second.stop_condition);
-
-    let mut tabu = Tabu::new(&TabuConfig::default());
-    let mut eval = evaluator(&cnf, 8);
-    let first = d.run(&space, &space.full_point(), &mut tabu, &mut eval);
-    let mut eval = evaluator(&cnf, 8);
-    let second = d.run(&space, &space.full_point(), &mut tabu, &mut eval);
-    assert_eq!(trajectory(&first), trajectory(&second));
-
-    let mut restart = RandomRestart::new(RandomRestartConfig {
-        max_restarts: 2,
-        ..RandomRestartConfig::default()
+    assert_reusable("tabu", 15, 4, || Tabu::new(&TabuConfig::default()));
+    assert_reusable("random restart", 15, 4, || {
+        RandomRestart::new(RandomRestartConfig {
+            max_restarts: 2,
+            ..RandomRestartConfig::default()
+        })
     });
-    let mut eval = evaluator(&cnf, 8);
-    let first = d.run(&space, &space.full_point(), &mut restart, &mut eval);
-    let mut eval = evaluator(&cnf, 8);
-    let second = d.run(&space, &space.full_point(), &mut restart, &mut eval);
-    assert_eq!(trajectory(&first), trajectory(&second));
-    assert_eq!(first.stop_condition, second.stop_condition);
-}
-
-#[test]
-fn absorb_chains_checkpoints_without_losing_coverage() {
-    let cnf = Cnf::pigeonhole(5);
-    let space = SearchSpace::new((0..6).map(Var::new));
-
-    let mut eval = evaluator(&cnf, 8);
-    let mut strategy = Tabu::new(&TabuConfig::default());
-    let first = driver(SearchLimits::unlimited().with_max_points(10), 5).run(
-        &space,
-        &space.full_point(),
-        &mut strategy,
-        &mut eval,
-    );
-    let mut checkpoint = first.checkpoint();
-    let first_points: Vec<String> = checkpoint
-        .visited
-        .iter()
-        .map(|v| v.point.to_string())
-        .collect();
-
-    // A resumed run with a different seed explores new territory; absorbing
-    // its outcome must keep every point the first run paid for.
-    let mut strategy = Tabu::new(&TabuConfig::default());
-    let second = driver(SearchLimits::unlimited().with_max_points(10), 99).run_resumed(
-        &space,
-        &space.full_point(),
-        &mut strategy,
-        &mut eval,
-        Some(&checkpoint),
-    );
-    checkpoint.absorb(&second);
-
-    let merged: std::collections::HashSet<String> = checkpoint
-        .visited
-        .iter()
-        .map(|v| v.point.to_string())
-        .collect();
-    for point in &first_points {
-        assert!(merged.contains(point), "absorb dropped {point}");
-    }
-    for step in &second.history {
-        assert!(merged.contains(&step.point.to_string()));
-    }
-    assert!(checkpoint.best_value <= first.best_value.min(second.best_value));
-    // No duplicates in the merged coverage.
-    assert_eq!(merged.len(), checkpoint.visited.len());
-    // A checkpoint grown by resume + absorb is one the loader accepts.
-    assert_eq!(
-        SearchCheckpoint::from_text(&checkpoint.to_text()),
-        Ok(checkpoint)
-    );
-}
-
-#[test]
-#[should_panic(expected = "checkpoint dimension must match")]
-fn mismatched_checkpoint_is_rejected() {
-    let cnf = Cnf::pigeonhole(5);
-    let space = SearchSpace::new((0..6).map(Var::new));
-    let other = SearchSpace::new((0..4).map(Var::new));
-    let mut eval = evaluator(&cnf, 4);
-    let mut strategy = Tabu::new(&TabuConfig::default());
-    let outcome = driver(SearchLimits::unlimited().with_max_points(3), 1).run(
-        &other,
-        &other.full_point(),
-        &mut strategy,
-        &mut eval,
-    );
-    let checkpoint = outcome.checkpoint();
-    let mut strategy = Tabu::new(&TabuConfig::default());
-    let _ = driver(SearchLimits::unlimited().with_max_points(3), 1).run_resumed(
-        &space,
-        &space.full_point(),
-        &mut strategy,
-        &mut eval,
-        Some(&checkpoint),
-    );
-}
-
-/// The text of a short real search over a 4-dimensional space: something for
-/// the hostile cases below to damage.
-fn valid_checkpoint_text(cnf: &Cnf, space: &SearchSpace) -> String {
-    let mut strategy = Tabu::new(&TabuConfig::default());
-    let outcome = driver(SearchLimits::unlimited().with_max_points(5), 3).run(
-        space,
-        &space.full_point(),
-        &mut strategy,
-        &mut evaluator(cnf, 4),
-    );
-    outcome.checkpoint().to_text()
-}
-
-/// Values, points and non-fields that sit on the edges the loader has to
-/// mind: −∞, +∞, NaN, repeated and out-of-range indices, overflowing numbers.
-const HOSTILE_FIELDS: [&str; 14] = [
-    "-",
-    "0",
-    "3",
-    "4",
-    "0,0",
-    "1,2,3,0",
-    "4096",
-    "18446744073709551616",
-    "fff0000000000000",
-    "7ff0000000000000",
-    "7ff8000000000000",
-    "0000000000000000",
-    "zz",
-    "",
-];
-
-/// Texts that loaded `Ok` before the loader checked the incumbent against
-/// the visited list: −∞ at the empty point with nothing visited, and a NaN
-/// incumbent over a point listed twice.
-const FORGED_TEXTS: [&str; 3] = [
-    "pdsat-search-checkpoint v1\ndimension 4\nbest fff0000000000000 -\n",
-    "pdsat-search-checkpoint v1\ndimension 4\nbest 7ff8000000000000 0\n\
-     visited 7ff8000000000000 0\nvisited 4000000000000000 0\n",
-    "pdsat-search-checkpoint v1\ndimension 4\nbest 4000000000000000 0\n\
-     visited 4000000000000000 0\nvisited 4008000000000000 0\n",
-];
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn hostile_checkpoint_text_never_panics_the_loader_or_forges_a_resumed_incumbent(
-        seed in 0u64..1_000_000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let cnf = Cnf::pigeonhole(4);
-        let space = SearchSpace::new((0..4).map(Var::new));
-        let valid = valid_checkpoint_text(&cnf, &space);
-        prop_assert!(SearchCheckpoint::from_text(&valid).is_ok());
-        let mut bytes = valid.clone().into_bytes();
-        match rng.gen_range(0..5u32) {
-            // Arbitrary bytes.
-            0 => {
-                bytes = (0..rng.gen_range(0..200usize))
-                    .map(|_| rng.gen_range(0..=255u8))
-                    .collect();
-            }
-            // A valid text with some bytes overwritten, then cut short.
-            1 => {
-                for _ in 0..rng.gen_range(1..6usize) {
-                    let at = rng.gen_range(0..bytes.len());
-                    bytes[at] = rng.gen_range(0..=255u8);
-                }
-                bytes.truncate(rng.gen_range(0..=bytes.len()));
-            }
-            // A valid text with whole fields replaced by hostile ones.
-            2 => {
-                let mut lines: Vec<Vec<String>> = valid
-                    .lines()
-                    .map(|line| line.split(' ').map(str::to_string).collect())
-                    .collect();
-                for _ in 0..rng.gen_range(1..4usize) {
-                    let line = rng.gen_range(1..lines.len());
-                    let field = rng.gen_range(1..lines[line].len());
-                    lines[line][field] =
-                        HOSTILE_FIELDS[rng.gen_range(0..HOSTILE_FIELDS.len())].to_string();
-                }
-                let damaged: Vec<String> = lines.iter().map(|fields| fields.join(" ")).collect();
-                bytes = damaged.join("\n").into_bytes();
-            }
-            // A valid text with whole lines repeated, dropped or swapped.
-            3 => {
-                let mut lines: Vec<&str> = valid.lines().collect();
-                for _ in 0..rng.gen_range(1..4usize) {
-                    let at = rng.gen_range(0..lines.len());
-                    match rng.gen_range(0..3u32) {
-                        0 => lines.insert(at, lines[at]),
-                        1 if lines.len() > 1 => {
-                            lines.remove(at);
-                        }
-                        _ => {
-                            let other = rng.gen_range(0..lines.len());
-                            lines.swap(at, other);
-                        }
-                    }
-                }
-                bytes = lines.join("\n").into_bytes();
-            }
-            // The known forgeries, which must not load at all.
-            _ => {
-                let forged = FORGED_TEXTS[rng.gen_range(0..FORGED_TEXTS.len())];
-                prop_assert!(SearchCheckpoint::from_text(forged).is_err(), "{}", forged);
-                bytes = forged.as_bytes().to_vec();
-            }
-        }
-        let text = String::from_utf8_lossy(&bytes);
-        // Resuming validates the dimension itself (by panicking, see
-        // `mismatched_checkpoint_is_rejected`); that check is the caller's.
-        let loaded = SearchCheckpoint::from_text(&text)
-            .ok()
-            .filter(|checkpoint| checkpoint.dimension == space.dimension());
-        if let Some(checkpoint) = loaded {
-            let mut strategy = Tabu::new(&TabuConfig::default());
-            let resumed = driver(SearchLimits::unlimited().with_max_points(3), seed).run_resumed(
-                &space,
-                &space.full_point(),
-                &mut strategy,
-                &mut evaluator(&cnf, 4),
-                Some(&checkpoint),
-            );
-            // Whatever loaded, the search reports an incumbent something
-            // supports: a pair the checkpoint lists or one this run evaluated.
-            let reported = (&resumed.best_point, resumed.best_value.to_bits());
-            prop_assert!(!resumed.best_value.is_nan());
-            prop_assert!(
-                checkpoint
-                    .visited
-                    .iter()
-                    .map(|v| (&v.point, v.value.to_bits()))
-                    .chain(resumed.history.iter().map(|s| (&s.point, s.value.to_bits())))
-                    .any(|pair| pair == reported),
-                "unsupported incumbent {:?} from {:?}",
-                reported,
-                text
-            );
-        }
-    }
 }

@@ -30,7 +30,6 @@ fn full_pipeline<C: StreamCipher + Copy>(cipher: C, instance: Instance) {
     let driver = SearchDriver::new(DriverConfig {
         limits: SearchLimits::unlimited().with_max_points(10),
         seed: 1,
-        ..DriverConfig::default()
     });
     let mut tabu = Tabu::new(&TabuConfig::default());
     let outcome = driver.run(&space, &space.full_point(), &mut tabu, &mut eval);
@@ -138,11 +137,7 @@ fn simulated_annealing_and_tabu_find_comparable_sets() {
     let space = SearchSpace::new(instance.unknown_state_vars());
     let limits = SearchLimits::unlimited().with_max_points(12);
 
-    let driver = SearchDriver::new(DriverConfig {
-        limits,
-        seed: 2,
-        ..DriverConfig::default()
-    });
+    let driver = SearchDriver::new(DriverConfig { limits, seed: 2 });
 
     let mut eval_sa = evaluator(&instance, 8);
     let mut annealing = Annealing::new(&AnnealingConfig::default());
