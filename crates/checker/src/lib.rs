@@ -16,17 +16,23 @@
 //! deletion-aware clause set:
 //!
 //! 1. **Load.** The formula's clauses are copied into one flat literal arena
-//!    under two-watched-literal propagation (no allocation per clause) and
-//!    propagated to fixpoint, with no cube. Each thread keeps the last
-//!    formula it loaded: the next certificate for a formula with exactly the
-//!    same content (variable count and every clause's literals in order)
-//!    skips this step and restores a working copy of the loaded one into the
-//!    allocations the previous check left behind.
+//!    (no allocation per clause) and propagated to fixpoint, with no cube.
+//!    An original of two or three distinct literals is watched by every one
+//!    of its literals, with the others inline, and matched by value: a visit
+//!    reads the other literals' value bytes and nothing else. These lists are
+//!    built once per loaded formula, never change, and are shared by every
+//!    working copy. Longer originals go under two-watched-literal
+//!    propagation. Each thread keeps the last formula it loaded: the next
+//!    certificate for a formula with exactly the same content (variable
+//!    count and every clause's literals in order) skips this step and
+//!    restores a working copy of the loaded one into the allocations the
+//!    previous check left behind.
 //! 2. **Seed.** The cube's literals (if any) are asserted as root
 //!    assignments on the working copy and propagated — a certificate proves
 //!    `F ∧ cube ⊨ ⊥`, not `F ⊨ ⊥`.
 //! 3. Each `Add` step is checked for RUP (assert the negations of its
-//!    literals, propagate, expect a conflict), then added and propagated.
+//!    literals, propagate, expect a conflict), then added under
+//!    two-watched-literal propagation, whatever its length, and propagated.
 //!    Each `Delete` step removes one instance of the clause, matched by
 //!    sorted-literal multiset through an index built when the first deletion
 //!    is met; unmatched deletions are lenient no-ops and
@@ -45,6 +51,7 @@ use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::BuildHasher;
+use std::rc::Rc;
 
 /// Why a submitted result (model, proof, or whole report) was rejected.
 ///
@@ -217,9 +224,14 @@ impl FormulaKey {
     }
 }
 
-const UNDEF: u8 = 0;
-const TRUE: u8 = 1;
-const FALSE: u8 = 2;
+// Value bytes, one per literal code. An inline ternary visit multiplies the
+// bytes of the clause's other two literals: 1 is a conflict, 2 a unit
+// clause, 0 and 4 nothing to do.
+const TRUE: u8 = 0;
+const FALSE: u8 = 1;
+const UNDEF: u8 = 2;
+// Reordering the constants must fail here, not turn conflicts into no-ops.
+const _: () = assert!(TRUE == 0 && FALSE == 1 && UNDEF == 2);
 
 /// No clause: the end of a [`DeleteIndex`] chain.
 const NIL: usize = usize::MAX;
@@ -253,8 +265,65 @@ struct DeleteIndex {
     next: Vec<usize>,
 }
 
-/// The forward checker's propagation state: a flat literal arena under
-/// two-watched-literal propagation with a persistent root trail.
+/// An inline watcher of a two-literal original: the list it sits in is one
+/// literal, `other` the rest of the clause, `id` its [`Span`].
+#[derive(Clone, Copy)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
+struct BinWatch {
+    other: Lit,
+    id: u32,
+}
+
+/// An inline watcher of a three-literal original: the list it sits in is one
+/// literal, `a` and `b` the other two, `id` its [`Span`].
+#[derive(Clone, Copy)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
+struct TernWatch {
+    a: Lit,
+    b: Lit,
+    id: u32,
+}
+
+/// The formula's originals of two and three distinct literals, each in the
+/// list of every one of its literals with the others inline, indexed by
+/// `Lit::code`. Built once per loaded formula and never changed: a deleted
+/// clause keeps its watchers, and a visit reads [`Span::deleted`] only when
+/// the clause would enqueue or conflict.
+#[derive(Default)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
+struct Inline {
+    bins: Vec<Vec<BinWatch>>,
+    terns: Vec<Vec<TernWatch>>,
+}
+
+impl Inline {
+    /// Watches original `id` inline when it has two or three distinct
+    /// literals; `false` leaves it to the two-watched path. So does an id
+    /// past `u32::MAX`, which only a formula of over four billion clauses
+    /// has.
+    fn watch(&mut self, id: usize, distinct: &[Lit]) -> bool {
+        let Ok(id) = u32::try_from(id) else {
+            return false;
+        };
+        match *distinct {
+            [x, y] => {
+                self.bins[x.code()].push(BinWatch { other: y, id });
+                self.bins[y.code()].push(BinWatch { other: x, id });
+            }
+            [x, y, z] => {
+                self.terns[x.code()].push(TernWatch { a: y, b: z, id });
+                self.terns[y.code()].push(TernWatch { a: x, b: z, id });
+                self.terns[z.code()].push(TernWatch { a: x, b: y, id });
+            }
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// The forward checker's propagation state: a flat literal arena, short
+/// originals watched inline, everything else under two-watched-literal
+/// propagation, and a persistent root trail.
 #[derive(Default)]
 #[cfg_attr(test, derive(Debug, PartialEq))]
 struct Checker {
@@ -264,9 +333,12 @@ struct Checker {
     /// Built when the first `Delete` step is met: most certificates of short
     /// solves have none, and hashing every clause is most of a load.
     delete_index: Option<DeleteIndex>,
-    /// Clause ids watching each literal, indexed by `Lit::code`.
+    /// Shared by the loaded base and its working copy: no check changes it.
+    inline: Rc<Inline>,
+    /// Ids of the longer originals and of every lemma watching each literal,
+    /// indexed by `Lit::code`.
     watches: Vec<Vec<usize>>,
-    /// `UNDEF`/`TRUE`/`FALSE` per literal, indexed by `Lit::code`.
+    /// `TRUE`/`FALSE`/`UNDEF` per literal, indexed by `Lit::code`.
     values: Vec<u8>,
     trail: Vec<Lit>,
     qhead: usize,
@@ -282,16 +354,29 @@ impl Checker {
     /// The formula's clauses in the arena, propagated to fixpoint at the
     /// root, with no cube.
     fn load(cnf: &Cnf) -> Checker {
+        let codes = 2 * cnf.num_vars();
         let mut checker = Checker {
             lits: Vec::with_capacity(cnf.num_literals()),
             spans: Vec::with_capacity(cnf.num_clauses()),
-            watches: vec![Vec::new(); 2 * cnf.num_vars()],
-            values: vec![UNDEF; 2 * cnf.num_vars()],
+            watches: vec![Vec::new(); codes],
+            values: vec![UNDEF; codes],
             ..Checker::default()
         };
+        let mut inline = Inline {
+            bins: vec![Vec::new(); codes],
+            terns: vec![Vec::new(); codes],
+        };
         for clause in cnf.clauses() {
-            checker.add_clause(clause.lits());
+            let id = checker.push_clause(clause.lits());
+            let Span { start, len, .. } = checker.spans[id];
+            // An inline clause needs no check here: the trail is not
+            // propagated yet, so root propagation below visits it from every
+            // literal that is false by now.
+            if !inline.watch(id, &checker.lits[start..start + len]) {
+                checker.watch(id);
+            }
         }
+        checker.inline = Rc::new(inline);
         if checker.propagate() {
             checker.proven = true;
         }
@@ -308,6 +393,7 @@ impl Checker {
             // A loaded formula has met no deletion; each check builds its
             // own index when it meets its first one.
             delete_index: _,
+            inline,
             watches,
             values,
             trail,
@@ -323,6 +409,7 @@ impl Checker {
         self.lits.clone_from(lits);
         self.spans.clone_from(spans);
         self.delete_index = None;
+        self.inline = Rc::clone(inline);
         self.watches.clone_from(watches);
         self.values.clone_from(values);
         self.trail.clone_from(trail);
@@ -362,7 +449,8 @@ impl Checker {
                     if !self.rup(lits) {
                         return Err(CheckFailure::ProofNotRup);
                     }
-                    self.add_clause(lits);
+                    let id = self.push_clause(lits);
+                    self.watch(id);
                     if self.propagate() {
                         self.proven = true;
                     }
@@ -400,15 +488,12 @@ impl Checker {
         self.trail.push(lit);
     }
 
-    /// Appends a clause to the arena under the current assignment,
-    /// enqueueing its consequence when it is unit and flagging `proven` when
-    /// it is already falsified. The caller runs [`propagate`](Self::propagate)
-    /// afterwards.
-    fn add_clause(&mut self, clause: &[Lit]) {
+    /// Appends a clause to the arena, and to the deletion index once that is
+    /// built, unwatched; returns its id.
+    fn push_clause(&mut self, clause: &[Lit]) -> usize {
         let id = self.spans.len();
         let start = self.lits.len();
         self.lits.extend_from_slice(clause);
-        let values = &self.values;
         let lits = &mut self.lits[start..];
         lits.sort_unstable();
         // Distinct literals to the front (still sorted), repeats behind them.
@@ -427,6 +512,16 @@ impl Checker {
         if let Some(index) = self.delete_index.as_mut() {
             index.insert(id, clause, &mut self.key_buf);
         }
+        id
+    }
+
+    /// Puts clause `id` under two-watched-literal propagation at the current
+    /// assignment, enqueueing its consequence when it is unit and flagging
+    /// `proven` when it is already falsified. The caller runs
+    /// [`propagate`](Self::propagate) afterwards.
+    fn watch(&mut self, id: usize) {
+        let Span { start, len, .. } = self.spans[id];
+        let values = &self.values;
         let lits = &mut self.lits[start..start + len];
         if len == 0 {
             self.proven = true;
@@ -505,17 +600,47 @@ impl Checker {
 
     /// Propagates to fixpoint; `true` on conflict. Works identically for
     /// root assignments and for the temporary assignments of a RUP check —
-    /// watch moves performed under deeper assignments stay valid after the
-    /// trail is rolled back (the moved-to literal is even less constrained).
+    /// inline lists never change, and watch moves performed under deeper
+    /// assignments stay valid after the trail is rolled back (the moved-to
+    /// literal is even less constrained).
     fn propagate(&mut self) -> bool {
+        let inline = Rc::clone(&self.inline);
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
             let false_lit = !p;
-            // The list is compacted in place: `kept` counts the watchers
-            // that stay. A moved watch is pushed onto a non-false literal's
-            // list, never onto this one.
+            // Inline originals first, binaries then ternaries: the clause is
+            // decided by its other literals alone, so a visit with nothing to
+            // do is one branch and touches no span, arena slot or watch. A
+            // conflict returns at once; nothing is unwound here — the caller
+            // owns the trail.
+            for &BinWatch { other, id } in &inline.bins[false_lit.code()] {
+                let value = self.values[other.code()];
+                if value == TRUE || self.spans[id as usize].deleted {
+                    continue;
+                }
+                if value == FALSE {
+                    return true;
+                }
+                self.enqueue(other);
+            }
+            // The product of the other two value bytes: 1 for both false
+            // (conflict), 2 for one false and one open (unit), 0 or 4 when
+            // either is true or both are open.
+            for &TernWatch { a, b, id } in &inline.terns[false_lit.code()] {
+                let product = self.values[a.code()] * self.values[b.code()];
+                if !matches!(product, 1 | 2) || self.spans[id as usize].deleted {
+                    continue;
+                }
+                if product == 1 {
+                    return true;
+                }
+                self.enqueue(if self.values[a.code()] == FALSE { b } else { a });
+            }
+            // Longer originals and lemmas. The list is compacted in place:
+            // `kept` counts the watchers that stay. A moved watch is pushed
+            // onto a non-false literal's list, never onto this one.
             let mut ws = std::mem::take(&mut self.watches[false_lit.code()]);
             let mut kept = 0;
             let mut conflict = false;
@@ -830,6 +955,9 @@ mod tests {
         let mut working = Checker::default();
         working.restore_from(&base);
         assert_eq!(working, base);
+        // The inline lists are shared with the base, never copied.
+        let shares_the_inline_lists = |working: &Checker| Rc::ptr_eq(&working.inline, &base.inline);
+        assert!(shares_the_inline_lists(&working));
         // A cube, lemmas, a deletion (which builds the index) and a conflict
         // all change the working copy; the next restore undoes every bit.
         let proof = DratProof {
@@ -845,6 +973,7 @@ mod tests {
         assert!(working.delete_index.is_some());
         working.restore_from(&base);
         assert_eq!(working, base);
+        assert!(shares_the_inline_lists(&working));
         // A rejected check, too.
         let truncated = DratProof {
             steps: proof.steps[..1].to_vec(),
@@ -856,6 +985,104 @@ mod tests {
         assert_ne!(working, base);
         working.restore_from(&base);
         assert_eq!(working, base);
+        assert!(shares_the_inline_lists(&working));
+    }
+
+    /// {(1 2 3), (1 2 ¬3), (1 ¬2), (¬1 4), (¬1 ¬4)}: UNSAT, every clause
+    /// watched inline, refuted by the lemma (1), which needs both ternaries
+    /// and the binary (1 ¬2): asserting ¬1 gives ¬2, then 3 and ¬3.
+    fn short_originals_unsat() -> Cnf {
+        let mut cnf = Cnf::new(4);
+        for c in [&[1, 2, 3][..], &[1, 2, -3], &[1, -2], &[-1, 4], &[-1, -4]] {
+            cnf.add_clause(clause(c));
+        }
+        cnf
+    }
+
+    /// `cnf`'s check of the lemma (1) after the given deletions.
+    fn lemma_after_deleting(cnf: &Cnf, deletions: &[&[i64]]) -> Result<CheckStats, CheckFailure> {
+        let mut steps: Vec<DratStep> = deletions
+            .iter()
+            .map(|d| DratStep::Delete(clause(d)))
+            .collect();
+        steps.push(DratStep::Add(clause(&[1])));
+        check_unsat_proof(cnf, &[], &DratProof { steps })
+    }
+
+    #[test]
+    fn short_originals_are_watched_inline_only() {
+        let checker = Checker::load(&short_originals_unsat());
+        assert!(checker.watches.iter().all(Vec::is_empty));
+        let lists = |code: usize| {
+            let Inline { bins, terns } = &*checker.inline;
+            (bins[code].len(), terns[code].len())
+        };
+        // 1 sits in both ternaries and (1 ¬2); ¬1 in the two binaries.
+        assert_eq!(lists(lit(1).code()), (1, 2));
+        assert_eq!(lists(lit(-1).code()), (2, 0));
+        let stats = lemma_after_deleting(&short_originals_unsat(), &[]).expect("valid proof");
+        assert_eq!((stats.steps_checked, stats.unmatched_deletes), (1, 0));
+    }
+
+    #[test]
+    fn deleting_an_original_ternary_removes_its_support() {
+        assert_eq!(
+            lemma_after_deleting(&short_originals_unsat(), &[&[3, 2, 1]]),
+            Err(CheckFailure::ProofNotRup)
+        );
+    }
+
+    #[test]
+    fn deleting_an_original_binary_removes_its_support() {
+        assert_eq!(
+            lemma_after_deleting(&short_originals_unsat(), &[&[-2, 1]]),
+            Err(CheckFailure::ProofNotRup)
+        );
+    }
+
+    #[test]
+    fn deleting_one_of_two_copies_of_a_ternary_keeps_its_support() {
+        let mut cnf = short_originals_unsat();
+        cnf.add_clause(clause(&[2, 3, 1]));
+        let once = lemma_after_deleting(&cnf, &[&[1, 2, 3]]).expect("one copy is left");
+        assert_eq!(once.unmatched_deletes, 0);
+        assert_eq!(
+            lemma_after_deleting(&cnf, &[&[1, 2, 3], &[1, 2, 3]]),
+            Err(CheckFailure::ProofNotRup)
+        );
+        // The most recent copy goes first.
+        let mut checker = Checker::load(&cnf);
+        assert!(checker.delete(&clause(&[1, 2, 3])));
+        let deleted: Vec<bool> = checker.spans.iter().map(|s| s.deleted).collect();
+        assert_eq!(deleted, [false, false, false, false, false, true]);
+    }
+
+    #[test]
+    fn a_deleted_inline_clause_neither_enqueues_nor_conflicts() {
+        // Live, (1 2) is unit under ¬1 and falsified under ¬1 ¬2, and
+        // (1 2 3) is unit under ¬1 ¬2 and falsified under ¬1 ¬2 ¬3.
+        let mut cnf = Cnf::new(3);
+        cnf.add_clause(clause(&[1, 2, 3]));
+        cnf.add_clause(clause(&[1, 2]));
+        let falsify_and_propagate = |checker: &mut Checker, falsified: &[i64]| {
+            for &d in falsified {
+                checker.enqueue(lit(-d));
+            }
+            checker.propagate()
+        };
+        let mut live = Checker::load(&cnf);
+        assert!(!falsify_and_propagate(&mut live, &[1]));
+        assert_eq!(live.values[lit(2).code()], TRUE);
+        let mut live = Checker::load(&cnf);
+        assert!(falsify_and_propagate(&mut live, &[1, 2]));
+
+        let mut deleted = Checker::load(&cnf);
+        assert!(deleted.delete(&clause(&[3, 2, 1])));
+        assert!(deleted.delete(&clause(&[2, 1])));
+        assert!(!falsify_and_propagate(&mut deleted, &[1, 2]));
+        assert_eq!(deleted.values[lit(3).code()], UNDEF);
+        assert!(!falsify_and_propagate(&mut deleted, &[3]));
+        assert_eq!(deleted.propagations, 3);
     }
 
     #[test]

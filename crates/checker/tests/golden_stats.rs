@@ -7,7 +7,13 @@
 //! First recorded from the `Vec<ClauseRec>` + eager-index checker this arena
 //! checker replaced; re-recorded, with the checker untouched, at the commit
 //! that gave the solver's ternary clauses watch lists of their own (the
-//! formula is all ternary, so the certificates themselves changed).
+//! formula is all ternary, so the certificates themselves changed). The
+//! `propagations` only were re-recorded once more, with the solver
+//! untouched, when the checker began propagating two- and three-literal
+//! originals from inline watchers ahead of the two-watched lists: that
+//! reorders the visits, so a conflict can be found before literals the old
+//! order propagated first (9,749 → 9,715 and 17,152 → 17,113). The step
+//! counts, the unmatched deletions and the certificates' shapes did not move.
 
 use pdsat_checker::{check_unsat_proof, CheckStats};
 use pdsat_cnf::{Cnf, DratProof, DratStep, Lit, Var};
@@ -67,7 +73,7 @@ fn plain_certificate_replays_with_the_recorded_counts() {
         (628, 0),
         CheckStats {
             steps_checked: 627,
-            propagations: 9749,
+            propagations: 9715,
             unmatched_deletes: 0,
         },
     );
@@ -85,7 +91,7 @@ fn reduce_db_certificate_replays_with_the_recorded_counts() {
         (2227, 1039),
         CheckStats {
             steps_checked: 2226,
-            propagations: 17152,
+            propagations: 17113,
             unmatched_deletes: 0,
         },
     );

@@ -1,6 +1,6 @@
 //! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`.
 //!
-//! Six checks, all over the source tree as text (no compiler plumbing):
+//! Seven checks, all over the source tree as text (no compiler plumbing):
 //!
 //! 1. **unsafe-free**: every crate root (`lib.rs` / `main.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.
@@ -35,6 +35,11 @@
 //!    back beside them — and neither name `CubeOutcome` nor fill a
 //!    `vec![…; n]` with a constructed record: results are two zeroed columns
 //!    the workers write in place, not a placeholder per cube.
+//! 7. **the checker stands alone**: the `[dependencies]` of
+//!    `crates/checker/Cargo.toml` name no crate but `pdsat_cnf`. The checker
+//!    is the trust boundary, so its propagation is a port of the solver's,
+//!    never shared code; the solver may only be a dev-dependency, to emit
+//!    the certificates the tests check.
 
 #![forbid(unsafe_code)]
 
@@ -72,6 +77,7 @@ fn lint() -> ExitCode {
     check_no_parked_code(&root, &mut errors);
     check_counters_travel_whole(&root, &mut errors);
     check_batches_borrow(&root, &mut errors);
+    check_checker_stands_alone(&root, &mut errors);
 
     if errors.is_empty() {
         println!("xtask lint: ok");
@@ -416,6 +422,51 @@ fn fills_with_a_record(code: &str) -> bool {
     })
 }
 
+fn check_checker_stands_alone(root: &Path, errors: &mut Vec<String>) {
+    let path = root.join("crates/checker/Cargo.toml");
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) => {
+            errors.push(format!("{}: unreadable: {e}", path.display()));
+            return;
+        }
+    };
+    for name in dependency_names(&text) {
+        if name != "pdsat_cnf" {
+            errors.push(format!(
+                "crates/checker/Cargo.toml: [dependencies] names `{name}`: the checker is \
+                 the trust boundary and shares no code but pdsat_cnf's vocabulary (a solver \
+                 crate may be a dev-dependency)"
+            ));
+        }
+    }
+}
+
+/// The crates a manifest's dependency tables name: `[dependencies]`,
+/// `[target.….dependencies]` and dotted `[dependencies.name]` headers, but
+/// not dev- or build-dependencies.
+fn dependency_names(manifest: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    let mut in_table = false;
+    for line in manifest.lines() {
+        let line = line.split('#').next().unwrap_or(line).trim();
+        if let Some(header) = line.strip_prefix('[').and_then(|h| h.strip_suffix(']')) {
+            let segments: Vec<&str> = header.split('.').map(str::trim).collect();
+            let at = segments.iter().position(|&s| s == "dependencies");
+            in_table = at.is_some_and(|at| at + 1 == segments.len());
+            if let Some(&name) = at.and_then(|at| segments.get(at + 1)) {
+                names.push(name.trim_matches('"').to_string());
+            }
+        } else if in_table {
+            if let Some((key, _)) = line.split_once('=') {
+                let name = key.split('.').next().unwrap_or(key).trim();
+                names.push(name.trim_matches('"').to_string());
+            }
+        }
+    }
+    names
+}
+
 /// Reports every line of `files` that contains `needle` outside a comment;
 /// with `until`, only the lines before a file's first line equal to it.
 fn forbid(
@@ -468,6 +519,24 @@ mod tests {
         );
         assert!(parse_family_counters("family_counters! {\n}\n").is_err());
         assert!(parse_family_counters("\nfamily_counters! {\n    a,\n").is_err());
+    }
+
+    #[test]
+    fn dependency_names_skip_dev_and_build_dependencies() {
+        let manifest = "[package]\nname = \"pdsat_checker\"\n\n\
+                        [dependencies]\npdsat_cnf.workspace = true # the vocabulary\n\
+                        # pdsat_solver.workspace = true\n\n\
+                        [dev-dependencies]\npdsat_solver.workspace = true\n\n\
+                        [build-dependencies]\ncc = \"1\"\n";
+        assert_eq!(dependency_names(manifest), ["pdsat_cnf"]);
+        let widened = format!(
+            "{manifest}\n[target.'cfg(unix)'.dependencies]\npdsat_solver = {{ path = \"../solver\" }}\n\
+             \n[dependencies.pdsat_core]\nworkspace = true\n"
+        );
+        assert_eq!(
+            dependency_names(&widened),
+            ["pdsat_cnf", "pdsat_solver", "pdsat_core"]
+        );
     }
 
     #[test]
