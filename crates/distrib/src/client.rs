@@ -174,7 +174,6 @@ pub enum ClientFate {
 /// One simulated volunteer client.
 #[derive(Debug, Clone)]
 pub struct VolunteerClient {
-    id: usize,
     host: Host,
     behavior: ClientBehavior,
     rng: StdRng,
@@ -198,25 +197,12 @@ impl VolunteerClient {
             f64::INFINITY
         };
         VolunteerClient {
-            id,
             host,
             behavior,
             rng,
             departs_at,
             departed: false,
         }
-    }
-
-    /// The client's id within its population.
-    #[must_use]
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// The host this client runs on.
-    #[must_use]
-    pub fn host(&self) -> Host {
-        self.host
     }
 
     /// `true` once the client has permanently left the grid.
@@ -282,21 +268,6 @@ impl VolunteerClient {
             cpu_spent,
         }
     }
-}
-
-/// Draws a full simulated client population: hosts from
-/// [`synthetic_host_population`] wrapped in seeded behaviour streams.
-#[must_use]
-pub fn volunteer_population(
-    count: usize,
-    seed: u64,
-    behavior: ClientBehavior,
-) -> Vec<VolunteerClient> {
-    synthetic_host_population(count, seed)
-        .into_iter()
-        .enumerate()
-        .map(|(id, host)| VolunteerClient::new(id, host, behavior, seed))
-        .collect()
 }
 
 #[cfg(test)]

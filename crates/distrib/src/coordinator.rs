@@ -154,8 +154,7 @@ impl CoordinatorCheckpoint {
     /// 400 MiB.
     pub const MAX_UNITS: usize = 1 << 22;
 
-    /// The empty checkpoint of a family: no units completed yet. The
-    /// identity element of [`absorb`](CoordinatorCheckpoint::absorb).
+    /// The empty checkpoint of a family: no units completed yet.
     #[must_use]
     pub fn empty(set_size: usize, total_cubes: usize, work_unit_size: usize) -> Self {
         CoordinatorCheckpoint {
@@ -183,29 +182,6 @@ impl CoordinatorCheckpoint {
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.completed.len() == self.num_units()
-    }
-
-    /// Folds another checkpoint of the same run into this one: units known
-    /// to either side are known to the union, and a unit completed by both
-    /// keeps this side's report (replicated solves are canonical, so both
-    /// copies are identical anyway). Absorbing a checkpoint twice — or
-    /// absorbing a stale subset — is a no-op, which is what makes crash/
-    /// retry persistence loops safe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two checkpoints describe different families
-    /// (`set_size`, `total_cubes` or `work_unit_size` differ).
-    pub fn absorb(&mut self, other: &CoordinatorCheckpoint) {
-        assert_eq!(self.set_size, other.set_size, "set size mismatch");
-        assert_eq!(self.total_cubes, other.total_cubes, "family size mismatch");
-        assert_eq!(
-            self.work_unit_size, other.work_unit_size,
-            "shard width mismatch"
-        );
-        for (&id, report) in &other.completed {
-            self.completed.entry(id).or_insert_with(|| report.clone());
-        }
     }
 
     /// Serializes the checkpoint into a line-oriented text form restored
@@ -724,7 +700,7 @@ pub fn validate_unit_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{synthetic_family_solver, LoopbackConfig, LoopbackTransport};
+    use crate::transport::{synthetic_family_solver, ClientId, LoopbackConfig, LoopbackTransport};
     use crate::ClientBehavior;
     use pdsat_core::FamilyCounters;
 
@@ -998,31 +974,116 @@ mod tests {
     }
 
     /// A hand-scripted transport: a fixed queue of client messages, with
-    /// work requests answered by nothing (the script already contains every
-    /// submission). Lets tests inject hostile uploads the loopback's honest
-    /// clients never produce.
+    /// the coordinator's replies recorded and answered by nothing (the
+    /// script already contains every follow-up). Lets tests inject hostile
+    /// uploads and wire faults the loopback's clients never produce.
     struct Scripted {
         queue: std::collections::VecDeque<Timed<ClientMsg>>,
+        sent: Vec<(ClientId, ServerMsg)>,
     }
 
     impl Transport for Scripted {
-        fn send(&mut self, _to: usize, _msg: ServerMsg, _now: f64) {}
+        fn send(&mut self, to: ClientId, msg: ServerMsg, _now: f64) {
+            self.sent.push((to, msg));
+        }
         fn recv(&mut self) -> Option<Timed<ClientMsg>> {
             self.queue.pop_front()
         }
     }
 
-    fn scripted(msgs: Vec<ClientMsg>) -> Scripted {
+    /// The messages at the given arrival times.
+    fn scripted_at(msgs: Vec<(f64, ClientMsg)>) -> Scripted {
         Scripted {
             queue: msgs
                 .into_iter()
-                .enumerate()
-                .map(|(i, payload)| Timed {
-                    at: i as f64,
-                    payload,
-                })
+                .map(|(at, payload)| Timed { at, payload })
                 .collect(),
+            sent: Vec::new(),
         }
+    }
+
+    /// The messages one second apart.
+    fn scripted(msgs: Vec<ClientMsg>) -> Scripted {
+        scripted_at(
+            msgs.into_iter()
+                .enumerate()
+                .map(|(i, payload)| (i as f64, payload))
+                .collect(),
+        )
+    }
+
+    /// Faults of the wire rather than of a client: a request delivered
+    /// twice, an upload delivered twice, a client that falls silent holding
+    /// a lease. Each costs time and never a result.
+    #[test]
+    fn duplicated_and_lost_messages_are_absorbed_by_the_lease_table() {
+        let config = |redundancy, lease_timeout| CoordinatorConfig {
+            work_unit_size: 2,
+            redundancy,
+            lease_timeout,
+        };
+        let mut report = SolveReport::empty(1);
+        report.cubes_processed = 2;
+        report.per_cube_costs = vec![1.0, 1.0];
+        report.total_cost = 2.0;
+        let request = |client| ClientMsg::RequestWork { client };
+        let submit = |client| ClientMsg::SubmitResult {
+            client,
+            unit: 0,
+            report: Box::new(report.clone()),
+            checksum_ok: true,
+        };
+        // One unit of two cubes.
+        let unit = WorkUnit {
+            id: 0,
+            first_cube: 0,
+            num_cubes: 2,
+        };
+
+        // A request delivered twice at the same instant: the unit needs two
+        // replicas, but never two from one client.
+        let mut coordinator = Coordinator::new(1, 2, &config(2, 1e9));
+        let mut transport = scripted_at(vec![(0.0, request(0)), (0.0, request(0))]);
+        assert_eq!(coordinator.run(&mut transport, None), RunStatus::Starved);
+        assert_eq!(
+            transport.sent,
+            [(0, ServerMsg::Assign(unit)), (0, ServerMsg::NoWork)]
+        );
+
+        // An upload delivered twice counts once.
+        let mut coordinator = Coordinator::new(1, 2, &config(2, 1e9));
+        let mut transport = scripted_at(vec![
+            (0.0, request(0)),
+            (0.0, request(1)),
+            (1.0, submit(0)),
+            (1.0, submit(0)),
+            (2.0, submit(1)),
+        ]);
+        assert_eq!(coordinator.run(&mut transport, None), RunStatus::Complete);
+        let stats = coordinator.stats();
+        assert_eq!((stats.assignments, stats.duplicate_results), (2, 1));
+        assert_eq!(stats.invalid_results, 0);
+
+        // Client 0 falls silent after its assignment: the unit stays leased
+        // until the lease expires, then goes to client 1.
+        let mut coordinator = Coordinator::new(1, 2, &config(1, 10.0));
+        let mut transport = scripted_at(vec![
+            (0.0, request(0)),
+            (5.0, request(1)),
+            (20.0, request(1)),
+            (21.0, submit(1)),
+        ]);
+        assert_eq!(coordinator.run(&mut transport, None), RunStatus::Complete);
+        assert_eq!(
+            transport.sent,
+            [
+                (0, ServerMsg::Assign(unit)),
+                (1, ServerMsg::NoWork),
+                (1, ServerMsg::Assign(unit)),
+            ]
+        );
+        assert_eq!(coordinator.stats().expired_leases, 1);
+        assert_eq!(coordinator.checkpoint().completed[&0], report);
     }
 
     #[test]
@@ -1280,38 +1341,5 @@ mod tests {
                 indices(&forged)
             );
         }
-    }
-
-    #[test]
-    fn absorb_is_idempotent_and_unions_disjoint_progress() {
-        let family = costs(20);
-        let config = CoordinatorConfig {
-            work_unit_size: 4,
-            redundancy: 1,
-            lease_timeout: 10_000.0,
-        };
-        let mut coordinator = Coordinator::new(2, family.len(), &config);
-        let mut transport = LoopbackTransport::new(
-            chaotic_loopback(3),
-            synthetic_family_solver(2, family, None),
-        );
-        assert_eq!(coordinator.run(&mut transport, None), RunStatus::Complete);
-        let full = coordinator.checkpoint().clone();
-
-        let mut left = CoordinatorCheckpoint::empty(2, 20, 4);
-        let mut right = CoordinatorCheckpoint::empty(2, 20, 4);
-        for (&id, report) in &full.completed {
-            if id % 2 == 0 {
-                left.completed.insert(id, report.clone());
-            } else {
-                right.completed.insert(id, report.clone());
-            }
-        }
-        let mut merged = left.clone();
-        merged.absorb(&right);
-        merged.absorb(&right); // absorbing twice changes nothing
-        merged.absorb(&left);
-        assert_eq!(merged.to_text(), full.to_text());
-        assert!(merged.is_complete());
     }
 }

@@ -15,6 +15,14 @@
 //!   [`SolveReport`](pdsat_core::SolveReport)s idempotently, and checkpoints
 //!   progress so a killed run resumes without losing completed units.
 //!
+//! One fault model per layer. The grid's faults — results lost, late,
+//! duplicated or corrupted — come from the simulated client population
+//! ([`ClientBehavior`]) behind the [`LoopbackTransport`], and the
+//! coordinator recovers from them with lease expiry, re-issue and
+//! idempotent result accounting. The [`CheckpointStore`]'s faults are
+//! damaged bytes on disk, which its CRC framing detects and its double
+//! buffer survives.
+//!
 //! # Example
 //!
 //! ```
@@ -36,10 +44,7 @@ mod lease;
 mod store;
 mod transport;
 
-pub use client::{
-    synthetic_host_population, volunteer_population, ClientBehavior, ClientFate, Host,
-    VolunteerClient,
-};
+pub use client::{synthetic_host_population, ClientBehavior, ClientFate, Host, VolunteerClient};
 pub use cluster::{simulate_cluster, ClusterConfig, ClusterReport};
 pub use coordinator::{
     validate_unit_report, Coordinator, CoordinatorCheckpoint, CoordinatorConfig, CoordinatorStats,
@@ -47,10 +52,8 @@ pub use coordinator::{
 };
 pub use lease::{LeaseTable, ResultDisposition};
 pub use pdsat_checker::CheckFailure;
-pub use pdsat_core::{FaultPlan, FaultState};
 pub use store::{crc32, CheckpointError, CheckpointStore};
 pub use transport::{
-    synthetic_family_solver, ChaosTransport, ClientId, ClientMsg, LoopbackConfig,
-    LoopbackTransport, RetryPolicy, RetryStats, ServerMsg, Timed, Transport, TransportStats,
-    WorkUnit, WorkUnitId,
+    synthetic_family_solver, ClientId, ClientMsg, LoopbackConfig, LoopbackTransport, ServerMsg,
+    Timed, Transport, TransportStats, WorkUnit, WorkUnitId,
 };

@@ -18,20 +18,17 @@
 //!   a corrupt latest file falls back to the last good one instead of
 //!   restarting the whole family from scratch.
 //!
-//! Fault injection hooks ([`FaultState::torn_write`]) let the chaos suite
-//! simulate a crash mid-save deterministically: the store deliberately leaves
-//! a truncated live file behind and reports the save as failed, exactly what
-//! a power cut between `write` and `fsync` would produce on a weaker store.
+//! The store injects no faults of its own. Its tests produce a torn or
+//! bit-flipped file the way a crash would leave one, by damaging the bytes
+//! on disk between a save and a load.
 
 use crate::coordinator::CoordinatorCheckpoint;
-use pdsat_core::FaultState;
 use std::cmp::Reverse;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Why a checkpoint could not be saved, loaded, or parsed.
 ///
@@ -182,7 +179,6 @@ const STORE_HEADER: &str = "pdsat-checkpoint-store v1";
 pub struct CheckpointStore {
     path: PathBuf,
     generation: u64,
-    faults: Option<Arc<FaultState>>,
 }
 
 impl CheckpointStore {
@@ -193,19 +189,6 @@ impl CheckpointStore {
         CheckpointStore {
             path: path.into(),
             generation: 0,
-            faults: None,
-        }
-    }
-
-    /// Creates a store whose saves consult `faults` for injected torn
-    /// writes. Production code uses [`new`](CheckpointStore::new); this
-    /// constructor exists for the chaos suite.
-    #[must_use]
-    pub fn with_faults(path: impl Into<PathBuf>, faults: Arc<FaultState>) -> CheckpointStore {
-        CheckpointStore {
-            path: path.into(),
-            generation: 0,
-            faults: Some(faults),
         }
     }
 
@@ -240,30 +223,11 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// [`CheckpointError::Io`] if the filesystem refuses, or — under fault
-    /// injection — when a torn write was simulated (the live file is then
-    /// deliberately left truncated, as a crash would).
+    /// [`CheckpointError::Io`] if the filesystem refuses.
     pub fn save(&mut self, checkpoint: &CoordinatorCheckpoint) -> Result<u64, CheckpointError> {
         let generation = self.generation;
         let encoded = encode_store(&checkpoint.to_text(), generation);
-        let torn_at = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.torn_write())
-            .map(|k| k.min(encoded.len()));
-
-        if let Some(k) = torn_at {
-            // Simulated crash mid-save: rotate like a real save would, then
-            // leave a truncated live file with no fsync and report failure.
-            rotate(&self.path, &self.prev_path())?;
-            write_bytes(&self.path, &encoded.as_bytes()[..k], false)?;
-            return Err(CheckpointError::Io {
-                path: self.path.display().to_string(),
-                message: format!("simulated torn write after {k} bytes (injected fault)"),
-            });
-        }
-
-        write_bytes(&self.tmp_path(), encoded.as_bytes(), true)?;
+        write_synced(&self.tmp_path(), encoded.as_bytes())?;
         rotate(&self.path, &self.prev_path())?;
         fs::rename(self.tmp_path(), &self.path).map_err(|e| CheckpointError::Io {
             path: self.path.display().to_string(),
@@ -499,18 +463,15 @@ fn parse_trailer(trailer: &str) -> Result<(u64, usize, u32), CheckpointError> {
     Ok((generation, declared_lines, declared_crc))
 }
 
-/// Writes `bytes` to `path`, optionally fsyncing before close.
-fn write_bytes(path: &Path, bytes: &[u8], sync: bool) -> Result<(), CheckpointError> {
+/// Writes `bytes` to `path` and fsyncs it before close.
+fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     let io_err = |e: std::io::Error| CheckpointError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     };
     let mut file = fs::File::create(path).map_err(io_err)?;
     file.write_all(bytes).map_err(io_err)?;
-    if sync {
-        file.sync_all().map_err(io_err)?;
-    }
-    Ok(())
+    file.sync_all().map_err(io_err)
 }
 
 /// Moves the live file to the `.prev` slot if it exists; missing live file

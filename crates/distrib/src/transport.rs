@@ -9,12 +9,18 @@
 //! client behaviour (speeds, gaps, churn, stragglers, duplicates, losses) is
 //! fully determined by a seed, so every coordinator test and bench is
 //! reproducible.
+//!
+//! The grid's faults come from that client population and nowhere else: a
+//! lost, late, duplicated or corrupted result is something a
+//! [`ClientBehavior`] does, and the coordinator absorbs it with lease
+//! expiry, re-issue and idempotent result accounting. `send` cannot fail,
+//! so there is nothing to retry on this side of the trait; a transport over
+//! a real wire would retry inside its own `send`.
 
 use crate::client::{synthetic_host_population, ClientBehavior, ClientFate, Host, VolunteerClient};
-use pdsat_core::{FaultState, RecvAction, SolveReport};
+use pdsat_core::SolveReport;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Identifier of a work unit: its index in the family's shard order.
 pub type WorkUnitId = u32;
@@ -378,195 +384,6 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> Transport for LoopbackTransport<F> {
     }
 }
 
-/// Retry behaviour of a [`ChaosTransport`]: deterministic truncated
-/// exponential backoff with seeded jitter, all in *simulated* seconds (the
-/// transport layer shares the coordinator's virtual clock; no wall-clock
-/// sleeping happens anywhere).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Per-message deadline, seconds of accumulated backoff after which the
-    /// message is abandoned (lease expiry + re-issue recovers the work).
-    pub deadline: f64,
-    /// Seed of the jitter sequence; fixed seed → fully reproducible waits.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            deadline: 60.0,
-            seed: 0,
-        }
-    }
-}
-
-/// Counters of a [`ChaosTransport`]'s recovery activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Total send attempts, including first tries.
-    pub send_attempts: u64,
-    /// Attempts beyond the first (i.e. actual retries).
-    pub retries: u64,
-    /// Messages given up on after the per-message deadline. Safe because
-    /// every abandoned message is recovered by lease expiry and the
-    /// [`crate::LeaseTable`]'s idempotent result accounting.
-    pub abandoned: u64,
-}
-
-/// A faulty wire and the recovery from it, as one [`Transport`] over
-/// another: seeded message-level faults from a [`FaultState`] plan are
-/// injected around the inner transport, and failed sends are retried with
-/// deterministic exponential backoff and jitter, bounded by a per-message
-/// deadline ([`RetryPolicy`]).
-///
-/// *Send side.* An attempt the plan fails never reaches the inner transport
-/// (the message is not partially delivered); the next attempt carries the
-/// accumulated virtual backoff in its `now`. Abandoning a message after the
-/// deadline is *correct*, not merely pragmatic: an undelivered `Assign`
-/// makes the lease expire and the unit is re-issued; an undelivered `NoWork`
-/// only delays one poll. No state is lost, which is why the coordinator can
-/// keep an infallible interface above a faulty wire — and this loop is the
-/// only place in the coordinator stack that swallows a transport failure.
-///
-/// *Receive side.* Drops, duplicates and delays are absorbed silently,
-/// exactly like a flaky network. Delivery order stays non-decreasing in `at`
-/// even under delays: delayed messages park in a local heap and are merged
-/// back against a one-message lookahead of the inner transport. Duplicates
-/// are re-delivered immediately after the original with an identical
-/// timestamp and an identical (memoized) report, which [`crate::LeaseTable`]
-/// is designed to absorb — the loopback analogue of a client double-uploading
-/// a result.
-pub struct ChaosTransport<T> {
-    inner: T,
-    faults: Arc<FaultState>,
-    policy: RetryPolicy,
-    stats: RetryStats,
-    jitter_state: u64,
-    /// Lookahead slot: next inner message already drawn but not delivered.
-    pending: Option<Timed<ClientMsg>>,
-    /// Messages whose delivery was artificially delayed, min-heap by time.
-    delayed: BinaryHeap<QueuedMsg>,
-    /// Copies of duplicated messages, delivered right after the original.
-    duplicates: VecDeque<Timed<ClientMsg>>,
-    seq: u64,
-}
-
-impl<T: Transport> ChaosTransport<T> {
-    /// Wraps `inner`, drawing fault decisions from `faults` and recovering
-    /// from the injected send failures under `policy`.
-    pub fn new(inner: T, faults: Arc<FaultState>, policy: RetryPolicy) -> ChaosTransport<T> {
-        ChaosTransport {
-            inner,
-            faults,
-            policy,
-            stats: RetryStats::default(),
-            jitter_state: policy.seed,
-            pending: None,
-            delayed: BinaryHeap::new(),
-            duplicates: VecDeque::new(),
-            seq: 0,
-        }
-    }
-
-    /// Recovery counters accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> RetryStats {
-        self.stats
-    }
-
-    /// Read access to the wrapped transport (e.g. for its stats).
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Next jitter draw in `[0, 1)` (splitmix64 over the policy seed).
-    fn jitter_draw(&mut self) -> f64 {
-        self.jitter_state = self.jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.jitter_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Pulls from the inner transport until a message survives its fault
-    /// action, parking delayed ones and queueing duplicate copies.
-    fn fill_pending(&mut self) {
-        while self.pending.is_none() {
-            let Some(msg) = self.inner.recv() else { return };
-            match self.faults.recv_action() {
-                RecvAction::Deliver => self.pending = Some(msg),
-                RecvAction::Drop => {}
-                RecvAction::Duplicate => {
-                    self.duplicates.push_back(Timed {
-                        at: msg.at,
-                        payload: msg.payload.clone(),
-                    });
-                    self.pending = Some(msg);
-                }
-                RecvAction::Delay(by) => {
-                    let seq = self.seq;
-                    self.seq += 1;
-                    self.delayed.push(QueuedMsg {
-                        at: msg.at + by.max(0.0),
-                        seq,
-                        msg: msg.payload,
-                    });
-                }
-            }
-        }
-    }
-}
-
-impl<T: Transport> Transport for ChaosTransport<T> {
-    fn send(&mut self, to: ClientId, msg: ServerMsg, now: f64) {
-        /// Backoff before the first retry, seconds.
-        const BASE_BACKOFF: f64 = 0.5;
-        /// Multiplier applied to the backoff after each failed attempt.
-        const MULTIPLIER: f64 = 2.0;
-        /// Jitter fraction: each wait is scaled by `1 + JITTER * u` with
-        /// `u ∈ [0, 1)` drawn from the seeded generator.
-        const JITTER: f64 = 0.5;
-        let mut waited = 0.0_f64;
-        let mut backoff = BASE_BACKOFF;
-        loop {
-            self.stats.send_attempts += 1;
-            if !self.faults.send_should_fail() {
-                self.inner.send(to, msg, now + waited);
-                return;
-            }
-            let wait = backoff * (1.0 + JITTER * self.jitter_draw());
-            waited += wait;
-            backoff *= MULTIPLIER;
-            if waited > self.policy.deadline {
-                self.stats.abandoned += 1;
-                return;
-            }
-            self.stats.retries += 1;
-        }
-    }
-
-    fn recv(&mut self) -> Option<Timed<ClientMsg>> {
-        if let Some(dup) = self.duplicates.pop_front() {
-            return Some(dup);
-        }
-        self.fill_pending();
-        let deliver_delayed = match (&self.pending, self.delayed.peek()) {
-            (Some(p), Some(d)) => d.at <= p.at,
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        if deliver_delayed {
-            let d = self.delayed.pop().expect("peeked above");
-            return Some(Timed {
-                at: d.at,
-                payload: d.msg,
-            });
-        }
-        self.pending.take()
-    }
-}
-
 /// A deterministic stand-in for remote SAT solving in tests and benches: the
 /// report of a unit is fabricated from the family's per-cube costs (every
 /// cube "solved" at its nominal cost; optionally every `sat_every`-th cube of
@@ -595,148 +412,5 @@ pub fn synthetic_family_solver(
             }
         }
         report
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pdsat_core::FaultPlan;
-
-    /// A scripted inner transport: records sends, replays a fixed inbox.
-    struct ScriptedTransport {
-        sent: Vec<(ClientId, f64)>,
-        inbox: VecDeque<Timed<ClientMsg>>,
-    }
-
-    impl ScriptedTransport {
-        fn with_requests(times: &[f64]) -> ScriptedTransport {
-            ScriptedTransport {
-                sent: Vec::new(),
-                inbox: times
-                    .iter()
-                    .map(|&at| Timed {
-                        at,
-                        payload: ClientMsg::RequestWork { client: 0 },
-                    })
-                    .collect(),
-            }
-        }
-    }
-
-    impl Transport for ScriptedTransport {
-        fn send(&mut self, to: ClientId, _msg: ServerMsg, now: f64) {
-            self.sent.push((to, now));
-        }
-        fn recv(&mut self) -> Option<Timed<ClientMsg>> {
-            self.inbox.pop_front()
-        }
-    }
-
-    fn arrival_times<T: Transport>(chaos: &mut T) -> Vec<f64> {
-        let mut times = Vec::new();
-        while let Some(msg) = chaos.recv() {
-            times.push(msg.at);
-            if times.len() > 100 {
-                break;
-            }
-        }
-        times
-    }
-
-    #[test]
-    fn chaos_drop_removes_messages() {
-        let plan = FaultPlan {
-            drop_messages: vec![1],
-            ..FaultPlan::none()
-        };
-        let inner = ScriptedTransport::with_requests(&[1.0, 2.0, 3.0]);
-        let mut chaos = ChaosTransport::new(inner, plan.arm(), RetryPolicy::default());
-        assert_eq!(arrival_times(&mut chaos), vec![1.0, 3.0]);
-    }
-
-    #[test]
-    fn chaos_duplicate_preserves_timestamp() {
-        let plan = FaultPlan {
-            duplicate_messages: vec![0],
-            ..FaultPlan::none()
-        };
-        let inner = ScriptedTransport::with_requests(&[1.0, 2.0]);
-        let mut chaos = ChaosTransport::new(inner, plan.arm(), RetryPolicy::default());
-        assert_eq!(arrival_times(&mut chaos), vec![1.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn chaos_delay_keeps_arrival_order_non_decreasing() {
-        let plan = FaultPlan {
-            delay_messages: vec![(0, 1.5)],
-            ..FaultPlan::none()
-        };
-        let inner = ScriptedTransport::with_requests(&[1.0, 2.0, 3.0]);
-        let mut chaos = ChaosTransport::new(inner, plan.arm(), RetryPolicy::default());
-        let times = arrival_times(&mut chaos);
-        // Message 0 is delayed from 1.0 to 2.5, landing between 2.0 and 3.0.
-        assert_eq!(times, vec![2.0, 2.5, 3.0]);
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn retry_send_recovers_from_transient_failures() {
-        let plan = FaultPlan {
-            send_failures: vec![0, 1],
-            ..FaultPlan::none()
-        };
-        let inner = ScriptedTransport::with_requests(&[]);
-        let mut retry = ChaosTransport::new(inner, plan.arm(), RetryPolicy::default());
-        retry.send(7, ServerMsg::NoWork, 10.0);
-        let stats = retry.stats();
-        assert_eq!(stats.send_attempts, 3);
-        assert_eq!(stats.retries, 2);
-        assert_eq!(stats.abandoned, 0);
-        let sent = &retry.inner().sent;
-        assert_eq!(sent.len(), 1);
-        assert_eq!(sent[0].0, 7);
-        // Delivered after some accumulated virtual backoff.
-        assert!(sent[0].1 > 10.0);
-    }
-
-    #[test]
-    fn retry_send_abandons_after_deadline() {
-        // Every send fails forever; the deadline must bound the retries.
-        let plan = FaultPlan {
-            send_failures: (0..1000).collect(),
-            ..FaultPlan::none()
-        };
-        let inner = ScriptedTransport::with_requests(&[]);
-        let policy = RetryPolicy {
-            deadline: 5.0,
-            ..RetryPolicy::default()
-        };
-        let mut retry = ChaosTransport::new(inner, plan.arm(), policy);
-        retry.send(0, ServerMsg::NoWork, 0.0);
-        let stats = retry.stats();
-        assert_eq!(stats.abandoned, 1);
-        assert!(stats.send_attempts < 16, "deadline must bound attempts");
-        assert!(retry.inner().sent.is_empty());
-    }
-
-    #[test]
-    fn retry_backoff_is_reproducible_per_seed() {
-        let run = |seed: u64| {
-            let plan = FaultPlan {
-                send_failures: vec![0, 1, 2],
-                ..FaultPlan::none()
-            };
-            let inner = ScriptedTransport::with_requests(&[]);
-            let policy = RetryPolicy {
-                seed,
-                ..RetryPolicy::default()
-            };
-            let mut retry = ChaosTransport::new(inner, plan.arm(), policy);
-            retry.send(0, ServerMsg::NoWork, 0.0);
-            retry.inner().sent.clone()
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43));
     }
 }

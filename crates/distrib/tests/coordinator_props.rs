@@ -11,9 +11,13 @@
 //!    checkpoint (over a *differently seeded* client population) reproduces
 //!    the uninterrupted run's final checkpoint and aggregate bit-for-bit.
 //!
+//! Client chaos changes nothing in the completed family: a run under chaotic
+//! clients ends in the checkpoint text of a run under ideal ones.
+//!
 //! And for the checkpoint text as a trust boundary: whatever bytes the
 //! loader is handed, it and the coordinator resumed from what it accepts
-//! never panic.
+//! never panic. The checkpoint store's recovery is tested below by damaging
+//! its files on disk.
 
 use pdsat_distrib::{
     synthetic_family_solver, ClientBehavior, Coordinator, CoordinatorCheckpoint, CoordinatorConfig,
@@ -161,6 +165,53 @@ proptest! {
     }
 }
 
+/// Runs a whole family of `num_cubes` cubes over a population of 8 clients
+/// drawn from `seed` and behaving as `behavior`; returns its final
+/// checkpoint.
+fn run_to_completion(
+    num_cubes: usize,
+    config: &CoordinatorConfig,
+    costs: &[f64],
+    seed: u64,
+    behavior: ClientBehavior,
+) -> CoordinatorCheckpoint {
+    let mut coordinator = Coordinator::new(4, num_cubes, config);
+    let mut transport = LoopbackTransport::new(
+        LoopbackConfig {
+            behavior,
+            ..chaotic(seed, 8)
+        },
+        synthetic_family_solver(4, costs.to_vec(), Some(13)),
+    );
+    assert_eq!(
+        coordinator.run(&mut transport, Some(EVENT_CEILING)),
+        RunStatus::Complete
+    );
+    coordinator.checkpoint().clone()
+}
+
+/// The completed family depends on the family alone: perfectly behaved
+/// clients, and clients that lose, duplicate, delay and corrupt results,
+/// end in the same checkpoint text.
+#[test]
+fn client_chaos_never_changes_the_completed_family() {
+    let num_cubes = 57;
+    let config = CoordinatorConfig {
+        work_unit_size: 5,
+        redundancy: 2,
+        lease_timeout: 20_000.0,
+    };
+    let costs = family(num_cubes, 11);
+    for seed in [1u64, 7, 23, 99] {
+        let run = |behavior| run_to_completion(num_cubes, &config, &costs, seed, behavior);
+        assert_eq!(
+            run(ClientBehavior::default()).to_text(),
+            run(ClientBehavior::ideal()).to_text(),
+            "seed {seed}: client chaos must not change the completed family"
+        );
+    }
+}
+
 /// The text of a small completed run: something for the hostile cases below
 /// to damage.
 fn valid_checkpoint_text() -> String {
@@ -262,11 +313,12 @@ proptest! {
 }
 
 mod store_recovery {
-    //! Property tests for the durable checkpoint store (PR 10): whatever
-    //! corruption hits the *live* file — truncation at an arbitrary byte,
-    //! a flipped bit, or a stale generation landing on top — recovery must
-    //! be bit-for-bit some *good* generation, never garbage and never a
-    //! hard failure while `<path>.prev` still verifies.
+    //! Tests of the durable checkpoint store: whatever corruption hits the
+    //! *live* file — truncation at an arbitrary byte, a flipped bit, or a
+    //! stale generation landing on top — recovery must be bit-for-bit some
+    //! *good* generation, never garbage and never a hard failure while
+    //! `<path>.prev` still verifies. A crash mid-save is modelled by
+    //! truncating the live file by hand after two good saves.
 
     use super::*;
     use pdsat_distrib::CheckpointStore;
@@ -377,5 +429,136 @@ mod store_recovery {
             prop_assert!(recovered_store.generation() >= 1);
             cleanup(&path);
         }
+    }
+
+    /// Truncates the live file at `path` to its first `cut` bytes, as a
+    /// crash mid-write would leave it on a store without atomic replace.
+    fn tear(path: &Path, cut: usize) {
+        let live = std::fs::read(path).expect("live file exists");
+        assert!(cut + 1 < live.len(), "cut {cut} of {} bytes", live.len());
+        std::fs::write(path, &live[..cut]).expect("truncate");
+    }
+
+    #[test]
+    fn store_roundtrips_a_real_checkpoint_with_generations() {
+        let num_cubes = 30;
+        let config = CoordinatorConfig {
+            work_unit_size: 4,
+            redundancy: 1,
+            lease_timeout: 20_000.0,
+        };
+        let costs = family(num_cubes, 3);
+        let checkpoint =
+            run_to_completion(num_cubes, &config, &costs, 3, ClientBehavior::default());
+
+        let path = scratch_path();
+        cleanup(&path);
+        let mut store = CheckpointStore::new(&path);
+        assert_eq!(store.load().expect("empty dir loads"), None);
+        assert_eq!(store.save(&checkpoint).expect("save"), 0);
+        assert_eq!(store.save(&checkpoint).expect("save again"), 1);
+
+        let mut fresh = CheckpointStore::new(&path);
+        let loaded = fresh.load().expect("load").expect("checkpoint present");
+        assert_eq!(loaded.to_text(), checkpoint.to_text());
+        assert_eq!(fresh.generation(), 2, "next save continues the history");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn torn_final_write_falls_back_to_the_previous_good_generation() {
+        let num_cubes = 24;
+        let config = CoordinatorConfig {
+            work_unit_size: 3,
+            redundancy: 1,
+            lease_timeout: 20_000.0,
+        };
+        let costs = family(num_cubes, 5);
+        let full = run_to_completion(num_cubes, &config, &costs, 5, ClientBehavior::default());
+
+        // An earlier, partial checkpoint: only the first few units.
+        let mut partial = CoordinatorCheckpoint::empty(4, num_cubes, config.work_unit_size);
+        for (&id, report) in full.completed.iter().take(3) {
+            partial.completed.insert(id, report.clone());
+        }
+
+        // Tear the *final* save at many different byte offsets; whatever the
+        // tear point, recovery must land exactly on the previous generation.
+        for cut in [0usize, 1, 10, 40, 120, 400, 1000] {
+            let path = scratch_path();
+            cleanup(&path);
+            let mut store = CheckpointStore::new(&path);
+            store.save(&partial).expect("good first save");
+            store.save(&full).expect("good final save");
+            tear(&path, cut);
+
+            let mut recovered = CheckpointStore::new(&path);
+            let loaded = recovered
+                .load()
+                .expect("recovery succeeds")
+                .expect("previous generation exists");
+            assert_eq!(
+                loaded.to_text(),
+                partial.to_text(),
+                "cut={cut}: recovery must be bit-for-bit the last good generation"
+            );
+            assert_eq!(recovered.generation(), 1, "cut={cut}");
+            cleanup(&path);
+        }
+    }
+
+    #[test]
+    fn resuming_from_a_recovered_generation_completes_the_family() {
+        let num_cubes = 40;
+        let config = CoordinatorConfig {
+            work_unit_size: 4,
+            redundancy: 1,
+            lease_timeout: 20_000.0,
+        };
+        let costs = family(num_cubes, 9);
+        let reference = run_to_completion(num_cubes, &config, &costs, 9, ClientBehavior::default());
+
+        // Run a while and checkpoint; if the family is not done yet, run
+        // on, checkpoint again and crash during that save.
+        let mut partial_coordinator = Coordinator::new(4, num_cubes, &config);
+        let mut transport = LoopbackTransport::new(
+            chaotic(9, 8),
+            synthetic_family_solver(4, costs.clone(), Some(13)),
+        );
+        let status = partial_coordinator.run(&mut transport, Some(400));
+        let path = scratch_path();
+        cleanup(&path);
+        let mut store = CheckpointStore::new(&path);
+        store
+            .save(partial_coordinator.checkpoint())
+            .expect("good save");
+        if status != RunStatus::Complete {
+            let _ = partial_coordinator.run(&mut transport, Some(800));
+            store
+                .save(partial_coordinator.checkpoint())
+                .expect("second save");
+            tear(&path, 60);
+        }
+        drop(store);
+        drop(partial_coordinator);
+
+        // Recover whatever generation survived and finish the family on a
+        // different client population: same final checkpoint as uninterrupted.
+        let mut recovered_store = CheckpointStore::new(&path);
+        let recovered = recovered_store
+            .load()
+            .expect("recovery succeeds")
+            .expect("a generation survived");
+        let mut resumed = Coordinator::resume(recovered, &config);
+        let mut transport = LoopbackTransport::new(
+            chaotic(0xFEED, 8),
+            synthetic_family_solver(4, costs.clone(), Some(13)),
+        );
+        assert_eq!(
+            resumed.run(&mut transport, Some(EVENT_CEILING)),
+            RunStatus::Complete
+        );
+        assert_eq!(resumed.checkpoint().to_text(), reference.to_text());
+        cleanup(&path);
     }
 }

@@ -1,26 +1,25 @@
-//! Deterministic fault injection for the fault-tolerance layers.
+//! Deterministic fault injection for the worker pool.
 //!
-//! The paper's execution substrate — a volunteer grid — fails constantly:
-//! worker processes crash mid-sub-problem, the server dies with a
-//! half-written checkpoint on disk, and the network drops, delays and
-//! duplicates messages. The reproduction's resilience code (pool worker
-//! quarantine/respawn, the durable
-//! [`CheckpointStore`](../../pdsat_distrib/struct.CheckpointStore.html),
-//! transport retry) is only trustworthy if those failures can be *provoked on
-//! demand*, reproducibly. A [`FaultPlan`] is exactly that: a seeded,
-//! value-typed schedule of injection points ("panic on the nth cube solve",
-//! "tear the kth checkpoint write at byte b", "drop/delay/duplicate message
-//! m") that the chaos test suites feed into all three layers and then assert
-//! exactly-once completion and bit-for-bit equality against a fault-free
-//! reference run.
+//! A pool worker's backend can panic mid-sub-problem, and the pool's
+//! answer — quarantine, respawn, requeue once, sequential fallback — is only
+//! trustworthy if those panics can be *provoked on demand*, reproducibly.
+//! Nothing else reaches that code: an honest backend does not panic. A
+//! [`FaultPlan`] is a seeded, value-typed schedule of injection points
+//! ("panic on the nth cube solve", "fail the first k respawns") that the
+//! pool's chaos suites feed in through
+//! [`BatchConfig::fault_plan`](crate::BatchConfig::fault_plan), asserting
+//! outcome-for-outcome equality with a fault-free reference run.
+//!
+//! The other layers need no injected plan. The grid's faults come from its
+//! simulated client population (`pdsat_distrib::ClientBehavior`), and the
+//! checkpoint store's faults are bytes on disk, which its tests damage
+//! directly.
 //!
 //! Injection points are counted by *ordinal* — the nth solve call across the
-//! whole pool, the nth store write, the nth transport message — through the
-//! shared atomic counters of a [`FaultState`]. Within one thread the ordinal
-//! sequence is deterministic; across pool threads the interleaving is
-//! scheduling-dependent, which is fine for chaos testing (the asserted
-//! outcomes are scheduling-independent) and irrelevant for the
-//! single-threaded transport and store layers.
+//! whole pool, the nth respawn — through the shared atomic counters of a
+//! [`FaultState`]. Across pool threads the interleaving is
+//! scheduling-dependent, which is fine for chaos testing: the asserted
+//! outcomes are scheduling-independent.
 
 use crate::oracle::{BackendOutcome, CubeBackend};
 use pdsat_cnf::Lit;
@@ -28,50 +27,22 @@ use pdsat_solver::{Budget, InterruptFlag, SolverStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A seeded schedule of failures to inject across the pool, the checkpoint
-/// store and the transport. The empty plan (`FaultPlan::default()`) injects
-/// nothing and is free.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A seeded schedule of failures to inject into the worker pool. The empty
+/// plan (`FaultPlan::default()`) injects nothing and is free.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
-    /// Pool: 0-based ordinals of backend `solve` calls (counted across all
+    /// 0-based ordinals of backend `solve` calls (counted across all
     /// workers) that panic instead of solving.
     pub solve_panics: Vec<u64>,
-    /// Pool: how many backend respawn attempts (after a quarantined panic)
-    /// fail, counted pool-wide from the first respawn. `u64::MAX` makes every
+    /// How many backend respawn attempts (after a quarantined panic) fail,
+    /// counted pool-wide from the first respawn. `u64::MAX` makes every
     /// respawn fail, which is how the all-workers-dead path is exercised.
     pub respawn_failures: u64,
-    /// Checkpoint store: `(save ordinal, byte length)` pairs — that save's
-    /// file is truncated to the given length before it reaches disk,
-    /// modelling a torn write / power loss mid-flush.
-    pub torn_writes: Vec<(u64, usize)>,
-    /// Transport: 0-based ordinals of `try_send` calls that fail transiently
-    /// (the retry decorator's food).
-    pub send_failures: Vec<u64>,
-    /// Transport: ordinals of received client messages that are dropped.
-    pub drop_messages: Vec<u64>,
-    /// Transport: ordinals of received client messages delivered twice.
-    pub duplicate_messages: Vec<u64>,
-    /// Transport: `(ordinal, seconds)` pairs — that client message is
-    /// delivered late by the given simulated delay.
-    pub delay_messages: Vec<(u64, f64)>,
-}
-
-/// What a fault-injecting transport does with one received message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RecvAction {
-    /// Pass the message through unchanged.
-    Deliver,
-    /// Swallow the message (the sender never learns).
-    Drop,
-    /// Deliver the message twice.
-    Duplicate,
-    /// Deliver the message late by this many simulated seconds.
-    Delay(f64),
 }
 
 /// Splitmix64: the workspace-standard seed scrambler (also used by the
-/// estimator's RNG seeding); good enough to decorrelate the per-category
-/// draws of a seeded plan.
+/// estimator's RNG seeding); good enough to scatter the ordinals of a
+/// seeded plan.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -94,87 +65,52 @@ impl FaultPlan {
     }
 
     /// A pseudo-random plan derived entirely from `seed`: up to `intensity`
-    /// injection points per fault category, with ordinals drawn from
-    /// `0..horizon`. The same `(seed, intensity, horizon)` always produces
-    /// the same plan, so a failing chaos case is replayable from its seed
-    /// alone.
+    /// solve panics, with ordinals drawn from `0..horizon`. The same
+    /// `(seed, intensity, horizon)` always produces the same plan, so a
+    /// failing chaos case is replayable from its seed alone.
     #[must_use]
     pub fn seeded(seed: u64, intensity: u32, horizon: u64) -> FaultPlan {
-        let mut state = seed ^ 0xFA07_17ED_5EED_0001;
-        let horizon = horizon.max(1);
-        let draw_ordinals = |salt: u64| -> Vec<u64> {
-            let mut local = state ^ salt;
-            let count = splitmix64(&mut local) % (u64::from(intensity) + 1);
-            let mut out: Vec<u64> = (0..count)
-                .map(|_| splitmix64(&mut local) % horizon)
-                .collect();
-            out.sort_unstable();
-            out.dedup();
-            out
-        };
-        let solve_panics = draw_ordinals(0x01);
-        let torn_saves = draw_ordinals(0x02);
-        let send_failures = draw_ordinals(0x03);
-        let drop_messages = draw_ordinals(0x04);
-        let duplicate_messages = draw_ordinals(0x05);
-        let delay_ordinals = draw_ordinals(0x06);
-        let torn_writes = torn_saves
-            .into_iter()
-            .map(|o| (o, (splitmix64(&mut state) % 4096) as usize))
+        // `^ 0x01` salts the panics' draw, so every seed keeps naming the
+        // plan `seeded_pool_plans_are_pinned` pins.
+        let mut state = seed ^ 0xFA07_17ED_5EED_0001 ^ 0x01;
+        let count = splitmix64(&mut state) % (u64::from(intensity) + 1);
+        let mut solve_panics: Vec<u64> = (0..count)
+            .map(|_| splitmix64(&mut state) % horizon.max(1))
             .collect();
-        let delay_messages = delay_ordinals
-            .into_iter()
-            .map(|o| (o, 1.0 + (splitmix64(&mut state) % 10_000) as f64))
-            .collect();
+        solve_panics.sort_unstable();
+        solve_panics.dedup();
         FaultPlan {
             solve_panics,
             // Seeded plans keep respawns working: a plan that kills every
             // worker tests the (panicking) last-resort path, which chaos
             // suites provoke explicitly instead of at random.
             respawn_failures: 0,
-            torn_writes,
-            send_failures,
-            drop_messages,
-            duplicate_messages,
-            delay_messages,
         }
     }
 
     /// Arms the plan: wraps it in the shared mutable state (atomic ordinal
-    /// counters) the three layers consume it through.
+    /// counters) every pool worker consumes it through.
     #[must_use]
     pub fn arm(self) -> Arc<FaultState> {
         Arc::new(FaultState {
             plan: self,
             solves: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
-            saves: AtomicU64::new(0),
-            sends: AtomicU64::new(0),
-            recvs: AtomicU64::new(0),
         })
     }
 }
 
 /// An armed [`FaultPlan`]: the plan plus the shared ordinal counters that
 /// decide, per event, whether a fault fires. One `FaultState` is shared by
-/// every layer of one run, so the ordinals count global events.
+/// every worker of one pool, so the ordinals count pool-wide events.
 #[derive(Debug)]
 pub struct FaultState {
     plan: FaultPlan,
     solves: AtomicU64,
     respawns: AtomicU64,
-    saves: AtomicU64,
-    sends: AtomicU64,
-    recvs: AtomicU64,
 }
 
 impl FaultState {
-    /// The plan this state was armed from.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Counts one backend solve; `true` when this ordinal is scheduled to
     /// panic.
     pub fn solve_should_panic(&self) -> bool {
@@ -188,54 +124,14 @@ impl FaultState {
         let n = self.respawns.fetch_add(1, Ordering::Relaxed);
         n < self.plan.respawn_failures
     }
-
-    /// Counts one checkpoint save; returns the byte length to tear the write
-    /// at when this save is scheduled to be torn.
-    pub fn torn_write(&self) -> Option<usize> {
-        let n = self.saves.fetch_add(1, Ordering::Relaxed);
-        self.plan
-            .torn_writes
-            .iter()
-            .find(|(ordinal, _)| *ordinal == n)
-            .map(|&(_, len)| len)
-    }
-
-    /// Counts one transport send attempt; `true` when it is scheduled to
-    /// fail transiently.
-    pub fn send_should_fail(&self) -> bool {
-        let n = self.sends.fetch_add(1, Ordering::Relaxed);
-        self.plan.send_failures.contains(&n)
-    }
-
-    /// Counts one received transport message and returns what to do with it.
-    pub fn recv_action(&self) -> RecvAction {
-        let n = self.recvs.fetch_add(1, Ordering::Relaxed);
-        if self.plan.drop_messages.contains(&n) {
-            return RecvAction::Drop;
-        }
-        if self.plan.duplicate_messages.contains(&n) {
-            return RecvAction::Duplicate;
-        }
-        if let Some(&(_, delay)) = self
-            .plan
-            .delay_messages
-            .iter()
-            .find(|(ordinal, _)| *ordinal == n)
-        {
-            return RecvAction::Delay(delay);
-        }
-        RecvAction::Deliver
-    }
 }
 
-/// The panic payload of an injected pool fault, distinguishable from real
+/// The panic payload of an injected solve panic, distinguishable from real
 /// backend panics (tests use [`silence_injected_panics`] to keep the default
-/// panic hook from spamming stderr with expected unwinds).
+/// panic hook from spamming stderr with expected unwinds). An injected
+/// respawn failure does not panic: the respawn just reports no backend.
 #[derive(Debug, Clone, Copy)]
-pub struct InjectedFault {
-    /// Which injection point fired ("solve" or "respawn").
-    pub site: &'static str,
-}
+pub struct InjectedFault;
 
 /// Installs a process-wide panic hook that stays silent for
 /// [`InjectedFault`] payloads and forwards everything else to the previously
@@ -278,7 +174,7 @@ impl CubeBackend for FaultyBackend {
         conflict_acc: &mut [u64],
     ) -> BackendOutcome {
         if self.faults.solve_should_panic() {
-            std::panic::panic_any(InjectedFault { site: "solve" });
+            std::panic::panic_any(InjectedFault);
         }
         self.inner.solve(cube, budget, interrupt, conflict_acc)
     }
@@ -315,7 +211,6 @@ mod tests {
         let state = FaultPlan {
             solve_panics: vec![1],
             respawn_failures: 1,
-            ..FaultPlan::default()
         }
         .arm();
         assert!(!state.solve_should_panic()); // ordinal 0
@@ -325,19 +220,29 @@ mod tests {
         assert!(!state.respawn_should_fail()); // second succeeds
     }
 
+    /// The plans the pool suites run (`worker_pool.rs` over its 4,096-cube
+    /// skewed family, `fault_injection.rs` over 16 cubes), recorded when
+    /// plans still drew transport and store faults beside the panics: the
+    /// suites keep provoking the panics they always did.
     #[test]
-    fn recv_actions_follow_the_plan() {
-        let state = FaultPlan {
-            drop_messages: vec![0],
-            duplicate_messages: vec![1],
-            delay_messages: vec![(2, 7.5)],
-            ..FaultPlan::default()
-        }
-        .arm();
-        assert_eq!(state.recv_action(), RecvAction::Drop);
-        assert_eq!(state.recv_action(), RecvAction::Duplicate);
-        assert_eq!(state.recv_action(), RecvAction::Delay(7.5));
-        assert_eq!(state.recv_action(), RecvAction::Deliver);
+    fn seeded_pool_plans_are_pinned() {
+        let pool = |seed| FaultPlan::seeded(seed, 12, 4096).solve_panics;
+        let p3 = [
+            420, 525, 827, 1315, 1546, 1596, 2175, 2574, 3593, 3781, 3973,
+        ];
+        let p4 = [317, 1318, 1821, 2360, 2461, 2586, 2924, 3328, 3554, 3655];
+        let p9 = [
+            32, 483, 683, 1052, 1219, 1222, 1447, 1732, 1786, 2190, 2375, 3667,
+        ];
+        assert_eq!(
+            (pool(3), pool(4), pool(9)),
+            (p3.into(), p4.into(), p9.into())
+        );
+        let injection = |seed| FaultPlan::seeded(seed, 4, 16).solve_panics;
+        assert_eq!(
+            (injection(0), injection(1), injection(2)),
+            (vec![14], vec![], vec![8, 11])
+        );
     }
 
     #[test]
@@ -345,8 +250,6 @@ mod tests {
         assert!(FaultPlan::none().is_empty());
         let state = FaultPlan::none().arm();
         assert!(!state.solve_should_panic());
-        assert!(state.torn_write().is_none());
-        assert!(!state.send_should_fail());
-        assert_eq!(state.recv_action(), RecvAction::Deliver);
+        assert!(!state.respawn_should_fail());
     }
 }

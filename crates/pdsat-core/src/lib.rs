@@ -112,7 +112,7 @@ pub use driver::{
 pub use estimator::{
     normal_cdf, normal_quantile, student_t_quantile, PredictiveEstimate, SampleStats,
 };
-pub use fault::{FaultPlan, FaultState, RecvAction};
+pub use fault::{FaultPlan, FaultState};
 pub use oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, VerdictSummary};
 pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};
 pub use restart::{RandomRestart, RandomRestartConfig};

@@ -102,7 +102,6 @@ fn failed_respawn_falls_back_to_sequential_and_loses_nothing() {
     let plan = FaultPlan {
         solve_panics: vec![1],
         respawn_failures: u64::MAX,
-        ..FaultPlan::none()
     };
     let faulted = run_with_plan(&cnf, &cubes, 2, plan);
 
@@ -127,7 +126,6 @@ fn batch_on_an_all_dead_pool_panics_with_the_pool_shape() {
     let plan = FaultPlan {
         solve_panics: vec![0, 1],
         respawn_failures: u64::MAX,
-        ..FaultPlan::none()
     };
     let config = BatchConfig {
         cost: CostMetric::Conflicts,

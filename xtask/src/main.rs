@@ -1,6 +1,6 @@
 //! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`.
 //!
-//! Seven checks, all over the source tree as text (no compiler plumbing):
+//! Eight checks, all over the source tree as text (no compiler plumbing):
 //!
 //! 1. **unsafe-free**: every crate root (`lib.rs` / `main.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.
@@ -40,6 +40,11 @@
 //!    is the trust boundary, so its propagation is a port of the solver's,
 //!    never shared code; the solver may only be a dev-dependency, to emit
 //!    the certificates the tests check.
+//! 8. **the grid's faults come from its clients**: the non-test code of
+//!    `crates/distrib/src` names neither `FaultPlan` nor `FaultState`. The
+//!    grid's one fault model is its simulated client population
+//!    (`ClientBehavior`), and the store's faults are bytes on disk that its
+//!    tests damage directly; the injected plan is the pool's alone.
 
 #![forbid(unsafe_code)]
 
@@ -78,6 +83,7 @@ fn lint() -> ExitCode {
     check_counters_travel_whole(&root, &mut errors);
     check_batches_borrow(&root, &mut errors);
     check_checker_stands_alone(&root, &mut errors);
+    check_grid_faults_come_from_clients(&root, &mut errors);
 
     if errors.is_empty() {
         println!("xtask lint: ok");
@@ -442,6 +448,17 @@ fn check_checker_stands_alone(root: &Path, errors: &mut Vec<String>) {
     }
 }
 
+fn check_grid_faults_come_from_clients(root: &Path, errors: &mut Vec<String>) {
+    let mut sources = Vec::new();
+    rust_files(&root.join("crates/distrib/src"), &mut sources);
+    let advice = "the grid's faults come from its clients (`ClientBehavior`) and the \
+                  store's from damaged bytes on disk; the injected plan is the pool's alone";
+    let until = Some("#[cfg(test)]");
+    for needle in ["FaultPlan", "FaultState"] {
+        forbid(root, &sources, "//", until, needle, advice, errors);
+    }
+}
+
 /// The crates a manifest's dependency tables name: `[dependencies]`,
 /// `[target.….dependencies]` and dotted `[dependencies.name]` headers, but
 /// not dev- or build-dependencies.
@@ -581,5 +598,49 @@ mod tests {
         assert!(errors[2].contains("recv_timeout"), "{}", errors[2]);
         assert!(errors[3].contains("CubeOutcome"), "{}", errors[3]);
         assert!(errors[5].contains("placeholder fill"), "{}", errors[5]);
+    }
+
+    #[test]
+    fn grid_faults_refuse_an_injected_plan_outside_tests_and_comments() {
+        let root = std::env::temp_dir().join(format!("xtask-grid-{}", std::process::id()));
+        let src = root.join("crates/distrib/src");
+        std::fs::create_dir_all(&src).expect("temp tree");
+        let write = |text: &str| std::fs::write(src.join("store.rs"), text).expect("write");
+        write(
+            "//! No FaultPlan here.
+use crate::client::ClientBehavior;
+             #[cfg(test)]
+mod tests {
+    use pdsat_core::FaultPlan;
+}
+",
+        );
+        let mut errors = Vec::new();
+        check_grid_faults_come_from_clients(&root, &mut errors);
+        assert_eq!(errors, Vec::<String>::new());
+
+        write(
+            "use pdsat_core::FaultPlan;
+struct Store {
+    faults: Arc<FaultState>,
+}
+             #[cfg(test)]
+mod tests {}
+",
+        );
+        check_grid_faults_come_from_clients(&root, &mut errors);
+        std::fs::remove_dir_all(&root).expect("clean up");
+        let at: Vec<&str> = errors
+            .iter()
+            .map(|e| e.split(": ").next().expect("a location"))
+            .collect();
+        assert_eq!(
+            at,
+            [
+                "crates/distrib/src/store.rs:1",
+                "crates/distrib/src/store.rs:3"
+            ]
+        );
+        assert!(errors[1].contains("FaultState"), "{}", errors[1]);
     }
 }
