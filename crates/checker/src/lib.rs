@@ -30,9 +30,18 @@
 //! 2. **Seed.** The cube's literals (if any) are asserted as root
 //!    assignments on the working copy and propagated — a certificate proves
 //!    `F ∧ cube ⊨ ⊥`, not `F ⊨ ⊥`.
-//! 3. Each `Add` step is checked for RUP (assert the negations of its
-//!    literals, propagate, expect a conflict), then added under
-//!    two-watched-literal propagation, whatever its length, and propagated.
+//! 3. Each `Add` step is checked for RUP: assert the negations of its
+//!    literals, then walk its hints (the ids of the clauses that derived it,
+//!    see `pdsat_cnf::drat`) once, in order. A hint with one open literal
+//!    enqueues it, a falsified hint is the conflict, and any other hint — an
+//!    id outside the database, a deleted clause, a satisfied one, one with two
+//!    open literals — is skipped. Only when the hints reach no conflict does
+//!    the check propagate over the whole database, as it does for a step
+//!    without hints. Every hinted unit is a unit-resolution step, and unit
+//!    propagation reaches a conflict in any order, so hints change how fast a
+//!    proof is checked, never whether it is accepted. The step is then added
+//!    under two-watched-literal propagation, whatever its length, and
+//!    propagated.
 //!    Each `Delete` step removes one instance of the clause, matched by
 //!    sorted-literal multiset through an index built when the first deletion
 //!    is met; unmatched deletions are lenient no-ops and
@@ -108,6 +117,9 @@ pub struct CheckStats {
     pub propagations: u64,
     /// Deletions that matched no live clause (lenient no-ops).
     pub unmatched_deletes: usize,
+    /// Additions whose hints reached no conflict (all of them, for a proof
+    /// without hints), so their RUP check propagated over the database.
+    pub hint_misses: usize,
 }
 
 /// Validates a SAT answer: the model must satisfy every assumption literal of
@@ -345,6 +357,7 @@ struct Checker {
     /// Root propagation derived a conflict: the refutation is established.
     proven: bool,
     propagations: u64,
+    hint_misses: usize,
     /// Scratch for the sorted literals of a deletion and of a candidate.
     key_buf: Vec<Lit>,
     candidate_buf: Vec<Lit>,
@@ -400,6 +413,7 @@ impl Checker {
             qhead,
             proven,
             propagations,
+            hint_misses,
             // Scratch of deletions, empty in a loaded formula.
             key_buf: _,
             candidate_buf: _,
@@ -416,6 +430,7 @@ impl Checker {
         self.qhead = *qhead;
         self.proven = *proven;
         self.propagations = *propagations;
+        self.hint_misses = *hint_misses;
     }
 
     /// Seeds the cube at the root of a loaded formula and replays the proof.
@@ -444,9 +459,9 @@ impl Checker {
                 break;
             }
             match step {
-                DratStep::Add(lits) => {
+                DratStep::Add { lits, hints } => {
                     self.require_known_vars(lits)?;
-                    if !self.rup(lits) {
+                    if !self.rup(lits, hints) {
                         return Err(CheckFailure::ProofNotRup);
                     }
                     let id = self.push_clause(lits);
@@ -464,6 +479,7 @@ impl Checker {
             stats.steps_checked += 1;
         }
         stats.propagations = self.propagations;
+        stats.hint_misses = self.hint_misses;
         if self.proven {
             Ok(stats)
         } else {
@@ -696,9 +712,10 @@ impl Checker {
     }
 
     /// The RUP check: asserting the negation of every literal of `clause`
-    /// must propagate to a conflict. The temporary assignments are rolled
-    /// back before returning; the database is untouched.
-    fn rup(&mut self, clause: &[Lit]) -> bool {
+    /// must lead to a conflict, through the `hints` or else by propagation.
+    /// The temporary assignments are rolled back before returning; the
+    /// database is untouched.
+    fn rup(&mut self, clause: &[Lit], hints: &[u32]) -> bool {
         if self.proven {
             return true;
         }
@@ -716,7 +733,10 @@ impl Checker {
                 _ => self.enqueue(!lit),
             }
         }
-        let ok = implied || self.propagate();
+        let ok = implied || self.resolve(hints) || {
+            self.hint_misses += 1;
+            self.propagate()
+        };
         for &lit in &self.trail[mark..] {
             self.values[lit.code()] = UNDEF;
             self.values[(!lit).code()] = UNDEF;
@@ -724,6 +744,40 @@ impl Checker {
         self.trail.truncate(mark);
         self.qhead = mark;
         ok
+    }
+
+    /// Walks `hints` once, in order: a live clause with one open literal and
+    /// the rest false enqueues that literal; `true` at the first live clause
+    /// whose literals are all false. Every other hint is skipped. Nothing is
+    /// propagated through the watch lists.
+    fn resolve(&mut self, hints: &[u32]) -> bool {
+        for &id in hints {
+            let Some(&Span {
+                start,
+                len,
+                deleted: false,
+            }) = self.spans.get(id as usize)
+            else {
+                continue;
+            };
+            let mut open = None;
+            // False but for at most one open literal: not satisfied, and no
+            // second open literal.
+            let unit_or_falsified =
+                self.lits[start..start + len]
+                    .iter()
+                    .all(|&lit| match self.values[lit.code()] {
+                        FALSE => true,
+                        UNDEF => open.replace(lit).is_none(),
+                        _ => false,
+                    });
+            match open {
+                _ if !unit_or_falsified => {}
+                Some(unit) => self.enqueue(unit),
+                None => return true,
+            }
+        }
+        false
     }
 }
 
@@ -773,7 +827,7 @@ mod tests {
     #[test]
     fn accepts_a_minimal_rup_refutation() {
         let proof = DratProof {
-            steps: vec![DratStep::Add(clause(&[1]))],
+            steps: vec![DratStep::add(clause(&[1]))],
         };
         let stats = check_unsat_proof(&asymmetric_unsat(), &[], &proof).expect("valid proof");
         assert_eq!(stats.steps_checked, 1);
@@ -781,12 +835,46 @@ mod tests {
     }
 
     #[test]
+    fn hints_refute_a_lemma_without_propagating_it() {
+        // Under ¬1, (1 2) is unit and then (1 ¬2) falsified: the check walks
+        // two clauses and propagates nothing. Adding (1) then propagates 1 at
+        // the root, which refutes the formula.
+        let hinted = DratProof {
+            steps: vec![DratStep::Add {
+                lits: clause(&[1]),
+                hints: [0, 1].into(),
+            }],
+        };
+        let stats = check_unsat_proof(&asymmetric_unsat(), &[], &hinted).expect("valid proof");
+        assert_eq!((stats.propagations, stats.hint_misses), (1, 0));
+        let plain = DratProof {
+            steps: vec![DratStep::add(clause(&[1]))],
+        };
+        let stats = check_unsat_proof(&asymmetric_unsat(), &[], &plain).expect("valid proof");
+        assert_eq!((stats.propagations, stats.hint_misses), (2, 1));
+    }
+
+    #[test]
+    fn hints_that_reach_no_conflict_fall_back_to_propagation() {
+        // Past the database, satisfied under ¬1, unit (enqueues 2), and
+        // (¬1 ¬3), satisfied too: no conflict, so the check propagates.
+        let proof = DratProof {
+            steps: vec![DratStep::Add {
+                lits: clause(&[1]),
+                hints: [99, 2, 0, 3, u32::MAX].into(),
+            }],
+        };
+        let stats = check_unsat_proof(&asymmetric_unsat(), &[], &proof).expect("valid proof");
+        assert_eq!((stats.steps_checked, stats.hint_misses), (1, 1));
+    }
+
+    #[test]
     fn accepts_the_explicit_empty_clause_form() {
         let proof = DratProof {
             steps: vec![
-                DratStep::Add(clause(&[1])),
+                DratStep::add(clause(&[1])),
                 DratStep::Delete(clause(&[1, 2])),
-                DratStep::Add(vec![]),
+                DratStep::add(vec![]),
             ],
         };
         check_unsat_proof(&asymmetric_unsat(), &[], &proof).expect("valid proof");
@@ -796,7 +884,7 @@ mod tests {
     fn rejects_a_dropped_essential_addition() {
         // Without Add(1) the empty clause has no RUP justification.
         let proof = DratProof {
-            steps: vec![DratStep::Add(vec![])],
+            steps: vec![DratStep::add(vec![])],
         };
         assert_eq!(
             check_unsat_proof(&asymmetric_unsat(), &[], &proof),
@@ -814,7 +902,7 @@ mod tests {
         // Valid: derive (1) from (1 2) and (1 -2), then delete the parents.
         let valid = DratProof {
             steps: vec![
-                DratStep::Add(clause(&[1])),
+                DratStep::add(clause(&[1])),
                 DratStep::Delete(clause(&[1, 2])),
                 DratStep::Delete(clause(&[1, -2])),
             ],
@@ -825,7 +913,7 @@ mod tests {
             steps: vec![
                 DratStep::Delete(clause(&[1, 2])),
                 DratStep::Delete(clause(&[1, -2])),
-                DratStep::Add(clause(&[1])),
+                DratStep::add(clause(&[1])),
             ],
         };
         assert_eq!(
@@ -842,14 +930,14 @@ mod tests {
         cnf.add_clause(clause(&[1, 2]));
         cnf.add_clause(clause(&[1, -2]));
         let original = DratProof {
-            steps: vec![DratStep::Add(clause(&[1]))],
+            steps: vec![DratStep::add(clause(&[1]))],
         };
         assert_eq!(
             check_unsat_proof(&cnf, &[], &original),
             Err(CheckFailure::ProofIncomplete)
         );
         let flipped = DratProof {
-            steps: vec![DratStep::Add(clause(&[-1]))],
+            steps: vec![DratStep::add(clause(&[-1]))],
         };
         assert_eq!(
             check_unsat_proof(&cnf, &[], &flipped),
@@ -884,8 +972,8 @@ mod tests {
         let proof = DratProof {
             steps: vec![
                 DratStep::Delete(clause(&[1])),
-                DratStep::Add(clause(&[2])),
-                DratStep::Add(vec![]),
+                DratStep::add(clause(&[2])),
+                DratStep::add(vec![]),
             ],
         };
         // Root UP already conflicts: a → b and ¬b. Proven during load.
@@ -901,8 +989,8 @@ mod tests {
         let proof = DratProof {
             steps: vec![
                 DratStep::Delete(clause(&[1])),
-                DratStep::Add(clause(&[2])), // RUP only because a stays derived
-                DratStep::Add(vec![]),
+                DratStep::add(clause(&[2])), // RUP only because a stays derived
+                DratStep::add(vec![]),
             ],
         };
         check_unsat_proof(&cnf, &[], &proof).expect("reason deletion is not retraction");
@@ -913,7 +1001,7 @@ mod tests {
         let proof = DratProof {
             steps: vec![
                 DratStep::Delete(clause(&[7, 8])),
-                DratStep::Add(clause(&[1])),
+                DratStep::add(clause(&[1])),
             ],
         };
         let stats = check_unsat_proof(&asymmetric_unsat(), &[], &proof).expect("accepted");
@@ -925,7 +1013,7 @@ mod tests {
         let cnf = asymmetric_unsat();
         let mut additions_only = Checker::load(&cnf);
         let proof = DratProof {
-            steps: vec![DratStep::Add(clause(&[1]))],
+            steps: vec![DratStep::add(clause(&[1]))],
         };
         additions_only.check(&[], &proof).expect("valid proof");
         assert!(additions_only.delete_index.is_none());
@@ -936,9 +1024,9 @@ mod tests {
         let proof = DratProof {
             steps: vec![
                 DratStep::Delete(clause(&[3, 1])),
-                DratStep::Add(clause(&[1, 3])),
+                DratStep::add(clause(&[1, 3])),
                 DratStep::Delete(clause(&[3, 1])),
-                DratStep::Add(clause(&[1])),
+                DratStep::add(clause(&[1])),
             ],
         };
         let stats = with_deletions.check(&[], &proof).expect("valid proof");
@@ -962,9 +1050,9 @@ mod tests {
         // all change the working copy; the next restore undoes every bit.
         let proof = DratProof {
             steps: vec![
-                DratStep::Add(clause(&[1, 3])),
+                DratStep::add(clause(&[1, 3])),
                 DratStep::Delete(clause(&[3, 1])),
-                DratStep::Add(clause(&[1])),
+                DratStep::add(clause(&[1])),
             ],
         };
         let stats = working.check(&[lit(4)], &proof).expect("valid proof");
@@ -1005,7 +1093,7 @@ mod tests {
             .iter()
             .map(|d| DratStep::Delete(clause(d)))
             .collect();
-        steps.push(DratStep::Add(clause(&[1])));
+        steps.push(DratStep::add(clause(&[1])));
         check_unsat_proof(cnf, &[], &DratProof { steps })
     }
 
@@ -1093,7 +1181,7 @@ mod tests {
         cnf.add_clause(clause(&[2, 1]));
         let deleting = |times: usize| {
             let mut steps = vec![DratStep::Delete(clause(&[1, 2])); times];
-            steps.push(DratStep::Add(clause(&[1])));
+            steps.push(DratStep::add(clause(&[1])));
             check_unsat_proof(&cnf, &[], &DratProof { steps })
         };
         assert_eq!(deleting(1).map(|s| s.unmatched_deletes), Ok(0));

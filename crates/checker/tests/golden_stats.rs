@@ -4,16 +4,25 @@
 //! to and on which instance a deletion removes, so equal counts mean the
 //! same derivation was replayed, not merely the same verdict reached.
 //!
-//! First recorded from the `Vec<ClauseRec>` + eager-index checker this arena
-//! checker replaced; re-recorded, with the checker untouched, at the commit
-//! that gave the solver's ternary clauses watch lists of their own (the
-//! formula is all ternary, so the certificates themselves changed). The
-//! `propagations` only were re-recorded once more, with the solver
-//! untouched, when the checker began propagating two- and three-literal
-//! originals from inline watchers ahead of the two-watched lists: that
-//! reorders the visits, so a conflict can be found before literals the old
-//! order propagated first (9,749 → 9,715 and 17,152 → 17,113). The step
-//! counts, the unmatched deletions and the certificates' shapes did not move.
+//! Each certificate is checked twice. Read back from its DRAT text it has no
+//! hints, and every addition is checked by propagation over the database:
+//! those counts were first recorded from the `Vec<ClauseRec>` + eager-index
+//! checker this arena checker replaced; re-recorded, with the checker
+//! untouched, at the commit that gave the solver's ternary clauses watch
+//! lists of their own (the formula is all ternary, so the certificates
+//! themselves changed). The `propagations` only were re-recorded once more,
+//! with the solver untouched, when the checker began propagating two- and
+//! three-literal originals from inline watchers ahead of the two-watched
+//! lists: that reorders the visits, so a conflict can be found before
+//! literals the old order propagated first (9,749 → 9,715 and 17,152 →
+//! 17,113). They did not move when the solver began logging hints, which is
+//! what shows that the propagation path is the one it was.
+//!
+//! As emitted, with the antecedents the solver logs, every addition is
+//! checked by walking its hints alone (`hint_misses` 0): the propagations
+//! left are root propagation after the additions, 3 and 23 where the plain
+//! replay needs 9,715 and 17,113. The step counts, the unmatched deletions
+//! and the certificates' shapes are the same either way.
 
 use pdsat_checker::{check_unsat_proof, CheckStats};
 use pdsat_cnf::{Cnf, DratProof, DratStep, Lit, Var};
@@ -51,8 +60,16 @@ fn proof_config() -> SolverConfig {
 }
 
 /// Solves `parity_contradiction(13, 5)` and requires the certificate's shape
-/// and the checker's counters over it to equal the recorded ones.
-fn assert_golden(config: SolverConfig, (steps, deletes): (usize, usize), stats: CheckStats) {
+/// and the checker's counters over it to equal the recorded ones: `plain`
+/// for the certificate read back from its DRAT text (which has no hints, as
+/// `pdsat check` reads it), `hinted` for the certificate as the solver
+/// emitted it.
+fn assert_golden(
+    config: SolverConfig,
+    (steps, deletes): (usize, usize),
+    plain: CheckStats,
+    hinted: CheckStats,
+) {
     let cnf = parity_contradiction(13, 5);
     let mut solver = Solver::from_cnf_with_config(&cnf, config);
     assert_eq!(solver.solve(), Verdict::Unsat);
@@ -63,7 +80,9 @@ fn assert_golden(config: SolverConfig, (steps, deletes): (usize, usize), stats: 
         (steps, deletes),
         "the solver's certificate changed; re-record the counts below"
     );
-    assert_eq!(check_unsat_proof(&cnf, &[], &cert), Ok(stats));
+    let text = DratProof::from_text(&cert.to_text()).expect("the solver writes valid DRAT");
+    assert_eq!(check_unsat_proof(&cnf, &[], &text), Ok(plain));
+    assert_eq!(check_unsat_proof(&cnf, &[], &cert), Ok(hinted));
 }
 
 #[test]
@@ -75,6 +94,13 @@ fn plain_certificate_replays_with_the_recorded_counts() {
             steps_checked: 627,
             propagations: 9715,
             unmatched_deletes: 0,
+            hint_misses: 627,
+        },
+        CheckStats {
+            steps_checked: 627,
+            propagations: 3,
+            unmatched_deletes: 0,
+            hint_misses: 0,
         },
     );
 }
@@ -93,6 +119,13 @@ fn reduce_db_certificate_replays_with_the_recorded_counts() {
             steps_checked: 2226,
             propagations: 17113,
             unmatched_deletes: 0,
+            hint_misses: 1187,
+        },
+        CheckStats {
+            steps_checked: 2226,
+            propagations: 23,
+            unmatched_deletes: 0,
+            hint_misses: 0,
         },
     );
 }
@@ -113,7 +146,7 @@ fn deletions_with_duplicate_literals_match_by_multiset() {
             .iter()
             .map(|d| DratStep::Delete(d.iter().map(|&l| lit(l)).collect()))
             .collect();
-        steps.push(DratStep::Add(vec![lit(1)]));
+        steps.push(DratStep::add(vec![lit(1)]));
         check_unsat_proof(&cnf, &[], &DratProof { steps })
     };
     // Neither spelling matches `(1 ∨ 1 ∨ 2)`: both are lenient no-ops and

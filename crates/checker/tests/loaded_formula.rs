@@ -120,10 +120,10 @@ fn mutants(cube: &[Lit], proof: &DratProof, foreign: &DratProof) -> Vec<(Vec<Lit
         dropped.steps.remove(i);
     }
     let mut flipped = proof.clone();
-    if let Some(DratStep::Add(lits)) = flipped
+    if let Some(DratStep::Add { lits, .. }) = flipped
         .steps
         .iter_mut()
-        .find(|s| matches!(s, DratStep::Add(lits) if !lits.is_empty()))
+        .find(|s| matches!(s, DratStep::Add { lits, .. } if !lits.is_empty()))
     {
         lits[0] = !lits[0];
     }

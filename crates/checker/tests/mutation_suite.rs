@@ -7,7 +7,8 @@
 //! * **Deterministic tests** on a hand-crafted formula whose refutation has
 //!   no redundant steps — flipping a literal, dropping an essential
 //!   addition, or hoisting a deletion above the addition it erases each
-//!   provably de-rail unit propagation, so the checker must say no.
+//!   provably de-rail unit propagation, so the checker must say no, even
+//!   when the lemma's hints name every clause there is.
 //! * **Proptests** on random formulas applying mutations whose rejection is
 //!   guaranteed structurally for *any* valid certificate: stripping every
 //!   addition (no conflict can ever be derived), prepending deletions of
@@ -52,9 +53,9 @@ fn crafted_cnf() -> (Cnf, Lit, Lit) {
 fn crafted_proof(y: Lit, z: Lit) -> DratProof {
     DratProof {
         steps: vec![
-            DratStep::Add(vec![y]),
-            DratStep::Add(vec![z]),
-            DratStep::Add(vec![]),
+            DratStep::add(vec![y]),
+            DratStep::add(vec![z]),
+            DratStep::add(vec![]),
         ],
     }
 }
@@ -96,11 +97,39 @@ fn flipping_a_proof_literal_is_rejected() {
     let mut proof = crafted_proof(y, z);
     // `¬y` is not RUP: asserting `y` propagates nothing (every `¬y` clause
     // still has two free literals), so no conflict arises.
-    proof.steps[0] = DratStep::Add(vec![!y]);
+    proof.steps[0] = DratStep::add(vec![!y]);
     assert_eq!(
         check_unsat_proof(&cnf, &[], &proof),
         Err(CheckFailure::ProofNotRup)
     );
+}
+
+/// Hints only name clauses to resolve on; naming every live clause, in any
+/// order and more than once, must not make a lemma that is not RUP pass.
+#[test]
+fn hints_naming_every_clause_do_not_make_a_lemma_rup() {
+    let (cnf, y, z) = crafted_cnf();
+    let every: Vec<u32> = (0..cnf.num_clauses() as u32).collect();
+    let backwards: Vec<u32> = every.iter().rev().copied().collect();
+    let twice = [&every[..], &every[..]].concat();
+    for hints in [every, backwards, twice] {
+        // Neither `¬y` nor `z` is RUP over the formula alone.
+        for lemma in [vec![!y], vec![z]] {
+            let proof = DratProof {
+                steps: vec![
+                    DratStep::Add {
+                        lits: lemma,
+                        hints: hints.as_slice().into(),
+                    },
+                    DratStep::add(vec![]),
+                ],
+            };
+            assert_eq!(
+                check_unsat_proof(&cnf, &[], &proof),
+                Err(CheckFailure::ProofNotRup)
+            );
+        }
+    }
 }
 
 #[test]
@@ -135,10 +164,10 @@ fn hoisting_a_deletion_above_its_support_is_rejected() {
     // Deleting `(x∨y)` right after `y` is derived is legitimate GC …
     let gc_after = DratProof {
         steps: vec![
-            DratStep::Add(vec![y]),
+            DratStep::add(vec![y]),
             DratStep::Delete(vec![x, y]),
-            DratStep::Add(vec![z]),
-            DratStep::Add(vec![]),
+            DratStep::add(vec![z]),
+            DratStep::add(vec![]),
         ],
     };
     assert!(check_unsat_proof(&cnf, &[], &gc_after).is_ok());
@@ -147,9 +176,9 @@ fn hoisting_a_deletion_above_its_support_is_rejected() {
     let gc_before = DratProof {
         steps: vec![
             DratStep::Delete(vec![x, y]),
-            DratStep::Add(vec![y]),
-            DratStep::Add(vec![z]),
-            DratStep::Add(vec![]),
+            DratStep::add(vec![y]),
+            DratStep::add(vec![z]),
+            DratStep::add(vec![]),
         ],
     };
     assert_eq!(
@@ -166,7 +195,7 @@ fn forged_variable_index_is_rejected_without_allocating_for_it() {
     let (cnf, y, z) = crafted_cnf();
     let huge = Lit::positive(Var::new((1 << 31) - 1));
     let forged = DratProof {
-        steps: vec![DratStep::Add(vec![huge])],
+        steps: vec![DratStep::add(vec![huge])],
     };
     assert_eq!(
         check_unsat_proof(&cnf, &[], &forged),
@@ -179,7 +208,7 @@ fn forged_variable_index_is_rejected_without_allocating_for_it() {
     // One past the formula's range is out of range too.
     let fifth = Lit::positive(Var::new(cnf.num_vars() as u32));
     let mut proof = crafted_proof(y, z);
-    proof.steps[0] = DratStep::Add(vec![y, fifth]);
+    proof.steps[0] = DratStep::add(vec![y, fifth]);
     assert_eq!(
         check_unsat_proof(&cnf, &[], &proof),
         Err(CheckFailure::Shape)
@@ -189,7 +218,7 @@ fn forged_variable_index_is_rejected_without_allocating_for_it() {
     // at.
     let mut lenient = crafted_proof(y, z);
     lenient.steps.insert(0, DratStep::Delete(vec![huge]));
-    lenient.steps.push(DratStep::Add(vec![huge]));
+    lenient.steps.push(DratStep::add(vec![huge]));
     let stats = check_unsat_proof(&cnf, &[], &lenient).expect("accepted");
     assert_eq!(stats.unmatched_deletes, 1);
     assert!(stats.steps_checked < lenient.steps.len());

@@ -1,12 +1,17 @@
 //! The checker against a reference model: a naive forward checker that
 //! propagates by rescanning every live clause to fixpoint and deletes the
-//! most recent live instance of a literal multiset. On random formulas
-//! (clause lengths 1–5, repeated literals within a clause, duplicate
-//! clauses), random cubes and random proofs (additions, deletions of
-//! originals and of earlier additions, deletions matching nothing), both
+//! most recent live instance of a literal multiset, and ignores hints. On
+//! random formulas (clause lengths 1–5, repeated literals within a clause,
+//! duplicate clauses), random cubes and random proofs (additions, deletions
+//! of originals and of earlier additions, deletions matching nothing), both
 //! must give the same verdict, `steps_checked` and `unmatched_deletes`.
 //! Propagation counts depend on the order literals are visited in and are
 //! not compared.
+//!
+//! Hints are advisory, so each proof is checked three times against the same
+//! reference result: without hints, with the solver's hints, and with hints
+//! corrupted every way an upload could (shuffled, truncated, naming clauses
+//! past the database, deleted ones, or ones added later).
 
 use pdsat_checker::{check_unsat_proof, CheckFailure};
 use pdsat_cnf::{Cnf, DratProof, DratStep, Lit, Var};
@@ -83,7 +88,7 @@ fn reference(cnf: &Cnf, cube: &[Lit], proof: &DratProof) -> Verdict {
             break;
         }
         match step {
-            DratStep::Add(lits) => {
+            DratStep::Add { lits, .. } => {
                 // RUP: the negated literals contradict the root or each
                 // other, or propagate to a conflict.
                 let mut trial = values.clone();
@@ -102,13 +107,8 @@ fn reference(cnf: &Cnf, cube: &[Lit], proof: &DratProof) -> Verdict {
                 proven = propagate(&clauses, &mut values);
             }
             DratStep::Delete(lits) => {
-                let key = sorted(lits);
-                match clauses
-                    .iter()
-                    .rposition(|(c, live)| *live && sorted(c) == key)
-                {
-                    Some(i) => clauses[i].1 = false,
-                    None => unmatched += 1,
+                if !delete_newest(&mut clauses, lits) {
+                    unmatched += 1;
                 }
             }
         }
@@ -118,6 +118,22 @@ fn reference(cnf: &Cnf, cube: &[Lit], proof: &DratProof) -> Verdict {
         Ok((steps, unmatched))
     } else {
         Err(CheckFailure::ProofIncomplete)
+    }
+}
+
+/// Marks the most recent live instance of the multiset `lits` deleted;
+/// `false` when there is none.
+fn delete_newest(clauses: &mut [(Vec<Lit>, bool)], lits: &[Lit]) -> bool {
+    let key = sorted(lits);
+    match clauses
+        .iter()
+        .rposition(|(c, live)| *live && sorted(c) == key)
+    {
+        Some(i) => {
+            clauses[i].1 = false;
+            true
+        }
+        None => false,
     }
 }
 
@@ -202,8 +218,10 @@ fn random_formula(rng: &mut StdRng) -> Cnf {
 /// solver's refutation when it finds one, with up to eight random steps
 /// mixed in (or those steps alone). Random additions are short clauses,
 /// weakened originals and resolvents (the last two are RUP while their
-/// parents live); random deletions name an original, an earlier addition,
-/// or a random clause that mostly matches nothing.
+/// parents live), without hints; random deletions name an original, an
+/// earlier addition, or a random clause that mostly matches nothing. The
+/// solver's additions keep their hints, renumbered past the random
+/// additions mixed in before them.
 fn random_check(rng: &mut StdRng, cnf: &Cnf) -> (Vec<Lit>, DratProof) {
     let num_vars = cnf.num_vars();
     let cube: Vec<Lit> = (0..rng.gen_range(0..=2))
@@ -225,6 +243,8 @@ fn random_check(rng: &mut StdRng, cnf: &Cnf) -> (Vec<Lit>, DratProof) {
     .peekable();
     let originals: Vec<Vec<Lit>> = cnf.clauses().iter().map(|c| c.lits().to_vec()).collect();
     let mut added: Vec<Vec<Lit>> = Vec::new();
+    // The id in this proof of each solver addition placed so far.
+    let mut placed: Vec<u32> = Vec::new();
     let mut steps = Vec::new();
     // One of `from`, its literals shuffled.
     let pick = |rng: &mut StdRng, from: &[Vec<Lit>]| {
@@ -239,17 +259,17 @@ fn random_check(rng: &mut StdRng, cnf: &Cnf) -> (Vec<Lit>, DratProof) {
             match rng.gen_range(0..10) {
                 0..=2 => {
                     let len = rng.gen_range(0..=3);
-                    DratStep::Add(random_clause(rng, num_vars, len))
+                    DratStep::add(random_clause(rng, num_vars, len))
                 }
                 3 => {
                     let mut weaker = pick(rng, &originals);
                     weaker.push(random_lit(rng, num_vars));
-                    DratStep::Add(weaker)
+                    DratStep::add(weaker)
                 }
                 4 | 5 => {
                     let pool = [&originals[..], &added[..]].concat();
                     let (c, d) = (pick(rng, &pool), pick(rng, &pool));
-                    DratStep::Add(resolvent(&c, &d).unwrap_or(c))
+                    DratStep::add(resolvent(&c, &d).unwrap_or(c))
                 }
                 6 | 7 => DratStep::Delete(pick(rng, &originals)),
                 8 if !added.is_empty() => DratStep::Delete(pick(rng, &added)),
@@ -258,12 +278,21 @@ fn random_check(rng: &mut StdRng, cnf: &Cnf) -> (Vec<Lit>, DratProof) {
                     DratStep::Delete(random_clause(rng, num_vars, len))
                 }
             }
-        } else if let Some(step) = refutation.next() {
+        } else if let Some(mut step) = refutation.next() {
+            if let DratStep::Add { hints, .. } = &mut step {
+                let renumber = |hint: u32| {
+                    let solver_addition = hint.checked_sub(id(originals.len()));
+                    let placed_at = solver_addition.and_then(|k| placed.get(k as usize));
+                    placed_at.copied().unwrap_or(hint)
+                };
+                *hints = hints.iter().map(|&hint| renumber(hint)).collect();
+                placed.push(id(originals.len() + added.len()));
+            }
             step
         } else {
             break;
         };
-        if let DratStep::Add(lits) = &step {
+        if let DratStep::Add { lits, .. } = &step {
             added.push(lits.clone());
         }
         steps.push(step);
@@ -271,22 +300,104 @@ fn random_check(rng: &mut StdRng, cnf: &Cnf) -> (Vec<Lit>, DratProof) {
     (cube, DratProof { steps })
 }
 
+/// The id of the clause at position `n` of the database.
+fn id(n: usize) -> u32 {
+    u32::try_from(n).expect("test formulas and proofs are small")
+}
+
 fn checked(cnf: &Cnf, cube: &[Lit], proof: &DratProof) -> Verdict {
     check_unsat_proof(cnf, cube, proof).map(|s| (s.steps_checked, s.unmatched_deletes))
+}
+
+/// `proof` with every hint removed.
+fn without_hints(proof: &DratProof) -> DratProof {
+    let steps = proof
+        .steps
+        .iter()
+        .map(|step| match step {
+            DratStep::Add { lits, .. } => DratStep::add(lits.clone()),
+            DratStep::Delete(lits) => DratStep::Delete(lits.clone()),
+        })
+        .collect();
+    DratProof { steps }
+}
+
+/// `proof` with the hints of every addition corrupted one way or another:
+/// shuffled, truncated, or with one to three ids inserted that name a clause
+/// past the end of the whole proof, a clause deleted by then, or a clause
+/// added later.
+fn corrupted(rng: &mut StdRng, cnf: &Cnf, proof: &DratProof) -> DratProof {
+    let mut clauses: Vec<(Vec<Lit>, bool)> = cnf
+        .clauses()
+        .iter()
+        .map(|c| (c.lits().to_vec(), true))
+        .collect();
+    let additions = proof.steps.iter().filter(|s| !s.is_delete()).count();
+    let total = clauses.len() + additions;
+    let mut steps = Vec::with_capacity(proof.steps.len());
+    for step in &proof.steps {
+        let (lits, hints) = match step {
+            DratStep::Delete(lits) => {
+                delete_newest(&mut clauses, lits);
+                steps.push(step.clone());
+                continue;
+            }
+            DratStep::Add { lits, hints } => (lits, hints),
+        };
+        let mut hints = hints.to_vec();
+        let now = clauses.len();
+        let deleted: Vec<u32> = (0..now).filter(|&i| !clauses[i].1).map(id).collect();
+        let foreign: Vec<u32> = match rng.gen_range(0..5) {
+            0 => {
+                hints = shuffled_ids(rng, &hints);
+                Vec::new()
+            }
+            1 => {
+                hints.truncate(rng.gen_range(0..=hints.len()));
+                Vec::new()
+            }
+            2 => vec![id(total) + rng.gen_range(0..3u32), u32::MAX],
+            3 if !deleted.is_empty() => deleted,
+            _ => (now..total).map(id).collect(),
+        };
+        for _ in 0..rng.gen_range(1..=3usize).min(foreign.len()) {
+            let named = foreign[rng.gen_range(0..foreign.len())];
+            hints.insert(rng.gen_range(0..=hints.len()), named);
+        }
+        clauses.push((lits.clone(), true));
+        steps.push(DratStep::Add {
+            lits: lits.clone(),
+            hints: hints.into(),
+        });
+    }
+    DratProof { steps }
+}
+
+fn shuffled_ids(rng: &mut StdRng, ids: &[u32]) -> Vec<u32> {
+    let mut ids = ids.to_vec();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    ids
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
 
-    /// Each case checks two proofs against one formula, so the second is
-    /// checked on a working copy restored after the first.
+    /// Each case checks two proofs against one formula, each three ways, so
+    /// all but the first check run on a working copy restored after another.
     #[test]
     fn the_checker_agrees_with_the_reference(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cnf = random_formula(&mut rng);
         for _ in 0..2 {
             let (cube, proof) = random_check(&mut rng, &cnf);
-            prop_assert_eq!(checked(&cnf, &cube, &proof), reference(&cnf, &cube, &proof));
+            let expected = reference(&cnf, &cube, &proof);
+            let plain = without_hints(&proof);
+            let forged = corrupted(&mut rng, &cnf, &proof);
+            prop_assert_eq!(checked(&cnf, &cube, &plain), expected);
+            prop_assert_eq!(checked(&cnf, &cube, &proof), expected, "solver's hints");
+            prop_assert_eq!(checked(&cnf, &cube, &forged), expected, "corrupted hints");
         }
     }
 }
@@ -294,15 +405,23 @@ proptest! {
 /// The generator reaches every verdict, proofs accepted only after some
 /// of their steps, and deletions (matched and unmatched) among those steps:
 /// a comparison that only ever saw formulas refuted at load, or rejections
-/// at the first step, would prove little.
+/// at the first step, would prove little. And the solver's hints do the
+/// work in the hinted checks: a comparison in which they never reached a
+/// conflict would be the unhinted one again.
 #[test]
 fn the_cases_reach_every_verdict_and_both_kinds_of_deletion() {
     let (mut at_load, mut after_steps, mut not_rup, mut incomplete) = (0, 0, 0, 0);
     let (mut matched_deletes, mut unmatched_deletes) = (0, 0);
+    let (mut plain_misses, mut hinted_misses) = (0, 0);
     for seed in 0..1024 {
         let mut rng = StdRng::seed_from_u64(seed);
         let cnf = random_formula(&mut rng);
         let (cube, proof) = random_check(&mut rng, &cnf);
+        let plain = check_unsat_proof(&cnf, &cube, &without_hints(&proof));
+        if let (Ok(plain), Ok(hinted)) = (plain, check_unsat_proof(&cnf, &cube, &proof)) {
+            plain_misses += plain.hint_misses;
+            hinted_misses += hinted.hint_misses;
+        }
         match reference(&cnf, &cube, &proof) {
             Ok((0, _)) => at_load += 1,
             Ok((steps, unmatched)) => {
@@ -318,10 +437,12 @@ fn the_cases_reach_every_verdict_and_both_kinds_of_deletion() {
     let tally = format!(
         "accepted {at_load} with no step and {after_steps} after steps, {not_rup} not RUP, \
          {incomplete} incomplete; {matched_deletes} matched and {unmatched_deletes} unmatched \
-         deletions"
+         deletions; in accepted proofs, {plain_misses} additions propagated without hints and \
+         {hinted_misses} with the solver's"
     );
     println!("{tally}");
     let verdicts = [at_load, after_steps, not_rup, incomplete];
     assert!(verdicts.iter().all(|&n| n >= 150), "{tally}");
     assert!(matched_deletes >= 30 && unmatched_deletes >= 15, "{tally}");
+    assert!(hinted_misses * 4 < plain_misses, "{tally}");
 }

@@ -7,19 +7,35 @@
 //! later additions are checked against. The solver emits these steps behind
 //! `SolverConfig::proof`; `crates/checker` consumes them.
 //!
+//! An addition may carry *hints*: the ids of the clauses that derive it, in
+//! the order a unit-resolution chain uses them (the antecedents LRAT names;
+//! Cruz-Filipe, Heule, Hunt, Kaufmann & Schneider-Kamp, CADE 2017). Clause
+//! `i` of the formula has id `i`, and the `k`-th addition of the proof has id
+//! `m + k` for a formula of `m` clauses; ids are `u32`. Hints are advisory: a
+//! checker that ignores them accepts exactly the same proofs.
+//!
 //! The text form is the standard one accepted by external tools: one step per
 //! line, literals in DIMACS encoding terminated by `0`, deletions prefixed
-//! with `d`, comment lines starting with `c`.
+//! with `d`, comment lines starting with `c`. It has no hints.
 
 use crate::dimacs::MAX_VARS;
 use crate::Lit;
+use std::fmt::Write;
+use std::sync::Arc;
 
 /// One step of a DRAT derivation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DratStep {
     /// Add a clause (must be RUP with respect to the current database).
     /// An empty clause terminates the proof: the formula is unsatisfiable.
-    Add(Vec<Lit>),
+    Add {
+        /// The clause.
+        lits: Vec<Lit>,
+        /// Ids of the clauses that derive it (see the module doc), possibly
+        /// none. Never changed once logged, so every copy of a proof shares
+        /// them.
+        hints: Arc<[u32]>,
+    },
     /// Delete one instance of a clause from the database. Checkers treat a
     /// deletion whose clause is not present as a no-op (the lenient
     /// `drat-trim` dialect), so solver-side normalization differences never
@@ -28,11 +44,20 @@ pub enum DratStep {
 }
 
 impl DratStep {
+    /// An addition without hints.
+    #[must_use]
+    pub fn add(lits: Vec<Lit>) -> DratStep {
+        DratStep::Add {
+            lits,
+            hints: Arc::from([]),
+        }
+    }
+
     /// The literals of the step's clause.
     #[must_use]
     pub fn lits(&self) -> &[Lit] {
         match self {
-            DratStep::Add(lits) | DratStep::Delete(lits) => lits,
+            DratStep::Add { lits, .. } | DratStep::Delete(lits) => lits,
         }
     }
 
@@ -69,7 +94,8 @@ impl DratProof {
         self.steps.is_empty()
     }
 
-    /// Serializes the proof into the standard DRAT text form.
+    /// Serializes the proof into the standard DRAT text form. Hints are
+    /// left out: the text form has no place for them.
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -78,8 +104,8 @@ impl DratProof {
                 out.push_str("d ");
             }
             for &lit in step.lits() {
-                out.push_str(&lit.to_dimacs().to_string());
-                out.push(' ');
+                // Writing to a `String` cannot fail.
+                let _ = write!(out, "{} ", lit.to_dimacs());
             }
             out.push_str("0\n");
         }
@@ -131,7 +157,7 @@ impl DratProof {
             steps.push(if is_delete {
                 DratStep::Delete(lits)
             } else {
-                DratStep::Add(lits)
+                DratStep::add(lits)
             });
         }
         Ok(DratProof { steps })
@@ -150,10 +176,10 @@ mod tests {
     fn text_codec_round_trips() {
         let proof = DratProof {
             steps: vec![
-                DratStep::Add(vec![lit(1), lit(-2)]),
+                DratStep::add(vec![lit(1), lit(-2)]),
                 DratStep::Delete(vec![lit(-1), lit(2), lit(3)]),
-                DratStep::Add(vec![lit(2)]),
-                DratStep::Add(vec![]),
+                DratStep::add(vec![lit(2)]),
+                DratStep::add(vec![]),
             ],
         };
         let text = proof.to_text();
@@ -163,11 +189,36 @@ mod tests {
     }
 
     #[test]
+    fn hints_are_left_out_of_the_text_form() {
+        let hinted = DratProof {
+            steps: vec![
+                DratStep::Add {
+                    lits: vec![lit(1), lit(-2)],
+                    hints: [4, 0, 2].into(),
+                },
+                DratStep::Add {
+                    lits: vec![],
+                    hints: [5].into(),
+                },
+            ],
+        };
+        let text = hinted.to_text();
+        assert_eq!(text, "1 -2 0\n0\n");
+        let parsed = DratProof::from_text(&text).expect("plain DRAT");
+        let stripped: Vec<DratStep> = hinted
+            .steps
+            .iter()
+            .map(|step| DratStep::add(step.lits().to_vec()))
+            .collect();
+        assert_eq!(parsed.steps, stripped);
+    }
+
+    #[test]
     fn parser_skips_comments_and_rejects_malformed_lines() {
         let parsed = DratProof::from_text("c a comment\n\n  d 1 0 \n-3 0\n").expect("parses");
         assert_eq!(
             parsed.steps,
-            vec![DratStep::Delete(vec![lit(1)]), DratStep::Add(vec![lit(-3)])]
+            vec![DratStep::Delete(vec![lit(1)]), DratStep::add(vec![lit(-3)])]
         );
         assert!(DratProof::from_text("1 2\n").is_err()); // no terminator
         assert!(DratProof::from_text("1 0 2 0\n").is_err()); // trailing lits

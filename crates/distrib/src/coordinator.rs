@@ -1252,7 +1252,7 @@ mod tests {
         tampered.certificates[0] = CubeCertificate {
             cube_index: 0,
             proof: DratProof {
-                steps: vec![DratStep::Add(vec![])],
+                steps: vec![DratStep::add(vec![])],
             },
         };
         let mut coordinator = Coordinator::new(2, 4, &config);

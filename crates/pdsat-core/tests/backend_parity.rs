@@ -186,7 +186,11 @@ fn warm_backend_is_no_more_expensive_over_whole_families() {
 /// propagation order moved every count), from a loop of exactly that shape —
 /// a `Solver::from_cnf_with_config` per cube, its stats delta, verdict,
 /// model or `unsat_certificate`, and `conflict_counts` summed — whose output
-/// the untouched `FreshBackend` matched digest for digest.
+/// the untouched `FreshBackend` matched digest for digest. The digest alone
+/// was re-recorded from the same loop when certificates began carrying the
+/// antecedent hints of every learnt clause (the loop reproduced the old
+/// digest, `0x7527_26a7_1889_e0d3`, on the tree before that change); the
+/// costs did not move.
 struct FreshFixture {
     costs: [f64; 16],
     conflicts: [f64; 16],
@@ -201,7 +205,7 @@ const FRESH_FIXTURE: FreshFixture = FreshFixture {
     conflicts: [
         32.0, 8.0, 11.0, 4.0, 18.0, 36.0, 13.0, 12.0, 27.0, 15.0, 12.0, 18.0, 17.0, 19.0, 8.0, 10.0,
     ],
-    digest: 0x7527_26a7_1889_e0d3,
+    digest: 0xb04e_0079_f8a3_3c29,
 };
 
 fn fresh_fixture_family() -> (Cnf, Vec<Cube>) {

@@ -9,7 +9,9 @@
 //! ```text
 //! word 0   header: bit 0 = learnt, bit 1 = deleted, bits 2..32 = length
 //! word 1   LBD (glue) of the clause; forward pointer during GC (see below)
-//! word 2   activity as IEEE-754 f32 bits (learnt-clause deletion policy)
+//! word 2   learnt: activity as IEEE-754 f32 bits (learnt-clause deletion
+//!          policy); original: its id in the DRAT proof when proof logging
+//!          is on (see `proof.rs`), 0 otherwise
 //! word 3…  the literals, as Lit codes (2·var + sign)
 //! ```
 //!
@@ -182,6 +184,21 @@ impl ClauseDb {
     pub fn lit(&self, cref: ClauseRef, k: usize) -> Lit {
         debug_assert!(k < self.len_of(cref));
         Lit::from_code(self.data[cref.index() + HEADER_WORDS as usize + k] as usize)
+    }
+
+    /// The proof id [`set_proof_id`](Self::set_proof_id) gave an original
+    /// clause.
+    #[inline]
+    pub fn proof_id(&self, cref: ClauseRef) -> u32 {
+        debug_assert!(!self.is_learnt(cref));
+        self.data[cref.index() + 2]
+    }
+
+    /// Records an original clause's id in the DRAT proof, in the slot a
+    /// learnt clause keeps its activity in.
+    pub fn set_proof_id(&mut self, cref: ClauseRef, id: u32) {
+        debug_assert!(!self.is_learnt(cref));
+        self.data[cref.index() + 2] = id;
     }
 
     /// Swaps two literals of the clause in place.

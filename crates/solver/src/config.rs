@@ -69,7 +69,8 @@ pub struct SolverConfig {
     pub time_accounting: bool,
     /// Record a DRAT derivation of every clause the solver adds or removes
     /// (learnt clauses and learnt-DB reductions) into an in-memory
-    /// [`ProofLogger`](crate::ProofLogger) (default `false`). With the log
+    /// [`ProofLogger`](crate::ProofLogger) (default `false`), each learnt
+    /// clause with the ids of its antecedents as hints. With the log
     /// enabled, `Solver::unsat_certificate` emits a checkable certificate
     /// after every UNSAT answer — including assumption-scoped ones, which the
     /// checker verifies with the cube's literals seeded as root assignments.

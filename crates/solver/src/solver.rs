@@ -497,6 +497,20 @@ impl Solver {
     /// unit under the retained assignments, so the solver backtracks to the
     /// root level before attaching it.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
+        let kept = self.original.len();
+        let added = self.add_original(lits);
+        if let Some(p) = self.proof.as_mut() {
+            let id = p.original();
+            if let Some(&cref) = self.original.get(kept) {
+                self.db.set_proof_id(cref, id);
+            }
+        }
+        added
+    }
+
+    /// The body of [`add_clause`](Self::add_clause), which then gives the
+    /// clause its proof id.
+    fn add_original<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
         self.cancel_until(0);
         self.saved_assumptions.clear();
         if !self.ok {
@@ -686,15 +700,15 @@ impl Solver {
                     }
                     return SearchStatus::Unsat;
                 }
-                let (backtrack_level, lbd) = self.analyze(confl);
+                let (backtrack_level, lbd) = if self.proof.is_some() {
+                    self.analyze::<true>(confl)
+                } else {
+                    self.analyze::<false>(confl)
+                };
                 self.cancel_until(backtrack_level);
-                // First-UIP learnt clauses (minimization included) are RUP
-                // against the clause database at learning time.
-                if let Some(p) = self.proof.as_mut() {
-                    p.add(&self.learnt_buf);
-                }
-                if self.learnt_buf.len() == 1 {
+                let kept = if self.learnt_buf.len() == 1 {
                     self.unchecked_enqueue(self.learnt_buf[0], None);
+                    None
                 } else {
                     let asserting = self.learnt_buf[0];
                     let cref = self.db.add(&self.learnt_buf, true, lbd);
@@ -703,6 +717,12 @@ impl Solver {
                     self.attach_clause(cref);
                     self.bump_clause_activity(cref);
                     self.unchecked_enqueue(asserting, Some(cref));
+                    Some(cref)
+                };
+                // First-UIP learnt clauses (minimization included) are RUP
+                // against the clause database at learning time.
+                if let Some(p) = self.proof.as_mut() {
+                    p.lemma(&self.learnt_buf, kept, &self.db, &self.learnts);
                 }
                 self.decay_var_activity();
                 self.decay_clause_activity();
@@ -952,14 +972,20 @@ impl Solver {
     /// First-UIP conflict analysis. Leaves the learnt clause (asserting
     /// literal first) in `self.learnt_buf` and returns the backtrack level
     /// and the clause LBD. The buffer is reused across conflicts, so
-    /// conflict handling allocates nothing in steady state.
-    fn analyze(&mut self, confl: ClauseRef) -> (u32, u32) {
+    /// conflict handling allocates nothing in steady state. With `PROOF`
+    /// (proof logging on) it also queues the clause's antecedents in the
+    /// proof logger; without it, it is the same code as if that were not
+    /// there. Kept out of line: each instance has one call site, and
+    /// inlining both would put two copies of analysis into `search`, around
+    /// its conflict-free path.
+    #[inline(never)]
+    fn analyze<const PROOF: bool>(&mut self, conflict: ClauseRef) -> (u32, u32) {
         self.learnt_buf.clear();
         self.learnt_buf.push(Lit::positive(Var::new(0))); // slot 0 reserved
         let mut path_c: u32 = 0;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
-        let mut confl = confl;
+        let mut confl = conflict;
 
         loop {
             if self.db.is_learnt(confl) {
@@ -1005,6 +1031,11 @@ impl Solver {
             confl = self.vardata[lit_p.var().index()]
                 .reason
                 .expect("non-decision literal on the conflict side has a reason");
+            if PROOF {
+                if let Some(log) = self.proof.as_mut() {
+                    log.antecedents.push(confl);
+                }
+            }
         }
         self.learnt_buf[0] = !p.expect("analysis visited at least one literal");
 
@@ -1045,6 +1076,9 @@ impl Solver {
         }
         self.stats.learnt_literals += self.learnt_buf.len() as u64;
         self.stats.minimized_literals += (before - self.learnt_buf.len()) as u64;
+        if PROOF {
+            self.order_antecedents(conflict);
+        }
         for i in 0..self.toclear_buf.len() {
             let v = self.toclear_buf[i];
             self.seen[v.index()] = false;
@@ -1077,6 +1111,57 @@ impl Solver {
         let lbd = self.levels_buf.len() as u32;
 
         (backtrack_level, lbd)
+    }
+
+    /// Proof logging only: puts the antecedents of the clause `analyze` just
+    /// learnt from `conflict` in hint order (see the `proof` module). Runs
+    /// before `analyze` clears `seen`, while it marks exactly the lower-level
+    /// literals of the unminimized clause; it clears some of those marks and
+    /// sets no other.
+    fn order_antecedents(&mut self, conflict: ClauseRef) {
+        let mut log = self.proof.take().expect("proof logging is on");
+        // Queued as resolved, in reverse trail order.
+        let resolved = log.antecedents.len();
+        log.antecedents.reverse();
+        // Reasons of the literals minimization removed: unmark the kept ones,
+        // then walk depth-first from each removed literal, so that a reason is
+        // queued after those of the removed literals it mentions (they were
+        // assigned before it).
+        for l in &self.learnt_buf[1..] {
+            self.seen[l.var().index()] = false;
+        }
+        for i in 1..self.toclear_buf.len() {
+            let root = self.toclear_buf[i];
+            if !self.seen[root.index()] {
+                continue;
+            }
+            self.seen[root.index()] = false;
+            log.stack.push(root);
+            while let Some(&v) = log.stack.last() {
+                let reason = self.vardata[v.index()]
+                    .reason
+                    .expect("minimization removes implied literals only");
+                let removed = (0..self.db.len_of(reason))
+                    .map(|k| self.db.lit(reason, k).var())
+                    .find(|&u| u != v && self.seen[u.index()]);
+                match removed {
+                    Some(u) => {
+                        self.seen[u.index()] = false;
+                        log.stack.push(u);
+                    }
+                    None => {
+                        log.stack.pop();
+                        log.antecedents.push(reason);
+                    }
+                }
+            }
+        }
+        // Removed literals' reasons first, then the resolved ones, then the
+        // conflict clause.
+        let removed = log.antecedents.len() - resolved;
+        log.antecedents.rotate_right(removed);
+        log.antecedents.push(conflict);
+        self.proof = Some(log);
     }
 
     // ------------------------------------------------------------ backtracking
@@ -1314,6 +1399,9 @@ impl Solver {
             }
             self.db.mark_deleted(cref);
             self.stats.removed_clauses += 1;
+        }
+        if let Some(p) = self.proof.as_mut() {
+            p.retain_learnts(&self.learnts, &self.db);
         }
         self.learnts.retain(|&c| !self.db.is_deleted(c));
         self.max_learnts *= LEARNTSIZE_INC;
@@ -1853,11 +1941,11 @@ mod tests {
         assert_eq!(s.solve(), Verdict::Unsat);
         let cert = s.unsat_certificate().expect("root UNSAT must certify");
         assert!(!cert.is_empty());
-        assert_eq!(cert.steps.last(), Some(&DratStep::Add(Vec::new())));
+        assert_eq!(cert.steps.last(), Some(&DratStep::add(Vec::new())));
         assert!(
             cert.steps
                 .iter()
-                .any(|st| matches!(st, DratStep::Add(lits) if !lits.is_empty())),
+                .any(|st| matches!(st, DratStep::Add { lits, .. } if !lits.is_empty())),
             "conflict analysis must have logged learnt clauses"
         );
     }
@@ -1872,7 +1960,7 @@ mod tests {
         let cert = s
             .unsat_certificate()
             .expect("assumption UNSAT must certify");
-        assert_eq!(cert.steps.last(), Some(&DratStep::Add(Vec::new())));
+        assert_eq!(cert.steps.last(), Some(&DratStep::add(Vec::new())));
         // A later SAT answer withdraws the certificate; the shared stream
         // stays open (no empty clause was spliced into it).
         assert!(s.solve_with_assumptions(&[lit(2)]).is_sat());
@@ -1881,7 +1969,7 @@ mod tests {
             .proof_steps()
             .unwrap()
             .iter()
-            .all(|st| *st != DratStep::Add(Vec::new())));
+            .all(|st| *st != DratStep::add(Vec::new())));
     }
 
     #[test]
