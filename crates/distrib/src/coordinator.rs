@@ -15,15 +15,14 @@
 //! from its last checkpoint re-leases only the unfinished units and yields a
 //! final aggregate identical to an uninterrupted run.
 
+use crate::codec;
 use crate::lease::{LeaseTable, ResultDisposition};
 use crate::store::CheckpointError;
 use crate::transport::{ClientMsg, ServerMsg, Timed, Transport, WorkUnit, WorkUnitId};
 use pdsat_checker::{check_model, check_unsat_proof, CheckFailure};
-use pdsat_cnf::{Assignment, Cnf, Value, Var};
+use pdsat_cnf::Cnf;
 use pdsat_core::{DecompositionSet, SolveReport};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::time::Duration;
 
 /// Configuration of a coordinator run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,34 +105,11 @@ pub struct CoordinatorCheckpoint {
     pub completed: BTreeMap<WorkUnitId, SolveReport>,
 }
 
-/// First line of the checkpoint text.
-const CHECKPOINT_HEADER: &str = "pdsat-coordinator-checkpoint v1";
-
-/// Appends the IEEE-754 bits of `value` as 16 lower-case hex digits — the
-/// form every float of the checkpoint travels in.
-fn push_bits(out: &mut String, value: f64) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let bits = value.to_bits();
-    let hex: [u8; 16] = std::array::from_fn(|i| DIGITS[(bits >> (60 - 4 * i)) as usize & 0xF]);
-    out.push_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"));
-}
-
-fn decode_bits(field: &str, line: &str) -> Result<f64, CheckpointError> {
-    u64::from_str_radix(field, 16)
-        .map(f64::from_bits)
-        .map_err(|_| malformed(format!("bad value bits '{field}' in '{line}'")))
-}
-
-/// Shorthand for the parse-error variant of [`CheckpointError`].
-fn malformed(reason: String) -> CheckpointError {
-    CheckpointError::Malformed { reason }
-}
-
 /// The shape every report of a unit of `num_cubes` cubes has, whether it
 /// arrives as an upload or is restored from checkpoint text: it covers
 /// exactly the unit's slice, cube for cube, and what it counts and points at
 /// lies inside that slice.
-fn report_fits_unit(report: &SolveReport, set_size: usize, num_cubes: usize) -> bool {
+pub(crate) fn report_fits_unit(report: &SolveReport, set_size: usize, num_cubes: usize) -> bool {
     report.set_size == set_size
         && report.cubes_processed == num_cubes
         && report.per_cube_costs.len() == num_cubes
@@ -173,7 +149,7 @@ impl CoordinatorCheckpoint {
 
     /// Number of cubes in unit `index` (the last unit of a family may be
     /// short).
-    fn unit_cubes(&self, index: usize) -> usize {
+    pub(crate) fn unit_cubes(&self, index: usize) -> usize {
         self.work_unit_size
             .min(self.total_cubes - index * self.work_unit_size)
     }
@@ -191,78 +167,7 @@ impl CoordinatorCheckpoint {
     /// crash-safe on disk.
     #[must_use]
     pub fn to_text(&self) -> String {
-        const INFALLIBLE: &str = "formatting into a String cannot fail";
-        // One buffer, sized before the first byte is written: a unit line
-        // is its counters (13 numbers, under 160 bytes unless they are
-        // astronomically large), 17 bytes per cube cost and one per model
-        // variable.
-        let unit_bytes: usize = self
-            .completed
-            .values()
-            .map(|r| {
-                160 + 17 * r.per_cube_costs.len() + r.model.as_ref().map_or(0, Assignment::num_vars)
-            })
-            .sum();
-        let mut out = String::with_capacity(128 + unit_bytes);
-        out.push_str(CHECKPOINT_HEADER);
-        out.push('\n');
-        writeln!(
-            out,
-            "family set_size={} total_cubes={} work_unit_size={}",
-            self.set_size, self.total_cubes, self.work_unit_size
-        )
-        .expect(INFALLIBLE);
-        for (id, r) in &self.completed {
-            write!(out, "unit {} {} ", id, r.cubes_processed).expect(INFALLIBLE);
-            push_bits(&mut out, r.total_cost);
-            write!(
-                out,
-                " {} {} {} ",
-                r.sat_count,
-                r.unknown_count,
-                r.wall_time.as_nanos(),
-            )
-            .expect(INFALLIBLE);
-            for counter in r.counters.values() {
-                write!(out, "{counter} ").expect(INFALLIBLE);
-            }
-            match r.first_sat_index {
-                Some(index) => {
-                    write!(out, "{index}").expect(INFALLIBLE);
-                }
-                None => out.push('-'),
-            }
-            out.push(' ');
-            match r.cost_to_first_sat {
-                Some(cost) => push_bits(&mut out, cost),
-                None => out.push('-'),
-            }
-            out.push(' ');
-            match &r.model {
-                Some(model) => {
-                    out.extend((0..model.num_vars()).map(
-                        |i| match model.value(Var::new(i as u32)) {
-                            Value::True => '1',
-                            Value::False => '0',
-                            Value::Unassigned => 'x',
-                        },
-                    ))
-                }
-                None => out.push('-'),
-            }
-            out.push(' ');
-            if r.per_cube_costs.is_empty() {
-                out.push('-');
-            }
-            for (i, &cost) in r.per_cube_costs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_bits(&mut out, cost);
-            }
-            out.push('\n');
-        }
-        out
+        String::from_utf8(codec::write_text(self)).expect("the checkpoint writer writes ASCII")
     }
 
     /// Parses the text form produced by
@@ -275,140 +180,7 @@ impl CoordinatorCheckpoint {
     /// [`MAX_UNITS`](Self::MAX_UNITS) of them, or a unit report that does not
     /// have the shape of its slice of the family (the rule uploads pass).
     pub fn from_text(text: &str) -> Result<CoordinatorCheckpoint, CheckpointError> {
-        let mut lines = text.lines();
-        let header = lines
-            .next()
-            .ok_or_else(|| malformed("empty checkpoint".into()))?;
-        if header.trim() != CHECKPOINT_HEADER {
-            return Err(malformed(format!(
-                "unrecognized checkpoint header '{header}'"
-            )));
-        }
-        let family = lines
-            .next()
-            .ok_or_else(|| malformed("missing family line".into()))?;
-        let mut set_size = None;
-        let mut total_cubes = None;
-        let mut work_unit_size = None;
-        for field in family
-            .strip_prefix("family ")
-            .ok_or_else(|| malformed(format!("bad family line '{family}'")))?
-            .split_whitespace()
-        {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| malformed(format!("bad family field '{field}'")))?;
-            let parsed: usize = value
-                .parse()
-                .map_err(|_| malformed(format!("bad family value '{field}'")))?;
-            match key {
-                "set_size" => set_size = Some(parsed),
-                "total_cubes" => total_cubes = Some(parsed),
-                "work_unit_size" => work_unit_size = Some(parsed),
-                _ => return Err(malformed(format!("unknown family field '{field}'"))),
-            }
-        }
-        let (Some(set_size), Some(total_cubes), Some(work_unit_size)) =
-            (set_size, total_cubes, work_unit_size)
-        else {
-            return Err(malformed(format!("incomplete family line '{family}'")));
-        };
-        let mut checkpoint = CoordinatorCheckpoint::empty(set_size, total_cubes, work_unit_size);
-        if work_unit_size == 0 || checkpoint.num_units() > CoordinatorCheckpoint::MAX_UNITS {
-            return Err(malformed(format!(
-                "family line '{family}' shards into zero-cube units or into more than the \
-                 supported maximum of {} units",
-                CoordinatorCheckpoint::MAX_UNITS
-            )));
-        }
-        for line in lines {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rest = line
-                .strip_prefix("unit ")
-                .ok_or_else(|| malformed(format!("expected 'unit …', got '{line}'")))?;
-            let wrong_count = || malformed(format!("expected 17 unit fields in '{line}'"));
-            let mut fields = rest.split_whitespace();
-            let mut field = || fields.next().ok_or_else(wrong_count);
-            let parse_usize = |f: &str| -> Result<usize, CheckpointError> {
-                f.parse()
-                    .map_err(|_| malformed(format!("bad count '{f}' in '{line}'")))
-            };
-            let parse_u64 = |f: &str| -> Result<u64, CheckpointError> {
-                f.parse()
-                    .map_err(|_| malformed(format!("bad count '{f}' in '{line}'")))
-            };
-            let id: WorkUnitId = field()?
-                .parse()
-                .map_err(|_| malformed(format!("bad unit id in '{line}'")))?;
-            if (id as usize) >= checkpoint.num_units() {
-                return Err(malformed(format!(
-                    "unit id {id} outside the family in '{line}'"
-                )));
-            }
-            let mut report = SolveReport::empty(set_size);
-            report.cubes_processed = parse_usize(field()?)?;
-            report.total_cost = decode_bits(field()?, line)?;
-            report.sat_count = parse_usize(field()?)?;
-            report.unknown_count = parse_usize(field()?)?;
-            let nanos: u128 = field()?
-                .parse()
-                .map_err(|_| malformed(format!("bad wall time in '{line}'")))?;
-            report.wall_time = Duration::from_nanos(
-                u64::try_from(nanos)
-                    .map_err(|_| malformed(format!("wall time overflow in '{line}'")))?,
-            );
-            for counter in report.counters.values_mut() {
-                *counter = parse_u64(field()?)?;
-            }
-            report.first_sat_index = match field()? {
-                "-" => None,
-                index => Some(parse_usize(index)?),
-            };
-            report.cost_to_first_sat = match field()? {
-                "-" => None,
-                bits => Some(decode_bits(bits, line)?),
-            };
-            report.model = match field()? {
-                "-" => None,
-                values => {
-                    let mut model = Assignment::new(values.len());
-                    for (i, c) in values.chars().enumerate() {
-                        match c {
-                            '1' => model.assign(Var::new(i as u32), true),
-                            '0' => model.assign(Var::new(i as u32), false),
-                            'x' => {}
-                            _ => {
-                                return Err(malformed(format!(
-                                    "bad model character '{c}' in '{line}'"
-                                )))
-                            }
-                        }
-                    }
-                    Some(model)
-                }
-            };
-            report.per_cube_costs = match field()? {
-                "-" => Vec::new(),
-                costs => costs
-                    .split(',')
-                    .map(|bits| decode_bits(bits, line))
-                    .collect::<Result<_, _>>()?,
-            };
-            if fields.next().is_some() {
-                return Err(wrong_count());
-            }
-            if !report_fits_unit(&report, set_size, checkpoint.unit_cubes(id as usize)) {
-                return Err(malformed(format!(
-                    "report does not have the shape of unit {id} in '{line}'"
-                )));
-            }
-            if checkpoint.completed.insert(id, report).is_some() {
-                return Err(malformed(format!("unit {id} listed twice")));
-            }
-        }
-        Ok(checkpoint)
+        codec::read_text(text.as_bytes())
     }
 }
 
@@ -700,9 +472,12 @@ pub fn validate_unit_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CHECKPOINT_HEADER;
     use crate::transport::{synthetic_family_solver, ClientId, LoopbackConfig, LoopbackTransport};
     use crate::ClientBehavior;
+    use pdsat_cnf::{Assignment, Var};
     use pdsat_core::FamilyCounters;
+    use std::time::Duration;
 
     fn costs(n: usize) -> Vec<f64> {
         (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.75).collect()

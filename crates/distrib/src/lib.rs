@@ -39,6 +39,7 @@
 
 mod client;
 mod cluster;
+mod codec;
 mod coordinator;
 mod lease;
 mod store;

@@ -12,20 +12,24 @@
 //! * **Per-line CRC + trailer** — each payload line carries a CRC-32 prefix
 //!   and the file ends with an `end generation=… lines=… crc=…` trailer, so
 //!   truncation and bit-flips (torn sectors, cosmic rays, eager sync tools)
-//!   are *detected* rather than parsed into a bogus checkpoint.
+//!   are *detected* rather than parsed into a bogus checkpoint. The bytes
+//!   of that framing are written and read by the checkpoint codec
+//!   (`codec.rs`), which folds every payload byte into its line's CRC and
+//!   the payload's in the one pass that writes or reads the line.
 //! * **Double buffering** — the previous good file survives as `<path>.prev`;
 //!   [`CheckpointStore::load`] picks the newest generation that verifies, so
-//!   a corrupt latest file falls back to the last good one instead of
-//!   restarting the whole family from scratch.
+//!   a corrupt latest file — bytes that are not even UTF-8 included — falls
+//!   back to the last good one instead of restarting the whole family from
+//!   scratch.
 //!
 //! The store injects no faults of its own. Its tests produce a torn or
 //! bit-flipped file the way a crash would leave one, by damaging the bytes
 //! on disk between a save and a load.
 
+use crate::codec;
 use crate::coordinator::CoordinatorCheckpoint;
 use std::cmp::Reverse;
 use std::fmt;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -130,45 +134,70 @@ const CRC_TABLES: [[u32; 256]; 8] = {
 
 /// State of a CRC-32 before its first byte (and the mask of its final
 /// inversion).
-const CRC_INIT: u32 = 0xFFFF_FFFF;
+pub(crate) const CRC_INIT: u32 = 0xFFFF_FFFF;
 
-/// Folds `data` into a running CRC-32 state, so the framing can checksum a
-/// payload piece by piece as it walks it; `!state` is the CRC of everything
-/// folded since [`CRC_INIT`].
-fn crc32_fold(mut crc: u32, data: &[u8]) -> u32 {
+/// Advances a running CRC-32 state over one eight-byte word with eight
+/// independent lookups.
+#[inline]
+fn fold_word(crc: u32, word: &[u8]) -> u32 {
+    let low = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+    CRC_TABLES[7][(low & 0xFF) as usize]
+        ^ CRC_TABLES[6][(low >> 8 & 0xFF) as usize]
+        ^ CRC_TABLES[5][(low >> 16 & 0xFF) as usize]
+        ^ CRC_TABLES[4][(low >> 24) as usize]
+        ^ CRC_TABLES[3][usize::from(word[4])]
+        ^ CRC_TABLES[2][usize::from(word[5])]
+        ^ CRC_TABLES[1][usize::from(word[6])]
+        ^ CRC_TABLES[0][usize::from(word[7])]
+}
+
+/// Advances a running CRC-32 state over one byte.
+#[inline]
+fn fold_byte(crc: u32, byte: u8) -> u32 {
+    CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8)
+}
+
+/// Folds `data` into a running CRC-32 state; `!state` is the CRC of
+/// everything folded since [`CRC_INIT`].
+pub(crate) fn crc32_fold(crc: u32, data: &[u8]) -> u32 {
+    let mut words = data.chunks_exact(8);
+    let crc = (&mut words).fold(crc, fold_word);
+    words
+        .remainder()
+        .iter()
+        .fold(crc, |crc, &byte| fold_byte(crc, byte))
+}
+
+/// Folds the same `data` into two running CRC-32 states at once: the framing
+/// folds each line into the line's own CRC and into the running payload CRC
+/// this way. The two chains are independent, so their lookups overlap and
+/// the pair costs little more than one chain.
+pub(crate) fn crc32_fold2(mut first: u32, mut second: u32, data: &[u8]) -> (u32, u32) {
     let mut words = data.chunks_exact(8);
     for word in &mut words {
-        let low = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
-        crc = CRC_TABLES[7][(low & 0xFF) as usize]
-            ^ CRC_TABLES[6][(low >> 8 & 0xFF) as usize]
-            ^ CRC_TABLES[5][(low >> 16 & 0xFF) as usize]
-            ^ CRC_TABLES[4][(low >> 24) as usize]
-            ^ CRC_TABLES[3][usize::from(word[4])]
-            ^ CRC_TABLES[2][usize::from(word[5])]
-            ^ CRC_TABLES[1][usize::from(word[6])]
-            ^ CRC_TABLES[0][usize::from(word[7])];
+        first = fold_word(first, word);
+        second = fold_word(second, word);
     }
-    words.remainder().iter().fold(crc, |crc, &byte| {
-        CRC_TABLES[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8)
-    })
+    for &byte in words.remainder() {
+        first = fold_byte(first, byte);
+        second = fold_byte(second, byte);
+    }
+    (first, second)
 }
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) over `data`.
 ///
-/// Table-driven: every save and every load checksums each payload byte
-/// twice (its line, and the whole payload), and the shift-per-bit form this
-/// replaced was most of the time of both. The workspace vendors no checksum
-/// crate; the tables are compared with the bitwise definition, at every
-/// short length and offset, in `tests/checkpoint_byte_identity.rs`. Matches
-/// zlib's `crc32()` for cross-checking.
+/// Table-driven: the store framing checksums every payload byte into two
+/// CRCs (its line's and the whole payload's), both folded in the one pass
+/// that writes or reads the line, and the shift-per-bit form this replaced
+/// was most of the time of a save and of a load. The workspace vendors no
+/// checksum crate; the tables are compared with the bitwise definition, at
+/// every short length and offset, in `tests/checkpoint_byte_identity.rs`.
+/// Matches zlib's `crc32()` for cross-checking.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     !crc32_fold(CRC_INIT, data)
 }
-
-/// File-format header for the store framing (distinct from the inner
-/// checkpoint codec's own header, which travels as payload line 1).
-const STORE_HEADER: &str = "pdsat-checkpoint-store v1";
 
 /// Durable writer/reader for [`CoordinatorCheckpoint`]s with generations,
 /// CRC framing, and a double-buffered fallback file.
@@ -226,8 +255,8 @@ impl CheckpointStore {
     /// [`CheckpointError::Io`] if the filesystem refuses.
     pub fn save(&mut self, checkpoint: &CoordinatorCheckpoint) -> Result<u64, CheckpointError> {
         let generation = self.generation;
-        let encoded = encode_store(&checkpoint.to_text(), generation);
-        write_synced(&self.tmp_path(), encoded.as_bytes())?;
+        let encoded = codec::write_store(checkpoint, generation);
+        write_synced(&self.tmp_path(), &encoded)?;
         rotate(&self.path, &self.prev_path())?;
         fs::rename(self.tmp_path(), &self.path).map_err(|e| CheckpointError::Io {
             path: self.path.display().to_string(),
@@ -241,12 +270,14 @@ impl CheckpointStore {
     /// Recovers the newest checkpoint generation that verifies, from the
     /// live file or `<path>.prev`.
     ///
-    /// Both files are read, then verified in descending order of the
-    /// generation their trailers declare (the live file first on a tie),
-    /// and the first that verifies is returned. A verified file's generation
-    /// is the one its trailer declares, so this is the newest generation
-    /// that verifies — and a stale `.prev` is never decoded while the live
-    /// file verifies.
+    /// Both files are read as bytes and each trailer is read once; the
+    /// files are then verified in descending order of the generation their
+    /// trailers declare (the live file first on a tie), and the first that
+    /// verifies is returned. A verified file's generation is the one its
+    /// trailer declares, so this is the newest generation that verifies —
+    /// and a stale `.prev` is never decoded while the live file verifies. A
+    /// file that is not UTF-8 is one that does not verify, not an I/O
+    /// error.
     ///
     /// Returns `Ok(None)` when neither file exists (fresh start). On
     /// success the store's next save generation is set past the recovered
@@ -260,8 +291,8 @@ impl CheckpointStore {
     pub fn load(&mut self) -> Result<Option<CoordinatorCheckpoint>, CheckpointError> {
         let mut files = Vec::with_capacity(2);
         for path in [self.path.clone(), self.prev_path()] {
-            match fs::read_to_string(&path) {
-                Ok(text) => files.push((path, text)),
+            match fs::read(&path) {
+                Ok(bytes) => files.push((codec::declared_generation(&bytes), path, bytes)),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) => {
                     return Err(CheckpointError::Io {
@@ -275,14 +306,12 @@ impl CheckpointStore {
             return Ok(None);
         }
         // Stable: the live file stays ahead of `.prev` on equal generations.
-        files.sort_by_key(|(_, text)| Reverse(declared_generation(text)));
+        files.sort_by_key(|&(declared, ..)| Reverse(declared));
 
         let mut failures = Vec::new();
-        for (path, text) in &files {
-            match decode_store(text).and_then(|(payload, generation)| {
-                CoordinatorCheckpoint::from_text(&payload).map(|cp| (generation, cp))
-            }) {
-                Ok((generation, checkpoint)) => {
+        for (_, path, bytes) in &files {
+            match codec::read_store(bytes) {
+                Ok((checkpoint, generation)) => {
                     self.generation = generation + 1;
                     return Ok(Some(checkpoint));
                 }
@@ -302,165 +331,6 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
         .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
     name.push_str(suffix);
     path.with_file_name(name)
-}
-
-/// Frames `payload` (the inner checkpoint text) with the store header,
-/// per-line CRCs, and the generation trailer, in one walk over the payload:
-/// the whole-payload CRC is folded line by line beside the per-line ones.
-fn encode_store(payload: &str, generation: u64) -> String {
-    const INFALLIBLE: &str = "formatting into a String cannot fail";
-    // Nine bytes of CRC prefix per line; checkpoint unit lines are far
-    // longer than the 72 bytes this allows for, and a shorter-lined payload
-    // only costs the buffer a regrowth.
-    let mut out = String::with_capacity(payload.len() + payload.len() / 8 + 128);
-    out.push_str(STORE_HEADER);
-    out.push('\n');
-    let mut lines = 0usize;
-    let mut payload_crc = CRC_INIT;
-    for raw in payload.split_inclusive('\n') {
-        // What `str::lines` yields for this piece: no terminator.
-        let line = raw
-            .strip_suffix('\n')
-            .map_or(raw, |line| line.strip_suffix('\r').unwrap_or(line));
-        payload_crc = crc32_fold(payload_crc, raw.as_bytes());
-        writeln!(out, "{:08x} {line}", crc32(line.as_bytes())).expect(INFALLIBLE);
-        lines += 1;
-    }
-    writeln!(
-        out,
-        "end generation={generation} lines={lines} crc={:08x}",
-        !payload_crc
-    )
-    .expect(INFALLIBLE);
-    out
-}
-
-/// Verifies framing and CRCs, returning the inner payload text and the
-/// generation number from the trailer.
-fn decode_store(text: &str) -> Result<(String, u64), CheckpointError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or(CheckpointError::BadTrailer {
-        reason: "empty file".into(),
-    })?;
-    if header.trim() != STORE_HEADER {
-        return Err(CheckpointError::Malformed {
-            reason: format!("unrecognized store header '{header}'"),
-        });
-    }
-
-    let mut payload = String::with_capacity(text.len());
-    let mut payload_lines = 0usize;
-    let mut payload_crc = CRC_INIT;
-    let mut trailer: Option<&str> = None;
-    for (index, line) in lines {
-        if let Some(rest) = line.strip_prefix("end ") {
-            trailer = Some(rest);
-            break;
-        }
-        let (crc_field, body) = line.split_once(' ').ok_or(CheckpointError::LineCorrupt {
-            line_number: index + 1,
-        })?;
-        let stored =
-            u32::from_str_radix(crc_field, 16).map_err(|_| CheckpointError::LineCorrupt {
-                line_number: index + 1,
-            })?;
-        if stored != crc32(body.as_bytes()) {
-            return Err(CheckpointError::LineCorrupt {
-                line_number: index + 1,
-            });
-        }
-        let start = payload.len();
-        payload.push_str(body);
-        payload.push('\n');
-        payload_crc = crc32_fold(payload_crc, &payload.as_bytes()[start..]);
-        payload_lines += 1;
-    }
-
-    let trailer = trailer.ok_or(CheckpointError::BadTrailer {
-        reason: "missing 'end …' trailer".into(),
-    })?;
-    let (generation, declared_lines, declared_crc) = parse_trailer(trailer)?;
-    if declared_lines != payload_lines {
-        return Err(CheckpointError::BadTrailer {
-            reason: format!("trailer declares {declared_lines} lines, found {payload_lines}"),
-        });
-    }
-    if declared_crc != !payload_crc {
-        return Err(CheckpointError::BadTrailer {
-            reason: "payload CRC mismatch".into(),
-        });
-    }
-    Ok((payload, generation))
-}
-
-/// The generation a store file's trailer declares, found and parsed as
-/// [`decode_store`] does but with nothing verified: whenever `decode_store`
-/// accepts `text`, it returns this generation.
-fn declared_generation(text: &str) -> Option<u64> {
-    let trailer = text
-        .lines()
-        .skip(1)
-        .find_map(|line| line.strip_prefix("end "))?;
-    parse_trailer(trailer)
-        .ok()
-        .map(|(generation, _, _)| generation)
-}
-
-/// Parses the fields of an `end generation=… lines=… crc=…` trailer (the
-/// text after `end `): generation, payload line count, payload CRC.
-fn parse_trailer(trailer: &str) -> Result<(u64, usize, u32), CheckpointError> {
-    let mut generation = None;
-    let mut declared_lines = None;
-    let mut declared_crc = None;
-    for field in trailer.split_whitespace() {
-        let (key, value) = field
-            .split_once('=')
-            .ok_or_else(|| CheckpointError::BadTrailer {
-                reason: format!("bad trailer field '{field}'"),
-            })?;
-        match key {
-            "generation" => {
-                generation =
-                    Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| CheckpointError::BadTrailer {
-                                reason: format!("bad generation '{value}'"),
-                            })?,
-                    );
-            }
-            "lines" => {
-                declared_lines =
-                    Some(
-                        value
-                            .parse::<usize>()
-                            .map_err(|_| CheckpointError::BadTrailer {
-                                reason: format!("bad line count '{value}'"),
-                            })?,
-                    );
-            }
-            "crc" => {
-                declared_crc = Some(u32::from_str_radix(value, 16).map_err(|_| {
-                    CheckpointError::BadTrailer {
-                        reason: format!("bad payload crc '{value}'"),
-                    }
-                })?);
-            }
-            _ => {
-                return Err(CheckpointError::BadTrailer {
-                    reason: format!("unknown trailer field '{field}'"),
-                })
-            }
-        }
-    }
-    let (Some(generation), Some(declared_lines), Some(declared_crc)) =
-        (generation, declared_lines, declared_crc)
-    else {
-        return Err(CheckpointError::BadTrailer {
-            reason: format!("incomplete trailer 'end {trailer}'"),
-        });
-    };
-    Ok((generation, declared_lines, declared_crc))
 }
 
 /// Writes `bytes` to `path` and fsyncs it before close.
@@ -511,24 +381,44 @@ mod tests {
         assert_ne!(crc32(b"pdsat"), crc32(b"pdsbt"));
     }
 
+    /// A checkpoint whose text is its header and family line.
+    fn family_only() -> CoordinatorCheckpoint {
+        CoordinatorCheckpoint::empty(3, 8, 4)
+    }
+
+    /// The store file of `checkpoint` at `generation`, as text.
+    fn framed_text(checkpoint: &CoordinatorCheckpoint, generation: u64) -> String {
+        String::from_utf8(codec::write_store(checkpoint, generation)).expect("framing writes ASCII")
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let payload =
-            "pdsat-coordinator-checkpoint v1\nfamily set_size=3 total_cubes=8 work_unit_size=4\n";
-        let framed = encode_store(payload, 7);
-        let (decoded, generation) = decode_store(&framed).expect("framed text decodes");
-        assert_eq!(decoded, payload);
+        let framed = codec::write_store(&family_only(), 7);
+        let (decoded, generation) = codec::read_store(&framed).expect("framed text decodes");
+        assert_eq!(decoded, family_only());
         assert_eq!(generation, 7);
     }
 
-    /// The trailer CRC is folded piece by piece while framing; it must be
-    /// the CRC of the payload's bytes whatever its line ends look like, and
-    /// the framed lines those `str::lines` yields.
+    /// The trailer CRC is folded line by line while framing; it must be the
+    /// CRC of the payload's bytes, and each line's prefix the CRC of that
+    /// line. A file whose lines end in `\r\n` (a CRLF checkout) reads back
+    /// as the original: each line is checked without its `\r`, the payload
+    /// with `\n` line ends.
     #[test]
     fn framing_checksums_the_payload_bytes_however_its_lines_end() {
-        for payload in ["", "a", "a\nb", "a\r\nb\r\n", "\n\n", "a\rb\n"] {
-            let framed = encode_store(payload, 1);
-            let mut expected = format!("{STORE_HEADER}\n");
+        let with_units = CoordinatorCheckpoint::from_text(
+            "pdsat-coordinator-checkpoint v1\n\
+             family set_size=2 total_cubes=6 work_unit_size=2\n\
+             unit 0 2 4014000000000000 0 0 1500 3 7 11 12 13 14 15 - - - \
+             4008000000000000,4000000000000000\n\
+             unit 2 2 4014000000000000 1 0 9 0 0 0 0 0 0 0 1 4014000000000000 10x1 \
+             4008000000000000,4000000000000000\n",
+        )
+        .expect("a valid checkpoint");
+        for checkpoint in [family_only(), with_units] {
+            let payload = checkpoint.to_text();
+            let framed = framed_text(&checkpoint, 1);
+            let mut expected = "pdsat-checkpoint-store v1\n".to_string();
             for line in payload.lines() {
                 expected.push_str(&format!("{:08x} {line}\n", crc32(line.as_bytes())));
             }
@@ -538,6 +428,8 @@ mod tests {
                 crc32(payload.as_bytes())
             ));
             assert_eq!(framed, expected, "{payload:?}");
+            let crlf = framed.replace('\n', "\r\n");
+            assert_eq!(codec::read_store(crlf.as_bytes()), Ok((checkpoint, 1)));
         }
     }
 
@@ -595,10 +487,7 @@ mod tests {
     }
 
     fn framed(total_cubes: usize, generation: u64) -> String {
-        encode_store(
-            &CoordinatorCheckpoint::empty(2, total_cubes, 2).to_text(),
-            generation,
-        )
+        framed_text(&CoordinatorCheckpoint::empty(2, total_cubes, 2), generation)
     }
 
     #[test]
@@ -631,13 +520,10 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let payload =
-            "pdsat-coordinator-checkpoint v1\nfamily set_size=3 total_cubes=8 work_unit_size=4\n";
-        let framed = encode_store(payload, 3);
+        let framed = codec::write_store(&family_only(), 3);
         for cut in [1, framed.len() / 2, framed.len() - 2] {
-            let torn = &framed[..cut];
             assert!(
-                decode_store(torn).is_err(),
+                codec::read_store(&framed[..cut]).is_err(),
                 "truncation at byte {cut} must not decode"
             );
         }
@@ -645,30 +531,26 @@ mod tests {
 
     #[test]
     fn bit_flip_is_detected() {
-        let payload =
-            "pdsat-coordinator-checkpoint v1\nfamily set_size=3 total_cubes=8 work_unit_size=4\n";
-        let framed = encode_store(payload, 3);
+        let framed = framed_text(&family_only(), 3);
         // Flip one character inside a payload body (after the first CRC
         // prefix): find the family line and corrupt a digit.
         let corrupted = framed.replace("set_size=3", "set_size=9");
         assert_ne!(corrupted, framed);
         assert!(matches!(
-            decode_store(&corrupted),
-            Err(CheckpointError::LineCorrupt { .. })
+            codec::read_store(corrupted.as_bytes()),
+            Err(CheckpointError::LineCorrupt { line_number: 3 })
         ));
     }
 
     #[test]
     fn trailer_line_count_mismatch_is_detected() {
-        let payload =
-            "pdsat-coordinator-checkpoint v1\nfamily set_size=3 total_cubes=8 work_unit_size=4\n";
-        let framed = encode_store(payload, 3);
+        let framed = framed_text(&family_only(), 3);
         // Drop the second payload line but keep the trailer intact.
         let mut lines: Vec<&str> = framed.lines().collect();
         lines.remove(2);
         let shortened = lines.join("\n");
         assert!(matches!(
-            decode_store(&shortened),
+            codec::read_store(shortened.as_bytes()),
             Err(CheckpointError::BadTrailer { .. })
         ));
     }

@@ -364,6 +364,7 @@ mod store_recovery {
             kill_after in 1u64..2_000,
             corruption in 0usize..3, // 0 truncate, 1 bit-flip, 2 swapped (stale) generations
             site in 0.0f64..1.0,
+            bit in 0u32..8,
         ) {
             let costs = family(num_cubes, seed);
             let config = CoordinatorConfig {
@@ -385,7 +386,9 @@ mod store_recovery {
             cleanup(&path);
             let mut store = CheckpointStore::new(&path);
             store.save(coordinator.checkpoint()).expect("save gen 0");
-            let _ = coordinator.run(&mut transport, Some(kill_after));
+            // The budget counts every event of this coordinator: the second
+            // segment runs as long again, so gen 1 usually holds more units.
+            let _ = coordinator.run(&mut transport, Some(2 * kill_after));
             let gen1_text = coordinator.checkpoint().to_text();
             store.save(coordinator.checkpoint()).expect("save gen 1");
 
@@ -400,20 +403,22 @@ mod store_recovery {
                     if cut >= live.len() - 1 { &gen1_text } else { &gen0_text }
                 }
                 1 => {
-                    // Flip one bit of one byte: CRC framing must catch it
-                    // wherever it lands.
+                    // Flip one bit of one byte, any of the eight, so the
+                    // file may no longer be UTF-8: CRC framing must catch
+                    // it wherever it changes what the file means.
                     let mut bytes = live.clone();
                     let at = ((site * bytes.len() as f64) as usize).min(bytes.len() - 1);
-                    bytes[at] ^= 0x01;
+                    bytes[at] ^= 1 << bit;
                     std::fs::write(&path, &bytes).expect("flip");
-                    &gen0_text
+                    if flip_keeps_meaning(&live, at, bit) { &gen1_text } else { &gen0_text }
                 }
                 _ => {
-                    // Stale generation: the older file lands on the live
-                    // path (both verify); load must pick the *newest*
-                    // generation, which now sits in `.prev`.
+                    // Stale generation: the two files swap places, so the
+                    // older one sits on the live path (both verify); load
+                    // must pick the *newest* generation, now in `.prev`.
                     let prev = std::fs::read(prev_of(&path)).expect("prev exists");
                     std::fs::write(&path, &prev).expect("stale overwrite");
+                    std::fs::write(prev_of(&path), &live).expect("newest to prev");
                     &gen1_text
                 }
             };
@@ -429,6 +434,111 @@ mod store_recovery {
             prop_assert!(recovered_store.generation() >= 1);
             cleanup(&path);
         }
+    }
+
+    /// Whether flipping bit `bit` of byte `at` of a store file leaves it
+    /// meaning what it meant. Every payload byte is under a CRC, so only
+    /// three flips do:
+    /// * the case of a hex letter in a CRC field — `from_str_radix` reads
+    ///   both cases;
+    /// * a digit of the trailer's generation turned into another digit —
+    ///   the trailer is under no CRC, and the generation only orders the
+    ///   two files, in which the live one still comes first;
+    /// * the file's last newline turned into a vertical tab, which ends the
+    ///   trailer's last field just as well.
+    fn flip_keeps_meaning(file: &[u8], at: usize, bit: u32) -> bool {
+        let flipped = file[at] ^ 1 << bit;
+        let case_swap = bit == 5 && file[at].is_ascii_alphabetic();
+        let line_start = file[..at]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |newline| newline + 1);
+        let line = &file[line_start..];
+        let column = at - line_start;
+        if !line.starts_with(b"end ") {
+            // A payload line's CRC field; the header has none.
+            return line_start > 0 && column < 8 && case_swap;
+        }
+        let value_of = |key: &[u8]| {
+            let start = line
+                .windows(key.len())
+                .position(|w| w == key)
+                .expect("the trailer has the field")
+                + key.len();
+            let len = line[start..]
+                .iter()
+                .take_while(|b| b.is_ascii_hexdigit())
+                .count();
+            start..start + len
+        };
+        (at == file.len() - 1 && char::from(flipped).is_whitespace())
+            || (value_of(b"crc=").contains(&column) && case_swap)
+            || (value_of(b"generation=").contains(&column) && flipped.is_ascii_digit())
+    }
+
+    /// Saves two generations of one run to the store at `path` — the older
+    /// rotates to `.prev` — and returns their texts.
+    fn save_two_generations(path: &Path) -> (String, String) {
+        let config = CoordinatorConfig {
+            work_unit_size: 4,
+            redundancy: 1,
+            lease_timeout: 20_000.0,
+        };
+        let mut coordinator = Coordinator::new(4, 40, &config);
+        let mut transport = LoopbackTransport::new(
+            chaotic(11, 6),
+            synthetic_family_solver(4, family(40, 11), Some(13)),
+        );
+        let mut store = CheckpointStore::new(path);
+        let _ = coordinator.run(&mut transport, Some(10));
+        store.save(coordinator.checkpoint()).expect("save gen 0");
+        let gen0_text = coordinator.checkpoint().to_text();
+        let _ = coordinator.run(&mut transport, Some(EVENT_CEILING));
+        store.save(coordinator.checkpoint()).expect("save gen 1");
+        let gen1_text = coordinator.checkpoint().to_text();
+        assert_ne!(gen0_text, gen1_text, "the run progressed between saves");
+        (gen0_text, gen1_text)
+    }
+
+    /// Sets the high bit of byte 81 of `file`, inside the family line's
+    /// body: the file is no longer UTF-8.
+    fn break_utf8(file: &Path) {
+        let mut bytes = std::fs::read(file).expect("file exists");
+        bytes[81] ^= 0x80;
+        assert!(std::str::from_utf8(&bytes).is_err());
+        std::fs::write(file, &bytes).expect("flip");
+    }
+
+    #[test]
+    fn a_live_file_that_is_not_utf8_falls_back_to_the_previous_generation() {
+        let path = scratch_path();
+        cleanup(&path);
+        let (gen0_text, _) = save_two_generations(&path);
+        break_utf8(&path);
+        let mut store = CheckpointStore::new(&path);
+        let recovered = store
+            .load()
+            .expect("the previous generation verifies")
+            .expect("two generations were saved");
+        assert_eq!(recovered.to_text(), gen0_text);
+        assert_eq!(store.generation(), 1);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn a_corrupt_prev_beside_a_good_live_file_loads_the_live_one() {
+        let path = scratch_path();
+        cleanup(&path);
+        let (_, gen1_text) = save_two_generations(&path);
+        break_utf8(&prev_of(&path));
+        let mut store = CheckpointStore::new(&path);
+        let recovered = store
+            .load()
+            .expect("the live generation verifies")
+            .expect("two generations were saved");
+        assert_eq!(recovered.to_text(), gen1_text);
+        assert_eq!(store.generation(), 2);
+        cleanup(&path);
     }
 
     /// Truncates the live file at `path` to its first `cut` bytes, as a

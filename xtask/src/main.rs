@@ -1,6 +1,6 @@
 //! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`.
 //!
-//! Eight checks, all over the source tree as text (no compiler plumbing):
+//! Nine checks, all over the source tree as text (no compiler plumbing):
 //!
 //! 1. **unsafe-free**: every crate root (`lib.rs` / `main.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.
@@ -45,6 +45,14 @@
 //!    grid's one fault model is its simulated client population
 //!    (`ClientBehavior`), and the store's faults are bytes on disk that its
 //!    tests damage directly; the injected plan is the pool's alone.
+//! 9. **the checkpoint reader cannot panic**: the non-test code of
+//!    `crates/distrib/src/codec.rs`, which reads checkpoint text and store
+//!    files off disk, calls no `unwrap` / `expect`, invokes no `panic!`,
+//!    `unreachable!`, `todo!` or `unimplemented!`, and casts nothing with
+//!    `as` — numbers convert with `From` / `TryFrom`, so a model longer than
+//!    `u32::MAX` variables is an error rather than a truncated index.
+//!    Comments and the insides of string and character literals are not
+//!    code and are not searched.
 
 #![forbid(unsafe_code)]
 
@@ -84,6 +92,7 @@ fn lint() -> ExitCode {
     check_batches_borrow(&root, &mut errors);
     check_checker_stands_alone(&root, &mut errors);
     check_grid_faults_come_from_clients(&root, &mut errors);
+    check_checkpoint_reader_cannot_panic(&root, &mut errors);
 
     if errors.is_empty() {
         println!("xtask lint: ok");
@@ -459,6 +468,108 @@ fn check_grid_faults_come_from_clients(root: &Path, errors: &mut Vec<String>) {
     }
 }
 
+fn check_checkpoint_reader_cannot_panic(root: &Path, errors: &mut Vec<String>) {
+    let path = root.join("crates/distrib/src/codec.rs");
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) => {
+            errors.push(format!("{}: unreadable: {e}", path.display()));
+            return;
+        }
+    };
+    let until = text
+        .lines()
+        .position(|line| line.trim() == "#[cfg(test)]")
+        .unwrap_or(usize::MAX);
+    let code = code_only(&text);
+    for (i, line) in code.lines().enumerate().take(until) {
+        for word in panicking_words(line) {
+            errors.push(format!(
+                "{}:{}: `{word}`: the checkpoint reader reads bytes from disk and must not \
+                 panic or truncate; return a `CheckpointError` and convert with `From` / \
+                 `TryFrom`",
+                rel(root, &path),
+                i + 1
+            ));
+        }
+    }
+}
+
+/// The words of one line of code that can panic or truncate: calls of
+/// `unwrap` / `expect`, the macros `panic!`, `unreachable!`, `todo!` and
+/// `unimplemented!`, and the `as` keyword. Whole identifiers only, so
+/// `unwrap_or` and `expected` pass.
+fn panicking_words(line: &str) -> Vec<&'static str> {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut found = Vec::new();
+    let mut rest = line;
+    while let Some(start) = rest.find(is_ident) {
+        let tail = &rest[start..];
+        let len = tail.find(|c: char| !is_ident(c)).unwrap_or(tail.len());
+        let (word, after) = tail.split_at(len);
+        let bang = after.starts_with('!');
+        let banned = match word {
+            "unwrap" => Some("unwrap"),
+            "expect" => Some("expect"),
+            "as" => Some("as"),
+            "panic" if bang => Some("panic!"),
+            "unreachable" if bang => Some("unreachable!"),
+            "todo" if bang => Some("todo!"),
+            "unimplemented" if bang => Some("unimplemented!"),
+            _ => None,
+        };
+        found.extend(banned);
+        rest = after;
+    }
+    found
+}
+
+/// `source` with its comments and the insides of its string and character
+/// literals blanked out (newlines kept, so lines keep their numbers). Raw
+/// strings are not recognised.
+fn code_only(source: &str) -> String {
+    let chars: Vec<char> = source.chars().collect();
+    let mut code = String::with_capacity(source.len());
+    let mut i = 0;
+    while let Some(&c) = chars.get(i) {
+        let next = chars.get(i + 1).copied();
+        // Just past the first `end` at or after `from`.
+        let find = |from: usize, end: &[char]| {
+            (from..chars.len())
+                .find(|&j| chars[j..].starts_with(end))
+                .map_or(chars.len(), |j| j + end.len())
+        };
+        let end = match (c, next) {
+            ('/', Some('/')) => (i..chars.len())
+                .find(|&j| chars[j] == '\n')
+                .unwrap_or(chars.len()),
+            ('/', Some('*')) => find(i + 2, &['*', '/']),
+            ('"', _) => {
+                let mut j = i + 1;
+                while j < chars.len() && chars[j] != '"' {
+                    j += if chars[j] == '\\' { 2 } else { 1 };
+                }
+                j + 1
+            }
+            ('\'', Some('\\')) => find(i + 3, &['\'']),
+            ('\'', _) if chars.get(i + 2) == Some(&'\'') => i + 3,
+            _ => {
+                code.push(c);
+                i += 1;
+                continue;
+            }
+        };
+        let end = end.min(chars.len());
+        code.extend(
+            chars[i..end]
+                .iter()
+                .map(|&c| if c == '\n' { '\n' } else { ' ' }),
+        );
+        i = end;
+    }
+    code
+}
+
 /// The crates a manifest's dependency tables name: `[dependencies]`,
 /// `[target.….dependencies]` and dotted `[dependencies.name]` headers, but
 /// not dev- or build-dependencies.
@@ -598,6 +709,59 @@ mod tests {
         assert!(errors[2].contains("recv_timeout"), "{}", errors[2]);
         assert!(errors[3].contains("CubeOutcome"), "{}", errors[3]);
         assert!(errors[5].contains("placeholder fill"), "{}", errors[5]);
+    }
+
+    #[test]
+    fn checkpoint_reader_refuses_panics_and_casts_in_code_only() {
+        let root = std::env::temp_dir().join(format!("xtask-codec-{}", std::process::id()));
+        let src = root.join("crates/distrib/src");
+        std::fs::create_dir_all(&src).expect("temp tree");
+        let write = |text: &str| std::fs::write(src.join("codec.rs"), text).expect("write");
+        write(
+            "//! Never `unwrap`, never `as`: as said.\n\
+             fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) } // x.unwrap() as u8\n\
+             fn g(line: &[u8]) -> String { format!(\"expected 17 fields, as \\\" written in '{}'\", 1) }\n\
+             fn h<'a>(b: &'a [u8]) -> bool { b == b\"as\" || b[0] == b'\"' || b[0] == b'\\'' }\n\
+             /* a block comment: panic!(), x as u32 */ fn expected() {}\n\
+             #[cfg(test)]\n\
+             mod tests { fn t() { let _ = Some(1).unwrap() as u64; panic!(); } }\n",
+        );
+        let mut errors = Vec::new();
+        check_checkpoint_reader_cannot_panic(&root, &mut errors);
+        assert_eq!(errors, Vec::<String>::new());
+
+        write(
+            "use std::fmt::Write as _;\n\
+             fn f(x: Option<u8>) -> u32 { x.unwrap() as u32 }\n\
+             fn g(r: Result<u8, ()>) -> u8 { r.expect(\"no\") }\n\
+             fn h() { panic!(\"no\"); unreachable!(); todo!(); unimplemented!() }\n\
+             fn panic() { let todo = 1; }\n",
+        );
+        check_checkpoint_reader_cannot_panic(&root, &mut errors);
+        std::fs::remove_dir_all(&root).expect("clean up");
+        let found: Vec<(&str, &str)> = errors
+            .iter()
+            .map(|e| {
+                let mut parts = e.split(": ");
+                (
+                    parts.next().expect("a location"),
+                    parts.next().expect("a word"),
+                )
+            })
+            .collect();
+        assert_eq!(
+            found,
+            [
+                ("crates/distrib/src/codec.rs:1", "`as`"),
+                ("crates/distrib/src/codec.rs:2", "`unwrap`"),
+                ("crates/distrib/src/codec.rs:2", "`as`"),
+                ("crates/distrib/src/codec.rs:3", "`expect`"),
+                ("crates/distrib/src/codec.rs:4", "`panic!`"),
+                ("crates/distrib/src/codec.rs:4", "`unreachable!`"),
+                ("crates/distrib/src/codec.rs:4", "`todo!`"),
+                ("crates/distrib/src/codec.rs:4", "`unimplemented!`"),
+            ]
+        );
     }
 
     #[test]
