@@ -26,7 +26,7 @@
 
 use pdsat_checker::{check_unsat_proof, CheckStats};
 use pdsat_cnf::{Cnf, DratProof, DratStep, Lit, Var};
-use pdsat_solver::{Solver, SolverConfig, Verdict};
+use pdsat_solver::{Solver, SolverConfig, TestPolicy, Verdict};
 
 /// Two XOR chains over the same `n` inputs, the second visiting them in
 /// `stride` order, asserting opposite parities: unsatisfiable, and needs
@@ -52,26 +52,26 @@ fn parity_contradiction(n: usize, stride: usize) -> Cnf {
     cnf
 }
 
-fn proof_config() -> SolverConfig {
-    SolverConfig {
-        proof: true,
-        ..SolverConfig::default()
-    }
-}
-
 /// Solves `parity_contradiction(13, 5)` and requires the certificate's shape
 /// and the checker's counters over it to equal the recorded ones: `plain`
 /// for the certificate read back from its DRAT text (which has no hints, as
 /// `pdsat check` reads it), `hinted` for the certificate as the solver
 /// emitted it.
 fn assert_golden(
-    config: SolverConfig,
+    policy: TestPolicy,
     (steps, deletes): (usize, usize),
     plain: CheckStats,
     hinted: CheckStats,
 ) {
     let cnf = parity_contradiction(13, 5);
-    let mut solver = Solver::from_cnf_with_config(&cnf, config);
+    let mut solver = Solver::from_cnf_with_config(
+        &cnf,
+        SolverConfig {
+            proof: true,
+            ..SolverConfig::default()
+        },
+    );
+    solver.set_test_policy(policy);
     assert_eq!(solver.solve(), Verdict::Unsat);
     let cert = solver.unsat_certificate().expect("proof logging is on");
     let logged_deletes = cert.steps.iter().filter(|s| s.is_delete()).count();
@@ -88,7 +88,7 @@ fn assert_golden(
 #[test]
 fn plain_certificate_replays_with_the_recorded_counts() {
     assert_golden(
-        proof_config(),
+        TestPolicy::default(),
         (628, 0),
         CheckStats {
             steps_checked: 627,
@@ -107,13 +107,12 @@ fn plain_certificate_replays_with_the_recorded_counts() {
 
 #[test]
 fn reduce_db_certificate_replays_with_the_recorded_counts() {
-    let config = SolverConfig {
-        min_learnt_limit: 4,
-        learntsize_factor: 0.01,
-        ..proof_config()
+    let policy = TestPolicy {
+        learnt_limit: Some(4),
+        ..TestPolicy::default()
     };
     assert_golden(
-        config,
+        policy,
         (2227, 1039),
         CheckStats {
             steps_checked: 2226,

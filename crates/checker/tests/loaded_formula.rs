@@ -11,7 +11,7 @@
 use pdsat_checker::{check_unsat_proof, CheckFailure, CheckStats};
 use pdsat_ciphers::{InstanceBuilder, A51};
 use pdsat_cnf::{Cnf, DratProof, DratStep, Lit, Var};
-use pdsat_solver::{Solver, SolverConfig, Verdict};
+use pdsat_solver::{Solver, SolverConfig, TestPolicy, Verdict};
 use rand::SeedableRng;
 
 type Checked = Result<CheckStats, CheckFailure>;
@@ -60,11 +60,13 @@ fn certify(name: &'static str, cnf: Cnf, vars: &[Var]) -> Certified {
         &cnf,
         SolverConfig {
             proof: true,
-            min_learnt_limit: 4,
-            learntsize_factor: 0.01,
             ..SolverConfig::default()
         },
     );
+    solver.set_test_policy(TestPolicy {
+        learnt_limit: Some(4),
+        ..TestPolicy::default()
+    });
     let certificates: Vec<_> = cubes(vars)
         .into_iter()
         .filter_map(|cube| match solver.solve_with_assumptions(&cube) {

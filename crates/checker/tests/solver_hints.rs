@@ -8,8 +8,9 @@
 //! pigeonhole, an A5/1 inversion with 12 unknowns), cubes solved on a fresh
 //! solver restored from a loaded one (`Solver::clone_from`, as the fresh
 //! backend does) or in turn on one warm solver whose stream keeps growing,
-//! trail reuse on and off, clause minimization on and off, and a learnt DB
-//! small enough that the streams delete clauses and the arena is collected.
+//! trail reuse on and off (the replay of `TestPolicy::replay`), and a learnt
+//! DB small enough that the streams delete clauses and the arena is
+//! collected.
 //!
 //! Each certificate is also read back from its DRAT text, which has no hints,
 //! as `pdsat check` reads it: the verdict and `steps_checked` must not move.
@@ -17,7 +18,7 @@
 use pdsat_checker::check_unsat_proof;
 use pdsat_ciphers::{InstanceBuilder, A51};
 use pdsat_cnf::{Cnf, DratProof, Lit, Var};
-use pdsat_solver::{Solver, SolverConfig, Verdict};
+use pdsat_solver::{Solver, SolverConfig, TestPolicy, Verdict};
 use rand::SeedableRng;
 
 /// Every full assignment of `vars`, as cubes.
@@ -64,8 +65,15 @@ struct Tally {
 
 /// Solves every cube of `vars` and checks each certificate with its hints
 /// and from its text.
-fn certify(cnf: &Cnf, vars: &[Var], config: &SolverConfig, warm: bool, context: &str) -> Tally {
-    let template = Solver::from_cnf_with_config(cnf, config.clone());
+fn certify(cnf: &Cnf, vars: &[Var], policy: TestPolicy, warm: bool, context: &str) -> Tally {
+    let mut template = Solver::from_cnf_with_config(
+        cnf,
+        SolverConfig {
+            proof: true,
+            ..SolverConfig::default()
+        },
+    );
+    template.set_test_policy(policy);
     let mut solver = template.clone();
     let mut tally = Tally::default();
     for cube in cubes(vars) {
@@ -103,27 +111,19 @@ fn every_lemma_is_refuted_by_its_hints() {
     let mut total = Tally::default();
     for (name, cnf, vars) in formulas() {
         for warm in [false, true] {
-            for trail_reuse in [true, false] {
-                for clause_minimization in [true, false] {
-                    let config = SolverConfig {
-                        proof: true,
-                        trail_reuse,
-                        clause_minimization,
-                        min_learnt_limit: 4,
-                        learntsize_factor: 0.01,
-                        ..SolverConfig::default()
-                    };
-                    let context = format!(
-                        "{name}, warm {warm}, trail reuse {trail_reuse}, \
-                         minimization {clause_minimization}"
-                    );
-                    let tally = certify(&cnf, &vars, &config, warm, &context);
-                    assert!(tally.certificates > 0, "{context}: no UNSAT cube");
-                    total.certificates += tally.certificates;
-                    total.lemmas_checked += tally.lemmas_checked;
-                    total.deletions += tally.deletions;
-                    total.gc_runs += tally.gc_runs;
-                }
+            for replay in [false, true] {
+                let policy = TestPolicy {
+                    replay,
+                    learnt_limit: Some(4),
+                    ..TestPolicy::default()
+                };
+                let context = format!("{name}, warm {warm}, replay {replay}");
+                let tally = certify(&cnf, &vars, policy, warm, &context);
+                assert!(tally.certificates > 0, "{context}: no UNSAT cube");
+                total.certificates += tally.certificates;
+                total.lemmas_checked += tally.lemmas_checked;
+                total.deletions += tally.deletions;
+                total.gc_runs += tally.gc_runs;
             }
         }
     }

@@ -137,9 +137,8 @@ pub(crate) struct BackendSpec {
     pub cnf: Arc<Cnf>,
     /// Which substrate to build.
     kind: BackendKind,
-    /// The solver configuration of every backend. An untimed backend also
-    /// silences the solver's own per-call accounting: nothing reads
-    /// `SolverStats::solve_time` when the cost comes from counters.
+    /// The solver configuration of every backend, with the solver's own clock
+    /// off: a backend times each cube itself ([`BackendOutcome::elapsed`]).
     solver_config: SolverConfig,
     /// Whether a backend reads the clock around every cube to fill
     /// [`BackendOutcome::elapsed`]. `false` when the cost metric is a
@@ -159,8 +158,8 @@ impl BackendSpec {
             cnf,
             kind: config.backend,
             solver_config: SolverConfig {
-                time_accounting: config.solver_config.time_accounting && measure_wall_time,
-                ..config.solver_config.clone()
+                time_accounting: false,
+                proof: config.solver_config.proof,
             },
             measure_wall_time,
         }

@@ -1,36 +1,143 @@
-//! Oracle-level differential suite for trail reuse: a warm backend with
-//! `SolverConfig::trail_reuse` on and one with it off process identical
-//! randomized cube families (same prefix-aware schedule) and must report
-//! bit-identical verdicts and per-cube conflict costs — reuse only skips
-//! the deterministic replay of shared assumption prefixes, never changes
-//! the search.
+//! Oracle-level differential suite for trail reuse: the one-worker warm
+//! oracle, whose solver keeps the assumption prefix of its trail from cube
+//! to cube, and a reference [`Solver`] that replays every assumption from the
+//! root (the hidden `TestPolicy::replay`, MiniSat's behaviour) are fed the
+//! same cubes in the same order. They must report bit-identical verdicts,
+//! per-cube conflict costs, models and per-variable conflict participation —
+//! reuse only skips the deterministic replay of shared assumption prefixes,
+//! never changes the search.
 //!
-//! Proof logging is on for the reuse-enabled oracle, so the suite doubles
-//! as the differential certificate hook at the oracle level: every UNSAT
-//! cube outcome must carry a DRAT certificate the independent checker
-//! accepts against the original formula with the cube seeded as roots.
+//! Proof logging is on for both, so the suite doubles as the differential
+//! certificate hook at the oracle level: every UNSAT cube outcome must carry
+//! a DRAT certificate the independent checker accepts against the original
+//! formula with the cube seeded as roots.
 
 use pdsat_checker::check_unsat_proof;
-use pdsat_cnf::{Cnf, Cube, Var};
+use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
 use pdsat_core::{
-    BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, VerdictSummary,
+    BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet, VerdictSummary,
 };
-use pdsat_solver::{Budget, SolverConfig};
+use pdsat_solver::{Budget, Solver, SolverConfig, SolverStats, TestPolicy, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn warm_config(trail_reuse: bool, budget: Budget) -> BatchConfig {
+fn proof_config() -> SolverConfig {
+    SolverConfig {
+        proof: true,
+        time_accounting: false,
+    }
+}
+
+fn warm_config(budget: Budget) -> BatchConfig {
     BatchConfig {
         cost: CostMetric::Conflicts,
         backend: BackendKind::Warm,
         budget,
-        solver_config: SolverConfig {
-            trail_reuse,
-            proof: true,
-            ..SolverConfig::default()
-        },
+        solver_config: proof_config(),
         ..BatchConfig::default()
     }
+}
+
+/// What the replaying reference reports for a batch, in `BatchResult`'s
+/// layout.
+struct Replayed {
+    costs: Vec<f64>,
+    verdicts: Vec<Option<VerdictSummary>>,
+    models: Vec<(usize, Assignment)>,
+    proofs: Vec<(usize, DratProof)>,
+    conflict_counts: Vec<u64>,
+    stats: SolverStats,
+}
+
+/// Solves `cubes` in order on one replaying solver, each under `budget`.
+fn replay(cnf: &Cnf, cubes: &[Cube], budget: &Budget) -> Replayed {
+    let mut solver = Solver::from_cnf_with_config(cnf, proof_config());
+    solver.set_test_policy(TestPolicy {
+        replay: true,
+        ..TestPolicy::default()
+    });
+    let mut replayed = Replayed {
+        costs: Vec::new(),
+        verdicts: Vec::new(),
+        models: Vec::new(),
+        proofs: Vec::new(),
+        conflict_counts: Vec::new(),
+        stats: SolverStats::default(),
+    };
+    for (index, cube) in cubes.iter().enumerate() {
+        let before = solver.stats().conflicts;
+        let verdict = solver.solve_limited(cube.lits(), budget, None);
+        replayed
+            .costs
+            .push((solver.stats().conflicts - before) as f64);
+        let summary = match verdict {
+            Verdict::Sat(model) => {
+                replayed.models.push((index, model));
+                VerdictSummary::Sat
+            }
+            Verdict::Unsat => {
+                let proof = solver.unsat_certificate().expect("proof logging is on");
+                replayed.proofs.push((index, proof));
+                VerdictSummary::Unsat
+            }
+            Verdict::Unknown(_) => VerdictSummary::Unknown,
+        };
+        replayed.verdicts.push(Some(summary));
+    }
+    assert!(solver.retained_assumptions().is_empty());
+    replayed.conflict_counts = solver.conflict_counts().to_vec();
+    replayed.stats = *solver.stats();
+    replayed
+}
+
+/// Requires the oracle's batch to equal the replay's, and both sides'
+/// certificates to pass the checker. Returns the number of UNSAT cubes.
+fn assert_matches_replay(
+    cnf: &Cnf,
+    cubes: &[Cube],
+    reused: &BatchResult,
+    replayed: &Replayed,
+    context: &str,
+) -> usize {
+    assert_eq!(reused.verdicts, replayed.verdicts, "{context}");
+    // The cost metric is the conflict count.
+    assert_eq!(
+        reused.costs, replayed.costs,
+        "{context}: costs diverged under trail reuse"
+    );
+    assert_eq!(reused.models, replayed.models, "{context}: models diverged");
+    for (index, model) in &reused.models {
+        assert!(cnf.is_satisfied_by(model));
+        for &l in cubes[*index].lits() {
+            assert_eq!(model.lit_value(l).to_bool(), Some(true));
+        }
+    }
+    let unsat = reused.verdict_counts().1;
+    for (label, proofs) in [("reuse", &reused.proofs), ("replay", &replayed.proofs)] {
+        assert_eq!(
+            proofs.len(),
+            unsat,
+            "{context}: {label} UNSAT cube without certificate"
+        );
+        for (index, proof) in proofs {
+            assert_eq!(reused.verdicts[*index], Some(VerdictSummary::Unsat));
+            check_unsat_proof(cnf, cubes[*index].lits(), proof).unwrap_or_else(|failure| {
+                panic!(
+                    "{context}: checker rejected {label} certificate for cube {index}: {failure}"
+                )
+            });
+        }
+    }
+    assert_eq!(
+        reused.var_conflict_totals, replayed.conflict_counts,
+        "{context}"
+    );
+    let (a, b) = (&reused.solver_stats, &replayed.stats);
+    assert_eq!(a.conflicts, b.conflicts, "{context}");
+    assert_eq!(a.decisions, b.decisions, "{context}");
+    assert!(a.propagations <= b.propagations, "{context}");
+    assert_eq!(b.reused_assumptions, 0, "{context}");
+    unsat
 }
 
 #[test]
@@ -58,48 +165,12 @@ fn reuse_on_and_off_report_identical_verdicts_and_costs() {
             cubes.swap(i, rng.gen_range(0..=i));
         }
 
-        let mut on = CubeOracle::new(&cnf, warm_config(true, Budget::unlimited()));
-        let mut off = CubeOracle::new(&cnf, warm_config(false, Budget::unlimited()));
-        let a = on.solve_batch(&cubes, None);
-        let b = off.solve_batch(&cubes, None);
-
-        assert_eq!(a.verdicts, b.verdicts, "round {round}");
-        // The cost metric is the conflict count.
-        assert_eq!(
-            a.costs, b.costs,
-            "round {round}: costs diverged under trail reuse"
-        );
-        let unsat = a.verdict_counts().1;
-        certified_unsat += unsat;
-        for (label, result) in [("reuse-on", &a), ("reuse-off", &b)] {
-            assert_eq!(
-                result.proofs.len(),
-                unsat,
-                "round {round}: {label} UNSAT cube without certificate"
-            );
-            for (index, proof) in &result.proofs {
-                assert_eq!(result.verdicts[*index], Some(VerdictSummary::Unsat));
-                check_unsat_proof(&cnf, cubes[*index].lits(), proof).unwrap_or_else(|failure| {
-                    panic!(
-                        "round {round}: checker rejected {label} certificate for cube {index}: {failure}"
-                    )
-                });
-            }
-        }
-        assert_eq!(a.models, b.models, "round {round}: models diverged");
-        assert_eq!(a.models.len(), a.verdict_counts().0);
-        for (index, model) in &a.models {
-            assert!(cnf.is_satisfied_by(model));
-            for &l in cubes[*index].lits() {
-                assert_eq!(model.lit_value(l).to_bool(), Some(true));
-            }
-        }
-        assert_eq!(a.var_conflict_totals, b.var_conflict_totals);
-        assert_eq!(a.solver_stats.conflicts, b.solver_stats.conflicts);
-        assert_eq!(a.solver_stats.decisions, b.solver_stats.decisions);
-        assert!(a.solver_stats.propagations <= b.solver_stats.propagations);
-        assert_eq!(b.solver_stats.reused_assumptions, 0);
-        reused_total += a.solver_stats.reused_assumptions;
+        let budget = Budget::unlimited();
+        let reused = CubeOracle::new(&cnf, warm_config(budget.clone())).solve_batch(&cubes, None);
+        let replayed = replay(&cnf, &cubes, &budget);
+        certified_unsat +=
+            assert_matches_replay(&cnf, &cubes, &reused, &replayed, &format!("round {round}"));
+        reused_total += reused.solver_stats.reused_assumptions;
     }
     assert!(
         reused_total > 0,
@@ -122,18 +193,7 @@ fn reuse_parity_holds_under_conflict_budgets() {
     let cubes: Vec<Cube> = set.cubes().collect();
     let budget = Budget::unlimited().with_conflict_limit(2);
 
-    let a = CubeOracle::new(&cnf, warm_config(true, budget.clone())).solve_batch(&cubes, None);
-    let b = CubeOracle::new(&cnf, warm_config(false, budget)).solve_batch(&cubes, None);
-    assert_eq!(a.verdicts, b.verdicts);
-    assert_eq!(a.costs, b.costs);
-    assert_eq!(
-        a.proofs.len(),
-        a.verdict_counts().1,
-        "UNSAT cube without certificate"
-    );
-    for (index, proof) in &a.proofs {
-        check_unsat_proof(&cnf, cubes[*index].lits(), proof)
-            .unwrap_or_else(|failure| panic!("cube {index}: {failure}"));
-    }
-    assert_eq!(a.solver_stats.conflicts, b.solver_stats.conflicts);
+    let reused = CubeOracle::new(&cnf, warm_config(budget.clone())).solve_batch(&cubes, None);
+    let replayed = replay(&cnf, &cubes, &budget);
+    assert_matches_replay(&cnf, &cubes, &reused, &replayed, "budgeted");
 }

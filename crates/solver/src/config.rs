@@ -12,60 +12,37 @@ pub(crate) const DEFAULT_POLARITY: bool = false;
 pub(crate) const LEARNTSIZE_INC: f64 = 1.1;
 /// LBD (glue) value at or below which learnt clauses are never deleted.
 pub(crate) const PROTECTED_LBD: u32 = 2;
+/// The `i`-th restart of a solve call comes after `luby(i) · RESTART_BASE` conflicts.
+pub(crate) const RESTART_BASE: u64 = 100;
+/// A solve call starts with the learnt clause limit
+/// `max(LEARNTSIZE_FACTOR · original clauses, MIN_LEARNT_LIMIT)`.
+pub(crate) const LEARNTSIZE_FACTOR: f64 = 1.0 / 3.0;
+/// Floor of the learnt clause limit (see [`LEARNTSIZE_FACTOR`]).
+pub(crate) const MIN_LEARNT_LIMIT: f64 = 1000.0;
+/// Wasted fraction of the clause arena that triggers a compacting collection.
+pub(crate) const GARBAGE_FRAC: f64 = 0.20;
 
-/// Tunable parameters of the CDCL solver.
+/// What a caller of the CDCL solver sets.
 ///
-/// The defaults follow MiniSat 2.2. The Monte Carlo estimator of the paper
-/// requires the algorithm `A` to be *deterministic*, so the solver performs no
-/// randomized decisions; every knob here is a deterministic policy parameter.
+/// The search policy is MiniSat 2.2's at its defaults, fixed as constants:
+/// the paper's Monte Carlo estimator needs one *deterministic* algorithm `A`,
+/// with no randomized decisions and no policy switches.
 ///
 /// # Example
 ///
 /// ```
-/// use pdsat_solver::SolverConfig;
+/// use pdsat_solver::{Solver, SolverConfig};
 /// let cfg = SolverConfig {
-///     luby_restart_base: 50,
+///     proof: true,
 ///     ..SolverConfig::default()
 /// };
-/// assert!(cfg.phase_saving);
-/// assert_eq!(cfg.luby_restart_base, 50);
+/// assert!(Solver::with_config(cfg).proof_steps().is_some());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
-    /// Base number of conflicts between restarts; the actual limit of the
-    /// `i`-th restart is `luby(i) · luby_restart_base`.
-    pub luby_restart_base: u64,
-    /// Whether to remember and reuse the last polarity of each variable.
-    pub phase_saving: bool,
-    /// Whether learnt clauses are minimized with the basic (local) rule.
-    pub clause_minimization: bool,
-    /// Fraction of the original clause count used as the initial learnt
-    /// clause limit.
-    pub learntsize_factor: f64,
-    /// Lower bound on the learnt clause limit (useful for tiny formulas).
-    pub min_learnt_limit: usize,
-    /// Fraction of the clause arena that may be occupied by deleted clauses
-    /// before a compacting garbage collection runs (MiniSat uses 0.20).
-    pub garbage_frac: f64,
-    /// Keep the assumption prefix of the trail assigned between solve calls
-    /// and backtrack only to the point where the next call's assumptions
-    /// diverge from it, instead of replaying every assumption (and its unit
-    /// propagations) from scratch. This is what makes processing a
-    /// decomposition family on one incremental solver cheap: consecutive
-    /// cubes over the same set share most of their literals, so most of the
-    /// assumption trail survives from one cube to the next. The saved prefix
-    /// is invalidated by clause additions and by exits that leave pending
-    /// propagations (see DESIGN.md, "Assumption-prefix trail reuse").
-    /// Verdicts and models are unaffected; `SolverStats::propagations` drops
-    /// by exactly the replay work skipped (tracked in
-    /// `SolverStats::saved_propagations`).
-    pub trail_reuse: bool,
     /// Accumulate wall-clock time into `SolverStats::solve_time` (default
-    /// `true`). For workloads of thousands of micro-solves per second — a
-    /// warm backend processing a decomposition family — the two clock reads
-    /// per call are a measurable fraction of the per-cube cost; executors
-    /// that measure cost by deterministic counters disable this. A budget
-    /// with a wall-clock deadline still measures time regardless.
+    /// `true`). The oracle's backends time each cube themselves and switch it
+    /// off; a budget with a wall-clock deadline reads the clock regardless.
     pub time_accounting: bool,
     /// Record a DRAT derivation of every clause the solver adds or removes
     /// (learnt clauses and learnt-DB reductions) into an in-memory
@@ -83,15 +60,36 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            luby_restart_base: 100,
-            phase_saving: true,
-            clause_minimization: true,
-            learntsize_factor: 1.0 / 3.0,
-            min_learnt_limit: 1000,
-            garbage_frac: 0.20,
-            trail_reuse: true,
             time_accounting: true,
             proof: false,
+        }
+    }
+}
+
+/// The policy of the differential tests, set with `Solver::set_test_policy`:
+/// a replay reference and clause-database pressure no workload reaches. The
+/// [`Default`] is the production policy, bit for bit.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq)]
+pub struct TestPolicy {
+    /// Backtrack to the root after every solve call and at every restart, as
+    /// MiniSat does, instead of keeping the assumption prefix of the trail.
+    pub replay: bool,
+    /// Base number of conflicts between restarts.
+    pub restart_base: u64,
+    /// Learnt clause limit at the start of every solve call, if fixed.
+    pub learnt_limit: Option<usize>,
+    /// Wasted-arena fraction that triggers a compacting garbage collection.
+    pub garbage_frac: f64,
+}
+
+impl Default for TestPolicy {
+    fn default() -> Self {
+        TestPolicy {
+            replay: false,
+            restart_base: RESTART_BASE,
+            learnt_limit: None,
+            garbage_frac: GARBAGE_FRAC,
         }
     }
 }
@@ -103,12 +101,13 @@ mod tests {
     #[test]
     fn defaults_match_minisat_conventions() {
         let cfg = SolverConfig::default();
-        assert_eq!(cfg.luby_restart_base, 100);
-        assert!(cfg.phase_saving);
-        assert!(cfg.clause_minimization);
-        assert!((cfg.garbage_frac - 0.20).abs() < 1e-12);
-        assert!(cfg.trail_reuse);
+        assert!(cfg.time_accounting);
         assert!(!cfg.proof, "proof logging is opt-in");
+        let policy = TestPolicy::default();
+        assert!(!policy.replay, "trail reuse is the production path");
+        assert_eq!(policy.restart_base, 100);
+        assert_eq!(policy.learnt_limit, None);
+        assert!((policy.garbage_frac - 0.20).abs() < 1e-12);
     }
 
     #[test]
@@ -116,10 +115,7 @@ mod tests {
         let cfg = SolverConfig::default();
         let copy = cfg.clone();
         assert_eq!(cfg, copy);
-        let changed = SolverConfig {
-            phase_saving: false,
-            ..cfg
-        };
+        let changed = SolverConfig { proof: true, ..cfg };
         assert_ne!(changed, copy);
     }
 }

@@ -46,7 +46,7 @@ mod solver;
 mod stats;
 
 pub use budget::{Budget, InterruptFlag, StopReason};
-pub use config::SolverConfig;
+pub use config::{SolverConfig, TestPolicy};
 pub use luby::luby;
 pub use proof::ProofLogger;
 pub use solver::{Solver, Verdict};

@@ -1,7 +1,10 @@
 //! The CDCL solver proper.
 
 use crate::clause_db::{ClauseDb, ClauseRef};
-use crate::config::{CLAUSE_DECAY, DEFAULT_POLARITY, LEARNTSIZE_INC, PROTECTED_LBD, VAR_DECAY};
+use crate::config::{
+    TestPolicy, CLAUSE_DECAY, DEFAULT_POLARITY, LEARNTSIZE_FACTOR, LEARNTSIZE_INC,
+    MIN_LEARNT_LIMIT, PROTECTED_LBD, VAR_DECAY,
+};
 use crate::heap::VarOrderHeap;
 use crate::luby::luby;
 use crate::proof::ProofLogger;
@@ -149,6 +152,8 @@ struct Limits {
 /// cube, and the reset itself reuses the working solver's allocations.
 pub struct Solver {
     config: SolverConfig,
+    /// Production unless a test set another (`set_test_policy`).
+    policy: TestPolicy,
     db: ClauseDb,
     original: Vec<ClauseRef>,
     learnts: Vec<ClauseRef>,
@@ -169,7 +174,7 @@ pub struct Solver {
     trail_lim: Vec<usize>,
     qhead: usize,
     /// Assumption literals whose decision levels are still established on the
-    /// trail from the previous solve call (`SolverConfig::trail_reuse`):
+    /// trail from the previous solve call (assumption-prefix trail reuse):
     /// `saved_assumptions[i]` owns decision level `i + 1`. Empty when nothing
     /// is retained; always in sync with `decision_level()` between calls.
     saved_assumptions: Vec<Lit>,
@@ -215,6 +220,7 @@ impl Clone for Solver {
     fn clone_from(&mut self, source: &Solver) {
         let Solver {
             config,
+            policy,
             db,
             original,
             learnts,
@@ -246,6 +252,7 @@ impl Clone for Solver {
             max_learnts,
         } = source;
         self.config.clone_from(config);
+        self.policy.clone_from(policy);
         self.db.clone_from(db);
         self.original.clone_from(original);
         self.learnts.clone_from(learnts);
@@ -307,6 +314,7 @@ impl Solver {
         let proof = config.proof.then(ProofLogger::new);
         Solver {
             config,
+            policy: TestPolicy::default(),
             db: ClauseDb::new(),
             original: Vec::new(),
             learnts: Vec::new(),
@@ -392,10 +400,13 @@ impl Solver {
         &self.stats
     }
 
-    /// The configuration the solver was built with.
-    #[must_use]
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
+    /// Replaces the search policy, for differential tests only, and forgets
+    /// any retained assumption trail. The [`Default`] policy is production.
+    #[doc(hidden)]
+    pub fn set_test_policy(&mut self, policy: TestPolicy) {
+        self.cancel_until(0);
+        self.saved_assumptions.clear();
+        self.policy = policy;
     }
 
     /// The DRAT steps logged so far, in derivation order, or `None` when
@@ -433,9 +444,9 @@ impl Solver {
     }
 
     /// The assumption literals whose decision levels are still established on
-    /// the trail from the previous solve call ([`SolverConfig::trail_reuse`]).
-    /// The next solve backtracks only to where its assumptions diverge from
-    /// this prefix. Empty when reuse is disabled or nothing was retained.
+    /// the trail from the previous solve call. The next solve backtracks only
+    /// to where its assumptions diverge from this prefix. Empty when nothing
+    /// was retained.
     #[must_use]
     pub fn retained_assumptions(&self) -> &[Lit] {
         &self.saved_assumptions
@@ -492,10 +503,9 @@ impl Solver {
     /// clauses added so far) makes the formula unsatisfiable at the root
     /// level.
     ///
-    /// Invalidates any assumption trail retained for reuse
-    /// ([`SolverConfig::trail_reuse`]): the new clause could be falsified or
-    /// unit under the retained assignments, so the solver backtracks to the
-    /// root level before attaching it.
+    /// Invalidates any assumption trail retained for reuse: the new clause
+    /// could be falsified or unit under the retained assignments, so the
+    /// solver backtracks to the root level before attaching it.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
         let kept = self.original.len();
         let added = self.add_original(lits);
@@ -577,10 +587,9 @@ impl Solver {
     /// incremental use — this is exactly how PDSAT hands the cubes of a
     /// decomposition family to the same solver instance).
     ///
-    /// With [`SolverConfig::trail_reuse`] (the default), consecutive calls
-    /// sharing an assumption prefix backtrack only to the first diverging
-    /// assumption instead of replaying the whole prefix and its unit
-    /// propagations — the dominant per-cube cost when the cubes of a
+    /// Consecutive calls sharing an assumption prefix backtrack only to the
+    /// first diverging assumption instead of replaying the whole prefix and
+    /// its unit propagations — the dominant per-cube cost when the cubes of a
     /// decomposition family are processed in an order that keeps neighbours
     /// adjacent (see [`SolverStats::reused_assumptions`]).
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> Verdict {
@@ -634,12 +643,14 @@ impl Solver {
                 .max_wall_time
                 .map(|d| start.expect("timed solves always capture a start instant") + d),
         };
-        self.max_learnts = (self.original.len() as f64 * self.config.learntsize_factor)
-            .max(self.config.min_learnt_limit as f64);
+        self.max_learnts = match self.policy.learnt_limit {
+            None => (self.original.len() as f64 * LEARNTSIZE_FACTOR).max(MIN_LEARNT_LIMIT),
+            Some(limit) => limit as f64,
+        };
 
         let mut curr_restarts: u64 = 0;
         loop {
-            let restart_limit = luby(curr_restarts).saturating_mul(self.config.luby_restart_base);
+            let restart_limit = luby(curr_restarts).saturating_mul(self.policy.restart_base);
             let status = self.search(restart_limit, assumptions, &limits, interrupt);
             match status {
                 SearchStatus::Sat => {
@@ -654,16 +665,14 @@ impl Solver {
                 SearchStatus::Restart => {
                     self.stats.restarts += 1;
                     curr_restarts += 1;
-                    // With trail reuse the established assumption levels
-                    // survive the restart (they would be re-derived
-                    // identically: restarts fire at propagation fixpoints,
-                    // and the assumption prefix of the trail is exactly its
-                    // own propagation closure); without it, restart from the
-                    // root as MiniSat does.
-                    let keep = if self.config.trail_reuse {
-                        self.decision_level().min(assumptions.len() as u32)
-                    } else {
+                    // Restarts fire at propagation fixpoints, where the
+                    // assumption prefix of the trail is its own closure, so
+                    // it survives them; the replay reference restarts from
+                    // the root as MiniSat does.
+                    let keep = if self.policy.replay {
                         0
+                    } else {
+                        self.decision_level().min(assumptions.len() as u32)
                     };
                     self.cancel_until(keep);
                 }
@@ -1050,7 +1059,7 @@ impl Solver {
             self.toclear_buf.push(v);
         }
         let before = self.learnt_buf.len();
-        if self.config.clause_minimization && self.learnt_buf.len() > 1 {
+        if self.learnt_buf.len() > 1 {
             let mut j = 1;
             for i in 1..self.learnt_buf.len() {
                 let lit = self.learnt_buf[i];
@@ -1176,9 +1185,7 @@ impl Solver {
             let v = lit.var();
             self.assigns[lit.code()] = Value::Unassigned;
             self.assigns[(!lit).code()] = Value::Unassigned;
-            if self.config.phase_saving {
-                self.polarity[v.index()] = lit.is_positive();
-            }
+            self.polarity[v.index()] = lit.is_positive();
             self.vardata[v.index()].reason = None;
             self.order_heap.insert(v, &self.activity);
         }
@@ -1225,15 +1232,15 @@ impl Solver {
         }
     }
 
-    /// Ends a solve call: without trail reuse (or once the formula is proven
-    /// unsatisfiable at the root) this is MiniSat's `cancel_until(0)`; with
-    /// it, the established assumption levels stay assigned for the next call
-    /// to reuse. Only a fully propagated prefix is retained — an exit right
-    /// after a conflict leaves the asserting literal pending, and keeping an
-    /// unpropagated literal while `qhead` skips past it could let a falsified
-    /// clause go unnoticed in the next call.
+    /// Ends a solve call: the established assumption levels stay assigned for
+    /// the next call to reuse (the replay reference, and a formula proven
+    /// unsatisfiable at the root, do MiniSat's `cancel_until(0)`). Only a
+    /// fully propagated prefix is retained — an exit right after a conflict
+    /// leaves the asserting literal pending, and keeping an unpropagated
+    /// literal while `qhead` skips past it could let a falsified clause go
+    /// unnoticed in the next call.
     fn retract_after_solve(&mut self, assumptions: &[Lit]) {
-        if !self.config.trail_reuse || !self.ok {
+        if self.policy.replay || !self.ok {
             self.cancel_until(0);
             self.saved_assumptions.clear();
             return;
@@ -1258,12 +1265,7 @@ impl Solver {
         loop {
             let v = self.order_heap.pop_max(&self.activity)?;
             if self.var_value(v) == Value::Unassigned {
-                let polarity = if self.config.phase_saving {
-                    self.polarity[v.index()]
-                } else {
-                    DEFAULT_POLARITY
-                };
-                return Some(Lit::new(v, polarity));
+                return Some(Lit::new(v, self.polarity[v.index()]));
             }
         }
     }
@@ -1405,7 +1407,7 @@ impl Solver {
         }
         self.learnts.retain(|&c| !self.db.is_deleted(c));
         self.max_learnts *= LEARNTSIZE_INC;
-        if self.db.should_collect(self.config.garbage_frac) {
+        if self.db.should_collect(self.policy.garbage_frac) {
             self.collect_garbage();
         }
     }
@@ -1722,9 +1724,10 @@ mod tests {
         // Nothing moves the implied literal of a ternary reason to position
         // 0, so `is_locked` must look at all three.
         for implied in [1, 2, 3] {
-            let mut s = Solver::with_config(SolverConfig {
+            let mut s = Solver::new();
+            s.set_test_policy(TestPolicy {
                 garbage_frac: 0.01,
-                ..SolverConfig::default()
+                ..TestPolicy::default()
             });
             s.ensure_vars(9);
             let lbd = PROTECTED_LBD + 7;
@@ -1854,9 +1857,10 @@ mod tests {
             cs
         };
         let build = |reuse: bool| {
-            let mut s = Solver::with_config(SolverConfig {
-                trail_reuse: reuse,
-                ..SolverConfig::default()
+            let mut s = Solver::new();
+            s.set_test_policy(TestPolicy {
+                replay: !reuse,
+                ..TestPolicy::default()
             });
             for c in &clauses {
                 s.add_clause(c.iter().copied());
@@ -1982,7 +1986,6 @@ mod tests {
                 SolverConfig {
                     proof,
                     time_accounting: false,
-                    ..SolverConfig::default()
                 },
             );
             let v = s.solve();

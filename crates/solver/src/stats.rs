@@ -9,13 +9,11 @@ macro_rules! solver_stats {
     ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {
         /// Counters accumulated by the solver.
         ///
-        /// These serve two purposes in the reproduction:
-        ///
-        /// 1. They provide *deterministic* cost measures (`conflicts`,
-        ///    `decisions`, `propagations`) that the Monte Carlo estimator can
-        ///    use instead of wall clock when reproducible experiments are
-        ///    desired.
-        /// 2. `solve_time` is the wall-clock measurement `ζ_j` of the paper.
+        /// They provide *deterministic* cost measures (`conflicts`,
+        /// `decisions`, `propagations`) that the Monte Carlo estimator can use
+        /// instead of wall clock when reproducible experiments are desired.
+        /// The wall-clock measurement `ζ_j` of the paper is taken by the
+        /// oracle's backends around each cube, not from `solve_time`.
         #[derive(Debug, Clone, Copy, Default, PartialEq)]
         pub struct SolverStats {
             $($(#[$doc])* pub $field: $ty,)*
@@ -66,8 +64,8 @@ solver_stats! {
     /// Number of compacting garbage collections of the clause arena.
     gc_runs: u64,
     /// Number of assumption literals whose decision levels survived from the
-    /// previous solve call (`SolverConfig::trail_reuse`): the summed lengths
-    /// of the reused assumption prefixes.
+    /// previous solve call (assumption-prefix trail reuse): the summed
+    /// lengths of the reused assumption prefixes.
     reused_assumptions: u64,
     /// Number of trail literals (assumptions plus their unit propagations)
     /// that did *not* have to be re-propagated thanks to trail reuse — the
@@ -82,7 +80,7 @@ solver_stats! {
     /// panicking backend — each panicked cube is requeued exactly once onto
     /// the respawned (or fallback) backend.
     requeued_cubes: u64,
-    /// Total wall-clock time spent inside `solve` calls.
+    /// Wall-clock time inside timed solve calls (`SolverConfig::time_accounting`).
     solve_time: Duration,
 }
 

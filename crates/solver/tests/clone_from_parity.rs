@@ -59,7 +59,6 @@ fn assert_restores_exactly(cnf: &Cnf, set: &[Var], label: &str) {
             proof,
             // Wall time is the one counter that cannot repeat.
             time_accounting: false,
-            ..SolverConfig::default()
         };
         let template = Solver::from_cnf_with_config(cnf, config.clone());
         let mut working = template.clone();

@@ -4,7 +4,7 @@
 
 use pdsat_checker::{check_model, check_unsat_proof};
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
-use pdsat_solver::{Budget, Solver, SolverConfig, Verdict};
+use pdsat_solver::{Budget, Solver, SolverConfig, TestPolicy, Verdict};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,17 +21,23 @@ fn brute_force_satisfied(cnf: &Cnf, model: &pdsat_cnf::Assignment) -> bool {
     })
 }
 
-/// A configuration that stresses the clause arena: clause deletion kicks in
+/// A policy that stresses the clause arena: clause deletion kicks in
 /// almost immediately and the garbage collector runs as soon as any space is
 /// wasted, so refs relocate many times within a single solve.
-fn gc_stress_config() -> SolverConfig {
-    SolverConfig {
-        min_learnt_limit: 1,
-        learntsize_factor: 0.0,
-        luby_restart_base: 10,
+fn gc_stress_policy() -> TestPolicy {
+    TestPolicy {
+        learnt_limit: Some(1),
+        restart_base: 10,
         garbage_frac: 0.01,
-        ..SolverConfig::default()
+        ..TestPolicy::default()
     }
+}
+
+/// A solver loaded with `cnf` under [`gc_stress_policy`].
+fn gc_stress_solver(cnf: &Cnf) -> Solver {
+    let mut solver = Solver::from_cnf(cnf);
+    solver.set_test_policy(gc_stress_policy());
+    solver
 }
 
 /// A random formula over 10 to 18 variables whose clauses each take their
@@ -86,19 +92,23 @@ fn assert_family_matches_brute_force(lengths: &[usize], density: (f64, f64), see
     let cnf = random_cnf_of_lengths(lengths, density, &mut rng);
     let models = brute_force_models(&cnf);
     let base = if seed.is_multiple_of(2) {
-        SolverConfig::default()
+        TestPolicy::default()
     } else {
-        gc_stress_config()
+        gc_stress_policy()
     };
-    let mut solvers = [true, false].map(|trail_reuse| {
-        Solver::from_cnf_with_config(
+    let mut solvers = [false, true].map(|replay| {
+        let mut solver = Solver::from_cnf_with_config(
             &cnf,
             SolverConfig {
                 proof: true,
-                trail_reuse,
-                ..base.clone()
+                ..SolverConfig::default()
             },
-        )
+        );
+        solver.set_test_policy(TestPolicy {
+            replay,
+            ..base.clone()
+        });
+        solver
     });
     let set: Vec<Var> = (0..rng.gen_range(1..=3u32)).map(Var::new).collect();
     for index in 0..1u64 << set.len() {
@@ -228,16 +238,13 @@ proptest! {
     fn aggressive_config_agrees_with_default(seed in 0u64..2_000) {
         let cnf = Cnf::random_cnf(10, 38, 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(7)));
         let default_verdict = Solver::from_cnf(&cnf).solve().is_sat();
-        let aggressive = SolverConfig {
-            luby_restart_base: 1,
-            min_learnt_limit: 1,
-            learntsize_factor: 0.0,
-            clause_minimization: false,
-            phase_saving: false,
-            ..SolverConfig::default()
-        };
-        let aggressive_verdict =
-            Solver::from_cnf_with_config(&cnf, aggressive).solve().is_sat();
+        let mut aggressive = Solver::from_cnf(&cnf);
+        aggressive.set_test_policy(TestPolicy {
+            restart_base: 1,
+            learnt_limit: Some(1),
+            ..TestPolicy::default()
+        });
+        let aggressive_verdict = aggressive.solve().is_sat();
         prop_assert_eq!(default_verdict, aggressive_verdict);
     }
 
@@ -293,7 +300,7 @@ proptest! {
     #[test]
     fn gc_stress_config_agrees_with_brute_force(seed in 0u64..1_500) {
         let cnf = Cnf::random_cnf(10, 40, 3, &mut StdRng::seed_from_u64(seed.wrapping_mul(13).wrapping_add(5)));
-        let mut solver = Solver::from_cnf_with_config(&cnf, gc_stress_config());
+        let mut solver = gc_stress_solver(&cnf);
         let sat = solver.solve().is_sat();
         prop_assert_eq!(sat, cnf.brute_force_model().is_some());
     }
@@ -306,7 +313,7 @@ proptest! {
 #[test]
 fn gc_relocation_keeps_watchers_coherent() {
     let cnf = Cnf::pigeonhole(7);
-    let mut solver = Solver::from_cnf_with_config(&cnf, gc_stress_config());
+    let mut solver = gc_stress_solver(&cnf);
     assert_eq!(solver.solve(), Verdict::Unsat);
     let stats = *solver.stats();
     assert!(
@@ -342,7 +349,7 @@ fn gc_relocation_preserves_models() {
             60,
             &mut StdRng::seed_from_u64(seed.wrapping_mul(131).wrapping_add(7)),
         );
-        let mut solver = Solver::from_cnf_with_config(&cnf, gc_stress_config());
+        let mut solver = gc_stress_solver(&cnf);
         match solver.solve() {
             Verdict::Sat(model) => assert!(
                 brute_force_satisfied(&cnf, &model),

@@ -1,6 +1,6 @@
-//! Differential suite for assumption-prefix trail reuse
-//! (`SolverConfig::trail_reuse`): a reusing solver and a MiniSat-style
-//! fresh-backtracking solver are driven through identical call sequences —
+//! Differential suite for assumption-prefix trail reuse: a production
+//! (reusing) solver and a MiniSat-style fresh-backtracking solver (the
+//! hidden `TestPolicy::replay`) are driven through identical call sequences —
 //! randomized cube families in permuted orders, interleaved clause
 //! additions, and budget-limited exits — and must produce identical
 //! verdicts, identical models, and identical search work (conflicts and
@@ -14,7 +14,7 @@
 //! reuse").
 
 use pdsat_cnf::{Cnf, Lit, Var};
-use pdsat_solver::{Budget, Solver, SolverConfig, SolverStats, Verdict};
+use pdsat_solver::{Budget, Solver, SolverStats, TestPolicy, Verdict};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,20 +51,21 @@ fn random_cube_sequence(
 }
 
 fn solver_pair(cnf: &Cnf) -> (Solver, Solver) {
-    let with_reuse = Solver::from_cnf_with_config(
-        cnf,
-        SolverConfig {
-            trail_reuse: true,
-            ..SolverConfig::default()
-        },
-    );
-    let without = Solver::from_cnf_with_config(
-        cnf,
-        SolverConfig {
-            trail_reuse: false,
-            ..SolverConfig::default()
-        },
-    );
+    solver_pair_under(cnf, TestPolicy::default())
+}
+
+/// A reusing solver and its replaying twin, both under `policy` otherwise.
+fn solver_pair_under(cnf: &Cnf, policy: TestPolicy) -> (Solver, Solver) {
+    let mut with_reuse = Solver::from_cnf(cnf);
+    with_reuse.set_test_policy(TestPolicy {
+        replay: false,
+        ..policy.clone()
+    });
+    let mut without = Solver::from_cnf(cnf);
+    without.set_test_policy(TestPolicy {
+        replay: true,
+        ..policy
+    });
     (with_reuse, without)
 }
 
@@ -109,6 +110,44 @@ fn reuse_fires_on_prefix_sharing_families() {
     );
     assert!(stats.saved_propagations >= stats.reused_assumptions);
     assert!(stats.propagations < without.stats().propagations);
+}
+
+/// A restart inside a solve keeps the established assumption levels instead
+/// of returning to the root: with Luby restarts of base 1 on a cube family,
+/// that path must stay search-identical to the replay.
+#[test]
+fn restarts_keep_the_assumption_levels_like_a_replay() {
+    let mut rng = StdRng::seed_from_u64(0x4E57);
+    let cnf = Cnf::random_3cnf(40, 172, &mut rng);
+    let set: Vec<Var> = (0..4).map(|i| Var::new(i * 9)).collect();
+    let policy = TestPolicy {
+        restart_base: 1,
+        ..TestPolicy::default()
+    };
+    let (mut with_reuse, mut without) = solver_pair_under(&cnf, policy);
+    for bits in 0..16u64 {
+        let cube: Vec<Lit> = set
+            .iter()
+            .enumerate()
+            .map(|(k, &v)| Lit::new(v, bits >> (3 - k) & 1 == 1))
+            .collect();
+        let before_a = *with_reuse.stats();
+        let before_b = *without.stats();
+        let a = with_reuse.solve_with_assumptions(&cube);
+        let b = without.solve_with_assumptions(&cube);
+        assert_eq!(a, b, "cube {bits:04b}");
+        let (da, db) = (
+            with_reuse.stats().delta_since(&before_a),
+            without.stats().delta_since(&before_b),
+        );
+        assert_same_search(&da, &db, &format!("cube {bits:04b}"));
+        assert_eq!(da.restarts, db.restarts, "cube {bits:04b}");
+    }
+    let (a, b) = (with_reuse.stats(), without.stats());
+    assert!(a.restarts > 0, "restart_base 1 must restart: {a:?}");
+    assert!(a.reused_assumptions > 0, "{a:?}");
+    assert_eq!((a.conflicts, a.decisions), (b.conflicts, b.decisions));
+    assert_eq!(with_reuse.conflict_counts(), without.conflict_counts());
 }
 
 proptest! {

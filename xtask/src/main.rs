@@ -1,6 +1,6 @@
 //! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`.
 //!
-//! Nine checks, all over the source tree as text (no compiler plumbing):
+//! Ten checks, all over the source tree as text (no compiler plumbing):
 //!
 //! 1. **unsafe-free**: every crate root (`lib.rs` / `main.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.
@@ -53,6 +53,12 @@
 //!    `u32::MAX` variables is an error rather than a truncated index.
 //!    Comments and the insides of string and character literals are not
 //!    code and are not searched.
+//! 10. **the test policy stays in tests**: outside `crates/solver/src`, no
+//!     non-test code — `crates/*/src` before a file's `#[cfg(test)]`
+//!     module, `src/` and `examples/` — names `TestPolicy` or
+//!     `set_test_policy`. The solver's one production policy is MiniSat's at
+//!     its defaults; the replay reference and the clause-database pressure
+//!     its differential suites apply cannot be configured into a workload.
 
 #![forbid(unsafe_code)]
 
@@ -93,6 +99,7 @@ fn lint() -> ExitCode {
     check_checker_stands_alone(&root, &mut errors);
     check_grid_faults_come_from_clients(&root, &mut errors);
     check_checkpoint_reader_cannot_panic(&root, &mut errors);
+    check_test_policy_stays_in_tests(&root, &mut errors);
 
     if errors.is_empty() {
         println!("xtask lint: ok");
@@ -495,6 +502,26 @@ fn check_checkpoint_reader_cannot_panic(root: &Path, errors: &mut Vec<String>) {
     }
 }
 
+fn check_test_policy_stays_in_tests(root: &Path, errors: &mut Vec<String>) {
+    let mut sources = Vec::new();
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        let mut crates: Vec<_> = entries.flatten().map(|e| e.path()).collect();
+        crates.sort();
+        for dir in crates.iter().filter(|d| !d.ends_with("solver")) {
+            rust_files(&dir.join("src"), &mut sources);
+        }
+    }
+    for dir in ["src", "examples"] {
+        rust_files(&root.join(dir), &mut sources);
+    }
+    let advice = "the solver runs one policy; the replay reference and test pressure are \
+                  for the differential suites under tests/ only";
+    let until = Some("#[cfg(test)]");
+    for needle in ["TestPolicy", "set_test_policy"] {
+        forbid(root, &sources, "//", until, needle, advice, errors);
+    }
+}
+
 /// The words of one line of code that can panic or truncate: calls of
 /// `unwrap` / `expect`, the macros `panic!`, `unreachable!`, `todo!` and
 /// `unimplemented!`, and the `as` keyword. Whole identifiers only, so
@@ -806,5 +833,57 @@ mod tests {}
             ]
         );
         assert!(errors[1].contains("FaultState"), "{}", errors[1]);
+    }
+
+    #[test]
+    fn test_policy_is_refused_outside_tests_and_the_solver() {
+        let root = std::env::temp_dir().join(format!("xtask-policy-{}", std::process::id()));
+        for dir in [
+            "crates/solver/src",
+            "crates/pdsat-core/src",
+            "examples",
+            "src",
+        ] {
+            std::fs::create_dir_all(root.join(dir)).expect("temp tree");
+        }
+        let write = |path: &str, text: &str| std::fs::write(root.join(path), text).expect("write");
+        write(
+            "crates/solver/src/solver.rs",
+            "pub fn set_test_policy(&mut self, policy: TestPolicy) {}\n",
+        );
+        write(
+            "crates/pdsat-core/src/oracle.rs",
+            "// No TestPolicy here.\nfn f() {}\n#[cfg(test)]\nmod tests {\n    use pdsat_solver::TestPolicy;\n}\n",
+        );
+        write("examples/quickstart.rs", "fn main() {}\n");
+        let mut errors = Vec::new();
+        check_test_policy_stays_in_tests(&root, &mut errors);
+        assert_eq!(errors, Vec::<String>::new());
+
+        write(
+            "crates/pdsat-core/src/oracle.rs",
+            "use pdsat_solver::TestPolicy;\nfn f(s: &mut Solver) {\n    s.set_test_policy(p);\n}\n",
+        );
+        write(
+            "examples/quickstart.rs",
+            "fn main() { s.set_test_policy(p); }\n",
+        );
+        write("src/lib.rs", "pub use pdsat_solver::TestPolicy;\n");
+        check_test_policy_stays_in_tests(&root, &mut errors);
+        std::fs::remove_dir_all(&root).expect("clean up");
+        let at: Vec<&str> = errors
+            .iter()
+            .map(|e| e.split(": ").next().expect("a location"))
+            .collect();
+        assert_eq!(
+            at,
+            [
+                "crates/pdsat-core/src/oracle.rs:1",
+                "src/lib.rs:1",
+                "crates/pdsat-core/src/oracle.rs:3",
+                "examples/quickstart.rs:1",
+            ]
+        );
+        assert!(errors[2].contains("set_test_policy"), "{}", errors[2]);
     }
 }
