@@ -117,8 +117,7 @@ impl DecompositionSet {
 
     /// Draws one cube uniformly at random (one `α ∈ {0,1}^d`).
     pub fn random_cube<R: Rng + ?Sized>(&self, rng: &mut R) -> Cube {
-        let values: Vec<bool> = (0..self.vars.len()).map(|_| rng.gen_bool(0.5)).collect();
-        Cube::from_values(&self.vars, &values)
+        Cube::from_lits(self.vars.iter().map(|&v| v.lit(rng.gen_bool(0.5))))
     }
 
     /// Draws a random sample of `n` cubes (the random sample of eq. (4) in

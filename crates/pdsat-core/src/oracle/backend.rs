@@ -22,7 +22,7 @@
 use super::BatchConfig;
 use crate::CubeCounters;
 use pdsat_cnf::{Cnf, DratProof, Lit};
-use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig, SolverStats, Verdict};
+use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig, SolverStats, StopReason, Verdict};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -103,7 +103,10 @@ pub enum BackendKind {
     /// working solver is restored to exactly that state before every cube.
     /// Every observation is independent of cube order, which is what the
     /// Monte Carlo argument of the paper assumes (identically distributed
-    /// `ζ_j`), so the estimator defaults to it.
+    /// `ζ_j`), so the estimator defaults to it. A cube equal to the one just
+    /// solved (same budget, interrupt flag down) is answered from the solver
+    /// that solved it: the verdict, counters and certificate solving it
+    /// again would report, and that solve's wall time.
     #[default]
     Fresh,
     /// One persistent incremental [`Solver`] per worker: the CNF is loaded
@@ -209,6 +212,14 @@ impl std::str::FromStr for BackendKind {
 /// clause, and the working solver's counters after the solve are the cube's
 /// own — the load's root propagations included, exactly as a solver rebuilt
 /// per cube reports them.
+///
+/// A cube equal to the one just solved, under the same budget and with the
+/// interrupt flag down, is not solved again: the working solver still holds
+/// exactly the state that solve left, so its counters, conflict
+/// participation, statistics and certificate are read again as they are,
+/// beside the verdict and wall time kept from the solve. The estimator's
+/// samples are drawn with replacement and grouped before they are
+/// submitted, so repeats arrive back to back.
 pub(crate) struct FreshBackend {
     spec: Arc<BackendSpec>,
     /// `None` until the first cube: construction does no solver work.
@@ -222,6 +233,20 @@ pub(crate) struct FreshBackend {
 struct Resident {
     template: Solver,
     working: Solver,
+    /// The solve `working` holds the end state of, while a repeat of it may
+    /// be answered from that state. Cleared before every solve, so a solve
+    /// that panics leaves nothing stale; never set by an interrupted or
+    /// timed-out solve, whose verdict a repeat need not share. Kept across
+    /// batches: the template never changes.
+    last: Option<LastSolve>,
+}
+
+/// What [`Resident::last`] remembers of a solve.
+struct LastSolve {
+    cube: Vec<Lit>,
+    budget: Budget,
+    verdict: Verdict,
+    elapsed: Duration,
 }
 
 impl Resident {
@@ -231,7 +256,45 @@ impl Resident {
         // the solver that did the loading keeps the spare capacity its watch
         // lists grew, which solving would grow anyway.
         let template = working.clone();
-        Resident { template, working }
+        Resident {
+            template,
+            working,
+            last: None,
+        }
+    }
+
+    /// Restores `working` and solves `cube` on it — or, for a repeat of the
+    /// last solve, returns that solve's verdict and wall time with `working`
+    /// untouched.
+    fn solve(
+        &mut self,
+        cube: &[Lit],
+        budget: &Budget,
+        interrupt: &InterruptFlag,
+        measure_wall_time: bool,
+    ) -> (Verdict, Duration) {
+        if let Some(last) = &self.last {
+            if last.cube == cube && last.budget == *budget && !interrupt.is_raised() {
+                return (last.verdict.clone(), last.elapsed);
+            }
+        }
+        self.last = None;
+        let start = measure_wall_time.then(Instant::now);
+        self.working.clone_from(&self.template);
+        let verdict = self.working.solve_limited(cube, budget, Some(interrupt));
+        let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
+        if !matches!(
+            verdict,
+            Verdict::Unknown(StopReason::Interrupted | StopReason::TimeLimit)
+        ) {
+            self.last = Some(LastSolve {
+                cube: cube.to_vec(),
+                budget: budget.clone(),
+                verdict: verdict.clone(),
+                elapsed,
+            });
+        }
+        (verdict, elapsed)
     }
 }
 
@@ -257,13 +320,12 @@ impl CubeBackend for FreshBackend {
         // The one-off load happens before the timer starts, so the first
         // wall-time observation of a backend's life is distributed like
         // every later one: restore + solve.
-        let Resident { template, working } = self
+        let resident = self
             .resident
             .get_or_insert_with(|| Resident::load(&self.spec));
-        let start = self.spec.measure_wall_time.then(Instant::now);
-        working.clone_from(template);
-        let verdict = working.solve_limited(cube, budget, Some(interrupt));
-        let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
+        let (verdict, elapsed) =
+            resident.solve(cube, budget, interrupt, self.spec.measure_wall_time);
+        let working = &resident.working;
         // The template accumulates no conflict participation (loading runs
         // no conflict analysis), so the working solver's counters are
         // entirely this cube's.
@@ -368,6 +430,7 @@ impl CubeBackend for WarmBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CostMetric;
     use pdsat_cnf::{Cube, Lit, Var};
 
     fn chain(n: usize) -> Cnf {
@@ -411,6 +474,113 @@ mod tests {
         // A second identical call sees an identical fresh solver.
         let again = backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc);
         assert_eq!(out.counters, again.counters);
+    }
+
+    /// A fresh backend over the pigeonhole formula on 5 holes, certificates
+    /// on, and two of its cubes: every cube is refuted, with conflicts.
+    fn pigeonhole_backend() -> (FreshBackend, Cube, Cube) {
+        let config = BatchConfig {
+            cost: CostMetric::Propagations,
+            solver_config: SolverConfig {
+                proof: true,
+                ..SolverConfig::default()
+            },
+            ..BatchConfig::default()
+        };
+        let spec = Arc::new(BackendSpec::new(Arc::new(Cnf::pigeonhole(5)), &config));
+        let set = [Var::new(0), Var::new(7)];
+        let (c, d) = (Cube::from_bits(&set, 0b10), Cube::from_bits(&set, 0b01));
+        (FreshBackend::new(spec), c, d)
+    }
+
+    /// Marks the solve the backend keeps, so that a cube answered from it
+    /// is told apart from one solved again.
+    const KEPT: Duration = Duration::from_secs(7);
+
+    fn mark_kept(backend: &mut FreshBackend) {
+        let last = backend.resident.as_mut().and_then(|r| r.last.as_mut());
+        last.expect("the last solve is kept").elapsed = KEPT;
+    }
+
+    #[test]
+    fn a_repeated_cube_is_answered_as_a_solve_would_answer_it() {
+        let interrupt = InterruptFlag::new();
+        // Each sequence on a backend of its own: the outcomes, the conflict
+        // accumulator and the batch statistics.
+        let run = |order: &[bool]| {
+            let (mut backend, c, d) = pigeonhole_backend();
+            let mut acc = vec![0u64; backend.spec.cnf.num_vars()];
+            backend.begin_batch();
+            let outcomes: Vec<BackendOutcome> = order
+                .iter()
+                .map(|&is_c| {
+                    let cube = if is_c { &c } else { &d };
+                    backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc)
+                })
+                .collect();
+            (outcomes, acc, backend.end_batch())
+        };
+        let (once, once_acc, once_stats) = run(&[true]);
+        let (repeated, repeated_acc, repeated_stats) = run(&[true, true]);
+        let (apart, _, _) = run(&[true, false, true]);
+        assert!(once[0].verdict.is_unsat() && once[0].counters.conflicts > 0);
+        assert!(once_acc.iter().any(|&c| c > 0));
+        for outcome in [&repeated[0], &repeated[1], &apart[0], &apart[2]] {
+            assert_eq!(outcome.verdict, once[0].verdict);
+            assert_eq!(outcome.counters, once[0].counters);
+            assert_eq!(outcome.elapsed, once[0].elapsed);
+            assert_eq!(outcome.proof, once[0].proof);
+        }
+        assert!(once[0].proof.is_some());
+        let doubled: Vec<u64> = once_acc.iter().map(|&c| 2 * c).collect();
+        assert_eq!(repeated_acc, doubled);
+        let mut twice = once_stats;
+        twice.absorb(&once_stats);
+        assert_eq!(repeated_stats, twice);
+    }
+
+    #[test]
+    fn a_raised_interrupt_or_another_budget_solves_the_cube_again() {
+        let (mut backend, c, _) = pigeonhole_backend();
+        let mut acc = vec![0u64; backend.spec.cnf.num_vars()];
+        let lowered = InterruptFlag::new();
+        let raised = InterruptFlag::new();
+        raised.raise();
+        let unlimited = Budget::unlimited();
+        let first = backend.solve(c.lits(), &unlimited, &lowered, &mut acc);
+        assert!(first.verdict.is_unsat());
+
+        mark_kept(&mut backend);
+        let interrupted = backend.solve(c.lits(), &unlimited, &raised, &mut acc);
+        assert_eq!(
+            interrupted.verdict,
+            Verdict::Unknown(StopReason::Interrupted)
+        );
+        // An interrupted solve is not kept: the next repeat is solved.
+        assert!(backend.resident.as_ref().unwrap().last.is_none());
+        let again = backend.solve(c.lits(), &unlimited, &lowered, &mut acc);
+        assert!(again.verdict.is_unsat() && again.elapsed != KEPT);
+
+        mark_kept(&mut backend);
+        let cut = Budget::unlimited().with_conflict_limit(0);
+        let limited = backend.solve(c.lits(), &cut, &lowered, &mut acc);
+        assert_eq!(limited.verdict, Verdict::Unknown(StopReason::ConflictLimit));
+        assert_ne!(limited.elapsed, KEPT);
+    }
+
+    #[test]
+    fn an_exhausted_conflict_budget_is_answered_from_the_last_solve() {
+        let (mut backend, c, _) = pigeonhole_backend();
+        let mut acc = vec![0u64; backend.spec.cnf.num_vars()];
+        let interrupt = InterruptFlag::new();
+        let cut = Budget::unlimited().with_conflict_limit(0);
+        let first = backend.solve(c.lits(), &cut, &interrupt, &mut acc);
+        assert_eq!(first.verdict, Verdict::Unknown(StopReason::ConflictLimit));
+        mark_kept(&mut backend);
+        let repeat = backend.solve(c.lits(), &cut, &interrupt, &mut acc);
+        assert_eq!(repeat.verdict, first.verdict);
+        assert_eq!(repeat.counters, first.counters);
+        assert_eq!(repeat.elapsed, KEPT);
     }
 
     #[test]

@@ -35,8 +35,11 @@ pub struct EvaluatorConfig {
     /// [`BackendKind::Fresh`] by default: a fresh solver per sampled cube
     /// keeps the observations `ζ_j` identically distributed, which is what
     /// the Monte Carlo argument of the paper assumes.
-    /// [`BackendKind::Warm`] trades a small bias for a large speed-up (the
-    /// benchmark suite quantifies the difference).
+    /// [`BackendKind::Warm`] trades a bias — each cube's cost depends on the
+    /// cubes solved before it — for a large speed-up. Nothing measures that
+    /// bias yet: the benchmark times warm solving, not warm estimates, and
+    /// measuring it on the search's reported intervals is ROADMAP.md item
+    /// 1(c).
     pub backend: BackendKind,
 }
 
@@ -269,7 +272,8 @@ impl Evaluator {
         self.evaluations += 1;
         self.total_solve_wall += batch.wall_time;
 
-        summarize_outcomes(set, &batch, 0..cubes.len(), batch.wall_time)
+        let positions: Vec<usize> = (0..cubes.len()).collect();
+        summarize_outcomes(set, &batch, &positions, batch.wall_time)
     }
 
     /// Evaluates the predictive function at every set of `sets` with fresh
@@ -284,14 +288,20 @@ impl Evaluator {
     /// whole neighborhood without idling between points. With the
     /// deterministic [`BackendKind::Fresh`](crate::BackendKind::Fresh)
     /// backend the returned values are bit-identical to the sequential loop
-    /// (each point draws the same per-evaluation sample, reported in the
-    /// order drawn); a warm backend may legitimately report different *costs*
-    /// because its learnt-clause state now flows across the whole batch. For
-    /// a warm backend each point's sample is solved — and reported — sorted,
-    /// so consecutive cubes share the longest assumption prefixes and the
-    /// solver's trail reuse skips most of the per-cube replay; points are
-    /// never interleaved (a warm solver's learnt-clause locality follows the
-    /// set).
+    /// (each point draws the same per-evaluation sample); a warm backend may
+    /// legitimately report different *costs* because its learnt-clause state
+    /// now flows across the whole batch.
+    ///
+    /// Each point's sample is *solved* grouped — stable-sorted into the
+    /// binary counting order of [`DecompositionSet::cubes`] — and *reported*
+    /// in the order drawn: observations `ζ_1 … ζ_N`, verdict counts and the
+    /// model of the first satisfiable cube drawn. Grouping puts the repeats
+    /// of a cube (the sample is drawn with replacement) next to each other,
+    /// so the fresh backend answers a repeat from the solver that just solved
+    /// it instead of solving it again, and consecutive cubes share the
+    /// longest assumption prefixes, so a warm solver's trail reuse skips most
+    /// of the per-cube replay. Points are never interleaved (a warm solver's
+    /// learnt-clause locality follows the set).
     pub fn evaluate_batch(&mut self, sets: &[DecompositionSet]) -> Vec<PointEvaluation> {
         if sets.is_empty() {
             return Vec::new();
@@ -300,7 +310,11 @@ impl Evaluator {
         // runs of a whole search reproducible while different points get
         // independent samples: point k of the batch draws exactly the sample
         // it would draw as the k-th single-set call.
-        let mut plan: Vec<Cube> = Vec::with_capacity(sets.len() * self.config.sample_size);
+        let capacity = sets.len() * self.config.sample_size;
+        let mut plan: Vec<Cube> = Vec::with_capacity(capacity);
+        // `drawn_at[ranges[k]]` lists, in the order point k drew its cubes,
+        // each cube's position in the plan.
+        let mut drawn_at: Vec<usize> = Vec::with_capacity(capacity);
         let mut ranges: Vec<Range<usize>> = Vec::with_capacity(sets.len());
         for (k, set) in sets.iter().enumerate() {
             let mut rng = rand::rngs::StdRng::seed_from_u64(
@@ -309,18 +323,24 @@ impl Evaluator {
                     .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                     .wrapping_add(self.evaluations + k as u64),
             );
-            let mut cubes = set.random_sample(self.config.sample_size, &mut rng);
-            if self.config.backend == BackendKind::Warm {
-                // Negative literal first, the binary counting order of
-                // `DecompositionSet::cubes`. Stable: equal cubes keep the
-                // order drawn.
-                cubes.sort_by_cached_key(|cube| {
-                    let polarities = cube.lits().iter().map(|l| l.is_positive());
-                    polarities.collect::<Vec<bool>>()
-                });
+            let mut drawn: Vec<(usize, Cube)> = set
+                .random_sample(self.config.sample_size, &mut rng)
+                .into_iter()
+                .enumerate()
+                .collect();
+            // Negative literal first, the binary counting order of
+            // `DecompositionSet::cubes`. Stable: equal cubes keep the order
+            // drawn.
+            fn polarities(cube: &Cube) -> impl Iterator<Item = bool> + '_ {
+                cube.lits().iter().map(|l| l.is_positive())
             }
+            drawn.sort_by(|(_, a), (_, b)| polarities(a).cmp(polarities(b)));
             let from = plan.len();
-            plan.extend(cubes);
+            drawn_at.resize(from + drawn.len(), 0);
+            for (j, cube) in drawn {
+                drawn_at[from + j] = plan.len();
+                plan.push(cube);
+            }
             ranges.push(from..plan.len());
         }
 
@@ -335,14 +355,14 @@ impl Evaluator {
         self.evaluations += sets.len() as u64;
         self.total_solve_wall += batch.wall_time;
 
-        // Results sit in plan order, so each point's range of the columns
-        // is contiguous. The batch's wall time is apportioned equally
+        // Results sit in plan order; each point reads its own back in the
+        // order drawn. The batch's wall time is apportioned equally
         // (per-point wall clocks are not observable inside one pooled batch).
         let per_point_wall = batch.wall_time / sets.len() as u32;
         ranges
             .into_iter()
             .zip(sets)
-            .map(|(range, set)| summarize_outcomes(set, &batch, range, per_point_wall))
+            .map(|(range, set)| summarize_outcomes(set, &batch, &drawn_at[range], per_point_wall))
             .collect()
     }
 
@@ -398,35 +418,42 @@ impl Evaluator {
     }
 }
 
-/// Builds a [`PointEvaluation`] from one point's range of a batch's columns
+/// Builds a [`PointEvaluation`] from one point's results, read from the
+/// batch positions `drawn_at` lists in the order the point drew its cubes
 /// (shared by the sequential and batched evaluation paths). The evaluator
-/// never sets `stop_on_sat`, so every cube of the range is solved.
+/// never sets `stop_on_sat`, so every listed cube is solved.
 fn summarize_outcomes(
     set: &DecompositionSet,
     batch: &BatchResult,
-    range: Range<usize>,
+    drawn_at: &[usize],
     wall_time: Duration,
 ) -> PointEvaluation {
-    let observations = batch.costs[range.clone()].to_vec();
+    let observations: Vec<f64> = drawn_at.iter().map(|&i| batch.costs[i]).collect();
     let estimate = PredictiveEstimate::from_observations(set.len(), &observations);
     let mut verdicts = SampleVerdicts::default();
-    for verdict in batch.verdicts[range.clone()].iter().flatten() {
-        match verdict {
-            VerdictSummary::Sat => verdicts.sat += 1,
-            VerdictSummary::Unsat => verdicts.unsat += 1,
-            VerdictSummary::Unknown => verdicts.unknown += 1,
+    let mut first_sat = None;
+    for &i in drawn_at {
+        match batch.verdicts[i] {
+            Some(VerdictSummary::Sat) => {
+                verdicts.sat += 1;
+                first_sat.get_or_insert(i);
+            }
+            Some(VerdictSummary::Unsat) => verdicts.unsat += 1,
+            Some(VerdictSummary::Unknown) => verdicts.unknown += 1,
+            None => {}
         }
     }
-    // The point's first model, if it has one: a neighbourhood batch of an
-    // easy formula can carry a model per cube, so the list is searched, not
-    // scanned from its start.
-    let first = batch
-        .models
-        .partition_point(|&(index, _)| index < range.start);
-    let model = batch.models[first..]
-        .first()
-        .filter(|&&(index, _)| index < range.end)
-        .map(|(_, model)| model.clone());
+    // The model of the first satisfiable cube drawn: a neighbourhood batch
+    // of an easy formula can carry a model per cube, so the list (by batch
+    // position) is searched, not scanned.
+    let model = first_sat
+        .and_then(|i| {
+            batch
+                .models
+                .binary_search_by_key(&i, |&(index, _)| index)
+                .ok()
+        })
+        .map(|at| batch.models[at].1.clone());
     PointEvaluation {
         set: set.clone(),
         estimate,
@@ -553,7 +580,11 @@ mod tests {
     fn each_point_of_a_batch_keeps_the_first_model_of_its_own_range() {
         use VerdictSummary::{Sat, Unsat};
         let verdicts = [Unsat, Sat, Unsat, Unsat, Sat, Sat];
-        let model_at = |index: usize| (index, Assignment::from_bools(&[index == 1]));
+        // A model per position, each different.
+        let model_at = |index: usize| {
+            let bits = [0, 1, 2].map(|bit| index >> bit & 1 == 1);
+            (index, Assignment::from_bools(&bits))
+        };
         let batch = BatchResult {
             costs: vec![1.0; 6],
             verdicts: verdicts.map(Some).to_vec(),
@@ -564,14 +595,20 @@ mod tests {
             wall_time: Duration::ZERO,
         };
         let set = DecompositionSet::new([Var::new(0)]);
-        for (range, sat, first) in [(0..2, 1, Some(1)), (2..4, 0, None), (4..6, 2, Some(4))] {
-            let point = summarize_outcomes(&set, &batch, range.clone(), Duration::ZERO);
+        // The last point drew the cube at position 5 first: its model is
+        // that cube's, not the one at the lower position.
+        for (drawn_at, sat, first) in [
+            ([0, 1], 1, Some(1)),
+            ([2, 3], 0, None),
+            ([5, 4], 2, Some(5)),
+        ] {
+            let point = summarize_outcomes(&set, &batch, &drawn_at, Duration::ZERO);
             assert_eq!(point.observations.len(), 2);
-            assert_eq!(point.verdicts.sat, sat, "{range:?}");
+            assert_eq!(point.verdicts.sat, sat, "{drawn_at:?}");
             assert_eq!(
                 point.model,
                 first.map(|index| model_at(index).1),
-                "{range:?}"
+                "{drawn_at:?}"
             );
         }
     }
