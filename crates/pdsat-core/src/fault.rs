@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the worker pool.
 //!
 //! A pool worker's backend can panic mid-sub-problem, and the pool's
-//! answer — quarantine, respawn, requeue once, sequential fallback — is only
+//! answer — quarantine, respawn, requeue once, last-resort fallback — is only
 //! trustworthy if those panics can be *provoked on demand*, reproducibly.
 //! Nothing else reaches that code: an honest backend does not panic. A
 //! [`FaultPlan`] is a seeded, value-typed schedule of injection points

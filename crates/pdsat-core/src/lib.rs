@@ -29,10 +29,11 @@
 //! route through one [`CubeOracle`]:
 //! an executor owning a **pool of resident backends** (the stand-in for the
 //! solver state inside PDSAT's long-lived MPI computing processes): one
-//! backend per worker for the oracle's lifetime, driven by threads scoped
-//! to each batch that read the caller's cubes and write the results in
-//! place, with per-cube budgets, interrupt fan-out and per-worker
-//! stats/conflict-count accumulation merged once per batch. The unit of work
+//! backend per worker for the oracle's lifetime, however many workers there
+//! are, driven by the calling thread and threads scoped to each batch that
+//! read the caller's cubes and write the results in place, with per-cube
+//! budgets, interrupt fan-out and per-worker stats/conflict-count
+//! accumulation merged once per batch. The unit of work
 //! it schedules is one of two backends:
 //! [`BackendKind::Fresh`] restores a solver per cube
 //! (order-independent observations, what the Monte Carlo argument assumes),

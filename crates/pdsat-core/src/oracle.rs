@@ -7,13 +7,14 @@
 //! that unit as an MPI worker running a modified MiniSat; this module
 //! realizes it as a backend selected by [`BackendKind`], driven by an
 //! executor that owns a **pool of resident backends** ([`oracle/pool.rs`](pool)):
-//! one backend per worker is built when the oracle is and lives as long as
-//! it does — the analogue of a PDSAT worker's solver state — while the
-//! worker *threads* are scoped to one batch each, so they read the caller's
-//! cubes and write the result columns in place. The executor applies per-cube
-//! [`Budget`]s, fans an [`InterruptFlag`] out to every worker, merges
-//! per-worker [`SolverStats`] and conflict-count accumulators once per
-//! batch.
+//! one backend per worker (one at least) is built when the oracle is and
+//! lives as long as it does — the analogue of a PDSAT worker's solver state
+//! — while the worker *threads* are scoped to one batch each, so they read
+//! the caller's cubes and write the result columns in place. The calling
+//! thread is always the first worker, so a one-worker oracle spawns no
+//! thread per batch. The executor applies per-cube [`Budget`]s, fans an
+//! [`InterruptFlag`] out to every worker, merges per-worker [`SolverStats`]
+//! and conflict-count accumulators once per batch.
 //!
 //! The [`Evaluator`](crate::Evaluator) (point-at-a-time *and* batched
 //! neighborhood evaluation) and [`FamilySolver`](crate::FamilySolver) both
@@ -47,35 +48,20 @@ pub enum VerdictSummary {
 }
 
 /// Result of processing a whole batch, as columns: position `i` of `costs`
-/// and `verdicts` is cube `i` of the submitted batch on every path.
+/// and `verdicts` is cube `i` of the submitted batch.
 ///
-/// # The `stop_on_sat` contract
-///
-/// With [`BatchConfig::stop_on_sat`] set, `verdicts[i]` is `Some` for
-/// **exactly the cubes that were solved before the raised flag was
-/// observed** and `None` (with a cost of zero) for the others — every solved
-/// cube is reported, none are silently dropped, and `solver_stats` /
-/// `var_conflict_totals` cover precisely the solved cubes. Workers stop
-/// claiming new cubes as soon as they observe the raised flag (the flag is
-/// re-checked before every cube), so unclaimed cubes are simply never
-/// started. With one worker the solved cubes form a *prefix* of the batch;
-/// with a pool they are a subset whose exact membership depends on
-/// scheduling, because each worker may complete the cube it is holding when
-/// the flag goes up. Both paths honor the same contract; only the
-/// prefix-ness is a single-worker refinement.
-///
-/// Without `stop_on_sat` no verdict is `None`, and a raised external
-/// interrupt does *not* change that: every cube is still claimed and
-/// reported, with the ones the interrupt cut short appearing as
-/// [`VerdictSummary::Unknown`] (the equivalent of PDSAT's leader abandoning
-/// a point — the workers drain the batch cheaply rather than abandoning it).
+/// Every cube is claimed and reported, so no returned verdict is `None`. A
+/// raised external interrupt does not change that: the cubes it cut short
+/// appear as [`VerdictSummary::Unknown`] (the equivalent of PDSAT's leader
+/// abandoning a point — the workers drain the batch cheaply rather than
+/// abandoning it).
 #[derive(Debug, Clone)]
 pub struct BatchResult {
-    /// Measured cost of every cube under the configured [`CostMetric`]; zero
-    /// where the verdict is `None`.
+    /// Measured cost of every cube under the configured [`CostMetric`].
     pub costs: Vec<f64>,
-    /// Verdict of every cube — one byte each; `None` is "never solved" (see
-    /// the `stop_on_sat` contract above).
+    /// Verdict of every cube — one byte each. `None` marks a position no
+    /// worker has solved yet while the batch runs; a returned batch has
+    /// none.
     pub verdicts: Vec<Option<VerdictSummary>>,
     /// A model of `C ∧ cube` for every satisfiable cube, by batch position,
     /// ascending.
@@ -113,7 +99,7 @@ impl BatchResult {
         }
     }
 
-    /// Counts of (sat, unsat, unknown) verdicts among the solved cubes.
+    /// Counts of (sat, unsat, unknown) verdicts over the batch.
     #[must_use]
     pub fn verdict_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
@@ -137,24 +123,20 @@ pub struct BatchConfig {
     pub budget: Budget,
     /// Cost metric recorded per sub-problem.
     pub cost: CostMetric,
-    /// Number of workers (values 0 and 1 both mean "run on the calling
-    /// thread"; larger values build that many resident pool backends when
-    /// the oracle is built, each driven by a thread of its own in every
-    /// batch wide enough).
+    /// Number of workers: the oracle builds one resident pool backend per
+    /// worker, and every batch wide enough drives each with a thread of its
+    /// own (the calling thread drains the first stripe itself, so one
+    /// worker spawns no thread per batch). 0 means 1.
     pub num_workers: usize,
     /// Cap the pool at the machine's available parallelism (default `true`).
     /// A pool wider than the hardware cannot run faster — on an
     /// oversubscribed machine the surplus threads only add context-switch
     /// and dispatch overhead, which is exactly the "more workers, slower
     /// solving" failure mode this executor exists to prevent. When the cap
-    /// brings the effective count to 1, no pool is spawned at all and
-    /// batches run on the calling thread. Disable only to force an exact
+    /// brings the effective count to 1, the pool has one slot and every
+    /// batch runs on the calling thread. Disable only to force an exact
     /// pool shape (scheduling tests, oversubscription experiments).
     pub clamp_workers_to_cpus: bool,
-    /// Raise the shared interrupt flag as soon as one sub-problem is found
-    /// satisfiable (used when only the answer, not the full family cost,
-    /// matters). See the [`BatchResult`] docs for the exact contract.
-    pub stop_on_sat: bool,
     /// Which backend each worker runs (see [`BackendKind`] for the
     /// fresh-vs-warm trade-off).
     pub backend: BackendKind,
@@ -163,8 +145,8 @@ pub struct BatchConfig {
     /// armed when the oracle is built and wraps every pool backend — initial
     /// and respawned — so the plan's scheduled solve panics and respawn
     /// failures fire inside the workers, exercising the quarantine/respawn/
-    /// requeue machinery. Chaos tests only; the sequential executor and the
-    /// last-resort fallback are intentionally not injected (a panic there
+    /// requeue machinery, whatever the number of workers. Chaos tests only;
+    /// the last-resort fallback is intentionally not injected (a panic there
     /// propagates to the caller).
     pub fault_plan: FaultPlan,
 }
@@ -177,25 +159,14 @@ impl Default for BatchConfig {
             cost: CostMetric::default(),
             num_workers: 1,
             clamp_workers_to_cpus: true,
-            stop_on_sat: false,
             backend: BackendKind::Fresh,
             fault_plan: FaultPlan::none(),
         }
     }
 }
 
-/// How an oracle executes batches: on the calling thread with one resident
-/// backend, or on the worker pool.
-enum Executor {
-    /// `num_workers <= 1`: one backend owned by the oracle itself; batches
-    /// run on the calling thread.
-    Sequential(Box<dyn CubeBackend>),
-    /// `num_workers > 1`: one resident backend per worker, threads per batch.
-    Pool(WorkerPool),
-}
-
-/// The executor that owns the formula and the resident backends, and
-/// processes batches of cubes through them.
+/// The executor that owns the formula and the worker pool of resident
+/// backends, and processes batches of cubes through them.
 ///
 /// The backends live as long as the oracle: a [`BackendKind::Warm`] solver
 /// keeps its learnt clauses and VSIDS state across *every* batch the oracle
@@ -237,7 +208,7 @@ pub struct CubeOracle {
     /// slots, which respawn from it.
     spec: Arc<BackendSpec>,
     config: BatchConfig,
-    exec: Executor,
+    pool: WorkerPool,
     total_stats: SolverStats,
     batches: u64,
     cubes_solved: u64,
@@ -256,39 +227,28 @@ impl std::fmt::Debug for CubeOracle {
 }
 
 impl CubeOracle {
-    /// Creates an oracle over a copy of `cnf`, with one backend per worker
-    /// (a pool's are built in the background and ready by their first
-    /// batch).
+    /// Creates an oracle over a copy of `cnf`, with a pool of one backend
+    /// per worker. Nothing is built yet: each backend is built by the worker
+    /// that first uses it, in the first batch wide enough to reach it.
     #[must_use]
     pub fn new(cnf: &Cnf, config: BatchConfig) -> CubeOracle {
-        CubeOracle::from_arc(Arc::new(cnf.clone()), config)
-    }
-
-    /// Creates an oracle over an already-shared formula without copying it.
-    #[must_use]
-    pub fn from_arc(cnf: Arc<Cnf>, config: BatchConfig) -> CubeOracle {
-        let effective_workers = if config.clamp_workers_to_cpus {
+        let mut workers = config.num_workers.max(1);
+        if config.clamp_workers_to_cpus {
             let hardware = std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1);
-            config.num_workers.min(hardware)
-        } else {
-            config.num_workers
-        };
-        let spec = Arc::new(BackendSpec::new(cnf, &config));
-        let exec = if effective_workers <= 1 {
-            Executor::Sequential(spec.build())
-        } else {
-            // A non-empty fault plan is armed once per oracle; the workers
-            // share its ordinal counters, so "panic on the nth solve" counts
-            // solves across the whole pool.
-            let faults = (!config.fault_plan.is_empty()).then(|| config.fault_plan.clone().arm());
-            Executor::Pool(WorkerPool::new(&spec, effective_workers, faults.as_ref()))
-        };
+            workers = workers.min(hardware);
+        }
+        let spec = Arc::new(BackendSpec::new(Arc::new(cnf.clone()), &config));
+        // A non-empty fault plan is armed once per oracle; the workers share
+        // its ordinal counters, so "panic on the nth solve" counts solves
+        // across the whole pool.
+        let faults = (!config.fault_plan.is_empty()).then(|| config.fault_plan.clone().arm());
+        let pool = WorkerPool::new(&spec, workers, faults.as_ref());
         CubeOracle {
             spec,
             config,
-            exec,
+            pool,
             total_stats: SolverStats::default(),
             batches: 0,
             cubes_solved: 0,
@@ -307,14 +267,11 @@ impl CubeOracle {
         &self.config
     }
 
-    /// Number of resident workers actually executing batches: the pool size,
-    /// or 1 when batches run on the calling thread.
+    /// Number of resident workers executing batches: the pool size, at
+    /// least 1.
     #[must_use]
     pub fn num_workers(&self) -> usize {
-        match &self.exec {
-            Executor::Sequential(_) => 1,
-            Executor::Pool(pool) => pool.size(),
-        }
+        self.pool.size()
     }
 
     /// Solver-statistics deltas aggregated over every cube this oracle has
@@ -338,23 +295,21 @@ impl CubeOracle {
 
     /// Processes a batch of cubes (sub-problems of one decomposition family).
     ///
-    /// With `num_workers <= 1` the batch runs sequentially on the calling
-    /// thread; otherwise it runs on `min(num_workers, cubes.len())` of the
-    /// pool's backends — the first on the calling thread, the others on
-    /// threads that last for the batch — so a batch smaller than the pool
-    /// never involves the surplus workers. Either way the backends are the
-    /// *same instances* across calls (warm state survives from batch to
-    /// batch), the cubes are processed in the order given — each worker
-    /// walks its stripe of the batch front to back — and position `i` of
-    /// the returned columns is cube `i`. A caller that wants a warm solver
-    /// to reuse assumption prefixes submits the cubes sorted (enumerated
-    /// families already are; the [`Evaluator`](crate::Evaluator) sorts its
-    /// samples). An empty batch returns immediately without touching the
-    /// pool.
+    /// The batch runs on `min(num_workers, cubes.len())` of the pool's
+    /// backends — the first on the calling thread, the others on threads
+    /// that last for the batch — so a one-worker oracle, or a batch smaller
+    /// than the pool, spawns no surplus thread. The backends are the *same
+    /// instances* across calls (warm state survives from batch to batch),
+    /// the cubes are processed in the order given — each worker walks its
+    /// stripe of the batch front to back — and position `i` of the returned
+    /// columns is cube `i`. A caller that wants a warm solver to reuse
+    /// assumption prefixes submits the cubes sorted (enumerated families
+    /// already are; the [`Evaluator`](crate::Evaluator) sorts its samples).
+    /// An empty batch returns immediately without touching the pool.
     ///
     /// The optional `external_interrupt` lets a caller abandon the whole
     /// batch — the equivalent of PDSAT's leader abandoning a search-space
-    /// point. See the [`BatchResult`] docs for the `stop_on_sat` contract.
+    /// point; see the [`BatchResult`] docs.
     #[must_use]
     pub fn solve_batch(
         &mut self,
@@ -365,50 +320,32 @@ impl CubeOracle {
         let interrupt = external_interrupt.cloned().unwrap_or_default();
         let mut result = BatchResult::unsolved(cubes.len(), self.cnf().num_vars());
 
-        let config = &self.config;
-        let solved = match &mut self.exec {
-            // An empty batch touches no backend.
-            _ if cubes.is_empty() => 0,
-            Executor::Sequential(backend) => solve_on_caller(
-                backend.as_mut(),
-                cubes,
-                0..cubes.len(),
-                config,
-                &interrupt,
-                &mut result,
-            ),
-            Executor::Pool(pool) => {
-                let mut solved = pool.run_batch(cubes, config, &interrupt, &mut result);
-                // Last-resort fallback: every cube no worker solved — one
-                // that killed two backends in a row, cubes stranded by a
-                // failed respawn, positions nobody claimed because the last
-                // workers died mid-batch — is re-solved sequentially on the
-                // calling thread with a one-shot backend. Deliberately not
-                // fault-injected: if this path panics too, the failure
-                // surfaces to the caller. Under a raised `stop_on_sat` flag
-                // unsolved positions are the contract, not a loss, and the
-                // leftovers are never started.
-                if solved < cubes.len() && !(config.stop_on_sat && interrupt.is_raised()) {
-                    let owed: Vec<usize> = (0..cubes.len())
-                        .filter(|&i| result.verdicts[i].is_none())
-                        .collect();
-                    let resolved = solve_on_caller(
-                        self.spec.build().as_mut(),
-                        cubes,
-                        owed.into_iter(),
-                        config,
-                        &interrupt,
-                        &mut result,
-                    );
-                    result.solver_stats.requeued_cubes += resolved as u64;
-                    solved += resolved;
-                }
-                // Each worker listed its own; the fallback's come last.
-                result.models.sort_unstable_by_key(|&(index, _)| index);
-                result.proofs.sort_unstable_by_key(|&(index, _)| index);
-                solved
+        let mut solved = 0;
+        if !cubes.is_empty() {
+            solved = self
+                .pool
+                .run_batch(cubes, &self.config, &interrupt, &mut result);
+            // Last-resort fallback: every cube no worker solved — one that
+            // killed two backends in a row, cubes stranded by a failed
+            // respawn, positions nobody claimed because the last workers
+            // died mid-batch — is re-solved on the calling thread with a
+            // one-shot backend. Deliberately not fault-injected: if this
+            // path panics too, the failure surfaces to the caller.
+            if solved < cubes.len() {
+                let resolved = solve_on_caller(
+                    self.spec.build().as_mut(),
+                    cubes,
+                    &self.config,
+                    &interrupt,
+                    &mut result,
+                );
+                result.solver_stats.requeued_cubes += resolved as u64;
+                solved += resolved;
             }
-        };
+            // Each worker listed its own; the fallback's come last.
+            result.models.sort_unstable_by_key(|&(index, _)| index);
+            result.proofs.sort_unstable_by_key(|&(index, _)| index);
+        }
 
         self.batches += 1;
         self.cubes_solved += solved as u64;
@@ -418,29 +355,25 @@ impl CubeOracle {
     }
 }
 
-/// One batch — or what is left of one — on the calling thread: solves
-/// `cubes[index]` for each of `indices` in turn on `backend`, writes each
-/// cube's cost and verdict at its position of `result`, adds the backend's
-/// statistics for the run to `result`'s and returns how many cubes it solved.
-/// With `stop_on_sat` the first satisfiable cube raises `interrupt` and the
-/// rest are never started. Shared by the sequential executor and the pool's
-/// last-resort fallback.
+/// The last-resort fallback: solves, in turn on `backend`, every cube of the
+/// batch whose position in `result` no worker filled, writes each cube's
+/// cost and verdict at its position, adds the backend's statistics for the
+/// run to `result`'s and returns how many cubes it solved.
 fn solve_on_caller(
     backend: &mut dyn CubeBackend,
     cubes: &[Cube],
-    indices: impl Iterator<Item = usize>,
     config: &BatchConfig,
     interrupt: &InterruptFlag,
     result: &mut BatchResult,
 ) -> usize {
     backend.begin_batch();
     let mut solved = 0;
-    for index in indices {
-        if config.stop_on_sat && interrupt.is_raised() {
-            break;
+    for (index, cube) in cubes.iter().enumerate() {
+        if result.verdicts[index].is_some() {
+            continue;
         }
         let raw = backend.solve(
-            cubes[index].lits(),
+            cube.lits(),
             &config.budget,
             interrupt,
             &mut result.var_conflict_totals,
@@ -449,12 +382,7 @@ fn solve_on_caller(
         let verdict = summarize(index, raw, &mut result.models, &mut result.proofs);
         result.verdicts[index] = Some(verdict);
         solved += 1;
-        if config.stop_on_sat && verdict == VerdictSummary::Sat {
-            interrupt.raise();
-        }
     }
-    // Solver statistics (trail-reuse counters included) are merged once per
-    // run, mirroring the pool path.
     result.solver_stats.absorb(&backend.end_batch());
     solved
 }
@@ -576,31 +504,18 @@ mod tests {
     }
 
     #[test]
-    fn stop_on_sat_raises_interrupt() {
-        let cnf = sat_chain(4);
-        let set = DecompositionSet::new([Var::new(0)]);
-        let cubes: Vec<Cube> = set.cubes().collect();
-        let config = BatchConfig {
-            stop_on_sat: true,
-            ..BatchConfig::default()
-        };
-        let flag = InterruptFlag::new();
-        let result = CubeOracle::new(&cnf, config).solve_batch(&cubes, Some(&flag));
-        assert!(flag.is_raised());
-        assert_eq!(result.verdicts[0], Some(VerdictSummary::Sat));
-        assert_eq!(result.verdicts[1], None);
-    }
-
-    #[test]
     fn empty_batch_returns_immediately_for_both_executors() {
         let cnf = Cnf::pigeonhole(4);
-        for workers in [1usize, 4] {
+        // A one-slot pool, and 0 workers meaning one: a zero-slot pool would
+        // panic on its first batch.
+        for workers in [0usize, 1, 4] {
             let config = BatchConfig {
                 num_workers: workers,
                 clamp_workers_to_cpus: false,
                 ..BatchConfig::default()
             };
             let mut oracle = CubeOracle::new(&cnf, config);
+            assert_eq!(oracle.num_workers(), workers.max(1));
             let result = oracle.solve_batch(&[], None);
             assert!(result.costs.is_empty() && result.verdicts.is_empty());
             assert_eq!(result.var_conflict_totals, vec![0; cnf.num_vars()]);

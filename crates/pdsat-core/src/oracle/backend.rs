@@ -10,11 +10,11 @@
 //! [`WarmBackend`]) and the fault-injecting decorator are its only
 //! implementations, selected from outside through [`BackendKind`].
 //!
-//! Backends are *pool residents*: one instance is built per worker when the
-//! oracle is constructed — every one of them from the oracle's single
-//! [`BackendSpec`] — and lives until the oracle is dropped, surviving
-//! across batches ([`CubeBackend::begin_batch`] re-arms it at each batch
-//! boundary). That lifecycle is what lets [`WarmBackend`]'s learnt clauses
+//! Backends are *pool residents*: one instance is built per worker — every
+//! one of them from the oracle's single [`BackendSpec`], by the worker that
+//! first drains a stripe on the slot — and lives until the oracle is
+//! dropped, surviving across batches ([`CubeBackend::begin_batch`] re-arms
+//! it at each batch boundary). That lifecycle is what lets [`WarmBackend`]'s learnt clauses
 //! and VSIDS state accumulate across every batch the oracle processes — the
 //! analogue of the solver inside a long-lived PDSAT worker process. The full
 //! behavioural contract lives in DESIGN.md ("Backend contract").
@@ -56,12 +56,11 @@ pub(crate) struct BackendOutcome {
 
 /// A strategy for solving the sub-problems of decomposition families.
 ///
-/// One backend instance is owned by one worker (the oracle itself when it is
-/// sequential, a pool slot otherwise) for the whole lifetime of the oracle,
-/// and is fed cubes sequentially; implementations therefore never need
-/// internal locking. The `Send` bound is what allows an instance to be built
-/// once, on a thread of its own, and driven by a different thread in every
-/// batch.
+/// One backend instance is owned by one worker (a pool slot) for the whole
+/// lifetime of the oracle, and is fed cubes sequentially; implementations
+/// therefore never need internal locking. The `Send` bound is what allows an
+/// instance to be built once and driven by a different thread in every
+/// batch: the calling thread, or a thread scoped to the batch.
 pub(crate) trait CubeBackend: Send {
     /// Solves `C ∧ cube` (the cube given as its assumption literals) under
     /// the given budget and interrupt flag.
@@ -133,8 +132,8 @@ impl BackendKind {
 
 /// How to build a backend: everything [`BatchConfig`] and the formula decide
 /// about it, worked out once when the oracle is built and shared by every
-/// site that builds one — the sequential executor, each pool worker and its
-/// respawns, the last-resort fallback.
+/// site that builds one — each pool worker and its respawns, the last-resort
+/// fallback.
 pub(crate) struct BackendSpec {
     /// The formula every sub-problem restricts.
     pub cnf: Arc<Cnf>,

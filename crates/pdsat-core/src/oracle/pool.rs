@@ -5,13 +5,12 @@
 //! streams sub-problems to them; what that buys is each worker's **solver
 //! state** — every learnt clause survives from one search-space point to the
 //! next — not the process as such. This module keeps exactly that: one
-//! backend per pool slot is built when the oracle is (on a short-lived
-//! thread of its own, joined by whichever thread first drains a stripe on
-//! the slot, so loading the formula is off the constructor's critical path)
-//! and lives until the oracle is dropped. The *threads* are per batch:
+//! backend per pool slot, built by the thread that first drains a stripe on
+//! the slot, lives until the oracle is dropped. The *threads* are per batch:
 //! [`WorkerPool::run_batch`] runs under [`std::thread::scope`], the calling
 //! thread drains stripe 0 itself and one scoped thread is spawned per
-//! further stripe, so a one-stripe batch spawns nothing.
+//! further stripe, so a one-stripe batch — every batch of a one-slot pool —
+//! spawns nothing.
 //!
 //! Scoped threads end before `run_batch` returns, so a batch *borrows*:
 //! every worker reads the caller's `&[Cube]` and writes each cube's cost and
@@ -38,10 +37,11 @@
 //! (`SolverStats::requeued_cubes`). A cube whose retry panics again — or any
 //! cube stranded when the respawn itself fails — keeps the `None` verdict the
 //! column was allocated with, and the oracle solves every such leftover on
-//! the calling thread with a one-shot sequential backend (the last-resort
-//! fallback). A slot whose respawn fails stays dead; later batches are
-//! dispatched around it, and only when *every* slot is dead does dispatch
-//! panic (naming the pool shape), since at that point no executor is left.
+//! the calling thread with a one-shot backend (the last-resort fallback).
+//! This holds for a pool of any width, one slot included. A slot whose
+//! respawn fails stays dead; later batches are dispatched around it, and
+//! only when *every* slot is dead does dispatch panic (naming the pool
+//! shape), since at that point no executor is left.
 //! A panic that escapes this recovery (from `begin_batch` / `end_batch`, or
 //! from building the slot's first backend) comes back through the scope's
 //! join and is re-raised on the caller naming the slot and the batch
@@ -56,13 +56,12 @@ use pdsat_cnf::{Assignment, Cube, DratProof};
 use pdsat_solver::{InterruptFlag, SolverStats};
 use std::iter::Zip;
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::slice::ChunksMut;
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 
 /// What a slot builds its backends from: the first one and every respawn.
-#[derive(Clone)]
 struct Blueprint {
     spec: Arc<BackendSpec>,
     /// When armed, every backend is wrapped in a [`FaultyBackend`] so the
@@ -95,8 +94,8 @@ impl Blueprint {
 
 /// The backend of one slot, between batches.
 enum Resident {
-    /// Being built since the oracle was; joined on the slot's first batch.
-    Building(JoinHandle<Box<dyn CubeBackend>>),
+    /// No batch has used the slot yet.
+    Unbuilt,
     Ready(Box<dyn CubeBackend>),
     /// A respawn failed, or a panic escaped recovery while the slot's
     /// backend was out on a batch.
@@ -109,12 +108,13 @@ struct Slot {
 }
 
 impl Slot {
-    /// Moves the backend out for a batch, leaving the slot dead until
-    /// [`drain`] puts it back — so a slot whose worker unwinds stays dead.
+    /// Moves the backend out for a batch (building it on the slot's first),
+    /// leaving the slot dead until [`drain`] puts it back — so a slot whose
+    /// worker unwinds stays dead.
     fn take_backend(&mut self) -> Box<dyn CubeBackend> {
         match std::mem::replace(&mut self.backend, Resident::Dead) {
             Resident::Ready(backend) => backend,
-            Resident::Building(handle) => handle.join().unwrap_or_else(|e| resume_unwind(e)),
+            Resident::Unbuilt => self.blueprint.build(),
             Resident::Dead => unreachable!("batches are dispatched around dead slots"),
         }
     }
@@ -152,7 +152,7 @@ struct Batch<'a> {
     /// backend sees the *same* cubes batch after batch — warm-solver
     /// locality that one shared queue would reshuffle on every batch.
     stripes: Vec<Stripe<'a>>,
-    /// Budget, cost metric and `stop_on_sat` of every cube.
+    /// Budget and cost metric of every cube.
     config: &'a BatchConfig,
     /// The batch-wide interrupt flag every worker observes.
     interrupt: &'a InterruptFlag,
@@ -239,13 +239,8 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
     backend.begin_batch();
     let mut report = StripeReport::default();
     let (mut panics, mut requeued) = (0u64, 0u64);
-    'batch: while let Some((first, costs, verdicts)) = batch.claim(stripe) {
+    while let Some((first, costs, verdicts)) = batch.claim(stripe) {
         for ((index, cost), verdict) in (first..).zip(costs).zip(verdicts) {
-            // Re-checked before every cube, so a chunk bounds only the
-            // claimed-but-unsolved tail.
-            if config.stop_on_sat && interrupt.is_raised() {
-                break 'batch;
-            }
             // First attempt plus at most one requeue onto a respawned
             // backend — the exactly-once requeue contract.
             for attempt in 0..2 {
@@ -261,9 +256,6 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
                         &mut report.proofs,
                     ));
                     report.solved += 1;
-                    if config.stop_on_sat && *verdict == Some(VerdictSummary::Sat) {
-                        interrupt.raise();
-                    }
                     break;
                 }
                 panics += 1;
@@ -273,7 +265,7 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
                 let Some(fresh) = slot.blueprint.respawn() else {
                     // The slot stays dead. The in-flight cube and the rest
                     // of the claimed chunk keep their `None` verdicts, for
-                    // the oracle's sequential fallback.
+                    // the oracle's last-resort fallback.
                     report.stats.worker_panics = panics;
                     report.stats.requeued_cubes = requeued;
                     return report;
@@ -304,29 +296,22 @@ pub(super) struct WorkerPool {
 
 impl WorkerPool {
     /// A pool of `num_workers` slots, each with one backend built from
-    /// `spec` that lives until the pool is dropped. Returns at once: every
-    /// backend is built on a short-lived thread of its own (warm solvers
-    /// load the clause database concurrently) that the slot's first batch
-    /// joins.
+    /// `spec` that lives until the pool is dropped. Builds nothing: the
+    /// worker that first drains a stripe on a slot builds its backend, so
+    /// the slots of one batch load the formula concurrently, on the threads
+    /// that go on to use them.
     pub(super) fn new(
         spec: &Arc<BackendSpec>,
         num_workers: usize,
         faults: Option<&Arc<FaultState>>,
     ) -> WorkerPool {
         let slots = (0..num_workers)
-            .map(|_| {
-                let blueprint = Blueprint {
+            .map(|_| Slot {
+                blueprint: Blueprint {
                     spec: Arc::clone(spec),
                     faults: faults.cloned(),
-                };
-                let building = {
-                    let blueprint = blueprint.clone();
-                    thread::spawn(move || blueprint.build())
-                };
-                Slot {
-                    blueprint,
-                    backend: Resident::Building(building),
-                }
+                },
+                backend: Resident::Unbuilt,
             })
             .collect();
         WorkerPool { slots }
@@ -342,10 +327,9 @@ impl WorkerPool {
     /// thread each the others, and all have finished when this returns.
     /// `result` is all unsolved on entry; every cube a worker solved has its
     /// cost and verdict at its own position on return and its model or proof
-    /// listed (in no order yet), the others (panicked twice, stranded by a
-    /// failed respawn, or not started under a raised `stop_on_sat`) still
-    /// the `None` verdict. Conflict counts and statistics are added to
-    /// `result`'s. Returns how many were solved.
+    /// listed (in no order yet), the others (panicked twice, or stranded by
+    /// a failed respawn) still the `None` verdict. Conflict counts and
+    /// statistics are added to `result`'s. Returns how many were solved.
     ///
     /// # Panics
     ///
@@ -425,19 +409,6 @@ impl WorkerPool {
             }
         }
         solved
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        for slot in &mut self.slots {
-            if let Resident::Building(handle) = std::mem::replace(&mut slot.backend, Resident::Dead)
-            {
-                // No batch ever used the slot, so there is nobody to tell
-                // should the build have panicked.
-                let _ = handle.join();
-            }
-        }
     }
 }
 

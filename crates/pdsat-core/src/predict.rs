@@ -151,7 +151,6 @@ impl Evaluator {
             budget: config.per_cube_budget.clone(),
             cost: config.cost,
             num_workers: config.num_workers,
-            stop_on_sat: false,
             backend: config.backend,
             ..BatchConfig::default()
         };
@@ -420,8 +419,7 @@ impl Evaluator {
 
 /// Builds a [`PointEvaluation`] from one point's results, read from the
 /// batch positions `drawn_at` lists in the order the point drew its cubes
-/// (shared by the sequential and batched evaluation paths). The evaluator
-/// never sets `stop_on_sat`, so every listed cube is solved.
+/// (shared by the sequential and batched evaluation paths).
 fn summarize_outcomes(
     set: &DecompositionSet,
     batch: &BatchResult,

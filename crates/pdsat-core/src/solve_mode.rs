@@ -24,11 +24,6 @@ pub struct SolveModeConfig {
     pub cost: CostMetric,
     /// Number of worker threads.
     pub num_workers: usize,
-    /// Stop as soon as a satisfying assignment is found. The paper processes
-    /// whole families ("to get more statistical data we did not stop the
-    /// solving process after the satisfying solution was found"), which is
-    /// the default here as well.
-    pub stop_on_sat: bool,
     /// Which backend each worker runs.
     /// [`BackendKind::Warm`] by default: one persistent incremental solver
     /// per worker matches PDSAT's long-lived MiniSat worker processes and is
@@ -43,7 +38,6 @@ impl Default for SolveModeConfig {
             budget: Budget::unlimited(),
             cost: CostMetric::default(),
             num_workers: 1,
-            stop_on_sat: false,
             backend: BackendKind::Warm,
         }
     }
@@ -117,7 +111,7 @@ family_counters! {
     /// respawned. Zero on every fault-free run.
     worker_panics,
     /// Cubes re-solved after a backend panic — on the respawned worker or on
-    /// the oracle's sequential fallback.
+    /// the oracle's last-resort fallback.
     requeued_cubes,
 }
 
@@ -141,8 +135,8 @@ pub struct CubeCertificate {
 pub struct SolveReport {
     /// Size `d` of the decomposition set.
     pub set_size: usize,
-    /// Number of sub-problems actually processed (equals `2^d` unless
-    /// `stop_on_sat` cut the run short).
+    /// Number of sub-problems processed: every cube of the family (`2^d`
+    /// for a whole one).
     pub cubes_processed: usize,
     /// Total sequential cost: the sum of per-sub-problem costs, i.e. the
     /// quantity `t_{C,A}(X̃)` that the predictive function estimates.
@@ -249,9 +243,9 @@ impl SolveReport {
 /// pool of resident backends — reused across every family (or family slice)
 /// it processes.
 ///
-/// Construction starts backend construction (clause-DB loading; a pool's
-/// finishes in the background), so callers that process several families of
-/// the same formula — the Table 3 instance series, the benchmark, SAT@home
+/// Its backends are built (the clause DB loaded) once, by the first family
+/// that reaches them, so callers that process several families of the same
+/// formula — the Table 3 instance series, the benchmark, SAT@home
 /// simulations — hold one `FamilySolver` across them, exactly like PDSAT
 /// keeps its MiniSat worker processes alive between search-space points.
 #[derive(Debug)]
@@ -260,8 +254,8 @@ pub struct FamilySolver {
 }
 
 impl FamilySolver {
-    /// Creates the runner, spawning the worker pool and building one backend
-    /// per worker up front.
+    /// Creates the runner and its worker pool; each worker's backend is built
+    /// by the first family it solves cubes of.
     #[must_use]
     pub fn new(cnf: &Cnf, config: &SolveModeConfig) -> FamilySolver {
         let batch_config = BatchConfig {
@@ -269,7 +263,6 @@ impl FamilySolver {
             budget: config.budget.clone(),
             cost: config.cost,
             num_workers: config.num_workers,
-            stop_on_sat: config.stop_on_sat,
             backend: config.backend,
             ..BatchConfig::default()
         };
@@ -313,41 +306,33 @@ impl FamilySolver {
 }
 
 /// Folds a [`BatchResult`] into the solving-mode report in one pass over its
-/// columns: the cost column *becomes* `per_cube_costs` (compacted only when a
-/// raised `stop_on_sat` left unsolved positions in it), and the proofs and
+/// columns: the cost column *becomes* `per_cube_costs`, and the proofs and
 /// the first model are moved out, never cloned.
 fn report_from_batch(set: &DecompositionSet, batch: BatchResult) -> SolveReport {
-    let mut per_cube_costs = batch.costs;
+    let per_cube_costs = batch.costs;
     let mut total_cost = 0.0;
     let mut cost_to_first_sat = None;
     let mut first_sat_index = None;
     let mut sat_count = 0;
     let mut unknown_count = 0;
-    let mut cubes_processed = 0;
     for (index, (&cost, verdict)) in per_cube_costs.iter().zip(&batch.verdicts).enumerate() {
-        let Some(verdict) = verdict else { continue };
-        cubes_processed += 1;
         total_cost += cost;
         match verdict {
-            VerdictSummary::Sat => {
+            Some(VerdictSummary::Sat) => {
                 sat_count += 1;
                 if first_sat_index.is_none() {
                     first_sat_index = Some(index);
                     cost_to_first_sat = Some(total_cost);
                 }
             }
-            VerdictSummary::Unknown => unknown_count += 1,
-            VerdictSummary::Unsat => {}
+            Some(VerdictSummary::Unknown) => unknown_count += 1,
+            Some(VerdictSummary::Unsat) | None => {}
         }
-    }
-    if cubes_processed < per_cube_costs.len() {
-        let mut solved = batch.verdicts.iter().map(Option::is_some);
-        per_cube_costs.retain(|_| solved.next() == Some(true));
     }
 
     SolveReport {
         set_size: set.len(),
-        cubes_processed,
+        cubes_processed: per_cube_costs.len(),
         total_cost,
         cost_to_first_sat,
         first_sat_index,
@@ -527,57 +512,27 @@ mod tests {
         }
         let set = DecompositionSet::new(vars);
         let cubes: Vec<Cube> = set.cubes().collect();
-        for (workers, stop_on_sat) in [(1, false), (4, false), (1, true), (4, true)] {
-            let context = format!("workers={workers} stop_on_sat={stop_on_sat}");
+        // A batch has no holes, so the column is never compacted.
+        for workers in [1, 4] {
+            let context = format!("workers={workers}");
             let config = BatchConfig {
                 cost: CostMetric::Propagations,
                 num_workers: workers,
                 clamp_workers_to_cpus: false,
-                stop_on_sat,
                 ..BatchConfig::default()
             };
             let batch = CubeOracle::new(&cnf, config).solve_batch(&cubes, None);
-            assert_eq!(batch.verdicts.len(), cubes.len(), "{context}");
-            let solved: Vec<usize> = (0..cubes.len())
-                .filter(|&i| batch.verdicts[i].is_some())
-                .collect();
-            let solved_costs: Vec<f64> = solved.iter().map(|&i| batch.costs[i]).collect();
+            assert!(batch.verdicts.iter().all(Option::is_some), "{context}");
+            let costs = batch.costs.clone();
             let column = batch.costs.as_ptr();
 
             let report = report_from_batch(&set, batch);
-            assert_eq!(report.cubes_processed, solved.len(), "{context}");
-            assert_eq!(report.per_cube_costs, solved_costs, "{context}");
-            // A position of the submitted batch, not of the compacted costs.
+            assert_eq!(report.cubes_processed, cubes.len(), "{context}");
+            assert_eq!(report.per_cube_costs, costs, "{context}");
+            assert_eq!(report.per_cube_costs.as_ptr(), column, "{context}: copied");
             assert_eq!(report.first_sat_index, Some(target), "{context}");
             assert_eq!(report.sat_count, 1, "{context}");
             assert!(cnf.is_satisfied_by(report.model.as_ref().expect("the model")));
-            if !stop_on_sat {
-                assert_eq!(solved.len(), cubes.len(), "{context}");
-                assert_eq!(report.per_cube_costs.as_ptr(), column, "{context}: copied");
-            }
-            if stop_on_sat && workers == 1 {
-                // The sequential executor stops right after the target.
-                assert_eq!(solved, (0..=target).collect::<Vec<_>>());
-            }
         }
-    }
-
-    #[test]
-    fn stop_on_sat_processes_fewer_cubes() {
-        let mut cnf = Cnf::new(8);
-        cnf.add_clause([Lit::positive(Var::new(7))]);
-        let set = DecompositionSet::new((0..4).map(Var::new));
-        let full = FamilySolver::new(&cnf, &config()).solve_family(&set, None);
-        let early = FamilySolver::new(
-            &cnf,
-            &SolveModeConfig {
-                stop_on_sat: true,
-                ..config()
-            },
-        )
-        .solve_family(&set, None);
-        assert_eq!(full.cubes_processed, 16);
-        assert!(early.cubes_processed <= full.cubes_processed);
-        assert!(early.sat_count >= 1);
     }
 }

@@ -1,9 +1,8 @@
-//! Integration tests for the oracle's worker pool: sequential vs pool
-//! parity, warm-state survival across batches, the `stop_on_sat` contract,
-//! the empty/short-batch edge cases, and the placement of results in the
-//! columns where it can go wrong (stolen chunks, shuffled input, requeued and
-//! fallback cubes, `stop_on_sat` subsets), and the certificates of a warm
-//! pool that keeps its proof streams across batches.
+//! Integration tests for the oracle's worker pool: one-worker vs wider pool
+//! parity, warm-state survival across batches, the empty/short-batch edge
+//! cases, the placement of results in the columns where it can go wrong
+//! (stolen chunks, shuffled input, requeued and fallback cubes), and the
+//! certificates of a warm pool that keeps its proof streams across batches.
 
 use pdsat_checker::check_unsat_proof;
 use pdsat_ciphers::{Grain, InstanceBuilder, A51};
@@ -12,7 +11,7 @@ use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
     FaultPlan, VerdictSummary,
 };
-use pdsat_solver::{InterruptFlag, SolverConfig};
+use pdsat_solver::SolverConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,79 +125,6 @@ fn warm_sequential_state_also_survives_across_batches() {
     let second = oracle.solve_batch(&cubes, None);
     assert!(first.solver_stats.conflicts > 0);
     assert!(second.solver_stats.conflicts < first.solver_stats.conflicts);
-}
-
-#[test]
-fn stop_on_sat_reports_every_solved_cube_on_both_paths() {
-    // Contract (see BatchResult docs): with stop_on_sat, the `Some`
-    // verdicts are exactly the cubes solved before the stop was observed —
-    // none dropped — and the batch stats cover exactly those cubes.
-    // Sequentially they form a prefix.
-    let cnf = sat_chain(10);
-    let set = DecompositionSet::new((0..4).map(Var::new));
-    let cubes: Vec<Cube> = set.cubes().collect();
-    for workers in [1usize, 4] {
-        let config = BatchConfig {
-            cost: CostMetric::Conflicts,
-            stop_on_sat: true,
-            num_workers: workers,
-            clamp_workers_to_cpus: false,
-            ..BatchConfig::default()
-        };
-        let flag = InterruptFlag::new();
-        let result = CubeOracle::new(&cnf, config).solve_batch(&cubes, Some(&flag));
-
-        assert!(
-            flag.is_raised(),
-            "workers={workers}: SAT must raise the flag"
-        );
-        assert!(result.verdict_counts().0 >= 1, "workers={workers}");
-        assert_eq!(result.costs.len(), cubes.len());
-        assert_eq!(result.verdicts.len(), cubes.len());
-        // Every reported cube was fully solved: the aggregate conflict
-        // counter equals the sum of the cost column (nothing was
-        // half-counted or silently dropped), which is zero wherever nothing
-        // was solved.
-        let reported: f64 = result.costs.iter().sum();
-        assert_eq!(
-            reported, result.solver_stats.conflicts as f64,
-            "workers={workers}: stats must cover exactly the reported cubes"
-        );
-        for (cost, verdict) in result.costs.iter().zip(&result.verdicts) {
-            assert!(verdict.is_some() || *cost == 0.0, "workers={workers}");
-        }
-        if workers == 1 {
-            // Single worker: the solved cubes are a prefix of the batch.
-            let solved = result.verdicts.iter().flatten().count();
-            assert!(
-                result.verdicts[..solved].iter().all(Option::is_some),
-                "sequential results must form a prefix"
-            );
-        }
-    }
-}
-
-#[test]
-fn pre_raised_external_interrupt_stops_both_paths_before_any_work() {
-    let cnf = sat_chain(8);
-    let set = DecompositionSet::new((0..3).map(Var::new));
-    let cubes: Vec<Cube> = set.cubes().collect();
-    for workers in [1usize, 4] {
-        let config = BatchConfig {
-            stop_on_sat: true,
-            num_workers: workers,
-            clamp_workers_to_cpus: false,
-            ..BatchConfig::default()
-        };
-        let flag = InterruptFlag::new();
-        flag.raise();
-        let result = CubeOracle::new(&cnf, config).solve_batch(&cubes, Some(&flag));
-        assert!(
-            result.verdicts.iter().all(Option::is_none),
-            "workers={workers}: no cube may start under a pre-raised stop flag"
-        );
-        assert_eq!(result.solver_stats.conflicts, 0);
-    }
 }
 
 #[test]
@@ -375,7 +301,8 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
     assert_whole_batch_is_solved(&reference, cubes.len());
 
     // One worker, a pool that steals, and a pool whose first respawn fails
-    // so the cubes in flight come back through the fallback.
+    // so the cubes in flight come back through the fallback — with one
+    // worker, every cube after the first panic does.
     let plan = FaultPlan {
         respawn_failures: 1,
         ..FaultPlan::seeded(3, 12, cubes.len() as u64)
@@ -384,6 +311,7 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
         (BackendKind::Warm, 1, FaultPlan::none()),
         (BackendKind::Fresh, 4, FaultPlan::none()),
         (BackendKind::Warm, 4, FaultPlan::none()),
+        (BackendKind::Fresh, 1, plan.clone()),
         (BackendKind::Fresh, 4, plan),
     ] {
         let faulted = !fault_plan.is_empty();
@@ -417,7 +345,7 @@ fn requeued_and_fallback_cubes_end_up_in_place() {
     for seed in [3u64, 4, 9] {
         // Panics at seeded solve ordinals all through the batch; the first
         // respawn fails, so one worker dies with part of a chunk in flight
-        // (those cubes come back through the sequential fallback, their
+        // (those cubes come back through the last-resort fallback, their
         // models listed after everything else until the batch's one sort),
         // the later ones are requeued mid-run.
         let plan = FaultPlan {
@@ -482,58 +410,6 @@ fn every_executor_returns_the_same_columns_and_ascending_side_lists() {
             assert_eq!(reference.proofs, result.proofs, "workers={workers}");
             assert_eq!(result.solver_stats.requeued_cubes >= 2, faulted);
         }
-    }
-}
-
-#[test]
-fn stop_on_sat_on_a_pool_reports_a_sorted_duplicate_free_subset() {
-    // Unit clauses pin the twelve set variables, so exactly one cube of the
-    // family is satisfiable and every other one is refuted at once. It sits
-    // in the second stripe: when its worker raises the flag the other three
-    // are mid-stripe, and the result is a subset with gaps.
-    let vars: Vec<Var> = (0..12).map(Var::new).collect();
-    let target = 0b0110_1001_0110usize;
-    let mut cnf = Cnf::new(13);
-    for lit in Cube::from_bits(&vars, target as u64).lits() {
-        cnf.add_clause([*lit]);
-    }
-    let cubes: Vec<Cube> = DecompositionSet::new(vars).cubes().collect();
-    for backend in [BackendKind::Fresh, BackendKind::Warm] {
-        let flag = InterruptFlag::new();
-        let mut oracle = CubeOracle::new(
-            &cnf,
-            BatchConfig {
-                stop_on_sat: true,
-                ..pool_of_four(backend)
-            },
-        );
-        let result = oracle.solve_batch(&cubes, Some(&flag));
-        assert!(flag.is_raised());
-        // The columns are sized for the whole batch; a position nobody
-        // wrote reads `None` at cost zero, every decided verdict is its
-        // cube's, and the undecided ones are at most the one cube each of
-        // the other three workers held when the flag went up.
-        assert_eq!(result.verdicts.len(), cubes.len());
-        for (index, verdict) in result.verdicts.iter().enumerate() {
-            match verdict {
-                None => assert_eq!(result.costs[index], 0.0, "{backend}: cube {index}"),
-                Some(VerdictSummary::Unknown) => {}
-                Some(decided) => {
-                    let sat = *decided == VerdictSummary::Sat;
-                    assert_eq!(sat, index == target, "{backend}: cube {index}");
-                }
-            }
-        }
-        let solved = result.verdicts.iter().flatten().count();
-        assert!(result.verdict_counts().2 <= 3, "{backend}: cut short");
-        let reported: f64 = result.costs.iter().sum();
-        assert_eq!(result.solver_stats.conflicts as f64, reported, "{backend}");
-        assert_eq!(oracle.cubes_solved(), solved as u64);
-        // The one model is reported; a cube the raised flag cut short is
-        // `Unknown`, never a second `Sat`.
-        assert_side_lists_are_in_place(&result);
-        assert_eq!(result.models.len(), 1, "{backend}");
-        assert_eq!(result.models[0].0, target, "{backend}");
     }
 }
 

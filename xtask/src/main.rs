@@ -34,7 +34,11 @@
 //!    so the channel-fed pool (and the watchdog that polled it) cannot grow
 //!    back beside them — and neither name `CubeOutcome` nor fill a
 //!    `vec![…; n]` with a constructed record: results are two zeroed columns
-//!    the workers write in place, not a placeholder per cube.
+//!    the workers write in place, not a placeholder per cube. There is one
+//!    executor: the non-test code of those files names no `Sequential`
+//!    variant (a one-slot pool drains its stripe on the calling thread), and
+//!    the non-test code of `crates/pdsat-core/src` names no `stop_on_sat` —
+//!    every batch is solved whole, as the paper's solving mode does.
 //! 7. **the checker stands alone**: the `[dependencies]` of
 //!    `crates/checker/Cargo.toml` name no crate but `pdsat_cnf`. The checker
 //!    is the trust boundary, so its propagation is a port of the solver's,
@@ -432,6 +436,15 @@ fn check_batches_borrow(root: &Path, errors: &mut Vec<String>) {
             }
         }
     }
+    let until = Some("#[cfg(test)]");
+    let advice = "every batch runs on the worker pool; a one-slot pool already drains its \
+                  stripe on the calling thread, so a second executor must not come back";
+    forbid(root, &sources, "//", until, "Sequential", advice, errors);
+    let mut core = Vec::new();
+    rust_files(&root.join("crates/pdsat-core/src"), &mut core);
+    let advice = "every cube of a batch is solved and reported, as the paper's solving mode \
+                  processes whole families; no mode abandons a batch at its first SAT cube";
+    forbid(root, &core, "//", until, "stop_on_sat", advice, errors);
 }
 
 /// Whether `code` holds a `vec![element; n]` whose element is built by a
@@ -736,6 +749,51 @@ mod tests {
         assert!(errors[2].contains("recv_timeout"), "{}", errors[2]);
         assert!(errors[3].contains("CubeOutcome"), "{}", errors[3]);
         assert!(errors[5].contains("placeholder fill"), "{}", errors[5]);
+    }
+
+    #[test]
+    fn batches_borrow_refuses_a_second_executor_and_stop_on_sat_outside_tests() {
+        let root = std::env::temp_dir().join(format!("xtask-executor-{}", std::process::id()));
+        let oracle = root.join("crates/pdsat-core/src/oracle");
+        std::fs::create_dir_all(&oracle).expect("temp tree");
+        let write = |path: &str, text: &str| std::fs::write(root.join(path), text).expect("write");
+        write(
+            "crates/pdsat-core/src/oracle.rs",
+            "// No Sequential executor, no stop_on_sat.\nstruct CubeOracle { pool: WorkerPool }\n\
+             #[cfg(test)]\nmod tests {\n    enum Executor { Sequential }\n    const stop_on_sat: bool = false;\n}\n",
+        );
+        write("crates/pdsat-core/src/oracle/pool.rs", "fn drain() {}\n");
+        write(
+            "crates/pdsat-core/src/solve_mode.rs",
+            "/// Whole families: no `stop_on_sat`.\npub struct SolveModeConfig;\n",
+        );
+        let mut errors = Vec::new();
+        check_batches_borrow(&root, &mut errors);
+        assert_eq!(errors, Vec::<String>::new());
+
+        write(
+            "crates/pdsat-core/src/oracle/pool.rs",
+            "enum Executor {\n    Sequential(Box<dyn CubeBackend>),\n    Pool(WorkerPool),\n}\n",
+        );
+        write(
+            "crates/pdsat-core/src/solve_mode.rs",
+            "pub struct SolveModeConfig {\n    pub stop_on_sat: bool,\n}\n",
+        );
+        check_batches_borrow(&root, &mut errors);
+        std::fs::remove_dir_all(&root).expect("clean up");
+        let at: Vec<&str> = errors
+            .iter()
+            .map(|e| e.split(": ").next().expect("a location"))
+            .collect();
+        assert_eq!(
+            at,
+            [
+                "crates/pdsat-core/src/oracle/pool.rs:2",
+                "crates/pdsat-core/src/solve_mode.rs:2",
+            ]
+        );
+        assert!(errors[0].contains("Sequential"), "{}", errors[0]);
+        assert!(errors[1].contains("stop_on_sat"), "{}", errors[1]);
     }
 
     #[test]
