@@ -218,7 +218,6 @@ pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
         let mut evaluator = workload.evaluator(&instance);
         let mut tabu = Tabu::new(&TabuConfig {
             new_center: heuristic,
-            ..TabuConfig::default()
         });
         let outcome = driver.run(&space, &start, &mut tabu, &mut evaluator);
         new_center.push(NewCenterEffect {

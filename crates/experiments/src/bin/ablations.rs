@@ -1,14 +1,10 @@
 //! Ablation studies of the paper's design choices (§3).
 
 use pdsat_experiments::ablations::run_ablations;
-use pdsat_experiments::{backend_from_env, ScaledWorkload};
+use pdsat_experiments::ScaledWorkload;
 
 fn main() {
-    let mut workload = ScaledWorkload::bivium();
-    if let Some(backend) = backend_from_env() {
-        workload.backend = backend;
-        println!("(sub-problems solved on the {backend} backend)");
-    }
+    let workload = ScaledWorkload::bivium();
     let result = run_ablations(&workload);
     for table in result.tables() {
         println!("{table}");

@@ -3,14 +3,10 @@
 //! including a mid-run kill and checkpoint resume.
 
 use pdsat_experiments::sathome::run_sathome;
-use pdsat_experiments::{backend_from_env, ScaledWorkload};
+use pdsat_experiments::ScaledWorkload;
 
 fn main() {
-    let mut workload = ScaledWorkload::a51();
-    if let Some(backend) = backend_from_env() {
-        workload.backend = backend;
-        println!("(estimation sub-problems on the {backend} backend)");
-    }
+    let workload = ScaledWorkload::a51();
     let hosts = 64;
     let result = run_sathome(&workload, hosts);
     println!("{}", result.table());

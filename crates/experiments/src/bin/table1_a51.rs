@@ -1,19 +1,15 @@
 //! Regenerates Table 1 of the paper on a scaled A5/1 instance.
 
 use pdsat_experiments::table1::run_table1;
-use pdsat_experiments::{backend_from_env, ScaledWorkload};
+use pdsat_experiments::ScaledWorkload;
 
 fn main() {
-    let mut workload = ScaledWorkload::a51();
-    if let Some(backend) = backend_from_env() {
-        workload.backend = backend;
-    }
+    let workload = ScaledWorkload::a51();
     println!(
-        "Scaled A5/1 workload: {} unknown state bits, {}-bit keystream, N = {}, {} backend",
+        "Scaled A5/1 workload: {} unknown state bits, {}-bit keystream, N = {}, fresh backend",
         workload.unknown_bits(),
         workload.keystream_len,
-        workload.sample_size,
-        workload.backend
+        workload.sample_size
     );
     let result = run_table1(&workload);
     println!("{}", result.table());

@@ -1,19 +1,15 @@
 //! Regenerates Table 2 of the paper on a scaled Bivium instance.
 
 use pdsat_experiments::table2::run_table2;
-use pdsat_experiments::{backend_from_env, ScaledWorkload};
+use pdsat_experiments::ScaledWorkload;
 
 fn main() {
-    let mut workload = ScaledWorkload::bivium();
-    if let Some(backend) = backend_from_env() {
-        workload.backend = backend;
-    }
+    let workload = ScaledWorkload::bivium();
     println!(
-        "Scaled Bivium workload: {} unknown state bits, {}-bit keystream, N = {}, {} backend",
+        "Scaled Bivium workload: {} unknown state bits, {}-bit keystream, N = {}, fresh backend",
         workload.unknown_bits(),
         workload.keystream_len,
-        workload.sample_size,
-        workload.backend
+        workload.sample_size
     );
     let result = run_table2(&workload);
     println!("{}", result.table());

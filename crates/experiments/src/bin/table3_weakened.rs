@@ -3,17 +3,10 @@
 
 use pdsat_core::FamilyCounters;
 use pdsat_distrib::ClusterConfig;
-use pdsat_experiments::backend_from_env;
 use pdsat_experiments::table3::{default_table3_problems, run_table3};
 
 fn main() {
-    let mut problems = default_table3_problems();
-    if let Some(backend) = backend_from_env() {
-        for problem in &mut problems {
-            problem.backend = backend;
-        }
-        println!("(estimation + solving mode on the {backend} backend)");
-    }
+    let problems = default_table3_problems();
     let cluster = ClusterConfig {
         nodes: 1,
         cores_per_node: 16,
@@ -43,7 +36,7 @@ fn main() {
     }
     println!(
         "Family counters summed over every family solved \
-         (trail reuse, clause sharing, panic recovery):"
+         (trail reuse, panic recovery):"
     );
     for (name, value) in FamilyCounters::NAMES.iter().zip(counters.values()) {
         println!("  {name} = {value}");

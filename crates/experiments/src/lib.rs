@@ -28,5 +28,5 @@ pub mod table2;
 pub mod table3;
 pub mod text_table;
 
-pub use scaled::{backend_from_env, CipherKind, ScaledWorkload};
+pub use scaled::{CipherKind, ScaledWorkload};
 pub use text_table::{sci, TextTable};

@@ -10,9 +10,7 @@
 
 use pdsat_ciphers::{Bivium, Grain, Instance, InstanceBuilder, StreamCipher, A51};
 use pdsat_cnf::Var;
-use pdsat_core::{
-    BackendKind, CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, SearchSpace,
-};
+use pdsat_core::{CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, SearchSpace};
 use pdsat_solver::SolverConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,19 +97,6 @@ pub struct ScaledWorkload {
     pub num_workers: usize,
     /// Base seed for instance generation, sampling and search.
     pub seed: u64,
-    /// Which `CubeOracle` backend the estimator's sub-problems run on.
-    /// Fresh by default (identically distributed observations, as the Monte
-    /// Carlo argument assumes); override with `PDSAT_BACKEND=warm` through
-    /// [`backend_from_env`] in the experiment binaries.
-    pub backend: BackendKind,
-}
-
-/// Reads a [`BackendKind`] override from the `PDSAT_BACKEND` environment
-/// variable (`fresh` or `warm`). Unset or unparsable values mean "keep the
-/// workload's default".
-#[must_use]
-pub fn backend_from_env() -> Option<BackendKind> {
-    std::env::var("PDSAT_BACKEND").ok()?.parse().ok()
 }
 
 impl ScaledWorkload {
@@ -128,7 +113,6 @@ impl ScaledWorkload {
             search_points: 25,
             num_workers: 4,
             seed: 20150703,
-            backend: BackendKind::Fresh,
         }
     }
 
@@ -143,7 +127,6 @@ impl ScaledWorkload {
             search_points: 25,
             num_workers: 4,
             seed: 20150704,
-            backend: BackendKind::Fresh,
         }
     }
 
@@ -158,7 +141,6 @@ impl ScaledWorkload {
             search_points: 25,
             num_workers: 4,
             seed: 20150705,
-            backend: BackendKind::Fresh,
         }
     }
 
@@ -179,7 +161,6 @@ impl ScaledWorkload {
             search_points: 8,
             num_workers: 2,
             seed: 7,
-            backend: BackendKind::Fresh,
         }
     }
 
@@ -223,8 +204,10 @@ impl ScaledWorkload {
     }
 
     /// An evaluator for the instance, configured with the workload's sample
-    /// size and the deterministic propagation-count metric (so that the
-    /// generated tables are identical across machines). Propagations rather
+    /// size, the fresh backend (identically distributed observations, as the
+    /// Monte Carlo argument assumes) and the deterministic propagation-count
+    /// metric (so that the generated tables are identical across machines).
+    /// Propagations rather
     /// than conflicts are used because on laptop-scale weakened instances
     /// many sub-problems are decided by unit propagation alone, which would
     /// make a conflict-based cost degenerate to zero.
@@ -238,7 +221,6 @@ impl ScaledWorkload {
                 solver_config: SolverConfig::default(),
                 num_workers: self.num_workers,
                 seed: self.seed,
-                backend: self.backend,
                 ..EvaluatorConfig::default()
             },
         )

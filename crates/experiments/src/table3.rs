@@ -16,8 +16,8 @@
 use crate::scaled::ScaledWorkload;
 use crate::text_table::{sci, TextTable};
 use pdsat_core::{
-    DecompositionSet, DriverConfig, FamilyCounters, FamilySolver, SearchDriver, SearchLimits,
-    SolveModeConfig, Tabu, TabuConfig,
+    BackendKind, DecompositionSet, DriverConfig, FamilyCounters, FamilySolver, SearchDriver,
+    SearchLimits, SolveModeConfig, Tabu, TabuConfig,
 };
 use pdsat_distrib::{simulate_cluster, ClusterConfig};
 
@@ -182,8 +182,8 @@ pub fn run_table3(
             num_workers: workload.num_workers,
             // The solving mode must measure costs on the same backend the
             // estimate was computed with, or the deviation column would mix
-            // substrates; the workload default is the fresh backend.
-            backend: workload.backend,
+            // substrates: the workload's evaluator runs the fresh backend.
+            backend: BackendKind::Fresh,
             ..SolveModeConfig::default()
         };
         let mut instances = Vec::new();

@@ -6,24 +6,6 @@ use crate::search::StopCondition;
 use crate::Point;
 use rand::Rng;
 
-/// How the annealing temperature is compared against the change of the
-/// predictive function.
-///
-/// The predictive function takes astronomically large values (e.g. 4.45·10⁸
-/// seconds for A5/1 in the paper), so interpreting the temperature as an
-/// absolute quantity would require instance-specific tuning. The default
-/// divides the increase `F(χ̃) − F(χ)` by `F(χ)` before applying the
-/// Metropolis rule, which makes `T₀ ≈ 1` a sensible default for any
-/// instance. `Absolute` reproduces the textbook rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TemperatureScale {
-    /// Compare `exp(-(ΔF / F(χ_center)) / T)` (scale-free, default).
-    #[default]
-    RelativeToCurrent,
-    /// Compare `exp(-ΔF / T)` exactly as in the pseudocode.
-    Absolute,
-}
-
 /// Parameters of Algorithm 1: the temperature schedule. Stopping criteria
 /// and the seed belong to the [`DriverConfig`](crate::DriverConfig) of the
 /// [`SearchDriver`](crate::SearchDriver) that runs the strategy.
@@ -36,8 +18,6 @@ pub struct AnnealingConfig {
     /// Temperature threshold `T_inf` below which the search stops
     /// (`temperatureLimitReached()`).
     pub min_temperature: f64,
-    /// Interpretation of the temperature (see [`TemperatureScale`]).
-    pub scale: TemperatureScale,
 }
 
 impl Default for AnnealingConfig {
@@ -46,7 +26,6 @@ impl Default for AnnealingConfig {
             initial_temperature: 1.0,
             cooling_factor: 0.95,
             min_temperature: 1e-3,
-            scale: TemperatureScale::RelativeToCurrent,
         }
     }
 }
@@ -68,7 +47,6 @@ pub struct Annealing {
     initial_temperature: f64,
     cooling_factor: f64,
     min_temperature: f64,
-    scale: TemperatureScale,
     center: Option<Point>,
     center_value: f64,
     radius: usize,
@@ -86,7 +64,6 @@ impl Annealing {
             initial_temperature: config.initial_temperature,
             cooling_factor: config.cooling_factor,
             min_temperature: config.min_temperature,
-            scale: config.scale,
             center: None,
             center_value: f64::INFINITY,
             radius: 1,
@@ -148,16 +125,15 @@ impl Strategy for Annealing {
         let accepted = if value < self.center_value {
             true
         } else {
-            let delta = match self.scale {
-                TemperatureScale::Absolute => value - self.center_value,
-                TemperatureScale::RelativeToCurrent => {
-                    if self.center_value > 0.0 {
-                        (value - self.center_value) / self.center_value
-                    } else {
-                        value - self.center_value
-                    }
-                }
-            };
+            // The predictive function takes astronomically large values
+            // (4.45·10⁸ s for A5/1 in the paper), so the increase is taken
+            // relative to `F(χ)`, which makes `T₀ ≈ 1` a sensible schedule
+            // for any instance; a centre with `F = 0` falls back to the
+            // pseudocode's absolute `ΔF`.
+            let mut delta = value - self.center_value;
+            if self.center_value > 0.0 {
+                delta /= self.center_value;
+            }
             let probability = (-delta / self.temperature).exp();
             ctx.rng.gen_bool(probability.clamp(0.0, 1.0))
         };
@@ -198,6 +174,9 @@ mod tests {
     use crate::search::{SearchLimits, SearchOutcome};
     use crate::{CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchSpace};
     use pdsat_cnf::{Cnf, Var};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::HashMap;
 
     /// Drives an [`Annealing`] strategy through the [`SearchDriver`] — the
     /// one way to run Algorithm 1 since the deprecated
@@ -281,7 +260,6 @@ mod tests {
             initial_temperature: 1.0,
             cooling_factor: 0.1,
             min_temperature: 0.5,
-            ..AnnealingConfig::default()
         };
         let outcome = minimize(
             &config,
@@ -313,6 +291,63 @@ mod tests {
         );
         assert_eq!(outcome.points_evaluated, 5);
         assert_eq!(outcome.stop_condition, StopCondition::PointLimit);
+    }
+
+    /// Observes one worse point from a centre of value `center`, at
+    /// temperature 1, with the RNG seeded `seed`. Returns whether the point
+    /// was accepted and whether `gen_bool(p_expected)`, drawn from a clone
+    /// of the same RNG, accepts it.
+    fn observe_worse(center: f64, worse: f64, p_expected: f64, seed: u64) -> (bool, bool) {
+        let space = SearchSpace::new((0..4).map(Var::new));
+        let start = space.full_point();
+        let eval = evaluator(&Cnf::pigeonhole(2), 1);
+        let values = HashMap::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference = rng.clone();
+        let mut annealing = Annealing::new(&AnnealingConfig::default());
+        let mut ctx = SearchContext {
+            space: &space,
+            rng: &mut rng,
+            values: &values,
+            best_point: &start,
+            best_value: center,
+            evaluator: &eval,
+        };
+        let center = Evaluated {
+            point: start.clone(),
+            value: center,
+        };
+        annealing.initialize(&mut ctx, &center);
+        let mut next = start.clone();
+        next.flip(0);
+        let worse = Evaluated {
+            point: next,
+            value: worse,
+        };
+        let observation = annealing.observe(&mut ctx, &[worse]);
+        let expected = reference.gen_bool(p_expected);
+        // One draw from the run's stream, no more.
+        assert_eq!(rng, reference);
+        (observation.accepted[0], expected)
+    }
+
+    #[test]
+    fn a_worse_point_is_accepted_by_the_relative_metropolis_rule() {
+        // F > 0: the increase is taken relative to F, p = exp(−(ΔF/F)/T).
+        // The absolute rule, p = exp(−5), would accept almost never.
+        let relative = (-(15.0 - 10.0) / 10.0_f64).exp();
+        // F = 0: the increase is taken as it is, p = exp(−ΔF/T).
+        let absolute = (-0.5_f64).exp();
+        for (center, worse, p) in [(10.0, 15.0, relative), (0.0, 0.5, absolute)] {
+            let mut accepted = 0;
+            for seed in 0..64 {
+                let (got, expected) = observe_worse(center, worse, p, seed);
+                assert_eq!(got, expected, "F = {center}, seed {seed}");
+                accepted += usize::from(got);
+            }
+            // Both outcomes occur, so the comparison above pins the rule.
+            assert!((16..48).contains(&accepted), "F = {center}: {accepted}/64");
+        }
     }
 
     #[test]

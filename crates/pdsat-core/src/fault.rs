@@ -23,7 +23,7 @@
 
 use crate::oracle::{BackendOutcome, CubeBackend};
 use pdsat_cnf::Lit;
-use pdsat_solver::{Budget, InterruptFlag, SolverStats};
+use pdsat_solver::{InterruptFlag, SolverStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -169,14 +169,13 @@ impl CubeBackend for FaultyBackend {
     fn solve(
         &mut self,
         cube: &[Lit],
-        budget: &Budget,
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],
     ) -> BackendOutcome {
         if self.faults.solve_should_panic() {
             std::panic::panic_any(InjectedFault);
         }
-        self.inner.solve(cube, budget, interrupt, conflict_acc)
+        self.inner.solve(cube, interrupt, conflict_acc)
     }
 
     fn begin_batch(&mut self) {

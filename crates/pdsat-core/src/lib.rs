@@ -31,9 +31,9 @@
 //! solver state inside PDSAT's long-lived MPI computing processes): one
 //! backend per worker for the oracle's lifetime, however many workers there
 //! are, driven by the calling thread and threads scoped to each batch that
-//! read the caller's cubes and write the results in place, with per-cube
-//! budgets, interrupt fan-out and per-worker stats/conflict-count
-//! accumulation merged once per batch. The unit of work
+//! read the caller's cubes and write the results in place, with interrupt
+//! fan-out and per-worker stats/conflict-count accumulation merged once per
+//! batch. The unit of work
 //! it schedules is one of two backends:
 //! [`BackendKind::Fresh`] restores a solver per cube
 //! (order-independent observations, what the Monte Carlo argument assumes),
@@ -104,7 +104,7 @@ mod solve_mode;
 mod space;
 mod tabu;
 
-pub use anneal::{Annealing, AnnealingConfig, TemperatureScale};
+pub use anneal::{Annealing, AnnealingConfig};
 pub use cost::{CostMetric, CubeCounters};
 pub use decomposition::{CubeIter, DecompositionSet};
 pub use driver::{

@@ -7,14 +7,15 @@
 //! that unit as an MPI worker running a modified MiniSat; this module
 //! realizes it as a backend selected by [`BackendKind`], driven by an
 //! executor that owns a **pool of resident backends** ([`oracle/pool.rs`](pool)):
-//! one backend per worker (one at least) is built when the oracle is and
-//! lives as long as it does — the analogue of a PDSAT worker's solver state
-//! — while the worker *threads* are scoped to one batch each, so they read
-//! the caller's cubes and write the result columns in place. The calling
-//! thread is always the first worker, so a one-worker oracle spawns no
-//! thread per batch. The executor applies per-cube [`Budget`]s, fans an
-//! [`InterruptFlag`] out to every worker, merges per-worker [`SolverStats`]
-//! and conflict-count accumulators once per batch.
+//! one slot per worker (one at least), whose backend is built by the worker
+//! that first drains the slot and lives as long as the oracle does — the
+//! analogue of a PDSAT worker's solver state — while the worker *threads*
+//! are scoped to one batch each, so they read the caller's cubes and write
+//! the result columns in place. The calling thread is always the first
+//! worker, so a one-worker oracle spawns no thread per batch. Every cube
+//! runs to a verdict; the executor fans an [`InterruptFlag`] out to every
+//! worker and merges per-worker [`SolverStats`] and conflict-count
+//! accumulators once per batch.
 //!
 //! The [`Evaluator`](crate::Evaluator) (point-at-a-time *and* batched
 //! neighborhood evaluation) and [`FamilySolver`](crate::FamilySolver) both
@@ -31,7 +32,7 @@ pub(crate) use backend::{BackendOutcome, CubeBackend};
 use crate::fault::FaultPlan;
 use crate::CostMetric;
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof};
-use pdsat_solver::{Budget, InterruptFlag, SolverConfig, SolverStats, Verdict};
+use pdsat_solver::{InterruptFlag, SolverConfig, SolverStats, Verdict};
 use pool::WorkerPool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +44,7 @@ pub enum VerdictSummary {
     Sat,
     /// The sub-problem is unsatisfiable.
     Unsat,
-    /// The sub-problem was not decided (budget exhausted or interrupted).
+    /// The sub-problem was not decided (the batch was interrupted).
     Unknown,
 }
 
@@ -119,14 +120,13 @@ impl BatchResult {
 pub struct BatchConfig {
     /// Solver configuration used for every sub-problem.
     pub solver_config: SolverConfig,
-    /// Per-sub-problem resource budget.
-    pub budget: Budget,
     /// Cost metric recorded per sub-problem.
     pub cost: CostMetric,
-    /// Number of workers: the oracle builds one resident pool backend per
-    /// worker, and every batch wide enough drives each with a thread of its
-    /// own (the calling thread drains the first stripe itself, so one
-    /// worker spawns no thread per batch). 0 means 1.
+    /// Number of workers: the pool has one slot per worker, whose resident
+    /// backend is built by the worker that first drains it, and every batch
+    /// wide enough drives each slot with a thread of its own (the calling
+    /// thread drains the first stripe itself, so one worker spawns no thread
+    /// per batch). 0 means 1.
     pub num_workers: usize,
     /// Cap the pool at the machine's available parallelism (default `true`).
     /// A pool wider than the hardware cannot run faster — on an
@@ -155,7 +155,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             solver_config: SolverConfig::default(),
-            budget: Budget::unlimited(),
             cost: CostMetric::default(),
             num_workers: 1,
             clamp_workers_to_cpus: true,
@@ -372,12 +371,7 @@ fn solve_on_caller(
         if result.verdicts[index].is_some() {
             continue;
         }
-        let raw = backend.solve(
-            cube.lits(),
-            &config.budget,
-            interrupt,
-            &mut result.var_conflict_totals,
-        );
+        let raw = backend.solve(cube.lits(), interrupt, &mut result.var_conflict_totals);
         result.costs[index] = config.cost.measure(raw.counters, raw.elapsed);
         let verdict = summarize(index, raw, &mut result.models, &mut result.proofs);
         result.verdicts[index] = Some(verdict);
@@ -591,20 +585,6 @@ mod tests {
                 assert_eq!(model.lit_value(l).to_bool(), Some(true));
             }
         }
-    }
-
-    #[test]
-    fn budget_exhaustion_is_reported_as_unknown() {
-        let cnf = Cnf::pigeonhole(7);
-        let set = DecompositionSet::new([Var::new(0)]);
-        let cubes: Vec<Cube> = set.cubes().collect();
-        let config = BatchConfig {
-            budget: Budget::unlimited().with_conflict_limit(1),
-            ..BatchConfig::default()
-        };
-        let result = batch(&cnf, &cubes, &config);
-        let (_, _, unknown) = result.verdict_counts();
-        assert_eq!(unknown, 2);
     }
 
     #[test]

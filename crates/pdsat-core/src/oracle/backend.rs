@@ -4,11 +4,11 @@
 //! A backend is the smallest exchangeable unit of the oracle: it receives a
 //! cube and must return a verdict plus the exact counters ([`CubeCounters`])
 //! and per-variable conflict participation attributable to that cube. The
-//! executor never looks inside a backend — per-cube budgets, interrupt
-//! fan-out and cost measurement are applied uniformly on the outside. The
-//! trait is crate-private: the two substrates ([`FreshBackend`],
-//! [`WarmBackend`]) and the fault-injecting decorator are its only
-//! implementations, selected from outside through [`BackendKind`].
+//! executor never looks inside a backend — interrupt fan-out and cost
+//! measurement are applied uniformly on the outside. The trait is
+//! crate-private: the two substrates ([`FreshBackend`], [`WarmBackend`]) and
+//! the fault-injecting decorator are its only implementations, selected from
+//! outside through [`BackendKind`].
 //!
 //! Backends are *pool residents*: one instance is built per worker — every
 //! one of them from the oracle's single [`BackendSpec`], by the worker that
@@ -22,7 +22,7 @@
 use super::BatchConfig;
 use crate::CubeCounters;
 use pdsat_cnf::{Cnf, DratProof, Lit};
-use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig, SolverStats, StopReason, Verdict};
+use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig, SolverStats, Verdict};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,8 +62,8 @@ pub(crate) struct BackendOutcome {
 /// instance to be built once and driven by a different thread in every
 /// batch: the calling thread, or a thread scoped to the batch.
 pub(crate) trait CubeBackend: Send {
-    /// Solves `C ∧ cube` (the cube given as its assumption literals) under
-    /// the given budget and interrupt flag.
+    /// Solves `C ∧ cube` (the cube given as its assumption literals) to a
+    /// verdict, or to [`Verdict::Unknown`] if the interrupt flag is raised.
     ///
     /// The per-variable conflict participation attributable to this cube is
     /// added into `conflict_acc` (indexed by variable, `num_vars` long) —
@@ -72,7 +72,6 @@ pub(crate) trait CubeBackend: Send {
     fn solve(
         &mut self,
         cube: &[Lit],
-        budget: &Budget,
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],
     ) -> BackendOutcome;
@@ -103,9 +102,9 @@ pub enum BackendKind {
     /// Every observation is independent of cube order, which is what the
     /// Monte Carlo argument of the paper assumes (identically distributed
     /// `ζ_j`), so the estimator defaults to it. A cube equal to the one just
-    /// solved (same budget, interrupt flag down) is answered from the solver
-    /// that solved it: the verdict, counters and certificate solving it
-    /// again would report, and that solve's wall time.
+    /// solved (interrupt flag down) is answered from the solver that solved
+    /// it: the verdict, counters and certificate solving it again would
+    /// report, and that solve's wall time.
     #[default]
     Fresh,
     /// One persistent incremental [`Solver`] per worker: the CNF is loaded
@@ -120,7 +119,7 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Lower-case name, used for display and CLI/env selection.
+    /// Lower-case name, used for display.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -188,18 +187,6 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-impl std::str::FromStr for BackendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<BackendKind, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "fresh" => Ok(BackendKind::Fresh),
-            "warm" | "reuse" | "reused" => Ok(BackendKind::Warm),
-            other => Err(format!("unknown backend '{other}' (expected fresh|warm)")),
-        }
-    }
-}
-
 /// The fresh-solver backend: every cube is solved from identical solver
 /// state (the property the Monte Carlo estimator needs).
 ///
@@ -212,11 +199,11 @@ impl std::str::FromStr for BackendKind {
 /// own — the load's root propagations included, exactly as a solver rebuilt
 /// per cube reports them.
 ///
-/// A cube equal to the one just solved, under the same budget and with the
-/// interrupt flag down, is not solved again: the working solver still holds
-/// exactly the state that solve left, so its counters, conflict
-/// participation, statistics and certificate are read again as they are,
-/// beside the verdict and wall time kept from the solve. The estimator's
+/// A cube equal to the one just solved, with the interrupt flag down, is
+/// not solved again: the working solver still holds exactly the state that
+/// solve left, so its counters, conflict participation, statistics and
+/// certificate are read again as they are, beside the verdict and wall time
+/// kept from the solve. The estimator's
 /// samples are drawn with replacement and grouped before they are
 /// submitted, so repeats arrive back to back.
 pub(crate) struct FreshBackend {
@@ -234,16 +221,15 @@ struct Resident {
     working: Solver,
     /// The solve `working` holds the end state of, while a repeat of it may
     /// be answered from that state. Cleared before every solve, so a solve
-    /// that panics leaves nothing stale; never set by an interrupted or
-    /// timed-out solve, whose verdict a repeat need not share. Kept across
-    /// batches: the template never changes.
+    /// that panics leaves nothing stale; never set by an interrupted solve,
+    /// whose verdict a repeat need not share. Kept across batches: the
+    /// template never changes.
     last: Option<LastSolve>,
 }
 
 /// What [`Resident::last`] remembers of a solve.
 struct LastSolve {
     cube: Vec<Lit>,
-    budget: Budget,
     verdict: Verdict,
     elapsed: Duration,
 }
@@ -268,27 +254,25 @@ impl Resident {
     fn solve(
         &mut self,
         cube: &[Lit],
-        budget: &Budget,
         interrupt: &InterruptFlag,
         measure_wall_time: bool,
     ) -> (Verdict, Duration) {
         if let Some(last) = &self.last {
-            if last.cube == cube && last.budget == *budget && !interrupt.is_raised() {
+            if last.cube == cube && !interrupt.is_raised() {
                 return (last.verdict.clone(), last.elapsed);
             }
         }
         self.last = None;
         let start = measure_wall_time.then(Instant::now);
         self.working.clone_from(&self.template);
-        let verdict = self.working.solve_limited(cube, budget, Some(interrupt));
+        let verdict = self
+            .working
+            .solve_limited(cube, &Budget::unlimited(), Some(interrupt));
         let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
-        if !matches!(
-            verdict,
-            Verdict::Unknown(StopReason::Interrupted | StopReason::TimeLimit)
-        ) {
+        // With no budget, a raised interrupt is the only way to `Unknown`.
+        if !matches!(verdict, Verdict::Unknown(_)) {
             self.last = Some(LastSolve {
                 cube: cube.to_vec(),
-                budget: budget.clone(),
                 verdict: verdict.clone(),
                 elapsed,
             });
@@ -312,7 +296,6 @@ impl CubeBackend for FreshBackend {
     fn solve(
         &mut self,
         cube: &[Lit],
-        budget: &Budget,
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],
     ) -> BackendOutcome {
@@ -322,8 +305,7 @@ impl CubeBackend for FreshBackend {
         let resident = self
             .resident
             .get_or_insert_with(|| Resident::load(&self.spec));
-        let (verdict, elapsed) =
-            resident.solve(cube, budget, interrupt, self.spec.measure_wall_time);
+        let (verdict, elapsed) = resident.solve(cube, interrupt, self.spec.measure_wall_time);
         let working = &resident.working;
         // The template accumulates no conflict participation (loading runs
         // no conflict analysis), so the working solver's counters are
@@ -384,13 +366,14 @@ impl CubeBackend for WarmBackend {
     fn solve(
         &mut self,
         cube: &[Lit],
-        budget: &Budget,
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],
     ) -> BackendOutcome {
         let start = self.measure_wall_time.then(Instant::now);
         let before = CubeCounters::of(self.solver.stats());
-        let verdict = self.solver.solve_limited(cube, budget, Some(interrupt));
+        let verdict = self
+            .solver
+            .solve_limited(cube, &Budget::unlimited(), Some(interrupt));
         let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
         let counters = CubeCounters::of(self.solver.stats()).since(before);
         // Attribute only the *new* conflict participation to this cube, in
@@ -431,6 +414,7 @@ mod tests {
     use super::*;
     use crate::CostMetric;
     use pdsat_cnf::{Cube, Lit, Var};
+    use pdsat_solver::StopReason;
 
     fn chain(n: usize) -> Cnf {
         let mut cnf = Cnf::new(n);
@@ -445,11 +429,8 @@ mod tests {
 
     #[test]
     fn backend_kind_parsing_and_names() {
-        assert_eq!("fresh".parse::<BackendKind>().unwrap(), BackendKind::Fresh);
-        assert_eq!("WARM".parse::<BackendKind>().unwrap(), BackendKind::Warm);
-        assert_eq!("reuse".parse::<BackendKind>().unwrap(), BackendKind::Warm);
-        assert!("mpi".parse::<BackendKind>().is_err());
         assert_eq!(BackendKind::Fresh.to_string(), "fresh");
+        assert_eq!(BackendKind::Warm.to_string(), "warm");
         assert_eq!(BackendKind::default(), BackendKind::Fresh);
     }
 
@@ -467,11 +448,11 @@ mod tests {
         let cube = Cube::from_values(&[Var::new(0)], &[true]);
         let interrupt = InterruptFlag::new();
         let mut acc = vec![0u64; cnf.num_vars()];
-        let out = backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc);
+        let out = backend.solve(cube.lits(), &interrupt, &mut acc);
         assert!(out.verdict.is_sat());
         assert!(out.counters.propagations > 0);
         // A second identical call sees an identical fresh solver.
-        let again = backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc);
+        let again = backend.solve(cube.lits(), &interrupt, &mut acc);
         assert_eq!(out.counters, again.counters);
     }
 
@@ -514,7 +495,7 @@ mod tests {
                 .iter()
                 .map(|&is_c| {
                     let cube = if is_c { &c } else { &d };
-                    backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc)
+                    backend.solve(cube.lits(), &interrupt, &mut acc)
                 })
                 .collect();
             (outcomes, acc, backend.end_batch())
@@ -545,41 +526,19 @@ mod tests {
         let lowered = InterruptFlag::new();
         let raised = InterruptFlag::new();
         raised.raise();
-        let unlimited = Budget::unlimited();
-        let first = backend.solve(c.lits(), &unlimited, &lowered, &mut acc);
+        let first = backend.solve(c.lits(), &lowered, &mut acc);
         assert!(first.verdict.is_unsat());
 
         mark_kept(&mut backend);
-        let interrupted = backend.solve(c.lits(), &unlimited, &raised, &mut acc);
+        let interrupted = backend.solve(c.lits(), &raised, &mut acc);
         assert_eq!(
             interrupted.verdict,
             Verdict::Unknown(StopReason::Interrupted)
         );
         // An interrupted solve is not kept: the next repeat is solved.
         assert!(backend.resident.as_ref().unwrap().last.is_none());
-        let again = backend.solve(c.lits(), &unlimited, &lowered, &mut acc);
+        let again = backend.solve(c.lits(), &lowered, &mut acc);
         assert!(again.verdict.is_unsat() && again.elapsed != KEPT);
-
-        mark_kept(&mut backend);
-        let cut = Budget::unlimited().with_conflict_limit(0);
-        let limited = backend.solve(c.lits(), &cut, &lowered, &mut acc);
-        assert_eq!(limited.verdict, Verdict::Unknown(StopReason::ConflictLimit));
-        assert_ne!(limited.elapsed, KEPT);
-    }
-
-    #[test]
-    fn an_exhausted_conflict_budget_is_answered_from_the_last_solve() {
-        let (mut backend, c, _) = pigeonhole_backend();
-        let mut acc = vec![0u64; backend.spec.cnf.num_vars()];
-        let interrupt = InterruptFlag::new();
-        let cut = Budget::unlimited().with_conflict_limit(0);
-        let first = backend.solve(c.lits(), &cut, &interrupt, &mut acc);
-        assert_eq!(first.verdict, Verdict::Unknown(StopReason::ConflictLimit));
-        mark_kept(&mut backend);
-        let repeat = backend.solve(c.lits(), &cut, &interrupt, &mut acc);
-        assert_eq!(repeat.verdict, first.verdict);
-        assert_eq!(repeat.counters, first.counters);
-        assert_eq!(repeat.elapsed, KEPT);
     }
 
     #[test]
@@ -594,7 +553,7 @@ mod tests {
         for bits in 0..4u64 {
             let cube = Cube::from_bits(&set, bits);
             backend.begin_batch();
-            let out = backend.solve(cube.lits(), &Budget::unlimited(), &interrupt, &mut acc);
+            let out = backend.solve(cube.lits(), &interrupt, &mut acc);
             // Deltas stay cube-sized even though the solver's own counters
             // keep growing across the calls.
             assert!(out.counters.propagations <= backend.solver.stats().propagations);

@@ -152,7 +152,7 @@ struct Batch<'a> {
     /// backend sees the *same* cubes batch after batch — warm-solver
     /// locality that one shared queue would reshuffle on every batch.
     stripes: Vec<Stripe<'a>>,
-    /// Budget and cost metric of every cube.
+    /// Cost metric of every cube.
     config: &'a BatchConfig,
     /// The batch-wide interrupt flag every worker observes.
     interrupt: &'a InterruptFlag,
@@ -245,7 +245,7 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
             // backend — the exactly-once requeue contract.
             for attempt in 0..2 {
                 let solved = catch_unwind(AssertUnwindSafe(|| {
-                    backend.solve(cubes[index].lits(), &config.budget, interrupt, totals)
+                    backend.solve(cubes[index].lits(), interrupt, totals)
                 }));
                 if let Ok(raw) = solved {
                     *cost = config.cost.measure(raw.counters, raw.elapsed);
@@ -418,7 +418,6 @@ mod tests {
     use crate::oracle::BackendOutcome;
     use crate::DecompositionSet;
     use pdsat_cnf::{Cnf, Lit, Var};
-    use pdsat_solver::Budget;
 
     /// A backend whose `begin_batch` panics: past the per-cube recovery.
     struct BrokenBoundary(Box<dyn CubeBackend>);
@@ -427,11 +426,10 @@ mod tests {
         fn solve(
             &mut self,
             cube: &[Lit],
-            budget: &Budget,
             interrupt: &InterruptFlag,
             conflict_acc: &mut [u64],
         ) -> BackendOutcome {
-            self.0.solve(cube, budget, interrupt, conflict_acc)
+            self.0.solve(cube, interrupt, conflict_acc)
         }
 
         fn begin_batch(&mut self) {

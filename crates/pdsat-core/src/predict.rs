@@ -7,7 +7,7 @@ use crate::oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, VerdictSu
 use crate::{CostMetric, DecompositionSet, PredictiveEstimate};
 use cache::PointCache;
 use pdsat_cnf::{Assignment, Cnf, Cube, Var};
-use pdsat_solver::{Budget, InterruptFlag, SolverConfig};
+use pdsat_solver::{InterruptFlag, SolverConfig};
 use rand::SeedableRng;
 use std::ops::Range;
 use std::time::Duration;
@@ -20,10 +20,6 @@ pub struct EvaluatorConfig {
     pub sample_size: usize,
     /// Cost metric recorded per sampled sub-problem.
     pub cost: CostMetric,
-    /// Resource budget per sampled sub-problem (unlimited by default; a
-    /// per-cube budget is useful early in the search when very bad points
-    /// would otherwise dominate the running time).
-    pub per_cube_budget: Budget,
     /// Solver configuration (the deterministic algorithm `A`).
     pub solver_config: SolverConfig,
     /// Number of worker threads used to process a sample.
@@ -48,7 +44,6 @@ impl Default for EvaluatorConfig {
         EvaluatorConfig {
             sample_size: 100,
             cost: CostMetric::default(),
-            per_cube_budget: Budget::unlimited(),
             solver_config: SolverConfig::default(),
             num_workers: 1,
             seed: 0,
@@ -64,7 +59,7 @@ pub struct SampleVerdicts {
     pub sat: usize,
     /// Unsatisfiable sub-problems.
     pub unsat: usize,
-    /// Undecided sub-problems (per-cube budget exhausted).
+    /// Undecided sub-problems (cut short by a raised interrupt).
     pub unknown: usize,
 }
 
@@ -98,9 +93,9 @@ impl PointEvaluation {
 /// Evaluator of the predictive function for a fixed SAT instance.
 ///
 /// The evaluator is a [`CubeOracle`] client: every sampled sub-problem goes
-/// through the oracle's worker pool and configured backend — the pool's
-/// backends are created once when the evaluator is built and survive
-/// across every point evaluation, so with
+/// through the oracle's worker pool and configured backend — each pool
+/// slot's backend is built by the worker that first drains it, during the
+/// first evaluation, and survives across every later one, so with
 /// [`BackendKind::Warm`] the learnt clauses and VSIDS state accumulated at
 /// one search-space point keep paying off at the next. It accumulates
 /// per-variable conflict activity over everything it solves (the tabu search
@@ -148,7 +143,6 @@ impl Evaluator {
         let num_vars = cnf.num_vars();
         let batch_config = BatchConfig {
             solver_config: config.solver_config.clone(),
-            budget: config.per_cube_budget.clone(),
             cost: config.cost,
             num_workers: config.num_workers,
             backend: config.backend,

@@ -19,8 +19,6 @@ use rand::Rng;
 /// Parameters of the [`RandomRestart`] strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RandomRestartConfig {
-    /// Neighbourhood radius ρ of the greedy descent (PDSAT uses 1).
-    pub radius: usize,
     /// Total restart budget: after this many restarts fail to open a new
     /// descent, the strategy stops with
     /// [`StopCondition::RestartsExhausted`]. Together with the driver's
@@ -30,18 +28,16 @@ pub struct RandomRestartConfig {
 
 impl Default for RandomRestartConfig {
     fn default() -> Self {
-        RandomRestartConfig {
-            radius: 1,
-            max_restarts: 16,
-        }
+        RandomRestartConfig { max_restarts: 16 }
     }
 }
 
-/// Greedy neighbourhood descent with random restarts (see the module docs).
+/// Greedy neighbourhood descent with random restarts (see the module docs),
+/// over neighbourhoods of radius ρ = 1, as in PDSAT.
 ///
 /// Unlike [`Annealing`](crate::Annealing) and [`Tabu`](crate::Tabu), every
 /// descent step proposes a whole neighbourhood, so the evaluation cost of a
-/// step is one *batched* oracle call instead of `|N_ρ(χ)|` sequential ones.
+/// step is one *batched* oracle call instead of `|N_1(χ)|` sequential ones.
 #[derive(Debug, Clone)]
 pub struct RandomRestart {
     config: RandomRestartConfig,
@@ -55,16 +51,8 @@ pub struct RandomRestart {
 
 impl RandomRestart {
     /// Creates the strategy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured radius is zero.
     #[must_use]
     pub fn new(config: RandomRestartConfig) -> RandomRestart {
-        assert!(
-            config.radius >= 1,
-            "the neighbourhood radius must be positive"
-        );
         RandomRestart {
             config,
             center: None,
@@ -96,7 +84,7 @@ impl Strategy for RandomRestart {
             .clone()
             .expect("initialize() runs before propose()");
         loop {
-            let neighborhood = ctx.space.neighborhood(&center, self.config.radius);
+            let neighborhood = ctx.space.neighbors(&center);
             let unchecked: Vec<Point> = neighborhood
                 .iter()
                 .filter(|p| !ctx.is_evaluated(p))
@@ -212,10 +200,7 @@ mod tests {
             limits: SearchLimits::unlimited(),
             seed: 5,
         });
-        let mut strategy = RandomRestart::new(RandomRestartConfig {
-            max_restarts: 3,
-            ..RandomRestartConfig::default()
-        });
+        let mut strategy = RandomRestart::new(RandomRestartConfig { max_restarts: 3 });
         let outcome = driver.run(&space, &space.full_point(), &mut strategy, &mut eval);
         assert_eq!(outcome.stop_condition, StopCondition::RestartsExhausted);
         assert_eq!(strategy.restarts(), 3);
@@ -244,14 +229,5 @@ mod tests {
             (trajectory, out.best_value.to_bits())
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "radius must be positive")]
-    fn zero_radius_is_rejected() {
-        let _ = RandomRestart::new(RandomRestartConfig {
-            radius: 0,
-            ..RandomRestartConfig::default()
-        });
     }
 }

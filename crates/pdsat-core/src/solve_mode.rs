@@ -10,7 +10,7 @@
 use crate::oracle::{BackendKind, BatchConfig, CubeOracle, VerdictSummary};
 use crate::{BatchResult, CostMetric, DecompositionSet};
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof};
-use pdsat_solver::{Budget, InterruptFlag, SolverConfig, SolverStats};
+use pdsat_solver::{InterruptFlag, SolverConfig, SolverStats};
 use std::time::Duration;
 
 /// Configuration of a solving-mode run.
@@ -18,8 +18,6 @@ use std::time::Duration;
 pub struct SolveModeConfig {
     /// Solver configuration used for every sub-problem.
     pub solver_config: SolverConfig,
-    /// Per-sub-problem budget (unlimited by default).
-    pub budget: Budget,
     /// Cost metric accumulated per sub-problem.
     pub cost: CostMetric,
     /// Number of worker threads.
@@ -35,7 +33,6 @@ impl Default for SolveModeConfig {
     fn default() -> Self {
         SolveModeConfig {
             solver_config: SolverConfig::default(),
-            budget: Budget::unlimited(),
             cost: CostMetric::default(),
             num_workers: 1,
             backend: BackendKind::Warm,
@@ -149,7 +146,7 @@ pub struct SolveReport {
     pub first_sat_index: Option<usize>,
     /// Number of satisfiable sub-problems found.
     pub sat_count: usize,
-    /// Number of undecided sub-problems (per-cube budget exhausted).
+    /// Number of undecided sub-problems (cut short by a raised interrupt).
     pub unknown_count: usize,
     /// Wall-clock time of the run with the configured number of workers.
     pub wall_time: Duration,
@@ -260,7 +257,6 @@ impl FamilySolver {
     pub fn new(cnf: &Cnf, config: &SolveModeConfig) -> FamilySolver {
         let batch_config = BatchConfig {
             solver_config: config.solver_config.clone(),
-            budget: config.budget.clone(),
             cost: config.cost,
             num_workers: config.num_workers,
             backend: config.backend,

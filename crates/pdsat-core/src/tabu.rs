@@ -26,8 +26,6 @@ pub enum NewCenterHeuristic {
 /// [`SearchDriver`](crate::SearchDriver) that runs the strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TabuConfig {
-    /// Neighbourhood radius ρ (PDSAT uses 1).
-    pub radius: usize,
     /// Heuristic used by `getNewCenter`.
     pub new_center: NewCenterHeuristic,
 }
@@ -35,13 +33,13 @@ pub struct TabuConfig {
 impl Default for TabuConfig {
     fn default() -> Self {
         TabuConfig {
-            radius: 1,
             new_center: NewCenterHeuristic::ConflictActivity,
         }
     }
 }
 
-/// Algorithm 2 as a [`Strategy`].
+/// Algorithm 2 as a [`Strategy`], over neighbourhoods of radius ρ = 1, as
+/// in PDSAT.
 ///
 /// The two tabu lists of the paper are maintained explicitly: `L1` holds
 /// points whose whole neighbourhood has been checked, `L2` holds checked
@@ -51,7 +49,6 @@ impl Default for TabuConfig {
 /// invariant up mechanically).
 #[derive(Debug, Clone)]
 pub struct Tabu {
-    radius: usize,
     heuristic: NewCenterHeuristic,
     center: Option<Point>,
     /// L1: checked points whose neighbourhood is fully checked.
@@ -64,18 +61,9 @@ pub struct Tabu {
 
 impl Tabu {
     /// Creates the strategy from the move rule of `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured radius is zero.
     #[must_use]
     pub fn new(config: &TabuConfig) -> Tabu {
-        assert!(
-            config.radius >= 1,
-            "the neighbourhood radius must be positive"
-        );
         Tabu {
-            radius: config.radius,
             heuristic: config.new_center,
             center: None,
             l1: HashSet::new(),
@@ -87,7 +75,7 @@ impl Tabu {
     /// Whether every point of `point`'s neighbourhood has been evaluated.
     fn neighbourhood_checked(&self, ctx: &SearchContext<'_>, point: &Point) -> bool {
         ctx.space
-            .neighborhood(point, self.radius)
+            .neighbors(point)
             .iter()
             .all(|p| ctx.is_evaluated(p))
     }
@@ -148,7 +136,7 @@ impl Strategy for Tabu {
             .clone()
             .expect("initialize() runs before propose()");
         loop {
-            let neighborhood = ctx.space.neighborhood(&center, self.radius);
+            let neighborhood = ctx.space.neighbors(&center);
             let unchecked: Vec<&Point> = neighborhood
                 .iter()
                 .filter(|p| !ctx.is_evaluated(p))
@@ -329,7 +317,6 @@ mod tests {
             let mut eval = evaluator(&cnf, 4);
             let config = TabuConfig {
                 new_center: heuristic,
-                ..TabuConfig::default()
             };
             let outcome = minimize(
                 &config,
@@ -359,18 +346,5 @@ mod tests {
             (out.best_point.clone(), out.best_value, out.points_evaluated)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    #[should_panic(expected = "radius must be positive")]
-    fn zero_radius_is_rejected() {
-        let cnf = Cnf::pigeonhole(5);
-        let space = SearchSpace::new((0..4).map(Var::new));
-        let mut eval = evaluator(&cnf, 2);
-        let config = TabuConfig {
-            radius: 0,
-            ..TabuConfig::default()
-        };
-        let _ = minimize(&config, SearchLimits::unlimited(), 0, &space, &mut eval);
     }
 }

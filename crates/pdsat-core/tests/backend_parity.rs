@@ -10,18 +10,16 @@
 //! for later cubes carried-over learnt clauses may steer the search to a
 //! *different but equally valid* model, which is all the contract promises.
 //! Costs are *not* required to match (that is the whole point of the warm
-//! backend), and parity of individual verdicts is only guaranteed for
-//! unconstrained runs: under a per-cube budget a warm solver may decide a
-//! cube the fresh solver times out on. The cutoff cases below therefore pin
-//! the two regimes where budget parity *is* exact: a budget no solver can
-//! act within, and a pre-raised interrupt.
+//! backend). Every cube runs to a verdict unless the batch is interrupted;
+//! a pre-raised interrupt is the one cutoff, and both backends must report
+//! it identically.
 
 use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
     FaultPlan, VerdictSummary,
 };
-use pdsat_solver::{Budget, InterruptFlag, SolverConfig};
+use pdsat_solver::{InterruptFlag, SolverConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,10 +35,9 @@ fn random_set(num_vars: usize, d: usize, rng: &mut StdRng) -> DecompositionSet {
     DecompositionSet::new(vars)
 }
 
-fn run(cnf: &Cnf, cubes: &[Cube], backend: BackendKind, budget: Budget) -> pdsat_core::BatchResult {
+fn run(cnf: &Cnf, cubes: &[Cube], backend: BackendKind) -> pdsat_core::BatchResult {
     let config = BatchConfig {
         cost: CostMetric::Conflicts,
-        budget,
         backend,
         ..BatchConfig::default()
     };
@@ -61,8 +58,8 @@ fn backends_agree_on_random_families() {
         let set = random_set(num_vars, 3 + round % 3, &mut rng);
         let cubes: Vec<Cube> = set.cubes().collect();
 
-        let fresh = run(&cnf, &cubes, BackendKind::Fresh, Budget::unlimited());
-        let warm = run(&cnf, &cubes, BackendKind::Warm, Budget::unlimited());
+        let fresh = run(&cnf, &cubes, BackendKind::Fresh);
+        let warm = run(&cnf, &cubes, BackendKind::Warm);
 
         assert_eq!(
             fresh.verdict_counts(),
@@ -113,25 +110,6 @@ fn backends_agree_on_random_families() {
 }
 
 #[test]
-fn backends_agree_under_a_zero_conflict_budget() {
-    // A conflict budget of 0 stops every search before its first decision;
-    // both backends must report the identical all-Unknown outcome for cubes
-    // that are not decided by unit propagation alone.
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let cnf = Cnf::random_3cnf(14, 70, &mut rng);
-    let set = random_set(14, 4, &mut rng);
-    let cubes: Vec<Cube> = set.cubes().collect();
-    let budget = Budget::unlimited().with_conflict_limit(0);
-
-    let fresh = run(&cnf, &cubes, BackendKind::Fresh, budget.clone());
-    let warm = run(&cnf, &cubes, BackendKind::Warm, budget);
-
-    assert_eq!(fresh.verdicts, warm.verdicts);
-    let (_, _, unknown) = fresh.verdict_counts();
-    assert!(unknown > 0, "the budget must actually bite");
-}
-
-#[test]
 fn backends_agree_under_a_pre_raised_interrupt() {
     let mut rng = StdRng::seed_from_u64(0x1234);
     let cnf = Cnf::random_3cnf(12, 54, &mut rng);
@@ -177,8 +155,8 @@ fn warm_backend_is_no_more_expensive_over_whole_families() {
     let cnf = Cnf::random_3cnf(16, 72, &mut rng);
     let set = random_set(16, 4, &mut rng);
     let cubes: Vec<Cube> = set.cubes().collect();
-    let fresh = run(&cnf, &cubes, BackendKind::Fresh, Budget::unlimited());
-    let warm = run(&cnf, &cubes, BackendKind::Warm, Budget::unlimited());
+    let fresh = run(&cnf, &cubes, BackendKind::Fresh);
+    let warm = run(&cnf, &cubes, BackendKind::Warm);
     let fresh_total: f64 = fresh.costs.iter().sum();
     let warm_total: f64 = warm.costs.iter().sum();
     assert!(
@@ -241,7 +219,6 @@ fn fresh_fixture_oracle(
         num_workers: workers,
         clamp_workers_to_cpus: false,
         fault_plan,
-        ..BatchConfig::default()
     };
     CubeOracle::new(cnf, config)
 }

@@ -184,7 +184,6 @@ fn edge_case_stop_conditions_match_the_pre_refactor_loops() {
         initial_temperature: 1.0,
         cooling_factor: 0.1,
         min_temperature: 0.5,
-        ..AnnealingConfig::default()
     });
     let outcome = driver(SearchLimits::unlimited(), 1).run(
         &space,
@@ -392,9 +391,6 @@ fn strategy_instances_are_reusable_across_runs() {
     });
     assert_reusable("tabu", 15, 4, || Tabu::new(&TabuConfig::default()));
     assert_reusable("random restart", 15, 4, || {
-        RandomRestart::new(RandomRestartConfig {
-            max_restarts: 2,
-            ..RandomRestartConfig::default()
-        })
+        RandomRestart::new(RandomRestartConfig { max_restarts: 2 })
     });
 }

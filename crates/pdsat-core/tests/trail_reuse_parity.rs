@@ -17,7 +17,7 @@ use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
 use pdsat_core::{
     BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet, VerdictSummary,
 };
-use pdsat_solver::{Budget, Solver, SolverConfig, SolverStats, TestPolicy, Verdict};
+use pdsat_solver::{Solver, SolverConfig, SolverStats, TestPolicy, Verdict};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -28,11 +28,10 @@ fn proof_config() -> SolverConfig {
     }
 }
 
-fn warm_config(budget: Budget) -> BatchConfig {
+fn warm_config() -> BatchConfig {
     BatchConfig {
         cost: CostMetric::Conflicts,
         backend: BackendKind::Warm,
-        budget,
         solver_config: proof_config(),
         ..BatchConfig::default()
     }
@@ -49,8 +48,8 @@ struct Replayed {
     stats: SolverStats,
 }
 
-/// Solves `cubes` in order on one replaying solver, each under `budget`.
-fn replay(cnf: &Cnf, cubes: &[Cube], budget: &Budget) -> Replayed {
+/// Solves `cubes` in order on one replaying solver.
+fn replay(cnf: &Cnf, cubes: &[Cube]) -> Replayed {
     let mut solver = Solver::from_cnf_with_config(cnf, proof_config());
     solver.set_test_policy(TestPolicy {
         replay: true,
@@ -66,7 +65,7 @@ fn replay(cnf: &Cnf, cubes: &[Cube], budget: &Budget) -> Replayed {
     };
     for (index, cube) in cubes.iter().enumerate() {
         let before = solver.stats().conflicts;
-        let verdict = solver.solve_limited(cube.lits(), budget, None);
+        let verdict = solver.solve_with_assumptions(cube.lits());
         replayed
             .costs
             .push((solver.stats().conflicts - before) as f64);
@@ -165,9 +164,8 @@ fn reuse_on_and_off_report_identical_verdicts_and_costs() {
             cubes.swap(i, rng.gen_range(0..=i));
         }
 
-        let budget = Budget::unlimited();
-        let reused = CubeOracle::new(&cnf, warm_config(budget.clone())).solve_batch(&cubes, None);
-        let replayed = replay(&cnf, &cubes, &budget);
+        let reused = CubeOracle::new(&cnf, warm_config()).solve_batch(&cubes, None);
+        let replayed = replay(&cnf, &cubes);
         certified_unsat +=
             assert_matches_replay(&cnf, &cubes, &reused, &replayed, &format!("round {round}"));
         reused_total += reused.solver_stats.reused_assumptions;
@@ -180,20 +178,4 @@ fn reuse_on_and_off_report_identical_verdicts_and_costs() {
         certified_unsat > 0,
         "the families must actually exercise the certificate hook"
     );
-}
-
-#[test]
-fn reuse_parity_holds_under_conflict_budgets() {
-    // Conflict budgets bite at identical points for both solvers (conflict
-    // counts are bit-identical under reuse), so even Unknown verdicts and
-    // partial costs must agree.
-    let mut rng = StdRng::seed_from_u64(0xB0D6E7);
-    let cnf = Cnf::random_3cnf(16, 76, &mut rng);
-    let set = DecompositionSet::new((0..4).map(|i| Var::new(i * 3)));
-    let cubes: Vec<Cube> = set.cubes().collect();
-    let budget = Budget::unlimited().with_conflict_limit(2);
-
-    let reused = CubeOracle::new(&cnf, warm_config(budget.clone())).solve_batch(&cubes, None);
-    let replayed = replay(&cnf, &cubes, &budget);
-    assert_matches_replay(&cnf, &cubes, &reused, &replayed, "budgeted");
 }

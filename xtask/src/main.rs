@@ -9,12 +9,15 @@
 //!    Monte Carlo estimator, so clock reads stay confined to modules gated
 //!    behind `SolverConfig::time_accounting` or explicitly wall-clock-facing
 //!    code.
-//! 3. **knob documentation**: every public field of `SolverConfig` and
-//!    `BatchConfig` must be named (in backticks) in DESIGN.md, and every
-//!    `` `SolverConfig::x` ``, `` `BatchConfig::x` ``, `` `SolveModeConfig::x` ``
-//!    or `` `EvaluatorConfig::x` `` DESIGN.md spells must be a public field
-//!    that exists, so the configuration surface and its documentation cannot
-//!    drift apart in either direction.
+//! 3. **knob documentation**: each of the seven config structs
+//!    (`SolverConfig`, `BatchConfig`, `SolveModeConfig`, `EvaluatorConfig`,
+//!    `TabuConfig`, `AnnealingConfig`, `RandomRestartConfig`) has a knob
+//!    table in DESIGN.md — a `` `Name`: `` line followed by a `| Knob |
+//!    Meaning |` table — whose rows are exactly its public fields, and every
+//!    `` `Name::x` `` DESIGN.md spells must be a public field that exists, so
+//!    the configuration surface and its documentation cannot drift apart in
+//!    either direction: an option added back fails until it is documented,
+//!    and a deleted one until its row goes.
 //! 4. **no parked code**: no `allow(dead_code)` attribute in any form (code
 //!    that nothing calls is deleted, test-only helpers are `#[cfg(test)]`),
 //!    no `allow(clippy::too_many_arguments)` either (positional plumbing is
@@ -266,6 +269,17 @@ fn pub_fields(path: &Path, struct_name: &str) -> Result<Vec<String>, String> {
     Ok(fields)
 }
 
+/// The config structs DESIGN.md gives a knob table, and where each lives.
+const KNOB_SOURCES: [(&str, &str); 7] = [
+    ("crates/solver/src/config.rs", "SolverConfig"),
+    ("crates/pdsat-core/src/oracle.rs", "BatchConfig"),
+    ("crates/pdsat-core/src/solve_mode.rs", "SolveModeConfig"),
+    ("crates/pdsat-core/src/predict.rs", "EvaluatorConfig"),
+    ("crates/pdsat-core/src/tabu.rs", "TabuConfig"),
+    ("crates/pdsat-core/src/anneal.rs", "AnnealingConfig"),
+    ("crates/pdsat-core/src/restart.rs", "RandomRestartConfig"),
+];
+
 fn check_knob_docs(root: &Path, errors: &mut Vec<String>) {
     let design = match std::fs::read_to_string(root.join("DESIGN.md")) {
         Ok(t) => t,
@@ -274,55 +288,79 @@ fn check_knob_docs(root: &Path, errors: &mut Vec<String>) {
             return;
         }
     };
-    // (file, struct, whether DESIGN.md's knob tables must list every field)
-    let sources = [
-        ("crates/solver/src/config.rs", "SolverConfig", true),
-        ("crates/pdsat-core/src/oracle.rs", "BatchConfig", true),
-        (
-            "crates/pdsat-core/src/solve_mode.rs",
-            "SolveModeConfig",
-            false,
-        ),
-        ("crates/pdsat-core/src/predict.rs", "EvaluatorConfig", false),
-    ];
-    for (path, struct_name, tabulated) in sources {
-        let fields = match pub_fields(&root.join(path), struct_name) {
-            Ok(fields) => fields,
-            Err(e) => {
-                errors.push(e);
-                continue;
-            }
-        };
-        if tabulated {
-            for f in &fields {
-                let needle = format!("`{f}`");
-                if !design.contains(&needle) {
-                    errors.push(format!(
-                        "DESIGN.md: {struct_name} knob `{f}` is undocumented \
-                         (add it to the configuration-knob table)"
-                    ));
-                }
-            }
+    for (path, struct_name) in KNOB_SOURCES {
+        match pub_fields(&root.join(path), struct_name) {
+            Ok(fields) => check_knob_table(&design, path, struct_name, &fields, errors),
+            Err(e) => errors.push(e),
         }
-        // The reverse: prose that spells `Struct::name` names a field that
-        // exists. Brace groups and method paths are not plain names and are
-        // left alone.
-        let prefix = format!("`{struct_name}::");
-        for (at, _) in design.match_indices(&prefix) {
-            let rest = &design[at + prefix.len()..];
-            let Some(name) = rest.find('`').map(|end| &rest[..end]) else {
-                continue;
-            };
-            let plain = !name.is_empty()
-                && name
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
-            if plain && !fields.iter().any(|f| f == name) {
+    }
+}
+
+/// The first cell of every row of the knob table DESIGN.md heads with a
+/// `` `Name`: `` line, or `None` if there is no such line.
+fn knob_table(design: &str, struct_name: &str) -> Option<Vec<String>> {
+    let heading = format!("`{struct_name}`:");
+    let mut lines = design.lines().skip_while(|line| line.trim() != heading);
+    lines.next()?;
+    let rows = lines
+        .skip_while(|line| line.trim().is_empty())
+        .take_while(|line| line.starts_with('|'))
+        // The header row and the separator.
+        .skip(2);
+    Some(
+        rows.filter_map(|row| row.split('|').nth(1))
+            .map(|cell| cell.trim().trim_matches('`').to_string())
+            .collect(),
+    )
+}
+
+/// Requires `struct_name`'s knob table to list exactly `fields`, and every
+/// `` `Name::x` `` DESIGN.md spells to be one of them.
+fn check_knob_table(
+    design: &str,
+    path: &str,
+    struct_name: &str,
+    fields: &[String],
+    errors: &mut Vec<String>,
+) {
+    match knob_table(design, struct_name) {
+        None => errors.push(format!(
+            "DESIGN.md: no knob table for {struct_name} (a `{struct_name}`: line \
+             followed by a | Knob | Meaning | table)"
+        )),
+        Some(rows) => {
+            for f in fields.iter().filter(|f| !rows.contains(f)) {
                 errors.push(format!(
-                    "DESIGN.md: `{struct_name}::{name}` names no public field of \
-                     {struct_name} in {path}"
+                    "DESIGN.md: {struct_name} knob `{f}` is undocumented \
+                     (add a row to its knob table)"
                 ));
             }
+            for row in rows.iter().filter(|row| !fields.contains(row)) {
+                errors.push(format!(
+                    "DESIGN.md: the {struct_name} knob table lists `{row}`, \
+                     which is no public field of {struct_name} in {path}"
+                ));
+            }
+        }
+    }
+    // The reverse: prose that spells `Struct::name` names a field that
+    // exists. Brace groups and method paths are not plain names and are
+    // left alone.
+    let prefix = format!("`{struct_name}::");
+    for (at, _) in design.match_indices(&prefix) {
+        let rest = &design[at + prefix.len()..];
+        let Some(name) = rest.find('`').map(|end| &rest[..end]) else {
+            continue;
+        };
+        let plain = !name.is_empty()
+            && name
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+        if plain && !fields.iter().any(|f| f == name) {
+            errors.push(format!(
+                "DESIGN.md: `{struct_name}::{name}` names no public field of \
+                 {struct_name} in {path}"
+            ));
         }
     }
 }
@@ -687,6 +725,45 @@ mod tests {
         );
         assert!(parse_family_counters("family_counters! {\n}\n").is_err());
         assert!(parse_family_counters("\nfamily_counters! {\n    a,\n").is_err());
+    }
+
+    #[test]
+    fn a_knob_table_lists_exactly_the_public_fields() {
+        let fields = ["max_restarts".to_string()];
+        let errors = |design: &str| {
+            let mut errors = Vec::new();
+            check_knob_table(
+                design,
+                "restart.rs",
+                "RandomRestartConfig",
+                &fields,
+                &mut errors,
+            );
+            errors
+        };
+        let table = "`RandomRestartConfig`:\n\n| Knob | Meaning |\n|---|---|\n\
+                     | `max_restarts` | Restarts before the strategy stops. |\n";
+        assert_eq!(errors(table), Vec::<String>::new());
+        // An option added back without a row, a row left behind by a deleted
+        // option, a field spelled in prose that does not exist, no table.
+        let missing =
+            errors("`RandomRestartConfig`:\n\n| Knob | Meaning |\n|---|---|\n\nmax_restarts\n");
+        assert!(
+            missing[0].contains("`max_restarts` is undocumented"),
+            "{missing:?}"
+        );
+        let stale = errors(&format!("{table}| `radius` | ρ. |\n"));
+        assert!(stale[0].contains("lists `radius`"), "{stale:?}");
+        let prose = errors(&format!("{table}\nSee `RandomRestartConfig::radius`.\n"));
+        assert!(
+            prose[0].contains("`RandomRestartConfig::radius` names no"),
+            "{prose:?}"
+        );
+        let untabled = errors("`max_restarts` is documented in prose only.\n");
+        assert!(untabled[0].contains("no knob table"), "{untabled:?}");
+        assert!([missing, stale, prose, untabled]
+            .iter()
+            .all(|e| e.len() == 1));
     }
 
     #[test]
