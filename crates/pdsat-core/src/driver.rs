@@ -32,12 +32,7 @@
 //! 2. **Point-budget truncation.** When `max_points` leaves fewer slots than
 //!    the proposal holds, the proposal is truncated to the remaining budget —
 //!    a large neighborhood can no longer blow past the limit.
-//! 3. **Time slices.** With a `time_limit` set, a multi-point proposal is
-//!    evaluated in slices of `TIME_SLICE` (8) points and the clock is
-//!    re-checked between slices; the unevaluated tail is dropped when the
-//!    limit fires mid-batch. Larger slices batch better; smaller slices honor
-//!    the limit more precisely.
-//! 4. `observe` always sees exactly the evaluated prefix, in proposal order.
+//! 3. `observe` always sees exactly the evaluated points, in proposal order.
 
 use crate::search::{SearchLimits, SearchOutcome, SearchStep, StopCondition};
 use crate::{Evaluator, Point, SearchSpace};
@@ -45,10 +40,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// With a time limit set, multi-point proposals are evaluated in slices of
-/// this many points, re-checking the clock between slices.
-const TIME_SLICE: usize = 8;
 
 /// One evaluated point, as handed to [`Strategy::observe`].
 #[derive(Debug, Clone)]
@@ -304,12 +295,8 @@ impl SearchDriver {
         }
 
         let stop = loop {
-            if limits.exceeded(history.len(), begin.elapsed()) {
-                break if limits.max_points.is_some_and(|m| history.len() >= m) {
-                    StopCondition::PointLimit
-                } else {
-                    StopCondition::TimeLimit
-                };
+            if limits.exceeded(history.len()) {
+                break StopCondition::PointLimit;
             }
 
             let proposal = {
@@ -337,28 +324,13 @@ impl SearchDriver {
 
             // Partial-batch truncation: the point budget is enforced inside
             // the batch, not only between proposals.
-            let mut truncated: Option<StopCondition> = None;
+            // A truncated batch fills the budget, so the next limits check
+            // stops the run.
             if let Some(budget) = limits.point_budget(history.len()) {
-                if points.len() > budget {
-                    points.truncate(budget);
-                    truncated = Some(StopCondition::PointLimit);
-                }
+                points.truncate(budget);
             }
 
-            // Evaluate, re-checking the clock between time slices.
-            let slice = if limits.time_limit.is_some() {
-                TIME_SLICE
-            } else {
-                points.len()
-            };
-            let mut results: Vec<Evaluated> = Vec::with_capacity(points.len());
-            for chunk in points.chunks(slice) {
-                if !results.is_empty() && limits.time_exceeded(begin.elapsed()) {
-                    truncated = Some(StopCondition::TimeLimit);
-                    break;
-                }
-                results.extend(evaluate_points(space, evaluator, &mut values, chunk));
-            }
+            let results = evaluate_points(space, evaluator, &mut values, &points);
 
             let observation = {
                 let mut ctx = SearchContext {
@@ -395,12 +367,8 @@ impl SearchDriver {
             }
 
             // Strategy-level stops fire before the next limits check (the
-            // pseudocode's ordering); a truncated batch means a limit already
-            // fired mid-batch.
+            // pseudocode's ordering).
             if let Some(condition) = observation.stop {
-                break condition;
-            }
-            if let Some(condition) = truncated {
                 break condition;
             }
         };

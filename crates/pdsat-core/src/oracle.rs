@@ -399,7 +399,7 @@ fn summarize(
             VerdictSummary::Sat
         }
         Verdict::Unsat => VerdictSummary::Unsat,
-        Verdict::Unknown(_) => VerdictSummary::Unknown,
+        Verdict::Unknown => VerdictSummary::Unknown,
     }
 }
 

@@ -269,8 +269,8 @@ impl Resident {
             .working
             .solve_limited(cube, &Budget::unlimited(), Some(interrupt));
         let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
-        // With no budget, a raised interrupt is the only way to `Unknown`.
-        if !matches!(verdict, Verdict::Unknown(_)) {
+        // A raised interrupt is the only way to `Unknown`.
+        if !verdict.is_unknown() {
             self.last = Some(LastSolve {
                 cube: cube.to_vec(),
                 verdict: verdict.clone(),
@@ -414,7 +414,6 @@ mod tests {
     use super::*;
     use crate::CostMetric;
     use pdsat_cnf::{Cube, Lit, Var};
-    use pdsat_solver::StopReason;
 
     fn chain(n: usize) -> Cnf {
         let mut cnf = Cnf::new(n);
@@ -428,7 +427,7 @@ mod tests {
     }
 
     #[test]
-    fn backend_kind_parsing_and_names() {
+    fn backend_kind_names_and_default() {
         assert_eq!(BackendKind::Fresh.to_string(), "fresh");
         assert_eq!(BackendKind::Warm.to_string(), "warm");
         assert_eq!(BackendKind::default(), BackendKind::Fresh);
@@ -520,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn a_raised_interrupt_or_another_budget_solves_the_cube_again() {
+    fn a_raised_interrupt_solves_the_cube_again() {
         let (mut backend, c, _) = pigeonhole_backend();
         let mut acc = vec![0u64; backend.spec.cnf.num_vars()];
         let lowered = InterruptFlag::new();
@@ -531,10 +530,7 @@ mod tests {
 
         mark_kept(&mut backend);
         let interrupted = backend.solve(c.lits(), &raised, &mut acc);
-        assert_eq!(
-            interrupted.verdict,
-            Verdict::Unknown(StopReason::Interrupted)
-        );
+        assert_eq!(interrupted.verdict, Verdict::Unknown);
         // An interrupted solve is not kept: the next repeat is solved.
         assert!(backend.resident.as_ref().unwrap().last.is_none());
         let again = backend.solve(c.lits(), &lowered, &mut acc);

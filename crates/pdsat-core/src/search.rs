@@ -7,14 +7,11 @@ use std::time::Duration;
 /// Stopping criteria shared by both metaheuristics.
 ///
 /// The paper runs PDSAT "for 1 day on 2–5 cluster nodes"; the reproduction's
-/// experiments instead bound the number of evaluated points and/or the wall
-/// time.
+/// experiments instead bound the number of evaluated points.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SearchLimits {
     /// Maximum number of points whose predictive function value is computed.
     pub max_points: Option<usize>,
-    /// Wall-clock limit for the whole search.
-    pub time_limit: Option<Duration>,
 }
 
 impl SearchLimits {
@@ -32,28 +29,11 @@ impl SearchLimits {
         self
     }
 
-    /// Limits the total wall-clock time.
+    /// `true` when the point limit is reached ("timeExceeded()" of the
+    /// paper's pseudocode, counted in points).
     #[must_use]
-    pub fn with_time_limit(mut self, limit: Duration) -> SearchLimits {
-        self.time_limit = Some(limit);
-        self
-    }
-
-    /// `true` when either limit is exceeded ("timeExceeded()" of the paper's
-    /// pseudocode, generalized).
-    #[must_use]
-    pub fn exceeded(&self, points_evaluated: usize, elapsed: Duration) -> bool {
-        if let Some(max) = self.max_points {
-            if points_evaluated >= max {
-                return true;
-            }
-        }
-        if let Some(limit) = self.time_limit {
-            if elapsed >= limit {
-                return true;
-            }
-        }
-        false
+    pub fn exceeded(&self, points_evaluated: usize) -> bool {
+        self.max_points.is_some_and(|max| points_evaluated >= max)
     }
 
     /// How many more points may be evaluated before `max_points` is hit, or
@@ -66,12 +46,6 @@ impl SearchLimits {
     pub fn point_budget(&self, points_evaluated: usize) -> Option<usize> {
         self.max_points.map(|m| m.saturating_sub(points_evaluated))
     }
-
-    /// `true` when the wall-clock limit (if any) has been reached.
-    #[must_use]
-    pub fn time_exceeded(&self, elapsed: Duration) -> bool {
-        self.time_limit.is_some_and(|limit| elapsed >= limit)
-    }
 }
 
 /// Why a search run ended.
@@ -79,8 +53,6 @@ impl SearchLimits {
 pub enum StopCondition {
     /// The point budget was exhausted.
     PointLimit,
-    /// The wall-clock limit was exceeded.
-    TimeLimit,
     /// Simulated annealing reached the minimal temperature.
     TemperatureFloor,
     /// Tabu search ran out of unchecked points (`L2 = ∅`).
@@ -151,14 +123,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn limits_trigger_on_points_and_time() {
-        let limits = SearchLimits::unlimited()
-            .with_max_points(10)
-            .with_time_limit(Duration::from_secs(5));
-        assert!(!limits.exceeded(9, Duration::from_secs(1)));
-        assert!(limits.exceeded(10, Duration::from_secs(1)));
-        assert!(limits.exceeded(0, Duration::from_secs(5)));
-        assert!(!SearchLimits::unlimited().exceeded(1_000_000, Duration::from_secs(1_000_000)));
+    fn limits_trigger_on_points() {
+        let limits = SearchLimits::unlimited().with_max_points(10);
+        assert!(!limits.exceeded(9));
+        assert!(limits.exceeded(10));
+        assert!(!SearchLimits::unlimited().exceeded(1_000_000));
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl Reference {
         match self.verdict {
             Verdict::Sat(_) => VerdictSummary::Sat,
             Verdict::Unsat => VerdictSummary::Unsat,
-            Verdict::Unknown(_) => VerdictSummary::Unknown,
+            Verdict::Unknown => VerdictSummary::Unknown,
         }
     }
 }

@@ -10,7 +10,6 @@ use pdsat_core::{
     RandomRestart, RandomRestartConfig, SearchDriver, SearchLimits, SearchOutcome, SearchSpace,
     StopCondition, Strategy, Tabu, TabuConfig,
 };
-use std::time::Duration;
 
 fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
     Evaluator::new(
@@ -271,49 +270,6 @@ fn point_budget_truncates_inside_a_neighborhood_batch() {
     assert_eq!(outcome.points_evaluated, 4);
     assert_eq!(outcome.stop_condition, StopCondition::PointLimit);
     assert_eq!(eval.evaluations(), 4);
-}
-
-#[test]
-fn zero_time_limit_stops_before_any_proposal() {
-    let cnf = Cnf::pigeonhole(5);
-    let space = SearchSpace::new((0..6).map(Var::new));
-    let mut eval = evaluator(&cnf, 4);
-    let mut strategy = RandomRestart::new(RandomRestartConfig::default());
-    let outcome = driver(SearchLimits::unlimited().with_time_limit(Duration::ZERO), 3).run(
-        &space,
-        &space.full_point(),
-        &mut strategy,
-        &mut eval,
-    );
-    // The starting point is always evaluated; the limit fires before the
-    // first neighborhood proposal.
-    assert_eq!(outcome.points_evaluated, 1);
-    assert_eq!(outcome.stop_condition, StopCondition::TimeLimit);
-}
-
-#[test]
-fn time_sliced_batches_produce_the_same_trajectory() {
-    // Dimension 10: every RandomRestart proposal is a whole radius-1
-    // neighborhood of 10 points, more than one time slice. With a generous
-    // time limit the batch is cut into slices but the limit never fires; the
-    // trajectory must be identical to the run without a time limit.
-    let cnf = Cnf::pigeonhole(5);
-    let space = SearchSpace::new((0..10).map(Var::new));
-    let run = |limits: SearchLimits| {
-        let mut eval = evaluator(&cnf, 4);
-        let mut strategy = RandomRestart::new(RandomRestartConfig::default());
-        let outcome = driver(limits, 13).run(&space, &space.full_point(), &mut strategy, &mut eval);
-        (trajectory(&outcome), eval.oracle().batches())
-    };
-    let (unsliced, unsliced_batches) = run(SearchLimits::unlimited().with_max_points(25));
-    let (sliced, sliced_batches) = run(SearchLimits::unlimited()
-        .with_max_points(25)
-        .with_time_limit(Duration::from_secs(3600)));
-    assert_eq!(unsliced, sliced);
-    assert!(
-        sliced_batches > unsliced_batches,
-        "a 10-point proposal must reach the oracle in more than one slice"
-    );
 }
 
 #[test]

@@ -79,7 +79,7 @@ fn replay(cnf: &Cnf, cubes: &[Cube]) -> Replayed {
                 replayed.proofs.push((index, proof));
                 VerdictSummary::Unsat
             }
-            Verdict::Unknown(_) => VerdictSummary::Unknown,
+            Verdict::Unknown => VerdictSummary::Unknown,
         };
         replayed.verdicts.push(Some(summary));
     }

@@ -1,84 +1,35 @@
-//! Resource budgets and cooperative interruption.
+//! Cooperative interruption.
 //!
 //! PDSAT's leader process interrupts workers with non-blocking MPI messages
 //! when a point of the search space is abandoned; our equivalent is a shared
-//! [`InterruptFlag`] plus per-call resource budgets.
+//! [`InterruptFlag`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Limits on how much work a single `solve` call may perform.
-///
-/// A solve call that exhausts any limit returns
-/// [`Verdict::Unknown`](crate::Verdict::Unknown). The default budget is
-/// unlimited.
+/// The resource limits of a solve call: none. The paper's solving mode and
+/// its estimator run every cube to a verdict, so a call stops early only when
+/// its [`InterruptFlag`] is raised. The type remains as the argument of
+/// [`Solver::solve_limited`](crate::Solver::solve_limited) until its last
+/// caller passes only the flag.
 ///
 /// # Example
 ///
 /// ```
-/// use pdsat_solver::Budget;
-/// use std::time::Duration;
-/// let b = Budget::unlimited()
-///     .with_conflict_limit(10_000)
-///     .with_time_limit(Duration::from_millis(200));
-/// assert_eq!(b.max_conflicts, Some(10_000));
-/// assert!(b.max_propagations.is_none());
+/// use pdsat_cnf::{Lit, Var};
+/// use pdsat_solver::{Budget, Solver};
+/// let mut solver = Solver::new();
+/// solver.add_clause([Lit::positive(Var::new(0))]);
+/// assert!(solver.solve_limited(&[], &Budget::unlimited(), None).is_sat());
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Budget {
-    /// Maximum number of conflicts, `None` for unlimited.
-    pub max_conflicts: Option<u64>,
-    /// Maximum number of propagations, `None` for unlimited.
-    pub max_propagations: Option<u64>,
-    /// Maximum number of decisions, `None` for unlimited.
-    pub max_decisions: Option<u64>,
-    /// Wall-clock limit, `None` for unlimited.
-    pub max_wall_time: Option<Duration>,
-}
+pub struct Budget;
 
 impl Budget {
     /// A budget with no limits.
     #[must_use]
     pub fn unlimited() -> Budget {
-        Budget::default()
-    }
-
-    /// Sets a conflict limit.
-    #[must_use]
-    pub fn with_conflict_limit(mut self, conflicts: u64) -> Budget {
-        self.max_conflicts = Some(conflicts);
-        self
-    }
-
-    /// Sets a propagation limit.
-    #[must_use]
-    pub fn with_propagation_limit(mut self, propagations: u64) -> Budget {
-        self.max_propagations = Some(propagations);
-        self
-    }
-
-    /// Sets a decision limit.
-    #[must_use]
-    pub fn with_decision_limit(mut self, decisions: u64) -> Budget {
-        self.max_decisions = Some(decisions);
-        self
-    }
-
-    /// Sets a wall-clock limit.
-    #[must_use]
-    pub fn with_time_limit(mut self, limit: Duration) -> Budget {
-        self.max_wall_time = Some(limit);
-        self
-    }
-
-    /// `true` when no limit is set.
-    #[must_use]
-    pub fn is_unlimited(&self) -> bool {
-        self.max_conflicts.is_none()
-            && self.max_propagations.is_none()
-            && self.max_decisions.is_none()
-            && self.max_wall_time.is_none()
+        Budget
     }
 }
 
@@ -130,52 +81,9 @@ impl InterruptFlag {
     }
 }
 
-/// Why a solve call stopped without an answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StopReason {
-    /// The conflict budget was exhausted.
-    ConflictLimit,
-    /// The propagation budget was exhausted.
-    PropagationLimit,
-    /// The decision budget was exhausted.
-    DecisionLimit,
-    /// The wall-clock budget was exhausted.
-    TimeLimit,
-    /// The [`InterruptFlag`] was raised by another thread.
-    Interrupted,
-}
-
-impl std::fmt::Display for StopReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            StopReason::ConflictLimit => "conflict limit reached",
-            StopReason::PropagationLimit => "propagation limit reached",
-            StopReason::DecisionLimit => "decision limit reached",
-            StopReason::TimeLimit => "time limit reached",
-            StopReason::Interrupted => "interrupted",
-        };
-        f.write_str(s)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn builder_sets_limits() {
-        let b = Budget::unlimited()
-            .with_conflict_limit(5)
-            .with_propagation_limit(6)
-            .with_decision_limit(7)
-            .with_time_limit(Duration::from_secs(1));
-        assert_eq!(b.max_conflicts, Some(5));
-        assert_eq!(b.max_propagations, Some(6));
-        assert_eq!(b.max_decisions, Some(7));
-        assert_eq!(b.max_wall_time, Some(Duration::from_secs(1)));
-        assert!(!b.is_unlimited());
-        assert!(Budget::unlimited().is_unlimited());
-    }
 
     #[test]
     fn interrupt_flag_is_shared() {
@@ -185,11 +93,5 @@ mod tests {
         assert!(b.is_raised());
         b.reset();
         assert!(!a.is_raised());
-    }
-
-    #[test]
-    fn stop_reason_display() {
-        assert_eq!(StopReason::Interrupted.to_string(), "interrupted");
-        assert_eq!(StopReason::TimeLimit.to_string(), "time limit reached");
     }
 }

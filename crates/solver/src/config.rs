@@ -42,7 +42,7 @@ pub(crate) const GARBAGE_FRAC: f64 = 0.20;
 pub struct SolverConfig {
     /// Accumulate wall-clock time into `SolverStats::solve_time` (default
     /// `true`). The oracle's backends time each cube themselves and switch it
-    /// off; a budget with a wall-clock deadline reads the clock regardless.
+    /// off.
     pub time_accounting: bool,
     /// Record a DRAT derivation of every clause the solver adds or removes
     /// (learnt clauses and learnt-DB reductions) into an in-memory
@@ -67,8 +67,9 @@ impl Default for SolverConfig {
 }
 
 /// The policy of the differential tests, set with `Solver::set_test_policy`:
-/// a replay reference and clause-database pressure no workload reaches. The
-/// [`Default`] is the production policy, bit for bit.
+/// a replay reference, clause-database pressure no workload reaches and a
+/// deterministic mid-search exit. The [`Default`] is the production policy,
+/// bit for bit.
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct TestPolicy {
@@ -81,6 +82,9 @@ pub struct TestPolicy {
     pub learnt_limit: Option<usize>,
     /// Wasted-arena fraction that triggers a compacting garbage collection.
     pub garbage_frac: f64,
+    /// Take the interrupt exit, at the check a raised `InterruptFlag` is
+    /// seen at, once the current solve call has met this many conflicts.
+    pub interrupt_at_conflict: Option<u64>,
 }
 
 impl Default for TestPolicy {
@@ -90,6 +94,7 @@ impl Default for TestPolicy {
             restart_base: RESTART_BASE,
             learnt_limit: None,
             garbage_frac: GARBAGE_FRAC,
+            interrupt_at_conflict: None,
         }
     }
 }
@@ -108,6 +113,7 @@ mod tests {
         assert_eq!(policy.restart_base, 100);
         assert_eq!(policy.learnt_limit, None);
         assert!((policy.garbage_frac - 0.20).abs() < 1e-12);
+        assert_eq!(policy.interrupt_at_conflict, None);
     }
 
     #[test]

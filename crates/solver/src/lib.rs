@@ -13,8 +13,9 @@
 //! * activity/LBD-driven learnt-clause deletion,
 //! * incremental solving under assumptions (used to solve the sub-problems
 //!   `C[X̃/α]` of a decomposition family without re-loading the formula),
-//! * resource [`Budget`]s and a cooperative [`InterruptFlag`] (the equivalent
-//!   of the non-blocking stop messages PDSAT's leader sends to its workers),
+//! * a cooperative [`InterruptFlag`] (the equivalent of the non-blocking stop
+//!   messages PDSAT's leader sends to its workers), the only way a solve call
+//!   ends without a verdict,
 //! * per-variable conflict statistics, used by the tabu search heuristic of
 //!   the paper to choose new neighbourhood centres.
 //!
@@ -22,14 +23,14 @@
 //!
 //! ```
 //! use pdsat_cnf::{Cnf, Lit, Var};
-//! use pdsat_solver::{Budget, Solver, Verdict};
+//! use pdsat_solver::{Solver, Verdict};
 //!
 //! let mut cnf = Cnf::new(3);
 //! cnf.add_clause([Lit::positive(Var::new(0)), Lit::positive(Var::new(1))]);
 //! cnf.add_clause([Lit::negative(Var::new(0)), Lit::positive(Var::new(2))]);
 //!
 //! let mut solver = Solver::from_cnf(&cnf);
-//! let verdict = solver.solve_limited(&[], &Budget::unlimited(), None);
+//! let verdict = solver.solve();
 //! assert!(verdict.is_sat());
 //! ```
 
@@ -45,7 +46,7 @@ mod proof;
 mod solver;
 mod stats;
 
-pub use budget::{Budget, InterruptFlag, StopReason};
+pub use budget::{Budget, InterruptFlag};
 pub use config::{SolverConfig, TestPolicy};
 pub use luby::luby;
 pub use proof::ProofLogger;

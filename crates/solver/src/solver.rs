@@ -8,7 +8,7 @@ use crate::config::{
 use crate::heap::VarOrderHeap;
 use crate::luby::luby;
 use crate::proof::ProofLogger;
-use crate::{Budget, InterruptFlag, SolverConfig, SolverStats, StopReason};
+use crate::{Budget, InterruptFlag, SolverConfig, SolverStats};
 use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value, Var};
 use std::time::Instant;
 
@@ -19,8 +19,8 @@ pub enum Verdict {
     Sat(Assignment),
     /// The instance is unsatisfiable (under the given assumptions, if any).
     Unsat,
-    /// The call stopped before reaching an answer.
-    Unknown(StopReason),
+    /// The call was interrupted before reaching an answer.
+    Unknown,
 }
 
 impl Verdict {
@@ -39,7 +39,7 @@ impl Verdict {
     /// `true` for [`Verdict::Unknown`].
     #[must_use]
     pub fn is_unknown(&self) -> bool {
-        matches!(self, Verdict::Unknown(_))
+        matches!(self, Verdict::Unknown)
     }
 
     /// The model, if the verdict is [`Verdict::Sat`].
@@ -105,14 +105,7 @@ enum SearchStatus {
     Sat,
     Unsat,
     Restart,
-    Stopped(StopReason),
-}
-
-struct Limits {
-    conflict_limit: Option<u64>,
-    propagation_limit: Option<u64>,
-    decision_limit: Option<u64>,
-    deadline: Option<Instant>,
+    Stopped,
 }
 
 /// A MiniSat-class CDCL SAT solver.
@@ -122,8 +115,8 @@ struct Limits {
 /// (every literal of a ternary clause watches it, with the other two inline),
 /// first-UIP conflict analysis with basic clause minimization, VSIDS decision
 /// heuristic, phase saving, Luby restarts, activity/LBD-based learnt clause
-/// deletion, incremental solving under assumptions, resource budgets and
-/// cooperative interruption.
+/// deletion, incremental solving under assumptions and cooperative
+/// interruption.
 ///
 /// The solver is deterministic: given the same clauses, assumptions and
 /// configuration it explores the same search tree, which is a requirement of
@@ -400,12 +393,16 @@ impl Solver {
         &self.stats
     }
 
-    /// Replaces the search policy, for differential tests only, and forgets
-    /// any retained assumption trail. The [`Default`] policy is production.
+    /// Replaces the search policy, for differential tests only. A policy
+    /// that replays forgets any retained assumption trail; the others keep
+    /// it, so a test can vary the conflict stop from one call to the next.
+    /// The [`Default`] policy is production.
     #[doc(hidden)]
     pub fn set_test_policy(&mut self, policy: TestPolicy) {
-        self.cancel_until(0);
-        self.saved_assumptions.clear();
+        if policy.replay {
+            self.cancel_until(0);
+            self.saved_assumptions.clear();
+        }
         self.policy = policy;
     }
 
@@ -577,7 +574,7 @@ impl Solver {
         added
     }
 
-    /// Solves the current formula without assumptions and without limits.
+    /// Solves the current formula without assumptions.
     pub fn solve(&mut self) -> Verdict {
         self.solve_limited(&[], &Budget::unlimited(), None)
     }
@@ -596,36 +593,30 @@ impl Solver {
         self.solve_limited(assumptions, &Budget::unlimited(), None)
     }
 
-    /// Solves under assumptions with resource limits and an optional
-    /// interruption flag.
+    /// Solves under assumptions with an optional interruption flag: a raised
+    /// flag stops the call with [`Verdict::Unknown`]. The [`Budget`] sets no
+    /// limit.
     pub fn solve_limited(
         &mut self,
         assumptions: &[Lit],
-        budget: &Budget,
+        _budget: &Budget,
         interrupt: Option<&InterruptFlag>,
     ) -> Verdict {
         // Clock reads are skipped entirely for untimed micro-solves (see
-        // `SolverConfig::time_accounting`); a wall-clock deadline forces
-        // them back on.
-        let verdict = if self.config.time_accounting || budget.max_wall_time.is_some() {
+        // `SolverConfig::time_accounting`).
+        let verdict = if self.config.time_accounting {
             let start = Instant::now();
-            let verdict = self.solve_inner(assumptions, budget, interrupt, Some(start));
+            let verdict = self.solve_inner(assumptions, interrupt);
             self.stats.solve_time += start.elapsed();
             verdict
         } else {
-            self.solve_inner(assumptions, budget, interrupt, None)
+            self.solve_inner(assumptions, interrupt)
         };
         self.last_solve_unsat = verdict.is_unsat();
         verdict
     }
 
-    fn solve_inner(
-        &mut self,
-        assumptions: &[Lit],
-        budget: &Budget,
-        interrupt: Option<&InterruptFlag>,
-        start: Option<Instant>,
-    ) -> Verdict {
+    fn solve_inner(&mut self, assumptions: &[Lit], interrupt: Option<&InterruptFlag>) -> Verdict {
         if !self.ok {
             return Verdict::Unsat;
         }
@@ -635,14 +626,10 @@ impl Solver {
             }
         }
         self.cancel_until_assumption_divergence(assumptions);
-        let limits = Limits {
-            conflict_limit: budget.max_conflicts.map(|c| self.stats.conflicts + c),
-            propagation_limit: budget.max_propagations.map(|p| self.stats.propagations + p),
-            decision_limit: budget.max_decisions.map(|d| self.stats.decisions + d),
-            deadline: budget
-                .max_wall_time
-                .map(|d| start.expect("timed solves always capture a start instant") + d),
-        };
+        let stop_at_conflict = self
+            .policy
+            .interrupt_at_conflict
+            .map(|n| self.stats.conflicts + n);
         self.max_learnts = match self.policy.learnt_limit {
             None => (self.original.len() as f64 * LEARNTSIZE_FACTOR).max(MIN_LEARNT_LIMIT),
             Some(limit) => limit as f64,
@@ -651,7 +638,7 @@ impl Solver {
         let mut curr_restarts: u64 = 0;
         loop {
             let restart_limit = luby(curr_restarts).saturating_mul(self.policy.restart_base);
-            let status = self.search(restart_limit, assumptions, &limits, interrupt);
+            let status = self.search(restart_limit, assumptions, interrupt, stop_at_conflict);
             match status {
                 SearchStatus::Sat => {
                     let model = self.extract_model();
@@ -676,9 +663,9 @@ impl Solver {
                     };
                     self.cancel_until(keep);
                 }
-                SearchStatus::Stopped(reason) => {
+                SearchStatus::Stopped => {
                     self.retract_after_solve(assumptions);
-                    return Verdict::Unknown(reason);
+                    return Verdict::Unknown;
                 }
             }
         }
@@ -690,13 +677,13 @@ impl Solver {
         &mut self,
         nof_conflicts: u64,
         assumptions: &[Lit],
-        limits: &Limits,
         interrupt: Option<&InterruptFlag>,
+        stop_at_conflict: Option<u64>,
     ) -> SearchStatus {
         let mut conflicts_this_round: u64 = 0;
         loop {
-            if let Some(reason) = self.check_limits(limits, interrupt) {
-                return SearchStatus::Stopped(reason);
+            if self.interrupted(interrupt, stop_at_conflict) {
+                return SearchStatus::Stopped;
             }
             if let Some(confl) = self.propagate() {
                 // Conflict.
@@ -772,37 +759,15 @@ impl Solver {
         }
     }
 
-    fn check_limits(
+    /// Whether the call stops here: the interrupt flag is raised, or the
+    /// test policy's conflict stop is met.
+    fn interrupted(
         &self,
-        limits: &Limits,
         interrupt: Option<&InterruptFlag>,
-    ) -> Option<StopReason> {
-        if let Some(flag) = interrupt {
-            if flag.is_raised() {
-                return Some(StopReason::Interrupted);
-            }
-        }
-        if let Some(limit) = limits.conflict_limit {
-            if self.stats.conflicts >= limit {
-                return Some(StopReason::ConflictLimit);
-            }
-        }
-        if let Some(limit) = limits.propagation_limit {
-            if self.stats.propagations >= limit {
-                return Some(StopReason::PropagationLimit);
-            }
-        }
-        if let Some(limit) = limits.decision_limit {
-            if self.stats.decisions >= limit {
-                return Some(StopReason::DecisionLimit);
-            }
-        }
-        if let Some(deadline) = limits.deadline {
-            if Instant::now() >= deadline {
-                return Some(StopReason::TimeLimit);
-            }
-        }
-        None
+        stop_at_conflict: Option<u64>,
+    ) -> bool {
+        interrupt.is_some_and(InterruptFlag::is_raised)
+            || stop_at_conflict.is_some_and(|n| self.stats.conflicts >= n)
     }
 
     // ------------------------------------------------------------ propagation
@@ -1563,9 +1528,17 @@ mod tests {
         assert!(s.is_ok());
     }
 
+    /// Stops every later solve call once it has met `conflicts` conflicts.
+    fn stop_at(s: &mut Solver, conflicts: Option<u64>) {
+        s.set_test_policy(TestPolicy {
+            interrupt_at_conflict: conflicts,
+            ..TestPolicy::default()
+        });
+    }
+
     #[test]
-    fn conflict_budget_stops_search() {
-        // A hard-ish pigeonhole instance with a tiny conflict budget.
+    fn conflict_interrupt_stops_search() {
+        // A hard-ish pigeonhole instance stopped after a few conflicts.
         let var = |i: usize, j: usize| Lit::positive(Var::new((i * 4 + j) as u32));
         let mut s = Solver::new();
         for i in 0..5 {
@@ -1578,12 +1551,13 @@ mod tests {
                 }
             }
         }
-        let budget = Budget::unlimited().with_conflict_limit(3);
-        match s.solve_limited(&[], &budget, None) {
-            Verdict::Unknown(StopReason::ConflictLimit) => {}
-            other => panic!("expected conflict-limit stop, got {other:?}"),
+        stop_at(&mut s, Some(3));
+        match s.solve() {
+            Verdict::Unknown => assert_eq!(s.stats().conflicts, 3),
+            other => panic!("expected a conflict stop, got {other:?}"),
         }
-        // Without the budget the instance is UNSAT.
+        // Without the stop the instance is UNSAT.
+        stop_at(&mut s, None);
         assert_eq!(s.solve(), Verdict::Unsat);
     }
 
@@ -1594,7 +1568,7 @@ mod tests {
         let mut s = Solver::new();
         s.add_clause([lit(1), lit(2)]);
         match s.solve_limited(&[], &Budget::unlimited(), Some(&flag)) {
-            Verdict::Unknown(StopReason::Interrupted) => {}
+            Verdict::Unknown => {}
             other => panic!("expected interruption, got {other:?}"),
         }
         flag.reset();
@@ -1884,7 +1858,58 @@ mod tests {
     }
 
     #[test]
-    fn trail_reuse_survives_budget_limited_exits() {
+    fn interrupt_at_conflict_is_the_interrupt_exit() {
+        // Twin solvers over a pigeonhole formula, one stopped by the test
+        // policy and one by a pre-raised flag, must leave identical state.
+        let var = |i: usize, j: usize| Lit::positive(Var::new((i * 4 + j) as u32));
+        // Wall time is the one counter that cannot repeat.
+        let mut hooked = Solver::with_config(SolverConfig {
+            time_accounting: false,
+            ..SolverConfig::default()
+        });
+        for i in 0..5 {
+            hooked.add_clause((0..4).map(|j| var(i, j)));
+        }
+        for j in 0..4 {
+            for i1 in 0..5 {
+                for i2 in (i1 + 1)..5 {
+                    hooked.add_clause([!var(i1, j), !var(i2, j)]);
+                }
+            }
+        }
+        let mut flagged = hooked.clone();
+        let flag = InterruptFlag::new();
+        // A full solve first, so both exits start from a retained prefix.
+        let first = [var(0, 0), var(1, 1)];
+        assert_eq!(hooked.solve_with_assumptions(&first), Verdict::Unsat);
+        assert_eq!(flagged.solve_with_assumptions(&first), Verdict::Unsat);
+
+        let cut = [var(0, 0), var(2, 2)];
+        stop_at(&mut hooked, Some(0));
+        flag.raise();
+        let a = hooked.solve_limited(&cut, &Budget::unlimited(), None);
+        let b = flagged.solve_limited(&cut, &Budget::unlimited(), Some(&flag));
+        assert_eq!((&a, &b), (&Verdict::Unknown, &Verdict::Unknown));
+        assert_eq!(hooked.stats(), flagged.stats());
+        assert_eq!(
+            hooked.retained_assumptions(),
+            flagged.retained_assumptions()
+        );
+        assert!(!hooked.retained_assumptions().is_empty());
+
+        stop_at(&mut hooked, None);
+        flag.reset();
+        let next = [var(0, 0), var(3, 1)];
+        let a = hooked.solve_with_assumptions(&next);
+        let b = flagged.solve_limited(&next, &Budget::unlimited(), Some(&flag));
+        assert_eq!(a, b);
+        assert_eq!(hooked.stats(), flagged.stats());
+        assert_eq!(hooked.conflict_counts(), flagged.conflict_counts());
+        assert!(hooked.stats().conflicts > 0);
+    }
+
+    #[test]
+    fn trail_reuse_survives_interrupted_exits() {
         let var = |i: usize, j: usize| Lit::positive(Var::new((i * 4 + j) as u32));
         let mut s = Solver::new();
         for i in 0..5 {
@@ -1898,12 +1923,13 @@ mod tests {
             }
         }
         let assumptions = [var(0, 0), var(1, 1)];
-        let budget = Budget::unlimited().with_conflict_limit(2);
-        // The budget bites mid-search; the retained prefix must stay a fully
+        // The stop bites mid-search; the retained prefix must stay a fully
         // propagated, reusable state.
-        let first = s.solve_limited(&assumptions, &budget, None);
+        stop_at(&mut s, Some(2));
+        let first = s.solve_with_assumptions(&assumptions);
         assert!(first.is_unknown());
-        let again = s.solve_limited(&assumptions, &Budget::unlimited(), None);
+        stop_at(&mut s, None);
+        let again = s.solve_with_assumptions(&assumptions);
         assert_eq!(again, Verdict::Unsat);
         assert!(s.is_ok(), "assumption UNSAT must not poison the solver");
         // The pigeonhole formula is unsatisfiable outright too; the solver
@@ -2005,7 +2031,7 @@ mod tests {
         assert!(sat.is_sat() && !sat.is_unsat() && !sat.is_unknown());
         assert!(sat.model().is_some());
         assert!(Verdict::Unsat.is_unsat());
-        assert!(Verdict::Unknown(StopReason::TimeLimit).is_unknown());
-        assert!(Verdict::Unknown(StopReason::TimeLimit).model().is_none());
+        assert!(Verdict::Unknown.is_unknown());
+        assert!(Verdict::Unknown.model().is_none());
     }
 }

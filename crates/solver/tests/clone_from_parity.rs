@@ -8,7 +8,7 @@
 
 use pdsat_ciphers::{Bivium, InstanceBuilder};
 use pdsat_cnf::{Cnf, Cube, Var};
-use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig};
+use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig, TestPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -16,7 +16,7 @@ use rand::SeedableRng;
 #[derive(Debug, Clone, Copy)]
 enum Dirt {
     FullSolve,
-    BudgetCutOff,
+    ConflictCutOff,
     RaisedInterrupt,
     RootUnsat,
 }
@@ -26,11 +26,15 @@ fn dirty(working: &mut Solver, dirt: Dirt, cube: &Cube) {
         Dirt::FullSolve => {
             let _ = working.solve_with_assumptions(cube.lits());
         }
-        Dirt::BudgetCutOff => {
-            // Stops mid-search, with decisions on the trail and pending
-            // propagations.
-            let budget = Budget::unlimited().with_propagation_limit(40);
-            let _ = working.solve_limited(cube.lits(), &budget, None);
+        Dirt::ConflictCutOff => {
+            // Stops mid-search after the first conflict, with decisions on
+            // the trail, a pending asserting literal and a test policy the
+            // template does not have.
+            working.set_test_policy(TestPolicy {
+                interrupt_at_conflict: Some(1),
+                ..TestPolicy::default()
+            });
+            let _ = working.solve_with_assumptions(cube.lits());
         }
         Dirt::RaisedInterrupt => {
             let flag = InterruptFlag::new();
@@ -64,7 +68,7 @@ fn assert_restores_exactly(cnf: &Cnf, set: &[Var], label: &str) {
         let mut working = template.clone();
         let dirts = [
             Dirt::FullSolve,
-            Dirt::BudgetCutOff,
+            Dirt::ConflictCutOff,
             Dirt::RaisedInterrupt,
             Dirt::RootUnsat,
         ];

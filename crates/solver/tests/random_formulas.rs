@@ -4,7 +4,7 @@
 
 use pdsat_checker::{check_model, check_unsat_proof};
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
-use pdsat_solver::{Budget, Solver, SolverConfig, TestPolicy, Verdict};
+use pdsat_solver::{Solver, SolverConfig, TestPolicy, Verdict};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,7 +129,7 @@ fn assert_family_matches_brute_force(lengths: &[usize], density: (f64, f64), see
                     let checked = check_unsat_proof(&cnf, cube.lits(), &certificate);
                     assert!(checked.is_ok(), "{context}: {checked:?}");
                 }
-                Verdict::Unknown(r) => panic!("{context}: unlimited solve returned Unknown: {r}"),
+                Verdict::Unknown => panic!("{context}: unlimited solve returned Unknown"),
             }
         }
     }
@@ -176,7 +176,7 @@ proptest! {
                 prop_assert!(cnf.is_satisfied_by(&model), "returned model must satisfy the formula");
             }
             Verdict::Unsat => prop_assert!(brute.is_none(), "solver UNSAT but formula has a model"),
-            Verdict::Unknown(r) => prop_assert!(false, "unlimited solve returned Unknown: {r}"),
+            Verdict::Unknown => prop_assert!(false, "unlimited solve returned Unknown"),
         }
     }
 
@@ -291,7 +291,7 @@ proptest! {
                 prop_assert!(cnf.brute_force_model().is_some());
             }
             Verdict::Unsat => prop_assert!(cnf.brute_force_model().is_none()),
-            Verdict::Unknown(r) => prop_assert!(false, "unlimited solve returned Unknown: {r}"),
+            Verdict::Unknown => prop_assert!(false, "unlimited solve returned Unknown"),
         }
     }
 
@@ -356,7 +356,7 @@ fn gc_relocation_preserves_models() {
                 "model must survive arena relocations (seed {seed})"
             ),
             Verdict::Unsat => assert!(cnf.brute_force_model().is_none()),
-            Verdict::Unknown(r) => panic!("unlimited solve returned Unknown: {r}"),
+            Verdict::Unknown => panic!("unlimited solve returned Unknown"),
         }
         found_gc |= solver.stats().gc_runs > 0;
     }
@@ -367,9 +367,10 @@ fn gc_relocation_preserves_models() {
 }
 
 #[test]
-fn budgeted_solve_is_resumable() {
-    // A larger pigeonhole instance: repeatedly solve with a small conflict
-    // budget until the verdict is reached; the final verdict must be UNSAT.
+fn interrupted_solve_is_resumable() {
+    // A larger pigeonhole instance: repeatedly solve, stopping each call
+    // after a few conflicts, until the verdict is reached; the final verdict
+    // must be UNSAT.
     let holes = 4;
     let pigeons = 5;
     let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
@@ -384,40 +385,18 @@ fn budgeted_solve_is_resumable() {
             }
         }
     }
-    let budget = Budget::unlimited().with_conflict_limit(20);
+    solver.set_test_policy(TestPolicy {
+        interrupt_at_conflict: Some(20),
+        ..TestPolicy::default()
+    });
     let mut rounds = 0;
     loop {
         rounds += 1;
-        match solver.solve_limited(&[], &budget, None) {
-            Verdict::Unknown(_) => continue,
+        match solver.solve() {
+            Verdict::Unknown => continue,
             Verdict::Unsat => break,
             Verdict::Sat(_) => panic!("pigeonhole must be UNSAT"),
         }
     }
     assert!(rounds >= 1);
-}
-
-#[test]
-fn wall_clock_budget_triggers() {
-    // An unsatisfiable pigeonhole instance large enough not to finish within
-    // a zero-length time budget.
-    let holes = 7;
-    let pigeons = 8;
-    let var = |i: usize, j: usize| Lit::positive(Var::new((i * holes + j) as u32));
-    let mut solver = Solver::new();
-    for i in 0..pigeons {
-        solver.add_clause((0..holes).map(|j| var(i, j)));
-    }
-    for j in 0..holes {
-        for i1 in 0..pigeons {
-            for i2 in (i1 + 1)..pigeons {
-                solver.add_clause([!var(i1, j), !var(i2, j)]);
-            }
-        }
-    }
-    let budget = Budget::unlimited().with_time_limit(std::time::Duration::ZERO);
-    assert!(matches!(
-        solver.solve_limited(&[], &budget, None),
-        Verdict::Unknown(_)
-    ));
 }

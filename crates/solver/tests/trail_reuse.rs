@@ -2,7 +2,7 @@
 //! (reusing) solver and a MiniSat-style fresh-backtracking solver (the
 //! hidden `TestPolicy::replay`) are driven through identical call sequences —
 //! randomized cube families in permuted orders, interleaved clause
-//! additions, and budget-limited exits — and must produce identical
+//! additions, and interrupted exits — and must produce identical
 //! verdicts, identical models, and identical search work (conflicts and
 //! decisions; propagations are exactly what reuse is allowed to skip).
 //!
@@ -14,7 +14,7 @@
 //! reuse").
 
 use pdsat_cnf::{Cnf, Lit, Var};
-use pdsat_solver::{Budget, Solver, SolverStats, TestPolicy, Verdict};
+use pdsat_solver::{Solver, SolverStats, TestPolicy, Verdict};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -227,11 +227,11 @@ proptest! {
         prop_assert_eq!(with_reuse.is_ok(), without.is_ok());
     }
 
-    /// Budget-limited exits: conflict budgets bite at the same point for
-    /// both solvers (conflict counts are bit-identical), and the retained
-    /// state after an aborted solve stays sound for the next call.
+    /// Interrupted exits: a conflict stop bites at the same point for both
+    /// solvers (conflict counts are bit-identical), and the retained state
+    /// after an aborted solve stays sound for the next call.
     #[test]
-    fn budget_limited_exits_preserve_parity(seed in 0u64..100_000) {
+    fn interrupted_exits_preserve_parity(seed in 0u64..100_000) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xB0D6);
         let num_vars = rng.gen_range(12..18);
         let num_clauses = (num_vars as f64 * 4.2) as usize;
@@ -240,16 +240,23 @@ proptest! {
 
         let (mut with_reuse, mut without) = solver_pair(&cnf);
         for (i, cube) in cubes.iter().enumerate() {
-            // Alternate between tight conflict budgets (forcing Unknown
-            // exits mid-search) and unlimited solves.
-            let budget = if rng.gen_bool(0.5) {
-                Budget::unlimited().with_conflict_limit(rng.gen_range(0..4))
+            // Alternate between early conflict stops (forcing Unknown exits
+            // mid-search) and unlimited solves.
+            let stop = if rng.gen_bool(0.5) {
+                Some(rng.gen_range(0..4))
             } else {
-                Budget::unlimited()
+                None
             };
-            let a = with_reuse.solve_limited(cube, &budget, None);
-            let b = without.solve_limited(cube, &budget, None);
-            prop_assert_eq!(&a, &b, "cube {} decided differently under budget", i);
+            for (solver, replay) in [(&mut with_reuse, false), (&mut without, true)] {
+                solver.set_test_policy(TestPolicy {
+                    replay,
+                    interrupt_at_conflict: stop,
+                    ..TestPolicy::default()
+                });
+            }
+            let a = with_reuse.solve_with_assumptions(cube);
+            let b = without.solve_with_assumptions(cube);
+            prop_assert_eq!(&a, &b, "cube {} decided differently under a stop", i);
             if let Verdict::Sat(model) = &a {
                 prop_assert!(cnf.is_satisfied_by(model));
             }

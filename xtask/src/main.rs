@@ -31,8 +31,9 @@
 //!    are read off the `family_counters!` list in `pdsat-core`, so the next
 //!    counter added there cannot be hand-threaded through the codec and the
 //!    tables again.
-//! 6. **batches borrow**: `crates/pdsat-core/src/oracle.rs` and the files
-//!    under `oracle/` name neither `mpsc` nor `recv_timeout` — pool threads
+//! 6. **batches borrow, and nothing sets an unused limit**:
+//!    `crates/pdsat-core/src/oracle.rs` and the files under `oracle/` name
+//!    neither `mpsc` nor `recv_timeout` — pool threads
 //!    are scoped to a batch and hand their results back through their join,
 //!    so the channel-fed pool (and the watchdog that polled it) cannot grow
 //!    back beside them — and neither name `CubeOutcome` nor fill a
@@ -41,7 +42,13 @@
 //!    executor: the non-test code of those files names no `Sequential`
 //!    variant (a one-slot pool drains its stripe on the calling thread), and
 //!    the non-test code of `crates/pdsat-core/src` names no `stop_on_sat` —
-//!    every batch is solved whole, as the paper's solving mode does.
+//!    every batch is solved whole, as the paper's solving mode does. Nor
+//!    does a solve or a search carry a limit no caller sets: the non-test
+//!    code of `crates/solver/src` and `crates/pdsat-core/src` names none of
+//!    `StopReason`, `max_conflicts`, `max_propagations`, `max_decisions`,
+//!    `max_wall_time`, `with_time_limit` or `TIME_SLICE`. A raised interrupt
+//!    is a solve's only early exit, and a search is bounded by its points or
+//!    by its own strategy.
 //! 7. **the checker stands alone**: the `[dependencies]` of
 //!    `crates/checker/Cargo.toml` name no crate but `pdsat_cnf`. The checker
 //!    is the trust boundary, so its propagation is a port of the solver's,
@@ -483,6 +490,22 @@ fn check_batches_borrow(root: &Path, errors: &mut Vec<String>) {
     let advice = "every cube of a batch is solved and reported, as the paper's solving mode \
                   processes whole families; no mode abandons a batch at its first SAT cube";
     forbid(root, &core, "//", until, "stop_on_sat", advice, errors);
+    let mut limited = core;
+    rust_files(&root.join("crates/solver/src"), &mut limited);
+    let advice = "every cube runs to a verdict and every search ends on its points or its \
+                  strategy; a raised interrupt is the only early exit, and a test that needs \
+                  one mid-search sets `TestPolicy::interrupt_at_conflict`";
+    for needle in [
+        "StopReason",
+        "max_conflicts",
+        "max_propagations",
+        "max_decisions",
+        "max_wall_time",
+        "with_time_limit",
+        "TIME_SLICE",
+    ] {
+        forbid(root, &limited, "//", until, needle, advice, errors);
+    }
 }
 
 /// Whether `code` holds a `vec![element; n]` whose element is built by a
@@ -871,6 +894,56 @@ mod tests {
         );
         assert!(errors[0].contains("Sequential"), "{}", errors[0]);
         assert!(errors[1].contains("stop_on_sat"), "{}", errors[1]);
+    }
+
+    #[test]
+    fn batches_borrow_refuses_solve_and_search_limits_outside_tests() {
+        let root = std::env::temp_dir().join(format!("xtask-limits-{}", std::process::id()));
+        for dir in ["crates/pdsat-core/src", "crates/solver/src/solver"] {
+            std::fs::create_dir_all(root.join(dir)).expect("temp tree");
+        }
+        let write = |path: &str, text: &str| std::fs::write(root.join(path), text).expect("write");
+        write(
+            "crates/solver/src/budget.rs",
+            "/// No `max_conflicts`, no `StopReason`.\npub struct Budget;\n\
+             #[cfg(test)]\nmod tests {\n    const max_wall_time: u8 = 0;\n}\n",
+        );
+        write(
+            "crates/solver/src/solver/trail.rs",
+            "fn cancel_until() {}\n",
+        );
+        write(
+            "crates/pdsat-core/src/search.rs",
+            "// No time limit: no with_time_limit, no TIME_SLICE.\npub struct SearchLimits;\n",
+        );
+        let mut errors = Vec::new();
+        check_batches_borrow(&root, &mut errors);
+        assert_eq!(errors, Vec::<String>::new());
+
+        write(
+            "crates/solver/src/solver/trail.rs",
+            "fn stop() -> StopReason {\n    StopReason::ConflictLimit\n}\n",
+        );
+        write(
+            "crates/pdsat-core/src/search.rs",
+            "const TIME_SLICE: usize = 8;\npub fn with_time_limit() {}\n",
+        );
+        check_batches_borrow(&root, &mut errors);
+        std::fs::remove_dir_all(&root).expect("clean up");
+        let mut found: Vec<String> = errors
+            .iter()
+            .map(|e| e.splitn(3, ": ").take(2).collect::<Vec<_>>().join(" "))
+            .collect();
+        found.sort();
+        assert_eq!(
+            found,
+            [
+                "crates/pdsat-core/src/search.rs:1 TIME_SLICE",
+                "crates/pdsat-core/src/search.rs:2 with_time_limit",
+                "crates/solver/src/solver/trail.rs:1 StopReason",
+                "crates/solver/src/solver/trail.rs:2 StopReason",
+            ]
+        );
     }
 
     #[test]
