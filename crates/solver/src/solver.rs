@@ -1,16 +1,20 @@
 //! The CDCL solver proper.
 
+mod analyze;
+mod propagate;
+mod reduce;
+mod trail;
+
 use crate::clause_db::{ClauseDb, ClauseRef};
-use crate::config::{
-    TestPolicy, CLAUSE_DECAY, DEFAULT_POLARITY, LEARNTSIZE_FACTOR, LEARNTSIZE_INC,
-    MIN_LEARNT_LIMIT, PROTECTED_LBD, VAR_DECAY,
-};
+use crate::config::{TestPolicy, DEFAULT_POLARITY, LEARNTSIZE_FACTOR, MIN_LEARNT_LIMIT};
 use crate::heap::VarOrderHeap;
 use crate::luby::luby;
 use crate::proof::ProofLogger;
 use crate::{Budget, InterruptFlag, SolverConfig, SolverStats};
 use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value, Var};
+use propagate::{BinWatcher, TernWatcher, Watcher};
 use std::time::Instant;
+use trail::VarData;
 
 /// Result of a solve call.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,54 +54,6 @@ impl Verdict {
             _ => None,
         }
     }
-}
-
-/// Watch-list entry for clauses of length ≥ 4.
-///
-/// `blocker` is some literal of the clause other than the watched one; if it
-/// is already true the clause cannot be unit or conflicting, so propagation
-/// skips it without touching the clause arena at all.
-#[derive(Debug, Clone, Copy)]
-struct Watcher {
-    cref: ClauseRef,
-    blocker: Lit,
-}
-
-/// Watch-list entry for binary clauses.
-///
-/// The clause is fully described by the falsified literal (the list index)
-/// and `other`, so binary propagation never dereferences the arena; `cref`
-/// is carried only to serve as the reason / conflict handle.
-#[derive(Debug, Clone, Copy)]
-struct BinWatcher {
-    cref: ClauseRef,
-    other: Lit,
-}
-
-/// Watch-list entry for ternary clauses.
-///
-/// The clause is the falsified literal (the list index) plus `a` and `b`,
-/// and it sits in the lists of all three of its literals, so a visit never
-/// dereferences the arena, swaps a literal or moves a watch; `cref` is
-/// carried only to serve as the reason / conflict handle.
-#[derive(Debug, Clone, Copy)]
-struct TernWatcher {
-    cref: ClauseRef,
-    a: Lit,
-    b: Lit,
-}
-
-// A ternary visit multiplies the value bytes of the other two literals
-// (`Solver::value_byte`): 1 is a conflict, 2 a unit clause, 0 and 4 nothing
-// to do. Reordering `pdsat_cnf::Value` must fail here, not turn conflicts
-// into no-ops.
-const _: () =
-    assert!(Value::True as u8 == 0 && Value::False as u8 == 1 && Value::Unassigned as u8 == 2);
-
-#[derive(Debug, Clone, Copy)]
-struct VarData {
-    reason: Option<ClauseRef>,
-    level: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -769,661 +725,12 @@ impl Solver {
         interrupt.is_some_and(InterruptFlag::is_raised)
             || stop_at_conflict.is_some_and(|n| self.stats.conflicts >= n)
     }
-
-    // ------------------------------------------------------------ propagation
-
-    #[inline]
-    fn lit_value(&self, lit: Lit) -> Value {
-        self.assigns[lit.code()]
-    }
-
-    /// The value of `lit` as its discriminant (true 0, false 1, unassigned
-    /// 2), for the product test of a ternary visit in `propagate`.
-    #[inline]
-    fn value_byte(&self, lit: Lit) -> u8 {
-        self.lit_value(lit) as u8
-    }
-
-    #[inline]
-    fn var_value(&self, var: Var) -> Value {
-        self.assigns[Lit::positive(var).code()]
-    }
-
-    fn decision_level(&self) -> u32 {
-        self.trail_lim.len() as u32
-    }
-
-    fn new_decision_level(&mut self) {
-        self.trail_lim.push(self.trail.len());
-    }
-
-    fn unchecked_enqueue(&mut self, lit: Lit, reason: Option<ClauseRef>) {
-        debug_assert_eq!(self.lit_value(lit), Value::Unassigned);
-        self.assigns[lit.code()] = Value::True;
-        self.assigns[(!lit).code()] = Value::False;
-        self.vardata[lit.var().index()] = VarData {
-            reason,
-            level: self.decision_level(),
-        };
-        self.trail.push(lit);
-    }
-
-    /// Unit propagation. Returns the conflicting clause, if any.
-    ///
-    /// The inner loop performs no heap allocation: binary and ternary clauses
-    /// are served, in that order, from dedicated per-literal lists without
-    /// dereferencing the arena, and long-clause watch lists are updated in
-    /// place with swap-remove semantics (read cursor `i`, write cursor `j`,
-    /// truncate at the end). The watch list buffer is moved out with
-    /// `mem::take` (a pointer swap, not a copy or allocation) purely to
-    /// appease the borrow checker and is always moved back before the next
-    /// literal is processed.
-    fn propagate(&mut self) -> Option<ClauseRef> {
-        while self.qhead < self.trail.len() {
-            let p = self.trail[self.qhead];
-            self.qhead += 1;
-            self.stats.propagations += 1;
-            let pcode = p.code();
-
-            // Binary clauses first: the watcher itself carries the only other
-            // literal, so this loop never dereferences the arena. The list is
-            // never mutated during the scan (new watchers can only be pushed
-            // by clause learning, which never runs inside propagation).
-            let bins = std::mem::take(&mut self.bin_watches[pcode]);
-            for bi in 0..bins.len() {
-                let w = bins[bi];
-                match self.lit_value(w.other) {
-                    Value::True => {}
-                    Value::False => {
-                        self.qhead = self.trail.len();
-                        self.bin_watches[pcode] = bins;
-                        return Some(w.cref);
-                    }
-                    Value::Unassigned => self.unchecked_enqueue(w.other, Some(w.cref)),
-                }
-            }
-            self.bin_watches[pcode] = bins;
-
-            // Ternary clauses next, in attach order: `¬p` is false, so the
-            // clause is decided by its other two literals, both inline. The
-            // product of their value bytes is 1 for false·false (conflict),
-            // 2 for false·unassigned (unit) and 0 or 4 when either is true or
-            // both are open — one well-predicted branch for the visits, about
-            // nine in ten, that have nothing to do. Like the binary list this
-            // one is never mutated during the scan.
-            let terns = std::mem::take(&mut self.tern_watches[pcode]);
-            for ti in 0..terns.len() {
-                let w = terns[ti];
-                let product = self.value_byte(w.a) * self.value_byte(w.b);
-                if !matches!(product, 1 | 2) {
-                    continue;
-                }
-                if product == 1 {
-                    self.qhead = self.trail.len();
-                    self.tern_watches[pcode] = terns;
-                    return Some(w.cref);
-                }
-                let implied = if self.lit_value(w.a) == Value::False {
-                    w.b
-                } else {
-                    w.a
-                };
-                self.unchecked_enqueue(implied, Some(w.cref));
-            }
-            self.tern_watches[pcode] = terns;
-
-            let false_lit = !p;
-            let mut watchers = std::mem::take(&mut self.watches[pcode]);
-            let num_watchers = watchers.len();
-            let mut i = 0;
-            let mut j = 0;
-            let mut conflict: Option<ClauseRef> = None;
-            'watchers: while i < num_watchers {
-                let w = watchers[i];
-                i += 1;
-                // Fast path: the blocker literal is already true.
-                if self.lit_value(w.blocker) == Value::True {
-                    watchers[j] = w;
-                    j += 1;
-                    continue;
-                }
-                // Deleted clauses are detached eagerly (`reduce_db`) and
-                // relocated refs rewritten at GC, so every watcher here
-                // points at a live clause.
-                debug_assert!(!self.db.is_deleted(w.cref));
-                debug_assert!(self.db.len_of(w.cref) > 3, "ternaries never sit here");
-                // Make sure the false literal is at position 1.
-                if self.db.lit(w.cref, 0) == false_lit {
-                    self.db.swap_lits(w.cref, 0, 1);
-                }
-                debug_assert_eq!(self.db.lit(w.cref, 1), false_lit);
-                let first = self.db.lit(w.cref, 0);
-                let new_watcher = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
-                if first != w.blocker && self.lit_value(first) == Value::True {
-                    watchers[j] = new_watcher;
-                    j += 1;
-                    continue;
-                }
-                // Look for a new literal to watch.
-                let len = self.db.len_of(w.cref);
-                for k in 2..len {
-                    let lk = self.db.lit(w.cref, k);
-                    if self.lit_value(lk) != Value::False {
-                        self.db.swap_lits(w.cref, 1, k);
-                        // `lk` is not false, so it is never `¬p`: this push
-                        // cannot touch the (taken) list we are compacting.
-                        self.watches[(!lk).code()].push(new_watcher);
-                        continue 'watchers;
-                    }
-                }
-                // No new watch: the clause is unit or conflicting.
-                watchers[j] = new_watcher;
-                j += 1;
-                if self.lit_value(first) == Value::False {
-                    // Conflict: keep the remaining watchers and stop.
-                    watchers.copy_within(i..num_watchers, j);
-                    j += num_watchers - i;
-                    self.qhead = self.trail.len();
-                    conflict = Some(w.cref);
-                    break;
-                }
-                self.unchecked_enqueue(first, Some(w.cref));
-            }
-            watchers.truncate(j);
-            self.watches[pcode] = watchers;
-            if conflict.is_some() {
-                return conflict;
-            }
-        }
-        None
-    }
-
-    // ------------------------------------------------------ conflict analysis
-
-    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
-    /// literal first) in `self.learnt_buf` and returns the backtrack level
-    /// and the clause LBD. The buffer is reused across conflicts, so
-    /// conflict handling allocates nothing in steady state. With `PROOF`
-    /// (proof logging on) it also queues the clause's antecedents in the
-    /// proof logger; without it, it is the same code as if that were not
-    /// there. Kept out of line: each instance has one call site, and
-    /// inlining both would put two copies of analysis into `search`, around
-    /// its conflict-free path.
-    #[inline(never)]
-    fn analyze<const PROOF: bool>(&mut self, conflict: ClauseRef) -> (u32, u32) {
-        self.learnt_buf.clear();
-        self.learnt_buf.push(Lit::positive(Var::new(0))); // slot 0 reserved
-        let mut path_c: u32 = 0;
-        let mut p: Option<Lit> = None;
-        let mut index = self.trail.len();
-        let mut confl = conflict;
-
-        loop {
-            if self.db.is_learnt(confl) {
-                self.bump_clause_activity(confl);
-            }
-            let clause_len = self.db.len_of(confl);
-            for j in 0..clause_len {
-                let q = self.db.lit(confl, j);
-                // Skip the literal this reason clause implied (for long
-                // clauses it sits at position 0, but binary and ternary
-                // reasons are served from their watch lists without
-                // reordering the arena copy, so match by value instead of
-                // position).
-                if p == Some(q) {
-                    continue;
-                }
-                let v = q.var();
-                if !self.seen[v.index()] && self.vardata[v.index()].level > 0 {
-                    self.bump_var_activity(v);
-                    self.conflict_counts[v.index()] += 1;
-                    self.seen[v.index()] = true;
-                    if self.vardata[v.index()].level >= self.decision_level() {
-                        path_c += 1;
-                    } else {
-                        self.learnt_buf.push(q);
-                    }
-                }
-            }
-            // Select the next literal (on the current decision level) to resolve on.
-            loop {
-                index -= 1;
-                if self.seen[self.trail[index].var().index()] {
-                    break;
-                }
-            }
-            let lit_p = self.trail[index];
-            p = Some(lit_p);
-            self.seen[lit_p.var().index()] = false;
-            path_c -= 1;
-            if path_c == 0 {
-                break;
-            }
-            confl = self.vardata[lit_p.var().index()]
-                .reason
-                .expect("non-decision literal on the conflict side has a reason");
-            if PROOF {
-                if let Some(log) = self.proof.as_mut() {
-                    log.antecedents.push(confl);
-                }
-            }
-        }
-        self.learnt_buf[0] = !p.expect("analysis visited at least one literal");
-
-        // Basic (local) clause minimization: a literal is redundant if its
-        // reason clause only contains literals that are already in the learnt
-        // clause (or are at level 0). The variables whose `seen` flag must be
-        // reset afterwards are remembered in a reusable scratch buffer
-        // (compaction below overwrites dropped literals).
-        self.toclear_buf.clear();
-        for i in 0..self.learnt_buf.len() {
-            let v = self.learnt_buf[i].var();
-            self.toclear_buf.push(v);
-        }
-        let before = self.learnt_buf.len();
-        if self.learnt_buf.len() > 1 {
-            let mut j = 1;
-            for i in 1..self.learnt_buf.len() {
-                let lit = self.learnt_buf[i];
-                let v = lit.var();
-                let keep = match self.vardata[v.index()].reason {
-                    None => true,
-                    // Skip the implied literal by variable (it is `¬lit`'s
-                    // variable) rather than by position; binary and ternary
-                    // reasons do not maintain the position-0 invariant.
-                    Some(reason) => (0..self.db.len_of(reason)).any(|k| {
-                        let q = self.db.lit(reason, k);
-                        q.var() != v
-                            && !self.seen[q.var().index()]
-                            && self.vardata[q.var().index()].level > 0
-                    }),
-                };
-                if keep {
-                    self.learnt_buf[j] = lit;
-                    j += 1;
-                }
-            }
-            self.learnt_buf.truncate(j);
-        }
-        self.stats.learnt_literals += self.learnt_buf.len() as u64;
-        self.stats.minimized_literals += (before - self.learnt_buf.len()) as u64;
-        if PROOF {
-            self.order_antecedents(conflict);
-        }
-        for i in 0..self.toclear_buf.len() {
-            let v = self.toclear_buf[i];
-            self.seen[v.index()] = false;
-        }
-
-        // Compute the backtrack level and move the highest-level literal to slot 1.
-        let backtrack_level = if self.learnt_buf.len() == 1 {
-            0
-        } else {
-            let mut max_i = 1;
-            for i in 2..self.learnt_buf.len() {
-                if self.vardata[self.learnt_buf[i].var().index()].level
-                    > self.vardata[self.learnt_buf[max_i].var().index()].level
-                {
-                    max_i = i;
-                }
-            }
-            self.learnt_buf.swap(1, max_i);
-            self.vardata[self.learnt_buf[1].var().index()].level
-        };
-
-        // Literal block distance: number of distinct decision levels.
-        self.levels_buf.clear();
-        for i in 0..self.learnt_buf.len() {
-            let level = self.vardata[self.learnt_buf[i].var().index()].level;
-            self.levels_buf.push(level);
-        }
-        self.levels_buf.sort_unstable();
-        self.levels_buf.dedup();
-        let lbd = self.levels_buf.len() as u32;
-
-        (backtrack_level, lbd)
-    }
-
-    /// Proof logging only: puts the antecedents of the clause `analyze` just
-    /// learnt from `conflict` in hint order (see the `proof` module). Runs
-    /// before `analyze` clears `seen`, while it marks exactly the lower-level
-    /// literals of the unminimized clause; it clears some of those marks and
-    /// sets no other.
-    fn order_antecedents(&mut self, conflict: ClauseRef) {
-        let mut log = self.proof.take().expect("proof logging is on");
-        // Queued as resolved, in reverse trail order.
-        let resolved = log.antecedents.len();
-        log.antecedents.reverse();
-        // Reasons of the literals minimization removed: unmark the kept ones,
-        // then walk depth-first from each removed literal, so that a reason is
-        // queued after those of the removed literals it mentions (they were
-        // assigned before it).
-        for l in &self.learnt_buf[1..] {
-            self.seen[l.var().index()] = false;
-        }
-        for i in 1..self.toclear_buf.len() {
-            let root = self.toclear_buf[i];
-            if !self.seen[root.index()] {
-                continue;
-            }
-            self.seen[root.index()] = false;
-            log.stack.push(root);
-            while let Some(&v) = log.stack.last() {
-                let reason = self.vardata[v.index()]
-                    .reason
-                    .expect("minimization removes implied literals only");
-                let removed = (0..self.db.len_of(reason))
-                    .map(|k| self.db.lit(reason, k).var())
-                    .find(|&u| u != v && self.seen[u.index()]);
-                match removed {
-                    Some(u) => {
-                        self.seen[u.index()] = false;
-                        log.stack.push(u);
-                    }
-                    None => {
-                        log.stack.pop();
-                        log.antecedents.push(reason);
-                    }
-                }
-            }
-        }
-        // Removed literals' reasons first, then the resolved ones, then the
-        // conflict clause.
-        let removed = log.antecedents.len() - resolved;
-        log.antecedents.rotate_right(removed);
-        log.antecedents.push(conflict);
-        self.proof = Some(log);
-    }
-
-    // ------------------------------------------------------------ backtracking
-
-    fn cancel_until(&mut self, level: u32) {
-        if self.decision_level() <= level {
-            return;
-        }
-        let bound = self.trail_lim[level as usize];
-        for c in (bound..self.trail.len()).rev() {
-            let lit = self.trail[c];
-            let v = lit.var();
-            self.assigns[lit.code()] = Value::Unassigned;
-            self.assigns[(!lit).code()] = Value::Unassigned;
-            self.polarity[v.index()] = lit.is_positive();
-            self.vardata[v.index()].reason = None;
-            self.order_heap.insert(v, &self.activity);
-        }
-        self.qhead = bound;
-        self.trail.truncate(bound);
-        self.trail_lim.truncate(level as usize);
-    }
-
-    /// Trail position of the boundary below decision level `level + 1`, i.e.
-    /// the number of trail literals a `cancel_until(level)` would keep.
-    fn level_bound(&self, level: usize) -> usize {
-        if level < self.trail_lim.len() {
-            self.trail_lim[level]
-        } else {
-            self.trail.len()
-        }
-    }
-
-    /// Backtracks exactly to the point where `assumptions` diverge from the
-    /// assumption trail retained by the previous solve call, instead of to
-    /// the root level. The matching prefix of assumption levels — and every
-    /// unit propagation below it — stays assigned and is *not* replayed; the
-    /// skipped work is accounted in [`SolverStats::reused_assumptions`] and
-    /// [`SolverStats::saved_propagations`].
-    ///
-    /// The retained prefix is exactly the unit-propagation closure of the
-    /// matched assumptions under the current clause database (see DESIGN.md
-    /// for the invariant and why learnt clauses cannot break it), so the
-    /// search continues precisely as if the prefix had been replayed.
-    fn cancel_until_assumption_divergence(&mut self, assumptions: &[Lit]) {
-        debug_assert_eq!(self.saved_assumptions.len(), self.decision_level() as usize);
-        let matched = self
-            .saved_assumptions
-            .iter()
-            .zip(assumptions)
-            .take_while(|(saved, new)| saved == new)
-            .count();
-        self.cancel_until(matched as u32);
-        self.saved_assumptions.truncate(matched);
-        if matched > 0 {
-            self.stats.reused_assumptions += matched as u64;
-            let replay = self.trail.len() - self.level_bound(0);
-            self.stats.saved_propagations += replay as u64;
-        }
-    }
-
-    /// Ends a solve call: the established assumption levels stay assigned for
-    /// the next call to reuse (the replay reference, and a formula proven
-    /// unsatisfiable at the root, do MiniSat's `cancel_until(0)`). Only a
-    /// fully propagated prefix is retained — an exit right after a conflict
-    /// leaves the asserting literal pending, and keeping an unpropagated
-    /// literal while `qhead` skips past it could let a falsified clause go
-    /// unnoticed in the next call.
-    fn retract_after_solve(&mut self, assumptions: &[Lit]) {
-        if self.policy.replay || !self.ok {
-            self.cancel_until(0);
-            self.saved_assumptions.clear();
-            return;
-        }
-        let mut keep = (self.decision_level() as usize).min(assumptions.len());
-        while keep > 0 && self.level_bound(keep) > self.qhead {
-            keep -= 1;
-        }
-        self.cancel_until(keep as u32);
-        // `saved_assumptions` still holds the prefix matched on entry, which
-        // is itself a prefix of `assumptions` — extend or trim it instead of
-        // recopying (a full-match repeat touches nothing).
-        if keep >= self.saved_assumptions.len() {
-            self.saved_assumptions
-                .extend_from_slice(&assumptions[self.saved_assumptions.len()..keep]);
-        } else {
-            self.saved_assumptions.truncate(keep);
-        }
-    }
-
-    fn pick_branch_lit(&mut self) -> Option<Lit> {
-        loop {
-            let v = self.order_heap.pop_max(&self.activity)?;
-            if self.var_value(v) == Value::Unassigned {
-                return Some(Lit::new(v, self.polarity[v.index()]));
-            }
-        }
-    }
-
-    fn extract_model(&self) -> Assignment {
-        let mut model = Assignment::new(self.num_vars());
-        for i in 0..self.num_vars() {
-            let v = Var::new(i as u32);
-            model.assign(v, self.var_value(v).to_bool().unwrap_or(false));
-        }
-        model
-    }
-
-    // ---------------------------------------------------------------- activity
-
-    fn bump_var_activity(&mut self, v: Var) {
-        self.activity[v.index()] += self.var_inc;
-        if self.activity[v.index()] > 1e100 {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.var_inc *= 1e-100;
-            self.order_heap.rebuild(&self.activity);
-        }
-        self.order_heap.increased(v, &self.activity);
-    }
-
-    fn decay_var_activity(&mut self) {
-        self.var_inc /= VAR_DECAY;
-    }
-
-    fn bump_clause_activity(&mut self, cref: ClauseRef) {
-        let act = self.db.activity(cref) + self.cla_inc as f32;
-        self.db.set_activity(cref, act);
-        if act > 1e20 {
-            for i in 0..self.learnts.len() {
-                let learnt = self.learnts[i];
-                let rescaled = self.db.activity(learnt) * 1e-20;
-                self.db.set_activity(learnt, rescaled);
-            }
-            self.cla_inc *= 1e-20;
-        }
-    }
-
-    fn decay_clause_activity(&mut self) {
-        self.cla_inc /= CLAUSE_DECAY;
-    }
-
-    // ----------------------------------------------------------- clause moves
-
-    fn attach_clause(&mut self, cref: ClauseRef) {
-        debug_assert!(self.db.len_of(cref) >= 2);
-        let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
-        match self.db.len_of(cref) {
-            2 => {
-                self.bin_watches[(!l0).code()].push(BinWatcher { cref, other: l1 });
-                self.bin_watches[(!l1).code()].push(BinWatcher { cref, other: l0 });
-            }
-            3 => {
-                let l2 = self.db.lit(cref, 2);
-                self.tern_watches[(!l0).code()].push(TernWatcher { cref, a: l1, b: l2 });
-                self.tern_watches[(!l1).code()].push(TernWatcher { cref, a: l0, b: l2 });
-                self.tern_watches[(!l2).code()].push(TernWatcher { cref, a: l0, b: l1 });
-            }
-            _ => {
-                self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
-                self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
-            }
-        }
-    }
-
-    fn detach_clause(&mut self, cref: ClauseRef) {
-        let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
-        match self.db.len_of(cref) {
-            2 => {
-                self.bin_watches[(!l0).code()].retain(|w| w.cref != cref);
-                self.bin_watches[(!l1).code()].retain(|w| w.cref != cref);
-            }
-            3 => {
-                for l in [l0, l1, self.db.lit(cref, 2)] {
-                    self.tern_watches[(!l).code()].retain(|w| w.cref != cref);
-                }
-            }
-            _ => {
-                self.watches[(!l0).code()].retain(|w| w.cref != cref);
-                self.watches[(!l1).code()].retain(|w| w.cref != cref);
-            }
-        }
-    }
-
-    /// Whether the clause is the reason of a current assignment. A long
-    /// clause implies its position-0 literal; nothing reorders the arena copy
-    /// of a ternary one, so any of its three literals can be the implied one.
-    fn is_locked(&self, cref: ClauseRef) -> bool {
-        let positions = if self.db.len_of(cref) == 3 { 3 } else { 1 };
-        (0..positions).any(|k| {
-            let l = self.db.lit(cref, k);
-            self.lit_value(l) == Value::True && self.vardata[l.var().index()].reason == Some(cref)
-        })
-    }
-
-    /// Removes roughly half of the learnt clauses, preferring clauses with
-    /// low activity and high LBD. Clauses that are reasons for current
-    /// assignments, have LBD ≤ `PROTECTED_LBD`, or are binary are kept.
-    fn reduce_db(&mut self) {
-        let mut candidates: Vec<ClauseRef> = self
-            .learnts
-            .iter()
-            .copied()
-            .filter(|&c| {
-                !self.db.is_deleted(c)
-                    && !self.is_locked(c)
-                    && self.db.len_of(c) > 2
-                    && self.db.lbd(c) > PROTECTED_LBD
-            })
-            .collect();
-        candidates.sort_by(|&a, &b| {
-            self.db.lbd(b).cmp(&self.db.lbd(a)).then(
-                self.db
-                    .activity(a)
-                    .partial_cmp(&self.db.activity(b))
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-        });
-        let to_remove = candidates.len() / 2;
-        for &cref in candidates.iter().take(to_remove) {
-            self.detach_clause(cref);
-            if self.proof.is_some() {
-                let lits = self.db.lits_vec(cref);
-                if let Some(p) = self.proof.as_mut() {
-                    p.delete(lits);
-                }
-            }
-            self.db.mark_deleted(cref);
-            self.stats.removed_clauses += 1;
-        }
-        if let Some(p) = self.proof.as_mut() {
-            p.retain_learnts(&self.learnts, &self.db);
-        }
-        self.learnts.retain(|&c| !self.db.is_deleted(c));
-        self.max_learnts *= LEARNTSIZE_INC;
-        if self.db.should_collect(self.policy.garbage_frac) {
-            self.collect_garbage();
-        }
-    }
-
-    /// Compacts the clause arena and rewrites every stored [`ClauseRef`]
-    /// through the relocation table: watch lists (long, binary and ternary),
-    /// the original/learnt rosters, and reason slots of assigned variables.
-    fn collect_garbage(&mut self) {
-        let reloc = self.db.collect();
-        let relocate = |cref: &mut ClauseRef| match reloc.new_ref(*cref) {
-            Some(nc) => {
-                *cref = nc;
-                true
-            }
-            None => false,
-        };
-        for list in &mut self.watches {
-            list.retain_mut(|w| relocate(&mut w.cref));
-        }
-        for list in &mut self.bin_watches {
-            list.retain_mut(|w| relocate(&mut w.cref));
-        }
-        for list in &mut self.tern_watches {
-            list.retain_mut(|w| relocate(&mut w.cref));
-        }
-        for cref in &mut self.original {
-            *cref = reloc
-                .new_ref(*cref)
-                .expect("original clauses are never deleted");
-        }
-        for cref in &mut self.learnts {
-            *cref = reloc
-                .new_ref(*cref)
-                .expect("deleted learnts were pruned before collection");
-        }
-        for data in &mut self.vardata {
-            if let Some(reason) = data.reason {
-                data.reason = Some(
-                    reloc
-                        .new_ref(reason)
-                        .expect("reason clauses are locked and never deleted"),
-                );
-            }
-        }
-        self.stats.gc_runs += 1;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PROTECTED_LBD;
     use pdsat_cnf::dimacs;
 
     fn lit(d: i64) -> Lit {
