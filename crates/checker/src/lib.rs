@@ -73,7 +73,8 @@ pub enum CheckFailure {
     Checksum,
     /// The report's shape is inconsistent with the work unit it claims to
     /// answer (cube counts, set size, per-cube cost vector, a certificate
-    /// naming a variable the formula does not have).
+    /// naming a variable the formula does not have, a formula and
+    /// certificate of more than `u32::MAX` clauses or literals).
     Shape,
     /// A SAT verdict was claimed without shipping a model.
     ModelMissing,
@@ -160,9 +161,10 @@ pub fn check_model(cnf: &Cnf, assumptions: &[Lit], model: &Assignment) -> Result
 /// [`CheckFailure::Shape`] when an assumption or an addition names a
 /// variable the formula does not have (RUP never needs one, and sizing
 /// tables by an uploaded index would let one forged literal allocate
-/// gigabytes), [`CheckFailure::ProofNotRup`] when an addition fails its RUP
-/// check, [`CheckFailure::ProofIncomplete`] when the steps run out before a
-/// conflict is derived.
+/// gigabytes), or when the formula and the additions hold more than
+/// `u32::MAX` clauses or literals, [`CheckFailure::ProofNotRup`] when an
+/// addition fails its RUP check, [`CheckFailure::ProofIncomplete`] when the
+/// steps run out before a conflict is derived.
 pub fn check_unsat_proof(
     cnf: &Cnf,
     assumptions: &[Lit],
@@ -172,11 +174,14 @@ pub fn check_unsat_proof(
         if loaded.as_ref().is_some_and(|l| !l.key.matches(cnf)) {
             *loaded = None; // free the old formula before loading the new one
         }
-        let Loaded { base, working, .. } = loaded.get_or_insert_with(|| Loaded {
-            key: FormulaKey::of(cnf),
-            base: Checker::load(cnf),
-            working: Checker::default(),
-        });
+        let Loaded { base, working, .. } = match loaded {
+            Some(loaded) => loaded,
+            None => loaded.insert(Loaded {
+                key: FormulaKey::of(cnf),
+                base: Checker::load(cnf)?,
+                working: Checker::default(),
+            }),
+        };
         working.restore_from(base);
         working.check(assumptions, proof)
     })
@@ -248,23 +253,54 @@ const _: () = assert!(TRUE == 0 && FALSE == 1 && UNDEF == 2);
 /// No clause: the end of a [`DeleteIndex`] chain.
 const NIL: usize = usize::MAX;
 
-/// Where one clause lives in [`Checker::lits`]. The clause owns the arena
-/// from `start` to the next clause's `start`: first its `len` distinct
-/// literals (positions 0 and 1 are the watched ones), then the repeats the
-/// load-time dedup moved out of the way, kept because deletions match by
-/// multiset.
+/// Where one clause lives in [`Checker::lits`], in 8 bytes. The clause owns
+/// the arena from `start` to the next clause's `start`: first its `len()`
+/// distinct literals (positions 0 and 1 are the watched ones), then the
+/// repeats the load-time dedup moved out of the way, kept because deletions
+/// match by multiset.
 #[derive(Clone, Copy)]
 #[cfg_attr(test, derive(Debug, PartialEq))]
 struct Span {
-    start: usize,
-    len: usize,
-    deleted: bool,
+    start: u32,
+    /// The distinct-literal count, with [`DELETED`] set once deleted.
+    len: u32,
+}
+
+/// The bit of [`Span::len`] that marks a deleted clause.
+const DELETED: u32 = 1 << 31;
+
+impl Span {
+    /// A live clause; [`CheckFailure::Shape`] when `start` or `len` does not
+    /// fit.
+    fn new(start: usize, len: usize) -> Result<Span, CheckFailure> {
+        match (u32::try_from(start), u32::try_from(len)) {
+            (Ok(start), Ok(len)) if len < DELETED => Ok(Span { start, len }),
+            _ => Err(CheckFailure::Shape),
+        }
+    }
+
+    fn start(self) -> usize {
+        self.start as usize
+    }
+
+    fn len(self) -> usize {
+        (self.len & !DELETED) as usize
+    }
+
+    /// The clause's distinct literals in [`Checker::lits`].
+    fn distinct(self) -> std::ops::Range<usize> {
+        self.start()..self.start() + self.len()
+    }
+
+    fn deleted(self) -> bool {
+        self.len & DELETED != 0
+    }
 }
 
 /// Every arena slot clause `id` owns: its distinct literals, then the repeats.
 fn owned<'a>(spans: &[Span], lits: &'a [Lit], id: usize) -> &'a [Lit] {
-    let end = spans.get(id + 1).map_or(lits.len(), |s| s.start);
-    &lits[spans[id].start..end]
+    let end = spans.get(id + 1).map_or(lits.len(), |s| s.start());
+    &lits[spans[id].start()..end]
 }
 
 /// Live clause ids by sorted-literal multiset, as intrusive chains: `heads`
@@ -310,13 +346,8 @@ struct Inline {
 
 impl Inline {
     /// Watches original `id` inline when it has two or three distinct
-    /// literals; `false` leaves it to the two-watched path. So does an id
-    /// past `u32::MAX`, which only a formula of over four billion clauses
-    /// has.
-    fn watch(&mut self, id: usize, distinct: &[Lit]) -> bool {
-        let Ok(id) = u32::try_from(id) else {
-            return false;
-        };
+    /// literals; `false` leaves it to the two-watched path.
+    fn watch(&mut self, id: u32, distinct: &[Lit]) -> bool {
         match *distinct {
             [x, y] => {
                 self.bins[x.code()].push(BinWatch { other: y, id });
@@ -349,7 +380,7 @@ struct Checker {
     inline: Rc<Inline>,
     /// Ids of the longer originals and of every lemma watching each literal,
     /// indexed by `Lit::code`.
-    watches: Vec<Vec<usize>>,
+    watches: Vec<Vec<u32>>,
     /// `TRUE`/`FALSE`/`UNDEF` per literal, indexed by `Lit::code`.
     values: Vec<u8>,
     trail: Vec<Lit>,
@@ -366,7 +397,7 @@ struct Checker {
 impl Checker {
     /// The formula's clauses in the arena, propagated to fixpoint at the
     /// root, with no cube.
-    fn load(cnf: &Cnf) -> Checker {
+    fn load(cnf: &Cnf) -> Result<Checker, CheckFailure> {
         let codes = 2 * cnf.num_vars();
         let mut checker = Checker {
             lits: Vec::with_capacity(cnf.num_literals()),
@@ -380,12 +411,12 @@ impl Checker {
             terns: vec![Vec::new(); codes],
         };
         for clause in cnf.clauses() {
-            let id = checker.push_clause(clause.lits());
-            let Span { start, len, .. } = checker.spans[id];
+            let id = checker.push_clause(clause.lits())?;
+            let distinct = checker.spans[id as usize].distinct();
             // An inline clause needs no check here: the trail is not
             // propagated yet, so root propagation below visits it from every
             // literal that is false by now.
-            if !inline.watch(id, &checker.lits[start..start + len]) {
+            if !inline.watch(id, &checker.lits[distinct]) {
                 checker.watch(id);
             }
         }
@@ -393,7 +424,7 @@ impl Checker {
         if checker.propagate() {
             checker.proven = true;
         }
-        checker
+        Ok(checker)
     }
 
     /// Makes `self` equal to `base`, reusing the allocations `self` already
@@ -464,7 +495,7 @@ impl Checker {
                     if !self.rup(lits, hints) {
                         return Err(CheckFailure::ProofNotRup);
                     }
-                    let id = self.push_clause(lits);
+                    let id = self.push_clause(lits)?;
                     self.watch(id);
                     if self.propagate() {
                         self.proven = true;
@@ -505,12 +536,14 @@ impl Checker {
     }
 
     /// Appends a clause to the arena, and to the deletion index once that is
-    /// built, unwatched; returns its id.
-    fn push_clause(&mut self, clause: &[Lit]) -> usize {
-        let id = self.spans.len();
-        let start = self.lits.len();
+    /// built, unwatched; returns its id. [`CheckFailure::Shape`] when its id,
+    /// its start in the arena or its length does not fit in a `u32`; nothing
+    /// is appended then.
+    fn push_clause(&mut self, clause: &[Lit]) -> Result<u32, CheckFailure> {
+        let id = u32::try_from(self.spans.len()).map_err(|_| CheckFailure::Shape)?;
+        let mut span = Span::new(self.lits.len(), clause.len())?;
         self.lits.extend_from_slice(clause);
-        let lits = &mut self.lits[start..];
+        let lits = &mut self.lits[span.start()..];
         lits.sort_unstable();
         // Distinct literals to the front (still sorted), repeats behind them.
         let mut len = lits.len().min(1);
@@ -520,25 +553,23 @@ impl Checker {
                 len += 1;
             }
         }
-        self.spans.push(Span {
-            start,
-            len,
-            deleted: false,
-        });
+        span.len = len as u32; // at most `clause.len()`, which fits
+        self.spans.push(span);
         if let Some(index) = self.delete_index.as_mut() {
-            index.insert(id, clause, &mut self.key_buf);
+            index.insert(id as usize, clause, &mut self.key_buf);
         }
-        id
+        Ok(id)
     }
 
     /// Puts clause `id` under two-watched-literal propagation at the current
     /// assignment, enqueueing its consequence when it is unit and flagging
     /// `proven` when it is already falsified. The caller runs
     /// [`propagate`](Self::propagate) afterwards.
-    fn watch(&mut self, id: usize) {
-        let Span { start, len, .. } = self.spans[id];
+    fn watch(&mut self, id: u32) {
+        let distinct = self.spans[id as usize].distinct();
+        let len = distinct.len();
         let values = &self.values;
-        let lits = &mut self.lits[start..start + len];
+        let lits = &mut self.lits[distinct];
         if len == 0 {
             self.proven = true;
             return;
@@ -606,7 +637,7 @@ impl Checker {
                 } else {
                     index.heads.remove(&hash);
                 }
-                self.spans[id].deleted = true;
+                self.spans[id].len |= DELETED;
                 return true;
             }
             (prev, id) = (id, index.next[id]);
@@ -633,7 +664,7 @@ impl Checker {
             // owns the trail.
             for &BinWatch { other, id } in &inline.bins[false_lit.code()] {
                 let value = self.values[other.code()];
-                if value == TRUE || self.spans[id as usize].deleted {
+                if value == TRUE || self.spans[id as usize].deleted() {
                     continue;
                 }
                 if value == FALSE {
@@ -646,7 +677,7 @@ impl Checker {
             // either is true or both are open.
             for &TernWatch { a, b, id } in &inline.terns[false_lit.code()] {
                 let product = self.values[a.code()] * self.values[b.code()];
-                if !matches!(product, 1 | 2) || self.spans[id as usize].deleted {
+                if !matches!(product, 1 | 2) || self.spans[id as usize].deleted() {
                     continue;
                 }
                 if product == 1 {
@@ -662,15 +693,12 @@ impl Checker {
             let mut conflict = false;
             for i in 0..ws.len() {
                 let cid = ws[i];
-                let Span {
-                    start,
-                    len,
-                    deleted,
-                } = self.spans[cid];
-                if deleted {
+                let span = self.spans[cid as usize];
+                if span.deleted() {
                     continue; // lazy watch cleanup
                 }
-                let lits = &mut self.lits[start..start + len];
+                let len = span.len();
+                let lits = &mut self.lits[span.distinct()];
                 if lits[0] == false_lit {
                     lits.swap(0, 1);
                 }
@@ -752,19 +780,17 @@ impl Checker {
     /// propagated through the watch lists.
     fn resolve(&mut self, hints: &[u32]) -> bool {
         for &id in hints {
-            let Some(&Span {
-                start,
-                len,
-                deleted: false,
-            }) = self.spans.get(id as usize)
-            else {
+            let Some(&span) = self.spans.get(id as usize) else {
                 continue;
             };
+            if span.deleted() {
+                continue;
+            }
             let mut open = None;
             // False but for at most one open literal: not satisfied, and no
             // second open literal.
             let unit_or_falsified =
-                self.lits[start..start + len]
+                self.lits[span.distinct()]
                     .iter()
                     .all(|&lit| match self.values[lit.code()] {
                         FALSE => true,
@@ -822,6 +848,21 @@ mod tests {
         cnf.add_clause(clause(&[-1, 3]));
         cnf.add_clause(clause(&[-1, -3]));
         cnf
+    }
+
+    #[test]
+    fn a_span_is_eight_bytes_and_refuses_what_does_not_fit() {
+        assert_eq!(std::mem::size_of::<Span>(), 8);
+        let past = u32::MAX as usize + 1;
+        assert_eq!(Span::new(past, 3), Err(CheckFailure::Shape));
+        assert_eq!(Span::new(0, DELETED as usize), Err(CheckFailure::Shape));
+        assert_eq!(Span::new(0, past), Err(CheckFailure::Shape));
+        let longest = (DELETED - 1) as usize;
+        let mut span = Span::new(u32::MAX as usize, longest).expect("fits");
+        assert!(!span.deleted());
+        span.len |= DELETED;
+        assert!(span.deleted());
+        assert_eq!((span.start(), span.len()), (u32::MAX as usize, longest));
     }
 
     #[test]
@@ -1011,7 +1052,7 @@ mod tests {
     #[test]
     fn a_proof_without_deletions_never_builds_the_deletion_index() {
         let cnf = asymmetric_unsat();
-        let mut additions_only = Checker::load(&cnf);
+        let mut additions_only = Checker::load(&cnf).expect("loads");
         let proof = DratProof {
             steps: vec![DratStep::add(clause(&[1]))],
         };
@@ -1020,7 +1061,7 @@ mod tests {
         // The first deletion builds it over everything loaded so far (and
         // matches nothing here); later additions are registered in it, so
         // the second deletion finds the lemma added in between.
-        let mut with_deletions = Checker::load(&cnf);
+        let mut with_deletions = Checker::load(&cnf).expect("loads");
         let proof = DratProof {
             steps: vec![
                 DratStep::Delete(clause(&[3, 1])),
@@ -1039,7 +1080,7 @@ mod tests {
     fn a_restored_copy_equals_the_loaded_formula_whatever_the_last_check_did() {
         let mut cnf = asymmetric_unsat();
         cnf.ensure_vars(4); // a cube literal no clause mentions
-        let base = Checker::load(&cnf);
+        let base = Checker::load(&cnf).expect("loads");
         let mut working = Checker::default();
         working.restore_from(&base);
         assert_eq!(working, base);
@@ -1099,7 +1140,7 @@ mod tests {
 
     #[test]
     fn short_originals_are_watched_inline_only() {
-        let checker = Checker::load(&short_originals_unsat());
+        let checker = Checker::load(&short_originals_unsat()).expect("loads");
         assert!(checker.watches.iter().all(Vec::is_empty));
         let lists = |code: usize| {
             let Inline { bins, terns } = &*checker.inline;
@@ -1139,9 +1180,9 @@ mod tests {
             Err(CheckFailure::ProofNotRup)
         );
         // The most recent copy goes first.
-        let mut checker = Checker::load(&cnf);
+        let mut checker = Checker::load(&cnf).expect("loads");
         assert!(checker.delete(&clause(&[1, 2, 3])));
-        let deleted: Vec<bool> = checker.spans.iter().map(|s| s.deleted).collect();
+        let deleted: Vec<bool> = checker.spans.iter().map(|s| s.deleted()).collect();
         assert_eq!(deleted, [false, false, false, false, false, true]);
     }
 
@@ -1158,13 +1199,13 @@ mod tests {
             }
             checker.propagate()
         };
-        let mut live = Checker::load(&cnf);
+        let mut live = Checker::load(&cnf).expect("loads");
         assert!(!falsify_and_propagate(&mut live, &[1]));
         assert_eq!(live.values[lit(2).code()], TRUE);
-        let mut live = Checker::load(&cnf);
+        let mut live = Checker::load(&cnf).expect("loads");
         assert!(falsify_and_propagate(&mut live, &[1, 2]));
 
-        let mut deleted = Checker::load(&cnf);
+        let mut deleted = Checker::load(&cnf).expect("loads");
         assert!(deleted.delete(&clause(&[3, 2, 1])));
         assert!(deleted.delete(&clause(&[2, 1])));
         assert!(!falsify_and_propagate(&mut deleted, &[1, 2]));
@@ -1186,7 +1227,7 @@ mod tests {
         };
         assert_eq!(deleting(1).map(|s| s.unmatched_deletes), Ok(0));
         assert_eq!(deleting(2), Err(CheckFailure::ProofNotRup));
-        let mut checker = Checker::load(&cnf);
+        let mut checker = Checker::load(&cnf).expect("loads");
         let once = DratProof {
             steps: vec![DratStep::Delete(clause(&[1, 2]))],
         };
@@ -1194,7 +1235,7 @@ mod tests {
             checker.check(&[], &once),
             Err(CheckFailure::ProofIncomplete)
         );
-        let deleted: Vec<bool> = checker.spans.iter().map(|s| s.deleted).collect();
+        let deleted: Vec<bool> = checker.spans.iter().map(|s| s.deleted()).collect();
         assert_eq!(deleted, [false, false, false, false, true]);
     }
 

@@ -7,6 +7,8 @@
 //!   rejected, rejected after valid, formulas A, B, A.
 //! * **Exact key.** A formula one clause, one literal or one variable away
 //!   from the loaded one is loaded anew, never answered from the memo.
+//! * **Restored originals.** A certificate that deletes an original clause
+//!   leaves no trace in the loaded formula: the next check sees it live.
 
 use pdsat_checker::{check_unsat_proof, CheckFailure, CheckStats};
 use pdsat_ciphers::{InstanceBuilder, A51};
@@ -192,6 +194,38 @@ fn every_check_equals_a_cold_check_in_any_order() {
     }
     assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
     assert!(valid_after_rejected > 0 && rejected_after_valid > 0);
+}
+
+#[test]
+fn a_forged_deletion_of_an_original_does_not_outlive_its_check() {
+    let mut covered = Vec::new();
+    for f in [random_3cnf(), pigeonhole(), a51()] {
+        let (cube, proof) = &f.certificates[0];
+        // The first original of each length the formula has: binaries and
+        // ternaries sit in the shared inline lists, longer ones in the
+        // two-watched lists.
+        let mut lengths = Vec::new();
+        for clause in f.cnf.clauses() {
+            let len = clause.lits().len().min(4);
+            if lengths.contains(&len) {
+                continue;
+            }
+            lengths.push(len);
+            let mut forged = proof.clone();
+            forged
+                .steps
+                .insert(0, DratStep::Delete(clause.lits().to_vec()));
+            let context = format!("{}, original of length {len} deleted", f.name);
+            // Accepted or not, it must equal the cold check.
+            let _ = warm(&f.cnf, cube, &forged, &context);
+            let honest = warm(&f.cnf, cube, proof, &format!("{context}, honest next"));
+            assert!(honest.is_ok(), "{context}: {honest:?}");
+        }
+        covered.extend(lengths);
+    }
+    for len in [2, 3, 4] {
+        assert!(covered.contains(&len), "no original of length {len}");
+    }
 }
 
 /// `cnf` with its clauses rebuilt through `edit`, over `num_vars` variables.

@@ -193,9 +193,12 @@ impl std::fmt::Display for BackendKind {
 /// The formula is loaded **once**, on the backend's first cube, into a
 /// *template* solver, and one *working* solver is restored from the template
 /// before each cube with [`Clone::clone_from`], which copies into the
-/// working solver's existing allocations. A cube therefore starts from a
-/// memcpy of the loaded formula instead of re-parsing and re-attaching every
-/// clause, and the working solver's counters after the solve are the cube's
+/// working solver's existing allocations what a solve can change — the
+/// clause arena, the long-clause watch lists, the assignment and the
+/// heuristics — and shares the watchers of the loaded binary and ternary
+/// clauses, which nothing writes. A cube therefore starts from a memcpy of
+/// the loaded formula's mutable state instead of re-parsing and re-attaching
+/// every clause, and the working solver's counters after the solve are the cube's
 /// own — the load's root propagations included, exactly as a solver rebuilt
 /// per cube reports them.
 ///

@@ -27,11 +27,19 @@
 //!   positions 0 and 1 are the watched literals, and the clause appears in
 //!   exactly the watch lists of `¬lits[0]` and `¬lits[1]`. Binary and ternary
 //!   clauses are *not* watched through the arena at all; they are mirrored
-//!   into dedicated watch lists at attach time — a binary clause into the
-//!   lists of both its literals, a ternary clause into the lists of all
-//!   three, each entry carrying the other literal(s) inline — and their
-//!   arena copy keeps the order it was added in and is only read by conflict
-//!   analysis, clause minimization, `is_locked`, detaching and proof logging.
+//!   at attach time — a binary clause under both its literals, a ternary
+//!   clause under all three, each entry carrying the other literal(s)
+//!   inline — and their arena copy keeps the order it was added in and is
+//!   only read by conflict analysis, clause minimization, `is_locked`,
+//!   detaching and proof logging. The originals loaded by
+//!   `Solver::from_cnf_with_config` are mirrored into one immutable table
+//!   that every clone of the solver shares; learnt clauses, and originals
+//!   added after the load, into per-literal lists. A loaded original is
+//!   attached before anything else, so visiting a literal's table entries
+//!   and then its list entries (binaries, then ternaries) is attach order.
+//!   A literal whose run in the table filled up at load (a longer clause
+//!   shortened by root assignments) keeps its later loaded watchers in its
+//!   list, which keeps that order.
 //! * **Reason position:** whenever a clause of length ≥ 4 is the reason of
 //!   an assignment, the implied literal is at position 0 (propagation swaps
 //!   before enqueueing). Binary and ternary reasons are *not* reordered —
@@ -47,7 +55,9 @@
 //!   stored `ClauseRef` (long, binary and ternary watch lists, reason slots,
 //!   original/learnt rosters) must be rewritten through
 //!   [`ClauseRelocation::new_ref`]; refs of clauses that were deleted before
-//!   the collection map to `None` and must be dropped.
+//!   the collection map to `None` and must be dropped. The shared table is
+//!   the exception: its clauses were loaded before any learnt clause and
+//!   originals are never deleted, so a collection leaves them in place.
 //! * **Binary clauses are permanent:** `reduce_db` never deletes clauses of
 //!   length 2, so binary watch lists only ever need relocation, not pruning
 //!   (relocation still handles `None` defensively). Learnt ternary clauses
@@ -79,6 +89,10 @@ const DEAD: u32 = u32::MAX;
 pub struct ClauseRef(u32);
 
 impl ClauseRef {
+    /// A ref no clause has (the arena never reaches `u32::MAX` words): what
+    /// the unused slots of the loaded formula's watch table hold.
+    pub(crate) const UNUSED: ClauseRef = ClauseRef(u32::MAX);
+
     /// Word offset of the clause header in the arena.
     #[must_use]
     pub fn index(self) -> usize {

@@ -6,12 +6,16 @@ use pdsat_cnf::Var;
 ///
 /// This is MiniSat's `Heap` specialised to variables: the heap stores
 /// variable indices, `positions` maps a variable to its slot (or
-/// `usize::MAX` when absent) so membership tests and `decrease`/`increase`
+/// `u32::MAX` when absent) so membership tests and `decrease`/`increase`
 /// operations are O(1)/O(log n).
+///
+/// The order is activity descending, then index ascending: a strict total
+/// order, so every correct heap over the same members pops the same
+/// sequence, whatever its internal layout.
 #[derive(Debug, Default)]
 pub(crate) struct VarOrderHeap {
     heap: Vec<u32>,
-    positions: Vec<usize>,
+    positions: Vec<u32>,
 }
 
 impl Clone for VarOrderHeap {
@@ -31,7 +35,7 @@ impl Clone for VarOrderHeap {
     }
 }
 
-const ABSENT: usize = usize::MAX;
+const ABSENT: u32 = u32::MAX;
 
 impl VarOrderHeap {
     pub fn new() -> VarOrderHeap {
@@ -66,7 +70,6 @@ impl VarOrderHeap {
         }
         let pos = self.heap.len();
         self.heap.push(var.raw());
-        self.positions[var.index()] = pos;
         self.sift_up(pos, activity);
     }
 
@@ -80,7 +83,6 @@ impl VarOrderHeap {
         self.positions[top as usize] = ABSENT;
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.positions[last as usize] = 0;
             self.sift_down(0, activity);
         }
         Some(Var::new(top))
@@ -89,7 +91,7 @@ impl VarOrderHeap {
     /// Restores the heap property for `var` after its activity increased.
     pub fn increased(&mut self, var: Var, activity: &[f64]) {
         if self.contains(var) {
-            let pos = self.positions[var.index()];
+            let pos = self.positions[var.index()] as usize;
             self.sift_up(pos, activity);
         }
     }
@@ -108,52 +110,124 @@ impl VarOrderHeap {
         }
     }
 
-    fn better(&self, a: u32, b: u32, activity: &[f64]) -> bool {
-        let (aa, ab) = (activity[a as usize], activity[b as usize]);
-        aa > ab || (aa == ab && a < b)
-    }
-
+    /// Moves the variable at `pos` up to its place. The moving variable and
+    /// its activity stay in registers while the parents it passes shift down
+    /// into the hole; each slot is written once.
     fn sift_up(&mut self, mut pos: usize, activity: &[f64]) {
+        let var = self.heap[pos];
+        let key = (activity[var as usize], var);
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if self.better(self.heap[pos], self.heap[parent], activity) {
-                self.swap(pos, parent);
-                pos = parent;
-            } else {
+            let p = self.heap[parent];
+            if !before(key, (activity[p as usize], p)) {
                 break;
             }
+            self.place(pos, p);
+            pos = parent;
         }
+        self.place(pos, var);
     }
 
+    /// Moves the variable at `pos` down to its place, shifting the better
+    /// child up into the hole at each level.
     fn sift_down(&mut self, mut pos: usize, activity: &[f64]) {
+        let var = self.heap[pos];
+        let key = (activity[var as usize], var);
+        let len = self.heap.len();
         loop {
             let left = 2 * pos + 1;
-            let right = 2 * pos + 2;
-            let mut best = pos;
-            if left < self.heap.len() && self.better(self.heap[left], self.heap[best], activity) {
-                best = left;
-            }
-            if right < self.heap.len() && self.better(self.heap[right], self.heap[best], activity) {
-                best = right;
-            }
-            if best == pos {
+            if left >= len {
                 break;
             }
-            self.swap(pos, best);
-            pos = best;
+            let mut child = left;
+            let mut child_key = (activity[self.heap[left] as usize], self.heap[left]);
+            if left + 1 < len {
+                let r = self.heap[left + 1];
+                let right_key = (activity[r as usize], r);
+                if before(right_key, child_key) {
+                    child = left + 1;
+                    child_key = right_key;
+                }
+            }
+            if !before(child_key, key) {
+                break;
+            }
+            self.place(pos, child_key.1);
+            pos = child;
         }
+        self.place(pos, var);
     }
 
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.positions[self.heap[a] as usize] = a;
-        self.positions[self.heap[b] as usize] = b;
+    fn place(&mut self, pos: usize, var: u32) {
+        self.heap[pos] = var;
+        self.positions[var as usize] = pos as u32;
     }
+}
+
+/// Whether key `a` pops before key `b`: higher activity first, then the
+/// lower index.
+#[inline]
+fn before((act_a, a): (f64, u32), (act_b, b): (f64, u32)) -> bool {
+    act_a > act_b || (act_a == act_b && a < b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `members` in the order the heap must pop them.
+    fn key_order(members: &[bool], activity: &[f64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..members.len() as u32)
+            .filter(|&v| members[v as usize])
+            .collect();
+        order.sort_by(|&a, &b| {
+            let (act_a, act_b) = (activity[a as usize], activity[b as usize]);
+            act_b.total_cmp(&act_a).then(a.cmp(&b))
+        });
+        order
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Each op word picks an operation (insert, increase, pop) and a
+        /// variable; activities are small integers, so ties are common.
+        /// Every pop must take the first member in (activity desc, index
+        /// asc) order, and so must the final drain.
+        #[test]
+        fn pops_follow_the_key_order(ops in prop::collection::vec(0u32..u32::MAX, 0..300)) {
+            const VARS: u32 = 24;
+            let mut activity = vec![0.0; VARS as usize];
+            let mut members = vec![false; VARS as usize];
+            let mut heap = VarOrderHeap::new();
+            for op in ops {
+                let v = op / 4 % VARS;
+                match op % 4 {
+                    0 | 1 => {
+                        heap.insert(Var::new(v), &activity);
+                        members[v as usize] = true;
+                    }
+                    2 => {
+                        activity[v as usize] += f64::from(op / 128 % 3);
+                        heap.increased(Var::new(v), &activity);
+                    }
+                    _ => {
+                        let expected = key_order(&members, &activity).first().copied();
+                        prop_assert_eq!(heap.pop_max(&activity).map(Var::raw), expected);
+                        if let Some(e) = expected {
+                            members[e as usize] = false;
+                        }
+                    }
+                }
+                prop_assert_eq!(heap.len(), members.iter().filter(|&&m| m).count());
+            }
+            let expected = key_order(&members, &activity);
+            let drained: Vec<u32> =
+                std::iter::from_fn(|| heap.pop_max(&activity).map(Var::raw)).collect();
+            prop_assert_eq!(drained, expected);
+        }
+    }
 
     #[test]
     fn pops_in_activity_order() {

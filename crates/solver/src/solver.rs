@@ -12,7 +12,8 @@ use crate::luby::luby;
 use crate::proof::ProofLogger;
 use crate::{Budget, InterruptFlag, SolverConfig, SolverStats};
 use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value, Var};
-use propagate::{BinWatcher, TernWatcher, Watcher};
+use propagate::{BinWatcher, TernWatcher, WatchTable, Watcher};
+use std::sync::Arc;
 use std::time::Instant;
 use trail::VarData;
 
@@ -107,6 +108,11 @@ pub struct Solver {
     original: Vec<ClauseRef>,
     learnts: Vec<ClauseRef>,
     watches: Vec<Vec<Watcher>>,
+    /// The loaded formula's binary and ternary watchers, shared with every
+    /// clone; `None` unless built by `from_cnf_with_config`.
+    table: Option<Arc<WatchTable>>,
+    /// Watchers of the binary and ternary clauses the table does not hold:
+    /// learnt ones and originals added after the load.
     bin_watches: Vec<Vec<BinWatcher>>,
     tern_watches: Vec<Vec<TernWatcher>>,
     /// Current assignment, indexed by *literal code* (two entries per
@@ -164,8 +170,10 @@ impl Clone for Solver {
 
     /// Makes `self` an exact copy of `source`, field by field into the
     /// allocations `self` already owns — no per-watch-list allocation once
-    /// the two have had the same shape. The destructuring is exhaustive on
-    /// purpose: a new field that is not copied here does not compile.
+    /// the two have had the same shape — except the loaded formula's watch
+    /// table, which nothing writes and the two share. The destructuring is
+    /// exhaustive on purpose: a new field that is not copied here does not
+    /// compile.
     fn clone_from(&mut self, source: &Solver) {
         let Solver {
             config,
@@ -174,6 +182,7 @@ impl Clone for Solver {
             original,
             learnts,
             watches,
+            table,
             bin_watches,
             tern_watches,
             assigns,
@@ -190,10 +199,10 @@ impl Clone for Solver {
             cla_inc,
             ok,
             seen,
-            learnt_buf,
-            levels_buf,
-            toclear_buf,
-            // Dead between `add_clause` calls.
+            // Scratch of `analyze` and of `add_clause`, dead between calls.
+            learnt_buf: _,
+            levels_buf: _,
+            toclear_buf: _,
             clause_buf: _,
             proof,
             last_solve_unsat,
@@ -206,6 +215,7 @@ impl Clone for Solver {
         self.original.clone_from(original);
         self.learnts.clone_from(learnts);
         self.watches.clone_from(watches);
+        self.table.clone_from(table);
         self.bin_watches.clone_from(bin_watches);
         self.tern_watches.clone_from(tern_watches);
         self.assigns.clone_from(assigns);
@@ -222,9 +232,6 @@ impl Clone for Solver {
         self.cla_inc = *cla_inc;
         self.ok = *ok;
         self.seen.clone_from(seen);
-        self.learnt_buf.clone_from(learnt_buf);
-        self.levels_buf.clone_from(levels_buf);
-        self.toclear_buf.clone_from(toclear_buf);
         self.proof.clone_from(proof);
         self.last_solve_unsat = *last_solve_unsat;
         self.stats = *stats;
@@ -268,6 +275,7 @@ impl Solver {
             original: Vec::new(),
             learnts: Vec::new(),
             watches: Vec::new(),
+            table: None,
             bin_watches: Vec::new(),
             tern_watches: Vec::new(),
             assigns: Vec::new(),
@@ -307,20 +315,28 @@ impl Solver {
     pub fn from_cnf_with_config(cnf: &Cnf, config: SolverConfig) -> Solver {
         let mut solver = Solver::with_config(config);
         solver.ensure_vars(cnf.num_vars());
-        // Every literal of a ternary clause watches it: size each list once,
-        // so loading neither regrows them nor leaves slack for the template
-        // clones to carry.
-        let mut tern_counts = vec![0usize; solver.tern_watches.len()];
-        for clause in cnf.iter().filter(|c| c.len() == 3) {
+        // Every literal of a binary or ternary clause watches it: the table
+        // gets one slot per watcher of the formula's clauses of those
+        // lengths, so loading fills it in place and no second copy is ever
+        // made. Normalisation can leave slots empty (sealing squeezes them
+        // out) or shorten a longer clause into one that finds its literal's
+        // run full (its watchers go to the lists).
+        let mut slots = [
+            vec![0u32; 2 * cnf.num_vars()],
+            vec![0u32; 2 * cnf.num_vars()],
+        ];
+        for clause in cnf.iter().filter(|c| matches!(c.len(), 2 | 3)) {
             for l in clause.iter() {
-                tern_counts[(!l).code()] += 1;
+                slots[clause.len() - 2][(!l).code()] += 1;
             }
         }
-        for (list, &n) in solver.tern_watches.iter_mut().zip(&tern_counts) {
-            list.reserve_exact(n);
-        }
+        solver.table = Some(Arc::new(WatchTable::with_slots(&slots[0], &slots[1])));
+        drop(slots);
         for clause in cnf.iter() {
-            solver.add_clause(clause.iter());
+            solver.add_clause_to(clause.iter(), true);
+        }
+        if let Some(table) = solver.table.as_mut().and_then(Arc::get_mut) {
+            table.seal();
         }
         solver
     }
@@ -460,8 +476,14 @@ impl Solver {
     /// could be falsified or unit under the retained assignments, so the
     /// solver backtracks to the root level before attaching it.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
+        self.add_clause_to(lits, false)
+    }
+
+    /// [`add_clause`](Self::add_clause), attaching to the watch table while
+    /// the formula loads (`loading`).
+    fn add_clause_to<I: IntoIterator<Item = Lit>>(&mut self, lits: I, loading: bool) -> bool {
         let kept = self.original.len();
-        let added = self.add_original(lits);
+        let added = self.add_original(lits, loading);
         if let Some(p) = self.proof.as_mut() {
             let id = p.original();
             if let Some(&cref) = self.original.get(kept) {
@@ -473,7 +495,7 @@ impl Solver {
 
     /// The body of [`add_clause`](Self::add_clause), which then gives the
     /// clause its proof id.
-    fn add_original<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
+    fn add_original<I: IntoIterator<Item = Lit>>(&mut self, lits: I, loading: bool) -> bool {
         self.cancel_until(0);
         self.saved_assumptions.clear();
         if !self.ok {
@@ -522,7 +544,7 @@ impl Solver {
                 _ => {
                     let cref = self.db.add(&lits, false, 0);
                     self.original.push(cref);
-                    self.attach_clause(cref);
+                    self.attach_clause(cref, loading);
                     true
                 }
             };
@@ -666,7 +688,7 @@ impl Solver {
                     let cref = self.db.add(&self.learnt_buf, true, lbd);
                     self.learnts.push(cref);
                     self.stats.learnt_clauses += 1;
-                    self.attach_clause(cref);
+                    self.attach_clause(cref, false);
                     self.bump_clause_activity(cref);
                     self.unchecked_enqueue(asserting, Some(cref));
                     Some(cref)
@@ -731,7 +753,8 @@ impl Solver {
 mod tests {
     use super::*;
     use crate::config::PROTECTED_LBD;
-    use pdsat_cnf::dimacs;
+    use pdsat_cnf::{dimacs, Cube};
+    use rand::SeedableRng;
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
@@ -1015,7 +1038,7 @@ mod tests {
             let learn = |s: &mut Solver, lits: &[Lit], lbd: u32| {
                 let cref = s.db.add(lits, true, lbd);
                 s.learnts.push(cref);
-                s.attach_clause(cref);
+                s.attach_clause(cref, false);
                 cref
             };
             // Worst LBD first: of these four `reduce_db` deletes two, the
@@ -1050,6 +1073,98 @@ mod tests {
                 );
             }
         }
+    }
+
+    // The worker pool moves solvers between threads: an `Rc` table would
+    // fail to compile here.
+    const _: () = {
+        const fn send<T: Send>() {}
+        send::<Solver>();
+    };
+
+    #[test]
+    fn clones_and_restored_solvers_share_the_loaded_watch_table() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E);
+        // Binary and ternary clauses, no units: nothing shortens at load.
+        let mut cnf = Cnf::random_3cnf(30, 120, &mut rng);
+        for v in 0..10 {
+            cnf.add_clause([lit(v + 1), lit(-(v + 11))]);
+        }
+        let template = Solver::from_cnf(&cnf);
+        assert!(template.table().crefs().count() > 0);
+        let lists_empty = |s: &Solver| {
+            s.bin_watches.iter().all(Vec::is_empty) && s.tern_watches.iter().all(Vec::is_empty)
+        };
+        assert!(lists_empty(&template), "the load lives in the table only");
+        let mut working = template.clone();
+        let shares = |s: &Solver| match (&s.table, &template.table) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        assert!(shares(&working));
+        let mut other = Solver::new();
+        other.clone_from(&template);
+        assert!(shares(&other));
+        for bits in 0..8 {
+            let set = [Var::new(0), Var::new(1), Var::new(2)];
+            let _ = working.solve_with_assumptions(Cube::from_bits(&set, bits).lits());
+            working.clone_from(&template);
+            assert!(shares(&working));
+            assert!(lists_empty(&working));
+        }
+    }
+
+    /// A solver loaded through the table and one fed the same clauses by
+    /// `add_clause` (lists only) attach in the same order, so they search
+    /// alike: same verdicts, counters and proofs, cube after cube, as the
+    /// learnt clauses pile up in the lists. Units ahead of the other clauses
+    /// shorten some of them at load, so runs of the table fill up and the
+    /// lists take over those literals.
+    #[test]
+    fn the_loaded_table_searches_exactly_like_lists() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x11575);
+        let (mut overflowed, mut conflicts) = (0, 0);
+        for round in 0..8 {
+            let mut cnf = Cnf::new(60);
+            for v in 0..2 + round % 3 {
+                cnf.add_clause([Lit::new(Var::new(v * 5), round % 2 == 0)]);
+            }
+            let ternaries = Cnf::random_3cnf(60, 250, &mut rng);
+            let long = Cnf::random_cnf(60, 120, 5, &mut rng);
+            for clause in ternaries.iter().chain(long.iter().filter(|c| c.len() > 3)) {
+                cnf.add_clause(clause.iter());
+            }
+            let config = SolverConfig {
+                proof: true,
+                time_accounting: false,
+            };
+            let mut loaded = Solver::from_cnf_with_config(&cnf, config.clone());
+            let mut fed = Solver::with_config(config);
+            fed.ensure_vars(cnf.num_vars());
+            for clause in cnf.iter() {
+                fed.add_clause(clause.iter());
+            }
+            assert!(fed.table.is_none());
+            overflowed += usize::from(
+                loaded.bin_watches.iter().any(|l| !l.is_empty())
+                    || loaded.tern_watches.iter().any(|l| !l.is_empty()),
+            );
+            let set = [Var::new(1), Var::new(7), Var::new(13), Var::new(19)];
+            for bits in 0..16 {
+                let cube = Cube::from_bits(&set, bits);
+                let verdict = loaded.solve_with_assumptions(cube.lits());
+                assert_eq!(
+                    verdict,
+                    fed.solve_with_assumptions(cube.lits()),
+                    "round {round}"
+                );
+                assert_eq!(loaded.stats(), fed.stats(), "round {round}, cube {bits}");
+                assert_eq!(loaded.proof_steps(), fed.proof_steps(), "round {round}");
+            }
+            conflicts += loaded.stats().conflicts;
+        }
+        assert!(overflowed > 0, "no load shortened a clause into a full run");
+        assert!(conflicts > 100, "too little search to tell: {conflicts}");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Unit propagation over the three watch families (binary, ternary and
-//! long clauses), and attaching and detaching a clause to and from them.
+//! long clauses), the shared table the loaded formula's binary and ternary
+//! watchers live in, and attaching and detaching a clause.
 
 use super::Solver;
 use crate::clause_db::ClauseRef;
 use pdsat_cnf::{Lit, Value};
+use std::sync::Arc;
 
 /// Watch-list entry for clauses of length ≥ 4.
 ///
@@ -40,6 +42,131 @@ pub(super) struct TernWatcher {
     pub(super) b: Lit,
 }
 
+/// The binary and ternary watchers of the originals a formula was loaded
+/// with (`Solver::from_cnf_with_config`), per literal code in attach order.
+/// Nothing writes it once loading ends, so a clone or a restore shares it
+/// through the `Arc` instead of copying it, and the per-literal lists keep
+/// only learnt clauses and originals added after the load. A loaded original
+/// precedes every learnt clause in the arena and is never deleted, so a
+/// garbage collection never moves a [`ClauseRef`] held here.
+pub(super) struct WatchTable {
+    bins: FlatLists<BinWatcher>,
+    terns: FlatLists<TernWatcher>,
+}
+
+/// The table of a solver that loaded no formula.
+static NO_TABLE: WatchTable = WatchTable {
+    bins: FlatLists::EMPTY,
+    terns: FlatLists::EMPTY,
+};
+
+impl WatchTable {
+    /// An open table with `bins[c]` binary and `terns[c]` ternary slots for
+    /// literal code `c`.
+    pub(super) fn with_slots(bins: &[u32], terns: &[u32]) -> WatchTable {
+        let (cref, lit) = (ClauseRef::UNUSED, Lit::from_code(0));
+        WatchTable {
+            bins: FlatLists::with_slots(bins, BinWatcher { cref, other: lit }),
+            terns: FlatLists::with_slots(
+                terns,
+                TernWatcher {
+                    cref,
+                    a: lit,
+                    b: lit,
+                },
+            ),
+        }
+    }
+
+    /// Closes the table once the formula is loaded: the slots normalisation
+    /// left empty are squeezed out, in place.
+    pub(super) fn seal(&mut self) {
+        self.bins.compact();
+        self.terns.compact();
+    }
+
+    /// Every clause the table watches, once per watcher.
+    pub(super) fn crefs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
+        let bins = self.bins.items.iter().map(|w| w.cref);
+        bins.chain(self.terns.items.iter().map(|w| w.cref))
+    }
+}
+
+/// Per-literal lists laid out back to back in one array: literal code `c`'s
+/// entries are `items[ranges[c].0..ranges[c].1]`. While the table is open the
+/// run of `c` may end short of the next one's start, and
+/// [`push`](FlatLists::push) fills that slack; once sealed the runs abut.
+pub(super) struct FlatLists<T> {
+    ranges: Vec<(u32, u32)>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> FlatLists<T> {
+    const EMPTY: FlatLists<T> = FlatLists {
+        ranges: Vec::new(),
+        items: Vec::new(),
+    };
+
+    /// `slots[c]` empty slots for literal code `c`, filled with `fill`.
+    fn with_slots(slots: &[u32], fill: T) -> FlatLists<T> {
+        let mut start = 0u32;
+        let ranges = slots
+            .iter()
+            .map(|&n| {
+                let range = (start, start);
+                start += n;
+                range
+            })
+            .collect();
+        FlatLists {
+            ranges,
+            items: vec![fill; start as usize],
+        }
+    }
+
+    /// The entries of literal code `code`; none for a literal the table was
+    /// not sized for (a variable created after the load).
+    #[inline]
+    fn get(&self, code: usize) -> &[T] {
+        match self.ranges.get(code) {
+            Some(&(start, end)) => &self.items[start as usize..end as usize],
+            None => &[],
+        }
+    }
+
+    /// Appends `item` to the run of `code`; `false` when the run has no slot
+    /// left.
+    fn push(&mut self, code: usize, item: T) -> bool {
+        let Some(&(_, end)) = self.ranges.get(code) else {
+            return false;
+        };
+        let limit = self
+            .ranges
+            .get(code + 1)
+            .map_or(self.items.len(), |next| next.0 as usize);
+        if end as usize == limit {
+            return false;
+        }
+        self.items[end as usize] = item;
+        self.ranges[code].1 += 1;
+        true
+    }
+
+    /// Moves every run down to abut the previous one and frees the slack.
+    fn compact(&mut self) {
+        let mut write = 0u32;
+        for range in &mut self.ranges {
+            let (start, end) = *range;
+            self.items
+                .copy_within(start as usize..end as usize, write as usize);
+            *range = (write, write + (end - start));
+            write += end - start;
+        }
+        self.items.truncate(write as usize);
+        self.items.shrink_to_fit();
+    }
+}
+
 // A ternary visit multiplies the value bytes of the other two literals
 // (`Solver::value_byte`): 1 is a conflict, 2 a unit clause, 0 and 4 nothing
 // to do. Reordering `pdsat_cnf::Value` must fail here, not turn conflicts
@@ -51,14 +178,31 @@ impl Solver {
     /// Unit propagation. Returns the conflicting clause, if any.
     ///
     /// The inner loop performs no heap allocation: binary and ternary clauses
-    /// are served, in that order, from dedicated per-literal lists without
-    /// dereferencing the arena, and long-clause watch lists are updated in
-    /// place with swap-remove semantics (read cursor `i`, write cursor `j`,
-    /// truncate at the end). The watch list buffer is moved out with
-    /// `mem::take` (a pointer swap, not a copy or allocation) purely to
-    /// appease the borrow checker and is always moved back before the next
-    /// literal is processed.
+    /// are served, in that order, from the shared table of the loaded
+    /// formula and then from dedicated per-literal lists, by index and
+    /// without dereferencing the arena (nothing pushes onto those lists
+    /// during a scan), and long-clause watch lists are updated in place with
+    /// swap-remove semantics (read cursor `i`, write cursor `j`, truncate at
+    /// the end). A non-empty long list is moved out with `mem::take` (a
+    /// pointer swap, not a copy or allocation) purely to appease the borrow
+    /// checker and is always moved back before the next literal is
+    /// processed.
     pub(super) fn propagate(&mut self) -> Option<ClauseRef> {
+        // Moved out for the call and back: no reference count is touched.
+        let table = self.table.take();
+        let conflict = self.propagate_from(table.as_deref().unwrap_or(&NO_TABLE));
+        self.table = table;
+        conflict
+    }
+
+    /// The loaded formula's watch table (an empty one if there is none).
+    pub(super) fn table(&self) -> &WatchTable {
+        self.table.as_deref().unwrap_or(&NO_TABLE)
+    }
+
+    /// [`propagate`](Self::propagate), with the watch table moved out of
+    /// `self`.
+    fn propagate_from(&mut self, table: &WatchTable) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -66,52 +210,47 @@ impl Solver {
             let pcode = p.code();
 
             // Binary clauses first: the watcher itself carries the only other
-            // literal, so this loop never dereferences the arena. The list is
+            // literal, so these loops never dereference the arena. The
+            // table's come first: every loaded original was attached before
+            // anything in the list, so this is attach order. The list is
             // never mutated during the scan (new watchers can only be pushed
-            // by clause learning, which never runs inside propagation).
-            let bins = std::mem::take(&mut self.bin_watches[pcode]);
-            for bi in 0..bins.len() {
-                let w = bins[bi];
-                match self.lit_value(w.other) {
-                    Value::True => {}
-                    Value::False => {
-                        self.qhead = self.trail.len();
-                        self.bin_watches[pcode] = bins;
-                        return Some(w.cref);
-                    }
-                    Value::Unassigned => self.unchecked_enqueue(w.other, Some(w.cref)),
-                }
-            }
-            self.bin_watches[pcode] = bins;
-
-            // Ternary clauses next, in attach order: `¬p` is false, so the
-            // clause is decided by its other two literals, both inline. The
-            // product of their value bytes is 1 for false·false (conflict),
-            // 2 for false·unassigned (unit) and 0 or 4 when either is true or
-            // both are open — one well-predicted branch for the visits, about
-            // nine in ten, that have nothing to do. Like the binary list this
-            // one is never mutated during the scan.
-            let terns = std::mem::take(&mut self.tern_watches[pcode]);
-            for ti in 0..terns.len() {
-                let w = terns[ti];
-                let product = self.value_byte(w.a) * self.value_byte(w.b);
-                if !matches!(product, 1 | 2) {
-                    continue;
-                }
-                if product == 1 {
+            // by clause learning, which never runs inside propagation), so
+            // it is read in place.
+            for &w in table.bins.get(pcode) {
+                if self.visit_bin(w) {
                     self.qhead = self.trail.len();
-                    self.tern_watches[pcode] = terns;
                     return Some(w.cref);
                 }
-                let implied = if self.lit_value(w.a) == Value::False {
-                    w.b
-                } else {
-                    w.a
-                };
-                self.unchecked_enqueue(implied, Some(w.cref));
             }
-            self.tern_watches[pcode] = terns;
+            for bi in 0..self.bin_watches[pcode].len() {
+                let w = self.bin_watches[pcode][bi];
+                if self.visit_bin(w) {
+                    self.qhead = self.trail.len();
+                    return Some(w.cref);
+                }
+            }
 
+            // Ternary clauses next, table then list, in attach order. Like
+            // the binary list the ternary one is never mutated during the
+            // scan.
+            for &w in table.terns.get(pcode) {
+                if self.visit_tern(w) {
+                    self.qhead = self.trail.len();
+                    return Some(w.cref);
+                }
+            }
+            for ti in 0..self.tern_watches[pcode].len() {
+                let w = self.tern_watches[pcode][ti];
+                if self.visit_tern(w) {
+                    self.qhead = self.trail.len();
+                    return Some(w.cref);
+                }
+            }
+
+            // Long clauses last; most literals watch none of them.
+            if self.watches[pcode].is_empty() {
+                continue;
+            }
             let false_lit = !p;
             let mut watchers = std::mem::take(&mut self.watches[pcode]);
             let num_watchers = watchers.len();
@@ -181,19 +320,74 @@ impl Solver {
         None
     }
 
-    pub(super) fn attach_clause(&mut self, cref: ClauseRef) {
+    /// A binary clause seen from its falsified literal: enqueues `other`
+    /// when it is open; `true` when it is false (a conflict).
+    #[inline(always)]
+    fn visit_bin(&mut self, w: BinWatcher) -> bool {
+        match self.lit_value(w.other) {
+            Value::True => false,
+            Value::False => true,
+            Value::Unassigned => {
+                self.unchecked_enqueue(w.other, Some(w.cref));
+                false
+            }
+        }
+    }
+
+    /// A ternary clause seen from its falsified literal, decided by its
+    /// other two, both inline: enqueues the open one when the other is
+    /// false; `true` when both are false (a conflict). The product of their
+    /// value bytes is 1 for false·false, 2 for false·unassigned and 0 or 4
+    /// when either is true or both are open — one well-predicted branch for
+    /// the visits, about nine in ten, that have nothing to do.
+    #[inline(always)]
+    fn visit_tern(&mut self, w: TernWatcher) -> bool {
+        let product = self.value_byte(w.a) * self.value_byte(w.b);
+        if !matches!(product, 1 | 2) {
+            return false;
+        }
+        if product == 1 {
+            return true;
+        }
+        let implied = if self.lit_value(w.a) == Value::False {
+            w.b
+        } else {
+            w.a
+        };
+        self.unchecked_enqueue(implied, Some(w.cref));
+        false
+    }
+
+    /// Attaches a clause to its watch family. While the formula loads
+    /// (`loading`), an original's binary and ternary watchers go to the
+    /// table; a literal whose run there is full (a longer clause that root
+    /// assignments shortened) takes that watcher and every later one in its
+    /// list instead, so table then list stays attach order.
+    pub(super) fn attach_clause(&mut self, cref: ClauseRef, loading: bool) {
         debug_assert!(self.db.len_of(cref) >= 2);
         let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
+        let mut table = if loading {
+            self.table.as_mut().and_then(Arc::get_mut)
+        } else {
+            None
+        };
         match self.db.len_of(cref) {
             2 => {
-                self.bin_watches[(!l0).code()].push(BinWatcher { cref, other: l1 });
-                self.bin_watches[(!l1).code()].push(BinWatcher { cref, other: l0 });
+                for (l, other) in [(l0, l1), (l1, l0)] {
+                    let code = (!l).code();
+                    let w = BinWatcher { cref, other };
+                    let tabled = table.as_deref_mut().map(|t| &mut t.bins);
+                    place(&mut self.bin_watches[code], tabled, code, w);
+                }
             }
             3 => {
                 let l2 = self.db.lit(cref, 2);
-                self.tern_watches[(!l0).code()].push(TernWatcher { cref, a: l1, b: l2 });
-                self.tern_watches[(!l1).code()].push(TernWatcher { cref, a: l0, b: l2 });
-                self.tern_watches[(!l2).code()].push(TernWatcher { cref, a: l0, b: l1 });
+                for (l, a, b) in [(l0, l1, l2), (l1, l0, l2), (l2, l0, l1)] {
+                    let code = (!l).code();
+                    let w = TernWatcher { cref, a, b };
+                    let tabled = table.as_deref_mut().map(|t| &mut t.terns);
+                    place(&mut self.tern_watches[code], tabled, code, w);
+                }
             }
             _ => {
                 self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
@@ -203,6 +397,8 @@ impl Solver {
     }
 
     pub(super) fn detach_clause(&mut self, cref: ClauseRef) {
+        // Only learnt clauses are detached, and the table holds none.
+        debug_assert!(self.db.is_learnt(cref));
         let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
         match self.db.len_of(cref) {
             2 => {
@@ -219,5 +415,14 @@ impl Solver {
                 self.watches[(!l1).code()].retain(|w| w.cref != cref);
             }
         }
+    }
+}
+
+/// Puts `w` in the table's run of `code` when there is one with a free slot,
+/// else in the list. A full run stays full, so once a literal's list takes a
+/// loaded watcher it takes every later one.
+fn place<T: Copy>(list: &mut Vec<T>, table: Option<&mut FlatLists<T>>, code: usize, w: T) {
+    if !table.is_some_and(|t| t.push(code, w)) {
+        list.push(w);
     }
 }

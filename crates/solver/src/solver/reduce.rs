@@ -66,8 +66,14 @@ impl Solver {
     /// Compacts the clause arena and rewrites every stored [`ClauseRef`]
     /// through the relocation table: watch lists (long, binary and ternary),
     /// the original/learnt rosters, and reason slots of assigned variables.
+    /// The shared watch table needs none: its clauses were loaded before any
+    /// learnt one and are never deleted, so nothing ahead of them moves.
     pub(super) fn collect_garbage(&mut self) {
         let reloc = self.db.collect();
+        debug_assert!(self
+            .table()
+            .crefs()
+            .all(|cref| reloc.new_ref(cref) == Some(cref)));
         let relocate = |cref: &mut ClauseRef| match reloc.new_ref(*cref) {
             Some(nc) => {
                 *cref = nc;

@@ -4,7 +4,10 @@
 //! participation, DRAT stream — from that of a solver built from scratch the
 //! way the template was. This is what lets the fresh oracle backend load a
 //! formula once and still hand every cube identical solver state; a field
-//! `clone_from` forgets to copy shows up here as a diverging counter.
+//! `clone_from` forgets to copy shows up here as a diverging counter. The
+//! formulas cover clauses of two, three and more literals (long originals
+//! have their watched literals swapped in the arena by a solve), and one
+//! dirt compacts the arena, so learnt watchers and reasons relocate.
 
 use pdsat_ciphers::{Bivium, InstanceBuilder};
 use pdsat_cnf::{Cnf, Cube, Var};
@@ -19,9 +22,12 @@ enum Dirt {
     ConflictCutOff,
     RaisedInterrupt,
     RootUnsat,
+    ReduceAndCollect,
 }
 
-fn dirty(working: &mut Solver, dirt: Dirt, cube: &Cube) {
+/// Leaves `working` dirty; returns the garbage collections that took.
+fn dirty(working: &mut Solver, dirt: Dirt, cube: &Cube) -> u64 {
+    let collections = working.stats().gc_runs;
     match dirt {
         Dirt::FullSolve => {
             let _ = working.solve_with_assumptions(cube.lits());
@@ -48,13 +54,26 @@ fn dirty(working: &mut Solver, dirt: Dirt, cube: &Cube) {
             working.add_clause([!l]);
             assert!(!working.is_ok());
         }
+        Dirt::ReduceAndCollect => {
+            // Four learnt clauses trigger `reduce_db`, and any wasted arena
+            // word triggers a compaction.
+            working.set_test_policy(TestPolicy {
+                learnt_limit: Some(4),
+                garbage_frac: 0.0,
+                ..TestPolicy::default()
+            });
+            let _ = working.solve_with_assumptions(cube.lits());
+        }
     }
+    working.stats().gc_runs - collections
 }
 
 /// With proof logging off and on, over every kind of dirt: restore
 /// the one working solver from the template, solve a cube, and require the
-/// run to equal a from-scratch solver's run on the same cube.
-fn assert_restores_exactly(cnf: &Cnf, set: &[Var], label: &str) {
+/// run to equal a from-scratch solver's run on the same cube. Returns the
+/// garbage collections the dirt caused.
+fn assert_restores_exactly(cnf: &Cnf, set: &[Var], label: &str) -> u64 {
+    let mut collections = 0;
     let cubes: Vec<Cube> = (0..1u64 << set.len())
         .map(|bits| Cube::from_bits(set, bits))
         .collect();
@@ -71,11 +90,12 @@ fn assert_restores_exactly(cnf: &Cnf, set: &[Var], label: &str) {
             Dirt::ConflictCutOff,
             Dirt::RaisedInterrupt,
             Dirt::RootUnsat,
+            Dirt::ReduceAndCollect,
         ];
         for (i, &dirt) in dirts.iter().cycle().take(cubes.len().max(8)).enumerate() {
             let cube = &cubes[i % cubes.len()];
             let context = format!("{label}, proof {proof}, {dirt:?}, cube {i}");
-            dirty(&mut working, dirt, &cubes[(i + 3) % cubes.len()]);
+            collections += dirty(&mut working, dirt, &cubes[(i + 3) % cubes.len()]);
             working.clone_from(&template);
             // The UNSAT latch of the dirtying solve must not outlive it.
             assert_eq!(
@@ -102,6 +122,7 @@ fn assert_restores_exactly(cnf: &Cnf, set: &[Var], label: &str) {
             );
         }
     }
+    collections
 }
 
 #[test]
@@ -137,4 +158,27 @@ fn restored_solver_equals_a_rebuilt_one_on_weakened_bivium() {
         .build_random(&mut rng);
     let unknown = instance.unknown_state_vars();
     assert_restores_exactly(instance.cnf(), &unknown[..4], "bivium");
+}
+
+#[test]
+fn restored_solver_equals_a_rebuilt_one_on_long_clauses() {
+    // Clauses of two to six literals (a random formula's units would
+    // refute it at the root), and PHP(6 → 5), whose pigeon clauses have
+    // five literals and whose every cube is UNSAT after enough conflicts to
+    // reduce and compact the learnt clauses.
+    let mut rng = StdRng::seed_from_u64(0x1096);
+    let mut mixed = Cnf::new(30);
+    for clause in Cnf::random_cnf(30, 200, 6, &mut rng).iter() {
+        if clause.len() > 1 {
+            mixed.add_clause(clause.iter());
+        }
+    }
+    assert!(mixed.iter().any(|c| c.len() >= 5));
+    let set: Vec<Var> = (0..3).map(|i| Var::new(i * 7 + 2)).collect();
+    assert_restores_exactly(&mixed, &set, "random_cnf up to 6 literals");
+    let pigeons = Cnf::pigeonhole(6);
+    // Pigeon i in hole i, for the first four.
+    let set = [Var::new(0), Var::new(6), Var::new(12), Var::new(18)];
+    let collections = assert_restores_exactly(&pigeons, &set, "pigeonhole");
+    assert!(collections > 0, "no dirt compacted the arena");
 }
