@@ -146,15 +146,16 @@ pub fn check_model(cnf: &Cnf, assumptions: &[Lit], model: &Assignment) -> Result
 /// Checks a DRAT derivation that `cnf ∧ assumptions` is unsatisfiable.
 ///
 /// The calling thread keeps `cnf` loaded after the call, so the next
-/// certificate for the same formula (compared literal by literal, never
-/// hashed) is checked on a restored copy instead of a fresh load; a
-/// different formula replaces it. Results are those of a fresh load either
+/// certificate for the same formula is checked on a restored copy instead
+/// of a fresh load; a different formula replaces it. "The same" is a clone
+/// of `cnf` compared with `==`: the variable count, every literal and every
+/// clause boundary, never a hash. Results are those of a fresh load either
 /// way.
 ///
 /// Memory is bounded by the formula plus the proof: per-variable tables are
 /// sized by `cnf.num_vars()`, never by an index the certificate names.
-/// Between calls the thread holds the last formula three times over (its
-/// content, the loaded state, the working copy).
+/// Between calls the thread holds the last formula three times over (the
+/// `Cnf` clone, the loaded state, the working copy).
 ///
 /// # Errors
 ///
@@ -171,13 +172,13 @@ pub fn check_unsat_proof(
     proof: &DratProof,
 ) -> Result<CheckStats, CheckFailure> {
     LOADED.with_borrow_mut(|loaded| {
-        if loaded.as_ref().is_some_and(|l| !l.key.matches(cnf)) {
+        if loaded.as_ref().is_some_and(|l| l.cnf != *cnf) {
             *loaded = None; // free the old formula before loading the new one
         }
         let Loaded { base, working, .. } = match loaded {
             Some(loaded) => loaded,
             None => loaded.insert(Loaded {
-                key: FormulaKey::of(cnf),
+                cnf: cnf.clone(),
                 base: Checker::load(cnf)?,
                 working: Checker::default(),
             }),
@@ -194,51 +195,13 @@ thread_local! {
 
 /// One loaded formula and the copy of it certificates are checked on.
 struct Loaded {
-    key: FormulaKey,
+    /// The formula's exact content, compared with `==` (never hashed, so
+    /// two formulas cannot collide).
+    cnf: Cnf,
     /// The formula under root propagation, with no cube. Never checked on.
     base: Checker,
     /// Restored from `base` before every check.
     working: Checker,
-}
-
-/// The exact content of a formula: its variable count and every clause's
-/// literals in order, flattened (one allocation, not one per clause).
-struct FormulaKey {
-    num_vars: usize,
-    lits: Vec<Lit>,
-    /// Where each clause's literals end in `lits`.
-    ends: Vec<usize>,
-}
-
-impl FormulaKey {
-    fn of(cnf: &Cnf) -> FormulaKey {
-        let mut lits = Vec::with_capacity(cnf.num_literals());
-        let ends = cnf
-            .clauses()
-            .iter()
-            .map(|clause| {
-                lits.extend_from_slice(clause.lits());
-                lits.len()
-            })
-            .collect();
-        FormulaKey {
-            num_vars: cnf.num_vars(),
-            lits,
-            ends,
-        }
-    }
-
-    fn matches(&self, cnf: &Cnf) -> bool {
-        if self.num_vars != cnf.num_vars() || self.ends.len() != cnf.num_clauses() {
-            return false;
-        }
-        let mut start = 0;
-        cnf.clauses().iter().zip(&self.ends).all(|(clause, &end)| {
-            let same = clause.lits() == &self.lits[start..end];
-            start = end;
-            same
-        })
-    }
 }
 
 // Value bytes, one per literal code. An inline ternary visit multiplies the
@@ -410,8 +373,8 @@ impl Checker {
             bins: vec![Vec::new(); codes],
             terns: vec![Vec::new(); codes],
         };
-        for clause in cnf.clauses() {
-            let id = checker.push_clause(clause.lits())?;
+        for clause in cnf.iter() {
+            let id = checker.push_clause(clause)?;
             let distinct = checker.spans[id as usize].distinct();
             // An inline clause needs no check here: the trail is not
             // propagated yet, so root propagation below visits it from every

@@ -5,8 +5,9 @@
 //!   counters included — equals the same call made on a freshly spawned
 //!   thread, whose memo is cold, whatever was checked before it: valid after
 //!   rejected, rejected after valid, formulas A, B, A.
-//! * **Exact key.** A formula one clause, one literal or one variable away
-//!   from the loaded one is loaded anew, never answered from the memo.
+//! * **Exact key.** A formula one clause, one literal, one clause boundary
+//!   or one variable away from the loaded one is loaded anew, never answered
+//!   from the memo.
 //! * **Restored originals.** A certificate that deletes an original clause
 //!   leaves no trace in the loaded formula: the next check sees it live.
 
@@ -205,16 +206,14 @@ fn a_forged_deletion_of_an_original_does_not_outlive_its_check() {
         // ternaries sit in the shared inline lists, longer ones in the
         // two-watched lists.
         let mut lengths = Vec::new();
-        for clause in f.cnf.clauses() {
-            let len = clause.lits().len().min(4);
+        for clause in f.cnf.iter() {
+            let len = clause.len().min(4);
             if lengths.contains(&len) {
                 continue;
             }
             lengths.push(len);
             let mut forged = proof.clone();
-            forged
-                .steps
-                .insert(0, DratStep::Delete(clause.lits().to_vec()));
+            forged.steps.insert(0, DratStep::Delete(clause.to_vec()));
             let context = format!("{}, original of length {len} deleted", f.name);
             // Accepted or not, it must equal the cold check.
             let _ = warm(&f.cnf, cube, &forged, &context);
@@ -231,8 +230,8 @@ fn a_forged_deletion_of_an_original_does_not_outlive_its_check() {
 /// `cnf` with its clauses rebuilt through `edit`, over `num_vars` variables.
 fn edited(cnf: &Cnf, num_vars: usize, edit: impl Fn(usize, &mut Vec<Lit>) -> bool) -> Cnf {
     let mut out = Cnf::new(num_vars);
-    for (i, clause) in cnf.clauses().iter().enumerate() {
-        let mut lits = clause.lits().to_vec();
+    for (i, clause) in cnf.iter().enumerate() {
+        let mut lits = clause.to_vec();
         if edit(i, &mut lits) {
             out.add_clause(lits);
         }
@@ -258,7 +257,27 @@ fn a_formula_one_edit_away_is_never_answered_from_the_memo() {
         }
         true
     });
-    for (edit, a_prime) in [("dropped clause", &dropped), ("flipped literal", &flipped)] {
+    // The same literals in the same order, one clause boundary moved: pigeon
+    // 4's clause takes the first literal of the first hole conflict, so
+    // pigeon 4 may sit nowhere while pigeon 0 stays out of hole 0.
+    let pigeons = 5;
+    let mut moved = Cnf::new(a.num_vars());
+    for clause in a.iter().take(pigeons - 1) {
+        moved.add_clause(clause.iter().copied());
+    }
+    let (last_pigeon, first_conflict) = (a.clause(pigeons - 1), a.clause(pigeons));
+    moved.add_clause(last_pigeon.iter().chain(&first_conflict[..1]).copied());
+    moved.add_clause(first_conflict[1..].iter().copied());
+    for clause in a.iter().skip(pigeons + 1) {
+        moved.add_clause(clause.iter().copied());
+    }
+    assert!(moved.iter().flatten().eq(a.iter().flatten()));
+    assert_eq!(moved.num_clauses(), a.num_clauses());
+    for (edit, a_prime) in [
+        ("dropped clause", &dropped),
+        ("flipped literal", &flipped),
+        ("moved boundary", &moved),
+    ] {
         assert_eq!(a_prime.num_vars(), a.num_vars(), "{edit}");
         assert!(warm(&a, &[], &refutation, edit).is_ok(), "{edit}: A before");
         assert!(

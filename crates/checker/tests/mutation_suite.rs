@@ -233,8 +233,8 @@ fn model_mutations_are_rejected() {
         let mut c = Cnf::new(cnf.num_vars());
         // Keep only the square over {z,w} guarded by y; with ¬y everything
         // is satisfied, so the formula minus the forcing pair is SAT.
-        for clause in cnf.clauses().iter().skip(2) {
-            c.add_clause(clause.lits().iter().copied());
+        for clause in cnf.iter().skip(2) {
+            c.add_clause(clause.iter().copied());
         }
         c
     };
@@ -323,8 +323,8 @@ proptest! {
             // addition then has an empty database below it — its RUP check
             // cannot propagate, let alone conflict.
             let mut gutted = DratProof::new();
-            for clause in cnf.clauses() {
-                gutted.steps.push(DratStep::Delete(clause.lits().to_vec()));
+            for clause in cnf.iter() {
+                gutted.steps.push(DratStep::Delete(clause.to_vec()));
             }
             gutted.steps.extend(cert.steps.iter().cloned());
             prop_assert!(check_unsat_proof(&cnf, &[], &gutted).is_err());

@@ -67,11 +67,7 @@ fn propagate(clauses: &[(Vec<Lit>, bool)], values: &mut Values) -> bool {
 
 /// The reference forward check of `cnf ∧ cube ⊨ ⊥` by `proof`.
 fn reference(cnf: &Cnf, cube: &[Lit], proof: &DratProof) -> Verdict {
-    let mut clauses: Vec<(Vec<Lit>, bool)> = cnf
-        .clauses()
-        .iter()
-        .map(|c| (c.lits().to_vec(), true))
-        .collect();
+    let mut clauses: Vec<(Vec<Lit>, bool)> = cnf.iter().map(|c| (c.to_vec(), true)).collect();
     let mut values: Values = vec![None; cnf.num_vars()];
     let mut proven = propagate(&clauses, &mut values);
     for &lit in cube {
@@ -198,7 +194,7 @@ fn random_formula(rng: &mut StdRng) -> Cnf {
     for _ in 0..rng.gen_range(4 * num_vars..=6 * num_vars) {
         let earlier = cnf.num_clauses();
         if earlier > 0 && rng.gen_bool(0.05) {
-            let copy = cnf.clauses()[rng.gen_range(0..earlier)].lits().to_vec();
+            let copy = cnf.clause(rng.gen_range(0..earlier)).to_vec();
             cnf.add_clause(shuffled(rng, &copy));
         } else {
             let len = match rng.gen_range(0..100) {
@@ -241,7 +237,7 @@ fn random_check(rng: &mut StdRng, cnf: &Cnf) -> (Vec<Lit>, DratProof) {
     .steps
     .into_iter()
     .peekable();
-    let originals: Vec<Vec<Lit>> = cnf.clauses().iter().map(|c| c.lits().to_vec()).collect();
+    let originals: Vec<Vec<Lit>> = cnf.iter().map(<[Lit]>::to_vec).collect();
     let mut added: Vec<Vec<Lit>> = Vec::new();
     // The id in this proof of each solver addition placed so far.
     let mut placed: Vec<u32> = Vec::new();
@@ -327,11 +323,7 @@ fn without_hints(proof: &DratProof) -> DratProof {
 /// past the end of the whole proof, a clause deleted by then, or a clause
 /// added later.
 fn corrupted(rng: &mut StdRng, cnf: &Cnf, proof: &DratProof) -> DratProof {
-    let mut clauses: Vec<(Vec<Lit>, bool)> = cnf
-        .clauses()
-        .iter()
-        .map(|c| (c.lits().to_vec(), true))
-        .collect();
+    let mut clauses: Vec<(Vec<Lit>, bool)> = cnf.iter().map(|c| (c.to_vec(), true)).collect();
     let additions = proof.steps.iter().filter(|s| !s.is_delete()).count();
     let total = clauses.len() + additions;
     let mut steps = Vec::with_capacity(proof.steps.len());

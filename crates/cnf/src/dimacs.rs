@@ -100,9 +100,11 @@ impl From<std::io::Error> for ParseDimacsError {
 /// Parses a DIMACS CNF document from a reader.
 ///
 /// Comment lines (`c …`) and empty lines are skipped. The `p cnf` header is
-/// required. A clause count mismatch between the header and the body is
-/// tolerated (many real-world files get it wrong); variable references beyond
-/// the declared count are an error.
+/// optional, but when present it comes once and before every clause, so
+/// every literal is checked against the count it declares. A clause count
+/// mismatch between the header and the body is tolerated (many real-world
+/// files get it wrong); variable references beyond the declared count are an
+/// error.
 ///
 /// # Errors
 ///
@@ -138,6 +140,11 @@ pub fn parse<R: Read>(reader: R) -> Result<Cnf, ParseDimacsError> {
             let kind = parts.next();
             let vars = parts.next().and_then(|t| t.parse::<usize>().ok());
             let clauses = parts.next().and_then(|t| t.parse::<usize>().ok());
+            // A header after a literal or a second header would declare a
+            // count the literals read so far were never checked against.
+            if declared_vars.is_some() || !cnf.is_empty() || clause_open {
+                return Err(ParseDimacsError::InvalidHeader { line: line_no });
+            }
             match (kind, vars, clauses) {
                 (Some("cnf"), Some(v), Some(_)) => {
                     if v > MAX_VARS {
@@ -209,7 +216,7 @@ pub fn to_string(cnf: &Cnf) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "p cnf {} {}", cnf.num_vars(), cnf.num_clauses());
     for clause in cnf.iter() {
-        for lit in clause.iter() {
+        for lit in clause {
             let _ = write!(out, "{} ", lit.to_dimacs());
         }
         let _ = writeln!(out, "0");
@@ -228,15 +235,15 @@ mod tests {
         let cnf = parse_str("c hello\np cnf 3 2\n1 -2 0\n3 0\n").unwrap();
         assert_eq!(cnf.num_vars(), 3);
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(cnf.clauses()[0].lits()[1], Lit::negative(Var::new(1)));
+        assert_eq!(cnf.clause(0)[1], Lit::negative(Var::new(1)));
     }
 
     #[test]
     fn parses_clause_spanning_lines_and_multiple_clauses_per_line() {
         let cnf = parse_str("p cnf 3 2\n1 2\n3 0 -1 0\n").unwrap();
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(cnf.clauses()[0].len(), 3);
-        assert_eq!(cnf.clauses()[1].len(), 1);
+        assert_eq!(cnf.clause(0).len(), 3);
+        assert_eq!(cnf.clause(1).len(), 1);
     }
 
     #[test]
@@ -339,6 +346,33 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_header_after_a_clause() {
+        // The clause before the header was never checked against its count.
+        assert!(matches!(
+            parse_str("1 -100 0\np cnf 5 1\n"),
+            Err(ParseDimacsError::InvalidHeader { line: 2 })
+        ));
+        // Nor is an open clause: its first literals came before the header.
+        assert!(matches!(
+            parse_str("1 -100\np cnf 5 1\n0\n"),
+            Err(ParseDimacsError::InvalidHeader { line: 2 })
+        ));
+    }
+
+    #[test]
+    fn rejects_a_second_header() {
+        // Re-declaring the count would admit literals the first one refuses.
+        assert!(matches!(
+            parse_str("p cnf 5 1\n1 2 0\np cnf 200 1\n150 0\n"),
+            Err(ParseDimacsError::InvalidHeader { line: 3 })
+        ));
+        assert!(matches!(
+            parse_str("p cnf 5 1\np cnf 5 1\n1 0\n"),
+            Err(ParseDimacsError::InvalidHeader { line: 2 })
+        ));
+    }
+
+    #[test]
     fn rejects_non_numeric_garbage_and_overflow() {
         assert!(matches!(
             parse_str("p cnf 2 1\n1 99999999999999999999999 0\n"),
@@ -377,7 +411,7 @@ mod tests {
         // between tokens are all legal separators.
         let cnf = parse_str("p cnf 3 99\n  1\t-2   3 0\n").unwrap();
         assert_eq!(cnf.num_clauses(), 1);
-        assert_eq!(cnf.clauses()[0].len(), 3);
+        assert_eq!(cnf.clause(0).len(), 3);
     }
 
     #[test]
@@ -387,7 +421,7 @@ mod tests {
         let text = to_string(&cnf);
         let parsed = parse_str(&text).unwrap();
         assert_eq!(parsed.num_clauses(), 1);
-        assert!(parsed.clauses()[0].is_empty());
+        assert!(parsed.clause(0).is_empty());
     }
 
     #[test]
@@ -412,8 +446,7 @@ mod tests {
             }
             let text = to_string(&cnf);
             let parsed = parse_str(&text).unwrap();
-            prop_assert_eq!(parsed.num_vars(), cnf.num_vars());
-            prop_assert_eq!(parsed.clauses(), cnf.clauses());
+            prop_assert_eq!(parsed, cnf);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! CNF formulas.
 
-use crate::{Assignment, Clause, Cube, Lit, Value, Var};
+use crate::{Assignment, Cube, Lit, Value, Var};
 use rand::Rng;
 use std::fmt;
 
@@ -8,7 +8,10 @@ use std::fmt;
 ///
 /// The formula owns its clauses; it is the exchange format between the
 /// encoders (`pdsat-circuit` / `pdsat-ciphers`), the solver and the
-/// partitioning machinery.
+/// partitioning machinery. The clauses are stored back to back in one
+/// literal array, with one end offset per clause: clause `i` is
+/// `lits[ends[i - 1]..ends[i]]` (from 0 for the first), so a formula is two
+/// allocations however many clauses it has, and a copy is two memcpys.
 ///
 /// # Example
 ///
@@ -23,7 +26,10 @@ use std::fmt;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cnf {
     num_vars: usize,
-    clauses: Vec<Clause>,
+    /// Every clause's literals, in clause order.
+    lits: Vec<Lit>,
+    /// Where each clause's literals end in `lits`.
+    ends: Vec<usize>,
 }
 
 impl Cnf {
@@ -32,7 +38,8 @@ impl Cnf {
     pub fn new(num_vars: usize) -> Cnf {
         Cnf {
             num_vars,
-            clauses: Vec::new(),
+            lits: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
@@ -126,25 +133,40 @@ impl Cnf {
     /// Number of clauses.
     #[must_use]
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.ends.len()
     }
 
     /// Total number of literal occurrences.
     #[must_use]
     pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(Clause::len).sum()
+        self.lits.len()
     }
 
     /// `true` when the formula has no clauses (and is trivially satisfiable).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
+        self.ends.is_empty()
     }
 
-    /// The clauses of the formula.
+    /// The literals of clause `i`, in the order they were added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.num_clauses()`.
     #[must_use]
-    pub fn clauses(&self) -> &[Clause] {
-        &self.clauses
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.lits[start..self.ends[i]]
+    }
+
+    /// Iterates over the clauses in order, each as its literals.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Lit]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let clause = &self.lits[start..end];
+            start = end;
+            clause
+        })
     }
 
     /// Grows the variable range to at least `num_vars`.
@@ -161,19 +183,12 @@ impl Cnf {
 
     /// Adds a clause, growing the variable range if needed.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) {
-        let clause = Clause::from_lits(lits);
-        if let Some(max) = clause.max_var_index() {
+        let start = self.lits.len();
+        self.lits.extend(lits);
+        if let Some(max) = self.lits[start..].iter().map(|l| l.var().index()).max() {
             self.ensure_vars(max + 1);
         }
-        self.clauses.push(clause);
-    }
-
-    /// Adds an already-built [`Clause`].
-    pub fn push_clause(&mut self, clause: Clause) {
-        if let Some(max) = clause.max_var_index() {
-            self.ensure_vars(max + 1);
-        }
-        self.clauses.push(clause);
+        self.ends.push(self.lits.len());
     }
 
     /// Adds a unit clause fixing `lit` to true.
@@ -184,12 +199,9 @@ impl Cnf {
     /// Appends all clauses of `other` (variable ranges are merged).
     pub fn append(&mut self, other: &Cnf) {
         self.ensure_vars(other.num_vars);
-        self.clauses.extend_from_slice(&other.clauses);
-    }
-
-    /// Iterates over the clauses.
-    pub fn iter(&self) -> impl Iterator<Item = &Clause> + '_ {
-        self.clauses.iter()
+        let offset = self.lits.len();
+        self.lits.extend_from_slice(&other.lits);
+        self.ends.extend(other.ends.iter().map(|end| offset + end));
     }
 
     /// All variables of the formula, `x_0 … x_{n-1}`.
@@ -205,12 +217,19 @@ impl Cnf {
     #[must_use]
     pub fn evaluate(&self, assignment: &Assignment) -> Value {
         let mut undecided = false;
-        for clause in &self.clauses {
-            match clause.evaluate(assignment) {
-                Value::False => return Value::False,
-                Value::Unassigned => undecided = true,
-                Value::True => {}
+        'clauses: for clause in self.iter() {
+            let mut open = false;
+            for &lit in clause {
+                match assignment.lit_value(lit) {
+                    Value::True => continue 'clauses,
+                    Value::False => {}
+                    Value::Unassigned => open = true,
+                }
             }
+            if !open {
+                return Value::False; // every literal false, or no literal at all
+            }
+            undecided = true;
         }
         if undecided {
             Value::Unassigned
@@ -241,16 +260,20 @@ impl Cnf {
             }
         }
         let mut out = Cnf::new(self.num_vars);
-        'clauses: for clause in &self.clauses {
-            let mut reduced = Clause::new();
-            for lit in clause.iter() {
+        'clauses: for clause in self.iter() {
+            let start = out.lits.len();
+            for &lit in clause {
                 match values[lit.var().index()] {
-                    Some(v) if v == lit.is_positive() => continue 'clauses, // clause satisfied
-                    Some(_) => {}                                           // literal falsified
-                    None => reduced.push(lit),
+                    Some(v) if v == lit.is_positive() => {
+                        // clause satisfied
+                        out.lits.truncate(start);
+                        continue 'clauses;
+                    }
+                    Some(_) => {} // literal falsified
+                    None => out.lits.push(lit),
                 }
             }
-            out.clauses.push(reduced);
+            out.ends.push(out.lits.len());
         }
         out
     }
@@ -303,30 +326,21 @@ impl Cnf {
     }
 }
 
-impl FromIterator<Clause> for Cnf {
-    fn from_iter<T: IntoIterator<Item = Clause>>(iter: T) -> Self {
-        let mut cnf = Cnf::new(0);
-        for clause in iter {
-            cnf.push_clause(clause);
-        }
-        cnf
-    }
-}
-
-impl Extend<Clause> for Cnf {
-    fn extend<T: IntoIterator<Item = Clause>>(&mut self, iter: T) {
-        for clause in iter {
-            self.push_clause(clause);
-        }
-    }
-}
-
 impl fmt::Display for Cnf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.clauses.is_empty() {
+        if self.is_empty() {
             return write!(f, "⊤");
         }
-        let parts: Vec<String> = self.clauses.iter().map(|c| c.to_string()).collect();
+        let parts: Vec<String> = self
+            .iter()
+            .map(|clause| match clause {
+                [] => "⊥".to_string(),
+                lits => {
+                    let lits: Vec<String> = lits.iter().map(Lit::to_string).collect();
+                    format!("({})", lits.join(" ∨ "))
+                }
+            })
+            .collect();
         write!(f, "{}", parts.join(" ∧ "))
     }
 }
@@ -344,9 +358,8 @@ mod tests {
     #[test]
     fn pigeonhole_lists_pigeon_clauses_then_hole_conflicts() {
         let clauses: Vec<Vec<i64>> = Cnf::pigeonhole(3)
-            .clauses()
             .iter()
-            .map(|c| c.iter().map(Lit::to_dimacs).collect())
+            .map(|c| c.iter().copied().map(Lit::to_dimacs).collect())
             .collect();
         let expected: [&[i64]; 9] = [
             &[1, 2],
@@ -397,7 +410,7 @@ mod tests {
         let cube = Cube::from_lits([lit(1)]);
         let simplified = cnf.assign_cube(&cube);
         assert_eq!(simplified.num_clauses(), 1);
-        assert_eq!(simplified.clauses()[0].lits(), &[lit(3)]);
+        assert_eq!(simplified.clause(0), &[lit(3)]);
         assert_eq!(simplified.num_vars(), 3);
     }
 
@@ -408,7 +421,7 @@ mod tests {
         let cube = Cube::from_lits([lit(-1)]);
         let simplified = cnf.assign_cube(&cube);
         assert_eq!(simplified.num_clauses(), 1);
-        assert!(simplified.clauses()[0].is_empty());
+        assert!(simplified.clause(0).is_empty());
         assert!(simplified.brute_force_model().is_none());
     }
 
@@ -435,7 +448,150 @@ mod tests {
         assert_eq!(a.num_clauses(), 2);
     }
 
+    #[test]
+    fn a_clause_evaluates_under_partial_assignment() {
+        let mut cnf = Cnf::new(2);
+        cnf.add_clause([lit(1), lit(-2)]);
+        let mut a = Assignment::new(2);
+        assert_eq!(cnf.evaluate(&a), Value::Unassigned);
+        a.assign(Var::new(0), false);
+        assert_eq!(cnf.evaluate(&a), Value::Unassigned);
+        a.assign(Var::new(1), true);
+        assert_eq!(cnf.evaluate(&a), Value::False);
+        a.assign(Var::new(1), false);
+        assert_eq!(cnf.evaluate(&a), Value::True);
+    }
+
+    #[test]
+    fn an_empty_clause_is_false() {
+        let mut cnf = Cnf::new(0);
+        assert_eq!(cnf.evaluate(&Assignment::new(0)), Value::True);
+        cnf.add_clause([]);
+        assert_eq!(cnf.num_clauses(), 1);
+        assert!(cnf.clause(0).is_empty());
+        assert_eq!(cnf.evaluate(&Assignment::new(0)), Value::False);
+    }
+
+    #[test]
+    fn display_is_readable() {
+        let mut cnf = Cnf::new(2);
+        assert_eq!(cnf.to_string(), "⊤");
+        cnf.add_clause([lit(1), lit(-2)]);
+        cnf.add_clause([lit(2)]);
+        cnf.add_clause([]);
+        assert_eq!(cnf.to_string(), "(x1 ∨ ¬x2) ∧ (x2) ∧ ⊥");
+    }
+
+    /// A formula as one `Vec` per clause, the layout the flat one replaces.
+    fn clause_list(codes: &[Vec<usize>]) -> Vec<Vec<Lit>> {
+        codes
+            .iter()
+            .map(|c| c.iter().map(|&code| Lit::from_code(code)).collect())
+            .collect()
+    }
+
+    /// The variable count a clause list needs: one past its largest index.
+    fn vars_of(clauses: &[Vec<Lit>]) -> usize {
+        clauses
+            .iter()
+            .flatten()
+            .map(|l| l.var().index() + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// `Value` of `clauses` under `assignment`, clause by clause.
+    fn evaluate_list(clauses: &[Vec<Lit>], assignment: &Assignment) -> Value {
+        let values: Vec<Value> = clauses
+            .iter()
+            .map(|c| {
+                let lits: Vec<Value> = c.iter().map(|&l| assignment.lit_value(l)).collect();
+                if lits.contains(&Value::True) {
+                    Value::True
+                } else if lits.contains(&Value::Unassigned) {
+                    Value::Unassigned
+                } else {
+                    Value::False
+                }
+            })
+            .collect();
+        if values.contains(&Value::False) {
+            Value::False
+        } else if values.contains(&Value::Unassigned) {
+            Value::Unassigned
+        } else {
+            Value::True
+        }
+    }
+
+    /// `cnf` holds exactly `clauses`, over `num_vars` variables.
+    fn assert_holds(cnf: &Cnf, clauses: &[Vec<Lit>], num_vars: usize) {
+        assert_eq!(cnf.num_vars(), num_vars);
+        assert_eq!(cnf.num_clauses(), clauses.len());
+        assert_eq!(cnf.is_empty(), clauses.is_empty());
+        assert_eq!(
+            cnf.num_literals(),
+            clauses.iter().map(Vec::len).sum::<usize>()
+        );
+        assert_eq!(cnf.iter().len(), clauses.len());
+        assert!(cnf.iter().eq(clauses.iter().map(Vec::as_slice)));
+        for (i, clause) in clauses.iter().enumerate() {
+            assert_eq!(cnf.clause(i), clause.as_slice());
+        }
+    }
+
     proptest! {
+        /// The flat formula answers every query as a list of clauses does,
+        /// empty clauses and units included.
+        #[test]
+        fn the_flat_formula_agrees_with_a_clause_list(
+            codes in prop::collection::vec(prop::collection::vec(0usize..16, 0..5), 0..12),
+            more in prop::collection::vec(prop::collection::vec(0usize..24, 0..4), 0..6),
+            cube in prop::collection::vec(0usize..20, 0..5),
+            values in prop::collection::vec(0u8..3, 12..13),
+        ) {
+            let clauses = clause_list(&codes);
+            let mut cnf = Cnf::new(0);
+            for clause in &clauses {
+                cnf.add_clause(clause.iter().copied());
+            }
+            assert_holds(&cnf, &clauses, vars_of(&clauses));
+
+            let others = clause_list(&more);
+            let mut other = Cnf::new(3);
+            for clause in &others {
+                other.add_clause(clause.iter().copied());
+            }
+            let mut appended = cnf.clone();
+            appended.append(&other);
+            let both: Vec<Vec<Lit>> = clauses.iter().chain(&others).cloned().collect();
+            let wide = vars_of(&clauses).max(vars_of(&others)).max(3);
+            assert_holds(&appended, &both, wide);
+
+            // A cube over distinct variables, some beyond the formula's.
+            let mut fixed: Vec<Lit> = Vec::new();
+            for lit in cube.into_iter().map(Lit::from_code) {
+                if fixed.iter().all(|f| f.var() != lit.var()) {
+                    fixed.push(lit);
+                }
+            }
+            let reduced: Vec<Vec<Lit>> = clauses
+                .iter()
+                .filter(|c| !c.iter().any(|l| fixed.contains(l)))
+                .map(|c| c.iter().copied().filter(|l| !fixed.contains(&!*l)).collect())
+                .collect();
+            let simplified = cnf.assign_cube(&Cube::from_lits(fixed));
+            assert_holds(&simplified, &reduced, cnf.num_vars());
+
+            let mut assignment = Assignment::new(cnf.num_vars());
+            for (i, &value) in values.iter().take(cnf.num_vars()).enumerate() {
+                if value > 0 {
+                    assignment.assign(Var::new(i as u32), value == 2);
+                }
+            }
+            prop_assert_eq!(cnf.evaluate(&assignment), evaluate_list(&clauses, &assignment));
+        }
+
         /// Splitting on any cube preserves the model count:
         /// #models(C) = Σ_α #models(C[X̃/α] ∧ cube-consistent extension).
         #[test]

@@ -5,9 +5,9 @@
 //! * [`Var`] and [`Lit`] — Boolean variables and literals with a compact
 //!   integer representation (the same encoding MiniSat uses: a literal is
 //!   `2·var + sign`).
-//! * [`Clause`] — a disjunction of literals.
 //! * [`Cnf`] — a formula in conjunctive normal form together with the number
-//!   of variables it ranges over.
+//!   of variables it ranges over; its clauses (disjunctions of literals)
+//!   are stored back to back in one literal array and read as `&[Lit]`.
 //! * [`Assignment`] — a partial assignment `X → {true, false, unassigned}`.
 //! * [`Cube`] — a conjunction of literals; fixing a cube over a decomposition
 //!   set produces one member of a decomposition family (one sub-problem of a
@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod assignment;
-mod clause;
 mod cube;
 pub mod dimacs;
 pub mod drat;
@@ -42,7 +41,6 @@ mod formula;
 mod var;
 
 pub use assignment::Assignment;
-pub use clause::Clause;
 pub use cube::Cube;
 pub use drat::{DratProof, DratStep};
 pub use formula::Cnf;

@@ -193,7 +193,7 @@ fn skewed_family() -> (Cnf, Vec<Cube>) {
     let hole = Cnf::pigeonhole(5);
     let mut cnf = Cnf::new(30);
     let selectors = [Lit::positive(Var::new(0)), Lit::positive(Var::new(1))];
-    for clause in hole.clauses() {
+    for clause in hole.iter() {
         let shifted = clause
             .iter()
             .map(|l| Var::new(l.var().raw() + 2).lit(l.is_positive()));

@@ -326,14 +326,14 @@ impl Solver {
             vec![0u32; 2 * cnf.num_vars()],
         ];
         for clause in cnf.iter().filter(|c| matches!(c.len(), 2 | 3)) {
-            for l in clause.iter() {
+            for &l in clause {
                 slots[clause.len() - 2][(!l).code()] += 1;
             }
         }
         solver.table = Some(Arc::new(WatchTable::with_slots(&slots[0], &slots[1])));
         drop(slots);
         for clause in cnf.iter() {
-            solver.add_clause_to(clause.iter(), true);
+            solver.add_clause_to(clause.iter().copied(), true);
         }
         if let Some(table) = solver.table.as_mut().and_then(Arc::get_mut) {
             table.seal();
@@ -1132,7 +1132,7 @@ mod tests {
             let ternaries = Cnf::random_3cnf(60, 250, &mut rng);
             let long = Cnf::random_cnf(60, 120, 5, &mut rng);
             for clause in ternaries.iter().chain(long.iter().filter(|c| c.len() > 3)) {
-                cnf.add_clause(clause.iter());
+                cnf.add_clause(clause.iter().copied());
             }
             let config = SolverConfig {
                 proof: true,
@@ -1142,7 +1142,7 @@ mod tests {
             let mut fed = Solver::with_config(config);
             fed.ensure_vars(cnf.num_vars());
             for clause in cnf.iter() {
-                fed.add_clause(clause.iter());
+                fed.add_clause(clause.iter().copied());
             }
             assert!(fed.table.is_none());
             overflowed += usize::from(

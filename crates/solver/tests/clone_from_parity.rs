@@ -170,7 +170,7 @@ fn restored_solver_equals_a_rebuilt_one_on_long_clauses() {
     let mut mixed = Cnf::new(30);
     for clause in Cnf::random_cnf(30, 200, 6, &mut rng).iter() {
         if clause.len() > 1 {
-            mixed.add_clause(clause.iter());
+            mixed.add_clause(clause.iter().copied());
         }
     }
     assert!(mixed.iter().any(|c| c.len() >= 5));

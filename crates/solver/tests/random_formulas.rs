@@ -17,7 +17,7 @@ fn brute_force_satisfied(cnf: &Cnf, model: &pdsat_cnf::Assignment) -> bool {
     cnf.iter().all(|clause| {
         clause
             .iter()
-            .any(|lit| model.lit_value(lit).to_bool() == Some(true))
+            .any(|&lit| model.lit_value(lit).to_bool() == Some(true))
     })
 }
 
@@ -76,7 +76,7 @@ fn holds(bits: u32, lit: Lit) -> bool {
 /// that shares nothing with the solver.
 fn brute_force_models(cnf: &Cnf) -> Vec<u32> {
     (0..1u32 << cnf.num_vars())
-        .filter(|&bits| cnf.iter().all(|c| c.iter().any(|l| holds(bits, l))))
+        .filter(|&bits| cnf.iter().all(|c| c.iter().any(|&l| holds(bits, l))))
         .collect()
 }
 

@@ -59,14 +59,16 @@
 //!    grid's one fault model is its simulated client population
 //!    (`ClientBehavior`), and the store's faults are bytes on disk that its
 //!    tests damage directly; the injected plan is the pool's alone.
-//! 9. **the checkpoint reader cannot panic**: the non-test code of
+//! 9. **the readers cannot panic**: the non-test code of
 //!    `crates/distrib/src/codec.rs`, which reads checkpoint text and store
-//!    files off disk, calls no `unwrap` / `expect`, invokes no `panic!`,
-//!    `unreachable!`, `todo!` or `unimplemented!`, and casts nothing with
-//!    `as` — numbers convert with `From` / `TryFrom`, so a model longer than
-//!    `u32::MAX` variables is an error rather than a truncated index.
-//!    Comments and the insides of string and character literals are not
-//!    code and are not searched.
+//!    files off disk, and of `crates/cnf/src/dimacs.rs`, which reads every
+//!    formula that comes from a file, calls no `unwrap` / `expect`, invokes
+//!    no `panic!`, `unreachable!`, `todo!` or `unimplemented!`, and casts
+//!    nothing with `as` — numbers convert with `From` / `TryFrom`, so a model
+//!    longer than `u32::MAX` variables is an error rather than a truncated
+//!    index. Comments and the insides of string and character literals are
+//!    not code and are not searched, and a `use … as _` import is not a
+//!    cast.
 //! 10. **the test policy stays in tests**: outside `crates/solver/src`, no
 //!     non-test code — `crates/*/src` before a file's `#[cfg(test)]`
 //!     module, `src/` and `examples/` — names `TestPolicy` or
@@ -112,7 +114,7 @@ fn lint() -> ExitCode {
     check_batches_borrow(&root, &mut errors);
     check_checker_stands_alone(&root, &mut errors);
     check_grid_faults_come_from_clients(&root, &mut errors);
-    check_checkpoint_reader_cannot_panic(&root, &mut errors);
+    check_readers_cannot_panic(&root, &mut errors);
     check_test_policy_stays_in_tests(&root, &mut errors);
 
     if errors.is_empty() {
@@ -549,29 +551,37 @@ fn check_grid_faults_come_from_clients(root: &Path, errors: &mut Vec<String>) {
     }
 }
 
-fn check_checkpoint_reader_cannot_panic(root: &Path, errors: &mut Vec<String>) {
-    let path = root.join("crates/distrib/src/codec.rs");
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            errors.push(format!("{}: unreadable: {e}", path.display()));
-            return;
-        }
-    };
-    let until = text
-        .lines()
-        .position(|line| line.trim() == "#[cfg(test)]")
-        .unwrap_or(usize::MAX);
-    let code = code_only(&text);
-    for (i, line) in code.lines().enumerate().take(until) {
-        for word in panicking_words(line) {
-            errors.push(format!(
-                "{}:{}: `{word}`: the checkpoint reader reads bytes from disk and must not \
-                 panic or truncate; return a `CheckpointError` and convert with `From` / \
-                 `TryFrom`",
-                rel(root, &path),
-                i + 1
-            ));
+fn check_readers_cannot_panic(root: &Path, errors: &mut Vec<String>) {
+    for (file, reader, error) in [
+        (
+            "crates/distrib/src/codec.rs",
+            "checkpoint",
+            "CheckpointError",
+        ),
+        ("crates/cnf/src/dimacs.rs", "DIMACS", "ParseDimacsError"),
+    ] {
+        let path = root.join(file);
+        let text = match std::fs::read_to_string(&path) {
+            Ok(t) => t,
+            Err(e) => {
+                errors.push(format!("{}: unreadable: {e}", path.display()));
+                continue;
+            }
+        };
+        let until = text
+            .lines()
+            .position(|line| line.trim() == "#[cfg(test)]")
+            .unwrap_or(usize::MAX);
+        let code = code_only(&text);
+        for (i, line) in code.lines().enumerate().take(until) {
+            for word in panicking_words(line) {
+                errors.push(format!(
+                    "{file}:{}: `{word}`: the {reader} reader reads bytes from disk and must \
+                     not panic or truncate; return a `{error}` and convert with `From` / \
+                     `TryFrom`",
+                    i + 1
+                ));
+            }
         }
     }
 }
@@ -598,10 +608,14 @@ fn check_test_policy_stays_in_tests(root: &Path, errors: &mut Vec<String>) {
 
 /// The words of one line of code that can panic or truncate: calls of
 /// `unwrap` / `expect`, the macros `panic!`, `unreachable!`, `todo!` and
-/// `unimplemented!`, and the `as` keyword. Whole identifiers only, so
-/// `unwrap_or` and `expected` pass.
+/// `unimplemented!`, and the `as` keyword — but not the `as _` of a `use`
+/// line, which imports a trait unnamed and casts nothing. Whole identifiers
+/// only, so `unwrap_or` and `expected` pass.
 fn panicking_words(line: &str) -> Vec<&'static str> {
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let import = ["use ", "pub use "]
+        .iter()
+        .any(|prefix| line.trim_start().starts_with(prefix));
     let mut found = Vec::new();
     let mut rest = line;
     while let Some(start) = rest.find(is_ident) {
@@ -612,6 +626,14 @@ fn panicking_words(line: &str) -> Vec<&'static str> {
         let banned = match word {
             "unwrap" => Some("unwrap"),
             "expect" => Some("expect"),
+            "as" if import
+                && after
+                    .trim_start()
+                    .strip_prefix('_')
+                    .is_some_and(|rest| !rest.starts_with(is_ident)) =>
+            {
+                None
+            }
             "as" => Some("as"),
             "panic" if bang => Some("panic!"),
             "unreachable" if bang => Some("unreachable!"),
@@ -949,11 +971,17 @@ mod tests {
     #[test]
     fn checkpoint_reader_refuses_panics_and_casts_in_code_only() {
         let root = std::env::temp_dir().join(format!("xtask-codec-{}", std::process::id()));
-        let src = root.join("crates/distrib/src");
-        std::fs::create_dir_all(&src).expect("temp tree");
-        let write = |text: &str| std::fs::write(src.join("codec.rs"), text).expect("write");
+        let readers = ["crates/distrib/src/codec.rs", "crates/cnf/src/dimacs.rs"];
+        let write = |text: &str| {
+            for file in readers {
+                let path = root.join(file);
+                std::fs::create_dir_all(path.parent().expect("a directory")).expect("temp tree");
+                std::fs::write(path, text).expect("write");
+            }
+        };
         write(
             "//! Never `unwrap`, never `as`: as said.\n\
+             use std::fmt::Write as _;\n\
              fn f(x: Option<u8>) -> u8 { x.unwrap_or(0) } // x.unwrap() as u8\n\
              fn g(line: &[u8]) -> String { format!(\"expected 17 fields, as \\\" written in '{}'\", 1) }\n\
              fn h<'a>(b: &'a [u8]) -> bool { b == b\"as\" || b[0] == b'\"' || b[0] == b'\\'' }\n\
@@ -962,7 +990,7 @@ mod tests {
              mod tests { fn t() { let _ = Some(1).unwrap() as u64; panic!(); } }\n",
         );
         let mut errors = Vec::new();
-        check_checkpoint_reader_cannot_panic(&root, &mut errors);
+        check_readers_cannot_panic(&root, &mut errors);
         assert_eq!(errors, Vec::<String>::new());
 
         write(
@@ -970,9 +998,10 @@ mod tests {
              fn f(x: Option<u8>) -> u32 { x.unwrap() as u32 }\n\
              fn g(r: Result<u8, ()>) -> u8 { r.expect(\"no\") }\n\
              fn h() { panic!(\"no\"); unreachable!(); todo!(); unimplemented!() }\n\
-             fn panic() { let todo = 1; }\n",
+             fn panic(x: u64) -> u32 { let todo = 1; x as _ }\n\
+             use std::io::Read as Input;\n",
         );
-        check_checkpoint_reader_cannot_panic(&root, &mut errors);
+        check_readers_cannot_panic(&root, &mut errors);
         std::fs::remove_dir_all(&root).expect("clean up");
         let found: Vec<(&str, &str)> = errors
             .iter()
@@ -984,18 +1013,31 @@ mod tests {
                 )
             })
             .collect();
+        let per_file = [
+            (2, "`unwrap`"),
+            (2, "`as`"),
+            (3, "`expect`"),
+            (4, "`panic!`"),
+            (4, "`unreachable!`"),
+            (4, "`todo!`"),
+            (4, "`unimplemented!`"),
+            (5, "`as`"),
+            (6, "`as`"),
+        ];
+        let expected: Vec<(String, &str)> = readers
+            .iter()
+            .flat_map(|file| {
+                per_file
+                    .iter()
+                    .map(move |&(line, word)| (format!("{file}:{line}"), word))
+            })
+            .collect();
         assert_eq!(
             found,
-            [
-                ("crates/distrib/src/codec.rs:1", "`as`"),
-                ("crates/distrib/src/codec.rs:2", "`unwrap`"),
-                ("crates/distrib/src/codec.rs:2", "`as`"),
-                ("crates/distrib/src/codec.rs:3", "`expect`"),
-                ("crates/distrib/src/codec.rs:4", "`panic!`"),
-                ("crates/distrib/src/codec.rs:4", "`unreachable!`"),
-                ("crates/distrib/src/codec.rs:4", "`todo!`"),
-                ("crates/distrib/src/codec.rs:4", "`unimplemented!`"),
-            ]
+            expected
+                .iter()
+                .map(|(at, word)| (at.as_str(), *word))
+                .collect::<Vec<_>>()
         );
     }
 
