@@ -27,6 +27,13 @@ pub struct Host {
 }
 
 impl Host {
+    /// The reference core: always on, perfectly reliable.
+    pub(crate) const REFERENCE: Host = Host {
+        speed: 1.0,
+        availability: 1.0,
+        reliability: 1.0,
+    };
+
     /// Effective throughput of the host relative to the reference core.
     #[must_use]
     pub fn effective_speed(&self) -> f64 {
@@ -70,8 +77,8 @@ pub fn synthetic_host_population(count: usize, seed: u64) -> Vec<Host> {
 }
 
 /// Probabilities and magnitudes of volunteer-client pathologies. Callers
-/// pick a preset — [`default`](ClientBehavior::default) (the chaotic
-/// volunteer) or [`ideal`](ClientBehavior::ideal) — and may adjust the churn.
+/// pick one of two presets: [`default`](ClientBehavior::default) (the
+/// chaotic volunteer) or [`ideal`](ClientBehavior::ideal).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientBehavior {
     /// Probability that a finished client takes a break before re-polling.
@@ -85,9 +92,9 @@ pub struct ClientBehavior {
     pub(crate) straggler_factor: f64,
     /// Probability that the client permanently leaves the grid (checked once
     /// per client; the departure instant is uniform in `[0, churn_horizon]`).
-    pub churn_prob: f64,
+    pub(crate) churn_prob: f64,
     /// Latest possible departure instant, seconds.
-    pub churn_horizon: f64,
+    pub(crate) churn_horizon: f64,
     /// Minimum outage after a result vanishes with its host before that host
     /// polls again, seconds.
     pub(crate) vanish_outage: f64,

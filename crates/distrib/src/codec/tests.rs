@@ -20,8 +20,8 @@ use super::reference::{self, Reference};
 use super::*;
 use crate::store::{crc32, CheckpointStore};
 use crate::{
-    synthetic_family_solver, ClientBehavior, Coordinator, CoordinatorConfig, LoopbackConfig,
-    LoopbackTransport, RunStatus,
+    synthetic_family_solver, Coordinator, CoordinatorConfig, LoopbackConfig, LoopbackTransport,
+    RunStatus,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -216,10 +216,7 @@ fn run_text() -> String {
         LoopbackConfig {
             num_clients: 6,
             seed: 5,
-            behavior: ClientBehavior::default(),
             poll_interval: 250.0,
-            replace_departed: true,
-            ideal_hosts: false,
         },
         synthetic_family_solver(4, costs, Some(4)),
     );

@@ -474,7 +474,7 @@ mod tests {
     use super::*;
     use crate::codec::CHECKPOINT_HEADER;
     use crate::transport::{synthetic_family_solver, ClientId, LoopbackConfig, LoopbackTransport};
-    use crate::ClientBehavior;
+    use crate::{ClientBehavior, ClientPopulation, GridTestPolicy};
     use pdsat_cnf::{Assignment, Var};
     use pdsat_core::FamilyCounters;
     use std::time::Duration;
@@ -487,10 +487,7 @@ mod tests {
         LoopbackConfig {
             num_clients: 12,
             seed,
-            behavior: ClientBehavior::default(),
             poll_interval: 300.0,
-            replace_departed: true,
-            ideal_hosts: false,
         }
     }
 
@@ -523,8 +520,9 @@ mod tests {
         assert!(stats.makespan > 0.0);
     }
 
-    #[test]
-    fn starves_without_replacement_when_every_client_churns() {
+    /// Runs a 400-cube family on four clients that all leave the grid
+    /// within `horizon` seconds, replacing them as `replace_departed` says.
+    fn run_on_churning_clients(horizon: f64, replace_departed: bool) -> (RunStatus, Coordinator) {
         let family = costs(400);
         let config = CoordinatorConfig {
             work_unit_size: 4,
@@ -533,23 +531,44 @@ mod tests {
         };
         let behavior = ClientBehavior {
             churn_prob: 1.0,
-            churn_horizon: 2_000.0,
+            churn_horizon: horizon,
             ..ClientBehavior::default()
         };
         let mut coordinator = Coordinator::new(2, family.len(), &config);
-        let mut transport = LoopbackTransport::new(
+        let mut transport = LoopbackTransport::with_test_policy(
             LoopbackConfig {
                 num_clients: 4,
                 seed: 9,
-                behavior,
                 poll_interval: 100.0,
-                replace_departed: false,
-                ideal_hosts: false,
+            },
+            GridTestPolicy {
+                population: ClientPopulation::Synthetic(behavior),
+                replace_departed,
             },
             synthetic_family_solver(2, family, None),
         );
-        assert_eq!(coordinator.run(&mut transport, None), RunStatus::Starved);
+        (coordinator.run(&mut transport, None), coordinator)
+    }
+
+    #[test]
+    fn starves_without_replacement_when_every_client_churns() {
+        let (status, coordinator) = run_on_churning_clients(2_000.0, false);
+        assert_eq!(status, RunStatus::Starved);
         assert!(coordinator.aggregate().is_none());
+    }
+
+    /// The departure instant is absolute, so a replacement that joins after
+    /// the horizon leaves at its first assignment: at 2,000 s no population
+    /// finishes. At 50,000 s the four first clients leave too early and
+    /// their replacements finish.
+    #[test]
+    fn completes_under_the_default_replacement_when_every_client_churns() {
+        let replace = GridTestPolicy::default().replace_departed;
+        let (status, coordinator) = run_on_churning_clients(50_000.0, replace);
+        assert_eq!(status, RunStatus::Complete);
+        assert!(coordinator.aggregate().is_some());
+        let (status, _) = run_on_churning_clients(50_000.0, false);
+        assert_eq!(status, RunStatus::Starved);
     }
 
     #[test]

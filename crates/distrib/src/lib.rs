@@ -55,6 +55,6 @@ pub use lease::{LeaseTable, ResultDisposition};
 pub use pdsat_checker::CheckFailure;
 pub use store::{crc32, CheckpointError, CheckpointStore};
 pub use transport::{
-    synthetic_family_solver, ClientId, ClientMsg, LoopbackConfig, LoopbackTransport, ServerMsg,
-    Timed, Transport, TransportStats, WorkUnit, WorkUnitId,
+    synthetic_family_solver, ClientId, ClientMsg, ClientPopulation, GridTestPolicy, LoopbackConfig,
+    LoopbackTransport, ServerMsg, Timed, Transport, TransportStats, WorkUnit, WorkUnitId,
 };

@@ -21,6 +21,7 @@ use crate::client::{synthetic_host_population, ClientBehavior, ClientFate, Host,
 use pdsat_core::SolveReport;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::Range;
 
 /// Identifier of a work unit: its index in the family's shard order.
 pub type WorkUnitId = u32;
@@ -102,26 +103,19 @@ pub trait Transport {
     fn recv(&mut self) -> Option<Timed<ClientMsg>>;
 }
 
-/// Configuration of the [`LoopbackTransport`]'s simulated client population.
+/// Configuration of the [`LoopbackTransport`]'s simulated client population:
+/// hosts from [`synthetic_host_population`], every client the chaotic
+/// volunteer of [`ClientBehavior::default`], and every departed client
+/// replaced by a fresh one, so the grid never starves — SAT@home's
+/// population was likewise self-renewing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoopbackConfig {
     /// Number of simulated volunteer clients.
     pub num_clients: usize,
     /// Seed of every stochastic client decision.
     pub seed: u64,
-    /// Client behaviour model (gaps, churn, stragglers, duplicates, losses).
-    pub behavior: ClientBehavior,
     /// Delay before re-polling after a [`ServerMsg::NoWork`] reply, seconds.
     pub poll_interval: f64,
-    /// When `true`, every departed client (churn) is replaced by a fresh one,
-    /// so the grid never starves. SAT@home's population was likewise
-    /// self-renewing.
-    pub replace_departed: bool,
-    /// When `true`, all hosts are identical reference cores that are always
-    /// on and perfectly reliable (for the parity test against
-    /// [`simulate_cluster`](crate::simulate_cluster)); otherwise hosts come
-    /// from [`synthetic_host_population`].
-    pub ideal_hosts: bool,
 }
 
 impl Default for LoopbackConfig {
@@ -129,10 +123,57 @@ impl Default for LoopbackConfig {
         LoopbackConfig {
             num_clients: 16,
             seed: 0,
-            behavior: ClientBehavior::default(),
             poll_interval: 600.0,
+        }
+    }
+}
+
+/// Who the clients of a loopback grid under test are.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ClientPopulation {
+    /// Hosts from [`synthetic_host_population`], every client behaving as
+    /// given.
+    Synthetic(ClientBehavior),
+    /// Identical reference cores, always on and perfectly reliable, whose
+    /// clients behave [ideally](ClientBehavior::ideal): the grid of the
+    /// parity test against [`simulate_cluster`](crate::simulate_cluster).
+    Ideal,
+}
+
+impl ClientPopulation {
+    /// The clients `ids` of a grid seeded with `seed`, on hosts drawn from
+    /// `host_seed`.
+    fn clients(self, ids: Range<usize>, host_seed: u64, seed: u64) -> Vec<VolunteerClient> {
+        let (hosts, behavior) = match self {
+            ClientPopulation::Synthetic(behavior) => {
+                (synthetic_host_population(ids.len(), host_seed), behavior)
+            }
+            ClientPopulation::Ideal => (vec![Host::REFERENCE; ids.len()], ClientBehavior::ideal()),
+        };
+        ids.zip(hosts)
+            .map(|(id, host)| VolunteerClient::new(id, host, behavior, seed))
+            .collect()
+    }
+}
+
+/// What only tests vary about the loopback grid, given to
+/// `LoopbackTransport::with_test_policy`. The [`Default`] is the population
+/// [`LoopbackConfig`] describes.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GridTestPolicy {
+    /// The hosts and how their clients behave.
+    pub population: ClientPopulation,
+    /// Replace every departed client (churn) by a fresh one.
+    pub replace_departed: bool,
+}
+
+impl Default for GridTestPolicy {
+    fn default() -> Self {
+        GridTestPolicy {
+            population: ClientPopulation::Synthetic(ClientBehavior::default()),
             replace_departed: true,
-            ideal_hosts: false,
         }
     }
 }
@@ -203,6 +244,7 @@ pub struct LoopbackTransport<F> {
     solver: F,
     unit_cache: HashMap<WorkUnitId, SolveReport>,
     config: LoopbackConfig,
+    policy: GridTestPolicy,
     stats: TransportStats,
 }
 
@@ -218,29 +260,21 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> LoopbackTransport<F> {
     ///
     /// Panics if `config.num_clients` is zero.
     pub fn new(config: LoopbackConfig, solver: F) -> LoopbackTransport<F> {
+        LoopbackTransport::with_test_policy(config, GridTestPolicy::default(), solver)
+    }
+
+    /// [`new`](LoopbackTransport::new) under a test policy: another client
+    /// population, no replacement of departed clients.
+    #[doc(hidden)]
+    pub fn with_test_policy(
+        config: LoopbackConfig,
+        policy: GridTestPolicy,
+        solver: F,
+    ) -> LoopbackTransport<F> {
         assert!(config.num_clients > 0, "the grid needs at least one client");
-        let hosts: Vec<Host> = if config.ideal_hosts {
-            vec![
-                Host {
-                    speed: 1.0,
-                    availability: 1.0,
-                    reliability: 1.0,
-                };
-                config.num_clients
-            ]
-        } else {
-            synthetic_host_population(config.num_clients, config.seed)
-        };
-        let behavior = if config.ideal_hosts {
-            ClientBehavior::ideal()
-        } else {
-            config.behavior
-        };
-        let clients: Vec<VolunteerClient> = hosts
-            .into_iter()
-            .enumerate()
-            .map(|(id, host)| VolunteerClient::new(id, host, behavior, config.seed))
-            .collect();
+        let clients = policy
+            .population
+            .clients(0..config.num_clients, config.seed, config.seed);
         let mut transport = LoopbackTransport {
             clients,
             queue: BinaryHeap::new(),
@@ -248,6 +282,7 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> LoopbackTransport<F> {
             solver,
             unit_cache: HashMap::new(),
             config,
+            policy,
             stats: TransportStats::default(),
         };
         for id in 0..transport.clients.len() {
@@ -272,22 +307,10 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> LoopbackTransport<F> {
     /// to the replacement slot, keeping the grid alive under churn.
     fn spawn_replacement(&mut self, now: f64) {
         let id = self.clients.len();
-        let host = if self.config.ideal_hosts {
-            Host {
-                speed: 1.0,
-                availability: 1.0,
-                reliability: 1.0,
-            }
-        } else {
-            synthetic_host_population(1, self.config.seed ^ (0xD15C_0000 + id as u64))[0]
-        };
-        let behavior = if self.config.ideal_hosts {
-            ClientBehavior::ideal()
-        } else {
-            self.config.behavior
-        };
-        self.clients
-            .push(VolunteerClient::new(id, host, behavior, self.config.seed));
+        let host_seed = self.config.seed ^ (0xD15C_0000 + id as u64);
+        let population = self.policy.population;
+        let replacement = population.clients(id..id + 1, host_seed, self.config.seed);
+        self.clients.extend(replacement);
         self.push(
             now + self.config.poll_interval,
             ClientMsg::RequestWork { client: id },
@@ -321,7 +344,7 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> Transport for LoopbackTransport<F> {
                 match fate {
                     ClientFate::Departed => {
                         self.stats.departures += 1;
-                        if self.config.replace_departed {
+                        if self.policy.replace_departed {
                             self.spawn_replacement(now);
                         }
                     }

@@ -81,7 +81,6 @@ fn fixed_run() -> Coordinator {
             num_clients: 48,
             seed: 7,
             poll_interval: 200.0,
-            ..LoopbackConfig::default()
         },
         synthetic_family_solver(3, costs, Some(23)),
     );

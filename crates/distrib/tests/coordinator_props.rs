@@ -20,8 +20,8 @@
 //! its files on disk.
 
 use pdsat_distrib::{
-    synthetic_family_solver, ClientBehavior, Coordinator, CoordinatorCheckpoint, CoordinatorConfig,
-    LoopbackConfig, LoopbackTransport, RunStatus,
+    synthetic_family_solver, ClientBehavior, ClientPopulation, Coordinator, CoordinatorCheckpoint,
+    CoordinatorConfig, GridTestPolicy, LoopbackConfig, LoopbackTransport, RunStatus,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -41,10 +41,7 @@ fn chaotic(seed: u64, num_clients: usize) -> LoopbackConfig {
     LoopbackConfig {
         num_clients,
         seed,
-        behavior: ClientBehavior::default(),
         poll_interval: 250.0,
-        replace_departed: true,
-        ideal_hosts: false,
     }
 }
 
@@ -176,10 +173,11 @@ fn run_to_completion(
     behavior: ClientBehavior,
 ) -> CoordinatorCheckpoint {
     let mut coordinator = Coordinator::new(4, num_cubes, config);
-    let mut transport = LoopbackTransport::new(
-        LoopbackConfig {
-            behavior,
-            ..chaotic(seed, 8)
+    let mut transport = LoopbackTransport::with_test_policy(
+        chaotic(seed, 8),
+        GridTestPolicy {
+            population: ClientPopulation::Synthetic(behavior),
+            ..GridTestPolicy::default()
         },
         synthetic_family_solver(4, costs.to_vec(), Some(13)),
     );

@@ -9,8 +9,8 @@
 //! or lease bookkeeping shows up as a makespan difference here.
 
 use pdsat_distrib::{
-    simulate_cluster, synthetic_family_solver, ClusterConfig, Coordinator, CoordinatorConfig,
-    LoopbackConfig, LoopbackTransport, RunStatus,
+    simulate_cluster, synthetic_family_solver, ClientPopulation, ClusterConfig, Coordinator,
+    CoordinatorConfig, GridTestPolicy, LoopbackConfig, LoopbackTransport, RunStatus,
 };
 
 fn ragged_costs(n: usize) -> Vec<f64> {
@@ -40,13 +40,15 @@ fn parity_case(num_cubes: usize, work_unit_size: usize, num_hosts: usize) {
         lease_timeout: 1e12,
     };
     let mut coordinator = Coordinator::new(2, num_cubes, &config);
-    let mut transport = LoopbackTransport::new(
+    let mut transport = LoopbackTransport::with_test_policy(
         LoopbackConfig {
             num_clients: num_hosts,
             seed: 5,
             poll_interval: 1e9,
-            ideal_hosts: true,
-            ..LoopbackConfig::default()
+        },
+        GridTestPolicy {
+            population: ClientPopulation::Ideal,
+            ..GridTestPolicy::default()
         },
         synthetic_family_solver(2, costs.clone(), None),
     );

@@ -39,6 +39,8 @@ fn main() {
          (trail reuse, panic recovery):"
     );
     for (name, value) in FamilyCounters::NAMES.iter().zip(counters.values()) {
-        println!("  {name} = {value}");
+        if !FamilyCounters::RESERVED.contains(name) {
+            println!("  {name} = {value}");
+        }
     }
 }

@@ -169,7 +169,6 @@ pub fn run_sathome(workload: &ScaledWorkload, hosts: usize) -> SatHomeResult {
             num_clients: hosts,
             seed,
             poll_interval: 120.0,
-            ..LoopbackConfig::default()
         };
 
         // Every submitted result goes through the trust path at ingestion:

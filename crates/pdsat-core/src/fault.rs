@@ -6,9 +6,9 @@
 //! Nothing else reaches that code: an honest backend does not panic. A
 //! [`FaultPlan`] is a seeded, value-typed schedule of injection points
 //! ("panic on the nth cube solve", "fail the first k respawns") that the
-//! pool's chaos suites feed in through
-//! [`BatchConfig::fault_plan`](crate::BatchConfig::fault_plan), asserting
-//! outcome-for-outcome equality with a fault-free reference run.
+//! pool's chaos suites feed in through the hidden test policy of
+//! `CubeOracle::with_test_policy`, asserting outcome-for-outcome equality
+//! with a fault-free reference run.
 //!
 //! The other layers need no injected plan. The grid's faults come from its
 //! simulated client population (`pdsat_distrib::ClientBehavior`), and the
@@ -16,8 +16,8 @@
 //! directly.
 //!
 //! Injection points are counted by *ordinal* — the nth solve call across the
-//! whole pool, the nth respawn — through the shared atomic counters of a
-//! [`FaultState`]. Across pool threads the interleaving is
+//! whole pool, the nth respawn — through the shared atomic counters of an
+//! armed plan. Across pool threads the interleaving is
 //! scheduling-dependent, which is fine for chaos testing: the asserted
 //! outcomes are scheduling-independent.
 
@@ -52,12 +52,6 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl FaultPlan {
-    /// The empty plan: no faults anywhere.
-    #[must_use]
-    pub fn none() -> FaultPlan {
-        FaultPlan::default()
-    }
-
     /// `true` when the plan injects nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -91,7 +85,7 @@ impl FaultPlan {
     /// Arms the plan: wraps it in the shared mutable state (atomic ordinal
     /// counters) every pool worker consumes it through.
     #[must_use]
-    pub fn arm(self) -> Arc<FaultState> {
+    pub(crate) fn arm(self) -> Arc<FaultState> {
         Arc::new(FaultState {
             plan: self,
             solves: AtomicU64::new(0),
@@ -104,7 +98,7 @@ impl FaultPlan {
 /// decide, per event, whether a fault fires. One `FaultState` is shared by
 /// every worker of one pool, so the ordinals count pool-wide events.
 #[derive(Debug)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     plan: FaultPlan,
     solves: AtomicU64,
     respawns: AtomicU64,
@@ -113,14 +107,14 @@ pub struct FaultState {
 impl FaultState {
     /// Counts one backend solve; `true` when this ordinal is scheduled to
     /// panic.
-    pub fn solve_should_panic(&self) -> bool {
+    pub(crate) fn solve_should_panic(&self) -> bool {
         let n = self.solves.fetch_add(1, Ordering::Relaxed);
         self.plan.solve_panics.contains(&n)
     }
 
     /// Counts one backend respawn attempt; `true` when it is scheduled to
     /// fail.
-    pub fn respawn_should_fail(&self) -> bool {
+    pub(crate) fn respawn_should_fail(&self) -> bool {
         let n = self.respawns.fetch_add(1, Ordering::Relaxed);
         n < self.plan.respawn_failures
     }
@@ -149,9 +143,8 @@ pub fn silence_injected_panics() {
 
 /// A backend decorator that consults the armed plan before every
 /// solve and panics at the scheduled ordinals — the pool-layer injection
-/// point. Built by the oracle whenever
-/// [`BatchConfig::fault_plan`](crate::BatchConfig::fault_plan) is non-empty
-/// (respawned backends are re-wrapped, so a respawned worker stays
+/// point. Built by the oracle whenever its test policy's fault plan is
+/// non-empty (respawned backends are re-wrapped, so a respawned worker stays
 /// injectable).
 pub(crate) struct FaultyBackend {
     inner: Box<dyn CubeBackend>,
@@ -246,8 +239,8 @@ mod tests {
 
     #[test]
     fn empty_plan_is_empty() {
-        assert!(FaultPlan::none().is_empty());
-        let state = FaultPlan::none().arm();
+        assert!(FaultPlan::default().is_empty());
+        let state = FaultPlan::default().arm();
         assert!(!state.solve_should_panic());
         assert!(!state.respawn_should_fail());
     }

@@ -113,8 +113,10 @@ pub use driver::{
 pub use estimator::{
     normal_cdf, normal_quantile, student_t_quantile, PredictiveEstimate, SampleStats,
 };
-pub use fault::{FaultPlan, FaultState};
-pub use oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, VerdictSummary};
+pub use fault::FaultPlan;
+pub use oracle::{
+    BackendKind, BatchConfig, BatchResult, CubeOracle, OracleTestPolicy, VerdictSummary,
+};
 pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};
 pub use restart::{RandomRestart, RandomRestartConfig};
 pub use search::{SearchLimits, SearchOutcome, SearchStep, StopCondition};

@@ -126,29 +126,13 @@ pub struct BatchConfig {
     /// backend is built by the worker that first drains it, and every batch
     /// wide enough drives each slot with a thread of its own (the calling
     /// thread drains the first stripe itself, so one worker spawns no thread
-    /// per batch). 0 means 1.
+    /// per batch). 0 means 1. Capped at the machine's available parallelism:
+    /// surplus threads only add context-switch and dispatch overhead, the
+    /// "more workers, slower solving" failure mode this executor prevents.
     pub num_workers: usize,
-    /// Cap the pool at the machine's available parallelism (default `true`).
-    /// A pool wider than the hardware cannot run faster — on an
-    /// oversubscribed machine the surplus threads only add context-switch
-    /// and dispatch overhead, which is exactly the "more workers, slower
-    /// solving" failure mode this executor exists to prevent. When the cap
-    /// brings the effective count to 1, the pool has one slot and every
-    /// batch runs on the calling thread. Disable only to force an exact
-    /// pool shape (scheduling tests, oversubscription experiments).
-    pub clamp_workers_to_cpus: bool,
     /// Which backend each worker runs (see [`BackendKind`] for the
     /// fresh-vs-warm trade-off).
     pub backend: BackendKind,
-    /// Deterministic fault injection for the worker pool (default: the empty
-    /// plan, which injects nothing and costs nothing). A non-empty plan is
-    /// armed when the oracle is built and wraps every pool backend — initial
-    /// and respawned — so the plan's scheduled solve panics and respawn
-    /// failures fire inside the workers, exercising the quarantine/respawn/
-    /// requeue machinery, whatever the number of workers. Chaos tests only;
-    /// the last-resort fallback is intentionally not injected (a panic there
-    /// propagates to the caller).
-    pub fault_plan: FaultPlan,
 }
 
 impl Default for BatchConfig {
@@ -157,11 +141,27 @@ impl Default for BatchConfig {
             solver_config: SolverConfig::default(),
             cost: CostMetric::default(),
             num_workers: 1,
-            clamp_workers_to_cpus: true,
             backend: BackendKind::Fresh,
-            fault_plan: FaultPlan::none(),
         }
     }
+}
+
+/// What only tests vary about an oracle, given to
+/// `CubeOracle::with_test_policy`. The [`Default`] is production: a pool no
+/// wider than the machine's available parallelism, and no faults.
+#[doc(hidden)]
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct OracleTestPolicy {
+    /// Build exactly `num_workers` slots, however few CPUs the machine has
+    /// (scheduling tests, oversubscription experiments).
+    pub exact_workers: bool,
+    /// Faults to inject, armed when the oracle is built and wrapped around
+    /// every pool backend — initial and respawned — so the plan's solve
+    /// panics and respawn failures fire inside the workers, exercising the
+    /// quarantine/respawn/requeue machinery, whatever the number of workers.
+    /// The last-resort fallback is intentionally not injected (a panic there
+    /// propagates to the caller).
+    pub faults: FaultPlan,
 }
 
 /// The executor that owns the formula and the worker pool of resident
@@ -231,8 +231,20 @@ impl CubeOracle {
     /// that first uses it, in the first batch wide enough to reach it.
     #[must_use]
     pub fn new(cnf: &Cnf, config: BatchConfig) -> CubeOracle {
+        CubeOracle::with_test_policy(cnf, config, OracleTestPolicy::default())
+    }
+
+    /// [`new`](CubeOracle::new) under a test policy: an exact pool shape,
+    /// injected faults.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_test_policy(
+        cnf: &Cnf,
+        config: BatchConfig,
+        policy: OracleTestPolicy,
+    ) -> CubeOracle {
         let mut workers = config.num_workers.max(1);
-        if config.clamp_workers_to_cpus {
+        if !policy.exact_workers {
             let hardware = std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1);
@@ -242,7 +254,7 @@ impl CubeOracle {
         // A non-empty fault plan is armed once per oracle; the workers share
         // its ordinal counters, so "panic on the nth solve" counts solves
         // across the whole pool.
-        let faults = (!config.fault_plan.is_empty()).then(|| config.fault_plan.clone().arm());
+        let faults = (!policy.faults.is_empty()).then(|| policy.faults.arm());
         let pool = WorkerPool::new(&spec, workers, faults.as_ref());
         CubeOracle {
             spec,
@@ -258,12 +270,6 @@ impl CubeOracle {
     #[must_use]
     pub fn cnf(&self) -> &Cnf {
         &self.spec.cnf
-    }
-
-    /// The configuration applied to every batch.
-    #[must_use]
-    pub fn config(&self) -> &BatchConfig {
-        &self.config
     }
 
     /// Number of resident workers executing batches: the pool size, at
@@ -422,8 +428,18 @@ mod tests {
         cnf
     }
 
+    /// An oracle with exactly `config.num_workers` slots: a real pool even
+    /// on a single-core machine.
+    fn exact(cnf: &Cnf, config: BatchConfig) -> CubeOracle {
+        let policy = OracleTestPolicy {
+            exact_workers: true,
+            ..OracleTestPolicy::default()
+        };
+        CubeOracle::with_test_policy(cnf, config, policy)
+    }
+
     fn batch(cnf: &Cnf, cubes: &[Cube], config: &BatchConfig) -> BatchResult {
-        CubeOracle::new(cnf, config.clone()).solve_batch(cubes, None)
+        exact(cnf, config.clone()).solve_batch(cubes, None)
     }
 
     #[test]
@@ -470,8 +486,6 @@ mod tests {
         };
         let par_config = BatchConfig {
             num_workers: 4,
-            // Force a real pool even on single-core test machines.
-            clamp_workers_to_cpus: false,
             ..seq_config.clone()
         };
         let seq = batch(&cnf, &cubes, &seq_config);
@@ -505,10 +519,9 @@ mod tests {
         for workers in [0usize, 1, 4] {
             let config = BatchConfig {
                 num_workers: workers,
-                clamp_workers_to_cpus: false,
                 ..BatchConfig::default()
             };
-            let mut oracle = CubeOracle::new(&cnf, config);
+            let mut oracle = exact(&cnf, config);
             assert_eq!(oracle.num_workers(), workers.max(1));
             let result = oracle.solve_batch(&[], None);
             assert!(result.costs.is_empty() && result.verdicts.is_empty());
@@ -532,10 +545,9 @@ mod tests {
         let config = BatchConfig {
             cost: CostMetric::Conflicts,
             num_workers: 8, // far more than cubes
-            clamp_workers_to_cpus: false,
             ..BatchConfig::default()
         };
-        let mut oracle = CubeOracle::new(&cnf, config);
+        let mut oracle = exact(&cnf, config);
         assert_eq!(oracle.num_workers(), 8);
         for _ in 0..3 {
             // Repeated short batches must neither hang the drain nor lose
@@ -561,11 +573,10 @@ mod tests {
             },
         );
         assert_eq!(clamped.num_workers(), 64.min(hardware).max(1));
-        let forced = CubeOracle::new(
+        let forced = exact(
             &cnf,
             BatchConfig {
                 num_workers: 3,
-                clamp_workers_to_cpus: false,
                 ..BatchConfig::default()
             },
         );
@@ -619,7 +630,6 @@ mod tests {
         let config = BatchConfig {
             cost: CostMetric::Conflicts,
             num_workers: 3,
-            clamp_workers_to_cpus: false,
             ..BatchConfig::default()
         };
         let a = batch(&cnf, &cubes, &config);

@@ -146,7 +146,6 @@ impl Evaluator {
             cost: config.cost,
             num_workers: config.num_workers,
             backend: config.backend,
-            ..BatchConfig::default()
         };
         Evaluator {
             oracle: CubeOracle::new(cnf, batch_config),

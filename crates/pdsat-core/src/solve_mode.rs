@@ -49,6 +49,7 @@ impl Default for SolveModeConfig {
 macro_rules! family_counters {
     (@from $stats:ident.$field:ident) => { $stats.$field };
     (@from $stats:ident.$field:ident reserved) => { 0 };
+    (@name $field:ident reserved) => { stringify!($field) };
     ($($(#[$doc:meta])* $field:ident $(: $reserved:ident)?,)*) => {
         /// The counters a family carries from the solvers that processed it
         /// to the report, the checkpoint and the result tables, each summed
@@ -62,6 +63,10 @@ macro_rules! family_counters {
             /// The counters' names, in [`values`](FamilyCounters::values)
             /// order.
             pub const NAMES: &'static [&'static str] = &[$(stringify!($field),)*];
+
+            /// The names of the reserved slots: counters no run fills.
+            pub const RESERVED: &'static [&'static str] =
+                &[$($(family_counters!(@name $field $reserved),)?)*];
 
             /// The counters' values, in declaration order.
             #[must_use]
@@ -260,7 +265,6 @@ impl FamilySolver {
             cost: config.cost,
             num_workers: config.num_workers,
             backend: config.backend,
-            ..BatchConfig::default()
         };
         FamilySolver {
             oracle: CubeOracle::new(cnf, batch_config),
@@ -351,6 +355,7 @@ fn report_from_batch(set: &DecompositionSet, batch: BatchResult) -> SolveReport 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OracleTestPolicy;
     use pdsat_cnf::{Lit, Var};
 
     fn config() -> SolveModeConfig {
@@ -358,6 +363,12 @@ mod tests {
             cost: CostMetric::Conflicts,
             ..SolveModeConfig::default()
         }
+    }
+
+    #[test]
+    fn the_reserved_counters_are_the_three_clause_exchange_slots() {
+        let exchange = ["exported_clauses", "imported_clauses", "import_dropped"];
+        assert_eq!(FamilyCounters::RESERVED, exchange);
     }
 
     #[test]
@@ -514,10 +525,14 @@ mod tests {
             let config = BatchConfig {
                 cost: CostMetric::Propagations,
                 num_workers: workers,
-                clamp_workers_to_cpus: false,
                 ..BatchConfig::default()
             };
-            let batch = CubeOracle::new(&cnf, config).solve_batch(&cubes, None);
+            let policy = OracleTestPolicy {
+                exact_workers: true,
+                ..OracleTestPolicy::default()
+            };
+            let batch =
+                CubeOracle::with_test_policy(&cnf, config, policy).solve_batch(&cubes, None);
             assert!(batch.verdicts.iter().all(Option::is_some), "{context}");
             let costs = batch.costs.clone();
             let column = batch.costs.as_ptr();

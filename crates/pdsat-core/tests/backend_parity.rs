@@ -17,7 +17,7 @@
 use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
-    FaultPlan, VerdictSummary,
+    FaultPlan, OracleTestPolicy, VerdictSummary,
 };
 use pdsat_solver::{InterruptFlag, SolverConfig};
 use rand::rngs::StdRng;
@@ -126,10 +126,11 @@ fn backends_agree_under_a_pre_raised_interrupt() {
                 cost: CostMetric::Conflicts,
                 backend,
                 num_workers: workers,
-                clamp_workers_to_cpus: false,
                 ..BatchConfig::default()
             };
-            let result = CubeOracle::new(&cnf, config).solve_batch(&cubes, Some(&flag));
+            let result =
+                CubeOracle::with_test_policy(&cnf, config, exact_workers(FaultPlan::default()))
+                    .solve_batch(&cubes, Some(&flag));
             let context = format!("{backend}, workers={workers}");
             assert_eq!(result.verdicts.len(), cubes.len(), "{context}");
             assert!(
@@ -203,6 +204,14 @@ fn fresh_fixture_family() -> (Cnf, Vec<Cube>) {
     (cnf, cubes)
 }
 
+/// A pool of exactly `num_workers` slots that injects `faults`.
+fn exact_workers(faults: FaultPlan) -> OracleTestPolicy {
+    OracleTestPolicy {
+        exact_workers: true,
+        faults,
+    }
+}
+
 fn fresh_fixture_oracle(
     cnf: &Cnf,
     cost: CostMetric,
@@ -217,10 +226,8 @@ fn fresh_fixture_oracle(
             ..SolverConfig::default()
         },
         num_workers: workers,
-        clamp_workers_to_cpus: false,
-        fault_plan,
     };
-    CubeOracle::new(cnf, config)
+    CubeOracle::with_test_policy(cnf, config, exact_workers(fault_plan))
 }
 
 fn assert_matches_fixture(result: &BatchResult, context: &str) {
@@ -238,8 +245,8 @@ fn assert_matches_fixture(result: &BatchResult, context: &str) {
 #[test]
 fn fresh_oracle_reproduces_the_rebuild_per_cube_fixture_batch_after_batch() {
     let (cnf, cubes) = fresh_fixture_family();
-    let mut oracle = fresh_fixture_oracle(&cnf, CostMetric::Propagations, 1, FaultPlan::none());
-    let mut counting = fresh_fixture_oracle(&cnf, CostMetric::Conflicts, 1, FaultPlan::none());
+    let mut oracle = fresh_fixture_oracle(&cnf, CostMetric::Propagations, 1, FaultPlan::default());
+    let mut counting = fresh_fixture_oracle(&cnf, CostMetric::Conflicts, 1, FaultPlan::default());
     for batch in 0..2 {
         let result = oracle.solve_batch(&cubes, None);
         let (sat, unsat, unknown) = result.verdict_counts();
@@ -258,7 +265,7 @@ fn fresh_oracle_reproduces_the_fixture_across_a_mid_family_solve_panic() {
     // a template of its own) re-solves the cube.
     let plan = FaultPlan {
         solve_panics: vec![6],
-        ..FaultPlan::none()
+        ..FaultPlan::default()
     };
     let mut oracle = fresh_fixture_oracle(&cnf, CostMetric::Propagations, 2, plan);
     let result = oracle.solve_batch(&cubes, None);

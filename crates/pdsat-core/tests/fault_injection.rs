@@ -6,7 +6,7 @@
 use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
-    FaultPlan,
+    FaultPlan, OracleTestPolicy,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,16 +18,23 @@ fn sample_cubes(cnf: &Cnf, set_size: usize, count: usize) -> Vec<Cube> {
     set.random_sample(count, &mut rng)
 }
 
-fn run_with_plan(cnf: &Cnf, cubes: &[Cube], workers: usize, plan: FaultPlan) -> BatchResult {
+/// A fresh-backend oracle of exactly `workers` slots, injecting `faults`.
+fn oracle(cnf: &Cnf, workers: usize, faults: FaultPlan) -> CubeOracle {
     let config = BatchConfig {
         cost: CostMetric::Conflicts,
         backend: BackendKind::Fresh,
         num_workers: workers,
-        clamp_workers_to_cpus: false,
-        fault_plan: plan,
         ..BatchConfig::default()
     };
-    CubeOracle::new(cnf, config).solve_batch(cubes, None)
+    let policy = OracleTestPolicy {
+        exact_workers: true,
+        faults,
+    };
+    CubeOracle::with_test_policy(cnf, config, policy)
+}
+
+fn run_with_plan(cnf: &Cnf, cubes: &[Cube], workers: usize, plan: FaultPlan) -> BatchResult {
+    oracle(cnf, workers, plan).solve_batch(cubes, None)
 }
 
 /// Asserts every per-cube observation matches between two runs.
@@ -44,7 +51,7 @@ fn injected_worker_panic_changes_no_observable_result() {
     let cnf = Cnf::pigeonhole(6);
     let cubes = sample_cubes(&cnf, 5, 24);
 
-    let reference = run_with_plan(&cnf, &cubes, 2, FaultPlan::none());
+    let reference = run_with_plan(&cnf, &cubes, 2, FaultPlan::default());
     assert_eq!(reference.verdicts.iter().flatten().count(), cubes.len());
     assert_eq!(reference.solver_stats.worker_panics, 0);
     assert_eq!(reference.solver_stats.requeued_cubes, 0);
@@ -55,7 +62,7 @@ fn injected_worker_panic_changes_no_observable_result() {
     // report must be indistinguishable from the fault-free run.
     let plan = FaultPlan {
         solve_panics: vec![0, 5, 11, 17],
-        ..FaultPlan::none()
+        ..FaultPlan::default()
     };
     let faulted = run_with_plan(&cnf, &cubes, 2, plan);
 
@@ -75,7 +82,7 @@ fn seeded_plans_reproduce_and_still_complete() {
     fault::silence_injected_panics();
     let cnf = Cnf::pigeonhole(6);
     let cubes = sample_cubes(&cnf, 5, 16);
-    let reference = run_with_plan(&cnf, &cubes, 3, FaultPlan::none());
+    let reference = run_with_plan(&cnf, &cubes, 3, FaultPlan::default());
 
     for seed in 0..3u64 {
         let plan = FaultPlan::seeded(seed, 4, 16);
@@ -94,7 +101,7 @@ fn failed_respawn_falls_back_to_sequential_and_loses_nothing() {
     fault::silence_injected_panics();
     let cnf = Cnf::pigeonhole(6);
     let cubes = sample_cubes(&cnf, 5, 20);
-    let reference = run_with_plan(&cnf, &cubes, 2, FaultPlan::none());
+    let reference = run_with_plan(&cnf, &cubes, 2, FaultPlan::default());
 
     // One worker panics early and its respawn fails too: the worker dies,
     // strands the rest of its claimed chunk, and the oracle's sequential
@@ -127,15 +134,7 @@ fn batch_on_an_all_dead_pool_panics_with_the_pool_shape() {
         solve_panics: vec![0, 1],
         respawn_failures: u64::MAX,
     };
-    let config = BatchConfig {
-        cost: CostMetric::Conflicts,
-        backend: BackendKind::Fresh,
-        num_workers: 2,
-        clamp_workers_to_cpus: false,
-        fault_plan: plan,
-        ..BatchConfig::default()
-    };
-    let mut oracle = CubeOracle::new(&cnf, config);
+    let mut oracle = oracle(&cnf, 2, plan);
     let first = oracle.solve_batch(&cubes, None);
     assert_eq!(
         first.verdicts.iter().flatten().count(),

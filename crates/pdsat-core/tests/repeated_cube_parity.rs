@@ -16,7 +16,7 @@
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
 use pdsat_core::{
     BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, Evaluator, EvaluatorConfig,
-    VerdictSummary,
+    OracleTestPolicy, VerdictSummary,
 };
 use pdsat_solver::{Solver, SolverConfig, SolverStats, Verdict};
 use proptest::prelude::*;
@@ -164,17 +164,17 @@ fn check_oracle(cnf: &Cnf, samples: &[Vec<Cube>; 2], proof: bool, num_workers: u
         .iter()
         .map(|cube| Reference::solve(cnf, cube, proof))
         .collect();
-    let mut oracle = CubeOracle::new(
-        cnf,
-        BatchConfig {
-            solver_config: solver_config(proof),
-            cost: CostMetric::Propagations,
-            num_workers,
-            clamp_workers_to_cpus: false,
-            backend: BackendKind::Fresh,
-            ..BatchConfig::default()
-        },
-    );
+    let config = BatchConfig {
+        solver_config: solver_config(proof),
+        cost: CostMetric::Propagations,
+        num_workers,
+        backend: BackendKind::Fresh,
+    };
+    let policy = OracleTestPolicy {
+        exact_workers: true,
+        ..OracleTestPolicy::default()
+    };
+    let mut oracle = CubeOracle::with_test_policy(cnf, config, policy);
     assert_eq!(oracle.num_workers(), num_workers);
     let result = oracle.solve_batch(&plan, None);
     let costs: Vec<u64> = references.iter().map(|r| r.cost.to_bits()).collect();

@@ -9,7 +9,7 @@ use pdsat_ciphers::{Grain, InstanceBuilder, A51};
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
-    FaultPlan, VerdictSummary,
+    FaultPlan, OracleTestPolicy, VerdictSummary,
 };
 use pdsat_solver::SolverConfig;
 use rand::rngs::StdRng;
@@ -28,6 +28,16 @@ fn sat_chain(n: usize) -> Cnf {
     cnf
 }
 
+/// An oracle of exactly `config.num_workers` slots — a real pool even on a
+/// single-core machine — that injects `faults`.
+fn exact_oracle(cnf: &Cnf, config: BatchConfig, faults: FaultPlan) -> CubeOracle {
+    let policy = OracleTestPolicy {
+        exact_workers: true,
+        faults,
+    };
+    CubeOracle::with_test_policy(cnf, config, policy)
+}
+
 #[test]
 fn sequential_and_pool_runs_are_identical_for_fresh_backends() {
     // A fresh solver per cube makes every observation independent of
@@ -43,11 +53,9 @@ fn sequential_and_pool_runs_are_identical_for_fresh_backends() {
             cost: CostMetric::Conflicts,
             backend: BackendKind::Fresh,
             num_workers: workers,
-            // Force a real pool even on single-core test machines.
-            clamp_workers_to_cpus: false,
             ..BatchConfig::default()
         };
-        CubeOracle::new(&cnf, config).solve_batch(&cubes, None)
+        exact_oracle(&cnf, config, FaultPlan::default()).solve_batch(&cubes, None)
     };
     let seq = run(1);
     let par = run(4);
@@ -75,10 +83,9 @@ fn warm_pool_state_survives_across_batches() {
         cost: CostMetric::Conflicts,
         backend: BackendKind::Warm,
         num_workers: 4,
-        clamp_workers_to_cpus: false,
         ..BatchConfig::default()
     };
-    let mut oracle = CubeOracle::new(&cnf, config);
+    let mut oracle = exact_oracle(&cnf, config, FaultPlan::default());
 
     let first = oracle.solve_batch(&cubes, None);
     assert_whole_batch_is_solved(&first, cubes.len());
@@ -133,10 +140,9 @@ fn empty_batches_and_short_batches_never_hang_the_pool() {
     let config = BatchConfig {
         cost: CostMetric::Conflicts,
         num_workers: 6,
-        clamp_workers_to_cpus: false,
         ..BatchConfig::default()
     };
-    let mut oracle = CubeOracle::new(&cnf, config);
+    let mut oracle = exact_oracle(&cnf, config, FaultPlan::default());
     assert_eq!(oracle.num_workers(), 6);
 
     // Empty batch: immediate, counted, pool untouched.
@@ -168,10 +174,9 @@ fn single_cube_batches_on_a_wide_pool_stay_in_order() {
     let cube = Cube::from_values(&[Var::new(0)], &[true]);
     let config = BatchConfig {
         num_workers: 8,
-        clamp_workers_to_cpus: false,
         ..BatchConfig::default()
     };
-    let mut oracle = CubeOracle::new(&cnf, config);
+    let mut oracle = exact_oracle(&cnf, config, FaultPlan::default());
     for _ in 0..10 {
         let result = oracle.solve_batch(std::slice::from_ref(&cube), None);
         assert_eq!(result.verdicts, [Some(VerdictSummary::Sat)]);
@@ -209,7 +214,6 @@ fn pool_of_four(backend: BackendKind) -> BatchConfig {
         cost: CostMetric::Conflicts,
         backend,
         num_workers: 4,
-        clamp_workers_to_cpus: false,
         ..BatchConfig::default()
     }
 }
@@ -268,7 +272,7 @@ fn stolen_chunks_are_placed_where_their_cubes_belong() {
     );
     assert!(one.costs[quarter..].iter().all(|&c| c == 0.0));
 
-    let mut oracle = CubeOracle::new(&cnf, pool_of_four(BackendKind::Fresh));
+    let mut oracle = exact_oracle(&cnf, pool_of_four(BackendKind::Fresh), FaultPlan::default());
     for _ in 0..3 {
         let four = oracle.solve_batch(&cubes, None);
         assert_whole_batch_is_solved(&four, cubes.len());
@@ -308,22 +312,18 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
         ..FaultPlan::seeded(3, 12, cubes.len() as u64)
     };
     for (backend, workers, fault_plan) in [
-        (BackendKind::Warm, 1, FaultPlan::none()),
-        (BackendKind::Fresh, 4, FaultPlan::none()),
-        (BackendKind::Warm, 4, FaultPlan::none()),
+        (BackendKind::Warm, 1, FaultPlan::default()),
+        (BackendKind::Fresh, 4, FaultPlan::default()),
+        (BackendKind::Warm, 4, FaultPlan::default()),
         (BackendKind::Fresh, 1, plan.clone()),
         (BackendKind::Fresh, 4, plan),
     ] {
         let faulted = !fault_plan.is_empty();
-        let result = CubeOracle::new(
-            &cnf,
-            BatchConfig {
-                num_workers: workers,
-                fault_plan,
-                ..pool_of_four(backend)
-            },
-        )
-        .solve_batch(&cubes, None);
+        let config = BatchConfig {
+            num_workers: workers,
+            ..pool_of_four(backend)
+        };
+        let result = exact_oracle(&cnf, config, fault_plan).solve_batch(&cubes, None);
         assert_whole_batch_is_solved(&result, cubes.len());
         if backend == BackendKind::Fresh {
             assert_same_observations(&reference, &result);
@@ -339,8 +339,9 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
 fn requeued_and_fallback_cubes_end_up_in_place() {
     fault::silence_injected_panics();
     let (cnf, cubes) = skewed_family();
+    let fresh = pool_of_four(BackendKind::Fresh);
     let reference =
-        CubeOracle::new(&cnf, pool_of_four(BackendKind::Fresh)).solve_batch(&cubes, None);
+        exact_oracle(&cnf, fresh.clone(), FaultPlan::default()).solve_batch(&cubes, None);
 
     for seed in [3u64, 4, 9] {
         // Panics at seeded solve ordinals all through the batch; the first
@@ -356,14 +357,7 @@ fn requeued_and_fallback_cubes_end_up_in_place() {
             plan.solve_panics.len() >= 2,
             "seed {seed} injects too little"
         );
-        let faulted = CubeOracle::new(
-            &cnf,
-            BatchConfig {
-                fault_plan: plan,
-                ..pool_of_four(BackendKind::Fresh)
-            },
-        )
-        .solve_batch(&cubes, None);
+        let faulted = exact_oracle(&cnf, fresh.clone(), plan).solve_batch(&cubes, None);
         assert_whole_batch_is_solved(&faulted, cubes.len());
         assert_same_observations(&reference, &faulted);
         assert_eq!(reference.var_conflict_totals, faulted.var_conflict_totals);
@@ -385,16 +379,15 @@ fn every_executor_returns_the_same_columns_and_ascending_side_lists() {
     let run = |workers, fault_plan| {
         let config = BatchConfig {
             num_workers: workers,
-            fault_plan,
             solver_config: SolverConfig {
                 proof: true,
                 ..SolverConfig::default()
             },
             ..pool_of_four(BackendKind::Fresh)
         };
-        CubeOracle::new(&cnf, config).solve_batch(&cubes, None)
+        exact_oracle(&cnf, config, fault_plan).solve_batch(&cubes, None)
     };
-    let reference = run(1, FaultPlan::none());
+    let reference = run(1, FaultPlan::default());
     assert_whole_batch_is_solved(&reference, cubes.len());
     assert!(!reference.models.is_empty() && !reference.proofs.is_empty());
     let faults = FaultPlan {
@@ -402,7 +395,7 @@ fn every_executor_returns_the_same_columns_and_ascending_side_lists() {
         ..FaultPlan::seeded(3, 12, cubes.len() as u64)
     };
     for workers in [2, 4] {
-        for plan in [FaultPlan::none(), faults.clone()] {
+        for plan in [FaultPlan::default(), faults.clone()] {
             let faulted = !plan.is_empty();
             let result = run(workers, plan);
             assert_whole_batch_is_solved(&result, cubes.len());
@@ -445,7 +438,7 @@ fn warm_pool_certificates_check_batch_after_batch() {
             },
             ..pool_of_four(BackendKind::Warm)
         };
-        let mut pool = CubeOracle::new(cnf, proving(4));
+        let mut pool = exact_oracle(cnf, proving(4), FaultPlan::default());
         let mut one = CubeOracle::new(cnf, proving(1));
         assert_eq!(pool.num_workers(), 4);
         let mut certified = 0;

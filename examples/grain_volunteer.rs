@@ -77,7 +77,6 @@ fn main() {
             num_clients: 100,
             seed: 3,
             poll_interval: mean_unit_cost.max(1.0),
-            ..LoopbackConfig::default()
         },
         synthetic_family_solver(set.len(), report.per_cube_costs.clone(), None),
     );

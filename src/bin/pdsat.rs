@@ -44,6 +44,14 @@ fn usage() {
     );
 }
 
+/// What `pdsat check` checks the formula against.
+enum Claim {
+    /// A DRAT refutation of the formula under the assumptions.
+    Refutation(DratProof),
+    /// The path of a claimed model.
+    Model(String),
+}
+
 fn check(args: &[String]) -> ExitCode {
     let mut model_path: Option<String> = None;
     let mut positional: Vec<&str> = Vec::new();
@@ -71,8 +79,8 @@ fn check(args: &[String]) -> ExitCode {
         }
     };
 
-    let (proof, assumption_args) = if model_path.is_some() {
-        (None, rest)
+    let (claim, assumption_args) = if let Some(model_path) = model_path {
+        (Claim::Model(model_path), rest)
     } else {
         let Some((&proof_path, rest)) = rest.split_first() else {
             usage();
@@ -86,7 +94,7 @@ fn check(args: &[String]) -> ExitCode {
             }
         };
         match DratProof::from_text(&text) {
-            Ok(p) => (Some(p), rest),
+            Ok(p) => (Claim::Refutation(p), rest),
             Err(e) => {
                 eprintln!("error: {proof_path}: {e}");
                 return ExitCode::from(3);
@@ -101,21 +109,20 @@ fn check(args: &[String]) -> ExitCode {
         }
     };
 
-    let verdict = match (&proof, &model_path) {
-        (Some(proof), _) => check_unsat_proof(&cnf, &assumptions, proof).map(|stats| {
+    let verdict = match claim {
+        Claim::Refutation(proof) => check_unsat_proof(&cnf, &assumptions, &proof).map(|stats| {
             println!(
                 "c checked {} proof steps, {} propagations",
                 stats.steps_checked, stats.propagations
             );
         }),
-        (None, Some(model_path)) => match read_model(model_path, cnf.num_vars()) {
+        Claim::Model(model_path) => match read_model(&model_path, cnf.num_vars()) {
             Ok(model) => check_model(&cnf, &assumptions, &model),
             Err(e) => {
                 eprintln!("error: {model_path}: {e}");
                 return ExitCode::from(3);
             }
         },
-        (None, None) => unreachable!("one of the two modes is always selected"),
     };
     match verdict {
         Ok(()) => {

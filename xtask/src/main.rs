@@ -9,12 +9,13 @@
 //!    Monte Carlo estimator, so clock reads stay confined to modules gated
 //!    behind `SolverConfig::time_accounting` or explicitly wall-clock-facing
 //!    code.
-//! 3. **knob documentation**: each of the seven config structs
+//! 3. **knob documentation**: each of the nine config structs
 //!    (`SolverConfig`, `BatchConfig`, `SolveModeConfig`, `EvaluatorConfig`,
-//!    `TabuConfig`, `AnnealingConfig`, `RandomRestartConfig`) has a knob
-//!    table in DESIGN.md — a `` `Name`: `` line followed by a `| Knob |
-//!    Meaning |` table — whose rows are exactly its public fields, and every
-//!    `` `Name::x` `` DESIGN.md spells must be a public field that exists, so
+//!    `TabuConfig`, `AnnealingConfig`, `RandomRestartConfig`,
+//!    `LoopbackConfig`, `CoordinatorConfig`) has a knob table in DESIGN.md
+//!    — a `` `Name`: `` line followed by a `| Knob | Meaning |` table — whose
+//!    rows are exactly its public fields, and every `` `Name::x` `` DESIGN.md
+//!    spells must be a public field that exists, so
 //!    the configuration surface and its documentation cannot drift apart in
 //!    either direction: an option added back fails until it is documented,
 //!    and a deleted one until its row goes.
@@ -61,20 +62,27 @@
 //!    tests damage directly; the injected plan is the pool's alone.
 //! 9. **the readers cannot panic**: the non-test code of
 //!    `crates/distrib/src/codec.rs`, which reads checkpoint text and store
-//!    files off disk, and of `crates/cnf/src/dimacs.rs`, which reads every
-//!    formula that comes from a file, calls no `unwrap` / `expect`, invokes
+//!    files off disk, of `crates/cnf/src/dimacs.rs` and
+//!    `crates/cnf/src/drat.rs`, which read every formula and proof that
+//!    comes from a file, and of `src/bin/pdsat.rs`, the command line that
+//!    hands them those files, calls no `unwrap` / `expect`, invokes
 //!    no `panic!`, `unreachable!`, `todo!` or `unimplemented!`, and casts
 //!    nothing with `as` — numbers convert with `From` / `TryFrom`, so a model
 //!    longer than `u32::MAX` variables is an error rather than a truncated
 //!    index. Comments and the insides of string and character literals are
 //!    not code and are not searched, and a `use … as _` import is not a
 //!    cast.
-//! 10. **the test policy stays in tests**: outside `crates/solver/src`, no
-//!     non-test code — `crates/*/src` before a file's `#[cfg(test)]`
-//!     module, `src/` and `examples/` — names `TestPolicy` or
-//!     `set_test_policy`. The solver's one production policy is MiniSat's at
-//!     its defaults; the replay reference and the clause-database pressure
-//!     its differential suites apply cannot be configured into a workload.
+//! 10. **the test policies stay in tests**: each layer's hidden test policy
+//!     — the solver's `TestPolicy` / `set_test_policy`, the oracle's
+//!     `OracleTestPolicy` / `CubeOracle::with_test_policy`, the grid's
+//!     `GridTestPolicy` / `LoopbackTransport::with_test_policy` — is named,
+//!     as a whole identifier, by no non-test code outside its home crate:
+//!     `crates/*/src` before a file's `#[cfg(test)]` module, `src/` and
+//!     `examples/`. Each layer runs one production policy (MiniSat's at its
+//!     defaults; a pool capped at the machine's parallelism with no injected
+//!     fault; the chaotic, self-renewing volunteer population); the replay
+//!     reference, an exact pool shape, injected faults and ideal or
+//!     unreplaced clients cannot be configured into a workload.
 
 #![forbid(unsafe_code)]
 
@@ -279,7 +287,7 @@ fn pub_fields(path: &Path, struct_name: &str) -> Result<Vec<String>, String> {
 }
 
 /// The config structs DESIGN.md gives a knob table, and where each lives.
-const KNOB_SOURCES: [(&str, &str); 7] = [
+const KNOB_SOURCES: [(&str, &str); 9] = [
     ("crates/solver/src/config.rs", "SolverConfig"),
     ("crates/pdsat-core/src/oracle.rs", "BatchConfig"),
     ("crates/pdsat-core/src/solve_mode.rs", "SolveModeConfig"),
@@ -287,6 +295,8 @@ const KNOB_SOURCES: [(&str, &str); 7] = [
     ("crates/pdsat-core/src/tabu.rs", "TabuConfig"),
     ("crates/pdsat-core/src/anneal.rs", "AnnealingConfig"),
     ("crates/pdsat-core/src/restart.rs", "RandomRestartConfig"),
+    ("crates/distrib/src/transport.rs", "LoopbackConfig"),
+    ("crates/distrib/src/coordinator.rs", "CoordinatorConfig"),
 ];
 
 fn check_knob_docs(root: &Path, errors: &mut Vec<String>) {
@@ -551,15 +561,21 @@ fn check_grid_faults_come_from_clients(root: &Path, errors: &mut Vec<String>) {
     }
 }
 
+/// The files rule 9 holds, what each reads and the error it returns instead
+/// of panicking.
+const READERS: [(&str, &str, &str); 4] = [
+    (
+        "crates/distrib/src/codec.rs",
+        "checkpoint",
+        "a `CheckpointError`",
+    ),
+    ("crates/cnf/src/dimacs.rs", "DIMACS", "a `ParseDimacsError`"),
+    ("crates/cnf/src/drat.rs", "DRAT", "an `Err` with the line"),
+    ("src/bin/pdsat.rs", "`pdsat check`", "exit code 2 or 3"),
+];
+
 fn check_readers_cannot_panic(root: &Path, errors: &mut Vec<String>) {
-    for (file, reader, error) in [
-        (
-            "crates/distrib/src/codec.rs",
-            "checkpoint",
-            "CheckpointError",
-        ),
-        ("crates/cnf/src/dimacs.rs", "DIMACS", "ParseDimacsError"),
-    ] {
+    for (file, reader, error) in READERS {
         let path = root.join(file);
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
@@ -577,7 +593,7 @@ fn check_readers_cannot_panic(root: &Path, errors: &mut Vec<String>) {
             for word in panicking_words(line) {
                 errors.push(format!(
                     "{file}:{}: `{word}`: the {reader} reader reads bytes from disk and must \
-                     not panic or truncate; return a `{error}` and convert with `From` / \
+                     not panic or truncate; return {error} and convert with `From` / \
                      `TryFrom`",
                     i + 1
                 ));
@@ -586,24 +602,54 @@ fn check_readers_cannot_panic(root: &Path, errors: &mut Vec<String>) {
     }
 }
 
+/// The names of each layer's hidden test policy and of its entry point, by
+/// home crate.
+const TEST_POLICIES: [(&str, &str); 6] = [
+    ("solver", "TestPolicy"),
+    ("solver", "set_test_policy"),
+    ("pdsat-core", "OracleTestPolicy"),
+    ("pdsat-core", "CubeOracle::with_test_policy"),
+    ("distrib", "GridTestPolicy"),
+    ("distrib", "LoopbackTransport::with_test_policy"),
+];
+
 fn check_test_policy_stays_in_tests(root: &Path, errors: &mut Vec<String>) {
-    let mut sources = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
-        let mut crates: Vec<_> = entries.flatten().map(|e| e.path()).collect();
-        crates.sort();
-        for dir in crates.iter().filter(|d| !d.ends_with("solver")) {
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .map(|entries| entries.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    crates.sort();
+    for (home, name) in TEST_POLICIES {
+        let mut sources = Vec::new();
+        for dir in crates.iter().filter(|d| !d.ends_with(home)) {
             rust_files(&dir.join("src"), &mut sources);
         }
+        for dir in ["src", "examples"] {
+            rust_files(&root.join(dir), &mut sources);
+        }
+        for path in &sources {
+            let text = std::fs::read_to_string(path).unwrap_or_default();
+            let code = text
+                .lines()
+                .take_while(|line| line.trim() != "#[cfg(test)]");
+            for (i, line) in code.enumerate() {
+                if spells(line.split("//").next().unwrap_or(line), name) {
+                    let at = rel(root, path);
+                    errors.push(format!(
+                        "{at}:{}: {name}: every layer runs one production policy; its test \
+                         policy is for the suites under tests/ only",
+                        i + 1
+                    ));
+                }
+            }
+        }
     }
-    for dir in ["src", "examples"] {
-        rust_files(&root.join(dir), &mut sources);
-    }
-    let advice = "the solver runs one policy; the replay reference and test pressure are \
-                  for the differential suites under tests/ only";
-    let until = Some("#[cfg(test)]");
-    for needle in ["TestPolicy", "set_test_policy"] {
-        forbid(root, &sources, "//", until, needle, advice, errors);
-    }
+}
+
+/// Whether `code` spells `name` whole: not as a part of a longer identifier.
+fn spells(code: &str, name: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(name)
+        .any(|(at, _)| !code[..at].ends_with(ident) && !code[at + name.len()..].starts_with(ident))
 }
 
 /// The words of one line of code that can panic or truncate: calls of
@@ -754,6 +800,28 @@ fn rel(root: &Path, path: &Path) -> String {
 mod tests {
     use super::*;
 
+    /// A scratch tree under the temp directory, removed when dropped.
+    struct Tree(PathBuf);
+
+    impl Tree {
+        fn new(name: &str) -> Tree {
+            Tree(std::env::temp_dir().join(format!("xtask-{name}-{}", std::process::id())))
+        }
+
+        /// Writes `text` to `path`, creating its directories.
+        fn write(&self, path: &str, text: &str) {
+            let path = self.0.join(path);
+            std::fs::create_dir_all(path.parent().expect("a directory")).expect("temp tree");
+            std::fs::write(path, text).expect("write");
+        }
+    }
+
+    impl Drop for Tree {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn family_counters_are_parsed_with_their_reserved_slots() {
         let text = "macro_rules! family_counters {\n    () => {};\n}\n\n\
@@ -809,6 +877,25 @@ mod tests {
         assert!([missing, stale, prose, untabled]
             .iter()
             .all(|e| e.len() == 1));
+    }
+
+    #[test]
+    fn knob_docs_cover_the_grid_configs() {
+        let tree = Tree::new("knobs");
+        let loopback =
+            "pub struct LoopbackConfig {\n    pub seed: u64,\n    pub num_clients: usize,\n}\n";
+        tree.write("crates/distrib/src/transport.rs", loopback);
+        let coordinator = "pub struct CoordinatorConfig {\n    pub redundancy: u32,\n}\n";
+        tree.write("crates/distrib/src/coordinator.rs", coordinator);
+        let design = "`LoopbackConfig`:\n\n| Knob | Meaning |\n|---|---|\n| `seed` | Seed. |\n";
+        tree.write("DESIGN.md", design);
+        let mut errors = Vec::new();
+        check_knob_docs(&tree.0, &mut errors);
+        // The seven other structs' files are missing from the temp tree.
+        let design: Vec<&String> = errors.iter().filter(|e| e.starts_with("DESIGN")).collect();
+        assert_eq!(design.len(), 2, "{errors:?}");
+        assert!(design[0].contains("LoopbackConfig knob `num_clients` is undocumented"));
+        assert!(design[1].contains("no knob table for CoordinatorConfig"));
     }
 
     #[test]
@@ -970,15 +1057,14 @@ mod tests {
 
     #[test]
     fn checkpoint_reader_refuses_panics_and_casts_in_code_only() {
-        let root = std::env::temp_dir().join(format!("xtask-codec-{}", std::process::id()));
-        let readers = ["crates/distrib/src/codec.rs", "crates/cnf/src/dimacs.rs"];
-        let write = |text: &str| {
-            for file in readers {
-                let path = root.join(file);
-                std::fs::create_dir_all(path.parent().expect("a directory")).expect("temp tree");
-                std::fs::write(path, text).expect("write");
-            }
-        };
+        let tree = Tree::new("codec");
+        let readers = [
+            "crates/distrib/src/codec.rs",
+            "crates/cnf/src/dimacs.rs",
+            "crates/cnf/src/drat.rs",
+            "src/bin/pdsat.rs",
+        ];
+        let write = |text: &str| readers.iter().for_each(|file| tree.write(file, text));
         write(
             "//! Never `unwrap`, never `as`: as said.\n\
              use std::fmt::Write as _;\n\
@@ -990,7 +1076,7 @@ mod tests {
              mod tests { fn t() { let _ = Some(1).unwrap() as u64; panic!(); } }\n",
         );
         let mut errors = Vec::new();
-        check_readers_cannot_panic(&root, &mut errors);
+        check_readers_cannot_panic(&tree.0, &mut errors);
         assert_eq!(errors, Vec::<String>::new());
 
         write(
@@ -1001,8 +1087,7 @@ mod tests {
              fn panic(x: u64) -> u32 { let todo = 1; x as _ }\n\
              use std::io::Read as Input;\n",
         );
-        check_readers_cannot_panic(&root, &mut errors);
-        std::fs::remove_dir_all(&root).expect("clean up");
+        check_readers_cannot_panic(&tree.0, &mut errors);
         let found: Vec<(&str, &str)> = errors
             .iter()
             .map(|e| {
@@ -1087,53 +1172,58 @@ mod tests {}
 
     #[test]
     fn test_policy_is_refused_outside_tests_and_the_solver() {
-        let root = std::env::temp_dir().join(format!("xtask-policy-{}", std::process::id()));
-        for dir in [
-            "crates/solver/src",
-            "crates/pdsat-core/src",
-            "examples",
-            "src",
-        ] {
-            std::fs::create_dir_all(root.join(dir)).expect("temp tree");
-        }
-        let write = |path: &str, text: &str| std::fs::write(root.join(path), text).expect("write");
+        let tree = Tree::new("policy");
+        let write = |path: &str, text: &str| tree.write(path, text);
         write(
             "crates/solver/src/solver.rs",
             "pub fn set_test_policy(&mut self, policy: TestPolicy) {}\n",
         );
         write(
             "crates/pdsat-core/src/oracle.rs",
-            "// No TestPolicy here.\nfn f() {}\n#[cfg(test)]\nmod tests {\n    use pdsat_solver::TestPolicy;\n}\n",
+            "// No TestPolicy here.\npub struct OracleTestPolicy;\nfn f() { CubeOracle::with_test_policy(); }\n\
+             #[cfg(test)]\nmod tests {\n    use pdsat_solver::TestPolicy;\n}\n",
+        );
+        write(
+            "crates/distrib/src/transport.rs",
+            "pub struct GridTestPolicy;\nfn f() { Self::with_test_policy(); }\n\
+             #[cfg(test)]\nmod tests {\n    use pdsat_core::OracleTestPolicy;\n}\n",
         );
         write("examples/quickstart.rs", "fn main() {}\n");
         let mut errors = Vec::new();
-        check_test_policy_stays_in_tests(&root, &mut errors);
+        check_test_policy_stays_in_tests(&tree.0, &mut errors);
         assert_eq!(errors, Vec::<String>::new());
 
         write(
             "crates/pdsat-core/src/oracle.rs",
-            "use pdsat_solver::TestPolicy;\nfn f(s: &mut Solver) {\n    s.set_test_policy(p);\n}\n",
+            "use pdsat_solver::TestPolicy;\nfn f(s: &mut Solver) {\n    s.set_test_policy(p);\n}\n\
+             fn g() { LoopbackTransport::with_test_policy(c, GridTestPolicy::default(), s); }\n",
+        );
+        write(
+            "crates/distrib/src/transport.rs",
+            "fn f() { CubeOracle::with_test_policy(c, OracleTestPolicy::default()); }\n",
         );
         write(
             "examples/quickstart.rs",
             "fn main() { s.set_test_policy(p); }\n",
         );
         write("src/lib.rs", "pub use pdsat_solver::TestPolicy;\n");
-        check_test_policy_stays_in_tests(&root, &mut errors);
-        std::fs::remove_dir_all(&root).expect("clean up");
-        let at: Vec<&str> = errors
+        check_test_policy_stays_in_tests(&tree.0, &mut errors);
+        let found: Vec<String> = errors
             .iter()
-            .map(|e| e.split(": ").next().expect("a location"))
+            .map(|e| e.splitn(3, ": ").take(2).collect::<Vec<_>>().join(" "))
             .collect();
         assert_eq!(
-            at,
+            found,
             [
-                "crates/pdsat-core/src/oracle.rs:1",
-                "src/lib.rs:1",
-                "crates/pdsat-core/src/oracle.rs:3",
-                "examples/quickstart.rs:1",
+                "crates/pdsat-core/src/oracle.rs:1 TestPolicy",
+                "src/lib.rs:1 TestPolicy",
+                "crates/pdsat-core/src/oracle.rs:3 set_test_policy",
+                "examples/quickstart.rs:1 set_test_policy",
+                "crates/distrib/src/transport.rs:1 OracleTestPolicy",
+                "crates/distrib/src/transport.rs:1 CubeOracle::with_test_policy",
+                "crates/pdsat-core/src/oracle.rs:5 GridTestPolicy",
+                "crates/pdsat-core/src/oracle.rs:5 LoopbackTransport::with_test_policy",
             ]
         );
-        assert!(errors[2].contains("set_test_policy"), "{}", errors[2]);
     }
 }
