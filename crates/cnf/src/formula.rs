@@ -254,7 +254,7 @@ impl Cnf {
     #[must_use]
     pub fn assign_cube(&self, cube: &Cube) -> Cnf {
         let mut values: Vec<Option<bool>> = vec![None; self.num_vars];
-        for &lit in cube.lits() {
+        for lit in cube.iter() {
             if lit.var().index() < self.num_vars {
                 values[lit.var().index()] = Some(lit.is_positive());
             }

@@ -11,7 +11,9 @@
 //! * [`Assignment`] — a partial assignment `X → {true, false, unassigned}`.
 //! * [`Cube`] — a conjunction of literals; fixing a cube over a decomposition
 //!   set produces one member of a decomposition family (one sub-problem of a
-//!   partitioning in the sense of Semenov & Zaikin, PaCT 2015).
+//!   partitioning in the sense of Semenov & Zaikin, PaCT 2015), stored as its
+//!   shared variables and one word of polarities; a [`LitBuffer`] reads the
+//!   literals of many cubes into one reused slice.
 //! * [`dimacs`] — reading and writing the DIMACS CNF exchange format.
 //! * [`drat`] — DRAT proof steps ([`DratStep`], [`DratProof`]) and the
 //!   standard text codec, shared by the solver's proof logger and the
@@ -41,7 +43,7 @@ mod formula;
 mod var;
 
 pub use assignment::Assignment;
-pub use cube::Cube;
+pub use cube::{Cube, LitBuffer, SharedVars};
 pub use drat::{DratProof, DratStep};
 pub use formula::Cnf;
 pub use var::{Lit, Var};

@@ -1,16 +1,18 @@
 //! Decomposition sets and the partitionings (decomposition families) they
 //! induce.
 
-use pdsat_cnf::{Cube, Var};
+use pdsat_cnf::{Cube, SharedVars, Var};
 use rand::Rng;
 use std::fmt;
+use std::sync::Arc;
 
 /// A decomposition set `X̃ ⊆ X`: the variables on which the SAT instance is
 /// split.
 ///
 /// The 2^d assignments of the `d` variables of the set induce the
 /// *decomposition family* `Δ_C(X̃)` — a partitioning of the original instance
-/// into 2^d sub-problems (see §2 of the paper).
+/// into 2^d sub-problems (see §2 of the paper). Every cube the set builds
+/// shares its variables, so building one allocates nothing.
 ///
 /// # Example
 ///
@@ -23,7 +25,7 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct DecompositionSet {
-    vars: Vec<Var>,
+    vars: SharedVars,
 }
 
 impl DecompositionSet {
@@ -33,13 +35,15 @@ impl DecompositionSet {
         let mut vars: Vec<Var> = vars.into_iter().collect();
         vars.sort_unstable();
         vars.dedup();
-        DecompositionSet { vars }
+        DecompositionSet {
+            vars: Arc::new(vars.into_boxed_slice()),
+        }
     }
 
     /// The empty decomposition set (trivial partitioning with one part).
     #[must_use]
     pub fn empty() -> DecompositionSet {
-        DecompositionSet { vars: Vec::new() }
+        DecompositionSet::default()
     }
 
     /// Number of variables `d` in the set.
@@ -85,7 +89,7 @@ impl DecompositionSet {
     /// Panics if the set has more than 64 variables.
     #[must_use]
     pub fn cube_from_index(&self, index: u64) -> Cube {
-        Cube::from_bits(&self.vars, index)
+        Cube::from_shared_bits(Arc::clone(&self.vars), index)
     }
 
     /// Iterator over the full decomposition family (all `2^d` cubes).
@@ -117,7 +121,8 @@ impl DecompositionSet {
 
     /// Draws one cube uniformly at random (one `α ∈ {0,1}^d`).
     pub fn random_cube<R: Rng + ?Sized>(&self, rng: &mut R) -> Cube {
-        Cube::from_lits(self.vars.iter().map(|&v| v.lit(rng.gen_bool(0.5))))
+        let values = (0..self.vars.len()).map(|_| rng.gen_bool(0.5));
+        Cube::from_shared_values(Arc::clone(&self.vars), values)
     }
 
     /// Draws a random sample of `n` cubes (the random sample of eq. (4) in
@@ -240,7 +245,7 @@ mod tests {
         }
         // With 100 draws over 16 cubes, at least two distinct cubes appear.
         let distinct: std::collections::HashSet<_> =
-            sample.iter().map(|c| c.lits().to_vec()).collect();
+            sample.iter().map(Cube::to_assumptions).collect();
         assert!(distinct.len() > 1);
     }
 

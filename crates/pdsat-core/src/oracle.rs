@@ -31,7 +31,7 @@ pub(crate) use backend::{BackendOutcome, CubeBackend};
 
 use crate::fault::FaultPlan;
 use crate::CostMetric;
-use pdsat_cnf::{Assignment, Cnf, Cube, DratProof};
+use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, LitBuffer};
 use pdsat_solver::{InterruptFlag, SolverConfig, SolverStats, Verdict};
 use pool::WorkerPool;
 use std::sync::Arc;
@@ -373,11 +373,13 @@ fn solve_on_caller(
 ) -> usize {
     backend.begin_batch();
     let mut solved = 0;
+    let mut buffer = LitBuffer::new();
     for (index, cube) in cubes.iter().enumerate() {
         if result.verdicts[index].is_some() {
             continue;
         }
-        let raw = backend.solve(cube.lits(), interrupt, &mut result.var_conflict_totals);
+        let cube = buffer.write(cube);
+        let raw = backend.solve(cube, interrupt, &mut result.var_conflict_totals);
         result.costs[index] = config.cost.measure(raw.counters, raw.elapsed);
         let verdict = summarize(index, raw, &mut result.models, &mut result.proofs);
         result.verdicts[index] = Some(verdict);

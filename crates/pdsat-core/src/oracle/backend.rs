@@ -222,19 +222,20 @@ pub(crate) struct FreshBackend {
 struct Resident {
     template: Solver,
     working: Solver,
-    /// The solve `working` holds the end state of, while a repeat of it may
-    /// be answered from that state. Cleared before every solve, so a solve
-    /// that panics leaves nothing stale; never set by an interrupted solve,
-    /// whose verdict a repeat need not share. Kept across batches: the
+    /// The solve `working` holds the end state of. Kept across batches: the
     /// template never changes.
-    last: Option<LastSolve>,
+    last: LastSolve,
 }
 
 /// What [`Resident::last`] remembers of a solve.
 struct LastSolve {
+    /// Its cube; one buffer, rewritten by every solve that sets `answer`.
     cube: Vec<Lit>,
-    verdict: Verdict,
-    elapsed: Duration,
+    /// Its verdict and wall time, while a repeat may be answered from
+    /// `working`. Cleared before every solve, so a solve that panics leaves
+    /// nothing stale; never set by an interrupted solve, whose verdict a
+    /// repeat need not share.
+    answer: Option<(Verdict, Duration)>,
 }
 
 impl Resident {
@@ -247,7 +248,10 @@ impl Resident {
         Resident {
             template,
             working,
-            last: None,
+            last: LastSolve {
+                cube: Vec::new(),
+                answer: None,
+            },
         }
     }
 
@@ -260,12 +264,12 @@ impl Resident {
         interrupt: &InterruptFlag,
         measure_wall_time: bool,
     ) -> (Verdict, Duration) {
-        if let Some(last) = &self.last {
-            if last.cube == cube && !interrupt.is_raised() {
-                return (last.verdict.clone(), last.elapsed);
+        if let Some((verdict, elapsed)) = &self.last.answer {
+            if self.last.cube == cube && !interrupt.is_raised() {
+                return (verdict.clone(), *elapsed);
             }
         }
-        self.last = None;
+        self.last.answer = None;
         let start = measure_wall_time.then(Instant::now);
         self.working.clone_from(&self.template);
         let verdict = self
@@ -274,11 +278,9 @@ impl Resident {
         let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
         // A raised interrupt is the only way to `Unknown`.
         if !verdict.is_unknown() {
-            self.last = Some(LastSolve {
-                cube: cube.to_vec(),
-                verdict: verdict.clone(),
-                elapsed,
-            });
+            self.last.cube.clear();
+            self.last.cube.extend_from_slice(cube);
+            self.last.answer = Some((verdict.clone(), elapsed));
         }
         (verdict, elapsed)
     }
@@ -480,8 +482,11 @@ mod tests {
     const KEPT: Duration = Duration::from_secs(7);
 
     fn mark_kept(backend: &mut FreshBackend) {
-        let last = backend.resident.as_mut().and_then(|r| r.last.as_mut());
-        last.expect("the last solve is kept").elapsed = KEPT;
+        let answer = backend
+            .resident
+            .as_mut()
+            .and_then(|r| r.last.answer.as_mut());
+        answer.expect("the last solve is kept").1 = KEPT;
     }
 
     #[test]
@@ -523,19 +528,25 @@ mod tests {
 
     #[test]
     fn a_raised_interrupt_solves_the_cube_again() {
-        let (mut backend, c, _) = pigeonhole_backend();
+        let (mut backend, c, d) = pigeonhole_backend();
         let mut acc = vec![0u64; backend.spec.cnf.num_vars()];
         let lowered = InterruptFlag::new();
         let raised = InterruptFlag::new();
         raised.raise();
+        let kept_cube =
+            |backend: &FreshBackend| backend.resident.as_ref().unwrap().last.cube.as_ptr();
+        let _ = backend.solve(d.lits(), &lowered, &mut acc);
+        let buffer = kept_cube(&backend);
         let first = backend.solve(c.lits(), &lowered, &mut acc);
         assert!(first.verdict.is_unsat());
+        // Every solve rewrites the one kept buffer.
+        assert_eq!(kept_cube(&backend), buffer);
 
         mark_kept(&mut backend);
         let interrupted = backend.solve(c.lits(), &raised, &mut acc);
         assert_eq!(interrupted.verdict, Verdict::Unknown);
         // An interrupted solve is not kept: the next repeat is solved.
-        assert!(backend.resident.as_ref().unwrap().last.is_none());
+        assert!(backend.resident.as_ref().unwrap().last.answer.is_none());
         let again = backend.solve(c.lits(), &lowered, &mut acc);
         assert!(again.verdict.is_unsat() && again.elapsed != KEPT);
     }

@@ -13,8 +13,10 @@
 //! spawns nothing.
 //!
 //! Scoped threads end before `run_batch` returns, so a batch *borrows*:
-//! every worker reads the caller's `&[Cube]` and writes each cube's cost and
-//! verdict straight into the two result columns the oracle allocated. Both
+//! every worker reads the caller's `&[Cube]` — each cube's literals into one
+//! reused [`LitBuffer`], never through `Cube::lits`, whose cache would keep
+//! a copy per cube — and writes each cube's cost and verdict straight into
+//! the two result columns the oracle allocated. Both
 //! columns are cut into one contiguous *stripe* per participating slot and
 //! each stripe into the same chunks, handed out through a mutex around the
 //! stripe's two `ChunksMut`: a worker drains its own stripe first, then
@@ -52,7 +54,7 @@
 use super::backend::{BackendSpec, CubeBackend};
 use super::{summarize, BatchConfig, BatchResult, VerdictSummary};
 use crate::fault::{FaultState, FaultyBackend};
-use pdsat_cnf::{Assignment, Cube, DratProof};
+use pdsat_cnf::{Assignment, Cube, DratProof, LitBuffer};
 use pdsat_solver::{InterruptFlag, SolverStats};
 use std::iter::Zip;
 use std::ops::Range;
@@ -239,14 +241,15 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
     backend.begin_batch();
     let mut report = StripeReport::default();
     let (mut panics, mut requeued) = (0u64, 0u64);
+    let mut buffer = LitBuffer::new();
     while let Some((first, costs, verdicts)) = batch.claim(stripe) {
         for ((index, cost), verdict) in (first..).zip(costs).zip(verdicts) {
+            let cube = buffer.write(&cubes[index]);
             // First attempt plus at most one requeue onto a respawned
             // backend — the exactly-once requeue contract.
             for attempt in 0..2 {
-                let solved = catch_unwind(AssertUnwindSafe(|| {
-                    backend.solve(cubes[index].lits(), interrupt, totals)
-                }));
+                let solved =
+                    catch_unwind(AssertUnwindSafe(|| backend.solve(cube, interrupt, totals)));
                 if let Ok(raw) = solved {
                     *cost = config.cost.measure(raw.counters, raw.elapsed);
                     *verdict = Some(summarize(

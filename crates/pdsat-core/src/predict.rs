@@ -320,13 +320,10 @@ impl Evaluator {
                 .into_iter()
                 .enumerate()
                 .collect();
-            // Negative literal first, the binary counting order of
-            // `DecompositionSet::cubes`. Stable: equal cubes keep the order
-            // drawn.
-            fn polarities(cube: &Cube) -> impl Iterator<Item = bool> + '_ {
-                cube.lits().iter().map(|l| l.is_positive())
-            }
-            drawn.sort_by(|(_, a), (_, b)| polarities(a).cmp(polarities(b)));
+            // `Cube`'s order over one set is `α`'s, the binary counting
+            // order of `DecompositionSet::cubes`. Stable: equal cubes keep
+            // the order drawn.
+            drawn.sort_by(|(_, a), (_, b)| a.cmp(b));
             let from = plan.len();
             drawn_at.resize(from + drawn.len(), 0);
             for (j, cube) in drawn {
