@@ -228,9 +228,6 @@ impl Cube {
     /// which is what makes a decomposition family a partitioning.
     #[must_use]
     pub fn conflicts_with(&self, other: &Cube) -> bool {
-        if Arc::ptr_eq(&self.vars, &other.vars) && self.len() <= WORD {
-            return self.alpha != other.alpha;
-        }
         self.iter().any(|l| other.iter().any(|m| m == !l))
     }
 
@@ -245,7 +242,7 @@ impl Cube {
 /// however they were built.
 impl PartialEq for Cube {
     fn eq(&self, other: &Cube) -> bool {
-        (Arc::ptr_eq(&self.vars, &other.vars) || self.vars == other.vars)
+        self.vars == other.vars
             && self.alpha == other.alpha
             && (self.len() <= WORD || self.lits() == other.lits())
     }
