@@ -57,15 +57,6 @@ impl Circuit {
         self.nodes.len()
     }
 
-    /// Number of gate nodes (nodes that are not primary inputs).
-    #[must_use]
-    pub fn num_gates(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|g| !matches!(g, Gate::Input(_)))
-            .count()
-    }
-
     /// Declared outputs, in order.
     #[must_use]
     pub fn outputs(&self) -> &[Signal] {
@@ -381,7 +372,6 @@ mod tests {
         c.add_output(x);
         assert_eq!(c.num_inputs(), 2);
         assert_eq!(c.num_nodes(), 3);
-        assert_eq!(c.num_gates(), 1);
         assert_eq!(c.outputs().len(), 1);
     }
 }

@@ -31,21 +31,6 @@ impl Signal {
     pub const FALSE: Signal = Signal::Const(false);
     /// The constant true signal.
     pub const TRUE: Signal = Signal::Const(true);
-
-    /// `true` when the signal is a constant.
-    #[must_use]
-    pub fn is_const(self) -> bool {
-        matches!(self, Signal::Const(_))
-    }
-
-    /// The constant value, if this signal is one.
-    #[must_use]
-    pub fn as_const(self) -> Option<bool> {
-        match self {
-            Signal::Const(b) => Some(b),
-            Signal::Node(_) => None,
-        }
-    }
 }
 
 impl From<bool> for Signal {
@@ -86,11 +71,7 @@ mod tests {
 
     #[test]
     fn signal_constants() {
-        assert!(Signal::TRUE.is_const());
-        assert_eq!(Signal::TRUE.as_const(), Some(true));
-        assert_eq!(Signal::FALSE.as_const(), Some(false));
         assert_eq!(Signal::from(true), Signal::TRUE);
-        assert_eq!(Signal::Node(NodeId(3)).as_const(), None);
         assert_eq!(NodeId(3).index(), 3);
     }
 }

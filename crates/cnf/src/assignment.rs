@@ -52,12 +52,6 @@ impl Assignment {
         self.values.iter().filter(|v| v.is_some()).count()
     }
 
-    /// `true` when every variable is assigned.
-    #[must_use]
-    pub fn is_total(&self) -> bool {
-        self.values.iter().all(|v| v.is_some())
-    }
-
     /// Value of a variable.
     ///
     /// # Panics
@@ -101,11 +95,6 @@ impl Assignment {
         self.assign(lit.var(), lit.is_positive());
     }
 
-    /// Removes the assignment of `var`.
-    pub fn unassign(&mut self, var: Var) {
-        self.values[var.index()] = None;
-    }
-
     /// Clears all assignments.
     pub fn clear(&mut self) {
         self.values.iter_mut().for_each(|v| *v = None);
@@ -117,12 +106,6 @@ impl Assignment {
             .iter()
             .enumerate()
             .filter_map(|(i, v)| v.map(|b| (Var::new(i as u32), b)))
-    }
-
-    /// Returns the assignment as a vector of booleans if it is total.
-    #[must_use]
-    pub fn to_bools(&self) -> Option<Vec<bool>> {
-        self.values.iter().copied().collect()
     }
 }
 
@@ -148,15 +131,11 @@ mod tests {
     #[test]
     fn assign_unassign_cycle() {
         let mut a = Assignment::new(3);
-        assert!(!a.is_total());
+        assert_eq!(a.num_assigned(), 0);
         a.assign(Var::new(0), true);
         a.assign(Var::new(1), false);
         a.assign(Var::new(2), true);
-        assert!(a.is_total());
-        assert_eq!(a.to_bools(), Some(vec![true, false, true]));
-        a.unassign(Var::new(1));
-        assert!(!a.is_total());
-        assert_eq!(a.to_bools(), None);
+        assert_eq!(a.num_assigned(), 3);
         a.clear();
         assert_eq!(a.num_assigned(), 0);
     }
@@ -168,8 +147,8 @@ mod tests {
         a.assign(v, false);
         assert_eq!(a.lit_value(Lit::positive(v)), Value::False);
         assert_eq!(a.lit_value(Lit::negative(v)), Value::True);
-        a.unassign(v);
-        assert_eq!(a.lit_value(Lit::negative(v)), Value::Unassigned);
+        let fresh = Assignment::new(1);
+        assert_eq!(fresh.lit_value(Lit::negative(v)), Value::Unassigned);
     }
 
     #[test]
@@ -184,7 +163,7 @@ mod tests {
     #[test]
     fn from_bools_is_total() {
         let a = Assignment::from_bools(&[true, false]);
-        assert!(a.is_total());
+        assert_eq!(a.num_assigned(), 2);
         assert_eq!(a.num_vars(), 2);
         let pairs: Vec<_> = a.iter().collect();
         assert_eq!(pairs, vec![(Var::new(0), true), (Var::new(1), false)]);

@@ -30,17 +30,6 @@ impl ClusterConfig {
         }
     }
 
-    /// The paper's 5-node (160-core) configuration used for Bivium/Grain
-    /// estimation experiments.
-    #[must_use]
-    pub fn matrosov_5_nodes() -> ClusterConfig {
-        ClusterConfig {
-            nodes: 5,
-            cores_per_node: 32,
-            core_speed: 1.0,
-        }
-    }
-
     /// The paper's 15-node (480-core) configuration used for Table 3.
     #[must_use]
     pub fn matrosov_15_nodes() -> ClusterConfig {
@@ -140,7 +129,6 @@ mod tests {
     #[test]
     fn paper_configurations_have_expected_core_counts() {
         assert_eq!(ClusterConfig::matrosov_2_nodes().cores(), 64);
-        assert_eq!(ClusterConfig::matrosov_5_nodes().cores(), 160);
         assert_eq!(ClusterConfig::matrosov_15_nodes().cores(), 480);
     }
 

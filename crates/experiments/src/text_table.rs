@@ -25,12 +25,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The table title.
     #[must_use]
     pub fn title(&self) -> &str {
@@ -106,7 +100,6 @@ mod tests {
         assert!(text.contains("Demo"));
         assert!(text.contains("Set"));
         assert!(text.contains("4.451e8"));
-        assert_eq!(table.num_rows(), 2);
         let lines: Vec<&str> = text.lines().collect();
         // Title + header + rule + 2 rows.
         assert_eq!(lines.len(), 5);

@@ -132,12 +132,6 @@ impl DecompositionSet {
         (0..n).map(|_| self.random_cube(rng)).collect()
     }
 
-    /// Union with another set.
-    #[must_use]
-    pub fn union(&self, other: &DecompositionSet) -> DecompositionSet {
-        DecompositionSet::new(self.vars.iter().chain(other.vars.iter()).copied())
-    }
-
     /// Set difference `self \ other`.
     #[must_use]
     pub fn difference(&self, other: &DecompositionSet) -> DecompositionSet {
@@ -253,7 +247,6 @@ mod tests {
     fn union_and_difference() {
         let a = vars(&[1, 2, 3]);
         let b = vars(&[3, 4]);
-        assert_eq!(a.union(&b), vars(&[1, 2, 3, 4]));
         assert_eq!(a.difference(&b), vars(&[1, 2]));
         assert_eq!(b.difference(&a), vars(&[4]));
     }

@@ -1,11 +1,11 @@
 //! Deterministic fault injection for the worker pool.
 //!
 //! A pool worker's backend can panic mid-sub-problem, and the pool's
-//! answer — quarantine, respawn, requeue once, last-resort fallback — is only
-//! trustworthy if those panics can be *provoked on demand*, reproducibly.
-//! Nothing else reaches that code: an honest backend does not panic. A
-//! [`FaultPlan`] is a seeded, value-typed schedule of injection points
-//! ("panic on the nth cube solve", "fail the first k respawns") that the
+//! answer — a replacement backend for the worker, one re-solve of the cube
+//! on the calling thread — is only trustworthy if those panics can be
+//! *provoked on demand*, reproducibly. Nothing else reaches that code: an
+//! honest backend does not panic. A [`FaultPlan`] is a seeded, value-typed
+//! schedule of injection points ("panic on the nth cube solve") that the
 //! pool's chaos suites feed in through the hidden test policy of
 //! `CubeOracle::with_test_policy`, asserting outcome-for-outcome equality
 //! with a fault-free reference run.
@@ -16,10 +16,11 @@
 //! directly.
 //!
 //! Injection points are counted by *ordinal* — the nth solve call across the
-//! whole pool, the nth respawn — through the shared atomic counters of an
-//! armed plan. Across pool threads the interleaving is
-//! scheduling-dependent, which is fine for chaos testing: the asserted
-//! outcomes are scheduling-independent.
+//! whole pool — through the shared atomic counter of an armed plan. The pool
+//! calls `solve` exactly once per cube and the re-solve is never injected,
+//! so every planned ordinal below the number of cubes solved fires exactly
+//! once; which cube it hits depends on the scheduling of the pool threads,
+//! the outcome does not.
 
 use crate::oracle::{BackendOutcome, CubeBackend};
 use pdsat_cnf::Lit;
@@ -34,10 +35,6 @@ pub struct FaultPlan {
     /// 0-based ordinals of backend `solve` calls (counted across all
     /// workers) that panic instead of solving.
     pub solve_panics: Vec<u64>,
-    /// How many backend respawn attempts (after a quarantined panic) fail,
-    /// counted pool-wide from the first respawn. `u64::MAX` makes every
-    /// respawn fail, which is how the all-workers-dead path is exercised.
-    pub respawn_failures: u64,
 }
 
 /// Splitmix64: the workspace-standard seed scrambler (also used by the
@@ -73,35 +70,27 @@ impl FaultPlan {
             .collect();
         solve_panics.sort_unstable();
         solve_panics.dedup();
-        FaultPlan {
-            solve_panics,
-            // Seeded plans keep respawns working: a plan that kills every
-            // worker tests the (panicking) last-resort path, which chaos
-            // suites provoke explicitly instead of at random.
-            respawn_failures: 0,
-        }
+        FaultPlan { solve_panics }
     }
 
-    /// Arms the plan: wraps it in the shared mutable state (atomic ordinal
-    /// counters) every pool worker consumes it through.
+    /// Arms the plan: wraps it in the shared mutable state (an atomic
+    /// ordinal counter) every pool worker consumes it through.
     #[must_use]
     pub(crate) fn arm(self) -> Arc<FaultState> {
         Arc::new(FaultState {
             plan: self,
             solves: AtomicU64::new(0),
-            respawns: AtomicU64::new(0),
         })
     }
 }
 
-/// An armed [`FaultPlan`]: the plan plus the shared ordinal counters that
-/// decide, per event, whether a fault fires. One `FaultState` is shared by
-/// every worker of one pool, so the ordinals count pool-wide events.
+/// An armed [`FaultPlan`]: the plan plus the shared ordinal counter that
+/// decides, per solve, whether a fault fires. One `FaultState` is shared by
+/// every worker of one pool, so the ordinals count pool-wide solves.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     plan: FaultPlan,
     solves: AtomicU64,
-    respawns: AtomicU64,
 }
 
 impl FaultState {
@@ -111,19 +100,11 @@ impl FaultState {
         let n = self.solves.fetch_add(1, Ordering::Relaxed);
         self.plan.solve_panics.contains(&n)
     }
-
-    /// Counts one backend respawn attempt; `true` when it is scheduled to
-    /// fail.
-    pub(crate) fn respawn_should_fail(&self) -> bool {
-        let n = self.respawns.fetch_add(1, Ordering::Relaxed);
-        n < self.plan.respawn_failures
-    }
 }
 
 /// The panic payload of an injected solve panic, distinguishable from real
 /// backend panics (tests use [`silence_injected_panics`] to keep the default
-/// panic hook from spamming stderr with expected unwinds). An injected
-/// respawn failure does not panic: the respawn just reports no backend.
+/// panic hook from spamming stderr with expected unwinds).
 #[derive(Debug, Clone, Copy)]
 pub struct InjectedFault;
 
@@ -144,8 +125,8 @@ pub fn silence_injected_panics() {
 /// A backend decorator that consults the armed plan before every
 /// solve and panics at the scheduled ordinals — the pool-layer injection
 /// point. Built by the oracle whenever its test policy's fault plan is
-/// non-empty (respawned backends are re-wrapped, so a respawned worker stays
-/// injectable).
+/// non-empty (replacement backends are wrapped too, so a worker stays
+/// injectable after a panic).
 pub(crate) struct FaultyBackend {
     inner: Box<dyn CubeBackend>,
     faults: Arc<FaultState>,
@@ -194,7 +175,6 @@ mod tests {
         for plan in [&a, &c] {
             assert!(plan.solve_panics.len() <= 3);
             assert!(plan.solve_panics.iter().all(|&o| o < 100));
-            assert!(plan.respawn_failures == 0);
         }
     }
 
@@ -202,14 +182,11 @@ mod tests {
     fn armed_state_counts_ordinals() {
         let state = FaultPlan {
             solve_panics: vec![1],
-            respawn_failures: 1,
         }
         .arm();
         assert!(!state.solve_should_panic()); // ordinal 0
         assert!(state.solve_should_panic()); // ordinal 1
         assert!(!state.solve_should_panic()); // ordinal 2
-        assert!(state.respawn_should_fail()); // first respawn fails
-        assert!(!state.respawn_should_fail()); // second succeeds
     }
 
     /// The plans the pool suites run (`worker_pool.rs` over its 4,096-cube
@@ -242,6 +219,5 @@ mod tests {
         assert!(FaultPlan::default().is_empty());
         let state = FaultPlan::default().arm();
         assert!(!state.solve_should_panic());
-        assert!(!state.respawn_should_fail());
     }
 }

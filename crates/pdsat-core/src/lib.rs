@@ -95,6 +95,7 @@ mod cost;
 mod decomposition;
 mod driver;
 mod estimator;
+#[doc(hidden)]
 pub mod fault;
 mod oracle;
 mod predict;
@@ -113,6 +114,7 @@ pub use driver::{
 pub use estimator::{
     normal_cdf, normal_quantile, student_t_quantile, PredictiveEstimate, SampleStats,
 };
+#[doc(hidden)]
 pub use fault::FaultPlan;
 pub use oracle::{
     BackendKind, BatchConfig, BatchResult, CubeOracle, OracleTestPolicy, VerdictSummary,

@@ -156,11 +156,11 @@ pub struct OracleTestPolicy {
     /// (scheduling tests, oversubscription experiments).
     pub exact_workers: bool,
     /// Faults to inject, armed when the oracle is built and wrapped around
-    /// every pool backend — initial and respawned — so the plan's solve
-    /// panics and respawn failures fire inside the workers, exercising the
-    /// quarantine/respawn/requeue machinery, whatever the number of workers.
-    /// The last-resort fallback is intentionally not injected (a panic there
-    /// propagates to the caller).
+    /// every pool backend — the first of each slot and every replacement —
+    /// so the plan's solve panics fire inside the workers, whatever the
+    /// number of workers, and each panicked cube comes back through the
+    /// re-solve on the calling thread. That re-solve is intentionally not
+    /// injected (a panic there propagates to the caller).
     pub faults: FaultPlan,
 }
 
@@ -204,7 +204,7 @@ pub struct OracleTestPolicy {
 /// ```
 pub struct CubeOracle {
     /// The formula and how to build a backend over it; shared with the pool
-    /// slots, which respawn from it.
+    /// slots, which build their backends and replacements from it.
     spec: Arc<BackendSpec>,
     config: BatchConfig,
     pool: WorkerPool,
@@ -325,54 +325,48 @@ impl CubeOracle {
         let interrupt = external_interrupt.cloned().unwrap_or_default();
         let mut result = BatchResult::unsolved(cubes.len(), self.cnf().num_vars());
 
-        let mut solved = 0;
         if !cubes.is_empty() {
-            solved = self
-                .pool
+            self.pool
                 .run_batch(cubes, &self.config, &interrupt, &mut result);
-            // Last-resort fallback: every cube no worker solved — one that
-            // killed two backends in a row, cubes stranded by a failed
-            // respawn, positions nobody claimed because the last workers
-            // died mid-batch — is re-solved on the calling thread with a
-            // one-shot backend. Deliberately not fault-injected: if this
-            // path panics too, the failure surfaces to the caller.
-            if solved < cubes.len() {
-                let resolved = solve_on_caller(
+            // Every cube whose solve panicked in the pool is re-solved once
+            // on the calling thread with a one-shot backend. Deliberately
+            // not fault-injected: if this path panics too, the failure
+            // surfaces to the caller.
+            if result.solver_stats.worker_panics > 0 {
+                solve_on_caller(
                     self.spec.build().as_mut(),
                     cubes,
                     &self.config,
                     &interrupt,
                     &mut result,
                 );
-                result.solver_stats.requeued_cubes += resolved as u64;
-                solved += resolved;
             }
-            // Each worker listed its own; the fallback's come last.
+            // Each worker listed its own; the re-solve's come last.
             result.models.sort_unstable_by_key(|&(index, _)| index);
             result.proofs.sort_unstable_by_key(|&(index, _)| index);
         }
 
         self.batches += 1;
-        self.cubes_solved += solved as u64;
+        self.cubes_solved += cubes.len() as u64;
         self.total_stats.absorb(&result.solver_stats);
         result.wall_time = start.elapsed();
         result
     }
 }
 
-/// The last-resort fallback: solves, in turn on `backend`, every cube of the
-/// batch whose position in `result` no worker filled, writes each cube's
-/// cost and verdict at its position, adds the backend's statistics for the
-/// run to `result`'s and returns how many cubes it solved.
+/// The re-solve of cubes whose solve panicked in the pool: solves, in turn
+/// on `backend`, every cube of the batch whose position in `result` no
+/// worker filled, writes each cube's cost and verdict at its position,
+/// counts it in `requeued_cubes` and adds the backend's statistics for the
+/// run to `result`'s.
 fn solve_on_caller(
     backend: &mut dyn CubeBackend,
     cubes: &[Cube],
     config: &BatchConfig,
     interrupt: &InterruptFlag,
     result: &mut BatchResult,
-) -> usize {
+) {
     backend.begin_batch();
-    let mut solved = 0;
     let mut buffer = LitBuffer::new();
     for (index, cube) in cubes.iter().enumerate() {
         if result.verdicts[index].is_some() {
@@ -383,10 +377,9 @@ fn solve_on_caller(
         result.costs[index] = config.cost.measure(raw.counters, raw.elapsed);
         let verdict = summarize(index, raw, &mut result.models, &mut result.proofs);
         result.verdicts[index] = Some(verdict);
-        solved += 1;
+        result.solver_stats.requeued_cubes += 1;
     }
     result.solver_stats.absorb(&backend.end_batch());
-    solved
 }
 
 /// Summarizes the verdict of a backend's raw report on cube `index`, listing

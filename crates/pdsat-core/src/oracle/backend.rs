@@ -131,8 +131,9 @@ impl BackendKind {
 
 /// How to build a backend: everything [`BatchConfig`] and the formula decide
 /// about it, worked out once when the oracle is built and shared by every
-/// site that builds one — each pool worker and its respawns, the last-resort
-/// fallback.
+/// site that builds one — each pool slot, for its first backend and for
+/// every replacement after a panic, and the oracle's re-solve of the cubes
+/// whose solve panicked.
 pub(crate) struct BackendSpec {
     /// The formula every sub-problem restricts.
     pub cnf: Arc<Cnf>,

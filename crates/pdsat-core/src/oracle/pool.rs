@@ -32,24 +32,20 @@
 //! # Fault tolerance
 //!
 //! A backend that panics mid-cube does not kill the batch. Every solve call
-//! runs under `catch_unwind`; on a panic the worker *quarantines* the
-//! poisoned backend (drops it — its in-batch statistics are lost, counted in
-//! `SolverStats::worker_panics`), builds a fresh replacement on the spot,
-//! and requeues the in-flight cube onto it **exactly once**
-//! (`SolverStats::requeued_cubes`). A cube whose retry panics again — or any
-//! cube stranded when the respawn itself fails — keeps the `None` verdict the
-//! column was allocated with, and the oracle solves every such leftover on
-//! the calling thread with a one-shot backend (the last-resort fallback).
-//! This holds for a pool of any width, one slot included. A slot whose
-//! respawn fails stays dead; later batches are dispatched around it, and
-//! only when *every* slot is dead does dispatch panic (naming the pool
-//! shape), since at that point no executor is left.
-//! A panic that escapes this recovery (from `begin_batch` / `end_batch`, or
-//! from building the slot's first backend) comes back through the scope's
-//! join and is re-raised on the caller naming the slot and the batch
-//! positions it owned. The no-fault path is bit-identical to a pool without
-//! the recovery: `catch_unwind` does not perturb the computation, and the
-//! counters stay zero.
+//! runs under `catch_unwind`; on a panic the worker counts it in
+//! `SolverStats::worker_panics`, drops the backend (its in-batch statistics
+//! die with it), builds a replacement from the slot's blueprint and carries
+//! on with its next cube. The cube itself keeps the `None` verdict the
+//! column was allocated with: the oracle re-solves every such cube once on
+//! the calling thread with a one-shot backend (`SolverStats::requeued_cubes`),
+//! which is never injected, so a panic there reaches the caller. The pool
+//! calls `solve` exactly once per cube, for a pool of any width.
+//! A panic outside a solve (from `begin_batch` / `end_batch`, or from
+//! building a backend) comes back through the scope's join and is re-raised
+//! on the caller naming the slot and the batch positions it owned; the slot
+//! is left without a backend, so its next batch builds one. The no-fault
+//! path is bit-identical to a pool without the recovery: `catch_unwind`
+//! does not perturb the computation, and the counters stay zero.
 
 use super::backend::{BackendSpec, CubeBackend};
 use super::{summarize, BatchConfig, BatchResult, VerdictSummary};
@@ -63,11 +59,12 @@ use std::slice::ChunksMut;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-/// What a slot builds its backends from: the first one and every respawn.
+/// What a slot builds its backends from: the first one and every
+/// replacement.
 struct Blueprint {
     spec: Arc<BackendSpec>,
     /// When armed, every backend is wrapped in a [`FaultyBackend`] so the
-    /// plan's solve panics and respawn failures fire inside the pool.
+    /// plan's solve panics fire inside the pool.
     faults: Option<Arc<FaultState>>,
 }
 
@@ -79,46 +76,23 @@ impl Blueprint {
             None => inner,
         }
     }
-
-    /// A replacement for a quarantined backend, or `None` when the respawn
-    /// fails (by the fault plan, or because building panicked).
-    fn respawn(&self) -> Option<Box<dyn CubeBackend>> {
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.respawn_should_fail())
-        {
-            return None;
-        }
-        catch_unwind(AssertUnwindSafe(|| self.build())).ok()
-    }
-}
-
-/// The backend of one slot, between batches.
-enum Resident {
-    /// No batch has used the slot yet.
-    Unbuilt,
-    Ready(Box<dyn CubeBackend>),
-    /// A respawn failed, or a panic escaped recovery while the slot's
-    /// backend was out on a batch.
-    Dead,
 }
 
 struct Slot {
     blueprint: Blueprint,
-    backend: Resident,
+    /// The slot's backend between batches; `None` until a batch first uses
+    /// the slot, and after a worker unwound with it.
+    backend: Option<Box<dyn CubeBackend>>,
 }
 
 impl Slot {
-    /// Moves the backend out for a batch (building it on the slot's first),
-    /// leaving the slot dead until [`drain`] puts it back — so a slot whose
-    /// worker unwinds stays dead.
+    /// Moves the backend out for a batch, building it when the slot has
+    /// none. [`drain`] puts it back, so a slot whose worker unwinds is left
+    /// without one.
     fn take_backend(&mut self) -> Box<dyn CubeBackend> {
-        match std::mem::replace(&mut self.backend, Resident::Dead) {
-            Resident::Ready(backend) => backend,
-            Resident::Unbuilt => self.blueprint.build(),
-            Resident::Dead => unreachable!("batches are dispatched around dead slots"),
-        }
+        self.backend
+            .take()
+            .unwrap_or_else(|| self.blueprint.build())
     }
 }
 
@@ -219,8 +193,6 @@ impl<'a> Batch<'a> {
 #[derive(Default)]
 struct StripeReport {
     stats: SolverStats,
-    /// Cubes this worker solved and placed.
-    solved: usize,
     /// The models and proofs of those cubes, by batch position.
     models: Vec<(usize, Assignment)>,
     proofs: Vec<(usize, DratProof)>,
@@ -228,8 +200,9 @@ struct StripeReport {
 
 /// One worker's share of one batch, on whichever thread runs it: drains
 /// `stripe` and then steals, on the slot's resident backend, adding
-/// per-variable conflict counts into `totals`. A slot whose respawn fails is
-/// left dead and the cubes it held keep their `None` verdict.
+/// per-variable conflict counts into `totals`. A cube whose solve panics
+/// keeps its `None` verdict and the worker goes on with a replacement
+/// backend.
 fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) -> StripeReport {
     let Batch {
         cubes,
@@ -240,55 +213,35 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
     let mut backend = slot.take_backend();
     backend.begin_batch();
     let mut report = StripeReport::default();
-    let (mut panics, mut requeued) = (0u64, 0u64);
+    let mut panics = 0u64;
     let mut buffer = LitBuffer::new();
     while let Some((first, costs, verdicts)) = batch.claim(stripe) {
         for ((index, cost), verdict) in (first..).zip(costs).zip(verdicts) {
             let cube = buffer.write(&cubes[index]);
-            // First attempt plus at most one requeue onto a respawned
-            // backend — the exactly-once requeue contract.
-            for attempt in 0..2 {
-                let solved =
-                    catch_unwind(AssertUnwindSafe(|| backend.solve(cube, interrupt, totals)));
-                if let Ok(raw) = solved {
-                    *cost = config.cost.measure(raw.counters, raw.elapsed);
-                    *verdict = Some(summarize(
-                        index,
-                        raw,
-                        &mut report.models,
-                        &mut report.proofs,
-                    ));
-                    report.solved += 1;
-                    break;
-                }
+            let solved = catch_unwind(AssertUnwindSafe(|| backend.solve(cube, interrupt, totals)));
+            if let Ok(raw) = solved {
+                *cost = config.cost.measure(raw.counters, raw.elapsed);
+                *verdict = Some(summarize(
+                    index,
+                    raw,
+                    &mut report.models,
+                    &mut report.proofs,
+                ));
+            } else {
+                // Drop the poisoned backend: `end_batch` on a backend that
+                // just unwound cannot be trusted, so its in-batch statistics
+                // die with it. The cube is left for the oracle's re-solve.
                 panics += 1;
-                // Quarantine the poisoned backend and respawn in place. Its
-                // in-batch statistics die with it — `end_batch` on a backend
-                // that just unwound cannot be trusted.
-                let Some(fresh) = slot.blueprint.respawn() else {
-                    // The slot stays dead. The in-flight cube and the rest
-                    // of the claimed chunk keep their `None` verdicts, for
-                    // the oracle's last-resort fallback.
-                    report.stats.worker_panics = panics;
-                    report.stats.requeued_cubes = requeued;
-                    return report;
-                };
-                backend = fresh;
+                backend = slot.blueprint.build();
                 backend.begin_batch();
-                if attempt == 0 {
-                    requeued += 1;
-                }
-                // After the second panic the cube goes to the fallback, and
-                // this worker carries on with the healthy respawn.
             }
         }
     }
     // Solver statistics — the trail-reuse counters included — are merged
-    // exactly once per batch; the fault counters ride along.
+    // exactly once per batch; the panic count rides along.
     report.stats = backend.end_batch();
-    report.stats.worker_panics += panics;
-    report.stats.requeued_cubes += requeued;
-    slot.backend = Resident::Ready(backend);
+    report.stats.worker_panics = panics;
+    slot.backend = Some(backend);
     report
 }
 
@@ -314,53 +267,37 @@ impl WorkerPool {
                     spec: Arc::clone(spec),
                     faults: faults.cloned(),
                 },
-                backend: Resident::Unbuilt,
+                backend: None,
             })
             .collect();
         WorkerPool { slots }
     }
 
-    /// Number of slots (live or dead).
+    /// Number of slots.
     pub(super) fn size(&self) -> usize {
         self.slots.len()
     }
 
-    /// Solves one non-empty batch on the first `min(live slots, cubes)` live
-    /// slots, in slot order: the calling thread drains stripe 0, one scoped
-    /// thread each the others, and all have finished when this returns.
-    /// `result` is all unsolved on entry; every cube a worker solved has its
-    /// cost and verdict at its own position on return and its model or proof
-    /// listed (in no order yet), the others (panicked twice, or stranded by
-    /// a failed respawn) still the `None` verdict. Conflict counts and
-    /// statistics are added to `result`'s. Returns how many were solved.
+    /// Solves one non-empty batch on the first `min(slots, cubes)` slots:
+    /// the calling thread drains stripe 0, one scoped thread each the
+    /// others, and all have finished when this returns. `result` is all
+    /// unsolved on entry; every cube a worker solved has its cost and
+    /// verdict at its own position on return and its model or proof listed
+    /// (in no order yet), and each cube whose solve panicked — one per
+    /// `worker_panics` added to `result`'s statistics — still has the `None`
+    /// verdict. Conflict counts and statistics are added to `result`'s.
     ///
     /// # Panics
     ///
-    /// Panics when no slot is live — every backend panicked and exhausted
-    /// its respawn, so no executor is left — and when a worker unwound past
-    /// its per-cube recovery.
+    /// Panics when a worker unwound past its per-cube recovery.
     pub(super) fn run_batch(
         &mut self,
         cubes: &[Cube],
         config: &BatchConfig,
         interrupt: &InterruptFlag,
         result: &mut BatchResult,
-    ) -> usize {
-        let size = self.size();
-        let mut workers: Vec<(usize, &mut Slot)> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, slot)| !matches!(slot.backend, Resident::Dead))
-            .take(cubes.len())
-            .collect();
-        assert!(
-            !workers.is_empty(),
-            "all {size} oracle worker threads are dead (every backend panicked and \
-             exhausted its respawn); cannot dispatch a batch of {} cubes",
-            cubes.len(),
-        );
-        let stripes = workers.len();
+    ) {
+        let stripes = self.slots.len().min(cubes.len());
         let (costs, verdicts) = (&mut result.costs, &mut result.verdicts);
         let batch = Batch::new(cubes, costs, verdicts, stripes, config, interrupt);
         let totals = &mut result.var_conflict_totals;
@@ -369,30 +306,28 @@ impl WorkerPool {
         // `totals`). A row is never empty, so that there is one per worker.
         let row = totals.len().max(1);
         let mut counts = vec![0u64; row * (stripes - 1)];
-        // Per stripe: the slot that drained it and what its worker returned.
-        let reports: Vec<(usize, thread::Result<StripeReport>)> = thread::scope(|scope| {
-            let spawned: Vec<_> = workers
-                .drain(1..)
+        let (own, others) = self.slots[..stripes]
+            .split_first_mut()
+            .expect("a batch is never empty");
+        // What the worker of stripe `i`, on slot `i`, returned.
+        let reports: Vec<thread::Result<StripeReport>> = thread::scope(|scope| {
+            let spawned: Vec<_> = others
+                .iter_mut()
                 .zip(counts.chunks_mut(row))
                 .zip(1..)
-                .map(|(((index, slot), counts), stripe)| {
+                .map(|((slot, counts), stripe)| {
                     let batch = &batch;
-                    (
-                        index,
-                        scope.spawn(move || drain(slot, stripe, batch, counts)),
-                    )
+                    scope.spawn(move || drain(slot, stripe, batch, counts))
                 })
                 .collect();
-            let (index, slot) = workers.pop().expect("stripe 0 is the caller's");
-            let own = catch_unwind(AssertUnwindSafe(|| drain(slot, 0, &batch, totals)));
-            std::iter::once((index, own))
-                .chain(spawned.into_iter().map(|(i, worker)| (i, worker.join())))
+            let own = catch_unwind(AssertUnwindSafe(|| drain(own, 0, &batch, totals)));
+            std::iter::once(own)
+                .chain(spawned.into_iter().map(thread::ScopedJoinHandle::join))
                 .collect()
         });
-        let mut solved = 0;
-        for (stripe, (slot, report)) in reports.into_iter().enumerate() {
+        for (slot, report) in reports.into_iter().enumerate() {
             let Ok(report) = report else {
-                let span = stripe_span(stripe, stripes, cubes.len());
+                let span = stripe_span(slot, stripes, cubes.len());
                 panic!(
                     "oracle worker {slot} died mid-batch (panic escaped backend recovery) \
                      while owning batch positions {}..{} of {} cubes",
@@ -402,7 +337,6 @@ impl WorkerPool {
                 );
             };
             result.solver_stats.absorb(&report.stats);
-            solved += report.solved;
             result.models.extend(report.models);
             result.proofs.extend(report.proofs);
         }
@@ -411,7 +345,6 @@ impl WorkerPool {
                 *t += c;
             }
         }
-        solved
     }
 }
 
@@ -456,13 +389,14 @@ mod tests {
         for (broken, expected) in [(1, "positions 4..8 of 8"), (0, "positions 0..4 of 8")] {
             let mut pool = WorkerPool::new(&spec, 2, None);
             let healthy = pool.slots[broken].take_backend();
-            pool.slots[broken].backend = Resident::Ready(Box::new(BrokenBoundary(healthy)));
+            pool.slots[broken].backend = Some(Box::new(BrokenBoundary(healthy)));
             let run = |pool: &mut WorkerPool| {
                 let mut result = BatchResult::unsolved(cubes.len(), cnf.num_vars());
                 let interrupt = InterruptFlag::new();
                 catch_unwind(AssertUnwindSafe(|| {
-                    pool.run_batch(&cubes, &config, &interrupt, &mut result)
+                    pool.run_batch(&cubes, &config, &interrupt, &mut result);
                 }))
+                .map(|()| result)
             };
             let payload = run(&mut pool).expect_err("the panic must reach the caller");
             let message = payload.downcast_ref::<String>().expect("a formatted panic");
@@ -471,8 +405,11 @@ mod tests {
                 "{message}"
             );
             assert!(message.contains(expected), "{message}");
-            // The slot is dead; the next batch runs on the other one alone.
-            assert_eq!(run(&mut pool).expect("one slot is left"), cubes.len());
+            // The next batch builds the broken slot a backend and solves
+            // every cube.
+            let result = run(&mut pool).expect("the slot is rebuilt");
+            assert!(result.verdicts.iter().all(Option::is_some));
+            assert!(pool.slots[broken].backend.is_some());
         }
     }
 }

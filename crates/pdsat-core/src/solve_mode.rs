@@ -109,11 +109,11 @@ family_counters! {
     imported_clauses: reserved,
     /// Field 11: the offered clauses no worker took.
     import_dropped: reserved,
-    /// Pool worker backends that panicked mid-cube and were quarantined and
-    /// respawned. Zero on every fault-free run.
+    /// Pool worker backends that panicked mid-cube and were replaced. Zero
+    /// on every fault-free run.
     worker_panics,
-    /// Cubes re-solved after a backend panic — on the respawned worker or on
-    /// the oracle's last-resort fallback.
+    /// Cubes re-solved after a backend panic, each once on the oracle's
+    /// calling thread.
     requeued_cubes,
 }
 

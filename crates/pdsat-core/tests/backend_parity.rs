@@ -265,7 +265,6 @@ fn fresh_oracle_reproduces_the_fixture_across_a_mid_family_solve_panic() {
     // a template of its own) re-solves the cube.
     let plan = FaultPlan {
         solve_panics: vec![6],
-        ..FaultPlan::default()
     };
     let mut oracle = fresh_fixture_oracle(&cnf, CostMetric::Propagations, 2, plan);
     let result = oracle.solve_batch(&cubes, None);

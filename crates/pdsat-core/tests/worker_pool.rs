@@ -1,7 +1,7 @@
 //! Integration tests for the oracle's worker pool: one-worker vs wider pool
 //! parity, warm-state survival across batches, the empty/short-batch edge
 //! cases, the placement of results in the columns where it can go wrong
-//! (stolen chunks, shuffled input, requeued and fallback cubes), and the
+//! (stolen chunks, shuffled input, cubes re-solved after a panic), and the
 //! certificates of a warm pool that keeps its proof streams across batches.
 
 use pdsat_checker::check_unsat_proof;
@@ -304,13 +304,10 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
     .solve_batch(&cubes, None);
     assert_whole_batch_is_solved(&reference, cubes.len());
 
-    // One worker, a pool that steals, and a pool whose first respawn fails
-    // so the cubes in flight come back through the fallback — with one
-    // worker, every cube after the first panic does.
-    let plan = FaultPlan {
-        respawn_failures: 1,
-        ..FaultPlan::seeded(3, 12, cubes.len() as u64)
-    };
+    // One worker, a pool that steals, and both with injected panics, whose
+    // cubes come back through the re-solve on the calling thread.
+    let plan = FaultPlan::seeded(3, 12, cubes.len() as u64);
+    let planned = plan.solve_panics.len() as u64;
     for (backend, workers, fault_plan) in [
         (BackendKind::Warm, 1, FaultPlan::default()),
         (BackendKind::Fresh, 4, FaultPlan::default()),
@@ -318,7 +315,7 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
         (BackendKind::Fresh, 1, plan.clone()),
         (BackendKind::Fresh, 4, plan),
     ] {
-        let faulted = !fault_plan.is_empty();
+        let panics = if fault_plan.is_empty() { 0 } else { planned };
         let config = BatchConfig {
             num_workers: workers,
             ..pool_of_four(backend)
@@ -331,7 +328,8 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
             // Warm costs depend on who learnt what; verdicts do not.
             assert_eq!(reference.verdicts, result.verdicts);
         }
-        assert_eq!(result.solver_stats.worker_panics > 0, faulted);
+        assert_eq!(result.solver_stats.worker_panics, panics);
+        assert_eq!(result.solver_stats.requeued_cubes, panics);
     }
 }
 
@@ -344,25 +342,19 @@ fn requeued_and_fallback_cubes_end_up_in_place() {
         exact_oracle(&cnf, fresh.clone(), FaultPlan::default()).solve_batch(&cubes, None);
 
     for seed in [3u64, 4, 9] {
-        // Panics at seeded solve ordinals all through the batch; the first
-        // respawn fails, so one worker dies with part of a chunk in flight
-        // (those cubes come back through the last-resort fallback, their
-        // models listed after everything else until the batch's one sort),
-        // the later ones are requeued mid-run.
-        let plan = FaultPlan {
-            respawn_failures: 1,
-            ..FaultPlan::seeded(seed, 12, cubes.len() as u64)
-        };
-        assert!(
-            plan.solve_panics.len() >= 2,
-            "seed {seed} injects too little"
-        );
+        // Panics at seeded solve ordinals all through the batch; each
+        // panicked cube comes back through the re-solve on the calling
+        // thread, its model listed after everything else until the batch's
+        // one sort.
+        let plan = FaultPlan::seeded(seed, 12, cubes.len() as u64);
+        let planned = plan.solve_panics.len() as u64;
+        assert!(planned >= 2, "seed {seed} injects too little");
         let faulted = exact_oracle(&cnf, fresh.clone(), plan).solve_batch(&cubes, None);
         assert_whole_batch_is_solved(&faulted, cubes.len());
         assert_same_observations(&reference, &faulted);
         assert_eq!(reference.var_conflict_totals, faulted.var_conflict_totals);
-        assert!(faulted.solver_stats.worker_panics >= 2, "seed {seed}");
-        assert!(faulted.solver_stats.requeued_cubes >= 2, "seed {seed}");
+        assert_eq!(faulted.solver_stats.worker_panics, planned, "seed {seed}");
+        assert_eq!(faulted.solver_stats.requeued_cubes, planned, "seed {seed}");
     }
 }
 
@@ -372,9 +364,9 @@ fn every_executor_returns_the_same_columns_and_ascending_side_lists() {
     // Fresh observations and certificates depend on the cube alone: one
     // worker, two and four must hand back the same columns and the same
     // position-ascending models and proofs — when chunks are stolen out of
-    // the conflict-bound first quarter, and when a worker dies on a failed
-    // respawn (its cubes come back through the fallback, listed last until
-    // the batch's one sort) and later panics are requeued mid-run.
+    // the conflict-bound first quarter, and when injected panics send cubes
+    // back through the re-solve on the calling thread (their models and
+    // proofs listed last until the batch's one sort).
     let (cnf, cubes) = skewed_family();
     let run = |workers, fault_plan| {
         let config = BatchConfig {
@@ -390,18 +382,17 @@ fn every_executor_returns_the_same_columns_and_ascending_side_lists() {
     let reference = run(1, FaultPlan::default());
     assert_whole_batch_is_solved(&reference, cubes.len());
     assert!(!reference.models.is_empty() && !reference.proofs.is_empty());
-    let faults = FaultPlan {
-        respawn_failures: 1,
-        ..FaultPlan::seeded(3, 12, cubes.len() as u64)
-    };
+    let faults = FaultPlan::seeded(3, 12, cubes.len() as u64);
+    let planned = faults.solve_panics.len() as u64;
     for workers in [2, 4] {
         for plan in [FaultPlan::default(), faults.clone()] {
-            let faulted = !plan.is_empty();
+            let panics = if plan.is_empty() { 0 } else { planned };
             let result = run(workers, plan);
             assert_whole_batch_is_solved(&result, cubes.len());
             assert_same_observations(&reference, &result);
             assert_eq!(reference.proofs, result.proofs, "workers={workers}");
-            assert_eq!(result.solver_stats.requeued_cubes >= 2, faulted);
+            assert_eq!(result.solver_stats.worker_panics, panics);
+            assert_eq!(result.solver_stats.requeued_cubes, panics);
         }
     }
 }

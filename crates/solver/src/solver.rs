@@ -421,17 +421,6 @@ impl Solver {
         &self.saved_assumptions
     }
 
-    /// VSIDS activity of a variable. Higher means the variable participated
-    /// in more recent conflicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable is unknown to the solver.
-    #[must_use]
-    pub fn var_activity(&self, var: Var) -> f64 {
-        self.activity[var.index()]
-    }
-
     /// Per-variable conflict participation counts (indexed by variable).
     #[must_use]
     pub fn conflict_counts(&self) -> &[u64] {
@@ -941,7 +930,6 @@ mod tests {
         s.solve();
         let total: u64 = s.conflict_counts().iter().sum();
         assert!(total > 0, "conflict analysis must have bumped variables");
-        assert!(s.var_activity(Var::new(0)) >= 0.0);
     }
 
     #[test]

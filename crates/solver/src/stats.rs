@@ -73,12 +73,11 @@ solver_stats! {
     /// of `propagations`.
     saved_propagations: u64,
     /// Number of pool worker backends that panicked mid-cube and were
-    /// quarantined and respawned (always zero for a lone solver; bumped by
-    /// the oracle's worker pool, which owns the panic recovery).
+    /// replaced (always zero for a lone solver; bumped by the oracle's
+    /// worker pool, which owns the panic recovery).
     worker_panics: u64,
-    /// Number of cubes re-solved after their first attempt died with a
-    /// panicking backend — each panicked cube is requeued exactly once onto
-    /// the respawned (or fallback) backend.
+    /// Number of cubes re-solved after their solve panicked in the pool —
+    /// each exactly once, on the oracle's calling thread.
     requeued_cubes: u64,
     /// Wall-clock time inside timed solve calls (`SolverConfig::time_accounting`).
     solve_time: Duration,
