@@ -7,10 +7,11 @@
 //! that unit as an MPI worker running a modified MiniSat; this module
 //! realizes it as a backend selected by [`BackendKind`], driven by an
 //! executor that owns a **pool of resident backends** ([`oracle/pool.rs`](pool)):
-//! one slot per worker (one at least), whose backend is built by the worker
-//! that first drains the slot and lives as long as the oracle does — the
-//! analogue of a PDSAT worker's solver state — while the worker *threads*
-//! are scoped to one batch each, so they read the caller's cubes and write
+//! one slot per worker (one at least), whose backend is built on the calling
+//! thread before the first batch that reaches the slot (the slots of one
+//! batch from one load of the formula) and lives as long as the oracle
+//! does — the analogue of a PDSAT worker's solver state — while the worker
+//! *threads* are scoped to one batch each, so they read the caller's cubes and write
 //! the result columns in place. The calling thread is always the first
 //! worker, so a one-worker oracle spawns no thread per batch. Every cube
 //! runs to a verdict; the executor fans an [`InterruptFlag`] out to every
@@ -123,10 +124,10 @@ pub struct BatchConfig {
     /// Cost metric recorded per sub-problem.
     pub cost: CostMetric,
     /// Number of workers: the pool has one slot per worker, whose resident
-    /// backend is built by the worker that first drains it, and every batch
-    /// wide enough drives each slot with a thread of its own (the calling
-    /// thread drains the first stripe itself, so one worker spawns no thread
-    /// per batch). 0 means 1. Capped at the machine's available parallelism:
+    /// backend is built in the first batch that reaches it (the slots of one
+    /// batch from one load of the formula), and every batch wide enough
+    /// drives each slot with a thread of its own (the calling thread drains
+    /// the first stripe itself, so one worker spawns no thread per batch). 0 means 1. Capped at the machine's available parallelism:
     /// surplus threads only add context-switch and dispatch overhead, the
     /// "more workers, slower solving" failure mode this executor prevents.
     pub num_workers: usize,
@@ -227,8 +228,13 @@ impl std::fmt::Debug for CubeOracle {
 
 impl CubeOracle {
     /// Creates an oracle over a copy of `cnf`, with a pool of one backend
-    /// per worker. Nothing is built yet: each backend is built by the worker
-    /// that first uses it, in the first batch wide enough to reach it.
+    /// per worker. Nothing is built yet: each backend is built in the first
+    /// batch wide enough to reach its slot, on the calling thread before the
+    /// batch's workers start. The slots one batch reaches share one load of
+    /// the formula: warm backends get copies of the loaded solver (the last
+    /// one the loaded solver itself), fresh ones restore from one shared
+    /// template. A slot a later batch first reaches, and the replacement of
+    /// a backend that panicked, load the formula again.
     #[must_use]
     pub fn new(cnf: &Cnf, config: BatchConfig) -> CubeOracle {
         CubeOracle::with_test_policy(cnf, config, OracleTestPolicy::default())

@@ -11,8 +11,9 @@
 //! outside through [`BackendKind`].
 //!
 //! Backends are *pool residents*: one instance is built per worker — every
-//! one of them from the oracle's single [`BackendSpec`], by the worker that
-//! first drains a stripe on the slot — and lives until the oracle is
+//! one of them from the oracle's single [`BackendSpec`], on the calling
+//! thread before the first batch that reaches the slot, the slots of one
+//! batch from one load of the formula — and lives until the oracle is
 //! dropped, surviving across batches ([`CubeBackend::begin_batch`] re-arms
 //! it at each batch boundary). That lifecycle is what lets [`WarmBackend`]'s learnt clauses
 //! and VSIDS state accumulate across every batch the oracle processes — the
@@ -131,9 +132,9 @@ impl BackendKind {
 
 /// How to build a backend: everything [`BatchConfig`] and the formula decide
 /// about it, worked out once when the oracle is built and shared by every
-/// site that builds one — each pool slot, for its first backend and for
-/// every replacement after a panic, and the oracle's re-solve of the cubes
-/// whose solve panicked.
+/// site that builds one — the pool, for the slots a batch reaches that have
+/// none and for every replacement after a panic, and the oracle's re-solve
+/// of the cubes whose solve panicked.
 pub(crate) struct BackendSpec {
     /// The formula every sub-problem restricts.
     pub cnf: Arc<Cnf>,
@@ -167,18 +168,43 @@ impl BackendSpec {
         }
     }
 
-    /// Builds one backend instance (one per worker, built once for the
-    /// worker's lifetime).
+    /// Builds one backend instance: a load of the formula of its own.
     pub(crate) fn build(self: &Arc<Self>) -> Box<dyn CubeBackend> {
-        match self.kind {
-            BackendKind::Fresh => Box::new(FreshBackend::new(Arc::clone(self))),
-            BackendKind::Warm => Box::new(WarmBackend::new(self)),
-        }
+        let mut built = self.build_many(1);
+        built.pop().expect("one backend was built")
     }
 
-    /// Loads the formula into a solver.
-    fn load_solver(&self) -> Solver {
-        Solver::from_cnf_with_config(&self.cnf, self.solver_config.clone())
+    /// Builds `n` backends (one per worker, each built once for the worker's
+    /// lifetime) from one load of the formula. Warm backends get copies of
+    /// the loaded solver, fresh ones restore from one shared template, and
+    /// the last backend takes the loaded solver itself, so one warm backend
+    /// holds the only solver there is.
+    pub(crate) fn build_many(self: &Arc<Self>, n: usize) -> Vec<Box<dyn CubeBackend>> {
+        let loaded = Solver::from_cnf_with_config(&self.cnf, self.solver_config.clone());
+        let mut built: Vec<Box<dyn CubeBackend>> = Vec::with_capacity(n);
+        match self.kind {
+            BackendKind::Warm => {
+                let warm = |solver| Box::new(WarmBackend::new(self, solver));
+                built.extend((1..n).map(|_| warm(loaded.clone()) as Box<dyn CubeBackend>));
+                built.push(warm(loaded));
+            }
+            BackendKind::Fresh => {
+                // The template is a copy: it is allocated at exact size,
+                // while the solver that did the loading keeps the spare
+                // capacity its watch lists grew, which solving would grow
+                // anyway.
+                let template = Arc::new(loaded.clone());
+                let fresh = |working| {
+                    let template = Arc::clone(&template);
+                    Box::new(FreshBackend::new(Arc::clone(self), template, working))
+                };
+                built.extend(
+                    (1..n).map(|_| fresh(Solver::clone(&template)) as Box<dyn CubeBackend>),
+                );
+                built.push(fresh(loaded));
+            }
+        }
+        built
     }
 }
 
@@ -191,9 +217,10 @@ impl std::fmt::Display for BackendKind {
 /// The fresh-solver backend: every cube is solved from identical solver
 /// state (the property the Monte Carlo estimator needs).
 ///
-/// The formula is loaded **once**, on the backend's first cube, into a
-/// *template* solver, and one *working* solver is restored from the template
-/// before each cube with [`Clone::clone_from`], which copies into the
+/// The formula is loaded **once**, when the backend is built, into a
+/// *template* solver that every fresh backend built from the same load
+/// shares, and the backend's own *working* solver is restored from the
+/// template before each cube with [`Clone::clone_from`], which copies into the
 /// working solver's existing allocations what a solve can change — the
 /// clause arena, the long-clause watch lists, the assignment and the
 /// heuristics — and shares the watchers of the loaded binary and ternary
@@ -212,8 +239,7 @@ impl std::fmt::Display for BackendKind {
 /// submitted, so repeats arrive back to back.
 pub(crate) struct FreshBackend {
     spec: Arc<BackendSpec>,
-    /// `None` until the first cube: construction does no solver work.
-    resident: Option<Resident>,
+    resident: Resident,
     /// Sum of the per-cube stats deltas of the current batch, handed out
     /// once at [`CubeBackend::end_batch`].
     batch_stats: SolverStats,
@@ -221,7 +247,9 @@ pub(crate) struct FreshBackend {
 
 /// The loaded formula and the solver the cubes actually run on.
 struct Resident {
-    template: Solver,
+    /// Shared with the other fresh backends built from the same load;
+    /// nothing writes it.
+    template: Arc<Solver>,
     working: Solver,
     /// The solve `working` holds the end state of. Kept across batches: the
     /// template never changes.
@@ -240,22 +268,6 @@ struct LastSolve {
 }
 
 impl Resident {
-    fn load(spec: &BackendSpec) -> Resident {
-        let working = spec.load_solver();
-        // The clone is the template: it is allocated at exact size, while
-        // the solver that did the loading keeps the spare capacity its watch
-        // lists grew, which solving would grow anyway.
-        let template = working.clone();
-        Resident {
-            template,
-            working,
-            last: LastSolve {
-                cube: Vec::new(),
-                answer: None,
-            },
-        }
-    }
-
     /// Restores `working` and solves `cube` on it — or, for a repeat of the
     /// last solve, returns that solve's verdict and wall time with `working`
     /// untouched.
@@ -288,11 +300,19 @@ impl Resident {
 }
 
 impl FreshBackend {
-    /// Creates the backend; the formula is loaded on the first cube.
-    fn new(spec: Arc<BackendSpec>) -> FreshBackend {
+    /// Creates the backend over a loaded `template` and a `working` solver
+    /// in the template's state.
+    fn new(spec: Arc<BackendSpec>, template: Arc<Solver>, working: Solver) -> FreshBackend {
         FreshBackend {
             spec,
-            resident: None,
+            resident: Resident {
+                template,
+                working,
+                last: LastSolve {
+                    cube: Vec::new(),
+                    answer: None,
+                },
+            },
             batch_stats: SolverStats::default(),
         }
     }
@@ -305,19 +325,20 @@ impl CubeBackend for FreshBackend {
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],
     ) -> BackendOutcome {
-        // The one-off load happens before the timer starts, so the first
-        // wall-time observation of a backend's life is distributed like
-        // every later one: restore + solve.
-        let resident = self
-            .resident
-            .get_or_insert_with(|| Resident::load(&self.spec));
+        // The load happened when the backend was built, so every wall-time
+        // observation of a backend's life is distributed alike: restore +
+        // solve.
+        let resident = &mut self.resident;
         let (verdict, elapsed) = resident.solve(cube, interrupt, self.spec.measure_wall_time);
         let working = &resident.working;
+        let counters = CubeCounters::of(working.stats());
         // The template accumulates no conflict participation (loading runs
         // no conflict analysis), so the working solver's counters are
-        // entirely this cube's.
-        for (acc, &c) in conflict_acc.iter_mut().zip(working.conflict_counts()) {
-            *acc += c;
+        // entirely this cube's — and all zero when it met no conflict.
+        if counters.conflicts > 0 {
+            for (acc, &c) in conflict_acc.iter_mut().zip(working.conflict_counts()) {
+                *acc += c;
+            }
         }
         // The full statistics stay in here, for the batch aggregate; the
         // report carries the three counters the executor reads.
@@ -325,7 +346,7 @@ impl CubeBackend for FreshBackend {
         let proof = working.unsat_certificate();
         BackendOutcome {
             verdict,
-            counters: CubeCounters::of(working.stats()),
+            counters,
             elapsed,
             proof,
         }
@@ -356,11 +377,11 @@ pub(crate) struct WarmBackend {
 }
 
 impl WarmBackend {
-    /// Creates the backend, loading the formula into the persistent solver
-    /// once.
-    fn new(spec: &BackendSpec) -> WarmBackend {
+    /// Creates the backend around `solver`, the persistent solver, loaded
+    /// with the formula and not yet used.
+    fn new(spec: &BackendSpec, solver: Solver) -> WarmBackend {
         WarmBackend {
-            solver: spec.load_solver(),
+            solver,
             attributed: vec![0; spec.cnf.num_vars()],
             batch_start: SolverStats::default(),
             measure_wall_time: spec.measure_wall_time,
@@ -443,13 +464,17 @@ mod tests {
         Arc::new(BackendSpec::new(Arc::new(cnf), &BatchConfig::default()))
     }
 
+    /// A fresh backend of its own load, unboxed.
+    fn fresh(spec: Arc<BackendSpec>) -> FreshBackend {
+        let loaded = Solver::from_cnf_with_config(&spec.cnf, spec.solver_config.clone());
+        FreshBackend::new(spec, Arc::new(loaded.clone()), loaded)
+    }
+
     #[test]
     fn fresh_backend_reports_lifetime_deltas() {
         let spec = spec(chain(4));
         let cnf = Arc::clone(&spec.cnf);
-        let mut backend = FreshBackend::new(spec);
-        // Construction loads nothing; the first cube does, outside its timer.
-        assert!(backend.resident.is_none());
+        let mut backend = fresh(spec);
         let cube = Cube::from_values(&[Var::new(0)], &[true]);
         let interrupt = InterruptFlag::new();
         let mut acc = vec![0u64; cnf.num_vars()];
@@ -475,7 +500,7 @@ mod tests {
         let spec = Arc::new(BackendSpec::new(Arc::new(Cnf::pigeonhole(5)), &config));
         let set = [Var::new(0), Var::new(7)];
         let (c, d) = (Cube::from_bits(&set, 0b10), Cube::from_bits(&set, 0b01));
-        (FreshBackend::new(spec), c, d)
+        (fresh(spec), c, d)
     }
 
     /// Marks the solve the backend keeps, so that a cube answered from it
@@ -483,10 +508,7 @@ mod tests {
     const KEPT: Duration = Duration::from_secs(7);
 
     fn mark_kept(backend: &mut FreshBackend) {
-        let answer = backend
-            .resident
-            .as_mut()
-            .and_then(|r| r.last.answer.as_mut());
+        let answer = backend.resident.last.answer.as_mut();
         answer.expect("the last solve is kept").1 = KEPT;
     }
 
@@ -534,8 +556,7 @@ mod tests {
         let lowered = InterruptFlag::new();
         let raised = InterruptFlag::new();
         raised.raise();
-        let kept_cube =
-            |backend: &FreshBackend| backend.resident.as_ref().unwrap().last.cube.as_ptr();
+        let kept_cube = |backend: &FreshBackend| backend.resident.last.cube.as_ptr();
         let _ = backend.solve(d.lits(), &lowered, &mut acc);
         let buffer = kept_cube(&backend);
         let first = backend.solve(c.lits(), &lowered, &mut acc);
@@ -547,7 +568,7 @@ mod tests {
         let interrupted = backend.solve(c.lits(), &raised, &mut acc);
         assert_eq!(interrupted.verdict, Verdict::Unknown);
         // An interrupted solve is not kept: the next repeat is solved.
-        assert!(backend.resident.as_ref().unwrap().last.answer.is_none());
+        assert!(backend.resident.last.answer.is_none());
         let again = backend.solve(c.lits(), &lowered, &mut acc);
         assert!(again.verdict.is_unsat() && again.elapsed != KEPT);
     }
@@ -556,7 +577,8 @@ mod tests {
     fn warm_backend_deltas_are_per_cube_not_cumulative() {
         let spec = spec(chain(5));
         let cnf = Arc::clone(&spec.cnf);
-        let mut backend = WarmBackend::new(&spec);
+        let loaded = Solver::from_cnf_with_config(&spec.cnf, spec.solver_config.clone());
+        let mut backend = WarmBackend::new(&spec, loaded);
         let interrupt = InterruptFlag::new();
         let set = [Var::new(0), Var::new(4)];
         let mut total_props = 0;
@@ -577,5 +599,40 @@ mod tests {
         assert_eq!(attributed, cumulative);
         // The caller-side accumulator saw exactly the cumulative counts too.
         assert_eq!(acc.iter().sum::<u64>(), cumulative);
+    }
+
+    /// Backends built from one load answer every cube as one built alone
+    /// does: the copies, the shared template and the loaded solver itself
+    /// are all the same state.
+    #[test]
+    fn backends_built_from_one_load_answer_like_one_built_alone() {
+        let set = [Var::new(0), Var::new(7), Var::new(13)];
+        for backend in [BackendKind::Fresh, BackendKind::Warm] {
+            let config = BatchConfig {
+                backend,
+                cost: CostMetric::Propagations,
+                ..BatchConfig::default()
+            };
+            let spec = Arc::new(BackendSpec::new(Arc::new(Cnf::pigeonhole(5)), &config));
+            let interrupt = InterruptFlag::new();
+            let run = |b: &mut Box<dyn CubeBackend>| {
+                let mut acc = vec![0u64; spec.cnf.num_vars()];
+                b.begin_batch();
+                let outcomes: Vec<_> = (0..8u64)
+                    .map(|bits| {
+                        let cube = Cube::from_bits(&set, bits);
+                        let out = b.solve(cube.lits(), &interrupt, &mut acc);
+                        (out.verdict, out.counters)
+                    })
+                    .collect();
+                (outcomes, acc, b.end_batch())
+            };
+            let alone = run(&mut spec.build());
+            let mut many = spec.build_many(3);
+            assert_eq!(many.len(), 3);
+            for b in &mut many {
+                assert_eq!(run(b), alone, "{backend}");
+            }
+        }
     }
 }

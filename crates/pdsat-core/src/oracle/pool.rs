@@ -5,8 +5,10 @@
 //! streams sub-problems to them; what that buys is each worker's **solver
 //! state** — every learnt clause survives from one search-space point to the
 //! next — not the process as such. This module keeps exactly that: one
-//! backend per pool slot, built by the thread that first drains a stripe on
-//! the slot, lives until the oracle is dropped. The *threads* are per batch:
+//! backend per pool slot lives until the oracle is dropped. The slots a batch
+//! reaches that have no backend yet get theirs before the batch starts, on
+//! the calling thread and from one load of the formula between them
+//! ([`BackendSpec::build_many`]). The *threads* are per batch:
 //! [`WorkerPool::run_batch`] runs under [`std::thread::scope`], the calling
 //! thread drains stripe 0 itself and one scoped thread is spawned per
 //! further stripe, so a one-stripe batch — every batch of a one-slot pool —
@@ -32,18 +34,22 @@
 //! # Fault tolerance
 //!
 //! A backend that panics mid-cube does not kill the batch. Every solve call
-//! runs under `catch_unwind`; on a panic the worker counts it in
-//! `SolverStats::worker_panics`, drops the backend (its in-batch statistics
-//! die with it), builds a replacement from the slot's blueprint and carries
-//! on with its next cube. The cube itself keeps the `None` verdict the
-//! column was allocated with: the oracle re-solves every such cube once on
+//! runs under `catch_unwind` — one guard per run of a chunk's cubes, which
+//! a panic ends at the cube that panicked; on a panic the worker counts it
+//! in `SolverStats::worker_panics`, drops the backend (its in-batch
+//! statistics die with it), builds a replacement (a load of its own) and
+//! carries on with its next cube, in a new run. The cube itself keeps the
+//! `None` verdict the column was allocated with: the oracle re-solves every such cube once on
 //! the calling thread with a one-shot backend (`SolverStats::requeued_cubes`),
 //! which is never injected, so a panic there reaches the caller. The pool
 //! calls `solve` exactly once per cube, for a pool of any width.
 //! A panic outside a solve (from `begin_batch` / `end_batch`, or from
-//! building a backend) comes back through the scope's join and is re-raised
-//! on the caller naming the slot and the batch positions it owned; the slot
-//! is left without a backend, so its next batch builds one. The no-fault
+//! building a replacement) comes back through the scope's join and is
+//! re-raised on the caller naming the slot and the batch positions it owned;
+//! the slot is left without a backend, so its next batch builds one. A panic
+//! while a batch's first backends are built, on the caller before any worker
+//! starts, reaches the caller as it is and leaves every slot it was building
+//! for without one. The no-fault
 //! path is bit-identical to a pool without the recovery: `catch_unwind`
 //! does not perturb the computation, and the counters stay zero.
 
@@ -59,8 +65,8 @@ use std::slice::ChunksMut;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-/// What a slot builds its backends from: the first one and every
-/// replacement.
+/// What the pool builds its backends from: the first ones of the slots and
+/// every replacement.
 struct Blueprint {
     spec: Arc<BackendSpec>,
     /// When armed, every backend is wrapped in a [`FaultyBackend`] so the
@@ -69,8 +75,18 @@ struct Blueprint {
 }
 
 impl Blueprint {
+    /// `n` backends from one load of the formula.
+    fn build_many(&self, n: usize) -> Vec<Box<dyn CubeBackend>> {
+        let built = self.spec.build_many(n).into_iter();
+        built.map(|inner| self.wrap(inner)).collect()
+    }
+
+    /// A replacement backend, from a load of its own.
     fn build(&self) -> Box<dyn CubeBackend> {
-        let inner = self.spec.build();
+        self.wrap(self.spec.build())
+    }
+
+    fn wrap(&self, inner: Box<dyn CubeBackend>) -> Box<dyn CubeBackend> {
         match &self.faults {
             Some(f) => Box::new(FaultyBackend::new(inner, Arc::clone(f))),
             None => inner,
@@ -78,23 +94,9 @@ impl Blueprint {
     }
 }
 
-struct Slot {
-    blueprint: Blueprint,
-    /// The slot's backend between batches; `None` until a batch first uses
-    /// the slot, and after a worker unwound with it.
-    backend: Option<Box<dyn CubeBackend>>,
-}
-
-impl Slot {
-    /// Moves the backend out for a batch, building it when the slot has
-    /// none. [`drain`] puts it back, so a slot whose worker unwinds is left
-    /// without one.
-    fn take_backend(&mut self) -> Box<dyn CubeBackend> {
-        self.backend
-            .take()
-            .unwrap_or_else(|| self.blueprint.build())
-    }
-}
+/// A pool slot: its backend between batches; `None` until a batch first
+/// reaches the slot, and after a worker unwound with it.
+type Slot = Option<Box<dyn CubeBackend>>;
 
 /// The same positions of the cost and of the verdict column, chunk by chunk.
 type ColumnChunks<'a> = Zip<ChunksMut<'a, f64>, ChunksMut<'a, Option<VerdictSummary>>>;
@@ -202,37 +204,55 @@ struct StripeReport {
 /// `stripe` and then steals, on the slot's resident backend, adding
 /// per-variable conflict counts into `totals`. A cube whose solve panics
 /// keeps its `None` verdict and the worker goes on with a replacement
-/// backend.
-fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) -> StripeReport {
+/// backend. The backend is moved out of the slot for the batch and put back
+/// at its end, so a slot whose worker unwinds is left without one.
+fn drain(
+    slot: &mut Slot,
+    blueprint: &Blueprint,
+    stripe: usize,
+    batch: &Batch<'_>,
+    totals: &mut [u64],
+) -> StripeReport {
     let Batch {
         cubes,
         config,
         interrupt,
         ..
     } = *batch;
-    let mut backend = slot.take_backend();
+    let mut backend = slot.take().expect("a batch's slots are built before it");
     backend.begin_batch();
     let mut report = StripeReport::default();
     let mut panics = 0u64;
     let mut buffer = LitBuffer::new();
     while let Some((first, costs, verdicts)) = batch.claim(stripe) {
-        for ((index, cost), verdict) in (first..).zip(costs).zip(verdicts) {
-            let cube = buffer.write(&cubes[index]);
-            let solved = catch_unwind(AssertUnwindSafe(|| backend.solve(cube, interrupt, totals)));
-            if let Ok(raw) = solved {
-                *cost = config.cost.measure(raw.counters, raw.elapsed);
-                *verdict = Some(summarize(
-                    index,
-                    raw,
-                    &mut report.models,
-                    &mut report.proofs,
-                ));
-            } else {
+        // One unwind guard per run of cubes, not per cube, so the loop is
+        // optimised as one piece: a guard per cube cost ≈ 6–10 ns of a warm
+        // cube's ≈ 50–60 on `solve-easy-grain`. A panic ends the run at the
+        // cube whose solve panicked, which keeps its `None` for the oracle's
+        // re-solve, and the next run starts after it.
+        let mut next = 0;
+        while next < costs.len() {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                while next < costs.len() {
+                    let index = first + next;
+                    let raw = backend.solve(buffer.write(&cubes[index]), interrupt, totals);
+                    costs[next] = config.cost.measure(raw.counters, raw.elapsed);
+                    verdicts[next] = Some(summarize(
+                        index,
+                        raw,
+                        &mut report.models,
+                        &mut report.proofs,
+                    ));
+                    next += 1;
+                }
+            }));
+            if run.is_err() {
                 // Drop the poisoned backend: `end_batch` on a backend that
                 // just unwound cannot be trusted, so its in-batch statistics
-                // die with it. The cube is left for the oracle's re-solve.
+                // die with it.
                 panics += 1;
-                backend = slot.blueprint.build();
+                next += 1;
+                backend = blueprint.build();
                 backend.begin_batch();
             }
         }
@@ -241,36 +261,32 @@ fn drain(slot: &mut Slot, stripe: usize, batch: &Batch<'_>, totals: &mut [u64]) 
     // exactly once per batch; the panic count rides along.
     report.stats = backend.end_batch();
     report.stats.worker_panics = panics;
-    slot.backend = Some(backend);
+    *slot = Some(backend);
     report
 }
 
 /// The resident backends of one oracle, one per slot.
 pub(super) struct WorkerPool {
+    blueprint: Blueprint,
     slots: Vec<Slot>,
 }
 
 impl WorkerPool {
     /// A pool of `num_workers` slots, each with one backend built from
     /// `spec` that lives until the pool is dropped. Builds nothing: the
-    /// worker that first drains a stripe on a slot builds its backend, so
-    /// the slots of one batch load the formula concurrently, on the threads
-    /// that go on to use them.
+    /// first batch that reaches a slot builds its backend.
     pub(super) fn new(
         spec: &Arc<BackendSpec>,
         num_workers: usize,
         faults: Option<&Arc<FaultState>>,
     ) -> WorkerPool {
-        let slots = (0..num_workers)
-            .map(|_| Slot {
-                blueprint: Blueprint {
-                    spec: Arc::clone(spec),
-                    faults: faults.cloned(),
-                },
-                backend: None,
-            })
-            .collect();
-        WorkerPool { slots }
+        WorkerPool {
+            blueprint: Blueprint {
+                spec: Arc::clone(spec),
+                faults: faults.cloned(),
+            },
+            slots: (0..num_workers).map(|_| None).collect(),
+        }
     }
 
     /// Number of slots.
@@ -279,13 +295,15 @@ impl WorkerPool {
     }
 
     /// Solves one non-empty batch on the first `min(slots, cubes)` slots:
-    /// the calling thread drains stripe 0, one scoped thread each the
-    /// others, and all have finished when this returns. `result` is all
-    /// unsolved on entry; every cube a worker solved has its cost and
-    /// verdict at its own position on return and its model or proof listed
-    /// (in no order yet), and each cube whose solve panicked — one per
-    /// `worker_panics` added to `result`'s statistics — still has the `None`
-    /// verdict. Conflict counts and statistics are added to `result`'s.
+    /// those without a backend get one first, all from one load on the
+    /// calling thread; then the calling thread drains stripe 0, one scoped
+    /// thread each the others, and all have finished when this returns.
+    /// `result` is all unsolved on entry; every cube a worker solved has its
+    /// cost and verdict at its own position on return and its model or proof
+    /// listed (in no order yet), and each cube whose solve panicked — one
+    /// per `worker_panics` added to `result`'s statistics — still has the
+    /// `None` verdict. Conflict counts and statistics are added to
+    /// `result`'s.
     ///
     /// # Panics
     ///
@@ -298,6 +316,16 @@ impl WorkerPool {
         result: &mut BatchResult,
     ) {
         let stripes = self.slots.len().min(cubes.len());
+        let Self { blueprint, slots } = self;
+        let slots = &mut slots[..stripes];
+        let unbuilt = slots.iter().filter(|slot| slot.is_none()).count();
+        if unbuilt > 0 {
+            let mut built = blueprint.build_many(unbuilt).into_iter();
+            for slot in slots.iter_mut().filter(|slot| slot.is_none()) {
+                *slot = built.next();
+            }
+        }
+        let blueprint = &*blueprint;
         let (costs, verdicts) = (&mut result.costs, &mut result.verdicts);
         let batch = Batch::new(cubes, costs, verdicts, stripes, config, interrupt);
         let totals = &mut result.var_conflict_totals;
@@ -306,9 +334,7 @@ impl WorkerPool {
         // `totals`). A row is never empty, so that there is one per worker.
         let row = totals.len().max(1);
         let mut counts = vec![0u64; row * (stripes - 1)];
-        let (own, others) = self.slots[..stripes]
-            .split_first_mut()
-            .expect("a batch is never empty");
+        let (own, others) = slots.split_first_mut().expect("a batch is never empty");
         // What the worker of stripe `i`, on slot `i`, returned.
         let reports: Vec<thread::Result<StripeReport>> = thread::scope(|scope| {
             let spawned: Vec<_> = others
@@ -317,10 +343,12 @@ impl WorkerPool {
                 .zip(1..)
                 .map(|((slot, counts), stripe)| {
                     let batch = &batch;
-                    scope.spawn(move || drain(slot, stripe, batch, counts))
+                    scope.spawn(move || drain(slot, blueprint, stripe, batch, counts))
                 })
                 .collect();
-            let own = catch_unwind(AssertUnwindSafe(|| drain(own, 0, &batch, totals)));
+            let own = catch_unwind(AssertUnwindSafe(|| {
+                drain(own, blueprint, 0, &batch, totals)
+            }));
             std::iter::once(own)
                 .chain(spawned.into_iter().map(thread::ScopedJoinHandle::join))
                 .collect()
@@ -388,8 +416,7 @@ mod tests {
         // Once on a spawned worker's slot, once on the caller's own.
         for (broken, expected) in [(1, "positions 4..8 of 8"), (0, "positions 0..4 of 8")] {
             let mut pool = WorkerPool::new(&spec, 2, None);
-            let healthy = pool.slots[broken].take_backend();
-            pool.slots[broken].backend = Some(Box::new(BrokenBoundary(healthy)));
+            pool.slots[broken] = Some(Box::new(BrokenBoundary(spec.build())));
             let run = |pool: &mut WorkerPool| {
                 let mut result = BatchResult::unsolved(cubes.len(), cnf.num_vars());
                 let interrupt = InterruptFlag::new();
@@ -409,7 +436,7 @@ mod tests {
             // every cube.
             let result = run(&mut pool).expect("the slot is rebuilt");
             assert!(result.verdicts.iter().all(Option::is_some));
-            assert!(pool.slots[broken].backend.is_some());
+            assert!(pool.slots[broken].is_some());
         }
     }
 }

@@ -94,10 +94,10 @@ impl PointEvaluation {
 ///
 /// The evaluator is a [`CubeOracle`] client: every sampled sub-problem goes
 /// through the oracle's worker pool and configured backend — each pool
-/// slot's backend is built by the worker that first drains it, during the
-/// first evaluation, and survives across every later one, so with
-/// [`BackendKind::Warm`] the learnt clauses and VSIDS state accumulated at
-/// one search-space point keep paying off at the next. It accumulates
+/// slot's backend is built in the first evaluation that reaches it, and
+/// survives across every later one, so with [`BackendKind::Warm`] the
+/// learnt clauses and VSIDS state accumulated at one search-space point
+/// keep paying off at the next. It accumulates
 /// per-variable conflict activity over everything it solves (the tabu search
 /// uses that activity to pick new neighbourhood centres, §3 of the paper) and
 /// memoizes completed evaluations behind

@@ -2,7 +2,7 @@
 //! absorbed by a replacement backend and one re-solve of each panicked cube
 //! on the calling thread, without changing a single observable result.
 
-use pdsat_cnf::{Cnf, Cube, Var};
+use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_core::{
     fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
     FaultPlan, OracleTestPolicy,
@@ -91,5 +91,66 @@ fn seeded_plans_reproduce_and_still_complete() {
         let planned = plan.solve_panics.len() as u64;
         assert_eq!(faulted.solver_stats.worker_panics, planned, "seed {seed}");
         assert_eq!(faulted.solver_stats.requeued_cubes, planned, "seed {seed}");
+    }
+}
+
+/// Chains `x_{i,0} → … → x_{i,len-1}` and one cube per chain assuming its
+/// head and the negation of its tail: refuted by propagation alone, with no
+/// decision, conflict or learnt clause, and no two cubes share a first
+/// literal, so a warm backend answers each exactly as a freshly loaded one
+/// would, whatever it solved before.
+fn chain_family(chains: u32, len: u32) -> (Cnf, Vec<Cube>) {
+    let var = |chain: u32, step: u32| Var::new(chain * len + step);
+    let mut cnf = Cnf::new(0);
+    for chain in 0..chains {
+        for step in 0..len - 1 {
+            cnf.add_clause([
+                Lit::negative(var(chain, step)),
+                Lit::positive(var(chain, step + 1)),
+            ]);
+        }
+    }
+    let cubes = (0..chains)
+        .map(|chain| Cube::from_values(&[var(chain, 0), var(chain, len - 1)], &[true, false]))
+        .collect();
+    (cnf, cubes)
+}
+
+#[test]
+fn a_replacement_after_a_seeded_panic_answers_like_the_shared_load() {
+    fault::silence_injected_panics();
+    // The slots of the pool share one load; a replacement loads on its own.
+    // Across a narrow first batch and a wide second one, with panics seeded
+    // through both, every observation matches a fault-free worker.
+    let (cnf, cubes) = chain_family(32, 7);
+    let (narrow, wide) = cubes.split_at(2);
+    for backend in [BackendKind::Fresh, BackendKind::Warm] {
+        let config = |workers| BatchConfig {
+            cost: CostMetric::Propagations,
+            backend,
+            num_workers: workers,
+            ..BatchConfig::default()
+        };
+        let mut reference = CubeOracle::new(&cnf, config(1));
+        for (workers, seed) in [(2, 5u64), (4, 7)] {
+            let plan = FaultPlan::seeded(seed, 6, cubes.len() as u64);
+            let planned = plan.solve_panics.len() as u64;
+            let policy = OracleTestPolicy {
+                exact_workers: true,
+                faults: plan,
+            };
+            let mut faulted = CubeOracle::with_test_policy(&cnf, config(workers), policy);
+            let mut panics = 0;
+            for batch in [narrow, wide] {
+                let expected = reference.solve_batch(batch, None);
+                let result = faulted.solve_batch(batch, None);
+                assert_outcomes_identical(&expected, &result);
+                let stats = &result.solver_stats;
+                assert_eq!(stats.worker_panics, stats.requeued_cubes);
+                panics += stats.worker_panics;
+            }
+            assert_eq!(panics, planned, "{backend}, {workers} workers");
+            assert!(panics > 0, "seed {seed} injects nothing");
+        }
     }
 }

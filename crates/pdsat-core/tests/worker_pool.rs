@@ -1,8 +1,10 @@
 //! Integration tests for the oracle's worker pool: one-worker vs wider pool
 //! parity, warm-state survival across batches, the empty/short-batch edge
 //! cases, the placement of results in the columns where it can go wrong
-//! (stolen chunks, shuffled input, cubes re-solved after a panic), and the
-//! certificates of a warm pool that keeps its proof streams across batches.
+//! (stolen chunks, shuffled input, cubes re-solved after a panic), the
+//! certificates of a warm pool that keeps its proof streams across batches,
+//! and slots built from one load of the formula, in the first batch or in a
+//! later, wider one.
 
 use pdsat_checker::check_unsat_proof;
 use pdsat_ciphers::{Grain, InstanceBuilder, A51};
@@ -470,5 +472,103 @@ fn warm_pool_certificates_check_batch_after_batch() {
             pool.total_stats().conflicts > 0,
             "{label}: nothing was learnt"
         );
+    }
+}
+
+/// A family a warm solver answers exactly as a freshly loaded one would,
+/// whatever it solved before, so a warm pool of any width can be compared
+/// with one worker cube by cube. Cube `i` assumes the head of chain `i` and
+/// the negation of its tail: the chain's binary and ternary implications
+/// (the ternaries through a root unit loaded after them) refute it by
+/// propagation alone, with no decision, conflict or learnt clause, and no
+/// two cubes share a first literal, so no worker reuses a trail.
+fn history_free_family(chains: u32, len: u32) -> (Cnf, Vec<Cube>) {
+    let var = |chain: u32, step: u32| Var::new(chain * len + step);
+    let gate = Lit::positive(Var::new(chains * len));
+    let mut cnf = Cnf::new(0);
+    for chain in 0..chains {
+        for step in 0..len - 1 {
+            let (from, to) = (var(chain, step).positive(), var(chain, step + 1).positive());
+            if step % 2 == 0 {
+                cnf.add_clause([!from, to]);
+            } else {
+                cnf.add_clause([!from, !gate, to]);
+            }
+        }
+    }
+    cnf.add_clause([gate]);
+    let cubes = (0..chains)
+        .map(|chain| Cube::from_values(&[var(chain, 0), var(chain, len - 1)], &[true, false]))
+        .collect();
+    (cnf, cubes)
+}
+
+/// Everything a batch reports, compared whole.
+fn assert_same_batch(reference: &BatchResult, other: &BatchResult, what: &str) {
+    assert_eq!(reference.costs, other.costs, "{what}");
+    assert_eq!(reference.verdicts, other.verdicts, "{what}");
+    assert_eq!(reference.models, other.models, "{what}");
+    assert_eq!(reference.proofs, other.proofs, "{what}");
+    assert_eq!(
+        reference.var_conflict_totals, other.var_conflict_totals,
+        "{what}"
+    );
+    assert_eq!(reference.solver_stats, other.solver_stats, "{what}");
+}
+
+/// `workers` workers of `backend`, certificates on, propagations as the cost.
+fn with_proofs(backend: BackendKind, workers: usize) -> BatchConfig {
+    BatchConfig {
+        num_workers: workers,
+        cost: CostMetric::Propagations,
+        solver_config: SolverConfig {
+            proof: true,
+            ..SolverConfig::default()
+        },
+        backend,
+    }
+}
+
+#[test]
+fn pools_built_from_one_load_answer_like_one_worker() {
+    // The slots of a first batch share one load: warm slots get copies of
+    // the loaded solver, fresh ones one template. Either way every slot must
+    // start where a solver of its own would.
+    let (chains, chain_cubes) = history_free_family(24, 9);
+    let (skewed, skewed_cubes) = skewed_family();
+    let cases = [
+        (BackendKind::Warm, &chains, &chain_cubes),
+        (BackendKind::Fresh, &chains, &chain_cubes),
+        (BackendKind::Fresh, &skewed, &skewed_cubes),
+    ];
+    for (backend, cnf, cubes) in cases {
+        let reference = CubeOracle::new(cnf, with_proofs(backend, 1)).solve_batch(cubes, None);
+        assert_whole_batch_is_solved(&reference, cubes.len());
+        assert!(!reference.proofs.is_empty());
+        for workers in [2, 4] {
+            let mut pool = exact_oracle(cnf, with_proofs(backend, workers), FaultPlan::default());
+            let result = pool.solve_batch(cubes, None);
+            assert_same_batch(
+                &reference,
+                &result,
+                &format!("{backend}, {workers} workers"),
+            );
+        }
+    }
+}
+
+#[test]
+fn a_later_wider_batch_builds_the_slots_the_first_did_not_reach() {
+    let (cnf, cubes) = history_free_family(24, 9);
+    for backend in [BackendKind::Warm, BackendKind::Fresh] {
+        let mut one = CubeOracle::new(&cnf, with_proofs(backend, 1));
+        let mut pool = exact_oracle(&cnf, with_proofs(backend, 4), FaultPlan::default());
+        // One cube reaches one slot; the rest reach all four, three of them
+        // for the first time.
+        for batch in [&cubes[..1], &cubes[1..]] {
+            let reference = one.solve_batch(batch, None);
+            let result = pool.solve_batch(batch, None);
+            assert_same_batch(&reference, &result, &format!("{backend}"));
+        }
     }
 }

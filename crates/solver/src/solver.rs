@@ -330,14 +330,15 @@ impl Solver {
                 slots[clause.len() - 2][(!l).code()] += 1;
             }
         }
-        solver.table = Some(Arc::new(WatchTable::with_slots(&slots[0], &slots[1])));
+        // The table is an owned value while it fills and is shared only
+        // once sealed.
+        let mut table = WatchTable::with_slots(&slots[0], &slots[1]);
         drop(slots);
         for clause in cnf.iter() {
-            solver.add_clause_to(clause.iter().copied(), true);
+            solver.add_clause_to(clause.iter().copied(), Some(&mut table));
         }
-        if let Some(table) = solver.table.as_mut().and_then(Arc::get_mut) {
-            table.seal();
-        }
+        table.seal();
+        solver.table = Some(Arc::new(table));
         solver
     }
 
@@ -430,30 +431,34 @@ impl Solver {
     /// Creates a fresh variable and returns it.
     pub fn new_var(&mut self) -> Var {
         let v = Var::new(self.num_vars() as u32);
-        self.assigns.push(Value::Unassigned);
-        self.assigns.push(Value::Unassigned);
-        self.vardata.push(VarData {
-            reason: None,
-            level: 0,
-        });
-        self.polarity.push(DEFAULT_POLARITY);
-        self.activity.push(0.0);
-        self.conflict_counts.push(0);
-        self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.bin_watches.push(Vec::new());
-        self.bin_watches.push(Vec::new());
-        self.tern_watches.push(Vec::new());
-        self.tern_watches.push(Vec::new());
-        self.order_heap.insert(v, &self.activity);
+        self.ensure_vars(v.index() + 1);
         v
     }
 
-    /// Ensures the solver knows at least `n` variables.
+    /// Ensures the solver knows at least `n` variables: every per-variable
+    /// vector grows once, to its new length.
     pub fn ensure_vars(&mut self, n: usize) {
-        while self.num_vars() < n {
-            self.new_var();
+        let known = self.num_vars();
+        if n <= known {
+            return;
+        }
+        self.assigns.resize(2 * n, Value::Unassigned);
+        self.vardata.resize(
+            n,
+            VarData {
+                reason: None,
+                level: 0,
+            },
+        );
+        self.polarity.resize(n, DEFAULT_POLARITY);
+        self.activity.resize(n, 0.0);
+        self.conflict_counts.resize(n, 0);
+        self.seen.resize(n, false);
+        self.watches.resize_with(2 * n, Vec::new);
+        self.bin_watches.resize_with(2 * n, Vec::new);
+        self.tern_watches.resize_with(2 * n, Vec::new);
+        for i in known..n {
+            self.order_heap.insert(Var::new(i as u32), &self.activity);
         }
     }
 
@@ -465,14 +470,18 @@ impl Solver {
     /// could be falsified or unit under the retained assignments, so the
     /// solver backtracks to the root level before attaching it.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
-        self.add_clause_to(lits, false)
+        self.add_clause_to(lits, None)
     }
 
-    /// [`add_clause`](Self::add_clause), attaching to the watch table while
-    /// the formula loads (`loading`).
-    fn add_clause_to<I: IntoIterator<Item = Lit>>(&mut self, lits: I, loading: bool) -> bool {
+    /// [`add_clause`](Self::add_clause), attaching to `table`, the watch
+    /// table the formula loads into, while there is one.
+    fn add_clause_to<I: IntoIterator<Item = Lit>>(
+        &mut self,
+        lits: I,
+        table: Option<&mut WatchTable>,
+    ) -> bool {
         let kept = self.original.len();
-        let added = self.add_original(lits, loading);
+        let added = self.add_original(lits, table);
         if let Some(p) = self.proof.as_mut() {
             let id = p.original();
             if let Some(&cref) = self.original.get(kept) {
@@ -483,8 +492,13 @@ impl Solver {
     }
 
     /// The body of [`add_clause`](Self::add_clause), which then gives the
-    /// clause its proof id.
-    fn add_original<I: IntoIterator<Item = Lit>>(&mut self, lits: I, loading: bool) -> bool {
+    /// clause its proof id. A unit propagates over `table` too, which holds
+    /// the watchers of the clauses loaded before it.
+    fn add_original<I: IntoIterator<Item = Lit>>(
+        &mut self,
+        lits: I,
+        table: Option<&mut WatchTable>,
+    ) -> bool {
         self.cancel_until(0);
         self.saved_assumptions.clear();
         if !self.ok {
@@ -522,7 +536,11 @@ impl Solver {
                 }
                 1 => {
                     self.unchecked_enqueue(lits[0], None);
-                    self.ok = self.propagate().is_none();
+                    let conflict = match table {
+                        Some(table) => self.propagate_from(table),
+                        None => self.propagate(),
+                    };
+                    self.ok = conflict.is_none();
                     if !self.ok {
                         if let Some(p) = self.proof.as_mut() {
                             p.add_empty();
@@ -533,7 +551,7 @@ impl Solver {
                 _ => {
                     let cref = self.db.add(&lits, false, 0);
                     self.original.push(cref);
-                    self.attach_clause(cref, loading);
+                    self.attach_clause(cref, table);
                     true
                 }
             };
@@ -563,6 +581,7 @@ impl Solver {
     /// Solves under assumptions with an optional interruption flag: a raised
     /// flag stops the call with [`Verdict::Unknown`]. The [`Budget`] sets no
     /// limit.
+    #[inline]
     pub fn solve_limited(
         &mut self,
         assumptions: &[Lit],
@@ -587,9 +606,11 @@ impl Solver {
         if !self.ok {
             return Verdict::Unsat;
         }
-        for &a in assumptions {
-            if a.var().index() >= self.num_vars() {
-                self.ensure_vars(a.var().index() + 1);
+        // Two literal codes per known variable: one comparison tells
+        // whether any assumption names a variable the solver does not know.
+        if let Some(max) = assumptions.iter().map(|a| a.code()).max() {
+            if max >= self.assigns.len() {
+                self.ensure_vars(max / 2 + 1);
             }
         }
         self.cancel_until_assumption_divergence(assumptions);
@@ -677,7 +698,7 @@ impl Solver {
                     let cref = self.db.add(&self.learnt_buf, true, lbd);
                     self.learnts.push(cref);
                     self.stats.learnt_clauses += 1;
-                    self.attach_clause(cref, false);
+                    self.attach_clause(cref, None);
                     self.bump_clause_activity(cref);
                     self.unchecked_enqueue(asserting, Some(cref));
                     Some(cref)
@@ -1026,7 +1047,7 @@ mod tests {
             let learn = |s: &mut Solver, lits: &[Lit], lbd: u32| {
                 let cref = s.db.add(lits, true, lbd);
                 s.learnts.push(cref);
-                s.attach_clause(cref, false);
+                s.attach_clause(cref, None);
                 cref
             };
             // Worst LBD first: of these four `reduce_db` deletes two, the

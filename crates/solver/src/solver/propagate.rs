@@ -5,7 +5,6 @@
 use super::Solver;
 use crate::clause_db::ClauseRef;
 use pdsat_cnf::{Lit, Value};
-use std::sync::Arc;
 
 /// Watch-list entry for clauses of length ≥ 4.
 ///
@@ -188,6 +187,11 @@ impl Solver {
     /// checker and is always moved back before the next literal is
     /// processed.
     pub(super) fn propagate(&mut self) -> Option<ClauseRef> {
+        // A solve entered on a settled trail (a cube the retained trail
+        // decides) has nothing queued: the table is not touched.
+        if self.qhead == self.trail.len() {
+            return None;
+        }
         // Moved out for the call and back: no reference count is touched.
         let table = self.table.take();
         let conflict = self.propagate_from(table.as_deref().unwrap_or(&NO_TABLE));
@@ -202,7 +206,7 @@ impl Solver {
 
     /// [`propagate`](Self::propagate), with the watch table moved out of
     /// `self`.
-    fn propagate_from(&mut self, table: &WatchTable) -> Option<ClauseRef> {
+    pub(super) fn propagate_from(&mut self, table: &WatchTable) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -358,19 +362,14 @@ impl Solver {
         false
     }
 
-    /// Attaches a clause to its watch family. While the formula loads
-    /// (`loading`), an original's binary and ternary watchers go to the
-    /// table; a literal whose run there is full (a longer clause that root
+    /// Attaches a clause to its watch family. While the formula loads into
+    /// `table`, an original's binary and ternary watchers go there; a
+    /// literal whose run there is full (a longer clause that root
     /// assignments shortened) takes that watcher and every later one in its
     /// list instead, so table then list stays attach order.
-    pub(super) fn attach_clause(&mut self, cref: ClauseRef, loading: bool) {
+    pub(super) fn attach_clause(&mut self, cref: ClauseRef, mut table: Option<&mut WatchTable>) {
         debug_assert!(self.db.len_of(cref) >= 2);
         let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
-        let mut table = if loading {
-            self.table.as_mut().and_then(Arc::get_mut)
-        } else {
-            None
-        };
         match self.db.len_of(cref) {
             2 => {
                 for (l, other) in [(l0, l1), (l1, l0)] {
