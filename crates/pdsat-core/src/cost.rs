@@ -18,32 +18,27 @@ pub enum CostMetric {
     Conflicts,
     /// Number of unit propagations.
     Propagations,
-    /// Number of decisions.
-    Decisions,
 }
 
-/// The solver counters a per-cube report carries: the three a [`CostMetric`]
+/// The solver counters a per-cube report carries: the two a [`CostMetric`]
 /// can name, of which `conflicts` is also reported on its own. Read from the
 /// solver before and after each solve, so the per-cube path copies and
-/// subtracts three fields and leaves the full [`SolverStats`] to the
+/// subtracts two fields and leaves the full [`SolverStats`] to the
 /// once-per-batch aggregate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CubeCounters {
     /// Number of conflicts.
     pub conflicts: u64,
-    /// Number of decisions.
-    pub decisions: u64,
     /// Number of unit propagations.
     pub propagations: u64,
 }
 
 impl CubeCounters {
-    /// The three counters as `stats` has them now.
+    /// The two counters as `stats` has them now.
     #[must_use]
     pub fn of(stats: &SolverStats) -> CubeCounters {
         CubeCounters {
             conflicts: stats.conflicts,
-            decisions: stats.decisions,
             propagations: stats.propagations,
         }
     }
@@ -54,7 +49,6 @@ impl CubeCounters {
     pub fn since(self, before: CubeCounters) -> CubeCounters {
         CubeCounters {
             conflicts: self.conflicts.saturating_sub(before.conflicts),
-            decisions: self.decisions.saturating_sub(before.decisions),
             propagations: self.propagations.saturating_sub(before.propagations),
         }
     }
@@ -69,7 +63,6 @@ impl CostMetric {
             CostMetric::WallSeconds => elapsed.as_secs_f64(),
             CostMetric::Conflicts => counters.conflicts as f64,
             CostMetric::Propagations => counters.propagations as f64,
-            CostMetric::Decisions => counters.decisions as f64,
         }
     }
 
@@ -80,7 +73,6 @@ impl CostMetric {
             CostMetric::WallSeconds => "s",
             CostMetric::Conflicts => "conflicts",
             CostMetric::Propagations => "propagations",
-            CostMetric::Decisions => "decisions",
         }
     }
 
@@ -97,7 +89,6 @@ impl std::fmt::Display for CostMetric {
             CostMetric::WallSeconds => "wall-clock seconds",
             CostMetric::Conflicts => "conflicts",
             CostMetric::Propagations => "propagations",
-            CostMetric::Decisions => "decisions",
         };
         f.write_str(name)
     }
@@ -111,14 +102,12 @@ mod tests {
     fn measures_pick_the_right_counter() {
         let counters = CubeCounters {
             conflicts: 10,
-            decisions: 20,
             propagations: 30,
         };
         let elapsed = Duration::from_millis(1500);
         assert!((CostMetric::WallSeconds.measure(counters, elapsed) - 1.5).abs() < 1e-12);
         assert_eq!(CostMetric::Conflicts.measure(counters, elapsed), 10.0);
         assert_eq!(CostMetric::Propagations.measure(counters, elapsed), 30.0);
-        assert_eq!(CostMetric::Decisions.measure(counters, elapsed), 20.0);
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub(crate) trait CubeBackend: Send {
     /// Closes the batch and returns the solver-statistics delta covering
     /// exactly the cubes fed to this backend since the matching
     /// [`CubeBackend::begin_batch`]. The executors call this **once per
-    /// batch** per worker — per-cube outcomes carry only the three counters
+    /// batch** per worker — per-cube outcomes carry only the two counters
     /// needed to measure that cube's cost, and the batch aggregate is merged
     /// here in one step instead of being re-summed cube by cube.
     fn end_batch(&mut self) -> SolverStats;
@@ -341,7 +341,7 @@ impl CubeBackend for FreshBackend {
             }
         }
         // The full statistics stay in here, for the batch aggregate; the
-        // report carries the three counters the executor reads.
+        // report carries the two counters the executor reads.
         self.batch_stats.absorb(working.stats());
         let proof = working.unsat_certificate();
         BackendOutcome {

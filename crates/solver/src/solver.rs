@@ -436,7 +436,8 @@ impl Solver {
     }
 
     /// Ensures the solver knows at least `n` variables: every per-variable
-    /// vector grows once, to its new length.
+    /// vector grows once, to its new length; a solve calls it as it first
+    /// establishes an assumption on an unknown variable.
     pub fn ensure_vars(&mut self, n: usize) {
         let known = self.num_vars();
         if n <= known {
@@ -573,14 +574,18 @@ impl Solver {
     /// first diverging assumption instead of replaying the whole prefix and
     /// its unit propagations — the dominant per-cube cost when the cubes of a
     /// decomposition family are processed in an order that keeps neighbours
-    /// adjacent (see [`SolverStats::reused_assumptions`]).
+    /// adjacent (see [`SolverStats::reused_assumptions`]). An unknown
+    /// variable is created ([`ensure_vars`](Self::ensure_vars)) when the solve
+    /// first establishes its assumption: a cube refuted at an earlier one
+    /// leaves [`num_vars`](Self::num_vars) unchanged.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> Verdict {
         self.solve_limited(assumptions, &Budget::unlimited(), None)
     }
 
     /// Solves under assumptions with an optional interruption flag: a raised
     /// flag stops the call with [`Verdict::Unknown`]. The [`Budget`] sets no
-    /// limit.
+    /// limit. Unknown variables are created as in
+    /// [`solve_with_assumptions`](Self::solve_with_assumptions).
     #[inline]
     pub fn solve_limited(
         &mut self,
@@ -605,13 +610,6 @@ impl Solver {
     fn solve_inner(&mut self, assumptions: &[Lit], interrupt: Option<&InterruptFlag>) -> Verdict {
         if !self.ok {
             return Verdict::Unsat;
-        }
-        // Two literal codes per known variable: one comparison tells
-        // whether any assumption names a variable the solver does not know.
-        if let Some(max) = assumptions.iter().map(|a| a.code()).max() {
-            if max >= self.assigns.len() {
-                self.ensure_vars(max / 2 + 1);
-            }
         }
         self.cancel_until_assumption_divergence(assumptions);
         let stop_at_conflict = self
@@ -722,6 +720,10 @@ impl Solver {
                 let mut next: Option<Lit> = None;
                 while (self.decision_level() as usize) < assumptions.len() {
                     let p = assumptions[self.decision_level() as usize];
+                    // An unknown variable is created as it is established.
+                    if p.code() >= self.assigns.len() {
+                        self.ensure_vars(p.var().index() + 1);
+                    }
                     match self.lit_value(p) {
                         Value::True => self.new_decision_level(),
                         Value::False => return SearchStatus::Unsat,

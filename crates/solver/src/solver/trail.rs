@@ -49,10 +49,17 @@ impl Solver {
         self.trail.push(lit);
     }
 
+    /// Backtracks to `level`. Only the unassigning loop is a call: a warm
+    /// cube's entry, retract or restart often has nothing to undo.
+    #[inline]
     pub(super) fn cancel_until(&mut self, level: u32) {
-        if self.decision_level() <= level {
-            return;
+        if self.decision_level() > level {
+            self.unassign_above(level);
         }
+    }
+
+    #[inline(never)]
+    fn unassign_above(&mut self, level: u32) {
         let bound = self.trail_lim[level as usize];
         for c in (bound..self.trail.len()).rev() {
             let lit = self.trail[c];

@@ -2,8 +2,10 @@
 //! count by hand: the verdict and the `propagations`, `decisions`,
 //! `reused_assumptions` and `saved_propagations` each call adds, for an
 //! assumption the root refutes, assumptions the root already satisfies, a
-//! repeated cube, a shared prefix and an assumption on a variable the solver
-//! does not know yet.
+//! repeated cube, a shared prefix and assumptions on variables the solver
+//! does not know yet. An unknown variable is created when a solve first
+//! establishes its assumption, so a cube refuted before reaching it leaves
+//! the solver's size as it was.
 //!
 //! The formula, over x1..x5: `x4` (a unit), `¬x4 ∨ ¬x5`, `¬x1 ∨ x2` and
 //! `¬x2 ∨ ¬x4 ∨ x3`. Loading propagates `x4` and then `¬x5`: two
@@ -117,4 +119,48 @@ fn an_assumption_on_an_unknown_variable_creates_it() {
     // `¬x7`, then x1, x2, x3 and x6 decided in the default phase, false,
     // which implies nothing: one propagation each.
     assert_eq!(counts, [5, 4, 0, 0]);
+}
+
+#[test]
+fn an_unknown_variable_behind_a_refuted_assumption_is_not_created() {
+    let mut s = loaded();
+    // `x5` is false at the root: the call stops there, before `x7` is
+    // reached, without propagating.
+    let (verdict, counts) = entry(&mut s, &[5, 7]);
+    assert_eq!(verdict, Verdict::Unsat);
+    assert_eq!(counts, [0, 0, 0, 0]);
+    assert_eq!(s.num_vars(), 5);
+    assert!(s.retained_assumptions().is_empty());
+    // `¬x5` is true at the root and opens an empty level; `x7` is reached,
+    // created and propagated, then x1, x2, x3 and x6 are decided false, one
+    // propagation each.
+    let (verdict, counts) = entry(&mut s, &[-5, 7]);
+    assert_eq!(s.num_vars(), 7);
+    let model = verdict.model().expect("satisfiable");
+    assert_eq!(model.num_vars(), 7);
+    assert_eq!(model.lit_value(lit(7)).to_bool(), Some(true));
+    assert_eq!(model.lit_value(lit(-6)).to_bool(), Some(true));
+    assert_eq!(counts, [5, 4, 0, 0]);
+    assert_eq!(s.retained_assumptions(), [lit(-5), lit(7)]);
+}
+
+#[test]
+fn an_unknown_variable_between_known_assumptions_holds_its_level() {
+    let mut s = loaded();
+    // x1, then x2 and x3 by propagation; `x7` is created and propagated on
+    // a level of its own; `x3` is already true and opens an empty one; x6,
+    // the one free variable left, is decided false.
+    let (verdict, counts) = entry(&mut s, &[1, 7, 3]);
+    assert_eq!(s.num_vars(), 7);
+    let model = verdict.model().expect("satisfiable");
+    assert_eq!(model.num_vars(), 7);
+    assert_eq!(model.lit_value(lit(7)).to_bool(), Some(true));
+    assert_eq!(counts, [5, 1, 0, 0]);
+    assert_eq!(s.retained_assumptions(), [lit(1), lit(7), lit(3)]);
+    // The first two levels are kept with their four literals; `¬x3` is
+    // false there.
+    let (verdict, counts) = entry(&mut s, &[1, 7, -3]);
+    assert_eq!(verdict, Verdict::Unsat);
+    assert_eq!(counts, [0, 0, 2, 4]);
+    assert_eq!(s.retained_assumptions(), [lit(1), lit(7)]);
 }

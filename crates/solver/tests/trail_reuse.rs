@@ -9,8 +9,8 @@
 //! The equality of conflicts/decisions is the strong form of the contract:
 //! the retained assumption prefix is precisely the unit-propagation closure
 //! the fresh-backtracking solver would recompute, so the search continues
-//! from an identical state and costs under the `Conflicts`/`Decisions`
-//! metrics are bit-identical (see DESIGN.md, "Assumption-prefix trail
+//! from an identical state, and costs under the `Conflicts` metric and
+//! decision counts are bit-identical (see DESIGN.md, "Assumption-prefix trail
 //! reuse").
 
 use pdsat_cnf::{Cnf, Lit, Var};
