@@ -11,7 +11,7 @@ use crate::scaled::ScaledWorkload;
 use crate::text_table::{sci, TextTable};
 use pdsat_core::{
     Annealing, AnnealingConfig, DriverConfig, Evaluator, EvaluatorConfig, NewCenterHeuristic,
-    RandomRestart, RandomRestartConfig, SearchDriver, SearchLimits, Tabu, TabuConfig,
+    SearchDriver, SearchLimits, Tabu, TabuConfig,
 };
 
 /// Comparison of the two metaheuristics under the same evaluation budget.
@@ -123,8 +123,8 @@ pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
     let space = workload.search_space(&instance);
     let start = space.full_point();
 
-    // --- Ablation A: the three strategies under the same point budget. -------
-    // One driver, three exchangeable strategies (each with a fresh evaluator
+    // --- Ablation A: the paper's two strategies under the same point budget. --
+    // One driver, two exchangeable strategies (each with a fresh evaluator
     // so the comparison is not contaminated by cross-search memoization).
     let limits = SearchLimits::unlimited().with_max_points(workload.search_points);
     let driver = SearchDriver::new(DriverConfig {
@@ -150,18 +150,6 @@ pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
         let outcome = driver.run(&space, &start, &mut tabu, &mut evaluator);
         metaheuristics.push(MetaheuristicComparison {
             algorithm: "tabu search".to_string(),
-            points: outcome.points_evaluated,
-            best_value: outcome.best_value,
-            best_set_size: outcome.best_set.len(),
-            wall_seconds: outcome.wall_time.as_secs_f64(),
-        });
-    }
-    {
-        let mut evaluator = workload.evaluator(&instance);
-        let mut restart = RandomRestart::new(RandomRestartConfig::default());
-        let outcome = driver.run(&space, &start, &mut restart, &mut evaluator);
-        metaheuristics.push(MetaheuristicComparison {
-            algorithm: "random restart (batched)".to_string(),
             points: outcome.points_evaluated,
             best_value: outcome.best_value,
             best_set_size: outcome.best_set.len(),
@@ -245,7 +233,7 @@ mod tests {
         workload.sample_size = 8;
         workload.search_points = 6;
         let result = run_ablations(&workload);
-        assert_eq!(result.metaheuristics.len(), 3);
+        assert_eq!(result.metaheuristics.len(), 2);
         assert_eq!(result.sample_sizes.len(), 4);
         assert_eq!(result.new_center.len(), 3);
         for row in &result.metaheuristics {

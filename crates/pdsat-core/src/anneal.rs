@@ -39,8 +39,8 @@ impl Default for AnnealingConfig {
 /// every accepted transition, including uphill ones), the driver tracks the
 /// best point *ever evaluated* — clearly the intended output.
 ///
-/// Proposals are single points (the walk is inherently sequential); batch
-/// parallelism across neighbours belongs to [`RandomRestart`](crate::RandomRestart).
+/// Each proposal is one point, as every step of Algorithm 1 checks one; the
+/// parallelism is inside the point, across its sample's sub-problems.
 #[derive(Debug, Clone)]
 pub struct Annealing {
     temperature: f64,
@@ -113,13 +113,11 @@ impl Strategy for Annealing {
             }
             let candidate = unchecked[ctx.rng.gen_range(0..unchecked.len())].clone();
             self.last_neighborhood = neighborhood;
-            return Proposal::Evaluate(vec![candidate]);
+            return Proposal::Evaluate(candidate);
         }
     }
 
-    fn observe(&mut self, ctx: &mut SearchContext<'_>, results: &[Evaluated]) -> Observation {
-        assert_eq!(results.len(), 1, "annealing proposes single points");
-        let evaluated = &results[0];
+    fn observe(&mut self, ctx: &mut SearchContext<'_>, evaluated: &Evaluated) -> Observation {
         let value = evaluated.value;
 
         let accepted = if value < self.center_value {
@@ -160,10 +158,7 @@ impl Strategy for Annealing {
                 }
             }
         }
-        Observation {
-            accepted: vec![accepted],
-            stop,
-        }
+        Observation { accepted, stop }
     }
 }
 
@@ -324,11 +319,11 @@ mod tests {
             point: next,
             value: worse,
         };
-        let observation = annealing.observe(&mut ctx, &[worse]);
+        let observation = annealing.observe(&mut ctx, &worse);
         let expected = reference.gen_bool(p_expected);
         // One draw from the run's stream, no more.
         assert_eq!(rng, reference);
-        (observation.accepted[0], expected)
+        (observation.accepted, expected)
     }
 
     #[test]

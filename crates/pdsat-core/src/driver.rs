@@ -7,32 +7,18 @@
 //! reproduction duplicated that shared loop in `SimulatedAnnealing` and
 //! `TabuSearch`; this module owns it once:
 //!
-//! * [`SearchDriver`] runs the loop — limit enforcement (including *inside*
-//!   a neighborhood-sized batch), best-pair tracking, the single RNG stream,
-//!   the dedup/memo cache of visited points and the trajectory trace.
-//! * [`Strategy`] is the move rule: `propose` returns the next batch of
-//!   points to evaluate (one point for the classic sequential walks, a whole
-//!   neighborhood for batch strategies), `observe` digests the evaluated
-//!   batch and updates the strategy's internal state.
+//! * [`SearchDriver`] runs the loop — limit enforcement, best-pair tracking,
+//!   the single RNG stream, the memo of visited points and the trajectory
+//!   trace.
+//! * [`Strategy`] is the move rule: `propose` returns the next point to
+//!   evaluate, `observe` digests its value and updates the strategy's
+//!   internal state.
 //!
-//! Multi-point proposals are lowered through
-//! [`Evaluator::evaluate_batch_memoized`] into **one** `CubeOracle` batch —
-//! one sample plan per point, concatenated and sticky-striped across the
-//! oracle's worker pool — so neighbor evaluations finally use the
-//! pool *across* points, not just within one (the paper evaluates the
-//! neighborhood of a point in parallel on the cluster).
-//!
-//! # Batch semantics
-//!
-//! A proposal is processed in order with these guarantees:
-//!
-//! 1. **Dedup.** Duplicate points inside one proposal are evaluated once
-//!    (first occurrence wins); points already visited this run are answered
-//!    from the driver's memo cache and still appear in the history.
-//! 2. **Point-budget truncation.** When `max_points` leaves fewer slots than
-//!    the proposal holds, the proposal is truncated to the remaining budget —
-//!    a large neighborhood can no longer blow past the limit.
-//! 3. `observe` always sees exactly the evaluated points, in proposal order.
+//! A search step is one point, as in Algorithms 1–2: the driver checks the
+//! point limit before every `propose`, so a proposed point always fits the
+//! budget. A point already visited this run is answered from the driver's
+//! memo; a new one goes through [`Evaluator::evaluate_memoized`], whose
+//! sample is one `CubeOracle` batch spread over the oracle's worker pool.
 
 use crate::search::{SearchLimits, SearchOutcome, SearchStep, StopCondition};
 use crate::{Evaluator, Point, SearchSpace};
@@ -53,45 +39,22 @@ pub struct Evaluated {
 /// What a strategy wants next.
 #[derive(Debug, Clone)]
 pub enum Proposal {
-    /// Evaluate these points (in order; must be non-empty). A single point
-    /// reproduces the classic sequential walk; a whole neighborhood flows
-    /// through the batched oracle path.
-    Evaluate(Vec<Point>),
+    /// Evaluate this point.
+    Evaluate(Point),
     /// Terminate the search with the given strategy-level stop condition.
     Stop(StopCondition),
 }
 
-/// What a strategy concluded from an evaluated batch.
+/// What a strategy concluded from an evaluated point.
 #[derive(Debug, Clone)]
 pub struct Observation {
-    /// Per-point acceptance flags, aligned with the batch handed to
-    /// [`Strategy::observe`] (recorded in the trajectory as
+    /// Whether the strategy adopted the point (recorded in the trajectory as
     /// [`SearchStep::accepted`]).
-    pub accepted: Vec<bool>,
+    pub accepted: bool,
     /// A stop the strategy wants honored *before* the next limits check —
     /// e.g. annealing's temperature floor right after an accepted move, which
     /// Algorithm 1 reports even when the point budget is exhausted too.
     pub stop: Option<StopCondition>,
-}
-
-impl Observation {
-    /// Continue searching; `accepted` flags the points the strategy adopted.
-    #[must_use]
-    pub fn advance(accepted: Vec<bool>) -> Observation {
-        Observation {
-            accepted,
-            stop: None,
-        }
-    }
-
-    /// Record the flags, then stop with `condition`.
-    #[must_use]
-    pub fn stop(accepted: Vec<bool>, condition: StopCondition) -> Observation {
-        Observation {
-            accepted,
-            stop: Some(condition),
-        }
-    }
 }
 
 /// Read access to the driver's shared search state, handed to every
@@ -108,7 +71,7 @@ pub struct SearchContext<'a> {
     /// stochastic choices of all strategies draw from this one stream, which
     /// is what makes a fixed-seed run reproducible).
     pub rng: &'a mut StdRng,
-    /// Values of every point evaluated so far this run (the dedup cache).
+    /// Values of every point evaluated so far this run (the memo).
     pub values: &'a HashMap<Point, f64>,
     /// Best point found so far.
     pub best_point: &'a Point,
@@ -138,12 +101,10 @@ impl SearchContext<'_> {
 /// The driver owns the loop; a strategy only decides *where to go next*
 /// ([`propose`](Strategy::propose)) and *what to make of the results*
 /// ([`observe`](Strategy::observe)). Implementations: [`Annealing`]
-/// (Algorithm 1), [`Tabu`] (Algorithm 2) and [`RandomRestart`] (batched
-/// greedy descent with random restarts).
+/// (Algorithm 1) and [`Tabu`] (Algorithm 2).
 ///
 /// [`Annealing`]: crate::Annealing
 /// [`Tabu`]: crate::Tabu
-/// [`RandomRestart`]: crate::RandomRestart
 pub trait Strategy {
     /// Called once per run with the evaluated starting point, before the
     /// first `propose`. Implementations must fully reset their internal
@@ -151,21 +112,18 @@ pub trait Strategy {
     /// like a freshly constructed one on each.
     fn initialize(&mut self, ctx: &mut SearchContext<'_>, start: &Evaluated);
 
-    /// The next batch of points to evaluate, or a stop condition. A returned
-    /// `Proposal::Evaluate` must hold at least one point.
+    /// The next point to evaluate, or a stop condition.
     fn propose(&mut self, ctx: &mut SearchContext<'_>) -> Proposal;
 
-    /// Digest an evaluated batch (the — possibly truncated — prefix of the
-    /// last proposal, in order). `ctx.values` already contains the new
-    /// points; `ctx.best_value` is still the best *before* this batch.
-    fn observe(&mut self, ctx: &mut SearchContext<'_>, results: &[Evaluated]) -> Observation;
+    /// Digest the evaluated point of the last proposal. `ctx.values` already
+    /// contains it; `ctx.best_value` is still the best *before* it.
+    fn observe(&mut self, ctx: &mut SearchContext<'_>, evaluated: &Evaluated) -> Observation;
 }
 
 /// Configuration of the [`SearchDriver`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriverConfig {
-    /// Global stopping criteria, enforced between proposals *and* inside a
-    /// batch (see the module docs).
+    /// Global stopping criteria, checked before every proposal.
     pub limits: SearchLimits,
     /// Seed of the run's single RNG stream.
     pub seed: u64,
@@ -233,15 +191,13 @@ impl SearchDriver {
     ///
     /// The evaluator should be long-lived (ideally shared with other
     /// searches over the same instance): it owns the oracle's persistent
-    /// worker pool, so every batch reuses the same resident backends, and
-    /// its memoized point cache answers points another search already paid
-    /// for.
+    /// worker pool, so every point's sample reuses the same resident
+    /// backends, and its memoized point cache answers points another search
+    /// already paid for.
     ///
     /// # Panics
     ///
-    /// Panics if `start` has a different dimension than `space`, or if the
-    /// strategy proposes an empty batch or returns misaligned acceptance
-    /// flags.
+    /// Panics if `start` has a different dimension than `space`.
     pub fn run<S: Strategy + ?Sized>(
         &self,
         space: &SearchSpace,
@@ -263,25 +219,21 @@ impl SearchDriver {
         let mut best_point = start.clone();
         let mut best_value = f64::INFINITY;
 
-        let start_results =
-            evaluate_points(space, evaluator, &mut values, std::slice::from_ref(start));
-        let start_eval = &start_results[0];
-        {
-            let is_best = start_eval.value < best_value;
-            if is_best {
-                best_value = start_eval.value;
-                best_point = start.clone();
-            }
-            history.push(SearchStep {
-                index: 0,
-                point: start.clone(),
-                set_size: start.ones(),
-                value: start_eval.value,
-                accepted: true,
-                is_best,
-                elapsed: begin.elapsed(),
-            });
+        let start_eval = evaluate_point(space, evaluator, &mut values, start.clone());
+        let is_best = start_eval.value < best_value;
+        if is_best {
+            best_value = start_eval.value;
+            best_point = start.clone();
         }
+        history.push(SearchStep {
+            index: 0,
+            point: start.clone(),
+            set_size: start.ones(),
+            value: start_eval.value,
+            accepted: true,
+            is_best,
+            elapsed: begin.elapsed(),
+        });
         {
             let mut ctx = SearchContext {
                 space,
@@ -291,7 +243,7 @@ impl SearchDriver {
                 best_value,
                 evaluator,
             };
-            strategy.initialize(&mut ctx, start_eval);
+            strategy.initialize(&mut ctx, &start_eval);
         }
 
         let stop = loop {
@@ -310,27 +262,12 @@ impl SearchDriver {
                 };
                 strategy.propose(&mut ctx)
             };
-            let mut points = match proposal {
+            let point = match proposal {
                 Proposal::Stop(condition) => break condition,
-                Proposal::Evaluate(points) => points,
+                Proposal::Evaluate(point) => point,
             };
-            assert!(!points.is_empty(), "strategy proposed an empty batch");
 
-            // Dedup inside the proposal (first occurrence wins).
-            if points.len() > 1 {
-                let mut seen = std::collections::HashSet::with_capacity(points.len());
-                points.retain(|p| seen.insert(p.clone()));
-            }
-
-            // Partial-batch truncation: the point budget is enforced inside
-            // the batch, not only between proposals.
-            // A truncated batch fills the budget, so the next limits check
-            // stops the run.
-            if let Some(budget) = limits.point_budget(history.len()) {
-                points.truncate(budget);
-            }
-
-            let results = evaluate_points(space, evaluator, &mut values, &points);
+            let evaluated = evaluate_point(space, evaluator, &mut values, point);
 
             let observation = {
                 let mut ctx = SearchContext {
@@ -341,30 +278,23 @@ impl SearchDriver {
                     best_value,
                     evaluator,
                 };
-                strategy.observe(&mut ctx, &results)
+                strategy.observe(&mut ctx, &evaluated)
             };
-            assert_eq!(
-                observation.accepted.len(),
-                results.len(),
-                "strategy returned misaligned acceptance flags"
-            );
 
-            for (evaluated, &accepted) in results.iter().zip(&observation.accepted) {
-                let is_best = evaluated.value < best_value;
-                if is_best {
-                    best_value = evaluated.value;
-                    best_point = evaluated.point.clone();
-                }
-                history.push(SearchStep {
-                    index: history.len(),
-                    point: evaluated.point.clone(),
-                    set_size: evaluated.point.ones(),
-                    value: evaluated.value,
-                    accepted,
-                    is_best,
-                    elapsed: begin.elapsed(),
-                });
+            let is_best = evaluated.value < best_value;
+            if is_best {
+                best_value = evaluated.value;
+                best_point = evaluated.point.clone();
             }
+            history.push(SearchStep {
+                index: history.len(),
+                set_size: evaluated.point.ones(),
+                point: evaluated.point,
+                value: evaluated.value,
+                accepted: observation.accepted,
+                is_best,
+                elapsed: begin.elapsed(),
+            });
 
             // Strategy-level stops fire before the next limits check (the
             // pseudocode's ordering).
@@ -386,35 +316,23 @@ impl SearchDriver {
     }
 }
 
-/// Resolves `points` to values: memo hits are free, misses are lowered into
-/// one batched oracle call via [`Evaluator::evaluate_batch_memoized`].
-fn evaluate_points(
+/// Resolves `point` to its value: a point visited this run is answered from
+/// the run's memo, a new one through [`Evaluator::evaluate_memoized`].
+fn evaluate_point(
     space: &SearchSpace,
     evaluator: &mut Evaluator,
     values: &mut HashMap<Point, f64>,
-    points: &[Point],
-) -> Vec<Evaluated> {
-    // `points` is already duplicate-free (the driver dedups every proposal),
-    // so a memo lookup is the only filter needed.
-    let mut miss_points: Vec<Point> = Vec::new();
-    let mut miss_sets = Vec::new();
-    for point in points {
-        if !values.contains_key(point) {
-            miss_points.push(point.clone());
-            miss_sets.push(space.decomposition_set(point));
+    point: Point,
+) -> Evaluated {
+    let value = match values.get(&point) {
+        Some(&value) => value,
+        None => {
+            let value = evaluator
+                .evaluate_memoized(&space.decomposition_set(&point))
+                .value();
+            values.insert(point.clone(), value);
+            value
         }
-    }
-    if !miss_sets.is_empty() {
-        let evaluations = evaluator.evaluate_batch_memoized(&miss_sets);
-        for (point, evaluation) in miss_points.into_iter().zip(&evaluations) {
-            values.insert(point, evaluation.value());
-        }
-    }
-    points
-        .iter()
-        .map(|point| Evaluated {
-            point: point.clone(),
-            value: values[point],
-        })
-        .collect()
+    };
+    Evaluated { point, value }
 }

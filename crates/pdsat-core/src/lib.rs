@@ -17,10 +17,9 @@
 //! 3. **Minimization.** A unified [`SearchDriver`] minimizes `F` over points
 //!    of a [`SearchSpace`] — normally `2^{X̃_start}` where `X̃_start` is the
 //!    Strong UP-backdoor set of state variables — by driving an exchangeable
-//!    [`Strategy`]: [`Annealing`] (Algorithm 1), [`Tabu`] (Algorithm 2) or
-//!    [`RandomRestart`] (batched greedy descent with restarts). Neighborhood
-//!    proposals are lowered through [`Evaluator::evaluate_batch`] into single
-//!    oracle batches, so the worker pool parallelizes *across* points.
+//!    [`Strategy`]: [`Annealing`] (Algorithm 1) or [`Tabu`] (Algorithm 2).
+//!    Each step evaluates one point; its sample is one oracle batch, so the
+//!    worker pool parallelizes across the point's sub-problems.
 //! 4. **Solving mode.** [`FamilySolver`] processes the whole family of the
 //!    best set found into a [`SolveReport`]; its per-cube costs are what
 //!    `pdsat_distrib::simulate_cluster` extrapolates to a cluster.
@@ -71,8 +70,8 @@
 //! assert_eq!(batch.costs.iter().sum::<f64>(), batch.solver_stats.conflicts as f64);
 //!
 //! // Search for a good decomposition set over the first 6 variables: one
-//! // driver, an exchangeable strategy, an evaluator that batches whole
-//! // neighborhoods through the oracle and memoizes revisited points.
+//! // driver, an exchangeable strategy, an evaluator that solves each point's
+//! // sample through the oracle and memoizes revisited points.
 //! let space = SearchSpace::new((0..6).map(Var::new));
 //! let mut evaluator = Evaluator::new(
 //!     &cnf,
@@ -99,7 +98,6 @@ mod estimator;
 pub mod fault;
 mod oracle;
 mod predict;
-mod restart;
 mod search;
 mod solve_mode;
 mod space;
@@ -120,7 +118,6 @@ pub use oracle::{
     BackendKind, BatchConfig, BatchResult, CubeOracle, OracleTestPolicy, VerdictSummary,
 };
 pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};
-pub use restart::{RandomRestart, RandomRestartConfig};
 pub use search::{SearchLimits, SearchOutcome, SearchStep, StopCondition};
 pub use solve_mode::{CubeCertificate, FamilyCounters, FamilySolver, SolveModeConfig, SolveReport};
 pub use space::{Point, SearchSpace};

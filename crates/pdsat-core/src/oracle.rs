@@ -18,9 +18,8 @@
 //! worker and merges per-worker [`SolverStats`] and conflict-count
 //! accumulators once per batch.
 //!
-//! The [`Evaluator`](crate::Evaluator) (point-at-a-time *and* batched
-//! neighborhood evaluation) and [`FamilySolver`](crate::FamilySolver) both
-//! route through here; backend selection threads through their configs as a
+//! The [`Evaluator`](crate::Evaluator) (one batch per point's sample) and
+//! [`FamilySolver`](crate::FamilySolver) both route through here; backend selection threads through their configs as a
 //! [`BackendKind`].
 
 mod backend;

@@ -6,10 +6,9 @@ mod cache;
 use crate::oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, VerdictSummary};
 use crate::{CostMetric, DecompositionSet, PredictiveEstimate};
 use cache::PointCache;
-use pdsat_cnf::{Assignment, Cnf, Cube, Var};
+use pdsat_cnf::{Assignment, Cnf, Cube};
 use pdsat_solver::{InterruptFlag, SolverConfig};
 use rand::SeedableRng;
-use std::ops::Range;
 use std::time::Duration;
 
 /// Configuration of the predictive-function evaluator.
@@ -35,7 +34,7 @@ pub struct EvaluatorConfig {
     /// cubes solved before it — for a large speed-up. Nothing measures that
     /// bias yet: the benchmark times warm solving, not warm estimates, and
     /// measuring it on the search's reported intervals is ROADMAP.md item
-    /// 1(c).
+    /// 2(a).
     pub backend: BackendKind,
 }
 
@@ -218,28 +217,65 @@ impl Evaluator {
     }
 
     /// Evaluates the predictive function at `set` using a fresh random sample
-    /// of `N = config.sample_size` cubes:
-    /// [`evaluate_batch`](Self::evaluate_batch) over the one set.
+    /// of `N = config.sample_size` cubes, solved in one [`CubeOracle`]
+    /// batch.
+    ///
+    /// The sample is *solved* grouped — stable-sorted into the binary
+    /// counting order of [`DecompositionSet::cubes`] — and *reported* in the
+    /// order drawn: observations `ζ_1 … ζ_N`, verdict counts and the model of
+    /// the first satisfiable cube drawn. Grouping puts the repeats of a cube
+    /// (the sample is drawn with replacement) next to each other, so the
+    /// fresh backend answers a repeat from the solver that just solved it
+    /// instead of solving it again, and consecutive cubes share the longest
+    /// assumption prefixes, so a warm solver's trail reuse skips most of the
+    /// per-cube replay.
     pub fn evaluate(&mut self, set: &DecompositionSet) -> PointEvaluation {
-        self.evaluate_batch(std::slice::from_ref(set))
-            .pop()
-            .expect("one evaluation per set")
+        // The per-evaluation RNG makes repeated runs of a whole search
+        // reproducible while different points get independent samples.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(
+            self.config
+                .seed
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(self.evaluations),
+        );
+        let mut drawn: Vec<(usize, Cube)> = set
+            .random_sample(self.config.sample_size, &mut rng)
+            .into_iter()
+            .enumerate()
+            .collect();
+        // `Cube`'s order over one set is `α`'s, the binary counting order of
+        // `DecompositionSet::cubes`. Stable: equal cubes keep the order drawn.
+        drawn.sort_by(|(_, a), (_, b)| a.cmp(b));
+        // `drawn_at[j]` is the plan position of the `j`-th cube drawn.
+        let mut drawn_at = vec![0; drawn.len()];
+        let mut plan: Vec<Cube> = Vec::with_capacity(drawn.len());
+        for (j, cube) in drawn {
+            drawn_at[j] = plan.len();
+            plan.push(cube);
+        }
+
+        let batch = self.oracle.solve_batch(&plan, None);
+        self.absorb(&batch);
+        summarize_outcomes(set, &batch, &drawn_at)
     }
 
     /// Evaluates `set` through the memoizing point cache: a point
     /// that any search sharing this evaluator has already paid for is
-    /// answered instantly with the stored evaluation
-    /// ([`evaluate_batch_memoized`](Self::evaluate_batch_memoized) over the
-    /// one set).
+    /// answered instantly with the stored evaluation; any other is
+    /// [`evaluate`](Self::evaluate)d and stored.
     ///
     /// The metaheuristics use this entry point. [`evaluate`](Self::evaluate)
     /// and the exhaustive cross-check bypass the cache on purpose (they are
     /// asked for a *fresh* measurement) and do not populate it, so sampled
     /// and exhaustive values are never conflated.
     pub fn evaluate_memoized(&mut self, set: &DecompositionSet) -> PointEvaluation {
-        self.evaluate_batch_memoized(std::slice::from_ref(set))
-            .pop()
-            .expect("one evaluation per set")
+        if let Some(hit) = self.point_cache.lookup(set.vars()) {
+            return hit.clone();
+        }
+        let evaluation = self.evaluate(set);
+        self.point_cache
+            .store(set.vars().to_vec(), evaluation.clone());
+        evaluation
     }
 
     /// Evaluates the predictive function at `set` on a caller-provided sample
@@ -253,145 +289,9 @@ impl Evaluator {
         interrupt: Option<&InterruptFlag>,
     ) -> PointEvaluation {
         let batch = self.oracle.solve_batch(cubes, interrupt);
-
-        for (acc, &c) in self
-            .conflict_activity
-            .iter_mut()
-            .zip(&batch.var_conflict_totals)
-        {
-            *acc += c;
-        }
-        self.evaluations += 1;
-        self.total_solve_wall += batch.wall_time;
-
+        self.absorb(&batch);
         let positions: Vec<usize> = (0..cubes.len()).collect();
-        summarize_outcomes(set, &batch, &positions, batch.wall_time)
-    }
-
-    /// Evaluates the predictive function at every set of `sets` with fresh
-    /// random samples, lowering the whole neighborhood into **one**
-    /// [`CubeOracle`] batch: one sample plan per point, concatenated and
-    /// dispatched to the oracle's worker pool in a single call.
-    ///
-    /// Compared to a per-point loop over [`evaluate`](Self::evaluate), the
-    /// batched path pays the oracle's per-batch costs (dispatch, the
-    /// `num_vars`-sized conflict accumulator, stats merging) once instead of
-    /// once per point, and lets the pool's sticky-striped workers run the
-    /// whole neighborhood without idling between points. With the
-    /// deterministic [`BackendKind::Fresh`](crate::BackendKind::Fresh)
-    /// backend the returned values are bit-identical to the sequential loop
-    /// (each point draws the same per-evaluation sample); a warm backend may
-    /// legitimately report different *costs* because its learnt-clause state
-    /// now flows across the whole batch.
-    ///
-    /// Each point's sample is *solved* grouped — stable-sorted into the
-    /// binary counting order of [`DecompositionSet::cubes`] — and *reported*
-    /// in the order drawn: observations `ζ_1 … ζ_N`, verdict counts and the
-    /// model of the first satisfiable cube drawn. Grouping puts the repeats
-    /// of a cube (the sample is drawn with replacement) next to each other,
-    /// so the fresh backend answers a repeat from the solver that just solved
-    /// it instead of solving it again, and consecutive cubes share the
-    /// longest assumption prefixes, so a warm solver's trail reuse skips most
-    /// of the per-cube replay. Points are never interleaved (a warm solver's
-    /// learnt-clause locality follows the set).
-    pub fn evaluate_batch(&mut self, sets: &[DecompositionSet]) -> Vec<PointEvaluation> {
-        if sets.is_empty() {
-            return Vec::new();
-        }
-        // One sample plan per point. The per-evaluation RNG makes repeated
-        // runs of a whole search reproducible while different points get
-        // independent samples: point k of the batch draws exactly the sample
-        // it would draw as the k-th single-set call.
-        let capacity = sets.len() * self.config.sample_size;
-        let mut plan: Vec<Cube> = Vec::with_capacity(capacity);
-        // `drawn_at[ranges[k]]` lists, in the order point k drew its cubes,
-        // each cube's position in the plan.
-        let mut drawn_at: Vec<usize> = Vec::with_capacity(capacity);
-        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(sets.len());
-        for (k, set) in sets.iter().enumerate() {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(
-                self.config
-                    .seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add(self.evaluations + k as u64),
-            );
-            let mut drawn: Vec<(usize, Cube)> = set
-                .random_sample(self.config.sample_size, &mut rng)
-                .into_iter()
-                .enumerate()
-                .collect();
-            // `Cube`'s order over one set is `α`'s, the binary counting
-            // order of `DecompositionSet::cubes`. Stable: equal cubes keep
-            // the order drawn.
-            drawn.sort_by(|(_, a), (_, b)| a.cmp(b));
-            let from = plan.len();
-            drawn_at.resize(from + drawn.len(), 0);
-            for (j, cube) in drawn {
-                drawn_at[from + j] = plan.len();
-                plan.push(cube);
-            }
-            ranges.push(from..plan.len());
-        }
-
-        let batch = self.oracle.solve_batch(&plan, None);
-        for (acc, &c) in self
-            .conflict_activity
-            .iter_mut()
-            .zip(&batch.var_conflict_totals)
-        {
-            *acc += c;
-        }
-        self.evaluations += sets.len() as u64;
-        self.total_solve_wall += batch.wall_time;
-
-        // Results sit in plan order; each point reads its own back in the
-        // order drawn. The batch's wall time is apportioned equally
-        // (per-point wall clocks are not observable inside one pooled batch).
-        let per_point_wall = batch.wall_time / sets.len() as u32;
-        ranges
-            .into_iter()
-            .zip(sets)
-            .map(|(range, set)| summarize_outcomes(set, &batch, &drawn_at[range], per_point_wall))
-            .collect()
-    }
-
-    /// The memoized counterpart of [`evaluate_batch`](Self::evaluate_batch):
-    /// sets already in the point cache are answered instantly, the
-    /// misses (deduplicated) are evaluated in one oracle batch and stored.
-    ///
-    /// This is the entry point the [`SearchDriver`](crate::SearchDriver)
-    /// lowers neighborhood proposals through.
-    pub fn evaluate_batch_memoized(&mut self, sets: &[DecompositionSet]) -> Vec<PointEvaluation> {
-        // Slot k of `resolved` is either a finished evaluation (cache hit)
-        // or the index of the deduplicated miss that will provide it.
-        let mut resolved: Vec<Result<PointEvaluation, usize>> = Vec::with_capacity(sets.len());
-        let mut miss_sets: Vec<DecompositionSet> = Vec::new();
-        let mut miss_index: std::collections::HashMap<Vec<Var>, usize> =
-            std::collections::HashMap::new();
-        for set in sets {
-            if let Some(hit) = self.point_cache.lookup(set.vars()) {
-                resolved.push(Ok(hit.clone()));
-            } else if let Some(&j) = miss_index.get(set.vars()) {
-                resolved.push(Err(j));
-            } else {
-                miss_index.insert(set.vars().to_vec(), miss_sets.len());
-                resolved.push(Err(miss_sets.len()));
-                miss_sets.push(set.clone());
-            }
-        }
-
-        let evaluations = self.evaluate_batch(&miss_sets);
-        for evaluation in &evaluations {
-            self.point_cache
-                .store(evaluation.set.vars().to_vec(), evaluation.clone());
-        }
-        resolved
-            .into_iter()
-            .map(|slot| match slot {
-                Ok(evaluation) => evaluation,
-                Err(j) => evaluations[j].clone(),
-            })
-            .collect()
+        summarize_outcomes(set, &batch, &positions)
     }
 
     /// Evaluates the *exact* value of `t_{C,A}(X̃)` by enumerating the whole
@@ -405,16 +305,28 @@ impl Evaluator {
         let cubes: Vec<Cube> = set.cubes().collect();
         self.evaluate_with_sample(set, &cubes, None)
     }
+
+    /// Counts one evaluated point and adds its batch's conflict activity and
+    /// wall time to the evaluator's totals.
+    fn absorb(&mut self, batch: &BatchResult) {
+        for (acc, &c) in self
+            .conflict_activity
+            .iter_mut()
+            .zip(&batch.var_conflict_totals)
+        {
+            *acc += c;
+        }
+        self.evaluations += 1;
+        self.total_solve_wall += batch.wall_time;
+    }
 }
 
-/// Builds a [`PointEvaluation`] from one point's results, read from the
-/// batch positions `drawn_at` lists in the order the point drew its cubes
-/// (shared by the sequential and batched evaluation paths).
+/// Builds a [`PointEvaluation`] from one point's batch, read from the
+/// batch positions `drawn_at` lists in the order the point drew its cubes.
 fn summarize_outcomes(
     set: &DecompositionSet,
     batch: &BatchResult,
     drawn_at: &[usize],
-    wall_time: Duration,
 ) -> PointEvaluation {
     let observations: Vec<f64> = drawn_at.iter().map(|&i| batch.costs[i]).collect();
     let estimate = PredictiveEstimate::from_observations(set.len(), &observations);
@@ -431,9 +343,9 @@ fn summarize_outcomes(
             None => {}
         }
     }
-    // The model of the first satisfiable cube drawn: a neighbourhood batch
-    // of an easy formula can carry a model per cube, so the list (by batch
-    // position) is searched, not scanned.
+    // The model of the first satisfiable cube drawn: the sample of an easy
+    // formula can carry a model per cube, so the list (by batch position) is
+    // searched, not scanned.
     let model = first_sat
         .and_then(|i| {
             batch
@@ -448,14 +360,14 @@ fn summarize_outcomes(
         observations,
         verdicts,
         model,
-        wall_time,
+        wall_time: batch.wall_time,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdsat_cnf::Lit;
+    use pdsat_cnf::{Lit, Var};
 
     fn conflicts_config(n: usize) -> EvaluatorConfig {
         EvaluatorConfig {
@@ -590,7 +502,7 @@ mod tests {
             ([2, 3], 0, None),
             ([5, 4], 2, Some(5)),
         ] {
-            let point = summarize_outcomes(&set, &batch, &drawn_at, Duration::ZERO);
+            let point = summarize_outcomes(&set, &batch, &drawn_at);
             assert_eq!(point.observations.len(), 2);
             assert_eq!(point.verdicts.sat, sat, "{drawn_at:?}");
             assert_eq!(

@@ -2,9 +2,8 @@
 //!
 //! Each evaluation of the predictive function costs `N` complete sub-problem
 //! solves, so revisiting a point of the search space — a different
-//! metaheuristic run over the same instance, a restart, or the comparison
-//! tables that score the same reference set several times — should never pay
-//! twice. The [`Evaluator`](super::Evaluator) owns one [`PointCache`] whose
+//! metaheuristic run over the same instance, or the comparison tables that
+//! score the same reference set several times — should never pay twice. The [`Evaluator`](super::Evaluator) owns one [`PointCache`] whose
 //! lifetime spans every search that shares the evaluator.
 //!
 //! The cache is **bounded**: long annealing/tabu runs visit an endless

@@ -35,17 +35,6 @@ impl SearchLimits {
     pub fn exceeded(&self, points_evaluated: usize) -> bool {
         self.max_points.is_some_and(|max| points_evaluated >= max)
     }
-
-    /// How many more points may be evaluated before `max_points` is hit, or
-    /// `None` when the point budget is unlimited.
-    ///
-    /// The [`SearchDriver`](crate::SearchDriver) uses this to truncate a
-    /// neighborhood-sized proposal *inside* a batch: a strategy proposing 30
-    /// points with 5 left in the budget gets exactly 5 evaluated, not 30.
-    #[must_use]
-    pub fn point_budget(&self, points_evaluated: usize) -> Option<usize> {
-        self.max_points.map(|m| m.saturating_sub(points_evaluated))
-    }
 }
 
 /// Why a search run ended.
@@ -57,9 +46,6 @@ pub enum StopCondition {
     TemperatureFloor,
     /// Tabu search ran out of unchecked points (`L2 = ∅`).
     SpaceExhausted,
-    /// The [`RandomRestart`](crate::RandomRestart) strategy spent its restart
-    /// budget without finding a new basin to descend into.
-    RestartsExhausted,
 }
 
 /// One evaluated point in the trajectory of a search.

@@ -144,7 +144,7 @@ impl Strategy for Tabu {
             if !unchecked.is_empty() {
                 let candidate = unchecked[ctx.rng.gen_range(0..unchecked.len())].clone();
                 self.center = Some(center);
-                return Proposal::Evaluate(vec![candidate]);
+                return Proposal::Evaluate(candidate);
             }
             // The neighbourhood of χ_center is checked: move to the improved
             // best point, or ask getNewCenter(L2) for a fresh centre. Every
@@ -163,9 +163,7 @@ impl Strategy for Tabu {
         }
     }
 
-    fn observe(&mut self, ctx: &mut SearchContext<'_>, results: &[Evaluated]) -> Observation {
-        assert_eq!(results.len(), 1, "tabu search proposes single points");
-        let evaluated = &results[0];
+    fn observe(&mut self, ctx: &mut SearchContext<'_>, evaluated: &Evaluated) -> Observation {
         let candidate = &evaluated.point;
 
         // markPointInTabuLists, then points of L2 whose neighbourhood just
@@ -182,7 +180,7 @@ impl Strategy for Tabu {
             self.improved = true;
         }
         Observation {
-            accepted: vec![is_best],
+            accepted: is_best,
             stop: None,
         }
     }

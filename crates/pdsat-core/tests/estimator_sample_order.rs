@@ -59,7 +59,7 @@ fn fresh_observations_keep_the_order_drawn() {
 fn warm_batches_solve_each_points_sample_sorted_and_never_interleave_points() {
     let (cnf, sets) = instance();
     let mut warm = evaluator(&cnf, BackendKind::Warm);
-    let evaluations = warm.evaluate_batch(&sets);
+    let evaluations = sets.each_ref().map(|set| warm.evaluate(set));
     // Warm costs depend on everything solved before, so equal multisets and
     // an equal reuse count mean the same cubes in the same order.
     let recorded: [([f64; 24], f64); 2] = [

@@ -10,8 +10,8 @@
 //! the bit, verdicts, models, certificates, conflict participation, solver
 //! statistics and the count of cubes solved. The evaluator is checked on the
 //! sample it draws, reported in the order drawn; the oracle on that sample
-//! grouped, as the evaluator submits it, on a pool that is not clamped to
-//! the machine's CPUs (the evaluator's is).
+//! grouped, one batch per point as the evaluator submits it, on a pool that
+//! is not clamped to the machine's CPUs (the evaluator's is).
 
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
 use pdsat_core::{
@@ -28,8 +28,8 @@ const SAMPLE: usize = 40;
 const SEED: u64 = 0x5A3E;
 const CASES: u32 = 24;
 
-/// The sample `Evaluator::evaluate_batch` draws for the point it evaluates
-/// as its `evaluation`-th (the seeding of `predict.rs`).
+/// The sample `Evaluator::evaluate` draws for the point it evaluates as its
+/// `evaluation`-th (the seeding of `predict.rs`).
 fn drawn_sample(set: &DecompositionSet, evaluation: u64) -> Vec<Cube> {
     let seed = SEED
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -110,8 +110,8 @@ fn repeats(sample: &[Cube], references: &[Reference]) -> [usize; 3] {
     counts
 }
 
-/// The evaluator, on one worker or four (clamped to the machine), over a
-/// neighbourhood of two points: each point's evaluation equals its drawn
+/// The evaluator, on one worker or four (clamped to the machine), over two
+/// points evaluated in turn: each point's evaluation equals its drawn
 /// sample's references in the order drawn.
 fn check_evaluator(
     cnf: &Cnf,
@@ -131,7 +131,7 @@ fn check_evaluator(
             backend: BackendKind::Fresh,
         },
     );
-    let evaluations = evaluator.evaluate_batch(sets);
+    let evaluations = sets.each_ref().map(|set| evaluator.evaluate(set));
     for (evaluation, refs) in evaluations.iter().zip(references) {
         let costs: Vec<u64> = refs.iter().map(|r| r.cost.to_bits()).collect();
         let observed: Vec<u64> = evaluation
@@ -156,14 +156,9 @@ fn check_evaluator(
 }
 
 /// The oracle, on one worker or a real pool of four, over both points'
-/// samples grouped as the evaluator submits them: every column and side
-/// list equals the references', cube by cube.
+/// samples grouped, one batch per point, as the evaluator submits them:
+/// every column and side list equals the references', cube by cube.
 fn check_oracle(cnf: &Cnf, samples: &[Vec<Cube>; 2], proof: bool, num_workers: usize) {
-    let plan: Vec<Cube> = samples.iter().flat_map(|s| grouped(s)).collect();
-    let references: Vec<Reference> = plan
-        .iter()
-        .map(|cube| Reference::solve(cnf, cube, proof))
-        .collect();
     let config = BatchConfig {
         solver_config: solver_config(proof),
         cost: CostMetric::Propagations,
@@ -176,32 +171,41 @@ fn check_oracle(cnf: &Cnf, samples: &[Vec<Cube>; 2], proof: bool, num_workers: u
     };
     let mut oracle = CubeOracle::with_test_policy(cnf, config, policy);
     assert_eq!(oracle.num_workers(), num_workers);
-    let result = oracle.solve_batch(&plan, None);
-    let costs: Vec<u64> = references.iter().map(|r| r.cost.to_bits()).collect();
-    let observed: Vec<u64> = result.costs.iter().map(|c| c.to_bits()).collect();
-    assert_eq!(observed, costs, "{num_workers} workers");
-    let verdicts: Vec<Option<VerdictSummary>> =
-        references.iter().map(|r| Some(r.summary())).collect();
-    assert_eq!(result.verdicts, verdicts);
-    let models: Vec<(usize, Assignment)> = references
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.verdict.model().map(|m| (i, m.clone())))
-        .collect();
-    assert_eq!(result.models, models);
-    let proofs: Vec<(usize, DratProof)> = references
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.proof.clone().map(|p| (i, p)))
-        .collect();
-    assert_eq!(result.proofs, proofs);
-    assert_eq!(proofs.is_empty(), !proof || result.verdict_counts().1 == 0);
-    let all: Vec<&Reference> = references.iter().collect();
-    let (stats, conflicts) = totals(&all, cnf.num_vars());
-    assert_eq!(result.var_conflict_totals, conflicts);
-    assert_eq!(result.solver_stats, stats);
+    let mut all = Vec::new();
+    for sample in samples {
+        let plan = grouped(sample);
+        let references: Vec<Reference> = plan
+            .iter()
+            .map(|cube| Reference::solve(cnf, cube, proof))
+            .collect();
+        let result = oracle.solve_batch(&plan, None);
+        let costs: Vec<u64> = references.iter().map(|r| r.cost.to_bits()).collect();
+        let observed: Vec<u64> = result.costs.iter().map(|c| c.to_bits()).collect();
+        assert_eq!(observed, costs, "{num_workers} workers");
+        let verdicts: Vec<Option<VerdictSummary>> =
+            references.iter().map(|r| Some(r.summary())).collect();
+        assert_eq!(result.verdicts, verdicts);
+        let models: Vec<(usize, Assignment)> = references
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.verdict.model().map(|m| (i, m.clone())))
+            .collect();
+        assert_eq!(result.models, models);
+        let proofs: Vec<(usize, DratProof)> = references
+            .iter()
+            .enumerate()
+            .filter_map(|(i, r)| r.proof.clone().map(|p| (i, p)))
+            .collect();
+        assert_eq!(result.proofs, proofs);
+        assert_eq!(proofs.is_empty(), !proof || result.verdict_counts().1 == 0);
+        let (stats, conflicts) = totals(&references.iter().collect::<Vec<_>>(), cnf.num_vars());
+        assert_eq!(result.var_conflict_totals, conflicts);
+        assert_eq!(result.solver_stats, stats);
+        all.extend(references);
+    }
+    let (stats, _) = totals(&all.iter().collect::<Vec<_>>(), cnf.num_vars());
     assert_eq!(*oracle.total_stats(), stats);
-    assert_eq!(oracle.cubes_solved(), plan.len() as u64);
+    assert_eq!(oracle.cubes_solved(), all.len() as u64);
 }
 
 /// Repeats seen over every case, by verdict: the suite must have exercised

@@ -1,14 +1,12 @@
 //! Driver-level integration tests: fixed-seed trajectories pinned against
 //! the pre-refactor `SimulatedAnnealing::minimize` / `TabuSearch::minimize`
-//! implementations, batched-vs-sequential evaluation parity, in-batch limit
-//! enforcement, and reuse of strategy instances and of evaluators across
-//! runs.
+//! implementations, one oracle batch per evaluated point, and reuse of
+//! strategy instances and of evaluators across runs.
 
 use pdsat_cnf::{Cnf, Var};
 use pdsat_core::{
-    Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig,
-    RandomRestart, RandomRestartConfig, SearchDriver, SearchLimits, SearchOutcome, SearchSpace,
-    StopCondition, Strategy, Tabu, TabuConfig,
+    Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver,
+    SearchLimits, SearchOutcome, SearchSpace, StopCondition, Strategy, Tabu, TabuConfig,
 };
 
 fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
@@ -197,79 +195,28 @@ fn edge_case_stop_conditions_match_the_pre_refactor_loops() {
 }
 
 #[test]
-fn batched_evaluation_matches_the_sequential_loop_on_a_fresh_backend() {
+fn every_evaluated_point_is_one_oracle_batch() {
+    // A search step is one point: on a fresh evaluator each evaluation is
+    // one oracle batch, and each point of the trajectory one evaluation.
     let cnf = Cnf::pigeonhole(5);
-    let space = SearchSpace::new((0..8).map(Var::new));
-    let center = space.full_point();
-    let sets: Vec<_> = space
-        .neighborhood(&center, 1)
-        .iter()
-        .map(|p| space.decomposition_set(p))
-        .collect();
-
-    // Sequential: one oracle batch per point.
-    let mut seq = evaluator(&cnf, 8);
-    let seq_evals: Vec<_> = sets.iter().map(|s| seq.evaluate(s)).collect();
-
-    // Batched: the whole radius-1 neighborhood in one oracle batch.
-    let mut bat = evaluator(&cnf, 8);
-    let bat_evals = bat.evaluate_batch(&sets);
-
-    assert_eq!(seq_evals.len(), bat_evals.len());
-    for (a, b) in seq_evals.iter().zip(&bat_evals) {
-        assert_eq!(a.value(), b.value(), "set {:?}", a.set.vars());
-        assert_eq!(a.observations, b.observations);
-        assert_eq!(a.verdicts, b.verdicts);
-    }
-    // Same totals, radically different batch counts.
-    assert_eq!(seq.evaluations(), bat.evaluations());
-    assert_eq!(seq.cubes_solved(), bat.cubes_solved());
-    assert_eq!(seq.conflict_activity(), bat.conflict_activity());
-    assert_eq!(seq.oracle().batches(), sets.len() as u64);
-    assert_eq!(bat.oracle().batches(), 1);
-}
-
-#[test]
-fn batch_memoization_dedups_inside_and_across_batches() {
-    let cnf = Cnf::pigeonhole(5);
-    let space = SearchSpace::new((0..5).map(Var::new));
-    let a = space.decomposition_set(&space.full_point());
-    let b = space.decomposition_set(&space.point_from_vars([Var::new(0), Var::new(2)]));
-    let mut eval = evaluator(&cnf, 8);
-
-    // Duplicates inside one batch are evaluated once.
-    let evals = eval.evaluate_batch_memoized(&[a.clone(), b.clone(), a.clone()]);
-    assert_eq!(evals.len(), 3);
-    assert_eq!(evals[0].value(), evals[2].value());
-    assert_eq!(evals[0].observations, evals[2].observations);
-    assert_eq!(eval.evaluations(), 2);
-
-    // A later batch re-requesting the same sets is free.
-    let again = eval.evaluate_batch_memoized(&[b, a]);
-    assert_eq!(eval.evaluations(), 2);
-    assert_eq!(again[0].value(), evals[1].value());
-    assert_eq!(again[1].value(), evals[0].value());
-}
-
-#[test]
-fn point_budget_truncates_inside_a_neighborhood_batch() {
-    let cnf = Cnf::pigeonhole(5);
-    // Dimension 10: the first RandomRestart proposal is the whole radius-1
-    // neighborhood (10 points), far larger than the remaining budget.
-    let space = SearchSpace::new((0..10).map(Var::new));
-    let mut eval = evaluator(&cnf, 4);
-    let mut strategy = RandomRestart::new(RandomRestartConfig::default());
-    let outcome = driver(SearchLimits::unlimited().with_max_points(4), 9).run(
-        &space,
-        &space.full_point(),
-        &mut strategy,
-        &mut eval,
+    let space = SearchSpace::new((0..6).map(Var::new));
+    let limits = SearchLimits::unlimited().with_max_points(15);
+    let check = |name: &str, strategy: &mut dyn Strategy| {
+        let mut eval = evaluator(&cnf, 8);
+        let outcome =
+            driver(limits.clone(), 3).run(&space, &space.full_point(), strategy, &mut eval);
+        assert_eq!(eval.oracle().batches(), eval.evaluations(), "{name}");
+        assert_eq!(
+            eval.evaluations() as usize,
+            outcome.points_evaluated,
+            "{name}"
+        );
+    };
+    check(
+        "annealing",
+        &mut Annealing::new(&AnnealingConfig::default()),
     );
-    // Start + exactly 3 of the 10 proposed neighbors: the batch was cut at
-    // the budget, not evaluated wholesale.
-    assert_eq!(outcome.points_evaluated, 4);
-    assert_eq!(outcome.stop_condition, StopCondition::PointLimit);
-    assert_eq!(eval.evaluations(), 4);
+    check("tabu", &mut Tabu::new(&TabuConfig::default()));
 }
 
 #[test]
@@ -331,14 +278,11 @@ fn strategy_instances_are_reusable_across_driver_runs() {
         Annealing::new(&AnnealingConfig::default())
     });
     assert_reusable("tabu", 18, 21, || Tabu::new(&TabuConfig::default()));
-    assert_reusable("random restart", 18, 21, || {
-        RandomRestart::new(RandomRestartConfig::default())
-    });
 }
 
 #[test]
 fn strategy_instances_are_reusable_across_runs() {
-    // Tuned configurations: fast cooling and a bounded restart count.
+    // Tuned configurations: fast cooling.
     assert_reusable("annealing", 15, 4, || {
         Annealing::new(&AnnealingConfig {
             cooling_factor: 0.5,
@@ -346,7 +290,4 @@ fn strategy_instances_are_reusable_across_runs() {
         })
     });
     assert_reusable("tabu", 15, 4, || Tabu::new(&TabuConfig::default()));
-    assert_reusable("random restart", 15, 4, || {
-        RandomRestart::new(RandomRestartConfig { max_restarts: 2 })
-    });
 }

@@ -354,12 +354,6 @@ impl Solver {
         self.original.len()
     }
 
-    /// Number of learnt clauses currently in the database.
-    #[must_use]
-    pub fn num_learnts(&self) -> usize {
-        self.learnts.len()
-    }
-
     /// Cumulative statistics over all solve calls.
     #[must_use]
     pub fn stats(&self) -> &SolverStats {

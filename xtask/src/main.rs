@@ -11,10 +11,10 @@
 //!    Monte Carlo estimator, so clock reads stay confined to modules gated
 //!    behind `SolverConfig::time_accounting` or explicitly wall-clock-facing
 //!    code.
-//! 3. **knob documentation**: each of the nine config structs
+//! 3. **knob documentation**: each of the eight config structs
 //!    (`SolverConfig`, `BatchConfig`, `SolveModeConfig`, `EvaluatorConfig`,
-//!    `TabuConfig`, `AnnealingConfig`, `RandomRestartConfig`,
-//!    `LoopbackConfig`, `CoordinatorConfig`) has a knob table in DESIGN.md
+//!    `TabuConfig`, `AnnealingConfig`, `LoopbackConfig`,
+//!    `CoordinatorConfig`) has a knob table in DESIGN.md
 //!    — a `` `Name`: `` line followed by a `| Knob | Meaning |` table — whose
 //!    rows are exactly its public fields, and every `` `Name::x` `` DESIGN.md
 //!    spells must be a public field that exists, so
@@ -288,14 +288,13 @@ fn pub_fields(path: &Path, struct_name: &str) -> Result<Vec<String>, String> {
 }
 
 /// The config structs DESIGN.md gives a knob table, and where each lives.
-const KNOB_SOURCES: [(&str, &str); 9] = [
+const KNOB_SOURCES: [(&str, &str); 8] = [
     ("crates/solver/src/config.rs", "SolverConfig"),
     ("crates/pdsat-core/src/oracle.rs", "BatchConfig"),
     ("crates/pdsat-core/src/solve_mode.rs", "SolveModeConfig"),
     ("crates/pdsat-core/src/predict.rs", "EvaluatorConfig"),
     ("crates/pdsat-core/src/tabu.rs", "TabuConfig"),
     ("crates/pdsat-core/src/anneal.rs", "AnnealingConfig"),
-    ("crates/pdsat-core/src/restart.rs", "RandomRestartConfig"),
     ("crates/distrib/src/transport.rs", "LoopbackConfig"),
     ("crates/distrib/src/coordinator.rs", "CoordinatorConfig"),
 ];
@@ -833,37 +832,31 @@ mod tests {
 
     #[test]
     fn a_knob_table_lists_exactly_the_public_fields() {
-        let fields = ["max_restarts".to_string()];
+        let fields = ["cooling_factor".to_string()];
         let errors = |design: &str| {
             let mut errors = Vec::new();
-            check_knob_table(
-                design,
-                "restart.rs",
-                "RandomRestartConfig",
-                &fields,
-                &mut errors,
-            );
+            check_knob_table(design, "anneal.rs", "AnnealingConfig", &fields, &mut errors);
             errors
         };
-        let table = "`RandomRestartConfig`:\n\n| Knob | Meaning |\n|---|---|\n\
-                     | `max_restarts` | Restarts before the strategy stops. |\n";
+        let table = "`AnnealingConfig`:\n\n| Knob | Meaning |\n|---|---|\n\
+                     | `cooling_factor` | `Q`: `T_{i+1} = Q · T_i`. |\n";
         assert_eq!(errors(table), Vec::<String>::new());
         // An option added back without a row, a row left behind by a deleted
         // option, a field spelled in prose that does not exist, no table.
         let missing =
-            errors("`RandomRestartConfig`:\n\n| Knob | Meaning |\n|---|---|\n\nmax_restarts\n");
+            errors("`AnnealingConfig`:\n\n| Knob | Meaning |\n|---|---|\n\ncooling_factor\n");
         assert!(
-            missing[0].contains("`max_restarts` is undocumented"),
+            missing[0].contains("`cooling_factor` is undocumented"),
             "{missing:?}"
         );
         let stale = errors(&format!("{table}| `radius` | ρ. |\n"));
         assert!(stale[0].contains("lists `radius`"), "{stale:?}");
-        let prose = errors(&format!("{table}\nSee `RandomRestartConfig::radius`.\n"));
+        let prose = errors(&format!("{table}\nSee `AnnealingConfig::radius`.\n"));
         assert!(
-            prose[0].contains("`RandomRestartConfig::radius` names no"),
+            prose[0].contains("`AnnealingConfig::radius` names no"),
             "{prose:?}"
         );
-        let untabled = errors("`max_restarts` is documented in prose only.\n");
+        let untabled = errors("`cooling_factor` is documented in prose only.\n");
         assert!(untabled[0].contains("no knob table"), "{untabled:?}");
         assert!([missing, stale, prose, untabled]
             .iter()
