@@ -34,7 +34,9 @@
 //!   detaching and proof logging. The originals loaded by
 //!   `Solver::from_cnf_with_config` are mirrored into one immutable table
 //!   that every clone of the solver shares; learnt clauses, and originals
-//!   added after the load, into per-literal lists. A loaded original is
+//!   added after the load, into the literal's own lists, which sit with its
+//!   long-clause watchers behind one nullable handle per literal code (null
+//!   until the literal first watches such a clause). A loaded original is
 //!   attached before anything else, so visiting a literal's table entries
 //!   and then its list entries (binaries, then ternaries) is attach order.
 //!   A literal whose run in the table filled up at load (a longer clause
@@ -52,7 +54,8 @@
 //!   space is reclaimed by [`ClauseDb::collect`], which compacts the arena
 //!   and hands the caller a relocation table mapping every pre-GC
 //!   [`ClauseRef`] to its post-GC position. After a collection **every**
-//!   stored `ClauseRef` (long, binary and ternary watch lists, reason slots,
+//!   stored `ClauseRef` (long, binary and ternary watch lists behind every
+//!   non-null handle, reason slots,
 //!   original/learnt rosters) must be rewritten through
 //!   [`ClauseRelocation::new_ref`]; refs of clauses that were deleted before
 //!   the collection map to `None` and must be dropped. The shared table is

@@ -73,6 +73,20 @@ impl VarOrderHeap {
         self.sift_up(pos, activity);
     }
 
+    /// Appends the new variables `vars`, in one step. A new variable has
+    /// activity 0 and an index above every member, so it orders after all
+    /// of them and after the new variables below it: each takes the next
+    /// slot, where a sift would leave it.
+    pub fn append_new(&mut self, vars: std::ops::Range<usize>, activity: &[f64]) {
+        debug_assert!(self.positions.len() <= vars.start);
+        debug_assert!(activity[vars.clone()].iter().all(|&a| a == 0.0));
+        let first_slot = self.heap.len() as u32;
+        self.positions.resize(vars.start, ABSENT);
+        self.positions
+            .extend(first_slot..first_slot + vars.len() as u32);
+        self.heap.extend(vars.start as u32..vars.end as u32);
+    }
+
     /// Removes and returns the variable with maximal activity.
     pub fn pop_max(&mut self, activity: &[f64]) -> Option<Var> {
         if self.heap.is_empty() {
@@ -274,6 +288,58 @@ mod tests {
         activity[0] = 10.0;
         heap.increased(Var::new(0), &activity);
         assert_eq!(heap.pop_max(&activity), Some(Var::new(0)));
+    }
+
+    /// Gives `heaps`, `[appended, inserted]`, the variables up to `n`.
+    fn grow(heaps: &mut [VarOrderHeap; 2], activity: &mut Vec<f64>, n: usize) {
+        let known = activity.len();
+        activity.resize(n, 0.0);
+        heaps[0].append_new(known..n, activity);
+        for v in known..n {
+            heaps[1].insert(Var::new(v as u32), activity);
+        }
+    }
+
+    fn bump(heaps: &mut [VarOrderHeap; 2], activity: &mut [f64], v: u32, by: f64) {
+        activity[v as usize] += by;
+        for heap in heaps.iter_mut() {
+            heap.increased(Var::new(v), activity);
+        }
+    }
+
+    #[test]
+    fn appending_new_variables_pops_like_inserting_them_one_by_one() {
+        // Three rounds of growth, as a solver makes them, with bumps, a pop
+        // and a rescale (`bump_var_activity` scales and rebuilds) between.
+        let mut heaps = [VarOrderHeap::new(), VarOrderHeap::new()];
+        let mut activity = Vec::new();
+        grow(&mut heaps, &mut activity, 6);
+        assert_eq!(heaps[0].heap, heaps[1].heap);
+        assert_eq!(heaps[0].positions, heaps[1].positions);
+        bump(&mut heaps, &mut activity, 3, 2.0);
+        bump(&mut heaps, &mut activity, 1, 1.0);
+        bump(&mut heaps, &mut activity, 4, 2.0);
+        let popped = heaps.each_mut().map(|h| h.pop_max(&activity));
+        assert_eq!(popped, [Some(Var::new(3)); 2]);
+        grow(&mut heaps, &mut activity, 10);
+        bump(&mut heaps, &mut activity, 8, 3.0);
+        bump(&mut heaps, &mut activity, 0, 2.0);
+        for a in activity.iter_mut() {
+            *a *= 1e-100;
+        }
+        for heap in heaps.iter_mut() {
+            heap.rebuild(&activity);
+        }
+        grow(&mut heaps, &mut activity, 14);
+        bump(&mut heaps, &mut activity, 12, 1e-100);
+        let members: Vec<bool> = (0..14).map(|v| heaps[1].contains(Var::new(v))).collect();
+        let expected = key_order(&members, &activity);
+        assert_eq!(expected.len(), 13);
+        for heap in heaps.iter_mut() {
+            let drained: Vec<u32> =
+                std::iter::from_fn(|| heap.pop_max(&activity).map(Var::raw)).collect();
+            assert_eq!(drained, expected);
+        }
     }
 
     #[test]

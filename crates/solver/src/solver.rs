@@ -12,7 +12,7 @@ use crate::luby::luby;
 use crate::proof::ProofLogger;
 use crate::{Budget, InterruptFlag, SolverConfig, SolverStats};
 use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value, Var};
-use propagate::{BinWatcher, TernWatcher, WatchTable, Watcher};
+use propagate::{SpareLists, WatchHandle, WatchTable};
 use std::sync::Arc;
 use std::time::Instant;
 use trail::VarData;
@@ -107,14 +107,16 @@ pub struct Solver {
     db: ClauseDb,
     original: Vec<ClauseRef>,
     learnts: Vec<ClauseRef>,
-    watches: Vec<Vec<Watcher>>,
     /// The loaded formula's binary and ternary watchers, shared with every
     /// clone; `None` unless built by `from_cnf_with_config`.
     table: Option<Arc<WatchTable>>,
-    /// Watchers of the binary and ternary clauses the table does not hold:
-    /// learnt ones and originals added after the load.
-    bin_watches: Vec<Vec<BinWatcher>>,
-    tern_watches: Vec<Vec<TernWatcher>>,
+    /// Per literal code, the watchers of the clauses the table does not
+    /// hold: learnt ones, originals added after the load and long originals.
+    /// A handle is null until its literal first watches one.
+    watches: Vec<WatchHandle>,
+    /// Emptied lists a restore took from literals the source has none for,
+    /// handed out again before a new one is allocated.
+    spare_watches: SpareLists,
     /// Current assignment, indexed by *literal code* (two entries per
     /// variable, kept in sync by `unchecked_enqueue`/`cancel_until`): the
     /// propagation inner loop evaluates a literal with one indexed load,
@@ -169,9 +171,10 @@ impl Clone for Solver {
     }
 
     /// Makes `self` an exact copy of `source`, field by field into the
-    /// allocations `self` already owns — no per-watch-list allocation once
-    /// the two have had the same shape — except the loaded formula's watch
-    /// table, which nothing writes and the two share. The destructuring is
+    /// allocations `self` already owns — a watch handle only where `source`
+    /// has one, no watch-list allocation once `self`'s spare lists cover
+    /// those — except the loaded formula's watch table, which nothing writes
+    /// and the two share. The destructuring is
     /// exhaustive on purpose: a new field that is not copied here does not
     /// compile.
     fn clone_from(&mut self, source: &Solver) {
@@ -181,10 +184,10 @@ impl Clone for Solver {
             db,
             original,
             learnts,
-            watches,
             table,
-            bin_watches,
-            tern_watches,
+            watches,
+            // Lists kept for reuse, owned by neither solver's clauses.
+            spare_watches: _,
             assigns,
             vardata,
             polarity,
@@ -214,10 +217,8 @@ impl Clone for Solver {
         self.db.clone_from(db);
         self.original.clone_from(original);
         self.learnts.clone_from(learnts);
-        self.watches.clone_from(watches);
         self.table.clone_from(table);
-        self.bin_watches.clone_from(bin_watches);
-        self.tern_watches.clone_from(tern_watches);
+        self.restore_watches(watches);
         self.assigns.clone_from(assigns);
         self.vardata.clone_from(vardata);
         self.polarity.clone_from(polarity);
@@ -274,10 +275,9 @@ impl Solver {
             db: ClauseDb::new(),
             original: Vec::new(),
             learnts: Vec::new(),
-            watches: Vec::new(),
             table: None,
-            bin_watches: Vec::new(),
-            tern_watches: Vec::new(),
+            watches: Vec::new(),
+            spare_watches: Vec::new(),
             assigns: Vec::new(),
             vardata: Vec::new(),
             polarity: Vec::new(),
@@ -449,12 +449,8 @@ impl Solver {
         self.activity.resize(n, 0.0);
         self.conflict_counts.resize(n, 0);
         self.seen.resize(n, false);
-        self.watches.resize_with(2 * n, Vec::new);
-        self.bin_watches.resize_with(2 * n, Vec::new);
-        self.tern_watches.resize_with(2 * n, Vec::new);
-        for i in known..n {
-            self.order_heap.insert(Var::new(i as u32), &self.activity);
-        }
+        self.watches.resize_with(2 * n, || None);
+        self.order_heap.append_new(known..n, &self.activity);
     }
 
     /// Adds a clause. Returns `false` if the clause (together with the
@@ -1070,7 +1066,10 @@ mod tests {
             assert_eq!(s.db.lits_vec(moved), [lit(1), lit(2), lit(3)]);
             assert!(s.learnts.contains(&moved));
             for (watching, a, b) in [(1, 2, 3), (2, 1, 3), (3, 1, 2)] {
-                let list = &s.tern_watches[lit(-watching).code()];
+                let list = &s.watches[lit(-watching).code()]
+                    .as_deref()
+                    .expect("the literal watches the clause")
+                    .terns;
                 assert_eq!(list.len(), 1);
                 assert_eq!(
                     (list[0].cref, list[0].a, list[0].b),
@@ -1088,6 +1087,11 @@ mod tests {
     };
 
     #[test]
+    fn a_watch_handle_is_one_pointer() {
+        assert!(std::mem::size_of::<WatchHandle>() <= 8);
+    }
+
+    #[test]
     fn clones_and_restored_solvers_share_the_loaded_watch_table() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E);
         // Binary and ternary clauses, no units: nothing shortens at load.
@@ -1097,25 +1101,108 @@ mod tests {
         }
         let template = Solver::from_cnf(&cnf);
         assert!(template.table().crefs().count() > 0);
-        let lists_empty = |s: &Solver| {
-            s.bin_watches.iter().all(Vec::is_empty) && s.tern_watches.iter().all(Vec::is_empty)
-        };
-        assert!(lists_empty(&template), "the load lives in the table only");
+        let no_handle = |s: &Solver| s.watches.iter().all(Option::is_none);
+        assert!(no_handle(&template), "the load lives in the table only");
         let mut working = template.clone();
         let shares = |s: &Solver| match (&s.table, &template.table) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
         assert!(shares(&working));
+        assert!(no_handle(&working));
         let mut other = Solver::new();
         other.clone_from(&template);
         assert!(shares(&other));
-        for bits in 0..8 {
-            let set = [Var::new(0), Var::new(1), Var::new(2)];
-            let _ = working.solve_with_assumptions(Cube::from_bits(&set, bits).lits());
-            working.clone_from(&template);
-            assert!(shares(&working));
-            assert!(lists_empty(&working));
+        assert!(no_handle(&other));
+        // Twice over the same cubes: the second pass needs no list the
+        // first did not leave as a spare.
+        let mut spares = [0; 2];
+        for spare in &mut spares {
+            let mut learnt = 0;
+            for bits in 0..8 {
+                let set = [Var::new(0), Var::new(1), Var::new(2)];
+                let _ = working.solve_with_assumptions(Cube::from_bits(&set, bits).lits());
+                learnt += working.stats().learnt_clauses;
+                working.clone_from(&template);
+                assert!(shares(&working));
+                assert!(no_handle(&working));
+            }
+            assert!(learnt > 0, "no cube learnt a clause");
+            *spare = working.spare_watches.len();
+        }
+        assert!(spares[0] > 0);
+        assert_eq!(spares[0], spares[1]);
+    }
+
+    /// Learnt clauses of every length, attached to null handles and then
+    /// reduced and compacted, leave every literal's lists in attach order
+    /// with the survivors relocated.
+    #[test]
+    fn lazily_created_lists_keep_attach_order_through_reduce_and_collection() {
+        let mut s = Solver::new();
+        s.set_test_policy(TestPolicy {
+            garbage_frac: 0.0,
+            ..TestPolicy::default()
+        });
+        s.ensure_vars(10);
+        assert!(s.watches.iter().all(Option::is_none));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0DE5);
+        let clauses = Cnf::random_cnf(10, 120, 5, &mut rng);
+        let mut seen = std::collections::HashSet::new();
+        for (i, clause) in clauses.iter().enumerate() {
+            let mut lits = clause.to_vec();
+            lits.sort_unstable();
+            lits.dedup();
+            let tautology = lits.windows(2).any(|w| w[0].var() == w[1].var());
+            if lits.len() < 2 || tautology || !seen.insert(lits.clone()) {
+                continue;
+            }
+            let cref = s.db.add(&lits, true, PROTECTED_LBD + 1 + (i % 4) as u32);
+            s.learnts.push(cref);
+            s.attach_clause(cref, None);
+        }
+        // Each watcher as its clause's literals and its inline ones.
+        type Entry = (Vec<Lit>, Vec<Lit>);
+        let snapshot = |s: &Solver| -> Vec<[Vec<Entry>; 3]> {
+            s.watches
+                .iter()
+                .map(|handle| match handle.as_deref() {
+                    None => Default::default(),
+                    Some(l) => [
+                        l.bins
+                            .iter()
+                            .map(|w| (s.db.lits_vec(w.cref), vec![w.other]))
+                            .collect(),
+                        l.terns
+                            .iter()
+                            .map(|w| (s.db.lits_vec(w.cref), vec![w.a, w.b]))
+                            .collect(),
+                        l.longs
+                            .iter()
+                            .map(|w| (s.db.lits_vec(w.cref), vec![w.blocker]))
+                            .collect(),
+                    ],
+                })
+                .collect()
+        };
+        let before = snapshot(&s);
+        let crefs_before = s.learnts.clone();
+        s.reduce_db();
+        assert!(s.stats.removed_clauses > 0);
+        assert_eq!(s.stats.gc_runs, 1);
+        assert!(s.learnts.iter().zip(&crefs_before).any(|(a, b)| a != b));
+        let live: std::collections::HashSet<Vec<Lit>> =
+            s.learnts.iter().map(|&c| s.db.lits_vec(c)).collect();
+        let expected: Vec<[Vec<Entry>; 3]> = before
+            .into_iter()
+            .map(|kinds| {
+                kinds.map(|list| list.into_iter().filter(|e| live.contains(&e.0)).collect())
+            })
+            .collect();
+        assert_eq!(snapshot(&s), expected);
+        for kind in 0..3 {
+            let watched: usize = expected.iter().map(|kinds| kinds[kind].len()).sum();
+            assert!(watched > 20, "too few watchers of kind {kind}: {watched}");
         }
     }
 
@@ -1151,8 +1238,11 @@ mod tests {
             }
             assert!(fed.table.is_none());
             overflowed += usize::from(
-                loaded.bin_watches.iter().any(|l| !l.is_empty())
-                    || loaded.tern_watches.iter().any(|l| !l.is_empty()),
+                loaded
+                    .watches
+                    .iter()
+                    .flatten()
+                    .any(|l| !l.bins.is_empty() || !l.terns.is_empty()),
             );
             let set = [Var::new(1), Var::new(7), Var::new(13), Var::new(19)];
             for bits in 0..16 {

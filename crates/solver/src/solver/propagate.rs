@@ -1,6 +1,7 @@
 //! Unit propagation over the three watch families (binary, ternary and
 //! long clauses), the shared table the loaded formula's binary and ternary
-//! watchers live in, and attaching and detaching a clause.
+//! watchers live in, the per-literal lists behind a nullable handle that
+//! hold the rest, and attaching and detaching a clause.
 
 use super::Solver;
 use crate::clause_db::ClauseRef;
@@ -41,13 +42,51 @@ pub(super) struct TernWatcher {
     pub(super) b: Lit,
 }
 
+/// The watchers one literal code holds outside the shared table, each kind
+/// in attach order: learnt clauses, originals added after the load, and
+/// every clause of four or more literals.
+#[derive(Debug, Default)]
+pub(super) struct WatchLists {
+    pub(super) bins: Vec<BinWatcher>,
+    pub(super) terns: Vec<TernWatcher>,
+    pub(super) longs: Vec<Watcher>,
+}
+
+/// A literal code's [`WatchLists`], null until the literal first watches a
+/// clause the table does not hold: one pointer per literal code, so a
+/// loaded formula whose watchers all sit in the table writes, copies and
+/// walks 8 bytes per literal code instead of three list headers.
+pub(super) type WatchHandle = Option<Box<WatchLists>>;
+
+/// Emptied [`WatchLists`] kept for reuse. They stay boxed, so that giving
+/// one to a null handle moves a pointer and allocates nothing.
+#[allow(clippy::vec_box)]
+pub(super) type SpareLists = Vec<Box<WatchLists>>;
+
+impl WatchLists {
+    /// Copies `source` into the allocations `self` already owns.
+    fn copy_from(&mut self, source: &WatchLists) {
+        let WatchLists { bins, terns, longs } = source;
+        self.bins.clone_from(bins);
+        self.terns.clone_from(terns);
+        self.longs.clone_from(longs);
+    }
+
+    fn clear(&mut self) {
+        self.bins.clear();
+        self.terns.clear();
+        self.longs.clear();
+    }
+}
+
 /// The binary and ternary watchers of the originals a formula was loaded
 /// with (`Solver::from_cnf_with_config`), per literal code in attach order.
 /// Nothing writes it once loading ends, so a clone or a restore shares it
-/// through the `Arc` instead of copying it, and the per-literal lists keep
-/// only learnt clauses and originals added after the load. A loaded original
-/// precedes every learnt clause in the arena and is never deleted, so a
-/// garbage collection never moves a [`ClauseRef`] held here.
+/// through the `Arc` instead of copying it, and a literal's [`WatchLists`]
+/// keep only the long clauses, learnt clauses and originals added after the
+/// load. A loaded original precedes every learnt clause in the arena and is
+/// never deleted, so a garbage collection never moves a [`ClauseRef`] held
+/// here.
 pub(super) struct WatchTable {
     bins: FlatLists<BinWatcher>,
     terns: FlatLists<TernWatcher>,
@@ -151,18 +190,24 @@ impl<T: Copy> FlatLists<T> {
         true
     }
 
-    /// Moves every run down to abut the previous one and frees the slack.
+    /// Moves every run down to abut the previous one and frees the slack. A
+    /// run already in place is not copied, and a table without slack (every
+    /// slot filled, as when a formula's units come last) is left as it is.
     fn compact(&mut self) {
         let mut write = 0u32;
         for range in &mut self.ranges {
             let (start, end) = *range;
-            self.items
-                .copy_within(start as usize..end as usize, write as usize);
-            *range = (write, write + (end - start));
+            if start != write {
+                self.items
+                    .copy_within(start as usize..end as usize, write as usize);
+                *range = (write, write + (end - start));
+            }
             write += end - start;
         }
-        self.items.truncate(write as usize);
-        self.items.shrink_to_fit();
+        if write as usize != self.items.len() {
+            self.items.truncate(write as usize);
+            self.items.shrink_to_fit();
+        }
     }
 }
 
@@ -176,16 +221,15 @@ const _: () =
 impl Solver {
     /// Unit propagation. Returns the conflicting clause, if any.
     ///
-    /// The inner loop performs no heap allocation: binary and ternary clauses
-    /// are served, in that order, from the shared table of the loaded
-    /// formula and then from dedicated per-literal lists, by index and
-    /// without dereferencing the arena (nothing pushes onto those lists
-    /// during a scan), and long-clause watch lists are updated in place with
-    /// swap-remove semantics (read cursor `i`, write cursor `j`, truncate at
-    /// the end). A non-empty long list is moved out with `mem::take` (a
-    /// pointer swap, not a copy or allocation) purely to appease the borrow
-    /// checker and is always moved back before the next literal is
-    /// processed.
+    /// Binary and ternary clauses are served, in that order, from the
+    /// shared table of the loaded formula and then from the literal's own
+    /// lists, by value and without dereferencing the arena (nothing pushes
+    /// onto those lists during a scan); long-clause watch lists are updated
+    /// in place with swap-remove semantics (read cursor `i`, write cursor
+    /// `j`, truncate at the end). The literal's lists are moved out of their
+    /// handle for its visit (a pointer move, not a copy or allocation) and
+    /// always moved back before the next literal is processed. A literal
+    /// with a null handle costs one load beyond its table runs.
     pub(super) fn propagate(&mut self) -> Option<ClauseRef> {
         // A solve entered on a settled trail (a cube the retained trail
         // decides) has nothing queued: the table is not touched.
@@ -216,112 +260,123 @@ impl Solver {
             // Binary clauses first: the watcher itself carries the only other
             // literal, so these loops never dereference the arena. The
             // table's come first: every loaded original was attached before
-            // anything in the list, so this is attach order. The list is
-            // never mutated during the scan (new watchers can only be pushed
-            // by clause learning, which never runs inside propagation), so
-            // it is read in place.
+            // anything in the lists, so this is attach order.
             for &w in table.bins.get(pcode) {
                 if self.visit_bin(w) {
                     self.qhead = self.trail.len();
                     return Some(w.cref);
                 }
             }
-            for bi in 0..self.bin_watches[pcode].len() {
-                let w = self.bin_watches[pcode][bi];
-                if self.visit_bin(w) {
-                    self.qhead = self.trail.len();
-                    return Some(w.cref);
-                }
-            }
-
-            // Ternary clauses next, table then list, in attach order. Like
-            // the binary list the ternary one is never mutated during the
-            // scan.
-            for &w in table.terns.get(pcode) {
-                if self.visit_tern(w) {
-                    self.qhead = self.trail.len();
-                    return Some(w.cref);
-                }
-            }
-            for ti in 0..self.tern_watches[pcode].len() {
-                let w = self.tern_watches[pcode][ti];
-                if self.visit_tern(w) {
-                    self.qhead = self.trail.len();
-                    return Some(w.cref);
-                }
-            }
-
-            // Long clauses last; most literals watch none of them.
-            if self.watches[pcode].is_empty() {
-                continue;
-            }
-            let false_lit = !p;
-            let mut watchers = std::mem::take(&mut self.watches[pcode]);
-            let num_watchers = watchers.len();
-            let mut i = 0;
-            let mut j = 0;
-            let mut conflict: Option<ClauseRef> = None;
-            'watchers: while i < num_watchers {
-                let w = watchers[i];
-                i += 1;
-                // Fast path: the blocker literal is already true.
-                if self.lit_value(w.blocker) == Value::True {
-                    watchers[j] = w;
-                    j += 1;
-                    continue;
-                }
-                // Deleted clauses are detached eagerly (`reduce_db`) and
-                // relocated refs rewritten at GC, so every watcher here
-                // points at a live clause.
-                debug_assert!(!self.db.is_deleted(w.cref));
-                debug_assert!(self.db.len_of(w.cref) > 3, "ternaries never sit here");
-                // Make sure the false literal is at position 1.
-                if self.db.lit(w.cref, 0) == false_lit {
-                    self.db.swap_lits(w.cref, 0, 1);
-                }
-                debug_assert_eq!(self.db.lit(w.cref, 1), false_lit);
-                let first = self.db.lit(w.cref, 0);
-                let new_watcher = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
-                if first != w.blocker && self.lit_value(first) == Value::True {
-                    watchers[j] = new_watcher;
-                    j += 1;
-                    continue;
-                }
-                // Look for a new literal to watch.
-                let len = self.db.len_of(w.cref);
-                for k in 2..len {
-                    let lk = self.db.lit(w.cref, k);
-                    if self.lit_value(lk) != Value::False {
-                        self.db.swap_lits(w.cref, 1, k);
-                        // `lk` is not false, so it is never `¬p`: this push
-                        // cannot touch the (taken) list we are compacting.
-                        self.watches[(!lk).code()].push(new_watcher);
-                        continue 'watchers;
+            // Nothing attaches to `pcode` while it is visited: a long
+            // watcher moves to a literal that is not false, never to `¬p`.
+            let mut own = self.watches[pcode].take();
+            let conflict = 'visit: {
+                if let Some(own) = own.as_deref() {
+                    for &w in &own.bins {
+                        if self.visit_bin(w) {
+                            break 'visit Some(w.cref);
+                        }
                     }
                 }
-                // No new watch: the clause is unit or conflicting.
-                watchers[j] = new_watcher;
-                j += 1;
-                if self.lit_value(first) == Value::False {
-                    // Conflict: keep the remaining watchers and stop.
-                    watchers.copy_within(i..num_watchers, j);
-                    j += num_watchers - i;
-                    self.qhead = self.trail.len();
-                    conflict = Some(w.cref);
-                    break;
+                // Ternary clauses next, table then list, in attach order.
+                for &w in table.terns.get(pcode) {
+                    if self.visit_tern(w) {
+                        break 'visit Some(w.cref);
+                    }
                 }
-                self.unchecked_enqueue(first, Some(w.cref));
-            }
-            watchers.truncate(j);
-            self.watches[pcode] = watchers;
+                let Some(own) = own.as_deref_mut() else {
+                    break 'visit None;
+                };
+                for &w in &own.terns {
+                    if self.visit_tern(w) {
+                        break 'visit Some(w.cref);
+                    }
+                }
+                // Long clauses last; most literals watch none of them. The
+                // list is moved out of the heap for the scan, so that no
+                // store the scan makes can touch its header.
+                if own.longs.is_empty() {
+                    break 'visit None;
+                }
+                let mut longs = std::mem::take(&mut own.longs);
+                let conflict = self.visit_longs(p, &mut longs);
+                own.longs = longs;
+                conflict
+            };
+            self.watches[pcode] = own;
             if conflict.is_some() {
+                self.qhead = self.trail.len();
                 return conflict;
             }
         }
         None
+    }
+
+    /// The long clauses watched by `¬p`, just falsified: each moves its
+    /// watch to a literal that is not false, or is unit (its first literal
+    /// is enqueued) or conflicting (returned, the remaining watchers kept).
+    #[inline(always)]
+    fn visit_longs(&mut self, p: Lit, watchers: &mut Vec<Watcher>) -> Option<ClauseRef> {
+        let false_lit = !p;
+        let num_watchers = watchers.len();
+        let mut i = 0;
+        let mut j = 0;
+        let mut conflict: Option<ClauseRef> = None;
+        'watchers: while i < num_watchers {
+            let w = watchers[i];
+            i += 1;
+            // Fast path: the blocker literal is already true.
+            if self.lit_value(w.blocker) == Value::True {
+                watchers[j] = w;
+                j += 1;
+                continue;
+            }
+            // Deleted clauses are detached eagerly (`reduce_db`) and
+            // relocated refs rewritten at GC, so every watcher here
+            // points at a live clause.
+            debug_assert!(!self.db.is_deleted(w.cref));
+            debug_assert!(self.db.len_of(w.cref) > 3, "ternaries never sit here");
+            // Make sure the false literal is at position 1.
+            if self.db.lit(w.cref, 0) == false_lit {
+                self.db.swap_lits(w.cref, 0, 1);
+            }
+            debug_assert_eq!(self.db.lit(w.cref, 1), false_lit);
+            let first = self.db.lit(w.cref, 0);
+            let new_watcher = Watcher {
+                cref: w.cref,
+                blocker: first,
+            };
+            if first != w.blocker && self.lit_value(first) == Value::True {
+                watchers[j] = new_watcher;
+                j += 1;
+                continue;
+            }
+            // Look for a new literal to watch.
+            let len = self.db.len_of(w.cref);
+            for k in 2..len {
+                let lk = self.db.lit(w.cref, k);
+                if self.lit_value(lk) != Value::False {
+                    self.db.swap_lits(w.cref, 1, k);
+                    // `lk` is not false, so it is never `¬p`: this push
+                    // cannot touch the (moved-out) lists being compacted.
+                    self.lists_mut((!lk).code()).longs.push(new_watcher);
+                    continue 'watchers;
+                }
+            }
+            // No new watch: the clause is unit or conflicting.
+            watchers[j] = new_watcher;
+            j += 1;
+            if self.lit_value(first) == Value::False {
+                // Conflict: keep the remaining watchers and stop.
+                watchers.copy_within(i..num_watchers, j);
+                j += num_watchers - i;
+                conflict = Some(w.cref);
+                break;
+            }
+            self.unchecked_enqueue(first, Some(w.cref));
+        }
+        watchers.truncate(j);
+        conflict
     }
 
     /// A binary clause seen from its falsified literal: enqueues `other`
@@ -362,6 +417,41 @@ impl Solver {
         false
     }
 
+    /// The lists of literal code `code`; a null handle first gets a spare
+    /// one, or a new one when there is no spare.
+    fn lists_mut(&mut self, code: usize) -> &mut WatchLists {
+        let spares = &mut self.spare_watches;
+        self.watches[code].get_or_insert_with(|| spare_or_new(spares))
+    }
+
+    /// Makes the watch lists a copy of `source`'s: a handle is copied only
+    /// where the source has one, into lists this solver already owns where
+    /// it can; lists the source has no handle for are emptied and kept as
+    /// spares. Restoring a loaded formula after a cube thus leaves every
+    /// handle null again, and once the spares cover what a cube attaches, a
+    /// restore allocates nothing.
+    pub(super) fn restore_watches(&mut self, source: &[WatchHandle]) {
+        let (watches, spares) = (&mut self.watches, &mut self.spare_watches);
+        if watches.len() > source.len() {
+            for lists in watches.drain(source.len()..).flatten() {
+                keep_spare(spares, lists);
+            }
+        }
+        watches.resize_with(source.len(), || None);
+        for (handle, from) in watches.iter_mut().zip(source) {
+            match from {
+                Some(from) => handle
+                    .get_or_insert_with(|| spare_or_new(spares))
+                    .copy_from(from),
+                None => {
+                    if let Some(lists) = handle.take() {
+                        keep_spare(spares, lists);
+                    }
+                }
+            }
+        }
+    }
+
     /// Attaches a clause to its watch family. While the formula loads into
     /// `table`, an original's binary and ternary watchers go there; a
     /// literal whose run there is full (a longer clause that root
@@ -375,8 +465,9 @@ impl Solver {
                 for (l, other) in [(l0, l1), (l1, l0)] {
                     let code = (!l).code();
                     let w = BinWatcher { cref, other };
-                    let tabled = table.as_deref_mut().map(|t| &mut t.bins);
-                    place(&mut self.bin_watches[code], tabled, code, w);
+                    if !table.as_deref_mut().is_some_and(|t| t.bins.push(code, w)) {
+                        self.lists_mut(code).bins.push(w);
+                    }
                 }
             }
             3 => {
@@ -384,13 +475,18 @@ impl Solver {
                 for (l, a, b) in [(l0, l1, l2), (l1, l0, l2), (l2, l0, l1)] {
                     let code = (!l).code();
                     let w = TernWatcher { cref, a, b };
-                    let tabled = table.as_deref_mut().map(|t| &mut t.terns);
-                    place(&mut self.tern_watches[code], tabled, code, w);
+                    if !table.as_deref_mut().is_some_and(|t| t.terns.push(code, w)) {
+                        self.lists_mut(code).terns.push(w);
+                    }
                 }
             }
             _ => {
-                self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
-                self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
+                self.lists_mut((!l0).code())
+                    .longs
+                    .push(Watcher { cref, blocker: l1 });
+                self.lists_mut((!l1).code())
+                    .longs
+                    .push(Watcher { cref, blocker: l0 });
             }
         }
     }
@@ -398,30 +494,30 @@ impl Solver {
     pub(super) fn detach_clause(&mut self, cref: ClauseRef) {
         // Only learnt clauses are detached, and the table holds none.
         debug_assert!(self.db.is_learnt(cref));
-        let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
-        match self.db.len_of(cref) {
-            2 => {
-                self.bin_watches[(!l0).code()].retain(|w| w.cref != cref);
-                self.bin_watches[(!l1).code()].retain(|w| w.cref != cref);
-            }
-            3 => {
-                for l in [l0, l1, self.db.lit(cref, 2)] {
-                    self.tern_watches[(!l).code()].retain(|w| w.cref != cref);
-                }
-            }
-            _ => {
-                self.watches[(!l0).code()].retain(|w| w.cref != cref);
-                self.watches[(!l1).code()].retain(|w| w.cref != cref);
+        let len = self.db.len_of(cref);
+        // Every literal of a ternary clause watches it; of any other, the
+        // first two.
+        for k in 0..if len == 3 { 3 } else { 2 } {
+            let code = (!self.db.lit(cref, k)).code();
+            let Some(lists) = self.watches[code].as_deref_mut() else {
+                continue;
+            };
+            match len {
+                2 => lists.bins.retain(|w| w.cref != cref),
+                3 => lists.terns.retain(|w| w.cref != cref),
+                _ => lists.longs.retain(|w| w.cref != cref),
             }
         }
     }
 }
 
-/// Puts `w` in the table's run of `code` when there is one with a free slot,
-/// else in the list. A full run stays full, so once a literal's list takes a
-/// loaded watcher it takes every later one.
-fn place<T: Copy>(list: &mut Vec<T>, table: Option<&mut FlatLists<T>>, code: usize, w: T) {
-    if !table.is_some_and(|t| t.push(code, w)) {
-        list.push(w);
-    }
+/// An empty [`WatchLists`]: a spare if there is one, else a new one.
+fn spare_or_new(spares: &mut SpareLists) -> Box<WatchLists> {
+    spares.pop().unwrap_or_default()
+}
+
+/// Empties `lists` and keeps them for [`spare_or_new`].
+fn keep_spare(spares: &mut SpareLists, mut lists: Box<WatchLists>) {
+    lists.clear();
+    spares.push(lists);
 }

@@ -64,8 +64,9 @@ impl Solver {
     }
 
     /// Compacts the clause arena and rewrites every stored [`ClauseRef`]
-    /// through the relocation table: watch lists (long, binary and ternary),
-    /// the original/learnt rosters, and reason slots of assigned variables.
+    /// through the relocation table: the watch lists behind every non-null
+    /// handle (binary, ternary and long, each kept in order), the
+    /// original/learnt rosters, and reason slots of assigned variables.
     /// The shared watch table needs none: its clauses were loaded before any
     /// learnt one and are never deleted, so nothing ahead of them moves.
     pub(super) fn collect_garbage(&mut self) {
@@ -81,14 +82,10 @@ impl Solver {
             }
             None => false,
         };
-        for list in &mut self.watches {
-            list.retain_mut(|w| relocate(&mut w.cref));
-        }
-        for list in &mut self.bin_watches {
-            list.retain_mut(|w| relocate(&mut w.cref));
-        }
-        for list in &mut self.tern_watches {
-            list.retain_mut(|w| relocate(&mut w.cref));
+        for lists in self.watches.iter_mut().flatten() {
+            lists.bins.retain_mut(|w| relocate(&mut w.cref));
+            lists.terns.retain_mut(|w| relocate(&mut w.cref));
+            lists.longs.retain_mut(|w| relocate(&mut w.cref));
         }
         for cref in &mut self.original {
             *cref = reloc

@@ -182,3 +182,53 @@ fn restored_solver_equals_a_rebuilt_one_on_long_clauses() {
     let collections = assert_restores_exactly(&pigeons, &set, "pigeonhole");
     assert!(collections > 0, "no dirt compacted the arena");
 }
+
+/// A cube that learns many clauses gives many literals a watch handle; the
+/// restore that follows must take every one of them back to null, so the
+/// next cube answers, counts and logs as it does on a fresh clone of the
+/// template. Each round dirties with a different cube, so lists kept from
+/// one literal are handed to others.
+#[test]
+fn a_restore_after_a_cube_that_learnt_many_clauses_answers_like_a_fresh_clone() {
+    let pigeons = Cnf::pigeonhole(7);
+    // Pigeon i is in hole i, or not: variable 7i of PHP(7 → 6).
+    let diagonal = |i: u32| Var::new(7 * i);
+    let set = [diagonal(0), diagonal(1), diagonal(2)];
+    for proof in [false, true] {
+        let config = SolverConfig {
+            proof,
+            time_accounting: false,
+        };
+        let template = Solver::from_cnf_with_config(&pigeons, config);
+        let mut working = template.clone();
+        for round in 0..4 {
+            // Three pigeons kept out of their diagonal holes.
+            let dirt = Cube::from_bits(
+                &[diagonal(round), diagonal(round + 1), diagonal(round + 2)],
+                0,
+            );
+            let before = working.stats().learnt_clauses;
+            let _ = working.solve_with_assumptions(dirt.lits());
+            let learnt = working.stats().learnt_clauses - before;
+            assert!(learnt >= 200, "round {round} learnt only {learnt} clauses");
+            working.clone_from(&template);
+
+            let cube = Cube::from_bits(&set, u64::from(2 * round + 1));
+            let mut fresh = template.clone();
+            let context = format!("proof {proof}, round {round}");
+            assert_eq!(
+                working.solve_with_assumptions(cube.lits()),
+                fresh.solve_with_assumptions(cube.lits()),
+                "{context}"
+            );
+            assert_eq!(working.stats(), fresh.stats(), "{context}");
+            assert_eq!(
+                working.conflict_counts(),
+                fresh.conflict_counts(),
+                "{context}"
+            );
+            assert_eq!(working.proof_steps(), fresh.proof_steps(), "{context}");
+            working.clone_from(&template);
+        }
+    }
+}
