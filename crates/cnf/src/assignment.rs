@@ -16,7 +16,6 @@ use std::fmt;
 /// a.assign(Var::new(1), true);
 /// assert_eq!(a.value(Var::new(1)), Value::True);
 /// assert_eq!(a.value(Var::new(0)), Value::Unassigned);
-/// assert_eq!(a.num_assigned(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
@@ -44,12 +43,6 @@ impl Assignment {
     #[must_use]
     pub fn num_vars(&self) -> usize {
         self.values.len()
-    }
-
-    /// Number of currently assigned variables.
-    #[must_use]
-    pub fn num_assigned(&self) -> usize {
-        self.values.iter().filter(|v| v.is_some()).count()
     }
 
     /// Value of a variable.
@@ -131,13 +124,13 @@ mod tests {
     #[test]
     fn assign_unassign_cycle() {
         let mut a = Assignment::new(3);
-        assert_eq!(a.num_assigned(), 0);
+        assert_eq!(a.iter().count(), 0);
         a.assign(Var::new(0), true);
         a.assign(Var::new(1), false);
         a.assign(Var::new(2), true);
-        assert_eq!(a.num_assigned(), 3);
+        assert_eq!(a.iter().count(), 3);
         a.clear();
-        assert_eq!(a.num_assigned(), 0);
+        assert_eq!(a.iter().count(), 0);
     }
 
     #[test]
@@ -163,7 +156,6 @@ mod tests {
     #[test]
     fn from_bools_is_total() {
         let a = Assignment::from_bools(&[true, false]);
-        assert_eq!(a.num_assigned(), 2);
         assert_eq!(a.num_vars(), 2);
         let pairs: Vec<_> = a.iter().collect();
         assert_eq!(pairs, vec![(Var::new(0), true), (Var::new(1), false)]);

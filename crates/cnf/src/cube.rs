@@ -1,6 +1,6 @@
 //! Cubes: conjunctions of literals used to split a SAT instance.
 
-use crate::{Assignment, Lit, Value, Var};
+use crate::{Lit, Var};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -195,31 +195,6 @@ impl Cube {
     /// Variables assigned by this cube, in cube order.
     pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
         self.vars.iter().copied()
-    }
-
-    /// Applies the cube to an assignment (sets each cube variable).
-    pub fn apply_to(&self, assignment: &mut Assignment) {
-        for lit in self.iter() {
-            assignment.assign_lit(lit);
-        }
-    }
-
-    /// Evaluates the cube under an assignment: true iff all literals are true.
-    #[must_use]
-    pub fn evaluate(&self, assignment: &Assignment) -> Value {
-        let mut undecided = false;
-        for lit in self.iter() {
-            match assignment.lit_value(lit) {
-                Value::False => return Value::False,
-                Value::Unassigned => undecided = true,
-                Value::True => {}
-            }
-        }
-        if undecided {
-            Value::Unassigned
-        } else {
-            Value::True
-        }
     }
 
     /// `true` iff the two cubes assign some shared variable opposite values.
@@ -424,18 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_and_evaluate() {
-        let vs = vars(3);
-        let cube = Cube::from_bits(&vs, 0b101);
-        let mut a = Assignment::new(3);
-        assert_eq!(cube.evaluate(&a), Value::Unassigned);
-        cube.apply_to(&mut a);
-        assert_eq!(cube.evaluate(&a), Value::True);
-        a.assign(vs[0], false);
-        assert_eq!(cube.evaluate(&a), Value::False);
-    }
-
-    #[test]
     fn from_values_matches_from_bits() {
         let vs = vars(3);
         assert_eq!(
@@ -449,7 +412,6 @@ mod tests {
         let c = Cube::new();
         assert!(c.is_empty());
         assert_eq!(c.to_string(), "⊤");
-        assert_eq!(c.evaluate(&Assignment::new(0)), Value::True);
     }
 
     #[test]
@@ -504,7 +466,6 @@ mod tests {
             first: u64,
             second: u64,
             high: u64,
-            assigned in prop::collection::vec(0u8..3, 256..257),
         ) {
             let vs: Vec<Var> = (0..d as u32).map(|k| Var::new(start + k * stride)).collect();
             let bit = |word: u64, k: usize| word >> (k * 7 % 64) & 1 == 1;
@@ -532,26 +493,6 @@ mod tests {
             let other_lits = reference(&vs, &others);
             let differs = lits != other_lits;
 
-            let mut assignment = Assignment::new(256);
-            for (v, &a) in assignment_vars().zip(&assigned) {
-                if a < 2 {
-                    assignment.assign(v, a == 1);
-                }
-            }
-            let expected_value = {
-                let values: Vec<Value> = lits.iter().map(|&l| assignment.lit_value(l)).collect();
-                if values.contains(&Value::False) {
-                    Value::False
-                } else if values.contains(&Value::Unassigned) {
-                    Value::Unassigned
-                } else {
-                    Value::True
-                }
-            };
-            let mut applied = Assignment::new(256);
-            for &l in &lits {
-                applied.assign_lit(l);
-            }
             let shown = if lits.is_empty() {
                 "⊤".to_string()
             } else {
@@ -563,10 +504,6 @@ mod tests {
                 prop_assert_eq!(cube.is_empty(), d == 0);
                 prop_assert_eq!(cube.vars().collect::<Vec<_>>(), vs.clone());
                 prop_assert_eq!(cube.to_string(), shown.clone());
-                prop_assert_eq!(cube.evaluate(&assignment), expected_value);
-                let mut target = Assignment::new(256);
-                cube.apply_to(&mut target);
-                prop_assert!(assignment_vars().all(|v| target.value(v) == applied.value(v)));
                 prop_assert_eq!(cube.conflicts_with(&other), differs);
                 prop_assert_eq!(other.conflicts_with(cube), differs);
                 prop_assert!(!cube.conflicts_with(cube));
@@ -586,10 +523,5 @@ mod tests {
                 prop_assert_eq!(cube.cmp(&other), polarities(&lits).cmp(&polarities(&other_lits)));
             }
         }
-    }
-
-    /// The variables the property's assignments cover.
-    fn assignment_vars() -> impl Iterator<Item = Var> {
-        (0..256).map(Var::new)
     }
 }

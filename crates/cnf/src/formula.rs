@@ -196,14 +196,6 @@ impl Cnf {
         self.add_clause([lit]);
     }
 
-    /// Appends all clauses of `other` (variable ranges are merged).
-    pub fn append(&mut self, other: &Cnf) {
-        self.ensure_vars(other.num_vars);
-        let offset = self.lits.len();
-        self.lits.extend_from_slice(&other.lits);
-        self.ends.extend(other.ends.iter().map(|end| offset + end));
-    }
-
     /// All variables of the formula, `x_0 … x_{n-1}`.
     pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
         (0..self.num_vars as u32).map(Var::new)
@@ -302,28 +294,6 @@ impl Cnf {
         }
         None
     }
-
-    /// Number of models found by exhaustive enumeration (tests only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the formula has more than 24 variables.
-    #[must_use]
-    pub fn brute_force_model_count(&self) -> u64 {
-        assert!(
-            self.num_vars <= 24,
-            "brute force only supported up to 24 variables"
-        );
-        let n = self.num_vars;
-        let mut count = 0;
-        for bits in 0u64..(1u64 << n) {
-            let values: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();
-            if self.is_satisfied_by(&Assignment::from_bools(&values)) {
-                count += 1;
-            }
-        }
-        count
-    }
 }
 
 impl fmt::Display for Cnf {
@@ -352,6 +322,18 @@ mod tests {
 
     fn lit(d: i64) -> Lit {
         Lit::from_dimacs(d)
+    }
+
+    /// Number of models of `cnf`, by exhaustive enumeration.
+    fn model_count(cnf: &Cnf) -> u64 {
+        let n = cnf.num_vars();
+        assert!(n <= 24, "brute force only supported up to 24 variables");
+        (0u64..1 << n)
+            .filter(|bits| {
+                let values: Vec<bool> = (0..n).map(|i| (bits >> i) & 1 == 1).collect();
+                cnf.is_satisfied_by(&Assignment::from_bools(&values))
+            })
+            .count() as u64
     }
 
     /// Recorded parity fixtures depend on this exact clause order.
@@ -434,18 +416,7 @@ mod tests {
         let model = cnf.brute_force_model().expect("satisfiable");
         assert!(cnf.is_satisfied_by(&model));
         assert_eq!(model.value(Var::new(2)), Value::True);
-        assert_eq!(cnf.brute_force_model_count(), 1);
-    }
-
-    #[test]
-    fn append_merges_formulas() {
-        let mut a = Cnf::new(2);
-        a.add_clause([lit(1)]);
-        let mut b = Cnf::new(4);
-        b.add_clause([lit(4)]);
-        a.append(&b);
-        assert_eq!(a.num_vars(), 4);
-        assert_eq!(a.num_clauses(), 2);
+        assert_eq!(model_count(&cnf), 1);
     }
 
     #[test]
@@ -546,7 +517,6 @@ mod tests {
         #[test]
         fn the_flat_formula_agrees_with_a_clause_list(
             codes in prop::collection::vec(prop::collection::vec(0usize..16, 0..5), 0..12),
-            more in prop::collection::vec(prop::collection::vec(0usize..24, 0..4), 0..6),
             cube in prop::collection::vec(0usize..20, 0..5),
             values in prop::collection::vec(0u8..3, 12..13),
         ) {
@@ -556,17 +526,6 @@ mod tests {
                 cnf.add_clause(clause.iter().copied());
             }
             assert_holds(&cnf, &clauses, vars_of(&clauses));
-
-            let others = clause_list(&more);
-            let mut other = Cnf::new(3);
-            for clause in &others {
-                other.add_clause(clause.iter().copied());
-            }
-            let mut appended = cnf.clone();
-            appended.append(&other);
-            let both: Vec<Vec<Lit>> = clauses.iter().chain(&others).cloned().collect();
-            let wide = vars_of(&clauses).max(vars_of(&others)).max(3);
-            assert_holds(&appended, &both, wide);
 
             // A cube over distinct variables, some beyond the formula's.
             let mut fixed: Vec<Lit> = Vec::new();
@@ -611,7 +570,7 @@ mod tests {
             }
             let d = rng.gen_range(1..=n.min(3));
             let set: Vec<Var> = (0..d as u32).map(Var::new).collect();
-            let total = cnf.brute_force_model_count();
+            let total = model_count(&cnf);
             let mut split_total = 0u64;
             for idx in 0..(1u64 << d) {
                 let cube = Cube::from_bits(&set, idx);
@@ -621,7 +580,7 @@ mod tests {
                 for &l in cube.lits() {
                     with_cube.add_unit(l);
                 }
-                split_total += with_cube.brute_force_model_count();
+                split_total += model_count(&with_cube);
             }
             prop_assert_eq!(total, split_total);
         }

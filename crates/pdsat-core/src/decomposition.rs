@@ -131,12 +131,6 @@ impl DecompositionSet {
     pub fn random_sample<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Cube> {
         (0..n).map(|_| self.random_cube(rng)).collect()
     }
-
-    /// Set difference `self \ other`.
-    #[must_use]
-    pub fn difference(&self, other: &DecompositionSet) -> DecompositionSet {
-        DecompositionSet::new(self.vars.iter().copied().filter(|v| !other.contains(*v)))
-    }
 }
 
 impl FromIterator<Var> for DecompositionSet {
@@ -241,14 +235,6 @@ mod tests {
         let distinct: std::collections::HashSet<_> =
             sample.iter().map(Cube::to_assumptions).collect();
         assert!(distinct.len() > 1);
-    }
-
-    #[test]
-    fn union_and_difference() {
-        let a = vars(&[1, 2, 3]);
-        let b = vars(&[3, 4]);
-        assert_eq!(a.difference(&b), vars(&[1, 2]));
-        assert_eq!(b.difference(&a), vars(&[4]));
     }
 
     #[test]

@@ -224,38 +224,6 @@ pub fn student_t_quantile(p: f64, nu: usize) -> f64 {
     }
 }
 
-/// Standard normal cumulative distribution function `Φ`.
-///
-/// Implemented via the complementary error function (Abramowitz–Stegun 7.1.26
-/// style polynomial), accurate to ~1e-7 which is ample for reporting.
-#[must_use]
-pub fn normal_cdf(x: f64) -> f64 {
-    // Φ(x) = 0.5 · erfc(-x/√2)
-    0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-fn erfc(x: f64) -> f64 {
-    // Numerical Recipes' rational Chebyshev approximation of erfc.
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let ans = t
-        * (-z * z - 1.265_512_23
-            + t * (1.000_023_68
-                + t * (0.374_091_96
-                    + t * (0.096_784_18
-                        + t * (-0.186_288_06
-                            + t * (0.278_868_07
-                                + t * (-1.135_203_98
-                                    + t * (1.488_515_87
-                                        + t * (-0.822_152_23 + t * 0.170_872_77)))))))))
-            .exp();
-    if x >= 0.0 {
-        ans
-    } else {
-        2.0 - ans
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,14 +329,6 @@ mod tests {
         assert!(student_t_quantile(0.5, 7).abs() < 1e-9);
         let far = student_t_quantile(0.975, 1_000_000);
         assert!((far - normal_quantile(0.975)).abs() < 1e-5);
-    }
-
-    #[test]
-    fn normal_cdf_is_inverse_of_quantile() {
-        for &p in &[0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99] {
-            let x = normal_quantile(p);
-            assert!((normal_cdf(x) - p).abs() < 1e-6, "p = {p}");
-        }
     }
 
     #[test]

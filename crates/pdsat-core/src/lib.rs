@@ -109,9 +109,7 @@ pub use decomposition::{CubeIter, DecompositionSet};
 pub use driver::{
     DriverConfig, Evaluated, Observation, Proposal, SearchContext, SearchDriver, Strategy,
 };
-pub use estimator::{
-    normal_cdf, normal_quantile, student_t_quantile, PredictiveEstimate, SampleStats,
-};
+pub use estimator::{normal_quantile, student_t_quantile, PredictiveEstimate, SampleStats};
 #[doc(hidden)]
 pub use fault::FaultPlan;
 pub use oracle::{

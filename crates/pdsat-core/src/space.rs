@@ -67,18 +67,6 @@ impl SearchSpace {
         }
     }
 
-    /// The point whose set bits correspond to `vars` (variables outside the
-    /// universe are ignored).
-    pub fn point_from_vars<I: IntoIterator<Item = Var>>(&self, vars: I) -> Point {
-        let mut point = self.empty_point();
-        for var in vars {
-            if let Ok(i) = self.universe.binary_search(&var) {
-                point.bits[i] = true;
-            }
-        }
-        point
-    }
-
     /// A uniformly random point with exactly `ones` selected variables.
     ///
     /// # Panics
@@ -239,8 +227,10 @@ mod tests {
     #[test]
     fn points_map_to_decomposition_sets() {
         let s = space(5);
-        let p = s.point_from_vars([Var::new(1), Var::new(3), Var::new(9)]);
-        assert_eq!(p.ones(), 2, "variables outside the universe are ignored");
+        let mut p = s.empty_point();
+        p.flip(1);
+        p.flip(3);
+        assert_eq!(p.ones(), 2);
         let set = s.decomposition_set(&p);
         assert_eq!(set.vars(), &[Var::new(1), Var::new(3)]);
         assert_eq!(s.decomposition_set(&s.full_point()).len(), 5);

@@ -246,18 +246,6 @@ impl ClauseDb {
         self.num_clauses
     }
 
-    /// Total arena size in words (live + tombstoned).
-    #[cfg(test)]
-    pub fn arena_words(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Arena words occupied by tombstoned clauses.
-    #[cfg(test)]
-    pub fn wasted_words(&self) -> usize {
-        self.wasted
-    }
-
     /// `true` when tombstones occupy more than `frac` of the arena.
     pub fn should_collect(&self, frac: f64) -> bool {
         self.wasted > 0 && (self.wasted as f64) > (self.data.len() as f64) * frac
@@ -328,11 +316,11 @@ mod tests {
         db.mark_deleted(c0);
         assert!(db.is_deleted(c0));
         assert_eq!(db.len(), 1);
-        assert_eq!(db.wasted_words(), 5);
+        assert_eq!(db.wasted, 5);
         // Double delete is a no-op.
         db.mark_deleted(c0);
         assert_eq!(db.len(), 1);
-        assert_eq!(db.wasted_words(), 5);
+        assert_eq!(db.wasted, 5);
         // The other clause is untouched.
         assert_eq!(db.lits_vec(c1), vec![lit(2), lit(3), lit(4)]);
     }
@@ -364,10 +352,10 @@ mod tests {
         db.mark_deleted(c0);
         assert!(db.should_collect(0.1));
 
-        let words_before = db.arena_words();
+        let words_before = db.data.len();
         let reloc = db.collect();
-        assert_eq!(db.wasted_words(), 0);
-        assert!(db.arena_words() < words_before);
+        assert_eq!(db.wasted, 0);
+        assert!(db.data.len() < words_before);
 
         // The deleted clause is gone; the survivors moved but kept content.
         assert_eq!(reloc.new_ref(c0), None);

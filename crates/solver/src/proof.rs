@@ -163,14 +163,14 @@ impl ProofLogger {
     }
 
     /// Clones the stream into a standalone proof, appending the terminal
-    /// empty clause when `close` is set and the stream does not already end
-    /// in one (the assumption-UNSAT case: the refutation holds only under
-    /// the cube the checker seeds, so the empty clause belongs to the
-    /// certificate, not to the shared stream).
+    /// empty clause when the stream does not already end in one (the
+    /// assumption-UNSAT case: the refutation holds only under the cube the
+    /// checker seeds, so the empty clause belongs to the certificate, not to
+    /// the shared stream).
     #[must_use]
-    pub fn certificate(&self, close: bool) -> DratProof {
+    pub fn certificate(&self) -> DratProof {
         let mut steps = self.steps.clone();
-        if close && !self.ends_in_empty_clause() {
+        if !self.ends_in_empty_clause() {
             steps.push(DratStep::add(Vec::new()));
         }
         DratProof { steps }
@@ -193,15 +193,14 @@ mod tests {
         log.delete(vec![lit(3)]);
         assert_eq!(log.len(), 2);
         assert!(!log.ends_in_empty_clause());
-        let open = log.certificate(false);
-        assert_eq!(open.len(), 2);
-        let closed = log.certificate(true);
+        let closed = log.certificate();
         assert_eq!(closed.len(), 3);
+        assert_eq!(closed.steps[..2], log.steps[..]);
         assert_eq!(closed.steps.last(), Some(&DratStep::add(Vec::new())));
         log.add_empty();
         assert!(log.ends_in_empty_clause());
         // Already closed: no second empty clause is appended.
-        assert_eq!(log.certificate(true).len(), 3);
+        assert_eq!(log.certificate().len(), 3);
     }
 
     #[test]

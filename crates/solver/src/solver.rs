@@ -394,7 +394,7 @@ impl Solver {
     pub fn unsat_certificate(&self) -> Option<DratProof> {
         let log = self.proof.as_ref()?;
         if !self.ok || self.last_solve_unsat {
-            Some(log.certificate(true))
+            Some(log.certificate())
         } else {
             None
         }

@@ -1,6 +1,6 @@
 //! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`.
 //!
-//! Nine checks, all over the source tree as text (no compiler plumbing).
+//! Ten checks, all over the source tree as text (no compiler plumbing).
 //! They keep the numbers other documents cite them by, so there is no 8:
 //! what it refused, the injected fault plan, is one of rule 10's names.
 //!
@@ -85,6 +85,19 @@
 //!     and the store's are bytes on disk that its tests damage directly;
 //!     the pool's `FaultState` is crate-private, so the compiler keeps it
 //!     home.
+//! 11. **every public item has a caller**: every `pub fn`, `pub const fn`,
+//!     `pub const` and `pub enum` variant in the non-test code of a library
+//!     crate (`crates/*/src` outside `src/bin/`, and the root `src/lib.rs`;
+//!     everything before a file's `#[cfg(test)]` module) is named, as a whole
+//!     identifier, by code in `crates/`, `src/`, `examples/`, `tests/` or
+//!     `benchmark/src` other than its own definition, a `pub use` statement
+//!     and its own file's test module (an out-of-line `mod tests;` included).
+//!     Comments and literals are not code, so a doc example calls nothing.
+//!     `UNCALLED` lists the exceptions, each with its reason; an entry whose
+//!     item is gone or has found a caller fails too. The match is by name, so
+//!     a name that a used item shares hides an unused one (`Cube::evaluate`
+//!     hid behind `Cnf::evaluate`): what the rule reports has no caller, but
+//!     what it passes may still have none.
 
 #![forbid(unsafe_code)]
 
@@ -125,6 +138,7 @@ fn lint() -> ExitCode {
     check_checker_stands_alone(&root, &mut errors);
     check_readers_cannot_panic(&root, &mut errors);
     check_test_policy_stays_in_tests(&root, &mut errors);
+    check_public_items_have_callers(&root, &mut errors);
 
     if errors.is_empty() {
         println!("xtask lint: ok");
@@ -635,11 +649,216 @@ fn check_test_policy_stays_in_tests(root: &Path, errors: &mut Vec<String>) {
     }
 }
 
+/// Rule 11's exceptions: public items of a library crate that nothing calls
+/// but that stay, as `(file, name, reason)`.
+const UNCALLED: [(&str, &str, &str); 0] = [];
+
+/// One file as rule 11 reads it: its code with comments and literals
+/// blanked, and the line its first `#[cfg(test)] mod` starts on.
+struct Source {
+    path: String,
+    code: String,
+    test_from: usize,
+}
+
+impl Source {
+    fn read(root: &Path, path: &Path) -> Source {
+        let text = std::fs::read_to_string(path).unwrap_or_default();
+        // A `#[cfg(test)]` helper before the module is not where it starts.
+        let lines: Vec<&str> = text.lines().collect();
+        let test_from = lines
+            .windows(2)
+            .position(|w| w[0].trim() == "#[cfg(test)]" && w[1].trim().starts_with("mod "))
+            .unwrap_or(usize::MAX);
+        Source {
+            path: rel(root, path),
+            code: code_only(&text),
+            test_from,
+        }
+    }
+
+    /// The files of the out-of-line modules (`mod name;`) that its test
+    /// code declares: they are part of its `#[cfg(test)]` module.
+    fn test_module_files(&self) -> Vec<String> {
+        let Some(stem) = self.path.strip_suffix(".rs") else {
+            return Vec::new();
+        };
+        let dir = match stem.rsplit_once('/') {
+            Some((dir, "lib" | "mod")) => dir,
+            _ => stem,
+        };
+        self.code
+            .lines()
+            .skip(self.test_from)
+            .filter_map(|line| line.trim().strip_prefix("mod ")?.strip_suffix(';'))
+            .map(|name| format!("{dir}/{}.rs", name.trim()))
+            .collect()
+    }
+
+    /// Whether the file is library code: a crate's `src/` outside `src/bin/`,
+    /// or the root crate's `lib.rs`.
+    fn is_library(&self) -> bool {
+        match self.path.split('/').collect::<Vec<_>>()[..] {
+            ["crates", _, "src", "bin", ..] => false,
+            ["crates", _, "src", ..] | ["src", "lib.rs"] => true,
+            _ => false,
+        }
+    }
+}
+
+/// The byte offset line `line` of `code` starts at (its length past the end).
+fn line_start(code: &str, line: usize) -> usize {
+    let start: usize = code.split('\n').take(line).map(|l| l.len() + 1).sum();
+    start.min(code.len())
+}
+
+/// The identifiers of one line of code, in order: the names it spells whole.
+fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !is_ident(c))
+        .filter(|word| word.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// The line and name of every `pub fn`, `pub const fn`, `pub const` and
+/// `pub enum` variant that `code` declares.
+fn public_items(code: &str) -> Vec<(usize, &str)> {
+    let mut items = Vec::new();
+    for (i, line) in code.lines().enumerate() {
+        let words: Vec<&str> = identifiers(line).collect();
+        let Some(at) = words.iter().position(|&w| w == "pub") else {
+            continue;
+        };
+        match words[at + 1..] {
+            ["fn", name, ..] | ["const", "fn", name, ..] => items.push((i, name)),
+            ["const", name, ..] if name != "_" => items.push((i, name)),
+            ["enum", ..] => items.extend(enum_variants(code, i)),
+            _ => {}
+        }
+    }
+    items
+}
+
+/// The line and name of every variant of the enum declared on line `at` of
+/// `code`: the first identifier of each comma-separated entry of its body.
+fn enum_variants(code: &str, at: usize) -> Vec<(usize, &str)> {
+    let start = line_start(code, at);
+    let Some(open) = code[start..].find('{').map(|o| start + o + 1) else {
+        return Vec::new();
+    };
+    let mut variants = Vec::new();
+    let mut line = code[..open].matches('\n').count();
+    let (mut depth, mut entry_starts) = (1, true);
+    let mut rest = &code[open..];
+    while let Some(c) = rest.chars().next() {
+        if entry_starts && depth == 1 && (c.is_alphabetic() || c == '_') {
+            let len = rest.find(|c: char| !is_ident(c)).unwrap_or(rest.len());
+            variants.push((line, &rest[..len]));
+            entry_starts = false;
+            rest = &rest[len..];
+            continue;
+        }
+        match c {
+            '\n' => line += 1,
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' if depth == 1 => break,
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 1 => entry_starts = true,
+            _ => {}
+        }
+        rest = &rest[c.len_utf8()..];
+    }
+    variants
+}
+
+fn check_public_items_have_callers(root: &Path, errors: &mut Vec<String>) {
+    check_callers(root, &UNCALLED, errors);
+}
+
+/// Rule 11 over the tree at `root`, with `allowlist` as its exceptions.
+fn check_callers(root: &Path, allowlist: &[(&str, &str, &str)], errors: &mut Vec<String>) {
+    let mut paths = Vec::new();
+    for dir in ["crates", "src", "examples", "tests", "benchmark/src"] {
+        rust_files(&root.join(dir), &mut paths);
+    }
+    let sources: Vec<Source> = paths.iter().map(|p| Source::read(root, p)).collect();
+    // Each file's out-of-line test modules, by index.
+    let test_modules: Vec<Vec<usize>> = sources
+        .iter()
+        .map(|s| {
+            let files = s.test_module_files();
+            (0..sources.len())
+                .filter(|&g| files.contains(&sources[g].path))
+                .collect()
+        })
+        .collect();
+    // Where each identifier is spelled, `pub use` statements left out.
+    let mut spelled: std::collections::HashMap<&str, Vec<(usize, usize)>> = Default::default();
+    for (f, source) in sources.iter().enumerate() {
+        let mut in_pub_use = false;
+        for (i, line) in source.code.lines().enumerate() {
+            let statement = line.trim_start();
+            in_pub_use |= statement.starts_with("pub use ")
+                || statement.starts_with("pub(") && statement.contains(") use ");
+            if in_pub_use {
+                in_pub_use = !line.contains(';');
+                continue;
+            }
+            for word in identifiers(line) {
+                spelled.entry(word).or_default().push((f, i));
+            }
+        }
+    }
+    let mut listed = vec![false; allowlist.len()];
+    for (f, source) in sources.iter().enumerate() {
+        if !source.is_library() || test_modules.iter().any(|t| t.contains(&f)) {
+            continue;
+        }
+        let code = &source.code[..line_start(&source.code, source.test_from)];
+        for (line, name) in public_items(code) {
+            let own_tests = |g: usize, m: usize| {
+                g == f && m >= source.test_from || test_modules[f].contains(&g)
+            };
+            let called = spelled.get(name).is_some_and(|at| {
+                at.iter()
+                    .any(|&(g, m)| (g, m) != (f, line) && !own_tests(g, m))
+            });
+            let entry = allowlist
+                .iter()
+                .position(|&(file, item, _)| file == source.path && item == name);
+            let at = format!("{}:{}: {name}", source.path, line + 1);
+            match (called, entry) {
+                (false, None) => errors.push(format!(
+                    "{at}: a public item nothing calls outside its own file's tests; delete it \
+                     with the tests that only exercise it, or allowlist it with a reason"
+                )),
+                (true, Some(_)) => errors.push(format!(
+                    "{at}: has a caller now; remove its rule 11 allowlist entry"
+                )),
+                _ => {}
+            }
+            if let Some(e) = entry {
+                listed[e] = true;
+            }
+        }
+    }
+    for ((file, name, _), listed) in allowlist.iter().zip(listed) {
+        if !listed {
+            errors.push(format!(
+                "{file}: {name}: rule 11 allowlists a public item that is gone; remove the entry"
+            ));
+        }
+    }
+}
+
+/// Whether `c` can be part of an identifier.
+fn is_ident(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
 /// Whether `code` spells `name` whole: not as a part of a longer identifier.
 fn spells(code: &str, name: &str) -> bool {
-    let ident = |c: char| c.is_alphanumeric() || c == '_';
-    code.match_indices(name)
-        .any(|(at, _)| !code[..at].ends_with(ident) && !code[at + name.len()..].starts_with(ident))
+    code.match_indices(name).any(|(at, _)| {
+        !code[..at].ends_with(is_ident) && !code[at + name.len()..].starts_with(is_ident)
+    })
 }
 
 /// The words of one line of code that can panic or truncate: calls of
@@ -648,7 +867,6 @@ fn spells(code: &str, name: &str) -> bool {
 /// line, which imports a trait unnamed and casts nothing. Whole identifiers
 /// only, so `unwrap_or` and `expected` pass.
 fn panicking_words(line: &str) -> Vec<&'static str> {
-    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
     let import = ["use ", "pub use "]
         .iter()
         .any(|prefix| line.trim_start().starts_with(prefix));
@@ -684,8 +902,7 @@ fn panicking_words(line: &str) -> Vec<&'static str> {
 }
 
 /// `source` with its comments and the insides of its string and character
-/// literals blanked out (newlines kept, so lines keep their numbers). Raw
-/// strings are not recognised.
+/// literals blanked out (newlines kept, so lines keep their numbers).
 fn code_only(source: &str) -> String {
     let chars: Vec<char> = source.chars().collect();
     let mut code = String::with_capacity(source.len());
@@ -698,7 +915,19 @@ fn code_only(source: &str) -> String {
                 .find(|&j| chars[j..].starts_with(end))
                 .map_or(chars.len(), |j| j + end.len())
         };
+        // A raw string, `r"…"` or `r#"…"#` (`br` too), opens with `hashes`.
+        let hashes = chars[i + 1..].iter().take_while(|&&h| h == '#').count();
+        let word_start = |j: usize| j == 0 || !is_ident(chars[j - 1]);
+        let raw = c == 'r'
+            && chars.get(i + 1 + hashes) == Some(&'"')
+            && (word_start(i) || chars[i - 1] == 'b' && word_start(i - 1));
         let end = match (c, next) {
+            ('r', _) if raw => {
+                let close: Vec<char> = std::iter::once('"')
+                    .chain(std::iter::repeat_n('#', hashes))
+                    .collect();
+                find(i + 2 + hashes, &close)
+            }
             ('/', Some('/')) => (i..chars.len())
                 .find(|&j| chars[j] == '\n')
                 .unwrap_or(chars.len()),
@@ -1170,5 +1399,83 @@ mod tests {
                 "crates/pdsat-core/src/oracle.rs:5 LoopbackTransport::with_test_policy",
             ]
         );
+    }
+
+    #[test]
+    fn every_public_item_needs_a_caller_outside_its_own_tests() {
+        let tree = Tree::new("callers");
+        let write = |path: &str, text: &str| tree.write(path, text);
+        write(
+            "crates/a/src/lib.rs",
+            "pub mod codec;\n\
+             pub fn orphan() {}\n\
+             /// Call `documented()`.\n\
+             pub fn documented() {}\n\
+             pub fn tested_only() {}\n\
+             pub fn for_benchmark() {}\n\
+             pub fn for_tests() {}\n\
+             pub const fn for_b() -> u8 { 0 }\n\
+             pub const KEPT: u8 = 0;\n\
+             pub fn now_called() {}\n\
+             pub enum Mode {\n    #[default]\n    Used,\n    Unused(u8, Vec<u8>),\n    \
+             Struct { used: u8 },\n}\n\
+             #[cfg(test)]\n\
+             pub fn helper() -> Mode { Mode::Used }\n\
+             #[cfg(test)]\n\
+             mod tests {\n    fn t() { super::tested_only(); super::helper(); }\n}\n",
+        );
+        write(
+            "crates/a/src/codec.rs",
+            "pub fn out_of_line() {}\n#[cfg(test)]\nmod tests;\n",
+        );
+        write(
+            "crates/a/src/codec/tests.rs",
+            "fn t() { super::out_of_line(); }\n",
+        );
+        write(
+            "crates/b/src/lib.rs",
+            "pub use a::documented;\n\
+             pub fn uses() -> u8 { a::now_called(); a::for_b() + Struct }\n\
+             const RAW: &str = r#\"out_of_line \"Unused\"#;\n",
+        );
+        write("crates/b/src/bin/tool.rs", "pub fn main() { b::uses(); }\n");
+        write(
+            "benchmark/src/main.rs",
+            "fn main() { a::for_benchmark(); }\n",
+        );
+        write(
+            "tests/end_to_end.rs",
+            "#[test]\nfn t() { a::for_tests(); }\n",
+        );
+        let allowlist = [
+            ("crates/a/src/lib.rs", "KEPT", "kept without a caller"),
+            (
+                "crates/a/src/lib.rs",
+                "now_called",
+                "stale: it has a caller",
+            ),
+            ("crates/a/src/gone.rs", "deleted", "stale: the item is gone"),
+        ];
+        let mut errors = Vec::new();
+        check_callers(&tree.0, &allowlist, &mut errors);
+        let found: Vec<String> = errors
+            .iter()
+            .map(|e| e.splitn(3, ": ").take(2).collect::<Vec<_>>().join(" "))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                "crates/a/src/codec.rs:1 out_of_line",
+                "crates/a/src/lib.rs:2 orphan",
+                "crates/a/src/lib.rs:4 documented",
+                "crates/a/src/lib.rs:5 tested_only",
+                "crates/a/src/lib.rs:10 now_called",
+                "crates/a/src/lib.rs:14 Unused",
+                "crates/a/src/lib.rs:18 helper",
+                "crates/a/src/gone.rs deleted",
+            ]
+        );
+        assert!(errors[4].contains("remove its rule 11 allowlist entry"));
+        assert!(errors[7].contains("is gone"));
     }
 }
