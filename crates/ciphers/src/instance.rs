@@ -123,7 +123,6 @@ pub struct InstanceBuilder<C> {
     cipher: C,
     keystream_len: Option<usize>,
     known_suffix: usize,
-    label: Option<String>,
 }
 
 impl<C: StreamCipher> InstanceBuilder<C> {
@@ -134,7 +133,6 @@ impl<C: StreamCipher> InstanceBuilder<C> {
             cipher,
             keystream_len: None,
             known_suffix: 0,
-            label: None,
         }
     }
 
@@ -150,13 +148,6 @@ impl<C: StreamCipher> InstanceBuilder<C> {
     #[must_use]
     pub fn known_suffix_of_second_register(mut self, k: usize) -> Self {
         self.known_suffix = k;
-        self
-    }
-
-    /// Overrides the generated instance name.
-    #[must_use]
-    pub fn label(mut self, label: impl Into<String>) -> Self {
-        self.label = Some(label.into());
         self
     }
 
@@ -189,13 +180,11 @@ impl<C: StreamCipher> InstanceBuilder<C> {
             encoding.fix_input(i, value);
         }
 
-        let name = self.label.clone().unwrap_or_else(|| {
-            if self.known_suffix > 0 {
-                format!("{}{}", self.cipher.name(), self.known_suffix)
-            } else {
-                self.cipher.name().to_string()
-            }
-        });
+        let name = if self.known_suffix > 0 {
+            format!("{}{}", self.cipher.name(), self.known_suffix)
+        } else {
+            self.cipher.name().to_string()
+        };
 
         Instance {
             name,

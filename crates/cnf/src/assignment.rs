@@ -88,11 +88,6 @@ impl Assignment {
         self.assign(lit.var(), lit.is_positive());
     }
 
-    /// Clears all assignments.
-    pub fn clear(&mut self) {
-        self.values.iter_mut().for_each(|v| *v = None);
-    }
-
     /// Iterator over `(Var, bool)` pairs for all assigned variables.
     pub fn iter(&self) -> impl Iterator<Item = (Var, bool)> + '_ {
         self.values
@@ -129,8 +124,6 @@ mod tests {
         a.assign(Var::new(1), false);
         a.assign(Var::new(2), true);
         assert_eq!(a.iter().count(), 3);
-        a.clear();
-        assert_eq!(a.iter().count(), 0);
     }
 
     #[test]

@@ -59,12 +59,6 @@ pub struct Cube {
 }
 
 impl Cube {
-    /// Creates an empty cube (the trivial partitioning into one part).
-    #[must_use]
-    pub fn new() -> Cube {
-        Cube::default()
-    }
-
     /// Creates a cube from literals.
     ///
     /// # Panics
@@ -409,7 +403,7 @@ mod tests {
 
     #[test]
     fn empty_cube_is_top() {
-        let c = Cube::new();
+        let c = Cube::default();
         assert!(c.is_empty());
         assert_eq!(c.to_string(), "⊤");
     }

@@ -12,7 +12,7 @@
 
 use crate::{Cnf, Lit};
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 
 /// Largest number of variables any ingest path accepts, as a header count
 /// or as a literal's identifier. A formula's consumers size per-variable
@@ -199,15 +199,6 @@ pub fn parse<R: Read>(reader: R) -> Result<Cnf, ParseDimacsError> {
 /// See [`parse`].
 pub fn parse_str(text: &str) -> Result<Cnf, ParseDimacsError> {
     parse(text.as_bytes())
-}
-
-/// Serializes a formula to DIMACS and writes it to `writer`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write<W: Write>(cnf: &Cnf, mut writer: W) -> std::io::Result<()> {
-    writer.write_all(to_string(cnf).as_bytes())
 }
 
 /// Serializes a formula to a DIMACS string.

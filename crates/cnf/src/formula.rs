@@ -196,11 +196,6 @@ impl Cnf {
         self.add_clause([lit]);
     }
 
-    /// All variables of the formula, `x_0 … x_{n-1}`.
-    pub fn vars(&self) -> impl Iterator<Item = Var> + '_ {
-        (0..self.num_vars as u32).map(Var::new)
-    }
-
     /// Evaluates the formula under a (partial) assignment.
     ///
     /// Returns [`Value::False`] as soon as some clause is falsified,

@@ -51,12 +51,6 @@ impl Var {
         Lit::positive(self)
     }
 
-    /// The negative literal of this variable.
-    #[must_use]
-    pub fn negative(self) -> Lit {
-        Lit::negative(self)
-    }
-
     /// The literal of this variable with the given polarity
     /// (`true` → positive literal).
     #[must_use]
@@ -133,12 +127,6 @@ impl Lit {
     #[must_use]
     pub fn is_negative(self) -> bool {
         !self.is_positive()
-    }
-
-    /// Polarity of the literal: `true` for a positive literal.
-    #[must_use]
-    pub fn polarity(self) -> bool {
-        self.is_positive()
     }
 
     /// Compact code `2·var + sign`; useful for indexing per-literal tables.
@@ -274,7 +262,7 @@ mod tests {
             let l = Lit::new(Var::new(idx), pol);
             prop_assert_eq!(Lit::from_code(l.code()), l);
             prop_assert_eq!(l.var().raw(), idx);
-            prop_assert_eq!(l.polarity(), pol);
+            prop_assert_eq!(l.is_positive(), pol);
         }
     }
 }

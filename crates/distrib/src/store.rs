@@ -229,12 +229,6 @@ impl CheckpointStore {
         self.generation
     }
 
-    /// Path of the live checkpoint file.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     fn prev_path(&self) -> PathBuf {
         sibling(&self.path, ".prev")
     }

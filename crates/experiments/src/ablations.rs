@@ -1,17 +1,16 @@
 //! Ablation studies for the design choices discussed in §3 of the paper.
 //!
-//! The paper motivates several choices qualitatively: tabu search "traverses
-//! more points of the search space per time unit" than simulated annealing,
-//! the tabu lists avoid re-evaluating expensive points, the conflict-activity
-//! heuristic picks new centres, and the accuracy of the estimate grows with
-//! the sample size `N` (Table 2's message). These experiments quantify each
+//! The paper motivates two choices qualitatively: tabu search "traverses
+//! more points of the search space per time unit" than simulated annealing
+//! (ablation A), and the accuracy of the estimate grows with the sample size
+//! `N` (Table 2's message, ablation B). These experiments quantify each
 //! claim on scaled instances.
 
 use crate::scaled::ScaledWorkload;
 use crate::text_table::{sci, TextTable};
 use pdsat_core::{
-    Annealing, AnnealingConfig, DriverConfig, Evaluator, EvaluatorConfig, NewCenterHeuristic,
-    SearchDriver, SearchLimits, Tabu, TabuConfig,
+    Annealing, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver, SearchLimits, Tabu,
+    TabuConfig,
 };
 
 /// Comparison of the two metaheuristics under the same evaluation budget.
@@ -42,17 +41,6 @@ pub struct SampleSizeEffect {
     pub relative_error_percent: f64,
 }
 
-/// Effect of the `getNewCenter` heuristic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NewCenterEffect {
-    /// Heuristic name.
-    pub heuristic: String,
-    /// Best value found under the same point budget.
-    pub best_value: f64,
-    /// Points evaluated.
-    pub points: usize,
-}
-
 /// All ablation results.
 #[derive(Debug, Clone)]
 pub struct AblationResult {
@@ -60,8 +48,6 @@ pub struct AblationResult {
     pub metaheuristics: Vec<MetaheuristicComparison>,
     /// Estimate quality as a function of the sample size.
     pub sample_sizes: Vec<SampleSizeEffect>,
-    /// `getNewCenter` heuristics.
-    pub new_center: Vec<NewCenterEffect>,
 }
 
 impl AblationResult {
@@ -99,19 +85,6 @@ impl AblationResult {
         }
         out.push(t2);
 
-        let mut t3 = TextTable::new(
-            "Ablation C: getNewCenter heuristic in tabu search",
-            &["Heuristic", "Best F", "Points"],
-        );
-        for row in &self.new_center {
-            t3.add_row([
-                row.heuristic.clone(),
-                sci(row.best_value),
-                row.points.to_string(),
-            ]);
-        }
-        out.push(t3);
-
         out
     }
 }
@@ -134,7 +107,7 @@ pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
     let mut metaheuristics = Vec::new();
     {
         let mut evaluator = workload.evaluator(&instance);
-        let mut annealing = Annealing::new(&AnnealingConfig::default());
+        let mut annealing = Annealing::new();
         let outcome = driver.run(&space, &start, &mut annealing, &mut evaluator);
         metaheuristics.push(MetaheuristicComparison {
             algorithm: "simulated annealing".to_string(),
@@ -196,29 +169,9 @@ pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
         });
     }
 
-    // --- Ablation C: getNewCenter heuristics. ---------------------------------
-    let mut new_center = Vec::new();
-    for (name, heuristic) in [
-        ("conflict activity", NewCenterHeuristic::ConflictActivity),
-        ("best value", NewCenterHeuristic::BestValue),
-        ("random", NewCenterHeuristic::Random),
-    ] {
-        let mut evaluator = workload.evaluator(&instance);
-        let mut tabu = Tabu::new(&TabuConfig {
-            new_center: heuristic,
-        });
-        let outcome = driver.run(&space, &start, &mut tabu, &mut evaluator);
-        new_center.push(NewCenterEffect {
-            heuristic: name.to_string(),
-            best_value: outcome.best_value,
-            points: outcome.points_evaluated,
-        });
-    }
-
     AblationResult {
         metaheuristics,
         sample_sizes,
-        new_center,
     }
 }
 
@@ -228,14 +181,13 @@ mod tests {
     use crate::scaled::CipherKind;
 
     #[test]
-    fn ablations_cover_all_three_studies() {
+    fn ablations_cover_both_studies() {
         let mut workload = ScaledWorkload::tiny(CipherKind::Bivium);
         workload.sample_size = 8;
         workload.search_points = 6;
         let result = run_ablations(&workload);
         assert_eq!(result.metaheuristics.len(), 2);
         assert_eq!(result.sample_sizes.len(), 4);
-        assert_eq!(result.new_center.len(), 3);
         for row in &result.metaheuristics {
             assert!(row.points <= 6);
             assert!(row.best_value.is_finite());
@@ -245,9 +197,8 @@ mod tests {
             assert!(row.relative_error_percent >= 0.0);
         }
         let tables = result.tables();
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 2);
         assert!(tables[0].render().contains("tabu search"));
         assert!(tables[1].render().contains("Relative error"));
-        assert!(tables[2].render().contains("conflict activity"));
     }
 }

@@ -10,7 +10,7 @@
 //! | Figure 4 (Grain set over registers) | [`figures`] | `fig_grain_set` |
 //! | Table 3 (weakened BiviumK/GrainK) | [`table3`] | `table3_weakened` |
 //! | §4.2 SAT@home narrative | [`sathome`] | `sathome_sim` |
-//! | §3 design choices | [`ablations`] | `ablations` |
+//! | §3 design choices: A, annealing vs tabu search; B, sample size `N` vs error | [`ablations`] | `ablations` |
 //!
 //! Every experiment uses the deterministic conflict-count cost metric, so the
 //! tables are identical across machines; DESIGN.md's "Benchmark ↔ paper

@@ -69,13 +69,6 @@ impl CipherKind {
     pub fn state_len(self) -> usize {
         with_cipher!(self, |cipher| cipher.state_len())
     }
-
-    /// Generates `len` keystream bits from `state` with the corresponding
-    /// reference implementation.
-    #[must_use]
-    pub fn keystream(self, state: &[bool], len: usize) -> Vec<bool> {
-        with_cipher!(self, |cipher| cipher.keystream(state, len))
-    }
 }
 
 /// Parameters of one scaled workload.

@@ -13,8 +13,7 @@ use crate::figures::render_instance_decomposition;
 use crate::scaled::{a51_manual_reference_set, CipherKind, ScaledWorkload};
 use crate::text_table::{sci, TextTable};
 use pdsat_core::{
-    Annealing, AnnealingConfig, DecompositionSet, DriverConfig, SearchDriver, SearchLimits, Tabu,
-    TabuConfig,
+    Annealing, DecompositionSet, DriverConfig, SearchDriver, SearchLimits, Tabu, TabuConfig,
 };
 
 /// One row of Table 1.
@@ -88,7 +87,7 @@ pub fn run_table1(workload: &ScaledWorkload) -> Table1Result {
     });
 
     // S2: simulated annealing from X̃_start.
-    let mut annealing = Annealing::new(&AnnealingConfig::default());
+    let mut annealing = Annealing::new();
     let s2_outcome = driver.run(&space, &space.full_point(), &mut annealing, &mut evaluator);
 
     // S3: tabu search from X̃_start.

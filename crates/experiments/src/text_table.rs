@@ -25,18 +25,6 @@ impl TextTable {
         self.rows.push(row);
     }
 
-    /// The table title.
-    #[must_use]
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The rows of the table.
-    #[must_use]
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
     /// Renders the table as aligned monospace text.
     #[must_use]
     pub fn render(&self) -> String {
@@ -109,7 +97,7 @@ mod tests {
     fn short_rows_are_padded() {
         let mut table = TextTable::new("", &["a", "b", "c"]);
         table.add_row(["only".to_string()]);
-        assert_eq!(table.rows()[0].len(), 3);
+        assert_eq!(table.rows[0].len(), 3);
         assert!(table.render().contains("only"));
     }
 

@@ -6,29 +6,13 @@ use crate::search::StopCondition;
 use crate::Point;
 use rand::Rng;
 
-/// Parameters of Algorithm 1: the temperature schedule. Stopping criteria
-/// and the seed belong to the [`DriverConfig`](crate::DriverConfig) of the
-/// [`SearchDriver`](crate::SearchDriver) that runs the strategy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnnealingConfig {
-    /// Initial temperature `T₀`.
-    pub initial_temperature: f64,
-    /// Cooling factor `Q ∈ (0, 1)`: `T_{i+1} = Q · T_i`.
-    pub cooling_factor: f64,
-    /// Temperature threshold `T_inf` below which the search stops
-    /// (`temperatureLimitReached()`).
-    pub min_temperature: f64,
-}
-
-impl Default for AnnealingConfig {
-    fn default() -> Self {
-        AnnealingConfig {
-            initial_temperature: 1.0,
-            cooling_factor: 0.95,
-            min_temperature: 1e-3,
-        }
-    }
-}
+/// Initial temperature `T₀`.
+const INITIAL_TEMPERATURE: f64 = 1.0;
+/// Cooling factor `Q`: `T_{i+1} = Q · T_i`.
+const COOLING_FACTOR: f64 = 0.95;
+/// Temperature threshold `T_inf` below which the search stops
+/// (`temperatureLimitReached()`); `Q^k < T_inf` first holds at `k = 135`.
+const MIN_TEMPERATURE: f64 = 1e-3;
 
 /// Algorithm 1 as a [`Strategy`]: the transition `χ_i → χ_{i+1}` picks an
 /// unchecked point of the radius-`ρ` neighbourhood of the current centre,
@@ -40,13 +24,12 @@ impl Default for AnnealingConfig {
 /// best point *ever evaluated* — clearly the intended output.
 ///
 /// Each proposal is one point, as every step of Algorithm 1 checks one; the
-/// parallelism is inside the point, across its sample's sub-problems.
+/// parallelism is inside the point, across its sample's sub-problems. The
+/// temperature starts at `T₀ = 1`, is multiplied by `Q = 0.95` after every
+/// evaluation, and the search stops once it is below `T_inf = 10⁻³`.
 #[derive(Debug, Clone)]
 pub struct Annealing {
     temperature: f64,
-    initial_temperature: f64,
-    cooling_factor: f64,
-    min_temperature: f64,
     center: Option<Point>,
     center_value: f64,
     radius: usize,
@@ -56,32 +39,29 @@ pub struct Annealing {
 }
 
 impl Annealing {
-    /// Creates the strategy from the temperature schedule of `config`.
+    /// Creates the strategy at the initial temperature.
     #[must_use]
-    pub fn new(config: &AnnealingConfig) -> Annealing {
+    pub fn new() -> Annealing {
         Annealing {
-            temperature: config.initial_temperature,
-            initial_temperature: config.initial_temperature,
-            cooling_factor: config.cooling_factor,
-            min_temperature: config.min_temperature,
+            temperature: INITIAL_TEMPERATURE,
             center: None,
             center_value: f64::INFINITY,
             radius: 1,
             last_neighborhood: Vec::new(),
         }
     }
+}
 
-    /// The current temperature.
-    #[must_use]
-    pub fn temperature(&self) -> f64 {
-        self.temperature
+impl Default for Annealing {
+    fn default() -> Self {
+        Annealing::new()
     }
 }
 
 impl Strategy for Annealing {
     fn initialize(&mut self, _ctx: &mut SearchContext<'_>, start: &Evaluated) {
         // Full reset: a strategy instance may be reused across runs.
-        self.temperature = self.initial_temperature;
+        self.temperature = INITIAL_TEMPERATURE;
         self.center = Some(start.point.clone());
         self.center_value = start.value;
         self.radius = 1;
@@ -89,7 +69,7 @@ impl Strategy for Annealing {
     }
 
     fn propose(&mut self, ctx: &mut SearchContext<'_>) -> Proposal {
-        if self.temperature < self.min_temperature {
+        if self.temperature < MIN_TEMPERATURE {
             return Proposal::Stop(StopCondition::TemperatureFloor);
         }
         let center = self
@@ -138,14 +118,14 @@ impl Strategy for Annealing {
 
         // decreaseTemperature() — after every checked point, as in the
         // pseudocode (line 15).
-        self.temperature *= self.cooling_factor;
+        self.temperature *= COOLING_FACTOR;
 
         let mut stop = None;
         if accepted {
             self.center = Some(evaluated.point.clone());
             self.center_value = value;
             self.radius = 1;
-            if self.temperature < self.min_temperature {
+            if self.temperature < MIN_TEMPERATURE {
                 stop = Some(StopCondition::TemperatureFloor);
             }
         } else {
@@ -177,7 +157,6 @@ mod tests {
     /// one way to run Algorithm 1 since the deprecated
     /// `SimulatedAnnealing::minimize` shim was removed.
     fn minimize(
-        config: &AnnealingConfig,
         limits: SearchLimits,
         seed: u64,
         space: &SearchSpace,
@@ -185,7 +164,7 @@ mod tests {
         evaluator: &mut Evaluator,
     ) -> SearchOutcome {
         let driver = SearchDriver::new(DriverConfig { limits, seed });
-        driver.run(space, start, &mut Annealing::new(config), evaluator)
+        driver.run(space, start, &mut Annealing::new(), evaluator)
     }
 
     fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
@@ -206,7 +185,6 @@ mod tests {
         let start = space.full_point();
         let mut eval = evaluator(&cnf, 16);
         let outcome = minimize(
-            &AnnealingConfig::default(),
             SearchLimits::unlimited().with_max_points(40),
             3,
             &space,
@@ -233,7 +211,6 @@ mod tests {
         let run = |seed| {
             let mut eval = evaluator(&cnf, 8);
             let out = minimize(
-                &AnnealingConfig::default(),
                 SearchLimits::unlimited().with_max_points(20),
                 seed,
                 &space,
@@ -247,27 +224,16 @@ mod tests {
 
     #[test]
     fn temperature_floor_stops_the_search() {
+        // T = 0.95^k after k checked points first drops below 10⁻³ at
+        // k = 135: the start point and 135 steps, on a space of 1024 points
+        // that is far from exhausted by then.
         let cnf = Cnf::pigeonhole(5);
-        let space = SearchSpace::new((0..5).map(Var::new));
+        let space = SearchSpace::new((0..10).map(Var::new));
         let start = space.full_point();
-        let mut eval = evaluator(&cnf, 4);
-        let config = AnnealingConfig {
-            initial_temperature: 1.0,
-            cooling_factor: 0.1,
-            min_temperature: 0.5,
-        };
-        let outcome = minimize(
-            &config,
-            SearchLimits::unlimited(),
-            1,
-            &space,
-            &start,
-            &mut eval,
-        );
+        let mut eval = evaluator(&cnf, 2);
+        let outcome = minimize(SearchLimits::unlimited(), 1, &space, &start, &mut eval);
         assert_eq!(outcome.stop_condition, StopCondition::TemperatureFloor);
-        // One initial evaluation plus very few steps before the temperature
-        // drops below the floor.
-        assert!(outcome.points_evaluated <= 10);
+        assert_eq!(outcome.points_evaluated, 136);
     }
 
     #[test]
@@ -277,7 +243,6 @@ mod tests {
         let start = space.full_point();
         let mut eval = evaluator(&cnf, 4);
         let outcome = minimize(
-            &AnnealingConfig::default(),
             SearchLimits::unlimited().with_max_points(5),
             11,
             &space,
@@ -299,7 +264,7 @@ mod tests {
         let values = HashMap::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut reference = rng.clone();
-        let mut annealing = Annealing::new(&AnnealingConfig::default());
+        let mut annealing = Annealing::new();
         let mut ctx = SearchContext {
             space: &space,
             rng: &mut rng,
@@ -353,7 +318,6 @@ mod tests {
         let other = SearchSpace::new((0..4).map(Var::new));
         let mut eval = evaluator(&cnf, 2);
         let _ = minimize(
-            &AnnealingConfig::default(),
             SearchLimits::unlimited(),
             0,
             &space,

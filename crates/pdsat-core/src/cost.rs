@@ -66,16 +66,6 @@ impl CostMetric {
         }
     }
 
-    /// Unit label for reports.
-    #[must_use]
-    pub fn unit(self) -> &'static str {
-        match self {
-            CostMetric::WallSeconds => "s",
-            CostMetric::Conflicts => "conflicts",
-            CostMetric::Propagations => "propagations",
-        }
-    }
-
     /// `true` when the metric is deterministic (independent of machine load).
     #[must_use]
     pub fn is_deterministic(self) -> bool {
@@ -132,7 +122,6 @@ mod tests {
 
     #[test]
     fn metadata() {
-        assert_eq!(CostMetric::WallSeconds.unit(), "s");
         assert!(!CostMetric::WallSeconds.is_deterministic());
         assert!(CostMetric::Conflicts.is_deterministic());
         assert_eq!(CostMetric::default(), CostMetric::WallSeconds);

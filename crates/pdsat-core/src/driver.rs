@@ -88,12 +88,6 @@ impl SearchContext<'_> {
     pub fn is_evaluated(&self, point: &Point) -> bool {
         self.values.contains_key(point)
     }
-
-    /// The memoized value of `point`, if it was evaluated this run.
-    #[must_use]
-    pub fn value_of(&self, point: &Point) -> Option<f64> {
-        self.values.get(point).copied()
-    }
 }
 
 /// A metaheuristic move rule driven by the [`SearchDriver`].
@@ -145,8 +139,8 @@ impl Default for DriverConfig {
 /// ```
 /// use pdsat_cnf::{Cnf, Lit, Var};
 /// use pdsat_core::{
-///     Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig,
-///     SearchDriver, SearchLimits, SearchSpace,
+///     Annealing, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver,
+///     SearchLimits, SearchSpace,
 /// };
 ///
 /// // A tiny chain formula.
@@ -163,7 +157,7 @@ impl Default for DriverConfig {
 ///     limits: SearchLimits::unlimited().with_max_points(10),
 ///     seed: 1,
 /// });
-/// let mut strategy = Annealing::new(&AnnealingConfig::default());
+/// let mut strategy = Annealing::new();
 /// let outcome = driver.run(&space, &space.full_point(), &mut strategy, &mut evaluator);
 /// assert!(outcome.points_evaluated <= 10);
 /// assert!(outcome.best_value.is_finite());
@@ -178,12 +172,6 @@ impl SearchDriver {
     #[must_use]
     pub fn new(config: DriverConfig) -> SearchDriver {
         SearchDriver { config }
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &DriverConfig {
-        &self.config
     }
 
     /// Runs `strategy` from `start` over `space`, evaluating the predictive

@@ -103,7 +103,7 @@ mod solve_mode;
 mod space;
 mod tabu;
 
-pub use anneal::{Annealing, AnnealingConfig};
+pub use anneal::Annealing;
 pub use cost::{CostMetric, CubeCounters};
 pub use decomposition::{CubeIter, DecompositionSet};
 pub use driver::{
@@ -119,4 +119,4 @@ pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};
 pub use search::{SearchLimits, SearchOutcome, SearchStep, StopCondition};
 pub use solve_mode::{CubeCertificate, FamilyCounters, FamilySolver, SolveModeConfig, SolveReport};
 pub use space::{Point, SearchSpace};
-pub use tabu::{NewCenterHeuristic, Tabu, TabuConfig};
+pub use tabu::{Tabu, TabuConfig};

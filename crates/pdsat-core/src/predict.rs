@@ -156,12 +156,6 @@ impl Evaluator {
         }
     }
 
-    /// The formula being analysed.
-    #[must_use]
-    pub fn cnf(&self) -> &Cnf {
-        self.oracle.cnf()
-    }
-
     /// The evaluator configuration.
     #[must_use]
     pub fn config(&self) -> &EvaluatorConfig {

@@ -44,12 +44,6 @@ impl SearchSpace {
         self.universe.len()
     }
 
-    /// The candidate variables in ascending order.
-    #[must_use]
-    pub fn universe(&self) -> &[Var] {
-        &self.universe
-    }
-
     /// The point selecting every candidate variable (χ = 1…1, i.e.
     /// `X̃_start` itself).
     #[must_use]
@@ -171,16 +165,6 @@ impl Point {
         self.bits.iter().filter(|&&b| b).count()
     }
 
-    /// Value of coordinate `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    #[must_use]
-    pub fn get(&self, i: usize) -> bool {
-        self.bits[i]
-    }
-
     /// Flips coordinate `i`.
     ///
     /// # Panics
@@ -281,7 +265,7 @@ mod tests {
         let mut p = s.empty_point();
         p.flip(1);
         assert_eq!(p.to_string(), "010");
-        assert!(p.get(1));
+        assert!(p.bits[1]);
         p.flip(1);
         assert_eq!(p.ones(), 0);
     }

@@ -7,36 +7,14 @@ use crate::Point;
 use rand::Rng;
 use std::collections::HashSet;
 
-/// How `getNewCenter(L2)` picks the next centre when the current
-/// neighbourhood is exhausted without improvement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NewCenterHeuristic {
-    /// The point of `L2` whose decomposition set has the largest accumulated
-    /// conflict activity — the heuristic PDSAT uses (§3 of the paper).
-    #[default]
-    ConflictActivity,
-    /// The point of `L2` with the best (smallest) predictive function value.
-    BestValue,
-    /// A uniformly random point of `L2` (ablation baseline).
-    Random,
-}
-
-/// Parameters of Algorithm 2: the move rule. Stopping criteria and the seed
-/// belong to the [`DriverConfig`](crate::DriverConfig) of the
-/// [`SearchDriver`](crate::SearchDriver) that runs the strategy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TabuConfig {
-    /// Heuristic used by `getNewCenter`.
-    pub new_center: NewCenterHeuristic,
-}
-
-impl Default for TabuConfig {
-    fn default() -> Self {
-        TabuConfig {
-            new_center: NewCenterHeuristic::ConflictActivity,
-        }
-    }
-}
+/// Algorithm 2 has no parameters: its neighbourhoods have radius 1, and
+/// `getNewCenter(L2)` picks by conflict activity. Stopping criteria and the
+/// seed belong to the [`DriverConfig`](crate::DriverConfig) of the
+/// [`SearchDriver`](crate::SearchDriver) that runs the strategy. The type
+/// stays only because the `benchmark/` package calls
+/// `Tabu::new(&TabuConfig::default())`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct TabuConfig {}
 
 /// Algorithm 2 as a [`Strategy`], over neighbourhoods of radius ρ = 1, as
 /// in PDSAT.
@@ -49,7 +27,6 @@ impl Default for TabuConfig {
 /// invariant up mechanically).
 #[derive(Debug, Clone)]
 pub struct Tabu {
-    heuristic: NewCenterHeuristic,
     center: Option<Point>,
     /// L1: checked points whose neighbourhood is fully checked.
     l1: HashSet<Point>,
@@ -60,11 +37,10 @@ pub struct Tabu {
 }
 
 impl Tabu {
-    /// Creates the strategy from the move rule of `config`.
+    /// Creates the strategy; `TabuConfig` sets nothing.
     #[must_use]
-    pub fn new(config: &TabuConfig) -> Tabu {
+    pub fn new(_config: &TabuConfig) -> Tabu {
         Tabu {
-            heuristic: config.new_center,
             center: None,
             l1: HashSet::new(),
             l2: Vec::new(),
@@ -90,33 +66,17 @@ impl Tabu {
         }
     }
 
-    /// `getNewCenter(L2)` of the paper.
-    fn pick_new_center(&self, ctx: &mut SearchContext<'_>) -> Option<Point> {
-        if self.l2.is_empty() {
-            return None;
-        }
-        match self.heuristic {
-            NewCenterHeuristic::Random => {
-                Some(self.l2[ctx.rng.gen_range(0..self.l2.len())].clone())
-            }
-            NewCenterHeuristic::BestValue => self
-                .l2
-                .iter()
-                .min_by(|a, b| {
-                    let va = ctx.value_of(a).unwrap_or(f64::INFINITY);
-                    let vb = ctx.value_of(b).unwrap_or(f64::INFINITY);
-                    va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .cloned(),
-            NewCenterHeuristic::ConflictActivity => self
-                .l2
-                .iter()
-                .max_by_key(|p| {
-                    let set = ctx.space.decomposition_set(p);
-                    ctx.evaluator.activity_of_set(&set)
-                })
-                .cloned(),
-        }
+    /// `getNewCenter(L2)` of the paper: the point of `L2` whose
+    /// decomposition set has the largest accumulated conflict activity, the
+    /// heuristic PDSAT uses (§3), or `None` when `L2` is empty.
+    fn pick_new_center(&self, ctx: &SearchContext<'_>) -> Option<Point> {
+        self.l2
+            .iter()
+            .max_by_key(|p| {
+                let set = ctx.space.decomposition_set(p);
+                ctx.evaluator.activity_of_set(&set)
+            })
+            .cloned()
     }
 }
 
@@ -301,31 +261,6 @@ mod tests {
         );
         assert_eq!(outcome.points_evaluated, 1);
         assert_eq!(outcome.stop_condition, StopCondition::SpaceExhausted);
-    }
-
-    #[test]
-    fn all_new_center_heuristics_work() {
-        let cnf = Cnf::pigeonhole(5);
-        let space = SearchSpace::new((0..5).map(Var::new));
-        for heuristic in [
-            NewCenterHeuristic::ConflictActivity,
-            NewCenterHeuristic::BestValue,
-            NewCenterHeuristic::Random,
-        ] {
-            let mut eval = evaluator(&cnf, 4);
-            let config = TabuConfig {
-                new_center: heuristic,
-            };
-            let outcome = minimize(
-                &config,
-                SearchLimits::unlimited().with_max_points(20),
-                9,
-                &space,
-                &mut eval,
-            );
-            assert!(outcome.points_evaluated >= 1);
-            assert!(outcome.best_value.is_finite());
-        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use pdsat_cnf::{Cnf, Var};
 use pdsat_core::{
-    Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver,
-    SearchLimits, SearchOutcome, SearchSpace, StopCondition, Strategy, Tabu, TabuConfig,
+    Annealing, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver, SearchLimits,
+    SearchOutcome, SearchSpace, StopCondition, Strategy, Tabu, TabuConfig,
 };
 
 fn evaluator(cnf: &Cnf, sample: usize) -> Evaluator {
@@ -123,7 +123,7 @@ fn annealing_through_the_driver_matches_the_pre_refactor_trajectory() {
     let cnf = Cnf::pigeonhole(5);
     let space = SearchSpace::new((0..6).map(Var::new));
     let mut eval = evaluator(&cnf, 8);
-    let mut strategy = Annealing::new(&AnnealingConfig::default());
+    let mut strategy = Annealing::new();
     let outcome = driver(SearchLimits::unlimited().with_max_points(20), 7).run(
         &space,
         &space.full_point(),
@@ -174,24 +174,37 @@ fn edge_case_stop_conditions_match_the_pre_refactor_loops() {
     );
     assert_eq!(outcome.stop_condition, StopCondition::SpaceExhausted);
 
-    // Annealing with an aggressive schedule hits the temperature floor after
-    // the same two evaluations the old loop performed.
-    let mut eval = evaluator(&cnf, 4);
-    let mut annealing = Annealing::new(&AnnealingConfig {
-        initial_temperature: 1.0,
-        cooling_factor: 0.1,
-        min_temperature: 0.5,
-    });
-    let outcome = driver(SearchLimits::unlimited(), 1).run(
-        &space,
-        &space.full_point(),
-        &mut annealing,
-        &mut eval,
-    );
-    assert_eq!(outcome.stop_condition, StopCondition::TemperatureFloor);
-    assert_eq!(outcome.points_evaluated, 2);
-    assert_eq!(outcome.history[0].point.to_string(), "111");
-    assert_eq!(outcome.history[1].point.to_string(), "101");
+    // Annealing: T = 0.95^k after k checked points first drops below 10⁻³ at k = 135,
+    // so an unlimited run on 2^10 points stops at the floor with 136 points.
+    // When the 135th step was accepted, `observe` reports the floor before
+    // the driver's next limits check, so a limit of 136 points that falls
+    // due at the same step is not what stops the run; after a rejected 135th
+    // step, `propose` would report the floor, but the limit comes first.
+    let space = SearchSpace::new((0..10).map(Var::new));
+    let run = |limits: SearchLimits, seed: u64| {
+        let mut eval = evaluator(&cnf, 2);
+        driver(limits, seed).run(
+            &space,
+            &space.full_point(),
+            &mut Annealing::new(),
+            &mut eval,
+        )
+    };
+    for (seed, last_accepted, at_the_limit) in [
+        (123, true, StopCondition::TemperatureFloor),
+        (1, false, StopCondition::PointLimit),
+    ] {
+        let unlimited = run(SearchLimits::unlimited(), seed);
+        assert_eq!(unlimited.stop_condition, StopCondition::TemperatureFloor);
+        assert_eq!(unlimited.points_evaluated, 136, "seed {seed}");
+        assert_eq!(
+            unlimited.history[135].accepted, last_accepted,
+            "seed {seed}"
+        );
+        let limited = run(SearchLimits::unlimited().with_max_points(136), seed);
+        assert_eq!(limited.stop_condition, at_the_limit, "seed {seed}");
+        assert_eq!(trajectory(&limited), trajectory(&unlimited), "seed {seed}");
+    }
 }
 
 #[test]
@@ -212,10 +225,7 @@ fn every_evaluated_point_is_one_oracle_batch() {
             "{name}"
         );
     };
-    check(
-        "annealing",
-        &mut Annealing::new(&AnnealingConfig::default()),
-    );
+    check("annealing", &mut Annealing::new());
     check("tabu", &mut Tabu::new(&TabuConfig::default()));
 }
 
@@ -274,20 +284,12 @@ fn assert_reusable<S: Strategy>(
 #[test]
 fn strategy_instances_are_reusable_across_driver_runs() {
     // Default configurations, the setup the experiment binaries use.
-    assert_reusable("annealing", 18, 21, || {
-        Annealing::new(&AnnealingConfig::default())
-    });
+    assert_reusable("annealing", 18, 21, Annealing::new);
     assert_reusable("tabu", 18, 21, || Tabu::new(&TabuConfig::default()));
 }
 
 #[test]
 fn strategy_instances_are_reusable_across_runs() {
-    // Tuned configurations: fast cooling.
-    assert_reusable("annealing", 15, 4, || {
-        Annealing::new(&AnnealingConfig {
-            cooling_factor: 0.5,
-            ..AnnealingConfig::default()
-        })
-    });
+    // A second budget and seed.
     assert_reusable("tabu", 15, 4, || Tabu::new(&TabuConfig::default()));
 }

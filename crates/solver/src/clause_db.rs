@@ -240,12 +240,6 @@ impl ClauseDb {
         }
     }
 
-    /// Number of live clauses.
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.num_clauses
-    }
-
     /// `true` when tombstones occupy more than `frac` of the arena.
     pub fn should_collect(&self, frac: f64) -> bool {
         self.wasted > 0 && (self.wasted as f64) > (self.data.len() as f64) * frac
@@ -306,7 +300,7 @@ mod tests {
         let mut db = ClauseDb::new();
         let c0 = db.add(&[lit(1), lit(-2)], false, 0);
         let c1 = db.add(&[lit(2), lit(3), lit(4)], true, 2);
-        assert_eq!(db.len(), 2);
+        assert_eq!(db.num_clauses, 2);
         assert_eq!(db.lits_vec(c0), vec![lit(1), lit(-2)]);
         assert_eq!(db.len_of(c0), 2);
         assert!(!db.is_learnt(c0));
@@ -315,11 +309,11 @@ mod tests {
         assert!(!db.is_deleted(c0));
         db.mark_deleted(c0);
         assert!(db.is_deleted(c0));
-        assert_eq!(db.len(), 1);
+        assert_eq!(db.num_clauses, 1);
         assert_eq!(db.wasted, 5);
         // Double delete is a no-op.
         db.mark_deleted(c0);
-        assert_eq!(db.len(), 1);
+        assert_eq!(db.num_clauses, 1);
         assert_eq!(db.wasted, 5);
         // The other clause is untouched.
         assert_eq!(db.lits_vec(c1), vec![lit(2), lit(3), lit(4)]);
@@ -368,7 +362,7 @@ mod tests {
         assert!(db.is_learnt(n1) && db.is_learnt(n2));
         // The first survivor now sits at the start of the arena.
         assert_eq!(n1.index(), 0);
-        assert_eq!(db.len(), 2);
+        assert_eq!(db.num_clauses, 2);
     }
 
     #[test]

@@ -42,16 +42,6 @@ impl VarOrderHeap {
         VarOrderHeap::default()
     }
 
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     pub fn contains(&self, var: Var) -> bool {
         var.index() < self.positions.len() && self.positions[var.index()] != ABSENT
     }
@@ -234,7 +224,7 @@ mod tests {
                         }
                     }
                 }
-                prop_assert_eq!(heap.len(), members.iter().filter(|&&m| m).count());
+                prop_assert_eq!(heap.heap.len(), members.iter().filter(|&&m| m).count());
             }
             let expected = key_order(&members, &activity);
             let drained: Vec<u32> =
@@ -250,11 +240,11 @@ mod tests {
         for i in 0..4 {
             heap.insert(Var::new(i), &activity);
         }
-        assert_eq!(heap.len(), 4);
+        assert_eq!(heap.heap.len(), 4);
         let order: Vec<u32> =
             std::iter::from_fn(|| heap.pop_max(&activity).map(Var::raw)).collect();
         assert_eq!(order, vec![1, 3, 2, 0]);
-        assert!(heap.is_empty());
+        assert!(heap.heap.is_empty());
     }
 
     #[test]
@@ -275,7 +265,7 @@ mod tests {
         let mut heap = VarOrderHeap::new();
         heap.insert(Var::new(0), &activity);
         heap.insert(Var::new(0), &activity);
-        assert_eq!(heap.len(), 1);
+        assert_eq!(heap.heap.len(), 1);
     }
 
     #[test]
@@ -350,7 +340,7 @@ mod tests {
             heap.insert(Var::new(i), &activity);
         }
         heap.rebuild(&activity);
-        assert_eq!(heap.len(), 3);
+        assert_eq!(heap.heap.len(), 3);
         assert_eq!(heap.pop_max(&activity), Some(Var::new(1)));
     }
 }

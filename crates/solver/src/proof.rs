@@ -143,18 +143,6 @@ impl ProofLogger {
         &self.steps
     }
 
-    /// Number of steps logged so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// `true` when nothing has been logged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
     /// `true` when the log already ends in the empty clause (the persistent
     /// stream of a root-level UNSAT solver).
     #[must_use]
@@ -188,10 +176,10 @@ mod tests {
     #[test]
     fn logger_records_and_certifies() {
         let mut log = ProofLogger::new();
-        assert!(log.is_empty());
+        assert!(log.steps.is_empty());
         log.push_addition(vec![lit(1), lit(-2)], Arc::from([]));
         log.delete(vec![lit(3)]);
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.steps.len(), 2);
         assert!(!log.ends_in_empty_clause());
         let closed = log.certificate();
         assert_eq!(closed.len(), 3);

@@ -348,12 +348,6 @@ impl Solver {
         self.assigns.len() / 2
     }
 
-    /// Number of problem (non-learnt) clauses currently attached.
-    #[must_use]
-    pub fn num_clauses(&self) -> usize {
-        self.original.len()
-    }
-
     /// Cumulative statistics over all solve calls.
     #[must_use]
     pub fn stats(&self) -> &SolverStats {
@@ -420,13 +414,6 @@ impl Solver {
     #[must_use]
     pub fn conflict_counts(&self) -> &[u64] {
         &self.conflict_counts
-    }
-
-    /// Creates a fresh variable and returns it.
-    pub fn new_var(&mut self) -> Var {
-        let v = Var::new(self.num_vars() as u32);
-        self.ensure_vars(v.index() + 1);
-        v
     }
 
     /// Ensures the solver knows at least `n` variables: every per-variable

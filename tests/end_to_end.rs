@@ -5,8 +5,8 @@
 
 use pdsat::ciphers::{Bivium, Grain, Instance, InstanceBuilder, StreamCipher, A51};
 use pdsat::core::{
-    Annealing, AnnealingConfig, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, FamilySolver,
-    SearchDriver, SearchLimits, SearchSpace, SolveModeConfig, Tabu, TabuConfig,
+    Annealing, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, FamilySolver, SearchDriver,
+    SearchLimits, SearchSpace, SolveModeConfig, Tabu, TabuConfig,
 };
 use rand::SeedableRng;
 
@@ -140,7 +140,7 @@ fn simulated_annealing_and_tabu_find_comparable_sets() {
     let driver = SearchDriver::new(DriverConfig { limits, seed: 2 });
 
     let mut eval_sa = evaluator(&instance, 8);
-    let mut annealing = Annealing::new(&AnnealingConfig::default());
+    let mut annealing = Annealing::new();
     let sa_outcome = driver.run(&space, &space.full_point(), &mut annealing, &mut eval_sa);
 
     let mut eval_tabu = evaluator(&instance, 8);

@@ -1,4 +1,5 @@
-//! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`.
+//! Repository lint tasks, run in CI as `cargo run -p xtask -- lint`, and the
+//! `orphans` check that is too slow for CI.
 //!
 //! Ten checks, all over the source tree as text (no compiler plumbing).
 //! They keep the numbers other documents cite them by, so there is no 8:
@@ -11,12 +12,13 @@
 //!    Monte Carlo estimator, so clock reads stay confined to modules gated
 //!    behind `SolverConfig::time_accounting` or explicitly wall-clock-facing
 //!    code.
-//! 3. **knob documentation**: each of the eight config structs
+//! 3. **knob documentation**: each of the seven config structs
 //!    (`SolverConfig`, `BatchConfig`, `SolveModeConfig`, `EvaluatorConfig`,
-//!    `TabuConfig`, `AnnealingConfig`, `LoopbackConfig`,
-//!    `CoordinatorConfig`) has a knob table in DESIGN.md
+//!    `TabuConfig`, `LoopbackConfig`, `CoordinatorConfig`) that has a public
+//!    field has a knob table in DESIGN.md
 //!    — a `` `Name`: `` line followed by a `| Knob | Meaning |` table — whose
-//!    rows are exactly its public fields, and every `` `Name::x` `` DESIGN.md
+//!    rows are exactly its public fields (a struct without one needs no
+//!    table, and a table it has may list none), and every `` `Name::x` `` DESIGN.md
 //!    spells must be a public field that exists, so
 //!    the configuration surface and its documentation cannot drift apart in
 //!    either direction: an option added back fails until it is documented,
@@ -98,6 +100,15 @@
 //!     a name that a used item shares hides an unused one (`Cube::evaluate`
 //!     hid behind `Cnf::evaluate`): what the rule reports has no caller, but
 //!     what it passes may still have none.
+//!
+//! `cargo run -p xtask -- orphans` sees through that, with the compiler: a
+//! tool to run after a refactor, not a CI check (several minutes). It copies
+//! the tree to `target/xtask-orphans/tree` and, one at a time, renames each
+//! public item of rule 11 whose name another declaration shares (an item, a
+//! field, a parameter, a binding) or is a common `std` method, then runs
+//! `cargo check --all-targets` on the workspace and on `benchmark/`. An item
+//! whose rename breaks nothing outside its own file's tests is printed, unless
+//! `ORPHANS_KEPT` lists it with a reason. It prints nothing on a clean tree.
 
 #![forbid(unsafe_code)]
 
@@ -108,8 +119,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
+        Some("orphans") => orphans(),
         _ => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo run -p xtask -- lint | orphans");
             ExitCode::from(2)
         }
     }
@@ -269,14 +281,26 @@ fn check_clock_discipline(root: &Path, errors: &mut Vec<String>) {
     }
 }
 
-/// Public field names of a `pub struct <name>` block in the given file.
+/// Public field names of a `pub struct <name>` in the given file: none for a
+/// unit struct (`pub struct Name;`) or an empty one.
 fn pub_fields(path: &Path, struct_name: &str) -> Result<Vec<String>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let header = format!("pub struct {struct_name} {{");
+    let header = format!("pub struct {struct_name}");
     let start = text
-        .find(&header)
-        .ok_or_else(|| format!("{}: `{header}` not found", path.display()))?;
-    let body = &text[start + header.len()..];
+        .match_indices(&header)
+        .find(|&(at, _)| !text[at + header.len()..].starts_with(is_ident))
+        .ok_or_else(|| format!("{}: `{header}` not found", path.display()))?
+        .0;
+    let rest = text[start + header.len()..].trim_start();
+    if rest.starts_with(';') {
+        return Ok(Vec::new());
+    }
+    let body = rest
+        .strip_prefix('{')
+        .ok_or_else(|| format!("{}: `{header}` has no field block", path.display()))?;
+    if body.trim_start().starts_with('}') {
+        return Ok(Vec::new());
+    }
     let end = body
         .find("\n}")
         .ok_or_else(|| format!("{}: unterminated struct {struct_name}", path.display()))?;
@@ -302,13 +326,12 @@ fn pub_fields(path: &Path, struct_name: &str) -> Result<Vec<String>, String> {
 }
 
 /// The config structs DESIGN.md gives a knob table, and where each lives.
-const KNOB_SOURCES: [(&str, &str); 8] = [
+const KNOB_SOURCES: [(&str, &str); 7] = [
     ("crates/solver/src/config.rs", "SolverConfig"),
     ("crates/pdsat-core/src/oracle.rs", "BatchConfig"),
     ("crates/pdsat-core/src/solve_mode.rs", "SolveModeConfig"),
     ("crates/pdsat-core/src/predict.rs", "EvaluatorConfig"),
     ("crates/pdsat-core/src/tabu.rs", "TabuConfig"),
-    ("crates/pdsat-core/src/anneal.rs", "AnnealingConfig"),
     ("crates/distrib/src/transport.rs", "LoopbackConfig"),
     ("crates/distrib/src/coordinator.rs", "CoordinatorConfig"),
 ];
@@ -357,6 +380,8 @@ fn check_knob_table(
     errors: &mut Vec<String>,
 ) {
     match knob_table(design, struct_name) {
+        // A struct without fields has no knobs to document.
+        None if fields.is_empty() => {}
         None => errors.push(format!(
             "DESIGN.md: no knob table for {struct_name} (a `{struct_name}`: line \
              followed by a | Knob | Meaning | table)"
@@ -773,26 +798,60 @@ fn check_public_items_have_callers(root: &Path, errors: &mut Vec<String>) {
     check_callers(root, &UNCALLED, errors);
 }
 
+/// Every file that can call a public item, as rule 11 and `orphans` read it.
+struct Sources {
+    files: Vec<Source>,
+    /// Each file's out-of-line test modules, by index.
+    test_modules: Vec<Vec<usize>>,
+}
+
+impl Sources {
+    fn read(root: &Path) -> Sources {
+        let mut paths = Vec::new();
+        for dir in ["crates", "src", "examples", "tests", "benchmark/src"] {
+            rust_files(&root.join(dir), &mut paths);
+        }
+        let files: Vec<Source> = paths.iter().map(|p| Source::read(root, p)).collect();
+        let test_modules = files
+            .iter()
+            .map(|s| {
+                let modules = s.test_module_files();
+                (0..files.len())
+                    .filter(|&g| modules.contains(&files[g].path))
+                    .collect()
+            })
+            .collect();
+        Sources {
+            files,
+            test_modules,
+        }
+    }
+
+    /// The file, line and name of every public item of a library crate.
+    fn library_items(&self) -> Vec<(usize, usize, &str)> {
+        let mut items = Vec::new();
+        for (f, source) in self.files.iter().enumerate() {
+            if !source.is_library() || self.test_modules.iter().any(|t| t.contains(&f)) {
+                continue;
+            }
+            let code = &source.code[..line_start(&source.code, source.test_from)];
+            items.extend(public_items(code).into_iter().map(|(l, name)| (f, l, name)));
+        }
+        items
+    }
+
+    /// Whether line `m` of file `g` is in file `f`'s own test module.
+    fn in_own_tests(&self, f: usize, g: usize, m: usize) -> bool {
+        g == f && m >= self.files[f].test_from || self.test_modules[f].contains(&g)
+    }
+}
+
 /// Rule 11 over the tree at `root`, with `allowlist` as its exceptions.
 fn check_callers(root: &Path, allowlist: &[(&str, &str, &str)], errors: &mut Vec<String>) {
-    let mut paths = Vec::new();
-    for dir in ["crates", "src", "examples", "tests", "benchmark/src"] {
-        rust_files(&root.join(dir), &mut paths);
-    }
-    let sources: Vec<Source> = paths.iter().map(|p| Source::read(root, p)).collect();
-    // Each file's out-of-line test modules, by index.
-    let test_modules: Vec<Vec<usize>> = sources
-        .iter()
-        .map(|s| {
-            let files = s.test_module_files();
-            (0..sources.len())
-                .filter(|&g| files.contains(&sources[g].path))
-                .collect()
-        })
-        .collect();
+    let sources = Sources::read(root);
     // Where each identifier is spelled, `pub use` statements left out.
     let mut spelled: std::collections::HashMap<&str, Vec<(usize, usize)>> = Default::default();
-    for (f, source) in sources.iter().enumerate() {
+    for (f, source) in sources.files.iter().enumerate() {
         let mut in_pub_use = false;
         for (i, line) in source.code.lines().enumerate() {
             let statement = line.trim_start();
@@ -807,46 +866,307 @@ fn check_callers(root: &Path, allowlist: &[(&str, &str, &str)], errors: &mut Vec
             }
         }
     }
-    let mut listed = vec![false; allowlist.len()];
-    for (f, source) in sources.iter().enumerate() {
-        if !source.is_library() || test_modules.iter().any(|t| t.contains(&f)) {
-            continue;
-        }
-        let code = &source.code[..line_start(&source.code, source.test_from)];
-        for (line, name) in public_items(code) {
-            let own_tests = |g: usize, m: usize| {
-                g == f && m >= source.test_from || test_modules[f].contains(&g)
-            };
+    let items: Vec<(&str, usize, &str, bool)> = sources
+        .library_items()
+        .into_iter()
+        .map(|(f, line, name)| {
             let called = spelled.get(name).is_some_and(|at| {
                 at.iter()
-                    .any(|&(g, m)| (g, m) != (f, line) && !own_tests(g, m))
+                    .any(|&(g, m)| (g, m) != (f, line) && !sources.in_own_tests(f, g, m))
             });
-            let entry = allowlist
-                .iter()
-                .position(|&(file, item, _)| file == source.path && item == name);
-            let at = format!("{}:{}: {name}", source.path, line + 1);
-            match (called, entry) {
-                (false, None) => errors.push(format!(
-                    "{at}: a public item nothing calls outside its own file's tests; delete it \
-                     with the tests that only exercise it, or allowlist it with a reason"
-                )),
-                (true, Some(_)) => errors.push(format!(
-                    "{at}: has a caller now; remove its rule 11 allowlist entry"
-                )),
-                _ => {}
+            (sources.files[f].path.as_str(), line, name, called)
+        })
+        .collect();
+    let advice = "a public item nothing calls outside its own file's tests; delete it with the \
+                  tests that only exercise it, or allowlist it with a reason";
+    errors.extend(uncalled_items(
+        &items,
+        allowlist,
+        "rule 11 allowlist",
+        advice,
+    ));
+}
+
+/// The findings of a no-caller check over `items` (file, line, name and
+/// whether code outside the item's own tests calls it), with `allowlist`,
+/// named `list` in the messages, as its exceptions: an uncalled item the list
+/// does not hold, a listed item that has a caller, and an entry that matches
+/// no item.
+fn uncalled_items(
+    items: &[(&str, usize, &str, bool)],
+    allowlist: &[(&str, &str, &str)],
+    list: &str,
+    advice: &str,
+) -> Vec<String> {
+    let mut errors = Vec::new();
+    let mut listed = vec![false; allowlist.len()];
+    for &(path, line, name, called) in items {
+        let entry = allowlist
+            .iter()
+            .position(|&(file, item, _)| file == path && item == name);
+        let at = format!("{path}:{}: {name}", line + 1);
+        match (called, entry) {
+            (false, None) => errors.push(format!("{at}: {advice}")),
+            (true, Some(_)) => {
+                errors.push(format!("{at}: has a caller now; remove its {list} entry"));
             }
-            if let Some(e) = entry {
-                listed[e] = true;
-            }
+            _ => {}
+        }
+        if let Some(e) = entry {
+            listed[e] = true;
         }
     }
     for ((file, name, _), listed) in allowlist.iter().zip(listed) {
         if !listed {
             errors.push(format!(
-                "{file}: {name}: rule 11 allowlists a public item that is gone; remove the entry"
+                "{file}: {name}: the {list} lists an item that is gone or that the check does \
+                 not cover; remove the entry"
             ));
         }
     }
+    errors
+}
+
+/// `orphans`' exceptions: public items of a library crate whose name a used
+/// item shares, that nothing outside their own tests calls and that stay,
+/// as `(file, name, reason)`.
+const ORPHANS_KEPT: [(&str, &str, &str); 1] = [(
+    "crates/cnf/src/cube.rs",
+    "is_empty",
+    "clippy's `len_without_is_empty` asks for it beside `Cube::len`, which `LitBuffer::write` calls",
+)];
+
+/// `std` method names common enough that an item taking one hides behind
+/// every call of the `std` method.
+const STD_METHODS: [&str; 36] = [
+    "as_slice", "as_str", "capacity", "clear", "contains", "count", "default", "extend", "find",
+    "first", "flush", "get", "get_mut", "insert", "is_empty", "iter", "iter_mut", "join", "keys",
+    "last", "len", "max", "min", "new", "next", "parse", "path", "pop", "push", "read", "remove",
+    "retain", "sort", "take", "values", "write",
+];
+
+/// The `cargo check` arguments of the workspace and of `benchmark/`, the
+/// package outside it.
+const CHECKS: [&[&str]; 2] = [
+    &["--workspace"],
+    &["--manifest-path", "benchmark/Cargo.toml"],
+];
+
+/// `cargo run -p xtask -- orphans` (see the module documentation): prints
+/// each finding and exits 1, or prints nothing and exits 0.
+fn orphans() -> ExitCode {
+    let root = repo_root();
+    let scratch = root.join("target").join("xtask-orphans");
+    let probe = Probe {
+        cargo: std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()),
+        tree: scratch.join("tree"),
+        target: scratch.join("target"),
+    };
+    // The copy is under `target/`, which `copy_tree` leaves out.
+    let _ = std::fs::remove_dir_all(&probe.tree);
+    let found = copy_tree(&root, &probe.tree)
+        .map_err(|e| format!("copying the tree: {e}"))
+        .and_then(|()| find_orphans(&probe, &ORPHANS_KEPT));
+    match found {
+        Ok(found) if found.is_empty() => ExitCode::SUCCESS,
+        Ok(found) => {
+            for line in found {
+                println!("{line}");
+            }
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("xtask orphans: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `orphans` over the copy in `probe`, with `kept` as its exceptions.
+fn find_orphans(probe: &Probe, kept: &[(&str, &str, &str)]) -> Result<Vec<String>, String> {
+    let sources = Sources::read(&probe.tree);
+    for args in CHECKS {
+        if !probe.errors(args)?.is_empty() {
+            return Err(format!(
+                "`cargo check {}` fails on the tree",
+                args.join(" ")
+            ));
+        }
+    }
+    let mut items = Vec::new();
+    for (f, line, name) in shared_name_items(&sources) {
+        let called = probe.has_caller(&sources, (f, line, name))?;
+        items.push((sources.files[f].path.as_str(), line, name, called));
+    }
+    let advice = "renaming it breaks nothing outside its own file's tests; delete it with the \
+                  tests that only exercise it, or keep it in ORPHANS_KEPT with a reason";
+    Ok(uncalled_items(&items, kept, "ORPHANS_KEPT", advice))
+}
+
+/// The public items of library crates whose name is a common `std` method
+/// or is declared more than once in the tree.
+fn shared_name_items(sources: &Sources) -> Vec<(usize, usize, &str)> {
+    let mut declared: std::collections::HashMap<&str, usize> = Default::default();
+    for source in &sources.files {
+        for name in declared_names(&source.code) {
+            *declared.entry(name).or_default() += 1;
+        }
+    }
+    let shared = |name: &str| declared.get(name).is_some_and(|&n| n > 1);
+    sources
+        .library_items()
+        .into_iter()
+        .filter(|&(_, _, name)| shared(name) || STD_METHODS.contains(&name))
+        .collect()
+}
+
+/// Every name `code` declares: the word after `fn`, `const`, `static`, `let`
+/// or `mut`, a word before a single `:` (a field, a parameter, a binding's
+/// type) and every enum variant.
+fn declared_names(code: &str) -> Vec<&str> {
+    let mut names = Vec::new();
+    for (i, line) in code.lines().enumerate() {
+        let mut previous = "";
+        let mut rest = line;
+        while let Some(start) = rest.find(is_ident) {
+            let tail = &rest[start..];
+            let len = tail.find(|c: char| !is_ident(c)).unwrap_or(tail.len());
+            let (word, after) = tail.split_at(len);
+            let typed = after.trim_start().strip_prefix(':');
+            let declares = matches!(previous, "fn" | "const" | "static" | "let" | "mut")
+                || typed.is_some_and(|t| !t.starts_with(':'));
+            if declares && word.starts_with(|c: char| c.is_alphabetic() || c == '_') {
+                names.push(word);
+            }
+            if word == "enum" {
+                names.extend(enum_variants(code, i).into_iter().map(|(_, name)| name));
+            }
+            previous = word;
+            rest = after;
+        }
+    }
+    names
+}
+
+/// A scratch copy of the tree and the target directory of its checks.
+struct Probe {
+    cargo: String,
+    tree: PathBuf,
+    target: PathBuf,
+}
+
+impl Probe {
+    /// The file and line of every error `cargo check` reports in the copy
+    /// with `args`, or its output if it failed without a located error.
+    fn errors(&self, args: &[&str]) -> Result<Vec<(String, usize)>, String> {
+        let output = std::process::Command::new(&self.cargo)
+            .args([
+                "check",
+                "--offline",
+                "--quiet",
+                "--all-targets",
+                "--keep-going",
+            ])
+            .args(["--message-format", "short"])
+            .args(args)
+            .current_dir(&self.tree)
+            .env("CARGO_TARGET_DIR", &self.target)
+            .output()
+            .map_err(|e| format!("running {}: {e}", self.cargo))?;
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        let errors: Vec<(String, usize)> = stderr.lines().filter_map(error_location).collect();
+        if output.status.success() || !errors.is_empty() {
+            Ok(errors)
+        } else {
+            Err(format!(
+                "`cargo check {}` failed:\n{stderr}",
+                args.join(" ")
+            ))
+        }
+    }
+
+    /// Whether code outside its own file's tests names `item`: its
+    /// definition is renamed in the copy, the workspace and `benchmark/`
+    /// are checked, and the file is put back. A call the rename sends to a
+    /// trait method of the same name, or a doc example, is not seen.
+    fn has_caller(&self, sources: &Sources, item: (usize, usize, &str)) -> Result<bool, String> {
+        let (f, line, name) = item;
+        let source = &sources.files[f];
+        let path = self.tree.join(&source.path);
+        let io = |e: std::io::Error| format!("{}: {e}", path.display());
+        let text = std::fs::read_to_string(&path).map_err(io)?;
+        std::fs::write(&path, rename_at(&text, &source.code, line, name)).map_err(io)?;
+        let outside = |(file, at): &(String, usize)| {
+            let g = sources.files.iter().position(|s| &s.path == file);
+            !g.is_some_and(|g| sources.in_own_tests(f, g, at.saturating_sub(1)))
+        };
+        let called = self.errors(CHECKS[0]).and_then(|errors| {
+            if errors.iter().any(outside) {
+                return Ok(true);
+            }
+            // Everything the package outside the workspace compiles is
+            // non-test code of the libraries or the package's own.
+            self.errors(CHECKS[1]).map(|errors| !errors.is_empty())
+        });
+        std::fs::write(&path, text).map_err(io)?;
+        called
+    }
+}
+
+/// The file and line of an error in `cargo check --message-format short`
+/// output (`file:line:column: error…`).
+fn error_location(line: &str) -> Option<(String, usize)> {
+    let (at, message) = line.split_once(": ")?;
+    if !message.starts_with("error") {
+        return None;
+    }
+    let mut parts = at.rsplitn(3, ':');
+    let (_column, line, file) = (parts.next()?, parts.next()?, parts.next()?);
+    Some((file.to_string(), line.parse().ok()?))
+}
+
+/// `text` with the first whole `name` on line `line` renamed, where `code`
+/// is `code_only(text)` (one char for each of `text`'s).
+fn rename_at(text: &str, code: &str, line: usize, name: &str) -> String {
+    let code_line = &code[line_start(code, line)..];
+    let code_line = code_line.split('\n').next().unwrap_or(code_line);
+    let column = code_line
+        .match_indices(name)
+        .find(|&(at, _)| {
+            !code_line[..at].ends_with(is_ident)
+                && !code_line[at + name.len()..].starts_with(is_ident)
+        })
+        .map_or(0, |(at, _)| code_line[..at].chars().count());
+    let start = line_start(text, line);
+    let at = text[start..]
+        .char_indices()
+        .nth(column)
+        .map_or(text.len(), |(at, _)| start + at);
+    format!(
+        "{}{name}_xtask_orphan{}",
+        &text[..at],
+        &text[at + name.len()..]
+    )
+}
+
+/// Copies a file, or a directory without its `target` and hidden entries.
+fn copy_tree(from: &Path, to: &Path) -> std::io::Result<()> {
+    if from.is_dir() {
+        std::fs::create_dir_all(to)?;
+        for entry in std::fs::read_dir(from)? {
+            let name = entry?.file_name();
+            let name = name.to_string_lossy();
+            if name != "target" && !name.starts_with('.') {
+                copy_tree(&from.join(&*name), &to.join(&*name))?;
+            }
+        }
+    } else if from.is_file() {
+        if let Some(dir) = to.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::copy(from, to)?;
+    }
+    Ok(())
 }
 
 /// Whether `c` can be part of an identifier.
@@ -1061,31 +1381,37 @@ mod tests {
 
     #[test]
     fn a_knob_table_lists_exactly_the_public_fields() {
-        let fields = ["cooling_factor".to_string()];
+        let fields = ["sample_size".to_string()];
         let errors = |design: &str| {
             let mut errors = Vec::new();
-            check_knob_table(design, "anneal.rs", "AnnealingConfig", &fields, &mut errors);
+            check_knob_table(
+                design,
+                "predict.rs",
+                "EvaluatorConfig",
+                &fields,
+                &mut errors,
+            );
             errors
         };
-        let table = "`AnnealingConfig`:\n\n| Knob | Meaning |\n|---|---|\n\
-                     | `cooling_factor` | `Q`: `T_{i+1} = Q · T_i`. |\n";
+        let table = "`EvaluatorConfig`:\n\n| Knob | Meaning |\n|---|---|\n\
+                     | `sample_size` | `N`. |\n";
         assert_eq!(errors(table), Vec::<String>::new());
         // An option added back without a row, a row left behind by a deleted
         // option, a field spelled in prose that does not exist, no table.
         let missing =
-            errors("`AnnealingConfig`:\n\n| Knob | Meaning |\n|---|---|\n\ncooling_factor\n");
+            errors("`EvaluatorConfig`:\n\n| Knob | Meaning |\n|---|---|\n\nsample_size\n");
         assert!(
-            missing[0].contains("`cooling_factor` is undocumented"),
+            missing[0].contains("`sample_size` is undocumented"),
             "{missing:?}"
         );
         let stale = errors(&format!("{table}| `radius` | ρ. |\n"));
         assert!(stale[0].contains("lists `radius`"), "{stale:?}");
-        let prose = errors(&format!("{table}\nSee `AnnealingConfig::radius`.\n"));
+        let prose = errors(&format!("{table}\nSee `EvaluatorConfig::radius`.\n"));
         assert!(
-            prose[0].contains("`AnnealingConfig::radius` names no"),
+            prose[0].contains("`EvaluatorConfig::radius` names no"),
             "{prose:?}"
         );
-        let untabled = errors("`cooling_factor` is documented in prose only.\n");
+        let untabled = errors("`sample_size` is documented in prose only.\n");
         assert!(untabled[0].contains("no knob table"), "{untabled:?}");
         assert!([missing, stale, prose, untabled]
             .iter()
@@ -1100,15 +1426,27 @@ mod tests {
         tree.write("crates/distrib/src/transport.rs", loopback);
         let coordinator = "pub struct CoordinatorConfig {\n    pub redundancy: u32,\n}\n";
         tree.write("crates/distrib/src/coordinator.rs", coordinator);
-        let design = "`LoopbackConfig`:\n\n| Knob | Meaning |\n|---|---|\n| `seed` | Seed. |\n";
+        // A struct without fields needs no table, as unit or with braces.
+        tree.write(
+            "crates/pdsat-core/src/tabu.rs",
+            "#[derive(Default)]\npub struct TabuConfig;\npub struct Tabu {}\n",
+        );
+        tree.write(
+            "crates/pdsat-core/src/oracle.rs",
+            "pub struct BatchConfig {}\n",
+        );
+        let design = "`LoopbackConfig`:\n\n| Knob | Meaning |\n|---|---|\n| `seed` | Seed. |\n\n\
+                      `BatchConfig`:\n\n| Knob | Meaning |\n|---|---|\n\nSee `TabuConfig::radius`.\n";
         tree.write("DESIGN.md", design);
         let mut errors = Vec::new();
         check_knob_docs(&tree.0, &mut errors);
-        // The seven other structs' files are missing from the temp tree.
+        // The three other structs' files are missing from the temp tree.
         let design: Vec<&String> = errors.iter().filter(|e| e.starts_with("DESIGN")).collect();
-        assert_eq!(design.len(), 2, "{errors:?}");
-        assert!(design[0].contains("LoopbackConfig knob `num_clients` is undocumented"));
-        assert!(design[1].contains("no knob table for CoordinatorConfig"));
+        assert_eq!(design.len(), 3, "{errors:?}");
+        assert!(design[0].contains("`TabuConfig::radius` names no public field"));
+        assert!(design[1].contains("LoopbackConfig knob `num_clients` is undocumented"));
+        assert!(design[2].contains("no knob table for CoordinatorConfig"));
+        assert_eq!(errors.len(), 6, "{errors:?}");
     }
 
     #[test]
@@ -1399,6 +1737,40 @@ mod tests {
                 "crates/pdsat-core/src/oracle.rs:5 LoopbackTransport::with_test_policy",
             ]
         );
+    }
+
+    #[test]
+    fn orphans_probes_shared_names_and_reads_what_cargo_check_reports() {
+        let tree = Tree::new("orphans");
+        tree.write(
+            "crates/a/src/lib.rs",
+            "pub fn unique_name() {}\npub fn len(&self) -> usize { 0 }\n\
+             /* χ */ pub fn config() {}\npub enum Mode {\n    Fast,\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { let config = 1; }\n}\n",
+        );
+        tree.write(
+            "crates/b/src/lib.rs",
+            "pub struct S {\n    pub fast: bool,\n}\nfn f(unique_name2: u8) { let mut Fast = 0; }\n",
+        );
+        let sources = Sources::read(&tree.0);
+        let names: Vec<&str> = shared_name_items(&sources)
+            .iter()
+            .map(|&(_, _, name)| name)
+            .collect();
+        // `len` is a `std` method, the test binding shares `config`, and the
+        // `let mut` binding shares `Fast`; nothing else declares `unique_name`.
+        assert_eq!(names, ["len", "config", "Fast"]);
+
+        let text = std::fs::read_to_string(tree.0.join("crates/a/src/lib.rs")).expect("read");
+        let renamed = rename_at(&text, &code_only(&text), 2, "config");
+        assert!(renamed.contains("/* χ */ pub fn config_xtask_orphan() {}\n"));
+        assert!(renamed.contains("let config = 1;"));
+
+        let stderr = "crates/a/src/lib.rs:9:20: error[E0425]: cannot find function `config`\n\
+                      crates/b/src/lib.rs:4:5: warning: unused variable\n\
+                      error: could not compile `a` (lib test) due to 1 previous error\n";
+        let errors: Vec<_> = stderr.lines().filter_map(error_location).collect();
+        assert_eq!(errors, [("crates/a/src/lib.rs".to_string(), 9)]);
     }
 
     #[test]
