@@ -11,10 +11,12 @@
 //! | Table 3 (weakened BiviumK/GrainK) | [`table3`] | `table3_weakened` |
 //! | §4.2 SAT@home narrative | [`sathome`] | `sathome_sim` |
 //! | §3 design choices: A, annealing vs tabu search; B, sample size `N` vs error | [`ablations`] | `ablations` |
+//! | Eq. (5)'s identically distributed observations: the cost of returning a solver to its load before each cube, against the solve, on A5/1 families of d = 9–18 | — | `fresh_restore` |
 //!
 //! Every experiment uses the deterministic conflict-count cost metric, so the
-//! tables are identical across machines; DESIGN.md's "Benchmark ↔ paper
-//! mapping" relates them to the paper's measurements.
+//! tables are identical across machines (`fresh_restore`'s times aside);
+//! DESIGN.md's "Benchmark ↔ paper mapping" relates them to the paper's
+//! measurements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -34,7 +34,7 @@
 //! fan-out and per-worker stats/conflict-count accumulation merged once per
 //! batch. The unit of work
 //! it schedules is one of two backends:
-//! [`BackendKind::Fresh`] restores a solver per cube
+//! [`BackendKind::Fresh`] rewinds its solver to the loaded formula per cube
 //! (order-independent observations, what the Monte Carlo argument assumes),
 //! while [`BackendKind::Warm`] keeps one incremental solver per worker whose
 //! learnt clauses and VSIDS state carry over across every batch the oracle

@@ -230,9 +230,8 @@ impl CubeOracle {
     /// per worker. Nothing is built yet: each backend is built in the first
     /// batch wide enough to reach its slot, on the calling thread before the
     /// batch's workers start. The slots one batch reaches share one load of
-    /// the formula: warm backends get copies of the loaded solver (the last
-    /// one the loaded solver itself), fresh ones restore from one shared
-    /// template. A slot a later batch first reaches, and the replacement of
+    /// the formula: each backend gets a copy of the loaded solver, the last
+    /// one the loaded solver itself. A slot a later batch first reaches, and the replacement of
     /// a backend that panicked, load the formula again.
     #[must_use]
     pub fn new(cnf: &Cnf, config: BatchConfig) -> CubeOracle {

@@ -45,8 +45,8 @@ pub(crate) struct BackendOutcome {
     /// Conflicts, decisions and propagations attributable to this cube.
     pub counters: CubeCounters,
     /// Wall-clock time of the call, including the per-cube setup the backend
-    /// performs (a fresh backend counts restoring its working solver from
-    /// the loaded template, but not the one-off load itself).
+    /// performs (a fresh backend counts rewinding its solver to the load,
+    /// but not the one-off load itself).
     pub elapsed: Duration,
     /// A DRAT certificate of the UNSAT verdict, checkable against the
     /// *original* formula with the cube's literals seeded as root
@@ -98,8 +98,8 @@ pub(crate) trait CubeBackend: Send {
 /// its workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// Fresh [`Solver`] state per cube: the formula is loaded once and a
-    /// working solver is restored to exactly that state before every cube.
+    /// Fresh [`Solver`] state per cube: the formula is loaded once and the
+    /// solver is rewound to exactly that state before every cube.
     /// Every observation is independent of cube order, which is what the
     /// Monte Carlo argument of the paper assumes (identically distributed
     /// `ζ_j`), so the estimator defaults to it. A cube equal to the one just
@@ -175,35 +175,20 @@ impl BackendSpec {
     }
 
     /// Builds `n` backends (one per worker, each built once for the worker's
-    /// lifetime) from one load of the formula. Warm backends get copies of
-    /// the loaded solver, fresh ones restore from one shared template, and
-    /// the last backend takes the loaded solver itself, so one warm backend
-    /// holds the only solver there is.
+    /// lifetime) from one load of the formula: each gets a copy of the
+    /// loaded solver, and the last one the loaded solver itself, so one
+    /// backend holds the only solver there is.
     pub(crate) fn build_many(self: &Arc<Self>, n: usize) -> Vec<Box<dyn CubeBackend>> {
         let loaded = Solver::from_cnf_with_config(&self.cnf, self.solver_config.clone());
+        let build = |solver| -> Box<dyn CubeBackend> {
+            match self.kind {
+                BackendKind::Warm => Box::new(WarmBackend::new(self, solver)),
+                BackendKind::Fresh => Box::new(FreshBackend::new(Arc::clone(self), solver)),
+            }
+        };
         let mut built: Vec<Box<dyn CubeBackend>> = Vec::with_capacity(n);
-        match self.kind {
-            BackendKind::Warm => {
-                let warm = |solver| Box::new(WarmBackend::new(self, solver));
-                built.extend((1..n).map(|_| warm(loaded.clone()) as Box<dyn CubeBackend>));
-                built.push(warm(loaded));
-            }
-            BackendKind::Fresh => {
-                // The template is a copy: it is allocated at exact size,
-                // while the solver that did the loading keeps the spare
-                // capacity its watch lists grew, which solving would grow
-                // anyway.
-                let template = Arc::new(loaded.clone());
-                let fresh = |working| {
-                    let template = Arc::clone(&template);
-                    Box::new(FreshBackend::new(Arc::clone(self), template, working))
-                };
-                built.extend(
-                    (1..n).map(|_| fresh(Solver::clone(&template)) as Box<dyn CubeBackend>),
-                );
-                built.push(fresh(loaded));
-            }
-        }
+        built.extend((1..n).map(|_| build(loaded.clone())));
+        built.push(build(loaded));
         built
     }
 }
@@ -217,22 +202,20 @@ impl std::fmt::Display for BackendKind {
 /// The fresh-solver backend: every cube is solved from identical solver
 /// state (the property the Monte Carlo estimator needs).
 ///
-/// The formula is loaded **once**, when the backend is built, into a
-/// *template* solver that every fresh backend built from the same load
-/// shares, and the backend's own *working* solver is restored from the
-/// template before each cube with [`Clone::clone_from`], which copies into the
-/// working solver's existing allocations what a solve can change — the
-/// clause arena, the long-clause watch lists, the assignment and the
-/// heuristics — and shares the watchers of the loaded binary and ternary
-/// clauses, which nothing writes. A cube therefore starts from a memcpy of
-/// the loaded formula's mutable state instead of re-parsing and re-attaching
-/// every clause, and the working solver's counters after the solve are the cube's
-/// own — the load's root propagations included, exactly as a solver rebuilt
-/// per cube reports them.
+/// The formula is loaded **once**, when the backend is built, and the
+/// backend's one solver is rewound to the state that load left before each
+/// cube with [`Solver::rewind`], which undoes what the last cube changed —
+/// its trail, its learnt clauses and their watch lists, its proof steps and
+/// the heuristics it moved — and leaves the loaded clauses where they are.
+/// A cube therefore starts from the loaded formula at the cost of what the
+/// previous cube touched, instead of re-parsing and re-attaching every
+/// clause or copying the loaded state, and the solver's counters after the
+/// solve are the cube's own — the load's root propagations included,
+/// exactly as a solver rebuilt per cube reports them.
 ///
 /// A cube equal to the one just solved, with the interrupt flag down, is
-/// not solved again: the working solver still holds exactly the state that
-/// solve left, so its counters, conflict participation, statistics and
+/// not solved again: the solver still holds exactly the state that solve
+/// left, so its counters, conflict participation, statistics and
 /// certificate are read again as they are, beside the verdict and wall time
 /// kept from the solve. The estimator's
 /// samples are drawn with replacement and grouped before they are
@@ -245,14 +228,11 @@ pub(crate) struct FreshBackend {
     batch_stats: SolverStats,
 }
 
-/// The loaded formula and the solver the cubes actually run on.
+/// The solver the cubes run on, and what it last solved.
 struct Resident {
-    /// Shared with the other fresh backends built from the same load;
-    /// nothing writes it.
-    template: Arc<Solver>,
     working: Solver,
     /// The solve `working` holds the end state of. Kept across batches: the
-    /// template never changes.
+    /// load a rewind returns to never changes.
     last: LastSolve,
 }
 
@@ -268,7 +248,7 @@ struct LastSolve {
 }
 
 impl Resident {
-    /// Restores `working` and solves `cube` on it — or, for a repeat of the
+    /// Rewinds `working` and solves `cube` on it — or, for a repeat of the
     /// last solve, returns that solve's verdict and wall time with `working`
     /// untouched.
     fn solve(
@@ -284,7 +264,7 @@ impl Resident {
         }
         self.last.answer = None;
         let start = measure_wall_time.then(Instant::now);
-        self.working.clone_from(&self.template);
+        self.working.rewind();
         let verdict = self
             .working
             .solve_limited(cube, &Budget::unlimited(), Some(interrupt));
@@ -300,13 +280,12 @@ impl Resident {
 }
 
 impl FreshBackend {
-    /// Creates the backend over a loaded `template` and a `working` solver
-    /// in the template's state.
-    fn new(spec: Arc<BackendSpec>, template: Arc<Solver>, working: Solver) -> FreshBackend {
+    /// Creates the backend around `working`, loaded with the formula and
+    /// not yet used.
+    fn new(spec: Arc<BackendSpec>, working: Solver) -> FreshBackend {
         FreshBackend {
             spec,
             resident: Resident {
-                template,
                 working,
                 last: LastSolve {
                     cube: Vec::new(),
@@ -326,15 +305,15 @@ impl CubeBackend for FreshBackend {
         conflict_acc: &mut [u64],
     ) -> BackendOutcome {
         // The load happened when the backend was built, so every wall-time
-        // observation of a backend's life is distributed alike: restore +
+        // observation of a backend's life is distributed alike: rewind +
         // solve.
         let resident = &mut self.resident;
         let (verdict, elapsed) = resident.solve(cube, interrupt, self.spec.measure_wall_time);
         let working = &resident.working;
         let counters = CubeCounters::of(working.stats());
-        // The template accumulates no conflict participation (loading runs
-        // no conflict analysis), so the working solver's counters are
-        // entirely this cube's — and all zero when it met no conflict.
+        // The load runs no conflict analysis and a rewind zeroes what a
+        // cube's conflicts counted, so the solver's counts are entirely
+        // this cube's — and all zero when it met no conflict.
         if counters.conflicts > 0 {
             for (acc, &c) in conflict_acc.iter_mut().zip(working.conflict_counts()) {
                 *acc += c;
@@ -467,7 +446,7 @@ mod tests {
     /// A fresh backend of its own load, unboxed.
     fn fresh(spec: Arc<BackendSpec>) -> FreshBackend {
         let loaded = Solver::from_cnf_with_config(&spec.cnf, spec.solver_config.clone());
-        FreshBackend::new(spec, Arc::new(loaded.clone()), loaded)
+        FreshBackend::new(spec, loaded)
     }
 
     #[test]
@@ -602,8 +581,7 @@ mod tests {
     }
 
     /// Backends built from one load answer every cube as one built alone
-    /// does: the copies, the shared template and the loaded solver itself
-    /// are all the same state.
+    /// does: the copies and the loaded solver itself are all the same state.
     #[test]
     fn backends_built_from_one_load_answer_like_one_built_alone() {
         let set = [Var::new(0), Var::new(7), Var::new(13)];

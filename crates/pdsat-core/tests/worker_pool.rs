@@ -531,9 +531,9 @@ fn with_proofs(backend: BackendKind, workers: usize) -> BatchConfig {
 
 #[test]
 fn pools_built_from_one_load_answer_like_one_worker() {
-    // The slots of a first batch share one load: warm slots get copies of
-    // the loaded solver, fresh ones one template. Either way every slot must
-    // start where a solver of its own would.
+    // The slots of a first batch share one load: every slot but the last
+    // gets a copy of the loaded solver. Either way every slot must start
+    // where a solver of its own would.
     let (chains, chain_cubes) = history_free_family(24, 9);
     let (skewed, skewed_cubes) = skewed_family();
     let cases = [

@@ -103,6 +103,13 @@ impl ClauseRef {
     }
 }
 
+/// The extent of a [`ClauseDb`] at some moment, for [`ClauseDb::truncate`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ArenaMark {
+    words: usize,
+    clauses: usize,
+}
+
 /// Arena of clauses (original and learnt).
 #[derive(Debug, Default)]
 pub(crate) struct ClauseDb {
@@ -228,6 +235,38 @@ impl ClauseDb {
     /// Copies the literals of the clause into a fresh `Vec` (cold paths only).
     pub fn lits_vec(&self, cref: ClauseRef) -> Vec<Lit> {
         (0..self.len_of(cref)).map(|k| self.lit(cref, k)).collect()
+    }
+
+    /// The literal words of the clause, as [`lit`](Self::lit) reads them.
+    pub fn literal_words(&self, cref: ClauseRef) -> &[u32] {
+        let base = cref.index() + HEADER_WORDS as usize;
+        &self.data[base..base + self.len_of(cref)]
+    }
+
+    /// The literal words of the clause, to write back a copy of
+    /// [`literal_words`](Self::literal_words).
+    pub fn literal_words_mut(&mut self, cref: ClauseRef) -> &mut [u32] {
+        let base = cref.index() + HEADER_WORDS as usize;
+        let len = self.len_of(cref);
+        &mut self.data[base..base + len]
+    }
+
+    /// The arena's extent now. Nothing in it is deleted yet.
+    pub fn mark(&self) -> ArenaMark {
+        debug_assert_eq!(self.wasted, 0);
+        ArenaMark {
+            words: self.data.len(),
+            clauses: self.num_clauses,
+        }
+    }
+
+    /// Drops every clause added after `mark`. Exact as long as no clause
+    /// before the mark was deleted since: then a collection moved none of
+    /// them either, and every tombstone lies after the mark.
+    pub fn truncate(&mut self, mark: ArenaMark) {
+        self.data.truncate(mark.words);
+        self.num_clauses = mark.clauses;
+        self.wasted = 0;
     }
 
     /// Tombstones the clause; the arena words are reclaimed by the next

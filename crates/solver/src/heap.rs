@@ -77,6 +77,16 @@ impl VarOrderHeap {
         self.heap.extend(vars.start as u32..vars.end as u32);
     }
 
+    /// Makes the heap hold the variables `0..n`, each in the slot of its
+    /// index: the layout `append_new(0..n)` gives an empty heap, and a valid
+    /// one while every activity is equal.
+    pub fn reset(&mut self, n: usize) {
+        self.heap.clear();
+        self.heap.extend(0..n as u32);
+        self.positions.clear();
+        self.positions.extend(0..n as u32);
+    }
+
     /// Removes and returns the variable with maximal activity.
     pub fn pop_max(&mut self, activity: &[f64]) -> Option<Var> {
         if self.heap.is_empty() {

@@ -40,6 +40,13 @@ use crate::clause_db::{ClauseDb, ClauseRef};
 use pdsat_cnf::{DratProof, DratStep, Lit, Var};
 use std::sync::Arc;
 
+/// A position of a [`ProofLogger`], for [`ProofLogger::truncate`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ProofMark {
+    steps: usize,
+    next_id: u32,
+}
+
 /// An in-memory DRAT sink owned by the solver.
 #[derive(Debug, Clone, Default)]
 pub struct ProofLogger {
@@ -118,6 +125,23 @@ impl ProofLogger {
     pub(crate) fn retain_learnts(&mut self, learnts: &[ClauseRef], db: &ClauseDb) {
         let mut live = learnts.iter().map(|&c| !db.is_deleted(c));
         self.learnt_ids.retain(|_| live.next() == Some(true));
+    }
+
+    /// The log's position now, while the solver holds no learnt clause.
+    pub(crate) fn mark(&self) -> ProofMark {
+        debug_assert!(self.learnt_ids.is_empty());
+        ProofMark {
+            steps: self.steps.len(),
+            next_id: self.next_id,
+        }
+    }
+
+    /// Forgets everything logged after `mark`, the ids of learnt clauses
+    /// with it: the log of a solver rewound to where the mark was taken.
+    pub(crate) fn truncate(&mut self, mark: ProofMark) {
+        self.steps.truncate(mark.steps);
+        self.next_id = mark.next_id;
+        self.learnt_ids.clear();
     }
 
     /// Records the addition of the empty clause (the formula, together with

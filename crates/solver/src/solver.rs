@@ -3,6 +3,7 @@
 mod analyze;
 mod propagate;
 mod reduce;
+mod rewind;
 mod trail;
 
 use crate::clause_db::{ClauseDb, ClauseRef};
@@ -13,6 +14,7 @@ use crate::proof::ProofLogger;
 use crate::{Budget, InterruptFlag, SolverConfig, SolverStats};
 use pdsat_cnf::{Assignment, Cnf, DratProof, DratStep, Lit, Value, Var};
 use propagate::{SpareLists, WatchHandle, WatchTable};
+use rewind::LoadMark;
 use std::sync::Arc;
 use std::time::Instant;
 use trail::VarData;
@@ -96,10 +98,12 @@ enum SearchStatus {
 /// }
 /// ```
 ///
-/// The solver is `Clone`, and `clone_from` restores in place: a loaded
-/// instance serves as a template that a working solver is reset to before
-/// each sub-problem, so loading is paid once per formula instead of once per
-/// cube, and the reset itself reuses the working solver's allocations.
+/// [`rewind`](Solver::rewind) returns a solver to the state its load left,
+/// undoing only what the solve calls since changed, so one loaded solver
+/// serves every sub-problem from identical state: loading is paid once per
+/// formula, and a rewind costs what the last cube touched. The solver is
+/// also `Clone`, and `clone_from` copies in place into the allocations the
+/// target already owns.
 pub struct Solver {
     config: SolverConfig,
     /// Production unless a test set another (`set_test_policy`).
@@ -114,9 +118,14 @@ pub struct Solver {
     /// hold: learnt ones, originals added after the load and long originals.
     /// A handle is null until its literal first watches one.
     watches: Vec<WatchHandle>,
-    /// Emptied lists a restore took from literals the source has none for,
-    /// handed out again before a new one is allocated.
+    /// Emptied lists a rewind or a restore took from literals that then
+    /// have none, handed out again before a new one is allocated.
     spare_watches: SpareLists,
+    /// The literal codes whose handle went from null to set since the load,
+    /// each once: the handles a rewind nulls again.
+    created_lists: Vec<usize>,
+    /// What [`rewind`](Solver::rewind) returns the solver to.
+    load: LoadMark,
     /// Current assignment, indexed by *literal code* (two entries per
     /// variable, kept in sync by `unchecked_enqueue`/`cancel_until`): the
     /// propagation inner loop evaluates a literal with one indexed load,
@@ -188,6 +197,8 @@ impl Clone for Solver {
             watches,
             // Lists kept for reuse, owned by neither solver's clauses.
             spare_watches: _,
+            created_lists,
+            load,
             assigns,
             vardata,
             polarity,
@@ -219,6 +230,8 @@ impl Clone for Solver {
         self.learnts.clone_from(learnts);
         self.table.clone_from(table);
         self.restore_watches(watches);
+        self.created_lists.clone_from(created_lists);
+        self.load.clone_from(load);
         self.assigns.clone_from(assigns);
         self.vardata.clone_from(vardata);
         self.polarity.clone_from(polarity);
@@ -269,7 +282,7 @@ impl Solver {
     #[must_use]
     pub fn with_config(config: SolverConfig) -> Solver {
         let proof = config.proof.then(ProofLogger::new);
-        Solver {
+        let mut solver = Solver {
             config,
             policy: TestPolicy::default(),
             db: ClauseDb::new(),
@@ -278,6 +291,8 @@ impl Solver {
             table: None,
             watches: Vec::new(),
             spare_watches: Vec::new(),
+            created_lists: Vec::new(),
+            load: LoadMark::default(),
             assigns: Vec::new(),
             vardata: Vec::new(),
             polarity: Vec::new(),
@@ -300,7 +315,9 @@ impl Solver {
             last_solve_unsat: false,
             stats: SolverStats::default(),
             max_learnts: 0.0,
-        }
+        };
+        solver.load = LoadMark::take(&mut solver);
+        solver
     }
 
     /// Creates a solver preloaded with the clauses of `cnf`.
@@ -339,6 +356,7 @@ impl Solver {
         }
         table.seal();
         solver.table = Some(Arc::new(table));
+        solver.load = LoadMark::take(&mut solver);
         solver
     }
 
@@ -1101,24 +1119,36 @@ mod tests {
         other.clone_from(&template);
         assert!(shares(&other));
         assert!(no_handle(&other));
-        // Twice over the same cubes: the second pass needs no list the
-        // first did not leave as a spare.
-        let mut spares = [0; 2];
-        for spare in &mut spares {
-            let mut learnt = 0;
-            for bits in 0..8 {
-                let set = [Var::new(0), Var::new(1), Var::new(2)];
-                let _ = working.solve_with_assumptions(Cube::from_bits(&set, bits).lits());
-                learnt += working.stats().learnt_clauses;
-                working.clone_from(&template);
-                assert!(shares(&working));
-                assert!(no_handle(&working));
+        // Twice over the same cubes, by restore and by rewind: the second
+        // pass needs no list the first did not leave as a spare.
+        let set = [Var::new(0), Var::new(1), Var::new(2)];
+        let mut rewound = template.clone();
+        let loaded_arena = template.db.mark();
+        for restore in [true, false] {
+            let solver = if restore { &mut working } else { &mut rewound };
+            let mut spares = [0; 2];
+            for spare in &mut spares {
+                let mut learnt = 0;
+                for bits in 0..8 {
+                    let _ = solver.solve_with_assumptions(Cube::from_bits(&set, bits).lits());
+                    learnt += solver.stats().learnt_clauses;
+                    if restore {
+                        solver.clone_from(&template);
+                    } else {
+                        solver.rewind();
+                        assert_eq!(solver.db.mark(), loaded_arena);
+                        assert_eq!(solver.trail, template.trail);
+                        assert!(solver.created_lists.is_empty());
+                    }
+                    assert!(shares(solver));
+                    assert!(no_handle(solver));
+                }
+                assert!(learnt > 0, "no cube learnt a clause");
+                *spare = solver.spare_watches.len();
             }
-            assert!(learnt > 0, "no cube learnt a clause");
-            *spare = working.spare_watches.len();
+            assert!(spares[0] > 0);
+            assert_eq!(spares[0], spares[1], "restore {restore}");
         }
-        assert!(spares[0] > 0);
-        assert_eq!(spares[0], spares[1]);
     }
 
     /// Learnt clauses of every length, attached to null handles and then

@@ -418,10 +418,15 @@ impl Solver {
     }
 
     /// The lists of literal code `code`; a null handle first gets a spare
-    /// one, or a new one when there is no spare.
+    /// one, or a new one when there is no spare, and the code joins the
+    /// handles a rewind nulls again.
     fn lists_mut(&mut self, code: usize) -> &mut WatchLists {
+        let handle = &mut self.watches[code];
+        if handle.is_none() {
+            self.created_lists.push(code);
+        }
         let spares = &mut self.spare_watches;
-        self.watches[code].get_or_insert_with(|| spare_or_new(spares))
+        handle.get_or_insert_with(|| spare_or_new(spares))
     }
 
     /// Makes the watch lists a copy of `source`'s: a handle is copied only
@@ -508,6 +513,68 @@ impl Solver {
                 _ => lists.longs.retain(|w| w.cref != cref),
             }
         }
+    }
+}
+
+/// The lists a literal code held when the formula finished loading: its
+/// long watchers (a solve moves them between literals), and its binary and
+/// ternary watchers (a table run that filled up at load), which stay a
+/// prefix of its lists — only learnt ones are ever detached, and a
+/// collection moves no loaded clause.
+#[derive(Debug, Clone)]
+pub(super) struct LoadedLists {
+    code: usize,
+    bins: usize,
+    terns: usize,
+    longs: Vec<Watcher>,
+}
+
+impl LoadedLists {
+    /// What the non-null handles `codes` of `watches` hold now.
+    pub(super) fn of(watches: &[WatchHandle], codes: &[usize]) -> Vec<LoadedLists> {
+        codes
+            .iter()
+            .map(|&code| {
+                let lists = watches[code].as_deref().expect("a listed handle is set");
+                LoadedLists {
+                    code,
+                    bins: lists.bins.len(),
+                    terns: lists.terns.len(),
+                    longs: lists.longs.clone(),
+                }
+            })
+            .collect()
+    }
+}
+
+/// Returns the watch lists to what they were at the load: the handles
+/// `created` since go back to null, their lists to the spares, and the
+/// lists in `loaded` get their load-time contents back. Handles of literal
+/// codes past `codes` (variables a solve created) are among `created`, and
+/// are dropped with the codes.
+pub(super) fn rewind_watches(
+    watches: &mut Vec<WatchHandle>,
+    spares: &mut SpareLists,
+    created: &mut Vec<usize>,
+    loaded: &[LoadedLists],
+    codes: usize,
+) {
+    for code in created.drain(..) {
+        if let Some(lists) = watches[code].take() {
+            keep_spare(spares, lists);
+        }
+    }
+    debug_assert!(watches[codes.min(watches.len())..]
+        .iter()
+        .all(Option::is_none));
+    watches.truncate(codes);
+    for at_load in loaded {
+        let lists = watches[at_load.code]
+            .as_deref_mut()
+            .expect("a handle set at the load stays set");
+        lists.bins.truncate(at_load.bins);
+        lists.terns.truncate(at_load.terns);
+        lists.longs.clone_from(&at_load.longs);
     }
 }
 

@@ -2,9 +2,10 @@
 //! solver was left in, `working.clone_from(&template)` makes its next solve
 //! indistinguishable — verdict, model, every counter, per-variable conflict
 //! participation, DRAT stream — from that of a solver built from scratch the
-//! way the template was. This is what lets the fresh oracle backend load a
-//! formula once and still hand every cube identical solver state; a field
-//! `clone_from` forgets to copy shows up here as a diverging counter. The
+//! way the template was. This is what lets the oracle give every backend a
+//! copy of one loaded solver (the fresh backend then rewinds its copy before
+//! each cube; `rewind_parity.rs` pins that); a field `clone_from` forgets
+//! to copy shows up here as a diverging counter. The
 //! formulas cover clauses of two, three and more literals (long originals
 //! have their watched literals swapped in the arena by a solve), and one
 //! dirt compacts the arena, so learnt watchers and reasons relocate.
