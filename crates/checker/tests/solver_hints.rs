@@ -5,9 +5,9 @@
 //! what says there is none.
 //!
 //! The inputs cover what moves the hints: three formulas (random 3-SAT, a
-//! pigeonhole, an A5/1 inversion with 12 unknowns), cubes solved on a fresh
-//! solver restored from a loaded one (`Solver::clone_from`, as the fresh
-//! backend does) or in turn on one warm solver whose stream keeps growing,
+//! pigeonhole, an A5/1 inversion with 12 unknowns), cubes solved each on a
+//! solver rewound to its load (`Solver::rewind`, as the fresh backend does)
+//! or in turn on one warm solver whose stream keeps growing,
 //! trail reuse on and off (the replay of `TestPolicy::replay`), and a learnt
 //! DB small enough that the streams delete clauses and the arena is
 //! collected.
@@ -66,19 +66,19 @@ struct Tally {
 /// Solves every cube of `vars` and checks each certificate with its hints
 /// and from its text.
 fn certify(cnf: &Cnf, vars: &[Var], policy: TestPolicy, warm: bool, context: &str) -> Tally {
-    let mut template = Solver::from_cnf_with_config(
+    let mut solver = Solver::from_cnf_with_config(
         cnf,
         SolverConfig {
             proof: true,
             ..SolverConfig::default()
         },
     );
-    template.set_test_policy(policy);
-    let mut solver = template.clone();
+    // A rewind keeps the test policy.
+    solver.set_test_policy(policy);
     let mut tally = Tally::default();
     for cube in cubes(vars) {
         if !warm {
-            solver.clone_from(&template);
+            solver.rewind();
         }
         let before = solver.stats().gc_runs;
         let verdict = solver.solve_with_assumptions(&cube);

@@ -11,7 +11,8 @@
 //! the same on every machine; the times are this machine's.
 //!
 //! Run with `cargo run --release -p pdsat_experiments --bin fresh_restore`
-//! (about a minute, most of it at d = 18).
+//! (17–24 s on two vCPUs, spread over the four families: none takes more
+//! than 8 s).
 
 use pdsat_ciphers::{InstanceBuilder, A51};
 use pdsat_cnf::{Cube, LitBuffer, Var};

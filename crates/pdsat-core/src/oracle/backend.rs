@@ -169,7 +169,7 @@ impl BackendSpec {
     }
 
     /// Builds one backend instance: a load of the formula of its own.
-    pub(crate) fn build(self: &Arc<Self>) -> Box<dyn CubeBackend> {
+    pub(crate) fn build(&self) -> Box<dyn CubeBackend> {
         let mut built = self.build_many(1);
         built.pop().expect("one backend was built")
     }
@@ -178,12 +178,12 @@ impl BackendSpec {
     /// lifetime) from one load of the formula: each gets a copy of the
     /// loaded solver, and the last one the loaded solver itself, so one
     /// backend holds the only solver there is.
-    pub(crate) fn build_many(self: &Arc<Self>, n: usize) -> Vec<Box<dyn CubeBackend>> {
+    pub(crate) fn build_many(&self, n: usize) -> Vec<Box<dyn CubeBackend>> {
         let loaded = Solver::from_cnf_with_config(&self.cnf, self.solver_config.clone());
         let build = |solver| -> Box<dyn CubeBackend> {
             match self.kind {
                 BackendKind::Warm => Box::new(WarmBackend::new(self, solver)),
-                BackendKind::Fresh => Box::new(FreshBackend::new(Arc::clone(self), solver)),
+                BackendKind::Fresh => Box::new(FreshBackend::new(self, solver)),
             }
         };
         let mut built: Vec<Box<dyn CubeBackend>> = Vec::with_capacity(n);
@@ -221,22 +221,18 @@ impl std::fmt::Display for BackendKind {
 /// samples are drawn with replacement and grouped before they are
 /// submitted, so repeats arrive back to back.
 pub(crate) struct FreshBackend {
-    spec: Arc<BackendSpec>,
-    resident: Resident,
-    /// Sum of the per-cube stats deltas of the current batch, handed out
-    /// once at [`CubeBackend::end_batch`].
-    batch_stats: SolverStats,
-}
-
-/// The solver the cubes run on, and what it last solved.
-struct Resident {
+    /// The solver the cubes run on.
     working: Solver,
     /// The solve `working` holds the end state of. Kept across batches: the
     /// load a rewind returns to never changes.
     last: LastSolve,
+    /// Sum of the per-cube stats deltas of the current batch, handed out
+    /// once at [`CubeBackend::end_batch`].
+    batch_stats: SolverStats,
+    measure_wall_time: bool,
 }
 
-/// What [`Resident::last`] remembers of a solve.
+/// What [`FreshBackend::last`] remembers of a solve.
 struct LastSolve {
     /// Its cube; one buffer, rewritten by every solve that sets `answer`.
     cube: Vec<Lit>,
@@ -247,23 +243,32 @@ struct LastSolve {
     answer: Option<(Verdict, Duration)>,
 }
 
-impl Resident {
+impl FreshBackend {
+    /// Creates the backend around `working`, loaded with the formula and
+    /// not yet used.
+    fn new(spec: &BackendSpec, working: Solver) -> FreshBackend {
+        FreshBackend {
+            working,
+            last: LastSolve {
+                cube: Vec::new(),
+                answer: None,
+            },
+            batch_stats: SolverStats::default(),
+            measure_wall_time: spec.measure_wall_time,
+        }
+    }
+
     /// Rewinds `working` and solves `cube` on it — or, for a repeat of the
     /// last solve, returns that solve's verdict and wall time with `working`
     /// untouched.
-    fn solve(
-        &mut self,
-        cube: &[Lit],
-        interrupt: &InterruptFlag,
-        measure_wall_time: bool,
-    ) -> (Verdict, Duration) {
+    fn rewind_and_solve(&mut self, cube: &[Lit], interrupt: &InterruptFlag) -> (Verdict, Duration) {
         if let Some((verdict, elapsed)) = &self.last.answer {
             if self.last.cube == cube && !interrupt.is_raised() {
                 return (verdict.clone(), *elapsed);
             }
         }
         self.last.answer = None;
-        let start = measure_wall_time.then(Instant::now);
+        let start = self.measure_wall_time.then(Instant::now);
         self.working.rewind();
         let verdict = self
             .working
@@ -279,24 +284,6 @@ impl Resident {
     }
 }
 
-impl FreshBackend {
-    /// Creates the backend around `working`, loaded with the formula and
-    /// not yet used.
-    fn new(spec: Arc<BackendSpec>, working: Solver) -> FreshBackend {
-        FreshBackend {
-            spec,
-            resident: Resident {
-                working,
-                last: LastSolve {
-                    cube: Vec::new(),
-                    answer: None,
-                },
-            },
-            batch_stats: SolverStats::default(),
-        }
-    }
-}
-
 impl CubeBackend for FreshBackend {
     fn solve(
         &mut self,
@@ -307,9 +294,8 @@ impl CubeBackend for FreshBackend {
         // The load happened when the backend was built, so every wall-time
         // observation of a backend's life is distributed alike: rewind +
         // solve.
-        let resident = &mut self.resident;
-        let (verdict, elapsed) = resident.solve(cube, interrupt, self.spec.measure_wall_time);
-        let working = &resident.working;
+        let (verdict, elapsed) = self.rewind_and_solve(cube, interrupt);
+        let working = &self.working;
         let counters = CubeCounters::of(working.stats());
         // The load runs no conflict analysis and a rewind zeroes what a
         // cube's conflicts counted, so the solver's counts are entirely
@@ -439,24 +425,22 @@ mod tests {
         assert_eq!(BackendKind::default(), BackendKind::Fresh);
     }
 
-    fn spec(cnf: Cnf) -> Arc<BackendSpec> {
-        Arc::new(BackendSpec::new(Arc::new(cnf), &BatchConfig::default()))
+    fn spec(cnf: Cnf) -> BackendSpec {
+        BackendSpec::new(Arc::new(cnf), &BatchConfig::default())
     }
 
     /// A fresh backend of its own load, unboxed.
-    fn fresh(spec: Arc<BackendSpec>) -> FreshBackend {
+    fn fresh(spec: &BackendSpec) -> FreshBackend {
         let loaded = Solver::from_cnf_with_config(&spec.cnf, spec.solver_config.clone());
         FreshBackend::new(spec, loaded)
     }
 
     #[test]
     fn fresh_backend_reports_lifetime_deltas() {
-        let spec = spec(chain(4));
-        let cnf = Arc::clone(&spec.cnf);
-        let mut backend = fresh(spec);
+        let mut backend = fresh(&spec(chain(4)));
         let cube = Cube::from_values(&[Var::new(0)], &[true]);
         let interrupt = InterruptFlag::new();
-        let mut acc = vec![0u64; cnf.num_vars()];
+        let mut acc = vec![0u64; backend.working.num_vars()];
         let out = backend.solve(cube.lits(), &interrupt, &mut acc);
         assert!(out.verdict.is_sat());
         assert!(out.counters.propagations > 0);
@@ -476,10 +460,10 @@ mod tests {
             },
             ..BatchConfig::default()
         };
-        let spec = Arc::new(BackendSpec::new(Arc::new(Cnf::pigeonhole(5)), &config));
+        let spec = BackendSpec::new(Arc::new(Cnf::pigeonhole(5)), &config);
         let set = [Var::new(0), Var::new(7)];
         let (c, d) = (Cube::from_bits(&set, 0b10), Cube::from_bits(&set, 0b01));
-        (fresh(spec), c, d)
+        (fresh(&spec), c, d)
     }
 
     /// Marks the solve the backend keeps, so that a cube answered from it
@@ -487,7 +471,7 @@ mod tests {
     const KEPT: Duration = Duration::from_secs(7);
 
     fn mark_kept(backend: &mut FreshBackend) {
-        let answer = backend.resident.last.answer.as_mut();
+        let answer = backend.last.answer.as_mut();
         answer.expect("the last solve is kept").1 = KEPT;
     }
 
@@ -498,7 +482,7 @@ mod tests {
         // accumulator and the batch statistics.
         let run = |order: &[bool]| {
             let (mut backend, c, d) = pigeonhole_backend();
-            let mut acc = vec![0u64; backend.spec.cnf.num_vars()];
+            let mut acc = vec![0u64; backend.working.num_vars()];
             backend.begin_batch();
             let outcomes: Vec<BackendOutcome> = order
                 .iter()
@@ -531,11 +515,11 @@ mod tests {
     #[test]
     fn a_raised_interrupt_solves_the_cube_again() {
         let (mut backend, c, d) = pigeonhole_backend();
-        let mut acc = vec![0u64; backend.spec.cnf.num_vars()];
+        let mut acc = vec![0u64; backend.working.num_vars()];
         let lowered = InterruptFlag::new();
         let raised = InterruptFlag::new();
         raised.raise();
-        let kept_cube = |backend: &FreshBackend| backend.resident.last.cube.as_ptr();
+        let kept_cube = |backend: &FreshBackend| backend.last.cube.as_ptr();
         let _ = backend.solve(d.lits(), &lowered, &mut acc);
         let buffer = kept_cube(&backend);
         let first = backend.solve(c.lits(), &lowered, &mut acc);
@@ -547,7 +531,7 @@ mod tests {
         let interrupted = backend.solve(c.lits(), &raised, &mut acc);
         assert_eq!(interrupted.verdict, Verdict::Unknown);
         // An interrupted solve is not kept: the next repeat is solved.
-        assert!(backend.resident.last.answer.is_none());
+        assert!(backend.last.answer.is_none());
         let again = backend.solve(c.lits(), &lowered, &mut acc);
         assert!(again.verdict.is_unsat() && again.elapsed != KEPT);
     }
@@ -591,7 +575,7 @@ mod tests {
                 cost: CostMetric::Propagations,
                 ..BatchConfig::default()
             };
-            let spec = Arc::new(BackendSpec::new(Arc::new(Cnf::pigeonhole(5)), &config));
+            let spec = BackendSpec::new(Arc::new(Cnf::pigeonhole(5)), &config);
             let interrupt = InterruptFlag::new();
             let run = |b: &mut Box<dyn CubeBackend>| {
                 let mut acc = vec![0u64; spec.cnf.num_vars()];

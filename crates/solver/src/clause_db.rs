@@ -111,36 +111,13 @@ pub(crate) struct ArenaMark {
 }
 
 /// Arena of clauses (original and learnt).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ClauseDb {
     data: Vec<u32>,
     /// Number of live clauses.
     num_clauses: usize,
     /// Arena words occupied by deleted clauses, reclaimable by [`collect`](ClauseDb::collect).
     wasted: usize,
-}
-
-impl Clone for ClauseDb {
-    fn clone(&self) -> ClauseDb {
-        ClauseDb {
-            data: self.data.clone(),
-            num_clauses: self.num_clauses,
-            wasted: self.wasted,
-        }
-    }
-
-    /// Copies the arena into the allocation `self` already owns (see
-    /// `Solver::clone_from`).
-    fn clone_from(&mut self, source: &ClauseDb) {
-        let ClauseDb {
-            data,
-            num_clauses,
-            wasted,
-        } = source;
-        self.data.clone_from(data);
-        self.num_clauses = *num_clauses;
-        self.wasted = *wasted;
-    }
 }
 
 impl ClauseDb {

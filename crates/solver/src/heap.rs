@@ -12,27 +12,10 @@ use pdsat_cnf::Var;
 /// The order is activity descending, then index ascending: a strict total
 /// order, so every correct heap over the same members pops the same
 /// sequence, whatever its internal layout.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct VarOrderHeap {
     heap: Vec<u32>,
     positions: Vec<u32>,
-}
-
-impl Clone for VarOrderHeap {
-    fn clone(&self) -> VarOrderHeap {
-        VarOrderHeap {
-            heap: self.heap.clone(),
-            positions: self.positions.clone(),
-        }
-    }
-
-    /// Copies into the allocations `self` already owns (see
-    /// `Solver::clone_from`).
-    fn clone_from(&mut self, source: &VarOrderHeap) {
-        let VarOrderHeap { heap, positions } = source;
-        self.heap.clone_from(heap);
-        self.positions.clone_from(positions);
-    }
 }
 
 const ABSENT: u32 = u32::MAX;

@@ -101,9 +101,10 @@ enum SearchStatus {
 /// [`rewind`](Solver::rewind) returns a solver to the state its load left,
 /// undoing only what the solve calls since changed, so one loaded solver
 /// serves every sub-problem from identical state: loading is paid once per
-/// formula, and a rewind costs what the last cube touched. The solver is
-/// also `Clone`, and `clone_from` copies in place into the allocations the
-/// target already owns.
+/// formula, and a rewind costs what the last cube touched. A clone copies
+/// every field but the loaded formula's watch table, which nothing writes
+/// and every clone shares.
+#[derive(Clone)]
 pub struct Solver {
     config: SolverConfig,
     /// Production unless a test set another (`set_test_policy`).
@@ -118,8 +119,8 @@ pub struct Solver {
     /// hold: learnt ones, originals added after the load and long originals.
     /// A handle is null until its literal first watches one.
     watches: Vec<WatchHandle>,
-    /// Emptied lists a rewind or a restore took from literals that then
-    /// have none, handed out again before a new one is allocated.
+    /// Emptied lists a rewind took from literals that then have none,
+    /// handed out again before a new one is allocated.
     spare_watches: SpareLists,
     /// The literal codes whose handle went from null to set since the load,
     /// each once: the handles a rewind nulls again.
@@ -170,87 +171,6 @@ pub struct Solver {
     last_solve_unsat: bool,
     stats: SolverStats,
     max_learnts: f64,
-}
-
-impl Clone for Solver {
-    fn clone(&self) -> Solver {
-        let mut solver = Solver::with_config(self.config.clone());
-        solver.clone_from(self);
-        solver
-    }
-
-    /// Makes `self` an exact copy of `source`, field by field into the
-    /// allocations `self` already owns — a watch handle only where `source`
-    /// has one, no watch-list allocation once `self`'s spare lists cover
-    /// those — except the loaded formula's watch table, which nothing writes
-    /// and the two share. The destructuring is
-    /// exhaustive on purpose: a new field that is not copied here does not
-    /// compile.
-    fn clone_from(&mut self, source: &Solver) {
-        let Solver {
-            config,
-            policy,
-            db,
-            original,
-            learnts,
-            table,
-            watches,
-            // Lists kept for reuse, owned by neither solver's clauses.
-            spare_watches: _,
-            created_lists,
-            load,
-            assigns,
-            vardata,
-            polarity,
-            activity,
-            conflict_counts,
-            order_heap,
-            trail,
-            trail_lim,
-            qhead,
-            saved_assumptions,
-            var_inc,
-            cla_inc,
-            ok,
-            seen,
-            // Scratch of `analyze` and of `add_clause`, dead between calls.
-            learnt_buf: _,
-            levels_buf: _,
-            toclear_buf: _,
-            clause_buf: _,
-            proof,
-            last_solve_unsat,
-            stats,
-            max_learnts,
-        } = source;
-        self.config.clone_from(config);
-        self.policy.clone_from(policy);
-        self.db.clone_from(db);
-        self.original.clone_from(original);
-        self.learnts.clone_from(learnts);
-        self.table.clone_from(table);
-        self.restore_watches(watches);
-        self.created_lists.clone_from(created_lists);
-        self.load.clone_from(load);
-        self.assigns.clone_from(assigns);
-        self.vardata.clone_from(vardata);
-        self.polarity.clone_from(polarity);
-        self.activity.clone_from(activity);
-        self.conflict_counts.clone_from(conflict_counts);
-        self.order_heap.clone_from(order_heap);
-        self.trail.clone_from(trail);
-        self.trail_lim.clone_from(trail_lim);
-        self.qhead = *qhead;
-        self.saved_assumptions.clone_from(saved_assumptions);
-        self.var_inc = *var_inc;
-        self.cla_inc = *cla_inc;
-        self.ok = *ok;
-        self.seen.clone_from(seen);
-        self.proof.clone_from(proof);
-        self.last_solve_unsat = *last_solve_unsat;
-        self.stats = *stats;
-        self.max_learnts = *max_learnts;
-    }
 }
 
 impl std::fmt::Debug for Solver {
@@ -1097,7 +1017,7 @@ mod tests {
     }
 
     #[test]
-    fn clones_and_restored_solvers_share_the_loaded_watch_table() {
+    fn clones_and_rewound_solvers_share_the_loaded_watch_table() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AB1E);
         // Binary and ternary clauses, no units: nothing shortens at load.
         let mut cnf = Cnf::random_3cnf(30, 120, &mut rng);
@@ -1108,47 +1028,35 @@ mod tests {
         assert!(template.table().crefs().count() > 0);
         let no_handle = |s: &Solver| s.watches.iter().all(Option::is_none);
         assert!(no_handle(&template), "the load lives in the table only");
-        let mut working = template.clone();
+        let mut solver = template.clone();
         let shares = |s: &Solver| match (&s.table, &template.table) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
-        assert!(shares(&working));
-        assert!(no_handle(&working));
-        let mut other = Solver::new();
-        other.clone_from(&template);
-        assert!(shares(&other));
-        assert!(no_handle(&other));
-        // Twice over the same cubes, by restore and by rewind: the second
-        // pass needs no list the first did not leave as a spare.
+        assert!(shares(&solver));
+        assert!(no_handle(&solver));
+        // Twice over the same cubes, rewinding after each: the second pass
+        // needs no list the first did not leave as a spare.
         let set = [Var::new(0), Var::new(1), Var::new(2)];
-        let mut rewound = template.clone();
         let loaded_arena = template.db.mark();
-        for restore in [true, false] {
-            let solver = if restore { &mut working } else { &mut rewound };
-            let mut spares = [0; 2];
-            for spare in &mut spares {
-                let mut learnt = 0;
-                for bits in 0..8 {
-                    let _ = solver.solve_with_assumptions(Cube::from_bits(&set, bits).lits());
-                    learnt += solver.stats().learnt_clauses;
-                    if restore {
-                        solver.clone_from(&template);
-                    } else {
-                        solver.rewind();
-                        assert_eq!(solver.db.mark(), loaded_arena);
-                        assert_eq!(solver.trail, template.trail);
-                        assert!(solver.created_lists.is_empty());
-                    }
-                    assert!(shares(solver));
-                    assert!(no_handle(solver));
-                }
-                assert!(learnt > 0, "no cube learnt a clause");
-                *spare = solver.spare_watches.len();
+        let mut spares = [0; 2];
+        for spare in &mut spares {
+            let mut learnt = 0;
+            for bits in 0..8 {
+                let _ = solver.solve_with_assumptions(Cube::from_bits(&set, bits).lits());
+                learnt += solver.stats().learnt_clauses;
+                solver.rewind();
+                assert_eq!(solver.db.mark(), loaded_arena);
+                assert_eq!(solver.trail, template.trail);
+                assert!(solver.created_lists.is_empty());
+                assert!(shares(&solver));
+                assert!(no_handle(&solver));
             }
-            assert!(spares[0] > 0);
-            assert_eq!(spares[0], spares[1], "restore {restore}");
+            assert!(learnt > 0, "no cube learnt a clause");
+            *spare = solver.spare_watches.len();
         }
+        assert!(spares[0] > 0);
+        assert_eq!(spares[0], spares[1]);
     }
 
     /// Learnt clauses of every length, attached to null handles and then

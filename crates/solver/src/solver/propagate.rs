@@ -45,7 +45,7 @@ pub(super) struct TernWatcher {
 /// The watchers one literal code holds outside the shared table, each kind
 /// in attach order: learnt clauses, originals added after the load, and
 /// every clause of four or more literals.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct WatchLists {
     pub(super) bins: Vec<BinWatcher>,
     pub(super) terns: Vec<TernWatcher>,
@@ -64,14 +64,6 @@ pub(super) type WatchHandle = Option<Box<WatchLists>>;
 pub(super) type SpareLists = Vec<Box<WatchLists>>;
 
 impl WatchLists {
-    /// Copies `source` into the allocations `self` already owns.
-    fn copy_from(&mut self, source: &WatchLists) {
-        let WatchLists { bins, terns, longs } = source;
-        self.bins.clone_from(bins);
-        self.terns.clone_from(terns);
-        self.longs.clone_from(longs);
-    }
-
     fn clear(&mut self) {
         self.bins.clear();
         self.terns.clear();
@@ -81,8 +73,8 @@ impl WatchLists {
 
 /// The binary and ternary watchers of the originals a formula was loaded
 /// with (`Solver::from_cnf_with_config`), per literal code in attach order.
-/// Nothing writes it once loading ends, so a clone or a restore shares it
-/// through the `Arc` instead of copying it, and a literal's [`WatchLists`]
+/// Nothing writes it once loading ends, so a clone shares it through the
+/// `Arc` instead of copying it, and a literal's [`WatchLists`]
 /// keep only the long clauses, learnt clauses and originals added after the
 /// load. A loaded original precedes every learnt clause in the arena and is
 /// never deleted, so a garbage collection never moves a [`ClauseRef`] held
@@ -427,34 +419,6 @@ impl Solver {
         }
         let spares = &mut self.spare_watches;
         handle.get_or_insert_with(|| spare_or_new(spares))
-    }
-
-    /// Makes the watch lists a copy of `source`'s: a handle is copied only
-    /// where the source has one, into lists this solver already owns where
-    /// it can; lists the source has no handle for are emptied and kept as
-    /// spares. Restoring a loaded formula after a cube thus leaves every
-    /// handle null again, and once the spares cover what a cube attaches, a
-    /// restore allocates nothing.
-    pub(super) fn restore_watches(&mut self, source: &[WatchHandle]) {
-        let (watches, spares) = (&mut self.watches, &mut self.spare_watches);
-        if watches.len() > source.len() {
-            for lists in watches.drain(source.len()..).flatten() {
-                keep_spare(spares, lists);
-            }
-        }
-        watches.resize_with(source.len(), || None);
-        for (handle, from) in watches.iter_mut().zip(source) {
-            match from {
-                Some(from) => handle
-                    .get_or_insert_with(|| spare_or_new(spares))
-                    .copy_from(from),
-                None => {
-                    if let Some(lists) = handle.take() {
-                        keep_spare(spares, lists);
-                    }
-                }
-            }
-        }
     }
 
     /// Attaches a clause to its watch family. While the formula loads into
