@@ -167,8 +167,6 @@ pub enum ClientFate {
         at: f64,
         /// Whether the upload passes the integrity check.
         valid: bool,
-        /// Whether the run straggled (took `straggler_factor` longer).
-        straggled: bool,
         /// When a duplicate upload of the same result arrives, if any.
         duplicate_at: Option<f64>,
         /// When the client polls for its next unit.
@@ -269,7 +267,6 @@ impl VolunteerClient {
         ClientFate::Submit {
             at,
             valid,
-            straggled,
             duplicate_at: duplicates.then_some(at + self.behavior.duplicate_delay),
             next_poll: at + gap,
             cpu_spent,

@@ -6,44 +6,20 @@
 //! computing process becomes free — i.e. list scheduling in enumeration
 //! order — which is what this simulator reproduces.
 
-/// Static description of a cluster partition.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Static description of a cluster partition: its cores, each as fast as
+/// the core on which the per-cube costs were measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
-    /// Number of nodes in the partition.
-    pub nodes: usize,
-    /// CPU cores per node (32 on the paper's cluster: 2 × AMD Opteron 6276).
-    pub cores_per_node: usize,
-    /// Speed of one core relative to the core on which the per-cube costs
-    /// were measured.
-    pub core_speed: f64,
+    /// Number of cores in the partition.
+    pub cores: usize,
 }
 
 impl ClusterConfig {
-    /// The paper's 2-node (64-core) configuration used for the A5/1
-    /// estimation experiments.
-    #[must_use]
-    pub fn matrosov_2_nodes() -> ClusterConfig {
-        ClusterConfig {
-            nodes: 2,
-            cores_per_node: 32,
-            core_speed: 1.0,
-        }
-    }
-
-    /// The paper's 15-node (480-core) configuration used for Table 3.
+    /// The paper's 15-node (480-core) configuration used for Table 3: nodes
+    /// of 32 cores (2 × AMD Opteron 6276).
     #[must_use]
     pub fn matrosov_15_nodes() -> ClusterConfig {
-        ClusterConfig {
-            nodes: 15,
-            cores_per_node: 32,
-            core_speed: 1.0,
-        }
-    }
-
-    /// Total number of cores.
-    #[must_use]
-    pub fn cores(&self) -> usize {
-        self.nodes * self.cores_per_node
+        ClusterConfig { cores: 15 * 32 }
     }
 }
 
@@ -80,7 +56,7 @@ pub fn simulate_cluster(
     sat_indices: &[usize],
     config: &ClusterConfig,
 ) -> ClusterReport {
-    let cores = config.cores();
+    let cores = config.cores;
     assert!(cores > 0, "a cluster needs at least one core");
     // `finish_times[c]` is the time at which core `c` becomes free.
     let mut finish_times = vec![0.0f64; cores];
@@ -88,15 +64,14 @@ pub fn simulate_cluster(
     let mut cpu_time = 0.0;
 
     for (idx, &cost) in per_cube_costs.iter().enumerate() {
-        let scaled = cost / config.core_speed;
-        cpu_time += scaled;
+        cpu_time += cost;
         // The next free core (list scheduling).
         let (core, _) = finish_times
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .expect("at least one core");
-        let finish = finish_times[core] + scaled;
+        let finish = finish_times[core] + cost;
         finish_times[core] = finish;
         if sat_indices.contains(&idx) {
             first_sat_finish = Some(match first_sat_finish {
@@ -128,17 +103,12 @@ mod tests {
 
     #[test]
     fn paper_configurations_have_expected_core_counts() {
-        assert_eq!(ClusterConfig::matrosov_2_nodes().cores(), 64);
-        assert_eq!(ClusterConfig::matrosov_15_nodes().cores(), 480);
+        assert_eq!(ClusterConfig::matrosov_15_nodes().cores, 480);
     }
 
     #[test]
     fn single_core_makespan_is_the_total() {
-        let config = ClusterConfig {
-            nodes: 1,
-            cores_per_node: 1,
-            core_speed: 1.0,
-        };
+        let config = ClusterConfig { cores: 1 };
         let costs = [1.0, 2.0, 3.0];
         let report = simulate_cluster(&costs, &[], &config);
         assert!((report.makespan - 6.0).abs() < 1e-12);
@@ -149,11 +119,7 @@ mod tests {
 
     #[test]
     fn equal_jobs_divide_evenly_over_cores() {
-        let config = ClusterConfig {
-            nodes: 1,
-            cores_per_node: 4,
-            core_speed: 1.0,
-        };
+        let config = ClusterConfig { cores: 4 };
         let costs = vec![2.0; 16];
         let report = simulate_cluster(&costs, &[], &config);
         assert!((report.makespan - 8.0).abs() < 1e-12);
@@ -162,11 +128,7 @@ mod tests {
 
     #[test]
     fn makespan_respects_lower_bounds() {
-        let config = ClusterConfig {
-            nodes: 1,
-            cores_per_node: 3,
-            core_speed: 1.0,
-        };
+        let config = ClusterConfig { cores: 3 };
         let costs = [10.0, 1.0, 1.0, 1.0, 1.0];
         let report = simulate_cluster(&costs, &[], &config);
         let total: f64 = costs.iter().sum();
@@ -176,29 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn faster_cores_shrink_the_makespan() {
-        let slow = ClusterConfig {
-            nodes: 1,
-            cores_per_node: 2,
-            core_speed: 1.0,
-        };
-        let fast = ClusterConfig {
-            core_speed: 2.0,
-            ..slow
-        };
-        let costs = [4.0, 4.0, 4.0, 4.0];
-        let slow_report = simulate_cluster(&costs, &[], &slow);
-        let fast_report = simulate_cluster(&costs, &[], &fast);
-        assert!((slow_report.makespan - 2.0 * fast_report.makespan).abs() < 1e-12);
-    }
-
-    #[test]
     fn first_sat_finish_tracks_the_earliest_sat_job() {
-        let config = ClusterConfig {
-            nodes: 1,
-            cores_per_node: 2,
-            core_speed: 1.0,
-        };
+        let config = ClusterConfig { cores: 2 };
         let costs = [5.0, 1.0, 1.0, 1.0];
         // Jobs 0 and 3 are satisfiable. Job 3 finishes at time 3 on core 1;
         // job 0 finishes at time 5 on core 0.
@@ -209,7 +150,7 @@ mod tests {
 
     #[test]
     fn empty_family_is_trivial() {
-        let report = simulate_cluster(&[], &[], &ClusterConfig::matrosov_2_nodes());
+        let report = simulate_cluster(&[], &[], &ClusterConfig { cores: 64 });
         assert_eq!(report.makespan, 0.0);
         assert_eq!(report.utilization, 0.0);
         assert_eq!(report.jobs, 0);
@@ -218,11 +159,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one core")]
     fn zero_cores_is_rejected() {
-        let config = ClusterConfig {
-            nodes: 0,
-            cores_per_node: 32,
-            core_speed: 1.0,
-        };
+        let config = ClusterConfig { cores: 0 };
         let _ = simulate_cluster(&[1.0], &[], &config);
     }
 }

@@ -187,14 +187,6 @@ pub struct TransportStats {
     pub donated_cpu_time: f64,
     /// Clients that permanently left the grid mid-run.
     pub departures: usize,
-    /// Assignments whose result never came back (host vanished with it).
-    pub vanished_results: usize,
-    /// Results uploaded with a failing integrity check.
-    pub invalid_uploads: usize,
-    /// Extra (duplicate) uploads of an already-submitted result.
-    pub duplicate_uploads: usize,
-    /// Assignments that ran far slower than the host's nominal speed.
-    pub straggler_runs: usize,
 }
 
 /// Internal event: a client message scheduled for a future instant. Ordered
@@ -352,25 +344,17 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> Transport for LoopbackTransport<F> {
                         rejoin_at,
                         cpu_spent,
                     } => {
-                        self.stats.vanished_results += 1;
                         self.stats.donated_cpu_time += cpu_spent;
                         self.push(rejoin_at, ClientMsg::RequestWork { client: to });
                     }
                     ClientFate::Submit {
                         at,
                         valid,
-                        straggled,
                         duplicate_at,
                         next_poll,
                         cpu_spent,
                     } => {
                         self.stats.donated_cpu_time += cpu_spent;
-                        if straggled {
-                            self.stats.straggler_runs += 1;
-                        }
-                        if !valid {
-                            self.stats.invalid_uploads += 1;
-                        }
                         self.push(
                             at,
                             ClientMsg::SubmitResult {
@@ -381,7 +365,6 @@ impl<F: FnMut(&WorkUnit) -> SolveReport> Transport for LoopbackTransport<F> {
                             },
                         );
                         if let Some(dup_at) = duplicate_at {
-                            self.stats.duplicate_uploads += 1;
                             self.push(
                                 dup_at,
                                 ClientMsg::SubmitResult {

@@ -24,15 +24,7 @@ fn parity_case(num_cubes: usize, work_unit_size: usize, num_hosts: usize) {
         .chunks(work_unit_size)
         .map(|unit| unit.iter().sum())
         .collect();
-    let reference = simulate_cluster(
-        &unit_costs,
-        &[],
-        &ClusterConfig {
-            nodes: 1,
-            cores_per_node: num_hosts,
-            core_speed: 1.0,
-        },
-    );
+    let reference = simulate_cluster(&unit_costs, &[], &ClusterConfig { cores: num_hosts });
 
     let config = CoordinatorConfig {
         work_unit_size,

@@ -132,16 +132,13 @@ pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
 
     // --- Ablation B: sample size vs estimation error. ------------------------
     // Use a moderate decomposition set (the starting set restricted to at most
-    // 10 variables) so the exact value is computable. The propagation count is
-    // used as the cost metric here because, unlike conflicts, it is non-zero
-    // even for sub-problems decided by unit propagation alone, so the relative
-    // error is well defined on every instance size.
+    // 10 variables) so the exact value is computable. The workload's
+    // propagation count, unlike conflicts, is non-zero even for sub-problems
+    // decided by unit propagation alone, so the relative error is well
+    // defined on every instance size.
     let base_set = space.decomposition_set(&start);
     let small_set = pdsat_core::DecompositionSet::new(base_set.vars().iter().copied().take(10));
-    let ablation_b_config = EvaluatorConfig {
-        cost: pdsat_core::CostMetric::Propagations,
-        ..workload.evaluator(&instance).config().clone()
-    };
+    let ablation_b_config = workload.evaluator(&instance).config().clone();
     let mut exact_evaluator = Evaluator::new(instance.cnf(), ablation_b_config.clone());
     let exact = exact_evaluator.evaluate_exhaustively(&small_set).value();
     let mut sample_sizes = Vec::new();

@@ -7,15 +7,11 @@ use pdsat_experiments::table3::{default_table3_problems, run_table3};
 
 fn main() {
     let problems = default_table3_problems();
-    let cluster = ClusterConfig {
-        nodes: 1,
-        cores_per_node: 16,
-        core_speed: 1.0,
-    };
+    let cluster = ClusterConfig { cores: 16 };
     println!(
         "Running {} weakened problems, 3 instances each, on a simulated {}-core cluster",
         problems.len(),
-        cluster.cores()
+        cluster.cores
     );
     let result = run_table3(&problems, 3, &cluster);
     println!("{}", result.table());

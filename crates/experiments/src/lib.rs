@@ -13,8 +13,9 @@
 //! | §3 design choices: A, annealing vs tabu search; B, sample size `N` vs error | [`ablations`] | `ablations` |
 //! | Eq. (5)'s identically distributed observations: the cost of returning a solver to its load before each cube, against the solve, on A5/1 families of d = 9–18 | — | `fresh_restore` |
 //!
-//! Every experiment uses the deterministic conflict-count cost metric, so the
-//! tables are identical across machines (`fresh_restore`'s times aside);
+//! Every experiment uses the deterministic propagation-count cost metric
+//! ([`ScaledWorkload::cost_metric`]), so the tables are identical across
+//! machines (`fresh_restore`'s times aside);
 //! DESIGN.md's "Benchmark ↔ paper mapping" relates them to the paper's
 //! measurements.
 

@@ -222,9 +222,7 @@ pub fn run_sathome(workload: &ScaledWorkload, hosts: usize) -> SatHomeResult {
             &report.per_cube_costs,
             &[],
             &ClusterConfig {
-                nodes: 1,
-                cores_per_node: hosts.max(1),
-                core_speed: 1.0,
+                cores: hosts.max(1),
             },
         );
         runs.push(SatHomeRun {

@@ -198,19 +198,15 @@ impl ScaledWorkload {
 
     /// An evaluator for the instance, configured with the workload's sample
     /// size, the fresh backend (identically distributed observations, as the
-    /// Monte Carlo argument assumes) and the deterministic propagation-count
-    /// metric (so that the generated tables are identical across machines).
-    /// Propagations rather
-    /// than conflicts are used because on laptop-scale weakened instances
-    /// many sub-problems are decided by unit propagation alone, which would
-    /// make a conflict-based cost degenerate to zero.
+    /// Monte Carlo argument assumes) and the workload's
+    /// [`cost_metric`](ScaledWorkload::cost_metric).
     #[must_use]
     pub fn evaluator(&self, instance: &Instance) -> Evaluator {
         Evaluator::new(
             instance.cnf(),
             EvaluatorConfig {
                 sample_size: self.sample_size,
-                cost: CostMetric::Propagations,
+                cost: self.cost_metric(),
                 solver_config: SolverConfig::default(),
                 num_workers: self.num_workers,
                 seed: self.seed,
@@ -219,8 +215,12 @@ impl ScaledWorkload {
         )
     }
 
-    /// The cost metric used by the scaled experiments (see
-    /// [`ScaledWorkload::evaluator`]).
+    /// The cost metric of every scaled experiment: the deterministic
+    /// propagation count, so that the generated tables are identical across
+    /// machines. Propagations rather than conflicts are used because on
+    /// laptop-scale weakened instances many sub-problems are decided by unit
+    /// propagation alone, which would make a conflict-based cost degenerate
+    /// to zero.
     #[must_use]
     pub fn cost_metric(&self) -> CostMetric {
         CostMetric::Propagations

@@ -12,9 +12,7 @@
 use crate::figures::render_instance_decomposition;
 use crate::scaled::{a51_manual_reference_set, CipherKind, ScaledWorkload};
 use crate::text_table::{sci, TextTable};
-use pdsat_core::{
-    Annealing, DecompositionSet, DriverConfig, SearchDriver, SearchLimits, Tabu, TabuConfig,
-};
+use pdsat_core::{Annealing, DriverConfig, SearchDriver, SearchLimits, Tabu, TabuConfig};
 
 /// One row of Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +32,6 @@ pub struct Table1Row {
 pub struct Table1Result {
     /// The rows of the table, in S1/S2/S3 order.
     pub rows: Vec<Table1Row>,
-    /// The decomposition sets themselves (same order as `rows`).
-    pub sets: Vec<DecompositionSet>,
     /// Rendered Figures 1, 2a, 2b.
     pub figures: Vec<String>,
     /// Number of predictive-function evaluations spent by the search.
@@ -139,7 +135,6 @@ pub fn run_table1(workload: &ScaledWorkload) -> Table1Result {
 
     Table1Result {
         rows,
-        sets: vec![s1, s2_outcome.best_set, s3_outcome.best_set],
         figures,
         points_evaluated: evaluator.evaluations(),
     }

@@ -10,7 +10,7 @@
 //! was found. On average the real time deviates from the estimate by ≈8 %.
 //!
 //! The scaled experiment follows the same protocol with smaller K gaps,
-//! shorter keystreams, deterministic cost (solver conflicts) and a simulated
+//! shorter keystreams, deterministic cost (solver propagations) and a simulated
 //! cluster for the many-core column.
 
 use crate::scaled::ScaledWorkload;
@@ -24,8 +24,6 @@ use pdsat_distrib::{simulate_cluster, ClusterConfig};
 /// Per-instance measurements of one weakened problem.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceMeasurement {
-    /// Instance label ("inst. 1" …).
-    pub label: String,
     /// Real sequential cost of processing the whole family (1 core).
     pub family_cost_one_core: f64,
     /// Simulated makespan of the family on the many-core cluster.
@@ -154,7 +152,7 @@ pub fn run_table3(
         instances_per_problem > 0,
         "at least one instance per problem"
     );
-    let cores = cluster.cores();
+    let cores = cluster.cores;
     let mut rows = Vec::new();
 
     for workload in problems {
@@ -188,7 +186,7 @@ pub fn run_table3(
         };
         let mut instances = Vec::new();
         let mut deviations = Vec::new();
-        for (i, instance) in series.iter().enumerate() {
+        for instance in &series {
             let report =
                 FamilySolver::new(instance.cnf(), &solve_config).solve_family(&best_set, None);
             let sat_indices: Vec<usize> = report
@@ -200,7 +198,6 @@ pub fn run_table3(
                 deviations.push(100.0 * (report.total_cost - f_one_core).abs() / f_one_core);
             }
             instances.push(InstanceMeasurement {
-                label: format!("inst. {}", i + 1),
                 family_cost_one_core: report.total_cost,
                 family_makespan_cores: cluster_report.makespan,
                 finding_sat_cores: cluster_report.first_sat_finish,
@@ -244,11 +241,7 @@ mod tests {
             tiny_problem(CipherKind::Bivium),
             tiny_problem(CipherKind::Grain),
         ];
-        let cluster = ClusterConfig {
-            nodes: 1,
-            cores_per_node: 8,
-            core_speed: 1.0,
-        };
+        let cluster = ClusterConfig { cores: 8 };
         let result = run_table3(&problems, 2, &cluster);
         assert_eq!(result.rows.len(), 2);
         assert_eq!(result.cores, 8);
@@ -285,6 +278,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one instance")]
     fn zero_instances_rejected() {
-        let _ = run_table3(&[], 0, &ClusterConfig::matrosov_2_nodes());
+        let _ = run_table3(&[], 0, &ClusterConfig { cores: 64 });
     }
 }

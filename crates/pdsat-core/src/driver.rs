@@ -216,11 +216,9 @@ impl SearchDriver {
         history.push(SearchStep {
             index: 0,
             point: start.clone(),
-            set_size: start.ones(),
             value: start_eval.value,
             accepted: true,
             is_best,
-            elapsed: begin.elapsed(),
         });
         {
             let mut ctx = SearchContext {
@@ -276,12 +274,10 @@ impl SearchDriver {
             }
             history.push(SearchStep {
                 index: history.len(),
-                set_size: evaluated.point.ones(),
                 point: evaluated.point,
                 value: evaluated.value,
                 accepted: observation.accepted,
                 is_best,
-                elapsed: begin.elapsed(),
             });
 
             // Strategy-level stops fire before the next limits check (the

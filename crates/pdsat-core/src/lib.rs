@@ -31,8 +31,8 @@
 //! backend per worker for the oracle's lifetime, however many workers there
 //! are, driven by the calling thread and threads scoped to each batch that
 //! read the caller's cubes and write the results in place, with interrupt
-//! fan-out and per-worker stats/conflict-count accumulation merged once per
-//! batch. The unit of work
+//! fan-out, per-worker stats merged once per batch and one running
+//! per-variable conflict tally per oracle. The unit of work
 //! it schedules is one of two backends:
 //! [`BackendKind::Fresh`] rewinds its solver to the loaded formula per cube
 //! (order-independent observations, what the Monte Carlo argument assumes),

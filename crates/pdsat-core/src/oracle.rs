@@ -15,8 +15,9 @@
 //! the result columns in place. The calling thread is always the first
 //! worker, so a one-worker oracle spawns no thread per batch. Every cube
 //! runs to a verdict; the executor fans an [`InterruptFlag`] out to every
-//! worker and merges per-worker [`SolverStats`] and conflict-count
-//! accumulators once per batch.
+//! worker and merges per-worker [`SolverStats`] once per batch and the
+//! spawned workers' per-variable conflict counts into the oracle's one
+//! running tally ([`CubeOracle::conflict_activity`]).
 //!
 //! The [`Evaluator`](crate::Evaluator) (one batch per point's sample) and
 //! [`FamilySolver`](crate::FamilySolver) both route through here; backend selection threads through their configs as a
@@ -73,11 +74,6 @@ pub struct BatchResult {
     /// enabled. Certificates are checked at ingestion and stripped, never
     /// persisted.
     pub proofs: Vec<(usize, DratProof)>,
-    /// Per-variable conflict participation, summed over all sub-problems of
-    /// the batch (used as the "conflict activity" of the tabu heuristic).
-    /// Accumulated per worker and merged once per batch — nothing
-    /// `num_vars`-sized is allocated or moved per cube.
-    pub var_conflict_totals: Vec<u64>,
     /// Solver-statistics deltas summed over all sub-problems of the batch.
     pub solver_stats: SolverStats,
     /// Wall-clock time of the whole batch (with however many workers ran).
@@ -88,13 +84,12 @@ impl BatchResult {
     /// The result of a batch of `cubes` cubes none of which is solved yet.
     /// The zeroed cost column is not touched here: its pages are faulted in
     /// by whichever worker writes them.
-    fn unsolved(cubes: usize, num_vars: usize) -> BatchResult {
+    fn unsolved(cubes: usize) -> BatchResult {
         BatchResult {
             costs: vec![0.0; cubes],
             verdicts: vec![None; cubes],
             models: Vec::new(),
             proofs: Vec::new(),
-            var_conflict_totals: vec![0; num_vars],
             solver_stats: SolverStats::default(),
             wall_time: Duration::ZERO,
         }
@@ -201,6 +196,8 @@ pub struct OracleTestPolicy {
 /// assert_eq!(batch.costs.len(), 4);
 /// assert!(batch.models.iter().map(|(i, _)| *i).eq(0..4));
 /// assert_eq!(oracle.cubes_solved(), 4);
+/// // No cube of a satisfiable chain meets a conflict.
+/// assert!(oracle.conflict_activity().iter().all(|&c| c == 0));
 /// ```
 pub struct CubeOracle {
     /// The formula and how to build a backend over it; shared with the pool
@@ -209,6 +206,8 @@ pub struct CubeOracle {
     config: BatchConfig,
     pool: WorkerPool,
     total_stats: SolverStats,
+    /// Per-variable conflict participation over every cube solved.
+    conflict_activity: Vec<u64>,
     batches: u64,
     cubes_solved: u64,
 }
@@ -265,6 +264,7 @@ impl CubeOracle {
             config,
             pool,
             total_stats: SolverStats::default(),
+            conflict_activity: vec![0; cnf.num_vars()],
             batches: 0,
             cubes_solved: 0,
         }
@@ -288,6 +288,14 @@ impl CubeOracle {
     #[must_use]
     pub fn total_stats(&self) -> &SolverStats {
         &self.total_stats
+    }
+
+    /// Per-variable conflict participation summed over every cube this
+    /// oracle has solved, indexed by variable: the "conflict activity" the
+    /// tabu search's `getNewCenter` maximizes (§3 of the paper).
+    #[must_use]
+    pub fn conflict_activity(&self) -> &[u64] {
+        &self.conflict_activity
     }
 
     /// Number of batches processed.
@@ -327,11 +335,12 @@ impl CubeOracle {
     ) -> BatchResult {
         let start = Instant::now();
         let interrupt = external_interrupt.cloned().unwrap_or_default();
-        let mut result = BatchResult::unsolved(cubes.len(), self.cnf().num_vars());
+        let mut result = BatchResult::unsolved(cubes.len());
+        let conflicts = &mut self.conflict_activity;
 
         if !cubes.is_empty() {
             self.pool
-                .run_batch(cubes, &self.config, &interrupt, &mut result);
+                .run_batch(cubes, &self.config, &interrupt, &mut result, conflicts);
             // Every cube whose solve panicked in the pool is re-solved once
             // on the calling thread with a one-shot backend. Deliberately
             // not fault-injected: if this path panics too, the failure
@@ -343,6 +352,7 @@ impl CubeOracle {
                     &self.config,
                     &interrupt,
                     &mut result,
+                    conflicts,
                 );
             }
             // Each worker listed its own; the re-solve's come last.
@@ -361,14 +371,15 @@ impl CubeOracle {
 /// The re-solve of cubes whose solve panicked in the pool: solves, in turn
 /// on `backend`, every cube of the batch whose position in `result` no
 /// worker filled, writes each cube's cost and verdict at its position,
-/// counts it in `requeued_cubes` and adds the backend's statistics for the
-/// run to `result`'s.
+/// counts it in `requeued_cubes`, adds the backend's statistics for the
+/// run to `result`'s and its per-variable conflict counts to `conflicts`.
 fn solve_on_caller(
     backend: &mut dyn CubeBackend,
     cubes: &[Cube],
     config: &BatchConfig,
     interrupt: &InterruptFlag,
     result: &mut BatchResult,
+    conflicts: &mut [u64],
 ) {
     backend.begin_batch();
     let mut buffer = LitBuffer::new();
@@ -377,7 +388,7 @@ fn solve_on_caller(
             continue;
         }
         let cube = buffer.write(cube);
-        let raw = backend.solve(cube, interrupt, &mut result.var_conflict_totals);
+        let raw = backend.solve(cube, interrupt, conflicts);
         result.costs[index] = config.cost.measure(raw.counters, raw.elapsed);
         let verdict = summarize(index, raw, &mut result.models, &mut result.proofs);
         result.verdicts[index] = Some(verdict);
@@ -487,12 +498,17 @@ mod tests {
             num_workers: 4,
             ..seq_config.clone()
         };
-        let seq = batch(&cnf, &cubes, &seq_config);
-        let par = batch(&cnf, &cubes, &par_config);
+        let mut seq_oracle = exact(&cnf, seq_config);
+        let mut par_oracle = exact(&cnf, par_config);
+        let seq = seq_oracle.solve_batch(&cubes, None);
+        let par = par_oracle.solve_batch(&cubes, None);
         assert_eq!(seq.verdicts, par.verdicts);
         // Deterministic metric: identical costs regardless of scheduling.
         assert_eq!(seq.costs, par.costs);
-        assert_eq!(seq.var_conflict_totals, par.var_conflict_totals);
+        assert_eq!(
+            seq_oracle.conflict_activity(),
+            par_oracle.conflict_activity()
+        );
         assert_eq!(seq.solver_stats.conflicts, par.solver_stats.conflicts);
         assert_eq!(seq.solver_stats.propagations, par.solver_stats.propagations);
     }
@@ -502,12 +518,13 @@ mod tests {
         let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new([Var::new(0), Var::new(5)]);
         let cubes: Vec<Cube> = set.cubes().collect();
-        let result = batch(&cnf, &cubes, &BatchConfig::default());
+        let mut oracle = exact(&cnf, BatchConfig::default());
+        let result = oracle.solve_batch(&cubes, None);
         assert!(result.models.is_empty());
         let (sat, unsat, _) = result.verdict_counts();
         assert_eq!(sat, 0);
         assert_eq!(unsat, 4);
-        assert!(result.var_conflict_totals.iter().any(|&c| c > 0));
+        assert!(oracle.conflict_activity().iter().any(|&c| c > 0));
     }
 
     #[test]
@@ -524,7 +541,7 @@ mod tests {
             assert_eq!(oracle.num_workers(), workers.max(1));
             let result = oracle.solve_batch(&[], None);
             assert!(result.costs.is_empty() && result.verdicts.is_empty());
-            assert_eq!(result.var_conflict_totals, vec![0; cnf.num_vars()]);
+            assert_eq!(oracle.conflict_activity(), vec![0; cnf.num_vars()]);
             assert_eq!(result.solver_stats.conflicts, 0);
             assert_eq!(oracle.batches(), 1);
             assert_eq!(oracle.cubes_solved(), 0);

@@ -67,9 +67,9 @@ pub(crate) trait CubeBackend: Send {
     /// verdict, or to [`Verdict::Unknown`] if the interrupt flag is raised.
     ///
     /// The per-variable conflict participation attributable to this cube is
-    /// added into `conflict_acc` (indexed by variable, `num_vars` long) —
-    /// the worker owns one such accumulator per batch and the oracle merges
-    /// them once per batch.
+    /// added into `conflict_acc` (indexed by variable, `num_vars` long):
+    /// the oracle's running tally on the calling thread, a row of the
+    /// worker's own on a spawned one, added into the tally after the batch.
     fn solve(
         &mut self,
         cube: &[Lit],

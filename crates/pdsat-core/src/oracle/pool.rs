@@ -27,9 +27,11 @@
 //! families balanced — and a stolen chunk is a `&mut` into the place its
 //! cubes belong, so no column entry is sorted, listed or appended afterwards.
 //! Cubes are processed in the order submitted: a batch position *is* a cube
-//! index. Workers accumulate per-variable conflict counts, solver-statistics
-//! deltas and the rare model or proof locally and hand back one
-//! [`StripeReport`] each through their join.
+//! index. Workers accumulate solver-statistics deltas and the rare model or
+//! proof locally and hand back one [`StripeReport`] each through their join.
+//! Per-variable conflict counts go into the oracle's running tally: the
+//! calling thread's straight, each spawned worker's through a row of its own
+//! that is added in once the batch is over.
 //!
 //! # Fault tolerance
 //!
@@ -302,18 +304,20 @@ impl WorkerPool {
     /// cost and verdict at its own position on return and its model or proof
     /// listed (in no order yet), and each cube whose solve panicked — one
     /// per `worker_panics` added to `result`'s statistics — still has the
-    /// `None` verdict. Conflict counts and statistics are added to
-    /// `result`'s.
+    /// `None` verdict. Statistics are added to `result`'s and per-variable
+    /// conflict counts to `totals`.
     ///
     /// # Panics
     ///
-    /// Panics when a worker unwound past its per-cube recovery.
+    /// Panics when a worker unwound past its per-cube recovery; the conflict
+    /// counts the calling thread's stripe already added stay in `totals`.
     pub(super) fn run_batch(
         &mut self,
         cubes: &[Cube],
         config: &BatchConfig,
         interrupt: &InterruptFlag,
         result: &mut BatchResult,
+        totals: &mut [u64],
     ) {
         let stripes = self.slots.len().min(cubes.len());
         let Self { blueprint, slots } = self;
@@ -328,7 +332,6 @@ impl WorkerPool {
         let blueprint = &*blueprint;
         let (costs, verdicts) = (&mut result.costs, &mut result.verdicts);
         let batch = Batch::new(cubes, costs, verdicts, stripes, config, interrupt);
-        let totals = &mut result.var_conflict_totals;
         // The conflict counts of the spawned workers, one row each in one
         // allocation made here (the caller adds its own straight into
         // `totals`). A row is never empty, so that there is one per worker.
@@ -418,10 +421,11 @@ mod tests {
             let mut pool = WorkerPool::new(&spec, 2, None);
             pool.slots[broken] = Some(Box::new(BrokenBoundary(spec.build())));
             let run = |pool: &mut WorkerPool| {
-                let mut result = BatchResult::unsolved(cubes.len(), cnf.num_vars());
+                let mut result = BatchResult::unsolved(cubes.len());
+                let mut totals = vec![0; cnf.num_vars()];
                 let interrupt = InterruptFlag::new();
                 catch_unwind(AssertUnwindSafe(|| {
-                    pool.run_batch(&cubes, &config, &interrupt, &mut result);
+                    pool.run_batch(&cubes, &config, &interrupt, &mut result, &mut totals);
                 }))
                 .map(|()| result)
             };

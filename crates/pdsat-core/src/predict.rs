@@ -96,9 +96,9 @@ impl PointEvaluation {
 /// slot's backend is built in the first evaluation that reaches it, and
 /// survives across every later one, so with [`BackendKind::Warm`] the
 /// learnt clauses and VSIDS state accumulated at one search-space point
-/// keep paying off at the next. It accumulates
-/// per-variable conflict activity over everything it solves (the tabu search
-/// uses that activity to pick new neighbourhood centres, §3 of the paper) and
+/// keep paying off at the next. It reads the oracle's per-variable
+/// conflict activity over everything it solves (the tabu search uses that
+/// activity to pick new neighbourhood centres, §3 of the paper) and
 /// memoizes completed evaluations behind
 /// [`evaluate_memoized`](Evaluator::evaluate_memoized), so independent
 /// searches over the same instance never re-pay for a revisited point.
@@ -131,7 +131,6 @@ pub struct Evaluator {
     point_cache: PointCache,
     config: EvaluatorConfig,
     evaluations: u64,
-    conflict_activity: Vec<u64>,
     total_solve_wall: Duration,
 }
 
@@ -139,7 +138,6 @@ impl Evaluator {
     /// Creates an evaluator for the given formula.
     #[must_use]
     pub fn new(cnf: &Cnf, config: EvaluatorConfig) -> Evaluator {
-        let num_vars = cnf.num_vars();
         let batch_config = BatchConfig {
             solver_config: config.solver_config.clone(),
             cost: config.cost,
@@ -151,7 +149,6 @@ impl Evaluator {
             point_cache: PointCache::new(),
             config,
             evaluations: 0,
-            conflict_activity: vec![0; num_vars],
             total_solve_wall: Duration::ZERO,
         }
     }
@@ -194,10 +191,11 @@ impl Evaluator {
     }
 
     /// Accumulated per-variable conflict participation over every
-    /// sub-problem solved by this evaluator.
+    /// sub-problem solved by this evaluator: its oracle's
+    /// [`conflict_activity`](CubeOracle::conflict_activity).
     #[must_use]
     pub fn conflict_activity(&self) -> &[u64] {
-        &self.conflict_activity
+        self.oracle.conflict_activity()
     }
 
     /// Total accumulated conflict activity of the variables of `set` — the
@@ -206,7 +204,12 @@ impl Evaluator {
     pub fn activity_of_set(&self, set: &DecompositionSet) -> u64 {
         set.vars()
             .iter()
-            .map(|v| self.conflict_activity.get(v.index()).copied().unwrap_or(0))
+            .map(|v| {
+                self.conflict_activity()
+                    .get(v.index())
+                    .copied()
+                    .unwrap_or(0)
+            })
             .sum()
     }
 
@@ -300,16 +303,9 @@ impl Evaluator {
         self.evaluate_with_sample(set, &cubes, None)
     }
 
-    /// Counts one evaluated point and adds its batch's conflict activity and
-    /// wall time to the evaluator's totals.
+    /// Counts one evaluated point and adds its batch's wall time to the
+    /// evaluator's total.
     fn absorb(&mut self, batch: &BatchResult) {
-        for (acc, &c) in self
-            .conflict_activity
-            .iter_mut()
-            .zip(&batch.var_conflict_totals)
-        {
-            *acc += c;
-        }
         self.evaluations += 1;
         self.total_solve_wall += batch.wall_time;
     }
@@ -484,7 +480,6 @@ mod tests {
             verdicts: verdicts.map(Some).to_vec(),
             models: vec![model_at(1), model_at(4), model_at(5)],
             proofs: Vec::new(),
-            var_conflict_totals: Vec::new(),
             solver_stats: Default::default(),
             wall_time: Duration::ZERO,
         };

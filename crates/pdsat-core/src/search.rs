@@ -55,8 +55,6 @@ pub struct SearchStep {
     pub index: usize,
     /// The evaluated point.
     pub point: Point,
-    /// Size of the corresponding decomposition set.
-    pub set_size: usize,
     /// Predictive function value at the point.
     pub value: f64,
     /// Whether the point was accepted as the new centre (simulated annealing)
@@ -64,8 +62,6 @@ pub struct SearchStep {
     pub accepted: bool,
     /// Whether the point became the best seen so far.
     pub is_best: bool,
-    /// Time since the start of the search when the evaluation finished.
-    pub elapsed: Duration,
 }
 
 /// The result of one metaheuristic run: the pair `⟨χ_best, F_best⟩` returned
@@ -124,11 +120,9 @@ mod tests {
         let mk = |i: usize, v: f64| SearchStep {
             index: i,
             point: space.full_point(),
-            set_size: 3,
             value: v,
             accepted: false,
             is_best: false,
-            elapsed: Duration::ZERO,
         };
         let outcome = SearchOutcome {
             best_point: space.full_point(),

@@ -230,11 +230,13 @@ fn fresh_fixture_oracle(
     CubeOracle::with_test_policy(cnf, config, exact_workers(fault_plan))
 }
 
-fn assert_matches_fixture(result: &BatchResult, context: &str) {
+/// Requires one batch's columns and side lists, and `conflicts`, its share
+/// of the oracle's per-variable conflict tally, to match the fixture.
+fn assert_matches_fixture(result: &BatchResult, conflicts: &[u64], context: &str) {
     assert_eq!(result.costs, FRESH_FIXTURE.costs, "{context}");
     let text = format!(
         "{:?}{:?}{:?}{:?}{:?}",
-        result.costs, result.verdicts, result.models, result.proofs, result.var_conflict_totals
+        result.costs, result.verdicts, result.models, result.proofs, conflicts
     );
     let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -247,11 +249,15 @@ fn fresh_oracle_reproduces_the_rebuild_per_cube_fixture_batch_after_batch() {
     let (cnf, cubes) = fresh_fixture_family();
     let mut oracle = fresh_fixture_oracle(&cnf, CostMetric::Propagations, 1, FaultPlan::default());
     let mut counting = fresh_fixture_oracle(&cnf, CostMetric::Conflicts, 1, FaultPlan::default());
+    let mut tally = vec![0; cnf.num_vars()];
     for batch in 0..2 {
         let result = oracle.solve_batch(&cubes, None);
         let (sat, unsat, unknown) = result.verdict_counts();
         assert!(sat > 0 && unsat > 0 && unknown == 0);
-        assert_matches_fixture(&result, &format!("batch {batch}"));
+        let now = oracle.conflict_activity();
+        let conflicts: Vec<u64> = now.iter().zip(&tally).map(|(n, t)| n - t).collect();
+        tally = now.to_vec();
+        assert_matches_fixture(&result, &conflicts, &format!("batch {batch}"));
         let conflicts = counting.solve_batch(&cubes, None).costs;
         assert_eq!(conflicts, FRESH_FIXTURE.conflicts, "batch {batch}");
     }
@@ -270,5 +276,5 @@ fn fresh_oracle_reproduces_the_fixture_across_a_mid_family_solve_panic() {
     let result = oracle.solve_batch(&cubes, None);
     assert_eq!(result.solver_stats.worker_panics, 1);
     assert_eq!(result.solver_stats.requeued_cubes, 1);
-    assert_matches_fixture(&result, "panic on solve 6");
+    assert_matches_fixture(&result, oracle.conflict_activity(), "panic on solve 6");
 }

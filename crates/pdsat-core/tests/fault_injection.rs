@@ -32,16 +32,26 @@ fn oracle(cnf: &Cnf, workers: usize, faults: FaultPlan) -> CubeOracle {
     CubeOracle::with_test_policy(cnf, config, policy)
 }
 
-fn run_with_plan(cnf: &Cnf, cubes: &[Cube], workers: usize, plan: FaultPlan) -> BatchResult {
-    oracle(cnf, workers, plan).solve_batch(cubes, None)
+/// One batch on a new oracle: its result and the oracle's conflict tally.
+fn run_with_plan(
+    cnf: &Cnf,
+    cubes: &[Cube],
+    workers: usize,
+    plan: FaultPlan,
+) -> (BatchResult, Vec<u64>) {
+    let mut oracle = oracle(cnf, workers, plan);
+    let result = oracle.solve_batch(cubes, None);
+    (result, oracle.conflict_activity().to_vec())
 }
 
-/// Asserts every per-cube observation matches between two runs.
-fn assert_outcomes_identical(reference: &BatchResult, faulted: &BatchResult) {
+/// Asserts every per-cube observation and the oracles' conflict tallies
+/// match between two runs.
+fn assert_outcomes_identical(reference: (&BatchResult, &[u64]), faulted: (&BatchResult, &[u64])) {
+    let ((reference, reference_conflicts), (faulted, faulted_conflicts)) = (reference, faulted);
     assert_eq!(reference.verdicts, faulted.verdicts);
     assert_eq!(reference.costs, faulted.costs);
     assert_eq!(reference.models, faulted.models);
-    assert_eq!(reference.var_conflict_totals, faulted.var_conflict_totals);
+    assert_eq!(reference_conflicts, faulted_conflicts);
 }
 
 #[test]
@@ -50,7 +60,7 @@ fn injected_worker_panic_changes_no_observable_result() {
     let cnf = Cnf::pigeonhole(6);
     let cubes = sample_cubes(&cnf, 5, 24);
 
-    let reference = run_with_plan(&cnf, &cubes, 2, FaultPlan::default());
+    let (reference, reference_conflicts) = run_with_plan(&cnf, &cubes, 2, FaultPlan::default());
     assert_eq!(reference.verdicts.iter().flatten().count(), cubes.len());
     assert_eq!(reference.solver_stats.worker_panics, 0);
     assert_eq!(reference.solver_stats.requeued_cubes, 0);
@@ -62,9 +72,12 @@ fn injected_worker_panic_changes_no_observable_result() {
     let plan = FaultPlan {
         solve_panics: vec![0, 5, 11, 17],
     };
-    let faulted = run_with_plan(&cnf, &cubes, 2, plan);
+    let (faulted, faulted_conflicts) = run_with_plan(&cnf, &cubes, 2, plan);
 
-    assert_outcomes_identical(&reference, &faulted);
+    assert_outcomes_identical(
+        (&reference, &reference_conflicts),
+        (&faulted, &faulted_conflicts),
+    );
     assert_eq!(
         faulted.solver_stats.worker_panics, 4,
         "every injected panic must be counted"
@@ -80,13 +93,16 @@ fn seeded_plans_reproduce_and_still_complete() {
     fault::silence_injected_panics();
     let cnf = Cnf::pigeonhole(6);
     let cubes = sample_cubes(&cnf, 5, 16);
-    let reference = run_with_plan(&cnf, &cubes, 3, FaultPlan::default());
+    let (reference, reference_conflicts) = run_with_plan(&cnf, &cubes, 3, FaultPlan::default());
 
     for seed in 0..3u64 {
         let plan = FaultPlan::seeded(seed, 4, 16);
         assert_eq!(plan, FaultPlan::seeded(seed, 4, 16));
-        let faulted = run_with_plan(&cnf, &cubes, 3, plan.clone());
-        assert_outcomes_identical(&reference, &faulted);
+        let (faulted, faulted_conflicts) = run_with_plan(&cnf, &cubes, 3, plan.clone());
+        assert_outcomes_identical(
+            (&reference, &reference_conflicts),
+            (&faulted, &faulted_conflicts),
+        );
         // The plan's horizon is the batch length, so every ordinal fires.
         let planned = plan.solve_panics.len() as u64;
         assert_eq!(faulted.solver_stats.worker_panics, planned, "seed {seed}");
@@ -144,7 +160,12 @@ fn a_replacement_after_a_seeded_panic_answers_like_the_shared_load() {
             for batch in [narrow, wide] {
                 let expected = reference.solve_batch(batch, None);
                 let result = faulted.solve_batch(batch, None);
-                assert_outcomes_identical(&expected, &result);
+                // Both oracles solved the same batches so far, so their
+                // running tallies must agree after each.
+                assert_outcomes_identical(
+                    (&expected, reference.conflict_activity()),
+                    (&result, faulted.conflict_activity()),
+                );
                 let stats = &result.solver_stats;
                 assert_eq!(stats.worker_panics, stats.requeued_cubes);
                 panics += stats.worker_panics;

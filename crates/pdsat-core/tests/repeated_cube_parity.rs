@@ -198,10 +198,12 @@ fn check_oracle(cnf: &Cnf, samples: &[Vec<Cube>; 2], proof: bool, num_workers: u
             .collect();
         assert_eq!(result.proofs, proofs);
         assert_eq!(proofs.is_empty(), !proof || result.verdict_counts().1 == 0);
-        let (stats, conflicts) = totals(&references.iter().collect::<Vec<_>>(), cnf.num_vars());
-        assert_eq!(result.var_conflict_totals, conflicts);
+        let (stats, _) = totals(&references.iter().collect::<Vec<_>>(), cnf.num_vars());
         assert_eq!(result.solver_stats, stats);
         all.extend(references);
+        // The oracle's conflict tally runs over every batch it solved.
+        let (_, conflicts) = totals(&all.iter().collect::<Vec<_>>(), cnf.num_vars());
+        assert_eq!(oracle.conflict_activity(), conflicts.as_slice());
     }
     let (stats, _) = totals(&all.iter().collect::<Vec<_>>(), cnf.num_vars());
     assert_eq!(*oracle.total_stats(), stats);

@@ -57,15 +57,17 @@ fn sequential_and_pool_runs_are_identical_for_fresh_backends() {
             num_workers: workers,
             ..BatchConfig::default()
         };
-        exact_oracle(&cnf, config, FaultPlan::default()).solve_batch(&cubes, None)
+        let mut oracle = exact_oracle(&cnf, config, FaultPlan::default());
+        let result = oracle.solve_batch(&cubes, None);
+        (result, oracle.conflict_activity().to_vec())
     };
-    let seq = run(1);
-    let par = run(4);
+    let (seq, seq_conflicts) = run(1);
+    let (par, par_conflicts) = run(4);
 
     // Identical per-cube observations, position by position.
     assert_eq!(seq.verdicts, par.verdicts);
     assert_eq!(seq.costs, par.costs);
-    assert_eq!(seq.var_conflict_totals, par.var_conflict_totals);
+    assert_eq!(seq_conflicts, par_conflicts);
     assert_eq!(seq.solver_stats.conflicts, par.solver_stats.conflicts);
     assert_eq!(seq.solver_stats.propagations, par.solver_stats.propagations);
     assert_eq!(seq.solver_stats.decisions, par.solver_stats.decisions);
@@ -150,7 +152,7 @@ fn empty_batches_and_short_batches_never_hang_the_pool() {
     // Empty batch: immediate, counted, pool untouched.
     let empty = oracle.solve_batch(&[], None);
     assert!(empty.costs.is_empty() && empty.verdicts.is_empty());
-    assert_eq!(empty.var_conflict_totals.len(), cnf.num_vars());
+    assert_eq!(oracle.conflict_activity(), vec![0; cnf.num_vars()]);
 
     // Fewer cubes than workers: dispatch is clamped, drain terminates, all
     // results arrive.
@@ -255,14 +257,14 @@ fn assert_same_observations(reference: &BatchResult, other: &BatchResult) {
 #[test]
 fn stolen_chunks_are_placed_where_their_cubes_belong() {
     let (cnf, cubes) = skewed_family();
-    let one = CubeOracle::new(
+    let mut one_oracle = CubeOracle::new(
         &cnf,
         BatchConfig {
             num_workers: 1,
             ..pool_of_four(BackendKind::Fresh)
         },
-    )
-    .solve_batch(&cubes, None);
+    );
+    let one = one_oracle.solve_batch(&cubes, None);
     assert_whole_batch_is_solved(&one, cubes.len());
     // The skew the test relies on: all conflicts (the cost metric) sit in
     // the first quarter.
@@ -275,11 +277,18 @@ fn stolen_chunks_are_placed_where_their_cubes_belong() {
     assert!(one.costs[quarter..].iter().all(|&c| c == 0.0));
 
     let mut oracle = exact_oracle(&cnf, pool_of_four(BackendKind::Fresh), FaultPlan::default());
-    for _ in 0..3 {
+    for batches in 1..=3 {
         let four = oracle.solve_batch(&cubes, None);
         assert_whole_batch_is_solved(&four, cubes.len());
         assert_same_observations(&one, &four);
-        assert_eq!(one.var_conflict_totals, four.var_conflict_totals);
+        // Fresh costs are per cube, so the pool's tally after `batches`
+        // batches is that many times the one batch of one worker.
+        let expected: Vec<u64> = one_oracle
+            .conflict_activity()
+            .iter()
+            .map(|c| c * batches)
+            .collect();
+        assert_eq!(oracle.conflict_activity(), expected);
     }
 }
 
@@ -340,8 +349,8 @@ fn requeued_and_fallback_cubes_end_up_in_place() {
     fault::silence_injected_panics();
     let (cnf, cubes) = skewed_family();
     let fresh = pool_of_four(BackendKind::Fresh);
-    let reference =
-        exact_oracle(&cnf, fresh.clone(), FaultPlan::default()).solve_batch(&cubes, None);
+    let mut reference_oracle = exact_oracle(&cnf, fresh.clone(), FaultPlan::default());
+    let reference = reference_oracle.solve_batch(&cubes, None);
 
     for seed in [3u64, 4, 9] {
         // Panics at seeded solve ordinals all through the batch; each
@@ -351,10 +360,14 @@ fn requeued_and_fallback_cubes_end_up_in_place() {
         let plan = FaultPlan::seeded(seed, 12, cubes.len() as u64);
         let planned = plan.solve_panics.len() as u64;
         assert!(planned >= 2, "seed {seed} injects too little");
-        let faulted = exact_oracle(&cnf, fresh.clone(), plan).solve_batch(&cubes, None);
+        let mut oracle = exact_oracle(&cnf, fresh.clone(), plan);
+        let faulted = oracle.solve_batch(&cubes, None);
         assert_whole_batch_is_solved(&faulted, cubes.len());
         assert_same_observations(&reference, &faulted);
-        assert_eq!(reference.var_conflict_totals, faulted.var_conflict_totals);
+        assert_eq!(
+            reference_oracle.conflict_activity(),
+            oracle.conflict_activity()
+        );
         assert_eq!(faulted.solver_stats.worker_panics, planned, "seed {seed}");
         assert_eq!(faulted.solver_stats.requeued_cubes, planned, "seed {seed}");
     }
@@ -503,14 +516,20 @@ fn history_free_family(chains: u32, len: u32) -> (Cnf, Vec<Cube>) {
     (cnf, cubes)
 }
 
-/// Everything a batch reports, compared whole.
-fn assert_same_batch(reference: &BatchResult, other: &BatchResult, what: &str) {
+/// Everything a batch reports, compared whole, and the conflict tallies of
+/// the two oracles that solved it.
+fn assert_same_batch(
+    (reference, reference_oracle): (&BatchResult, &CubeOracle),
+    (other, other_oracle): (&BatchResult, &CubeOracle),
+    what: &str,
+) {
     assert_eq!(reference.costs, other.costs, "{what}");
     assert_eq!(reference.verdicts, other.verdicts, "{what}");
     assert_eq!(reference.models, other.models, "{what}");
     assert_eq!(reference.proofs, other.proofs, "{what}");
     assert_eq!(
-        reference.var_conflict_totals, other.var_conflict_totals,
+        reference_oracle.conflict_activity(),
+        other_oracle.conflict_activity(),
         "{what}"
     );
     assert_eq!(reference.solver_stats, other.solver_stats, "{what}");
@@ -542,15 +561,16 @@ fn pools_built_from_one_load_answer_like_one_worker() {
         (BackendKind::Fresh, &skewed, &skewed_cubes),
     ];
     for (backend, cnf, cubes) in cases {
-        let reference = CubeOracle::new(cnf, with_proofs(backend, 1)).solve_batch(cubes, None);
+        let mut one = CubeOracle::new(cnf, with_proofs(backend, 1));
+        let reference = one.solve_batch(cubes, None);
         assert_whole_batch_is_solved(&reference, cubes.len());
         assert!(!reference.proofs.is_empty());
         for workers in [2, 4] {
             let mut pool = exact_oracle(cnf, with_proofs(backend, workers), FaultPlan::default());
             let result = pool.solve_batch(cubes, None);
             assert_same_batch(
-                &reference,
-                &result,
+                (&reference, &one),
+                (&result, &pool),
                 &format!("{backend}, {workers} workers"),
             );
         }
@@ -568,7 +588,7 @@ fn a_later_wider_batch_builds_the_slots_the_first_did_not_reach() {
         for batch in [&cubes[..1], &cubes[1..]] {
             let reference = one.solve_batch(batch, None);
             let result = pool.solve_batch(batch, None);
-            assert_same_batch(&reference, &result, &format!("{backend}"));
+            assert_same_batch((&reference, &one), (&result, &pool), &format!("{backend}"));
         }
     }
 }

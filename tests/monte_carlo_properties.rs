@@ -87,7 +87,7 @@ proptest! {
     fn extrapolation_is_monotone(costs in prop::collection::vec(0.01f64..100.0, 1..60),
                                  cores in 1usize..64) {
         let makespan = |cores| {
-            let cluster = ClusterConfig { nodes: 1, cores_per_node: cores, core_speed: 1.0 };
+            let cluster = ClusterConfig { cores };
             simulate_cluster(&costs, &[], &cluster).makespan
         };
         prop_assert!(makespan(cores * 2) <= makespan(cores) + 1e-9);

@@ -4,6 +4,11 @@
 //! Ten checks, all over the source tree as text (no compiler plumbing).
 //! They keep the numbers other documents cite them by, so there is no 8:
 //! what it refused, the injected fault plan, is one of rule 10's names.
+//! The rules that search Rust files read their code: comments and the
+//! insides of string and character literals are blanked. A file's non-test
+//! code is everything before its test module — the first `#[cfg(test)]`
+//! line followed by a `mod` line — so a `#[cfg(test)]` helper above the
+//! module hides none of the code after it.
 //!
 //! 1. **unsafe-free**: every crate root (`lib.rs` / `main.rs`) must carry
 //!    `#![forbid(unsafe_code)]`.
@@ -431,10 +436,10 @@ fn check_no_parked_code(root: &Path, errors: &mut Vec<String>) {
     // Spelled in two halves so this file passes its own check.
     let allowance = concat!("allow(dead", "_code)");
     let advice = "delete the unused item or make it #[cfg(test)]";
-    forbid(root, &sources, "//", None, allowance, advice, errors);
+    forbid(root, &sources, Lines::Code, &[allowance], advice, errors);
     let allowance = concat!("allow(clippy::too_many", "_arguments)");
     let advice = "pass one value that describes the thing (as `BackendSpec` does)";
-    forbid(root, &sources, "//", None, allowance, advice, errors);
+    forbid(root, &sources, Lines::Code, &[allowance], advice, errors);
 
     let mut manifests = vec![root.join("Cargo.toml"), root.join("xtask/Cargo.toml")];
     for dir in ["crates", "vendor"] {
@@ -444,11 +449,17 @@ fn check_no_parked_code(root: &Path, errors: &mut Vec<String>) {
     }
     manifests.sort();
     let advice = "nothing serializes through it; remove the manifest entry";
-    forbid(root, &manifests, "#", None, "serde", advice, errors);
+    forbid(
+        root,
+        &manifests,
+        Lines::Manifest,
+        &["serde"],
+        advice,
+        errors,
+    );
     let advice = "benchmark/ is the one measuring harness; add a workload there";
-    for needle in ["criterion", "[[bench]]"] {
-        forbid(root, &manifests, "#", None, needle, advice, errors);
-    }
+    let needles = ["criterion", "[[bench]]"];
+    forbid(root, &manifests, Lines::Manifest, &needles, advice, errors);
 }
 
 /// The family counters' names, read off the one list that declares them
@@ -499,17 +510,8 @@ fn check_counters_travel_whole(root: &Path, errors: &mut Vec<String>) {
     }
     let advice = "carry the whole FamilyCounters value (its sum, its ordered view) \
                   instead of naming one counter";
-    for name in &names {
-        forbid(
-            root,
-            &sources,
-            "//",
-            Some("#[cfg(test)]"),
-            name,
-            advice,
-            errors,
-        );
-    }
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    forbid(root, &sources, Lines::NonTestCode, &names, advice, errors);
 }
 
 fn check_batches_borrow(root: &Path, errors: &mut Vec<String>) {
@@ -517,36 +519,43 @@ fn check_batches_borrow(root: &Path, errors: &mut Vec<String>) {
     rust_files(&root.join("crates/pdsat-core/src/oracle"), &mut sources);
     let advice = "pool threads are scoped to one batch and report through their join; \
                   keep channels and their watchdog out of the oracle";
-    for needle in ["mpsc", "recv_timeout"] {
-        forbid(root, &sources, "//", None, needle, advice, errors);
-    }
+    let needles = ["mpsc", "recv_timeout"];
+    forbid(root, &sources, Lines::Code, &needles, advice, errors);
     let advice = "results come back as the zeroed `costs` / `verdicts` columns, written in \
                   place; keep the per-cube record and its placeholder fill out of the oracle";
-    forbid(root, &sources, "//", None, "CubeOutcome", advice, errors);
+    forbid(
+        root,
+        &sources,
+        Lines::Code,
+        &["CubeOutcome"],
+        advice,
+        errors,
+    );
     for path in &sources {
-        let text = std::fs::read_to_string(path).unwrap_or_default();
-        for (i, line) in text.lines().enumerate() {
-            if fills_with_a_record(line.split("//").next().unwrap_or(line)) {
-                let at = rel(root, path);
+        let source = Source::read(root, path);
+        for (i, line) in source.code.lines().enumerate() {
+            if fills_with_a_record(line) {
+                let at = &source.path;
                 errors.push(format!("{at}:{}: placeholder fill: {advice}", i + 1));
             }
         }
     }
-    let until = Some("#[cfg(test)]");
     let advice = "every batch runs on the worker pool; a one-slot pool already drains its \
                   stripe on the calling thread, so a second executor must not come back";
-    forbid(root, &sources, "//", until, "Sequential", advice, errors);
+    let needles = ["Sequential"];
+    forbid(root, &sources, Lines::NonTestCode, &needles, advice, errors);
     let mut core = Vec::new();
     rust_files(&root.join("crates/pdsat-core/src"), &mut core);
     let advice = "every cube of a batch is solved and reported, as the paper's solving mode \
                   processes whole families; no mode abandons a batch at its first SAT cube";
-    forbid(root, &core, "//", until, "stop_on_sat", advice, errors);
+    let needles = ["stop_on_sat"];
+    forbid(root, &core, Lines::NonTestCode, &needles, advice, errors);
     let mut limited = core;
     rust_files(&root.join("crates/solver/src"), &mut limited);
     let advice = "every cube runs to a verdict and every search ends on its points or its \
                   strategy; a raised interrupt is the only early exit, and a test that needs \
                   one mid-search sets `TestPolicy::interrupt_at_conflict`";
-    for needle in [
+    let needles = [
         "StopReason",
         "max_conflicts",
         "max_propagations",
@@ -554,9 +563,8 @@ fn check_batches_borrow(root: &Path, errors: &mut Vec<String>) {
         "max_wall_time",
         "with_time_limit",
         "TIME_SLICE",
-    ] {
-        forbid(root, &limited, "//", until, needle, advice, errors);
-    }
+    ];
+    forbid(root, &limited, Lines::NonTestCode, &needles, advice, errors);
 }
 
 /// Whether `code` holds a `vec![element; n]` whose element is built by a
@@ -605,19 +613,12 @@ const READERS: [(&str, &str, &str); 4] = [
 fn check_readers_cannot_panic(root: &Path, errors: &mut Vec<String>) {
     for (file, reader, error) in READERS {
         let path = root.join(file);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                errors.push(format!("{}: unreadable: {e}", path.display()));
-                continue;
-            }
-        };
-        let until = text
-            .lines()
-            .position(|line| line.trim() == "#[cfg(test)]")
-            .unwrap_or(usize::MAX);
-        let code = code_only(&text);
-        for (i, line) in code.lines().enumerate().take(until) {
+        if let Err(e) = std::fs::metadata(&path) {
+            errors.push(format!("{}: unreadable: {e}", path.display()));
+            continue;
+        }
+        let source = Source::read(root, &path);
+        for (i, line) in source.non_test_lines().enumerate() {
             for word in panicking_words(line) {
                 errors.push(format!(
                     "{file}:{}: `{word}`: the {reader} reader reads bytes from disk and must \
@@ -647,22 +648,20 @@ fn check_test_policy_stays_in_tests(root: &Path, errors: &mut Vec<String>) {
         .map(|entries| entries.flatten().map(|e| e.path()).collect())
         .unwrap_or_default();
     crates.sort();
+    let mut paths = Vec::new();
+    for dir in &crates {
+        rust_files(&dir.join("src"), &mut paths);
+    }
+    for dir in ["src", "examples"] {
+        rust_files(&root.join(dir), &mut paths);
+    }
+    let sources: Vec<Source> = paths.iter().map(|path| Source::read(root, path)).collect();
     for (home, name) in TEST_POLICIES {
-        let mut sources = Vec::new();
-        for dir in crates.iter().filter(|d| !d.ends_with(home)) {
-            rust_files(&dir.join("src"), &mut sources);
-        }
-        for dir in ["src", "examples"] {
-            rust_files(&root.join(dir), &mut sources);
-        }
-        for path in &sources {
-            let text = std::fs::read_to_string(path).unwrap_or_default();
-            let code = text
-                .lines()
-                .take_while(|line| line.trim() != "#[cfg(test)]");
-            for (i, line) in code.enumerate() {
-                if spells(line.split("//").next().unwrap_or(line), name) {
-                    let at = rel(root, path);
+        let home = format!("crates/{home}/");
+        for source in sources.iter().filter(|s| !s.path.starts_with(&home)) {
+            for (i, line) in source.non_test_lines().enumerate() {
+                if spells(line, name) {
+                    let at = &source.path;
                     errors.push(format!(
                         "{at}:{}: {name}: every layer runs one production policy; its test \
                          policy is for the suites under tests/ only",
@@ -678,7 +677,7 @@ fn check_test_policy_stays_in_tests(root: &Path, errors: &mut Vec<String>) {
 /// but that stay, as `(file, name, reason)`.
 const UNCALLED: [(&str, &str, &str); 0] = [];
 
-/// One file as rule 11 reads it: its code with comments and literals
+/// One Rust file as the rules read it: its code with comments and literals
 /// blanked, and the line its first `#[cfg(test)] mod` starts on.
 struct Source {
     path: String,
@@ -700,6 +699,11 @@ impl Source {
             code: code_only(&text),
             test_from,
         }
+    }
+
+    /// Its non-test code, line by line: everything before its test module.
+    fn non_test_lines(&self) -> impl Iterator<Item = &str> {
+        self.code.lines().take(self.test_from)
     }
 
     /// The files of the out-of-line modules (`mod name;`) that its test
@@ -1303,26 +1307,57 @@ fn dependency_names(manifest: &str) -> Vec<String> {
     names
 }
 
-/// Reports every line of `files` that contains `needle` outside a comment;
-/// with `until`, only the lines before a file's first line equal to it.
+/// Which lines of a file [`forbid`] searches.
+#[derive(Clone, Copy)]
+enum Lines {
+    /// Every line of a manifest, up to its `#` comment.
+    Manifest,
+    /// Every line of a Rust file's code (comments and literals blanked).
+    Code,
+    /// The code of a Rust file before its `#[cfg(test)]` module.
+    NonTestCode,
+}
+
+/// Reports every line of `files` that contains one of `needles`, searching
+/// the `lines` of each file (read once), needle by needle.
 fn forbid(
     root: &Path,
     files: &[PathBuf],
-    comment: &str,
-    until: Option<&str>,
-    needle: &str,
+    lines: Lines,
+    needles: &[&str],
     advice: &str,
     errors: &mut Vec<String>,
 ) {
-    for path in files {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            continue;
-        };
-        let scanned = text.lines().take_while(|line| Some(line.trim()) != until);
-        for (i, line) in scanned.enumerate() {
-            if line.split(comment).next().unwrap_or(line).contains(needle) {
-                let at = rel(root, path);
-                errors.push(format!("{at}:{}: {needle}: {advice}", i + 1));
+    let searched: Vec<(String, Vec<String>)> = files
+        .iter()
+        .map(|path| {
+            let code: Vec<String> = match lines {
+                Lines::Manifest => {
+                    let text = std::fs::read_to_string(path).unwrap_or_default();
+                    let code = text
+                        .lines()
+                        .map(|line| line.split('#').next().unwrap_or(line));
+                    code.map(String::from).collect()
+                }
+                Lines::Code => Source::read(root, path)
+                    .code
+                    .lines()
+                    .map(String::from)
+                    .collect(),
+                Lines::NonTestCode => {
+                    let source = Source::read(root, path);
+                    source.non_test_lines().map(String::from).collect()
+                }
+            };
+            (rel(root, path), code)
+        })
+        .collect();
+    for needle in needles {
+        for (at, code) in &searched {
+            for (i, line) in code.iter().enumerate() {
+                if line.contains(needle) {
+                    errors.push(format!("{at}:{}: {needle}: {advice}", i + 1));
+                }
             }
         }
     }
@@ -1735,6 +1770,56 @@ mod tests {
                 "crates/distrib/src/transport.rs:2 FaultPlan",
                 "crates/pdsat-core/src/oracle.rs:5 GridTestPolicy",
                 "crates/pdsat-core/src/oracle.rs:5 LoopbackTransport::with_test_policy",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cfg_test_helper_before_the_test_module_hides_no_code() {
+        // Each file: a `#[cfg(test)]` helper, a forbidden name on line 3,
+        // then the test module naming it again (not reported).
+        let planted = |code: &str| {
+            format!(
+                "#[cfg(test)]\nfn with_capacity() {{}}\nfn f() {{ {code}; }}\n\
+                 #[cfg(test)]\nmod tests {{\n    fn t() {{ {code}; }}\n}}\n"
+            )
+        };
+        let tree = Tree::new("helper");
+        tree.write(
+            "crates/pdsat-core/src/solve_mode.rs",
+            "\nfamily_counters! {\n    reused_assumptions,\n}\n",
+        );
+        tree.write(
+            "crates/distrib/src/lease.rs",
+            &planted("reused_assumptions"),
+        );
+        tree.write(
+            "crates/pdsat-core/src/predict/cache.rs",
+            &planted("max_conflicts"),
+        );
+        for (file, _, _) in READERS {
+            tree.write(file, &planted("x.unwrap()"));
+        }
+        tree.write("crates/distrib/src/transport.rs", &planted("TestPolicy"));
+        let mut errors = Vec::new();
+        check_counters_travel_whole(&tree.0, &mut errors);
+        check_batches_borrow(&tree.0, &mut errors);
+        check_readers_cannot_panic(&tree.0, &mut errors);
+        check_test_policy_stays_in_tests(&tree.0, &mut errors);
+        let found: Vec<String> = errors
+            .iter()
+            .map(|e| e.splitn(3, ": ").take(2).collect::<Vec<_>>().join(" "))
+            .collect();
+        assert_eq!(
+            found,
+            [
+                "crates/distrib/src/lease.rs:3 reused_assumptions",
+                "crates/pdsat-core/src/predict/cache.rs:3 max_conflicts",
+                "crates/distrib/src/codec.rs:3 `unwrap`",
+                "crates/cnf/src/dimacs.rs:3 `unwrap`",
+                "crates/cnf/src/drat.rs:3 `unwrap`",
+                "src/bin/pdsat.rs:3 `unwrap`",
+                "crates/distrib/src/transport.rs:3 TestPolicy",
             ]
         );
     }
