@@ -6,12 +6,9 @@
 //! `N` (Table 2's message, ablation B). These experiments quantify each
 //! claim on scaled instances.
 
-use crate::scaled::ScaledWorkload;
+use crate::scaled::{tabu, ScaledWorkload};
 use crate::text_table::{sci, TextTable};
-use pdsat_core::{
-    Annealing, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver, SearchLimits, Tabu,
-    TabuConfig,
-};
+use pdsat_core::{Annealing, DecompositionSet, Evaluator, EvaluatorConfig, Strategy};
 
 /// Comparison of the two metaheuristics under the same evaluation budget.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,42 +90,28 @@ impl AblationResult {
 #[must_use]
 pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
     let instance = workload.build_instance();
-    let space = workload.search_space(&instance);
-    let start = space.full_point();
 
     // --- Ablation A: the paper's two strategies under the same point budget. --
-    // One driver, two exchangeable strategies (each with a fresh evaluator
-    // so the comparison is not contaminated by cross-search memoization).
-    let limits = SearchLimits::unlimited().with_max_points(workload.search_points);
-    let driver = SearchDriver::new(DriverConfig {
-        limits: limits.clone(),
-        seed: workload.seed,
-    });
-    let mut metaheuristics = Vec::new();
-    {
-        let mut evaluator = workload.evaluator(&instance);
-        let mut annealing = Annealing::new();
-        let outcome = driver.run(&space, &start, &mut annealing, &mut evaluator);
-        metaheuristics.push(MetaheuristicComparison {
-            algorithm: "simulated annealing".to_string(),
-            points: outcome.points_evaluated,
-            best_value: outcome.best_value,
-            best_set_size: outcome.best_set.len(),
-            wall_seconds: outcome.wall_time.as_secs_f64(),
-        });
-    }
-    {
-        let mut evaluator = workload.evaluator(&instance);
-        let mut tabu = Tabu::new(&TabuConfig::default());
-        let outcome = driver.run(&space, &start, &mut tabu, &mut evaluator);
-        metaheuristics.push(MetaheuristicComparison {
-            algorithm: "tabu search".to_string(),
-            points: outcome.points_evaluated,
-            best_value: outcome.best_value,
-            best_set_size: outcome.best_set.len(),
-            wall_seconds: outcome.wall_time.as_secs_f64(),
-        });
-    }
+    // Each search gets a fresh evaluator, so the comparison is not
+    // contaminated by cross-search memoization.
+    let strategies: [(&str, &mut dyn Strategy); 2] = [
+        ("simulated annealing", &mut Annealing::new()),
+        ("tabu search", &mut tabu()),
+    ];
+    let metaheuristics = strategies
+        .into_iter()
+        .map(|(algorithm, strategy)| {
+            let mut evaluator = workload.evaluator(&instance);
+            let outcome = workload.search(&instance, strategy, &mut evaluator);
+            MetaheuristicComparison {
+                algorithm: algorithm.to_string(),
+                points: outcome.points_evaluated,
+                best_value: outcome.best_value,
+                best_set_size: outcome.best_set.len(),
+                wall_seconds: outcome.wall_time.as_secs_f64(),
+            }
+        })
+        .collect();
 
     // --- Ablation B: sample size vs estimation error. ------------------------
     // Use a moderate decomposition set (the starting set restricted to at most
@@ -136,11 +119,13 @@ pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
     // propagation count, unlike conflicts, is non-zero even for sub-problems
     // decided by unit propagation alone, so the relative error is well
     // defined on every instance size.
-    let base_set = space.decomposition_set(&start);
-    let small_set = pdsat_core::DecompositionSet::new(base_set.vars().iter().copied().take(10));
-    let ablation_b_config = workload.evaluator(&instance).config().clone();
-    let mut exact_evaluator = Evaluator::new(instance.cnf(), ablation_b_config.clone());
-    let exact = exact_evaluator.evaluate_exhaustively(&small_set).value();
+    let space = workload.search_space(&instance);
+    let base_set = space.decomposition_set(&space.full_point());
+    let small_set = DecompositionSet::new(base_set.vars().iter().copied().take(10));
+    let exact = workload
+        .evaluator(&instance)
+        .evaluate_exhaustively(&small_set)
+        .value();
     let mut sample_sizes = Vec::new();
     for factor in [1usize, 4, 16, 64] {
         let n = factor.max(1) * 4;
@@ -149,7 +134,7 @@ pub fn run_ablations(workload: &ScaledWorkload) -> AblationResult {
             EvaluatorConfig {
                 sample_size: n,
                 seed: workload.seed + factor as u64,
-                ..ablation_b_config.clone()
+                ..workload.evaluator_config()
             },
         );
         let estimate = evaluator.evaluate(&small_set).value();

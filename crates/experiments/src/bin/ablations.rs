@@ -1,5 +1,7 @@
 //! Ablation studies of the paper's design choices (§3).
 
+#![forbid(unsafe_code)]
+
 use pdsat_experiments::ablations::run_ablations;
 use pdsat_experiments::ScaledWorkload;
 

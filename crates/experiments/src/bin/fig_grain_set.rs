@@ -1,23 +1,19 @@
 //! Regenerates Figure 4 of the paper: the Grain decomposition set found by
 //! PDSAT drawn over the NFSR and LFSR.
 
-use pdsat_core::{DriverConfig, SearchDriver, SearchLimits, Tabu, TabuConfig};
-use pdsat_experiments::figures::render_instance_decomposition;
+#![forbid(unsafe_code)]
+
+use pdsat_experiments::figures::render_decomposition;
+use pdsat_experiments::scaled::tabu;
 use pdsat_experiments::{CipherKind, ScaledWorkload};
 
 fn main() {
     let workload = ScaledWorkload::grain();
     let instance = workload.build_instance();
-    let space = workload.search_space(&instance);
     let mut evaluator = workload.evaluator(&instance);
-    let driver = SearchDriver::new(DriverConfig {
-        limits: SearchLimits::unlimited().with_max_points(workload.search_points),
-        seed: workload.seed,
-    });
-    let mut tabu = Tabu::new(&TabuConfig::default());
-    let outcome = driver.run(&space, &space.full_point(), &mut tabu, &mut evaluator);
+    let outcome = workload.search(&instance, &mut tabu(), &mut evaluator);
 
-    let figure = render_instance_decomposition(
+    let figure = render_decomposition(
         &format!(
             "Figure 4: decomposition set of {} variables found by tabu search for Grain (F = {:.3e})",
             outcome.best_set.len(),

@@ -14,6 +14,8 @@
 //! (17–24 s on two vCPUs, spread over the four families: none takes more
 //! than 8 s).
 
+#![forbid(unsafe_code)]
+
 use pdsat_ciphers::{InstanceBuilder, A51};
 use pdsat_cnf::{Cube, LitBuffer, Var};
 use pdsat_experiments::TextTable;

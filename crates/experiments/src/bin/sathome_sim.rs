@@ -2,6 +2,8 @@
 //! processing A5/1 decomposition families on a volunteer computing grid,
 //! including a mid-run kill and checkpoint resume.
 
+#![forbid(unsafe_code)]
+
 use pdsat_experiments::sathome::run_sathome;
 use pdsat_experiments::ScaledWorkload;
 

@@ -1,6 +1,8 @@
 //! Regenerates Table 3 of the paper: weakened BiviumK/GrainK problems,
 //! predicted vs. real family processing cost and time-to-SAT.
 
+#![forbid(unsafe_code)]
+
 use pdsat_core::FamilyCounters;
 use pdsat_distrib::ClusterConfig;
 use pdsat_experiments::table3::{default_table3_problems, run_table3};

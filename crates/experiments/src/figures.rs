@@ -7,22 +7,27 @@
 //! are bracketed with `#`.
 
 use pdsat_ciphers::Instance;
-use pdsat_cnf::Var;
 use pdsat_core::DecompositionSet;
 
-/// Renders a decomposition set over the register layout of a cipher.
+/// Renders a decomposition set over the register layout of an instance's
+/// cipher.
 ///
-/// `layout` lists `(register name, register length)` in state order;
-/// `state_vars` maps state positions to CNF variables; `known` marks the
-/// state positions revealed by a weakening (drawn as `.` cells).
+/// `layout` lists `(register name, register length)` in state order; the
+/// instance maps state positions to CNF variables, and the positions its
+/// weakening revealed are drawn as `.` cells.
 #[must_use]
 pub fn render_decomposition(
     title: &str,
     layout: &[(String, usize)],
-    state_vars: &[Var],
-    known: &[usize],
+    instance: &Instance,
     set: &DecompositionSet,
 ) -> String {
+    let state_vars = instance.state_vars();
+    let known: Vec<usize> = instance
+        .known_state_bits()
+        .iter()
+        .map(|&(i, _)| i)
+        .collect();
     let mut out = String::new();
     out.push_str(title);
     out.push('\n');
@@ -58,22 +63,6 @@ pub fn render_decomposition(
     out
 }
 
-/// Convenience wrapper rendering a set over an [`Instance`]'s registers.
-#[must_use]
-pub fn render_instance_decomposition(
-    title: &str,
-    layout: &[(String, usize)],
-    instance: &Instance,
-    set: &DecompositionSet,
-) -> String {
-    let known: Vec<usize> = instance
-        .known_state_bits()
-        .iter()
-        .map(|&(i, _)| i)
-        .collect();
-    render_decomposition(title, layout, instance.state_vars(), &known, set)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +74,7 @@ mod tests {
         let instance = workload.build_instance();
         let unknown = instance.unknown_state_vars();
         let set = DecompositionSet::new(unknown.iter().copied().take(3));
-        let text = render_instance_decomposition(
+        let text = render_decomposition(
             "Figure: test set",
             &CipherKind::A51.register_layout(),
             &instance,
@@ -104,7 +93,7 @@ mod tests {
         let workload = ScaledWorkload::tiny(CipherKind::Bivium);
         let instance = workload.build_instance();
         let set = DecompositionSet::empty();
-        let text = render_instance_decomposition(
+        let text = render_decomposition(
             "Bivium cells",
             &CipherKind::Bivium.register_layout(),
             &instance,

@@ -4,9 +4,9 @@
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|
 //! | Table 1 (A5/1 sets S1/S2/S3) | [`table1`] | `table1_a51` |
-//! | Figures 1, 2a, 2b (A5/1 sets drawn over registers) | [`table1`], [`figures`] | `fig_a51_sets` |
+//! | Figures 1, 2a, 2b (A5/1 sets drawn over registers) | [`table1`], [`figures`] | `table1_a51` |
 //! | Table 2 (Bivium time estimations) | [`table2`] | `table2_bivium` |
-//! | Figure 3 (Bivium set over registers) | [`table2`], [`figures`] | `fig_bivium_set` |
+//! | Figure 3 (Bivium set over registers) | [`table2`], [`figures`] | `table2_bivium` |
 //! | Figure 4 (Grain set over registers) | [`figures`] | `fig_grain_set` |
 //! | Table 3 (weakened BiviumK/GrainK) | [`table3`] | `table3_weakened` |
 //! | §4.2 SAT@home narrative | [`sathome`] | `sathome_sim` |

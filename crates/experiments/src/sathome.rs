@@ -12,19 +12,16 @@
 //! 2. each family is processed by the distributed [`Coordinator`]: sharded
 //!    into work units, leased to a simulated volunteer population
 //!    (heavy-tailed speeds, churn, stragglers, duplicate and lost results),
-//!    every unit solved for real by a fresh-backend [`FamilySolver`];
+//!    every unit solved for real by a fresh-backend
+//!    [`ScaledWorkload::family_solver`];
 //! 3. the coordinator is **killed mid-run and resumed** from its
 //!    text-serialized checkpoint, demonstrating that completed work units
 //!    survive a crash;
 //! 4. the ideal-cluster baseline is reported alongside for comparison.
 
-use crate::scaled::{a51_manual_reference_set, CipherKind, ScaledWorkload};
+use crate::scaled::{a51_manual_reference_set, tabu, CipherKind, ScaledWorkload};
 use crate::text_table::{sci, TextTable};
 use pdsat_cnf::Cube;
-use pdsat_core::{
-    BackendKind, DriverConfig, FamilySolver, SearchDriver, SearchLimits, SolveModeConfig, Tabu,
-    TabuConfig,
-};
 use pdsat_distrib::{
     simulate_cluster, validate_unit_report, ClusterConfig, Coordinator, CoordinatorCheckpoint,
     CoordinatorConfig, LoopbackConfig, LoopbackTransport, RunStatus, WorkUnit,
@@ -111,39 +108,22 @@ pub fn run_sathome(workload: &ScaledWorkload, hosts: usize) -> SatHomeResult {
         "§4.2 is an A5/1 experiment"
     );
     let instance = workload.build_instance();
-    let space = workload.search_space(&instance);
 
     // The two sets the paper deployed: the manual S1 and the tabu-found S3.
     let manual = a51_manual_reference_set(&instance);
     let mut evaluator = workload.evaluator(&instance);
-    let driver = SearchDriver::new(DriverConfig {
-        limits: SearchLimits::unlimited().with_max_points(workload.search_points),
-        seed: workload.seed,
-    });
-    let tabu_set = driver
-        .run(
-            &space,
-            &space.full_point(),
-            &mut Tabu::new(&TabuConfig::default()),
-            &mut evaluator,
-        )
+    let tabu_set = workload
+        .search(&instance, &mut tabu(), &mut evaluator)
         .best_set;
-
-    // The coordinator solves every work unit with a *fresh* backend, so a
-    // unit's report is a pure function of the unit — the property that makes
-    // replicated results canonical and checkpoints reproducible.
-    let unit_config = SolveModeConfig {
-        cost: workload.cost_metric(),
-        num_workers: workload.num_workers,
-        backend: BackendKind::Fresh,
-        ..SolveModeConfig::default()
-    };
 
     let mut runs = Vec::new();
     for (name, set) in [("S1 (manual)", manual), ("S3 (tabu)", tabu_set)] {
         let cubes: Vec<Cube> = set.cubes().collect();
         let work_unit_size = 8;
-        let mut unit_solver = FamilySolver::new(instance.cnf(), &unit_config);
+        // The coordinator solves every work unit with a *fresh* backend, so a
+        // unit's report is a pure function of the unit — the property that
+        // makes replicated results canonical and checkpoints reproducible.
+        let mut unit_solver = workload.family_solver(instance.cnf());
         let mut solve_unit = |unit: &WorkUnit| {
             unit_solver.solve_cubes(
                 &set,

@@ -9,11 +9,19 @@
 //! paper mapping" says which of the paper's measurements each one stands for.
 
 use pdsat_ciphers::{Bivium, Grain, Instance, InstanceBuilder, StreamCipher, A51};
-use pdsat_cnf::Var;
-use pdsat_core::{CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, SearchSpace};
-use pdsat_solver::SolverConfig;
+use pdsat_cnf::{Cnf, Var};
+use pdsat_core::{
+    BackendKind, CostMetric, DecompositionSet, DriverConfig, Evaluator, EvaluatorConfig,
+    FamilySolver, SearchDriver, SearchLimits, SearchOutcome, SearchSpace, SolveModeConfig,
+    Strategy, Tabu, TabuConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Worker threads of every evaluator and family solver (the oracle caps them
+/// at the machine's parallelism). No printed value depends on it: every
+/// experiment runs the fresh backend and measures propagations.
+const NUM_WORKERS: usize = 4;
 
 /// Which generator a scaled experiment attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +94,6 @@ pub struct ScaledWorkload {
     /// Maximum number of points evaluated by a metaheuristic run (the paper
     /// bounds wall time instead: 1 day on 64–160 cores).
     pub search_points: usize,
-    /// Worker threads used when processing samples and families.
-    pub num_workers: usize,
     /// Base seed for instance generation, sampling and search.
     pub seed: u64,
 }
@@ -104,7 +110,6 @@ impl ScaledWorkload {
             known_suffix: 44,
             sample_size: 60,
             search_points: 25,
-            num_workers: 4,
             seed: 20150703,
         }
     }
@@ -118,7 +123,6 @@ impl ScaledWorkload {
             known_suffix: 157,
             sample_size: 60,
             search_points: 25,
-            num_workers: 4,
             seed: 20150704,
         }
     }
@@ -132,7 +136,6 @@ impl ScaledWorkload {
             known_suffix: 142,
             sample_size: 60,
             search_points: 25,
-            num_workers: 4,
             seed: 20150705,
         }
     }
@@ -152,7 +155,6 @@ impl ScaledWorkload {
             known_suffix,
             sample_size: 12,
             search_points: 8,
-            num_workers: 2,
             seed: 7,
         }
     }
@@ -196,21 +198,61 @@ impl ScaledWorkload {
         SearchSpace::new(instance.unknown_state_vars())
     }
 
-    /// An evaluator for the instance, configured with the workload's sample
-    /// size, the fresh backend (identically distributed observations, as the
+    /// The evaluator configuration of the workload: its sample size and
+    /// seed, the fresh backend (identically distributed observations, as the
     /// Monte Carlo argument assumes) and the workload's
     /// [`cost_metric`](ScaledWorkload::cost_metric).
     #[must_use]
+    pub fn evaluator_config(&self) -> EvaluatorConfig {
+        EvaluatorConfig {
+            sample_size: self.sample_size,
+            cost: self.cost_metric(),
+            num_workers: NUM_WORKERS,
+            seed: self.seed,
+            ..EvaluatorConfig::default()
+        }
+    }
+
+    /// An evaluator for the instance with the
+    /// [`evaluator_config`](ScaledWorkload::evaluator_config).
+    #[must_use]
     pub fn evaluator(&self, instance: &Instance) -> Evaluator {
-        Evaluator::new(
-            instance.cnf(),
-            EvaluatorConfig {
-                sample_size: self.sample_size,
+        Evaluator::new(instance.cnf(), self.evaluator_config())
+    }
+
+    /// Runs `strategy` over the instance's [`search_space`] from its full
+    /// point (`X̃_start`), for at most `search_points` points, seeded with the
+    /// workload's seed.
+    ///
+    /// [`search_space`]: ScaledWorkload::search_space
+    #[must_use]
+    pub fn search(
+        &self,
+        instance: &Instance,
+        strategy: &mut dyn Strategy,
+        evaluator: &mut Evaluator,
+    ) -> SearchOutcome {
+        let space = self.search_space(instance);
+        let driver = SearchDriver::new(DriverConfig {
+            limits: SearchLimits::unlimited().with_max_points(self.search_points),
+            seed: self.seed,
+        });
+        driver.run(&space, &space.full_point(), strategy, evaluator)
+    }
+
+    /// A solving-mode solver for `cnf` that measures costs as the
+    /// [`evaluator`](ScaledWorkload::evaluator) does: the workload's cost
+    /// metric on the fresh backend, so an estimate and a family's real cost
+    /// are measured on the same substrate.
+    #[must_use]
+    pub fn family_solver(&self, cnf: &Cnf) -> FamilySolver {
+        FamilySolver::new(
+            cnf,
+            &SolveModeConfig {
                 cost: self.cost_metric(),
-                solver_config: SolverConfig::default(),
-                num_workers: self.num_workers,
-                seed: self.seed,
-                ..EvaluatorConfig::default()
+                num_workers: NUM_WORKERS,
+                backend: BackendKind::Fresh,
+                ..SolveModeConfig::default()
             },
         )
     }
@@ -225,6 +267,12 @@ impl ScaledWorkload {
     pub fn cost_metric(&self) -> CostMetric {
         CostMetric::Propagations
     }
+}
+
+/// Algorithm 2, the strategy of every scaled search but annealing's.
+#[must_use]
+pub fn tabu() -> Tabu {
+    Tabu::new(&TabuConfig::default())
 }
 
 /// The "manual" A5/1 reference decomposition set (the analogue of S1 from

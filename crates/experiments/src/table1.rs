@@ -9,10 +9,10 @@
 //! "reference" set. The scaled experiment keeps the three-way comparison on
 //! a weakened instance.
 
-use crate::figures::render_instance_decomposition;
-use crate::scaled::{a51_manual_reference_set, CipherKind, ScaledWorkload};
+use crate::figures::render_decomposition;
+use crate::scaled::{a51_manual_reference_set, tabu, CipherKind, ScaledWorkload};
 use crate::text_table::{sci, TextTable};
-use pdsat_core::{Annealing, DriverConfig, SearchDriver, SearchLimits, Tabu, TabuConfig};
+use pdsat_core::Annealing;
 
 /// One row of Table 1.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,28 +67,17 @@ pub fn run_table1(workload: &ScaledWorkload) -> Table1Result {
         "Table 1 is an A5/1 experiment"
     );
     let instance = workload.build_instance();
-    let space = workload.search_space(&instance);
     let mut evaluator = workload.evaluator(&instance);
 
     // S1: the manual reference set (restricted to the unknown bits).
     let s1 = a51_manual_reference_set(&instance);
     let s1_eval = evaluator.evaluate(&s1);
 
-    // One driver serves both searches (same limits, same seed); the
-    // strategies are exchangeable and the shared evaluator memoizes points
-    // across them.
-    let driver = SearchDriver::new(DriverConfig {
-        limits: SearchLimits::unlimited().with_max_points(workload.search_points),
-        seed: workload.seed,
-    });
-
-    // S2: simulated annealing from X̃_start.
-    let mut annealing = Annealing::new();
-    let s2_outcome = driver.run(&space, &space.full_point(), &mut annealing, &mut evaluator);
-
-    // S3: tabu search from X̃_start.
-    let mut tabu = Tabu::new(&TabuConfig::default());
-    let s3_outcome = driver.run(&space, &space.full_point(), &mut tabu, &mut evaluator);
+    // S2 and S3: simulated annealing and tabu search from X̃_start, under
+    // the same limits and seed. The shared evaluator memoizes points across
+    // the two searches.
+    let s2_outcome = workload.search(&instance, &mut Annealing::new(), &mut evaluator);
+    let s3_outcome = workload.search(&instance, &mut tabu(), &mut evaluator);
 
     let rows = vec![
         Table1Row {
@@ -113,19 +102,19 @@ pub fn run_table1(workload: &ScaledWorkload) -> Table1Result {
 
     let layout = CipherKind::A51.register_layout();
     let figures = vec![
-        render_instance_decomposition(
+        render_decomposition(
             "Figure 1: decomposition set S1 (manual)",
             &layout,
             &instance,
             &s1,
         ),
-        render_instance_decomposition(
+        render_decomposition(
             "Figure 2a: decomposition set S2 (simulated annealing)",
             &layout,
             &instance,
             &s2_outcome.best_set,
         ),
-        render_instance_decomposition(
+        render_decomposition(
             "Figure 2b: decomposition set S3 (tabu search)",
             &layout,
             &instance,

@@ -1,5 +1,6 @@
-//! Experiment: Table 2 — time estimations for the Bivium cryptanalysis
-//! problem obtained with different strategies and sample sizes.
+//! Experiment: Table 2 and Figure 3 — time estimations for the Bivium
+//! cryptanalysis problem obtained with different strategies and sample
+//! sizes, and the tabu-optimized set drawn over the registers.
 //!
 //! The paper contrasts three published estimates: Eibach et al.'s fixed
 //! 45-variable strategy with N = 10² samples (1.637·10¹³ s), the
@@ -11,12 +12,10 @@
 //! on a weakened Bivium instance and, because the instance is small, also
 //! reports the *exact* family cost so the estimation error is visible.
 
-use crate::scaled::{bivium_fixed_strategy_set, CipherKind, ScaledWorkload};
+use crate::figures::render_decomposition;
+use crate::scaled::{bivium_fixed_strategy_set, tabu, CipherKind, ScaledWorkload};
 use crate::text_table::{sci, TextTable};
-use pdsat_core::{
-    DecompositionSet, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver, SearchLimits, Tabu,
-    TabuConfig,
-};
+use pdsat_core::{DecompositionSet, Evaluator, EvaluatorConfig};
 
 /// One row of Table 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,8 +40,8 @@ pub struct Table2Row {
 pub struct Table2Result {
     /// Rows in the order of the paper's table.
     pub rows: Vec<Table2Row>,
-    /// The tabu-optimized decomposition set of the last row.
-    pub best_set: DecompositionSet,
+    /// Rendered Figure 3: the tabu-optimized set of the last row.
+    pub figure: String,
 }
 
 impl Table2Result {
@@ -86,7 +85,7 @@ pub fn run_table2(workload: &ScaledWorkload) -> Table2Result {
         instance.cnf(),
         EvaluatorConfig {
             sample_size: small_n,
-            ..workload.evaluator(&instance).config().clone()
+            ..workload.evaluator_config()
         },
     );
     let fixed_k = (workload.unknown_bits() * 3 / 4).max(1);
@@ -101,7 +100,7 @@ pub fn run_table2(workload: &ScaledWorkload) -> Table2Result {
         instance.cnf(),
         EvaluatorConfig {
             sample_size: medium_n,
-            ..workload.evaluator(&instance).config().clone()
+            ..workload.evaluator_config()
         },
     );
     let start_set = space.decomposition_set(&space.full_point());
@@ -110,12 +109,7 @@ pub fn run_table2(workload: &ScaledWorkload) -> Table2Result {
 
     // Row 3: PDSAT — tabu-optimized set with the full sample size.
     let mut evaluator = workload.evaluator(&instance);
-    let driver = SearchDriver::new(DriverConfig {
-        limits: SearchLimits::unlimited().with_max_points(workload.search_points),
-        seed: workload.seed,
-    });
-    let mut tabu = Tabu::new(&TabuConfig::default());
-    let outcome = driver.run(&space, &space.full_point(), &mut tabu, &mut evaluator);
+    let outcome = workload.search(&instance, &mut tabu(), &mut evaluator);
     let best_exact = exact_if_feasible(&mut evaluator, &outcome.best_set);
 
     let rows = vec![
@@ -145,10 +139,16 @@ pub fn run_table2(workload: &ScaledWorkload) -> Table2Result {
         },
     ];
 
-    Table2Result {
-        rows,
-        best_set: outcome.best_set,
-    }
+    let figure = render_decomposition(
+        &format!(
+            "Figure 3: decomposition set of {} variables found by tabu search for Bivium",
+            outcome.best_set.len()
+        ),
+        &CipherKind::Bivium.register_layout(),
+        &instance,
+        &outcome.best_set,
+    );
+    Table2Result { rows, figure }
 }
 
 /// Computes the exact family cost when the set is small enough to enumerate
@@ -188,6 +188,9 @@ mod tests {
         let rendered = result.table().render();
         assert!(rendered.contains("PDSAT"));
         assert!(rendered.contains("Eibach"));
+        assert!(result
+            .figure
+            .contains(&format!("set of {} variables", result.rows[2].set_size)));
     }
 
     #[test]

@@ -13,12 +13,9 @@
 //! shorter keystreams, deterministic cost (solver propagations) and a simulated
 //! cluster for the many-core column.
 
-use crate::scaled::ScaledWorkload;
+use crate::scaled::{tabu, ScaledWorkload};
 use crate::text_table::{sci, TextTable};
-use pdsat_core::{
-    BackendKind, DecompositionSet, DriverConfig, FamilyCounters, FamilySolver, SearchDriver,
-    SearchLimits, SolveModeConfig, Tabu, TabuConfig,
-};
+use pdsat_core::FamilyCounters;
 use pdsat_distrib::{simulate_cluster, ClusterConfig};
 
 /// Per-instance measurements of one weakened problem.
@@ -158,37 +155,22 @@ pub fn run_table3(
     for workload in problems {
         let series = workload.build_series(instances_per_problem);
         let first = &series[0];
-        let space = workload.search_space(first);
-        let mut evaluator = workload.evaluator(first);
 
         // Find X̃_best on the first instance of the series (as in the paper).
-        let driver = SearchDriver::new(DriverConfig {
-            limits: SearchLimits::unlimited().with_max_points(workload.search_points),
-            seed: workload.seed,
-        });
-        let mut tabu = Tabu::new(&TabuConfig::default());
-        let outcome = driver.run(&space, &space.full_point(), &mut tabu, &mut evaluator);
-        let best_set: DecompositionSet = outcome.best_set.clone();
+        let outcome = workload.search(first, &mut tabu(), &mut workload.evaluator(first));
+        let best_set = outcome.best_set;
         let f_one_core = outcome.best_value;
         let f_many_cores = f_one_core / cores as f64;
 
-        // Solve all instances of the series over the same decomposition set.
-        // The cost metric must match the evaluator's so the estimate and the
-        // real family cost are comparable.
-        let solve_config = SolveModeConfig {
-            cost: workload.cost_metric(),
-            num_workers: workload.num_workers,
-            // The solving mode must measure costs on the same backend the
-            // estimate was computed with, or the deviation column would mix
-            // substrates: the workload's evaluator runs the fresh backend.
-            backend: BackendKind::Fresh,
-            ..SolveModeConfig::default()
-        };
+        // Solve all instances of the series over the same decomposition set,
+        // with the evaluator's cost metric and backend, so the estimate and
+        // the real family cost are comparable.
         let mut instances = Vec::new();
         let mut deviations = Vec::new();
         for instance in &series {
-            let report =
-                FamilySolver::new(instance.cnf(), &solve_config).solve_family(&best_set, None);
+            let report = workload
+                .family_solver(instance.cnf())
+                .solve_family(&best_set, None);
             let sat_indices: Vec<usize> = report
                 .first_sat_index
                 .map(|idx| vec![idx])

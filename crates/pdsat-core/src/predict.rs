@@ -153,12 +153,6 @@ impl Evaluator {
         }
     }
 
-    /// The evaluator configuration.
-    #[must_use]
-    pub fn config(&self) -> &EvaluatorConfig {
-        &self.config
-    }
-
     /// The oracle every sampled sub-problem routes through.
     #[must_use]
     pub fn oracle(&self) -> &CubeOracle {

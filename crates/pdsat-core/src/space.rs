@@ -20,7 +20,7 @@ use std::fmt;
 /// use pdsat_cnf::Var;
 /// let space = SearchSpace::new((0..4).map(Var::new));
 /// let full = space.full_point();
-/// assert_eq!(full.ones(), 4);
+/// assert_eq!(space.decomposition_set(&full).len(), 4);
 /// assert_eq!(space.neighborhood(&full, 1).len(), 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,12 +159,6 @@ impl Point {
         self.bits.len()
     }
 
-    /// Number of selected variables (`|X̃|`).
-    #[must_use]
-    pub fn ones(&self) -> usize {
-        self.bits.iter().filter(|&&b| b).count()
-    }
-
     /// Flips coordinate `i`.
     ///
     /// # Panics
@@ -214,7 +208,7 @@ mod tests {
         let mut p = s.empty_point();
         p.flip(1);
         p.flip(3);
-        assert_eq!(p.ones(), 2);
+        assert_eq!(s.decomposition_set(&p).len(), 2);
         let set = s.decomposition_set(&p);
         assert_eq!(set.vars(), &[Var::new(1), Var::new(3)]);
         assert_eq!(s.decomposition_set(&s.full_point()).len(), 5);
@@ -229,7 +223,7 @@ mod tests {
         assert_eq!(n1.len(), 4);
         for p in &n1 {
             assert_eq!(p.hamming_distance(&c), 1);
-            assert_eq!(p.ones(), 3);
+            assert_eq!(s.decomposition_set(p).len(), 3);
         }
     }
 
@@ -255,7 +249,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         for ones in [0, 1, 7, 20] {
             let p = s.random_point_with_ones(ones, &mut rng);
-            assert_eq!(p.ones(), ones);
+            assert_eq!(s.decomposition_set(&p).len(), ones);
         }
     }
 
@@ -267,7 +261,7 @@ mod tests {
         assert_eq!(p.to_string(), "010");
         assert!(p.bits[1]);
         p.flip(1);
-        assert_eq!(p.ones(), 0);
+        assert!(s.decomposition_set(&p).is_empty());
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::driver::{Evaluated, Observation, Proposal, SearchContext, Strategy};
 use crate::search::StopCondition;
 use crate::Point;
 use rand::Rng;
-use std::collections::HashSet;
 
 /// Algorithm 2 has no parameters: its neighbourhoods have radius 1, and
 /// `getNewCenter(L2)` picks by conflict activity. Stopping criteria and the
@@ -19,17 +18,16 @@ pub struct TabuConfig {}
 /// Algorithm 2 as a [`Strategy`], over neighbourhoods of radius ρ = 1, as
 /// in PDSAT.
 ///
-/// The two tabu lists of the paper are maintained explicitly: `L1` holds
-/// points whose whole neighbourhood has been checked, `L2` holds checked
-/// points with at least one unchecked neighbour. A point's value is never
-/// recomputed — exactly the purpose of the tabu lists, since every `F`
-/// evaluation costs `N` SAT solver runs (the driver's memo cache backs this
-/// invariant up mechanically).
+/// Of the paper's two tabu lists only `L2`, the checked points with at least
+/// one unchecked neighbour, is kept, because `getNewCenter` picks from it
+/// alone. `L1`, the checked points whose whole neighbourhood has been
+/// checked, is implicit: the checked points that are not in `L2`. A point's
+/// value is never recomputed — exactly the purpose of the tabu lists, since
+/// every `F` evaluation costs `N` SAT solver runs (the driver's memo cache
+/// backs this invariant up mechanically).
 #[derive(Debug, Clone)]
 pub struct Tabu {
     center: Option<Point>,
-    /// L1: checked points whose neighbourhood is fully checked.
-    l1: HashSet<Point>,
     /// L2: checked points with unchecked neighbours.
     l2: Vec<Point>,
     /// Whether the best value improved since the last centre move.
@@ -42,26 +40,24 @@ impl Tabu {
     pub fn new(_config: &TabuConfig) -> Tabu {
         Tabu {
             center: None,
-            l1: HashSet::new(),
             l2: Vec::new(),
             improved: false,
         }
     }
 
     /// Whether every point of `point`'s neighbourhood has been evaluated.
-    fn neighbourhood_checked(&self, ctx: &SearchContext<'_>, point: &Point) -> bool {
+    fn neighbourhood_checked(ctx: &SearchContext<'_>, point: &Point) -> bool {
         ctx.space
             .neighbors(point)
             .iter()
             .all(|p| ctx.is_evaluated(p))
     }
 
-    /// markPointInTabuLists of the paper: a checked point joins L2, or L1
-    /// when its own neighbourhood is already fully checked.
+    /// markPointInTabuLists of the paper: a checked point joins L2 unless
+    /// its own neighbourhood is already fully checked (then it is in the
+    /// implicit L1).
     fn mark(&mut self, ctx: &SearchContext<'_>, point: Point) {
-        if self.neighbourhood_checked(ctx, &point) {
-            self.l1.insert(point);
-        } else {
+        if !Tabu::neighbourhood_checked(ctx, &point) {
             self.l2.push(point);
         }
     }
@@ -83,7 +79,6 @@ impl Tabu {
 impl Strategy for Tabu {
     fn initialize(&mut self, ctx: &mut SearchContext<'_>, start: &Evaluated) {
         // Full reset: a strategy instance may be reused across runs.
-        self.l1.clear();
         self.l2.clear();
         self.improved = false;
         self.center = Some(start.point.clone());
@@ -109,8 +104,8 @@ impl Strategy for Tabu {
             // The neighbourhood of χ_center is checked: move to the improved
             // best point, or ask getNewCenter(L2) for a fresh centre. Every
             // L2 point has an unchecked neighbour (initialize and observe
-            // keep the others in L1), so getNewCenter never picks an
-            // exhausted centre.
+            // keep no other), so getNewCenter never picks an exhausted
+            // centre.
             if self.improved {
                 center = ctx.best_point.clone();
                 self.improved = false;
@@ -127,13 +122,9 @@ impl Strategy for Tabu {
         let candidate = &evaluated.point;
 
         // markPointInTabuLists, then points of L2 whose neighbourhood just
-        // became fully checked migrate to L1.
+        // became fully checked leave it for the implicit L1.
         self.mark(ctx, candidate.clone());
-        let (checked, open): (Vec<Point>, Vec<Point>) = std::mem::take(&mut self.l2)
-            .into_iter()
-            .partition(|p| self.neighbourhood_checked(ctx, p));
-        self.l1.extend(checked);
-        self.l2 = open;
+        self.l2.retain(|p| !Tabu::neighbourhood_checked(ctx, p));
 
         let is_best = evaluated.value < ctx.best_value;
         if is_best {
@@ -153,6 +144,7 @@ mod tests {
     use crate::search::{SearchLimits, SearchOutcome};
     use crate::{CostMetric, DriverConfig, Evaluator, EvaluatorConfig, SearchSpace};
     use pdsat_cnf::{Cnf, Var};
+    use std::collections::HashSet;
 
     /// Drives a [`Tabu`] strategy through the [`SearchDriver`] — the one way
     /// to run Algorithm 2 since the deprecated `TabuSearch::minimize` shim
@@ -247,8 +239,8 @@ mod tests {
     #[test]
     fn a_start_point_without_neighbours_exhausts_the_space() {
         // The start point of a 0-dimensional space has an empty, hence
-        // fully checked, neighbourhood: it goes to L1, so getNewCenter finds
-        // L2 empty instead of picking the start point forever.
+        // fully checked, neighbourhood: it stays out of L2, so getNewCenter
+        // finds L2 empty instead of picking the start point forever.
         let cnf = Cnf::pigeonhole(3);
         let space = SearchSpace::new(std::iter::empty());
         let mut eval = evaluator(&cnf, 1);

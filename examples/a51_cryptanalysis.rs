@@ -8,6 +8,8 @@
 //!
 //! Run with `cargo run --release --example a51_cryptanalysis`.
 
+#![forbid(unsafe_code)]
+
 use pdsat::ciphers::{InstanceBuilder, StreamCipher, A51};
 use pdsat::core::{
     BackendKind, CostMetric, DriverConfig, Evaluator, EvaluatorConfig, FamilySolver, SearchDriver,

@@ -5,6 +5,8 @@
 //!
 //! Run with `cargo run --release --example bivium_estimation`.
 
+#![forbid(unsafe_code)]
+
 use pdsat::ciphers::{Bivium, InstanceBuilder};
 use pdsat::core::{
     CostMetric, DecompositionSet, DriverConfig, Evaluator, EvaluatorConfig, SearchDriver,

@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release --example grain_volunteer`.
 
+#![forbid(unsafe_code)]
+
 use pdsat::ciphers::{Grain, InstanceBuilder};
 use pdsat::core::{BackendKind, CostMetric, DecompositionSet, FamilySolver, SolveModeConfig};
 use pdsat::distrib::{

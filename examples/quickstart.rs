@@ -4,6 +4,8 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+#![forbid(unsafe_code)]
+
 use pdsat::cnf::{Cnf, Var};
 use pdsat::core::{
     CostMetric, DecompositionSet, Evaluator, EvaluatorConfig, FamilySolver, SolveModeConfig,

@@ -14,8 +14,9 @@
 //! and the reason its findings give. The others are the functions of
 //! [`CHECKS`].
 //!
-//! 1. **unsafe-free**: every crate root (`lib.rs` / `main.rs`) must carry
-//!    `#![forbid(unsafe_code)]`.
+//! 1. **unsafe-free**: every crate root must carry `#![forbid(unsafe_code)]`:
+//!    each `lib.rs` / `main.rs`, and each binary in `src/bin/` or
+//!    `crates/*/src/bin/` and each example in `examples/`.
 //! 2. **clock discipline**: the code of `crates/` and `src/` reads clocks
 //!    (`Instant::now` / `SystemTime`) only in the files
 //!    `xtask/time_allowlist.txt` lists, and each of those reads one —
@@ -363,15 +364,23 @@ fn under(path: &str, pattern: &str) -> bool {
 }
 
 /// Rule 1, over the crate roots: the root crate's, every `crates/*` crate's
-/// and xtask's `lib.rs` and `main.rs`.
+/// and xtask's `lib.rs` and `main.rs`, and every file directly in a binary
+/// or example directory.
 fn check_forbid_unsafe(sources: &Sources, errors: &mut Vec<String>) {
     for source in &sources.files {
-        let root = ["src/", "crates/*/src/", "xtask/src/"].iter().any(|dir| {
+        let library_or_main = ["src/", "crates/*/src/", "xtask/src/"].iter().any(|dir| {
             ["lib.rs", "main.rs"]
                 .map(|file| format!("{dir}{file}"))
                 .iter()
                 .any(|root| under(&source.path, root))
         });
+        let binary_or_example = ["src/bin/", "crates/*/src/bin/", "examples/"]
+            .iter()
+            .any(|dir| {
+                under(&source.path, &format!("{dir}*"))
+                    && source.path.matches('/').count() == dir.matches('/').count()
+            });
+        let root = library_or_main || binary_or_example;
         if root && !source.code.contains("#![forbid(unsafe_code)]") {
             errors.push(format!(
                 "{}: crate root is missing #![forbid(unsafe_code)]",
@@ -1384,9 +1393,9 @@ mod tests {
     /// Planted trees, here and in the named cases below. The first line names the rules to run, a `== path` line
     /// starts a file (`{R}` stands for each file rule 9 holds), a `--` line
     /// ends them, and each line after it is one finding, as `file:line needle`.
-    const CASES: [&[u8]; 5] = [
+    const CASES: [&[u8]; 6] = [
         // A commented-out or quoted attribute forbids nothing, and a binary
-        // under `src/bin/` is no crate root.
+        // under `src/bin/` is a crate root; a module beside it is not.
         b"\
 rules 1
 == crates/a/src/lib.rs
@@ -1394,6 +1403,8 @@ rules 1
 pub fn f() {}
 == crates/a/src/bin/tool.rs
 fn main() {}
+== crates/a/src/bin/tool/part.rs
+pub fn g() {}
 == src/main.rs
 #![forbid(unsafe_code)]
 fn main() {}
@@ -1401,7 +1412,19 @@ fn main() {}
 const S: &str = \"#![forbid(unsafe_code)]\";
 --
 crates/a/src/lib.rs crate root is missing #![forbid(unsafe_code)]
+crates/a/src/bin/tool.rs crate root is missing #![forbid(unsafe_code)]
 xtask/src/main.rs crate root is missing #![forbid(unsafe_code)]
+",
+        // An example is a crate root too.
+        b"\
+rules 1
+== examples/demo.rs
+fn main() {}
+== examples/safe.rs
+#![forbid(unsafe_code)]
+fn main() {}
+--
+examples/demo.rs crate root is missing #![forbid(unsafe_code)]
 ",
         // Clock reads in code outside the allowlist, and entries that name no
         // file or a file whose only clock is in a comment. A block comment
