@@ -159,7 +159,8 @@ fn report(rng: &mut StdRng, set_size: usize, cubes: usize, fits: bool) -> SolveR
     if fits {
         r.sat_count = rng.gen_range(0..=cubes);
         r.unknown_count = rng.gen_range(0..=cubes - r.sat_count);
-        r.first_sat_index = (cubes > 0 && rng.gen_bool(0.5)).then(|| rng.gen_range(0..cubes));
+        // A first satisfiable cube is named exactly when one is counted.
+        r.first_sat_index = (r.sat_count > 0).then(|| rng.gen_range(0..cubes));
     } else {
         r.sat_count = edge_usize(rng);
         r.unknown_count = edge_usize(rng);

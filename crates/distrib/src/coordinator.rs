@@ -107,8 +107,9 @@ pub struct CoordinatorCheckpoint {
 
 /// The shape every report of a unit of `num_cubes` cubes has, whether it
 /// arrives as an upload or is restored from checkpoint text: it covers
-/// exactly the unit's slice, cube for cube, and what it counts and points at
-/// lies inside that slice.
+/// exactly the unit's slice, cube for cube, what it counts and points at
+/// lies inside that slice, and it names a first satisfiable cube exactly
+/// when it counts one.
 pub(crate) fn report_fits_unit(report: &SolveReport, set_size: usize, num_cubes: usize) -> bool {
     report.set_size == set_size
         && report.cubes_processed == num_cubes
@@ -118,6 +119,7 @@ pub(crate) fn report_fits_unit(report: &SolveReport, set_size: usize, num_cubes:
             .checked_add(report.unknown_count)
             .is_some_and(|counted| counted <= num_cubes)
         && report.first_sat_index.is_none_or(|local| local < num_cubes)
+        && report.first_sat_index.is_some() == (report.sat_count > 0)
 }
 
 impl CoordinatorCheckpoint {
@@ -423,6 +425,10 @@ impl Coordinator {
 /// The coordinator-side *semantic* validator for [`Coordinator::run_validated`]:
 /// checks everything a unit report claims about the actual formula.
 ///
+/// * The report must have the unit's shape — the shape rule uploads and
+///   checkpoint text share — or it is [`CheckFailure::Shape`]: a count of
+///   satisfiable cubes with no first one named, or the reverse, claims a
+///   model it never ships.
 /// * A claimed satisfiable cube must ship a model that sets every literal of
 ///   the cube and satisfies every clause of `cnf`
 ///   ([`CheckFailure::ModelMissing`] / [`AssumptionViolated`](CheckFailure::AssumptionViolated) /
@@ -444,10 +450,10 @@ pub fn validate_unit_report(
     unit: &WorkUnit,
     report: &SolveReport,
 ) -> Result<(), CheckFailure> {
+    if !report_fits_unit(report, set.len(), unit.num_cubes) {
+        return Err(CheckFailure::Shape);
+    }
     if let Some(local) = report.first_sat_index {
-        if local >= report.cubes_processed {
-            return Err(CheckFailure::Shape);
-        }
         let Some(model) = report.model.as_ref() else {
             return Err(CheckFailure::ModelMissing);
         };
@@ -729,6 +735,15 @@ mod tests {
         assert!(is_malformed(load(
             small,
             &unit("2", "1", "0", "2", two_costs)
+        )));
+        // A SAT count without a first satisfiable cube, and the reverse.
+        assert!(is_malformed(load(
+            small,
+            &unit("2", "1", "0", "-", two_costs)
+        )));
+        assert!(is_malformed(load(
+            small,
+            &unit("2", "0", "0", "1", two_costs)
         )));
     }
 
@@ -1135,5 +1150,80 @@ mod tests {
                 indices(&forged)
             );
         }
+    }
+
+    /// A unit report of `pigeonhole(4)` over `{x0, x1}`, split in units of
+    /// two cubes: every cube refuted, unless `sat_count` and
+    /// `first_sat_index` claim otherwise. No model is shipped.
+    fn pigeonhole_unit_report(sat_count: usize, first_sat_index: Option<usize>) -> SolveReport {
+        let mut r = SolveReport::empty(2);
+        r.cubes_processed = 2;
+        r.per_cube_costs = vec![1.0, 1.0];
+        r.total_cost = 2.0;
+        r.sat_count = sat_count;
+        r.first_sat_index = first_sat_index;
+        r
+    }
+
+    /// A SAT count names its first satisfiable cube, whose model is then
+    /// checked: a count without one, or one without a count, is a report
+    /// of the wrong shape.
+    #[test]
+    fn a_sat_count_without_a_first_sat_cube_is_a_shape_failure() {
+        let cnf = Cnf::pigeonhole(4);
+        let set = DecompositionSet::new((0..2).map(Var::new));
+        let unit = WorkUnit {
+            id: 1,
+            first_cube: 2,
+            num_cubes: 2,
+        };
+        let validate = |report: &SolveReport| validate_unit_report(&cnf, &set, &unit, report);
+        assert_eq!(validate(&pigeonhole_unit_report(0, None)), Ok(()));
+        for forged in [
+            pigeonhole_unit_report(1, None),
+            pigeonhole_unit_report(0, Some(1)),
+        ] {
+            assert_eq!(validate(&forged), Err(CheckFailure::Shape), "{forged:?}");
+        }
+        assert_eq!(
+            validate(&pigeonhole_unit_report(1, Some(1))),
+            Err(CheckFailure::ModelMissing)
+        );
+    }
+
+    /// Every client first uploads a SAT count with no cube and no model; the
+    /// honest replicas that follow are the only ones counted.
+    #[test]
+    fn a_validated_run_rejects_sat_counts_that_name_no_cube() {
+        let cnf = Cnf::pigeonhole(4);
+        let set = DecompositionSet::new((0..2).map(Var::new));
+        let config = CoordinatorConfig {
+            work_unit_size: 2,
+            redundancy: 1,
+            lease_timeout: 1e9,
+        };
+        let submit = |client, unit, report| ClientMsg::SubmitResult {
+            client,
+            unit,
+            report: Box::new(report),
+            checksum_ok: true,
+        };
+        let mut coordinator = Coordinator::new(2, 4, &config);
+        let mut transport = scripted(vec![
+            submit(0, 0, pigeonhole_unit_report(1, None)),
+            submit(1, 1, pigeonhole_unit_report(1, None)),
+            submit(2, 0, pigeonhole_unit_report(0, None)),
+            submit(3, 1, pigeonhole_unit_report(0, None)),
+        ]);
+        let status = coordinator.run_validated(&mut transport, None, &mut |unit, report| {
+            validate_unit_report(&cnf, &set, unit, report)
+        });
+        assert_eq!(status, RunStatus::Complete);
+        let stats = coordinator.stats();
+        assert_eq!(stats.invalid_results, 2);
+        assert_eq!(stats.rejected_certificates, 0, "a shape failure");
+        let aggregate = coordinator.aggregate().expect("honest replicas counted");
+        assert_eq!((aggregate.sat_count, aggregate.first_sat_index), (0, None));
+        assert!(aggregate.model.is_none());
     }
 }

@@ -1,7 +1,6 @@
 //! Cost metrics for sub-problem observations.
 
 use pdsat_solver::SolverStats;
-use std::time::Duration;
 
 /// How the random variable `ξ_{C,A}(X̃)` is measured for one sub-problem.
 ///
@@ -9,6 +8,7 @@ use std::time::Duration;
 /// clock is what matters operationally, but it is noisy on shared machines,
 /// so the reproduction also supports deterministic solver counters; with
 /// those, repeated runs of an experiment produce bit-identical numbers.
+/// The backend that solves a cube prices it under the oracle's metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CostMetric {
     /// Wall-clock seconds spent solving the sub-problem (the paper's choice).
@@ -20,56 +20,15 @@ pub enum CostMetric {
     Propagations,
 }
 
-/// The solver counters a per-cube report carries: the two a [`CostMetric`]
-/// can name, of which `conflicts` is also reported on its own. Read from the
-/// solver before and after each solve, so the per-cube path copies and
-/// subtracts two fields and leaves the full [`SolverStats`] to the
-/// once-per-batch aggregate.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CubeCounters {
-    /// Number of conflicts.
-    pub conflicts: u64,
-    /// Number of unit propagations.
-    pub propagations: u64,
-}
-
-impl CubeCounters {
-    /// The two counters as `stats` has them now.
-    #[must_use]
-    pub fn of(stats: &SolverStats) -> CubeCounters {
-        CubeCounters {
-            conflicts: stats.conflicts,
-            propagations: stats.propagations,
-        }
-    }
-
-    /// What was counted since `before` (an earlier reading of the same
-    /// solver; saturating like [`SolverStats::delta_since`]).
-    #[must_use]
-    pub fn since(self, before: CubeCounters) -> CubeCounters {
-        CubeCounters {
-            conflicts: self.conflicts.saturating_sub(before.conflicts),
-            propagations: self.propagations.saturating_sub(before.propagations),
-        }
-    }
-}
-
 impl CostMetric {
-    /// Extracts the cost of one solve call from its counters and the
-    /// measured elapsed time.
-    #[must_use]
-    pub fn measure(self, counters: CubeCounters, elapsed: Duration) -> f64 {
+    /// The solver counter this metric prices a cube by, as `stats` has it;
+    /// `None` for wall time, which the backend reads off the clock.
+    pub(crate) fn counter(self, stats: &SolverStats) -> Option<u64> {
         match self {
-            CostMetric::WallSeconds => elapsed.as_secs_f64(),
-            CostMetric::Conflicts => counters.conflicts as f64,
-            CostMetric::Propagations => counters.propagations as f64,
+            CostMetric::WallSeconds => None,
+            CostMetric::Conflicts => Some(stats.conflicts),
+            CostMetric::Propagations => Some(stats.propagations),
         }
-    }
-
-    /// `true` when the metric is deterministic (independent of machine load).
-    #[must_use]
-    pub fn is_deterministic(self) -> bool {
-        !matches!(self, CostMetric::WallSeconds)
     }
 }
 
@@ -90,40 +49,19 @@ mod tests {
 
     #[test]
     fn measures_pick_the_right_counter() {
-        let counters = CubeCounters {
+        let stats = SolverStats {
             conflicts: 10,
+            decisions: 20,
             propagations: 30,
-        };
-        let elapsed = Duration::from_millis(1500);
-        assert!((CostMetric::WallSeconds.measure(counters, elapsed) - 1.5).abs() < 1e-12);
-        assert_eq!(CostMetric::Conflicts.measure(counters, elapsed), 10.0);
-        assert_eq!(CostMetric::Propagations.measure(counters, elapsed), 30.0);
-    }
-
-    #[test]
-    fn cube_counters_agree_with_the_full_stats_delta() {
-        let before = SolverStats {
-            conflicts: 3,
-            decisions: 5,
-            propagations: 7,
-            restarts: 1,
             ..SolverStats::default()
         };
-        let after = SolverStats {
-            conflicts: 13,
-            decisions: 25,
-            propagations: 37,
-            restarts: 4,
-            ..SolverStats::default()
-        };
-        let delta = CubeCounters::of(&after).since(CubeCounters::of(&before));
-        assert_eq!(delta, CubeCounters::of(&after.delta_since(&before)));
+        assert_eq!(CostMetric::WallSeconds.counter(&stats), None);
+        assert_eq!(CostMetric::Conflicts.counter(&stats), Some(10));
+        assert_eq!(CostMetric::Propagations.counter(&stats), Some(30));
     }
 
     #[test]
     fn metadata() {
-        assert!(!CostMetric::WallSeconds.is_deterministic());
-        assert!(CostMetric::Conflicts.is_deterministic());
         assert_eq!(CostMetric::default(), CostMetric::WallSeconds);
         assert_eq!(CostMetric::Propagations.to_string(), "propagations");
     }

@@ -45,8 +45,9 @@
 //! ```
 //! use pdsat_cnf::{Cnf, Cube, Var};
 //! use pdsat_core::{
-//!     BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, DriverConfig,
-//!     Evaluator, EvaluatorConfig, SearchDriver, SearchLimits, SearchSpace, Tabu, TabuConfig,
+//!     BackendKind, CostMetric, CubeOracle, DecompositionSet, DriverConfig, Evaluator,
+//!     EvaluatorConfig, SearchDriver, SearchLimits, SearchSpace, SolveModeConfig, Tabu,
+//!     TabuConfig,
 //! };
 //!
 //! // A toy unsatisfiable formula (pigeonhole 4→3).
@@ -58,10 +59,10 @@
 //! let cubes: Vec<Cube> = family.cubes().collect();
 //! let mut oracle = CubeOracle::new(
 //!     &cnf,
-//!     BatchConfig {
+//!     &SolveModeConfig {
 //!         cost: CostMetric::Conflicts,
 //!         backend: BackendKind::Warm,
-//!         ..BatchConfig::default()
+//!         ..SolveModeConfig::default()
 //!     },
 //! );
 //! let batch = oracle.solve_batch(&cubes, None);
@@ -104,7 +105,7 @@ mod space;
 mod tabu;
 
 pub use anneal::Annealing;
-pub use cost::{CostMetric, CubeCounters};
+pub use cost::CostMetric;
 pub use decomposition::{CubeIter, DecompositionSet};
 pub use driver::{
     DriverConfig, Evaluated, Observation, Proposal, SearchContext, SearchDriver, Strategy,
@@ -112,9 +113,7 @@ pub use driver::{
 pub use estimator::{normal_quantile, student_t_quantile, PredictiveEstimate, SampleStats};
 #[doc(hidden)]
 pub use fault::FaultPlan;
-pub use oracle::{
-    BackendKind, BatchConfig, BatchResult, CubeOracle, OracleTestPolicy, VerdictSummary,
-};
+pub use oracle::{BackendKind, BatchResult, CubeOracle, OracleTestPolicy, VerdictSummary};
 pub use predict::{Evaluator, EvaluatorConfig, PointEvaluation, SampleVerdicts};
 pub use search::{SearchLimits, SearchOutcome, SearchStep, StopCondition};
 pub use solve_mode::{CubeCertificate, FamilyCounters, FamilySolver, SolveModeConfig, SolveReport};

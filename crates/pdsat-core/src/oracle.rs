@@ -20,8 +20,11 @@
 //! running tally ([`CubeOracle::conflict_activity`]).
 //!
 //! The [`Evaluator`](crate::Evaluator) (one batch per point's sample) and
-//! [`FamilySolver`](crate::FamilySolver) both route through here; backend selection threads through their configs as a
-//! [`BackendKind`].
+//! [`FamilySolver`](crate::FamilySolver) both route through here. An oracle
+//! reads its [`SolveModeConfig`] once, when it is built: the backend, the
+//! solver configuration and the cost metric go into how every backend is
+//! built, and the number of workers into the pool's size. The backend that
+//! solves a cube prices it under that metric.
 
 mod backend;
 mod pool;
@@ -31,9 +34,9 @@ use backend::BackendSpec;
 pub(crate) use backend::{BackendOutcome, CubeBackend};
 
 use crate::fault::FaultPlan;
-use crate::CostMetric;
+use crate::SolveModeConfig;
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, LitBuffer};
-use pdsat_solver::{InterruptFlag, SolverConfig, SolverStats, Verdict};
+use pdsat_solver::{InterruptFlag, SolverStats, Verdict};
 use pool::WorkerPool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,7 +62,8 @@ pub enum VerdictSummary {
 /// abandoning it).
 #[derive(Debug, Clone)]
 pub struct BatchResult {
-    /// Measured cost of every cube under the configured [`CostMetric`].
+    /// Measured cost of every cube under the configured
+    /// [`CostMetric`](crate::CostMetric).
     pub costs: Vec<f64>,
     /// Verdict of every cube — one byte each. `None` marks a position no
     /// worker has solved yet while the batch runs; a returned batch has
@@ -70,7 +74,8 @@ pub struct BatchResult {
     pub models: Vec<(usize, Assignment)>,
     /// DRAT certificate of every UNSAT verdict, by batch position, ascending;
     /// checkable against the original formula with the cube's literals as
-    /// root assumptions. Filled exactly when [`SolverConfig::proof`] is
+    /// root assumptions. Filled exactly when
+    /// [`SolverConfig::proof`](pdsat_solver::SolverConfig::proof) is
     /// enabled. Certificates are checked at ingestion and stripped, never
     /// persisted.
     pub proofs: Vec<(usize, DratProof)>,
@@ -110,37 +115,6 @@ impl BatchResult {
     }
 }
 
-/// Configuration of a [`CubeOracle`], applied to every batch it processes.
-#[derive(Debug, Clone)]
-pub struct BatchConfig {
-    /// Solver configuration used for every sub-problem.
-    pub solver_config: SolverConfig,
-    /// Cost metric recorded per sub-problem.
-    pub cost: CostMetric,
-    /// Number of workers: the pool has one slot per worker, whose resident
-    /// backend is built in the first batch that reaches it (the slots of one
-    /// batch from one load of the formula), and every batch wide enough
-    /// drives each slot with a thread of its own (the calling thread drains
-    /// the first stripe itself, so one worker spawns no thread per batch). 0 means 1. Capped at the machine's available parallelism:
-    /// surplus threads only add context-switch and dispatch overhead, the
-    /// "more workers, slower solving" failure mode this executor prevents.
-    pub num_workers: usize,
-    /// Which backend each worker runs (see [`BackendKind`] for the
-    /// fresh-vs-warm trade-off).
-    pub backend: BackendKind,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            solver_config: SolverConfig::default(),
-            cost: CostMetric::default(),
-            num_workers: 1,
-            backend: BackendKind::Fresh,
-        }
-    }
-}
-
 /// What only tests vary about an oracle, given to
 /// `CubeOracle::with_test_policy`. The [`Default`] is production: a pool no
 /// wider than the machine's available parallelism, and no faults.
@@ -172,7 +146,7 @@ pub struct OracleTestPolicy {
 /// ```
 /// use pdsat_cnf::{Cnf, Cube, Lit, Var};
 /// use pdsat_core::{
-///     BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, VerdictSummary,
+///     BackendKind, CostMetric, CubeOracle, DecompositionSet, SolveModeConfig, VerdictSummary,
 /// };
 ///
 /// let mut cnf = Cnf::new(3);
@@ -182,10 +156,10 @@ pub struct OracleTestPolicy {
 ///
 /// let mut oracle = CubeOracle::new(
 ///     &cnf,
-///     BatchConfig {
+///     &SolveModeConfig {
 ///         cost: CostMetric::Propagations,
 ///         backend: BackendKind::Warm,
-///         ..BatchConfig::default()
+///         ..SolveModeConfig::default()
 ///     },
 /// );
 /// let batch = oracle.solve_batch(&cubes, None);
@@ -203,7 +177,6 @@ pub struct CubeOracle {
     /// The formula and how to build a backend over it; shared with the pool
     /// slots, which build their backends and replacements from it.
     spec: Arc<BackendSpec>,
-    config: BatchConfig,
     pool: WorkerPool,
     total_stats: SolverStats,
     /// Per-variable conflict participation over every cube solved.
@@ -215,8 +188,7 @@ pub struct CubeOracle {
 impl std::fmt::Debug for CubeOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CubeOracle")
-            .field("num_vars", &self.cnf().num_vars())
-            .field("config", &self.config)
+            .field("num_vars", &self.conflict_activity.len())
             .field("num_workers", &self.num_workers())
             .field("batches", &self.batches)
             .field("cubes_solved", &self.cubes_solved)
@@ -232,8 +204,14 @@ impl CubeOracle {
     /// the formula: each backend gets a copy of the loaded solver, the last
     /// one the loaded solver itself. A slot a later batch first reaches, and the replacement of
     /// a backend that panicked, load the formula again.
+    ///
+    /// `config` is read here and nowhere else: its `num_workers` (0 means 1)
+    /// sizes the pool, capped at the machine's available parallelism —
+    /// surplus threads only add context-switch and dispatch overhead — and
+    /// its backend, solver configuration and cost metric decide how every
+    /// backend is built.
     #[must_use]
-    pub fn new(cnf: &Cnf, config: BatchConfig) -> CubeOracle {
+    pub fn new(cnf: &Cnf, config: &SolveModeConfig) -> CubeOracle {
         CubeOracle::with_test_policy(cnf, config, OracleTestPolicy::default())
     }
 
@@ -243,7 +221,7 @@ impl CubeOracle {
     #[must_use]
     pub fn with_test_policy(
         cnf: &Cnf,
-        config: BatchConfig,
+        config: &SolveModeConfig,
         policy: OracleTestPolicy,
     ) -> CubeOracle {
         let mut workers = config.num_workers.max(1);
@@ -253,7 +231,7 @@ impl CubeOracle {
                 .unwrap_or(1);
             workers = workers.min(hardware);
         }
-        let spec = Arc::new(BackendSpec::new(Arc::new(cnf.clone()), &config));
+        let spec = Arc::new(BackendSpec::new(cnf, config));
         // A non-empty fault plan is armed once per oracle; the workers share
         // its ordinal counters, so "panic on the nth solve" counts solves
         // across the whole pool.
@@ -261,19 +239,12 @@ impl CubeOracle {
         let pool = WorkerPool::new(&spec, workers, faults.as_ref());
         CubeOracle {
             spec,
-            config,
             pool,
             total_stats: SolverStats::default(),
             conflict_activity: vec![0; cnf.num_vars()],
             batches: 0,
             cubes_solved: 0,
         }
-    }
-
-    /// The formula every sub-problem restricts.
-    #[must_use]
-    pub fn cnf(&self) -> &Cnf {
-        &self.spec.cnf
     }
 
     /// Number of resident workers executing batches: the pool size, at
@@ -340,7 +311,7 @@ impl CubeOracle {
 
         if !cubes.is_empty() {
             self.pool
-                .run_batch(cubes, &self.config, &interrupt, &mut result, conflicts);
+                .run_batch(cubes, &interrupt, &mut result, conflicts);
             // Every cube whose solve panicked in the pool is re-solved once
             // on the calling thread with a one-shot backend. Deliberately
             // not fault-injected: if this path panics too, the failure
@@ -349,7 +320,6 @@ impl CubeOracle {
                 solve_on_caller(
                     self.spec.build().as_mut(),
                     cubes,
-                    &self.config,
                     &interrupt,
                     &mut result,
                     conflicts,
@@ -376,7 +346,6 @@ impl CubeOracle {
 fn solve_on_caller(
     backend: &mut dyn CubeBackend,
     cubes: &[Cube],
-    config: &BatchConfig,
     interrupt: &InterruptFlag,
     result: &mut BatchResult,
     conflicts: &mut [u64],
@@ -389,7 +358,7 @@ fn solve_on_caller(
         }
         let cube = buffer.write(cube);
         let raw = backend.solve(cube, interrupt, conflicts);
-        result.costs[index] = config.cost.measure(raw.counters, raw.elapsed);
+        result.costs[index] = raw.cost;
         let verdict = summarize(index, raw, &mut result.models, &mut result.proofs);
         result.verdicts[index] = Some(verdict);
         result.solver_stats.requeued_cubes += 1;
@@ -422,9 +391,17 @@ fn summarize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DecompositionSet;
+    use crate::{CostMetric, DecompositionSet};
     use pdsat_cnf::{Lit, Var};
     use rand::SeedableRng;
+
+    /// The configuration of a one-worker fresh oracle.
+    fn fresh() -> SolveModeConfig {
+        SolveModeConfig {
+            backend: BackendKind::Fresh,
+            ..SolveModeConfig::default()
+        }
+    }
 
     fn sat_chain(n: usize) -> Cnf {
         // x1 → x2 → … → xn, satisfiable.
@@ -440,7 +417,7 @@ mod tests {
 
     /// An oracle with exactly `config.num_workers` slots: a real pool even
     /// on a single-core machine.
-    fn exact(cnf: &Cnf, config: BatchConfig) -> CubeOracle {
+    fn exact(cnf: &Cnf, config: &SolveModeConfig) -> CubeOracle {
         let policy = OracleTestPolicy {
             exact_workers: true,
             ..OracleTestPolicy::default()
@@ -448,8 +425,8 @@ mod tests {
         CubeOracle::with_test_policy(cnf, config, policy)
     }
 
-    fn batch(cnf: &Cnf, cubes: &[Cube], config: &BatchConfig) -> BatchResult {
-        exact(cnf, config.clone()).solve_batch(cubes, None)
+    fn batch(cnf: &Cnf, cubes: &[Cube], config: &SolveModeConfig) -> BatchResult {
+        exact(cnf, config).solve_batch(cubes, None)
     }
 
     #[test]
@@ -462,9 +439,9 @@ mod tests {
         let cnf = sat_chain(6);
         let set = DecompositionSet::new([Var::new(0), Var::new(1)]);
         let cubes: Vec<Cube> = set.cubes().collect();
-        let config = BatchConfig {
+        let config = SolveModeConfig {
             cost: CostMetric::Propagations,
-            ..BatchConfig::default()
+            ..fresh()
         };
         let result = batch(&cnf, &cubes, &config);
         assert_eq!(result.costs.len(), 4);
@@ -478,10 +455,78 @@ mod tests {
         );
         assert_eq!(result.verdict_counts(), (3, 1, 0));
         assert!(result.models.iter().map(|(i, _)| *i).eq([0, 1, 3]));
-        // The batch-level stats aggregate matches the per-cube cost sum for a
-        // counter metric.
-        let cost_sum: f64 = result.costs.iter().sum();
-        assert_eq!(cost_sum, result.solver_stats.propagations as f64);
+        // Under a counter metric the cost column sums to the batch's counter,
+        // whichever backend prices the cubes and however many workers solve
+        // them; under wall time every cost is a duration. The refuted family
+        // meets conflicts, so neither counter sums zeros only.
+        let refuted = Cnf::pigeonhole(4);
+        let refuted_cubes: Vec<Cube> = DecompositionSet::new((0..3).map(Var::new))
+            .cubes()
+            .collect();
+        let mut conflicts = 0;
+        for (cnf, cubes) in [(&cnf, &cubes), (&refuted, &refuted_cubes)] {
+            for backend in [BackendKind::Fresh, BackendKind::Warm] {
+                for num_workers in [1, 4] {
+                    for cost in [
+                        CostMetric::Conflicts,
+                        CostMetric::Propagations,
+                        CostMetric::WallSeconds,
+                    ] {
+                        let config = SolveModeConfig {
+                            cost,
+                            num_workers,
+                            backend,
+                            ..SolveModeConfig::default()
+                        };
+                        let result = batch(cnf, cubes, &config);
+                        let stats = &result.solver_stats;
+                        let context = format!("{cost}, {backend}, {num_workers} workers");
+                        let counted = match cost {
+                            CostMetric::Conflicts => stats.conflicts,
+                            CostMetric::Propagations => stats.propagations,
+                            CostMetric::WallSeconds => {
+                                let duration = |c: &f64| c.is_finite() && *c >= 0.0;
+                                assert!(result.costs.iter().all(duration), "{context}");
+                                continue;
+                            }
+                        };
+                        let cost_sum: f64 = result.costs.iter().sum();
+                        assert_eq!(cost_sum, counted as f64, "{context}");
+                        conflicts += stats.conflicts;
+                    }
+                }
+            }
+        }
+        assert!(conflicts > 0);
+    }
+
+    /// A cube may name a variable the formula lacks (the solver creates it):
+    /// both backends answer it, attributing conflicts to the formula's own
+    /// variables only.
+    #[test]
+    fn a_cube_beyond_the_formula_is_solved_by_both_backends() {
+        let cnf = Cnf::pigeonhole(4);
+        let beyond = Var::new(cnf.num_vars() as u32 + 3);
+        let cubes = [Cube::from_values(&[Var::new(0), beyond], &[true, true])];
+        let run = |backend| {
+            let config = SolveModeConfig {
+                cost: CostMetric::Conflicts,
+                backend,
+                ..SolveModeConfig::default()
+            };
+            let mut oracle = exact(&cnf, &config);
+            let result = oracle.solve_batch(&cubes, None);
+            assert_eq!(result.solver_stats.worker_panics, 0, "{backend}");
+            (
+                result.verdicts,
+                result.costs,
+                oracle.conflict_activity().to_vec(),
+            )
+        };
+        let fresh = run(BackendKind::Fresh);
+        assert_eq!(fresh.0, [Some(VerdictSummary::Unsat)]);
+        assert!(fresh.2.iter().sum::<u64>() > 0);
+        assert_eq!(run(BackendKind::Warm), fresh);
     }
 
     #[test]
@@ -489,17 +534,17 @@ mod tests {
         let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new((0..3).map(Var::new));
         let cubes: Vec<Cube> = set.cubes().collect();
-        let seq_config = BatchConfig {
+        let seq_config = SolveModeConfig {
             cost: CostMetric::Conflicts,
             num_workers: 1,
-            ..BatchConfig::default()
+            ..fresh()
         };
-        let par_config = BatchConfig {
+        let par_config = SolveModeConfig {
             num_workers: 4,
             ..seq_config.clone()
         };
-        let mut seq_oracle = exact(&cnf, seq_config);
-        let mut par_oracle = exact(&cnf, par_config);
+        let mut seq_oracle = exact(&cnf, &seq_config);
+        let mut par_oracle = exact(&cnf, &par_config);
         let seq = seq_oracle.solve_batch(&cubes, None);
         let par = par_oracle.solve_batch(&cubes, None);
         assert_eq!(seq.verdicts, par.verdicts);
@@ -518,7 +563,7 @@ mod tests {
         let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new([Var::new(0), Var::new(5)]);
         let cubes: Vec<Cube> = set.cubes().collect();
-        let mut oracle = exact(&cnf, BatchConfig::default());
+        let mut oracle = exact(&cnf, &fresh());
         let result = oracle.solve_batch(&cubes, None);
         assert!(result.models.is_empty());
         let (sat, unsat, _) = result.verdict_counts();
@@ -533,11 +578,11 @@ mod tests {
         // A one-slot pool, and 0 workers meaning one: a zero-slot pool would
         // panic on its first batch.
         for workers in [0usize, 1, 4] {
-            let config = BatchConfig {
+            let config = SolveModeConfig {
                 num_workers: workers,
-                ..BatchConfig::default()
+                ..fresh()
             };
-            let mut oracle = exact(&cnf, config);
+            let mut oracle = exact(&cnf, &config);
             assert_eq!(oracle.num_workers(), workers.max(1));
             let result = oracle.solve_batch(&[], None);
             assert!(result.costs.is_empty() && result.verdicts.is_empty());
@@ -558,12 +603,12 @@ mod tests {
         let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new([Var::new(0)]);
         let cubes: Vec<Cube> = set.cubes().collect(); // 2 cubes
-        let config = BatchConfig {
+        let config = SolveModeConfig {
             cost: CostMetric::Conflicts,
             num_workers: 8, // far more than cubes
-            ..BatchConfig::default()
+            ..fresh()
         };
-        let mut oracle = exact(&cnf, config);
+        let mut oracle = exact(&cnf, &config);
         assert_eq!(oracle.num_workers(), 8);
         for _ in 0..3 {
             // Repeated short batches must neither hang the drain nor lose
@@ -583,17 +628,17 @@ mod tests {
             .unwrap_or(1);
         let clamped = CubeOracle::new(
             &cnf,
-            BatchConfig {
+            &SolveModeConfig {
                 num_workers: 64,
-                ..BatchConfig::default()
+                ..fresh()
             },
         );
         assert_eq!(clamped.num_workers(), 64.min(hardware).max(1));
         let forced = exact(
             &cnf,
-            BatchConfig {
+            &SolveModeConfig {
                 num_workers: 3,
-                ..BatchConfig::default()
+                ..fresh()
             },
         );
         assert_eq!(forced.num_workers(), 3);
@@ -604,7 +649,7 @@ mod tests {
         let cnf = sat_chain(5);
         let set = DecompositionSet::new([Var::new(2)]);
         let cubes: Vec<Cube> = set.cubes().collect();
-        let result = batch(&cnf, &cubes, &BatchConfig::default());
+        let result = batch(&cnf, &cubes, &fresh());
         assert_eq!(result.models.len(), cubes.len(), "models are collected");
         for (index, model) in &result.models {
             assert!(cnf.is_satisfied_by(model));
@@ -619,11 +664,11 @@ mod tests {
         let cnf = Cnf::pigeonhole(5);
         let set = DecompositionSet::new((0..4).map(Var::new));
         let cubes: Vec<Cube> = set.cubes().collect();
-        let fresh_config = BatchConfig {
+        let fresh_config = SolveModeConfig {
             cost: CostMetric::Conflicts,
-            ..BatchConfig::default()
+            ..fresh()
         };
-        let warm_config = BatchConfig {
+        let warm_config = SolveModeConfig {
             backend: BackendKind::Warm,
             ..fresh_config.clone()
         };
@@ -643,10 +688,10 @@ mod tests {
         let set = DecompositionSet::new((0..4).map(Var::new));
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let cubes = set.random_sample(10, &mut rng);
-        let config = BatchConfig {
+        let config = SolveModeConfig {
             cost: CostMetric::Conflicts,
             num_workers: 3,
-            ..BatchConfig::default()
+            ..fresh()
         };
         let a = batch(&cnf, &cubes, &config);
         let b = batch(&cnf, &cubes, &config);
@@ -660,10 +705,10 @@ mod tests {
         let cubes: Vec<Cube> = set.cubes().collect();
         let mut oracle = CubeOracle::new(
             &cnf,
-            BatchConfig {
+            &SolveModeConfig {
                 cost: CostMetric::Conflicts,
                 backend: BackendKind::Warm,
-                ..BatchConfig::default()
+                ..SolveModeConfig::default()
             },
         );
         let first = oracle.solve_batch(&cubes, None);
@@ -684,7 +729,7 @@ mod tests {
         let cnf = Cnf::pigeonhole(4);
         let set = DecompositionSet::new((0..2).map(Var::new));
         let cubes: Vec<Cube> = set.cubes().collect();
-        let mut oracle = CubeOracle::new(&cnf, BatchConfig::default());
+        let mut oracle = CubeOracle::new(&cnf, &fresh());
         let first = oracle.solve_batch(&cubes, None);
         let second = oracle.solve_batch(&cubes, None);
         assert_eq!(oracle.batches(), 2);

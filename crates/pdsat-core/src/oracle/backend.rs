@@ -2,10 +2,10 @@
 //! worker can use to decide one sub-problem `C[X̃/α]`.
 //!
 //! A backend is the smallest exchangeable unit of the oracle: it receives a
-//! cube and must return a verdict plus the exact counters ([`CubeCounters`])
-//! and per-variable conflict participation attributable to that cube. The
-//! executor never looks inside a backend — interrupt fan-out and cost
-//! measurement are applied uniformly on the outside. The trait is
+//! cube and must return a verdict plus the cube's cost under the oracle's
+//! [`CostMetric`] and the per-variable conflict participation attributable
+//! to it. The executor never looks inside a backend — it fans the interrupt
+//! out and writes each cost where the cube's result goes. The trait is
 //! crate-private: the two substrates ([`FreshBackend`], [`WarmBackend`]) and
 //! the fault-injecting decorator are its only implementations, selected from
 //! outside through [`BackendKind`].
@@ -20,34 +20,29 @@
 //! analogue of the solver inside a long-lived PDSAT worker process. The full
 //! behavioural contract lives in DESIGN.md ("Backend contract").
 
-use super::BatchConfig;
-use crate::CubeCounters;
+use crate::{CostMetric, SolveModeConfig};
 use pdsat_cnf::{Cnf, DratProof, Lit};
 use pdsat_solver::{Budget, InterruptFlag, Solver, SolverConfig, SolverStats, Verdict};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Everything a backend reports about one solved cube.
 ///
-/// `counters` must cover exactly the work performed for *this* cube: a
-/// fresh solver reports its whole lifetime, a warm solver reports the
-/// difference since the previous cube. The oracle turns them into a
-/// [`CostMetric`](crate::CostMetric) observation; every other solver
-/// statistic reaches it once per batch through [`CubeBackend::end_batch`].
-/// Per-variable conflict participation is *not* part of the outcome: the
-/// backend adds it directly into the accumulator passed to
-/// [`CubeBackend::solve`], so no `num_vars`-sized allocation travels per
-/// cube.
+/// `cost` must cover exactly the work performed for *this* cube: a fresh
+/// solver prices its whole lifetime, a warm solver the difference since the
+/// previous cube. Every other solver statistic reaches the executor once per
+/// batch through [`CubeBackend::end_batch`]. Per-variable conflict
+/// participation is *not* part of the outcome: the backend adds it directly
+/// into the accumulator passed to [`CubeBackend::solve`], so no
+/// `num_vars`-sized allocation travels per cube.
 #[derive(Debug, Clone)]
 pub(crate) struct BackendOutcome {
     /// Verdict of `C ∧ cube` (the model travels inside [`Verdict::Sat`]).
     pub verdict: Verdict,
-    /// Conflicts, decisions and propagations attributable to this cube.
-    pub counters: CubeCounters,
-    /// Wall-clock time of the call, including the per-cube setup the backend
-    /// performs (a fresh backend counts rewinding its solver to the load,
-    /// but not the one-off load itself).
-    pub elapsed: Duration,
+    /// The cube's cost under the oracle's [`CostMetric`]: the counter it
+    /// names, or the wall time of the call, including the per-cube setup the
+    /// backend performs (a fresh backend counts rewinding its solver to the
+    /// load, but not the one-off load itself).
+    pub cost: f64,
     /// A DRAT certificate of the UNSAT verdict, checkable against the
     /// *original* formula with the cube's literals seeded as root
     /// assumptions. Present exactly when [`SolverConfig::proof`] is enabled
@@ -88,9 +83,9 @@ pub(crate) trait CubeBackend: Send {
     /// Closes the batch and returns the solver-statistics delta covering
     /// exactly the cubes fed to this backend since the matching
     /// [`CubeBackend::begin_batch`]. The executors call this **once per
-    /// batch** per worker — per-cube outcomes carry only the two counters
-    /// needed to measure that cube's cost, and the batch aggregate is merged
-    /// here in one step instead of being re-summed cube by cube.
+    /// batch** per worker — per-cube outcomes carry only that cube's cost,
+    /// and the batch aggregate is merged here in one step instead of being
+    /// re-summed cube by cube.
     fn end_batch(&mut self) -> SolverStats;
 }
 
@@ -130,41 +125,35 @@ impl BackendKind {
     }
 }
 
-/// How to build a backend: everything [`BatchConfig`] and the formula decide
-/// about it, worked out once when the oracle is built and shared by every
-/// site that builds one — the pool, for the slots a batch reaches that have
-/// none and for every replacement after a panic, and the oracle's re-solve
-/// of the cubes whose solve panicked.
+/// How to build a backend: everything the oracle's configuration and the
+/// formula decide about it, worked out once when the oracle is built and
+/// shared by every site that builds one — the pool, for the slots a batch
+/// reaches that have none and for every replacement after a panic, and the
+/// oracle's re-solve of the cubes whose solve panicked.
 pub(crate) struct BackendSpec {
     /// The formula every sub-problem restricts.
-    pub cnf: Arc<Cnf>,
+    cnf: Cnf,
     /// Which substrate to build.
     kind: BackendKind,
     /// The solver configuration of every backend, with the solver's own clock
-    /// off: a backend times each cube itself ([`BackendOutcome::elapsed`]).
+    /// off: a backend times each cube itself when its cost is wall time.
     solver_config: SolverConfig,
-    /// Whether a backend reads the clock around every cube to fill
-    /// [`BackendOutcome::elapsed`]. `false` when the cost metric is a
-    /// deterministic counter — at warm-backend throughput (hundreds of
-    /// nanoseconds per cube once a family's lemmas are learnt and trails are
-    /// reused), the per-cube clock reads are a double-digit percentage of
-    /// the remaining cost.
-    measure_wall_time: bool,
+    /// What every backend prices its cubes by.
+    cost: CostMetric,
 }
 
 impl BackendSpec {
     /// The spec of the backends an oracle over `cnf` configured by `config`
-    /// runs.
-    pub(crate) fn new(cnf: Arc<Cnf>, config: &BatchConfig) -> BackendSpec {
-        let measure_wall_time = !config.cost.is_deterministic();
+    /// runs: its backend, solver configuration and cost metric.
+    pub(crate) fn new(cnf: &Cnf, config: &SolveModeConfig) -> BackendSpec {
         BackendSpec {
-            cnf,
+            cnf: cnf.clone(),
             kind: config.backend,
             solver_config: SolverConfig {
                 time_accounting: false,
                 proof: config.solver_config.proof,
             },
-            measure_wall_time,
+            cost: config.cost,
         }
     }
 
@@ -199,6 +188,37 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
+/// One cube's measurement under a backend's [`CostMetric`], started before
+/// the cube is solved.
+#[derive(Clone, Copy)]
+enum Meter {
+    /// Wall time, the only metric a backend reads the clock for: when the
+    /// cube started. At warm-backend throughput (tens of nanoseconds per cube
+    /// once a family's lemmas are learnt and trails are reused), a clock
+    /// read per cube under a counter metric would be a double-digit
+    /// percentage of the cost.
+    Clock(Instant),
+    /// A counter metric: the counter before the cube.
+    Counter(u64),
+}
+
+impl Meter {
+    /// Starts measuring a cube under `cost`, the solver's counters being
+    /// `stats`.
+    fn start(cost: CostMetric, stats: &SolverStats) -> Meter {
+        cost.counter(stats)
+            .map_or_else(|| Meter::Clock(Instant::now()), Meter::Counter)
+    }
+
+    /// The cube's cost under `cost`, the solver's counters now being `stats`.
+    fn stop(self, cost: CostMetric, stats: &SolverStats) -> f64 {
+        match self {
+            Meter::Clock(start) => start.elapsed().as_secs_f64(),
+            Meter::Counter(before) => cost.counter(stats).map_or(0, |now| now - before) as f64,
+        }
+    }
+}
+
 /// The fresh-solver backend: every cube is solved from identical solver
 /// state (the property the Monte Carlo estimator needs).
 ///
@@ -215,9 +235,9 @@ impl std::fmt::Display for BackendKind {
 ///
 /// A cube equal to the one just solved, with the interrupt flag down, is
 /// not solved again: the solver still holds exactly the state that solve
-/// left, so its counters, conflict participation, statistics and
-/// certificate are read again as they are, beside the verdict and wall time
-/// kept from the solve. The estimator's
+/// left, so its conflict participation, statistics and certificate are read
+/// again as they are, beside the verdict and cost kept from the solve. The
+/// estimator's
 /// samples are drawn with replacement and grouped before they are
 /// submitted, so repeats arrive back to back.
 pub(crate) struct FreshBackend {
@@ -229,18 +249,18 @@ pub(crate) struct FreshBackend {
     /// Sum of the per-cube stats deltas of the current batch, handed out
     /// once at [`CubeBackend::end_batch`].
     batch_stats: SolverStats,
-    measure_wall_time: bool,
+    cost: CostMetric,
 }
 
 /// What [`FreshBackend::last`] remembers of a solve.
 struct LastSolve {
     /// Its cube; one buffer, rewritten by every solve that sets `answer`.
     cube: Vec<Lit>,
-    /// Its verdict and wall time, while a repeat may be answered from
-    /// `working`. Cleared before every solve, so a solve that panics leaves
-    /// nothing stale; never set by an interrupted solve, whose verdict a
-    /// repeat need not share.
-    answer: Option<(Verdict, Duration)>,
+    /// Its verdict and cost, while a repeat may be answered from `working`.
+    /// Cleared before every solve, so a solve that panics leaves nothing
+    /// stale; never set by an interrupted solve, whose verdict a repeat need
+    /// not share.
+    answer: Option<(Verdict, f64)>,
 }
 
 impl FreshBackend {
@@ -254,33 +274,35 @@ impl FreshBackend {
                 answer: None,
             },
             batch_stats: SolverStats::default(),
-            measure_wall_time: spec.measure_wall_time,
+            cost: spec.cost,
         }
     }
 
-    /// Rewinds `working` and solves `cube` on it — or, for a repeat of the
-    /// last solve, returns that solve's verdict and wall time with `working`
-    /// untouched.
-    fn rewind_and_solve(&mut self, cube: &[Lit], interrupt: &InterruptFlag) -> (Verdict, Duration) {
-        if let Some((verdict, elapsed)) = &self.last.answer {
+    /// Rewinds `working`, solves `cube` on it and prices the solve — or, for
+    /// a repeat of the last solve, returns that solve's verdict and cost with
+    /// `working` untouched.
+    fn rewind_and_solve(&mut self, cube: &[Lit], interrupt: &InterruptFlag) -> (Verdict, f64) {
+        if let Some((verdict, cost)) = &self.last.answer {
             if self.last.cube == cube && !interrupt.is_raised() {
-                return (verdict.clone(), *elapsed);
+                return (verdict.clone(), *cost);
             }
         }
         self.last.answer = None;
-        let start = self.measure_wall_time.then(Instant::now);
+        // A rewound solver's counters are the cube's own from zero, the
+        // load's root propagations included.
+        let meter = Meter::start(self.cost, &SolverStats::default());
         self.working.rewind();
         let verdict = self
             .working
             .solve_limited(cube, &Budget::unlimited(), Some(interrupt));
-        let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
+        let cost = meter.stop(self.cost, self.working.stats());
         // A raised interrupt is the only way to `Unknown`.
         if !verdict.is_unknown() {
             self.last.cube.clear();
             self.last.cube.extend_from_slice(cube);
-            self.last.answer = Some((verdict.clone(), elapsed));
+            self.last.answer = Some((verdict.clone(), cost));
         }
-        (verdict, elapsed)
+        (verdict, cost)
     }
 }
 
@@ -294,25 +316,23 @@ impl CubeBackend for FreshBackend {
         // The load happened when the backend was built, so every wall-time
         // observation of a backend's life is distributed alike: rewind +
         // solve.
-        let (verdict, elapsed) = self.rewind_and_solve(cube, interrupt);
+        let (verdict, cost) = self.rewind_and_solve(cube, interrupt);
         let working = &self.working;
-        let counters = CubeCounters::of(working.stats());
         // The load runs no conflict analysis and a rewind zeroes what a
         // cube's conflicts counted, so the solver's counts are entirely
         // this cube's — and all zero when it met no conflict.
-        if counters.conflicts > 0 {
+        if working.stats().conflicts > 0 {
             for (acc, &c) in conflict_acc.iter_mut().zip(working.conflict_counts()) {
                 *acc += c;
             }
         }
         // The full statistics stay in here, for the batch aggregate; the
-        // report carries the two counters the executor reads.
+        // report carries the cube's cost.
         self.batch_stats.absorb(working.stats());
         let proof = working.unsat_certificate();
         BackendOutcome {
             verdict,
-            counters,
-            elapsed,
+            cost,
             proof,
         }
     }
@@ -338,7 +358,7 @@ pub(crate) struct WarmBackend {
     /// [`CubeBackend::begin_batch`]; `end_batch` returns the delta since —
     /// one O(1) subtraction per batch instead of one absorb per cube.
     batch_start: SolverStats,
-    measure_wall_time: bool,
+    cost: CostMetric,
 }
 
 impl WarmBackend {
@@ -349,7 +369,7 @@ impl WarmBackend {
             solver,
             attributed: vec![0; spec.cnf.num_vars()],
             batch_start: SolverStats::default(),
-            measure_wall_time: spec.measure_wall_time,
+            cost: spec.cost,
         }
     }
 }
@@ -361,33 +381,32 @@ impl CubeBackend for WarmBackend {
         interrupt: &InterruptFlag,
         conflict_acc: &mut [u64],
     ) -> BackendOutcome {
-        let start = self.measure_wall_time.then(Instant::now);
-        let before = CubeCounters::of(self.solver.stats());
+        let conflicts = self.solver.stats().conflicts;
+        let meter = Meter::start(self.cost, self.solver.stats());
         let verdict = self
             .solver
             .solve_limited(cube, &Budget::unlimited(), Some(interrupt));
-        let elapsed = start.map_or(Duration::ZERO, |s| s.elapsed());
-        let counters = CubeCounters::of(self.solver.stats()).since(before);
+        let cost = meter.stop(self.cost, self.solver.stats());
         // Attribute only the *new* conflict participation to this cube, in
-        // place — no per-cube allocation. A cube decided without a single
+        // place — no per-cube allocation — and only over the formula's
+        // variables: a cube may name a variable the formula lacks, which
+        // the solver then creates. A cube decided without a single
         // conflict (the common case once the family's lemmas are learnt)
         // cannot have moved any per-variable counter, so the whole
         // `num_vars`-sized scan is skipped.
-        if counters.conflicts > 0 {
-            for (i, &now) in self.solver.conflict_counts().iter().enumerate() {
-                let prev = self.attributed[i];
-                if now != prev {
-                    if let Some(acc) = conflict_acc.get_mut(i) {
-                        *acc += now - prev;
-                    }
-                    self.attributed[i] = now;
+        if self.solver.stats().conflicts > conflicts {
+            let counts = self.solver.conflict_counts().iter();
+            let attributed = self.attributed.iter_mut().zip(conflict_acc);
+            for ((prev, acc), &now) in attributed.zip(counts) {
+                if now != *prev {
+                    *acc += now - *prev;
+                    *prev = now;
                 }
             }
         }
         BackendOutcome {
             verdict,
-            counters,
-            elapsed,
+            cost,
             proof: self.solver.unsat_certificate(),
         }
     }
@@ -404,7 +423,6 @@ impl CubeBackend for WarmBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CostMetric;
     use pdsat_cnf::{Cube, Lit, Var};
 
     fn chain(n: usize) -> Cnf {
@@ -425,8 +443,17 @@ mod tests {
         assert_eq!(BackendKind::default(), BackendKind::Fresh);
     }
 
-    fn spec(cnf: Cnf) -> BackendSpec {
-        BackendSpec::new(Arc::new(cnf), &BatchConfig::default())
+    /// The configuration of `backend` backends pricing cubes by `cost`.
+    fn config(backend: BackendKind, cost: CostMetric) -> SolveModeConfig {
+        SolveModeConfig {
+            cost,
+            backend,
+            ..SolveModeConfig::default()
+        }
+    }
+
+    fn spec(cnf: &Cnf) -> BackendSpec {
+        BackendSpec::new(cnf, &config(BackendKind::Fresh, CostMetric::Propagations))
     }
 
     /// A fresh backend of its own load, unboxed.
@@ -437,38 +464,34 @@ mod tests {
 
     #[test]
     fn fresh_backend_reports_lifetime_deltas() {
-        let mut backend = fresh(&spec(chain(4)));
+        let mut backend = fresh(&spec(&chain(4)));
         let cube = Cube::from_values(&[Var::new(0)], &[true]);
         let interrupt = InterruptFlag::new();
         let mut acc = vec![0u64; backend.working.num_vars()];
         let out = backend.solve(cube.lits(), &interrupt, &mut acc);
         assert!(out.verdict.is_sat());
-        assert!(out.counters.propagations > 0);
+        assert!(out.cost > 0.0);
+        assert_eq!(out.cost, backend.working.stats().propagations as f64);
         // A second identical call sees an identical fresh solver.
         let again = backend.solve(cube.lits(), &interrupt, &mut acc);
-        assert_eq!(out.counters, again.counters);
+        assert_eq!(out.cost, again.cost);
     }
 
-    /// A fresh backend over the pigeonhole formula on 5 holes, certificates
-    /// on, and two of its cubes: every cube is refuted, with conflicts.
-    fn pigeonhole_backend() -> (FreshBackend, Cube, Cube) {
-        let config = BatchConfig {
-            cost: CostMetric::Propagations,
-            solver_config: SolverConfig {
-                proof: true,
-                ..SolverConfig::default()
-            },
-            ..BatchConfig::default()
-        };
-        let spec = BackendSpec::new(Arc::new(Cnf::pigeonhole(5)), &config);
+    /// A fresh backend over the pigeonhole formula on 5 holes pricing cubes
+    /// by `cost`, certificates on, and two of its cubes: every cube is
+    /// refuted, with conflicts.
+    fn pigeonhole_backend(cost: CostMetric) -> (FreshBackend, Cube, Cube) {
+        let mut config = config(BackendKind::Fresh, cost);
+        config.solver_config.proof = true;
+        let spec = BackendSpec::new(&Cnf::pigeonhole(5), &config);
         let set = [Var::new(0), Var::new(7)];
         let (c, d) = (Cube::from_bits(&set, 0b10), Cube::from_bits(&set, 0b01));
         (fresh(&spec), c, d)
     }
 
     /// Marks the solve the backend keeps, so that a cube answered from it
-    /// is told apart from one solved again.
-    const KEPT: Duration = Duration::from_secs(7);
+    /// is told apart from one solved again: no counter is fractional.
+    const KEPT: f64 = 7.5;
 
     fn mark_kept(backend: &mut FreshBackend) {
         let answer = backend.last.answer.as_mut();
@@ -480,8 +503,8 @@ mod tests {
         let interrupt = InterruptFlag::new();
         // Each sequence on a backend of its own: the outcomes, the conflict
         // accumulator and the batch statistics.
-        let run = |order: &[bool]| {
-            let (mut backend, c, d) = pigeonhole_backend();
+        let run = |cost: CostMetric, order: &[bool]| {
+            let (mut backend, c, d) = pigeonhole_backend(cost);
             let mut acc = vec![0u64; backend.working.num_vars()];
             backend.begin_batch();
             let outcomes: Vec<BackendOutcome> = order
@@ -493,28 +516,33 @@ mod tests {
                 .collect();
             (outcomes, acc, backend.end_batch())
         };
-        let (once, once_acc, once_stats) = run(&[true]);
-        let (repeated, repeated_acc, repeated_stats) = run(&[true, true]);
-        let (apart, _, _) = run(&[true, false, true]);
-        assert!(once[0].verdict.is_unsat() && once[0].counters.conflicts > 0);
-        assert!(once_acc.iter().any(|&c| c > 0));
-        for outcome in [&repeated[0], &repeated[1], &apart[0], &apart[2]] {
-            assert_eq!(outcome.verdict, once[0].verdict);
-            assert_eq!(outcome.counters, once[0].counters);
-            assert_eq!(outcome.elapsed, once[0].elapsed);
-            assert_eq!(outcome.proof, once[0].proof);
+        for cost in [CostMetric::Conflicts, CostMetric::Propagations] {
+            let (once, once_acc, once_stats) = run(cost, &[true]);
+            let (repeated, repeated_acc, repeated_stats) = run(cost, &[true, true]);
+            let (apart, _, _) = run(cost, &[true, false, true]);
+            assert!(once[0].verdict.is_unsat() && once[0].cost > 0.0, "{cost}");
+            assert!(once_acc.iter().any(|&c| c > 0));
+            for outcome in [&repeated[0], &repeated[1], &apart[0], &apart[2]] {
+                assert_eq!(outcome.verdict, once[0].verdict);
+                assert_eq!(outcome.cost, once[0].cost, "{cost}");
+                assert_eq!(outcome.proof, once[0].proof);
+            }
+            assert!(once[0].proof.is_some());
+            let doubled: Vec<u64> = once_acc.iter().map(|&c| 2 * c).collect();
+            assert_eq!(repeated_acc, doubled);
+            let mut twice = once_stats;
+            twice.absorb(&once_stats);
+            assert_eq!(repeated_stats, twice);
         }
-        assert!(once[0].proof.is_some());
-        let doubled: Vec<u64> = once_acc.iter().map(|&c| 2 * c).collect();
-        assert_eq!(repeated_acc, doubled);
-        let mut twice = once_stats;
-        twice.absorb(&once_stats);
-        assert_eq!(repeated_stats, twice);
+        // Under wall time a repeat reports the wall time of the solve it is
+        // answered from: one cube, one observation.
+        let (repeated, _, _) = run(CostMetric::WallSeconds, &[true, true]);
+        assert_eq!(repeated[1].cost, repeated[0].cost);
     }
 
     #[test]
     fn a_raised_interrupt_solves_the_cube_again() {
-        let (mut backend, c, d) = pigeonhole_backend();
+        let (mut backend, c, d) = pigeonhole_backend(CostMetric::Propagations);
         let mut acc = vec![0u64; backend.working.num_vars()];
         let lowered = InterruptFlag::new();
         let raised = InterruptFlag::new();
@@ -533,18 +561,19 @@ mod tests {
         // An interrupted solve is not kept: the next repeat is solved.
         assert!(backend.last.answer.is_none());
         let again = backend.solve(c.lits(), &lowered, &mut acc);
-        assert!(again.verdict.is_unsat() && again.elapsed != KEPT);
+        assert!(again.verdict.is_unsat() && again.cost != KEPT);
+        assert_eq!(again.cost, first.cost);
     }
 
     #[test]
     fn warm_backend_deltas_are_per_cube_not_cumulative() {
-        let spec = spec(chain(5));
-        let cnf = Arc::clone(&spec.cnf);
+        let cnf = chain(5);
+        let spec = spec(&cnf);
         let loaded = Solver::from_cnf_with_config(&spec.cnf, spec.solver_config.clone());
         let mut backend = WarmBackend::new(&spec, loaded);
         let interrupt = InterruptFlag::new();
         let set = [Var::new(0), Var::new(4)];
-        let mut total_props = 0;
+        let mut total_props = 0.0;
         let mut acc = vec![0u64; cnf.num_vars()];
         for bits in 0..4u64 {
             let cube = Cube::from_bits(&set, bits);
@@ -552,11 +581,11 @@ mod tests {
             let out = backend.solve(cube.lits(), &interrupt, &mut acc);
             // Deltas stay cube-sized even though the solver's own counters
             // keep growing across the calls.
-            assert!(out.counters.propagations <= backend.solver.stats().propagations);
-            total_props += out.counters.propagations;
+            assert!(out.cost <= backend.solver.stats().propagations as f64);
+            total_props += out.cost;
         }
         // The per-cube deltas add up to the solver's cumulative counters.
-        assert_eq!(total_props, backend.solver.stats().propagations);
+        assert_eq!(total_props, backend.solver.stats().propagations as f64);
         let attributed: u64 = backend.attributed.iter().sum();
         let cumulative: u64 = backend.solver.conflict_counts().iter().sum();
         assert_eq!(attributed, cumulative);
@@ -570,12 +599,8 @@ mod tests {
     fn backends_built_from_one_load_answer_like_one_built_alone() {
         let set = [Var::new(0), Var::new(7), Var::new(13)];
         for backend in [BackendKind::Fresh, BackendKind::Warm] {
-            let config = BatchConfig {
-                backend,
-                cost: CostMetric::Propagations,
-                ..BatchConfig::default()
-            };
-            let spec = BackendSpec::new(Arc::new(Cnf::pigeonhole(5)), &config);
+            let config = config(backend, CostMetric::Propagations);
+            let spec = BackendSpec::new(&Cnf::pigeonhole(5), &config);
             let interrupt = InterruptFlag::new();
             let run = |b: &mut Box<dyn CubeBackend>| {
                 let mut acc = vec![0u64; spec.cnf.num_vars()];
@@ -584,7 +609,7 @@ mod tests {
                     .map(|bits| {
                         let cube = Cube::from_bits(&set, bits);
                         let out = b.solve(cube.lits(), &interrupt, &mut acc);
-                        (out.verdict, out.counters)
+                        (out.verdict, out.cost)
                     })
                     .collect();
                 (outcomes, acc, b.end_batch())

@@ -56,7 +56,7 @@
 //! does not perturb the computation, and the counters stay zero.
 
 use super::backend::{BackendSpec, CubeBackend};
-use super::{summarize, BatchConfig, BatchResult, VerdictSummary};
+use super::{summarize, BatchResult, VerdictSummary};
 use crate::fault::{FaultState, FaultyBackend};
 use pdsat_cnf::{Assignment, Cube, DratProof, LitBuffer};
 use pdsat_solver::{InterruptFlag, SolverStats};
@@ -132,8 +132,6 @@ struct Batch<'a> {
     /// backend sees the *same* cubes batch after batch — warm-solver
     /// locality that one shared queue would reshuffle on every batch.
     stripes: Vec<Stripe<'a>>,
-    /// Cost metric of every cube.
-    config: &'a BatchConfig,
     /// The batch-wide interrupt flag every worker observes.
     interrupt: &'a InterruptFlag,
 }
@@ -144,7 +142,6 @@ impl<'a> Batch<'a> {
         costs: &'a mut [f64],
         verdicts: &'a mut [Option<VerdictSummary>],
         stripes: usize,
-        config: &'a BatchConfig,
         interrupt: &'a InterruptFlag,
     ) -> Batch<'a> {
         // Chunks amortize lock traffic while staying small enough that
@@ -168,7 +165,6 @@ impl<'a> Batch<'a> {
         Batch {
             cubes,
             stripes,
-            config,
             interrupt,
         }
     }
@@ -216,10 +212,7 @@ fn drain(
     totals: &mut [u64],
 ) -> StripeReport {
     let Batch {
-        cubes,
-        config,
-        interrupt,
-        ..
+        cubes, interrupt, ..
     } = *batch;
     let mut backend = slot.take().expect("a batch's slots are built before it");
     backend.begin_batch();
@@ -238,7 +231,7 @@ fn drain(
                 while next < costs.len() {
                     let index = first + next;
                     let raw = backend.solve(buffer.write(&cubes[index]), interrupt, totals);
-                    costs[next] = config.cost.measure(raw.counters, raw.elapsed);
+                    costs[next] = raw.cost;
                     verdicts[next] = Some(summarize(
                         index,
                         raw,
@@ -314,7 +307,6 @@ impl WorkerPool {
     pub(super) fn run_batch(
         &mut self,
         cubes: &[Cube],
-        config: &BatchConfig,
         interrupt: &InterruptFlag,
         result: &mut BatchResult,
         totals: &mut [u64],
@@ -331,7 +323,7 @@ impl WorkerPool {
         }
         let blueprint = &*blueprint;
         let (costs, verdicts) = (&mut result.costs, &mut result.verdicts);
-        let batch = Batch::new(cubes, costs, verdicts, stripes, config, interrupt);
+        let batch = Batch::new(cubes, costs, verdicts, stripes, interrupt);
         // The conflict counts of the spawned workers, one row each in one
         // allocation made here (the caller adds its own straight into
         // `totals`). A row is never empty, so that there is one per worker.
@@ -383,7 +375,7 @@ impl WorkerPool {
 mod tests {
     use super::*;
     use crate::oracle::BackendOutcome;
-    use crate::DecompositionSet;
+    use crate::{DecompositionSet, SolveModeConfig};
     use pdsat_cnf::{Cnf, Lit, Var};
 
     /// A backend whose `begin_batch` panics: past the per-cube recovery.
@@ -414,8 +406,7 @@ mod tests {
         let cubes: Vec<Cube> = DecompositionSet::new((0..3).map(Var::new))
             .cubes()
             .collect();
-        let config = BatchConfig::default();
-        let spec = Arc::new(BackendSpec::new(Arc::new(cnf.clone()), &config));
+        let spec = Arc::new(BackendSpec::new(&cnf, &SolveModeConfig::default()));
         // Once on a spawned worker's slot, once on the caller's own.
         for (broken, expected) in [(1, "positions 4..8 of 8"), (0, "positions 0..4 of 8")] {
             let mut pool = WorkerPool::new(&spec, 2, None);
@@ -425,7 +416,7 @@ mod tests {
                 let mut totals = vec![0; cnf.num_vars()];
                 let interrupt = InterruptFlag::new();
                 catch_unwind(AssertUnwindSafe(|| {
-                    pool.run_batch(&cubes, &config, &interrupt, &mut result, &mut totals);
+                    pool.run_batch(&cubes, &interrupt, &mut result, &mut totals);
                 }))
                 .map(|()| result)
             };

@@ -3,8 +3,8 @@
 
 mod cache;
 
-use crate::oracle::{BackendKind, BatchConfig, BatchResult, CubeOracle, VerdictSummary};
-use crate::{CostMetric, DecompositionSet, PredictiveEstimate};
+use crate::oracle::{BackendKind, BatchResult, CubeOracle, VerdictSummary};
+use crate::{CostMetric, DecompositionSet, PredictiveEstimate, SolveModeConfig};
 use cache::PointCache;
 use pdsat_cnf::{Assignment, Cnf, Cube};
 use pdsat_solver::{InterruptFlag, SolverConfig};
@@ -138,14 +138,14 @@ impl Evaluator {
     /// Creates an evaluator for the given formula.
     #[must_use]
     pub fn new(cnf: &Cnf, config: EvaluatorConfig) -> Evaluator {
-        let batch_config = BatchConfig {
+        let oracle_config = SolveModeConfig {
             solver_config: config.solver_config.clone(),
             cost: config.cost,
             num_workers: config.num_workers,
             backend: config.backend,
         };
         Evaluator {
-            oracle: CubeOracle::new(cnf, batch_config),
+            oracle: CubeOracle::new(cnf, &oracle_config),
             point_cache: PointCache::new(),
             config,
             evaluations: 0,

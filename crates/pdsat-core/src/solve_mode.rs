@@ -7,7 +7,7 @@
 //! process the whole family and the time at which the satisfying assignment
 //! was encountered.
 
-use crate::oracle::{BackendKind, BatchConfig, CubeOracle, VerdictSummary};
+use crate::oracle::{BackendKind, CubeOracle, VerdictSummary};
 use crate::{BatchResult, CostMetric, DecompositionSet};
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof};
 use pdsat_solver::{InterruptFlag, SolverConfig, SolverStats};
@@ -260,14 +260,8 @@ impl FamilySolver {
     /// by the first family it solves cubes of.
     #[must_use]
     pub fn new(cnf: &Cnf, config: &SolveModeConfig) -> FamilySolver {
-        let batch_config = BatchConfig {
-            solver_config: config.solver_config.clone(),
-            cost: config.cost,
-            num_workers: config.num_workers,
-            backend: config.backend,
-        };
         FamilySolver {
-            oracle: CubeOracle::new(cnf, batch_config),
+            oracle: CubeOracle::new(cnf, config),
         }
     }
 
@@ -522,17 +516,18 @@ mod tests {
         // A batch has no holes, so the column is never compacted.
         for workers in [1, 4] {
             let context = format!("workers={workers}");
-            let config = BatchConfig {
+            let config = SolveModeConfig {
                 cost: CostMetric::Propagations,
                 num_workers: workers,
-                ..BatchConfig::default()
+                backend: BackendKind::Fresh,
+                ..SolveModeConfig::default()
             };
             let policy = OracleTestPolicy {
                 exact_workers: true,
                 ..OracleTestPolicy::default()
             };
             let batch =
-                CubeOracle::with_test_policy(&cnf, config, policy).solve_batch(&cubes, None);
+                CubeOracle::with_test_policy(&cnf, &config, policy).solve_batch(&cubes, None);
             assert!(batch.verdicts.iter().all(Option::is_some), "{context}");
             let costs = batch.costs.clone();
             let column = batch.costs.as_ptr();

@@ -16,8 +16,8 @@
 
 use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
-    fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
-    FaultPlan, OracleTestPolicy, VerdictSummary,
+    fault, BackendKind, BatchResult, CostMetric, CubeOracle, DecompositionSet, FaultPlan,
+    OracleTestPolicy, SolveModeConfig, VerdictSummary,
 };
 use pdsat_solver::{InterruptFlag, SolverConfig};
 use rand::rngs::StdRng;
@@ -36,12 +36,12 @@ fn random_set(num_vars: usize, d: usize, rng: &mut StdRng) -> DecompositionSet {
 }
 
 fn run(cnf: &Cnf, cubes: &[Cube], backend: BackendKind) -> pdsat_core::BatchResult {
-    let config = BatchConfig {
+    let config = SolveModeConfig {
         cost: CostMetric::Conflicts,
         backend,
-        ..BatchConfig::default()
+        ..SolveModeConfig::default()
     };
-    CubeOracle::new(cnf, config).solve_batch(cubes, None)
+    CubeOracle::new(cnf, &config).solve_batch(cubes, None)
 }
 
 #[test]
@@ -122,14 +122,14 @@ fn backends_agree_under_a_pre_raised_interrupt() {
     // and reported: abandoned as Unknown before any search, with no model.
     for backend in [BackendKind::Fresh, BackendKind::Warm] {
         for workers in [1, 4] {
-            let config = BatchConfig {
+            let config = SolveModeConfig {
                 cost: CostMetric::Conflicts,
                 backend,
                 num_workers: workers,
-                ..BatchConfig::default()
+                ..SolveModeConfig::default()
             };
             let result =
-                CubeOracle::with_test_policy(&cnf, config, exact_workers(FaultPlan::default()))
+                CubeOracle::with_test_policy(&cnf, &config, exact_workers(FaultPlan::default()))
                     .solve_batch(&cubes, Some(&flag));
             let context = format!("{backend}, workers={workers}");
             assert_eq!(result.verdicts.len(), cubes.len(), "{context}");
@@ -218,7 +218,7 @@ fn fresh_fixture_oracle(
     workers: usize,
     fault_plan: FaultPlan,
 ) -> CubeOracle {
-    let config = BatchConfig {
+    let config = SolveModeConfig {
         cost,
         backend: BackendKind::Fresh,
         solver_config: SolverConfig {
@@ -227,7 +227,7 @@ fn fresh_fixture_oracle(
         },
         num_workers: workers,
     };
-    CubeOracle::with_test_policy(cnf, config, exact_workers(fault_plan))
+    CubeOracle::with_test_policy(cnf, &config, exact_workers(fault_plan))
 }
 
 /// Requires one batch's columns and side lists, and `conflicts`, its share

@@ -4,8 +4,8 @@
 
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_core::{
-    fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
-    FaultPlan, OracleTestPolicy,
+    fault, BackendKind, BatchResult, CostMetric, CubeOracle, DecompositionSet, FaultPlan,
+    OracleTestPolicy, SolveModeConfig,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,17 +19,17 @@ fn sample_cubes(cnf: &Cnf, set_size: usize, count: usize) -> Vec<Cube> {
 
 /// A fresh-backend oracle of exactly `workers` slots, injecting `faults`.
 fn oracle(cnf: &Cnf, workers: usize, faults: FaultPlan) -> CubeOracle {
-    let config = BatchConfig {
+    let config = SolveModeConfig {
         cost: CostMetric::Conflicts,
         backend: BackendKind::Fresh,
         num_workers: workers,
-        ..BatchConfig::default()
+        ..SolveModeConfig::default()
     };
     let policy = OracleTestPolicy {
         exact_workers: true,
         faults,
     };
-    CubeOracle::with_test_policy(cnf, config, policy)
+    CubeOracle::with_test_policy(cnf, &config, policy)
 }
 
 /// One batch on a new oracle: its result and the oracle's conflict tally.
@@ -141,13 +141,13 @@ fn a_replacement_after_a_seeded_panic_answers_like_the_shared_load() {
     let (cnf, cubes) = chain_family(32, 7);
     let (narrow, wide) = cubes.split_at(2);
     for backend in [BackendKind::Fresh, BackendKind::Warm] {
-        let config = |workers| BatchConfig {
+        let config = |workers| SolveModeConfig {
             cost: CostMetric::Propagations,
             backend,
             num_workers: workers,
-            ..BatchConfig::default()
+            ..SolveModeConfig::default()
         };
-        let mut reference = CubeOracle::new(&cnf, config(1));
+        let mut reference = CubeOracle::new(&cnf, &config(1));
         for (workers, seed) in [(2, 5u64), (4, 7)] {
             let plan = FaultPlan::seeded(seed, 6, cubes.len() as u64);
             let planned = plan.solve_panics.len() as u64;
@@ -155,7 +155,7 @@ fn a_replacement_after_a_seeded_panic_answers_like_the_shared_load() {
                 exact_workers: true,
                 faults: plan,
             };
-            let mut faulted = CubeOracle::with_test_policy(&cnf, config(workers), policy);
+            let mut faulted = CubeOracle::with_test_policy(&cnf, &config(workers), policy);
             let mut panics = 0;
             for batch in [narrow, wide] {
                 let expected = reference.solve_batch(batch, None);

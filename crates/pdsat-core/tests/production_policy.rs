@@ -4,7 +4,7 @@
 
 use pdsat_cnf::{Cnf, Cube, Var};
 use pdsat_core::{
-    BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, OracleTestPolicy,
+    BackendKind, CostMetric, CubeOracle, DecompositionSet, OracleTestPolicy, SolveModeConfig,
 };
 use pdsat_solver::SolverConfig;
 
@@ -23,14 +23,14 @@ fn the_default_policy_is_production() {
             proof: true,
             ..SolverConfig::default()
         };
-        let config = BatchConfig {
+        let config = SolveModeConfig {
             solver_config: proof,
             cost: CostMetric::Conflicts,
             num_workers,
             backend,
         };
-        let mut untouched = CubeOracle::new(&cnf, config.clone());
-        let mut set = CubeOracle::with_test_policy(&cnf, config, policy.clone());
+        let mut untouched = CubeOracle::new(&cnf, &config);
+        let mut set = CubeOracle::with_test_policy(&cnf, &config, policy.clone());
         assert_eq!(untouched.num_workers(), num_workers.min(hardware));
         assert_eq!(set.num_workers(), untouched.num_workers());
         for _ in 0..2 {

@@ -15,8 +15,8 @@
 
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
 use pdsat_core::{
-    BackendKind, BatchConfig, CostMetric, CubeOracle, DecompositionSet, Evaluator, EvaluatorConfig,
-    OracleTestPolicy, VerdictSummary,
+    BackendKind, CostMetric, CubeOracle, DecompositionSet, Evaluator, EvaluatorConfig,
+    OracleTestPolicy, SolveModeConfig, VerdictSummary,
 };
 use pdsat_solver::{Solver, SolverConfig, SolverStats, Verdict};
 use proptest::prelude::*;
@@ -159,7 +159,7 @@ fn check_evaluator(
 /// samples grouped, one batch per point, as the evaluator submits them:
 /// every column and side list equals the references', cube by cube.
 fn check_oracle(cnf: &Cnf, samples: &[Vec<Cube>; 2], proof: bool, num_workers: usize) {
-    let config = BatchConfig {
+    let config = SolveModeConfig {
         solver_config: solver_config(proof),
         cost: CostMetric::Propagations,
         num_workers,
@@ -169,7 +169,7 @@ fn check_oracle(cnf: &Cnf, samples: &[Vec<Cube>; 2], proof: bool, num_workers: u
         exact_workers: true,
         ..OracleTestPolicy::default()
     };
-    let mut oracle = CubeOracle::with_test_policy(cnf, config, policy);
+    let mut oracle = CubeOracle::with_test_policy(cnf, &config, policy);
     assert_eq!(oracle.num_workers(), num_workers);
     let mut all = Vec::new();
     for sample in samples {

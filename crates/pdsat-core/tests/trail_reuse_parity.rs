@@ -15,7 +15,8 @@
 use pdsat_checker::check_unsat_proof;
 use pdsat_cnf::{Assignment, Cnf, Cube, DratProof, Var};
 use pdsat_core::{
-    BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet, VerdictSummary,
+    BackendKind, BatchResult, CostMetric, CubeOracle, DecompositionSet, SolveModeConfig,
+    VerdictSummary,
 };
 use pdsat_solver::{Solver, SolverConfig, SolverStats, TestPolicy, Verdict};
 use rand::rngs::StdRng;
@@ -28,12 +29,12 @@ fn proof_config() -> SolverConfig {
     }
 }
 
-fn warm_config() -> BatchConfig {
-    BatchConfig {
+fn warm_config() -> SolveModeConfig {
+    SolveModeConfig {
         cost: CostMetric::Conflicts,
         backend: BackendKind::Warm,
         solver_config: proof_config(),
-        ..BatchConfig::default()
+        ..SolveModeConfig::default()
     }
 }
 
@@ -162,7 +163,7 @@ fn reuse_on_and_off_report_identical_verdicts_and_costs() {
             cubes.swap(i, rng.gen_range(0..=i));
         }
 
-        let mut oracle = CubeOracle::new(&cnf, warm_config());
+        let mut oracle = CubeOracle::new(&cnf, &warm_config());
         let reused = oracle.solve_batch(&cubes, None);
         let replayed = replay(&cnf, &cubes);
         certified_unsat += assert_matches_replay(

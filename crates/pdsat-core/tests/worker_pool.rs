@@ -10,8 +10,8 @@ use pdsat_checker::check_unsat_proof;
 use pdsat_ciphers::{Grain, InstanceBuilder, A51};
 use pdsat_cnf::{Cnf, Cube, Lit, Var};
 use pdsat_core::{
-    fault, BackendKind, BatchConfig, BatchResult, CostMetric, CubeOracle, DecompositionSet,
-    FaultPlan, OracleTestPolicy, VerdictSummary,
+    fault, BackendKind, BatchResult, CostMetric, CubeOracle, DecompositionSet, FaultPlan,
+    OracleTestPolicy, SolveModeConfig, VerdictSummary,
 };
 use pdsat_solver::SolverConfig;
 use rand::rngs::StdRng;
@@ -32,12 +32,12 @@ fn sat_chain(n: usize) -> Cnf {
 
 /// An oracle of exactly `config.num_workers` slots — a real pool even on a
 /// single-core machine — that injects `faults`.
-fn exact_oracle(cnf: &Cnf, config: BatchConfig, faults: FaultPlan) -> CubeOracle {
+fn exact_oracle(cnf: &Cnf, config: SolveModeConfig, faults: FaultPlan) -> CubeOracle {
     let policy = OracleTestPolicy {
         exact_workers: true,
         faults,
     };
-    CubeOracle::with_test_policy(cnf, config, policy)
+    CubeOracle::with_test_policy(cnf, &config, policy)
 }
 
 #[test]
@@ -51,11 +51,11 @@ fn sequential_and_pool_runs_are_identical_for_fresh_backends() {
     let cubes = set.random_sample(24, &mut rng);
 
     let run = |workers: usize| {
-        let config = BatchConfig {
+        let config = SolveModeConfig {
             cost: CostMetric::Conflicts,
             backend: BackendKind::Fresh,
             num_workers: workers,
-            ..BatchConfig::default()
+            ..SolveModeConfig::default()
         };
         let mut oracle = exact_oracle(&cnf, config, FaultPlan::default());
         let result = oracle.solve_batch(&cubes, None);
@@ -83,11 +83,11 @@ fn warm_pool_state_survives_across_batches() {
     let cnf = Cnf::pigeonhole(7);
     let set = DecompositionSet::new((0..4).map(Var::new));
     let cubes: Vec<Cube> = set.cubes().collect();
-    let config = BatchConfig {
+    let config = SolveModeConfig {
         cost: CostMetric::Conflicts,
         backend: BackendKind::Warm,
         num_workers: 4,
-        ..BatchConfig::default()
+        ..SolveModeConfig::default()
     };
     let mut oracle = exact_oracle(&cnf, config, FaultPlan::default());
 
@@ -125,13 +125,13 @@ fn warm_sequential_state_also_survives_across_batches() {
     let cnf = Cnf::pigeonhole(7);
     let set = DecompositionSet::new((0..4).map(Var::new));
     let cubes: Vec<Cube> = set.cubes().collect();
-    let config = BatchConfig {
+    let config = SolveModeConfig {
         cost: CostMetric::Conflicts,
         backend: BackendKind::Warm,
         num_workers: 1,
-        ..BatchConfig::default()
+        ..SolveModeConfig::default()
     };
-    let mut oracle = CubeOracle::new(&cnf, config);
+    let mut oracle = CubeOracle::new(&cnf, &config);
     let first = oracle.solve_batch(&cubes, None);
     let second = oracle.solve_batch(&cubes, None);
     assert!(first.solver_stats.conflicts > 0);
@@ -141,10 +141,11 @@ fn warm_sequential_state_also_survives_across_batches() {
 #[test]
 fn empty_batches_and_short_batches_never_hang_the_pool() {
     let cnf = Cnf::pigeonhole(5);
-    let config = BatchConfig {
+    let config = SolveModeConfig {
         cost: CostMetric::Conflicts,
         num_workers: 6,
-        ..BatchConfig::default()
+        backend: BackendKind::Fresh,
+        ..SolveModeConfig::default()
     };
     let mut oracle = exact_oracle(&cnf, config, FaultPlan::default());
     assert_eq!(oracle.num_workers(), 6);
@@ -176,9 +177,10 @@ fn single_cube_batches_on_a_wide_pool_stay_in_order() {
     // Degenerate chunking: 1 cube, many workers, many consecutive batches.
     let cnf = sat_chain(5);
     let cube = Cube::from_values(&[Var::new(0)], &[true]);
-    let config = BatchConfig {
+    let config = SolveModeConfig {
         num_workers: 8,
-        ..BatchConfig::default()
+        backend: BackendKind::Fresh,
+        ..SolveModeConfig::default()
     };
     let mut oracle = exact_oracle(&cnf, config, FaultPlan::default());
     for _ in 0..10 {
@@ -213,12 +215,12 @@ fn skewed_family() -> (Cnf, Vec<Cube>) {
     (cnf, set.cubes().collect())
 }
 
-fn pool_of_four(backend: BackendKind) -> BatchConfig {
-    BatchConfig {
+fn pool_of_four(backend: BackendKind) -> SolveModeConfig {
+    SolveModeConfig {
         cost: CostMetric::Conflicts,
         backend,
         num_workers: 4,
-        ..BatchConfig::default()
+        ..SolveModeConfig::default()
     }
 }
 
@@ -259,7 +261,7 @@ fn stolen_chunks_are_placed_where_their_cubes_belong() {
     let (cnf, cubes) = skewed_family();
     let mut one_oracle = CubeOracle::new(
         &cnf,
-        BatchConfig {
+        &SolveModeConfig {
             num_workers: 1,
             ..pool_of_four(BackendKind::Fresh)
         },
@@ -307,7 +309,7 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
     // mean every result sits at the place of the cube it belongs to.
     let reference = CubeOracle::new(
         &cnf,
-        BatchConfig {
+        &SolveModeConfig {
             num_workers: 1,
             ..pool_of_four(BackendKind::Fresh)
         },
@@ -327,7 +329,7 @@ fn an_order_permutation_still_returns_the_batch_in_cube_order() {
         (BackendKind::Fresh, 4, plan),
     ] {
         let panics = if fault_plan.is_empty() { 0 } else { planned };
-        let config = BatchConfig {
+        let config = SolveModeConfig {
             num_workers: workers,
             ..pool_of_four(backend)
         };
@@ -384,7 +386,7 @@ fn every_executor_returns_the_same_columns_and_ascending_side_lists() {
     // proofs listed last until the batch's one sort).
     let (cnf, cubes) = skewed_family();
     let run = |workers, fault_plan| {
-        let config = BatchConfig {
+        let config = SolveModeConfig {
             num_workers: workers,
             solver_config: SolverConfig {
                 proof: true,
@@ -436,7 +438,7 @@ fn warm_pool_certificates_check_batch_after_batch() {
         let mut cubes: Vec<Cube> = set.cubes().collect();
         assert_eq!(cubes.len(), 32);
 
-        let proving = |workers| BatchConfig {
+        let proving = |workers| SolveModeConfig {
             num_workers: workers,
             solver_config: SolverConfig {
                 proof: true,
@@ -445,7 +447,7 @@ fn warm_pool_certificates_check_batch_after_batch() {
             ..pool_of_four(BackendKind::Warm)
         };
         let mut pool = exact_oracle(cnf, proving(4), FaultPlan::default());
-        let mut one = CubeOracle::new(cnf, proving(1));
+        let mut one = CubeOracle::new(cnf, &proving(1));
         assert_eq!(pool.num_workers(), 4);
         let mut certified = 0;
         for pass in 0..3 {
@@ -536,8 +538,8 @@ fn assert_same_batch(
 }
 
 /// `workers` workers of `backend`, certificates on, propagations as the cost.
-fn with_proofs(backend: BackendKind, workers: usize) -> BatchConfig {
-    BatchConfig {
+fn with_proofs(backend: BackendKind, workers: usize) -> SolveModeConfig {
+    SolveModeConfig {
         num_workers: workers,
         cost: CostMetric::Propagations,
         solver_config: SolverConfig {
@@ -561,7 +563,7 @@ fn pools_built_from_one_load_answer_like_one_worker() {
         (BackendKind::Fresh, &skewed, &skewed_cubes),
     ];
     for (backend, cnf, cubes) in cases {
-        let mut one = CubeOracle::new(cnf, with_proofs(backend, 1));
+        let mut one = CubeOracle::new(cnf, &with_proofs(backend, 1));
         let reference = one.solve_batch(cubes, None);
         assert_whole_batch_is_solved(&reference, cubes.len());
         assert!(!reference.proofs.is_empty());
@@ -581,7 +583,7 @@ fn pools_built_from_one_load_answer_like_one_worker() {
 fn a_later_wider_batch_builds_the_slots_the_first_did_not_reach() {
     let (cnf, cubes) = history_free_family(24, 9);
     for backend in [BackendKind::Warm, BackendKind::Fresh] {
-        let mut one = CubeOracle::new(&cnf, with_proofs(backend, 1));
+        let mut one = CubeOracle::new(&cnf, &with_proofs(backend, 1));
         let mut pool = exact_oracle(&cnf, with_proofs(backend, 4), FaultPlan::default());
         // One cube reaches one slot; the rest reach all four, three of them
         // for the first time.

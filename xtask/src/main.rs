@@ -23,10 +23,10 @@
 //!    per-cube costs feed the Monte Carlo estimator, so clock reads stay
 //!    confined to modules gated behind `SolverConfig::time_accounting` or
 //!    explicitly wall-clock-facing code.
-//! 3. **knob documentation**: each of the ten config structs
-//!    (`SolverConfig`, `BatchConfig`, `SolveModeConfig`, `EvaluatorConfig`,
-//!    `TabuConfig`, `DriverConfig`, `SearchLimits`, `LoopbackConfig`,
-//!    `CoordinatorConfig`, `ClusterConfig`) that has a public field has a
+//! 3. **knob documentation**: each of the nine config structs
+//!    (`SolverConfig`, `SolveModeConfig`, `EvaluatorConfig`, `TabuConfig`,
+//!    `DriverConfig`, `SearchLimits`, `LoopbackConfig`, `CoordinatorConfig`,
+//!    `ClusterConfig`) that has a public field has a
 //!    knob table in DESIGN.md — a `` `Name`: `` line followed by a
 //!    `| Knob | Meaning |` table — whose rows are exactly its public fields,
 //!    and every `` `Name::x` `` DESIGN.md spells is a public field that
@@ -455,9 +455,8 @@ fn pub_fields(code: &str, path: &str, struct_name: &str) -> Result<Vec<String>, 
 }
 
 /// The config structs DESIGN.md gives a knob table, and where each lives.
-const KNOB_SOURCES: [(&str, &str); 10] = [
+const KNOB_SOURCES: [(&str, &str); 9] = [
     ("crates/solver/src/config.rs", "SolverConfig"),
-    ("crates/pdsat-core/src/oracle.rs", "BatchConfig"),
     ("crates/pdsat-core/src/solve_mode.rs", "SolveModeConfig"),
     ("crates/pdsat-core/src/predict.rs", "EvaluatorConfig"),
     ("crates/pdsat-core/src/tabu.rs", "TabuConfig"),
@@ -1850,20 +1849,20 @@ crates/distrib/src/transport.rs:3 TestPolicy
             "#[derive(Default)]\npub struct TabuConfig;\npub struct Tabu {}\n",
         );
         tree.write(
-            "crates/pdsat-core/src/oracle.rs",
-            "pub struct BatchConfig {}\n",
+            "crates/pdsat-core/src/solve_mode.rs",
+            "pub struct SolveModeConfig {}\n",
         );
         let design = "`LoopbackConfig`:\n\n| Knob | Meaning |\n|---|---|\n| `seed` | Seed. |\n\n\
-                      `BatchConfig`:\n\n| Knob | Meaning |\n|---|---|\n\nSee `TabuConfig::radius`.\n";
+                      `SolveModeConfig`:\n\n| Knob | Meaning |\n|---|---|\n\nSee `TabuConfig::radius`.\n";
         tree.write("DESIGN.md", design);
         let errors = findings(&Sources::read(&tree.0), |rule| rule == 3);
-        // The six other structs' files are missing from the temp tree.
+        // The five other structs' files are missing from the temp tree.
         let design: Vec<&String> = errors.iter().filter(|e| e.starts_with("DESIGN")).collect();
         assert_eq!(design.len(), 3, "{errors:?}");
         assert!(design[0].contains("`TabuConfig::radius` names no public field"));
         assert!(design[1].contains("LoopbackConfig knob `num_clients` is undocumented"));
         assert!(design[2].contains("no knob table for CoordinatorConfig"));
-        assert_eq!(errors.len(), 9, "{errors:?}");
+        assert_eq!(errors.len(), 8, "{errors:?}");
     }
 
     #[test]
